@@ -5,12 +5,15 @@
 //! `Arc`. Readers open a [`ReadTxn`] — an `Arc` clone pinning the value
 //! published at some epoch — and keep using it for as long as they like;
 //! nothing a writer does can change what a pinned snapshot sees. Writers
-//! open a [`WriteTxn`], which clones the current value into a private
-//! working copy ("build aside"), mutate that copy off to the side, and
-//! either [`WriteTxn::commit`] — publishing the copy atomically under the
-//! next epoch — or drop the transaction, which discards the copy and
-//! leaves the published value untouched. There is no partially-updated
-//! intermediate state for anyone to observe, by construction.
+//! open a [`WriteTxn`], which pins the current value, and build the next
+//! one off to the side — either by mutating a private working copy
+//! ([`WriteTxn::value_mut`], cloned on first use) or by deriving a fresh
+//! value from the pinned one ([`WriteTxn::base`] → [`WriteTxn::replace`],
+//! no clone at all) — and either [`WriteTxn::commit`] — publishing it
+//! atomically under the next epoch — or drop the transaction, which
+//! discards it and leaves the published value untouched. There is no
+//! partially-updated intermediate state for anyone to observe, by
+//! construction.
 //!
 //! The concurrency contract:
 //!
@@ -97,17 +100,18 @@ impl<T> Versioned<T> {
 
 impl<T: Clone> Versioned<T> {
     /// Open a write transaction: blocks until any in-flight writer
-    /// finishes, then clones the current value into a private working
-    /// copy. Mutate via [`WriteTxn::value_mut`], then
-    /// [`WriteTxn::commit`] to publish — or drop to roll back.
+    /// finishes, then pins the current value. Nothing is copied until
+    /// [`WriteTxn::value_mut`] asks for a working copy; a writer that
+    /// builds the next value from [`WriteTxn::base`] and hands it to
+    /// [`WriteTxn::replace`] never copies at all. [`WriteTxn::commit`]
+    /// publishes — or drop to roll back.
     pub fn write(&self) -> WriteTxn<'_, T> {
         let guard = relock(self.writer.lock());
-        let base = self.read();
         WriteTxn {
             cell: self,
             _writer: guard,
-            base_epoch: base.epoch(),
-            working: base.deref().clone(),
+            base: self.read(),
+            working: None,
         }
     }
 }
@@ -161,44 +165,62 @@ impl<T: fmt::Debug> fmt::Debug for ReadTxn<T> {
     }
 }
 
-/// A write transaction: an exclusive build-aside working copy of the
-/// cell's value. Published only by [`commit`](WriteTxn::commit);
-/// dropping the transaction first discards every change.
+/// A write transaction: the exclusive right to build the cell's next
+/// value aside from the published one. Published only by
+/// [`commit`](WriteTxn::commit); dropping the transaction first discards
+/// every change.
 pub struct WriteTxn<'a, T> {
     cell: &'a Versioned<T>,
     _writer: MutexGuard<'a, ()>,
-    base_epoch: Epoch,
-    working: T,
+    /// The published value this transaction derives from.
+    base: ReadTxn<T>,
+    /// The next value, once the writer has started one.
+    working: Option<T>,
 }
 
 impl<T> WriteTxn<'_, T> {
-    /// The epoch this transaction's working copy was cloned from (the
-    /// commit will publish `base_epoch() + 1`).
+    /// The epoch this transaction derives from (the commit will publish
+    /// `base_epoch() + 1`).
     pub fn base_epoch(&self) -> Epoch {
-        self.base_epoch
+        self.base.epoch()
     }
 
-    /// The working copy, read-only.
+    /// The published value this transaction derives from — what every
+    /// reader sees until the commit. Checks that can reject the write
+    /// belong here, before any copy exists.
+    pub fn base(&self) -> &T {
+        &self.base
+    }
+
+    /// The value a commit would publish: the working copy once one
+    /// exists, the pinned published value until then.
     pub fn value(&self) -> &T {
-        &self.working
+        self.working.as_ref().unwrap_or(&self.base)
     }
 
-    /// The working copy, mutable. Changes are invisible to readers until
+    /// Make `value` — built aside from [`base`](WriteTxn::base) — the
+    /// one a commit publishes, without ever cloning the published value.
+    pub fn replace(&mut self, value: T) {
+        self.working = Some(value);
+    }
+}
+
+impl<T: Clone> WriteTxn<'_, T> {
+    /// The working copy, mutable — cloned from the published value on
+    /// first use. Changes are invisible to readers until
     /// [`commit`](WriteTxn::commit).
     pub fn value_mut(&mut self) -> &mut T {
-        &mut self.working
+        self.working
+            .get_or_insert_with(|| self.base.deref().clone())
     }
 
     /// Publish the working copy atomically as the next epoch and return
     /// that epoch. Readers that already hold a [`ReadTxn`] keep their
     /// pinned snapshot; new reads see the committed value.
     pub fn commit(self) -> Epoch {
-        let epoch = self.base_epoch + 1;
-        let next = Arc::new(Pinned {
-            epoch,
-            value: self.working,
-        });
-        *relock(self.cell.current.lock()) = next;
+        let epoch = self.base.epoch() + 1;
+        let value = self.working.unwrap_or_else(|| self.base.deref().clone());
+        *relock(self.cell.current.lock()) = Arc::new(Pinned { epoch, value });
         epoch
     }
 }
@@ -206,7 +228,7 @@ impl<T> WriteTxn<'_, T> {
 impl<T: fmt::Debug> fmt::Debug for WriteTxn<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WriteTxn")
-            .field("base_epoch", &self.base_epoch)
+            .field("base_epoch", &self.base.epoch())
             .field("working", &self.working)
             .finish()
     }
@@ -248,6 +270,39 @@ mod tests {
         txn.value_mut().push_str("-v1");
         txn.commit();
         assert_eq!((cell.epoch(), cell.read().as_str()), (1, "stable-v1"));
+    }
+
+    #[test]
+    fn a_replaced_value_is_published_without_cloning_the_base() {
+        /// Counts how often the published value was cloned.
+        struct Counted(Arc<std::sync::atomic::AtomicUsize>, u32);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                Counted(Arc::clone(&self.0), self.1)
+            }
+        }
+        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let cell = Versioned::new(Counted(Arc::clone(&clones), 1));
+        let mut txn = cell.write();
+        assert_eq!((txn.base().1, txn.value().1), (1, 1));
+        let next = Counted(Arc::clone(&clones), txn.base().1 + 1);
+        txn.replace(next);
+        assert_eq!(
+            txn.value().1,
+            2,
+            "value() shows what a commit would publish"
+        );
+        assert_eq!(txn.commit(), 1);
+        assert_eq!(cell.read().1, 2);
+        assert_eq!(clones.load(std::sync::atomic::Ordering::SeqCst), 0);
+        // value_mut clones exactly once, on first use.
+        let mut txn = cell.write();
+        txn.value_mut().1 += 1;
+        txn.value_mut().1 += 1;
+        txn.commit();
+        assert_eq!(cell.read().1, 4);
+        assert_eq!(clones.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! Appended series are strictly-closer near-clones of the query, so
 //! every epoch's top-k is distinct and an answer identifies exactly one
 //! epoch.
+//!
+//! 4. **Append cost on an uncompacting base** — random walks barely
+//!    group (≈ 11 k groups per length at 48 × 256), which is where an
+//!    append used to cost as much as the whole build. One more row
+//!    appends to such a base and reports the wall-clock per append, its
+//!    ratio to the build, and the deterministic count behind both:
+//!    distance calls per appended window. With the writer's resident
+//!    index that count follows log(groups), and CI guards it below a
+//!    tenth of the groups per length (a linear scan sits at 1×).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,6 +59,77 @@ fn config() -> BaseConfig {
     BaseConfig {
         policy: RepresentativePolicy::Seed,
         ..BaseConfig::new(0.5, SUBSEQ_LEN, SUBSEQ_LEN)
+    }
+}
+
+/// The uncompacting row's collection: the end-to-end benchmark's
+/// `ingest` workload (random walks, lengths 16–24, `ST` 1.0).
+pub const UNCOMPACTING: (usize, usize) = (48, 256);
+
+fn uncompacting_config() -> BaseConfig {
+    BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, 16, 24)
+    }
+}
+
+/// Append cost against a base that barely compacts.
+pub struct UncompactingRow {
+    /// Series count of the starting collection.
+    pub series: usize,
+    /// Samples per series.
+    pub len: usize,
+    /// Wall-clock of the initial build.
+    pub build: Duration,
+    /// Groups per indexed length after the build.
+    pub groups_per_length: f64,
+    /// Median latency of one append.
+    pub append_each: Duration,
+    /// Median over the appends of nearest-representative distance calls
+    /// per appended window (index maintenance included). Deterministic.
+    pub distance_calls_per_window: f64,
+    /// Length columns the writer's resident index seeded over the whole
+    /// burst: one per length when only the first append seeds.
+    pub seeds: u64,
+}
+
+impl UncompactingRow {
+    /// One append over one build, wall-clock.
+    pub fn append_over_build(&self) -> f64 {
+        self.append_each.as_secs_f64() / self.build.as_secs_f64().max(1e-12)
+    }
+}
+
+/// Build a `series × len` random-walk base and append `APPENDS` more
+/// walks of the same kind to it, one epoch each.
+pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
+    let all = workloads::walk_collection(series + APPENDS, len);
+    let mut walks: Vec<TimeSeries> = all.iter().map(|(_, s)| s.clone()).collect();
+    let spares = walks.split_off(series);
+    let ds = onex_tseries::Dataset::from_series(walks).expect("generated names are unique");
+    let t = Instant::now();
+    let (engine, built) = Onex::build(ds, uncompacting_config()).expect("valid config");
+    let build = t.elapsed();
+    let mut laps = Vec::with_capacity(APPENDS);
+    let mut calls_per_window = Vec::with_capacity(APPENDS);
+    let mut subsequences = built.subsequences;
+    for spare in spares {
+        let t = Instant::now();
+        let report = engine.append_series(spare).expect("fresh name");
+        laps.push(t.elapsed());
+        let windows = report.subsequences - subsequences;
+        subsequences = report.subsequences;
+        calls_per_window.push(report.work.distance_calls as f64 / windows.max(1) as f64);
+    }
+    calls_per_window.sort_by(f64::total_cmp);
+    UncompactingRow {
+        series,
+        len,
+        build,
+        groups_per_length: built.groups as f64 / built.lengths.max(1) as f64,
+        append_each: median(laps),
+        distance_calls_per_window: calls_per_window[calls_per_window.len() / 2],
+        seeds: engine.resident_index().seeds,
     }
 }
 
@@ -220,6 +300,35 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
     rows
 }
 
+/// Render the uncompacting row as its own panel.
+pub fn uncompacting_table(row: &UncompactingRow) -> Table {
+    let mut t = Table::new(
+        format!(
+            "E15 — append cost on an uncompacting base ({APPENDS} appends to random walks, \
+             lengths 16–24, Seed policy; distance calls per appended window are deterministic)"
+        ),
+        &[
+            "collection",
+            "groups/length",
+            "build",
+            "append each",
+            "append/build",
+            "calls/window",
+            "index seeds",
+        ],
+    );
+    t.row(vec![
+        format!("{}x{}", row.series, row.len),
+        format!("{:.0}", row.groups_per_length),
+        fmt_duration(row.build),
+        fmt_duration(row.append_each),
+        format!("{:.4}×", row.append_over_build()),
+        format!("{:.1}", row.distance_calls_per_window),
+        row.seeds.to_string(),
+    ]);
+    t
+}
+
 /// Render the sweep as the experiment table.
 pub fn table(rows: &[IngestRow]) -> Table {
     let mut t = Table::new(
@@ -258,10 +367,16 @@ pub fn table(rows: &[IngestRow]) -> Table {
 /// `BENCH_ingest.json`. CI's regression guard requires `agreement` to be
 /// `true` and `epochs` to equal the append count on every row; the
 /// latencies are reported for trajectory, not guarded (they track the
-/// runner's scheduler too loosely).
-pub fn json_report(rows: &[IngestRow]) -> String {
+/// runner's scheduler too loosely). On the uncompacting row it guards
+/// the deterministic `append_distance_calls_per_window` below a tenth of
+/// `groups_per_length`. The header records `available_parallelism`: the
+/// live/idle ratios depend on readers and writer having a core each.
+pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"e15_ingest\",\"rows\":[");
+    let mut out = format!(
+        "{{\"experiment\":\"e15_ingest\",\"available_parallelism\":{},\"rows\":[",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -284,13 +399,32 @@ pub fn json_report(rows: &[IngestRow]) -> String {
             r.agreement,
         );
     }
-    out.push_str("]}\n");
+    let u = uncompacting;
+    let _ = write!(
+        out,
+        "],\"uncompacting\":{{\"series\":{},\"len\":{},\"groups_per_length\":{:.1},\
+         \"build_ms\":{:.3},\"append_each_ms\":{:.3},\"append_over_build_ratio\":{:.5},\
+         \"append_distance_calls_per_window\":{:.2},\"index_seeds\":{}}}}}",
+        u.series,
+        u.len,
+        u.groups_per_length,
+        u.build.as_secs_f64() * 1e3,
+        u.append_each.as_secs_f64() * 1e3,
+        u.append_over_build(),
+        u.distance_calls_per_window,
+        u.seeds,
+    );
+    out.push('\n');
     out
 }
 
 /// Standard experiment entry point.
 pub fn run(quick: bool) -> Vec<Table> {
-    vec![table(&measure(quick))]
+    let (series, len) = UNCOMPACTING;
+    vec![
+        table(&measure(quick)),
+        uncompacting_table(&measure_uncompacting(series, len)),
+    ]
 }
 
 #[cfg(test)]
@@ -321,6 +455,19 @@ mod tests {
     }
 
     #[test]
+    fn appends_to_an_uncompacting_base_seed_the_index_once_and_count_repeatably() {
+        let a = measure_uncompacting(6, 48);
+        let b = measure_uncompacting(6, 48);
+        assert_eq!(a.distance_calls_per_window, b.distance_calls_per_window);
+        assert!(a.distance_calls_per_window > 0.0 && a.groups_per_length > 1.0);
+        assert_eq!(
+            a.seeds, 9,
+            "one seeding per length 16..=24, by the first append only"
+        );
+        assert!(a.append_each > Duration::ZERO && a.build > Duration::ZERO);
+    }
+
+    #[test]
     fn json_report_is_parseable_shape() {
         let rows = vec![
             IngestRow {
@@ -344,11 +491,25 @@ mod tests {
                 agreement: true,
             },
         ];
-        let json = json_report(&rows);
-        assert!(json.starts_with("{\"experiment\":\"e15_ingest\""));
+        let uncompacting = UncompactingRow {
+            series: 48,
+            len: 256,
+            build: Duration::from_millis(700),
+            groups_per_length: 11_234.0,
+            append_each: Duration::from_millis(14),
+            distance_calls_per_window: 212.5,
+            seeds: 9,
+        };
+        let json = json_report(&rows, &uncompacting);
+        assert!(json.starts_with("{\"experiment\":\"e15_ingest\",\"available_parallelism\":"));
+        assert!(json.contains(
+            "\"uncompacting\":{\"series\":48,\"len\":256,\"groups_per_length\":11234.0,"
+        ));
+        assert!(json.contains("\"append_over_build_ratio\":0.02000,"));
+        assert!(json.contains("\"append_distance_calls_per_window\":212.50,\"index_seeds\":9}"));
         assert_eq!(json.matches("\"agreement\":true").count(), 2);
         assert_eq!(json.matches("\"epochs\":6").count(), 2);
         assert!(json.contains("\"live_ratio\":1.4000"));
-        assert!(json.trim_end().ends_with("]}"));
+        assert!(json.trim_end().ends_with("}}"));
     }
 }

@@ -91,9 +91,17 @@ pub fn run(id: &str, quick: bool) -> Option<ExperimentOutput> {
         }
         "e15" => {
             let rows = e15_ingest::measure(quick);
+            let (series, len) = e15_ingest::UNCOMPACTING;
+            let uncompacting = e15_ingest::measure_uncompacting(series, len);
             Some(ExperimentOutput {
-                tables: vec![e15_ingest::table(&rows)],
-                record: Some(("BENCH_ingest.json", e15_ingest::json_report(&rows))),
+                tables: vec![
+                    e15_ingest::table(&rows),
+                    e15_ingest::uncompacting_table(&uncompacting),
+                ],
+                record: Some((
+                    "BENCH_ingest.json",
+                    e15_ingest::json_report(&rows, &uncompacting),
+                )),
             })
         }
         "e16" => {

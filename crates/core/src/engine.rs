@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use onex_api::{validate_query, Epoch, OnexError, ReadTxn, SharedBound, Versioned};
 use onex_grouping::persist::BaseSegment;
-use onex_grouping::{BaseBuilder, BaseConfig, BuildReport, OnexBase};
+use onex_grouping::{BaseBuilder, BaseConfig, BuildReport, OnexBase, ResidentIndex};
 use onex_tseries::Dataset;
 
 use crate::search::Searcher;
@@ -22,6 +22,38 @@ use crate::{LengthSelection, Match, QueryOptions, QueryStats, SeasonalPattern};
 struct EngineState {
     dataset: Dataset,
     base: OnexBase,
+}
+
+/// The writer's nearest-representative index, kept between appends so
+/// one append costs what its new windows cost. It lives beside the
+/// writer lock and is touched only inside a write transaction (and read
+/// by [`Onex::resident_index`]).
+#[derive(Debug, Default)]
+struct Resident {
+    index: ResidentIndex,
+    /// The published epoch whose base `index` mirrors. `None` before the
+    /// first append and from the moment an append starts mutating the
+    /// index until its commit — so an append that fails, panics or is
+    /// rolled back leaves a stamp no epoch matches, and the next append
+    /// re-seeds instead of trusting admissions that were never published.
+    epoch: Option<Epoch>,
+}
+
+/// What [`Onex::resident_index`] reports about the writer's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentReport {
+    /// `"vptree"`, `"linear"`, `"mixed"` (per-length columns differ) or
+    /// `"none"` (nothing seeded: no append yet, or the index was dropped).
+    pub kind: &'static str,
+    /// Representatives indexed, over all lengths.
+    pub entries: usize,
+    /// The epoch the index mirrors; `None` when the next append will
+    /// re-seed it.
+    pub epoch: Option<Epoch>,
+    /// Length columns seeded from the base so far. One per length after
+    /// the first append and constant from then on; growth per append
+    /// means something keeps invalidating the index.
+    pub seeds: u64,
 }
 
 /// The unresolved remainder of a cold-opened base file: the validated
@@ -97,9 +129,15 @@ pub struct Onex {
     /// that touch only already-resolved columns never take it beyond a
     /// pending-set peek.
     cold: Mutex<Option<ColdSource>>,
-    /// Test-only fault injection: make the next append's extension fail
-    /// after the working copy has been mutated, exercising the rollback
-    /// path (the published epoch must be untouched).
+    /// Seeded lazily by the first append (never at build/open), and
+    /// re-seeded whenever its stamp is not the epoch being extended:
+    /// after [`Onex::install_base`], a cold-column resolve, or an append
+    /// that did not commit.
+    resident: Mutex<Resident>,
+    /// Test-only fault injection: make the next append fail after the
+    /// extension has run (dataset grown, resident index mutated),
+    /// exercising the rollback path — the published epoch must be
+    /// untouched and the index discarded.
     #[cfg(test)]
     fail_next_extend: std::sync::atomic::AtomicBool,
 }
@@ -152,6 +190,7 @@ impl Onex {
             state: Versioned::new(EngineState { dataset, base }),
             lifetime: Arc::new(Mutex::new(QueryStats::default())),
             cold: Mutex::new(None),
+            resident: Mutex::default(),
             #[cfg(test)]
             fail_next_extend: std::sync::atomic::AtomicBool::new(false),
         })
@@ -205,6 +244,7 @@ impl Onex {
                 pending,
                 path,
             })),
+            resident: Mutex::default(),
             #[cfg(test)]
             fail_next_extend: std::sync::atomic::AtomicBool::new(false),
         })
@@ -537,16 +577,36 @@ impl Onex {
         *self.lifetime.lock()
     }
 
+    /// What the writer's resident index currently holds (see the
+    /// [`ResidentReport`] fields) — `/api/summary` serves it so a
+    /// re-seed storm is visible from outside. Waits for an append in
+    /// progress to finish.
+    pub fn resident_index(&self) -> ResidentReport {
+        let resident = self.resident.lock();
+        ResidentReport {
+            kind: resident.index.kind(),
+            entries: resident.index.entries(),
+            epoch: resident.epoch,
+            seeds: resident.index.seeds(),
+        }
+    }
+
     /// Append a series and index it incrementally — the demo's interactive
     /// data loading without rebuilding the existing base. Returns the
-    /// updated construction report.
+    /// updated construction report, stamped with the epoch this append
+    /// published and the series count at that epoch.
     ///
     /// Appends serialise against each other but never block queries: the
-    /// extension runs on a build-aside copy of the current epoch
-    /// ([`onex_api::WriteTxn`]) and is published atomically on success.
-    /// On **any** error the transaction is dropped uncommitted, so the
-    /// engine keeps answering from the prior epoch exactly as if the
-    /// append had never been attempted.
+    /// next dataset/base pair is derived aside from the published one —
+    /// sharing every series, group and sketch slab the append does not
+    /// change — and published atomically on success
+    /// ([`onex_api::WriteTxn`]). The lookups run against the writer's
+    /// resident index, so the cost follows the appended windows, not the
+    /// base. On **any** error the transaction is dropped uncommitted and
+    /// the resident index discarded, so the engine keeps answering from
+    /// the prior epoch exactly as if the append had never been attempted;
+    /// a name already taken is refused before anything is copied or
+    /// resolved.
     ///
     /// # Errors
     /// [`OnexError::DatasetMismatch`] when the series name is already
@@ -557,19 +617,28 @@ impl Onex {
         &self,
         series: onex_tseries::TimeSeries,
     ) -> Result<BuildReport, OnexError> {
+        reject_taken_name(&self.state.read().dataset, series.name())?;
         // Incremental extension grows the *whole* base; a cold engine
         // must materialise every remaining column first, or the extended
         // base would silently drop the unresolved ones.
         self.resolve_all()?;
         let mut txn = self.state.write();
-        let state = txn.value_mut();
-        state.dataset.push(series).map_err(|e| match e {
-            // A name collision conflicts with the published collection —
-            // HTTP-wise a 409, not a malformed request.
-            onex_tseries::Error::InvalidArgument(msg) => OnexError::DatasetMismatch(msg),
-            other => other.into(),
-        })?;
-        let builder = BaseBuilder::new(state.base.config().clone())?;
+        let published = txn.base();
+        // Authoritative now that the writer lock is held: another append
+        // may have taken the name since the check above.
+        reject_taken_name(&published.dataset, series.name())?;
+        let mut resident = self.resident.lock();
+        if resident.epoch != Some(txn.base_epoch()) {
+            resident.index.clear();
+        }
+        // Unstamped until the commit below: any earlier exit leaves an
+        // index no epoch matches, and the next append re-seeds.
+        resident.epoch = None;
+        let mut dataset = published.dataset.clone();
+        dataset.push(series)?;
+        let builder = BaseBuilder::new(published.base.config().clone())?;
+        let (base, mut report) =
+            builder.extend_resident(&published.base, &dataset, &mut resident.index)?;
         #[cfg(test)]
         if self
             .fail_next_extend
@@ -579,10 +648,21 @@ impl Onex {
                 "injected extension failure while appending".into(),
             ));
         }
-        let (extended, report) = builder.extend(&state.base, &state.dataset)?;
-        state.base = extended;
-        txn.commit();
+        txn.replace(EngineState { dataset, base });
+        report.epoch = txn.commit();
+        resident.epoch = Some(report.epoch);
         Ok(report)
+    }
+}
+
+/// A name collision conflicts with the published collection — HTTP-wise
+/// a 409, not a malformed request.
+fn reject_taken_name(dataset: &Dataset, name: &str) -> Result<(), OnexError> {
+    match dataset.by_name(name) {
+        Some(_) => Err(OnexError::DatasetMismatch(format!(
+            "duplicate series name {name:?}"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -950,8 +1030,8 @@ mod tests {
         drop(ds0);
         let (reference, _) = engine.best_match(&query, &QueryOptions::default()).unwrap();
 
-        // Inject an extension failure *after* the working copy's dataset
-        // has been grown: the publish must not happen.
+        // Inject a failure *after* the next dataset/base pair has been
+        // built aside: the publish must not happen.
         engine
             .fail_next_extend
             .store(true, std::sync::atomic::Ordering::SeqCst);
@@ -974,6 +1054,63 @@ mod tests {
             .unwrap();
         assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.dataset().len(), 51);
+    }
+
+    #[test]
+    fn a_failed_append_discards_the_resident_index_and_leaves_no_residue() {
+        let engine = growth_engine();
+        // Appended values stay inside the collection's value range, so a
+        // batch build of the final collection freezes the same sketch
+        // parameters and the slabs can be compared byte for byte.
+        let reversed = |name: &str, donor: &str| {
+            let mut values = engine.dataset().by_name(donor).unwrap().values().to_vec();
+            values.reverse();
+            TimeSeries::new(name, values)
+        };
+        let lengths = engine.base().lengths().count() as u64;
+        assert_eq!(
+            engine.resident_index().kind,
+            "none",
+            "nothing seeded at build"
+        );
+
+        engine
+            .append_series(reversed("R1", "MA-GrowthRate"))
+            .unwrap();
+        let seeded = engine.resident_index();
+        assert_eq!((seeded.epoch, seeded.seeds), (Some(1), lengths));
+        assert_eq!(seeded.entries, engine.base().group_count());
+
+        // The injected failure strikes after the extension ran: the index
+        // has admitted R2's windows, the epoch that would hold them is
+        // never published, so the index must not survive.
+        engine
+            .fail_next_extend
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        engine
+            .append_series(reversed("R2", "NY-GrowthRate"))
+            .expect_err("injected failure");
+        assert_eq!(engine.resident_index().epoch, None);
+        assert_eq!(engine.epoch(), 1);
+
+        engine
+            .append_series(reversed("R2", "NY-GrowthRate"))
+            .unwrap();
+        let reseeded = engine.resident_index();
+        assert_eq!((reseeded.epoch, reseeded.seeds), (Some(2), 2 * lengths));
+        // From here the index is resident again: no further seeding.
+        engine
+            .append_series(reversed("R3", "TX-GrowthRate"))
+            .unwrap();
+        assert_eq!(engine.resident_index().seeds, 2 * lengths);
+
+        let builder = BaseBuilder::new(engine.base().config().clone()).unwrap();
+        let (batch, _) = builder.build(&engine.dataset());
+        assert!(*engine.base() == batch, "groups differ from a batch build");
+        assert!(
+            engine.base().sketches() == batch.sketches(),
+            "sketch slabs differ from a batch build"
+        );
     }
 
     #[test]

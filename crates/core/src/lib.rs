@@ -41,7 +41,9 @@ mod seasonal;
 mod stats;
 pub mod threshold;
 
-pub use engine::{BaseRef, BaseSource, Comparison, DatasetRef, EngineSnapshot, Onex};
+pub use engine::{
+    BaseRef, BaseSource, Comparison, DatasetRef, EngineSnapshot, Onex, ResidentReport,
+};
 pub use onex_api::{Epoch, OnexError, SharedBound, SimilaritySearch};
 pub use onex_grouping::{BuildReport, IndexPolicy, IndexWork};
 pub use options::{LengthSelection, QueryOptions, ScanBreadth};

@@ -448,14 +448,16 @@ impl ShardedEngine {
         let s = gid as usize % self.engines.len();
         // The shard engine commits its own epoch first; an error here
         // drops our transaction with the map untouched.
-        let report = self.engines[s].append_series(series)?;
+        let mut report = self.engines[s].append_series(series)?;
         let view = &mut map.views[s];
         let local = view.to_global.len() as u32;
         view.to_global.push(gid);
         view.to_local.insert(gid, local);
         view.snapshot = self.engines[s].snapshot();
         map.total_series += 1;
-        txn.commit();
+        // The shard's report, restamped for the collection as a whole.
+        report.series = map.total_series;
+        report.epoch = txn.commit();
         Ok(report)
     }
 

@@ -1,0 +1,233 @@
+//! `Onex::append_series` builds the next epoch aside from the published
+//! one through the writer's resident index. Two things must hold
+//! whatever that index is doing: the base it produces is the one a batch
+//! build of the final collection produces, and the epochs it publishes
+//! share — not copy — everything the append did not change, without a
+//! pinned reader ever noticing.
+
+use onex_core::{exhaustive, Onex, QueryOptions};
+use onex_distance::SKETCH_STRIDE;
+use onex_grouping::persist::save_v2;
+use onex_grouping::{BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy};
+use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
+use onex_tseries::{Dataset, TimeSeries};
+use proptest::prelude::*;
+
+/// How the engine under test came up and what happens to its base
+/// between appends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Start {
+    /// `Onex::build`: warm, every column resident.
+    Built,
+    /// `Onex::open_bytes`: lazy columns, the first append resolves them.
+    Opened,
+    /// Built, then between the first and second append a base built
+    /// under a looser threshold is installed: the index seeded by the
+    /// first append mirrors groups that are no longer the published ones.
+    Reinstalled,
+}
+
+fn start_of(n: usize) -> Start {
+    [Start::Built, Start::Opened, Start::Reinstalled][n % 3]
+}
+
+fn prefix(all: &Dataset, n: usize) -> Dataset {
+    Dataset::from_series(all.iter().take(n).map(|(_, s)| s.clone()).collect())
+        .expect("generated names are unique")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// k successive appends leave exactly the base `BaseBuilder::build`
+    /// makes of the final collection, under either representative policy
+    /// and every index policy, on warm, cold-opened and re-installed
+    /// bases; every report carries the epoch and series count its own
+    /// commit produced, and every member has its sketch slot.
+    #[test]
+    fn successive_appends_equal_a_batch_build(
+        (series, len, seed) in (3usize..7, 14usize..36, 0u64..10_000),
+        st in 0.3f64..3.0,
+        start in 0usize..3,
+    ) {
+        let start = start_of(start);
+        let all = random_walk_dataset(SyntheticConfig { series, len, seed });
+        let initial = prefix(&all, 2);
+        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+            for index in [IndexPolicy::Auto, IndexPolicy::Linear, IndexPolicy::VpTree] {
+                let mut cfg = BaseConfig { policy, index, ..BaseConfig::new(st, 4, 9) };
+                let (warm, _) = Onex::build(initial.clone(), cfg.clone()).unwrap();
+                let engine = match start {
+                    Start::Opened => {
+                        Onex::open_bytes(save_v2(&warm.base()), initial.clone()).unwrap()
+                    }
+                    _ => warm,
+                };
+                for (i, (_, s)) in all.iter().skip(2).enumerate() {
+                    if start == Start::Reinstalled && i == 1 {
+                        cfg = BaseConfig { st: st * 1.5, ..cfg };
+                        let (other, _) = BaseBuilder::new(cfg.clone())
+                            .unwrap()
+                            .build(&engine.dataset());
+                        engine.install_base(save_v2(&other)).unwrap();
+                        prop_assert_ne!(
+                            engine.resident_index().epoch, Some(engine.epoch()),
+                            "the index must not claim the installed base"
+                        );
+                    }
+                    let report = engine.append_series(s.clone()).unwrap();
+                    prop_assert_eq!(report.epoch, engine.epoch());
+                    prop_assert_eq!(report.series, 3 + i);
+                    prop_assert_eq!(engine.resident_index().epoch, Some(report.epoch));
+                }
+                let (batch, built) = BaseBuilder::new(cfg).unwrap().build(&all);
+                let base = engine.base();
+                prop_assert!(*base == batch, "{:?}/{} from {:?}", policy, index, start);
+                prop_assert_eq!(base.member_count(), built.subsequences);
+                for len in base.lengths() {
+                    let slabs = base.sketches().for_len(len).expect("every length is sketched");
+                    for (gi, g) in base.groups_for_len(len).iter().enumerate() {
+                        prop_assert_eq!(
+                            slabs.group(gi).map(<[u8]>::len),
+                            Some(g.cardinality() * SKETCH_STRIDE),
+                            "g{}@{}", gi, len
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn exact_config() -> BaseConfig {
+    BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, 8, 10)
+    }
+}
+
+#[test]
+fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch() {
+    let ds = random_walk_dataset(SyntheticConfig {
+        series: 6,
+        len: 48,
+        seed: 0x5EED,
+    });
+    let query: Vec<f64> = ds
+        .series(1)
+        .unwrap()
+        .subsequence(7, 9)
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v + 0.03 * (i as f64 * 1.3).sin())
+        .collect();
+    let (engine, _) = Onex::build(ds, exact_config()).unwrap();
+    let opts = QueryOptions::default();
+    let pinned = engine.snapshot();
+    let (before, _) = pinned.k_best(&query, 3, &opts).unwrap();
+
+    // A near-copy of series 2 joins existing groups (they split from the
+    // published ones); a fresh walk mostly seeds groups of its own.
+    let near: Vec<f64> = pinned
+        .dataset()
+        .series(2)
+        .unwrap()
+        .values()
+        .iter()
+        .map(|v| v + 0.01)
+        .collect();
+    engine
+        .append_series(TimeSeries::new("near-2", near))
+        .unwrap();
+    engine
+        .append_series(TimeSeries::new("fresh", random_walk(48, 1.0, 99)))
+        .unwrap();
+    let now = engine.snapshot();
+    assert_eq!((pinned.epoch(), now.epoch()), (0, 2));
+
+    let (mut shared, mut split, mut seeded) = (0, 0, 0);
+    for len in pinned.base().lengths() {
+        let old = pinned.base().groups_for_len(len);
+        let new = now.base().groups_for_len(len);
+        let old_slabs = pinned.base().sketches().for_len(len).unwrap();
+        let new_slabs = now.base().sketches().for_len(len).unwrap();
+        seeded += new.len() - old.len();
+        for (gi, (o, n)) in old.iter().zip(new).enumerate() {
+            let same_slab = std::ptr::eq(
+                old_slabs.group(gi).unwrap().as_ptr(),
+                new_slabs.group(gi).unwrap().as_ptr(),
+            );
+            if n.cardinality() == o.cardinality() {
+                assert!(n.shares_storage_with(o), "untouched g{gi}@{len} was copied");
+                assert!(same_slab, "untouched slab g{gi}@{len} was copied");
+                shared += 1;
+            } else {
+                assert!(!n.shares_storage_with(o) && !same_slab);
+                // The published epoch's group did not see the admission.
+                assert_eq!(n.members()[..o.cardinality()], *o.members());
+                split += 1;
+            }
+        }
+    }
+    assert!(
+        shared > 0 && split > 0 && seeded > 0,
+        "shared {shared}, split {split}, seeded {seeded}: the collection must exercise all three"
+    );
+    for id in 0..pinned.dataset().len() as u32 {
+        assert!(std::ptr::eq(
+            pinned.dataset().series(id).unwrap(),
+            now.dataset().series(id).unwrap()
+        ));
+    }
+
+    // The reader pinned at epoch 0 still answers epoch 0's oracle — the
+    // same answer as before the appends, which is the exhaustive scan of
+    // the collection it pinned (Seed policy: exact) — while the engine
+    // answers the oracle of the collection it has grown into.
+    let agrees_with_scan = |matches: &[onex_core::Match], dataset: &Dataset| {
+        let oracle = exhaustive::scan_k(dataset, &query, &[9], 1, &opts, 3, false).unwrap();
+        assert_eq!(matches.len(), oracle.len());
+        for (m, hit) in matches.iter().zip(&oracle) {
+            assert_eq!(m.subseq, hit.subseq);
+            assert!((m.distance - hit.distance).abs() < 1e-9);
+        }
+    };
+    let (after, _) = pinned.k_best(&query, 3, &opts).unwrap();
+    assert_eq!(before, after);
+    agrees_with_scan(&after, pinned.dataset());
+    assert_eq!(pinned.dataset().len(), 6);
+    let (grown, _) = engine.k_best(&query, 3, &opts).unwrap();
+    agrees_with_scan(&grown, now.dataset());
+    assert_eq!(now.dataset().len(), 8);
+}
+
+#[test]
+fn a_taken_name_is_refused_before_a_cold_engine_resolves_or_seeds_anything() {
+    let ds = random_walk_dataset(SyntheticConfig {
+        series: 4,
+        len: 40,
+        seed: 11,
+    });
+    let (warm, _) = Onex::build(ds.clone(), exact_config()).unwrap();
+    let cold = Onex::open_bytes(save_v2(&warm.base()), ds.clone()).unwrap();
+    let taken = ds.series(0).unwrap().name().to_owned();
+    let err = cold
+        .append_series(TimeSeries::new(taken, vec![0.0; 40]))
+        .expect_err("the name is taken");
+    assert!(
+        matches!(err, onex_api::OnexError::DatasetMismatch(_)),
+        "{err:?}"
+    );
+    assert_eq!(cold.epoch(), 0, "nothing was published");
+    assert_eq!(
+        cold.base_source().unwrap().resolved_lengths,
+        0,
+        "no column was decoded for a request that could not succeed"
+    );
+    let resident = cold.resident_index();
+    assert_eq!(
+        (resident.kind, resident.entries, resident.seeds),
+        ("none", 0, 0)
+    );
+}

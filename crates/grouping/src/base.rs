@@ -12,6 +12,11 @@ use crate::{BaseConfig, GroupId, SimilarityGroup};
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
+/// A clone is structural: it copies one pointer set per group and per
+/// sketch slab and shares their storage with the original, which is what
+/// lets [`crate::BaseBuilder::extend`] build the next base aside and an
+/// engine publish it as a new epoch without copying the old one.
+///
 /// The base also carries the L0 [`SketchIndex`] — *derived* data rebuilt
 /// from the dataset via [`OnexBase::sync_sketches`] and excluded from
 /// equality. Persistence format v2 stores the slabs verbatim so a loaded
@@ -21,6 +26,10 @@ pub struct OnexBase {
     config: BaseConfig,
     groups: BTreeMap<usize, Vec<SimilarityGroup>>,
     source_series: usize,
+    /// Members over all groups, kept in step with `groups` so that an
+    /// incremental extension can report totals without visiting every
+    /// group it did not touch.
+    members: usize,
     sketches: SketchIndex,
 }
 
@@ -40,25 +49,57 @@ impl OnexBase {
         groups: BTreeMap<usize, Vec<SimilarityGroup>>,
         source_series: usize,
     ) -> Self {
+        let members = groups.values().map(|gs| members_of(gs)).sum();
         OnexBase {
             config,
             groups,
             source_series,
+            members,
             sketches: SketchIndex::default(),
         }
     }
 
-    /// Re-attach a previously built sketch index (incremental extension
-    /// carries the old sketches over and appends the new tail).
-    pub(crate) fn with_sketches(mut self, sketches: SketchIndex) -> Self {
-        self.sketches = sketches;
-        self
+    /// The groups of one length, for incremental extension to admit
+    /// into (an empty column when the length is new to the base).
+    pub(crate) fn column_mut(&mut self, len: usize) -> &mut Vec<SimilarityGroup> {
+        self.groups.entry(len).or_default()
     }
 
-    /// Decompose for incremental extension (see `BaseBuilder::extend`).
-    /// Sketches are dropped here; `extend` re-attaches them on success.
-    pub(crate) fn into_parts(self) -> (BaseConfig, BTreeMap<usize, Vec<SimilarityGroup>>, usize) {
-        (self.config, self.groups, self.source_series)
+    /// Record that the base now covers the first `series` series of its
+    /// dataset, having admitted `windows` more subsequences through
+    /// [`Self::column_mut`] (incremental extension's receipt).
+    pub(crate) fn admitted(&mut self, series: usize, windows: usize) {
+        self.source_series = series;
+        self.members += windows;
+    }
+
+    /// Sync the sketch slabs of the listed groups of one length — the
+    /// ones an incremental extension admitted into — leaving every other
+    /// slab shared and unvisited. A length that was never synced (new to
+    /// the base, or a base that came without sketches) is synced whole.
+    pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
+        let groups = self.groups.get(&len).map_or(&[][..], Vec::as_slice);
+        if self.sketches.for_len(len).is_some() {
+            self.sketches
+                .sync_length(dataset, len, groups, touched.iter().copied());
+        } else {
+            self.sketches
+                .sync_length(dataset, len, groups, 0..groups.len());
+        }
+    }
+
+    /// Total groups across lengths.
+    pub fn group_count(&self) -> usize {
+        self.groups.values().map(Vec::len).sum()
+    }
+
+    /// Total members across groups (= subsequences indexed).
+    pub fn member_count(&self) -> usize {
+        debug_assert_eq!(
+            self.members,
+            self.groups.values().map(|gs| members_of(gs)).sum::<usize>()
+        );
+        self.members
     }
 
     /// The raw per-length group map (sketch-sync tests).
@@ -79,7 +120,10 @@ impl OnexBase {
         groups: Vec<SimilarityGroup>,
         sketches: Option<crate::LengthSketches>,
     ) {
-        self.groups.insert(len, groups);
+        self.members += members_of(&groups);
+        if let Some(replaced) = self.groups.insert(len, groups) {
+            self.members -= members_of(&replaced);
+        }
         if let Some(ls) = sketches {
             self.sketches.insert(len, ls);
         }
@@ -204,17 +248,8 @@ impl OnexBase {
     }
 }
 
-impl Default for OnexBase {
-    /// An empty base over zero series (placeholder value for `mem::take`
-    /// during incremental extension; not useful for queries).
-    fn default() -> Self {
-        OnexBase {
-            config: BaseConfig::new(1.0, 2, 2),
-            groups: BTreeMap::new(),
-            source_series: 0,
-            sketches: SketchIndex::default(),
-        }
-    }
+fn members_of(groups: &[SimilarityGroup]) -> usize {
+    groups.iter().map(SimilarityGroup::cardinality).sum()
 }
 
 /// Aggregate base statistics.

@@ -1,10 +1,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use onex_api::OnexError;
+use onex_api::{Epoch, OnexError};
 use onex_tseries::Dataset;
 
-use crate::repindex::{IndexWork, RepresentativeIndex};
+use crate::repindex::{IndexWork, RepresentativeIndex, ResidentIndex};
 use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup, SubsequenceSpace};
 
 /// Constructs the ONEX base from a dataset (paper §3.1, the
@@ -59,6 +59,14 @@ pub struct BuildReport {
     /// `onex_api::BackendStats` so construction cost is comparable across
     /// index policies the way query cost is across backends.
     pub work: IndexWork,
+    /// Series in the collection the reported base covers.
+    pub series: usize,
+    /// Epoch the engine published that base under: 0 from the builder
+    /// itself and for an engine's initial build; an engine's
+    /// `append_series` stamps the epoch its commit returned, so the
+    /// caller need not re-read state another writer may already have
+    /// moved on.
+    pub epoch: Epoch,
 }
 
 impl BuildReport {
@@ -201,7 +209,12 @@ impl BaseBuilder {
     /// The base is borrowed, never consumed: extension works on a
     /// build-aside copy and the caller's base is untouched on **every**
     /// path, success or failure — an erroring extend is observationally a
-    /// no-op (there is no half-indexed intermediate to leak).
+    /// no-op (there is no half-indexed intermediate to leak). The copy
+    /// is structural: it shares every group and sketch slab with `base`,
+    /// and only groups that admit a member get storage of their own.
+    ///
+    /// This is [`Self::extend_resident`] over an index that is seeded
+    /// for the call and dropped with it.
     ///
     /// # Errors
     /// [`OnexError::DatasetMismatch`] when the base was built under a
@@ -213,14 +226,49 @@ impl BaseBuilder {
         base: &OnexBase,
         dataset: &Dataset,
     ) -> Result<(OnexBase, BuildReport), OnexError> {
+        self.extend_resident(base, dataset, &mut ResidentIndex::transient())
+    }
+
+    /// [`Self::extend`] through a caller-kept [`ResidentIndex`]: columns
+    /// the index already holds are looked up as they are, columns it
+    /// lacks are seeded from `base` first, and every admission is
+    /// mirrored into it — so on success it indexes the returned base,
+    /// and the next extension of *that* base costs what its new windows
+    /// cost, not what the base costs.
+    ///
+    /// The caller guarantees that a non-empty `resident` mirrors `base`
+    /// (it came back from the call that produced `base`);
+    /// [`ResidentIndex::clear`] it otherwise.
+    ///
+    /// # Errors
+    /// As [`Self::extend`]. On any error `resident` is cleared: it may
+    /// hold admissions of a base that was never returned.
+    pub fn extend_resident(
+        &self,
+        base: &OnexBase,
+        dataset: &Dataset,
+        resident: &mut ResidentIndex,
+    ) -> Result<(OnexBase, BuildReport), OnexError> {
+        let extended = self.extend_through(base, dataset, resident);
+        if extended.is_err() {
+            resident.clear();
+        }
+        extended
+    }
+
+    fn extend_through(
+        &self,
+        base: &OnexBase,
+        dataset: &Dataset,
+        resident: &mut ResidentIndex,
+    ) -> Result<(OnexBase, BuildReport), OnexError> {
         if base.config() != &self.config {
             return Err(OnexError::DatasetMismatch(
                 "base was built under a different configuration".into(),
             ));
         }
         let start = Instant::now();
-        // Build aside: all mutation below happens on this private copy.
-        let (config, mut per_length, seen) = base.clone().into_parts();
+        let seen = base.source_series();
         if dataset.len() < seen {
             return Err(OnexError::DatasetMismatch(format!(
                 "dataset has {} series but the base has already indexed {}",
@@ -228,6 +276,9 @@ impl BaseBuilder {
                 seen
             )));
         }
+        // Build aside: all mutation below happens on this copy, which
+        // shares its groups and slabs with `base` until they change.
+        let mut extended = base.clone();
         let mut work = IndexWork::default();
         // Per length, new subsequences arrive series-major then
         // start-ascending — the same order `build_length` consumes — and
@@ -237,6 +288,8 @@ impl BaseBuilder {
         // window enumeration, so batch and incremental paths cannot
         // drift apart.
         let space = SubsequenceSpace::new(dataset, &self.config);
+        let mut admitted = 0usize;
+        let mut touched = Vec::new();
         let mut longest_new = 0usize;
         for sid in seen..dataset.len() {
             let series = dataset.series(sid as u32).ok_or_else(|| {
@@ -259,13 +312,9 @@ impl BaseBuilder {
             }
             let admission = self.config.admission_radius(len);
             let admission_sq = admission * admission;
-            let groups = per_length.entry(len).or_default();
-            // `Auto` decides on the lookups this extension will perform,
-            // not the base size: a small increment over a large base is
-            // served cheaper by the linear scan than by bulk-building a
-            // tree it will barely query.
-            let mut index = self.config.index.create(new_windows);
-            index.seed(groups, &mut work);
+            let groups = extended.column_mut(len);
+            let index = resident.column(self.config.index, len, groups, new_windows, &mut work);
+            touched.clear();
             for sid in seen..dataset.len() {
                 for r in space.refs_for_series_len(sid, len) {
                     let xs = dataset.resolve(r).map_err(|_| {
@@ -273,24 +322,18 @@ impl BaseBuilder {
                             "subsequence reference {r} fell out of bounds mid-extension"
                         ))
                     })?;
-                    self.assign_one(groups, index.as_mut(), r, xs, admission_sq, &mut work);
+                    touched.push(self.assign_one(groups, index, r, xs, admission_sq, &mut work));
                 }
             }
+            resident.covered(len, groups.len());
+            admitted += new_windows;
+            // The prior sketches came along with the copy (params stay
+            // frozen); append slots for the newly admitted members only.
+            extended.sync_sketches_of(dataset, len, &touched);
         }
-        // Carry the prior sketches over (params stay frozen) and append
-        // slots for the newly admitted members only.
-        let mut new_base = OnexBase::from_parts(config, per_length, dataset.len())
-            .with_sketches(base.sketches().clone());
-        new_base.sync_sketches(dataset);
-        let stats = new_base.stats();
-        let report = BuildReport {
-            elapsed: start.elapsed(),
-            lengths: stats.per_length.len(),
-            subsequences: stats.members,
-            groups: stats.groups,
-            work,
-        };
-        Ok((new_base, report))
+        extended.admitted(dataset.len(), admitted);
+        let report = self.report(&extended, start, work);
+        Ok((extended, report))
     }
 
     /// Online assignment for one length: each subsequence joins the
@@ -323,7 +366,7 @@ impl BaseBuilder {
     /// every construction path (batch, parallel, incremental) runs
     /// through: join the nearest group within `ST/2`, else seed a new one,
     /// keeping the index in sync with seeded groups and drifting
-    /// centroids.
+    /// centroids. Returns the index of the group that took the member.
     fn assign_one(
         &self,
         groups: &mut Vec<SimilarityGroup>,
@@ -332,18 +375,21 @@ impl BaseBuilder {
         xs: &[f64],
         admission_sq: f64,
         work: &mut IndexWork,
-    ) {
+    ) -> usize {
         let centroid = self.config.policy == RepresentativePolicy::Centroid;
         match index.nearest_within(xs, admission_sq, groups, work) {
             Some((gi, d_sq)) => {
                 groups[gi].admit(r, xs, d_sq.sqrt(), centroid);
                 if centroid {
-                    index.update(gi, groups[gi].representative(), work);
+                    index.update(gi, groups[gi].shared_representative(), work);
                 }
+                gi
             }
             None => {
-                groups.push(SimilarityGroup::seed(r, xs));
-                index.insert(groups.len() - 1, xs, work);
+                let group = SimilarityGroup::seed(r, xs);
+                index.insert(groups.len(), group.shared_representative(), work);
+                groups.push(group);
+                groups.len() - 1
             }
         }
     }
@@ -357,15 +403,20 @@ impl BaseBuilder {
     ) -> (OnexBase, BuildReport) {
         let mut base = OnexBase::from_parts(self.config.clone(), per_length, dataset.len());
         base.sync_sketches(dataset);
-        let stats = base.stats();
-        let report = BuildReport {
-            elapsed: start.elapsed(),
-            lengths: stats.per_length.len(),
-            subsequences: stats.members,
-            groups: stats.groups,
-            work,
-        };
+        let report = self.report(&base, start, work);
         (base, report)
+    }
+
+    fn report(&self, base: &OnexBase, start: Instant, work: IndexWork) -> BuildReport {
+        BuildReport {
+            elapsed: start.elapsed(),
+            lengths: base.lengths().count(),
+            subsequences: base.member_count(),
+            groups: base.group_count(),
+            work,
+            series: base.source_series(),
+            epoch: 0,
+        }
     }
 }
 
@@ -691,6 +742,60 @@ mod tests {
         let clean = BaseBuilder::new(BaseConfig::new(0.8, 6, 12)).unwrap();
         let (reference, _) = clean.extend(&pristine, &ds).unwrap();
         assert_eq!(extended, reference);
+    }
+
+    #[test]
+    fn a_failed_extend_clears_the_resident_index_and_a_kept_one_is_reused() {
+        let mut ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
+            series: 4,
+            len: 30,
+            seed: 9,
+        });
+        let cfg = BaseConfig {
+            index: IndexPolicy::VpTree,
+            ..BaseConfig::new(0.8, 6, 12)
+        };
+        let mut builder = BaseBuilder::new(cfg).unwrap();
+        let (base, _) = builder.build(&ds);
+        ds.push(TimeSeries::new(
+            "late",
+            onex_tseries::gen::random_walk(30, 1.0, 200),
+        ))
+        .unwrap();
+        let (reference, _) = builder.extend(&base, &ds).unwrap();
+
+        // Lengths 6..9 are extended — their columns seeded and mutated —
+        // before the failure at 9: none of that may be trusted again.
+        let mut resident = ResidentIndex::new();
+        builder.fail_len = Some(9);
+        builder
+            .extend_resident(&base, &ds, &mut resident)
+            .expect_err("injected failure");
+        assert_eq!((resident.kind(), resident.entries()), ("none", 0));
+        assert_eq!(resident.seeds(), 3, "lengths 6, 7 and 8 had been seeded");
+
+        builder.fail_len = None;
+        let (extended, first) = builder.extend_resident(&base, &ds, &mut resident).unwrap();
+        assert_eq!(extended, reference);
+        assert_eq!(extended.sketches(), reference.sketches());
+        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 3 + 7));
+        assert_eq!(resident.entries(), extended.group_count());
+
+        // Extending the returned base finds every column resident and
+        // gives the stateless path's result.
+        ds.push(TimeSeries::new(
+            "later",
+            onex_tseries::gen::random_walk(30, 1.0, 201),
+        ))
+        .unwrap();
+        let (stateless, _) = builder.extend(&extended, &ds).unwrap();
+        let (kept, second) = builder
+            .extend_resident(&extended, &ds, &mut resident)
+            .unwrap();
+        assert_eq!(kept, stateless);
+        assert_eq!(kept.sketches(), stateless.sketches());
+        assert_eq!(resident.seeds(), 10, "nothing was re-seeded");
+        assert_eq!((first.series, second.series, second.epoch), (5, 6, 0));
     }
 
     #[test]

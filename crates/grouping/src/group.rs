@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use onex_tseries::stats::Welford;
 use onex_tseries::SubseqRef;
 
@@ -19,16 +21,65 @@ impl std::fmt::Display for GroupId {
 
 /// One ONEX similarity group: same-length subsequences that passed the
 /// `ST/2` Euclidean admission test against the representative.
+///
+/// The representative and the member list are reference-counted, so a
+/// clone is two pointer copies: every published epoch of a base shares
+/// the storage of the groups it inherited, the construction index shares
+/// the representative instead of copying it, and [`Self::admit`] copies
+/// on write — only a group that admits a member while shared gets
+/// storage of its own ([`Self::shares_storage_with`] tells which).
 #[derive(Debug, Clone)]
 pub struct SimilarityGroup {
-    representative: Vec<f64>,
-    members: Vec<SubseqRef>,
+    representative: Arc<[f64]>,
+    members: Members,
     /// Largest admission distance observed — a certified radius under the
     /// `Seed` policy, an estimate under `Centroid`.
     max_insert_dist: f64,
     /// Spread of admission distances (for overview colouring and
     /// threshold recommendation diagnostics).
     spread: Welford,
+}
+
+/// A group's member references. A base that barely compacts is mostly
+/// groups of one, and a lone member needs no list: it sits inline, with
+/// nothing on the heap to allocate, count references on or chase.
+#[derive(Debug, Clone)]
+enum Members {
+    One(SubseqRef),
+    Many(Arc<Vec<SubseqRef>>),
+}
+
+impl Members {
+    fn from_vec(members: Vec<SubseqRef>) -> Self {
+        match members[..] {
+            [only] => Members::One(only),
+            _ => Members::Many(Arc::new(members)),
+        }
+    }
+
+    fn as_slice(&self) -> &[SubseqRef] {
+        match self {
+            Members::One(only) => std::slice::from_ref(only),
+            Members::Many(list) => list,
+        }
+    }
+
+    fn push(&mut self, member: SubseqRef) {
+        match self {
+            Members::One(first) => *self = Members::Many(Arc::new(vec![*first, member])),
+            Members::Many(list) => Arc::make_mut(list).push(member),
+        }
+    }
+
+    /// Same storage, not just the same references (a lone member has no
+    /// storage to tell apart).
+    fn shares_storage_with(&self, other: &Members) -> bool {
+        match (self, other) {
+            (Members::One(a), Members::One(b)) => a == b,
+            (Members::Many(a), Members::Many(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 /// Equality covers the group's *semantic* content — representative,
@@ -39,7 +90,7 @@ pub struct SimilarityGroup {
 impl PartialEq for SimilarityGroup {
     fn eq(&self, other: &Self) -> bool {
         self.representative == other.representative
-            && self.members == other.members
+            && self.members() == other.members()
             && self.max_insert_dist == other.max_insert_dist
     }
 }
@@ -50,8 +101,8 @@ impl SimilarityGroup {
         let mut spread = Welford::new();
         spread.push(0.0);
         SimilarityGroup {
-            representative: values.to_vec(),
-            members: vec![first],
+            representative: values.into(),
+            members: Members::One(first),
             max_insert_dist: 0.0,
             spread,
         }
@@ -59,18 +110,36 @@ impl SimilarityGroup {
 
     /// Admit a member that passed the admission test at distance `dist`.
     /// When `centroid` is true the representative is updated to remain the
-    /// running mean of all members.
+    /// running mean of all members. Storage still shared with a clone
+    /// (an earlier epoch, an index snapshot) is copied first, so the
+    /// clone never sees the admission.
     pub fn admit(&mut self, member: SubseqRef, values: &[f64], dist: f64, centroid: bool) {
         debug_assert_eq!(values.len(), self.representative.len());
         self.members.push(member);
         self.max_insert_dist = self.max_insert_dist.max(dist);
         self.spread.push(dist);
         if centroid {
-            let k = self.members.len() as f64;
-            for (r, &v) in self.representative.iter_mut().zip(values) {
+            let k = self.cardinality() as f64;
+            for (r, &v) in Arc::make_mut(&mut self.representative)
+                .iter_mut()
+                .zip(values)
+            {
                 *r += (v - *r) / k;
             }
         }
+    }
+
+    /// True when `self` and `other` are the same group by storage, not
+    /// just by value: neither has admitted a member since one was cloned
+    /// from the other.
+    pub fn shares_storage_with(&self, other: &SimilarityGroup) -> bool {
+        Arc::ptr_eq(&self.representative, &other.representative)
+            && self.members.shares_storage_with(&other.members)
+    }
+
+    /// The representative's shared storage (what index entries hold).
+    pub(crate) fn shared_representative(&self) -> &Arc<[f64]> {
+        &self.representative
     }
 
     /// The group's representative sequence (centroid or frozen seed).
@@ -82,13 +151,13 @@ impl SimilarityGroup {
     /// Member references in admission order (the seed is first).
     #[inline]
     pub fn members(&self) -> &[SubseqRef] {
-        &self.members
+        self.members.as_slice()
     }
 
     /// Number of members (≥ 1 — groups are never empty).
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.members.len()
+        self.members().len()
     }
 
     /// Subsequence length of this group.
@@ -116,7 +185,7 @@ impl SimilarityGroup {
 
     /// Reconstruct a group from persisted parts (see [`crate::persist`]).
     pub(crate) fn from_parts(
-        representative: Vec<f64>,
+        representative: Arc<[f64]>,
         members: Vec<SubseqRef>,
         max_insert_dist: f64,
     ) -> Self {
@@ -126,7 +195,7 @@ impl SimilarityGroup {
         spread.push(max_insert_dist);
         SimilarityGroup {
             representative,
-            members,
+            members: Members::from_vec(members),
             max_insert_dist,
             spread,
         }
@@ -167,6 +236,26 @@ mod tests {
         let mut g = SimilarityGroup::seed(r(0), &[0.0, 0.0]);
         g.admit(r(1), &[2.0, 4.0], 1.0, false);
         assert_eq!(g.representative(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn admission_copies_on_write_and_leaves_the_clone_untouched() {
+        let mut g = SimilarityGroup::seed(r(0), &[0.0, 0.0]);
+        let published = g.clone();
+        assert!(g.shares_storage_with(&published));
+        g.admit(r(1), &[2.0, 4.0], 1.0, true);
+        assert!(!g.shares_storage_with(&published));
+        assert_eq!(published.members(), &[r(0)]);
+        assert_eq!(published.representative(), &[0.0, 0.0]);
+        assert_eq!(g.representative(), &[1.0, 2.0]);
+        // A frozen representative stays shared; only the members split.
+        let mut seed = published.clone();
+        seed.admit(r(2), &[0.1, 0.1], 0.1, false);
+        assert!(Arc::ptr_eq(
+            seed.shared_representative(),
+            published.shared_representative()
+        ));
+        assert!(!seed.shares_storage_with(&published));
     }
 
     #[test]

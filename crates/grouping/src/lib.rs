@@ -59,6 +59,8 @@ pub use base::{AuditReport, BaseStats, LengthStats, OnexBase};
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
 pub use group::{GroupId, SimilarityGroup};
-pub use repindex::{IndexPolicy, IndexWork, LinearScan, RepresentativeIndex, VpTreeIndex};
+pub use repindex::{
+    IndexPolicy, IndexWork, LinearScan, RepresentativeIndex, ResidentIndex, VpTreeIndex,
+};
 pub use sketch::{LengthSketches, SketchIndex};
 pub use space::SubsequenceSpace;

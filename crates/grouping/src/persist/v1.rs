@@ -188,7 +188,7 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
         let n_groups = r.counted(rep_bytes + 8 + 4 + 8)?;
         let mut gs = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
-            let rep: Vec<f64> = r
+            let rep: std::sync::Arc<[f64]> = r
                 .take(rep_bytes)?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))

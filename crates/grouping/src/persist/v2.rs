@@ -465,7 +465,7 @@ impl BaseSegment {
                      does not pack its length column"
                 )));
             }
-            let rep: Vec<f64> = reps_sec
+            let rep: std::sync::Arc<[f64]> = reps_sec
                 [(e.rep_start + gi * e.len) * 8..(e.rep_start + (gi + 1) * e.len) * 8]
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
@@ -483,7 +483,7 @@ impl BaseSegment {
                 let sk = self.seg.section(SEC_SKETCHES).expect("validated");
                 slabs.push(
                     sk[member_start * SKETCH_STRIDE..(member_start + member_count) * SKETCH_STRIDE]
-                        .to_vec(),
+                        .into(),
                 );
             }
             member_cursor += member_count;

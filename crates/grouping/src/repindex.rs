@@ -24,8 +24,17 @@
 //!
 //! Which implementation runs is an execution decision, not a semantic
 //! one, selected by [`IndexPolicy`] on [`crate::BaseConfig`].
+//!
+//! A batch build creates its indexes and drops them with the call. An
+//! incremental extension instead runs against a [`ResidentIndex`] — the
+//! per-length indexes of one base, seeded from its groups on first use
+//! and then kept in step with every admission — so that a writer which
+//! keeps it alive between extensions pays per appended window, not per
+//! existing group.
 
+use std::collections::BTreeMap;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use onex_api::OnexError;
 use onex_distance::ed::{ed_early_abandon_sq, ed_sq};
@@ -66,9 +75,10 @@ impl std::ops::AddAssign for IndexWork {
 /// measures both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexPolicy {
-    /// Decide per subsequence length: use the VP-tree when the length has
-    /// enough subsequences to amortise tree maintenance, the linear scan
-    /// otherwise. The default.
+    /// Decide per subsequence length from what the builder observes —
+    /// the groups already there, the lookups about to run, and whether
+    /// the index outlives the call: the VP-tree when it repays its
+    /// maintenance, the linear scan otherwise. The default.
     #[default]
     Auto,
     /// Always scan every representative — the reference implementation.
@@ -82,20 +92,33 @@ pub enum IndexPolicy {
 const AUTO_MIN_SUBSEQUENCES: usize = 512;
 
 impl IndexPolicy {
-    /// Instantiate the index for one length, given how many nearest-
-    /// representative lookups the builder expects to perform against it.
-    pub(crate) fn create(self, expected_lookups: usize) -> Box<dyn RepresentativeIndex> {
+    /// Whether the index for one length should be the VP-tree, given the
+    /// `groups` it starts from, the `lookups` the builder is about to
+    /// perform against it, and whether it is `lasting` (kept for later
+    /// extensions) or dropped with this call.
+    fn wants_tree(self, groups: usize, lookups: usize, lasting: bool) -> bool {
         match self {
-            IndexPolicy::Linear => Box::new(LinearScan),
-            IndexPolicy::VpTree => Box::new(VpTreeIndex::new()),
+            IndexPolicy::Linear => false,
+            IndexPolicy::VpTree => true,
             IndexPolicy::Auto => {
-                if expected_lookups >= AUTO_MIN_SUBSEQUENCES {
-                    Box::new(VpTreeIndex::new())
-                } else {
-                    Box::new(LinearScan)
-                }
+                // Enough lookups to amortise incremental maintenance:
+                // the rule a batch build (no groups yet) decides by.
+                lookups >= AUTO_MIN_SUBSEQUENCES
+                    // A lasting index serves every later extension too,
+                    // so a column big enough for a tree gets one however
+                    // small this increment is.
+                    || (lasting && groups >= AUTO_MIN_SUBSEQUENCES)
+                    // One bulk load costs about groups·log₂(groups)
+                    // distance calls, the linear scan lookups·groups.
+                    || (groups >= 2 && lookups as f64 > (groups as f64).log2())
             }
         }
+    }
+
+    /// Instantiate the index a batch build of one length uses, given how
+    /// many nearest-representative lookups it will perform against it.
+    pub(crate) fn create(self, expected_lookups: usize) -> Box<dyn RepresentativeIndex> {
+        make_index(self.wants_tree(0, expected_lookups, false))
     }
 
     /// Stable lowercase name (`auto` / `linear` / `vptree`), the inverse
@@ -135,6 +158,14 @@ impl FromStr for IndexPolicy {
     }
 }
 
+fn make_index(tree: bool) -> Box<dyn RepresentativeIndex> {
+    if tree {
+        Box::new(VpTreeIndex::new())
+    } else {
+        Box::new(LinearScan)
+    }
+}
+
 /// Nearest-representative lookup used by the builder's admission rule.
 ///
 /// The contract every implementation must honour exactly:
@@ -148,7 +179,11 @@ impl FromStr for IndexPolicy {
 ///   newly seeded group, with group ids issued densely from 0.
 /// * The builder calls [`RepresentativeIndex::update`] after every
 ///   admission that moved a representative (the `Centroid` policy).
-pub trait RepresentativeIndex {
+///
+/// Representatives are handed over as their shared storage, so a
+/// stateful index keeps a pointer, not a copy. Indexes are `Send`: a
+/// [`ResidentIndex`] lives inside an engine that threads share.
+pub trait RepresentativeIndex: Send {
     /// The nearest representative within `radius_sq` of `xs` (squared
     /// Euclidean), ties broken towards the lowest group id. `groups` is
     /// the builder's live group list (stateless implementations read
@@ -162,17 +197,17 @@ pub trait RepresentativeIndex {
     ) -> Option<(usize, f64)>;
 
     /// Register a newly seeded group.
-    fn insert(&mut self, group: usize, representative: &[f64], work: &mut IndexWork);
+    fn insert(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork);
 
     /// Note that a group's representative moved (centroid drift).
-    fn update(&mut self, group: usize, representative: &[f64], work: &mut IndexWork);
+    fn update(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork);
 
     /// Register all of an existing base's groups at once (the incremental
     /// `extend` path); equivalent to `insert` in id order, but lets tree
     /// indexes bulk-load instead of trickling through their buffers.
     fn seed(&mut self, groups: &[SimilarityGroup], work: &mut IndexWork) {
         for (gi, g) in groups.iter().enumerate() {
-            self.insert(gi, g.representative(), work);
+            self.insert(gi, g.shared_representative(), work);
         }
     }
 
@@ -212,9 +247,11 @@ impl RepresentativeIndex for LinearScan {
         best
     }
 
-    fn insert(&mut self, _group: usize, _representative: &[f64], _work: &mut IndexWork) {}
+    fn insert(&mut self, _group: usize, _representative: &Arc<[f64]>, _work: &mut IndexWork) {}
 
-    fn update(&mut self, _group: usize, _representative: &[f64], _work: &mut IndexWork) {}
+    fn update(&mut self, _group: usize, _representative: &Arc<[f64]>, _work: &mut IndexWork) {}
+
+    fn seed(&mut self, _groups: &[SimilarityGroup], _work: &mut IndexWork) {}
 
     fn name(&self) -> &'static str {
         "linear"
@@ -243,11 +280,16 @@ fn slack(scale: f64) -> f64 {
 /// snapshot. A snapshot is *live* while its version matches the group's
 /// current version; centroid drift bumps the version, turning every older
 /// snapshot stale (skipped by searches, dropped at the next rebuild).
+///
+/// The snapshot shares the group's storage: a frozen (`Seed`)
+/// representative is never copied, and a drifting one is copied by the
+/// group's own copy-on-write when it next moves, which is exactly what
+/// leaves this entry holding the values it was indexed under.
 #[derive(Debug, Clone)]
 struct Entry {
     gid: u32,
     version: u32,
-    rep: Vec<f64>,
+    rep: Arc<[f64]>,
 }
 
 #[derive(Debug)]
@@ -522,7 +564,7 @@ impl RepresentativeIndex for VpTreeIndex {
         best
     }
 
-    fn insert(&mut self, group: usize, representative: &[f64], work: &mut IndexWork) {
+    fn insert(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork) {
         if self.versions.len() <= group {
             self.versions.resize(group + 1, 0);
         }
@@ -530,19 +572,19 @@ impl RepresentativeIndex for VpTreeIndex {
             Entry {
                 gid: group as u32,
                 version: self.versions[group],
-                rep: representative.to_vec(),
+                rep: Arc::clone(representative),
             },
             work,
         );
     }
 
-    fn update(&mut self, group: usize, representative: &[f64], work: &mut IndexWork) {
+    fn update(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork) {
         self.versions[group] += 1;
         self.upsert_buffer(
             Entry {
                 gid: group as u32,
                 version: self.versions[group],
-                rep: representative.to_vec(),
+                rep: Arc::clone(representative),
             },
             work,
         );
@@ -560,7 +602,7 @@ impl RepresentativeIndex for VpTreeIndex {
             .map(|(gi, g)| Entry {
                 gid: gi as u32,
                 version: 0,
-                rep: g.representative().to_vec(),
+                rep: Arc::clone(g.shared_representative()),
             })
             .collect();
         if !entries.is_empty() {
@@ -570,6 +612,143 @@ impl RepresentativeIndex for VpTreeIndex {
 
     fn name(&self) -> &'static str {
         "vptree"
+    }
+}
+
+// ---------------------------------------------------------------------
+// Resident index — the per-length indexes of one base, kept in step.
+// ---------------------------------------------------------------------
+
+/// The index of one length column, with the number of groups it covers
+/// (the cheap check that it still mirrors the column it is handed).
+struct Column {
+    index: Box<dyn RepresentativeIndex>,
+    tree: bool,
+    groups: usize,
+}
+
+/// The nearest-representative indexes of one base, one per subsequence
+/// length, as [`crate::BaseBuilder::extend_resident`] uses them.
+///
+/// Lifecycle: a column is **seeded** from the base's groups the first
+/// time an extension needs it, **mutated** in step with every admission
+/// of that and every later extension, and must be **discarded**
+/// ([`Self::clear`]) as soon as the base it mirrors is not the one being
+/// extended — another base was installed, or an extension that had
+/// already admitted members was abandoned. The builder clears it itself
+/// when an extension fails; whoever keeps the index between calls owns
+/// the "same base" guarantee (the engine stamps it with the epoch).
+///
+/// Under [`IndexPolicy::Auto`] a kept index is a VP-tree for every
+/// column of at least 512 groups, whatever the size of the increment.
+#[derive(Default)]
+pub struct ResidentIndex {
+    columns: BTreeMap<usize, Column>,
+    /// Dropped with the call that seeded it (the stateless `extend`),
+    /// so `Auto` weighs the seeding against this call's lookups alone.
+    transient: bool,
+    seeds: u64,
+}
+
+impl ResidentIndex {
+    /// An empty index meant to be kept between extensions; columns are
+    /// seeded on first use.
+    pub fn new() -> Self {
+        ResidentIndex::default()
+    }
+
+    /// An empty index that will not outlive the extension it is made for.
+    pub(crate) fn transient() -> Self {
+        ResidentIndex {
+            transient: true,
+            ..ResidentIndex::default()
+        }
+    }
+
+    /// Drop every column; the next extension re-seeds what it needs.
+    pub fn clear(&mut self) {
+        self.columns.clear();
+    }
+
+    /// Representatives covered, over all seeded columns.
+    pub fn entries(&self) -> usize {
+        self.columns.values().map(|c| c.groups).sum()
+    }
+
+    /// Columns seeded from a base's groups over this index's lifetime
+    /// ([`Self::clear`] does not reset it). Extensions that find their
+    /// columns resident add none, so a count that keeps growing means
+    /// every extension is paying for a rebuild.
+    pub fn seeds(&self) -> u64 {
+        self.seeds
+    }
+
+    /// The implementation behind the seeded columns: its name when they
+    /// agree, `"mixed"` when they do not, `"none"` when nothing is seeded.
+    pub fn kind(&self) -> &'static str {
+        let mut names = self.columns.values().map(|c| c.index.name());
+        match names.next() {
+            None => "none",
+            Some(first) if names.all(|n| n == first) => first,
+            Some(_) => "mixed",
+        }
+    }
+
+    /// The index for `len`, mirroring `groups` and about to serve
+    /// `lookups` lookups: the resident column when it covers exactly
+    /// these groups, a freshly seeded one otherwise. Columns only grow,
+    /// so a resident tree is kept even for an increment too small to
+    /// have asked for one; a resident scan is replaced as soon as
+    /// `policy` wants a tree.
+    pub(crate) fn column(
+        &mut self,
+        policy: IndexPolicy,
+        len: usize,
+        groups: &[SimilarityGroup],
+        lookups: usize,
+        work: &mut IndexWork,
+    ) -> &mut dyn RepresentativeIndex {
+        let tree = policy.wants_tree(groups.len(), lookups, !self.transient);
+        let resident = self
+            .columns
+            .get(&len)
+            .is_some_and(|c| c.groups == groups.len() && (c.tree || !tree));
+        if !resident {
+            let mut index = make_index(tree);
+            index.seed(groups, work);
+            self.seeds += 1;
+            self.columns.insert(
+                len,
+                Column {
+                    index,
+                    tree,
+                    groups: groups.len(),
+                },
+            );
+        }
+        self.columns
+            .get_mut(&len)
+            .expect("the column was found or just seeded")
+            .index
+            .as_mut()
+    }
+
+    /// Record that the column for `len` now covers `groups` groups (the
+    /// builder's receipt after extending it).
+    pub(crate) fn covered(&mut self, len: usize, groups: usize) {
+        if let Some(column) = self.columns.get_mut(&len) {
+            column.groups = groups;
+        }
+    }
+}
+
+impl std::fmt::Debug for ResidentIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResidentIndex")
+            .field("kind", &self.kind())
+            .field("columns", &self.columns.len())
+            .field("entries", &self.entries())
+            .finish()
     }
 }
 
@@ -622,16 +801,17 @@ mod tests {
                         centroid,
                     );
                     if centroid {
-                        let rep = groups[gi].representative().to_vec();
-                        linear.update(gi, &rep, &mut lw);
-                        tree.update(gi, &rep, &mut tw);
+                        let rep = groups[gi].shared_representative();
+                        linear.update(gi, rep, &mut lw);
+                        tree.update(gi, rep, &mut tw);
                     }
                 }
                 None => {
                     groups.push(group(&xs));
                     let gi = groups.len() - 1;
-                    linear.insert(gi, &xs, &mut lw);
-                    tree.insert(gi, &xs, &mut tw);
+                    let rep = groups[gi].shared_representative();
+                    linear.insert(gi, rep, &mut lw);
+                    tree.insert(gi, rep, &mut tw);
                 }
             }
         }
@@ -667,7 +847,7 @@ mod tests {
         let mut work = IndexWork::default();
         let mut tree = VpTreeIndex::new();
         for (gi, g) in groups.iter().enumerate() {
-            tree.insert(gi, g.representative(), &mut work);
+            tree.insert(gi, g.shared_representative(), &mut work);
         }
         let query = vec![1.0, 2.0, 3.0, 4.5];
         let got = tree.nearest_within(&query, 1.0, &groups, &mut work);
@@ -685,7 +865,7 @@ mod tests {
         seeded.seed(&groups, &mut work);
         let mut trickled = VpTreeIndex::new();
         for (gi, g) in groups.iter().enumerate() {
-            trickled.insert(gi, g.representative(), &mut work);
+            trickled.insert(gi, g.shared_representative(), &mut work);
         }
         for _ in 0..50 {
             let q = rng.vec(10, 6.0);
@@ -703,7 +883,7 @@ mod tests {
         let groups = vec![group(&[100.0; 6])];
         let mut tree = VpTreeIndex::new();
         let mut work = IndexWork::default();
-        tree.insert(0, groups[0].representative(), &mut work);
+        tree.insert(0, groups[0].shared_representative(), &mut work);
         assert_eq!(
             tree.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
             None
@@ -745,6 +925,90 @@ mod tests {
         assert_eq!(IndexPolicy::Auto.create(10).name(), "linear");
         assert_eq!(IndexPolicy::Linear.create(10_000).name(), "linear");
         assert_eq!(IndexPolicy::VpTree.create(10).name(), "vptree");
+    }
+
+    #[test]
+    fn auto_policy_weighs_the_existing_groups_against_the_increment() {
+        let auto = IndexPolicy::Auto;
+        // A one-off extension: 237 lookups repay bulk-loading 11 000
+        // representatives (log₂ ≈ 13.4), five lookups do not.
+        assert!(auto.wants_tree(11_000, 237, false));
+        assert!(!auto.wants_tree(11_000, 5, false));
+        // A kept index serves later extensions too: big columns get the
+        // tree whatever the increment, small ones wait for the lookups.
+        assert!(auto.wants_tree(11_000, 5, true));
+        assert!(!auto.wants_tree(100, 5, true));
+        assert!(auto.wants_tree(100, 8, true));
+        // Nothing to scan, nothing to load: only the build rule applies.
+        assert!(!auto.wants_tree(0, 10, true) && !auto.wants_tree(1, 10, false));
+        // Forced policies never consult the numbers.
+        assert!(!IndexPolicy::Linear.wants_tree(1 << 20, 1 << 20, true));
+        assert!(IndexPolicy::VpTree.wants_tree(0, 0, false));
+    }
+
+    #[test]
+    fn resident_columns_are_seeded_once_and_reseeded_when_they_stop_mirroring() {
+        let mut rng = Rng(17);
+        let mut groups: Vec<SimilarityGroup> = (0..40).map(|_| group(&rng.vec(8, 6.0))).collect();
+        let mut work = IndexWork::default();
+        let mut resident = ResidentIndex::new();
+        assert_eq!(
+            (resident.kind(), resident.entries(), resident.seeds()),
+            ("none", 0, 0)
+        );
+        let q = rng.vec(8, 6.0);
+        let want = LinearScan.nearest_within(&q, 1e9, &groups, &mut work);
+        let index = resident.column(IndexPolicy::VpTree, 8, &groups, 3, &mut work);
+        assert_eq!(index.nearest_within(&q, 1e9, &groups, &mut work), want);
+        assert_eq!(
+            (resident.kind(), resident.entries(), resident.seeds()),
+            ("vptree", 40, 1)
+        );
+
+        // The builder seeds a group, keeps the index in step, and leaves
+        // its receipt: the next extension finds the column resident.
+        groups.push(group(&q));
+        resident
+            .column(IndexPolicy::VpTree, 8, &groups[..40], 1, &mut work)
+            .insert(40, groups[40].shared_representative(), &mut work);
+        resident.covered(8, 41);
+        let index = resident.column(IndexPolicy::VpTree, 8, &groups, 1, &mut work);
+        assert_eq!(
+            index.nearest_within(&q, 1e-9, &groups, &mut work),
+            Some((40, 0.0))
+        );
+        assert_eq!(resident.seeds(), 1, "a resident column is not rebuilt");
+
+        // A column of another size is not the one this index mirrors.
+        resident.column(IndexPolicy::VpTree, 8, &groups[..7], 1, &mut work);
+        assert_eq!((resident.entries(), resident.seeds()), (7, 2));
+        resident.clear();
+        assert_eq!(
+            (resident.kind(), resident.entries(), resident.seeds()),
+            ("none", 0, 2)
+        );
+    }
+
+    #[test]
+    fn a_resident_scan_becomes_a_tree_when_auto_wants_one_and_never_reverts() {
+        let mut rng = Rng(23);
+        let groups: Vec<SimilarityGroup> = (0..600).map(|_| group(&rng.vec(6, 9.0))).collect();
+        let mut work = IndexWork::default();
+        let mut resident = ResidentIndex::new();
+        resident.column(IndexPolicy::Auto, 6, &groups[..100], 2, &mut work);
+        assert_eq!(resident.kind(), "linear");
+        resident.column(IndexPolicy::Auto, 6, &groups[..100], 50, &mut work);
+        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 2));
+        resident.column(IndexPolicy::Auto, 6, &groups[..100], 2, &mut work);
+        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 2));
+        // The stateless path drops its index, so a tiny increment over a
+        // big column is scanned, where a kept index loads the tree.
+        let mut transient = ResidentIndex::transient();
+        transient.column(IndexPolicy::Auto, 6, &groups, 2, &mut work);
+        assert_eq!(transient.kind(), "linear");
+        let mut kept = ResidentIndex::new();
+        kept.column(IndexPolicy::Auto, 6, &groups, 2, &mut work);
+        assert_eq!(kept.kind(), "vptree");
     }
 
     #[test]

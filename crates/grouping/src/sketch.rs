@@ -19,6 +19,7 @@
 //! slabs is what makes a save/load cycle byte-preserving.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use onex_distance::sketch::encode_into;
 use onex_distance::{SketchParams, SKETCH_STRIDE};
@@ -28,17 +29,22 @@ use crate::SimilarityGroup;
 
 /// Sketch storage for one subsequence length: frozen quantisation
 /// parameters plus one contiguous byte slab per group.
+///
+/// Slabs are reference-counted and never rewritten in place: a clone
+/// copies one pointer per group, and [`SketchIndex::sync`] gives a group
+/// that gained members a new slab while every other group keeps sharing
+/// the one earlier epochs of the base read from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LengthSketches {
     params: SketchParams,
     /// `groups[g]` holds `group.cardinality()` slots of
     /// [`SKETCH_STRIDE`] bytes each, parallel to `group.members()`.
-    groups: Vec<Vec<u8>>,
+    groups: Vec<Arc<[u8]>>,
 }
 
 impl LengthSketches {
     /// Reassemble from persisted parts ([`crate::persist`] format v2).
-    pub(crate) fn from_parts(params: SketchParams, groups: Vec<Vec<u8>>) -> LengthSketches {
+    pub(crate) fn from_parts(params: SketchParams, groups: Vec<Arc<[u8]>>) -> LengthSketches {
         LengthSketches { params, groups }
     }
 
@@ -53,7 +59,7 @@ impl LengthSketches {
     /// (`cardinality × SKETCH_STRIDE` bytes), if synced.
     #[inline]
     pub fn group(&self, index: usize) -> Option<&[u8]> {
-        self.groups.get(index).map(Vec::as_slice)
+        self.groups.get(index).map(|slab| &**slab)
     }
 }
 
@@ -90,39 +96,58 @@ impl SketchIndex {
     /// members not yet covered, seed slabs for new groups and parameters
     /// for new lengths. Existing bytes are never rewritten — member lists
     /// only grow at the tail (admission order), so sync is incremental
-    /// and idempotent.
+    /// and idempotent; a group that gained members gets a new slab (its
+    /// old bytes plus the new slots) and every other slab stays shared
+    /// with the index this one was cloned from.
     pub fn sync(&mut self, dataset: &Dataset, groups: &BTreeMap<usize, Vec<SimilarityGroup>>) {
-        // The global value range is only needed when a new length shows
-        // up; compute it lazily and at most once per sync.
-        let mut range: Option<(f64, f64)> = None;
-        let mut slot = [0u8; SKETCH_STRIDE];
         for (&len, group_list) in groups {
-            let ls = self.per_length.entry(len).or_insert_with(|| {
-                let (min, max) = *range.get_or_insert_with(|| value_range(dataset));
-                LengthSketches {
-                    params: SketchParams::fit(min, max),
-                    groups: Vec::with_capacity(group_list.len()),
-                }
-            });
-            if ls.groups.len() < group_list.len() {
-                ls.groups.resize_with(group_list.len(), Vec::new);
+            self.sync_length(dataset, len, group_list, 0..group_list.len());
+        }
+    }
+
+    /// [`Self::sync`] for one length, visiting only the groups at the
+    /// `which` indices of `group_list` (the caller knows no other group
+    /// gained a member). Repeated indices are harmless.
+    pub(crate) fn sync_length(
+        &mut self,
+        dataset: &Dataset,
+        len: usize,
+        group_list: &[SimilarityGroup],
+        which: impl Iterator<Item = usize>,
+    ) {
+        let ls = self.per_length.entry(len).or_insert_with(|| {
+            // The global value range is only needed when a new
+            // length shows up; its parameters are frozen from here.
+            let (min, max) = value_range(dataset);
+            LengthSketches {
+                params: SketchParams::fit(min, max),
+                groups: Vec::with_capacity(group_list.len()),
             }
-            for (gi, group) in group_list.iter().enumerate() {
-                let slab = &mut ls.groups[gi];
-                let done = slab.len() / SKETCH_STRIDE;
-                if done >= group.cardinality() {
-                    continue;
-                }
-                slab.reserve((group.cardinality() - done) * SKETCH_STRIDE);
-                for &member in &group.members()[done..] {
-                    // An unresolvable reference cannot happen on a
-                    // consistent base; encode a non-pruning sketch so the
-                    // slab stays slot-aligned regardless.
-                    let values = dataset.resolve(member).unwrap_or(&[]);
-                    encode_into(&ls.params, values, &mut slot);
-                    slab.extend_from_slice(&slot);
-                }
+        });
+        if ls.groups.len() < group_list.len() {
+            ls.groups.resize_with(group_list.len(), Arc::default);
+        }
+        for gi in which {
+            let group = &group_list[gi];
+            let slab = &mut ls.groups[gi];
+            let done = slab.len() / SKETCH_STRIDE;
+            if done >= group.cardinality() {
+                continue;
             }
+            // One allocation of the final size, filled in place.
+            let mut grown: Arc<[u8]> =
+                std::iter::repeat_n(0u8, group.cardinality() * SKETCH_STRIDE).collect();
+            let bytes = Arc::get_mut(&mut grown).expect("not shared yet");
+            bytes[..slab.len()].copy_from_slice(slab);
+            let slots = bytes[slab.len()..].chunks_exact_mut(SKETCH_STRIDE);
+            for (&member, slot) in group.members()[done..].iter().zip(slots) {
+                // An unresolvable reference cannot happen on a
+                // consistent base; encode a non-pruning sketch so the
+                // slab stays slot-aligned regardless.
+                let values = dataset.resolve(member).unwrap_or(&[]);
+                encode_into(&ls.params, values, slot);
+            }
+            *slab = grown;
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests for the ONEX base construction invariants.
 
 use onex_distance::ed;
-use onex_grouping::{BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy, SubsequenceSpace};
+use onex_grouping::{
+    BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy, ResidentIndex, SubsequenceSpace,
+};
 use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
 use proptest::prelude::*;
@@ -306,7 +308,9 @@ proptest! {
 
     /// Incremental extension through the index matches the linear
     /// reference too: extending a base built with either policy, with
-    /// either lookup, lands every new subsequence in the same group.
+    /// either lookup, lands every new subsequence in the same group —
+    /// in one stateless step, or one series at a time through an index
+    /// kept resident across the steps.
     #[test]
     fn indexed_extend_equals_linear_scan(
         ds in walk_dataset(),
@@ -330,6 +334,19 @@ proptest! {
                 ..cfg.clone()
             }).unwrap().extend(&partial, &ds).unwrap();
             prop_assert_eq!(&extended, &reference, "index policy {}", index);
+        }
+        for index in [IndexPolicy::Linear, IndexPolicy::VpTree, IndexPolicy::Auto] {
+            let builder = BaseBuilder::new(BaseConfig { index, ..cfg.clone() }).unwrap();
+            let mut resident = ResidentIndex::new();
+            let mut grown = first.clone();
+            let mut base = partial.clone();
+            for (_, s) in ds.iter().skip(1) {
+                grown.push(s.clone()).unwrap();
+                base = builder.extend_resident(&base, &grown, &mut resident).unwrap().0;
+            }
+            prop_assert_eq!(&base, &reference, "resident, index policy {}", index);
+            prop_assert_eq!(base.sketches(), reference.sketches());
+            prop_assert_eq!(resident.entries(), base.group_count());
         }
     }
 }

@@ -111,9 +111,11 @@ impl ShardServer {
                         Message::Append { name, values } => {
                             let reply =
                                 match self.engine.append_series(TimeSeries::new(name, values)) {
-                                    Ok(_) => Message::Appended {
-                                        epoch: self.engine.epoch(),
-                                        series: self.engine.dataset().len() as u64,
+                                    // What *this* append committed, not
+                                    // what a concurrent one has since.
+                                    Ok(report) => Message::Appended {
+                                        epoch: report.epoch,
+                                        series: report.series as u64,
                                     },
                                     Err(e) => {
                                         let (code, detail) = error_code(&e);

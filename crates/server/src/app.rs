@@ -565,6 +565,24 @@ impl App {
             ),
             ("per_length", Json::Arr(per_length)),
         ];
+        // The writer's index over group representatives: `kind: "none"`
+        // until the first append seeds it, then a stamp that follows the
+        // engine's epoch and a `seeds` count that stays put. A null
+        // stamp or `seeds` growing with every append is a re-seed storm:
+        // something (failed appends, base installs) keeps invalidating it.
+        let resident = self.engine.resident_index();
+        fields.push((
+            "resident_index",
+            Json::obj(vec![
+                ("kind", Json::s(resident.kind)),
+                ("entries", resident.entries.into()),
+                (
+                    "epoch",
+                    resident.epoch.map_or(Json::Null, |e| (e as usize).into()),
+                ),
+                ("seeds", (resident.seeds as usize).into()),
+            ]),
+        ));
         // A cold-started engine reports where its base came from and how
         // far lazy resolution has progressed — operators can tell a
         // mapped base file from an in-memory build at a glance.
@@ -919,13 +937,25 @@ impl App {
             .engine
             .append_series(TimeSeries::new(name, values))
             .map_err(|e| Self::onex_error(&e))?;
+        // Epoch and series count are the ones this append committed,
+        // carried out of the write transaction — re-reading the engine
+        // here could report a concurrent writer's later epoch.
         Ok(Response::json(
             Json::obj(vec![
                 ("appended", Json::s(name)),
-                ("epoch", (self.engine.epoch() as usize).into()),
-                ("series", self.engine.dataset().len().into()),
+                ("epoch", (report.epoch as usize).into()),
+                ("series", report.series.into()),
                 ("subsequences", report.subsequences.into()),
                 ("groups", report.groups.into()),
+                ("elapsed_ms", (report.elapsed.as_secs_f64() * 1e3).into()),
+                (
+                    "work",
+                    Json::obj(vec![
+                        ("examined", report.work.examined.into()),
+                        ("pruned", report.work.pruned.into()),
+                        ("distance_calls", report.work.distance_calls.into()),
+                    ]),
+                ),
             ])
             .render(),
         ))
@@ -1474,6 +1504,65 @@ mod tests {
         // …and /api/series lists it.
         let listing = String::from_utf8(get(&a, "/api/series").body).unwrap();
         assert!(listing.contains("\"Fresh\""), "{listing}");
+    }
+
+    #[test]
+    fn concurrent_appends_each_report_the_epoch_they_committed() {
+        const WRITERS: usize = 2;
+        const EACH: usize = 6;
+        let a = app();
+        let initial = a.engine.dataset().len();
+        let start = std::sync::Barrier::new(WRITERS);
+        let reports: Vec<(usize, usize)> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (a, start) = (&a, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..EACH)
+                            .map(|i| {
+                                let values = (0..16)
+                                    .map(|j| ((w * 31 + i * 7 + j) % 11).to_string())
+                                    .collect::<Vec<_>>();
+                                let r = get(
+                                    a,
+                                    &format!(
+                                        "/api/append?name=w{w}-{i}&values={}",
+                                        values.join(",")
+                                    ),
+                                );
+                                assert_eq!(r.status, 200);
+                                let body = Json::parse(std::str::from_utf8(&r.body).unwrap())
+                                    .expect("append answers valid JSON");
+                                let Json::Obj(fields) = body else {
+                                    panic!("append answers an object");
+                                };
+                                let num = |key: &str| match fields.iter().find(|(k, _)| k == key) {
+                                    Some((_, Json::Num(n))) => *n as usize,
+                                    other => panic!("{key}: {other:?}"),
+                                };
+                                (num("epoch"), num("series"))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect()
+        });
+        // Every append committed exactly one epoch and says which: the
+        // epochs are 1..=n with none repeated, and each response's series
+        // count is the collection's at *its* epoch, whatever the other
+        // writer committed in the meantime.
+        let mut epochs: Vec<usize> = reports.iter().map(|&(epoch, _)| epoch).collect();
+        epochs.sort_unstable();
+        assert_eq!(epochs, (1..=WRITERS * EACH).collect::<Vec<_>>());
+        for (epoch, series) in reports {
+            assert_eq!(series, initial + epoch);
+        }
+        assert_eq!(a.engine.epoch() as usize, WRITERS * EACH);
     }
 
     #[test]

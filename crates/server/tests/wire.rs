@@ -141,6 +141,66 @@ fn serves_real_sockets() {
     }
 }
 
+fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(pairs) = json else {
+        panic!("{key}: not an object: {json:?}");
+    };
+    pairs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("missing {key}: {json:?}"))
+}
+
+/// `/api/append` reports what the append cost next to what it committed,
+/// and `/api/summary` shows the writer's resident index before and after.
+#[test]
+fn append_reports_its_work_and_summary_the_resident_index_over_the_wire() {
+    let addr = spawn_server();
+    let (_, body) = fetch(addr, "/api/summary");
+    let before = Json::parse(&body).expect("summary is valid JSON");
+    let resident = field(&before, "resident_index");
+    assert_eq!(*field(resident, "kind"), Json::Str("none".into()), "{body}");
+    assert_eq!(*field(resident, "entries"), Json::Num(0.0));
+    assert_eq!(*field(resident, "epoch"), Json::Null);
+    assert_eq!(*field(resident, "seeds"), Json::Num(0.0));
+
+    let values = (0..16).map(|i| format!("{}.5", i % 5)).collect::<Vec<_>>();
+    let (status, body) = fetch(
+        addr,
+        &format!("/api/append?name=Fresh&values={}", values.join(",")),
+    );
+    assert_eq!(status, 200, "{body}");
+    let appended = Json::parse(&body).expect("append answers valid JSON");
+    // The fields clients already read…
+    assert_eq!(*field(&appended, "appended"), Json::Str("Fresh".into()));
+    assert_eq!(*field(&appended, "epoch"), Json::Num(1.0));
+    assert_eq!(*field(&appended, "series"), Json::Num(51.0));
+    let Json::Num(groups) = *field(&appended, "groups") else {
+        panic!("groups is a number: {body}");
+    };
+    assert!(matches!(*field(&appended, "subsequences"), Json::Num(n) if n >= groups));
+    // …and what the append cost.
+    assert!(matches!(*field(&appended, "elapsed_ms"), Json::Num(ms) if ms >= 0.0));
+    let work = field(&appended, "work");
+    for key in ["examined", "pruned", "distance_calls"] {
+        assert!(
+            matches!(*field(work, key), Json::Num(n) if n >= 0.0),
+            "{key}: {body}"
+        );
+    }
+    assert!(matches!(*field(work, "distance_calls"), Json::Num(n) if n > 0.0));
+
+    let (_, body) = fetch(addr, "/api/summary");
+    let after = Json::parse(&body).expect("summary is valid JSON");
+    let resident = field(&after, "resident_index");
+    assert_ne!(*field(resident, "kind"), Json::Str("none".into()), "{body}");
+    assert_eq!(*field(resident, "entries"), Json::Num(groups));
+    assert_eq!(*field(resident, "epoch"), Json::Num(1.0));
+    // One seeding per indexed length (6..=10), by the first append.
+    assert_eq!(*field(resident, "seeds"), Json::Num(5.0));
+}
+
 /// End-to-end distributed path: two binary shard servers behind an HTTP
 /// gateway, `?backend=cluster` agreeing with `?backend=onex` over real
 /// sockets all the way down.

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Error, Result, TimeSeries};
 
@@ -51,6 +52,10 @@ impl fmt::Display for SubseqRef {
 /// immutable once handed to the ONEX base builder (the builder borrows it),
 /// which is why mutation is limited to `push`.
 ///
+/// Series are reference-counted, so cloning a dataset copies one pointer
+/// per series rather than the samples: the engine publishes a grown
+/// collection per append and every epoch shares the series it inherited.
+///
 /// ```
 /// use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 /// let mut ds = Dataset::new();
@@ -61,7 +66,7 @@ impl fmt::Display for SubseqRef {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    series: Vec<TimeSeries>,
+    series: Vec<Arc<TimeSeries>>,
     by_name: HashMap<String, usize>,
 }
 
@@ -96,7 +101,7 @@ impl Dataset {
         }
         let id = self.series.len();
         self.by_name.insert(s.name().to_owned(), id);
-        self.series.push(s);
+        self.series.push(Arc::new(s));
         Ok(id as u32)
     }
 
@@ -115,12 +120,12 @@ impl Dataset {
     /// Series by positional id.
     #[inline]
     pub fn series(&self, id: u32) -> Option<&TimeSeries> {
-        self.series.get(id as usize)
+        self.series.get(id as usize).map(|s| &**s)
     }
 
     /// Series by name.
     pub fn by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.by_name.get(name).map(|&i| &self.series[i])
+        self.by_name.get(name).map(|&i| &*self.series[i])
     }
 
     /// Positional id of a named series.
@@ -130,7 +135,10 @@ impl Dataset {
 
     /// Iterate over `(id, series)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &TimeSeries)> {
-        self.series.iter().enumerate().map(|(i, s)| (i as u32, s))
+        self.series
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as u32, &**s))
     }
 
     /// Resolve a [`SubseqRef`] to its sample window.
@@ -237,6 +245,16 @@ mod tests {
         let mut d = ds();
         let err = d.push(TimeSeries::new("a", vec![0.0])).unwrap_err();
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn clones_share_series_storage() {
+        let d = ds();
+        let mut grown = d.clone();
+        grown.push(TimeSeries::new("c", vec![8.0])).unwrap();
+        assert!(std::ptr::eq(d.series(1).unwrap(), grown.series(1).unwrap()));
+        assert_eq!((d.len(), grown.len()), (2, 3), "the original is untouched");
+        assert!(d.by_name("c").is_none());
     }
 
     #[test]
