@@ -33,6 +33,7 @@
 pub mod backends;
 mod engine;
 pub mod exhaustive;
+pub mod fanout;
 mod options;
 mod result;
 pub mod scale;
@@ -44,11 +45,12 @@ pub mod threshold;
 pub use engine::{
     BaseRef, BaseSource, Comparison, DatasetRef, EngineSnapshot, Onex, ResidentReport,
 };
+pub use fanout::PoolStats;
 pub use onex_api::{Epoch, OnexError, SharedBound, SimilaritySearch};
 pub use onex_grouping::{BuildReport, IndexPolicy, IndexWork};
 pub use options::{LengthSelection, QueryOptions, ScanBreadth};
 pub use result::{Match, SeasonalPattern};
-pub use scale::{CacheStats, CachedSearch, PoolStats, ShardedBuildReport, ShardedEngine};
+pub use scale::{CacheStats, CachedSearch, ShardedBuildReport, ShardedEngine};
 pub use search::normalize as normalized_distance;
 pub use seasonal::SeasonalOptions;
 pub use stats::QueryStats;

@@ -6,21 +6,19 @@
 //! One engine over one partition caps out on both axes, so this module
 //! provides the first two scale-out building blocks:
 //!
-//! * [`ShardedEngine`] — partitions a dataset across N shards, builds one
-//!   ONEX engine per shard **in parallel**, fans every query out across
-//!   the shards on a **persistent worker pool** and merges the per-shard
-//!   answers through the shared [`BestK`] accumulator. All shards of one
-//!   query prune against a single [`SharedBound`] (the query-global
-//!   k-th-best threshold), so a tight bound discovered by any shard
-//!   immediately shrinks every other shard's candidate cascade — total
-//!   touched candidates stay near the single engine's instead of ~N× the
-//!   per-shard heap fills (bench E14 tracks the ratio). Because each
-//!   shard runs the exact two-phase plan over its own subsequence space,
-//!   the merged top-k is identical to the single-engine answer over the
-//!   whole dataset up to distance ties (the conformance suite and
-//!   benches E13/E14 assert this), while wall-clock drops with the shard
-//!   count. The pool is built once with the engine and reused across
-//!   queries; nothing on the query path spawns threads.
+//! * [`ShardedEngine`] — partitions a dataset across N in-process
+//!   shards, builds one ONEX engine per shard **in parallel** and answers
+//!   every query through the shared fan-out core ([`crate::fanout`]:
+//!   round-robin placement, one persistent lane per shard, one
+//!   query-global [`onex_api::SharedBound`], one deadline, one merge).
+//!   What this engine adds on top is the **pinned shard map**: the
+//!   shards' snapshots are published together, a query pins one map for
+//!   its whole fan-out, so every shard answers from the same epoch no
+//!   matter what appends commit mid-flight. Because each shard runs the
+//!   exact two-phase plan over its own subsequence space, the merged
+//!   top-k is identical to the single-engine answer over the whole
+//!   dataset up to distance ties (the conformance suite and benches
+//!   E13/E14 assert this).
 //! * [`CachedSearch`] — a decorator over *any* backend with a bounded
 //!   LRU keyed on `(query values, k)`. Interactive exploration repeats
 //!   queries constantly (brushing the same window, comparing backends);
@@ -37,43 +35,17 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use onex_api::{
-    validate_query, BackendMatch, BackendStats, BestK, Capabilities, Epoch, OnexError,
-    SearchOutcome, SharedBound, SimilaritySearch, Versioned,
-};
+use onex_api::{Capabilities, Epoch, OnexError, SearchOutcome, SimilaritySearch, Versioned};
 use onex_grouping::{BaseConfig, BuildReport, RepresentativePolicy};
-use onex_tseries::{Dataset, SubseqRef, TimeSeries};
+use onex_tseries::{Dataset, TimeSeries};
 
 use crate::engine::EngineSnapshot;
-use crate::search::normalize;
-use crate::{Onex, QueryOptions, ScanBreadth};
+use crate::fanout::{slot_of, Fanout, PoolStats, Task};
+use crate::{Onex, QueryOptions};
 
 // ---------------------------------------------------------------------
 // ShardedEngine
 // ---------------------------------------------------------------------
-
-/// One shard's epoch-pinned view: a snapshot of the shard engine plus
-/// the id translation between the shard-local and the global numbering.
-/// The whole vector of views is published together ([`Versioned`]), so a
-/// query that pins one [`ShardMap`] sees every shard at a mutually
-/// consistent epoch.
-#[derive(Debug, Clone)]
-struct ShardView {
-    snapshot: EngineSnapshot,
-    /// Shard-local series id → global series id.
-    to_global: Vec<u32>,
-    /// Global series id → shard-local series id.
-    to_local: HashMap<u32, u32>,
-}
-
-/// The atomically-published state of a [`ShardedEngine`]: every shard's
-/// pinned snapshot and id maps, plus the global series count (which
-/// doubles as the next global id).
-#[derive(Debug, Clone)]
-struct ShardMap {
-    views: Vec<ShardView>,
-    total_series: usize,
-}
 
 /// What building a [`ShardedEngine`] cost: the per-shard construction
 /// reports plus the wall-clock of the whole parallel build (shorter than
@@ -105,164 +77,19 @@ impl ShardedBuildReport {
     }
 }
 
-/// One unit of pool work: run `query` against one shard's engine under
-/// the query's shared bound, and send the outcome back tagged with the
-/// shard index. Everything is owned (`Arc`s and clones), so jobs outlive
-/// the borrow of the submitting call — the prerequisite for a persistent
-/// pool instead of per-query scoped threads.
-struct ShardJob {
-    index: usize,
-    /// The epoch-pinned shard view this job queries — the submitting
-    /// query pins one [`ShardMap`] and hands every job a snapshot from
-    /// it, so all shards of one query answer from the same epoch no
-    /// matter what appends commit mid-flight.
-    snapshot: EngineSnapshot,
-    /// Shard-localised options; `None` means the shard cannot contribute
-    /// (an `only_series` filter owned by another shard).
-    opts: Option<QueryOptions>,
-    query: Arc<[f64]>,
-    k: usize,
-    /// The query-global pruning bound this job tightens and observes.
-    bound: Arc<SharedBound>,
-    reply: crossbeam::channel::Sender<(usize, Result<SearchOutcome, OnexError>)>,
-}
-
-/// Observability counters of a [`ShardedEngine`]'s worker pool. The
-/// load-bearing invariant: `threads_spawned` is set at construction and
-/// **never grows** — queries reuse the pool instead of spawning (the
-/// lifetime-counter test and bench E14 both lean on this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads the pool runs (one per shard).
-    pub workers: usize,
-    /// Threads ever spawned — equals `workers` for the pool's lifetime.
-    pub threads_spawned: usize,
-    /// Shard-jobs executed so far (each query contributes one per shard).
-    pub jobs_executed: usize,
-}
-
-/// A persistent pool of per-shard query workers over the bounded MPMC
-/// channel (the same primitive the server's accept loop pools
-/// connections with). Workers live as long as the engine: submitting a
-/// job is a channel send, never a thread spawn — the fixed ~per-thread
-/// setup cost that used to dominate sub-millisecond sharded queries is
-/// paid once at build time.
-struct ShardPool {
-    /// `Some` for the pool's lifetime; taken in `Drop` so workers see the
-    /// disconnect and exit before the handles are joined.
-    tx: Option<crossbeam::channel::Sender<ShardJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    threads_spawned: Arc<AtomicUsize>,
-    jobs_executed: Arc<AtomicUsize>,
-}
-
-impl ShardPool {
-    fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        // Capacity 2× the workers: one query's fan-out fits entirely
-        // without blocking the submitter, and a second query can queue
-        // behind it; beyond that, submission blocks (backpressure).
-        let (tx, rx) = crossbeam::channel::bounded::<ShardJob>(workers * 2);
-        let threads_spawned = Arc::new(AtomicUsize::new(0));
-        let jobs_executed = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let executed = Arc::clone(&jobs_executed);
-                // Counted here, on the constructing thread: the counter
-                // is "threads ever spawned", not "threads scheduled".
-                threads_spawned.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let ShardJob {
-                            index,
-                            snapshot,
-                            opts,
-                            query,
-                            k,
-                            bound,
-                            reply,
-                        } = job;
-                        // A panicking query must cost one errored reply,
-                        // not a pool worker (mirrors the serve loop's
-                        // catch_unwind rationale).
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match opts {
-                                Some(opts) => {
-                                    snapshot.k_best_bounded(&query, k, &opts, &bound).map(
-                                        |(matches, stats)| crate::backends::outcome(matches, stats),
-                                    )
-                                }
-                                None => Ok(SearchOutcome::default()),
-                            }))
-                            .unwrap_or_else(|_| {
-                                Err(OnexError::Internal("shard query worker panicked".into()))
-                            });
-                        // A send error means the query side gave up
-                        // (errored out early); the result is moot.
-                        let _ = reply.send((index, result));
-                    }
-                })
-            })
-            .collect();
-        ShardPool {
-            tx: Some(tx),
-            workers: handles,
-            threads_spawned,
-            jobs_executed,
-        }
-    }
-
-    fn submit(&self, job: ShardJob) -> Result<(), OnexError> {
-        self.tx
-            .as_ref()
-            .expect("pool sender lives until Drop")
-            .send(job)
-            .map_err(|_| OnexError::Internal("shard worker pool exited".into()))
-    }
-
-    fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers.len(),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Disconnect first so every worker's recv returns Err, then join.
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("workers", &self.workers.len())
-            .field("jobs_executed", &self.jobs_executed.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// The ONEX engine scaled across N shards behind the unified trait.
+/// The ONEX engine scaled across N in-process shards behind the unified
+/// trait.
 ///
-/// Series are partitioned round-robin (series `i` → shard `i mod N`), so
-/// shards stay balanced regardless of load order. Queries fan out to
-/// every shard over a persistent worker pool (no per-query thread
-/// spawns), all shards of one query prune against one [`SharedBound`],
-/// and per-shard answers merge through [`BestK`] under the same
-/// length-normalised ranking the single engine uses. Per-shard
-/// [`BackendStats`] sum into one report — the shards index disjoint
-/// subsequence spaces, so the counters stay disjoint (their *values*
-/// depend on how fast the shards tightened each other's bounds; disable
-/// sharing via [`ShardedEngine::sharing_bound`] for scheduling-independent
-/// per-shard counters).
+/// Series are partitioned round-robin (global series `g` → shard
+/// `g mod N`, local id `g / N`), so shards stay balanced regardless of
+/// load order, and every query runs through the shared [`Fanout`] core.
+/// Per-shard [`onex_api::BackendStats`] sum into one report — the shards
+/// index disjoint subsequence spaces, so the counters stay disjoint
+/// (their *values* depend on how fast the shards tightened each other's
+/// bounds; disable sharing via [`ShardedEngine::sharing_bound`] for
+/// scheduling-independent per-shard counters). In-process shards share
+/// one fate, so the engine runs under [`onex_api::DegradePolicy::Fail`]
+/// and every answer reports full coverage.
 ///
 /// **Agreement caveat:** under an exact configuration the merged top-k
 /// carries the same windows at the same distances as the single engine
@@ -292,18 +119,24 @@ pub struct ShardedEngine {
     /// The shard engines themselves — stable for the engine's lifetime;
     /// appends go *through* them (each is its own [`Versioned`] cell).
     engines: Vec<Arc<Onex>>,
-    /// The published shard views + id maps. A query pins one read
-    /// transaction of this for its whole fan-out-and-merge, so every
-    /// shard answers from the same epoch; [`ShardedEngine::append_series`]
-    /// publishes the next map atomically after the owning shard commits.
-    state: Versioned<ShardMap>,
-    opts: QueryOptions,
-    /// Share one query-global bound across the shards of each query
-    /// (default). `false` gives every shard an independent bound — the
-    /// pre-sharing behaviour, kept for diagnostics and bench E14's
-    /// before/after comparison.
-    share_bound: bool,
-    pool: ShardPool,
+    /// The published shard map: one pinned snapshot per shard. A query
+    /// pins one read transaction of this for its whole fan-out, so every
+    /// shard answers from the same epoch;
+    /// [`ShardedEngine::append_series`] publishes the next map atomically
+    /// after the owning shard commits.
+    state: Versioned<Vec<EngineSnapshot>>,
+    fanout: Fanout,
+}
+
+/// One shard's work for one query: search the pinned snapshot.
+fn local_task(snapshot: EngineSnapshot) -> Task {
+    Box::new(move |job| {
+        job.reply(
+            snapshot
+                .k_best_bounded(&job.query, job.k, &job.opts, &job.bound)
+                .map(|(matches, stats)| crate::backends::outcome(matches, stats)),
+        )
+    })
 }
 
 impl ShardedEngine {
@@ -331,19 +164,13 @@ impl ShardedEngine {
         let shards = shards.min(dataset.len());
         let start = Instant::now();
 
-        // Round-robin partition, keeping both directions of the id map.
         let mut parts: Vec<Vec<TimeSeries>> = vec![Vec::new(); shards];
-        let mut to_global: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for (gid, series) in dataset.iter() {
-            let s = gid as usize % shards;
-            parts[s].push(series.clone());
-            to_global[s].push(gid);
+            parts[slot_of(gid, shards)].push(series.clone());
         }
 
         // Build every shard in parallel; a panicking worker is reported
         // as a typed Internal error instead of aborting the process.
-        let mut built: Vec<Option<(Onex, BuildReport)>> = Vec::new();
-        let mut failure: Option<OnexError> = None;
         let results = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
@@ -364,49 +191,20 @@ impl ShardedEngine {
                 .collect::<Vec<_>>()
         })
         .map_err(|_| OnexError::Internal("shard build scope panicked".into()))?;
-        for r in results {
-            match r {
-                Ok(Ok(pair)) => built.push(Some(pair)),
-                Ok(Err(e)) | Err(e) => {
-                    failure.get_or_insert(e);
-                    built.push(None);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
 
         let mut per_shard = Vec::with_capacity(shards);
         let mut engines = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (built, to_global) in built.into_iter().zip(to_global) {
-            let (engine, report) = built.expect("failures returned above");
+        for result in results {
+            let (engine, report) = result??;
             per_shard.push(report);
-            let engine = Arc::new(engine);
-            let to_local = to_global
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| (global, local as u32))
-                .collect();
-            views.push(ShardView {
-                snapshot: engine.snapshot(),
-                to_global,
-                to_local,
-            });
-            engines.push(engine);
+            engines.push(Arc::new(engine));
         }
-        let pool = ShardPool::new(engines.len());
+        let snapshots = engines.iter().map(|e| e.snapshot()).collect();
         Ok((
             ShardedEngine {
+                fanout: Fanout::new("shard", engines.len()),
                 engines,
-                state: Versioned::new(ShardMap {
-                    views,
-                    total_series: dataset.len(),
-                }),
-                opts: QueryOptions::default(),
-                share_bound: true,
-                pool,
+                state: Versioned::new(snapshots),
             },
             ShardedBuildReport {
                 per_shard,
@@ -418,9 +216,9 @@ impl ShardedEngine {
     /// Append a series to the sharded collection: the series lands on the
     /// shard the round-robin partition assigns to its global id, that
     /// shard's engine extends its own base ([`Onex::append_series`] —
-    /// build-aside, atomic publish), and then the shard map with the new
-    /// id translation and re-pinned snapshot is published atomically as
-    /// the sharded engine's next epoch.
+    /// build-aside, atomic publish), and then the shard map with that
+    /// shard's re-pinned snapshot is published atomically as the sharded
+    /// engine's next epoch.
     ///
     /// In-flight and concurrent queries are never blocked: they keep
     /// answering from the shard map they pinned, every shard at that
@@ -433,30 +231,24 @@ impl ShardedEngine {
     /// the collection, so the global uniqueness check lives here.
     pub fn append_series(&self, series: TimeSeries) -> Result<BuildReport, OnexError> {
         let mut txn = self.state.write();
-        let map = txn.value_mut();
+        let map = txn.base();
         if map
-            .views
             .iter()
-            .any(|v| v.snapshot.dataset().by_name(series.name()).is_some())
+            .any(|s| s.dataset().by_name(series.name()).is_some())
         {
             return Err(OnexError::DatasetMismatch(format!(
                 "duplicate series name {:?}",
                 series.name()
             )));
         }
-        let gid = map.total_series as u32;
-        let s = gid as usize % self.engines.len();
+        let total: usize = map.iter().map(|s| s.dataset().len()).sum();
+        let s = slot_of(total as u32, self.engines.len());
         // The shard engine commits its own epoch first; an error here
         // drops our transaction with the map untouched.
         let mut report = self.engines[s].append_series(series)?;
-        let view = &mut map.views[s];
-        let local = view.to_global.len() as u32;
-        view.to_global.push(gid);
-        view.to_local.insert(gid, local);
-        view.snapshot = self.engines[s].snapshot();
-        map.total_series += 1;
+        txn.value_mut()[s] = self.engines[s].snapshot();
         // The shard's report, restamped for the collection as a whole.
-        report.series = map.total_series;
+        report.series = total + 1;
         report.epoch = txn.commit();
         Ok(report)
     }
@@ -471,17 +263,17 @@ impl ShardedEngine {
     /// the options (`exclude_series`, `only_series`, `exclude_windows`)
     /// use the **global** numbering; they are translated per shard.
     pub fn with_options(mut self, opts: QueryOptions) -> Self {
-        self.opts = opts;
+        self.fanout.opts = opts;
         self
     }
 
-    /// Builder-style: share one query-global [`SharedBound`] across the
-    /// shards of each query (`true`, the default) or give every shard an
-    /// independent bound (`false` — the pre-sharing behaviour, whose
-    /// per-shard work counters do not depend on scheduling; bench E14
-    /// measures both).
+    /// Builder-style: share one query-global [`onex_api::SharedBound`]
+    /// across the shards of each query (`true`, the default) or give
+    /// every shard an independent bound (`false` — the pre-sharing
+    /// behaviour, whose per-shard work counters do not depend on
+    /// scheduling; bench E14 measures both).
     pub fn sharing_bound(mut self, share: bool) -> Self {
-        self.share_bound = share;
+        self.fanout.share_bound = share;
         self
     }
 
@@ -489,7 +281,7 @@ impl ShardedEngine {
     /// equals the shard count for the engine's whole lifetime — queries
     /// are channel sends, never spawns.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.fanout.pool_stats()
     }
 
     /// Number of shards actually built (≤ the requested count).
@@ -499,35 +291,11 @@ impl ShardedEngine {
 
     /// Series count of each shard, in shard order (at the current epoch).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        let map = self.state.read();
-        map.views.iter().map(|v| v.to_global.len()).collect()
-    }
-
-    /// Translate the global-id query options into shard-local ids.
-    /// `None` means the shard cannot contribute at all (an `only_series`
-    /// filter pointing at a series another shard owns).
-    fn localize(&self, shard: &ShardView) -> Option<QueryOptions> {
-        let mut o = self.opts.clone();
-        o.exclude_series = o
-            .exclude_series
-            .and_then(|g| shard.to_local.get(&g).copied());
-        if let Some(global_only) = o.only_series {
-            match shard.to_local.get(&global_only) {
-                Some(&local) => o.only_series = Some(local),
-                None => return None,
-            }
-        }
-        o.exclude_windows = o
-            .exclude_windows
+        self.state
+            .read()
             .iter()
-            .filter_map(|w| {
-                shard
-                    .to_local
-                    .get(&w.series)
-                    .map(|&local| SubseqRef::new(local, w.start, w.len))
-            })
-            .collect();
-        Some(o)
+            .map(|s| s.dataset().len())
+            .collect()
     }
 
     /// Fan `query` out and return **each shard's own outcome** (in shard
@@ -538,110 +306,18 @@ impl ShardedEngine {
     /// bound the parallel query's critical path, so `single-engine
     /// touches / max shard touches` is the speedup the decomposition
     /// makes available independent of core count (bench E13's
-    /// machine-independent speedup column).
-    ///
-    /// Jobs run on the engine's persistent worker pool — no threads are
-    /// spawned per query — and (unless [`ShardedEngine::sharing_bound`]
-    /// disabled it) all prune against one fresh [`SharedBound`] seeded at
-    /// `∞` for this query: the first shard to fill its k-heap publishes
-    /// its k-th best, every other shard observes it mid-scan. With
-    /// sharing on, per-shard *work counters* therefore depend on how the
-    /// shards interleaved; the merged *matches* do not (exact up to
-    /// distance ties).
+    /// machine-independent speedup column). With bound sharing on,
+    /// per-shard *work counters* depend on how the shards interleaved;
+    /// the merged *matches* do not (exact up to distance ties).
     ///
     /// # Errors
-    /// Same conditions as [`SimilaritySearch::k_best`], plus
-    /// [`OnexError::Internal`] when the pool is gone or a reply is lost.
+    /// Same conditions as [`SimilaritySearch::k_best`].
     pub fn shard_outcomes(&self, query: &[f64], k: usize) -> Result<Vec<SearchOutcome>, OnexError> {
         let map = self.state.read();
-        self.fanout(&map, query, k)
-    }
-
-    /// The fan-out against one pinned shard map: every job carries a
-    /// snapshot from `map`, so all shards of this query answer from the
-    /// same epoch.
-    fn fanout(
-        &self,
-        map: &ShardMap,
-        query: &[f64],
-        k: usize,
-    ) -> Result<Vec<SearchOutcome>, OnexError> {
-        validate_query(query, k)?;
-        let query: Arc<[f64]> = Arc::from(query);
-        // One fresh bound per logical query — never reused across
-        // queries, so concurrent queries cannot contaminate each other.
-        let shared = Arc::new(SharedBound::new());
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(map.views.len().max(1));
-        for (index, shard) in map.views.iter().enumerate() {
-            let bound = if self.share_bound {
-                Arc::clone(&shared)
-            } else {
-                Arc::new(SharedBound::new())
-            };
-            self.pool.submit(ShardJob {
-                index,
-                snapshot: shard.snapshot.clone(),
-                opts: self.localize(shard),
-                query: Arc::clone(&query),
-                k,
-                bound,
-                reply: reply_tx.clone(),
-            })?;
-        }
-        drop(reply_tx);
-        // Collect exactly one reply per shard. Workers always reply
-        // (panics are caught into typed errors), so the timeout is a
-        // guard against a lost pool, not a query SLA.
-        let mut outcomes: Vec<Option<SearchOutcome>> = (0..map.views.len()).map(|_| None).collect();
-        for _ in 0..map.views.len() {
-            let (index, result) = reply_rx
-                .recv_timeout(Duration::from_secs(300))
-                .map_err(|_| OnexError::Internal("shard query reply lost".into()))?;
-            outcomes[index] = Some(result?);
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard replied exactly once"))
-            .collect())
-    }
-
-    fn merge(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        // Merge through the shared bounded accumulator under the same
-        // length-normalised ranking the single engine uses; per-shard
-        // stats sum into one disjoint report. One read transaction pins
-        // the shard map for both the fan-out and the id translation — a
-        // concurrent append cannot give this query a mixed-epoch answer.
-        let map = self.state.read();
-        let outcomes = self.fanout(&map, query, k)?;
-        let mut acc: BestK<(u32, usize, usize, u64)> = BestK::new(k);
-        let mut stats = BackendStats::default();
-        for (shard, outcome) in map.views.iter().zip(outcomes) {
-            stats += outcome.stats;
-            for m in outcome.matches {
-                let global = shard.to_global[m.series as usize];
-                acc.offer(
-                    normalize(m.distance, query.len(), m.len),
-                    (global, m.start, m.len, m.distance.to_bits()),
-                );
-            }
-        }
-        Ok(SearchOutcome {
-            matches: acc
-                .into_sorted()
-                .into_iter()
-                .map(|(_, (series, start, len, bits))| BackendMatch {
-                    series,
-                    start,
-                    len,
-                    distance: f64::from_bits(bits),
-                })
-                .collect(),
-            stats,
-            // In-process shards share one fate — the pool either answers
-            // over all of them or propagates the failure — so coverage
-            // stays untracked here.
-            coverage: None,
-        })
+        let per_slot = self
+            .fanout
+            .per_slot(query, k, |s| local_task(map[s].clone()))?;
+        per_slot.into_iter().collect()
     }
 }
 
@@ -652,25 +328,15 @@ impl SimilaritySearch for ShardedEngine {
 
     fn capabilities(&self) -> Capabilities {
         // All shards share one config; the first speaks for all.
-        let exact = self
-            .engines
-            .first()
-            .map(|e| e.base().config().policy == RepresentativePolicy::Seed)
-            .unwrap_or(false)
-            && self.opts.breadth == ScanBreadth::Exact
-            && self.opts.band == onex_distance::Band::Full;
-        Capabilities {
-            metric: onex_api::Metric::RawDtw,
-            exact,
-            multi_length: !matches!(self.opts.lengths, crate::LengthSelection::Exact),
-            streaming: false,
-            one_match_per_series: false,
-            cached: false,
-        }
+        self.fanout
+            .capabilities(self.engines[0].base().config().policy == RepresentativePolicy::Seed)
     }
 
     fn k_best(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        self.merge(query, k)
+        // One read transaction pins the shard map for the whole fan-out:
+        // a concurrent append cannot give this query a mixed-epoch answer.
+        let map = self.state.read();
+        self.fanout.k_best(query, k, |s| local_task(map[s].clone()))
     }
 
     fn epoch(&self) -> Epoch {
@@ -939,6 +605,7 @@ mod tests {
     use super::*;
     use crate::backends::OnexBackend;
     use crate::LengthSelection;
+    use onex_api::BackendStats;
     use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
 
     const LEN: usize = 16;
@@ -976,15 +643,39 @@ mod tests {
         assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
         assert_eq!(report.per_shard.len(), 4);
         assert!(report.subsequences() > 0);
-        // Every global id appears in exactly one shard.
-        let map = sharded.state.read();
-        let mut seen = std::collections::HashSet::new();
-        for view in &map.views {
-            for &g in &view.to_global {
-                assert!(seen.insert(g), "series {g} in two shards");
+        // Placement is arithmetic, before and after live appends: shard
+        // `s` holds global series `local * N + s` as its `local`-th, so
+        // every global id appears in exactly one shard.
+        let placed = |sharded: &ShardedEngine, names: &[String]| {
+            let map = sharded.state.read();
+            let n = sharded.shard_count();
+            let mut seen = 0;
+            for (s, snapshot) in map.iter().enumerate() {
+                for (local, series) in snapshot.dataset().iter() {
+                    let g = crate::fanout::global(local, s, n) as usize;
+                    assert_eq!(series.name(), names[g], "shard {s} local {local}");
+                    seen += 1;
+                }
             }
+            assert_eq!(seen, names.len());
+        };
+        let mut names: Vec<String> = ds.iter().map(|(_, s)| s.name().to_owned()).collect();
+        placed(&sharded, &names);
+        for m in 0..5 {
+            let values: Vec<f64> = (0..40)
+                .map(|i| ((i * (m + 2)) as f64 * 0.37).sin() * 3.0)
+                .collect();
+            let report = sharded
+                .append_series(TimeSeries::new(format!("live-{m}"), values.clone()))
+                .unwrap();
+            names.push(format!("live-{m}"));
+            assert_eq!(report.series, names.len());
+            placed(&sharded, &names);
+            // The merged answer names the appended series by its global id.
+            let best = sharded.best_match(&values[3..3 + LEN]).unwrap();
+            let best = best.best().unwrap();
+            assert_eq!((best.series as usize, best.start), (names.len() - 1, 3));
         }
-        assert_eq!(seen.len(), 10);
     }
 
     #[test]

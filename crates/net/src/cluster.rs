@@ -1,18 +1,18 @@
 //! [`ClusterEngine`]: N remote shard slots composed behind one
-//! [`SimilaritySearch`] — the cross-process sibling of
-//! `onex_core::ShardedEngine`, built from the same three pieces: a
-//! fan-out over a persistent worker pool, one fresh query-global
-//! [`SharedBound`], and a `BestK` merge under the length-normalised
-//! ranking the single engine uses.
+//! [`SimilaritySearch`]. The query itself — round-robin placement, one
+//! lane per slot, one fresh query-global [`SharedBound`], the reply
+//! deadline, the degrade policy and the merge — is the shared fan-out
+//! core, [`onex_core::fanout`]; this module is what a *remote* slot adds
+//! on top of it: replicas, breakers, hedging and the bound's trip over
+//! the wire.
 //!
-//! The difference is where the bound lives. In-process, every shard
-//! prunes against the same atomic. Across processes the atomic cannot be
-//! shared, so each [`RemoteBackend`] *gossips*: tightenings a shard
-//! discovers stream back to this client, land in the query's shared
-//! bound, and the other shards' in-flight pumps push them onward. The
-//! bound stays monotone end to end, so gossip can only ever prune
-//! candidates that a tighter local bound would also have pruned — it
-//! never costs an answer.
+//! In-process, every shard prunes against the same atomic. Across
+//! processes the atomic cannot be shared, so each [`RemoteBackend`]
+//! *gossips*: tightenings a shard discovers stream back to this client,
+//! land in the query's shared bound, and the other shards' in-flight
+//! pumps push them onward. The bound stays monotone end to end, so gossip
+//! can only ever prune candidates that a tighter local bound would also
+//! have pruned — it never costs an answer.
 //!
 //! ## Fault tolerance
 //!
@@ -34,37 +34,31 @@
 //! propagates the slot's typed error (the strict historical behaviour),
 //! `Partial` answers over the surviving shards, `Quorum(q)` demands at
 //! least `q` surviving slots. Degraded answers are *typed*: the outcome
-//! carries [`Coverage`] so callers can tell 5-of-8 from 8-of-8 without
-//! guessing from match counts.
+//! carries [`onex_api::Coverage`] so callers can tell 5-of-8 from 8-of-8
+//! without guessing from match counts.
 //!
 //! ## Identity
 //!
-//! The cluster assumes the collection was partitioned **round-robin**:
-//! global series `g` lives on slot `g % N` as local id `g / N` — the
-//! exact partition `ShardedEngine` applies in-process (and what the
-//! `onex_server --shard-serve` operator docs prescribe). Global ids are
-//! reconstructed as `local * N + slot`. Replicas of one slot host the
-//! same partition.
+//! The cluster assumes the collection was partitioned by the fan-out
+//! core's round-robin rule: global series `g` lives on slot `g % N` as
+//! local id `g / N` (what the `onex_server --shard-serve` operator docs
+//! prescribe). Replicas of one slot host the same partition.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError};
 use onex_api::{
-    validate_query, BackendMatch, BackendStats, BestK, Capabilities, Coverage, DegradePolicy,
-    Epoch, Metric, NetworkErrorKind, OnexError, SearchOutcome, SharedBound, SimilaritySearch,
+    Capabilities, DegradePolicy, Epoch, NetworkErrorKind, OnexError, SearchOutcome, SharedBound,
+    SimilaritySearch,
 };
-use onex_core::{normalized_distance, PoolStats, QueryOptions, ScanBreadth};
-use onex_tseries::SubseqRef;
+use onex_core::fanout::{slot_of, Fanout, Job, DEFAULT_DEADLINE};
+use onex_core::{PoolStats, QueryOptions};
 use parking_lot::Mutex;
 
 use crate::client::{RemoteBackend, RemoteConfig, RemoteInfo};
 use crate::health::{Breaker, BreakerConfig, BreakerSnapshot, BreakerState};
-
-/// What one shard worker sends back: its slot index plus the remote's
-/// outcome and epoch (or the typed failure).
-type ShardReply = (usize, Result<(SearchOutcome, Epoch), OnexError>);
 
 /// Cluster-level tuning: everything beyond the per-connection
 /// [`RemoteConfig`].
@@ -78,8 +72,7 @@ pub struct ClusterConfig {
     /// [`DegradePolicy::Fail`] — the strict historical behaviour).
     pub degrade: DegradePolicy,
     /// Overall per-query deadline on collecting shard replies. Passing
-    /// it is a typed [`NetworkErrorKind::Timeout`] (HTTP 504), replacing
-    /// the old hardcoded 300 s internal stall.
+    /// it is a typed [`NetworkErrorKind::Timeout`] (HTTP 504).
     pub query_deadline: Duration,
     /// When set, a slot query that has not answered within this
     /// threshold is raced against the slot's next live replica; first
@@ -97,7 +90,7 @@ impl Default for ClusterConfig {
             remote: RemoteConfig::default(),
             breaker: BreakerConfig::default(),
             degrade: DegradePolicy::Fail,
-            query_deadline: Duration::from_secs(60),
+            query_deadline: DEFAULT_DEADLINE,
             hedge_after: None,
             probe_interval: Some(Duration::from_millis(250)),
         }
@@ -110,10 +103,12 @@ struct Replica {
 }
 
 /// One shard slot: the replicas hosting one round-robin partition, in
-/// preference order.
+/// preference order, plus the slot's hedge counters.
 struct Slot {
     index: usize,
     replicas: Vec<Replica>,
+    hedges_fired: AtomicUsize,
+    hedge_wins: AtomicUsize,
 }
 
 impl Slot {
@@ -125,28 +120,6 @@ impl Slot {
             .max()
             .unwrap_or(0)
     }
-}
-
-struct ClusterJob {
-    index: usize,
-    query: Arc<[f64]>,
-    k: usize,
-    /// `None`: this slot cannot contribute (an `only_series` filter
-    /// pointing at another slot) — answered locally, no network.
-    opts: Option<QueryOptions>,
-    bound: Arc<SharedBound>,
-    hedge_after: Option<Duration>,
-    reply: Sender<ShardReply>,
-    /// Test hook: a poison job makes the worker thread exit, simulating
-    /// a lane death the respawn path must absorb.
-    poison: bool,
-}
-
-/// One worker lane: the sender plus the join handle, respawnable when
-/// the worker dies.
-struct Lane {
-    tx: Sender<ClusterJob>,
-    handle: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Health of one replica, for `/api/health` and the resilience bench.
@@ -171,24 +144,13 @@ pub struct SlotHealth {
 /// backed by one or more replica servers.
 pub struct ClusterEngine {
     slots: Vec<Arc<Slot>>,
-    /// One worker lane per slot: a slot's queries are serial over its
-    /// replica connections anyway, so per-slot workers replace a
-    /// contended MPMC queue with N independent SPSC lanes. Lanes respawn
-    /// when a worker dies — a poisoned worker costs at most one reply,
-    /// never the engine.
-    lanes: Vec<Mutex<Lane>>,
-    threads_spawned: Arc<AtomicUsize>,
-    jobs_executed: Arc<AtomicUsize>,
-    hedges_fired: Arc<AtomicUsize>,
-    hedge_wins: Arc<AtomicUsize>,
+    /// The query machinery; its options, bound sharing (gossip), degrade
+    /// policy and deadline are this engine's.
+    fanout: Fanout,
     /// Series count per slot, maintained across appends — the source of
     /// round-robin routing for new series.
     sizes: Mutex<Vec<u64>>,
     infos: Vec<RemoteInfo>,
-    opts: QueryOptions,
-    share_bound: bool,
-    degrade: DegradePolicy,
-    deadline: Duration,
     hedge_after: Option<Duration>,
     probe_stop: Arc<AtomicBool>,
     probe_handle: Option<std::thread::JoinHandle<()>>,
@@ -275,26 +237,17 @@ impl ClusterEngine {
                 }));
             };
             infos.push(info);
-            slots.push(Arc::new(Slot { index, replicas }));
+            slots.push(Arc::new(Slot {
+                index,
+                replicas,
+                hedges_fired: AtomicUsize::new(0),
+                hedge_wins: AtomicUsize::new(0),
+            }));
         }
         let sizes = infos.iter().map(|i| i.series).collect();
-
-        let threads_spawned = Arc::new(AtomicUsize::new(0));
-        let jobs_executed = Arc::new(AtomicUsize::new(0));
-        let hedges_fired = Arc::new(AtomicUsize::new(0));
-        let hedge_wins = Arc::new(AtomicUsize::new(0));
-        let lanes = slots
-            .iter()
-            .map(|slot| {
-                Mutex::new(spawn_lane(
-                    Arc::clone(slot),
-                    Arc::clone(&jobs_executed),
-                    Arc::clone(&hedges_fired),
-                    Arc::clone(&hedge_wins),
-                    Arc::clone(&threads_spawned),
-                ))
-            })
-            .collect();
+        let mut fanout = Fanout::new("cluster-slot", slots.len());
+        fanout.policy = config.degrade;
+        fanout.deadline = config.query_deadline;
 
         let probe_stop = Arc::new(AtomicBool::new(false));
         let probe_handle = config
@@ -303,17 +256,9 @@ impl ClusterEngine {
 
         Ok(ClusterEngine {
             slots,
-            lanes,
-            threads_spawned,
-            jobs_executed,
-            hedges_fired,
-            hedge_wins,
+            fanout,
             sizes: Mutex::new(sizes),
             infos,
-            opts: QueryOptions::default(),
-            share_bound: true,
-            degrade: config.degrade,
-            deadline: config.query_deadline,
             hedge_after: config.hedge_after,
             probe_stop,
             probe_handle,
@@ -323,7 +268,7 @@ impl ClusterEngine {
     /// Builder-style query options (global series ids; localised per
     /// slot at fan-out time).
     pub fn with_options(mut self, opts: QueryOptions) -> Self {
-        self.opts = opts;
+        self.fanout.opts = opts;
         self
     }
 
@@ -331,19 +276,19 @@ impl ClusterEngine {
     /// every shard prunes against a private bound — the ablation mode
     /// bench e16 measures against.
     pub fn gossip(mut self, share: bool) -> Self {
-        self.share_bound = share;
+        self.fanout.share_bound = share;
         self
     }
 
     /// Builder-style degrade policy (default [`DegradePolicy::Fail`]).
     pub fn degrade(mut self, policy: DegradePolicy) -> Self {
-        self.degrade = policy;
+        self.fanout.policy = policy;
         self
     }
 
     /// Builder-style per-query reply deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
+        self.fanout.deadline = deadline;
         self
     }
 
@@ -360,7 +305,7 @@ impl ClusterEngine {
 
     /// The active degrade policy.
     pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade
+        self.fanout.policy
     }
 
     /// Replica addresses per slot, in preference order — the cluster's
@@ -392,10 +337,12 @@ impl ClusterEngine {
 
     /// `(hedges fired, hedges the backup won)` over the engine lifetime.
     pub fn hedge_counters(&self) -> (usize, usize) {
-        (
-            self.hedges_fired.load(Ordering::Relaxed),
-            self.hedge_wins.load(Ordering::Relaxed),
-        )
+        self.slots.iter().fold((0, 0), |(fired, wins), s| {
+            (
+                fired + s.hedges_fired.load(Ordering::Relaxed),
+                wins + s.hedge_wins.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Counters of the persistent per-slot worker pool.
@@ -403,11 +350,7 @@ impl ClusterEngine {
     /// lifetime unless a lane died and was respawned — queries are
     /// channel sends, never spawns.
     pub fn pool_stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.lanes.len(),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-        }
+        self.fanout.pool_stats()
     }
 
     /// Aggregate `(sent, received)` gossip tighten-frame counters across
@@ -428,7 +371,7 @@ impl ClusterEngine {
     pub fn append_series(&self, name: &str, values: Vec<f64>) -> Result<Epoch, OnexError> {
         let mut sizes = self.sizes.lock();
         let total: u64 = sizes.iter().sum();
-        let shard = (total as usize) % self.slots.len();
+        let shard = slot_of(total as u32, self.slots.len());
         let mut series = sizes[shard];
         for rep in &self.slots[shard].replicas {
             let (_, s) = rep.remote.append(name, values.clone())?;
@@ -465,215 +408,10 @@ impl ClusterEngine {
     }
 
     /// Kill slot `index`'s worker thread (test hook for the lane-respawn
-    /// path). Joins the dying worker so the kill is synchronous; the
-    /// next query transparently respawns the lane.
+    /// path); the next query transparently respawns the lane.
     #[doc(hidden)]
     pub fn debug_kill_worker(&self, index: usize) {
-        if let Some(lane) = self.lanes.get(index) {
-            let (reply, _keep) = bounded(1);
-            let mut lane = lane.lock();
-            let _ = lane.tx.send(ClusterJob {
-                index,
-                query: Arc::from(Vec::new()),
-                k: 0,
-                opts: None,
-                bound: Arc::new(SharedBound::new()),
-                hedge_after: None,
-                reply,
-                poison: true,
-            });
-            if let Some(h) = lane.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    /// Translate the global-id option set into slot `s`'s local ids
-    /// under the round-robin partition; `None` when the slot cannot
-    /// contribute at all.
-    fn localize(&self, s: usize) -> Option<QueryOptions> {
-        let n = self.slots.len() as u32;
-        let s32 = s as u32;
-        let mut o = self.opts.clone();
-        o.exclude_series = o
-            .exclude_series
-            .and_then(|g| (g % n == s32).then_some(g / n));
-        if let Some(g) = o.only_series {
-            if g % n != s32 {
-                return None;
-            }
-            o.only_series = Some(g / n);
-        }
-        o.exclude_windows = o
-            .exclude_windows
-            .iter()
-            .filter(|w| w.series % n == s32)
-            .map(|w| SubseqRef::new(w.series / n, w.start, w.len))
-            .collect();
-        Some(o)
-    }
-
-    /// Send `job` down slot `index`'s lane, respawning the lane once if
-    /// its worker died — the pool-level mirror of the accept loop's
-    /// per-connection panic isolation.
-    fn send_job(&self, index: usize, job: ClusterJob) -> Result<(), OnexError> {
-        let mut lane = self.lanes[index].lock();
-        let job = match lane.tx.send(job) {
-            Ok(()) => return Ok(()),
-            Err(e) => e.0,
-        };
-        let old = std::mem::replace(
-            &mut *lane,
-            spawn_lane(
-                Arc::clone(&self.slots[index]),
-                Arc::clone(&self.jobs_executed),
-                Arc::clone(&self.hedges_fired),
-                Arc::clone(&self.hedge_wins),
-                Arc::clone(&self.threads_spawned),
-            ),
-        );
-        if let Some(h) = old.handle {
-            let _ = h.join();
-        }
-        lane.tx
-            .send(job)
-            .map_err(|_| OnexError::Internal("cluster worker pool exited".into()))
-    }
-
-    /// Fan out, gossip, collect, merge — the cross-process mirror of
-    /// `ShardedEngine::merge`, with the degrade policy deciding what a
-    /// missing slot costs.
-    fn merge(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        validate_query(query, k)?;
-        let n = self.slots.len();
-        let query: Arc<[f64]> = Arc::from(query);
-        // One fresh bound per logical query — never reused across
-        // queries, so concurrent queries cannot contaminate each other.
-        let shared = Arc::new(SharedBound::new());
-        let (reply_tx, reply_rx) = bounded(n);
-        for index in 0..n {
-            let bound = if self.share_bound {
-                Arc::clone(&shared)
-            } else {
-                Arc::new(SharedBound::new())
-            };
-            self.send_job(
-                index,
-                ClusterJob {
-                    index,
-                    query: Arc::clone(&query),
-                    k,
-                    opts: self.localize(index),
-                    bound,
-                    hedge_after: self.hedge_after,
-                    reply: reply_tx.clone(),
-                    poison: false,
-                },
-            )?;
-        }
-        drop(reply_tx);
-
-        let started = Instant::now();
-        let mut acc: BestK<(u32, usize, usize, u64)> = BestK::new(k);
-        let mut stats = BackendStats::default();
-        let mut answered: u32 = 0;
-        let mut first_err: Option<OnexError> = None;
-        for collected in 0..n {
-            let remaining = self
-                .deadline
-                .checked_sub(started.elapsed())
-                .unwrap_or(Duration::ZERO);
-            let (index, result) = match reply_rx.recv_timeout(remaining) {
-                Ok(reply) => reply,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every outstanding job died without replying — a
-                    // pool defect, not a slow network.
-                    return Err(OnexError::Internal("cluster query reply lost".into()));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Collapse the query bound so in-flight shard work
-                    // finishes trivially instead of computing for a
-                    // caller that already gave up.
-                    shared.tighten(0.0);
-                    return Err(OnexError::network(
-                        NetworkErrorKind::Timeout,
-                        format!(
-                            "cluster reply deadline {:?} passed with {collected}/{n} shard replies",
-                            self.deadline
-                        ),
-                    ));
-                }
-            };
-            match result {
-                Ok((outcome, _epoch)) => {
-                    answered += 1;
-                    stats += outcome.stats;
-                    for m in outcome.matches {
-                        let global = m.series * (n as u32) + index as u32;
-                        acc.offer(
-                            normalized_distance(m.distance, query.len(), m.len),
-                            (global, m.start, m.len, m.distance.to_bits()),
-                        );
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        let total = n as u32;
-        if answered < self.degrade.required(total) {
-            return Err(first_err.unwrap_or_else(|| {
-                OnexError::network(NetworkErrorKind::Unreachable, "no shard slot answered")
-            }));
-        }
-        Ok(SearchOutcome {
-            matches: acc
-                .into_sorted()
-                .into_iter()
-                .map(|(_, (series, start, len, bits))| BackendMatch {
-                    series,
-                    start,
-                    len,
-                    distance: f64::from_bits(bits),
-                })
-                .collect(),
-            stats,
-            coverage: Some(Coverage {
-                shards_answered: answered,
-                shards_total: total,
-            }),
-        })
-    }
-}
-
-/// Spawn one slot worker lane.
-fn spawn_lane(
-    slot: Arc<Slot>,
-    jobs: Arc<AtomicUsize>,
-    hedges_fired: Arc<AtomicUsize>,
-    hedge_wins: Arc<AtomicUsize>,
-    threads_spawned: Arc<AtomicUsize>,
-) -> Lane {
-    let (tx, rx) = bounded::<ClusterJob>(2);
-    threads_spawned.fetch_add(1, Ordering::Relaxed);
-    let handle = std::thread::Builder::new()
-        .name(format!("cluster-slot-{}", slot.index))
-        .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                if job.poison {
-                    return;
-                }
-                jobs.fetch_add(1, Ordering::Relaxed);
-                execute(&slot, &job, &hedges_fired, &hedge_wins);
-            }
-        })
-        .expect("spawn cluster lane");
-    Lane {
-        tx,
-        handle: Some(handle),
+        self.fanout.debug_kill_lane(index);
     }
 }
 
@@ -682,17 +420,13 @@ fn is_network(e: &OnexError) -> bool {
 }
 
 /// One attempt against one replica, with breaker bookkeeping. A panic
-/// inside the client costs one reply, not a pool lane.
-fn attempt(
-    rep: &Replica,
-    job: &ClusterJob,
-    opts: &QueryOptions,
-    bound: Arc<SharedBound>,
-) -> Result<(SearchOutcome, Epoch), OnexError> {
+/// inside the client is this attempt's typed failure: a raced attempt
+/// runs off the lane, and its peer must still get an answer to wait for.
+fn attempt(rep: &Replica, job: &Job, bound: &SharedBound) -> Result<SearchOutcome, OnexError> {
     let t0 = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         rep.remote
-            .k_best_bounded_with(&job.query, job.k, opts, &bound)
+            .k_best_bounded_with(&job.query, job.k, &job.opts, bound)
     }))
     .unwrap_or_else(|_| {
         Err(OnexError::Internal(
@@ -706,155 +440,127 @@ fn attempt(
         Err(e) if is_network(e) => rep.breaker.on_failure(),
         Err(_) => {}
     }
-    result
+    result.map(|(outcome, _epoch)| outcome)
 }
 
-/// How a hedged race ended, as seen by the failover loop.
-enum RaceEnd {
-    /// The winning reply was already sent (before joining the loser).
-    Sent,
-    /// The primary finished (no hedge fired, or fired with no live
-    /// backup); its result still needs the normal failover handling.
-    Primary(Result<(SearchOutcome, Epoch), OnexError>),
-    /// Primary and backup both failed.
-    BothFailed(OnexError, OnexError),
-}
-
-/// Run one slot's query: failover across replicas in preference order,
-/// with optional hedging. Sends exactly one reply.
-fn execute(slot: &Slot, job: &ClusterJob, hedges_fired: &AtomicUsize, hedge_wins: &AtomicUsize) {
-    let send_reply =
-        |r: Result<(SearchOutcome, Epoch), OnexError>| drop(job.reply.send((job.index, r)));
-    let Some(opts) = job.opts.as_ref() else {
-        send_reply(Ok((SearchOutcome::default(), slot.last_epoch())));
-        return;
-    };
-    let reps = &slot.replicas;
-    let mut last_err: Option<OnexError> = None;
-    let mut i = 0usize;
-    while i < reps.len() {
-        let rep = &reps[i];
-        i += 1;
-        if !rep.breaker.admit() {
-            continue;
-        }
-        let hedge = job.hedge_after.filter(|_| i < reps.len());
-        let raced = match hedge {
-            None => RaceEnd::Primary(attempt(rep, job, opts, Arc::clone(&job.bound))),
-            Some(after) => crossbeam::thread::scope(|s| {
-                let (atx, arx) = bounded::<(bool, Result<(SearchOutcome, Epoch), OnexError>)>(2);
-                {
-                    let atx = atx.clone();
-                    s.spawn(move |_| {
-                        let _ = atx.send((false, attempt(rep, job, opts, Arc::clone(&job.bound))));
-                    });
-                }
-                match arx.recv_timeout(after) {
-                    Ok((_, r)) => RaceEnd::Primary(r),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        RaceEnd::Primary(Err(OnexError::Internal("hedge primary vanished".into())))
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Fire the hedge at the next live replica. The
-                        // backup prunes against a *private* bound seeded
-                        // from the shared one: collapsing it later
-                        // cancels only the loser, never the query.
-                        let mut backup_bound = None;
-                        while i < reps.len() {
-                            let b = &reps[i];
-                            i += 1;
-                            if b.breaker.admit() {
-                                hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let bb = Arc::new(SharedBound::new());
-                                bb.tighten(job.bound.get());
-                                backup_bound = Some(Arc::clone(&bb));
-                                let atx = atx.clone();
-                                s.spawn(move |_| {
-                                    let _ = atx.send((true, attempt(b, job, opts, bb)));
-                                });
-                                break;
-                            }
+/// Race `primary` against the slot's next live replica (from `*next` on)
+/// once `after` passes without an answer. The first answer is delivered
+/// through `job` at once — before the scope joins the loser, so the
+/// caller never waits for a cancelled straggler — and is `Ok`; when no
+/// attempt answered, `Err` carries every attempt's error.
+fn race(
+    slot: &Slot,
+    job: &Job,
+    primary: &Replica,
+    next: &mut usize,
+    after: Duration,
+) -> Result<(), Vec<OnexError>> {
+    let mut errors = Vec::new();
+    let mut replied = false;
+    let scope = crossbeam::thread::scope(|s| {
+        let (tx, rx) = bounded(2);
+        let primary_tx = tx.clone();
+        s.spawn(move |_| {
+            let _ = primary_tx.send((false, attempt(primary, job, &job.bound)));
+        });
+        let mut backup_bound: Option<Arc<SharedBound>> = None;
+        let mut outstanding = 1;
+        let mut hedge_timer = Some(after);
+        while outstanding > 0 {
+            let received = match hedge_timer.take() {
+                Some(after) => rx.recv_timeout(after),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match received {
+                Ok((from_backup, Ok(outcome))) => {
+                    match &backup_bound {
+                        Some(_) if from_backup => {
+                            slot.hedge_wins.fetch_add(1, Ordering::Relaxed);
                         }
-                        let Some(bb) = backup_bound else {
-                            // No live backup: just wait the primary out.
-                            return match arx.recv() {
-                                Ok((_, r)) => RaceEnd::Primary(r),
-                                Err(_) => RaceEnd::Primary(Err(OnexError::Internal(
-                                    "hedge primary vanished".into(),
-                                ))),
-                            };
-                        };
-                        let (first_is_backup, r1) = arx.recv().unwrap_or((
-                            false,
-                            Err(OnexError::Internal("hedge race vanished".into())),
-                        ));
-                        match r1 {
-                            Ok(x) => {
-                                if first_is_backup {
-                                    hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    // Cancel the losing backup: a zero
-                                    // bound prunes everything, so it
-                                    // finishes trivially.
-                                    bb.tighten(0.0);
-                                }
-                                // Deliver before the scope joins the
-                                // loser — the caller must not wait for a
-                                // cancelled straggler.
-                                send_reply(Ok(x));
-                                RaceEnd::Sent
-                            }
-                            Err(e1) => match arx.recv() {
-                                Ok((second_is_backup, Ok(x))) => {
-                                    if second_is_backup {
-                                        hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    send_reply(Ok(x));
-                                    RaceEnd::Sent
-                                }
-                                Ok((_, Err(e2))) => RaceEnd::BothFailed(e1, e2),
-                                Err(_) => RaceEnd::BothFailed(
-                                    e1,
-                                    OnexError::Internal("hedge race vanished".into()),
-                                ),
-                            },
+                        // Cancel the losing backup: a zero bound prunes
+                        // everything, so it finishes trivially.
+                        Some(bound) => {
+                            bound.tighten(0.0);
+                        }
+                        None => {}
+                    }
+                    job.reply(Ok(outcome));
+                    replied = true;
+                    return;
+                }
+                Ok((_, Err(e))) => {
+                    errors.push(e);
+                    outstanding -= 1;
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    // Fire the hedge at the next live replica; with none,
+                    // just wait the primary out. The backup prunes
+                    // against a *private* bound seeded from the shared
+                    // one: collapsing it later cancels only the loser,
+                    // never the query.
+                    while *next < slot.replicas.len() && backup_bound.is_none() {
+                        let backup = &slot.replicas[*next];
+                        *next += 1;
+                        if backup.breaker.admit() {
+                            slot.hedges_fired.fetch_add(1, Ordering::Relaxed);
+                            let bound = Arc::new(SharedBound::new());
+                            bound.tighten(job.bound.get());
+                            backup_bound = Some(Arc::clone(&bound));
+                            outstanding += 1;
+                            let backup_tx = tx.clone();
+                            s.spawn(move |_| {
+                                let _ = backup_tx.send((true, attempt(backup, job, &bound)));
+                            });
                         }
                     }
                 }
-            })
-            .unwrap_or_else(|_| {
-                RaceEnd::Primary(Err(OnexError::Internal("hedge scope panicked".into())))
-            }),
-        };
-        match raced {
-            RaceEnd::Sent => return,
-            RaceEnd::Primary(Ok(x)) => {
-                send_reply(Ok(x));
-                return;
-            }
-            RaceEnd::Primary(Err(e)) => {
-                if is_network(&e) {
-                    // Typed wire fault: fail over to the next replica.
-                    last_err = Some(e);
-                } else {
-                    // Engine-side errors (bad query, panic) are not
-                    // fixed by trying another replica.
-                    send_reply(Err(e));
+                Err(RecvTimeoutError::Disconnected) => {
+                    errors.push(OnexError::Internal("hedge race vanished".into()));
                     return;
                 }
             }
-            RaceEnd::BothFailed(e1, e2) => {
-                for e in [e1, e2] {
-                    if !is_network(&e) {
-                        send_reply(Err(e));
-                        return;
-                    }
-                    last_err = Some(e);
-                }
+        }
+    });
+    if scope.is_err() {
+        errors.push(OnexError::Internal("hedge scope panicked".into()));
+    }
+    if replied {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
+/// One slot's work for one query: failover across replicas in preference
+/// order, with optional hedging. Replies exactly once.
+fn execute(slot: &Slot, job: &Job, hedge_after: Option<Duration>) {
+    let reps = &slot.replicas;
+    let mut last_err: Option<OnexError> = None;
+    let mut next = 0usize;
+    while next < reps.len() {
+        let rep = &reps[next];
+        next += 1;
+        if !rep.breaker.admit() {
+            continue;
+        }
+        let tried = match hedge_after.filter(|_| next < reps.len()) {
+            None => attempt(rep, job, &job.bound)
+                .map(|outcome| job.reply(Ok(outcome)))
+                .map_err(|e| vec![e]),
+            Some(after) => race(slot, job, rep, &mut next, after),
+        };
+        let Err(errors) = tried else { return };
+        for e in errors {
+            if !is_network(&e) {
+                // Engine-side errors (bad query, panic) are not fixed by
+                // trying another replica.
+                return job.reply(Err(e));
             }
+            // Typed wire fault: fail over to the next replica.
+            last_err = Some(e);
         }
     }
-    send_reply(Err(last_err.unwrap_or_else(|| {
+    job.reply(Err(last_err.unwrap_or_else(|| {
         OnexError::network(
             NetworkErrorKind::Unreachable,
             format!(
@@ -918,8 +624,7 @@ impl std::fmt::Debug for ClusterEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterEngine")
             .field("topology", &self.topology())
-            .field("gossip", &self.share_bound)
-            .field("degrade", &self.degrade)
+            .field("fanout", &self.fanout)
             .finish_non_exhaustive()
     }
 }
@@ -930,16 +635,6 @@ impl Drop for ClusterEngine {
         if let Some(h) = self.probe_handle.take() {
             let _ = h.join();
         }
-        // Closing the lanes wakes every worker out of `recv`; join so no
-        // worker outlives the engine half-way through a send.
-        for lane in &self.lanes {
-            let mut lane = lane.lock();
-            let dead = bounded::<ClusterJob>(1).0;
-            drop(std::mem::replace(&mut lane.tx, dead));
-            if let Some(h) = lane.handle.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -949,26 +644,18 @@ impl SimilaritySearch for ClusterEngine {
     }
 
     fn capabilities(&self) -> Capabilities {
-        // Exact iff every shard reported an exact engine and the local
-        // option set keeps the scan exhaustive — the same condition
-        // `ShardedEngine` applies to its in-process shards. A degraded
-        // answer is still exact *over the shards it covers*; the
-        // coverage record is what reports the gap.
-        let exact = self.infos.iter().all(|i| i.caps.exact)
-            && self.opts.breadth == ScanBreadth::Exact
-            && self.opts.band == onex_distance::Band::Full;
-        Capabilities {
-            metric: Metric::RawDtw,
-            exact,
-            multi_length: !matches!(self.opts.lengths, onex_core::LengthSelection::Exact),
-            streaming: false,
-            one_match_per_series: false,
-            cached: false,
-        }
+        // A degraded answer is still exact *over the shards it covers*;
+        // the coverage record is what reports the gap.
+        self.fanout
+            .capabilities(self.infos.iter().all(|i| i.caps.exact))
     }
 
     fn k_best(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        self.merge(query, k)
+        let hedge_after = self.hedge_after;
+        self.fanout.k_best(query, k, |s| {
+            let slot = Arc::clone(&self.slots[s]);
+            Box::new(move |job| execute(&slot, job, hedge_after))
+        })
     }
 
     /// Sum of the slots' last-observed epochs: any append anywhere

@@ -1,16 +1,12 @@
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-use onex_api::{DegradePolicy, Epoch, OnexError, SimilaritySearch, StreamingSearch};
-use onex_core::backends::{
-    CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
-    UcrSuiteBackend,
-};
-use onex_core::{BuildReport, LengthSelection, Onex, QueryOptions, SeasonalOptions};
+use onex_api::{OnexError, StreamingSearch};
+use onex_core::{BuildReport, LengthSelection, Onex, PoolStats, QueryOptions, SeasonalOptions};
 use onex_grouping::BaseConfig;
-use onex_net::{ClusterConfig, ClusterEngine};
+use onex_net::ClusterEngine;
 use onex_tseries::{Dataset, TimeSeries};
 use onex_viz::{
     ConnectedScatter, MultiLineChart, OverviewPane, QueryPreview, RadialChart, SeasonalView,
@@ -18,54 +14,7 @@ use onex_viz::{
 
 use crate::http::{Request, Response};
 use crate::json::Json;
-
-/// One lazily-built baseline index, stamped with the engine epoch it was
-/// built against. [`Slot::at`] returns the cached value while the engine
-/// is still on that epoch and rebuilds it the first time it is asked for
-/// a newer one — so after a live `/api/append` no `?backend=` route can
-/// keep answering from the dataset the engine has outgrown (the staleness
-/// bug the process-lifetime `OnceLock`s had). Building happens inside the
-/// slot lock: concurrent first requests serialise instead of racing
-/// duplicate index builds.
-struct Slot<T>(Mutex<Option<(Epoch, Arc<T>)>>);
-
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot(Mutex::new(None))
-    }
-}
-
-impl<T> Slot<T> {
-    fn at(&self, epoch: Epoch, build: impl FnOnce() -> T) -> Arc<T> {
-        let mut slot = self.0.lock().unwrap_or_else(|p| p.into_inner());
-        match slot.as_ref() {
-            Some((e, v)) if *e == epoch => Arc::clone(v),
-            _ => {
-                let built = Arc::new(build());
-                *slot = Some((epoch, Arc::clone(&built)));
-                built
-            }
-        }
-    }
-}
-
-/// The baseline engines the `?backend=` parameter selects between.
-/// Each index is built lazily on first use against the engine's
-/// then-current epoch, so deployments that never ask for a baseline pay
-/// nothing beyond the ONEX base itself — and deployments that ingest
-/// live data get each baseline rebuilt on its next use after an append.
-/// The caching decorator needs no epoch slot: [`CachedSearch`] tracks
-/// the backend epoch itself and drops stale entries on the first lookup
-/// after a bump, while its hit/miss counters survive for the process.
-#[derive(Default)]
-struct Baselines {
-    ucr: Slot<UcrSuiteBackend>,
-    frm: Slot<FrmBackend<4>>,
-    ebsm: Slot<EbsmBackend>,
-    spring: Slot<SpringBackend>,
-    sharded: Slot<ShardedEngine>,
-    cached: OnceLock<CachedSearch<OnexBackend>>,
-}
+use crate::registry::{Backend, Registry, NAMES};
 
 /// How [`App::serve`] runs. The accept loop itself — a fixed worker pool
 /// over a bounded connection queue with exponential accept backoff —
@@ -73,24 +22,14 @@ struct Baselines {
 /// loop); these options are its knobs under the server's historical name.
 pub use onex_net::AcceptOptions as ServeOptions;
 
-/// The shard servers a `?backend=cluster` request fans out over, plus
-/// the lazily-established [`ClusterEngine`] talking to them. Connecting
-/// is deferred to the first cluster request and retried on the next one
-/// if it fails — the HTTP server must come up (and serve every local
-/// backend) even while its shard fleet is still booting.
-struct ClusterSlot {
-    addrs: Vec<String>,
-    engine: Mutex<Option<Arc<ClusterEngine>>>,
-}
-
 /// The ONEX demo application: routes requests to the engine and, through
-/// the [`SimilaritySearch`] trait, to the baseline engines the paper
+/// the [`onex_api::SimilaritySearch`] trait, to the baseline engines the paper
 /// compares against.
 #[derive(Clone)]
 pub struct App {
     engine: Arc<Onex>,
-    baselines: Arc<Baselines>,
-    cluster: Option<Arc<ClusterSlot>>,
+    /// Every `?backend=` engine over `engine`, built on first use.
+    backends: Registry,
     /// Construction report of the dataset-load step, when this app loaded
     /// the dataset itself ([`App::build`]); reported by `/api/summary`.
     build: Option<BuildReport>,
@@ -102,9 +41,8 @@ impl App {
     /// [`App::build`] when the server is the one loading the data.
     pub fn new(engine: Arc<Onex>) -> App {
         App {
+            backends: Registry::new(Arc::clone(&engine)),
             engine,
-            baselines: Arc::new(Baselines::default()),
-            cluster: None,
             build: None,
         }
     }
@@ -115,10 +53,8 @@ impl App {
     /// re-attempted on later requests if it fails, so a booting shard
     /// fleet never blocks HTTP startup.
     pub fn with_cluster<S: Into<String>>(mut self, addrs: Vec<S>) -> App {
-        self.cluster = Some(Arc::new(ClusterSlot {
-            addrs: addrs.into_iter().map(Into::into).collect(),
-            engine: Mutex::new(None),
-        }));
+        self.backends
+            .set_cluster(addrs.into_iter().map(Into::into).collect());
         self
     }
 
@@ -139,12 +75,7 @@ impl App {
     /// [`OnexError::InvalidConfig`] for an invalid configuration.
     pub fn build(dataset: Dataset, config: BaseConfig) -> Result<App, OnexError> {
         let (engine, report) = Onex::build(dataset, config)?;
-        Ok(App {
-            engine: Arc::new(engine),
-            baselines: Arc::new(Baselines::default()),
-            cluster: None,
-            build: Some(report),
-        })
+        Ok(App::new(Arc::new(engine)).with_build_report(report))
     }
 
     /// The construction report of the load step, when this app built the
@@ -153,155 +84,49 @@ impl App {
         self.build.as_ref()
     }
 
-    fn ucr(&self) -> Arc<UcrSuiteBackend> {
-        let snap = self.engine.snapshot();
-        self.baselines.ucr.at(snap.epoch(), || {
-            UcrSuiteBackend::from_dataset(snap.dataset())
-        })
-    }
-
-    fn frm(&self) -> Arc<FrmBackend<4>> {
-        let snap = self.engine.snapshot();
-        self.baselines.frm.at(snap.epoch(), || {
-            // FRM needs window ≥ 2 × retained coefficients (D = 4 → 4).
-            let window = snap.base().config().min_len.max(4);
-            FrmBackend::from_dataset(snap.dataset(), window)
-        })
-    }
-
-    fn ebsm(&self) -> Arc<EbsmBackend> {
-        let snap = self.engine.snapshot();
-        self.baselines.ebsm.at(snap.epoch(), || {
-            EbsmBackend::from_dataset(
-                snap.dataset(),
-                onex_embedding::EbsmConfig {
-                    ref_len: snap.base().config().min_len.max(4),
-                    ..onex_embedding::EbsmConfig::default()
-                },
-            )
-            .expect("server EBSM config is valid")
-        })
-    }
-
-    fn spring(&self) -> Arc<SpringBackend> {
-        let snap = self.engine.snapshot();
-        self.baselines
-            .spring
-            .at(snap.epoch(), || SpringBackend::from_dataset(snap.dataset()))
-    }
-
-    /// The scale-out engine: the same dataset re-partitioned across four
-    /// shards, each with its own ONEX base built in parallel on first
-    /// use at the engine's current epoch. Answers are identical to the
-    /// single engine's (the conformance suite and bench E13 assert so);
-    /// wall-clock drops with the shard count.
-    fn sharded(&self) -> Arc<ShardedEngine> {
-        let snap = self.engine.snapshot();
-        self.baselines.sharded.at(snap.epoch(), || {
-            let (engine, _) = ShardedEngine::build(snap.dataset(), snap.base().config().clone(), 4)
-                .expect("server dataset is non-empty and its config valid");
-            engine.with_options(QueryOptions::default().lengths(LengthSelection::Nearest(3)))
-        })
-    }
-
-    /// The caching decorator over the same onex configuration
-    /// `/api/match` serves. It wraps the live engine directly, and
-    /// [`CachedSearch`] invalidates itself on every engine epoch bump —
-    /// so it needs no rebuild slot, keeps its hit/miss counters for the
-    /// process lifetime, and still never serves a pre-append answer
-    /// after an append commits.
-    fn cached(&self) -> &CachedSearch<OnexBackend> {
-        self.baselines.cached.get_or_init(|| {
-            CachedSearch::new(self.onex_match_backend(), 256).expect("capacity is positive")
-        })
-    }
-
-    /// The cross-process scale-out engine: a [`ClusterEngine`] over the
-    /// configured shard-server addresses, with the same `Nearest(3)`
-    /// length policy every other `/api/match` backend serves. Errors are
-    /// typed: unconfigured is an [`OnexError::InvalidConfig`] (400,
-    /// client picked an absent backend) while an unreachable or
-    /// protocol-mismatched shard is an [`OnexError::Network`] (502, the
-    /// gateway's upstream is at fault) — and a failed connect leaves the
-    /// slot empty so the next request retries.
-    fn cluster(&self) -> Result<Arc<ClusterEngine>, OnexError> {
-        let Some(slot) = &self.cluster else {
-            return Err(OnexError::invalid_config(
-                "no cluster configured; start the server with shard addresses \
-                 (onex_server --cluster a:port,b:port) to enable ?backend=cluster",
-            ));
-        };
-        let mut guard = slot.engine.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(engine) = guard.as_ref() {
-            return Ok(Arc::clone(engine));
-        }
-        // The HTTP gateway prefers availability: a dead shard slot
-        // degrades the answer (with coverage reported in the JSON)
-        // instead of failing the request. Strict callers can see the
-        // gap in the `coverage` object and retry.
-        let engine = Arc::new(
-            ClusterEngine::connect_with(
-                &slot.addrs,
-                ClusterConfig {
-                    degrade: DegradePolicy::Partial,
-                    ..ClusterConfig::default()
-                },
-            )?
-            .with_options(QueryOptions::default().lengths(LengthSelection::Nearest(3))),
-        );
-        *guard = Some(Arc::clone(&engine));
-        Ok(engine)
-    }
-
-    /// The already-connected cluster engine, if any — a peek that never
-    /// dials, for observability routes that must stay cheap.
-    fn cluster_peek(&self) -> Option<Arc<ClusterEngine>> {
-        let slot = self.cluster.as_ref()?;
-        slot.engine
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// The cluster's replica topology and per-replica breaker state as a
-    /// JSON object — shared by `/api/health` and `/api/summary`.
-    fn cluster_health_json(engine: &ClusterEngine) -> Json {
-        let slots: Vec<Json> = engine
-            .health()
-            .into_iter()
-            .map(|slot| {
-                let replicas: Vec<Json> = slot
-                    .replicas
-                    .into_iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("addr", Json::s(r.addr)),
-                            ("state", Json::s(r.breaker.state.label())),
-                            (
-                                "consecutive_failures",
-                                (r.breaker.consecutive_failures as usize).into(),
-                            ),
-                            ("ewma_ms", r.breaker.ewma_ms.into()),
-                            ("opens", (r.breaker.opens as usize).into()),
-                            ("probes", (r.breaker.probes as usize).into()),
-                            ("successes", (r.breaker.successes as usize).into()),
-                            ("failures", (r.breaker.failures as usize).into()),
-                            ("skips", (r.breaker.skips as usize).into()),
-                        ])
-                    })
-                    .collect();
+    /// The cluster's replica topology — per slot, every replica's address
+    /// and breaker state and counters — as a JSON array: `slots` in the
+    /// health object, `topology` in the `/api/backends` entry.
+    fn cluster_topology_json(engine: &ClusterEngine) -> Json {
+        let slots = engine.health().into_iter().map(|slot| {
+            let replicas = slot.replicas.into_iter().map(|r| {
                 Json::obj(vec![
-                    ("slot", slot.slot.into()),
-                    ("replicas", Json::Arr(replicas)),
+                    ("addr", Json::s(r.addr)),
+                    ("state", Json::s(r.breaker.state.label())),
+                    (
+                        "consecutive_failures",
+                        (r.breaker.consecutive_failures as usize).into(),
+                    ),
+                    ("ewma_ms", r.breaker.ewma_ms.into()),
+                    ("opens", (r.breaker.opens as usize).into()),
+                    ("probes", (r.breaker.probes as usize).into()),
+                    ("successes", (r.breaker.successes as usize).into()),
+                    ("failures", (r.breaker.failures as usize).into()),
+                    ("skips", (r.breaker.skips as usize).into()),
                 ])
-            })
-            .collect();
+            });
+            Json::obj(vec![
+                ("slot", slot.slot.into()),
+                ("replicas", Json::Arr(replicas.collect())),
+            ])
+        });
+        Json::Arr(slots.collect())
+    }
+
+    /// The configured cluster's fault-tolerance posture, shared by
+    /// `/api/health` and `/api/summary`. Never dials and never waits for
+    /// a dial in progress: an unconnected fleet shows `connected: false`
+    /// until the first `?backend=cluster` request establishes it.
+    fn cluster_health(&self) -> Json {
+        let Some(engine) = self.backends.cluster_peek() else {
+            return Json::obj(vec![("connected", Json::Bool(false))]);
+        };
         let (fired, wins) = engine.hedge_counters();
         Json::obj(vec![
             ("connected", Json::Bool(true)),
             ("shards", engine.shard_count().into()),
             ("degrade", Json::s(engine.degrade_policy().label())),
-            ("slots", Json::Arr(slots)),
+            ("slots", Self::cluster_topology_json(&engine)),
             (
                 "hedges",
                 Json::obj(vec![("fired", fired.into()), ("wins", wins.into())]),
@@ -316,10 +141,10 @@ impl App {
     /// `connected: false` rather than forcing a connect from a health
     /// probe.
     fn health_api(&self) -> Response {
-        let cluster = match (&self.cluster, self.cluster_peek()) {
-            (None, _) => Json::Null,
-            (Some(_), None) => Json::obj(vec![("connected", Json::Bool(false))]),
-            (Some(_), Some(engine)) => Self::cluster_health_json(&engine),
+        let cluster = if self.backends.has_cluster() {
+            self.cluster_health()
+        } else {
+            Json::Null
         };
         Response::json(
             Json::obj(vec![
@@ -329,13 +154,6 @@ impl App {
             ])
             .render(),
         )
-    }
-
-    /// The onex backend exactly as `/api/match` serves it, so capability
-    /// introspection and query answers never disagree.
-    fn onex_match_backend(&self) -> OnexBackend {
-        OnexBackend::new(self.engine.clone())
-            .with_options(QueryOptions::default().lengths(LengthSelection::Nearest(3)))
     }
 
     /// Dispatch one request — pure (no I/O), hence directly testable.
@@ -628,18 +446,8 @@ impl App {
                 ]),
             ));
         }
-        // A configured cluster reports its fault-tolerance posture —
-        // without dialling: an unconnected fleet shows
-        // `connected: false` until the first `?backend=cluster` request
-        // establishes it.
-        if self.cluster.is_some() {
-            fields.push((
-                "cluster",
-                match self.cluster_peek() {
-                    Some(engine) => Self::cluster_health_json(&engine),
-                    None => Json::obj(vec![("connected", Json::Bool(false))]),
-                },
-            ));
+        if self.backends.has_cluster() {
+            fields.push(("cluster", self.cluster_health()));
         }
         Response::json(Json::obj(fields).render())
     }
@@ -664,134 +472,52 @@ impl App {
     /// Capability introspection for every selectable backend — the onex
     /// entry describes the same configuration `/api/match` serves.
     fn backends_list(&self) -> Response {
-        let onex = self.onex_match_backend();
-        let (ucr, frm, ebsm, spring, sharded) = (
-            self.ucr(),
-            self.frm(),
-            self.ebsm(),
-            self.spring(),
-            self.sharded(),
-        );
-        // The cluster appears only when configured *and* reachable:
-        // capability introspection reflects what a query could actually
-        // use right now, and an unreachable fleet will be retried on the
-        // next listing.
-        let cluster = self.cluster.as_ref().and_then(|_| self.cluster().ok());
-        let mut list: Vec<&dyn SimilaritySearch> = vec![
-            &onex,
-            &*ucr,
-            &*frm,
-            &*ebsm,
-            &*spring,
-            &*sharded,
-            self.cached(),
-        ];
-        if let Some(c) = &cluster {
-            list.push(&**c);
-        }
-        let mut items: Vec<Json> = list
-            .into_iter()
-            .map(|backend| {
-                let caps = backend.capabilities();
-                Json::obj(vec![
-                    ("name", Json::s(backend.name())),
-                    ("metric", Json::s(caps.metric.label())),
-                    ("exact", Json::Bool(caps.exact)),
-                    ("multi_length", Json::Bool(caps.multi_length)),
-                    ("streaming", Json::Bool(caps.streaming)),
-                    ("cached", Json::Bool(caps.cached)),
-                ])
-            })
-            .collect();
-        // The cluster entry (always last when present) additionally
-        // reports its fault-tolerance shape: replica topology per slot,
-        // breaker states, and the degrade policy in force.
-        if let Some(c) = &cluster {
-            if let Some(Json::Obj(pairs)) = items.last_mut() {
-                let topology: Vec<Json> = c
-                    .health()
-                    .into_iter()
-                    .map(|slot| {
-                        let replicas: Vec<Json> = slot
-                            .replicas
-                            .into_iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("addr", Json::s(r.addr)),
-                                    ("state", Json::s(r.breaker.state.label())),
-                                ])
-                            })
-                            .collect();
-                        Json::obj(vec![
-                            ("slot", slot.slot.into()),
-                            ("replicas", Json::Arr(replicas)),
-                        ])
-                    })
-                    .collect();
-                pairs.push(("degrade".into(), Json::s(c.degrade_policy().label())));
-                pairs.push(("topology".into(), Json::Arr(topology)));
+        let mut items = Vec::new();
+        for name in NAMES {
+            // The cluster appears only when configured *and* reachable:
+            // capability introspection reflects what a query could
+            // actually use right now, and an unreachable fleet will be
+            // retried on the next listing.
+            let Ok(backend) = self.backends.lookup(name, None) else {
+                continue;
+            };
+            let caps = backend.search().capabilities();
+            let mut fields = vec![
+                ("name", Json::s(backend.search().name())),
+                ("metric", Json::s(caps.metric.label())),
+                ("exact", Json::Bool(caps.exact)),
+                ("multi_length", Json::Bool(caps.multi_length)),
+                ("streaming", Json::Bool(caps.streaming)),
+                ("cached", Json::Bool(caps.cached)),
+            ];
+            // The cluster entry additionally reports its fault-tolerance
+            // shape: the degrade policy in force and the replica
+            // topology per slot, breaker states included.
+            if let Backend::Cluster(c) = &backend {
+                fields.push(("degrade", Json::s(c.degrade_policy().label())));
+                fields.push(("topology", Self::cluster_topology_json(c)));
             }
+            items.push(Json::obj(fields));
         }
         Response::json(Json::Arr(items).render())
     }
 
     /// `/api/match` — every backend is driven through the same
-    /// [`SimilaritySearch`] trait object; `?backend=` picks which.
+    /// [`onex_api::SimilaritySearch`] trait object; `?backend=` picks which.
     fn match_api(&self, req: &Request) -> Result<Response, Response> {
         let (series, _, _, query) = self.query_window(req)?;
         let k: usize = Self::num_param(req, "k", 5)?;
         let name = req.param("backend").unwrap_or("onex");
 
-        let onex_holder;
-        let arc_holder: Arc<dyn SimilaritySearch>;
-        let backend: &dyn SimilaritySearch = match name {
-            "onex" => {
-                let mut backend = self.onex_match_backend();
-                if req.param("include_self") != Some("true") {
-                    backend = backend.with_options(
-                        QueryOptions::default()
-                            .lengths(LengthSelection::Nearest(3))
-                            .excluding_series(self.engine.dataset().id_of(&series)),
-                    );
-                }
-                onex_holder = backend;
-                &onex_holder
-            }
-            "ucrsuite" | "ucr" => {
-                arc_holder = self.ucr();
-                &*arc_holder
-            }
-            "frm" => {
-                arc_holder = self.frm();
-                &*arc_holder
-            }
-            "ebsm" => {
-                arc_holder = self.ebsm();
-                &*arc_holder
-            }
-            "spring" => {
-                arc_holder = self.spring();
-                &*arc_holder
-            }
-            "sharded" => {
-                arc_holder = self.sharded();
-                &*arc_holder
-            }
-            "cached" => self.cached(),
-            "cluster" => {
-                arc_holder = self.cluster().map_err(|e| Self::onex_error(&e))?;
-                &*arc_holder
-            }
-            other => {
-                return Err(Response::error(
-                    400,
-                    &format!(
-                        "unknown backend {other:?}; one of onex, ucrsuite, frm, ebsm, \
-                         spring, sharded, cached, cluster"
-                    ),
-                ))
-            }
+        let exclude = match req.param("include_self") {
+            Some("true") => None,
+            _ => self.engine.dataset().id_of(&series),
         };
+        let resolved = self
+            .backends
+            .lookup(name, exclude)
+            .map_err(|e| Self::onex_error(&e))?;
+        let backend = resolved.search();
 
         // k = 0 flows through as a typed InvalidQuery → 400, exactly
         // like every other SimilaritySearch caller.
@@ -854,38 +580,27 @@ impl App {
                 ),
             ]),
         )]);
-        // The sharded engine reports its persistent worker pool: workers
-        // and threads_spawned stay constant across requests (queries are
-        // channel sends, never thread spawns — the pool is built with the
-        // engine on first use and lives for the process), while
-        // jobs_executed grows by one per shard per query.
-        if name == "sharded" {
-            let p = self.sharded().pool_stats();
-            fields.push((
-                "pool",
-                Json::obj(vec![
-                    ("workers", p.workers.into()),
-                    ("threads_spawned", p.threads_spawned.into()),
-                    ("jobs_executed", p.jobs_executed.into()),
-                ]),
-            ));
-        }
-        // The cluster engine reports its per-remote worker pool (the
-        // cross-process mirror of the sharded pool) plus the gossip
-        // traffic: tighten frames pushed to and received from the shard
-        // servers, accumulated across requests.
-        if name == "cluster" {
-            if let Ok(c) = self.cluster() {
-                let p = c.pool_stats();
+        // Extra counters come from the very engine that answered — after
+        // a concurrent append a second lookup could be a rebuilt one.
+        let pool = |p: PoolStats| {
+            Json::obj(vec![
+                ("workers", p.workers.into()),
+                ("threads_spawned", p.threads_spawned.into()),
+                ("jobs_executed", p.jobs_executed.into()),
+            ])
+        };
+        match &resolved {
+            Backend::Plain(_) => {}
+            // Workers and threads_spawned stay constant across requests
+            // (queries are channel sends, never thread spawns) while
+            // jobs_executed grows by one per shard per query.
+            Backend::Sharded(e) => fields.push(("pool", pool(e.pool_stats()))),
+            // The cluster adds its gossip traffic: tighten frames pushed
+            // to and received from the shard servers, accumulated across
+            // requests.
+            Backend::Cluster(c) => {
                 let (sent, received) = c.gossip_counters();
-                fields.push((
-                    "pool",
-                    Json::obj(vec![
-                        ("workers", p.workers.into()),
-                        ("threads_spawned", p.threads_spawned.into()),
-                        ("jobs_executed", p.jobs_executed.into()),
-                    ]),
-                ));
+                fields.push(("pool", pool(c.pool_stats())));
                 fields.push((
                     "gossip",
                     Json::obj(vec![
@@ -895,20 +610,20 @@ impl App {
                     ]),
                 ));
             }
-        }
-        // The caching decorator also reports its own observability
-        // counters, so clients can see hits accumulate across requests.
-        if name == "cached" {
-            let c = self.cached().cache_stats();
-            fields.push((
-                "cache",
-                Json::obj(vec![
-                    ("hits", c.hits.into()),
-                    ("misses", c.misses.into()),
-                    ("entries", c.entries.into()),
-                    ("capacity", c.capacity.into()),
-                ]),
-            ));
+            // The caching decorator reports its hits accumulating across
+            // requests.
+            Backend::Cached(c) => {
+                let c = c.cache_stats();
+                fields.push((
+                    "cache",
+                    Json::obj(vec![
+                        ("hits", c.hits.into()),
+                        ("misses", c.misses.into()),
+                        ("entries", c.entries.into()),
+                        ("capacity", c.capacity.into()),
+                    ]),
+                ));
+            }
         }
         Ok(Response::json(Json::obj(fields).render()))
     }
@@ -1033,6 +748,7 @@ impl App {
         };
         let eps: f64 = Self::num_param(req, "eps", 1.0)?;
         let hits = self
+            .backends
             .spring()
             .monitor(target_id, &pattern, eps)
             .map_err(|e| Self::onex_error(&e))?;
@@ -1140,6 +856,7 @@ enum PairView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onex_api::SimilaritySearch;
     use onex_grouping::BaseConfig;
     use onex_tseries::gen::{matters_collection, Indicator, MattersConfig};
 
@@ -1401,6 +1118,13 @@ mod tests {
         };
         assert_eq!(matches_of(&onex), matches_of(&sharded));
         assert!(sharded.contains("\"backend\":\"sharded\""));
+        // In-process shards share one fate: always all four.
+        assert!(
+            sharded.contains(
+                "\"coverage\":{\"shards_answered\":4,\"shards_total\":4,\"degraded\":false}"
+            ),
+            "{sharded}"
+        );
     }
 
     #[test]
@@ -1608,7 +1332,7 @@ mod tests {
         // The trait-level epochs agree: the cached decorator tracks the
         // live engine, the sharded rebuild starts a fresh cell at 0.
         assert_eq!(a.engine.epoch(), 1);
-        assert_eq!(a.cached().epoch(), 1);
+        assert_eq!(a.backends.cached().epoch(), 1);
     }
 
     #[test]
@@ -1741,6 +1465,42 @@ mod tests {
             "dead peers must fail fast, not hang: {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn health_and_summary_never_wait_behind_a_dialling_cluster_request() {
+        // A shard that takes the connection and then says nothing: the
+        // dial sits in the hello exchange until the test lets it go.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = app().with_cluster(vec![silent.local_addr().unwrap().to_string()]);
+        std::thread::scope(|scope| {
+            let dialling = scope.spawn(|| {
+                get(
+                    &a,
+                    "/api/match?series=MA-GrowthRate&start=4&len=8&k=2&backend=cluster",
+                )
+            });
+            // Accepting is the proof that the dial is in flight.
+            let (held, _) = silent.accept().unwrap();
+            for route in ["/api/health", "/api/summary"] {
+                let t0 = std::time::Instant::now();
+                let r = get(&a, route);
+                let waited = t0.elapsed();
+                assert_eq!(r.status, 200, "{route}");
+                let body = String::from_utf8(r.body).unwrap();
+                assert!(body.contains("\"connected\":false"), "{route}: {body}");
+                assert!(
+                    waited < Duration::from_millis(200),
+                    "{route} waited {waited:?} behind the dial"
+                );
+            }
+            // Hang up mid-hello: the dialling request ends typed.
+            drop(held);
+            let r = dialling.join().unwrap();
+            let body = String::from_utf8(r.body).unwrap();
+            assert_eq!(r.status, 502, "{body}");
+            assert!(body.contains("network error"), "{body}");
+        });
     }
 
     /// Round-robin partition the app's dataset over `n` live shard

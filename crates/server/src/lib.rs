@@ -47,5 +47,6 @@
 mod app;
 pub mod http;
 pub mod json;
+mod registry;
 
 pub use app::{App, ServeOptions};

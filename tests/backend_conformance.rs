@@ -385,22 +385,24 @@ mod shared_bound_properties {
     }
 }
 
-/// Concurrent queries on one `ShardedEngine` must never observe each
-/// other's bounds: every query gets a fresh `∞`-seeded `SharedBound`, so
-/// a near-zero bound established by a self-match query cannot prune away
-/// the (much more distant) true answers of a far query running at the
-/// same time. A leak would surface here as missing or wrong matches on
-/// the far queries. The engine's worker pool must also stay fixed-size
-/// throughout the hammer — no per-query thread spawns.
-#[test]
-fn concurrent_sharded_queries_never_cross_contaminate_bounds() {
+/// The bound-isolation hammer, over either partitioned engine (3 slots):
+/// concurrent queries must never observe each other's bounds. Every query
+/// gets a fresh `∞`-seeded `SharedBound`, so a near-zero bound established
+/// by a self-match query cannot prune away the (much more distant) true
+/// answers of a far query running at the same time — whether the bound
+/// travels through a shared atomic or by gossip. A leak would surface as
+/// missing or wrong matches on the far queries. The engine's worker pool
+/// must also stay fixed-size throughout — no per-query thread spawns.
+fn hammer_never_cross_contaminates_bounds(
+    engine: &(dyn SimilaritySearch + Sync),
+    pool_stats: &(dyn Fn() -> onex::engine::PoolStats + Sync),
+) {
     const THREADS: usize = 8;
     const ROUNDS: usize = 6;
 
     let ds = collection();
-    let (engine, _) = Onex::build(ds.clone(), exact_config()).unwrap();
-    let single = OnexBackend::new(Arc::new(engine));
-    let (sharded, _) = ShardedEngine::build(&ds, exact_config(), 3).unwrap();
+    let (single, _) = Onex::build(ds.clone(), exact_config()).unwrap();
+    let single = OnexBackend::new(Arc::new(single));
 
     // Interleave "near" queries (perturbed stored windows — the k-th
     // best bound collapses towards 0 almost immediately) with "far"
@@ -433,16 +435,15 @@ fn concurrent_sharded_queries_never_cross_contaminate_bounds() {
         .map(|q| single.k_best(q, 4).unwrap())
         .collect();
 
-    let spawned_before = sharded.pool_stats().threads_spawned;
+    let before = pool_stats();
     crossbeam::thread::scope(|scope| {
         for t in 0..THREADS {
-            let sharded = &sharded;
             let queries = &queries;
             let reference = &reference;
             scope.spawn(move |_| {
                 for round in 0..ROUNDS {
                     let qi = (t + round) % queries.len();
-                    let out = sharded.k_best(&queries[qi], 4).unwrap();
+                    let out = engine.k_best(&queries[qi], 4).unwrap();
                     assert_eq!(
                         out.matches.len(),
                         reference[qi].matches.len(),
@@ -461,92 +462,28 @@ fn concurrent_sharded_queries_never_cross_contaminate_bounds() {
         }
     })
     .expect("no hammer thread panicked");
-    let pool = sharded.pool_stats();
+    let pool = pool_stats();
     assert_eq!(
-        pool.threads_spawned, spawned_before,
+        pool.threads_spawned, before.threads_spawned,
         "the hammer must not have spawned query threads"
     );
-    assert_eq!(pool.threads_spawned, 3, "one persistent worker per shard");
+    assert_eq!(pool.threads_spawned, 3, "one persistent worker per slot");
+    assert!(
+        pool.jobs_executed >= before.jobs_executed + THREADS * ROUNDS * 3,
+        "every query fans out to every slot"
+    );
 }
 
-/// The cross-process version of the bound-isolation hammer: concurrent
-/// near and far queries through one [`ClusterEngine`] must each get a
-/// fresh query-global bound — gossiped tightenings from a self-match
-/// query racing on another thread must never prune a far query's true
-/// answers. The per-remote worker pool must also stay fixed throughout.
+#[test]
+fn concurrent_sharded_queries_never_cross_contaminate_bounds() {
+    let (sharded, _) = ShardedEngine::build(&collection(), exact_config(), 3).unwrap();
+    hammer_never_cross_contaminates_bounds(&sharded, &|| sharded.pool_stats());
+}
+
 #[test]
 fn concurrent_cluster_queries_never_cross_contaminate_bounds() {
-    const THREADS: usize = 8;
-    const ROUNDS: usize = 6;
-
-    let ds = collection();
-    let (engine, _) = Onex::build(ds.clone(), exact_config()).unwrap();
-    let single = OnexBackend::new(Arc::new(engine));
-    let cluster = spawn_cluster(&ds, &exact_config(), 3);
-
-    let mut queries: Vec<Vec<f64>> = Vec::new();
-    for (i, &(sid, start)) in [(0u32, 5usize), (2, 30), (4, 55), (1, 12), (3, 70), (5, 40)]
-        .iter()
-        .enumerate()
-    {
-        let mut q = ds
-            .series(sid)
-            .unwrap()
-            .subsequence(start, QLEN)
-            .unwrap()
-            .to_vec();
-        let far = i % 2 == 1;
-        for (j, v) in q.iter_mut().enumerate() {
-            *v += 0.01 * ((j as f64) * 2.3 + i as f64).sin();
-            if far {
-                *v += 6.0 + (j as f64) * 0.1;
-            }
-        }
-        queries.push(q);
-    }
-    let reference: Vec<_> = queries
-        .iter()
-        .map(|q| single.k_best(q, 4).unwrap())
-        .collect();
-
-    let spawned_before = cluster.pool_stats().threads_spawned;
-    crossbeam::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let cluster = &cluster;
-            let queries = &queries;
-            let reference = &reference;
-            scope.spawn(move |_| {
-                for round in 0..ROUNDS {
-                    let qi = (t + round) % queries.len();
-                    let out = cluster.k_best(&queries[qi], 4).unwrap();
-                    assert_eq!(
-                        out.matches.len(),
-                        reference[qi].matches.len(),
-                        "thread {t} round {round}: a gossiped bound pruned true answers"
-                    );
-                    for (x, y) in out.matches.iter().zip(&reference[qi].matches) {
-                        assert_eq!(
-                            (x.series, x.start, x.len),
-                            (y.series, y.start, y.len),
-                            "thread {t} round {round} diverged from the single engine"
-                        );
-                        assert!((x.distance - y.distance).abs() < 1e-12);
-                    }
-                }
-            });
-        }
-    })
-    .expect("no hammer thread panicked");
-    let pool = cluster.pool_stats();
-    assert_eq!(
-        pool.threads_spawned, spawned_before,
-        "the hammer must not have spawned query threads"
-    );
-    assert_eq!(pool.threads_spawned, 3, "one persistent worker per remote");
-    assert!(
-        pool.jobs_executed >= THREADS * ROUNDS * 3,
-        "every query fans out to every shard"
-    );
+    let cluster = spawn_cluster(&collection(), &exact_config(), 3);
+    hammer_never_cross_contaminates_bounds(&cluster, &|| cluster.pool_stats());
 }
 
 #[test]
