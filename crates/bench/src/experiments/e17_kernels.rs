@@ -22,7 +22,12 @@
 //! 3. **Per-tier reject fractions** — where candidates die (L0 → LB_Kim
 //!    → LB_Keogh → abandoned DTW → completed DTW), the observable that
 //!    explains the cascade's shape.
-//! 4. **Agreement** — the L0-on top-k equals the L0-off top-k, the
+//! 4. **Across lengths** — the last row searches three adjacent lengths
+//!    (`Nearest(3)`) with a query of the middle one, so two thirds of its
+//!    candidates differ in length from the query. The cascade runs on
+//!    them all the same (cross-length envelopes); CI guards that fewer
+//!    than half the members it touches start a DTW.
+//! 5. **Agreement** — the L0-on top-k equals the L0-off top-k, the
 //!    exhaustive stride-1 scan, and the 4-shard fan-out's merged answer
 //!    on every row. Because the DTW row kernel is bit-exact across
 //!    levels, distances are level-independent, so re-running this
@@ -36,14 +41,15 @@ use onex_api::SimilaritySearch;
 use onex_core::backends::OnexBackend;
 use onex_core::exhaustive;
 use onex_core::scale::ShardedEngine;
-use onex_core::{Onex, QueryOptions, QueryStats};
+use onex_core::{LengthSelection, Onex, QueryOptions, QueryStats};
 use onex_distance::kernels::{self, EnvAffine, KernelLevel};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
-/// Query/subsequence length for the cascade rows.
+/// Query length for the cascade rows, and the middle of the indexed
+/// lengths.
 const SUBSEQ_LEN: usize = 16;
 /// Matches requested per query.
 const K: usize = 5;
@@ -57,10 +63,14 @@ const SHARDS: usize = 4;
 /// keeps groups large enough that candidates actually reach the member
 /// tiers — at tight thresholds the group-level bridge bound kills
 /// nearly everything and the ablation would measure nothing.
-fn config() -> BaseConfig {
+///
+/// `lengths` (odd) adjacent lengths are indexed, centred on
+/// [`SUBSEQ_LEN`].
+fn config(lengths: usize) -> BaseConfig {
+    let half = lengths / 2;
     BaseConfig {
         policy: RepresentativePolicy::Seed,
-        ..BaseConfig::new(2.0, SUBSEQ_LEN, SUBSEQ_LEN)
+        ..BaseConfig::new(2.0, SUBSEQ_LEN - half, SUBSEQ_LEN + half)
     }
 }
 
@@ -299,6 +309,10 @@ pub struct CascadeRow {
     pub series: usize,
     /// Samples per series.
     pub len: usize,
+    /// Adjacent candidate lengths indexed and searched (`Nearest`),
+    /// centred on the query's: 1 on the equal-length rows, 3 on the
+    /// cross-length row.
+    pub lengths: usize,
     /// Counters with the L0 tier enabled (the default configuration).
     pub on: CascadeLeg,
     /// Counters with the L0 tier disabled (`without_l0`).
@@ -312,15 +326,34 @@ pub struct CascadeRow {
     pub sharded_agreement: bool,
 }
 
+impl CascadeRow {
+    /// Members the L0-on scan reached, whatever tier dismissed them.
+    pub fn members_touched(&self) -> usize {
+        self.on.lb_evals + self.on.l0_pruned
+    }
+
+    /// An upper bound on the member DTWs the L0-on scan started (the
+    /// completed count includes representatives) — what CI compares
+    /// against [`Self::members_touched`] on the cross-length row.
+    pub fn dtw_started(&self) -> usize {
+        self.on.dtw_abandoned + self.on.dtw_completed
+    }
+}
+
 /// Run the cascade ablation sweep over random-walk collections.
 pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
-    let sizes: &[(usize, usize)] = if quick {
-        &[(12, 96), (24, 160)]
+    // (series, samples, adjacent lengths): the last row of either sweep
+    // is the cross-length one.
+    let sizes: &[(usize, usize, usize)] = if quick {
+        &[(12, 96, 1), (24, 160, 1), (24, 160, 3)]
     } else {
-        &[(12, 96), (24, 160), (48, 256)]
+        &[(12, 96, 1), (24, 160, 1), (48, 256, 1), (48, 256, 3)]
     };
     let mut rows = Vec::new();
-    for &(series, len) in sizes {
+    for &(series, len, lengths) in sizes {
+        let config = config(lengths);
+        let searched: Vec<usize> = (config.min_len..=config.max_len).collect();
+        let nearest = QueryOptions::default().lengths(LengthSelection::Nearest(lengths));
         let ds = workloads::walk_collection(series, len);
         let queries: Vec<Vec<f64>> = (0..QUERIES)
             .map(|i| {
@@ -330,14 +363,11 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
                 workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
             })
             .collect();
-        let (engine, _) = Onex::build(ds.clone(), config()).expect("valid config");
+        let (engine, _) = Onex::build(ds.clone(), config.clone()).expect("valid config");
 
         let mut legs = [CascadeLeg::default(), CascadeLeg::default()];
         let mut answers: Vec<Vec<Vec<onex_core::Match>>> = Vec::new();
-        for (slot, opts) in [
-            (0, QueryOptions::default()),
-            (1, QueryOptions::default().without_l0()),
-        ] {
+        for (slot, opts) in [(0, nearest.clone()), (1, nearest.clone().without_l0())] {
             let mut total = QueryStats::default();
             let mut per_query = Vec::new();
             for q in &queries {
@@ -371,8 +401,7 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
         // Exhaustive stride-1 reference: the provably correct answer.
         let agreement = queries.iter().zip(&answers[0]).all(|(q, got)| {
             let reference =
-                exhaustive::scan_k(&ds, q, &[SUBSEQ_LEN], 1, &QueryOptions::default(), K, true)
-                    .expect("valid query");
+                exhaustive::scan_k(&ds, q, &searched, 1, &nearest, K, true).expect("valid query");
             got.len() == reference.len()
                 && got
                     .iter()
@@ -382,10 +411,9 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
 
         // Sharded fan-out agreement (the shared-bound path of E14, now
         // with the L0 tier active on every shard).
-        let (sharded, _) = ShardedEngine::build(&ds, config(), SHARDS).expect("valid config");
-        let single = OnexBackend::new(std::sync::Arc::new(
-            Onex::build(ds.clone(), config()).expect("valid config").0,
-        ));
+        let (sharded, _) = ShardedEngine::build(&ds, config.clone(), SHARDS).expect("valid config");
+        let sharded = sharded.with_options(nearest.clone());
+        let single = OnexBackend::new(std::sync::Arc::new(engine)).with_options(nearest.clone());
         let sharded_agreement = queries.iter().all(|q| {
             let merged = sharded.k_best(q, K).expect("valid query");
             let reference = single.k_best(q, K).expect("valid query");
@@ -399,6 +427,7 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
         rows.push(CascadeRow {
             series,
             len,
+            lengths,
             on: legs[0],
             off: legs[1],
             agreement,
@@ -437,9 +466,13 @@ pub fn kernels_table(rows: &[KernelRow]) -> Table {
 pub fn cascade_table(rows: &[CascadeRow]) -> Table {
     let mut t = Table::new(
         format!(
-            "E17b — L0 prefilter ablation (random walks, length {SUBSEQ_LEN}, \
-             k={K}, Seed policy; tier rejects are L0/Kim/Keogh/abandoned of \
-             the L0-on run; f64 LB evals must drop when L0 is on)"
+            "E17b — L0 prefilter ablation (random walks, query length \
+             {SUBSEQ_LEN}, k={K}, Seed policy; \"×3\" searches lengths \
+             {}..={} so two thirds of the candidates differ in length from \
+             the query; tier rejects are L0/Kim/Keogh/abandoned of the L0-on \
+             run; f64 LB evals must drop when L0 is on)",
+            SUBSEQ_LEN - 1,
+            SUBSEQ_LEN + 1
         ),
         &[
             "collection",
@@ -455,7 +488,11 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            format!("{}x{}", r.series, r.len),
+            if r.lengths == 1 {
+                format!("{}x{}", r.series, r.len)
+            } else {
+                format!("{}x{} ×{}", r.series, r.len, r.lengths)
+            },
             format!("{}/{}", r.on.touched, r.off.touched),
             format!("{}/{}", r.on.lb_evals, r.off.lb_evals),
             format!(
@@ -476,15 +513,18 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
 /// `BENCH_kernels.json`. CI guards: every SIMD kernel row at the
 /// *selected* level beats scalar, outputs agree everywhere, the L0-on
 /// runs never touch more candidates and strictly reduce f64 LB
-/// evaluations, and all three agreement columns are true on every row.
+/// evaluations, the `"lengths":3` row starts a DTW on fewer than half
+/// the members it touches, and all three agreement columns are true on
+/// every row.
 pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> String {
     use std::fmt::Write as _;
     let level = kernels::level();
     let mut out = format!(
         "{{\"experiment\":\"e17_kernels\",\"kernel_level\":\"{}\",\
-         \"simd_active\":{},\"kernels\":[",
+         \"simd_active\":{},\"available_parallelism\":{},\"kernels\":[",
         level.label(),
         level != KernelLevel::Scalar,
+        std::thread::available_parallelism().map_or(1, usize::from),
     );
     for (i, r) in kernel_rows.iter().enumerate() {
         if i > 0 {
@@ -509,7 +549,7 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
         }
         let _ = write!(
             out,
-            "{{\"series\":{},\"len\":{},\
+            "{{\"series\":{},\"len\":{},\"lengths\":{},\
              \"touched_on\":{},\"touched_off\":{},\
              \"lb_evals_on\":{},\"lb_evals_off\":{},\
              \"l0_pruned\":{},\"kim_pruned\":{},\"keogh_pruned\":{},\
@@ -518,6 +558,7 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
              \"agreement\":{},\"ablation_agreement\":{},\"sharded_agreement\":{}}}",
             r.series,
             r.len,
+            r.lengths,
             r.on.touched,
             r.off.touched,
             r.on.lb_evals,
@@ -567,7 +608,7 @@ mod tests {
     #[test]
     fn l0_reduces_f64_lb_work_without_changing_answers() {
         let rows = measure_cascade(true);
-        assert_eq!(rows.len(), 2, "two quick sizes");
+        assert_eq!(rows.len(), 3, "two quick sizes and the cross-length row");
         for r in &rows {
             assert!(
                 r.agreement,
@@ -605,6 +646,17 @@ mod tests {
             assert!(r.on.l0_pruned > 0, "{}x{}: L0 never fired", r.series, r.len);
             assert_eq!(r.off.l0_pruned, 0, "L0-off run must not count L0 prunes");
         }
+        // Two thirds of the cross-length row's candidates differ in length
+        // from the query; the cascade must dismiss most of them all the
+        // same, before a DTW starts.
+        let across = rows.last().expect("rows");
+        assert_eq!(across.lengths, 3);
+        assert!(
+            2 * across.dtw_started() < across.members_touched(),
+            "cross-length row started {} DTWs on {} members",
+            across.dtw_started(),
+            across.members_touched()
+        );
     }
 
     #[test]
@@ -628,6 +680,7 @@ mod tests {
         let cascade_rows = vec![CascadeRow {
             series: 12,
             len: 96,
+            lengths: 3,
             on: CascadeLeg {
                 touched: 900,
                 lb_evals: 500,
@@ -656,6 +709,8 @@ mod tests {
         assert!(json.starts_with("{\"experiment\":\"e17_kernels\""));
         assert!(json.contains("\"kernel_level\":\""));
         assert!(json.contains("\"speedup\":4.0000"));
+        assert!(json.contains("\"available_parallelism\":"));
+        assert!(json.contains("\"len\":96,\"lengths\":3,\"touched_on\":900"));
         assert!(json.contains("\"lb_evals_on\":500"));
         assert!(json.contains("\"lb_evals_off\":800"));
         assert!(json.contains("\"ablation_agreement\":true"));

@@ -47,13 +47,14 @@ pub struct QueryOptions {
     /// Prune whole groups through the ED↔DTW bridge. Turning this off
     /// scans every group member — only useful for the ablation (E9).
     pub prune_groups: bool,
-    /// Prune members with LB_Keogh before running DTW (only applicable
-    /// when the member length equals the query length).
+    /// Prune members with LB_Kim and LB_Keogh before running DTW, and rank
+    /// groups by the same bounds on their representatives — at every
+    /// candidate length, against the query's envelope indexed by the
+    /// candidate's positions (`Envelope::build_across`).
     pub lb_keogh: bool,
     /// Reject members from their quantised L0 sketch before resolving any
-    /// f64 data (only applicable when the member length equals the query
-    /// length, and rides on the LB_Keogh envelope — disabled when
-    /// `lb_keogh` is off).
+    /// f64 data, at every candidate length (rides on the LB_Keogh
+    /// envelope — disabled when `lb_keogh` is off).
     pub l0_prefilter: bool,
     /// Skip matches from this series entirely (compare MA against *other*
     /// states).

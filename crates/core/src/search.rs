@@ -14,8 +14,15 @@
 //!    the member's quantised-PAA sketch ([`onex_grouping::sketch`]) —
 //!    rejected candidates never even have their f64 data resolved.
 //! 3. **LB_Kim** (four touched points) then **LB_Keogh** on each member
-//!    against the query envelope (equal lengths only).
+//!    against the query envelope.
 //! 4. **Early-abandoning DTW** seeded with the current k-th best.
+//!
+//! Tiers 2 and 3 run at **every** candidate length, not only the query's
+//! own: the envelope is the query's, indexed by the candidate's positions
+//! ([`Envelope::build_across`]). Every candidate position `j` is paired
+//! with at least one query row inside its band window and distinct `j`
+//! are distinct DP cells, so `Σ_j dist(c_j, [L_j, U_j])² ≤ DTW²` for
+//! `Full`, `SakoeChiba` and `Itakura` at any length pair.
 //!
 //! Every prune threshold flows through one **query-global bound**: the
 //! k-th best *normalised* distance known so far, kept in a
@@ -39,7 +46,7 @@ use std::collections::BinaryHeap;
 
 use onex_api::SharedBound;
 use onex_distance::bounds::warp_multiplicity;
-use onex_distance::dtw::dtw_early_abandon_sq_dynamic;
+use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
 use onex_distance::lb::{lb_keogh_sq, lb_kim_fl_sq};
 use onex_distance::{dtw_with_path, Envelope, QuerySketch, SKETCH_STRIDE};
 use onex_grouping::{GroupId, OnexBase};
@@ -110,8 +117,8 @@ struct LengthPlan {
     norm: f64,
     /// `√W` of the ED↔DTW bridge at this length pair.
     sqrt_w: f64,
-    /// Query envelope for LB_Keogh (equal lengths only; also used to
-    /// rank groups cheaply in phase 1).
+    /// Query envelope for LB_Keogh, one entry per position of this
+    /// length's candidates (also used to rank groups cheaply in phase 1).
     env_q: Option<Envelope>,
     /// Query-side L0 sketch against this length's frozen quantisation
     /// parameters — the tier that rejects members from bytes alone,
@@ -130,6 +137,9 @@ pub(crate) struct Searcher<'a> {
     /// Callers that fan one query across several searchers (the sharded
     /// engine) pass the same bound to all of them.
     bound: &'a SharedBound,
+    /// DP rows shared by every DTW of this query (members and
+    /// representatives alike), so the scan allocates none per candidate.
+    scratch: DtwScratch,
     pub stats: QueryStats,
 }
 
@@ -147,6 +157,7 @@ impl<'a> Searcher<'a> {
             query,
             opts,
             bound,
+            scratch: DtwScratch::default(),
             stats: QueryStats::default(),
         }
     }
@@ -184,8 +195,10 @@ impl<'a> Searcher<'a> {
         let n = self.query.len();
         let band = self.opts.band;
         let mult = warp_multiplicity(n, len, band);
-        let env_q = (self.opts.lb_keogh && len == n)
-            .then(|| Envelope::build(self.query, band.radius(n, len)));
+        let env_q = self
+            .opts
+            .lb_keogh
+            .then(|| Envelope::build_across(self.query, len, band.radius(n, len)));
         // The L0 sketch shares the envelope (its bound is a coarsening of
         // LB_Keogh + LB_Kim), so it rides on the same gate.
         let l0 = match &env_q {
@@ -257,21 +270,39 @@ impl<'a> Searcher<'a> {
         let sqrt_w = plan.sqrt_w;
 
         // Phase 1: rank groups by a cheap *lower bound* on the
-        // representative distance — LB_KimFL always, strengthened by
-        // LB_Keogh at equal lengths. Ascending lower bound is an
-        // optimistic-first order, and because it bounds the true distance
-        // from below it also licenses a sound early `break` in phase 2.
-        let mut ranked: Vec<(usize, f64)> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                let mut lb_sq = lb_kim_fl_sq(self.query, g.representative());
-                if let Some(env) = &plan.env_q {
-                    lb_sq = lb_sq.max(lb_keogh_sq(g.representative(), env, f64::INFINITY));
+        // representative distance — LB_KimFL strengthened by LB_Keogh.
+        // Ascending lower bound is an optimistic-first order, and because
+        // it bounds the true distance from below it also licenses a sound
+        // early `break` in phase 2. Once the bound is finite (an earlier
+        // length of this query, or a peer shard) a group whose lower bound
+        // clears `bound + √W·radius` is pruned here, by the test phase 2
+        // would apply to it, and LB_Keogh abandons at that threshold.
+        // (`TopGroups` selects by representative distance alone, so its
+        // ranking keeps every group.)
+        let bound = self.raw_bound(heap, k, plan);
+        let prune_here =
+            self.opts.prune_groups && bound.is_finite() && self.opts.breadth == ScanBreadth::Exact;
+        let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
+        for (gi, g) in groups.iter().enumerate() {
+            let prune_at_sq = if prune_here {
+                let at = bound + sqrt_w * g.radius();
+                at * at
+            } else {
+                f64::INFINITY
+            };
+            let mut lb_sq = lb_kim_fl_sq(self.query, g.representative());
+            if let Some(env) = &plan.env_q {
+                if lb_sq <= prune_at_sq {
+                    lb_sq = lb_sq.max(lb_keogh_sq(g.representative(), env, prune_at_sq));
                 }
-                (gi, lb_sq.sqrt())
-            })
-            .collect();
+            }
+            if lb_sq > prune_at_sq {
+                self.stats.groups_examined += 1;
+                self.stats.groups_pruned += 1;
+                continue;
+            }
+            ranked.push((gi, lb_sq.sqrt()));
+        }
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
         if let ScanBreadth::TopGroups(g) = self.opts.breadth {
@@ -334,13 +365,14 @@ impl<'a> Searcher<'a> {
             };
             let live_ref: Option<&dyn Fn() -> f64> =
                 self.opts.prune_groups.then_some(&live as &dyn Fn() -> f64);
-            let d_rep_sq = dtw_early_abandon_sq_dynamic(
+            let d_rep_sq = dtw_early_abandon_sq_scratch(
                 self.query,
                 g.representative(),
                 band,
                 prune_at * prune_at,
                 None,
                 live_ref,
+                &mut self.scratch,
             );
             if d_rep_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
@@ -390,13 +422,14 @@ impl<'a> Searcher<'a> {
                 self.stats.groups_pruned += 1;
                 break;
             }
-            let d_sq = dtw_early_abandon_sq_dynamic(
+            let d_sq = dtw_early_abandon_sq_scratch(
                 self.query,
                 groups[gi].representative(),
                 band,
                 gth * gth,
                 None,
                 None,
+                &mut self.scratch,
             );
             if d_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
@@ -417,9 +450,9 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Scan one group's members into the k-best heap with LB_Keogh and
-    /// early-abandoning DTW, tightening (and publishing) the shared
-    /// bound as better candidates are found.
+    /// Scan one group's members into the k-best heap through the L0,
+    /// LB_Kim and LB_Keogh tiers and early-abandoning DTW, tightening (and
+    /// publishing) the shared bound as better candidates are found.
     fn scan_members(
         &mut self,
         plan: &LengthPlan,
@@ -493,8 +526,15 @@ impl<'a> Searcher<'a> {
                 }
             }
             self.stats.members_examined += 1;
-            let d_sq =
-                dtw_early_abandon_sq_dynamic(self.query, values, band, bound_sq, None, Some(&live));
+            let d_sq = dtw_early_abandon_sq_scratch(
+                self.query,
+                values,
+                band,
+                bound_sq,
+                None,
+                Some(&live),
+                &mut self.scratch,
+            );
             if d_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
                 self.stats.members_abandoned += 1;

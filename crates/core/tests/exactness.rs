@@ -11,7 +11,9 @@
 use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions};
 use onex_distance::Band;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
-use onex_tseries::gen::{random_walk_dataset, sine_mix_dataset, SyntheticConfig};
+use onex_tseries::gen::{
+    clustered_dataset, random_walk_dataset, sine_mix_dataset, SyntheticConfig,
+};
 use onex_tseries::Dataset;
 use proptest::prelude::*;
 
@@ -161,6 +163,68 @@ fn banded_queries_are_also_exact_under_seed() {
             (m.unwrap().distance - truth.distance).abs() < 1e-9,
             "band {band:?}"
         );
+    }
+}
+
+#[test]
+fn k_best_is_exact_across_lengths_and_bands() {
+    // The member cascade (L0, LB_Kim, LB_Keogh) and the phase-1 ranking
+    // run at every candidate length, so the top-k must equal the scan's
+    // whatever the band and however far the lengths are from the query's.
+    // Clustered shapes compact into a few large groups, so group pruning
+    // cannot answer alone and candidates reach the member tiers.
+    let ds = clustered_dataset(
+        SyntheticConfig {
+            series: 12,
+            len: 64,
+            seed: 43,
+        },
+        4,
+        0.08,
+    );
+    let e = engine(&ds, 1.0, 8, 14, RepresentativePolicy::Seed);
+    let k = 5;
+    // An 11-point query inside the indexed lengths, and a 17-point one
+    // whose three nearest lengths (14, 13, 12) are all shorter than it.
+    let inside = ds.series(2).unwrap().subsequence(9, 11).unwrap().to_vec();
+    let beyond = ds.series(4).unwrap().subsequence(20, 17).unwrap().to_vec();
+    let cases = [
+        (&inside, LengthSelection::Range(8, 14)),
+        (&inside, LengthSelection::Nearest(3)),
+        (&beyond, LengthSelection::Nearest(3)),
+    ];
+    for band in [
+        Band::Full,
+        Band::SakoeChiba(1),
+        Band::SakoeChiba(3),
+        Band::Itakura,
+    ] {
+        for (query, selection) in &cases {
+            let opts = QueryOptions::with_band(band).lengths(selection.clone());
+            let lengths = match *selection {
+                LengthSelection::Nearest(c) => e.base().nearest_lengths(query.len(), c),
+                _ => all_lengths(&e),
+            };
+            let (matches, stats) = e.k_best(query, k, &opts).unwrap();
+            let truth = exhaustive::scan_k(&ds, query, &lengths, 1, &opts, k, true).unwrap();
+            assert_eq!(matches.len(), truth.len(), "{band:?} {selection:?}");
+            for (m, t) in matches.iter().zip(&truth) {
+                assert!(
+                    (m.normalized - t.normalized).abs() < 1e-9,
+                    "{band:?} {selection:?} |q|={}: engine {} vs truth {}",
+                    query.len(),
+                    m.normalized,
+                    t.normalized
+                );
+            }
+            if query.len() == beyond.len() {
+                assert!(!lengths.contains(&query.len()));
+                assert!(
+                    stats.members_l0_pruned > 0,
+                    "{band:?}: L0 must fire at lengths other than the query's: {stats:?}"
+                );
+            }
+        }
     }
 }
 

@@ -3,13 +3,15 @@
 //! The expensive half of the ONEX marriage (paper §1, challenge 2): DTW
 //! aligns sequences of different lengths and phases but costs O(n·m). ONEX
 //! pays that cost only against the compact base, and even there abandons
-//! early. Four entry points, cheapest machinery first:
+//! early. Five entry points, cheapest machinery first:
 //!
 //! * [`dtw_sq`] / [`dtw`] — two-row DP, optional Sakoe–Chiba band.
 //! * [`dtw_early_abandon`] — same DP that gives up as soon as the best
 //!   reachable cell already exceeds a known upper bound.
 //! * [`dtw_early_abandon_sq_with_cb`] — the UCR Suite variant that also
 //!   folds a cumulative lower-bound tail into the abandonment test.
+//! * [`dtw_early_abandon_sq_scratch`] — the same DP on a caller-kept
+//!   [`DtwScratch`], for scans that run one DTW per candidate.
 //! * [`dtw_with_path`] — full-matrix variant that recovers the warping
 //!   path for visualisation.
 
@@ -174,6 +176,33 @@ pub fn dtw_early_abandon_sq_dynamic(
     cb: Option<&[f64]>,
     live: Option<&dyn Fn() -> f64>,
 ) -> f64 {
+    dtw_early_abandon_sq_scratch(x, y, band, ub_sq, cb, live, &mut DtwScratch::default())
+}
+
+/// The DP's working rows, reusable across calls: two rows over columns
+/// `0..=m` (column 0 is the virtual "before y" edge) and the squared-diff
+/// row the SIMD row kernel caches its vectorised pass in.
+#[derive(Debug, Default)]
+pub struct DtwScratch {
+    rows: [Vec<f64>; 3],
+}
+
+/// [`dtw_early_abandon_sq_dynamic`] on the caller's [`DtwScratch`]: a scan
+/// that runs one DTW per candidate keeps one scratch and allocates only
+/// when a candidate is longer than any before it, where every entry point
+/// above allocates its rows per call.
+///
+/// # Panics
+/// Panics when either input is empty or `cb` has the wrong length.
+pub fn dtw_early_abandon_sq_scratch(
+    x: &[f64],
+    y: &[f64],
+    band: Band,
+    ub_sq: f64,
+    cb: Option<&[f64]>,
+    live: Option<&dyn Fn() -> f64>,
+    scratch: &mut DtwScratch,
+) -> f64 {
     let n = x.len();
     let m = y.len();
     assert!(n > 0 && m > 0, "DTW requires non-empty sequences");
@@ -181,12 +210,14 @@ pub fn dtw_early_abandon_sq_dynamic(
         assert_eq!(cb.len(), n + 1, "cumulative bound must have n+1 entries");
     }
 
-    // Two rows over columns 0..=m; column 0 is the virtual "before y" edge.
-    // `d2` is the squared-diff scratch row the SIMD row kernel caches its
-    // vectorised pass in.
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    let mut d2 = vec![0.0; m + 1];
+    for row in &mut scratch.rows {
+        if row.len() <= m {
+            row.resize(m + 1, 0.0);
+        }
+    }
+    let [prev, curr, d2] = &mut scratch.rows;
+    let (mut prev, mut curr, d2) = (&mut prev[..=m], &mut curr[..=m], &mut d2[..=m]);
+    prev.fill(f64::INFINITY);
     prev[0] = 0.0;
     // The effective threshold only ever tightens: the static ub_sq folded
     // with every live reading observed so far (f64::min ignores NaN, so a
@@ -194,13 +225,13 @@ pub fn dtw_early_abandon_sq_dynamic(
     let mut bound_sq = ub_sq;
 
     for i in 1..=n {
-        curr.iter_mut().for_each(|c| *c = f64::INFINITY);
+        curr.fill(f64::INFINITY);
         let (lo, hi) = band.row_range(i, n, m);
         if lo > hi {
             return f64::INFINITY; // band excludes the whole row: infeasible
         }
         let xi = x[i - 1];
-        let row_min = crate::kernels::dtw_row(xi, y, lo, hi, &prev, &mut curr, &mut d2);
+        let row_min = crate::kernels::dtw_row(xi, y, lo, hi, prev, curr, d2);
         // Outstanding-contribution tail. A partial path through row `i`
         // has consumed query positions 0..i and possibly candidate
         // positions up to `hi` (the band's forward reach), so only

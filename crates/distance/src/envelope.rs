@@ -8,13 +8,27 @@
 //! — monotonic deques (Lemire, *Faster retrieval with a two-pass
 //! dynamic-time-warping lower bound*, 2009) on the scalar path, the van
 //! Herk–Gil–Werman decomposition on the SIMD paths; all levels bit-exact.
+//!
+//! ## Across lengths
+//!
+//! ONEX warps a length-`n` query against candidates of a *different*
+//! length `m`, so the envelope the cascade needs is indexed by the
+//! candidate's positions, not the query's: [`Envelope::build_across`]
+//! gives `lower[j] = min q[j−r ..= j+r]` (clamped to the query) for
+//! `j < m`, with `r = band.radius(n, m) ≥ |n − m|` so no window is empty.
+//! Soundness, for `Full`, `SakoeChiba` and `Itakura` at any length pair:
+//! every candidate position `j` is paired with at least one query row
+//! inside its band window, and distinct `j` are distinct DP cells, so
+//! `Σ_j dist(c_j, [lower_j, upper_j])² ≤ DTW²`. At `m == n` this is
+//! [`Envelope::build`] and the textbook LB_Keogh.
 
 /// Lower/upper warping envelope of a sequence for a given band radius.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Band radius the envelope was built for.
     pub radius: usize,
-    /// `lower[i] = min(y[i−r ..= i+r])` (clamped to the sequence).
+    /// `lower[i] = min(y[i−r ..= i+r])` (clamped to the sequence), one
+    /// entry per position of the sequence the envelope is compared with.
     pub lower: Vec<f64>,
     /// `upper[i] = max(y[i−r ..= i+r])` (clamped to the sequence).
     pub upper: Vec<f64>,
@@ -39,7 +53,62 @@ impl Envelope {
         }
     }
 
-    /// Length of the underlying sequence.
+    /// Build the envelope of `query` indexed by the `m` positions of a
+    /// candidate it is warped against (see the module docs): entry `j`
+    /// brackets every query value candidate position `j` can be paired
+    /// with under a band of radius `radius`. O(n + m): the first
+    /// `min(n, m)` entries are [`Envelope::build`]'s, and for `j ≥ n` the
+    /// window `j−r ..= j+r` already reaches the query's end, so the entry
+    /// is a suffix extremum.
+    ///
+    /// ```
+    /// use onex_distance::Envelope;
+    /// let q = [1.0, 3.0, 2.0];
+    /// let env = Envelope::build_across(&q, 5, 2);
+    /// assert_eq!(env.len(), 5);
+    /// assert_eq!(env.lower, vec![1.0, 1.0, 1.0, 2.0, 2.0]);
+    /// assert_eq!(env.upper, vec![3.0, 3.0, 3.0, 3.0, 2.0]);
+    /// assert_eq!(Envelope::build_across(&q, 3, 1), Envelope::build(&q, 1));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics when `radius < |n − m|` or the query is empty while `m > 0`
+    /// (some window would be empty — no band admits such a cell; use
+    /// `Band::radius(n, m)`).
+    pub fn build_across(query: &[f64], m: usize, radius: usize) -> Envelope {
+        let n = query.len();
+        assert!(
+            radius >= n.abs_diff(m) && (n > 0 || m == 0),
+            "envelope radius {radius} leaves empty windows for lengths {n} and {m}"
+        );
+        let (mut lower, mut upper) = crate::kernels::sliding_minmax(query, radius);
+        lower.truncate(m);
+        upper.truncate(m);
+        if m > n {
+            // suffix[i] = extremum of query[i..]; position j ≥ n sees
+            // query[j−r ..], and j − r ≤ m − 1 − (m − n) = n − 1.
+            let mut suffix = vec![(0.0, 0.0); n];
+            let mut acc = (f64::INFINITY, f64::NEG_INFINITY);
+            for (slot, &v) in suffix.iter_mut().zip(query).rev() {
+                acc = (acc.0.min(v), acc.1.max(v));
+                *slot = acc;
+            }
+            for j in n..m {
+                let (lo, hi) = suffix[j.saturating_sub(radius)];
+                lower.push(lo);
+                upper.push(hi);
+            }
+        }
+        Envelope {
+            radius,
+            lower,
+            upper,
+        }
+    }
+
+    /// Number of positions the envelope covers: the sequence's length
+    /// for [`Envelope::build`], the candidate's for
+    /// [`Envelope::build_across`].
     pub fn len(&self) -> usize {
         self.lower.len()
     }

@@ -84,9 +84,14 @@ pub fn lb_kim_fl_sq_corners(
 /// LB_Keogh: squared distance from `x` to the envelope of the other
 /// sequence, i.e. `Σ max(x_i − upper_i, lower_i − x_i, 0)²`.
 ///
-/// Sound for equal-length sequences when `env` was built with the same
-/// band radius used for DTW: a banded warping path can only match `x[i]`
-/// against values inside `[lower[i], upper[i]]`.
+/// Sound when `env` has one entry per position of `x` and was built with
+/// at least the band radius used for DTW — [`Envelope::build`] for an
+/// other sequence as long as `x`, [`Envelope::build_across`] for one of
+/// any length: every position `i` of `x` is paired with at least one
+/// value of the other sequence inside its band window, hence inside
+/// `[lower[i], upper[i]]`, and distinct `i` are distinct DP cells, so
+/// the sum never exceeds squared DTW under `Full`, `SakoeChiba` or
+/// `Itakura`.
 ///
 /// Abandons (returns `f64::INFINITY`) once the partial sum exceeds
 /// `ub_sq`.
@@ -94,7 +99,11 @@ pub fn lb_kim_fl_sq_corners(
 /// # Panics
 /// Panics when `x.len() != env.len()`.
 pub fn lb_keogh_sq(x: &[f64], env: &Envelope, ub_sq: f64) -> f64 {
-    assert_eq!(x.len(), env.len(), "LB_Keogh requires equal lengths");
+    assert_eq!(
+        x.len(),
+        env.len(),
+        "LB_Keogh requires one envelope entry per position of x"
+    );
     kernels::env_excess_sq(x, &env.lower, &env.upper, EnvAffine::IDENTITY, ub_sq)
 }
 
@@ -338,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal lengths")]
+    #[should_panic(expected = "one envelope entry per position")]
     fn keogh_length_mismatch_panics() {
         let env = Envelope::build(&[1.0, 2.0], 1);
         lb_keogh_sq(&[1.0], &env, f64::INFINITY);

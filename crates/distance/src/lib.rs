@@ -10,9 +10,10 @@
 //! * [`mod@dtw`] — DTW with optional Sakoe–Chiba band, early abandonment with
 //!   cumulative lower bounds (the UCR Suite trick), and warping-path
 //!   recovery for the visual analytics layer.
-//! * [`envelope`] — Lemire streaming min/max envelopes in O(n).
-//! * [`lb`] — lower bounds for DTW: LB_Kim(FL) and LB_Keogh, both
-//!   early-abandoning, with per-position cumulative bounds.
+//! * [`envelope`] — Lemire streaming min/max envelopes in O(n), also
+//!   indexed by the positions of a candidate of another length.
+//! * [`lb`] — lower bounds for DTW at any length pair: LB_Kim(FL) and
+//!   LB_Keogh, both early-abandoning, with per-position cumulative bounds.
 //! * [`bounds`] — the ED↔DTW bridge (DESIGN.md §2.2): `DTW ≤ ED` for equal
 //!   lengths, and the group bound
 //!   `|DTW(q,s) − DTW(q,r)| ≤ √W · ED(r,s)` that licenses exploring group

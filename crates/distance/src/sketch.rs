@@ -20,14 +20,17 @@
 //!   query's first value against the candidate's first value, which lies
 //!   inside the dequantised `[first_lo, first_hi]` interval — so the
 //!   squared point-to-interval distance is unavoidable; likewise the
-//!   last values (distinct DP cells whenever both lengths are ≥ 2, which
-//!   ONEX's minimum subsequence length guarantees).
-//! * **Segment part** (LB_Keogh shape): under a band of radius `r`, a
-//!   candidate position in segment `i` can only be matched against query
-//!   positions whose envelope (built at radius `r`) covers it; if the
-//!   candidate's whole segment sits above the segment-wide envelope max
-//!   `H_i` (or below the min `L_i`), every one of its `w_i` positions
-//!   pays at least the squared gap.
+//!   last values (a distinct DP cell whenever the candidate has ≥ 2
+//!   points, which ONEX's minimum subsequence length guarantees).
+//! * **Segment part** (LB_Keogh shape): the query's envelope is indexed
+//!   by the candidate's positions ([`Envelope::build_across`], so the
+//!   candidate may be longer or shorter than the query). Every candidate
+//!   position `j` is paired with at least one query row inside its band
+//!   window and distinct `j` are distinct DP cells, so
+//!   `Σ_j dist(c_j, [L_j, U_j])² ≤ DTW²`; if the candidate's whole
+//!   segment `i` sits above the segment-wide envelope max `H_i` (or below
+//!   the min `L_i`), every one of its `w_i` positions pays at least the
+//!   squared gap.
 //!
 //! The two parts may double-count the corner cells, so they are combined
 //! with `max`, not `+`. Appended values that fall outside the length
@@ -214,17 +217,22 @@ pub struct QuerySketch {
 impl QuerySketch {
     /// Build from the query and the envelope the LB_Keogh tier already
     /// built (same band radius — that is what makes the segment part
-    /// sound). Candidates must have the same length as the query.
+    /// sound). The envelope has one entry per *candidate* position
+    /// ([`Envelope::build_across`]; [`Envelope::build`] when candidates
+    /// are as long as the query): segments partition `env.len()` exactly
+    /// as [`encode_into`] partitions a candidate of that length, while
+    /// the corners stay the query's own first and last values.
     ///
     /// # Panics
-    /// Panics when the query is empty or the envelope length differs.
+    /// Panics when the query or the envelope is empty.
     pub fn new(query: &[f64], env: &Envelope, params: SketchParams) -> QuerySketch {
         let n = query.len();
+        let m = env.len();
         assert!(n > 0, "L0 sketch of an empty query");
-        assert_eq!(env.len(), n, "envelope must cover the query");
+        assert!(m > 0, "L0 sketch against an empty envelope");
         let mut segments = [(f64::NEG_INFINITY, f64::INFINITY, 0.0); SKETCH_SEGMENTS];
         for (s, slot) in segments.iter_mut().enumerate() {
-            let (a, b) = segment_range(s, n);
+            let (a, b) = segment_range(s, m);
             if a >= b {
                 continue;
             }
@@ -243,16 +251,16 @@ impl QuerySketch {
             segments,
             q_first: query[0],
             q_last: query[n - 1],
-            len: n,
+            len: m,
         }
     }
 
-    /// Length of the query (and of every candidate this sketch bounds).
+    /// Length of every candidate this sketch bounds (the envelope's).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True for a zero-length query (never constructed; see `new`).
+    /// True for zero-length candidates (never constructed; see `new`).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

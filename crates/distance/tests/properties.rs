@@ -17,6 +17,28 @@ fn series(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, 1..=max_len)
 }
 
+/// Every band shape the cascade runs under: unconstrained, Sakoe–Chiba
+/// radii 0..=4 (widened to `|n − m|` across lengths), and Itakura.
+fn bands() -> impl Iterator<Item = Band> {
+    [Band::Full, Band::Itakura]
+        .into_iter()
+        .chain((0..=4).map(Band::SakoeChiba))
+}
+
+/// O(m·r) reference for [`Envelope::build_across`]: the extrema of
+/// `query[j−r ..= j+r]`, clamped to the query, for each `j < m`.
+fn envelope_across_naive(query: &[f64], m: usize, radius: usize) -> (Vec<f64>, Vec<f64>) {
+    (0..m)
+        .map(|j| {
+            let window = &query[j.saturating_sub(radius)..(j + radius + 1).min(query.len())];
+            (
+                window.iter().cloned().fold(f64::INFINITY, f64::min),
+                window.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            )
+        })
+        .unzip()
+}
+
 fn equal_pair(max_len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     (1..=max_len).prop_flat_map(|n| {
         (
@@ -114,6 +136,33 @@ proptest! {
         let lb = lb_keogh_sq(&x, &env, f64::INFINITY);
         let d = dtw_sq(&x, &y, Band::SakoeChiba(r));
         prop_assert!(lb <= d + EPS, "r={r}: {lb} > {d}");
+    }
+
+    /// The cascade's LB_Keogh at any length pair: the candidate `y`
+    /// against the query's envelope indexed by `y`'s positions never
+    /// exceeds DTW, under every band (an infeasible Itakura pair has
+    /// DTW = ∞, which bounds anything).
+    #[test]
+    fn lb_keogh_across_lengths_bounds_dtw((x, y) in (series(20), series(20))) {
+        let (n, m) = (x.len(), y.len());
+        for band in bands() {
+            let env = Envelope::build_across(&x, m, band.radius(n, m));
+            let lb = lb_keogh_sq(&y, &env, f64::INFINITY);
+            let d = dtw_sq(&x, &y, band);
+            prop_assert!(lb <= d + EPS, "{band:?} n={n} m={m}: {lb} > {d}");
+        }
+    }
+
+    #[test]
+    fn envelope_across_matches_naive(x in series(24), m in 1usize..=24, slack in 0usize..6) {
+        let n = x.len();
+        // From the tightest radius a band can have at this length pair up.
+        let r = n.abs_diff(m) + slack;
+        let env = Envelope::build_across(&x, m, r);
+        let (lower, upper) = envelope_across_naive(&x, m, r);
+        prop_assert_eq!(&env.lower, &lower, "lower n={} m={} r={}", n, m, r);
+        prop_assert_eq!(&env.upper, &upper, "upper n={} m={} r={}", n, m, r);
+        prop_assert_eq!(Envelope::build_across(&x, n, slack), Envelope::build(&x, slack));
     }
 
     #[test]
@@ -254,21 +303,22 @@ proptest! {
     /// soundness contract) on arbitrary equal-length pairs.
     #[test]
     fn l0_sketch_bound_is_sound((x, y) in equal_pair(64), r in 0usize..12) {
-        use onex_distance::{sketch, QuerySketch, SketchParams, SKETCH_STRIDE};
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for v in x.iter().chain(&y) {
-            min = min.min(*v);
-            max = max.max(*v);
-        }
-        let params = SketchParams::fit(min, max);
-        let env = Envelope::build(&x, r);
-        let qs = QuerySketch::new(&x, &env, params);
-        let mut sk = [0u8; SKETCH_STRIDE];
-        sketch::encode_into(&params, &y, &mut sk);
-        let lb = qs.bound_sq(&sk);
+        let lb = l0_bound_sq(&x, &y, &Envelope::build(&x, r));
         let d = dtw_sq(&x, &y, Band::SakoeChiba(r));
         prop_assert!(lb <= d + 1e-9 * d.max(1.0), "L0 {lb} > dtw {d} (r={r})");
+    }
+
+    /// The same contract at any length pair and under every band, the
+    /// query sketch built over the cross-length envelope.
+    #[test]
+    fn l0_sketch_bound_is_sound_across_lengths((x, y) in (series(40), series(40))) {
+        let (n, m) = (x.len(), y.len());
+        for band in bands() {
+            let env = Envelope::build_across(&x, m, band.radius(n, m));
+            let lb = l0_bound_sq(&x, &y, &env);
+            let d = dtw_sq(&x, &y, band);
+            prop_assert!(lb <= d + 1e-9 * d.max(1.0), "{band:?} n={n} m={m}: L0 {lb} > dtw {d}");
+        }
     }
 
     /// Satellite guard for the SIMD row rewrite: early-abandoning DTW
@@ -300,6 +350,62 @@ proptest! {
             }
         }
     }
+}
+
+/// The L0 bound of candidate `y` for query `x`, through a quantiser
+/// fitted to both (so neither side's sketch is the invalid placeholder).
+fn l0_bound_sq(x: &[f64], y: &[f64], env: &Envelope) -> f64 {
+    use onex_distance::{sketch, QuerySketch, SketchParams, SKETCH_STRIDE};
+    let (min, max) = x
+        .iter()
+        .chain(y)
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+    let params = SketchParams::fit(min, max);
+    let mut sk = [0u8; SKETCH_STRIDE];
+    sketch::encode_into(&params, y, &mut sk);
+    QuerySketch::new(x, env, params).bound_sq(&sk)
+}
+
+/// The corners of the cross-length envelope: a one-point query, a
+/// one-point candidate, and the tightest radius a band can have
+/// (`|n − m|`, where the first and last windows hold a single value).
+#[test]
+fn envelope_across_edge_cases() {
+    let q = [4.0, -1.0, 3.0, 0.5, 2.0];
+    // n = 1: every candidate position sees the only query value.
+    let one = Envelope::build_across(&q[..1], 4, 3);
+    assert_eq!(one.lower, vec![4.0; 4]);
+    assert_eq!(one.upper, vec![4.0; 4]);
+    // m = 1: the lone candidate position sees the whole band window.
+    let single = Envelope::build_across(&q, 1, 4);
+    assert_eq!((single.lower, single.upper), (vec![-1.0], vec![4.0]));
+    // radius == |n − m|, longer candidate: the last position sees only
+    // the query's last value; shorter candidate: plain truncation.
+    let long = Envelope::build_across(&q, 8, 3);
+    assert_eq!(long.len(), 8);
+    assert_eq!((long.lower[7], long.upper[7]), (2.0, 2.0));
+    assert_eq!((long.lower[0], long.upper[0]), (-1.0, 4.0));
+    let short = Envelope::build_across(&q, 3, 2);
+    let full = Envelope::build(&q, 2);
+    assert_eq!(short.lower, full.lower[..3]);
+    assert_eq!(short.upper, full.upper[..3]);
+    // The bounds hold there too.
+    for (x, y) in [(&q[..1], &q[..]), (&q[..], &q[..1]), (&q[..], &q[1..3])] {
+        for band in bands() {
+            let env = Envelope::build_across(x, y.len(), band.radius(x.len(), y.len()));
+            let d = dtw_sq(x, y, band);
+            assert!(lb_keogh_sq(y, &env, f64::INFINITY) <= d + EPS, "{band:?}");
+            assert!(l0_bound_sq(x, y, &env) <= d + EPS, "{band:?}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "empty windows")]
+fn envelope_across_rejects_a_radius_below_the_length_gap() {
+    Envelope::build_across(&[1.0, 2.0], 5, 2);
 }
 
 // ---------------------------------------------------------------------

@@ -19,7 +19,10 @@
 //! and the cross-process [`ClusterEngine`] fanning out over loopback
 //! shard servers — run through the identical contract, plus a
 //! cross-backend agreement check: the sharded and cluster top-k must
-//! equal the single-engine top-k on the same dataset.
+//! equal the single-engine top-k on the same dataset, and — for a query
+//! longer than every indexed length, so the whole cascade runs across
+//! lengths — every ONEX-backed engine's top-k must equal the exhaustive
+//! scan's.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -28,9 +31,9 @@ use onex::engine::backends::{
     CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
     UcrSuiteBackend,
 };
-use onex::engine::Onex;
+use onex::engine::{exhaustive, LengthSelection, Onex, QueryOptions};
 use onex::grouping::BaseConfig;
-use onex::net::{AcceptOptions, ClusterEngine, RemoteConfig, ShardServer};
+use onex::net::{AcceptOptions, ClusterEngine, RemoteBackend, RemoteConfig, ShardServer};
 use onex::tseries::{Dataset, TimeSeries};
 use onex::{OnexError, SimilaritySearch};
 
@@ -313,6 +316,76 @@ fn sharded_top_k_equals_single_engine_top_k() {
                     y.distance
                 );
             }
+        }
+    }
+}
+
+/// The cross-length case every ONEX-backed engine inherits: the base
+/// indexes lengths `QLEN−2 ..= QLEN+2`, the query is `QLEN+5` points long,
+/// so under `Nearest(3)` all three searched lengths differ from the
+/// query's and L0, LB_Kim, LB_Keogh and the phase-1 ranking all run on the
+/// cross-length envelope — locally, per shard, behind the cache, and
+/// behind the wire. Seed policy: the answer must be the exhaustive scan's.
+#[test]
+fn cross_length_top_k_equals_the_exhaustive_scan() {
+    let ds = collection();
+    let config = BaseConfig {
+        policy: onex::grouping::RepresentativePolicy::Seed,
+        ..BaseConfig::new(0.8, QLEN - 2, QLEN + 2)
+    };
+    let opts = QueryOptions::default().lengths(LengthSelection::Nearest(3));
+    let mut query = ds
+        .series(3)
+        .unwrap()
+        .subsequence(31, QLEN + 5)
+        .unwrap()
+        .to_vec();
+    for (i, v) in query.iter_mut().enumerate() {
+        *v += 0.003 * ((i as f64) * 2.1).sin();
+    }
+    let k = 5;
+    let lengths = [QLEN + 2, QLEN + 1, QLEN];
+    let truth = exhaustive::scan_k(&ds, &query, &lengths, 1, &opts, k, true).unwrap();
+    assert_eq!(truth.len(), k);
+
+    let engine = |ds: &Dataset| Arc::new(Onex::build(ds.clone(), config.clone()).unwrap().0);
+    let (sharded, _) = ShardedEngine::build(&ds, config.clone(), 3).unwrap();
+    let engines: Vec<Box<dyn SimilaritySearch>> = vec![
+        Box::new(OnexBackend::new(engine(&ds)).with_options(opts.clone())),
+        Box::new(sharded.with_options(opts.clone())),
+        Box::new(
+            CachedSearch::new(OnexBackend::new(engine(&ds)).with_options(opts.clone()), 8).unwrap(),
+        ),
+        Box::new(
+            RemoteBackend::new(
+                spawn_shard(ds.clone(), config.clone()),
+                RemoteConfig::default(),
+            )
+            .with_options(opts.clone()),
+        ),
+        Box::new(spawn_cluster(&ds, &config, 2).with_options(opts.clone())),
+    ];
+    for b in engines {
+        let out = b.k_best(&query, k).unwrap();
+        assert_eq!(out.matches.len(), k, "{}", b.name());
+        for (m, t) in out.matches.iter().zip(&truth) {
+            assert_eq!(
+                (m.series, m.start, m.len),
+                (
+                    t.subseq.series,
+                    t.subseq.start as usize,
+                    t.subseq.len as usize
+                ),
+                "{}",
+                b.name()
+            );
+            assert!(
+                (m.distance - t.distance).abs() < 1e-9,
+                "{}: {} vs {}",
+                b.name(),
+                m.distance,
+                t.distance
+            );
         }
     }
 }
