@@ -39,7 +39,7 @@ mod search;
 mod topk;
 mod tx;
 
-pub use bound::SharedBound;
+pub use bound::{BoundListener, SharedBound, Subscription};
 pub use error::{NetworkError, NetworkErrorKind, OnexError, StorageError, StorageErrorKind};
 pub use search::{
     validate_query, BackendMatch, BackendStats, Capabilities, Coverage, DegradePolicy, Metric,

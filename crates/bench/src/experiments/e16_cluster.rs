@@ -15,11 +15,11 @@
 //!    on and gossip off — and compares total remote DTW computations.
 //!    Gossip can only tighten (the bound is monotone), so per-round
 //!    `gossip ≤ no-gossip` holds up to scheduling noise; the measured
-//!    win depends on how many pump ticks a query spans, so rows
-//!    accumulate rounds until the strict aggregate win shows (bounded —
-//!    see `MAX_ROUNDS`). Queries are length-64 so individual DTWs are
-//!    expensive enough to outlast the 200 µs gossip pump tick even in
-//!    release builds.
+//!    win depends on how much of a shard's search is still ahead of it
+//!    when a peer's discovery lands (two loopback hops after it is made),
+//!    so rows accumulate rounds until the strict aggregate win shows
+//!    (bounded — see `MAX_ROUNDS`). Queries are length-64 so a shard has
+//!    DTWs left to save by then even in release builds.
 //! 2. **Agreement** — the cluster's merged top-k (gossip on and off)
 //!    must equal the single engine's, windows and distances: gossiped
 //!    bounds must never prune a true answer.
@@ -28,8 +28,9 @@
 //!    `dead_peer_typed`, `dead_peer_ms`).
 //!
 //! Wall-clock for the single engine, in-process shards, and both cluster
-//! modes is reported for context but not asserted — loopback framing and
-//! pump latency dominate on these sizes.
+//! modes is reported for context but not asserted — it depends on how
+//! many cores the four shard searches of a query get
+//! (`available_parallelism` in the record's header).
 //!
 //! [`ClusterEngine`]: onex_net::ClusterEngine
 
@@ -48,8 +49,9 @@ use onex_tseries::{Dataset, TimeSeries};
 use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
-/// Query/subsequence length — long enough that each DTW outlasts gossip
-/// pump ticks in release builds (the whole point of the ablation).
+/// Query/subsequence length — long enough that a shard still has DTWs
+/// ahead of it when gossip arrives, in release builds too (the whole
+/// point of the ablation).
 const SUBSEQ_LEN: usize = 64;
 /// Matches requested per query.
 const K: usize = 5;
@@ -58,9 +60,9 @@ const QUERIES: usize = 3;
 /// Shard servers per cluster row.
 const SHARDS: usize = 4;
 /// Upper bound on work-accumulation rounds per row: gossip's DTW saving
-/// is timing-dependent (a round where every shard finishes inside one
-/// pump tick saves nothing), so rows accumulate batches until the strict
-/// aggregate win shows, up to this many.
+/// is timing-dependent (a round where every shard finishes before its
+/// peers' first discovery arrives saves nothing), so rows accumulate
+/// batches until the strict aggregate win shows, up to this many.
 const MAX_ROUNDS: usize = 5;
 
 /// Exact configuration (Seed policy): answers are provably the best
@@ -232,7 +234,7 @@ pub fn measure(quick: bool) -> Vec<ClusterRow> {
 
         // Accumulate whole batches through both clusters until gossip's
         // strict DTW win shows (or MAX_ROUNDS) — a single round where
-        // every shard finishes within one pump tick is a legitimate tie.
+        // every shard finishes before any gossip lands is a legitimate tie.
         let mut agreement = true;
         let mut single_dtw = 0usize;
         let mut gossip_dtw = 0usize;
@@ -353,10 +355,15 @@ pub fn table(rows: &[ClusterRow], probe: &DeadPeerProbe) -> Table {
 /// The machine-readable perf record `repro --format json` writes to
 /// `BENCH_cluster.json`. CI's guard reads the `summary` object: gossip
 /// must strictly cut total remote DTW, every row must agree with the
-/// single engine, and the dead-peer probe must have failed typed.
+/// single engine, and the dead-peer probe must have failed typed. The
+/// header records `available_parallelism`: the batch wall-clocks depend
+/// on how many of a query's four shard searches run at once.
 pub fn json_report(rows: &[ClusterRow], probe: &DeadPeerProbe) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"e16_cluster\",\"rows\":[");
+    let mut out = format!(
+        "{{\"experiment\":\"e16_cluster\",\"available_parallelism\":{},\"rows\":[",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -444,7 +451,7 @@ mod tests {
                 row.nogossip_dtw
             );
             // Gossip frames actually crossed the wire: queries are sized
-            // to outlast pump ticks even in release builds.
+            // to outlast a loopback hop even in release builds.
             assert!(
                 row.gossip_sent + row.gossip_received > 0,
                 "{}x{}: no tighten frame ever crossed the wire",
@@ -499,7 +506,7 @@ mod tests {
             elapsed: Duration::from_millis(12),
         };
         let json = json_report(&rows, &probe);
-        assert!(json.starts_with("{\"experiment\":\"e16_cluster\""));
+        assert!(json.starts_with("{\"experiment\":\"e16_cluster\",\"available_parallelism\":"));
         assert!(json.contains("\"gossip_dtw_ratio\":0.5500"), "{json}");
         assert!(json.contains("\"gossip_sent\":9"), "{json}");
         assert!(

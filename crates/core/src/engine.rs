@@ -324,7 +324,7 @@ impl Onex {
     /// touch (no-op on warm engines and on already-resolved columns).
     /// [`Onex::k_best`]-family entry points call this automatically;
     /// callers that query through a pinned [`EngineSnapshot`] — the
-    /// shard server's gossip pump — invoke it before taking the
+    /// shard server's query path — invoke it before taking the
     /// snapshot, since a snapshot can only see columns resolved before
     /// it was pinned.
     ///

@@ -6,14 +6,20 @@
 //! transport or decode failure drops the connection (the next request
 //! reconnects from scratch) and surfaces as [`OnexError::Network`].
 //!
-//! During a query the client is the other half of the gossip pump: it
-//! seeds the request with its current bound, forwards tightenings that
-//! arrive from the server into the query's [`SharedBound`] (where the
-//! cluster's other shards observe them), and pushes tightenings the
-//! other shards produced back to this server mid-flight.
+//! The connection is a [`Duplex`](crate::wire): a request sleeps on the
+//! reader thread's channel until the reply arrives or the request
+//! deadline passes — no socket read timeout, so neither is noticed a
+//! timer tick late. During a query the client seeds the request with its
+//! current bound and attaches the query's [`SharedBound`] to the
+//! connection: a tightening the shard sends lands in the bound the moment
+//! the reader decodes it (where the cluster's other connections, subscribed
+//! to the same bound, pass it on), and a tightening any other shard
+//! produced is written to this one by the thread that applied it. Each
+//! live connection costs one parked reader thread.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::{
@@ -23,12 +29,9 @@ use onex_api::{
 use onex_core::QueryOptions;
 use parking_lot::Mutex;
 
-use crate::frame::{io_err, read_hello, write_frame, write_hello, FrameReader, Poll};
+use crate::frame::{io_err, read_hello, write_hello};
 use crate::proto::{error_from, Message};
-
-/// Pump granularity while waiting on a reply: the socket read timeout
-/// during a query, i.e. how stale outbound gossip can get.
-const PUMP_TICK: Duration = Duration::from_micros(200);
+use crate::wire::{Duplex, Event};
 
 /// Client-side knobs. The defaults suit a LAN: fail fast on connect,
 /// allow long queries.
@@ -70,18 +73,13 @@ pub struct RemoteInfo {
     pub epoch: Epoch,
 }
 
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
 /// A [`SimilaritySearch`] backend living in another process, reached
 /// over the checksummed binary protocol.
 pub struct RemoteBackend {
     addr: String,
     config: RemoteConfig,
     opts: QueryOptions,
-    conn: Mutex<Option<Conn>>,
+    conn: Mutex<Option<Duplex>>,
     info: Mutex<Option<RemoteInfo>>,
     last_epoch: AtomicU64,
     tightenings_sent: AtomicUsize,
@@ -127,7 +125,7 @@ impl RemoteBackend {
     /// Dial with per-attempt timeout and bounded, backed-off retries.
     /// A protocol version mismatch aborts immediately — retrying cannot
     /// change what the peer speaks.
-    fn dial(&self) -> Result<Conn, OnexError> {
+    fn dial(&self) -> Result<Duplex, OnexError> {
         let addrs: Vec<_> = self
             .addr
             .to_socket_addrs()
@@ -159,10 +157,7 @@ impl RemoteBackend {
                     write_hello(&mut stream)?;
                     // VersionMismatch propagates without another attempt.
                     read_hello(&mut stream)?;
-                    return Ok(Conn {
-                        stream,
-                        reader: FrameReader::new(),
-                    });
+                    return Duplex::spawn(stream, false);
                 }
                 Err(e) => last = Some(e),
             }
@@ -179,13 +174,13 @@ impl RemoteBackend {
     /// a failure mid-exchange the stream position is untrustworthy.
     fn with_conn<T>(
         &self,
-        f: impl FnOnce(&mut Conn) -> Result<T, OnexError>,
+        f: impl FnOnce(&Duplex) -> Result<T, OnexError>,
     ) -> Result<T, OnexError> {
         let mut guard = self.conn.lock();
         if guard.is_none() {
             *guard = Some(self.dial()?);
         }
-        let conn = guard.as_mut().expect("connection just established");
+        let conn = guard.as_ref().expect("connection just established");
         let result = f(conn);
         if result.is_err() {
             *guard = None;
@@ -193,74 +188,52 @@ impl RemoteBackend {
         result
     }
 
-    fn send(conn: &mut Conn, msg: &Message) -> Result<(), OnexError> {
-        let (kind, payload) = msg.encode();
-        write_frame(&mut conn.stream, kind, &payload)
+    /// When a request sent now must have been answered.
+    fn deadline(&self) -> Instant {
+        Instant::now() + self.config.read_timeout
     }
 
-    /// Await a reply while gossiping. `bound` is both directions of the
-    /// pump: server tightens flow into it, tightenings observed on it
-    /// (from sibling shards) flow out. Pass a fresh bound for
-    /// request/reply exchanges with no gossip.
-    fn pump_until_reply(
-        &self,
-        conn: &mut Conn,
-        bound: &SharedBound,
-        mut last_pushed: f64,
-    ) -> Result<Message, OnexError> {
-        let deadline = Instant::now() + self.config.read_timeout;
-        conn.stream
-            .set_read_timeout(Some(PUMP_TICK))
-            .map_err(|e| io_err("configuring socket", &e))?;
-        loop {
-            let current = bound.get();
-            if current < last_pushed {
-                Self::send(conn, &Message::Tighten { bound: current })?;
-                self.tightenings_sent.fetch_add(1, Ordering::Relaxed);
-                last_pushed = current;
+    /// Sleep until the reply to the request in flight arrives, the peer
+    /// goes away, or `deadline` passes.
+    fn reply(&self, conn: &Duplex, deadline: Instant) -> Result<Message, OnexError> {
+        match conn.recv_until(deadline) {
+            Some(Event::Message(Message::ErrorReply { code, detail })) => {
+                Err(error_from(code, detail))
             }
-            match conn.reader.poll_frame(&mut conn.stream)? {
-                Poll::TimedOut => {
-                    if Instant::now() >= deadline {
-                        return Err(OnexError::network(
-                            NetworkErrorKind::Timeout,
-                            format!(
-                                "no reply from {} within {:?}",
-                                self.addr, self.config.read_timeout
-                            ),
-                        ));
-                    }
-                }
-                Poll::Closed => {
-                    return Err(OnexError::network(
-                        NetworkErrorKind::Closed,
-                        format!("{} closed the connection before replying", self.addr),
-                    ))
-                }
-                Poll::Frame(kind, payload) => match Message::decode(kind, &payload)? {
-                    Message::Tighten { bound: b } => {
-                        bound.tighten(b);
-                        self.tightenings_received.fetch_add(1, Ordering::Relaxed);
-                        // The server already knows this value — never
-                        // echo its own discovery back at it.
-                        last_pushed = last_pushed.min(b);
-                    }
-                    Message::ErrorReply { code, detail } => return Err(error_from(code, detail)),
-                    reply => return Ok(reply),
-                },
-            }
+            Some(Event::Message(reply)) => Ok(reply),
+            Some(Event::Malformed(e) | Event::Closed(Some(e))) => Err(e),
+            Some(Event::Closed(None)) => Err(OnexError::network(
+                NetworkErrorKind::Closed,
+                format!("{} closed the connection before replying", self.addr),
+            )),
+            None => Err(OnexError::network(
+                NetworkErrorKind::Timeout,
+                format!(
+                    "no reply from {} within {:?}",
+                    self.addr, self.config.read_timeout
+                ),
+            )),
         }
+    }
+
+    /// One request/reply exchange with no gossip.
+    fn exchange(&self, conn: &Duplex, request: &Message) -> Result<Message, OnexError> {
+        let deadline = self.deadline();
+        conn.send(request, Some(deadline))?;
+        self.reply(conn, deadline)
     }
 
     /// The bounded query — the cluster fan-out entry point. Seeds the
     /// request with `bound`'s current value, gossips both ways while the
     /// shard works, and returns the shard's answer plus the epoch it was
-    /// computed against.
+    /// computed against. The bound comes in an `Arc` because the
+    /// connection's reader thread tightens it for as long as the query
+    /// runs.
     pub fn k_best_bounded(
         &self,
         query: &[f64],
         k: usize,
-        bound: &SharedBound,
+        bound: &Arc<SharedBound>,
     ) -> Result<(SearchOutcome, Epoch), OnexError> {
         self.k_best_bounded_with(query, k, &self.opts.clone(), bound)
     }
@@ -273,21 +246,20 @@ impl RemoteBackend {
         query: &[f64],
         k: usize,
         opts: &QueryOptions,
-        bound: &SharedBound,
+        bound: &Arc<SharedBound>,
     ) -> Result<(SearchOutcome, Epoch), OnexError> {
         onex_api::validate_query(query, k)?;
         self.with_conn(|conn| {
+            let deadline = self.deadline();
             let seed = bound.get();
-            Self::send(
-                conn,
-                &Message::Query {
-                    k: k as u32,
-                    seed,
-                    opts: opts.clone(),
-                    query: query.to_vec(),
-                },
-            )?;
-            match self.pump_until_reply(conn, bound, seed)? {
+            conn.send_query(k as u32, seed, opts, query, deadline)?;
+            let gossip = conn.attach(bound, seed);
+            let reply = self.reply(conn, deadline);
+            let (sent, received) = gossip.finish();
+            self.tightenings_sent.fetch_add(sent, Ordering::Relaxed);
+            self.tightenings_received
+                .fetch_add(received, Ordering::Relaxed);
+            match reply? {
                 Message::Answer {
                     epoch,
                     matches,
@@ -315,25 +287,22 @@ impl RemoteBackend {
     /// Ask the shard to describe itself; caches the reply for
     /// [`SimilaritySearch::capabilities`].
     pub fn info(&self) -> Result<RemoteInfo, OnexError> {
-        let info = self.with_conn(|conn| {
-            Self::send(conn, &Message::InfoRequest)?;
-            match self.pump_until_reply(conn, &SharedBound::new(), f64::INFINITY)? {
-                Message::Info {
-                    name,
-                    caps,
-                    series,
-                    epoch,
-                } => Ok(RemoteInfo {
-                    name,
-                    caps,
-                    series,
-                    epoch,
-                }),
-                other => Err(OnexError::network(
-                    NetworkErrorKind::Decode,
-                    format!("expected Info, got {other:?}"),
-                )),
-            }
+        let info = self.with_conn(|conn| match self.exchange(conn, &Message::InfoRequest)? {
+            Message::Info {
+                name,
+                caps,
+                series,
+                epoch,
+            } => Ok(RemoteInfo {
+                name,
+                caps,
+                series,
+                epoch,
+            }),
+            other => Err(OnexError::network(
+                NetworkErrorKind::Decode,
+                format!("expected Info, got {other:?}"),
+            )),
         })?;
         self.last_epoch.store(info.epoch, Ordering::Relaxed);
         *self.info.lock() = Some(info.clone());
@@ -344,14 +313,11 @@ impl RemoteBackend {
     /// count)` after the append.
     pub fn append(&self, name: &str, values: Vec<f64>) -> Result<(Epoch, u64), OnexError> {
         self.with_conn(|conn| {
-            Self::send(
-                conn,
-                &Message::Append {
-                    name: name.to_string(),
-                    values,
-                },
-            )?;
-            match self.pump_until_reply(conn, &SharedBound::new(), f64::INFINITY)? {
+            let request = Message::Append {
+                name: name.to_string(),
+                values,
+            };
+            match self.exchange(conn, &request)? {
                 Message::Appended { epoch, series } => {
                     self.last_epoch.store(epoch, Ordering::Relaxed);
                     Ok((epoch, series))
@@ -371,9 +337,8 @@ impl RemoteBackend {
     /// one frame ([`crate::frame::MAX_FRAME`], 16 MiB): larger bases fail
     /// the send with a typed error — there is no chunking.
     pub fn ship_base(&self, bytes: Vec<u8>) -> Result<(Epoch, u64), OnexError> {
-        self.with_conn(|conn| {
-            Self::send(conn, &Message::ShipBase { bytes })?;
-            match self.pump_until_reply(conn, &SharedBound::new(), f64::INFINITY)? {
+        self.with_conn(
+            |conn| match self.exchange(conn, &Message::ShipBase { bytes })? {
                 Message::LoadBase { epoch, lengths } => {
                     self.last_epoch.store(epoch, Ordering::Relaxed);
                     Ok((epoch, lengths))
@@ -382,8 +347,8 @@ impl RemoteBackend {
                     NetworkErrorKind::Decode,
                     format!("expected LoadBase, got {other:?}"),
                 )),
-            }
-        })
+            },
+        )
     }
 }
 
@@ -413,7 +378,7 @@ impl SimilaritySearch for RemoteBackend {
     }
 
     fn k_best(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        let bound = SharedBound::new();
+        let bound = Arc::new(SharedBound::new());
         self.k_best_bounded(query, k, &bound).map(|(out, _)| out)
     }
 

@@ -9,10 +9,11 @@
 //! In-process, every shard prunes against the same atomic. Across
 //! processes the atomic cannot be shared, so each [`RemoteBackend`]
 //! *gossips*: tightenings a shard discovers stream back to this client,
-//! land in the query's shared bound, and the other shards' in-flight
-//! pumps push them onward. The bound stays monotone end to end, so gossip
-//! can only ever prune candidates that a tighter local bound would also
-//! have pruned — it never costs an answer.
+//! land in the query's shared bound, and the other shards' connections —
+//! subscribed to that bound for as long as the query runs — write them
+//! onward from the thread that applied them. The bound stays monotone end
+//! to end, so gossip can only ever prune candidates that a tighter local
+//! bound would also have pruned — it never costs an answer.
 //!
 //! ## Fault tolerance
 //!
@@ -422,7 +423,7 @@ fn is_network(e: &OnexError) -> bool {
 /// One attempt against one replica, with breaker bookkeeping. A panic
 /// inside the client is this attempt's typed failure: a raced attempt
 /// runs off the lane, and its peer must still get an answer to wait for.
-fn attempt(rep: &Replica, job: &Job, bound: &SharedBound) -> Result<SearchOutcome, OnexError> {
+fn attempt(rep: &Replica, job: &Job, bound: &Arc<SharedBound>) -> Result<SearchOutcome, OnexError> {
     let t0 = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         rep.remote

@@ -15,9 +15,9 @@
 //! misinterpreted frame.
 //!
 //! [`FrameReader`] is deliberately incremental: it buffers whatever bytes
-//! the socket yields and re-parses, so the gossip pumps can poll with
-//! millisecond read timeouts without ever corrupting frame boundaries —
-//! a timeout mid-frame just means "no full frame yet", not an error.
+//! the socket yields and re-parses, so short reads — and, for a caller
+//! that polls with a read timeout, a timeout mid-frame — never corrupt
+//! frame boundaries: "no full frame yet" is not an error.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -110,20 +110,40 @@ pub fn read_hello(r: &mut impl Read) -> Result<(), OnexError> {
     Ok(())
 }
 
-/// Serialise one frame (header, kind, payload, checksum) to `w`.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), OnexError> {
-    let len = payload.len() + 1;
+/// Append one frame to `buf`: `payload` writes the body in place and
+/// returns the kind, the length header and the checksum are filled in
+/// around it. This is how a connection frames into its scratch buffer
+/// without an intermediate payload `Vec`. On an over-long body `buf` is
+/// left as it was.
+pub(crate) fn append_frame(
+    buf: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>) -> u8,
+) -> Result<(), OnexError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 5]);
+    let kind = payload(buf);
+    let len = buf.len() - start - 4;
     if len > MAX_FRAME {
+        buf.truncate(start);
         return Err(OnexError::network(
             NetworkErrorKind::Decode,
             format!("refusing to send over-long frame ({len} > {MAX_FRAME} bytes)"),
         ));
     }
-    let mut buf = Vec::with_capacity(4 + len + 4);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(kind);
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(kind, payload).to_le_bytes());
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4] = kind;
+    let sum = checksum(kind, &buf[start + 5..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Serialise one frame (header, kind, payload, checksum) to `w`.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), OnexError> {
+    let mut buf = Vec::with_capacity(4 + 1 + payload.len() + 4);
+    append_frame(&mut buf, |buf| {
+        buf.extend_from_slice(payload);
+        kind
+    })?;
     w.write_all(&buf)
         .and_then(|_| w.flush())
         .map_err(|e| io_err("writing frame", &e))

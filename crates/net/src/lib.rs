@@ -13,15 +13,23 @@
 //! * **[`ShardServer`]**: hosts one `Onex` engine behind the protocol on
 //!   the shared worker-pool accept loop ([`serve_streams`] — the same
 //!   hardened loop the HTTP server uses; it moved here so both can).
-//! * **[`RemoteBackend`]**: a `SimilaritySearch` client with connect/read
-//!   timeouts, bounded reconnect-with-backoff, and typed errors — a dead
-//!   peer costs an error, never a hang.
+//! * **[`RemoteBackend`]**: a `SimilaritySearch` client with a connect
+//!   timeout, a request deadline, bounded reconnect-with-backoff, and
+//!   typed errors — a dead peer costs an error, never a hang.
 //! * **[`ClusterEngine`]**: N remotes composed through the identical
 //!   fan-out/`BestK`-merge/`SharedBound` machinery `ShardedEngine` uses
 //!   in-process, with the bound kept cluster-wide by **gossip**: the
 //!   client seeds each query with its current bound, shards stream
 //!   tighten notifications as their local search improves, and the
 //!   client pushes each shard's discoveries to the others mid-query.
+//!
+//! Both ends of a connection are the same event-driven type (the `wire`
+//! module): a blocking reader thread per connection applies inbound
+//! tightenings to the running query's bound and wakes the owner for
+//! everything else, and a connection subscribed to a bound writes each
+//! lowering out from the thread that made it. No socket read timeout
+//! sits on the query path, so the bound crosses processes in
+//! microseconds, at the cost of one parked thread per connection per end.
 //!
 //! The gossip is safe by monotonicity: a [`onex_api::SharedBound`] only
 //! ever tightens toward the true k-th-best distance, so a gossiped bound
@@ -53,6 +61,7 @@ mod frame;
 mod health;
 mod proto;
 mod server;
+mod wire;
 
 pub use accept::{serve_streams, transient_accept_error, AcceptOptions};
 pub use chaos::{ChaosProxy, Fault};

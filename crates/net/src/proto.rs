@@ -146,6 +146,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u32(out, vs.len() as u32);
+    out.reserve(vs.len() * 8);
     for &v in vs {
         put_f64(out, v);
     }
@@ -223,26 +224,44 @@ fn put_caps(out: &mut Vec<u8>, caps: &Capabilities) {
     put_bool(out, caps.cached);
 }
 
+/// Append a [`Message::Query`] payload built from borrows — the send
+/// path's way round cloning the options and the samples into a
+/// `Message` first. Returns the frame kind.
+pub(crate) fn put_query(
+    out: &mut Vec<u8>,
+    k: u32,
+    seed: f64,
+    opts: &QueryOptions,
+    query: &[f64],
+) -> u8 {
+    put_u32(out, k);
+    put_f64(out, seed);
+    put_options(out, opts);
+    put_f64s(out, query);
+    KIND_QUERY
+}
+
 impl Message {
     /// Serialise to `(frame kind, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut out = Vec::new();
+        let kind = self.encode_into(&mut out);
+        (kind, out)
+    }
+
+    /// Append the payload to `out` (a connection's scratch buffer) and
+    /// return the frame kind.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> u8 {
         match self {
             Message::Query {
                 k,
                 seed,
                 opts,
                 query,
-            } => {
-                put_u32(&mut out, *k);
-                put_f64(&mut out, *seed);
-                put_options(&mut out, opts);
-                put_f64s(&mut out, query);
-                (KIND_QUERY, out)
-            }
+            } => put_query(out, *k, *seed, opts, query),
             Message::Tighten { bound } => {
-                put_f64(&mut out, *bound);
-                (KIND_TIGHTEN, out)
+                put_f64(out, *bound);
+                KIND_TIGHTEN
             }
             Message::Answer {
                 epoch,
@@ -250,68 +269,68 @@ impl Message {
                 stats,
                 coverage,
             } => {
-                put_u64(&mut out, *epoch);
-                put_u32(&mut out, matches.len() as u32);
+                put_u64(out, *epoch);
+                put_u32(out, matches.len() as u32);
                 for m in matches {
-                    put_u32(&mut out, m.series);
-                    put_u64(&mut out, m.start as u64);
-                    put_u64(&mut out, m.len as u64);
-                    put_f64(&mut out, m.distance);
+                    put_u32(out, m.series);
+                    put_u64(out, m.start as u64);
+                    put_u64(out, m.len as u64);
+                    put_f64(out, m.distance);
                 }
-                put_u64(&mut out, stats.examined as u64);
-                put_u64(&mut out, stats.pruned as u64);
-                put_u64(&mut out, stats.distance_computations as u64);
-                put_u64(&mut out, stats.tiers.l0);
-                put_u64(&mut out, stats.tiers.kim);
-                put_u64(&mut out, stats.tiers.keogh);
-                put_u64(&mut out, stats.tiers.dtw_abandoned);
+                put_u64(out, stats.examined as u64);
+                put_u64(out, stats.pruned as u64);
+                put_u64(out, stats.distance_computations as u64);
+                put_u64(out, stats.tiers.l0);
+                put_u64(out, stats.tiers.kim);
+                put_u64(out, stats.tiers.keogh);
+                put_u64(out, stats.tiers.dtw_abandoned);
                 match coverage {
                     None => out.push(0),
                     Some(c) => {
                         out.push(1);
-                        put_u32(&mut out, c.shards_answered);
-                        put_u32(&mut out, c.shards_total);
+                        put_u32(out, c.shards_answered);
+                        put_u32(out, c.shards_total);
                     }
                 }
-                (KIND_ANSWER, out)
+                KIND_ANSWER
             }
             Message::ErrorReply { code, detail } => {
                 out.push(*code);
-                put_str(&mut out, detail);
-                (KIND_ERROR, out)
+                put_str(out, detail);
+                KIND_ERROR
             }
-            Message::InfoRequest => (KIND_INFO_REQUEST, out),
+            Message::InfoRequest => KIND_INFO_REQUEST,
             Message::Info {
                 name,
                 caps,
                 series,
                 epoch,
             } => {
-                put_str(&mut out, name);
-                put_caps(&mut out, caps);
-                put_u64(&mut out, *series);
-                put_u64(&mut out, *epoch);
-                (KIND_INFO, out)
+                put_str(out, name);
+                put_caps(out, caps);
+                put_u64(out, *series);
+                put_u64(out, *epoch);
+                KIND_INFO
             }
             Message::Append { name, values } => {
-                put_str(&mut out, name);
-                put_f64s(&mut out, values);
-                (KIND_APPEND, out)
+                put_str(out, name);
+                put_f64s(out, values);
+                KIND_APPEND
             }
             Message::Appended { epoch, series } => {
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *series);
-                (KIND_APPENDED, out)
+                put_u64(out, *epoch);
+                put_u64(out, *series);
+                KIND_APPENDED
             }
             Message::ShipBase { bytes } => {
-                put_u32(&mut out, bytes.len() as u32);
+                put_u32(out, bytes.len() as u32);
                 out.extend_from_slice(bytes);
-                (KIND_SHIP_BASE, out)
+                KIND_SHIP_BASE
             }
             Message::LoadBase { epoch, lengths } => {
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *lengths);
-                (KIND_LOAD_BASE, out)
+                put_u64(out, *epoch);
+                put_u64(out, *lengths);
+                KIND_LOAD_BASE
             }
         }
     }

@@ -303,8 +303,8 @@ fn garbage_on_the_shard_port_cannot_kill_the_server() {
 
 #[test]
 fn cluster_agrees_with_single_engine_and_gossips() {
-    // Large enough that per-shard queries outlast several pump ticks, so
-    // tighten frames actually get a chance to cross the wire.
+    // Large enough that each shard still has work left when its peers'
+    // first discoveries arrive, so tighten frames get a chance to matter.
     let ds = collection(9, 384);
     let (single, _) = Onex::build(ds.clone(), exact_config()).unwrap();
     let single = onex_core::backends::OnexBackend::new(Arc::new(single));
@@ -332,7 +332,7 @@ fn cluster_agrees_with_single_engine_and_gossips() {
         }
     }
 
-    // The pump actually carried tighten frames in at least one direction
+    // The connections actually carried tighten frames in at least one direction
     // across these multi-shard queries.
     let (sent, received) = cluster.gossip_counters();
     assert!(

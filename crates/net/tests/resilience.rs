@@ -486,3 +486,127 @@ fn connect_fails_typed_only_when_a_whole_slot_is_dead() {
     let err = ClusterEngine::connect_with(&["|"], test_cluster_config()).unwrap_err();
     assert!(matches!(err, OnexError::InvalidConfig(_)), "got {err:?}");
 }
+
+#[test]
+fn a_silent_peer_costs_a_timeout_at_the_deadline_not_a_tick_later() {
+    let read_timeout = Duration::from_millis(200);
+    let remote = onex_net::RemoteBackend::new(
+        spawn_stall_server(),
+        RemoteConfig {
+            read_timeout,
+            ..test_config()
+        },
+    );
+    // Connected and past the hello: the stall server answers this one.
+    remote.info().unwrap();
+
+    let t0 = Instant::now();
+    let err = remote.k_best(&[1.0; QLEN], 2).unwrap_err();
+    let wall = t0.elapsed();
+    assert!(
+        matches!(err, OnexError::Network(ref n) if n.kind == NetworkErrorKind::Timeout),
+        "{err:?}"
+    );
+    assert!(wall >= read_timeout, "gave up early, after {wall:?}");
+    assert!(
+        wall < read_timeout + Duration::from_millis(50),
+        "the deadline was noticed {:?} late",
+        wall - read_timeout
+    );
+}
+
+#[test]
+fn a_peer_closing_mid_frame_is_closed_not_a_decode_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        use std::io::Write;
+        let (mut stream, _) = listener.accept().unwrap();
+        onex_net::write_hello(&mut stream).unwrap();
+        onex_net::read_hello(&mut stream).unwrap();
+        // Take the request, start a reply, hang up inside it.
+        let _ = onex_net::FrameReader::new().poll_frame(&mut stream);
+        let mut frame = Vec::new();
+        let (kind, payload) = onex_net::Message::Appended {
+            epoch: 1,
+            series: 1,
+        }
+        .encode();
+        onex_net::write_frame(&mut frame, kind, &payload).unwrap();
+        stream.write_all(&frame[..frame.len() / 2]).unwrap();
+    });
+    let remote = onex_net::RemoteBackend::new(addr, test_config());
+    let t0 = Instant::now();
+    let err = remote.k_best(&[1.0; QLEN], 1).unwrap_err();
+    assert!(
+        matches!(err, OnexError::Network(ref n) if n.kind == NetworkErrorKind::Closed),
+        "{err:?}"
+    );
+    assert!(t0.elapsed() < Duration::from_secs(5));
+}
+
+#[test]
+fn a_client_vanishing_mid_query_frees_the_worker_before_the_search_would_end() {
+    // One worker, and a query that asks for more matches than there are
+    // candidates with every pruning tier off: no local k-th best ever
+    // forms, so each of the ~5 000 candidates costs a full 64x64 DTW
+    // unless the shared bound says otherwise.
+    const LEN: usize = 64;
+    const K: usize = 10_000;
+    let ds = collection(12, 480);
+    let config = BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(0.8, LEN, LEN)
+    };
+    let (engine, _) = Onex::build(ds.clone(), config).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = ShardServer::new(Arc::new(engine));
+    std::thread::spawn(move || {
+        let _ = server.serve_with(
+            listener,
+            &AcceptOptions {
+                workers: 1,
+                queue: 8,
+                ..AcceptOptions::default()
+            },
+        );
+    });
+    let patient = RemoteConfig {
+        // The second client queues behind the first for the one worker:
+        // its hello must outwait a search that is *not* abandoned.
+        connect_timeout: Duration::from_secs(60),
+        ..test_config()
+    };
+    let opts = onex_core::QueryOptions::default().without_pruning();
+    let query: Vec<f64> = ds.series(1).unwrap().values()[7..7 + LEN].to_vec();
+
+    let t0 = Instant::now();
+    onex_net::RemoteBackend::new(addr.clone(), patient.clone())
+        .with_options(opts.clone())
+        .k_best(&query, K)
+        .unwrap();
+    let full = t0.elapsed();
+
+    // The same query from a client that hangs up as soon as it is sent.
+    {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        onex_net::write_hello(&mut stream).unwrap();
+        onex_net::read_hello(&mut stream).unwrap();
+        let (kind, payload) = onex_net::Message::Query {
+            k: K as u32,
+            seed: f64::INFINITY,
+            opts,
+            query,
+        }
+        .encode();
+        onex_net::write_frame(&mut stream, kind, &payload).unwrap();
+    }
+    let t0 = Instant::now();
+    onex_net::RemoteBackend::new(addr, patient).info().unwrap();
+    let waited = t0.elapsed();
+    assert!(
+        waited < full / 4,
+        "the next connection waited {waited:?} for a worker; the abandoned search takes {full:?}"
+    );
+}
