@@ -13,12 +13,22 @@
 //!    the selected SIMD level does not lose to scalar, and that outputs
 //!    agree (bit-exact for the DTW row and envelope, ≤1e-9 relative for
 //!    the accumulating kernels, whose block-wise horizontal sums may
-//!    round differently).
+//!    round differently). The two lanes-are-candidates kernels of the
+//!    member scan — `l0_block` (the sketch block test over plane-major
+//!    sketches) and `dtw_lanes` (four early-abandoning DTWs to a vector)
+//!    — are measured against the per-record `bound_sq` loop and the
+//!    per-candidate scalar DP they replaced, and must agree with them
+//!    bit for bit.
 //! 2. **Cascade ablation** — the same query batch with the L0 tier on
-//!    and off. The bound trajectory is identical (anything L0 rejects
-//!    would have died later in the cascade), so the L0-on run must touch
-//!    no more candidates, spend strictly fewer f64 lower-bound
-//!    evaluations, and return the identical top-k.
+//!    and off. Anything L0 rejects would have died later in the cascade,
+//!    so the L0-on run must touch no more candidates, spend strictly
+//!    fewer f64 lower-bound evaluations, and return the identical top-k.
+//!    On the random-walk rows the time is completed 16-point DTWs and L0
+//!    on/off differ by less than the noise; the **clustered** row (the
+//!    `explore` shape of the end-to-end harness: a few huge groups, three
+//!    adjacent lengths around 31) is where the member cascade is the
+//!    query, and there CI guards that the tier *pays*: `batch_on_ms`
+//!    below `batch_off_ms`.
 //! 3. **Per-tier reject fractions** — where candidates die (L0 → LB_Kim
 //!    → LB_Keogh → abandoned DTW → completed DTW), the observable that
 //!    explains the cascade's shape.
@@ -42,15 +52,22 @@ use onex_core::backends::OnexBackend;
 use onex_core::exhaustive;
 use onex_core::scale::ShardedEngine;
 use onex_core::{LengthSelection, Onex, QueryOptions, QueryStats};
-use onex_distance::kernels::{self, EnvAffine, KernelLevel};
+use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
+use onex_distance::kernels::{self, EnvAffine, KernelLevel, DTW_LANES};
+use onex_distance::sketch::encode_into;
+use onex_distance::{Band, Envelope, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
-/// Query length for the cascade rows, and the middle of the indexed
-/// lengths.
+/// Query length for the random-walk cascade rows, and the middle of
+/// their indexed lengths.
 const SUBSEQ_LEN: usize = 16;
+/// The same for the clustered row: the `explore` workload's 30..=32.
+const CLUSTERED_LEN: usize = 31;
+/// Window length of the `l0_block` / `dtw_lanes` kernel rows.
+const LANE_LEN: usize = 32;
 /// Matches requested per query.
 const K: usize = 5;
 /// Queries per batch.
@@ -65,12 +82,45 @@ const SHARDS: usize = 4;
 /// nearly everything and the ablation would measure nothing.
 ///
 /// `lengths` (odd) adjacent lengths are indexed, centred on
-/// [`SUBSEQ_LEN`].
-fn config(lengths: usize) -> BaseConfig {
+/// [`Shape::query_len`]. The clustered row takes the harness's `explore`
+/// threshold instead: its groups are huge at any `ST`.
+fn config(shape: Shape, lengths: usize) -> BaseConfig {
     let half = lengths / 2;
+    let (st, mid) = match shape {
+        Shape::Walk => (2.0, SUBSEQ_LEN),
+        Shape::Clustered => (1.0, CLUSTERED_LEN),
+    };
     BaseConfig {
         policy: RepresentativePolicy::Seed,
-        ..BaseConfig::new(2.0, SUBSEQ_LEN - half, SUBSEQ_LEN + half)
+        ..BaseConfig::new(st, mid - half, mid + half)
+    }
+}
+
+/// What a cascade row's collection is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// Independent random walks: nothing compacts, groups ≈ subsequences,
+    /// and the group bound does most of the pruning.
+    Walk,
+    /// `clustered_dataset`, 8 archetypes, jitter 0.08: a few huge groups
+    /// the group bound cannot dismiss, so the member cascade is the query.
+    Clustered,
+}
+
+impl Shape {
+    /// Stable lowercase name for the table and the JSON record.
+    pub fn label(self) -> &'static str {
+        match self {
+            Shape::Walk => "walk",
+            Shape::Clustered => "clustered",
+        }
+    }
+
+    fn query_len(self) -> usize {
+        match self {
+            Shape::Walk => SUBSEQ_LEN,
+            Shape::Clustered => CLUSTERED_LEN,
+        }
     }
 }
 
@@ -78,16 +128,20 @@ fn config(lengths: usize) -> BaseConfig {
 
 /// One (kernel, level) throughput measurement against scalar.
 pub struct KernelRow {
-    /// Which loop: `"ed"`, `"lb_keogh"`, `"dtw_row"`, `"envelope"`.
+    /// Which loop: `"ed"`, `"lb_keogh"`, `"dtw_row"`, `"envelope"`,
+    /// `"l0_block"`, `"dtw_lanes"`.
     pub kernel: &'static str,
     /// The level this row ran at.
     pub level: KernelLevel,
     /// Median wall-clock for the iteration batch at this level.
     pub elapsed: Duration,
-    /// Median wall-clock of the scalar reference on the same buffers.
+    /// Median wall-clock of the reference on the same buffers: the scalar
+    /// level of the kernel itself, or — for `l0_block` and `dtw_lanes` —
+    /// the per-record `bound_sq` loop and the per-candidate scalar DP.
     pub scalar: Duration,
-    /// Output agreement with scalar (exact for `dtw_row`/`envelope`,
-    /// ≤ 1e-9 relative for the accumulating kernels).
+    /// Output agreement with the reference (exact for `dtw_row`,
+    /// `envelope`, `l0_block` and `dtw_lanes`; ≤ 1e-9 relative for the
+    /// accumulating kernels).
     pub agrees: bool,
 }
 
@@ -114,6 +168,154 @@ fn walk(seed: u64, n: usize) -> Vec<f64> {
 
 fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// The two lanes-are-candidates kernels at one level (scalar or AVX2),
+/// each against the reference it replaced in the member scan: one group
+/// of `n` overlapping [`LANE_LEN`]-point windows of a walk, queried with
+/// a window of another.
+fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) -> [KernelRow; 2] {
+    let query = &x[..LANE_LEN];
+    let windows: Vec<&[f64]> = y.windows(LANE_LEN).collect();
+
+    // l0_block: the group's sketches as 24-byte records (the reference
+    // form) and as planes; a bound most candidates fail, as in a scan.
+    let range = |v: &[f64]| {
+        v.iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            })
+    };
+    let ((x_lo, x_hi), (y_lo, y_hi)) = (range(x), range(y));
+    let params = SketchParams::fit(x_lo.min(y_lo), x_hi.max(y_hi));
+    let mut records = vec![0u8; windows.len() * SKETCH_STRIDE];
+    for (w, record) in windows.iter().zip(records.chunks_exact_mut(SKETCH_STRIDE)) {
+        encode_into(&params, w, record);
+    }
+    let planes = SketchPlanes::from_records(&records);
+    let qs = QuerySketch::new(query, &Envelope::build(query, LANE_LEN), params);
+    let bound_sq = {
+        let mut bounds: Vec<f64> = records
+            .chunks_exact(SKETCH_STRIDE)
+            .map(|r| qs.bound_sq(r))
+            .collect();
+        bounds.sort_by(f64::total_cmp);
+        bounds[bounds.len() / 10]
+    };
+    let per_record = |out: &mut Vec<usize>| {
+        out.clear();
+        for (slot, record) in records.chunks_exact(SKETCH_STRIDE).enumerate() {
+            let rejected = qs.bound_sq(record) > bound_sq;
+            if !rejected {
+                out.push(slot);
+            }
+        }
+    };
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    per_record(&mut want);
+    let l0_reference = median_time(
+        || {
+            for _ in 0..iters {
+                per_record(black_box(&mut got));
+            }
+        },
+        5,
+    );
+    let l0_block = median_time(
+        || {
+            for _ in 0..iters {
+                got.clear();
+                qs.survivors_at(
+                    level,
+                    black_box(&planes),
+                    0..windows.len(),
+                    bound_sq,
+                    black_box(&mut got),
+                );
+            }
+        },
+        5,
+    );
+    let l0_agrees = got == want;
+
+    // dtw_lanes: every window re-based to start where the query does (so
+    // the DPs run deep), in batches of four, against the median distance
+    // (so about half the lanes abandon on the way).
+    let rebased: Vec<Vec<f64>> = windows
+        .iter()
+        .take(windows.len().min(1024))
+        .map(|w| w.iter().map(|v| v - w[0] + query[0]).collect())
+        .collect();
+    let mut scratch = DtwScratch::default();
+    let per_candidate = |ub_sq: f64, scratch: &mut DtwScratch, out: &mut Vec<f64>| {
+        out.clear();
+        for c in &rebased {
+            out.push(dtw_early_abandon_sq_scratch(
+                query,
+                c,
+                Band::Full,
+                ub_sq,
+                None,
+                None,
+                scratch,
+            ));
+        }
+    };
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    per_candidate(f64::INFINITY, &mut scratch, &mut want);
+    let ub_sq = {
+        let mut sorted = want.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted[sorted.len() / 2]
+    };
+    per_candidate(ub_sq, &mut scratch, &mut want);
+    let dtw_reference = median_time(
+        || per_candidate(ub_sq, &mut scratch, black_box(&mut got)),
+        5,
+    );
+    let candidates: Vec<&[f64]> = rebased.iter().map(Vec::as_slice).collect();
+    let dtw_lanes = median_time(
+        || {
+            got.clear();
+            for ys in candidates.chunks(DTW_LANES) {
+                let mut out = [0.0; DTW_LANES];
+                kernels::dtw_lanes_at(
+                    level,
+                    query,
+                    ys,
+                    Band::Full,
+                    &[ub_sq; DTW_LANES][..ys.len()],
+                    None,
+                    &mut scratch,
+                    &mut out[..ys.len()],
+                );
+                got.extend_from_slice(&out[..ys.len()]);
+            }
+        },
+        5,
+    );
+    let dtw_agrees = got.len() == want.len()
+        && got
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+
+    [
+        KernelRow {
+            kernel: "l0_block",
+            level,
+            elapsed: l0_block,
+            scalar: l0_reference,
+            agrees: l0_agrees,
+        },
+        KernelRow {
+            kernel: "dtw_lanes",
+            level,
+            elapsed: dtw_lanes,
+            scalar: dtw_reference,
+            agrees: dtw_agrees,
+        },
+    ]
 }
 
 /// Measure every kernel at every level the CPU offers (scalar included).
@@ -260,6 +462,11 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
             scalar: scalar_of(&rows, "envelope").unwrap_or(env_t),
             agrees: env_out == env_ref,
         });
+
+        // SSE2 runs the scalar form of the two lane kernels.
+        if level != KernelLevel::Sse2 {
+            rows.extend(measure_lane_kernels(level, &x, &y, iters / 16));
+        }
     }
     rows
 }
@@ -305,6 +512,8 @@ fn leg_from(stats: &QueryStats) -> CascadeLeg {
 
 /// One collection size: the L0-on/off ablation plus the agreement legs.
 pub struct CascadeRow {
+    /// What the collection is made of.
+    pub shape: Shape,
     /// Series count of the workload.
     pub series: usize,
     /// Samples per series.
@@ -340,27 +549,45 @@ impl CascadeRow {
     }
 }
 
-/// Run the cascade ablation sweep over random-walk collections.
+/// Run the cascade ablation sweep: random-walk collections, then the
+/// clustered one.
 pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
-    // (series, samples, adjacent lengths): the last row of either sweep
-    // is the cross-length one.
-    let sizes: &[(usize, usize, usize)] = if quick {
-        &[(12, 96, 1), (24, 160, 1), (24, 160, 3)]
+    use Shape::{Clustered, Walk};
+    // (shape, series, samples, adjacent lengths): the last random-walk
+    // row of either sweep is the cross-length one, and the clustered row
+    // closes it.
+    let sizes: &[(Shape, usize, usize, usize)] = if quick {
+        &[
+            (Walk, 12, 96, 1),
+            (Walk, 24, 160, 1),
+            (Walk, 24, 160, 3),
+            (Clustered, 32, 256, 3),
+        ]
     } else {
-        &[(12, 96, 1), (24, 160, 1), (48, 256, 1), (48, 256, 3)]
+        &[
+            (Walk, 12, 96, 1),
+            (Walk, 24, 160, 1),
+            (Walk, 48, 256, 1),
+            (Walk, 48, 256, 3),
+            (Clustered, 128, 512, 3),
+        ]
     };
     let mut rows = Vec::new();
-    for &(series, len, lengths) in sizes {
-        let config = config(lengths);
+    for &(shape, series, len, lengths) in sizes {
+        let config = config(shape, lengths);
         let searched: Vec<usize> = (config.min_len..=config.max_len).collect();
         let nearest = QueryOptions::default().lengths(LengthSelection::Nearest(lengths));
-        let ds = workloads::walk_collection(series, len);
+        let ds = match shape {
+            Walk => workloads::walk_collection(series, len),
+            Clustered => workloads::sine_collection(series, len),
+        };
+        let query_len = shape.query_len();
         let queries: Vec<Vec<f64>> = (0..QUERIES)
             .map(|i| {
                 let sid = (i * 3 % series) as u32;
                 let name = ds.series(sid).unwrap().name().to_owned();
-                let start = (i * 17) % (len - SUBSEQ_LEN);
-                workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
+                let start = (i * 17) % (len - query_len);
+                workloads::perturbed_query(&ds, &name, start, query_len, 0.05)
             })
             .collect();
         let (engine, _) = Onex::build(ds.clone(), config.clone()).expect("valid config");
@@ -425,6 +652,7 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
         });
 
         rows.push(CascadeRow {
+            shape,
             series,
             len,
             lengths,
@@ -466,13 +694,13 @@ pub fn kernels_table(rows: &[KernelRow]) -> Table {
 pub fn cascade_table(rows: &[CascadeRow]) -> Table {
     let mut t = Table::new(
         format!(
-            "E17b — L0 prefilter ablation (random walks, query length \
-             {SUBSEQ_LEN}, k={K}, Seed policy; \"×3\" searches lengths \
-             {}..={} so two thirds of the candidates differ in length from \
-             the query; tier rejects are L0/Kim/Keogh/abandoned of the L0-on \
-             run; f64 LB evals must drop when L0 is on)",
-            SUBSEQ_LEN - 1,
-            SUBSEQ_LEN + 1
+            "E17b — L0 prefilter ablation (k={K}, Seed policy; random walks \
+             queried at length {SUBSEQ_LEN}, the clustered collection at \
+             {CLUSTERED_LEN}; \"×3\" searches the three lengths around the \
+             query's, so two thirds of the candidates differ in length from \
+             it; tier rejects are L0/Kim/Keogh/abandoned of the L0-on run; \
+             f64 LB evals must drop when L0 is on, and on the clustered \
+             row so must the batch time)"
         ),
         &[
             "collection",
@@ -488,10 +716,10 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
     );
     for r in rows {
         t.row(vec![
-            if r.lengths == 1 {
-                format!("{}x{}", r.series, r.len)
-            } else {
-                format!("{}x{} ×{}", r.series, r.len, r.lengths)
+            match (r.shape, r.lengths) {
+                (Shape::Walk, 1) => format!("{}x{}", r.series, r.len),
+                (Shape::Walk, n) => format!("{}x{} ×{n}", r.series, r.len),
+                (shape, n) => format!("{} {}x{} ×{n}", shape.label(), r.series, r.len),
             },
             format!("{}/{}", r.on.touched, r.off.touched),
             format!("{}/{}", r.on.lb_evals, r.off.lb_evals),
@@ -513,9 +741,9 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
 /// `BENCH_kernels.json`. CI guards: every SIMD kernel row at the
 /// *selected* level beats scalar, outputs agree everywhere, the L0-on
 /// runs never touch more candidates and strictly reduce f64 LB
-/// evaluations, the `"lengths":3` row starts a DTW on fewer than half
-/// the members it touches, and all three agreement columns are true on
-/// every row.
+/// evaluations, every `"lengths":3` row starts a DTW on fewer than half
+/// the members it touches, the `"shape":"clustered"` row runs faster with
+/// L0 on than off, and all three agreement columns are true on every row.
 pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> String {
     use std::fmt::Write as _;
     let level = kernels::level();
@@ -549,13 +777,14 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
         }
         let _ = write!(
             out,
-            "{{\"series\":{},\"len\":{},\"lengths\":{},\
+            "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"lengths\":{},\
              \"touched_on\":{},\"touched_off\":{},\
              \"lb_evals_on\":{},\"lb_evals_off\":{},\
              \"l0_pruned\":{},\"kim_pruned\":{},\"keogh_pruned\":{},\
              \"dtw_abandoned\":{},\"dtw_completed\":{},\
              \"batch_on_ms\":{:.3},\"batch_off_ms\":{:.3},\
              \"agreement\":{},\"ablation_agreement\":{},\"sharded_agreement\":{}}}",
+            r.shape.label(),
             r.series,
             r.len,
             r.lengths,
@@ -594,7 +823,19 @@ mod tests {
     #[test]
     fn kernels_agree_across_levels() {
         let rows = measure_kernels(true);
-        assert_eq!(rows.len() % 4, 0, "4 kernels per level");
+        for kernel in ["l0_block", "dtw_lanes"] {
+            let levels: Vec<_> = rows.iter().filter(|r| r.kernel == kernel).collect();
+            assert!(
+                levels.iter().any(|r| r.level == KernelLevel::Scalar)
+                    && levels.iter().all(|r| r.level != KernelLevel::Sse2),
+                "{kernel} runs at scalar and avx2 only"
+            );
+        }
+        assert_eq!(
+            rows.iter().filter(|r| r.kernel == "ed").count(),
+            KernelLevel::available().len(),
+            "the in-row kernels run at every level"
+        );
         for r in &rows {
             assert!(
                 r.agrees,
@@ -608,7 +849,11 @@ mod tests {
     #[test]
     fn l0_reduces_f64_lb_work_without_changing_answers() {
         let rows = measure_cascade(true);
-        assert_eq!(rows.len(), 3, "two quick sizes and the cross-length row");
+        assert_eq!(
+            rows.len(),
+            4,
+            "two quick sizes, the cross-length row and the clustered row"
+        );
         for r in &rows {
             assert!(
                 r.agreement,
@@ -649,13 +894,18 @@ mod tests {
         // Two thirds of the cross-length row's candidates differ in length
         // from the query; the cascade must dismiss most of them all the
         // same, before a DTW starts.
-        let across = rows.last().expect("rows");
-        assert_eq!(across.lengths, 3);
-        assert!(
-            2 * across.dtw_started() < across.members_touched(),
-            "cross-length row started {} DTWs on {} members",
-            across.dtw_started(),
-            across.members_touched()
+        for across in &rows[2..] {
+            assert_eq!(across.lengths, 3);
+            assert!(
+                2 * across.dtw_started() < across.members_touched(),
+                "cross-length row started {} DTWs on {} members",
+                across.dtw_started(),
+                across.members_touched()
+            );
+        }
+        assert_eq!(
+            rows.iter().map(|r| r.shape).collect::<Vec<_>>(),
+            [Shape::Walk, Shape::Walk, Shape::Walk, Shape::Clustered]
         );
     }
 
@@ -678,6 +928,7 @@ mod tests {
             },
         ];
         let cascade_rows = vec![CascadeRow {
+            shape: Shape::Clustered,
             series: 12,
             len: 96,
             lengths: 3,
@@ -710,6 +961,7 @@ mod tests {
         assert!(json.contains("\"kernel_level\":\""));
         assert!(json.contains("\"speedup\":4.0000"));
         assert!(json.contains("\"available_parallelism\":"));
+        assert!(json.contains("{\"shape\":\"clustered\",\"series\":12,"));
         assert!(json.contains("\"len\":96,\"lengths\":3,\"touched_on\":900"));
         assert!(json.contains("\"lb_evals_on\":500"));
         assert!(json.contains("\"lb_evals_off\":800"));

@@ -20,7 +20,7 @@
 //!    never an approximation.
 //! 3. **Footprint.** File sizes of both formats for the same base
 //!    (v2 trades page-alignment padding for fixed strides and the
-//!    persisted sketch slabs).
+//!    persisted sketches).
 //!
 //! The CI guard reads the JSON `summary`: on the largest row the v2
 //! first answer must beat the v1 full decode, and every row must

@@ -82,7 +82,7 @@ pub struct BaseSource {
     pub resolved_lengths: usize,
     /// Total length columns in the file.
     pub total_lengths: usize,
-    /// Whether the file carries the L0 sketch slabs (resolved columns
+    /// Whether the file carries the L0 sketches (resolved columns
     /// prune immediately, no re-encode).
     pub has_sketches: bool,
 }
@@ -371,7 +371,7 @@ impl Onex {
         }
         if !src.segment.has_sketches() {
             // v2 files built before sketches (or saved from an unsynced
-            // base) lack the slabs; derive them so resolved columns
+            // base) lack the sketches; derive them so resolved columns
             // prefilter exactly like a warm engine's.
             state.base.sync_sketches(&state.dataset);
         }
@@ -598,8 +598,8 @@ impl Onex {
     ///
     /// Appends serialise against each other but never block queries: the
     /// next dataset/base pair is derived aside from the published one —
-    /// sharing every series, group and sketch slab the append does not
-    /// change — and published atomically on success
+    /// sharing every series, group and set of sketch planes the append
+    /// does not change — and published atomically on success
     /// ([`onex_api::WriteTxn`]). The lookups run against the writer's
     /// resident index, so the cost follows the appended windows, not the
     /// base. On **any** error the transaction is dropped uncommitted and
@@ -1061,7 +1061,7 @@ mod tests {
         let engine = growth_engine();
         // Appended values stay inside the collection's value range, so a
         // batch build of the final collection freezes the same sketch
-        // parameters and the slabs can be compared byte for byte.
+        // parameters and the planes can be compared byte for byte.
         let reversed = |name: &str, donor: &str| {
             let mut values = engine.dataset().by_name(donor).unwrap().values().to_vec();
             values.reverse();
@@ -1109,7 +1109,7 @@ mod tests {
         assert!(*engine.base() == batch, "groups differ from a batch build");
         assert!(
             engine.base().sketches() == batch.sketches(),
-            "sketch slabs differ from a batch build"
+            "sketch planes differ from a batch build"
         );
     }
 
@@ -1185,13 +1185,17 @@ mod tests {
         let src = cold.base_source().expect("cold engines report a source");
         assert_eq!(src.resolved_lengths, 0, "nothing decoded at open");
         assert_eq!(src.total_lengths, warm.base().lengths().count());
-        assert!(src.has_sketches, "built bases save their L0 slabs");
+        assert!(src.has_sketches, "built bases save their L0 sketches");
         assert!(src.path.is_none(), "opened from bytes, not a file");
 
-        // Exact search resolves exactly the query's length column…
-        let (w, _) = warm.k_best(&query, 5, &QueryOptions::default()).unwrap();
-        let (c, _) = cold.k_best(&query, 5, &QueryOptions::default()).unwrap();
+        // Exact search resolves exactly the query's length column, and
+        // the column prunes with L0 on this first query: its sketches
+        // came with it, nothing waits for a re-encode.
+        let (w, warm_stats) = warm.k_best(&query, 5, &QueryOptions::default()).unwrap();
+        let (c, cold_stats) = cold.k_best(&query, 5, &QueryOptions::default()).unwrap();
         assert_eq!(w, c, "cold answers match warm answers");
+        assert_eq!(cold_stats, warm_stats);
+        assert!(cold_stats.members_l0_pruned > 0, "{cold_stats:?}");
         assert_eq!(cold.base_source().unwrap().resolved_lengths, 1);
         assert_eq!(cold.base().lengths().collect::<Vec<_>>(), vec![8]);
 
@@ -1203,7 +1207,7 @@ mod tests {
         assert_eq!(cold.base_source().unwrap().resolved_lengths, 3);
 
         // …and resolve_all drains the remainder, after which the bases
-        // (including sketch slabs) are identical.
+        // (including sketch planes) are identical.
         cold.resolve_all().unwrap();
         let src = cold.base_source().unwrap();
         assert_eq!(src.resolved_lengths, src.total_lengths);

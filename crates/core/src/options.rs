@@ -150,6 +150,14 @@ impl QueryOptions {
         self
     }
 
+    /// True when a series/window filter is set, i.e. when
+    /// [`Self::admits`] can say no.
+    pub(crate) fn has_filters(&self) -> bool {
+        self.exclude_series.is_some()
+            || self.only_series.is_some()
+            || !self.exclude_windows.is_empty()
+    }
+
     /// True when `candidate` survives the series/window filters.
     pub(crate) fn admits(&self, candidate: SubseqRef) -> bool {
         if self.exclude_series == Some(candidate.series) {

@@ -10,8 +10,8 @@
 //! 1. **Group pruning** via the ED↔DTW bridge: a group whose
 //!    representative distance minus `√W · radius` cannot beat the current
 //!    k-th best contains no useful member.
-//! 2. **L0 sketch prefilter** on each member: a lower bound computed from
-//!    the member's quantised-PAA sketch ([`onex_grouping::sketch`]) —
+//! 2. **L0 sketch prefilter** on the members: a lower bound computed from
+//!    each member's quantised-PAA sketch ([`onex_grouping::sketch`]) —
 //!    rejected candidates never even have their f64 data resolved.
 //! 3. **LB_Kim** (four touched points) then **LB_Keogh** on each member
 //!    against the query envelope.
@@ -23,6 +23,40 @@
 //! with at least one query row inside its band window and distinct `j`
 //! are distinct DP cells, so `Σ_j dist(c_j, [L_j, U_j])² ≤ DTW²` for
 //! `Full`, `SakoeChiba` and `Itakura` at any length pair.
+//!
+//! ## The member scan, a block at a time
+//!
+//! `Searcher::scan_members` does not walk a group candidate by
+//! candidate. It takes 64 slots at a time and runs each tier over
+//! what the tier before left:
+//!
+//! * **L0** is one block test over the group's plane-major sketches
+//!   ([`QuerySketch::survivors`]: four slots per AVX2 step) against one
+//!   reading of the bound, and yields the surviving slots.
+//! * **LB_Kim / LB_Keogh** run on each survivor against a fresh reading
+//!   of the bound; this is where a candidate's f64 data is first
+//!   resolved.
+//! * **DTW**: what passes queues until four candidates are pending, and
+//!   the batch runs as one lane-parallel DP ([`dtw_lanes`]: one candidate
+//!   per vector lane, each lane abandoning against the bound it was
+//!   queued under, all lanes folding in the live shared bound per row).
+//!   The queue is also flushed at the end of the group, so a batch never
+//!   mixes lengths.
+//!
+//! Answers do not depend on the batching. A candidate is compared with a
+//! bound that may be up to three candidates (DTW) or one block (L0)
+//! *stale*, and a stale bound is a looser one — the bound only ever
+//! tightens — so nothing the fresh bound would keep is lost; a candidate
+//! the fresh bound would have dismissed merely reaches a later tier.
+//! Completed distances are bit-identical however a DP was scheduled, and
+//! results are offered to the heap in slot order through the same strict
+//! `normalized < k-th best` test, so the heap sees the sequence of offers
+//! the one-at-a-time scan produced, plus offers that test refuses: the
+//! top-k, its distances and its tie-breaks are unchanged. Only the tier
+//! counters can differ, by the few candidates that died one tier later.
+//! (When peers tighten the shared bound mid-scan the offers depend on
+//! timing, batched or not; the merged answer is exact up to ties by the
+//! bound's own argument, below.)
 //!
 //! Every prune threshold flows through one **query-global bound**: the
 //! k-th best *normalised* distance known so far, kept in a
@@ -47,8 +81,9 @@ use std::collections::BinaryHeap;
 use onex_api::SharedBound;
 use onex_distance::bounds::warp_multiplicity;
 use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
+use onex_distance::kernels::{dtw_lanes, DTW_LANES};
 use onex_distance::lb::{lb_keogh_sq, lb_kim_fl_sq};
-use onex_distance::{dtw_with_path, Envelope, QuerySketch, SKETCH_STRIDE};
+use onex_distance::{dtw_with_path, Envelope, QuerySketch};
 use onex_grouping::{GroupId, OnexBase};
 use onex_tseries::{Dataset, SubseqRef};
 
@@ -126,6 +161,42 @@ struct LengthPlan {
     l0: Option<QuerySketch>,
 }
 
+/// Slots per L0 block test, and so per reading of the bound at that tier.
+const SCAN_BLOCK: usize = 64;
+
+/// The members of one group that passed L0, LB_Kim and LB_Keogh and wait
+/// for their DTWs: filled in slot order, run when full and at the end of
+/// the group ([`Searcher::run_batch`]).
+struct DtwBatch<'d> {
+    members: [SubseqRef; DTW_LANES],
+    values: [&'d [f64]; DTW_LANES],
+    /// The bound each candidate passed LB_Keogh under.
+    bound_sq: [f64; DTW_LANES],
+    len: usize,
+}
+
+impl Default for DtwBatch<'_> {
+    fn default() -> Self {
+        DtwBatch {
+            members: [SubseqRef::new(0, 0, 0); DTW_LANES],
+            values: [&[]; DTW_LANES],
+            bound_sq: [0.0; DTW_LANES],
+            len: 0,
+        }
+    }
+}
+
+impl<'d> DtwBatch<'d> {
+    /// Queue one candidate; true when the batch is now full.
+    fn push(&mut self, member: SubseqRef, values: &'d [f64], bound_sq: f64) -> bool {
+        self.members[self.len] = member;
+        self.values[self.len] = values;
+        self.bound_sq[self.len] = bound_sq;
+        self.len += 1;
+        self.len == DTW_LANES
+    }
+}
+
 pub(crate) struct Searcher<'a> {
     dataset: &'a Dataset,
     base: &'a OnexBase,
@@ -140,6 +211,9 @@ pub(crate) struct Searcher<'a> {
     /// DP rows shared by every DTW of this query (members and
     /// representatives alike), so the scan allocates none per candidate.
     scratch: DtwScratch,
+    /// The slots one L0 block test passed, kept across groups so the
+    /// scan allocates none per group either.
+    survivors: Vec<usize>,
     pub stats: QueryStats,
 }
 
@@ -158,6 +232,7 @@ impl<'a> Searcher<'a> {
             opts,
             bound,
             scratch: DtwScratch::default(),
+            survivors: Vec::with_capacity(SCAN_BLOCK),
             stats: QueryStats::default(),
         }
     }
@@ -259,6 +334,13 @@ impl<'a> Searcher<'a> {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// [`Self::raw_bound`] squared (`∞` stays `∞`) — the scale the member
+    /// tiers compare on.
+    fn bound_sq(&self, heap: &BinaryHeap<HeapEntry>, k: usize, plan: &LengthPlan) -> f64 {
+        let bound = self.raw_bound(heap, k, plan);
+        bound * bound
     }
 
     fn search_length(&mut self, plan: &LengthPlan, k: usize, heap: &mut BinaryHeap<HeapEntry>) {
@@ -450,9 +532,11 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Scan one group's members into the k-best heap through the L0,
-    /// LB_Kim and LB_Keogh tiers and early-abandoning DTW, tightening (and
-    /// publishing) the shared bound as better candidates are found.
+    /// Scan one group's members into the k-best heap, a block at a time
+    /// (see the module docs): the L0 block test over [`SCAN_BLOCK`] slots
+    /// against one reading of the bound, LB_Kim and LB_Keogh per survivor
+    /// against a fresh one, and the survivors' early-abandoning DTWs
+    /// [`DTW_LANES`] to a batch, offered to the heap in slot order.
     fn scan_members(
         &mut self,
         plan: &LengthPlan,
@@ -460,14 +544,96 @@ impl<'a> Searcher<'a> {
         gi: usize,
         heap: &mut BinaryHeap<HeapEntry>,
     ) {
-        let n = self.query.len();
         let len = plan.len;
-        let band = self.opts.band;
-        let g = &self.base.groups_for_len(len)[gi];
-        let group_id = GroupId {
+        // Borrowed from the base, not from `self`: the scan below mutates
+        // the searcher while it walks them.
+        let base = self.base;
+        let members = base.groups_for_len(len)[gi].members();
+        let group = GroupId {
             len: len as u32,
             index: gi as u32,
         };
+        // The group's sketch planes, slot `i` sketching member `i`.
+        // Absent (stale or unsynced index) simply means the L0 tier
+        // passes everyone through.
+        let l0 = plan.l0.as_ref().and_then(|qs| {
+            let planes = base.sketches().for_len(len)?.group(gi)?;
+            (planes.cardinality() >= members.len()).then_some((qs, planes))
+        });
+        let filtered = self.opts.has_filters();
+        let mut batch = DtwBatch::default();
+        for from in (0..members.len()).step_by(SCAN_BLOCK) {
+            let to = (from + SCAN_BLOCK).min(members.len());
+            // Tier L0: reject from the quantised sketches alone — no f64
+            // data is resolved for a candidate that dies here.
+            self.survivors.clear();
+            match l0 {
+                Some((qs, planes)) => {
+                    let bound_sq = self.bound_sq(heap, k, plan);
+                    qs.survivors(planes, from..to, bound_sq, &mut self.survivors);
+                }
+                None => self.survivors.extend(from..to),
+            }
+            // A member the series / window filter drops is counted by no
+            // tier, so L0's rejects are the admitted slots it did not
+            // pass.
+            let admitted = if filtered {
+                let block = &members[from..to];
+                block.iter().filter(|&&m| self.opts.admits(m)).count()
+            } else {
+                to - from
+            };
+            let mut passed = 0;
+            for i in 0..self.survivors.len() {
+                let member = members[self.survivors[i]];
+                if filtered && !self.opts.admits(member) {
+                    continue;
+                }
+                passed += 1;
+                let bound_sq = self.bound_sq(heap, k, plan);
+                let values = self
+                    .dataset
+                    .resolve(member)
+                    .expect("base members resolve against their dataset");
+                if let Some(env) = &plan.env_q {
+                    // Tier 1: LB_Kim — four touched points.
+                    if lb_kim_fl_sq(self.query, values) > bound_sq {
+                        self.stats.members_kim_pruned += 1;
+                        continue;
+                    }
+                    // Tier 2: LB_Keogh against the query envelope.
+                    if lb_keogh_sq(values, env, bound_sq).is_infinite() {
+                        self.stats.members_lb_pruned += 1;
+                        continue;
+                    }
+                }
+                self.stats.members_examined += 1;
+                if batch.push(member, values, bound_sq) {
+                    self.run_batch(&mut batch, plan, k, group, heap);
+                }
+            }
+            self.stats.members_l0_pruned += admitted - passed;
+        }
+        self.run_batch(&mut batch, plan, k, group, heap);
+    }
+
+    /// Run the queued DTWs — one lane each, every lane abandoning against
+    /// the bound its candidate was queued under, folded with the live
+    /// shared bound per DP row — and offer the results to the heap in
+    /// queue (= slot) order, tightening and publishing the bound as
+    /// better candidates are found.
+    fn run_batch(
+        &mut self,
+        batch: &mut DtwBatch<'a>,
+        plan: &LengthPlan,
+        k: usize,
+        group: GroupId,
+        heap: &mut BinaryHeap<HeapEntry>,
+    ) {
+        let queued = std::mem::take(&mut batch.len);
+        if queued == 0 {
+            return;
+        }
         // Live member-scale refresh: the shared bound back on the raw
         // DTW scale at this length, re-read per DP row.
         let shared = self.bound;
@@ -481,60 +647,17 @@ impl<'a> Searcher<'a> {
                 f64::INFINITY
             }
         };
-        // The group's sketch slab, parallel to `g.members()`: slot `i`
-        // holds member `i`'s quantised sketch. Absent (stale or unsynced
-        // index) simply means the L0 tier passes everyone through.
-        let sketches = plan
-            .l0
-            .as_ref()
-            .and_then(|_| self.base.sketches().for_len(len))
-            .and_then(|ls| ls.group(gi));
-        for (slot, &member) in g.members().iter().enumerate() {
-            if !self.opts.admits(member) {
-                continue;
-            }
-            let bound = self.raw_bound(heap, k, plan);
-            let bound_sq = if bound.is_finite() {
-                bound * bound
-            } else {
-                f64::INFINITY
-            };
-            // Tier L0: reject from the quantised sketch alone — no f64
-            // data is resolved for a candidate that dies here.
-            if let (Some(qs), Some(slab)) = (&plan.l0, sketches) {
-                if let Some(sk) = slab.get(slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE) {
-                    if qs.bound_sq(sk) > bound_sq {
-                        self.stats.members_l0_pruned += 1;
-                        continue;
-                    }
-                }
-            }
-            let values = self
-                .dataset
-                .resolve(member)
-                .expect("base members resolve against their dataset");
-            if let Some(env) = &plan.env_q {
-                // Tier 1: LB_Kim — four touched points.
-                if lb_kim_fl_sq(self.query, values) > bound_sq {
-                    self.stats.members_kim_pruned += 1;
-                    continue;
-                }
-                // Tier 2: LB_Keogh against the query envelope.
-                if lb_keogh_sq(values, env, bound_sq).is_infinite() {
-                    self.stats.members_lb_pruned += 1;
-                    continue;
-                }
-            }
-            self.stats.members_examined += 1;
-            let d_sq = dtw_early_abandon_sq_scratch(
-                self.query,
-                values,
-                band,
-                bound_sq,
-                None,
-                Some(&live),
-                &mut self.scratch,
-            );
+        let mut d_sq = [0.0; DTW_LANES];
+        dtw_lanes(
+            self.query,
+            &batch.values[..queued],
+            self.opts.band,
+            &batch.bound_sq[..queued],
+            Some(&live),
+            &mut self.scratch,
+            &mut d_sq[..queued],
+        );
+        for (&member, &d_sq) in batch.members.iter().zip(&d_sq).take(queued) {
             if d_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
                 self.stats.members_abandoned += 1;
@@ -542,7 +665,7 @@ impl<'a> Searcher<'a> {
             }
             self.stats.dtw_completed += 1;
             let distance = d_sq.sqrt();
-            let normalized = normalize(distance, n, len);
+            let normalized = normalize(distance, self.query.len(), plan.len);
             // Strict improvement over the k-th keeps ties deterministic
             // (first discovered wins).
             if heap.len() < k || normalized < heap.peek().expect("heap non-empty").normalized {
@@ -550,7 +673,7 @@ impl<'a> Searcher<'a> {
                     normalized,
                     distance,
                     subseq: member,
-                    group: group_id,
+                    group,
                 });
                 if heap.len() > k {
                     heap.pop();

@@ -4,6 +4,15 @@ use std::ops::AddAssign;
 /// engine lifetime). The speed experiments (E5, E9) report these alongside
 /// wall-clock numbers because they explain *why* ONEX is fast: most
 /// candidates never reach a DTW computation.
+///
+/// The member counters partition the members the scan was responsible
+/// for: `members_l0_pruned + members_kim_pruned + members_lb_pruned +
+/// members_examined` is the number of *admitted* members — those the
+/// `exclude_series` / `only_series` / `exclude_windows` filters let
+/// through — of the groups whose members were scanned. Each such member
+/// is dismissed by exactly one bound tier or starts a DTW; a filtered
+/// member is counted by no tier, and neither is any member of a group
+/// pruned whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Groups whose representative was compared against the query.

@@ -6,7 +6,6 @@
 //! pinned reader ever noticing.
 
 use onex_core::{exhaustive, Onex, QueryOptions};
-use onex_distance::SKETCH_STRIDE;
 use onex_grouping::persist::save_v2;
 use onex_grouping::{BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy};
 use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
@@ -85,11 +84,11 @@ proptest! {
                 prop_assert!(*base == batch, "{:?}/{} from {:?}", policy, index, start);
                 prop_assert_eq!(base.member_count(), built.subsequences);
                 for len in base.lengths() {
-                    let slabs = base.sketches().for_len(len).expect("every length is sketched");
+                    let sketches = base.sketches().for_len(len).expect("every length is sketched");
                     for (gi, g) in base.groups_for_len(len).iter().enumerate() {
                         prop_assert_eq!(
-                            slabs.group(gi).map(<[u8]>::len),
-                            Some(g.cardinality() * SKETCH_STRIDE),
+                            sketches.group(gi).map(|planes| planes.cardinality()),
+                            Some(g.cardinality()),
                             "g{}@{}", gi, len
                         );
                     }
@@ -150,20 +149,24 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
     for len in pinned.base().lengths() {
         let old = pinned.base().groups_for_len(len);
         let new = now.base().groups_for_len(len);
-        let old_slabs = pinned.base().sketches().for_len(len).unwrap();
-        let new_slabs = now.base().sketches().for_len(len).unwrap();
+        let old_sketches = pinned.base().sketches().for_len(len).unwrap();
+        let new_sketches = now.base().sketches().for_len(len).unwrap();
         seeded += new.len() - old.len();
         for (gi, (o, n)) in old.iter().zip(new).enumerate() {
-            let same_slab = std::ptr::eq(
-                old_slabs.group(gi).unwrap().as_ptr(),
-                new_slabs.group(gi).unwrap().as_ptr(),
+            let (old_planes, new_planes) = (
+                old_sketches.group(gi).unwrap(),
+                new_sketches.group(gi).unwrap(),
             );
+            let same_planes = new_planes.shares_storage_with(old_planes);
+            assert_eq!(new_planes.cardinality(), n.cardinality());
             if n.cardinality() == o.cardinality() {
                 assert!(n.shares_storage_with(o), "untouched g{gi}@{len} was copied");
-                assert!(same_slab, "untouched slab g{gi}@{len} was copied");
+                assert!(same_planes, "untouched planes g{gi}@{len} were copied");
                 shared += 1;
             } else {
-                assert!(!n.shares_storage_with(o) && !same_slab);
+                assert!(!n.shares_storage_with(o) && !same_planes);
+                // The pinned epoch still reads the planes it had.
+                assert_eq!(old_planes.cardinality(), o.cardinality());
                 // The published epoch's group did not see the admission.
                 assert_eq!(n.members()[..o.cardinality()], *o.members());
                 split += 1;

@@ -14,7 +14,7 @@ use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_tseries::gen::{
     clustered_dataset, random_walk_dataset, sine_mix_dataset, SyntheticConfig,
 };
-use onex_tseries::Dataset;
+use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 use proptest::prelude::*;
 
 fn engine(
@@ -222,6 +222,127 @@ fn k_best_is_exact_across_lengths_and_bands() {
                 assert!(
                     stats.members_l0_pruned > 0,
                     "{band:?}: L0 must fire at lengths other than the query's: {stats:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Length of every window of [`block_edge_collection`].
+const BLOCK_LEN: usize = 12;
+
+/// A collection whose length-12 groups have cardinalities 1, 3, 4, 5, 63,
+/// 64, 65 and 130 — both tails of the 4-slot L0 step, both sides of the
+/// 64-slot block edge, a group of several blocks, and every short DTW
+/// batch. Family `f` is a level `3·f` with ±0.2 of noise, so all of a
+/// family's windows join its first one's group and no two families meet;
+/// a series of `BLOCK_LEN + w − 1` points contributes `w` windows.
+fn block_edge_collection() -> (Dataset, Vec<usize>) {
+    let families: [&[usize]; 8] = [
+        &[1],
+        &[3],
+        &[2, 2],
+        &[2, 3],
+        &[31, 32],
+        &[60, 4],
+        &[40, 25],
+        &[50, 50, 30],
+    ];
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut noise = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 4001) as f64 / 10_000.0 - 0.2
+    };
+    let mut series = Vec::new();
+    for (f, windows) in families.iter().enumerate() {
+        for &w in *windows {
+            let values = (0..BLOCK_LEN + w - 1)
+                .map(|_| 3.0 * f as f64 + noise())
+                .collect();
+            series.push(TimeSeries::new(format!("f{f}-{}", series.len()), values));
+        }
+    }
+    let cardinalities = families.iter().map(|w| w.iter().sum()).collect();
+    (Dataset::from_series(series).unwrap(), cardinalities)
+}
+
+#[test]
+fn block_scan_is_exact_at_every_block_edge_and_under_every_filter() {
+    let (ds, cardinalities) = block_edge_collection();
+    let e = engine(&ds, 1.0, BLOCK_LEN, BLOCK_LEN, RepresentativePolicy::Seed);
+    let built: Vec<usize> = e
+        .base()
+        .groups_for_len(BLOCK_LEN)
+        .iter()
+        .map(|g| g.cardinality())
+        .collect();
+    assert_eq!(
+        built, cardinalities,
+        "the collection must group as designed"
+    );
+
+    // A near-miss of a window in the middle of the 130-member group.
+    let own = 13u32;
+    let mut query = ds
+        .series(own)
+        .unwrap()
+        .subsequence(7, BLOCK_LEN)
+        .unwrap()
+        .to_vec();
+    for (i, v) in query.iter_mut().enumerate() {
+        *v += 0.05 * (i as f64 * 1.7).sin();
+    }
+    let windows = QueryOptions::default()
+        .excluding_window(SubseqRef::new(own, 7, BLOCK_LEN as u32))
+        .excluding_window(SubseqRef::new(10, 20, BLOCK_LEN as u32));
+    let filters = [
+        QueryOptions::default(),
+        QueryOptions::default().excluding_series(Some(own)),
+        QueryOptions::default().within_series(14),
+        QueryOptions::default().within_series(9),
+        windows,
+    ];
+    let k = 7;
+    for opts in &filters {
+        for opts in [
+            opts.clone(),
+            opts.clone().without_l0(),
+            opts.clone().without_group_pruning(),
+        ] {
+            let (matches, stats) = e.k_best(&query, k, &opts).unwrap();
+            let truth = exhaustive::scan_k(&ds, &query, &[BLOCK_LEN], 1, &opts, k, true).unwrap();
+            assert_eq!(matches.len(), truth.len(), "{opts:?}");
+            for (m, t) in matches.iter().zip(&truth) {
+                assert_eq!(m.subseq, t.subseq, "{opts:?}");
+                assert!((m.distance - t.distance).abs() < 1e-9, "{opts:?}");
+            }
+            if !opts.prune_groups {
+                // Every group was scanned, so every admitted member was
+                // dismissed by exactly one tier or started a DTW; a
+                // filtered member is counted by none.
+                let admitted = e
+                    .base()
+                    .groups_for_len(BLOCK_LEN)
+                    .iter()
+                    .flat_map(|g| g.members())
+                    .filter(|m| {
+                        opts.exclude_series != Some(m.series)
+                            && opts.only_series.is_none_or(|only| only == m.series)
+                            && !opts.exclude_windows.iter().any(|w| w.overlaps(m))
+                    })
+                    .count();
+                assert_eq!(
+                    stats.members_bound_pruned() + stats.members_examined,
+                    admitted,
+                    "{opts:?}: {stats:?}"
+                );
+                // (With fewer candidates than k the bound never turns
+                // finite and no tier can fire.)
+                assert!(
+                    stats.members_l0_pruned > 0 || admitted <= k,
+                    "L0 must fire: {stats:?}"
                 );
             }
         }

@@ -3,7 +3,7 @@
 //! The expensive half of the ONEX marriage (paper §1, challenge 2): DTW
 //! aligns sequences of different lengths and phases but costs O(n·m). ONEX
 //! pays that cost only against the compact base, and even there abandons
-//! early. Five entry points, cheapest machinery first:
+//! early. Six entry points, cheapest machinery first:
 //!
 //! * [`dtw_sq`] / [`dtw`] — two-row DP, optional Sakoe–Chiba band.
 //! * [`dtw_early_abandon`] — same DP that gives up as soon as the best
@@ -12,6 +12,8 @@
 //!   folds a cumulative lower-bound tail into the abandonment test.
 //! * [`dtw_early_abandon_sq_scratch`] — the same DP on a caller-kept
 //!   [`DtwScratch`], for scans that run one DTW per candidate.
+//! * [`crate::kernels::dtw_lanes`] — the same DP for four equal-length
+//!   candidates at once, one per vector lane, bit for bit.
 //! * [`dtw_with_path`] — full-matrix variant that recovers the warping
 //!   path for visualisation.
 
@@ -180,11 +182,26 @@ pub fn dtw_early_abandon_sq_dynamic(
 }
 
 /// The DP's working rows, reusable across calls: two rows over columns
-/// `0..=m` (column 0 is the virtual "before y" edge) and the squared-diff
-/// row the SIMD row kernel caches its vectorised pass in.
+/// `0..=m` (column 0 is the virtual "before y" edge), the squared-diff
+/// row the SIMD row kernel caches its vectorised pass in, and the 4-wide
+/// rows of the lane kernel ([`crate::kernels::dtw_lanes`]).
 #[derive(Debug, Default)]
 pub struct DtwScratch {
     rows: [Vec<f64>; 3],
+    lanes: Vec<f64>,
+}
+
+impl DtwScratch {
+    /// The lane kernel's rows for candidates of length `m`: the
+    /// transposed candidates (`m` columns) and two DP rows (`m + 1`
+    /// columns each), [`crate::kernels::DTW_LANES`] values per column.
+    pub(crate) fn lane_rows(&mut self, m: usize) -> &mut [f64] {
+        let need = crate::kernels::DTW_LANES * (3 * m + 2);
+        if self.lanes.len() < need {
+            self.lanes.resize(need, 0.0);
+        }
+        &mut self.lanes[..need]
+    }
 }
 
 /// [`dtw_early_abandon_sq_dynamic`] on the caller's [`DtwScratch`]: a scan

@@ -22,12 +22,23 @@
 //!   differ between levels. Both outcomes are sound: the returned value
 //!   is a correctly-rounded sum of the same terms either way.
 //!
+//! * The two **lanes = candidates** kernels — [`dtw_lanes`] and the L0
+//!   block test behind [`crate::sketch::QuerySketch::survivors`] — put
+//!   one candidate in each 64-bit lane of a 256-bit vector and run, per
+//!   lane, the scalar reference's operations in the scalar reference's
+//!   order (no fused multiply-add, `min`/`max` over values that are never
+//!   NaN for finite inputs), so they are **bit-exact** too. They have a
+//!   scalar and an AVX2 form; [`KernelLevel::Sse2`] runs the scalar one.
+//!
 //! The `_at` variants take an explicit [`KernelLevel`] so benchmarks and
 //! property tests can pin a path regardless of what [`level`] detected.
 #![allow(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
+
+use crate::dtw::{dtw_early_abandon_sq_scratch, Band, DtwScratch};
+use crate::sketch::{self, QuerySketch, SKETCH_PLANES, SKETCH_SEGMENTS};
 
 /// Which instruction set the dispatched kernels run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -646,6 +657,338 @@ unsafe fn dtw_row_avx2(
         j += 1;
     }
     dtw_row_carry(lo, hi, curr, d2)
+}
+
+// ---------------------------------------------------------------------
+// Lane-parallel early-abandoning DTW (lanes = candidates).
+// ---------------------------------------------------------------------
+
+/// Candidates per [`dtw_lanes`] call: one per 64-bit lane of a 256-bit
+/// vector.
+pub const DTW_LANES: usize = 4;
+
+/// Early-abandoning squared DTW of `x` against up to [`DTW_LANES`]
+/// equal-length candidates at once: `out[c]` is what
+/// [`dtw_early_abandon_sq_scratch`]`(x, ys[c], band, ub_sq[c], None, live, …)`
+/// returns — the same bits when the DP completes, `∞` exactly when it
+/// would abandon — provided `live` reads the same on every call.
+///
+/// In-row SIMD cannot shorten the DP's critical path (each cell waits for
+/// its left neighbour: the reason [`dtw_row`] gains so little), but
+/// *across* candidates the cells are independent: the candidates are
+/// transposed once into 4-wide columns and every lane runs the scalar
+/// recurrence `d² + min(curr[j−1], min(prev[j], prev[j−1]))`, so one
+/// `min` + one `add` of latency buys four cells. `live` is read once per
+/// row for all lanes; a lane whose row minimum exceeds its bound is dead
+/// from then on, and the DP stops when every lane is. A short batch
+/// repeats its last candidate in the spare lanes; a single candidate, and
+/// every level but [`KernelLevel::Avx2`], runs the scalar DP per
+/// candidate.
+///
+/// # Panics
+/// Panics when `ys` is empty or longer than [`DTW_LANES`], the candidates'
+/// lengths differ, `ub_sq` or `out` is not one entry per candidate, or
+/// any sequence is empty.
+pub fn dtw_lanes(
+    x: &[f64],
+    ys: &[&[f64]],
+    band: Band,
+    ub_sq: &[f64],
+    live: Option<&dyn Fn() -> f64>,
+    scratch: &mut DtwScratch,
+    out: &mut [f64],
+) {
+    dtw_lanes_at(level(), x, ys, band, ub_sq, live, scratch, out);
+}
+
+/// [`dtw_lanes`] on an explicit level ([`KernelLevel::Avx2`] falls back
+/// to the scalar DP on a CPU without it).
+#[allow(clippy::too_many_arguments)]
+pub fn dtw_lanes_at(
+    l: KernelLevel,
+    x: &[f64],
+    ys: &[&[f64]],
+    band: Band,
+    ub_sq: &[f64],
+    live: Option<&dyn Fn() -> f64>,
+    scratch: &mut DtwScratch,
+    out: &mut [f64],
+) {
+    let lanes = ys.len();
+    assert!(
+        (1..=DTW_LANES).contains(&lanes),
+        "1..={DTW_LANES} candidates per batch"
+    );
+    assert!(
+        ub_sq.len() == lanes && out.len() == lanes,
+        "one bound and one result per candidate"
+    );
+    let m = ys[0].len();
+    assert!(!x.is_empty() && m > 0, "DTW requires non-empty sequences");
+    assert!(
+        ys.iter().all(|y| y.len() == m),
+        "lanes hold equal-length candidates"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if l == KernelLevel::Avx2 && lanes > 1 && is_x86_feature_detected!("avx2") {
+        let rows = scratch.lane_rows(m);
+        let mut bounds = [0.0; DTW_LANES];
+        for lane in 0..DTW_LANES {
+            let c = lane.min(lanes - 1);
+            bounds[lane] = ub_sq[c];
+            for (j, &v) in ys[c].iter().enumerate() {
+                rows[DTW_LANES * j + lane] = v;
+            }
+        }
+        // SAFETY: AVX2 was detected just above. `lane_rows(m)` returns
+        // `DTW_LANES × (3m + 2)` values, which the kernel re-checks with a
+        // release assert before it forms a pointer.
+        let done = unsafe { dtw_lanes_avx2(x, m, band, bounds, live, rows) };
+        out.copy_from_slice(&done[..lanes]);
+        return;
+    }
+    let _ = l; // read by the x86-64 build only
+    for ((y, &ub), o) in ys.iter().zip(ub_sq).zip(out) {
+        *o = dtw_early_abandon_sq_scratch(x, y, band, ub, None, live, scratch);
+    }
+}
+
+/// The AVX2 lane DP. `rows` holds, 4 lanes per column, the transposed
+/// candidates (`m` columns) followed by two DP rows of `m + 1` columns
+/// (column 0 is the virtual "before y" edge).
+///
+/// # Safety
+/// The CPU must support AVX2. Every index is otherwise proved by the two
+/// release asserts inside: `rows.len() ≥ DTW_LANES × (3m + 2)` once, and
+/// `1 ≤ lo ≤ hi ≤ m` for each row's band range.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dtw_lanes_avx2(
+    x: &[f64],
+    m: usize,
+    band: Band,
+    ub_sq: [f64; DTW_LANES],
+    live: Option<&dyn Fn() -> f64>,
+    rows: &mut [f64],
+) -> [f64; DTW_LANES] {
+    use core::arch::x86_64::*;
+    const L: usize = DTW_LANES;
+    const ABANDONED: [f64; L] = [f64::INFINITY; L];
+    let n = x.len();
+    assert!(rows.len() >= L * (3 * m + 2), "lane rows too short");
+    // SAFETY (every load and store below): `yt` has columns `0..m`,
+    // `prev` and `curr` columns `0..=m`, `L` values each and all inside
+    // `rows` by the assert above; column indices are `j − 1`, `j` and
+    // `lo − 1` with `1 ≤ lo ≤ j ≤ hi ≤ m` (asserted per row), or range
+    // over `0..=m` outright.
+    let yt = rows.as_ptr();
+    let mut prev = rows.as_mut_ptr().add(L * m);
+    let mut curr = prev.add(L * (m + 1));
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    _mm256_storeu_pd(prev, _mm256_setzero_pd());
+    for j in 1..=m {
+        _mm256_storeu_pd(prev.add(L * j), inf);
+    }
+    // Per lane: the threshold (it only ever tightens, as in the scalar
+    // DP) and whether the lane has abandoned (all-ones = dead).
+    let mut bound = _mm256_loadu_pd(ub_sq.as_ptr());
+    let mut dead = _mm256_setzero_pd();
+
+    for (i, &xi) in x.iter().enumerate() {
+        let (lo, hi) = band.row_range(i + 1, n, m);
+        if lo > hi {
+            return ABANDONED; // band excludes the whole row: infeasible
+        }
+        assert!(lo >= 1 && hi <= m, "band row range outside 1..=m");
+        // Cells outside the band are unreachable this row; together with
+        // the sweep below every column of `curr` is rewritten.
+        for j in (0..lo).chain(hi + 1..=m) {
+            _mm256_storeu_pd(curr.add(L * j), inf);
+        }
+        let xi = _mm256_set1_pd(xi);
+        let mut left = inf;
+        let mut diag = _mm256_loadu_pd(prev.add(L * (lo - 1)));
+        let mut row_min = inf;
+        for j in lo..=hi {
+            let up = _mm256_loadu_pd(prev.add(L * j));
+            let d = _mm256_sub_pd(xi, _mm256_loadu_pd(yt.add(L * (j - 1))));
+            // `left` stays out of the inner min: the chain from cell to
+            // cell is one min and one add.
+            let v = _mm256_add_pd(
+                _mm256_mul_pd(d, d),
+                _mm256_min_pd(left, _mm256_min_pd(up, diag)),
+            );
+            _mm256_storeu_pd(curr.add(L * j), v);
+            row_min = _mm256_min_pd(row_min, v);
+            left = v;
+            diag = up;
+        }
+        if let Some(live) = live {
+            // A NaN reading leaves the threshold alone, like `f64::min`:
+            // `_mm256_min_pd` returns its second operand then.
+            bound = _mm256_min_pd(_mm256_set1_pd(live()), bound);
+        }
+        dead = _mm256_or_pd(dead, _mm256_cmp_pd::<_CMP_GT_OQ>(row_min, bound));
+        if _mm256_movemask_pd(dead) == 0b1111 {
+            return ABANDONED;
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    let done = _mm256_loadu_pd(prev.add(L * m));
+    dead = _mm256_or_pd(dead, _mm256_cmp_pd::<_CMP_GT_OQ>(done, bound));
+    let mut out = [0.0; L];
+    _mm256_storeu_pd(out.as_mut_ptr(), _mm256_blendv_pd(done, inf, dead));
+    out
+}
+
+// ---------------------------------------------------------------------
+// L0 sketch block test (lanes = candidates).
+// ---------------------------------------------------------------------
+
+/// The block test behind [`QuerySketch::survivors_at`] over the plane
+/// `views` (position `i` is slot `first_slot + i`): 4-slot steps on the
+/// AVX2 kernel when `l` asks for it and the CPU has it, the scalar form
+/// for the tail of the step — or, at every other level, for everything.
+pub(crate) fn l0_survivors_at(
+    l: KernelLevel,
+    qs: &QuerySketch,
+    views: &[&[u8]; SKETCH_PLANES],
+    first_slot: usize,
+    bound_sq: f64,
+    out: &mut Vec<usize>,
+) {
+    let stepped = match l {
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2 if is_x86_feature_detected!("avx2") => {
+            // SAFETY: AVX2 was detected just above; the kernel checks the
+            // plane lengths itself.
+            unsafe { l0_survivors_avx2(qs, views, first_slot, bound_sq, out) }
+        }
+        _ => 0,
+    };
+    let len = views[sketch::PLANE_FLAGS].len();
+    qs.survivors_scalar(views, stepped..len, first_slot, bound_sq, out);
+}
+
+/// Four consecutive quantisation levels of a plane, dequantised:
+/// `vmin + level · step` per lane, the operations of
+/// [`sketch::SketchParams::dequant`].
+///
+/// # Safety
+/// The CPU must support AVX2 and `levels` must be valid for a 4-byte read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dequant4(
+    levels: *const u8,
+    vmin: core::arch::x86_64::__m256d,
+    step: core::arch::x86_64::__m256d,
+) -> core::arch::x86_64::__m256d {
+    use core::arch::x86_64::*;
+    let bytes = _mm_cvtsi32_si128(levels.cast::<i32>().read_unaligned());
+    let level = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bytes));
+    _mm256_add_pd(vmin, _mm256_mul_pd(level, step))
+}
+
+/// The AVX2 block test: per lane the operations of
+/// [`QuerySketch::bound_sq`] in its order — corner part first, the
+/// segment planes only for a step the corner part does not reject whole.
+/// A step holding an invalid-flag slot goes to the scalar reference.
+/// Returns the positions covered: the largest multiple of 4 within the
+/// views.
+///
+/// # Safety
+/// The CPU must support AVX2. Every plane read is at positions
+/// `i..i + 4` with `i + 4 ≤ len`, and the release assert inside checks
+/// once that all [`SKETCH_PLANES`] views are `len` bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn l0_survivors_avx2(
+    qs: &QuerySketch,
+    views: &[&[u8]; SKETCH_PLANES],
+    first_slot: usize,
+    bound_sq: f64,
+    out: &mut Vec<usize>,
+) -> usize {
+    use core::arch::x86_64::*;
+    let len = views[sketch::PLANE_FLAGS].len();
+    assert!(
+        views.iter().all(|plane| plane.len() == len),
+        "sketch planes of unequal length"
+    );
+    let stepped = len - len % 4;
+    let vmin = _mm256_set1_pd(qs.params.vmin);
+    let step = _mm256_set1_pd(qs.params.step);
+    let (q_first, q_last) = (_mm256_set1_pd(qs.q_first), _mm256_set1_pd(qs.q_last));
+    let bound = _mm256_set1_pd(bound_sq);
+    let zero = _mm256_setzero_pd();
+    let invalid = u32::from_ne_bytes([sketch::FLAG_INVALID; 4]);
+    for i in (0..stepped).step_by(4) {
+        // Four levels of plane `p` at this step, dequantised.
+        // SAFETY (both reads below): `i + 4 ≤ stepped ≤ len`, and every
+        // view is `len` bytes by the assert above, so bytes `i..i + 4` of
+        // any plane are inside its slice; `p` is bounds-checked by the
+        // array index.
+        let at = |p: usize| dequant4(views[p].as_ptr().add(i), vmin, step);
+        let flags = views[sketch::PLANE_FLAGS]
+            .as_ptr()
+            .add(i)
+            .cast::<u32>()
+            .read_unaligned();
+        if flags & invalid != 0 {
+            qs.survivors_scalar(views, i..i + 4, first_slot, bound_sq, out);
+            continue;
+        }
+        // max(q − hi, lo − q, 0)², as the scalar `gap`.
+        let gap_sq = |q: __m256d, lo: __m256d, hi: __m256d| {
+            let d = _mm256_max_pd(
+                _mm256_max_pd(_mm256_sub_pd(q, hi), _mm256_sub_pd(lo, q)),
+                zero,
+            );
+            _mm256_mul_pd(d, d)
+        };
+        let mut kim = gap_sq(
+            q_first,
+            at(sketch::PLANE_FIRST_LO),
+            at(sketch::PLANE_FIRST_HI),
+        );
+        if qs.len > 1 {
+            kim = _mm256_add_pd(
+                kim,
+                gap_sq(q_last, at(sketch::PLANE_LAST_LO), at(sketch::PLANE_LAST_HI)),
+            );
+        }
+        let mut rejected = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(kim, bound));
+        if rejected != 0b1111 {
+            let mut seg_sq = zero;
+            for s in 0..SKETCH_SEGMENTS {
+                let (h, l, w) = qs.segments[s];
+                if w == 0.0 {
+                    continue;
+                }
+                let c_lo = at(sketch::PLANE_SEG_MIN + s);
+                let c_hi = at(sketch::PLANE_SEG_MAX + s);
+                let e = _mm256_max_pd(
+                    _mm256_max_pd(
+                        _mm256_sub_pd(c_lo, _mm256_set1_pd(h)),
+                        _mm256_sub_pd(_mm256_set1_pd(l), c_hi),
+                    ),
+                    zero,
+                );
+                seg_sq = _mm256_add_pd(
+                    seg_sq,
+                    _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(w), e), e),
+                );
+            }
+            rejected |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(seg_sq, bound));
+            for lane in 0..4 {
+                if rejected & (1 << lane) == 0 {
+                    out.push(first_slot + i + lane);
+                }
+            }
+        }
+    }
+    stepped
 }
 
 // ---------------------------------------------------------------------

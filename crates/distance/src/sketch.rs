@@ -1,12 +1,42 @@
 //! Quantised-PAA sketches: the L0 prefilter tier of the pruning cascade.
 //!
-//! Every subsequence gets a fixed [`SKETCH_STRIDE`]-byte sketch — its
-//! first/last values and per-segment min/max, quantised to `u8` levels —
-//! stored contiguously per length group. At query time
-//! [`QuerySketch::bound_sq`] turns one sketch into a sound squared DTW
-//! lower bound using only the 24 cached bytes: no resolving of the raw
-//! window, no O(n) floating-point pass. Most candidates die here, before
-//! LB_Kim, LB_Keogh, or the DP ever see an `f64` of theirs.
+//! Every subsequence gets a fixed-size sketch — its first/last values and
+//! per-segment min/max, quantised to `u8` levels. At query time the
+//! sketch alone yields a sound squared DTW lower bound: no resolving of
+//! the raw window, no O(n) floating-point pass. Most candidates die
+//! here, before LB_Kim, LB_Keogh, or the DP ever see an `f64` of theirs.
+//!
+//! ## Two forms of one sketch
+//!
+//! * The **record**: [`SKETCH_STRIDE`] = 24 bytes per member, array of
+//!   structs. This is the form [`encode_into`] writes, the persisted
+//!   `SKETCHES` section holds, and [`QuerySketch::bound_sq`] — the
+//!   reference every other path is checked against — reads.
+//! * The **planes**: [`SketchPlanes`], the form a similarity group keeps
+//!   in memory. The [`SKETCH_PLANES`] = 21 meaningful bytes of each
+//!   record (the three reserved ones are dropped) are stored plane-major
+//!   — all flag bytes, then all first-corner floors, … then the eighth
+//!   segment maxima — with the group's cardinality as the plane stride
+//!   and no padding, so a one-member group holds 21 bytes. Consecutive
+//!   members sit in consecutive bytes of every plane, which is what lets
+//!   [`QuerySketch::survivors`] test four of them per AVX2 step.
+//!
+//! [`SketchPlanes`] alone knows that layout: it is built from records,
+//! grown by appended records and written back out as records, so no
+//! caller indexes a plane.
+//!
+//! ## The block test
+//!
+//! [`QuerySketch::survivors`] answers, for a range of a group's slots,
+//! "which of these does `bound_sq` not reject?". Per slot it performs
+//! *the same floating-point operations in the same order* as
+//! [`QuerySketch::bound_sq`] (no fused multiply-add, sums in segment
+//! order), so the scalar path, the AVX2 path and the per-record
+//! reference make bit-identical decisions. The corner part is computed
+//! first: a slot it already rejects needs no segment part (the bound is
+//! the larger of the two), and an AVX2 step whose four slots are all
+//! rejected by it skips the sixteen segment planes — on clustered data
+//! that is most steps.
 //!
 //! ## Soundness
 //!
@@ -38,13 +68,18 @@
 //! never prunes), which keeps ingest sound without requantising the
 //! group.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use crate::envelope::Envelope;
+use crate::kernels::{self, KernelLevel};
 
 /// Number of PAA segments per sketch.
 pub const SKETCH_SEGMENTS: usize = 8;
 
 /// Bytes per sketch: 1 flag byte, 3 reserved, 4 corner levels,
-/// [`SKETCH_SEGMENTS`] segment minima, [`SKETCH_SEGMENTS`] maxima.
+/// [`SKETCH_SEGMENTS`] segment minima, [`SKETCH_SEGMENTS`] maxima — the
+/// record form (disk, and the reference bound).
 pub const SKETCH_STRIDE: usize = 8 + 2 * SKETCH_SEGMENTS;
 
 /// Highest quantisation level (levels are `0..=MAX_LEVEL`).
@@ -52,9 +87,9 @@ const MAX_LEVEL: i64 = u8::MAX as i64;
 
 /// Flag bit: this sketch is a non-pruning placeholder (value out of the
 /// quantiser's range, or non-finite).
-const FLAG_INVALID: u8 = 1;
+pub(crate) const FLAG_INVALID: u8 = 1;
 
-/// Byte offsets inside one sketch.
+/// Byte offsets inside one sketch record.
 const OFF_FLAGS: usize = 0;
 const OFF_FIRST_LO: usize = 4;
 const OFF_FIRST_HI: usize = 5;
@@ -62,6 +97,38 @@ const OFF_LAST_LO: usize = 6;
 const OFF_LAST_HI: usize = 7;
 const OFF_SEG_MIN: usize = 8;
 const OFF_SEG_MAX: usize = 8 + SKETCH_SEGMENTS;
+
+/// Byte planes of the resident form: every record byte but the three
+/// reserved ones.
+pub const SKETCH_PLANES: usize = SKETCH_STRIDE - 3;
+
+/// Plane indices: the record's bytes in record order, reserved bytes
+/// skipped — plane `p > 0` holds record byte `p + 3`.
+pub(crate) const PLANE_FLAGS: usize = 0;
+pub(crate) const PLANE_FIRST_LO: usize = plane_of(OFF_FIRST_LO);
+pub(crate) const PLANE_FIRST_HI: usize = plane_of(OFF_FIRST_HI);
+pub(crate) const PLANE_LAST_LO: usize = plane_of(OFF_LAST_LO);
+pub(crate) const PLANE_LAST_HI: usize = plane_of(OFF_LAST_HI);
+pub(crate) const PLANE_SEG_MIN: usize = plane_of(OFF_SEG_MIN);
+pub(crate) const PLANE_SEG_MAX: usize = plane_of(OFF_SEG_MAX);
+
+/// The plane holding record byte `offset` (a non-reserved one).
+const fn plane_of(offset: usize) -> usize {
+    if offset == OFF_FLAGS {
+        PLANE_FLAGS
+    } else {
+        offset - 3
+    }
+}
+
+/// The record byte plane `plane` holds.
+const fn offset_of(plane: usize) -> usize {
+    if plane == PLANE_FLAGS {
+        OFF_FLAGS
+    } else {
+        plane + 3
+    }
+}
 
 /// The affine quantiser of one length group: level `l` represents the
 /// value `vmin + l · step`. Frozen when the group first appears so
@@ -199,6 +266,106 @@ pub fn encode_into(params: &SketchParams, values: &[f64], out: &mut [u8]) {
     }
 }
 
+/// The sketches of one similarity group in their resident, plane-major
+/// form: plane `p` (see the module docs) is the `cardinality` bytes
+/// starting at `p × cardinality`, slot `i` of every plane belonging to
+/// the group's member `i`.
+///
+/// Never rewritten in place: a clone shares the bytes, and
+/// [`SketchPlanes::grown`] builds a new set, so a group that gained no
+/// member keeps sharing its planes with every earlier epoch of the base.
+/// Equality is byte-exact.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SketchPlanes {
+    /// `SKETCH_PLANES × cardinality` bytes.
+    bytes: Arc<[u8]>,
+}
+
+impl SketchPlanes {
+    /// Members sketched.
+    #[inline]
+    pub fn cardinality(&self) -> usize {
+        self.bytes.len() / SKETCH_PLANES
+    }
+
+    /// Transpose a run of [`SKETCH_STRIDE`]-byte records (the persisted
+    /// form) into planes.
+    ///
+    /// # Panics
+    /// Panics when `records` is not a whole number of records.
+    pub fn from_records(records: &[u8]) -> SketchPlanes {
+        assert_eq!(records.len() % SKETCH_STRIDE, 0, "whole sketch records");
+        SketchPlanes::default().grown(records.len() / SKETCH_STRIDE, |slot, record| {
+            record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE]);
+        })
+    }
+
+    /// Append every slot to `out` as a [`SKETCH_STRIDE`]-byte record
+    /// (reserved bytes zero, as [`encode_into`] leaves them).
+    pub fn write_records(&self, out: &mut Vec<u8>) {
+        out.reserve(self.cardinality() * SKETCH_STRIDE);
+        for slot in 0..self.cardinality() {
+            out.extend_from_slice(&self.record(slot));
+        }
+    }
+
+    /// Slot `slot` as a record — the form [`QuerySketch::bound_sq`] reads.
+    ///
+    /// # Panics
+    /// Panics when `slot` is not below [`Self::cardinality`].
+    pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
+        let n = self.cardinality();
+        assert!(slot < n, "sketch slot {slot} of {n}");
+        let mut record = [0u8; SKETCH_STRIDE];
+        for plane in 0..SKETCH_PLANES {
+            record[offset_of(plane)] = self.bytes[plane * n + slot];
+        }
+        record
+    }
+
+    /// These planes extended to `total` slots: the existing slots are
+    /// copied, and `encode(slot, record)` fills the (zeroed) record of
+    /// each new one. One allocation of the final size; `self` is left as
+    /// it was.
+    ///
+    /// # Panics
+    /// Panics when `total` is below the current cardinality.
+    pub fn grown(&self, total: usize, mut encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
+        let done = self.cardinality();
+        assert!(total >= done, "sketch planes only grow");
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, SKETCH_PLANES * total).collect();
+        let grown = Arc::get_mut(&mut bytes).expect("not shared yet");
+        for plane in 0..SKETCH_PLANES {
+            grown[plane * total..plane * total + done]
+                .copy_from_slice(&self.bytes[plane * done..(plane + 1) * done]);
+        }
+        for slot in done..total {
+            let mut record = [0u8; SKETCH_STRIDE];
+            encode(slot, &mut record);
+            for plane in 0..SKETCH_PLANES {
+                grown[plane * total + slot] = record[offset_of(plane)];
+            }
+        }
+        SketchPlanes { bytes }
+    }
+
+    /// True when both share one allocation — an append left this group's
+    /// sketches alone.
+    pub fn shares_storage_with(&self, other: &SketchPlanes) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes)
+    }
+
+    /// One borrowed slice per plane, cut to `slots`.
+    fn views(&self, slots: Range<usize>) -> [&[u8]; SKETCH_PLANES] {
+        let n = self.cardinality();
+        assert!(
+            slots.start <= slots.end && slots.end <= n,
+            "sketch slots {slots:?} of {n}"
+        );
+        std::array::from_fn(|plane| &self.bytes[plane * n + slots.start..plane * n + slots.end])
+    }
+}
+
 /// The query's precomputed side of the L0 bound for one length group:
 /// segment-wide envelope extremes, segment weights, and the raw corner
 /// values. Built once per [`crate::envelope::Envelope`] the cascade
@@ -206,12 +373,12 @@ pub fn encode_into(params: &SketchParams, values: &[f64], out: &mut [u8]) {
 /// per candidate over its 24 sketch bytes.
 #[derive(Debug, Clone)]
 pub struct QuerySketch {
-    params: SketchParams,
+    pub(crate) params: SketchParams,
     /// Per segment: (envelope max `H`, envelope min `L`, weight).
-    segments: [(f64, f64, f64); SKETCH_SEGMENTS],
-    q_first: f64,
-    q_last: f64,
-    len: usize,
+    pub(crate) segments: [(f64, f64, f64); SKETCH_SEGMENTS],
+    pub(crate) q_first: f64,
+    pub(crate) q_last: f64,
+    pub(crate) len: usize,
 }
 
 impl QuerySketch {
@@ -265,8 +432,9 @@ impl QuerySketch {
         self.len == 0
     }
 
-    /// Sound squared DTW lower bound from one candidate sketch. Invalid
-    /// sketches bound 0 (never prune).
+    /// Sound squared DTW lower bound from one candidate sketch record.
+    /// Invalid sketches bound 0 (never prune). This is the reference the
+    /// block test ([`Self::survivors`]) is checked against.
     ///
     /// # Panics
     /// Panics when `sketch` is not exactly [`SKETCH_STRIDE`] bytes.
@@ -275,31 +443,115 @@ impl QuerySketch {
         if sketch[OFF_FLAGS] & FLAG_INVALID != 0 {
             return 0.0;
         }
+        let kim = self.corner_sq(
+            sketch[OFF_FIRST_LO],
+            sketch[OFF_FIRST_HI],
+            sketch[OFF_LAST_LO],
+            sketch[OFF_LAST_HI],
+        );
+        let seg_sq = self.segment_sq(|s| (sketch[OFF_SEG_MIN + s], sketch[OFF_SEG_MAX + s]));
+        // Both parts may charge the corner cells, so take the tighter
+        // one rather than the unsound sum.
+        kim.max(seg_sq)
+    }
+
+    /// Corner part: squared distance from each query corner to the
+    /// dequantised interval bracketing the candidate's corner value.
+    #[inline]
+    fn corner_sq(&self, first_lo: u8, first_hi: u8, last_lo: u8, last_hi: u8) -> f64 {
         let p = &self.params;
-        // Corner part: squared distance from each query corner to the
-        // dequantised interval bracketing the candidate's corner value.
         let gap = |q: f64, lo: u8, hi: u8| (q - p.dequant(hi)).max(p.dequant(lo) - q).max(0.0);
-        let d_first = gap(self.q_first, sketch[OFF_FIRST_LO], sketch[OFF_FIRST_HI]);
+        let d_first = gap(self.q_first, first_lo, first_hi);
         let mut kim = d_first * d_first;
         if self.len > 1 {
-            let d_last = gap(self.q_last, sketch[OFF_LAST_LO], sketch[OFF_LAST_HI]);
+            let d_last = gap(self.q_last, last_lo, last_hi);
             kim += d_last * d_last;
         }
-        // Segment part: weighted squared escape of the candidate's
-        // dequantised [min, max] bracket from the segment-wide envelope.
+        kim
+    }
+
+    /// Segment part: weighted squared escape of the candidate's
+    /// dequantised [min, max] bracket — `levels(s)` — from the
+    /// segment-wide envelope.
+    #[inline]
+    fn segment_sq(&self, levels: impl Fn(usize) -> (u8, u8)) -> f64 {
+        let p = &self.params;
         let mut seg_sq = 0.0;
         for (s, &(h, l, w)) in self.segments.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
-            let c_lo = p.dequant(sketch[OFF_SEG_MIN + s]);
-            let c_hi = p.dequant(sketch[OFF_SEG_MAX + s]);
-            let e = (c_lo - h).max(l - c_hi).max(0.0);
+            let (min, max) = levels(s);
+            let e = (p.dequant(min) - h).max(l - p.dequant(max)).max(0.0);
             seg_sq += w * e * e;
         }
-        // Both parts may charge the corner cells, so take the tighter
-        // one rather than the unsound sum.
-        kim.max(seg_sq)
+        seg_sq
+    }
+
+    /// The block test: append to `out`, in ascending order, every slot
+    /// of `slots` whose bound does **not** exceed `bound_sq` — exactly
+    /// the slots `s` with `!(self.bound_sq(&planes.record(s)) > bound_sq)`,
+    /// whatever kernel level runs (see the module docs).
+    ///
+    /// # Panics
+    /// Panics when `slots` reaches past the planes' cardinality.
+    pub fn survivors(
+        &self,
+        planes: &SketchPlanes,
+        slots: Range<usize>,
+        bound_sq: f64,
+        out: &mut Vec<usize>,
+    ) {
+        self.survivors_at(kernels::level(), planes, slots, bound_sq, out);
+    }
+
+    /// [`Self::survivors`] on an explicit level (bench / property-test
+    /// entry). Only [`KernelLevel::Avx2`] has a vector path, taken when
+    /// the CPU has it; every other level runs the scalar reference.
+    pub fn survivors_at(
+        &self,
+        level: KernelLevel,
+        planes: &SketchPlanes,
+        slots: Range<usize>,
+        bound_sq: f64,
+        out: &mut Vec<usize>,
+    ) {
+        let first_slot = slots.start;
+        let views = planes.views(slots);
+        kernels::l0_survivors_at(level, self, &views, first_slot, bound_sq, out);
+    }
+
+    /// The scalar block test over positions `at` of the plane `views`
+    /// (position `i` is slot `first_slot + i`).
+    pub(crate) fn survivors_scalar(
+        &self,
+        views: &[&[u8]; SKETCH_PLANES],
+        at: Range<usize>,
+        first_slot: usize,
+        bound_sq: f64,
+        out: &mut Vec<usize>,
+    ) {
+        for i in at {
+            let rejected = if views[PLANE_FLAGS][i] & FLAG_INVALID != 0 {
+                0.0 > bound_sq
+            } else {
+                let kim = self.corner_sq(
+                    views[PLANE_FIRST_LO][i],
+                    views[PLANE_FIRST_HI][i],
+                    views[PLANE_LAST_LO][i],
+                    views[PLANE_LAST_HI][i],
+                );
+                // The bound is max(kim, seg): once the corner part
+                // rejects, the segment part cannot un-reject.
+                kim > bound_sq
+                    || self
+                        .segment_sq(|s| (views[PLANE_SEG_MIN + s][i], views[PLANE_SEG_MAX + s][i]))
+                        > bound_sq
+            };
+            if !rejected {
+                out.push(first_slot + i);
+            }
+        }
     }
 }
 

@@ -299,6 +299,20 @@ proptest! {
         );
     }
 
+    /// The lane DTW is the scalar DP in every lane (see
+    /// [`check_dtw_lanes`]), whatever the lengths and the batch size.
+    #[test]
+    fn dtw_lanes_are_bit_exact_per_lane(
+        x in series(24),
+        m in 1usize..=24,
+        lanes in 1usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        if let Err(e) = check_dtw_lanes(&x, m, lanes, seed) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
     /// L0 sketch bound never exceeds true banded DTW (the tier's
     /// soundness contract) on arbitrary equal-length pairs.
     #[test]
@@ -348,6 +362,222 @@ proptest! {
             } else {
                 prop_assert!(collapsed <= 0.0 || collapsed.is_infinite());
             }
+        }
+    }
+}
+
+/// A seeded stream of values in `[-100, 100)`.
+fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 200_000) as f64 / 1000.0 - 100.0
+    }
+}
+
+/// The block test against its definition: for every cardinality 0..=70
+/// (so every tail of the 4-slot step, and a range crossing one 64-slot
+/// block), at every available level, over the whole group and over a
+/// sub-range, the survivors are exactly the slots the per-record
+/// `bound_sq` does not reject — with invalid-flag slots in the mix, at
+/// `+∞`, at 0, and at bounds set exactly to a slot's own (`>`, not `≥`).
+fn check_l0_block_test(query: &[f64], m: usize, seed: u64) -> Result<(), String> {
+    use onex_distance::kernels::KernelLevel;
+    use onex_distance::{sketch, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
+    const MAX_CARD: usize = 70;
+    let mut next = xorshift(seed);
+    let candidates: Vec<Vec<f64>> = (0..MAX_CARD)
+        .map(|c| {
+            let mut y: Vec<f64> = (0..m).map(|_| next()).collect();
+            if c % 7 == 3 {
+                // Outside the frozen range: encodes as the invalid,
+                // never-pruning placeholder.
+                y[m / 2] = 1e4;
+            }
+            y
+        })
+        .collect();
+    let params = SketchParams::fit(-100.0, 100.0);
+    let mut records = vec![0u8; MAX_CARD * SKETCH_STRIDE];
+    for (y, record) in candidates
+        .iter()
+        .zip(records.chunks_exact_mut(SKETCH_STRIDE))
+    {
+        sketch::encode_into(&params, y, record);
+    }
+    let radius = (seed % 5) as usize + query.len().abs_diff(m);
+    let env = Envelope::build_across(query, m, radius);
+    let qs = QuerySketch::new(query, &env, params);
+    let bounds_of: Vec<f64> = records
+        .chunks_exact(SKETCH_STRIDE)
+        .map(|r| qs.bound_sq(r))
+        .collect();
+    if !bounds_of.iter().skip(3).step_by(7).all(|&b| b == 0.0) {
+        return Err("an out-of-range candidate did not encode as invalid".into());
+    }
+    for card in 0..=MAX_CARD {
+        let planes = SketchPlanes::from_records(&records[..card * SKETCH_STRIDE]);
+        if planes.cardinality() != card {
+            return Err(format!(
+                "{card} records made {} slots",
+                planes.cardinality()
+            ));
+        }
+        let mut sorted = bounds_of[..card].to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mut bounds = vec![f64::INFINITY, 0.0];
+        bounds.extend(sorted.get(card / 2));
+        bounds.extend(bounds_of[..card].iter().skip(seed as usize % 3).step_by(9));
+        for &b in &bounds {
+            for range in [0..card, card / 3..card - card / 5] {
+                let want: Vec<usize> = range
+                    .clone()
+                    .filter(|&s| {
+                        let rejected = bounds_of[s] > b;
+                        !rejected
+                    })
+                    .collect();
+                for level in KernelLevel::available() {
+                    let mut got = Vec::new();
+                    qs.survivors_at(level, &planes, range.clone(), b, &mut got);
+                    if got != want {
+                        return Err(format!(
+                            "{level:?} m={m} card={card} {range:?} b={b}: {got:?} vs {want:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The corners of the block test: one-point candidates (no last-corner
+/// term), candidates shorter than the eight segments (zero-weight
+/// segments), and the explore shape.
+#[test]
+fn l0_block_test_edge_lengths() {
+    let mut next = xorshift(77);
+    for m in [1usize, 2, 3, 5, 7, 8, 9, 31] {
+        for n in [1usize, m, m + 2] {
+            let query: Vec<f64> = (0..n).map(|_| next()).collect();
+            check_l0_block_test(&query, m, (m * 31 + n) as u64).unwrap();
+        }
+    }
+}
+
+/// `SketchPlanes` is a transpose and nothing else: records in, the same
+/// records out, grown planes keep their old slots.
+#[test]
+fn sketch_planes_round_trip_records() {
+    use onex_distance::{sketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
+    let params = SketchParams::fit(-100.0, 100.0);
+    let mut next = xorshift(5);
+    let mut records = vec![0u8; 37 * SKETCH_STRIDE];
+    for record in records.chunks_exact_mut(SKETCH_STRIDE) {
+        let y: Vec<f64> = (0..12).map(|_| next()).collect();
+        sketch::encode_into(&params, &y, record);
+    }
+    let planes = SketchPlanes::from_records(&records);
+    let mut back = Vec::new();
+    planes.write_records(&mut back);
+    assert_eq!(back, records);
+    let head = SketchPlanes::from_records(&records[..10 * SKETCH_STRIDE]);
+    let grown = head.grown(37, |slot, record| {
+        record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE])
+    });
+    assert_eq!(grown, planes);
+    assert!(!grown.shares_storage_with(&head) && head.clone().shares_storage_with(&head));
+    assert_eq!(head.cardinality(), 10, "growing leaves the source alone");
+    assert_eq!(SketchPlanes::default().cardinality(), 0);
+}
+
+/// `dtw_lanes` against the scalar DP, lane by lane and bit for bit: 1–4
+/// candidates, every band, bounds that let a lane finish (`∞`, and
+/// exactly its distance), bounds that kill it, and a live bound.
+fn check_dtw_lanes(x: &[f64], m: usize, lanes: usize, seed: u64) -> Result<(), String> {
+    use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
+    use onex_distance::kernels::{dtw_lanes_at, KernelLevel};
+    let mut next = xorshift(seed);
+    let ys: Vec<Vec<f64>> = (0..lanes)
+        .map(|_| (0..m).map(|_| next()).collect())
+        .collect();
+    let ys: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+    let mut scratch = DtwScratch::default();
+    for band in bands() {
+        let exact: Vec<f64> = ys.iter().map(|y| dtw_sq(x, y, band)).collect();
+        // Per lane, rotated by the seed: finish unbounded, finish at
+        // exactly the distance, die just under it, die at half of it.
+        let cut = |c: usize, d: f64| match (c + seed as usize) % 4 {
+            0 => f64::INFINITY,
+            1 => d,
+            2 => d * (1.0 - 1e-12),
+            _ => d * 0.5,
+        };
+        let mixed: Vec<f64> = exact.iter().enumerate().map(|(c, &d)| cut(c, d)).collect();
+        let unbounded = vec![f64::INFINITY; lanes];
+        let median = {
+            let mut sorted = exact.clone();
+            sorted.sort_by(f64::total_cmp);
+            sorted[lanes / 2]
+        };
+        let live = move || median;
+        let lives: [Option<&dyn Fn() -> f64>; 2] = [None, Some(&live)];
+        for ub_sq in [&unbounded, &mixed] {
+            for live in lives {
+                let want: Vec<f64> = ys
+                    .iter()
+                    .zip(ub_sq)
+                    .map(|(y, &ub)| {
+                        dtw_early_abandon_sq_scratch(x, y, band, ub, None, live, &mut scratch)
+                    })
+                    .collect();
+                for level in KernelLevel::available() {
+                    let mut got = vec![f64::NAN; lanes];
+                    dtw_lanes_at(level, x, &ys, band, ub_sq, live, &mut scratch, &mut got);
+                    let same = got
+                        .iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits());
+                    if !same {
+                        return Err(format!(
+                            "{level:?} {band:?} n={} m={m} ub={ub_sq:?} live={}: {got:?} vs {want:?}",
+                            x.len(),
+                            live.is_some(),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An Itakura pair whose lengths differ by more than the slope allows
+/// has no path: every lane is `∞`, at every level and batch size.
+#[test]
+fn dtw_lanes_infeasible_band_is_infinite_in_every_lane() {
+    use onex_distance::dtw::DtwScratch;
+    use onex_distance::kernels::{dtw_lanes_at, KernelLevel};
+    let x = [1.0, 2.0];
+    let y = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5];
+    let mut scratch = DtwScratch::default();
+    for level in KernelLevel::available() {
+        for lanes in 1..=4 {
+            let mut out = vec![0.0; lanes];
+            dtw_lanes_at(
+                level,
+                &x,
+                &vec![&y[..]; lanes],
+                Band::Itakura,
+                &vec![f64::INFINITY; lanes],
+                None,
+                &mut scratch,
+                &mut out,
+            );
+            assert!(out.iter().all(|d| d.is_infinite()), "{level:?} {out:?}");
         }
     }
 }
@@ -406,6 +636,23 @@ fn envelope_across_edge_cases() {
 #[should_panic(expected = "empty windows")]
 fn envelope_across_rejects_a_radius_below_the_length_gap() {
     Envelope::build_across(&[1.0, 2.0], 5, 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The L0 block test is the per-record bound applied slot by slot
+    /// (see [`check_l0_block_test`]), at any query / candidate length.
+    #[test]
+    fn l0_block_test_equals_the_per_record_reference(
+        x in series(40),
+        m in 1usize..=40,
+        seed in 0u64..1_000_000,
+    ) {
+        if let Err(e) = check_l0_block_test(&x, m, seed) {
+            prop_assert!(false, "{}", e);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -12,15 +12,17 @@ use crate::{BaseConfig, GroupId, SimilarityGroup};
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// A clone is structural: it copies one pointer set per group and per
-/// sketch slab and shares their storage with the original, which is what
-/// lets [`crate::BaseBuilder::extend`] build the next base aside and an
-/// engine publish it as a new epoch without copying the old one.
+/// A clone is structural: it copies one pointer set per group and one
+/// per group's sketch planes and shares their storage with the original,
+/// which is what lets [`crate::BaseBuilder::extend`] build the next base
+/// aside and an engine publish it as a new epoch without copying the old
+/// one.
 ///
 /// The base also carries the L0 [`SketchIndex`] — *derived* data rebuilt
 /// from the dataset via [`OnexBase::sync_sketches`] and excluded from
-/// equality. Persistence format v2 stores the slabs verbatim so a loaded
-/// base prunes immediately; format v1 drops them and the engine re-syncs.
+/// equality. Persistence format v2 stores the sketches verbatim so a
+/// loaded base prunes immediately; format v1 drops them and the engine
+/// re-syncs.
 #[derive(Debug, Clone)]
 pub struct OnexBase {
     config: BaseConfig,
@@ -73,10 +75,10 @@ impl OnexBase {
         self.members += windows;
     }
 
-    /// Sync the sketch slabs of the listed groups of one length — the
+    /// Sync the sketch planes of the listed groups of one length — the
     /// ones an incremental extension admitted into — leaving every other
-    /// slab shared and unvisited. A length that was never synced (new to
-    /// the base, or a base that came without sketches) is synced whole.
+    /// group's shared and unvisited. A length that was never synced (new
+    /// to the base, or a base that came without sketches) is synced whole.
     pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
         let groups = self.groups.get(&len).map_or(&[][..], Vec::as_slice);
         if self.sketches.for_len(len).is_some() {
@@ -109,7 +111,7 @@ impl OnexBase {
     }
 
     /// Install one length column — groups and, when the file carried
-    /// them, the matching sketch slabs — into this base. The lazy
+    /// them, the matching sketches — into this base. The lazy
     /// cold-start path ([`crate::persist::BaseSegment::load_length`])
     /// resolves columns one at a time through this hook; replacing an
     /// already-installed length is idempotent by construction (the

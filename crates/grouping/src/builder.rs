@@ -210,7 +210,7 @@ impl BaseBuilder {
     /// build-aside copy and the caller's base is untouched on **every**
     /// path, success or failure — an erroring extend is observationally a
     /// no-op (there is no half-indexed intermediate to leak). The copy
-    /// is structural: it shares every group and sketch slab with `base`,
+    /// is structural: it shares every group and its sketch planes with `base`,
     /// and only groups that admit a member get storage of their own.
     ///
     /// This is [`Self::extend_resident`] over an index that is seeded
@@ -277,7 +277,7 @@ impl BaseBuilder {
             )));
         }
         // Build aside: all mutation below happens on this copy, which
-        // shares its groups and slabs with `base` until they change.
+        // shares its groups and sketch planes with `base` until they change.
         let mut extended = base.clone();
         let mut work = IndexWork::default();
         // Per length, new subsequences arrive series-major then

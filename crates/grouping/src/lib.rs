@@ -32,7 +32,7 @@
 //! * [`SketchIndex`] ([`sketch`]) carries a quantised-PAA sketch per
 //!   member — the L0 prefilter tier the query engine consults before
 //!   touching any f64 data. Derived and rebuildable; persistence format
-//!   v2 additionally stores the slabs verbatim so a loaded base prunes
+//!   v2 additionally stores the sketches verbatim so a loaded base prunes
 //!   immediately.
 //!
 //! The `ST/2` insert rule plus the Euclidean triangle inequality yield the

@@ -12,12 +12,12 @@
 //! * **v2** (magic `ONEXSEG2`) — the segment format built on
 //!   [`onex_storage`]: page-aligned sections (config, per-length
 //!   tables, group records, representative columns, member tables, L0
-//!   sketch slabs), fixed strides, per-section checksums. Opening a v2
+//!   sketch records), fixed strides, per-section checksums. Opening a v2
 //!   file ([`BaseSegment::open`]) validates everything but decodes
 //!   nothing; columns are resolved lazily per length
 //!   ([`BaseSegment::load_length`]), which is what makes
 //!   `Onex::open`'s cold start O(first query) instead of
-//!   O(collection). v2 also persists the L0 sketch slabs verbatim
+//!   O(collection). v2 also persists the L0 sketches verbatim
 //!   (with their frozen [`onex_distance::SketchParams`]) so a loaded
 //!   base prunes immediately instead of re-encoding every member.
 //!
@@ -110,12 +110,16 @@ mod tests {
     use onex_api::StorageError;
     use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
 
-    pub(super) fn sample_base() -> OnexBase {
-        let ds = random_walk_dataset(SyntheticConfig {
+    pub(super) fn sample_dataset() -> onex_tseries::Dataset {
+        random_walk_dataset(SyntheticConfig {
             series: 5,
             len: 30,
             seed: 13,
-        });
+        })
+    }
+
+    pub(super) fn sample_base() -> OnexBase {
+        let ds = sample_dataset();
         let (mut b, _) = BaseBuilder::new(BaseConfig::new(1.0, 5, 12))
             .unwrap()
             .build(&ds);

@@ -237,7 +237,7 @@ mod tests {
             assert_eq!(g2.members(), g.members());
             assert_eq!(g2.radius(), g.radius());
         }
-        // v1 does not carry sketch slabs; they are re-derived later.
+        // v1 does not carry sketches; they are re-derived later.
         assert!(back.sketches().is_empty());
     }
 

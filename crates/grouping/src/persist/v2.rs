@@ -11,7 +11,7 @@
 //! | `GROUPS`   | 24 B   | member_start u64, member_count u64, radius f64          |
 //! | `REPS`     | 8 B    | representative samples, f64, concatenated in group order |
 //! | `MEMBERS`  | 8 B    | series u32, start u32                                   |
-//! | `SKETCHES` | 24 B   | one L0 sketch slot per member, parallel to `MEMBERS`    |
+//! | `SKETCHES` | 24 B   | one L0 sketch record per member, parallel to `MEMBERS`  |
 //!
 //! `*_start` fields are record indices (not byte offsets) into the
 //! target section; groups, members and representatives are laid out
@@ -23,15 +23,19 @@
 //! The `SKETCHES` section (and the per-length quantisation parameters
 //! in `LENGTHS`, gated by flags bit 0) is present only when the saved
 //! base carried a complete L0 sketch index; a v2 load then restores the
-//! slabs *verbatim*, preserving the frozen
+//! sketches *verbatim*, preserving the frozen
 //! [`SketchParams`](onex_distance::SketchParams) so appended members
-//! keep encoding under the same quantisation.
+//! keep encoding under the same quantisation. The section is an array of
+//! 24-byte records whatever the base holds in memory: a load transposes
+//! each group's run of records into its resident
+//! [`SketchPlanes`](onex_distance::SketchPlanes) as it copies them, and a
+//! save writes records back.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use onex_api::{OnexError, StorageErrorKind};
-use onex_distance::{SketchParams, SKETCH_STRIDE};
+use onex_distance::{SketchParams, SketchPlanes, SKETCH_STRIDE};
 use onex_storage::{put_f64, put_u32, put_u64, put_u8, Segment, SegmentBuilder};
 use onex_tseries::SubseqRef;
 
@@ -83,8 +87,8 @@ fn corrupt(msg: impl Into<String>) -> OnexError {
 ///
 /// The sketch section is written only when the base's [`crate::SketchIndex`]
 /// completely covers every group (all-or-nothing at file level): a
-/// partially synced index would load as a slab the searcher trusts to be
-/// slot-parallel with the members.
+/// partially synced index would load as sketches the searcher trusts to
+/// be slot-parallel with the members.
 pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     let cfg = base.config();
     let sketches_complete = base.lengths().all(|len| {
@@ -92,7 +96,7 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
         base.sketches().for_len(len).is_some_and(|ls| {
             gs.iter().enumerate().all(|(gi, g)| {
                 ls.group(gi)
-                    .is_some_and(|s| s.len() == g.cardinality() * SKETCH_STRIDE)
+                    .is_some_and(|s| s.cardinality() == g.cardinality())
             })
         })
     });
@@ -132,7 +136,10 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
                 put_u32(&mut members_sec, m.start);
             }
             if sketches_complete {
-                sketches_sec.extend_from_slice(ls.expect("complete").group(gi).expect("slab"));
+                ls.expect("complete")
+                    .group(gi)
+                    .expect("planes")
+                    .write_records(&mut sketches_sec);
             }
             member_cursor += g.cardinality() as u64;
             rep_cursor += len as u64;
@@ -427,7 +434,7 @@ impl BaseSegment {
     }
 
     /// Resolve one length column into `base`: decode its groups (and
-    /// sketch slabs, when present) from the borrowed sections and
+    /// sketches, when present) from the borrowed sections and
     /// install them. Returns `false` when the file has no such length.
     /// Idempotent — re-resolving replaces the column with identical
     /// data.
@@ -445,7 +452,7 @@ impl BaseSegment {
         let members_sec = self.seg.section(SEC_MEMBERS).expect("validated");
 
         let mut groups = Vec::with_capacity(e.group_count);
-        let mut slabs = self.has_sketches.then(|| Vec::with_capacity(e.group_count));
+        let mut planes = self.has_sketches.then(|| Vec::with_capacity(e.group_count));
         let records = &groups_sec
             [e.group_start * GROUP_STRIDE..(e.group_start + e.group_count) * GROUP_STRIDE];
         let mut member_cursor = e.member_start;
@@ -479,12 +486,12 @@ impl BaseSegment {
                     SubseqRef::new(series, start, len as u32)
                 })
                 .collect();
-            if let Some(slabs) = slabs.as_mut() {
+            if let Some(planes) = planes.as_mut() {
                 let sk = self.seg.section(SEC_SKETCHES).expect("validated");
-                slabs.push(
-                    sk[member_start * SKETCH_STRIDE..(member_start + member_count) * SKETCH_STRIDE]
-                        .into(),
-                );
+                planes.push(SketchPlanes::from_records(
+                    &sk[member_start * SKETCH_STRIDE
+                        ..(member_start + member_count) * SKETCH_STRIDE],
+                ));
             }
             member_cursor += member_count;
             groups.push(SimilarityGroup::from_parts(rep, members, radius));
@@ -496,7 +503,7 @@ impl BaseSegment {
                 e.member_count
             )));
         }
-        let sketches = slabs.map(|s| {
+        let sketches = planes.map(|s| {
             LengthSketches::from_parts(
                 SketchParams {
                     vmin: e.vmin,
@@ -550,8 +557,8 @@ mod tests {
             assert_eq!(g2.members(), g.members());
             assert_eq!(g2.radius(), g.radius());
         }
-        // The L0 slabs and their frozen parameters came back verbatim —
-        // no re-encode needed before the first query prunes.
+        // The L0 sketches and their frozen parameters came back verbatim
+        // — no re-encode needed before the first query prunes.
         assert_eq!(back.sketches(), base.sketches());
     }
 
@@ -564,6 +571,30 @@ mod tests {
             .load_all()
             .unwrap();
         assert_eq!(save_v2(&back), bytes);
+    }
+
+    #[test]
+    fn sketch_section_is_an_array_of_records_whatever_memory_holds() {
+        // The base keeps plane-major sketches; the file keeps one
+        // 24-byte record per member in MEMBERS order, each exactly what
+        // `encode_into` writes for that member under the length's frozen
+        // parameters.
+        use super::super::tests::sample_dataset;
+        use onex_distance::sketch::encode_into;
+        let (ds, base) = (sample_dataset(), sample_base());
+        let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
+        let section = seg.seg.section(SEC_SKETCHES).expect("sketches saved");
+        assert_eq!(section.len(), base.member_count() * SKETCH_STRIDE);
+        let mut records = section.chunks_exact(SKETCH_STRIDE);
+        for len in base.lengths() {
+            let params = base.sketches().for_len(len).unwrap().params();
+            for member in base.groups_for_len(len).iter().flat_map(|g| g.members()) {
+                let mut want = [0u8; SKETCH_STRIDE];
+                encode_into(&params, ds.resolve(*member).unwrap(), &mut want);
+                assert_eq!(records.next().unwrap(), want, "{member:?}");
+            }
+        }
+        assert!(records.next().is_none());
     }
 
     #[test]
@@ -587,6 +618,17 @@ mod tests {
             cold.sketches().for_len(len).unwrap(),
             base.sketches().for_len(len).unwrap()
         );
+        // The column prunes as it stands — the transpose rode on the
+        // load, nothing is built on first use: a query far from the data
+        // is rejected from the lazily loaded planes alone.
+        let ls = cold.sketches().for_len(len).unwrap();
+        let far = vec![1e3; len];
+        let env = onex_distance::Envelope::build(&far, len);
+        let qs = onex_distance::QuerySketch::new(&far, &env, ls.params());
+        let planes = ls.group(0).unwrap();
+        let mut survivors = Vec::new();
+        qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
+        assert!(survivors.is_empty(), "{survivors:?}");
         // A length the file does not index resolves to "not present".
         assert!(!seg.load_length(&mut cold, 9999).unwrap());
         // Re-resolving is idempotent.

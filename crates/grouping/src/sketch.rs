@@ -1,50 +1,53 @@
 //! Quantised-PAA sketches over the base's members — the storage side of
 //! the L0 prefilter tier.
 //!
-//! Every member of every similarity group gets a fixed-width
-//! [`SKETCH_STRIDE`]-byte sketch ([`onex_distance::sketch`]) stored
-//! contiguously per group, in member-slot order. The searcher walks a
-//! group's slab linearly and rejects members whose sketch lower bound
-//! already exceeds the pruning bound — before resolving any f64 data.
+//! Every member of every similarity group gets a sketch
+//! ([`onex_distance::sketch`]), held per group as one
+//! [`SketchPlanes`] in member-slot order: plane-major bytes, 21 per
+//! member, so the searcher tests a block of a group's members at a time
+//! ([`onex_distance::QuerySketch::survivors`]) and rejects those whose
+//! sketch lower bound already exceeds the pruning bound — before
+//! resolving any f64 data. The layout is [`SketchPlanes`]' own business:
+//! this module builds planes by handing it encoded records and never
+//! indexes one.
 //!
 //! Sketches are *derived* data — rebuildable from the dataset and
 //! excluded from base equality — but since segment format v2 they are
-//! also *persisted* (as verbatim slabs, see [`crate::persist`]), so a
+//! also *persisted* (as 24-byte records, see [`crate::persist`]), so a
 //! loaded base prunes with L0 immediately instead of paying a rebuild.
 //! Quantisation parameters are frozen per length the first time that
 //! length is synced, so a sketch byte written once stays valid forever;
 //! appended values that fall outside the frozen range simply encode as
 //! non-pruning (invalid) sketches, keeping incremental extension sound
 //! without requantising. Persisting the frozen parameters alongside the
-//! slabs is what makes a save/load cycle byte-preserving.
+//! records is what makes a save/load cycle byte-preserving.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use onex_distance::sketch::encode_into;
-use onex_distance::{SketchParams, SKETCH_STRIDE};
+use onex_distance::{SketchParams, SketchPlanes};
 use onex_tseries::Dataset;
 
 use crate::SimilarityGroup;
 
 /// Sketch storage for one subsequence length: frozen quantisation
-/// parameters plus one contiguous byte slab per group.
+/// parameters plus one set of sketch planes per group.
 ///
-/// Slabs are reference-counted and never rewritten in place: a clone
+/// Planes are reference-counted and never rewritten in place: a clone
 /// copies one pointer per group, and [`SketchIndex::sync`] gives a group
-/// that gained members a new slab while every other group keeps sharing
-/// the one earlier epochs of the base read from.
+/// that gained members new planes while every other group keeps sharing
+/// the ones earlier epochs of the base read from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LengthSketches {
     params: SketchParams,
-    /// `groups[g]` holds `group.cardinality()` slots of
-    /// [`SKETCH_STRIDE`] bytes each, parallel to `group.members()`.
-    groups: Vec<Arc<[u8]>>,
+    /// `groups[g]` sketches `group.cardinality()` members, slot `i`
+    /// being `group.members()[i]`.
+    groups: Vec<SketchPlanes>,
 }
 
 impl LengthSketches {
     /// Reassemble from persisted parts ([`crate::persist`] format v2).
-    pub(crate) fn from_parts(params: SketchParams, groups: Vec<Arc<[u8]>>) -> LengthSketches {
+    pub(crate) fn from_parts(params: SketchParams, groups: Vec<SketchPlanes>) -> LengthSketches {
         LengthSketches { params, groups }
     }
 
@@ -55,11 +58,10 @@ impl LengthSketches {
         self.params
     }
 
-    /// The contiguous sketch slab for group `index`
-    /// (`cardinality × SKETCH_STRIDE` bytes), if synced.
+    /// The sketch planes of group `index`, if synced.
     #[inline]
-    pub fn group(&self, index: usize) -> Option<&[u8]> {
-        self.groups.get(index).map(|slab| &**slab)
+    pub fn group(&self, index: usize) -> Option<&SketchPlanes> {
+        self.groups.get(index)
     }
 }
 
@@ -67,7 +69,7 @@ impl LengthSketches {
 ///
 /// Derived from the dataset + groups via [`SketchIndex::sync`]; cheap to
 /// rebuild, append-only under incremental extension. Equality is
-/// byte-exact over slabs and parameters — the property persistence
+/// byte-exact over planes and parameters — the property persistence
 /// round-trip tests pin.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SketchIndex {
@@ -93,11 +95,11 @@ impl SketchIndex {
     }
 
     /// Bring the index up to date with `groups`: append sketch slots for
-    /// members not yet covered, seed slabs for new groups and parameters
+    /// members not yet covered, seed planes for new groups and parameters
     /// for new lengths. Existing bytes are never rewritten — member lists
     /// only grow at the tail (admission order), so sync is incremental
-    /// and idempotent; a group that gained members gets a new slab (its
-    /// old bytes plus the new slots) and every other slab stays shared
+    /// and idempotent; a group that gained members gets new planes (its
+    /// old slots plus the new ones) and every other group's stay shared
     /// with the index this one was cloned from.
     pub fn sync(&mut self, dataset: &Dataset, groups: &BTreeMap<usize, Vec<SimilarityGroup>>) {
         for (&len, group_list) in groups {
@@ -125,29 +127,22 @@ impl SketchIndex {
             }
         });
         if ls.groups.len() < group_list.len() {
-            ls.groups.resize_with(group_list.len(), Arc::default);
+            ls.groups
+                .resize_with(group_list.len(), SketchPlanes::default);
         }
         for gi in which {
             let group = &group_list[gi];
-            let slab = &mut ls.groups[gi];
-            let done = slab.len() / SKETCH_STRIDE;
-            if done >= group.cardinality() {
+            let planes = &mut ls.groups[gi];
+            if planes.cardinality() >= group.cardinality() {
                 continue;
             }
-            // One allocation of the final size, filled in place.
-            let mut grown: Arc<[u8]> =
-                std::iter::repeat_n(0u8, group.cardinality() * SKETCH_STRIDE).collect();
-            let bytes = Arc::get_mut(&mut grown).expect("not shared yet");
-            bytes[..slab.len()].copy_from_slice(slab);
-            let slots = bytes[slab.len()..].chunks_exact_mut(SKETCH_STRIDE);
-            for (&member, slot) in group.members()[done..].iter().zip(slots) {
+            *planes = planes.grown(group.cardinality(), |slot, record| {
                 // An unresolvable reference cannot happen on a
                 // consistent base; encode a non-pruning sketch so the
-                // slab stays slot-aligned regardless.
-                let values = dataset.resolve(member).unwrap_or(&[]);
-                encode_into(&ls.params, values, slot);
-            }
-            *slab = grown;
+                // planes stay slot-aligned regardless.
+                let values = dataset.resolve(group.members()[slot]).unwrap_or(&[]);
+                encode_into(&ls.params, values, record);
+            });
         }
     }
 }
@@ -210,8 +205,8 @@ mod tests {
         for (&len, groups) in base.raw_groups() {
             let ls = idx.for_len(len).expect("length synced");
             for (gi, g) in groups.iter().enumerate() {
-                let slab = ls.group(gi).expect("group synced");
-                assert_eq!(slab.len(), g.cardinality() * SKETCH_STRIDE, "g{gi}@{len}");
+                let planes = ls.group(gi).expect("group synced");
+                assert_eq!(planes.cardinality(), g.cardinality(), "g{gi}@{len}");
             }
         }
         let before = idx.clone();
@@ -235,10 +230,10 @@ mod tests {
         let ls = idx.for_len(8).expect("length 8 indexed");
         let qs = QuerySketch::new(&query, &env, ls.params());
         for (gi, g) in base.raw_groups()[&8].iter().enumerate() {
-            let slab = ls.group(gi).unwrap();
+            let planes = ls.group(gi).unwrap();
             for (slot, &m) in g.members().iter().enumerate() {
                 let xs = ds.resolve(m).unwrap();
-                let lb = qs.bound_sq(&slab[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE]);
+                let lb = qs.bound_sq(&planes.record(slot));
                 let d = dtw_sq(&query, xs, Band::SakoeChiba(2));
                 assert!(
                     lb <= d + 1e-9 * d.abs().max(1.0),
@@ -263,10 +258,7 @@ mod tests {
         let after = idx.for_len(5).unwrap();
         assert_eq!(after.params(), frozen, "params frozen across extension");
         for (gi, g) in base2.raw_groups()[&5].iter().enumerate() {
-            assert_eq!(
-                after.group(gi).unwrap().len(),
-                g.cardinality() * SKETCH_STRIDE
-            );
+            assert_eq!(after.group(gi).unwrap().cardinality(), g.cardinality());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Base files through the live mutation path: a base saved *after*
 //! `append_series` must cold-start back to the exact same engine — the
-//! L0 sketch slabs byte-identical (v2 persists them verbatim under
+//! L0 sketches byte-identical (v2 persists them verbatim under
 //! their frozen quantisation parameters, so a loaded base prunes with
 //! the same rejections, not statistically similar ones) and the top-k
 //! unchanged whether the L0 prefilter is on or off.
@@ -60,18 +60,18 @@ fn base_saved_after_appends_reloads_with_identical_sketches_and_topk() {
     reloaded.resolve_all().expect("own file");
     std::fs::remove_file(&path).ok();
 
-    // The sketch index is byte-exact (PartialEq over slabs + params):
+    // The sketch index is byte-exact (PartialEq over planes + params):
     // nothing was re-quantised on the way through the file.
     assert_eq!(
         *reloaded.base().sketches(),
         *engine.base().sketches(),
-        "reloaded sketch slabs must be byte-identical to the saved engine's"
+        "reloaded sketches must be byte-identical to the saved engine's"
     );
     assert_eq!(*reloaded.base(), *engine.base(), "full base round-trips");
 
     // Top-k equality across the reload, with the L0 prefilter on and
     // off: the prefilter is an optimisation, never an approximation, and
-    // the persisted slabs must not change which candidates survive.
+    // the persisted sketches must not change which candidates survive.
     let query: Vec<f64> = engine.dataset().series(8).unwrap().values()[3..15].to_vec();
     let on = QueryOptions::default();
     let off = QueryOptions::default().without_l0();
