@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use onex_bench::workloads;
-use onex_grouping::{persist, BaseBuilder, BaseConfig, IndexPolicy};
+use onex_grouping::{persist, BaseBuilder, BaseConfig};
 use std::hint::black_box;
 
 fn bench_construction(c: &mut Criterion) {
@@ -16,19 +16,6 @@ fn bench_construction(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("build_st", format!("{st}")),
             &st,
-            |b, _| b.iter(|| black_box(builder.build(&ds))),
-        );
-    }
-    // The nearest-representative lookup policies on the same workload.
-    for policy in [IndexPolicy::Linear, IndexPolicy::VpTree, IndexPolicy::Auto] {
-        let cfg = BaseConfig {
-            index: policy,
-            ..BaseConfig::new(0.35, 16, 24)
-        };
-        let builder = BaseBuilder::new(cfg).unwrap();
-        g.bench_with_input(
-            BenchmarkId::new("build_index", policy.label()),
-            &policy,
             |b, _| b.iter(|| black_box(builder.build(&ds))),
         );
     }

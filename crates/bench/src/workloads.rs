@@ -84,6 +84,23 @@ pub fn walk_collection(series: usize, len: usize) -> Dataset {
     })
 }
 
+/// White noise — i.i.d. N(0, 1) samples, the increments of
+/// [`walk_collection`]'s walks. No two windows are near each other and
+/// all of them have nearly the same means: the regime in which no
+/// summary of a window can stand in for comparing it (E12).
+pub fn noise_collection(series: usize, len: usize) -> Dataset {
+    let walks = walk_collection(series, len);
+    let noise = walks.iter().map(|(_, walk)| {
+        let steps = walk.values().iter().scan(0.0, |at, &x| {
+            let step = x - *at;
+            *at = x;
+            Some(step)
+        });
+        TimeSeries::new(walk.name(), steps.collect::<Vec<f64>>())
+    });
+    Dataset::from_series(noise.collect()).expect("walk names are unique")
+}
+
 /// Cut a query of `len` starting at `start` from a named series, with a
 /// small deterministic perturbation so queries are near-misses rather than
 /// exact members (the realistic analyst case).

@@ -53,7 +53,7 @@ proptest! {
         let all = random_walk_dataset(SyntheticConfig { series, len, seed });
         let initial = prefix(&all, 2);
         for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
-            for index in [IndexPolicy::Auto, IndexPolicy::Linear, IndexPolicy::VpTree] {
+            for index in [IndexPolicy::Auto, IndexPolicy::Linear] {
                 let mut cfg = BaseConfig { policy, index, ..BaseConfig::new(st, 4, 9) };
                 let (warm, _) = Onex::build(initial.clone(), cfg.clone()).unwrap();
                 let engine = match start {

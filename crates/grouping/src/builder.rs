@@ -226,7 +226,7 @@ impl BaseBuilder {
         base: &OnexBase,
         dataset: &Dataset,
     ) -> Result<(OnexBase, BuildReport), OnexError> {
-        self.extend_resident(base, dataset, &mut ResidentIndex::transient())
+        self.extend_resident(base, dataset, &mut ResidentIndex::new())
     }
 
     /// [`Self::extend`] through a caller-kept [`ResidentIndex`]: columns
@@ -313,7 +313,7 @@ impl BaseBuilder {
             let admission = self.config.admission_radius(len);
             let admission_sq = admission * admission;
             let groups = extended.column_mut(len);
-            let index = resident.column(self.config.index, len, groups, new_windows, &mut work);
+            let index = resident.column(self.config.index, len, admission, groups);
             touched.clear();
             for sid in seen..dataset.len() {
                 for r in space.refs_for_series_len(sid, len) {
@@ -353,7 +353,7 @@ impl BaseBuilder {
         let admission = self.config.admission_radius(len);
         let admission_sq = admission * admission;
         let mut groups: Vec<SimilarityGroup> = Vec::new();
-        let mut index = self.config.index.create(space.count_for_len(len));
+        let mut index = self.config.index.create(len, admission);
         let mut work = IndexWork::default();
         for r in space.refs_for_len(len) {
             let xs = dataset.resolve(r).expect("space references are in bounds");
@@ -381,14 +381,13 @@ impl BaseBuilder {
             Some((gi, d_sq)) => {
                 groups[gi].admit(r, xs, d_sq.sqrt(), centroid);
                 if centroid {
-                    index.update(gi, groups[gi].shared_representative(), work);
+                    index.update(gi, groups[gi].representative());
                 }
                 gi
             }
             None => {
-                let group = SimilarityGroup::seed(r, xs);
-                index.insert(groups.len(), group.shared_representative(), work);
-                groups.push(group);
+                index.insert(groups.len(), xs);
+                groups.push(SimilarityGroup::seed(r, xs));
                 groups.len() - 1
             }
         }
@@ -589,32 +588,23 @@ mod tests {
             })
             .unwrap()
             .build(&ds);
-            for index in [IndexPolicy::VpTree, IndexPolicy::Auto] {
-                let (base, report) = BaseBuilder::new(BaseConfig {
-                    index,
-                    ..cfg.clone()
-                })
-                .unwrap()
-                .build(&ds);
-                assert_eq!(base, reference, "{policy:?}/{index:?}");
-                assert_eq!(report.groups, linear_report.groups);
-                assert_eq!(report.subsequences, linear_report.subsequences);
-            }
-            // 10×~67 windows per length ≥ 512 → Auto picks the tree,
-            // which must do the same job in fewer comparisons.
-            let (_, tree_report) = BaseBuilder::new(BaseConfig {
-                index: IndexPolicy::VpTree,
-                ..cfg.clone()
-            })
-            .unwrap()
-            .build(&ds);
+            let (base, report) = BaseBuilder::new(cfg.clone()).unwrap().build(&ds);
+            assert_eq!(base, reference, "{policy:?}");
+            assert_eq!(report.groups, linear_report.groups);
+            assert_eq!(report.subsequences, linear_report.subsequences);
+            // The grid must do the same job in far fewer comparisons, and
+            // account for every representative it did not compare.
             assert!(
-                tree_report.work.examined < linear_report.work.examined,
-                "{policy:?}: tree examined {} vs linear {}",
-                tree_report.work.examined,
+                report.work.examined * 4 < linear_report.work.examined,
+                "{policy:?}: grid examined {} vs linear {}",
+                report.work.examined,
                 linear_report.work.examined
             );
-            assert!(tree_report.work.pruned > 0, "{policy:?}");
+            assert_eq!(
+                report.work.examined + report.work.pruned,
+                linear_report.work.examined,
+                "{policy:?}"
+            );
         }
     }
 
@@ -751,11 +741,7 @@ mod tests {
             len: 30,
             seed: 9,
         });
-        let cfg = BaseConfig {
-            index: IndexPolicy::VpTree,
-            ..BaseConfig::new(0.8, 6, 12)
-        };
-        let mut builder = BaseBuilder::new(cfg).unwrap();
+        let mut builder = BaseBuilder::new(BaseConfig::new(0.8, 6, 12)).unwrap();
         let (base, _) = builder.build(&ds);
         ds.push(TimeSeries::new(
             "late",
@@ -778,7 +764,7 @@ mod tests {
         let (extended, first) = builder.extend_resident(&base, &ds, &mut resident).unwrap();
         assert_eq!(extended, reference);
         assert_eq!(extended.sketches(), reference.sketches());
-        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 3 + 7));
+        assert_eq!((resident.kind(), resident.seeds()), ("grid", 3 + 7));
         assert_eq!(resident.entries(), extended.group_count());
 
         // Extending the returned base finds every column resident and
@@ -806,15 +792,11 @@ mod tests {
             ..BaseConfig::new(1.0, 4, 4)
         })
         .unwrap();
-        let vptree = BaseBuilder::new(BaseConfig {
-            index: IndexPolicy::VpTree,
-            ..BaseConfig::new(1.0, 4, 4)
-        })
-        .unwrap();
+        let grid = BaseBuilder::new(BaseConfig::new(1.0, 4, 4)).unwrap();
         let (base, _) = linear.build(&ds);
         ds.push(TimeSeries::new("near2", vec![0.05; 6])).unwrap();
         let (a, _) = linear.extend(&base, &ds).unwrap();
-        let (b, _) = vptree.extend(&base, &ds).unwrap();
+        let (b, _) = grid.extend(&base, &ds).unwrap();
         assert_eq!(a, b, "index policy never changes what gets built");
     }
 }

@@ -157,17 +157,17 @@ mod tests {
             index: IndexPolicy::Linear,
             ..BaseConfig::new(1.0, 4, 8)
         };
-        let vptree = BaseConfig {
-            index: IndexPolicy::VpTree,
+        let auto = BaseConfig {
+            index: IndexPolicy::Auto,
             ..BaseConfig::new(1.0, 4, 8)
         };
-        assert_eq!(linear, vptree, "index policy excluded from equality");
+        assert_eq!(linear, auto, "index policy excluded from equality");
         assert_ne!(
             linear,
             BaseConfig::new(2.0, 4, 8),
             "semantic fields still compared"
         );
-        assert!(linear.validate().is_ok() && vptree.validate().is_ok());
+        assert!(linear.validate().is_ok() && auto.validate().is_ok());
     }
 
     #[test]

@@ -24,8 +24,7 @@ impl std::fmt::Display for GroupId {
 ///
 /// The representative and the member list are reference-counted, so a
 /// clone is two pointer copies: every published epoch of a base shares
-/// the storage of the groups it inherited, the construction index shares
-/// the representative instead of copying it, and [`Self::admit`] copies
+/// the storage of the groups it inherited, and [`Self::admit`] copies
 /// on write — only a group that admits a member while shared gets
 /// storage of its own ([`Self::shares_storage_with`] tells which).
 #[derive(Debug, Clone)]
@@ -111,8 +110,8 @@ impl SimilarityGroup {
     /// Admit a member that passed the admission test at distance `dist`.
     /// When `centroid` is true the representative is updated to remain the
     /// running mean of all members. Storage still shared with a clone
-    /// (an earlier epoch, an index snapshot) is copied first, so the
-    /// clone never sees the admission.
+    /// (an earlier epoch) is copied first, so the clone never sees the
+    /// admission.
     pub fn admit(&mut self, member: SubseqRef, values: &[f64], dist: f64, centroid: bool) {
         debug_assert_eq!(values.len(), self.representative.len());
         self.members.push(member);
@@ -135,11 +134,6 @@ impl SimilarityGroup {
     pub fn shares_storage_with(&self, other: &SimilarityGroup) -> bool {
         Arc::ptr_eq(&self.representative, &other.representative)
             && self.members.shares_storage_with(&other.members)
-    }
-
-    /// The representative's shared storage (what index entries hold).
-    pub(crate) fn shared_representative(&self) -> &Arc<[f64]> {
-        &self.representative
     }
 
     /// The group's representative sequence (centroid or frozen seed).
@@ -251,10 +245,7 @@ mod tests {
         // A frozen representative stays shared; only the members split.
         let mut seed = published.clone();
         seed.admit(r(2), &[0.1, 0.1], 0.1, false);
-        assert!(Arc::ptr_eq(
-            seed.shared_representative(),
-            published.shared_representative()
-        ));
+        assert!(Arc::ptr_eq(&seed.representative, &published.representative));
         assert!(!seed.shares_storage_with(&published));
     }
 

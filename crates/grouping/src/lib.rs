@@ -22,7 +22,7 @@
 //!   same admission rule and produce identical bases.
 //! * [`RepresentativeIndex`] ([`repindex`]) is the pluggable
 //!   nearest-representative lookup behind that admission rule: the
-//!   [`LinearScan`] reference or the exact [`VpTreeIndex`], selected by
+//!   [`LinearScan`] reference or the exact [`PaaGrid`], selected by
 //!   [`BaseConfig::index`] ([`IndexPolicy`]) — byte-identical results,
 //!   orders of magnitude fewer distance computations when the base
 //!   barely compacts.
@@ -60,7 +60,7 @@ pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
 pub use group::{GroupId, SimilarityGroup};
 pub use repindex::{
-    IndexPolicy, IndexWork, LinearScan, RepresentativeIndex, ResidentIndex, VpTreeIndex,
+    IndexPolicy, IndexWork, LinearScan, PaaGrid, RepresentativeIndex, ResidentIndex,
 };
 pub use sketch::{LengthSketches, SketchIndex};
 pub use space::SubsequenceSpace;

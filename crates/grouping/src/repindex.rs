@@ -10,17 +10,60 @@
 //! ("loading a new dataset triggers the preprocessing of this data at
 //! the server side"), so this latency is user-facing.
 //!
-//! [`RepresentativeIndex`] abstracts the lookup so an exact metric index
-//! ([`VpTreeIndex`]) can answer the same question in roughly logarithmic
-//! time with **identical results**. The contract is exact, not
+//! [`RepresentativeIndex`] abstracts the lookup so an exact index
+//! ([`PaaGrid`]) can answer the same question from a handful of
+//! candidates with **identical results**. The contract is exact, not
 //! approximate: the winner is defined as the representative minimising
 //! `(d², group id)` lexicographically among those with
 //! `d² ≤ radius²`, where `d²` is the same floating-point sum the linear
-//! scan computes (sequential accumulation, as in
-//! [`onex_distance::ed::ed_sq`]). Every implementation must return that
-//! winner, so construction through any index produces a byte-identical
-//! base — the equivalence property tests in `tests/properties.rs` and
-//! bench experiment E12 both check this.
+//! scan computes ([`onex_distance::ed::ed_early_abandon_sq`]). Every
+//! implementation must return that winner, so construction through any
+//! index produces a byte-identical base — the equivalence property tests
+//! in `tests/properties.rs` and bench experiment E12 both check this.
+//!
+//! # The grid
+//!
+//! On a base that barely compacts the answer is almost always "nothing
+//! within the radius", and a lower bound proves that without computing a
+//! distance. For equal-length vectors and any segmentation,
+//! `ED²(x, r) ≥ Σₛ nₛ·(meanₛ(x) − meanₛ(r))²` (the PAA bound: per
+//! segment, Cauchy–Schwarz). [`PaaGrid`] keeps four segment means per
+//! representative and uses the bound twice:
+//!
+//! * **The interval rule.** Over the two halves the bound reads
+//!   `h·Δ² ≤ ED²`, so a representative within `radius` of the query has
+//!   each half-mean within `radius/√h` of the query's. Entries are filed
+//!   in cells keyed by their two half-means; a lookup visits the cells
+//!   covering `[c − radius/√h − ε, c + radius/√h + ε]` on each axis, with
+//!   `radius` that call's own and `ε` the rounding both sides' means can
+//!   carry. The cell of a half-mean is monotone in it, so every entry
+//!   inside the interval sits in a visited cell — whatever the cell
+//!   width. The width (the column's radius over `√h`, three or four
+//!   cells per axis for the builder's calls) decides only how many
+//!   entries come along for nothing; a call whose interval spans many
+//!   rows of cells scans them all.
+//! * **The four-term bound.** A visited entry is dropped when the bound
+//!   over its four quarter-means, each `|Δₛ|` first shrunk by the
+//!   rounding it can carry, exceeds the best `d²` so far (the radius
+//!   until something is found). Survivors get the linear scan's own
+//!   early-abandoning distance and acceptance rule.
+//!
+//! Rounding never costs exactness, only pruning. Means are summed in
+//! `f64` (error within `n·ulp` of the vector's largest magnitude) and
+//! stored as `f32` (one more relative `2⁻²³`). A representative within
+//! the radius has every value within the radius of the query's, so the
+//! query's largest magnitude plus the radius bounds both sides' errors,
+//! and one slack per lookup covers every entry that could win; an entry
+//! it does not cover is too far away to. The finished bound is shaved by
+//! the few `ulp`s a computed `d²` can fall below the true one. Past the
+//! magnitudes an `f32` holds nothing is claimed: the lookup scans every
+//! cell and no gap survives its slack (a NaN difference never does).
+//!
+//! The degenerate regime is white noise: every window's half-means sit
+//! within a cell or two of zero, all representatives land in the visited
+//! cells, and an early-abandoned distance is as cheap as a bound check —
+//! no index helps there and the grid costs about what the scan does
+//! (experiment E12 records it).
 //!
 //! Which implementation runs is an execution decision, not a semantic
 //! one, selected by [`IndexPolicy`] on [`crate::BaseConfig`].
@@ -34,10 +77,9 @@
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use onex_api::OnexError;
-use onex_distance::ed::{ed_early_abandon_sq, ed_sq};
+use onex_distance::ed::ed_early_abandon_sq;
 
 use crate::SimilarityGroup;
 
@@ -46,18 +88,17 @@ use crate::SimilarityGroup;
 /// across index policies the same way query effort is compared across
 /// backends. `examined` and `pruned` are disjoint: a representative is
 /// either dismissed by an index bound before any distance computation
-/// (pruned) or actually compared against (examined), never both.
+/// (pruned) or actually compared against (examined), never both — at
+/// every lookup they add up to the representatives then alive.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexWork {
     /// Representatives whose distance to a subsequence was computed
     /// (including early-abandoned comparisons, which still start the sum).
     pub examined: usize,
-    /// Representatives dismissed by an index bound without starting a
-    /// distance computation (subtrees cut by the triangle inequality).
+    /// Representatives dismissed without starting a distance computation
+    /// (cells outside the lookup's interval, entries under the PAA bound).
     pub pruned: usize,
-    /// Euclidean-distance evaluations started, including the index's own
-    /// maintenance work (tree rebuilds), so policies are compared on
-    /// total effort rather than lookup effort alone.
+    /// Euclidean-distance evaluations started.
     pub distance_calls: usize,
 }
 
@@ -70,64 +111,34 @@ impl std::ops::AddAssign for IndexWork {
 }
 
 /// How [`crate::BaseBuilder`] looks up the nearest representative during
-/// construction. Every policy produces a byte-identical base; they differ
+/// construction. Both policies produce a byte-identical base; they differ
 /// only in construction time and distance-call count (experiment E12
 /// measures both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexPolicy {
-    /// Decide per subsequence length from what the builder observes —
-    /// the groups already there, the lookups about to run, and whether
-    /// the index outlives the call: the VP-tree when it repays its
-    /// maintenance, the linear scan otherwise. The default.
+    /// The exact [`PaaGrid`] for every length. The default.
     #[default]
     Auto,
     /// Always scan every representative — the reference implementation.
     Linear,
-    /// Always use the exact VP-tree index over representatives.
-    VpTree,
 }
 
-/// Lengths with at least this many subsequences get the VP-tree under
-/// [`IndexPolicy::Auto`]; below it the linear scan's lower constant wins.
-const AUTO_MIN_SUBSEQUENCES: usize = 512;
-
 impl IndexPolicy {
-    /// Whether the index for one length should be the VP-tree, given the
-    /// `groups` it starts from, the `lookups` the builder is about to
-    /// perform against it, and whether it is `lasting` (kept for later
-    /// extensions) or dropped with this call.
-    fn wants_tree(self, groups: usize, lookups: usize, lasting: bool) -> bool {
+    /// Instantiate the index for the column of subsequence length `len`,
+    /// whose admission radius is `radius`.
+    pub(crate) fn create(self, len: usize, radius: f64) -> Box<dyn RepresentativeIndex> {
         match self {
-            IndexPolicy::Linear => false,
-            IndexPolicy::VpTree => true,
-            IndexPolicy::Auto => {
-                // Enough lookups to amortise incremental maintenance:
-                // the rule a batch build (no groups yet) decides by.
-                lookups >= AUTO_MIN_SUBSEQUENCES
-                    // A lasting index serves every later extension too,
-                    // so a column big enough for a tree gets one however
-                    // small this increment is.
-                    || (lasting && groups >= AUTO_MIN_SUBSEQUENCES)
-                    // One bulk load costs about groups·log₂(groups)
-                    // distance calls, the linear scan lookups·groups.
-                    || (groups >= 2 && lookups as f64 > (groups as f64).log2())
-            }
+            IndexPolicy::Auto => Box::new(PaaGrid::new(len, radius)),
+            IndexPolicy::Linear => Box::new(LinearScan),
         }
     }
 
-    /// Instantiate the index a batch build of one length uses, given how
-    /// many nearest-representative lookups it will perform against it.
-    pub(crate) fn create(self, expected_lookups: usize) -> Box<dyn RepresentativeIndex> {
-        make_index(self.wants_tree(0, expected_lookups, false))
-    }
-
-    /// Stable lowercase name (`auto` / `linear` / `vptree`), the inverse
-    /// of [`IndexPolicy::from_str`].
+    /// Stable lowercase name (`auto` / `linear`), the inverse of
+    /// [`IndexPolicy::from_str`].
     pub fn label(&self) -> &'static str {
         match self {
             IndexPolicy::Auto => "auto",
             IndexPolicy::Linear => "linear",
-            IndexPolicy::VpTree => "vptree",
         }
     }
 }
@@ -141,8 +152,7 @@ impl std::fmt::Display for IndexPolicy {
 impl FromStr for IndexPolicy {
     type Err = OnexError;
 
-    /// Parse a policy name as accepted by the bench harness and server
-    /// configuration (`auto`, `linear`, `vptree`).
+    /// Parse a policy name (`auto`, `linear`).
     ///
     /// # Errors
     /// [`OnexError::InvalidConfig`] naming the offending value.
@@ -150,19 +160,10 @@ impl FromStr for IndexPolicy {
         match s {
             "auto" => Ok(IndexPolicy::Auto),
             "linear" => Ok(IndexPolicy::Linear),
-            "vptree" => Ok(IndexPolicy::VpTree),
             other => Err(OnexError::invalid_config(format!(
-                "unknown index policy {other:?}; one of auto, linear, vptree"
+                "unknown index policy {other:?}; one of auto, linear"
             ))),
         }
-    }
-}
-
-fn make_index(tree: bool) -> Box<dyn RepresentativeIndex> {
-    if tree {
-        Box::new(VpTreeIndex::new())
-    } else {
-        Box::new(LinearScan)
     }
 }
 
@@ -172,22 +173,21 @@ fn make_index(tree: bool) -> Box<dyn RepresentativeIndex> {
 ///
 /// * [`RepresentativeIndex::nearest_within`] returns the group whose
 ///   representative minimises `(d², group id)` lexicographically among
-///   those with `d² ≤ radius_sq`, with `d²` computed by sequential
-///   accumulation ([`onex_distance::ed::ed_sq`] semantics) — or `None`
+///   those with `d² ≤ radius_sq`, with `d²` as
+///   [`onex_distance::ed::ed_early_abandon_sq`] computes it — or `None`
 ///   when no representative is within the radius.
 /// * The builder calls [`RepresentativeIndex::insert`] exactly once per
 ///   newly seeded group, with group ids issued densely from 0.
 /// * The builder calls [`RepresentativeIndex::update`] after every
 ///   admission that moved a representative (the `Centroid` policy).
 ///
-/// Representatives are handed over as their shared storage, so a
-/// stateful index keeps a pointer, not a copy. Indexes are `Send`: a
-/// [`ResidentIndex`] lives inside an engine that threads share.
+/// Indexes are `Send`: a [`ResidentIndex`] lives inside an engine that
+/// threads share.
 pub trait RepresentativeIndex: Send {
     /// The nearest representative within `radius_sq` of `xs` (squared
     /// Euclidean), ties broken towards the lowest group id. `groups` is
-    /// the builder's live group list (stateless implementations read
-    /// representatives from it; stateful ones keep their own copies).
+    /// the builder's live group list, which representatives are read
+    /// from.
     fn nearest_within(
         &mut self,
         xs: &[f64],
@@ -197,19 +197,10 @@ pub trait RepresentativeIndex: Send {
     ) -> Option<(usize, f64)>;
 
     /// Register a newly seeded group.
-    fn insert(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork);
+    fn insert(&mut self, group: usize, representative: &[f64]);
 
     /// Note that a group's representative moved (centroid drift).
-    fn update(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork);
-
-    /// Register all of an existing base's groups at once (the incremental
-    /// `extend` path); equivalent to `insert` in id order, but lets tree
-    /// indexes bulk-load instead of trickling through their buffers.
-    fn seed(&mut self, groups: &[SimilarityGroup], work: &mut IndexWork) {
-        for (gi, g) in groups.iter().enumerate() {
-            self.insert(gi, g.shared_representative(), work);
-        }
-    }
+    fn update(&mut self, group: usize, representative: &[f64]);
 
     /// Stable implementation name for reports.
     fn name(&self) -> &'static str;
@@ -247,11 +238,9 @@ impl RepresentativeIndex for LinearScan {
         best
     }
 
-    fn insert(&mut self, _group: usize, _representative: &Arc<[f64]>, _work: &mut IndexWork) {}
+    fn insert(&mut self, _group: usize, _representative: &[f64]) {}
 
-    fn update(&mut self, _group: usize, _representative: &Arc<[f64]>, _work: &mut IndexWork) {}
-
-    fn seed(&mut self, _groups: &[SimilarityGroup], _work: &mut IndexWork) {}
+    fn update(&mut self, _group: usize, _representative: &[f64]) {}
 
     fn name(&self) -> &'static str {
         "linear"
@@ -259,179 +248,129 @@ impl RepresentativeIndex for LinearScan {
 }
 
 // ---------------------------------------------------------------------
-// VP-tree forest — exact metric index over representatives.
+// PAA grid — exact lower-bound index over representatives.
 // ---------------------------------------------------------------------
 
-/// Entries flushed from the buffer into a tree per batch.
-const BUFFER_CAP: usize = 32;
-/// Subtrees at most this large are stored flat and scanned directly.
-const LEAF_CAP: usize = 16;
+/// PAA segments kept per representative; segment `s` of a length-`n`
+/// vector is `[n·s/4, n·(s+1)/4)`, so lengths 2 and 3 carry empty ones.
+const SEGMENTS: usize = 4;
+/// Rows of cells a lookup walks one by one; an interval spanning more
+/// (a radius or a rounding allowance far above the cell width) scans
+/// every cell instead.
+const ROW_CAP: i128 = 8;
+/// Relative error a mean can carry from being stored as `f32` (one unit
+/// in the last place — twice round-to-nearest's worst case).
+const F32_ULP: f64 = f32::EPSILON as f64;
+/// Largest magnitude a lookup vouches for: every mean it could meet fits
+/// an `f32` (and no sum of them leaves `f64`) with room to spare.
+const STORABLE: f64 = f32::MAX as f64 / 2.0;
 
-/// Safety margin added to triangle-inequality bounds so floating-point
-/// rounding of the (near-exact) computed distances can never prune the
-/// true winner. Costs a sliver of pruning power, buys byte-identical
-/// equivalence with the linear scan.
-fn slack(scale: f64) -> f64 {
-    1e-9 * (scale.abs() + 1.0)
-}
-
-/// One indexed representative: the group it belongs to, a snapshot of the
-/// representative's values at index time, and the version of that
-/// snapshot. A snapshot is *live* while its version matches the group's
-/// current version; centroid drift bumps the version, turning every older
-/// snapshot stale (skipped by searches, dropped at the next rebuild).
-///
-/// The snapshot shares the group's storage: a frozen (`Seed`)
-/// representative is never copied, and a drifting one is copied by the
-/// group's own copy-on-write when it next moves, which is exactly what
-/// leaves this entry holding the values it was indexed under.
-#[derive(Debug, Clone)]
+/// One indexed representative: its group and its four segment means. It
+/// holds no pointer — the values are read from the builder's group list.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     gid: u32,
-    version: u32,
-    rep: Arc<[f64]>,
+    means: [f32; SEGMENTS],
 }
 
-#[derive(Debug)]
-enum Node {
-    Leaf(Vec<Entry>),
-    Ball {
-        vp: Entry,
-        /// Entries in this subtree including the vantage point.
-        size: usize,
-        /// Distance bounds (root scale) from `vp` to the inside child.
-        in_lo: f64,
-        in_hi: f64,
-        /// Distance bounds (root scale) from `vp` to the outside child.
-        out_lo: f64,
-        out_hi: f64,
-        inside: Box<Node>,
-        outside: Box<Node>,
-    },
+/// Grid coordinates: the two half-means in units of the cell width.
+type Cell = (i64, i64);
+
+/// What the grid needs of a vector: segment means, the half-means that
+/// place it, and its largest magnitude (the scale of the sums' rounding).
+struct Paa {
+    means: [f64; SEGMENTS],
+    halves: [f64; 2],
+    peak: f64,
 }
 
-impl Node {
-    fn size(&self) -> usize {
-        match self {
-            Node::Leaf(entries) => entries.len(),
-            Node::Ball { size, .. } => *size,
-        }
-    }
-}
-
-/// An exact VP-tree index over group representatives.
+/// An exact nearest-representative index for one length column: a grid
+/// over the representatives' two half-means, each entry carrying four
+/// segment means for the PAA lower bound (see the [module docs](self)).
 ///
-/// Because representatives *move* under the `Centroid` policy and new
-/// groups are seeded constantly, a single static tree would be rebuilt
-/// into uselessness. Instead this is a small forest maintained with the
-/// logarithmic (binary-counter) method: inserts and updates land in a
-/// bounded buffer that is scanned linearly; when the buffer fills, it is
-/// merged with every tree no larger than the batch and rebuilt into one
-/// tree, so each entry participates in O(log n) rebuilds and a lookup
-/// searches the buffer plus O(log n) trees. Stale snapshots (superseded
-/// by centroid drift) are skipped during search and dropped at merges.
-#[derive(Debug, Default)]
-pub struct VpTreeIndex {
-    trees: Vec<Node>,
-    buffer: Vec<Entry>,
-    /// Current snapshot version per group id.
-    versions: Vec<u32>,
+/// An insert is one push, a centroid update moves the entry to its new
+/// cell — there is one entry per group at all times — and seeding from
+/// a base is one pass of inserts.
+#[derive(Debug)]
+pub struct PaaGrid {
+    /// Segment `s` covers `cuts[s]..cuts[s + 1]`.
+    cuts: [usize; SEGMENTS + 1],
+    /// Points per segment, the bound's weights.
+    weights: [f64; SEGMENTS],
+    /// √(points per half): a radius over this is the reach of a half-mean.
+    half_roots: [f64; 2],
+    /// Cell width per axis: the column's admission radius over `half_roots`.
+    width: [f64; 2],
+    /// Rounding allowance of a mean per unit of vector magnitude (the
+    /// `f64` sums of both sides and the arithmetic done on them), which
+    /// is also the relative amount a computed `d²` and a computed bound
+    /// can be out against each other.
+    ulps: f64,
+    cells: BTreeMap<Cell, Vec<Entry>>,
+    /// Per group: the cell its entry is filed in and the slot there.
+    home: Vec<(Cell, u32)>,
 }
 
-impl VpTreeIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        VpTreeIndex::default()
-    }
-
-    fn upsert_buffer(&mut self, entry: Entry, work: &mut IndexWork) {
-        if let Some(slot) = self.buffer.iter_mut().find(|b| b.gid == entry.gid) {
-            *slot = entry;
-            return;
-        }
-        self.buffer.push(entry);
-        if self.buffer.len() >= BUFFER_CAP {
-            self.flush(work);
-        }
-    }
-
-    /// Merge the buffer with every tree it has outgrown and rebuild the
-    /// union as one tree (the binary-counter step).
-    fn flush(&mut self, work: &mut IndexWork) {
-        let mut entries = std::mem::take(&mut self.buffer);
-        while let Some(pos) = self.trees.iter().position(|t| t.size() <= entries.len()) {
-            collect_live(self.trees.swap_remove(pos), &self.versions, &mut entries);
-        }
-        if !entries.is_empty() {
-            self.trees.push(build_node(entries, work));
+impl PaaGrid {
+    /// An empty index for representatives of length `len`, with cells
+    /// sized for lookups at `radius` (its sign is ignored).
+    pub fn new(len: usize, radius: f64) -> Self {
+        let cuts: [usize; SEGMENTS + 1] = std::array::from_fn(|s| len * s / SEGMENTS);
+        let weights: [f64; SEGMENTS] = std::array::from_fn(|s| (cuts[s + 1] - cuts[s]) as f64);
+        let half_roots = [
+            (weights[0] + weights[1]).sqrt(),
+            (weights[2] + weights[3]).sqrt(),
+        ];
+        PaaGrid {
+            cuts,
+            weights,
+            half_roots,
+            width: half_roots.map(|root| radius.abs() / root),
+            ulps: (len as f64 + 16.0) * f64::EPSILON,
+            cells: BTreeMap::new(),
+            home: Vec::new(),
         }
     }
-}
 
-/// Drain a subtree, keeping only entries whose snapshot is still current.
-fn collect_live(node: Node, versions: &[u32], out: &mut Vec<Entry>) {
-    match node {
-        Node::Leaf(entries) => {
-            out.extend(
-                entries
-                    .into_iter()
-                    .filter(|e| versions[e.gid as usize] == e.version),
-            );
-        }
-        Node::Ball {
-            vp,
-            inside,
-            outside,
-            ..
-        } => {
-            if versions[vp.gid as usize] == vp.version {
-                out.push(vp);
+    fn paa(&self, xs: &[f64]) -> Paa {
+        debug_assert_eq!(xs.len(), self.cuts[SEGMENTS], "one length per column");
+        let mut sums = [0.0f64; SEGMENTS];
+        let mut peak = 0.0f64;
+        for (s, sum) in sums.iter_mut().enumerate() {
+            for &x in &xs[self.cuts[s]..self.cuts[s + 1]] {
+                *sum += x;
+                peak = peak.max(x.abs());
             }
-            collect_live(*inside, versions, out);
-            collect_live(*outside, versions, out);
+        }
+        let mean = |sum: f64, points: f64| if points > 0.0 { sum / points } else { 0.0 };
+        Paa {
+            means: std::array::from_fn(|s| mean(sums[s], self.weights[s])),
+            halves: [
+                mean(sums[0] + sums[1], self.weights[0] + self.weights[1]),
+                mean(sums[2] + sums[3], self.weights[2] + self.weights[3]),
+            ],
+            peak,
         }
     }
-}
 
-fn build_node(mut entries: Vec<Entry>, work: &mut IndexWork) -> Node {
-    if entries.len() <= LEAF_CAP {
-        return Node::Leaf(entries);
+    /// The cell coordinate of a half-mean: monotone in it (a correctly
+    /// rounded division, `floor`, a saturating cast), which is all the
+    /// interval rule needs of it.
+    fn coordinate(&self, axis: usize, half_mean: f64) -> i64 {
+        (half_mean / self.width[axis]).floor() as i64
     }
-    let vp = entries.swap_remove(0);
-    let mut dists: Vec<(f64, Entry)> = entries
-        .into_iter()
-        .map(|e| {
-            work.distance_calls += 1;
-            (ed_sq(&vp.rep, &e.rep).sqrt(), e)
-        })
-        .collect();
-    let mid = dists.len() / 2;
-    dists.select_nth_unstable_by(mid, |a, b| a.0.total_cmp(&b.0));
-    let outside: Vec<(f64, Entry)> = dists.split_off(mid);
-    let bounds = |part: &[(f64, Entry)]| {
-        part.iter()
-            .fold((f64::INFINITY, 0.0f64), |(lo, hi), (d, _)| {
-                (lo.min(*d), hi.max(*d))
-            })
-    };
-    let (in_lo, in_hi) = bounds(&dists);
-    let (out_lo, out_hi) = bounds(&outside);
-    let size = 1 + dists.len() + outside.len();
-    Node::Ball {
-        vp,
-        size,
-        in_lo,
-        in_hi,
-        out_lo,
-        out_hi,
-        inside: Box::new(build_node(
-            dists.into_iter().map(|(_, e)| e).collect(),
-            work,
-        )),
-        outside: Box::new(build_node(
-            outside.into_iter().map(|(_, e)| e).collect(),
-            work,
-        )),
+
+    fn file(&self, group: usize, representative: &[f64]) -> (Cell, Entry) {
+        let paa = self.paa(representative);
+        let cell = (
+            self.coordinate(0, paa.halves[0]),
+            self.coordinate(1, paa.halves[1]),
+        );
+        let entry = Entry {
+            gid: u32::try_from(group).expect("group ids fit the index's 32 bits"),
+            means: paa.means.map(|m| m as f32),
+        };
+        (cell, entry)
     }
 }
 
@@ -448,170 +387,107 @@ fn offer(best: &mut Option<(usize, f64)>, radius_sq: f64, gid: usize, d_sq: f64)
     }
 }
 
-fn search(
-    node: &Node,
-    xs: &[f64],
-    radius_sq: f64,
-    versions: &[u32],
-    best: &mut Option<(usize, f64)>,
-    work: &mut IndexWork,
-) {
-    let tau_sq = best.map_or(radius_sq, |(_, b)| b);
-    match node {
-        Node::Leaf(entries) => {
-            for e in entries {
-                if versions[e.gid as usize] != e.version {
-                    continue; // superseded snapshot; its successor is elsewhere
-                }
-                work.examined += 1;
-                work.distance_calls += 1;
-                let bound_sq = best.map_or(radius_sq, |(_, b)| b);
-                let d_sq = ed_early_abandon_sq(xs, &e.rep, bound_sq);
-                if d_sq.is_finite() {
-                    offer(best, radius_sq, e.gid as usize, d_sq);
-                }
-            }
-        }
-        Node::Ball {
-            vp,
-            size,
-            in_lo,
-            in_hi,
-            out_lo,
-            out_hi,
-            inside,
-            outside,
-        } => {
-            let tau = tau_sq.sqrt();
-            // If the query is farther from the vantage point than every
-            // stored distance plus the search radius, the triangle
-            // inequality rules out the whole ball — abandon accordingly.
-            let node_ub = in_hi.max(*out_hi) + tau;
-            let node_ub = node_ub + slack(node_ub);
-            work.distance_calls += 1;
-            // A stale vantage point still navigates (its snapshot defines
-            // the subtree geometry) but is not a live representative, so
-            // it counts toward distance_calls only — keeping `examined`
-            // and `pruned` disjoint over representatives, as documented.
-            let vp_live = versions[vp.gid as usize] == vp.version;
-            let d_sq = ed_early_abandon_sq(xs, &vp.rep, node_ub * node_ub);
-            if !d_sq.is_finite() {
-                if vp_live {
-                    work.examined += 1; // comparison started, then abandoned
-                }
-                // The subtree (which may include a few stale snapshots) is
-                // dismissed without any distance computation.
-                work.pruned += size - 1;
-                return;
-            }
-            if vp_live {
-                work.examined += 1;
-                if d_sq <= tau_sq {
-                    offer(best, radius_sq, vp.gid as usize, d_sq);
-                }
-            }
-            let d = d_sq.sqrt();
-            let visit = |child: &Node,
-                         lo: f64,
-                         hi: f64,
-                         best: &mut Option<(usize, f64)>,
-                         work: &mut IndexWork| {
-                let tau = best.map_or(radius_sq, |(_, b)| b).sqrt();
-                // Lower bound on the distance from the query to anything
-                // in the child, by the triangle inequality on d(·, vp).
-                let lb = (d - hi).max(lo - d).max(0.0);
-                if lb > tau + slack(tau.max(lb)) {
-                    work.pruned += child.size();
-                } else {
-                    search(child, xs, radius_sq, versions, best, work);
-                }
-            };
-            // Visit the side the query falls on first: it tightens the
-            // bound before the far side is considered.
-            if d <= (in_hi + out_lo) * 0.5 {
-                visit(inside, *in_lo, *in_hi, best, work);
-                visit(outside, *out_lo, *out_hi, best, work);
-            } else {
-                visit(outside, *out_lo, *out_hi, best, work);
-                visit(inside, *in_lo, *in_hi, best, work);
-            }
-        }
-    }
-}
-
-impl RepresentativeIndex for VpTreeIndex {
+impl RepresentativeIndex for PaaGrid {
     fn nearest_within(
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        _groups: &[SimilarityGroup],
+        groups: &[SimilarityGroup],
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
+        let query = self.paa(xs);
+        let radius = radius_sq.sqrt();
+        // A representative within the radius has every value within it of
+        // the query's, so this magnitude bounds both sides' sums and the
+        // stored means; past what those hold (or on a NaN) nothing is
+        // claimed — every cell is scanned and no gap survives its slack.
+        let reach = query.peak + radius;
+        let vouched = reach <= STORABLE;
+        let eps = if vouched {
+            self.ulps * reach + f64::from(f32::MIN_POSITIVE)
+        } else {
+            f64::INFINITY
+        };
+        let slack = eps + F32_ULP * reach;
+        let shave = 1.0 - self.ulps;
         let mut best: Option<(usize, f64)> = None;
-        // Buffer entries are always current versions.
-        for e in &self.buffer {
-            work.examined += 1;
-            work.distance_calls += 1;
-            let bound_sq = best.map_or(radius_sq, |(_, b)| b);
-            let d_sq = ed_early_abandon_sq(xs, &e.rep, bound_sq);
-            if d_sq.is_finite() {
-                offer(&mut best, radius_sq, e.gid as usize, d_sq);
+        let mut examined = 0usize;
+        let mut scan = |entries: &[Entry]| {
+            for entry in entries {
+                let bound_sq = best.map_or(radius_sq, |(_, b)| b);
+                let mut lower = 0.0;
+                for s in 0..SEGMENTS {
+                    let gap = (query.means[s] - f64::from(entry.means[s])).abs() - slack;
+                    // `max` drops a NaN (∞ − ∞): no gap is claimed there.
+                    let gap = gap.max(0.0);
+                    lower += self.weights[s] * gap * gap;
+                }
+                if lower * shave > bound_sq {
+                    continue;
+                }
+                examined += 1;
+                let gid = entry.gid as usize;
+                let d_sq = ed_early_abandon_sq(xs, groups[gid].representative(), bound_sq);
+                if d_sq.is_finite() {
+                    offer(&mut best, radius_sq, gid, d_sq);
+                }
+            }
+        };
+        let span = |axis: usize| {
+            let pad = radius / self.half_roots[axis] + eps;
+            (
+                self.coordinate(axis, query.halves[axis] - pad),
+                self.coordinate(axis, query.halves[axis] + pad),
+            )
+        };
+        let ((row_lo, row_hi), (col_lo, col_hi)) = (span(0), span(1));
+        if !vouched || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
+            self.cells.values().for_each(|entries| scan(entries));
+        } else {
+            for row in row_lo..=row_hi {
+                self.cells
+                    .range((row, col_lo)..=(row, col_hi))
+                    .for_each(|(_, entries)| scan(entries));
             }
         }
-        for tree in &self.trees {
-            search(tree, xs, radius_sq, &self.versions, &mut best, work);
-        }
+        work.examined += examined;
+        work.distance_calls += examined;
+        work.pruned += self.home.len() - examined;
         best
     }
 
-    fn insert(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork) {
-        if self.versions.len() <= group {
-            self.versions.resize(group + 1, 0);
-        }
-        self.upsert_buffer(
-            Entry {
-                gid: group as u32,
-                version: self.versions[group],
-                rep: Arc::clone(representative),
-            },
-            work,
-        );
+    fn insert(&mut self, group: usize, representative: &[f64]) {
+        assert_eq!(group, self.home.len(), "group ids are issued densely");
+        let (cell, entry) = self.file(group, representative);
+        let entries = self.cells.entry(cell).or_default();
+        self.home.push((cell, entries.len() as u32));
+        entries.push(entry);
     }
 
-    fn update(&mut self, group: usize, representative: &Arc<[f64]>, work: &mut IndexWork) {
-        self.versions[group] += 1;
-        self.upsert_buffer(
-            Entry {
-                gid: group as u32,
-                version: self.versions[group],
-                rep: Arc::clone(representative),
-            },
-            work,
-        );
-    }
-
-    fn seed(&mut self, groups: &[SimilarityGroup], work: &mut IndexWork) {
-        debug_assert!(
-            self.versions.is_empty() && self.trees.is_empty() && self.buffer.is_empty(),
-            "seed() is for freshly created indexes"
-        );
-        self.versions = vec![0; groups.len()];
-        let entries: Vec<Entry> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| Entry {
-                gid: gi as u32,
-                version: 0,
-                rep: Arc::clone(g.shared_representative()),
-            })
-            .collect();
-        if !entries.is_empty() {
-            self.trees.push(build_node(entries, work));
+    fn update(&mut self, group: usize, representative: &[f64]) {
+        let (cell, entry) = self.file(group, representative);
+        let (old, slot) = self.home[group];
+        let entries = self
+            .cells
+            .get_mut(&old)
+            .expect("a group's home cell exists");
+        if old == cell {
+            entries[slot as usize] = entry;
+            return;
         }
+        entries.swap_remove(slot as usize);
+        if let Some(moved) = entries.get(slot as usize) {
+            self.home[moved.gid as usize].1 = slot;
+        } else if entries.is_empty() {
+            self.cells.remove(&old);
+        }
+        let entries = self.cells.entry(cell).or_default();
+        self.home[group] = (cell, entries.len() as u32);
+        entries.push(entry);
     }
 
     fn name(&self) -> &'static str {
-        "vptree"
+        "grid"
     }
 }
 
@@ -623,7 +499,6 @@ impl RepresentativeIndex for VpTreeIndex {
 /// (the cheap check that it still mirrors the column it is handed).
 struct Column {
     index: Box<dyn RepresentativeIndex>,
-    tree: bool,
     groups: usize,
 }
 
@@ -638,31 +513,16 @@ struct Column {
 /// already admitted members was abandoned. The builder clears it itself
 /// when an extension fails; whoever keeps the index between calls owns
 /// the "same base" guarantee (the engine stamps it with the epoch).
-///
-/// Under [`IndexPolicy::Auto`] a kept index is a VP-tree for every
-/// column of at least 512 groups, whatever the size of the increment.
 #[derive(Default)]
 pub struct ResidentIndex {
     columns: BTreeMap<usize, Column>,
-    /// Dropped with the call that seeded it (the stateless `extend`),
-    /// so `Auto` weighs the seeding against this call's lookups alone.
-    transient: bool,
     seeds: u64,
 }
 
 impl ResidentIndex {
-    /// An empty index meant to be kept between extensions; columns are
-    /// seeded on first use.
+    /// An empty index; columns are seeded on first use.
     pub fn new() -> Self {
         ResidentIndex::default()
-    }
-
-    /// An empty index that will not outlive the extension it is made for.
-    pub(crate) fn transient() -> Self {
-        ResidentIndex {
-            transient: true,
-            ..ResidentIndex::default()
-        }
     }
 
     /// Drop every column; the next extension re-seeds what it needs.
@@ -683,45 +543,39 @@ impl ResidentIndex {
         self.seeds
     }
 
-    /// The implementation behind the seeded columns: its name when they
-    /// agree, `"mixed"` when they do not, `"none"` when nothing is seeded.
+    /// The implementation behind the seeded columns (`"grid"` or
+    /// `"linear"`), `"none"` when nothing is seeded.
     pub fn kind(&self) -> &'static str {
-        let mut names = self.columns.values().map(|c| c.index.name());
-        match names.next() {
-            None => "none",
-            Some(first) if names.all(|n| n == first) => first,
-            Some(_) => "mixed",
-        }
+        self.columns
+            .values()
+            .next()
+            .map_or("none", |c| c.index.name())
     }
 
-    /// The index for `len`, mirroring `groups` and about to serve
-    /// `lookups` lookups: the resident column when it covers exactly
-    /// these groups, a freshly seeded one otherwise. Columns only grow,
-    /// so a resident tree is kept even for an increment too small to
-    /// have asked for one; a resident scan is replaced as soon as
-    /// `policy` wants a tree.
+    /// The index for length `len` (admission radius `radius`), mirroring
+    /// `groups`: the resident column when it covers exactly these groups,
+    /// one freshly seeded from them — a pass of inserts — otherwise.
     pub(crate) fn column(
         &mut self,
         policy: IndexPolicy,
         len: usize,
+        radius: f64,
         groups: &[SimilarityGroup],
-        lookups: usize,
-        work: &mut IndexWork,
     ) -> &mut dyn RepresentativeIndex {
-        let tree = policy.wants_tree(groups.len(), lookups, !self.transient);
         let resident = self
             .columns
             .get(&len)
-            .is_some_and(|c| c.groups == groups.len() && (c.tree || !tree));
+            .is_some_and(|c| c.groups == groups.len());
         if !resident {
-            let mut index = make_index(tree);
-            index.seed(groups, work);
+            let mut index = policy.create(len, radius);
+            for (gi, g) in groups.iter().enumerate() {
+                index.insert(gi, g.representative());
+            }
             self.seeds += 1;
             self.columns.insert(
                 len,
                 Column {
                     index,
-                    tree,
                     groups: groups.len(),
                 },
             );
@@ -776,21 +630,50 @@ mod tests {
         }
     }
 
+    fn entries(grid: &PaaGrid) -> usize {
+        grid.cells.values().map(Vec::len).sum()
+    }
+
     /// Drive both implementations through an identical randomized
-    /// insert/update/query schedule and demand identical answers.
-    fn equivalence_drill(len: usize, scale: f64, radius: f64, seed: u64, centroid_rate: f64) {
+    /// insert/update/query schedule — windows jittered about a pool of
+    /// shapes, so that about half of them find a group — and demand
+    /// identical answers, with every live representative accounted for at
+    /// every lookup. Returns the groups and the grid kept in step with
+    /// them.
+    fn equivalence_drill(
+        len: usize,
+        scale: f64,
+        radius: f64,
+        seed: u64,
+        centroid_rate: f64,
+    ) -> (Vec<SimilarityGroup>, PaaGrid) {
         let mut rng = Rng(seed);
         let mut groups: Vec<SimilarityGroup> = Vec::new();
         let mut linear = LinearScan;
-        let mut tree = VpTreeIndex::new();
+        let mut grid = PaaGrid::new(len, radius);
         let mut lw = IndexWork::default();
-        let mut tw = IndexWork::default();
+        let mut gw = IndexWork::default();
         let radius_sq = radius * radius;
+        let mut updates = 0;
+        let shapes: Vec<Vec<f64>> = (0..60).map(|_| rng.vec(len, scale)).collect();
+        let jitter = 0.7 * radius * (12.0 / len as f64).sqrt();
         for step in 0..600 {
-            let xs = rng.vec(len, scale);
-            let a = linear.nearest_within(&xs, radius_sq, &groups, &mut lw);
-            let b = tree.nearest_within(&xs, radius_sq, &groups, &mut tw);
-            assert_eq!(a, b, "step {step}: linear {a:?} vs vptree {b:?}");
+            let shape = &shapes[(rng.next() * shapes.len() as f64) as usize];
+            let xs: Vec<f64> = shape
+                .iter()
+                .zip(rng.vec(len, jitter))
+                .map(|(s, j)| s + j)
+                .collect();
+            let (mut l1, mut g1) = (IndexWork::default(), IndexWork::default());
+            let a = linear.nearest_within(&xs, radius_sq, &groups, &mut l1);
+            let b = grid.nearest_within(&xs, radius_sq, &groups, &mut g1);
+            assert_eq!(a, b, "step {step}: linear {a:?} vs grid {b:?}");
+            for (name, w) in [("linear", l1), ("grid", g1)] {
+                assert_eq!(w.examined + w.pruned, groups.len(), "step {step}: {name}");
+                assert_eq!(w.distance_calls, w.examined, "step {step}: {name}");
+            }
+            lw += l1;
+            gw += g1;
             match a {
                 Some((gi, d_sq)) => {
                     let centroid = rng.next() < centroid_rate;
@@ -801,43 +684,143 @@ mod tests {
                         centroid,
                     );
                     if centroid {
-                        let rep = groups[gi].shared_representative();
-                        linear.update(gi, rep, &mut lw);
-                        tree.update(gi, rep, &mut tw);
+                        linear.update(gi, groups[gi].representative());
+                        grid.update(gi, groups[gi].representative());
+                        updates += 1;
                     }
                 }
                 None => {
                     groups.push(group(&xs));
-                    let gi = groups.len() - 1;
-                    let rep = groups[gi].shared_representative();
-                    linear.insert(gi, rep, &mut lw);
-                    tree.insert(gi, rep, &mut tw);
+                    linear.insert(groups.len() - 1, &xs);
+                    grid.insert(groups.len() - 1, &xs);
                 }
             }
+            assert_eq!(
+                entries(&grid),
+                groups.len(),
+                "step {step}: one entry a group"
+            );
         }
-        assert!(groups.len() > 5, "drill must exercise many groups");
+        assert!(groups.len() > 50, "drill must exercise many groups");
+        assert!(centroid_rate == 0.0 || updates > 50, "{updates} updates");
         assert!(
-            tw.examined < lw.examined,
-            "tree must prune: examined {} vs linear {}",
-            tw.examined,
+            gw.examined * 2 < lw.examined,
+            "grid must prune: examined {} vs linear {}",
+            gw.examined,
             lw.examined
         );
+        (groups, grid)
     }
 
     #[test]
-    fn vptree_matches_linear_with_frozen_representatives() {
+    fn grid_matches_linear_with_frozen_representatives() {
         equivalence_drill(16, 8.0, 1.0, 7, 0.0);
     }
 
     #[test]
-    fn vptree_matches_linear_under_centroid_drift() {
+    fn grid_matches_linear_under_centroid_drift() {
         equivalence_drill(12, 4.0, 1.5, 99, 1.0);
     }
 
     #[test]
-    fn vptree_matches_linear_with_generous_radius() {
+    fn grid_matches_linear_with_generous_radius() {
         // Generous radius: most lookups hit, reps drift constantly.
         equivalence_drill(8, 12.0, 4.0, 1234, 0.7);
+    }
+
+    #[test]
+    fn grid_matches_linear_with_empty_segments() {
+        equivalence_drill(2, 6.0, 0.5, 3, 0.5);
+        equivalence_drill(3, 6.0, 0.8, 4, 0.5);
+    }
+
+    #[test]
+    fn centroid_updates_leave_exactly_one_entry_per_group_where_it_now_belongs() {
+        let (groups, grid) = equivalence_drill(8, 12.0, 4.0, 21, 1.0);
+        assert_eq!(grid.home.len(), groups.len());
+        assert!(grid.cells.values().all(|entries| !entries.is_empty()));
+        for (gi, g) in groups.iter().enumerate() {
+            let (cell, slot) = grid.home[gi];
+            assert_eq!(grid.cells[&cell][slot as usize].gid as usize, gi);
+            assert_eq!(grid.file(gi, g.representative()).0, cell, "group {gi}");
+        }
+    }
+
+    #[test]
+    fn seeded_index_equals_incremental_inserts() {
+        // An index kept in step through inserts and drifting centroids
+        // answers as one seeded from the groups it ended up with does.
+        let (groups, mut kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
+        let mut resident = ResidentIndex::new();
+        let seeded = resident.column(IndexPolicy::Auto, 10, 2.0, &groups);
+        let mut rng = Rng(55);
+        for _ in 0..100 {
+            let q = rng.vec(10, 6.0);
+            let mut w1 = IndexWork::default();
+            let mut w2 = IndexWork::default();
+            assert_eq!(
+                seeded.nearest_within(&q, 4.0, &groups, &mut w1),
+                kept.nearest_within(&q, 4.0, &groups, &mut w2)
+            );
+            assert_eq!(w1.examined + w1.pruned, groups.len());
+            assert_eq!(w2.examined + w2.pruned, groups.len());
+        }
+    }
+
+    #[test]
+    fn a_lookup_at_another_radius_than_the_columns_is_still_exact() {
+        // Cells are sized for the column's radius; the interval comes
+        // from the call's, so any radius finds the same winner.
+        let mut rng = Rng(8);
+        let groups: Vec<SimilarityGroup> = (0..300).map(|_| group(&rng.vec(9, 10.0))).collect();
+        let mut grid = PaaGrid::new(9, 0.5);
+        for (gi, g) in groups.iter().enumerate() {
+            grid.insert(gi, g.representative());
+        }
+        for radius in [0.0, 0.1, 3.0, 12.0, 40.0, 1e9, f64::INFINITY] {
+            for _ in 0..20 {
+                let q = rng.vec(9, 10.0);
+                let mut work = IndexWork::default();
+                assert_eq!(
+                    grid.nearest_within(&q, radius * radius, &groups, &mut work),
+                    LinearScan.nearest_within(&q, radius * radius, &groups, &mut work),
+                    "radius {radius}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_representative_on_the_rim_of_the_radius_is_found_at_any_offset() {
+        // All of the distance along one half-mean axis and equal to the
+        // radius, up to what the offset lets a value resolve: the entry
+        // sits on the edge of the lookup's interval, and its sums round
+        // apart from the query's by up to a cell or more.
+        let (len, radius) = (8usize, 0.3f64);
+        let reach = radius / (len as f64 / 2.0).sqrt();
+        let mut rng = Rng(31);
+        let mut found = 0;
+        for offset in [0.0, 1e6, 1e9, 1e12, -1e12, 1e13, 1e14, 1e15, -1e15] {
+            for _ in 0..400 {
+                let rep: Vec<f64> = rng.vec(len, 100.0).iter().map(|v| v + offset).collect();
+                let groups = vec![group(&rep)];
+                let mut grid = PaaGrid::new(len, radius);
+                grid.insert(0, &rep);
+                for (half, sign) in [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)] {
+                    let mut query = rep.clone();
+                    for x in &mut query[half * len / 2..(half + 1) * len / 2] {
+                        *x += sign * reach;
+                    }
+                    let mut work = IndexWork::default();
+                    let want =
+                        LinearScan.nearest_within(&query, radius * radius, &groups, &mut work);
+                    let got = grid.nearest_within(&query, radius * radius, &groups, &mut work);
+                    assert_eq!(got, want, "offset {offset}, half {half}, sign {sign}");
+                    found += usize::from(want.is_some());
+                }
+            }
+        }
+        assert!(found > 2000, "{found} rim cases were inside the radius");
     }
 
     #[test]
@@ -845,48 +828,33 @@ mod tests {
         let rep = vec![1.0, 2.0, 3.0, 4.0];
         let groups = vec![group(&[9.0; 4]), group(&rep), group(&rep)];
         let mut work = IndexWork::default();
-        let mut tree = VpTreeIndex::new();
-        for (gi, g) in groups.iter().enumerate() {
-            tree.insert(gi, g.shared_representative(), &mut work);
+        let mut grid = PaaGrid::new(4, 1.0);
+        // Filed out of id order within the cell: the id decides, not the slot.
+        for gi in [0, 1, 2] {
+            grid.insert(gi, groups[gi].representative());
         }
+        grid.update(1, groups[1].representative());
         let query = vec![1.0, 2.0, 3.0, 4.5];
-        let got = tree.nearest_within(&query, 1.0, &groups, &mut work);
+        let got = grid.nearest_within(&query, 1.0, &groups, &mut work);
         let want = LinearScan.nearest_within(&query, 1.0, &groups, &mut work);
         assert_eq!(got, want);
         assert_eq!(got.unwrap().0, 1, "equal distances resolve to lower id");
     }
 
     #[test]
-    fn seeded_index_equals_incremental_inserts() {
-        let mut rng = Rng(5);
-        let groups: Vec<SimilarityGroup> = (0..200).map(|_| group(&rng.vec(10, 6.0))).collect();
-        let mut work = IndexWork::default();
-        let mut seeded = VpTreeIndex::new();
-        seeded.seed(&groups, &mut work);
-        let mut trickled = VpTreeIndex::new();
-        for (gi, g) in groups.iter().enumerate() {
-            trickled.insert(gi, g.shared_representative(), &mut work);
-        }
-        for _ in 0..50 {
-            let q = rng.vec(10, 6.0);
-            let mut w1 = IndexWork::default();
-            let mut w2 = IndexWork::default();
-            assert_eq!(
-                seeded.nearest_within(&q, 4.0, &groups, &mut w1),
-                trickled.nearest_within(&q, 4.0, &groups, &mut w2)
-            );
-        }
-    }
-
-    #[test]
     fn out_of_radius_returns_none() {
         let groups = vec![group(&[100.0; 6])];
-        let mut tree = VpTreeIndex::new();
+        let mut grid = PaaGrid::new(6, 1.0);
         let mut work = IndexWork::default();
-        tree.insert(0, groups[0].shared_representative(), &mut work);
+        grid.insert(0, groups[0].representative());
         assert_eq!(
-            tree.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
+            grid.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
             None
+        );
+        assert_eq!(
+            (work.examined, work.pruned, work.distance_calls),
+            (0, 1, 0),
+            "dismissed without a distance call"
         );
         assert_eq!(
             LinearScan.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
@@ -898,52 +866,83 @@ mod tests {
     fn empty_index_returns_none() {
         let mut work = IndexWork::default();
         assert_eq!(
-            VpTreeIndex::new().nearest_within(&[1.0, 2.0], 10.0, &[], &mut work),
+            PaaGrid::new(2, 10.0).nearest_within(&[1.0, 2.0], 100.0, &[], &mut work),
             None
         );
         assert_eq!(
-            LinearScan.nearest_within(&[1.0, 2.0], 10.0, &[], &mut work),
+            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &[], &mut work),
             None
+        );
+    }
+
+    #[test]
+    fn values_past_what_a_stored_mean_holds_scan_every_cell_and_never_panic() {
+        let huge = [1e300, -1e300, 1e300, -1e300, 1e300];
+        let groups = vec![group(&huge), group(&[f64::MAX; 5]), group(&[0.0; 5])];
+        let mut grid = PaaGrid::new(5, 1.0);
+        for (gi, g) in groups.iter().enumerate() {
+            grid.insert(gi, g.representative());
+        }
+        let flipped = huge.map(|v| -v);
+        for query in [huge, flipped, [f64::MAX; 5], [-f64::MAX; 5], [0.0; 5]] {
+            let mut work = IndexWork::default();
+            assert_eq!(
+                grid.nearest_within(&query, 1.0, &groups, &mut work),
+                LinearScan.nearest_within(&query, 1.0, &groups, &mut work),
+                "{query:?}"
+            );
+        }
+        // Either side of what an `f32` holds, neighbours a few ulps apart
+        // and a radius to match: the lookups that find something straddle
+        // the point where the stored means stop being trusted.
+        let mut rng = Rng(77);
+        let mut found = 0;
+        for level in [1e30, 1e37, 1.6e38, 1.8e38, 3.3e38, 3.5e38, 1e39, 1e300] {
+            let near = |rng: &mut Rng| -> Vec<f64> {
+                rng.vec(7, 2e-14)
+                    .iter()
+                    .map(|j| level * (1.0 + j))
+                    .collect()
+            };
+            let radius = level * 1.5e-14;
+            let groups: Vec<SimilarityGroup> = (0..40).map(|_| group(&near(&mut rng))).collect();
+            let mut grid = PaaGrid::new(7, radius);
+            for (gi, g) in groups.iter().enumerate() {
+                grid.insert(gi, g.representative());
+            }
+            for _ in 0..40 {
+                let query = near(&mut rng);
+                let mut work = IndexWork::default();
+                let want = LinearScan.nearest_within(&query, radius * radius, &groups, &mut work);
+                let got = grid.nearest_within(&query, radius * radius, &groups, &mut work);
+                assert_eq!(got, want, "level {level}");
+                found += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            (50..300).contains(&found),
+            "{found} of 320 lookups found a group"
         );
     }
 
     #[test]
     fn policy_parsing_round_trips_and_rejects_garbage() {
-        for p in [IndexPolicy::Auto, IndexPolicy::Linear, IndexPolicy::VpTree] {
+        for p in [IndexPolicy::Auto, IndexPolicy::Linear] {
             assert_eq!(p.label().parse::<IndexPolicy>().unwrap(), p);
             assert_eq!(p.to_string(), p.label());
         }
-        assert!(matches!(
-            "grid".parse::<IndexPolicy>(),
-            Err(OnexError::InvalidConfig(_))
-        ));
+        for other in ["grid", "tree", ""] {
+            assert!(matches!(
+                other.parse::<IndexPolicy>(),
+                Err(OnexError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
-    fn auto_policy_picks_by_expected_lookups() {
-        assert_eq!(IndexPolicy::Auto.create(10_000).name(), "vptree");
-        assert_eq!(IndexPolicy::Auto.create(10).name(), "linear");
-        assert_eq!(IndexPolicy::Linear.create(10_000).name(), "linear");
-        assert_eq!(IndexPolicy::VpTree.create(10).name(), "vptree");
-    }
-
-    #[test]
-    fn auto_policy_weighs_the_existing_groups_against_the_increment() {
-        let auto = IndexPolicy::Auto;
-        // A one-off extension: 237 lookups repay bulk-loading 11 000
-        // representatives (log₂ ≈ 13.4), five lookups do not.
-        assert!(auto.wants_tree(11_000, 237, false));
-        assert!(!auto.wants_tree(11_000, 5, false));
-        // A kept index serves later extensions too: big columns get the
-        // tree whatever the increment, small ones wait for the lookups.
-        assert!(auto.wants_tree(11_000, 5, true));
-        assert!(!auto.wants_tree(100, 5, true));
-        assert!(auto.wants_tree(100, 8, true));
-        // Nothing to scan, nothing to load: only the build rule applies.
-        assert!(!auto.wants_tree(0, 10, true) && !auto.wants_tree(1, 10, false));
-        // Forced policies never consult the numbers.
-        assert!(!IndexPolicy::Linear.wants_tree(1 << 20, 1 << 20, true));
-        assert!(IndexPolicy::VpTree.wants_tree(0, 0, false));
+    fn the_policy_names_its_index() {
+        assert_eq!(IndexPolicy::Auto.create(16, 2.0).name(), "grid");
+        assert_eq!(IndexPolicy::Linear.create(16, 2.0).name(), "linear");
     }
 
     #[test]
@@ -958,21 +957,21 @@ mod tests {
         );
         let q = rng.vec(8, 6.0);
         let want = LinearScan.nearest_within(&q, 1e9, &groups, &mut work);
-        let index = resident.column(IndexPolicy::VpTree, 8, &groups, 3, &mut work);
+        let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
         assert_eq!(index.nearest_within(&q, 1e9, &groups, &mut work), want);
         assert_eq!(
             (resident.kind(), resident.entries(), resident.seeds()),
-            ("vptree", 40, 1)
+            ("grid", 40, 1)
         );
 
         // The builder seeds a group, keeps the index in step, and leaves
         // its receipt: the next extension finds the column resident.
         groups.push(group(&q));
         resident
-            .column(IndexPolicy::VpTree, 8, &groups[..40], 1, &mut work)
-            .insert(40, groups[40].shared_representative(), &mut work);
+            .column(IndexPolicy::Auto, 8, 1.0, &groups[..40])
+            .insert(40, groups[40].representative());
         resident.covered(8, 41);
-        let index = resident.column(IndexPolicy::VpTree, 8, &groups, 1, &mut work);
+        let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
         assert_eq!(
             index.nearest_within(&q, 1e-9, &groups, &mut work),
             Some((40, 0.0))
@@ -980,35 +979,15 @@ mod tests {
         assert_eq!(resident.seeds(), 1, "a resident column is not rebuilt");
 
         // A column of another size is not the one this index mirrors.
-        resident.column(IndexPolicy::VpTree, 8, &groups[..7], 1, &mut work);
+        resident.column(IndexPolicy::Auto, 8, 1.0, &groups[..7]);
         assert_eq!((resident.entries(), resident.seeds()), (7, 2));
         resident.clear();
         assert_eq!(
             (resident.kind(), resident.entries(), resident.seeds()),
             ("none", 0, 2)
         );
-    }
-
-    #[test]
-    fn a_resident_scan_becomes_a_tree_when_auto_wants_one_and_never_reverts() {
-        let mut rng = Rng(23);
-        let groups: Vec<SimilarityGroup> = (0..600).map(|_| group(&rng.vec(6, 9.0))).collect();
-        let mut work = IndexWork::default();
-        let mut resident = ResidentIndex::new();
-        resident.column(IndexPolicy::Auto, 6, &groups[..100], 2, &mut work);
-        assert_eq!(resident.kind(), "linear");
-        resident.column(IndexPolicy::Auto, 6, &groups[..100], 50, &mut work);
-        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 2));
-        resident.column(IndexPolicy::Auto, 6, &groups[..100], 2, &mut work);
-        assert_eq!((resident.kind(), resident.seeds()), ("vptree", 2));
-        // The stateless path drops its index, so a tiny increment over a
-        // big column is scanned, where a kept index loads the tree.
-        let mut transient = ResidentIndex::transient();
-        transient.column(IndexPolicy::Auto, 6, &groups, 2, &mut work);
-        assert_eq!(transient.kind(), "linear");
-        let mut kept = ResidentIndex::new();
-        kept.column(IndexPolicy::Auto, 6, &groups, 2, &mut work);
-        assert_eq!(kept.kind(), "vptree");
+        resident.column(IndexPolicy::Linear, 8, 1.0, &groups);
+        assert_eq!((resident.kind(), resident.entries()), ("linear", 41));
     }
 
     #[test]

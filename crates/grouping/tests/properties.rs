@@ -278,11 +278,67 @@ fn policy_of(seed_policy: bool) -> RepresentativePolicy {
     }
 }
 
+/// Build `ds` under `cfg` with the linear reference and with the grid,
+/// then grow the base of its first series to the whole collection three
+/// ways — one stateless step per lookup, and one series at a time
+/// through a resident index — and demand the same base every time.
+fn assert_grid_equals_linear(ds: &Dataset, cfg: &BaseConfig) {
+    let with = |index| {
+        BaseBuilder::new(BaseConfig {
+            index,
+            ..cfg.clone()
+        })
+        .unwrap()
+    };
+    let (reference, linear_work) = with(IndexPolicy::Linear).build(ds);
+    let (indexed, grid_work) = with(IndexPolicy::Auto).build(ds);
+    assert_eq!(&indexed, &reference, "build under {cfg:?}");
+    assert_eq!(
+        grid_work.work.examined + grid_work.work.pruned,
+        linear_work.work.examined,
+        "every representative is examined or pruned at every lookup"
+    );
+    if ds.len() < 2 {
+        return;
+    }
+    let first = Dataset::from_series(vec![ds.series(0).unwrap().clone()]).unwrap();
+    let (partial, _) = with(IndexPolicy::Auto).build(&first);
+    let (reference, _) = with(IndexPolicy::Linear).extend(&partial, ds).unwrap();
+    let (extended, _) = with(IndexPolicy::Auto).extend(&partial, ds).unwrap();
+    assert_eq!(&extended, &reference, "extend under {cfg:?}");
+    for index in [IndexPolicy::Linear, IndexPolicy::Auto] {
+        let builder = with(index);
+        let mut resident = ResidentIndex::new();
+        let mut grown = first.clone();
+        let mut base = partial.clone();
+        for (_, s) in ds.iter().skip(1) {
+            grown.push(s.clone()).unwrap();
+            base = builder
+                .extend_resident(&base, &grown, &mut resident)
+                .unwrap()
+                .0;
+        }
+        assert_eq!(&base, &reference, "resident {index} under {cfg:?}");
+        assert_eq!(base.sketches(), reference.sketches());
+        assert_eq!(resident.entries(), base.group_count());
+    }
+}
+
+/// `ds` with every value mapped through `f`.
+fn mapped(ds: &Dataset, f: impl Fn(f64) -> f64) -> Dataset {
+    Dataset::from_series(
+        ds.iter()
+            .map(|(_, s)| TimeSeries::new(s.name(), s.values().iter().map(|&v| f(v)).collect()))
+            .collect(),
+    )
+    .expect("names are unchanged")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Construction through the VP-tree (and Auto) index is byte-identical
-    /// to the linear-scan reference, under both representative policies.
+    /// Construction through the grid is byte-identical to the linear-scan
+    /// reference, under both representative policies.
     #[test]
     fn indexed_construction_equals_linear_scan(
         ds in walk_dataset(),
@@ -297,13 +353,8 @@ proptest! {
             index: IndexPolicy::Linear,
             ..cfg.clone()
         }).unwrap().build(&ds);
-        for index in [IndexPolicy::VpTree, IndexPolicy::Auto] {
-            let (indexed, _) = BaseBuilder::new(BaseConfig {
-                index,
-                ..cfg.clone()
-            }).unwrap().build(&ds);
-            prop_assert_eq!(&indexed, &reference, "index policy {}", index);
-        }
+        let (indexed, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
+        prop_assert_eq!(&indexed, &reference);
     }
 
     /// Incremental extension through the index matches the linear
@@ -322,31 +373,113 @@ proptest! {
             policy: policy_of(seed_policy),
             ..BaseConfig::new(st, 4, 9)
         };
-        let first = Dataset::from_series(vec![ds.series(0).unwrap().clone()]).unwrap();
-        let (partial, _) = BaseBuilder::new(cfg.clone()).unwrap().build(&first);
-        let (reference, _) = BaseBuilder::new(BaseConfig {
-            index: IndexPolicy::Linear,
-            ..cfg.clone()
-        }).unwrap().extend(&partial, &ds).unwrap();
-        for index in [IndexPolicy::VpTree, IndexPolicy::Auto] {
-            let (extended, _) = BaseBuilder::new(BaseConfig {
-                index,
-                ..cfg.clone()
-            }).unwrap().extend(&partial, &ds).unwrap();
-            prop_assert_eq!(&extended, &reference, "index policy {}", index);
-        }
-        for index in [IndexPolicy::Linear, IndexPolicy::VpTree, IndexPolicy::Auto] {
-            let builder = BaseBuilder::new(BaseConfig { index, ..cfg.clone() }).unwrap();
-            let mut resident = ResidentIndex::new();
-            let mut grown = first.clone();
-            let mut base = partial.clone();
-            for (_, s) in ds.iter().skip(1) {
-                grown.push(s.clone()).unwrap();
-                base = builder.extend_resident(&base, &grown, &mut resident).unwrap().0;
+        assert_grid_equals_linear(&ds, &cfg);
+    }
+}
+
+/// The same equalities where rounding bites: the collection shifted
+/// until a mean is good to a thousandth (where a "neighbouring cells"
+/// rule and an un-slacked bound both fail) and scaled both ways, the
+/// radius far below and far above the data's spread, and lengths 2 and
+/// 3, whose PAA segments are partly empty.
+#[test]
+fn indexed_construction_is_exact_where_rounding_bites() {
+    for seed in 0..2 {
+        let walks = random_walk_dataset(SyntheticConfig {
+            series: 3,
+            len: 16 + 8 * seed as usize,
+            seed,
+        });
+        for shift in [0.0, 1e6, 1e9, 1e12, -1e12] {
+            for scale in [1.0, 1e-6, 1e6] {
+                let ds = mapped(&walks, |v| v * scale + shift);
+                for st in [0.05, 0.3, 1.0, 4.0, 20.0] {
+                    for min_len in [2, 3] {
+                        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+                            let cfg = BaseConfig {
+                                policy,
+                                ..BaseConfig::new(st * scale, min_len, min_len + 5)
+                            };
+                            assert_grid_equals_linear(&ds, &cfg);
+                        }
+                    }
+                }
             }
-            prop_assert_eq!(&base, &reference, "resident, index policy {}", index);
-            prop_assert_eq!(base.sketches(), reference.sketches());
-            prop_assert_eq!(resident.entries(), base.group_count());
+        }
+    }
+}
+
+/// Every window at distance 0 from every other: the lowest group id —
+/// the only group — must take them all, whatever the offset.
+#[test]
+fn a_constant_collection_lands_in_the_first_group() {
+    for level in [0.0, 1.0, -3.5e12, 1e300] {
+        let ds = Dataset::from_series(
+            (0..3)
+                .map(|i| TimeSeries::new(format!("c{i}"), vec![level; 12]))
+                .collect(),
+        )
+        .unwrap();
+        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+            let cfg = BaseConfig {
+                policy,
+                ..BaseConfig::new(0.5, 2, 6)
+            };
+            assert_grid_equals_linear(&ds, &cfg);
+            let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
+            for len in base.lengths() {
+                assert_eq!(
+                    base.groups_for_len(len).len(),
+                    1,
+                    "level {level}, length {len}"
+                );
+            }
+        }
+    }
+}
+
+/// Values whose differences square past `f64::MAX`: `d²` overflows, so
+/// no window may be admitted to another's group, nothing may panic, and
+/// the grid's cell arithmetic has to saturate rather than wrap.
+#[test]
+fn values_that_overflow_the_distance_admit_nothing_and_never_panic() {
+    let mut rng_state = 7u64;
+    let mut sign = || {
+        rng_state = rng_state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if rng_state >> 63 == 0 {
+            1e300
+        } else {
+            -1e300
+        }
+    };
+    let ds = Dataset::from_series(
+        (0..3)
+            .map(|i| TimeSeries::new(format!("h{i}"), (0..14).map(|_| sign()).collect()))
+            .collect(),
+    )
+    .unwrap();
+    for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+        for st in [0.5, 1e290] {
+            let cfg = BaseConfig {
+                policy,
+                ..BaseConfig::new(st, 2, 7)
+            };
+            assert_grid_equals_linear(&ds, &cfg);
+            let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
+            for len in base.lengths() {
+                for g in base.groups_for_len(len) {
+                    for &m in g.members() {
+                        let xs = ds.resolve(m).unwrap();
+                        assert_eq!(
+                            xs,
+                            g.representative(),
+                            "only identical windows share a group"
+                        );
+                    }
+                }
+            }
         }
     }
 }
