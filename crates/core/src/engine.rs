@@ -367,7 +367,8 @@ impl Onex {
         let mut txn = self.state.write();
         let state = txn.value_mut();
         for &len in &hit {
-            src.segment.load_length(&mut state.base, len)?;
+            src.segment
+                .load_length(&mut state.base, len, Some(&state.dataset))?;
         }
         if !src.segment.has_sketches() {
             // v2 files built before sketches (or saved from an unsynced

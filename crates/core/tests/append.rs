@@ -145,7 +145,7 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
     let now = engine.snapshot();
     assert_eq!((pinned.epoch(), now.epoch()), (0, 2));
 
-    let (mut shared, mut split, mut seeded) = (0, 0, 0);
+    let (mut shared, mut split, mut seeded, mut inline) = (0, 0, 0, 0);
     for len in pinned.base().lengths() {
         let old = pinned.base().groups_for_len(len);
         let new = now.base().groups_for_len(len);
@@ -159,9 +159,23 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
             );
             let same_planes = new_planes.shares_storage_with(old_planes);
             assert_eq!(new_planes.cardinality(), n.cardinality());
+            // A frozen representative is a window of a series both
+            // epochs' datasets share: admission or not, both groups read
+            // the very samples the first member resolves to.
+            let window = pinned.dataset().resolve(o.members()[0]).unwrap();
+            assert!(std::ptr::eq(o.representative(), window), "g{gi}@{len}");
+            assert!(std::ptr::eq(n.representative(), window), "g{gi}@{len}");
             if n.cardinality() == o.cardinality() {
+                // "Shared" is the same series handle at the same offset
+                // and the same member list — for a group of one, the same
+                // lone member and (by value, there being no block to
+                // point at) the same inline plane bytes.
                 assert!(n.shares_storage_with(o), "untouched g{gi}@{len} was copied");
                 assert!(same_planes, "untouched planes g{gi}@{len} were copied");
+                if n.cardinality() == 1 {
+                    assert_eq!(new_planes.heap_bytes(), 0, "a one-slot plane block");
+                    inline += 1;
+                }
                 shared += 1;
             } else {
                 assert!(!n.shares_storage_with(o) && !same_planes);
@@ -174,8 +188,9 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
         }
     }
     assert!(
-        shared > 0 && split > 0 && seeded > 0,
-        "shared {shared}, split {split}, seeded {seeded}: the collection must exercise all three"
+        shared > inline && inline > 0 && split > 0 && seeded > 0,
+        "shared {shared} (inline {inline}), split {split}, seeded {seeded}: \
+         the collection must exercise all four"
     );
     for id in 0..pinned.dataset().len() as u32 {
         assert!(std::ptr::eq(

@@ -17,9 +17,11 @@
 //!   record (the three reserved ones are dropped) are stored plane-major
 //!   — all flag bytes, then all first-corner floors, … then the eighth
 //!   segment maxima — with the group's cardinality as the plane stride
-//!   and no padding, so a one-member group holds 21 bytes. Consecutive
-//!   members sit in consecutive bytes of every plane, which is what lets
-//!   [`QuerySketch::survivors`] test four of them per AVX2 step.
+//!   and no padding, so a one-member group holds 21 bytes — inline in the
+//!   handle, with no allocation; from two members up the planes share one
+//!   reference-counted block. Consecutive members sit in consecutive
+//!   bytes of every plane, which is what lets [`QuerySketch::survivors`]
+//!   test four of them per AVX2 step.
 //!
 //! [`SketchPlanes`] alone knows that layout: it is built from records,
 //! grown by appended records and written back out as records, so no
@@ -271,21 +273,60 @@ pub fn encode_into(params: &SketchParams, values: &[f64], out: &mut [u8]) {
 /// starting at `p × cardinality`, slot `i` of every plane belonging to
 /// the group's member `i`.
 ///
-/// Never rewritten in place: a clone shares the bytes, and
-/// [`SketchPlanes::grown`] builds a new set, so a group that gained no
-/// member keeps sharing its planes with every earlier epoch of the base.
-/// Equality is byte-exact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SketchPlanes {
-    /// `SKETCH_PLANES × cardinality` bytes.
-    bytes: Arc<[u8]>,
+/// A group of one — every group of a base that does not compact — keeps
+/// its [`SKETCH_PLANES`] bytes inline: nothing on the heap to allocate,
+/// count references on or chase. From two members up the planes sit
+/// behind one reference-counted allocation.
+///
+/// Never rewritten in place: a clone shares the allocation (or copies the
+/// inline bytes), and [`SketchPlanes::grown`] builds a new set, so a
+/// group that gained no member keeps sharing its planes with every
+/// earlier epoch of the base. Equality is byte-exact.
+#[derive(Debug, Clone, Default)]
+pub struct SketchPlanes(Planes);
+
+#[derive(Debug, Clone, Default)]
+enum Planes {
+    #[default]
+    Empty,
+    /// One slot: plane `p` is byte `p`.
+    One([u8; SKETCH_PLANES]),
+    /// `SKETCH_PLANES × cardinality` bytes, cardinality ≥ 2.
+    Many(Arc<[u8]>),
 }
 
+impl PartialEq for SketchPlanes {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for SketchPlanes {}
+
 impl SketchPlanes {
+    /// The plane-major bytes, wherever they live.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Planes::Empty => &[],
+            Planes::One(bytes) => bytes,
+            Planes::Many(bytes) => bytes,
+        }
+    }
+
     /// Members sketched.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.bytes.len() / SKETCH_PLANES
+        self.bytes().len() / SKETCH_PLANES
+    }
+
+    /// Heap bytes behind this handle, reference counts included: none up
+    /// to one member.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Planes::Many(bytes) => 2 * std::mem::size_of::<usize>() + bytes.len(),
+            _ => 0,
+        }
     }
 
     /// Transpose a run of [`SKETCH_STRIDE`]-byte records (the persisted
@@ -316,43 +357,60 @@ impl SketchPlanes {
     pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
         let n = self.cardinality();
         assert!(slot < n, "sketch slot {slot} of {n}");
+        let bytes = self.bytes();
         let mut record = [0u8; SKETCH_STRIDE];
         for plane in 0..SKETCH_PLANES {
-            record[offset_of(plane)] = self.bytes[plane * n + slot];
+            record[offset_of(plane)] = bytes[plane * n + slot];
         }
         record
     }
 
     /// These planes extended to `total` slots: the existing slots are
     /// copied, and `encode(slot, record)` fills the (zeroed) record of
-    /// each new one. One allocation of the final size; `self` is left as
-    /// it was.
+    /// each new one. At most one allocation, of the final size (none when
+    /// `total` is 0 or 1); `self` is left as it was.
     ///
     /// # Panics
     /// Panics when `total` is below the current cardinality.
     pub fn grown(&self, total: usize, mut encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
         let done = self.cardinality();
         assert!(total >= done, "sketch planes only grow");
-        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, SKETCH_PLANES * total).collect();
-        let grown = Arc::get_mut(&mut bytes).expect("not shared yet");
-        for plane in 0..SKETCH_PLANES {
-            grown[plane * total..plane * total + done]
-                .copy_from_slice(&self.bytes[plane * done..(plane + 1) * done]);
+        if total == done {
+            return self.clone();
         }
-        for slot in done..total {
-            let mut record = [0u8; SKETCH_STRIDE];
-            encode(slot, &mut record);
+        let old = self.bytes();
+        let mut fill = |grown: &mut [u8]| {
             for plane in 0..SKETCH_PLANES {
-                grown[plane * total + slot] = record[offset_of(plane)];
+                grown[plane * total..plane * total + done]
+                    .copy_from_slice(&old[plane * done..(plane + 1) * done]);
             }
+            for slot in done..total {
+                let mut record = [0u8; SKETCH_STRIDE];
+                encode(slot, &mut record);
+                for plane in 0..SKETCH_PLANES {
+                    grown[plane * total + slot] = record[offset_of(plane)];
+                }
+            }
+        };
+        if total == 1 {
+            let mut bytes = [0u8; SKETCH_PLANES];
+            fill(&mut bytes);
+            return SketchPlanes(Planes::One(bytes));
         }
-        SketchPlanes { bytes }
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, SKETCH_PLANES * total).collect();
+        fill(Arc::get_mut(&mut bytes).expect("not shared yet"));
+        SketchPlanes(Planes::Many(bytes))
     }
 
-    /// True when both share one allocation — an append left this group's
-    /// sketches alone.
+    /// True when an append left this group's sketches alone: both share
+    /// one allocation, or — up to one member, where there is no
+    /// allocation to tell apart — hold the same bytes.
     pub fn shares_storage_with(&self, other: &SketchPlanes) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
+        match (&self.0, &other.0) {
+            (Planes::Many(a), Planes::Many(b)) => Arc::ptr_eq(a, b),
+            (Planes::Many(_), _) | (_, Planes::Many(_)) => false,
+            _ => self == other,
+        }
     }
 
     /// One borrowed slice per plane, cut to `slots`.
@@ -362,7 +420,8 @@ impl SketchPlanes {
             slots.start <= slots.end && slots.end <= n,
             "sketch slots {slots:?} of {n}"
         );
-        std::array::from_fn(|plane| &self.bytes[plane * n + slots.start..plane * n + slots.end])
+        let bytes = self.bytes();
+        std::array::from_fn(|plane| &bytes[plane * n + slots.start..plane * n + slots.end])
     }
 }
 
@@ -584,6 +643,19 @@ mod tests {
             }
         }
         SketchParams::fit(min, max)
+    }
+
+    #[test]
+    fn a_one_slot_handle_is_three_words_and_owns_no_heap() {
+        assert!(std::mem::size_of::<SketchPlanes>() <= 24);
+        let mut record = [0u8; SKETCH_STRIDE];
+        encode_into(&SketchParams::fit(0.0, 1.0), &[0.25, 0.5], &mut record);
+        let one = SketchPlanes::from_records(&record);
+        assert_eq!((one.cardinality(), one.heap_bytes()), (1, 0));
+        assert_eq!(one.record(0), record);
+        let two = one.grown(2, |_, out| out.copy_from_slice(&record));
+        assert_eq!(two.heap_bytes(), 16 + 2 * SKETCH_PLANES);
+        assert_eq!(SketchPlanes::default().heap_bytes(), 0);
     }
 
     #[test]

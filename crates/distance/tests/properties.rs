@@ -492,6 +492,46 @@ fn sketch_planes_round_trip_records() {
     assert!(!grown.shares_storage_with(&head) && head.clone().shares_storage_with(&head));
     assert_eq!(head.cardinality(), 10, "growing leaves the source alone");
     assert_eq!(SketchPlanes::default().cardinality(), 0);
+
+    // Either side of the inline form — no slots, one slot in the handle,
+    // a heap block from two up: growing from any of them to any of them
+    // gives the planes the records give, the source keeps its slots, and
+    // records come back out as they went in.
+    let of = |n: usize| SketchPlanes::from_records(&records[..n * SKETCH_STRIDE]);
+    for from in 0..=3 {
+        for to in from..=3 {
+            let source = of(from);
+            let mut encoded = Vec::new();
+            let grown = source.grown(to, |slot, record| {
+                encoded.push(slot);
+                record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE])
+            });
+            assert_eq!(encoded, (from..to).collect::<Vec<_>>(), "{from} -> {to}");
+            assert_eq!(grown, of(to), "{from} -> {to}");
+            assert_eq!(source, of(from), "{from} -> {to} touched its source");
+            assert_eq!(grown.heap_bytes() > 0, to >= 2, "{from} -> {to}");
+            let mut back = Vec::new();
+            grown.write_records(&mut back);
+            assert_eq!(back, records[..to * SKETCH_STRIDE], "{from} -> {to}");
+            for slot in 0..to {
+                assert_eq!(
+                    grown.record(slot),
+                    back[slot * SKETCH_STRIDE..][..SKETCH_STRIDE]
+                );
+            }
+            // Growing by nothing is the same planes; growing by anything
+            // is new ones. Up to one slot there is no block to share, so
+            // "the same" is by value.
+            assert_eq!(
+                grown.shares_storage_with(&source),
+                from == to,
+                "{from} -> {to}"
+            );
+        }
+    }
+    assert!(of(1).shares_storage_with(&of(1)) && !of(2).shares_storage_with(&of(2)));
+    let other = SketchPlanes::from_records(&records[SKETCH_STRIDE..2 * SKETCH_STRIDE]);
+    assert!(of(1) != other && !of(1).shares_storage_with(&other));
 }
 
 /// `dtw_lanes` against the scalar DP, lane by lane and bit for bit: 1–4

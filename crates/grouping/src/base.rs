@@ -12,11 +12,16 @@ use crate::{BaseConfig, GroupId, SimilarityGroup};
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// A clone is structural: it copies one pointer set per group and one
-/// per group's sketch planes and shares their storage with the original,
-/// which is what lets [`crate::BaseBuilder::extend`] build the next base
-/// aside and an engine publish it as a new epoch without copying the old
-/// one.
+/// A clone is structural: it copies each group's 48-byte record and
+/// 24-byte sketch handle and shares everything behind them with the
+/// original — the dataset's series handles that frozen representatives
+/// read in place, and the reference-counted blocks only a centroid, a
+/// member list or the sketch planes of two members and more own — which
+/// is what lets [`crate::BaseBuilder::extend`] build the next base aside
+/// and an engine publish it as a new epoch without copying the old one.
+/// On a base that does not compact there is nothing behind the records
+/// at all: a clone bumps one counter per series, however many groups
+/// read from it. [`OnexBase::footprint`] adds the bytes up.
 ///
 /// The base also carries the L0 [`SketchIndex`] — *derived* data rebuilt
 /// from the dataset via [`OnexBase::sync_sketches`] and excluded from
@@ -222,6 +227,25 @@ impl OnexBase {
         }
     }
 
+    /// Bytes this base keeps resident, by owner — worked out from lengths
+    /// and cardinalities (no allocator hook), so it leaves out allocator
+    /// headers, vector slack and the per-length maps. Blocks shared with
+    /// another epoch of the base count in full; the series that in-place
+    /// representatives read belong to the dataset and do not count.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        for gs in self.groups.values() {
+            footprint.group_records += std::mem::size_of_val(&gs[..]);
+            for g in gs {
+                let (representative, members) = g.heap_bytes();
+                footprint.owned_representatives += representative;
+                footprint.member_lists += members;
+            }
+        }
+        footprint.sketches = self.sketches.resident_bytes();
+        footprint
+    }
+
     /// Audit the construction invariant against the source dataset: every
     /// member must lie within the admission radius of its group's
     /// representative. Exact under the `Seed` policy; under `Centroid` the
@@ -252,6 +276,27 @@ impl OnexBase {
 
 fn members_of(groups: &[SimilarityGroup]) -> usize {
     groups.iter().map(SimilarityGroup::cardinality).sum()
+}
+
+/// Result of [`OnexBase::footprint`]: resident bytes by owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Footprint {
+    /// The per-length columns of 48-byte group records.
+    pub group_records: usize,
+    /// Representatives a group owns (centroids, and groups decoded
+    /// without their dataset); 0 for every frozen seed read in place.
+    pub owned_representatives: usize,
+    /// Member lists of groups of two and more (a lone member is inline).
+    pub member_lists: usize,
+    /// L0 sketch handles, plus the plane blocks of groups of two and more.
+    pub sketches: usize,
+}
+
+impl Footprint {
+    /// All four owners together.
+    pub fn total(&self) -> usize {
+        self.group_records + self.owned_representatives + self.member_lists + self.sketches
+    }
 }
 
 /// Aggregate base statistics.

@@ -317,12 +317,14 @@ impl BaseBuilder {
             touched.clear();
             for sid in seen..dataset.len() {
                 for r in space.refs_for_series_len(sid, len) {
-                    let xs = dataset.resolve(r).map_err(|_| {
-                        OnexError::Internal(format!(
-                            "subsequence reference {r} fell out of bounds mid-extension"
-                        ))
-                    })?;
-                    touched.push(self.assign_one(groups, index, r, xs, admission_sq, &mut work));
+                    let taken = self
+                        .assign_one(dataset, groups, index, r, admission_sq, &mut work)
+                        .map_err(|_| {
+                            OnexError::Internal(format!(
+                                "subsequence reference {r} fell out of bounds mid-extension"
+                            ))
+                        })?;
+                    touched.push(taken);
                 }
             }
             resident.covered(len, groups.len());
@@ -356,9 +358,19 @@ impl BaseBuilder {
         let mut index = self.config.index.create(len, admission);
         let mut work = IndexWork::default();
         for r in space.refs_for_len(len) {
-            let xs = dataset.resolve(r).expect("space references are in bounds");
-            self.assign_one(&mut groups, index.as_mut(), r, xs, admission_sq, &mut work);
+            self.assign_one(
+                dataset,
+                &mut groups,
+                index.as_mut(),
+                r,
+                admission_sq,
+                &mut work,
+            )
+            .expect("space references are in bounds");
         }
+        // The column lives as long as the base: give back the doubling's
+        // slack.
+        groups.shrink_to_fit();
         (groups, work)
     }
 
@@ -366,18 +378,25 @@ impl BaseBuilder {
     /// every construction path (batch, parallel, incremental) runs
     /// through: join the nearest group within `ST/2`, else seed a new one,
     /// keeping the index in sync with seeded groups and drifting
-    /// centroids. Returns the index of the group that took the member.
+    /// centroids. A frozen (`Seed`) representative is `r`'s window read in
+    /// place from `dataset`'s shared series; a centroid starts as the
+    /// group's own copy of it. Returns the index of the group that took
+    /// the member.
+    ///
+    /// # Errors
+    /// `r` does not resolve in `dataset` (nothing was changed).
     fn assign_one(
         &self,
+        dataset: &Dataset,
         groups: &mut Vec<SimilarityGroup>,
         index: &mut dyn RepresentativeIndex,
         r: onex_tseries::SubseqRef,
-        xs: &[f64],
         admission_sq: f64,
         work: &mut IndexWork,
-    ) -> usize {
+    ) -> Result<usize, onex_tseries::Error> {
+        let xs = dataset.resolve(r)?;
         let centroid = self.config.policy == RepresentativePolicy::Centroid;
-        match index.nearest_within(xs, admission_sq, groups, work) {
+        Ok(match index.nearest_within(xs, admission_sq, groups, work) {
             Some((gi, d_sq)) => {
                 groups[gi].admit(r, xs, d_sq.sqrt(), centroid);
                 if centroid {
@@ -387,10 +406,14 @@ impl BaseBuilder {
             }
             None => {
                 index.insert(groups.len(), xs);
-                groups.push(SimilarityGroup::seed(r, xs));
+                groups.push(if centroid {
+                    SimilarityGroup::seed(r, xs)
+                } else {
+                    SimilarityGroup::seed_in_place(r, dataset).expect("`r` resolved above")
+                });
                 groups.len() - 1
             }
-        }
+        })
     }
 
     fn finish(

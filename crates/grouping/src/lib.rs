@@ -14,7 +14,9 @@
 //! * [`SubsequenceSpace`] enumerates every subsequence of a dataset for a
 //!   configurable length range and stride — the space the base compacts.
 //! * [`SimilarityGroup`] is one group: a representative sequence, member
-//!   references, and spread statistics.
+//!   references and a radius — 48 bytes, and for a group of one under
+//!   the `Seed` policy nothing else: the representative is read in place
+//!   from the dataset's shared series.
 //! * [`BaseBuilder`] constructs the base online: each subsequence joins the
 //!   nearest group of its length when the representative is within `ST/2`
 //!   (Euclidean), otherwise it seeds a new group. Sequential,
@@ -55,7 +57,7 @@ pub mod repindex;
 pub mod sketch;
 mod space;
 
-pub use base::{AuditReport, BaseStats, LengthStats, OnexBase};
+pub use base::{AuditReport, BaseStats, Footprint, LengthStats, OnexBase};
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
 pub use group::{GroupId, SimilarityGroup};

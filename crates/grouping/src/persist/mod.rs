@@ -31,9 +31,11 @@
 //! allocation, and checksums are verified before any content-driven
 //! decode begins.
 //!
-//! The group spread statistics (mean insert distance) are intentionally
-//! not persisted — they are diagnostics, and [`crate::SimilarityGroup`]
-//! documents the reconstruction as lossy for that field.
+//! Both formats store every representative's samples, and a decode
+//! without the dataset gives every group an owned copy of them. The
+//! engine's lazy path hands [`BaseSegment::load_length`] the dataset, and
+//! a `Seed` column then comes back reading its first members' windows in
+//! place, as it was built — same base by `==`, none of the copies.
 
 use std::io::{Read, Write};
 use std::path::Path;

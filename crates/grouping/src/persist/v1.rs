@@ -29,6 +29,7 @@ use onex_api::{OnexError, StorageErrorKind};
 use onex_storage::{fnv1a64, Reader};
 use onex_tseries::SubseqRef;
 
+use crate::group::Representative;
 use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup};
 
 pub(super) const MAGIC: &[u8; 8] = b"ONEXBASE";
@@ -207,7 +208,11 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
                     SubseqRef::new(series, start, len as u32)
                 })
                 .collect();
-            gs.push(SimilarityGroup::from_parts(rep, members, radius));
+            gs.push(SimilarityGroup::from_parts(
+                Representative::Owned(rep),
+                members,
+                radius,
+            ));
         }
         if groups.insert(len, gs).is_some() {
             return Err(corrupt(format!("duplicate length {len}")));

@@ -37,8 +37,9 @@ use std::path::Path;
 use onex_api::{OnexError, StorageErrorKind};
 use onex_distance::{SketchParams, SketchPlanes, SKETCH_STRIDE};
 use onex_storage::{put_f64, put_u32, put_u64, put_u8, Segment, SegmentBuilder};
-use onex_tseries::SubseqRef;
+use onex_tseries::{Dataset, SubseqRef};
 
+use crate::group::Representative;
 use crate::sketch::LengthSketches;
 use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup};
 
@@ -439,11 +440,24 @@ impl BaseSegment {
     /// Idempotent — re-resolving replaces the column with identical
     /// data.
     ///
+    /// With the `dataset` the base was built over, a `Seed` column comes
+    /// back as it was built: every group whose stored representative is
+    /// bit-equal to its first member's window there (always, in a file
+    /// this code wrote) reads that window in place and allocates nothing
+    /// for it. A group that differs, or whose member does not resolve,
+    /// keeps an owned copy of what the file stored — as every group does
+    /// without a dataset, or under `Centroid`.
+    ///
     /// # Errors
     /// [`OnexError::Storage`] if the column's group records are
     /// malformed (possible despite section checksums only for a file
     /// written by a buggy or hostile encoder).
-    pub fn load_length(&self, base: &mut OnexBase, len: usize) -> Result<bool, OnexError> {
+    pub fn load_length(
+        &self,
+        base: &mut OnexBase,
+        len: usize,
+        dataset: Option<&Dataset>,
+    ) -> Result<bool, OnexError> {
         let Some(e) = self.lengths.iter().find(|e| e.len == len) else {
             return Ok(false);
         };
@@ -451,6 +465,8 @@ impl BaseSegment {
         let reps_sec = self.seg.section(SEC_REPS).expect("validated");
         let members_sec = self.seg.section(SEC_MEMBERS).expect("validated");
 
+        // Only a frozen seed is its first member's window.
+        let adopt = dataset.filter(|_| self.config.policy == RepresentativePolicy::Seed);
         let mut groups = Vec::with_capacity(e.group_count);
         let mut planes = self.has_sketches.then(|| Vec::with_capacity(e.group_count));
         let records = &groups_sec
@@ -472,11 +488,6 @@ impl BaseSegment {
                      does not pack its length column"
                 )));
             }
-            let rep: std::sync::Arc<[f64]> = reps_sec
-                [(e.rep_start + gi * e.len) * 8..(e.rep_start + (gi + 1) * e.len) * 8]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
             let members: Vec<SubseqRef> = members_sec
                 [member_start * MEMBER_STRIDE..(member_start + member_count) * MEMBER_STRIDE]
                 .chunks_exact(MEMBER_STRIDE)
@@ -494,6 +505,19 @@ impl BaseSegment {
                 ));
             }
             member_cursor += member_count;
+            let stored = reps_sec
+                [(e.rep_start + gi * e.len) * 8..(e.rep_start + (gi + 1) * e.len) * 8]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
+            let rep = adopt
+                .and_then(|dataset| Representative::in_place(dataset, members[0]))
+                .filter(|window| {
+                    let window = window.values().iter();
+                    window
+                        .zip(stored.clone())
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+                })
+                .unwrap_or_else(|| Representative::Owned(stored.collect()));
             groups.push(SimilarityGroup::from_parts(rep, members, radius));
         }
         if member_cursor != e.member_start + e.member_count {
@@ -518,13 +542,15 @@ impl BaseSegment {
 
     /// Decode every column eagerly — what the magic-sniffing
     /// [`super::load`] does for v2 files when laziness is not wanted.
+    /// There is no dataset here, so every representative is an owned
+    /// copy.
     ///
     /// # Errors
     /// See [`BaseSegment::load_length`].
     pub fn load_all(&self) -> Result<OnexBase, OnexError> {
         let mut base = self.empty_base();
-        for len in self.lengths().collect::<Vec<_>>() {
-            self.load_length(&mut base, len)?;
+        for e in &self.lengths {
+            self.load_length(&mut base, e.len, None)?;
         }
         Ok(base)
     }
@@ -611,7 +637,7 @@ mod tests {
         let mut cold = seg.empty_base();
         assert_eq!(cold.lengths().count(), 0);
         let len = base.lengths().next().unwrap();
-        assert!(seg.load_length(&mut cold, len).unwrap());
+        assert!(seg.load_length(&mut cold, len, None).unwrap());
         assert_eq!(cold.lengths().collect::<Vec<_>>(), vec![len]);
         assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
         assert_eq!(
@@ -630,10 +656,101 @@ mod tests {
         qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
         assert!(survivors.is_empty(), "{survivors:?}");
         // A length the file does not index resolves to "not present".
-        assert!(!seg.load_length(&mut cold, 9999).unwrap());
+        assert!(!seg.load_length(&mut cold, 9999, None).unwrap());
         // Re-resolving is idempotent.
-        assert!(seg.load_length(&mut cold, len).unwrap());
+        assert!(seg.load_length(&mut cold, len, None).unwrap());
         assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
+    }
+
+    #[test]
+    fn a_column_loaded_beside_its_dataset_reads_its_seeds_in_place() {
+        use super::super::tests::sample_dataset;
+        use crate::BaseBuilder;
+        use onex_tseries::TimeSeries;
+        let ds = sample_dataset();
+        let config = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(1.0, 5, 12)
+        };
+        let (base, _) = BaseBuilder::new(config.clone()).unwrap().build(&ds);
+        let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
+        let load = |dataset: Option<&Dataset>| {
+            let mut loaded = seg.empty_base();
+            for len in seg.lengths() {
+                assert!(seg.load_length(&mut loaded, len, dataset).unwrap());
+            }
+            loaded
+        };
+        let samples: usize = base.iter().map(|(_, g)| g.len()).sum();
+
+        // Its own dataset: every stored representative is its first
+        // member's window, bit for bit, so none is copied.
+        let adopted = load(Some(&ds));
+        assert_eq!(adopted, base);
+        assert_eq!(adopted.sketches(), base.sketches());
+        assert_eq!(adopted.footprint().owned_representatives, 0);
+        for (id, g) in adopted.iter() {
+            let window = ds.resolve(g.members()[0]).unwrap();
+            assert!(std::ptr::eq(g.representative(), window), "{id}");
+        }
+        // No dataset: the same base by `==`, every representative owned.
+        let owned = load(None);
+        assert_eq!(owned, base);
+        assert!(owned.footprint().owned_representatives >= 8 * samples);
+
+        // A dataset that is not quite the one the file was built over:
+        // series 0 differs in its last bit of one sample, series 4 is too
+        // short for most of its windows. Groups seeded there keep what the
+        // file stored; the rest are adopted; nothing panics, and the base
+        // still equals the one that was saved.
+        let other = Dataset::from_series(
+            ds.iter()
+                .map(|(id, s)| {
+                    let mut values = s.values().to_vec();
+                    match id {
+                        0 => values[3] = f64::from_bits(values[3].to_bits() ^ 1),
+                        4 => values.truncate(8),
+                        _ => {}
+                    }
+                    TimeSeries::new(s.name(), values)
+                })
+                .collect(),
+        )
+        .unwrap();
+        let mixed = load(Some(&other));
+        assert_eq!(mixed, base);
+        let (mut kept, mut read_in_place) = (0, 0);
+        for (id, g) in mixed.iter() {
+            let first = g.members()[0];
+            match other.resolve(first) {
+                Ok(window) if std::ptr::eq(g.representative(), window) => read_in_place += 1,
+                _ => {
+                    assert!(first.series == 0 || first.series == 4, "{id} {first}");
+                    kept += 1;
+                }
+            }
+        }
+        assert!(
+            kept > 0 && read_in_place > 0,
+            "{kept} kept, {read_in_place} in place"
+        );
+        assert!(mixed.footprint().owned_representatives < owned.footprint().owned_representatives);
+
+        // A centroid is nobody's window: a Centroid file adopts nothing.
+        let centroid = BaseConfig {
+            policy: RepresentativePolicy::Centroid,
+            ..config
+        };
+        let (drifted, _) = BaseBuilder::new(centroid).unwrap().build(&ds);
+        let seg = BaseSegment::from_bytes(save_v2(&drifted)).unwrap();
+        let mut loaded = seg.empty_base();
+        for len in seg.lengths() {
+            seg.load_length(&mut loaded, len, Some(&ds)).unwrap();
+        }
+        assert_eq!(loaded, drifted);
+        let means = loaded.footprint().owned_representatives;
+        assert_eq!(means, drifted.footprint().owned_representatives);
+        assert!(means > 0);
     }
 
     #[test]

@@ -33,10 +33,12 @@ use crate::SimilarityGroup;
 /// Sketch storage for one subsequence length: frozen quantisation
 /// parameters plus one set of sketch planes per group.
 ///
-/// Planes are reference-counted and never rewritten in place: a clone
-/// copies one pointer per group, and [`SketchIndex::sync`] gives a group
-/// that gained members new planes while every other group keeps sharing
-/// the ones earlier epochs of the base read from.
+/// Planes are never rewritten in place: a clone copies one 24-byte
+/// handle per group — the 21 plane bytes themselves for a group of one,
+/// a pointer to a reference-counted block from two members up — and
+/// [`SketchIndex::sync`] gives a group that gained members new planes
+/// while every other group keeps sharing the ones earlier epochs of the
+/// base read from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LengthSketches {
     params: SketchParams,
@@ -87,6 +89,15 @@ impl SketchIndex {
     /// True when no length has been synced yet.
     pub fn is_empty(&self) -> bool {
         self.per_length.is_empty()
+    }
+
+    /// Bytes held over all lengths: one handle per group, plus the plane
+    /// blocks of groups of two and more (see `OnexBase::footprint`).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let groups = self.per_length.values().flat_map(|ls| &ls.groups);
+        groups
+            .map(|planes| std::mem::size_of::<SketchPlanes>() + planes.heap_bytes())
+            .sum()
     }
 
     /// Install persisted sketches for one length (format v2 load).

@@ -1,0 +1,127 @@
+//! What a base costs to keep, counted by the allocator.
+//!
+//! This binary installs a counting `#[global_allocator]` — which is why it
+//! is a test target of its own, holding one test: nothing else allocates
+//! while it measures — builds the end-to-end harness's `cluster` shape (a
+//! collection that does not compact: every group a group of one) and
+//! checks the live heap bytes the base holds per indexed subsequence. A
+//! group of one owns no heap, so that is its 48-byte record and its
+//! 24-byte sketch handle; a private copy of each representative, or a
+//! heap block per one-slot sketch, takes it back above 300.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use onex_grouping::{BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy};
+use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
+use onex_tseries::Dataset;
+
+/// The system allocator, with the requested bytes currently live summed
+/// on the side.
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded to `System` with the caller's own
+// arguments, so `System`'s guarantees are this allocator's; the counter
+// is a statistic beside the calls and publishes no memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, who upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
+        // above under this `layout`, as `dealloc`'s contract requires.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Live heap bytes `build` leaves behind, and what it built.
+fn held_by<T>(build: impl FnOnce() -> T) -> (isize, T) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let built = build();
+    (LIVE.load(Ordering::Relaxed) - before, built)
+}
+
+fn build(dataset: &Dataset, policy: RepresentativePolicy) -> OnexBase {
+    let config = BaseConfig {
+        policy,
+        ..BaseConfig::new(1.0, 16, 24)
+    };
+    BaseBuilder::new(config).unwrap().build(dataset).0
+}
+
+#[test]
+fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
+    // The harness's `cluster` / `ingest` collection: 48 random walks of
+    // 256 points, lengths 16..=24, ST 1.0.
+    let dataset = random_walk_dataset(SyntheticConfig {
+        series: 48,
+        len: 256,
+        seed: 1,
+    });
+
+    let (held, base) = held_by(|| build(&dataset, RepresentativePolicy::Seed));
+    let subsequences = base.member_count();
+    assert_eq!(subsequences, 102_384);
+    assert!(
+        base.group_count() * 10 > subsequences * 9,
+        "the shape stopped being one that does not compact: {} groups",
+        base.group_count()
+    );
+    let per_subsequence = held as f64 / subsequences as f64;
+    println!("seed: {held} live bytes, {per_subsequence:.1} per subsequence");
+    assert!(
+        per_subsequence <= 96.0,
+        "{per_subsequence:.1} live heap bytes per indexed subsequence ({held} in all)"
+    );
+
+    // The running system reports the same thing without an allocator hook.
+    let footprint = base.footprint();
+    println!("seed: {footprint:?}");
+    let estimate = footprint.total() as f64;
+    assert!(
+        (estimate - held as f64).abs() <= 0.15 * held as f64,
+        "footprint() says {estimate} bytes, the allocator counted {held}"
+    );
+    // Every representative is read in place; only the few groups of two
+    // and more own anything — a member list and a plane block.
+    assert_eq!(footprint.owned_representatives, 0);
+    assert!(footprint.member_lists + footprint.sketches < footprint.group_records);
+
+    // A centroid drifts, so each group keeps its own mean: the same data
+    // costs a representative block per group more, and footprint() sees it.
+    let (centroid_held, centroid) = held_by(|| build(&dataset, RepresentativePolicy::Centroid));
+    let means = centroid.footprint().owned_representatives;
+    println!(
+        "centroid: {centroid_held} live bytes, {:.1} per subsequence, {means} in means",
+        centroid_held as f64 / subsequences as f64
+    );
+    let samples: usize = centroid.iter().map(|(_, g)| g.len()).sum();
+    assert!(
+        means >= 8 * samples,
+        "{means} bytes of means for {samples} samples"
+    );
+    assert!(centroid_held - held >= (8 * samples) as isize);
+    let centroid_estimate = centroid.footprint().total() as f64;
+    assert!(
+        (centroid_estimate - centroid_held as f64).abs() <= 0.15 * centroid_held as f64,
+        "footprint() says {centroid_estimate} bytes, the allocator counted {centroid_held}"
+    );
+}

@@ -261,6 +261,12 @@ fn relay_leg(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
+        // Again, now that the read has returned: a leg that was already
+        // waiting when the kill switch was thrown must not relay what
+        // arrived after it.
+        if *forced.lock() == Some(Fault::Drop) {
+            break;
+        }
         let mut chunk = &mut buf[..n];
         if let Some(limit) = budget {
             let keep = limit.saturating_sub(forwarded).min(chunk.len());

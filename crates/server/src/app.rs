@@ -426,6 +426,10 @@ impl App {
         // the construction cost — the demo's "preprocessing at the server
         // side" made observable, work counters included.
         if let Some(r) = &self.build {
+            // What the base it built costs to keep now, appends included:
+            // group records, owned representatives, member lists and
+            // sketches, from lengths and cardinalities.
+            let resident = self.engine.base().footprint().total();
             fields.push((
                 "build",
                 Json::obj(vec![
@@ -435,6 +439,11 @@ impl App {
                     ("groups", r.groups.into()),
                     ("compaction", r.compaction().into()),
                     ("subsequences_per_sec", r.subsequences_per_sec().into()),
+                    ("resident_bytes", resident.into()),
+                    (
+                        "resident_bytes_per_subseq",
+                        (resident as f64 / stats.members.max(1) as f64).into(),
+                    ),
                     (
                         "work",
                         Json::obj(vec![
@@ -924,6 +933,7 @@ mod tests {
             "\"elapsed_ms\":",
             "\"subsequences\":",
             "\"subsequences_per_sec\":",
+            "\"resident_bytes_per_subseq\":",
             "\"work\":{",
             "\"reps_examined\":",
             "\"reps_pruned\":",
@@ -931,6 +941,13 @@ mod tests {
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }
+        // The footprint served is the live base's own estimate.
+        let resident = a.engine.base().footprint().total();
+        assert!(resident > 0);
+        assert!(
+            body.contains(&format!("\"resident_bytes\":{resident},")),
+            "{body}"
+        );
         let parsed = crate::json::Json::parse(&body).expect("valid JSON");
         let crate::json::Json::Obj(fields) = parsed else {
             panic!("summary is an object");

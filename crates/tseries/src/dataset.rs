@@ -123,6 +123,15 @@ impl Dataset {
         self.series.get(id as usize).map(|s| &**s)
     }
 
+    /// The shared handle of a series: what every clone of this dataset
+    /// holds, so a structure that must outlive the dataset (a similarity
+    /// group reading its representative in place) can keep the samples
+    /// alive without copying them.
+    #[inline]
+    pub fn shared(&self, id: u32) -> Option<&Arc<TimeSeries>> {
+        self.series.get(id as usize)
+    }
+
     /// Series by name.
     pub fn by_name(&self, name: &str) -> Option<&TimeSeries> {
         self.by_name.get(name).map(|&i| &*self.series[i])
@@ -253,8 +262,14 @@ mod tests {
         let mut grown = d.clone();
         grown.push(TimeSeries::new("c", vec![8.0])).unwrap();
         assert!(std::ptr::eq(d.series(1).unwrap(), grown.series(1).unwrap()));
+        // The shared handle keeps the samples alive past both datasets.
+        let handle = Arc::clone(d.shared(1).unwrap());
+        assert!(Arc::ptr_eq(&handle, grown.shared(1).unwrap()));
+        assert!(d.shared(2).is_none());
         assert_eq!((d.len(), grown.len()), (2, 3), "the original is untouched");
         assert!(d.by_name("c").is_none());
+        drop((d, grown));
+        assert_eq!(handle.values(), &[4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

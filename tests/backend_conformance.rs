@@ -10,7 +10,9 @@
 //!    best-first, all referring to distinct windows.
 //! 3. **Stats monotonicity**: [`onex::BackendStats::work`] never
 //!    decreases as `k` grows — a backend cannot claim less effort for a
-//!    larger answer.
+//!    larger answer — wherever the search runs under a private bound;
+//!    a fan-out whose shards race on a shared bound must instead give
+//!    answers that agree across `k`.
 //! 4. **Typed failures**: `k == 0`, empty and non-finite queries are
 //!    `Err(OnexError::InvalidQuery)`, never panics.
 //!
@@ -198,16 +200,50 @@ fn stats_work_is_monotone_in_k() {
         .subsequence(10, QLEN)
         .unwrap()
         .to_vec();
-    for b in backends(&ds) {
-        let w1 = b.k_best(&query, 1).unwrap().stats.work();
-        let w3 = b.k_best(&query, 3).unwrap().stats.work();
-        let w5 = b.k_best(&query, 5).unwrap().stats.work();
+    let config = BaseConfig::new(0.8, QLEN, QLEN);
+    // Under a private bound a search is a deterministic function of
+    // (query, k) and a larger k only ever loosens it, so work cannot
+    // fall: the single engine, the baselines, the cache over it, and a
+    // fan-out whose shards do not share their bound.
+    let (private_sharded, _) = ShardedEngine::build(&ds, config.clone(), 3).unwrap();
+    let (raced, mut private): (Vec<_>, Vec<_>) = backends(&ds)
+        .into_iter()
+        .partition(|b| matches!(b.name(), "sharded" | "cluster"));
+    private.push(Box::new(private_sharded.sharing_bound(false)));
+    private.push(Box::new(spawn_cluster(&ds, &config, 2).gossip(false)));
+    assert_eq!(private.len(), 8, "six private backends and two fan-outs");
+    for b in private {
+        let [w1, w3, w5] = [1, 3, 5].map(|k| b.k_best(&query, k).unwrap().stats.work());
         assert!(w1 > 0, "{}: no work reported", b.name());
         assert!(
             w1 <= w3 && w3 <= w5,
             "{}: work not monotone in k ({w1}, {w3}, {w5})",
             b.name()
         );
+    }
+    // A fan-out under a shared bound prunes against whatever another
+    // shard happened to find first, so its work depends on the schedule
+    // and is ordered by nothing. What does not depend on it is the
+    // answer: the best k are a prefix of the best k + 2.
+    assert_eq!(raced.len(), 2, "the sharded engine and the cluster");
+    for b in raced {
+        let [a1, a3, a5] = [1, 3, 5].map(|k| b.k_best(&query, k).unwrap());
+        for out in [&a1, &a3, &a5] {
+            assert!(out.stats.work() > 0, "{}: no work reported", b.name());
+        }
+        assert_eq!((a1.matches.len(), a3.matches.len()), (1, 3), "{}", b.name());
+        for (short, long) in [(&a1, &a3), (&a3, &a5)] {
+            for (s, l) in short.matches.iter().zip(&long.matches) {
+                assert_eq!(
+                    (s.series, s.start, s.len, s.distance.to_bits()),
+                    (l.series, l.start, l.len, l.distance.to_bits()),
+                    "{}: the best {} are not a prefix of the best {}",
+                    b.name(),
+                    short.matches.len(),
+                    long.matches.len()
+                );
+            }
+        }
     }
 }
 

@@ -4,11 +4,18 @@
 //! their frozen quantisation parameters, so a loaded base prunes with
 //! the same rejections, not statistically similar ones) and the top-k
 //! unchanged whether the L0 prefilter is on or off.
+//!
+//! And through the three ways a `Seed` base comes to hold its
+//! representatives — built (read in place from the series), decoded
+//! without a dataset (owned copies), decoded beside its dataset (in place
+//! again): one base by `==`, one image, one answer bit for bit, with or
+//! without the dataset it was built over still alive.
 
 use onex::engine::{Match, Onex, QueryOptions};
-use onex::grouping::BaseConfig;
-use onex::tseries::gen::{random_walk_dataset, SyntheticConfig};
-use onex::tseries::TimeSeries;
+use onex::grouping::persist::{load_bytes, save_v2};
+use onex::grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
+use onex::tseries::gen::{clustered_dataset, random_walk_dataset, SyntheticConfig};
+use onex::tseries::{Dataset, TimeSeries};
 
 const K: usize = 4;
 
@@ -90,4 +97,154 @@ fn base_saved_after_appends_reloads_with_identical_sketches_and_topk() {
         );
         assert_eq!(got, reference, "{label}: top-{K} diverged");
     }
+}
+
+/// The collections of the end-to-end harness's four workloads
+/// (`benchmark/src/spec.rs`; `cluster` and `ingest` share one) at its toy
+/// size — 8 series of 64 points — each with ten further series of the
+/// same kind to append.
+fn harness_collections() -> Vec<(&'static str, Dataset, Vec<TimeSeries>, BaseConfig)> {
+    let seed = SyntheticConfig {
+        series: 18,
+        len: 64,
+        seed: 0x21,
+    };
+    let walks = random_walk_dataset(seed);
+    let clustered = || clustered_dataset(seed, 8, 0.08);
+    [
+        ("repeat", clustered(), (2.0, 16, 16)),
+        ("cluster / ingest", walks, (1.0, 16, 24)),
+        ("explore", clustered(), (1.0, 30, 32)),
+    ]
+    .into_iter()
+    .map(|(name, all, (st, min_len, max_len))| {
+        let mut series: Vec<TimeSeries> = all.iter().map(|(_, s)| s.clone()).collect();
+        let spares = series.split_off(8);
+        let config = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(st, min_len, max_len)
+        };
+        (name, Dataset::from_series(series).unwrap(), spares, config)
+    })
+    .collect()
+}
+
+/// Answers down to the last bit of every distance.
+fn answers(engine: &Onex, queries: &[Vec<f64>]) -> Vec<Vec<(u32, u32, u32, u64)>> {
+    let opts = QueryOptions::default();
+    queries
+        .iter()
+        .map(|q| {
+            let (matches, _) = engine.k_best(q, 5, &opts).expect("valid query");
+            assert!(!matches.is_empty());
+            matches
+                .iter()
+                .map(|m| {
+                    let w = m.subseq;
+                    (w.series, w.start, w.len, m.distance.to_bits())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn built_decoded_and_adopted_bases_are_one_base_with_one_answer() {
+    for (name, dataset, spares, config) in harness_collections() {
+        let queries: Vec<Vec<f64>> = [(0u32, 3usize), (5, 20), (7, 31)]
+            .iter()
+            .map(|&(series, start)| {
+                let len = config.min_len;
+                let window = dataset.series(series).unwrap().subsequence(start, len);
+                let noisy = window.unwrap().iter().enumerate();
+                noisy.map(|(i, v)| v + 0.02 * (i as f64).cos()).collect()
+            })
+            .collect();
+
+        let (built, _) = Onex::build(dataset.clone(), config.clone()).unwrap();
+        let image = save_v2(&built.base());
+        // No dataset beside the decoder: every representative a copy.
+        let owned = Onex::from_parts(dataset.clone(), load_bytes(image.clone()).unwrap()).unwrap();
+        // The engine's lazy path hands the decoder its dataset.
+        let adopted = Onex::open_bytes(image.clone(), dataset.clone()).unwrap();
+        adopted.resolve_all().unwrap();
+
+        let copies = owned.base().footprint().owned_representatives;
+        assert!(copies > 0, "{name}");
+        let in_place = [&built, &adopted];
+        for engine in in_place {
+            assert_eq!(engine.base().footprint().owned_representatives, 0, "{name}");
+        }
+        let same = |stage: &str| {
+            let reference = answers(&built, &queries);
+            for (how, engine) in [("owned", &owned), ("adopted", &adopted)] {
+                assert!(*engine.base() == *built.base(), "{name}, {how}, {stage}");
+                assert!(
+                    save_v2(&engine.base()) == save_v2(&built.base()),
+                    "{name}, {how}, {stage}: images differ"
+                );
+                assert_eq!(
+                    answers(engine, &queries),
+                    reference,
+                    "{name}, {how}, {stage}"
+                );
+            }
+        };
+        same("as opened");
+        assert!(
+            save_v2(&built.base()) == image,
+            "{name}: a save is repeatable"
+        );
+
+        // Ten appends: the decoded-owned base ends up with its old groups
+        // owned and every newly seeded one in place.
+        let groups_opened = built.base().group_count();
+        for engine in [&built, &owned, &adopted] {
+            for spare in &spares {
+                engine.append_series(spare.clone()).unwrap();
+            }
+        }
+        same("after ten appends");
+        assert_eq!(
+            owned.base().footprint().owned_representatives,
+            copies,
+            "{name}: an append copied a representative"
+        );
+        assert_eq!(built.base().footprint().owned_representatives, 0, "{name}");
+        if name == "cluster / ingest" {
+            assert!(owned.base().group_count() > 2 * groups_opened, "{name}");
+        }
+    }
+}
+
+#[test]
+fn a_base_outlives_the_dataset_it_was_built_over() {
+    let generate = || {
+        random_walk_dataset(SyntheticConfig {
+            series: 6,
+            len: 40,
+            seed: 0x0D1E,
+        })
+    };
+    let config = BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, 8, 12)
+    };
+    let base = {
+        let dataset = generate();
+        let clone = dataset.clone();
+        let (base, _) = BaseBuilder::new(config).unwrap().build(&clone);
+        base
+        // Both dataset handles drop here; the base keeps the series it
+        // reads alive, and only those.
+    };
+    assert_eq!(base.footprint().owned_representatives, 0);
+    let again = generate();
+    for (id, group) in base.iter() {
+        let first = again.resolve(group.members()[0]).unwrap();
+        assert_eq!(group.representative(), first, "{id}");
+    }
+    let audit = base.audit(&again);
+    assert_eq!((audit.violations, audit.unresolvable), (0, 0), "{audit:?}");
+    assert_eq!(audit.members_checked, base.member_count());
 }
