@@ -7,7 +7,9 @@
 
 use onex_core::{exhaustive, Onex, QueryOptions};
 use onex_grouping::persist::save_v2;
-use onex_grouping::{BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy};
+use onex_grouping::{
+    BaseBuilder, BaseConfig, BlockVec, IndexPolicy, OnexBase, RepresentativePolicy,
+};
 use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
 use proptest::prelude::*;
@@ -218,6 +220,174 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
     let (grown, _) = engine.k_best(&query, 3, &opts).unwrap();
     agrees_with_scan(&grown, now.dataset());
     assert_eq!(now.dataset().len(), 8);
+}
+
+/// Check `new`, extended from `old`, block by block: a block of group
+/// records is `new`'s own exactly when a group in it admitted a member or
+/// was seeded, and every other block is `old`'s, by pointer; the sketch
+/// handles beside them are in as many blocks, as many of them shared.
+/// Returns how many groups admitted and how many blocks of group records
+/// were written.
+fn written_blocks_are_the_only_ones_copied(old: &OnexBase, new: &OnexBase) -> (usize, usize) {
+    let (mut admitted, mut written_blocks, mut blocks) = (0, 0, 0);
+    for len in new.lengths() {
+        let (was, now) = (old.groups_for_len(len), new.groups_for_len(len));
+        let block_of = BlockVec::<onex_grouping::SimilarityGroup>::block_of;
+        let mut written = std::collections::BTreeSet::new();
+        for (gi, g) in now.iter().enumerate() {
+            match was.get(gi) {
+                Some(o) if o.cardinality() == g.cardinality() => {}
+                Some(_) => {
+                    admitted += 1;
+                    written.insert(block_of(gi));
+                }
+                None => {
+                    written.insert(block_of(gi));
+                }
+            }
+        }
+        for block in 0..now.block_count() {
+            assert_eq!(
+                now.shares_block(was, block),
+                !written.contains(&block),
+                "groups {block}@{len}"
+            );
+        }
+        written_blocks += written.len();
+        blocks += now.block_count();
+    }
+    // The base's own count says the same, and as much again for the
+    // sketch columns (which blocks those are: `grouping::sketch`'s tests).
+    assert_eq!(
+        (new.shared_blocks(old), new.block_count()),
+        (2 * (blocks - written_blocks), 2 * blocks)
+    );
+    (admitted, written_blocks)
+}
+
+#[test]
+fn an_append_copies_the_blocks_it_writes_and_shares_every_other_with_the_previous_epoch() {
+    // Columns of a few hundred to a thousand groups: several blocks each.
+    let ds = random_walk_dataset(SyntheticConfig {
+        series: 20,
+        len: 64,
+        seed: 0xB10C,
+    });
+    let (engine, built) = Onex::build(ds, exact_config()).unwrap();
+    assert_eq!(built.blocks_copied, built.blocks_total);
+    let lengths = engine.base().lengths().count();
+    assert!(
+        built.blocks_total >= 2 * 3 * lengths,
+        "{} blocks: the columns must span several",
+        built.blocks_total
+    );
+
+    // A walk far from everything indexed seeds groups and joins none of
+    // the published ones: every block but each column's tail is shared.
+    let epoch0 = engine.snapshot();
+    let image0 = save_v2(epoch0.base());
+    let far: Vec<f64> = random_walk(64, 1.0, 7).iter().map(|v| v + 1e4).collect();
+    let report = engine.append_series(TimeSeries::new("far", far)).unwrap();
+    let epoch1 = engine.snapshot();
+    let (admitted, written) = written_blocks_are_the_only_ones_copied(epoch0.base(), epoch1.base());
+    assert_eq!(admitted, 0, "the far walk joined a published group");
+    // The tail block, and the one begun after it where a column crossed
+    // a block edge.
+    assert!((lengths..=2 * lengths).contains(&written), "{written}");
+    assert_eq!(
+        (report.blocks_copied, report.blocks_total),
+        (2 * written, epoch1.base().block_count())
+    );
+    assert!(report.blocks_copied * 3 < report.blocks_total);
+
+    // A near-copy of series 3 joins the groups series 3's windows are in:
+    // exactly those groups' blocks are copied.
+    let near: Vec<f64> = epoch1
+        .dataset()
+        .series(3)
+        .unwrap()
+        .values()
+        .iter()
+        .map(|v| v + 0.01)
+        .collect();
+    let image1 = save_v2(epoch1.base());
+    let report = engine
+        .append_series(TimeSeries::new("near-3", near))
+        .unwrap();
+    let epoch2 = engine.snapshot();
+    let (admitted, written) = written_blocks_are_the_only_ones_copied(epoch1.base(), epoch2.base());
+    assert!(admitted > 5 * lengths, "{admitted} admissions");
+    assert_eq!(report.blocks_copied, 2 * written);
+    assert!(report.blocks_copied * 2 < report.blocks_total);
+
+    // Neither earlier epoch saw a write: each still saves the image it
+    // saved before the append that followed it.
+    assert!(save_v2(epoch0.base()) == image0);
+    assert!(save_v2(epoch1.base()) == image1);
+}
+
+#[test]
+fn thirty_appends_on_the_cluster_shape_equal_a_batch_build_to_the_bit() {
+    // The end-to-end harness's `cluster` / `ingest` shape at toy size:
+    // random walks, lengths 16..=24, ST 1.0, frozen seeds.
+    let config = BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, 16, 24)
+    };
+    let walks = random_walk_dataset(SyntheticConfig {
+        series: 38,
+        len: 64,
+        seed: 22,
+    });
+    // Sketch quantisation is frozen from the value range a length first
+    // sees: lead with the two series that span the collection's, so the
+    // appended base and the batch build freeze the same parameters.
+    let low = |s: &TimeSeries| s.values().iter().copied().fold(f64::INFINITY, f64::min);
+    let high = |s: &TimeSeries| s.values().iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let by = |f: &dyn Fn(&TimeSeries) -> f64, a: &TimeSeries, b: &TimeSeries| f(a).total_cmp(&f(b));
+    let (lowest, _) = walks.iter().min_by(|a, b| by(&low, a.1, b.1)).unwrap();
+    let (highest, _) = walks.iter().max_by(|a, b| by(&high, a.1, b.1)).unwrap();
+    assert_ne!(lowest, highest);
+    let mut order: Vec<u32> = vec![lowest, highest];
+    order.extend((0..walks.len() as u32).filter(|id| ![lowest, highest].contains(id)));
+    let series = |id: &u32| walks.series(*id).unwrap().clone();
+    let all = Dataset::from_series(order.iter().map(series).collect()).unwrap();
+
+    let (engine, _) = Onex::build(prefix(&all, 8), config.clone()).unwrap();
+    for (_, s) in all.iter().skip(8) {
+        engine.append_series(s.clone()).unwrap();
+    }
+    assert_eq!(engine.epoch(), 30);
+    let (batch, _) = Onex::build(all.clone(), config).unwrap();
+    assert!(*engine.base() == *batch.base());
+    assert!(save_v2(&engine.base()) == save_v2(&batch.base()));
+
+    let opts = QueryOptions::default();
+    for (sid, start, len) in [
+        (0u32, 3usize, 16usize),
+        (9, 20, 20),
+        (37, 40, 24),
+        (21, 0, 18),
+    ] {
+        let query: Vec<f64> = all
+            .series(sid)
+            .unwrap()
+            .subsequence(start, len)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.05 * (i as f64).cos())
+            .collect();
+        let (appended, _) = engine.k_best(&query, 5, &opts).unwrap();
+        let (built, _) = batch.k_best(&query, 5, &opts).unwrap();
+        assert_eq!(appended.len(), 5);
+        for (a, b) in appended.iter().zip(&built) {
+            assert_eq!(
+                (a.subseq, a.distance.to_bits()),
+                (b.subseq, b.distance.to_bits())
+            );
+        }
+    }
 }
 
 #[test]

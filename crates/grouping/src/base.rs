@@ -4,7 +4,11 @@ use onex_distance::ed;
 use onex_tseries::Dataset;
 
 use crate::sketch::SketchIndex;
-use crate::{BaseConfig, GroupId, SimilarityGroup};
+use crate::{BaseConfig, BlockVec, GroupId, SimilarityGroup};
+
+/// What [`OnexBase::groups_for_len`] hands out for a length that is not
+/// indexed.
+static NO_GROUPS: BlockVec<SimilarityGroup> = BlockVec::new();
 
 /// The finished ONEX base: similarity groups per subsequence length.
 ///
@@ -12,16 +16,18 @@ use crate::{BaseConfig, GroupId, SimilarityGroup};
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// A clone is structural: it copies each group's 48-byte record and
-/// 24-byte sketch handle and shares everything behind them with the
-/// original — the dataset's series handles that frozen representatives
-/// read in place, and the reference-counted blocks only a centroid, a
-/// member list or the sketch planes of two members and more own — which
-/// is what lets [`crate::BaseBuilder::extend`] build the next base aside
-/// and an engine publish it as a new epoch without copying the old one.
-/// On a base that does not compact there is nothing behind the records
-/// at all: a clone bumps one counter per series, however many groups
-/// read from it. [`OnexBase::footprint`] adds the bytes up.
+/// Each length's 48-byte group records, and the 24-byte sketch handles
+/// beside them, sit in a [`BlockVec`]: fixed-size blocks, each behind one
+/// reference count. A clone copies the block pointers — a few hundred
+/// for a hundred thousand groups — and shares the blocks, and everything
+/// behind the records, with the original; [`crate::BaseBuilder::extend`]
+/// builds the next base on such a clone and copies only the blocks it
+/// writes: the tail block of a column it seeds a group into, the block
+/// of a group that admits a member. That is what lets an engine publish
+/// one epoch after another at the cost of the appended windows, and drop
+/// a retired epoch at the cost of the blocks its successor replaced.
+/// [`OnexBase::shared_blocks`] counts what two bases still share and
+/// [`OnexBase::footprint`] adds the bytes up.
 ///
 /// The base also carries the L0 [`SketchIndex`] — *derived* data rebuilt
 /// from the dataset via [`OnexBase::sync_sketches`] and excluded from
@@ -31,7 +37,7 @@ use crate::{BaseConfig, GroupId, SimilarityGroup};
 #[derive(Debug, Clone)]
 pub struct OnexBase {
     config: BaseConfig,
-    groups: BTreeMap<usize, Vec<SimilarityGroup>>,
+    groups: BTreeMap<usize, BlockVec<SimilarityGroup>>,
     source_series: usize,
     /// Members over all groups, kept in step with `groups` so that an
     /// incremental extension can report totals without visiting every
@@ -53,10 +59,10 @@ impl PartialEq for OnexBase {
 impl OnexBase {
     pub(crate) fn from_parts(
         config: BaseConfig,
-        groups: BTreeMap<usize, Vec<SimilarityGroup>>,
+        groups: BTreeMap<usize, BlockVec<SimilarityGroup>>,
         source_series: usize,
     ) -> Self {
-        let members = groups.values().map(|gs| members_of(gs)).sum();
+        let members = groups.values().map(members_of).sum();
         OnexBase {
             config,
             groups,
@@ -68,7 +74,7 @@ impl OnexBase {
 
     /// The groups of one length, for incremental extension to admit
     /// into (an empty column when the length is new to the base).
-    pub(crate) fn column_mut(&mut self, len: usize) -> &mut Vec<SimilarityGroup> {
+    pub(crate) fn column_mut(&mut self, len: usize) -> &mut BlockVec<SimilarityGroup> {
         self.groups.entry(len).or_default()
     }
 
@@ -85,7 +91,7 @@ impl OnexBase {
     /// group's shared and unvisited. A length that was never synced (new
     /// to the base, or a base that came without sketches) is synced whole.
     pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
-        let groups = self.groups.get(&len).map_or(&[][..], Vec::as_slice);
+        let groups = self.groups.get(&len).unwrap_or(&NO_GROUPS);
         if self.sketches.for_len(len).is_some() {
             self.sketches
                 .sync_length(dataset, len, groups, touched.iter().copied());
@@ -97,21 +103,21 @@ impl OnexBase {
 
     /// Total groups across lengths.
     pub fn group_count(&self) -> usize {
-        self.groups.values().map(Vec::len).sum()
+        self.groups.values().map(BlockVec::len).sum()
     }
 
     /// Total members across groups (= subsequences indexed).
     pub fn member_count(&self) -> usize {
         debug_assert_eq!(
             self.members,
-            self.groups.values().map(|gs| members_of(gs)).sum::<usize>()
+            self.groups.values().map(members_of).sum::<usize>()
         );
         self.members
     }
 
     /// The raw per-length group map (sketch-sync tests).
     #[cfg(test)]
-    pub(crate) fn raw_groups(&self) -> &BTreeMap<usize, Vec<SimilarityGroup>> {
+    pub(crate) fn raw_groups(&self) -> &BTreeMap<usize, BlockVec<SimilarityGroup>> {
         &self.groups
     }
 
@@ -124,7 +130,7 @@ impl OnexBase {
     pub(crate) fn install_length(
         &mut self,
         len: usize,
-        groups: Vec<SimilarityGroup>,
+        groups: BlockVec<SimilarityGroup>,
         sketches: Option<crate::LengthSketches>,
     ) {
         self.members += members_of(&groups);
@@ -164,9 +170,10 @@ impl OnexBase {
         self.groups.keys().copied()
     }
 
-    /// Groups of one length (empty slice when the length is not indexed).
-    pub fn groups_for_len(&self, len: usize) -> &[SimilarityGroup] {
-        self.groups.get(&len).map_or(&[], |v| v.as_slice())
+    /// Groups of one length (an empty column when the length is not
+    /// indexed).
+    pub fn groups_for_len(&self, len: usize) -> &BlockVec<SimilarityGroup> {
+        self.groups.get(&len).unwrap_or(&NO_GROUPS)
     }
 
     /// Group lookup by id.
@@ -227,15 +234,36 @@ impl OnexBase {
         }
     }
 
-    /// Bytes this base keeps resident, by owner — worked out from lengths
-    /// and cardinalities (no allocator hook), so it leaves out allocator
-    /// headers, vector slack and the per-length maps. Blocks shared with
-    /// another epoch of the base count in full; the series that in-place
-    /// representatives read belong to the dataset and do not count.
+    /// How many blocks the group and sketch columns of every length are
+    /// kept in.
+    pub fn block_count(&self) -> usize {
+        let groups = self.groups.values().map(BlockVec::block_count);
+        groups.sum::<usize>() + self.sketches.block_count()
+    }
+
+    /// How many of those blocks this base shares by pointer with `other`.
+    /// Against the base it was extended from, the rest —
+    /// `block_count() - shared_blocks(previous)` — is what the extension
+    /// copied or added: the blocks it wrote to.
+    pub fn shared_blocks(&self, other: &OnexBase) -> usize {
+        let groups = self.groups.iter();
+        groups
+            .map(|(&len, groups)| groups.shared_blocks(other.groups_for_len(len)))
+            .sum::<usize>()
+            + self.sketches.shared_blocks(&other.sketches)
+    }
+
+    /// Bytes this base keeps resident, by owner — worked out from
+    /// capacities, lengths and cardinalities (no allocator hook), so it
+    /// leaves out allocator headers and the per-length maps. The columns
+    /// count whole blocks, an unfilled tail's capacity included. Blocks
+    /// shared with another epoch of the base count in full; the series
+    /// that in-place representatives read belong to the dataset and do
+    /// not count.
     pub fn footprint(&self) -> Footprint {
         let mut footprint = Footprint::default();
         for gs in self.groups.values() {
-            footprint.group_records += std::mem::size_of_val(&gs[..]);
+            footprint.group_records += gs.resident_bytes();
             for g in gs {
                 let (representative, members) = g.heap_bytes();
                 footprint.owned_representatives += representative;
@@ -274,21 +302,22 @@ impl OnexBase {
     }
 }
 
-fn members_of(groups: &[SimilarityGroup]) -> usize {
+fn members_of(groups: &BlockVec<SimilarityGroup>) -> usize {
     groups.iter().map(SimilarityGroup::cardinality).sum()
 }
 
 /// Result of [`OnexBase::footprint`]: resident bytes by owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Footprint {
-    /// The per-length columns of 48-byte group records.
+    /// The per-length columns of 48-byte group records, in whole blocks.
     pub group_records: usize,
     /// Representatives a group owns (centroids, and groups decoded
     /// without their dataset); 0 for every frozen seed read in place.
     pub owned_representatives: usize,
     /// Member lists of groups of two and more (a lone member is inline).
     pub member_lists: usize,
-    /// L0 sketch handles, plus the plane blocks of groups of two and more.
+    /// The columns of L0 sketch handles, in whole blocks, plus the plane
+    /// blocks of groups of two and more.
     pub sketches: usize,
 }
 

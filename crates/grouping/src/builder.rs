@@ -5,7 +5,9 @@ use onex_api::{Epoch, OnexError};
 use onex_tseries::Dataset;
 
 use crate::repindex::{IndexWork, RepresentativeIndex, ResidentIndex};
-use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup, SubsequenceSpace};
+use crate::{
+    BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup, SubsequenceSpace,
+};
 
 /// Constructs the ONEX base from a dataset (paper §3.1, the
 /// "pre-processing step" at the top of Fig 1).
@@ -59,6 +61,14 @@ pub struct BuildReport {
     /// `onex_api::BackendStats` so construction cost is comparable across
     /// index policies the way query cost is across backends.
     pub work: IndexWork,
+    /// Column blocks (group records and sketch handles, over all lengths)
+    /// this run allocated: all of them for a batch build, for an
+    /// extension the ones it wrote to — every other block of the
+    /// extended base is the previous base's own
+    /// ([`OnexBase::shared_blocks`]).
+    pub blocks_copied: usize,
+    /// Column blocks the reported base is kept in.
+    pub blocks_total: usize,
     /// Series in the collection the reported base covers.
     pub series: usize,
     /// Epoch the engine published that base under: 0 from the builder
@@ -210,8 +220,11 @@ impl BaseBuilder {
     /// build-aside copy and the caller's base is untouched on **every**
     /// path, success or failure — an erroring extend is observationally a
     /// no-op (there is no half-indexed intermediate to leak). The copy
-    /// is structural: it shares every group and its sketch planes with `base`,
-    /// and only groups that admit a member get storage of their own.
+    /// is structural: it shares every block of group records and sketch
+    /// handles with `base`, and copies the blocks it writes — the tail a
+    /// group is seeded into, the block of a group that admits a member —
+    /// so an extension costs what its new windows cost
+    /// ([`BuildReport::blocks_copied`]).
     ///
     /// This is [`Self::extend_resident`] over an index that is seeded
     /// for the call and dropped with it.
@@ -277,7 +290,7 @@ impl BaseBuilder {
             )));
         }
         // Build aside: all mutation below happens on this copy, which
-        // shares its groups and sketch planes with `base` until they change.
+        // shares its column blocks with `base` until it writes to them.
         let mut extended = base.clone();
         let mut work = IndexWork::default();
         // Per length, new subsequences arrive series-major then
@@ -334,7 +347,7 @@ impl BaseBuilder {
             extended.sync_sketches_of(dataset, len, &touched);
         }
         extended.admitted(dataset.len(), admitted);
-        let report = self.report(&extended, start, work);
+        let report = self.report(&extended, Some(base), start, work);
         Ok((extended, report))
     }
 
@@ -347,14 +360,14 @@ impl BaseBuilder {
         dataset: &Dataset,
         space: &SubsequenceSpace,
         len: usize,
-    ) -> (Vec<SimilarityGroup>, IndexWork) {
+    ) -> (BlockVec<SimilarityGroup>, IndexWork) {
         #[cfg(test)]
         if self.fail_len == Some(len) {
             panic!("injected construction failure at length {len}");
         }
         let admission = self.config.admission_radius(len);
         let admission_sq = admission * admission;
-        let mut groups: Vec<SimilarityGroup> = Vec::new();
+        let mut groups: BlockVec<SimilarityGroup> = BlockVec::new();
         let mut index = self.config.index.create(len, admission);
         let mut work = IndexWork::default();
         for r in space.refs_for_len(len) {
@@ -368,8 +381,8 @@ impl BaseBuilder {
             )
             .expect("space references are in bounds");
         }
-        // The column lives as long as the base: give back the doubling's
-        // slack.
+        // The column lives as long as the base: give back the tail
+        // block's slack.
         groups.shrink_to_fit();
         (groups, work)
     }
@@ -388,7 +401,7 @@ impl BaseBuilder {
     fn assign_one(
         &self,
         dataset: &Dataset,
-        groups: &mut Vec<SimilarityGroup>,
+        groups: &mut BlockVec<SimilarityGroup>,
         index: &mut dyn RepresentativeIndex,
         r: onex_tseries::SubseqRef,
         admission_sq: f64,
@@ -398,9 +411,12 @@ impl BaseBuilder {
         let centroid = self.config.policy == RepresentativePolicy::Centroid;
         Ok(match index.nearest_within(xs, admission_sq, groups, work) {
             Some((gi, d_sq)) => {
-                groups[gi].admit(r, xs, d_sq.sqrt(), centroid);
+                let group = groups
+                    .get_mut(gi)
+                    .expect("the index answers with a live group");
+                group.admit(r, xs, d_sq.sqrt(), centroid);
                 if centroid {
-                    index.update(gi, groups[gi].representative());
+                    index.update(gi, group.representative());
                 }
                 gi
             }
@@ -419,23 +435,35 @@ impl BaseBuilder {
     fn finish(
         &self,
         dataset: &Dataset,
-        per_length: BTreeMap<usize, Vec<SimilarityGroup>>,
+        per_length: BTreeMap<usize, BlockVec<SimilarityGroup>>,
         start: Instant,
         work: IndexWork,
     ) -> (OnexBase, BuildReport) {
         let mut base = OnexBase::from_parts(self.config.clone(), per_length, dataset.len());
         base.sync_sketches(dataset);
-        let report = self.report(&base, start, work);
+        let report = self.report(&base, None, start, work);
         (base, report)
     }
 
-    fn report(&self, base: &OnexBase, start: Instant, work: IndexWork) -> BuildReport {
+    /// The receipt for `base`, built aside from `previous` (from nothing
+    /// when `None`).
+    fn report(
+        &self,
+        base: &OnexBase,
+        previous: Option<&OnexBase>,
+        start: Instant,
+        work: IndexWork,
+    ) -> BuildReport {
+        let blocks_total = base.block_count();
+        let shared = previous.map_or(0, |previous| base.shared_blocks(previous));
         BuildReport {
             elapsed: start.elapsed(),
             lengths: base.lengths().count(),
             subsequences: base.member_count(),
             groups: base.group_count(),
             work,
+            blocks_copied: blocks_total - shared,
+            blocks_total,
             series: base.source_series(),
             epoch: 0,
         }

@@ -31,9 +31,12 @@ impl std::fmt::Display for GroupId {
 ///
 /// A clone therefore copies 48 bytes and bumps at most two counters —
 /// for a base that does not compact, the counters of its few dozen
-/// series, not one block per group — and every published epoch of a base
-/// shares what it inherited. [`Self::admit`] copies on write: only a
-/// group that admits a member while shared gets storage of its own
+/// series, not one block per group. A base clones records a block at a
+/// time and only when it writes to one ([`crate::BlockVec`]): the next
+/// epoch shares every other block of records, and what is behind the
+/// copied ones, with the epochs before it. [`Self::admit`] copies on
+/// write in turn: of the groups in a copied block only the one that
+/// admits a member gets storage of its own
 /// ([`Self::shares_storage_with`] tells which).
 #[derive(Debug, Clone)]
 pub struct SimilarityGroup {
@@ -414,6 +417,29 @@ mod tests {
         let g = SimilarityGroup::seed_in_place(r(2), &ds).unwrap();
         drop(ds);
         assert_eq!(g.representative(), &[3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn an_admission_through_a_shared_column_copies_that_groups_block_and_storage_only() {
+        use crate::BlockVec;
+        let ds = Dataset::from_series(vec![TimeSeries::new("s", vec![0.5; 1000])]).unwrap();
+        let published: BlockVec<SimilarityGroup> = (0..900)
+            .map(|start| SimilarityGroup::seed_in_place(r(start), &ds).unwrap())
+            .collect();
+        let mut next = published.clone();
+        let admitting = 600;
+        let group = next.get_mut(admitting).unwrap();
+        group.admit(r(990), &[0.5; 3], 0.0, false);
+        let written = BlockVec::<SimilarityGroup>::block_of(admitting);
+        for block in 0..next.block_count() {
+            assert_eq!(next.shares_block(&published, block), block != written);
+        }
+        // The records beside it came along by value and still read the
+        // published groups' storage; the published group saw nothing.
+        assert!(next[admitting - 1].shares_storage_with(&published[admitting - 1]));
+        assert!(!next[admitting].shares_storage_with(&published[admitting]));
+        assert_eq!(published[admitting].members(), &[r(admitting as u32)]);
+        assert_eq!(next[admitting].members(), &[r(admitting as u32), r(990)]);
     }
 
     #[test]

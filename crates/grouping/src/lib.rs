@@ -30,7 +30,9 @@
 //!   barely compacts.
 //! * [`OnexBase`] is the finished index: groups per length, compaction
 //!   statistics, invariant auditing, and a versioned binary persistence
-//!   format ([`persist`]).
+//!   format ([`persist`]). Each length's records sit in a [`BlockVec`]
+//!   ([`blocks`]) — fixed-size copy-on-write blocks — so the next epoch
+//!   of a base shares every block an append did not write to.
 //! * [`SketchIndex`] ([`sketch`]) carries a quantised-PAA sketch per
 //!   member — the L0 prefilter tier the query engine consults before
 //!   touching any f64 data. Derived and rebuildable; persistence format
@@ -49,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod base;
+pub mod blocks;
 mod builder;
 mod config;
 mod group;
@@ -58,6 +61,7 @@ pub mod sketch;
 mod space;
 
 pub use base::{AuditReport, BaseStats, Footprint, LengthStats, OnexBase};
+pub use blocks::BlockVec;
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
 pub use group::{GroupId, SimilarityGroup};

@@ -30,7 +30,7 @@ use onex_storage::{fnv1a64, Reader};
 use onex_tseries::SubseqRef;
 
 use crate::group::Representative;
-use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup};
+use crate::{BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup};
 
 pub(super) const MAGIC: &[u8; 8] = b"ONEXBASE";
 const VERSION: u32 = 1;
@@ -187,7 +187,7 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
         // Smallest possible group: representative + radius + member
         // count + one member.
         let n_groups = r.counted(rep_bytes + 8 + 4 + 8)?;
-        let mut gs = Vec::with_capacity(n_groups);
+        let mut gs = BlockVec::new();
         for _ in 0..n_groups {
             let rep: std::sync::Arc<[f64]> = r
                 .take(rep_bytes)?
@@ -214,6 +214,7 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
                 radius,
             ));
         }
+        gs.shrink_to_fit();
         if groups.insert(len, gs).is_some() {
             return Err(corrupt(format!("duplicate length {len}")));
         }

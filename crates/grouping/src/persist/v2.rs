@@ -41,7 +41,7 @@ use onex_tseries::{Dataset, SubseqRef};
 
 use crate::group::Representative;
 use crate::sketch::LengthSketches;
-use crate::{BaseConfig, OnexBase, RepresentativePolicy, SimilarityGroup};
+use crate::{BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup};
 
 /// Section id: the fixed-size configuration record.
 pub const SEC_CONFIG: u32 = 1;
@@ -467,8 +467,8 @@ impl BaseSegment {
 
         // Only a frozen seed is its first member's window.
         let adopt = dataset.filter(|_| self.config.policy == RepresentativePolicy::Seed);
-        let mut groups = Vec::with_capacity(e.group_count);
-        let mut planes = self.has_sketches.then(|| Vec::with_capacity(e.group_count));
+        let mut groups = BlockVec::new();
+        let mut planes = self.has_sketches.then(BlockVec::new);
         let records = &groups_sec
             [e.group_start * GROUP_STRIDE..(e.group_start + e.group_count) * GROUP_STRIDE];
         let mut member_cursor = e.member_start;
@@ -527,7 +527,9 @@ impl BaseSegment {
                 e.member_count
             )));
         }
-        let sketches = planes.map(|s| {
+        groups.shrink_to_fit();
+        let sketches = planes.map(|mut s| {
+            s.shrink_to_fit();
             LengthSketches::from_parts(
                 SketchParams {
                     vmin: e.vmin,
@@ -760,7 +762,7 @@ mod tests {
         let stripped = {
             let mut groups = BTreeMap::new();
             for len in base.lengths() {
-                groups.insert(len, base.groups_for_len(len).to_vec());
+                groups.insert(len, base.groups_for_len(len).clone());
             }
             OnexBase::from_parts(base.config().clone(), groups, base.source_series())
         };

@@ -81,7 +81,7 @@ use std::str::FromStr;
 use onex_api::OnexError;
 use onex_distance::ed::ed_early_abandon_sq;
 
-use crate::SimilarityGroup;
+use crate::{BlockVec, SimilarityGroup};
 
 /// Work accounting for one construction run, mirroring the query-side
 /// `onex_api::BackendStats` triple so construction effort can be compared
@@ -192,7 +192,7 @@ pub trait RepresentativeIndex: Send {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &[SimilarityGroup],
+        groups: &BlockVec<SimilarityGroup>,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)>;
 
@@ -221,7 +221,7 @@ impl RepresentativeIndex for LinearScan {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &[SimilarityGroup],
+        groups: &BlockVec<SimilarityGroup>,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
@@ -392,7 +392,7 @@ impl RepresentativeIndex for PaaGrid {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &[SimilarityGroup],
+        groups: &BlockVec<SimilarityGroup>,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
         let query = self.paa(xs);
@@ -560,7 +560,7 @@ impl ResidentIndex {
         policy: IndexPolicy,
         len: usize,
         radius: f64,
-        groups: &[SimilarityGroup],
+        groups: &BlockVec<SimilarityGroup>,
     ) -> &mut dyn RepresentativeIndex {
         let resident = self
             .columns
@@ -646,9 +646,9 @@ mod tests {
         radius: f64,
         seed: u64,
         centroid_rate: f64,
-    ) -> (Vec<SimilarityGroup>, PaaGrid) {
+    ) -> (BlockVec<SimilarityGroup>, PaaGrid) {
         let mut rng = Rng(seed);
-        let mut groups: Vec<SimilarityGroup> = Vec::new();
+        let mut groups: BlockVec<SimilarityGroup> = BlockVec::new();
         let mut linear = LinearScan;
         let mut grid = PaaGrid::new(len, radius);
         let mut lw = IndexWork::default();
@@ -677,7 +677,7 @@ mod tests {
             match a {
                 Some((gi, d_sq)) => {
                     let centroid = rng.next() < centroid_rate;
-                    groups[gi].admit(
+                    groups.get_mut(gi).unwrap().admit(
                         SubseqRef::new(1, step, len as u32),
                         &xs,
                         d_sq.sqrt(),
@@ -772,7 +772,8 @@ mod tests {
         // Cells are sized for the column's radius; the interval comes
         // from the call's, so any radius finds the same winner.
         let mut rng = Rng(8);
-        let groups: Vec<SimilarityGroup> = (0..300).map(|_| group(&rng.vec(9, 10.0))).collect();
+        let groups: BlockVec<SimilarityGroup> =
+            (0..300).map(|_| group(&rng.vec(9, 10.0))).collect();
         let mut grid = PaaGrid::new(9, 0.5);
         for (gi, g) in groups.iter().enumerate() {
             grid.insert(gi, g.representative());
@@ -803,7 +804,7 @@ mod tests {
         for offset in [0.0, 1e6, 1e9, 1e12, -1e12, 1e13, 1e14, 1e15, -1e15] {
             for _ in 0..400 {
                 let rep: Vec<f64> = rng.vec(len, 100.0).iter().map(|v| v + offset).collect();
-                let groups = vec![group(&rep)];
+                let groups = BlockVec::from(vec![group(&rep)]);
                 let mut grid = PaaGrid::new(len, radius);
                 grid.insert(0, &rep);
                 for (half, sign) in [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)] {
@@ -826,7 +827,7 @@ mod tests {
     #[test]
     fn ties_go_to_the_lowest_group_id() {
         let rep = vec![1.0, 2.0, 3.0, 4.0];
-        let groups = vec![group(&[9.0; 4]), group(&rep), group(&rep)];
+        let groups = BlockVec::from(vec![group(&[9.0; 4]), group(&rep), group(&rep)]);
         let mut work = IndexWork::default();
         let mut grid = PaaGrid::new(4, 1.0);
         // Filed out of id order within the cell: the id decides, not the slot.
@@ -843,7 +844,7 @@ mod tests {
 
     #[test]
     fn out_of_radius_returns_none() {
-        let groups = vec![group(&[100.0; 6])];
+        let groups = BlockVec::from(vec![group(&[100.0; 6])]);
         let mut grid = PaaGrid::new(6, 1.0);
         let mut work = IndexWork::default();
         grid.insert(0, groups[0].representative());
@@ -866,11 +867,11 @@ mod tests {
     fn empty_index_returns_none() {
         let mut work = IndexWork::default();
         assert_eq!(
-            PaaGrid::new(2, 10.0).nearest_within(&[1.0, 2.0], 100.0, &[], &mut work),
+            PaaGrid::new(2, 10.0).nearest_within(&[1.0, 2.0], 100.0, &BlockVec::new(), &mut work),
             None
         );
         assert_eq!(
-            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &[], &mut work),
+            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &BlockVec::new(), &mut work),
             None
         );
     }
@@ -878,7 +879,7 @@ mod tests {
     #[test]
     fn values_past_what_a_stored_mean_holds_scan_every_cell_and_never_panic() {
         let huge = [1e300, -1e300, 1e300, -1e300, 1e300];
-        let groups = vec![group(&huge), group(&[f64::MAX; 5]), group(&[0.0; 5])];
+        let groups = BlockVec::from(vec![group(&huge), group(&[f64::MAX; 5]), group(&[0.0; 5])]);
         let mut grid = PaaGrid::new(5, 1.0);
         for (gi, g) in groups.iter().enumerate() {
             grid.insert(gi, g.representative());
@@ -905,7 +906,8 @@ mod tests {
                     .collect()
             };
             let radius = level * 1.5e-14;
-            let groups: Vec<SimilarityGroup> = (0..40).map(|_| group(&near(&mut rng))).collect();
+            let groups: BlockVec<SimilarityGroup> =
+                (0..40).map(|_| group(&near(&mut rng))).collect();
             let mut grid = PaaGrid::new(7, radius);
             for (gi, g) in groups.iter().enumerate() {
                 grid.insert(gi, g.representative());
@@ -948,7 +950,8 @@ mod tests {
     #[test]
     fn resident_columns_are_seeded_once_and_reseeded_when_they_stop_mirroring() {
         let mut rng = Rng(17);
-        let mut groups: Vec<SimilarityGroup> = (0..40).map(|_| group(&rng.vec(8, 6.0))).collect();
+        let mut groups: BlockVec<SimilarityGroup> =
+            (0..40).map(|_| group(&rng.vec(8, 6.0))).collect();
         let mut work = IndexWork::default();
         let mut resident = ResidentIndex::new();
         assert_eq!(
@@ -966,9 +969,10 @@ mod tests {
 
         // The builder seeds a group, keeps the index in step, and leaves
         // its receipt: the next extension finds the column resident.
+        let before = groups.clone();
         groups.push(group(&q));
         resident
-            .column(IndexPolicy::Auto, 8, 1.0, &groups[..40])
+            .column(IndexPolicy::Auto, 8, 1.0, &before)
             .insert(40, groups[40].representative());
         resident.covered(8, 41);
         let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
@@ -979,7 +983,8 @@ mod tests {
         assert_eq!(resident.seeds(), 1, "a resident column is not rebuilt");
 
         // A column of another size is not the one this index mirrors.
-        resident.column(IndexPolicy::Auto, 8, 1.0, &groups[..7]);
+        let fewer: BlockVec<SimilarityGroup> = groups.iter().take(7).cloned().collect();
+        resident.column(IndexPolicy::Auto, 8, 1.0, &fewer);
         assert_eq!((resident.entries(), resident.seeds()), (7, 2));
         resident.clear();
         assert_eq!(

@@ -28,28 +28,33 @@ use onex_distance::sketch::encode_into;
 use onex_distance::{SketchParams, SketchPlanes};
 use onex_tseries::Dataset;
 
-use crate::SimilarityGroup;
+use crate::{BlockVec, SimilarityGroup};
 
 /// Sketch storage for one subsequence length: frozen quantisation
 /// parameters plus one set of sketch planes per group.
 ///
-/// Planes are never rewritten in place: a clone copies one 24-byte
-/// handle per group — the 21 plane bytes themselves for a group of one,
-/// a pointer to a reference-counted block from two members up — and
-/// [`SketchIndex::sync`] gives a group that gained members new planes
-/// while every other group keeps sharing the ones earlier epochs of the
-/// base read from.
+/// The 24-byte handles — the 21 plane bytes themselves for a group of
+/// one, a pointer to a reference-counted block from two members up — sit
+/// in the same [`BlockVec`] the group records do, so a clone copies block
+/// pointers, not handles. Planes are never rewritten in place:
+/// [`SketchIndex::sync`] gives a group that gained members new planes,
+/// copying the block of handles that one sits in, while every other
+/// block — and every other group's planes — stays shared with the
+/// earlier epochs of the base that read from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LengthSketches {
     params: SketchParams,
     /// `groups[g]` sketches `group.cardinality()` members, slot `i`
     /// being `group.members()[i]`.
-    groups: Vec<SketchPlanes>,
+    groups: BlockVec<SketchPlanes>,
 }
 
 impl LengthSketches {
     /// Reassemble from persisted parts ([`crate::persist`] format v2).
-    pub(crate) fn from_parts(params: SketchParams, groups: Vec<SketchPlanes>) -> LengthSketches {
+    pub(crate) fn from_parts(
+        params: SketchParams,
+        groups: BlockVec<SketchPlanes>,
+    ) -> LengthSketches {
         LengthSketches { params, groups }
     }
 
@@ -91,13 +96,32 @@ impl SketchIndex {
         self.per_length.is_empty()
     }
 
-    /// Bytes held over all lengths: one handle per group, plus the plane
-    /// blocks of groups of two and more (see `OnexBase::footprint`).
+    /// Bytes held over all lengths: the columns of handles, in whole
+    /// blocks, plus the plane blocks of groups of two and more (see
+    /// `OnexBase::footprint`).
     pub(crate) fn resident_bytes(&self) -> usize {
-        let groups = self.per_length.values().flat_map(|ls| &ls.groups);
-        groups
-            .map(|planes| std::mem::size_of::<SketchPlanes>() + planes.heap_bytes())
+        let columns = self.per_length.values().map(|ls| &ls.groups);
+        columns
+            .map(|handles| {
+                let planes = handles.iter().map(SketchPlanes::heap_bytes);
+                handles.resident_bytes() + planes.sum::<usize>()
+            })
             .sum()
+    }
+
+    /// Blocks of handles over all lengths (see `OnexBase::block_count`).
+    pub(crate) fn block_count(&self) -> usize {
+        let columns = self.per_length.values();
+        columns.map(|ls| ls.groups.block_count()).sum()
+    }
+
+    /// Blocks of handles shared by pointer with `other`'s.
+    pub(crate) fn shared_blocks(&self, other: &SketchIndex) -> usize {
+        let shared = |(len, ls): (&usize, &LengthSketches)| {
+            let theirs = other.per_length.get(len)?;
+            Some(ls.groups.shared_blocks(&theirs.groups))
+        };
+        self.per_length.iter().filter_map(shared).sum()
     }
 
     /// Install persisted sketches for one length (format v2 load).
@@ -112,7 +136,7 @@ impl SketchIndex {
     /// and idempotent; a group that gained members gets new planes (its
     /// old slots plus the new ones) and every other group's stay shared
     /// with the index this one was cloned from.
-    pub fn sync(&mut self, dataset: &Dataset, groups: &BTreeMap<usize, Vec<SimilarityGroup>>) {
+    pub fn sync(&mut self, dataset: &Dataset, groups: &BTreeMap<usize, BlockVec<SimilarityGroup>>) {
         for (&len, group_list) in groups {
             self.sync_length(dataset, len, group_list, 0..group_list.len());
         }
@@ -125,7 +149,7 @@ impl SketchIndex {
         &mut self,
         dataset: &Dataset,
         len: usize,
-        group_list: &[SimilarityGroup],
+        group_list: &BlockVec<SimilarityGroup>,
         which: impl Iterator<Item = usize>,
     ) {
         let ls = self.per_length.entry(len).or_insert_with(|| {
@@ -134,26 +158,28 @@ impl SketchIndex {
             let (min, max) = value_range(dataset);
             LengthSketches {
                 params: SketchParams::fit(min, max),
-                groups: Vec::with_capacity(group_list.len()),
+                groups: BlockVec::new(),
             }
         });
-        if ls.groups.len() < group_list.len() {
-            ls.groups
-                .resize_with(group_list.len(), SketchPlanes::default);
+        while ls.groups.len() < group_list.len() {
+            ls.groups.push(SketchPlanes::default());
         }
         for gi in which {
             let group = &group_list[gi];
-            let planes = &mut ls.groups[gi];
+            // Read before writing: a group that gained nothing must not
+            // cost its block a copy.
+            let planes = &ls.groups[gi];
             if planes.cardinality() >= group.cardinality() {
                 continue;
             }
-            *planes = planes.grown(group.cardinality(), |slot, record| {
+            let grown = planes.grown(group.cardinality(), |slot, record| {
                 // An unresolvable reference cannot happen on a
                 // consistent base; encode a non-pruning sketch so the
                 // planes stay slot-aligned regardless.
                 let values = dataset.resolve(group.members()[slot]).unwrap_or(&[]);
                 encode_into(&ls.params, values, record);
             });
+            *ls.groups.get_mut(gi).expect("grown to cover every group") = grown;
         }
     }
 }
@@ -271,5 +297,43 @@ mod tests {
         for (gi, g) in base2.raw_groups()[&5].iter().enumerate() {
             assert_eq!(after.group(gi).unwrap().cardinality(), g.cardinality());
         }
+    }
+
+    #[test]
+    fn a_sync_through_a_clone_copies_the_blocks_of_the_groups_that_grew() {
+        // No two windows of a steep ramp are within ST / 2: one group a
+        // window, so the column spans several blocks.
+        let ramp: Vec<f64> = (0..900).map(|i| i as f64 * 10.0).collect();
+        let ds = dataset(&[&ramp]);
+        let builder = BaseBuilder::new(BaseConfig::new(1.0, 4, 4)).unwrap();
+        let (base, _) = builder.build(&ds);
+        let mut groups = base.raw_groups().clone();
+        assert!(groups[&4].block_count() >= 3);
+        let mut published = SketchIndex::default();
+        published.sync(&ds, &groups);
+
+        // One group admits a member; a clone of the index syncs to it.
+        let admitting = groups[&4].len() / 2;
+        let column = groups.get_mut(&4).unwrap();
+        let joiner = column[0].members()[0];
+        let group = column.get_mut(admitting).unwrap();
+        group.admit(joiner, &ramp[..4], 0.0, false);
+        let mut next = published.clone();
+        next.sync(&ds, &groups);
+
+        let (was, now) = (
+            &published.per_length[&4].groups,
+            &next.per_length[&4].groups,
+        );
+        let written = BlockVec::<SketchPlanes>::block_of(admitting);
+        for block in 0..now.block_count() {
+            assert_eq!(now.shares_block(was, block), block != written, "{block}");
+        }
+        assert_eq!(next.shared_blocks(&published), now.block_count() - 1);
+        // The published index still sketches one member there.
+        assert_eq!(
+            (was[admitting].cardinality(), now[admitting].cardinality()),
+            (1, 2)
+        );
     }
 }

@@ -680,6 +680,15 @@ impl App {
                         ("distance_calls", report.work.distance_calls.into()),
                     ]),
                 ),
+                // Column blocks this append wrote to, of those the base
+                // is kept in: every other one is the previous epoch's.
+                (
+                    "blocks",
+                    Json::obj(vec![
+                        ("copied", report.blocks_copied.into()),
+                        ("total", report.blocks_total.into()),
+                    ]),
+                ),
             ])
             .render(),
         ))
@@ -1233,6 +1242,10 @@ mod tests {
         assert!(body.contains("\"appended\":\"Fresh\""), "{body}");
         assert!(body.contains("\"epoch\":1"), "{body}");
         assert!(body.contains("\"series\":51"), "{body}");
+        // What the append copied, out of the blocks the live base is in.
+        let blocks = a.engine.base().block_count();
+        assert!(body.contains("\"blocks\":{\"copied\":"), "{body}");
+        assert!(body.contains(&format!("\"total\":{blocks}}}")), "{body}");
         // The engine itself serves the new series…
         let direct = get(
             &a,

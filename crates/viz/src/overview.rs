@@ -39,17 +39,15 @@ impl OverviewPane {
     }
 
     /// Populate from a base: the groups of one length, largest cardinality
-    /// first, capped at `max_cells`.
+    /// first (ties in group order), capped at `max_cells`. Only the cells
+    /// kept copy their representative.
     pub fn from_base(base: &OnexBase, len: usize, max_cells: usize) -> Self {
         let mut pane = OverviewPane::new(6, 96, 64, format!("ONEX base overview — length {len}"));
-        let mut groups: Vec<_> = base
-            .groups_for_len(len)
-            .iter()
-            .map(|g| (g.representative().to_vec(), g.cardinality()))
+        let groups = base.groups_for_len(len);
+        pane.groups = ranked(groups.iter().map(|g| g.cardinality()), max_cells)
+            .into_iter()
+            .map(|(gi, cardinality)| (groups[gi].representative().to_vec(), cardinality))
             .collect();
-        groups.sort_by_key(|g| std::cmp::Reverse(g.1));
-        groups.truncate(max_cells);
-        pane.groups = groups;
         pane
     }
 
@@ -109,6 +107,17 @@ impl OverviewPane {
     }
 }
 
+/// The `(group index, cardinality)` of the cells a pane keeps: largest
+/// cardinality first, ties in group order, at most `max_cells` of them —
+/// decided before any representative is copied.
+fn ranked(cardinalities: impl Iterator<Item = usize>, max_cells: usize) -> Vec<(usize, usize)> {
+    let mut ranked: Vec<(usize, usize)> = cardinalities.enumerate().collect();
+    // Stable, so equal cardinalities stay in group order.
+    ranked.sort_by_key(|&(_, cardinality)| std::cmp::Reverse(cardinality));
+    ranked.truncate(max_cells);
+    ranked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,5 +167,52 @@ mod tests {
         let empty = OverviewPane::from_base(&base, 9999, 12);
         assert!(empty.is_empty());
         assert!(empty.render().starts_with("<svg"));
+    }
+
+    #[test]
+    fn from_base_keeps_tied_cardinalities_in_group_order() {
+        let ds = random_walk_dataset(SyntheticConfig {
+            series: 8,
+            len: 40,
+            seed: 51,
+        });
+        let (base, _) = BaseBuilder::new(BaseConfig::new(1.2, 8, 8))
+            .unwrap()
+            .build(&ds);
+        // The pane as it was made before ranking came first: every
+        // representative copied, sorted stably, then cut.
+        let mut every: Vec<(Vec<f64>, usize)> = base
+            .groups_for_len(8)
+            .iter()
+            .map(|g| (g.representative().to_vec(), g.cardinality()))
+            .collect();
+        every.sort_by_key(|g| std::cmp::Reverse(g.1));
+        let ties = every.windows(2).filter(|w| w[0].1 == w[1].1).count();
+        assert!(ties > 3, "{ties} ties among {} groups", every.len());
+        for max_cells in [0, 1, 5, every.len() / 2, every.len(), every.len() + 7] {
+            let pane = OverviewPane::from_base(&base, 8, max_cells);
+            let want = &every[..max_cells.min(every.len())];
+            assert_eq!(pane.groups, want, "max_cells = {max_cells}");
+        }
+    }
+
+    #[test]
+    fn ranking_keeps_at_most_max_cells_before_anything_is_copied() {
+        // A column that does not compact: thousands of groups, a few
+        // dozen cells. What `from_base` copies is what `ranked` returns.
+        let cardinalities: Vec<usize> = (0..11_400).map(|gi| 1 + gi % 7).collect();
+        for max_cells in [0, 1, 24, 11_400, 20_000] {
+            let kept = ranked(cardinalities.iter().copied(), max_cells);
+            assert_eq!(kept.len(), max_cells.min(cardinalities.len()));
+            assert!(kept.iter().all(|&(gi, c)| cardinalities[gi] == c));
+            // Largest first, ties by group index.
+            assert!(kept
+                .windows(2)
+                .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+        }
+        assert_eq!(
+            ranked([2, 5, 2, 5].into_iter(), 3),
+            [(1, 5), (3, 5), (0, 2)]
+        );
     }
 }
