@@ -5,9 +5,10 @@
 //! latency is user-facing. The linear admission scan costs O(groups) per
 //! subsequence — worst exactly when the base barely compacts (random
 //! walks: groups ≈ subsequences). E12 runs both [`IndexPolicy`] settings
-//! over three shapes of that regime, reporting wall-clock, throughput,
-//! distance-call counts and — crucially — whether the index produced the
-//! *identical* base (it is exact, not an approximation):
+//! over three shapes of that regime and one that compacts, reporting
+//! wall-clock, throughput, distance-call counts and — crucially — whether
+//! the index produced the *identical* base (it is exact, not an
+//! approximation):
 //!
 //! * `walk` — random walks at one length, a size sweep;
 //! * `harness` — what the end-to-end benchmark's `cluster` and `ingest`
@@ -16,11 +17,23 @@
 //!   coincide, all representatives land in the cells a lookup visits and
 //!   an early-abandoned distance costs what a bound check does: the
 //!   regime in which no index helps, recorded so the cost of having one
-//!   is known.
+//!   is known;
+//! * `clustered` — what the benchmark's `explore` workload builds: eight
+//!   shape families, lengths 30..=32, `ST` 1.0, `Seed` — a few dozen
+//!   groups of hundreds of members, so admission is cheap and what is
+//!   left of construction is the pass that sketches every member.
+//!
+//! Every `auto` row also times that pass on its own — one
+//! [`SketchIndex::sync`] over the finished groups, the second pass
+//! `BaseBuilder::build` ends with — so the record says where
+//! construction time goes, not only how much there is.
 
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
-use onex_grouping::{BaseBuilder, BaseConfig, IndexPolicy, OnexBase, RepresentativePolicy};
+use onex_grouping::{
+    BaseBuilder, BaseConfig, IndexPolicy, OnexBase, RepresentativePolicy, SketchIndex,
+};
 use onex_tseries::Dataset;
 
 use crate::harness::{fmt_duration, fmt_speedup, Table};
@@ -47,6 +60,7 @@ fn workloads(
     walks: &[(usize, usize)],
     harness: (usize, usize),
     noise: (usize, usize),
+    clustered: (usize, usize),
 ) -> Vec<Workload> {
     let single = |st| BaseConfig::new(st, SUBSEQ_LEN, SUBSEQ_LEN);
     let mut all: Vec<Workload> = walks
@@ -76,12 +90,22 @@ fn workloads(
         len: noise.1,
         config: single(st),
     }));
+    all.push(Workload {
+        shape: "clustered",
+        generate: workloads::sine_collection,
+        series: clustered.0,
+        len: clustered.1,
+        config: BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(1.0, 30, 32)
+        },
+    });
     all
 }
 
 /// One (workload, policy) measurement.
 pub struct PolicyRow {
-    /// `walk`, `harness` or `noise` (see the module docs).
+    /// `walk`, `harness`, `noise` or `clustered` (see the module docs).
     pub shape: &'static str,
     /// Series count of the workload.
     pub series: usize,
@@ -97,6 +121,9 @@ pub struct PolicyRow {
     pub groups: usize,
     /// Construction wall-clock.
     pub elapsed: Duration,
+    /// Of which the sketch pass, timed apart on the finished groups
+    /// (`auto` rows only).
+    pub sketch: Option<Duration>,
     /// Construction throughput.
     pub per_sec: f64,
     /// Representatives distance-compared.
@@ -114,10 +141,29 @@ pub struct PolicyRow {
 /// crossover claim is demonstrated, not extrapolated.
 pub fn measure(quick: bool) -> Vec<PolicyRow> {
     measure_each(if quick {
-        workloads(&[(12, 96), (40, 160)], (24, 128), (40, 160))
+        workloads(&[(12, 96), (40, 160)], (24, 128), (40, 160), (32, 256))
     } else {
-        workloads(&[(12, 96), (40, 160), (80, 256)], (48, 256), (40, 160))
+        workloads(
+            &[(12, 96), (40, 160), (80, 256)],
+            (48, 256),
+            (40, 160),
+            (128, 512),
+        )
     })
+}
+
+/// One [`SketchIndex::sync`] from nothing over `base`'s groups.
+fn sketch_pass(ds: &Dataset, base: &OnexBase) -> Duration {
+    let columns = base
+        .lengths()
+        .map(|len| (len, base.groups_for_len(len).clone()));
+    let groups: BTreeMap<_, _> = columns.collect();
+    let mut sketches = SketchIndex::default();
+    let start = Instant::now();
+    sketches.sync(ds, &groups);
+    let elapsed = start.elapsed();
+    assert!(sketches == *base.sketches(), "the pass the build ran");
+    elapsed
 }
 
 fn measure_each(sweep: Vec<Workload>) -> Vec<PolicyRow> {
@@ -132,6 +178,7 @@ fn measure_each(sweep: Vec<Workload>) -> Vec<PolicyRow> {
             };
             let builder = BaseBuilder::new(cfg).expect("valid config");
             let (base, report) = builder.build(&ds);
+            let sketch = (policy == IndexPolicy::Auto).then(|| sketch_pass(&ds, &base));
             let identical = match &reference {
                 None => {
                     reference = Some(base);
@@ -148,6 +195,7 @@ fn measure_each(sweep: Vec<Workload>) -> Vec<PolicyRow> {
                 subsequences: report.subsequences,
                 groups: report.groups,
                 elapsed: report.elapsed,
+                sketch,
                 per_sec: report.subsequences_per_sec(),
                 examined: report.work.examined,
                 pruned: report.work.pruned,
@@ -165,7 +213,9 @@ pub fn table(rows: &[PolicyRow]) -> Table {
         format!(
             "E12 — indexed nearest-representative lookup vs linear scan \
              (walk / noise: length {SUBSEQ_LEN}; harness: lengths 16–24, Seed — \
-             the many-groups regime where construction is slowest)"
+             the many-groups regime where construction is slowest; clustered: \
+             lengths 30–32, Seed — a few huge groups, where the sketch pass is \
+             most of what is left)"
         ),
         &[
             "shape",
@@ -175,6 +225,7 @@ pub fn table(rows: &[PolicyRow]) -> Table {
             "subseqs",
             "groups",
             "build",
+            "sketch pass",
             "subseq/s",
             "dist calls",
             "examined",
@@ -194,6 +245,7 @@ pub fn table(rows: &[PolicyRow]) -> Table {
                 row.subsequences.to_string(),
                 row.groups.to_string(),
                 fmt_duration(row.elapsed),
+                row.sketch.map_or("-".into(), fmt_duration),
                 format!("{:.0}", row.per_sec),
                 row.distance_calls.to_string(),
                 row.examined.to_string(),
@@ -208,7 +260,9 @@ pub fn table(rows: &[PolicyRow]) -> Table {
 
 /// The machine-readable perf record `repro --format json` writes to
 /// `BENCH_construction.json` — subsequences/sec per policy per workload,
-/// so future changes have a trajectory to compare against.
+/// so future changes have a trajectory to compare against. `auto` rows
+/// carry `sketch_ms` beside `elapsed_ms`; CI holds their ratio on the
+/// `harness` and `clustered` rows.
 pub fn json_report(rows: &[PolicyRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"experiment\":\"e12_construction\",\"rows\":[");
@@ -216,10 +270,13 @@ pub fn json_report(rows: &[PolicyRow]) -> String {
         if i > 0 {
             out.push(',');
         }
+        let sketch_ms = r.sketch.map_or(String::new(), |d| {
+            format!("\"sketch_ms\":{:.3},", d.as_secs_f64() * 1e3)
+        });
         let _ = write!(
             out,
             "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\"policy\":\"{}\",\
-             \"subsequences\":{},\"groups\":{},\"elapsed_ms\":{:.3},\
+             \"subsequences\":{},\"groups\":{},\"elapsed_ms\":{:.3},{sketch_ms}\
              \"subsequences_per_sec\":{:.1},\
              \"distance_calls\":{},\"examined\":{},\"pruned\":{},\
              \"identical_to_linear\":{}}}",
@@ -255,11 +312,16 @@ mod tests {
     fn indexed_builder_beats_linear_and_stays_identical() {
         // The quick sweep's shapes at sizes a debug build scans in
         // seconds, the ≥ 5k-subsequence walk row kept.
-        let rows = measure_each(workloads(&[(12, 96), (40, 160)], (8, 64), (12, 96)));
+        let rows = measure_each(workloads(
+            &[(12, 96), (40, 160)],
+            (8, 64),
+            (12, 96),
+            (8, 96),
+        ));
         assert_eq!(
             rows.len(),
-            12,
-            "(2 walk + 1 harness + 3 noise) × 2 policies"
+            14,
+            "(2 walk + 1 harness + 3 noise + 1 clustered) × 2 policies"
         );
         for pair in rows.chunks(2) {
             let (linear, auto) = (&pair[0], &pair[1]);
@@ -269,6 +331,11 @@ mod tests {
                 (IndexPolicy::Linear, IndexPolicy::Auto)
             );
             assert!(auto.identical_to_linear, "{what}");
+            assert_eq!(
+                (linear.sketch, auto.sketch.is_some()),
+                (None, true),
+                "{what}: the sketch pass is timed on the auto row"
+            );
             assert_eq!(linear.groups, auto.groups, "{what}");
             assert_eq!(linear.subsequences, auto.subsequences, "{what}");
             assert_eq!(auto.examined + auto.pruned, linear.examined, "{what}");
@@ -294,6 +361,7 @@ mod tests {
     #[test]
     fn json_report_is_parseable_shape() {
         let row = |policy, distance_calls, identical_to_linear| PolicyRow {
+            sketch: (policy == IndexPolicy::Auto).then_some(Duration::from_millis(20)),
             shape: "noise",
             series: 40,
             len: 160,
@@ -316,10 +384,11 @@ mod tests {
         assert!(json.contains(
             "{\"shape\":\"noise\",\"series\":40,\"len\":160,\"st\":0.5,\"policy\":\"auto\",\
              \"subsequences\":5480,\"groups\":5480,\"elapsed_ms\":100.000,\
-             \"subsequences_per_sec\":54800.0,\"distance_calls\":799281,\
+             \"sketch_ms\":20.000,\"subsequences_per_sec\":54800.0,\"distance_calls\":799281,\
              \"examined\":799281,\"pruned\":14213179,\"identical_to_linear\":true}"
         ));
         assert_eq!(json.matches("\"policy\":").count(), 2);
+        assert_eq!(json.matches("\"sketch_ms\":").count(), 1, "auto rows only");
         assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -606,18 +606,21 @@ impl Onex {
     /// base. On **any** error the transaction is dropped uncommitted and
     /// the resident index discarded, so the engine keeps answering from
     /// the prior epoch exactly as if the append had never been attempted;
-    /// a name already taken is refused before anything is copied or
-    /// resolved.
+    /// a name already taken, or a sample no query could be cut from (NaN,
+    /// ±∞ — what the file loaders refuse too), is refused before anything
+    /// is copied or resolved, the resident index still stamped.
     ///
     /// # Errors
-    /// [`OnexError::DatasetMismatch`] when the series name is already
-    /// taken (a conflict with the current collection state);
+    /// [`OnexError::InvalidData`] naming the first sample that is not
+    /// finite; [`OnexError::DatasetMismatch`] when the series name is
+    /// already taken (a conflict with the current collection state);
     /// [`OnexError::InvalidConfig`]/[`OnexError::Internal`] when
     /// re-validating the configuration or extending the base fails.
     pub fn append_series(
         &self,
         series: onex_tseries::TimeSeries,
     ) -> Result<BuildReport, OnexError> {
+        reject_non_finite(&series)?;
         reject_taken_name(&self.state.read().dataset, series.name())?;
         // Incremental extension grows the *whole* base; a cold engine
         // must materialise every remaining column first, or the extended
@@ -653,6 +656,19 @@ impl Onex {
         report.epoch = txn.commit();
         resident.epoch = Some(report.epoch);
         Ok(report)
+    }
+}
+
+/// A window over NaN or ±∞ has no distance to anything and no query may
+/// be cut from it: unprocessable data, a 422.
+fn reject_non_finite(series: &onex_tseries::TimeSeries) -> Result<(), OnexError> {
+    match series.values().iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(OnexError::InvalidData(format!(
+            "series {:?}: sample {at} is not finite ({})",
+            series.name(),
+            series.values()[at]
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -733,18 +733,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_bound_never_costs_work_and_answers_identically() {
+    fn shared_bound_answers_identically_and_saves_work_over_a_batch() {
         let ds = dataset(12);
         let (shared, _) = ShardedEngine::build(&ds, exact_config(), 4).unwrap();
         let (independent, _) = ShardedEngine::build(&ds, exact_config(), 4).unwrap();
         let independent = independent.sharing_bound(false);
-        // How much sharing saves depends on shard interleaving, so the
-        // strict-savings check tolerates adverse scheduling: retry the
-        // whole batch a few times and require savings in at least one
-        // round (per-query `<=` stays unconditional — sharing can only
-        // tighten thresholds, never loosen them).
+        // Answers are compared per query; work only over the batch, and
+        // only as "some round saved some". A per-query `shared <=
+        // independent` is not a theorem: a shard compares a candidate
+        // with a bound up to one 64-slot block (L0) or three candidates
+        // (the 4-lane DTW queue) stale, and a bound a peer tightened
+        // moves which candidates share a batch. A candidate that queued
+        // *behind* the DTW whose result would have dismissed it at
+        // LB_Keogh in the independent run can, with an earlier candidate
+        // gone from the queue, land in the *same* batch as that DTW and
+        // start — a few more DTWs on one shard (146 against 143 in 7 of
+        // 60 loaded runs), the answers untouched. How much sharing saves
+        // depends on shard interleaving too, so the batch is retried a
+        // few times and must save work in at least one round.
         let mut any_savings = false;
         for _round in 0..3 {
+            let (mut with, mut without) = (0, 0);
             for (sid, start) in [(0u32, 5usize), (3, 22), (7, 41), (11, 60)] {
                 let mut query = ds
                     .series(sid)
@@ -757,24 +766,19 @@ mod tests {
                 }
                 let a = shared.k_best(&query, 3).unwrap();
                 let b = independent.k_best(&query, 3).unwrap();
-                // Same merged answers (distances distinct by perturbation)…
+                // Same merged answers (distances distinct by perturbation).
                 assert_eq!(a.matches, b.matches);
-                // …for at most the independent-bound work.
-                assert!(
-                    a.stats.work() <= b.stats.work(),
-                    "sharing increased work: {} vs {}",
-                    a.stats.work(),
-                    b.stats.work()
-                );
-                any_savings |= a.stats.work() < b.stats.work();
+                with += a.stats.work();
+                without += b.stats.work();
             }
+            any_savings |= with < without;
             if any_savings {
                 break;
             }
         }
         assert!(
             any_savings,
-            "the shared bound pruned nothing across 12 fan-outs"
+            "the shared bound saved nothing over three batches of 4 fan-outs"
         );
     }
 

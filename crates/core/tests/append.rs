@@ -419,3 +419,50 @@ fn a_taken_name_is_refused_before_a_cold_engine_resolves_or_seeds_anything() {
         ("none", 0, 0)
     );
 }
+
+#[test]
+fn a_sample_that_is_not_finite_is_refused_with_nothing_published_or_unstamped() {
+    let ds = random_walk_dataset(SyntheticConfig {
+        series: 4,
+        len: 40,
+        seed: 11,
+    });
+    let (engine, _) = Onex::build(ds, exact_config()).unwrap();
+    engine
+        .append_series(TimeSeries::new("first", random_walk(40, 1.0, 3)))
+        .unwrap();
+    let stamped = engine.resident_index();
+    assert_eq!(stamped.epoch, Some(1));
+    let image = save_v2(&engine.base());
+
+    for (i, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        let mut values = random_walk(40, 1.0, 5);
+        values[5 + i] = bad;
+        values[30] = f64::NAN;
+        let err = engine
+            .append_series(TimeSeries::new(format!("bad{i}"), values))
+            .expect_err("no query could be cut from it");
+        match err {
+            onex_api::OnexError::InvalidData(msg) => {
+                assert!(msg.contains(&format!("sample {} ", 5 + i)), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(engine.epoch(), 1, "nothing was published");
+        assert_eq!(engine.resident_index().epoch, Some(1), "still stamped");
+    }
+    assert_eq!(engine.dataset().len(), 5);
+    assert_eq!(save_v2(&engine.base()), image);
+
+    // The next good append lands on the next epoch through the index the
+    // first one seeded.
+    let report = engine
+        .append_series(TimeSeries::new("second", random_walk(40, 1.0, 7)))
+        .unwrap();
+    assert_eq!((report.epoch, report.series), (2, 6));
+    let after = engine.resident_index();
+    assert_eq!((after.epoch, after.seeds), (Some(2), stamped.seeds));
+}

@@ -12,6 +12,9 @@
 //!   structs. This is the form [`encode_into`] writes, the persisted
 //!   `SKETCHES` section holds, and [`QuerySketch::bound_sq`] — the
 //!   reference every other path is checked against — reads.
+//!   [`encode_into`] is the one-window reference; whoever sketches the
+//!   stride-1 windows of a series goes through the *building* form below
+//!   and gets the same records.
 //! * The **planes**: [`SketchPlanes`], the form a similarity group keeps
 //!   in memory. The [`SKETCH_PLANES`] = 21 meaningful bytes of each
 //!   record (the three reserved ones are dropped) are stored plane-major
@@ -26,6 +29,21 @@
 //! [`SketchPlanes`] alone knows that layout: it is built from records,
 //! grown by appended records and written back out as records, so no
 //! caller indexes a plane.
+//!
+//! Records are *built* from a third, transient form: the [`LevelColumn`]
+//! of one series under one quantiser — the floor level and the ceiling
+//! level of every point, quantised once. Consecutive windows share all
+//! but one point, and the quantiser is monotone (a larger value never
+//! gets a smaller level, the post-hoc verification included), so it
+//! commutes with `min` and `max`: the floor level of a segment's minimum
+//! is the minimum of its points' floor levels, the ceiling level of its
+//! maximum the maximum of their ceiling levels.
+//! [`LevelColumn::encode_window`] therefore writes, byte for byte, the
+//! record [`encode_into`] writes for the same window from a few `u8`
+//! comparisons, with no division left per window. The argument needs
+//! every point of the window to *have* both levels; a window that touches
+//! a point which does not (NaN, ±∞, a value outside a frozen range) is
+//! handed to [`encode_into`] itself.
 //!
 //! ## The block test
 //!
@@ -264,6 +282,81 @@ pub fn encode_into(params: &SketchParams, values: &[f64], out: &mut [u8]) {
                 out[OFF_SEG_MAX + s] = hi;
             }
             _ => return invalid(out),
+        }
+    }
+}
+
+/// One series quantised once under one [`SketchParams`]: the form the
+/// records of its stride-1 windows are built from (see the module docs).
+///
+/// Six bytes a point — a floor level, a ceiling level and a running count
+/// of the points that lack one of the two — beside a borrow of the
+/// samples, which the windows that touch such a point are encoded from.
+/// Transient by design: whoever sketches a series builds its column,
+/// encodes the windows and drops it.
+#[derive(Debug)]
+pub struct LevelColumn<'a> {
+    params: SketchParams,
+    values: &'a [f64],
+    /// `floor_level` of every point (0 where it has none).
+    floors: Vec<u8>,
+    /// `ceil_level` of every point (0 where it has none).
+    ceils: Vec<u8>,
+    /// `odd[i]` counts the points of `values[..i]` missing a level, so a
+    /// window is all in range exactly when the count is the same at both
+    /// of its ends.
+    odd: Vec<u32>,
+}
+
+impl<'a> LevelColumn<'a> {
+    /// Quantise every point of `values` under `params`.
+    pub fn new(params: SketchParams, values: &'a [f64]) -> LevelColumn<'a> {
+        let mut floors = Vec::with_capacity(values.len());
+        let mut ceils = Vec::with_capacity(values.len());
+        let mut odd = Vec::with_capacity(values.len() + 1);
+        let mut missing = 0u32;
+        odd.push(missing);
+        for &v in values {
+            let levels = params.floor_level(v).zip(params.ceil_level(v));
+            missing += u32::from(levels.is_none());
+            let (lo, hi) = levels.unwrap_or_default();
+            floors.push(lo);
+            ceils.push(hi);
+            odd.push(missing);
+        }
+        LevelColumn {
+            params,
+            values,
+            floors,
+            ceils,
+            odd,
+        }
+    }
+
+    /// Write to `out` the record
+    /// `encode_into(params, &values[start..start + len], out)` writes,
+    /// byte for byte.
+    ///
+    /// # Panics
+    /// Panics when the window reaches past the series or `out` is not
+    /// exactly [`SKETCH_STRIDE`] bytes.
+    pub fn encode_window(&self, start: usize, len: usize, out: &mut [u8]) {
+        let end = start + len;
+        if len == 0 || self.odd[start] != self.odd[end] {
+            return encode_into(&self.params, &self.values[start..end], out);
+        }
+        assert_eq!(out.len(), SKETCH_STRIDE, "sketch slot has a fixed stride");
+        out.fill(0);
+        let (floors, ceils) = (&self.floors[start..end], &self.ceils[start..end]);
+        out[OFF_FIRST_LO] = floors[0];
+        out[OFF_FIRST_HI] = ceils[0];
+        out[OFF_LAST_LO] = floors[len - 1];
+        out[OFF_LAST_HI] = ceils[len - 1];
+        for s in 0..SKETCH_SEGMENTS {
+            let (a, b) = segment_range(s, len);
+            // An empty segment gets `encode_into`'s benign extremes.
+            out[OFF_SEG_MIN + s] = floors[a..b].iter().copied().min().unwrap_or(0);
+            out[OFF_SEG_MAX + s] = ceils[a..b].iter().copied().max().unwrap_or(u8::MAX);
         }
     }
 }
@@ -671,6 +764,115 @@ mod tests {
         assert!(p.floor_level(8.0).is_none(), "out of range");
         assert!(p.ceil_level(-4.0).is_none(), "out of range");
         assert!(p.floor_level(f64::NAN).is_none());
+    }
+
+    #[test]
+    fn the_quantiser_is_monotone_across_every_level_edge() {
+        // What `LevelColumn` rests on: over ascending values the levels
+        // never descend, "below the range" ordering before level 0 and
+        // "above it" after level 255.
+        for p in [
+            SketchParams::fit(-3.0, 7.0),
+            SketchParams::fit(1e15, 1e15 + 1.0),
+            SketchParams::fit(f64::INFINITY, f64::NEG_INFINITY),
+        ] {
+            let mut sample = vec![f64::MIN, -1e300, 1e300, f64::MAX];
+            for level in 0..=u8::MAX {
+                let edge = p.dequant(level);
+                let mid = edge + 0.5 * p.step;
+                sample.extend([edge.next_down(), edge, edge.next_up(), mid]);
+            }
+            sample.extend([-1.0, 0.0, 1.0].map(|k| p.dequant(u8::MAX) + k * 1e-3 * p.step));
+            sample.sort_by(f64::total_cmp);
+            let rank = |level: Option<u8>, v: f64| match level {
+                Some(l) => l as i32,
+                None if v < p.dequant(0) => -1,
+                None => MAX_LEVEL as i32 + 1,
+            };
+            for pair in sample.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                let floors = (rank(p.floor_level(a), a), rank(p.floor_level(b), b));
+                let ceils = (rank(p.ceil_level(a), a), rank(p.ceil_level(b), b));
+                assert!(floors.0 <= floors.1, "floor {a:e} -> {b:e}: {floors:?}");
+                assert!(ceils.0 <= ceils.1, "ceil {a:e} -> {b:e}: {ceils:?}");
+            }
+        }
+    }
+
+    /// Series of 64 points: a plain walk with one kind of hostility
+    /// written over it, plus the all-hostile ones.
+    fn hostile_series() -> Vec<Vec<f64>> {
+        let plain = walk(64, 5);
+        let with = |at: std::ops::Range<usize>, v: f64| {
+            let mut s = plain.clone();
+            s[at].fill(v);
+            s
+        };
+        let (lo, hi) = plain
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let mut mixed = plain.clone();
+        for (i, v) in [f64::NAN, f64::INFINITY, 1e300, -1e-300, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            mixed[7 + 11 * i] = v;
+        }
+        vec![
+            plain.clone(),
+            // One NaN lands on corners and inside segments as the window
+            // slides; a run of six fills whole segments of long windows.
+            with(20..21, f64::NAN),
+            with(30..36, f64::NAN),
+            with(0..1, f64::NAN),
+            with(63..64, f64::NAN),
+            with(12..13, f64::INFINITY),
+            with(40..42, f64::NEG_INFINITY),
+            // Just outside a quantiser frozen on the walk's own range.
+            with(25..26, hi + 1e-6),
+            with(33..34, lo - 1e-6),
+            with(50..51, hi.next_up()),
+            with(9..10, 1e300),
+            with(44..45, -1e300),
+            mixed,
+            vec![2.5; 64],
+            vec![0.0; 64],
+            // `f64::min` may hand back either zero of a segment.
+            (0..64).map(|i| [0.0, -0.0, 0.0][i % 3]).collect(),
+            (0..64)
+                .map(|i| i as f64 * f64::MIN_POSITIVE / 8.0)
+                .collect(),
+            (0..64).map(|i| (i as f64 - 32.0) * 1e-300).collect(),
+            (0..64).map(|i| (i as f64 - 32.0) * 1e300).collect(),
+            vec![f64::NAN; 64],
+        ]
+    }
+
+    #[test]
+    fn a_level_column_encodes_every_window_as_encode_into_does() {
+        for (si, series) in hostile_series().iter().enumerate() {
+            let finite = series.iter().filter(|v| v.is_finite());
+            let (lo, hi) = finite.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+            let third = (hi - lo) / 3.0;
+            for params in [
+                SketchParams::fit(lo, hi),
+                SketchParams::fit(lo + third, hi - third),
+                SketchParams::fit(f64::INFINITY, f64::NEG_INFINITY),
+            ] {
+                let column = LevelColumn::new(params, series);
+                for len in 0..=40 {
+                    for start in 0..=series.len() - len {
+                        let mut want = [0u8; SKETCH_STRIDE];
+                        encode_into(&params, &series[start..start + len], &mut want);
+                        let mut got = [0xa5u8; SKETCH_STRIDE];
+                        column.encode_window(start, len, &mut got);
+                        assert_eq!(got, want, "series {si} {params:?} [{start}, +{len})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,21 @@
 //! non-pruning (invalid) sketches, keeping incremental extension sound
 //! without requantising. Persisting the frozen parameters alongside the
 //! records is what makes a save/load cycle byte-preserving.
+//!
+//! What a sync quantises is points, not windows. Every construction path
+//! — batch and parallel build, incremental extension, an engine
+//! re-attaching a base that came without sketches — sketches through
+//! [`SketchIndex::sync`]'s one per-length step, and that step quantises
+//! each series it meets a new slot of once, into a
+//! [`LevelColumn`] under the length's parameters, and reads every window
+//! of the series off the column: an append pays for the 256 points it
+//! brought, a length, not for its 2 133 windows × 20 levels. The records
+//! are [`encode_into`]'s, byte for byte. A sync keeps nothing: the
+//! columns (six bytes a point) are gone when the step returns.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use onex_distance::sketch::encode_into;
+use onex_distance::sketch::{encode_into, LevelColumn};
 use onex_distance::{SketchParams, SketchPlanes};
 use onex_tseries::Dataset;
 
@@ -164,6 +175,9 @@ impl SketchIndex {
         while ls.groups.len() < group_list.len() {
             ls.groups.push(SketchPlanes::default());
         }
+        // One level column per series a new slot belongs to, built the
+        // first time this call meets the series and gone when it returns.
+        let mut columns: HashMap<u32, LevelColumn<'_>> = HashMap::new();
         for gi in which {
             let group = &group_list[gi];
             // Read before writing: a group that gained nothing must not
@@ -173,11 +187,19 @@ impl SketchIndex {
                 continue;
             }
             let grown = planes.grown(group.cardinality(), |slot, record| {
-                // An unresolvable reference cannot happen on a
-                // consistent base; encode a non-pruning sketch so the
-                // planes stay slot-aligned regardless.
-                let values = dataset.resolve(group.members()[slot]).unwrap_or(&[]);
-                encode_into(&ls.params, values, record);
+                let member = group.members()[slot];
+                let (start, len) = (member.start as usize, member.len as usize);
+                let series = dataset.series(member.series);
+                let Some(series) = series.filter(|s| s.subsequence(start, len).is_some()) else {
+                    // An unresolvable reference cannot happen on a
+                    // consistent base; encode a non-pruning sketch so the
+                    // planes stay slot-aligned regardless.
+                    return encode_into(&ls.params, &[], record);
+                };
+                let column = columns
+                    .entry(member.series)
+                    .or_insert_with(|| LevelColumn::new(ls.params, series.values()));
+                column.encode_window(start, len, record);
             });
             *ls.groups.get_mut(gi).expect("grown to cover every group") = grown;
         }

@@ -1410,8 +1410,22 @@ mod tests {
         // A duplicate name conflicts with the published collection: 409.
         let r = get(&a, "/api/append?name=MA-GrowthRate&values=1,2,3,4,5,6");
         assert_eq!(r.status, 409, "{:?}", String::from_utf8(r.body));
-        // None of the rejected appends published an epoch.
+        // `"NaN".parse::<f64>()` succeeds; a series no query may be cut
+        // from is unprocessable data all the same: 422.
+        let summary = get(&a, "/api/summary").body;
+        for bad in ["NaN", "inf", "-inf", "+infinity"] {
+            let r = get(
+                &a,
+                &format!("/api/append?name=bad&values=1,2,3,4,5,{bad},7"),
+            );
+            let body = String::from_utf8(r.body).unwrap();
+            assert_eq!(r.status, 422, "{bad}: {body}");
+            assert!(body.contains("invalid data"), "{body}");
+            assert!(body.contains("sample 5 is not finite"), "{body}");
+        }
+        // None of the rejected appends published an epoch or left a trace.
         assert_eq!(a.engine.epoch(), 0);
+        assert_eq!(get(&a, "/api/summary").body, summary);
     }
 
     #[test]
