@@ -24,15 +24,14 @@
 //!   left of construction is the pass that sketches every member.
 //!
 //! Every `auto` row also times that pass on its own — one
-//! [`SketchIndex::sync`] over the finished groups, the second pass
+//! [`OnexBase::sync_sketches`] over the finished groups, the second pass
 //! `BaseBuilder::build` ends with — so the record says where
 //! construction time goes, not only how much there is.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use onex_grouping::{
-    BaseBuilder, BaseConfig, IndexPolicy, OnexBase, RepresentativePolicy, SketchIndex,
+    persist, BaseBuilder, BaseConfig, IndexPolicy, OnexBase, RepresentativePolicy,
 };
 use onex_tseries::Dataset;
 
@@ -152,17 +151,17 @@ pub fn measure(quick: bool) -> Vec<PolicyRow> {
     })
 }
 
-/// One [`SketchIndex::sync`] from nothing over `base`'s groups.
+/// One [`OnexBase::sync_sketches`] from nothing over `base`'s groups (as a
+/// v1 file gives them back: no sketches).
 fn sketch_pass(ds: &Dataset, base: &OnexBase) -> Duration {
-    let columns = base
-        .lengths()
-        .map(|len| (len, base.groups_for_len(len).clone()));
-    let groups: BTreeMap<_, _> = columns.collect();
-    let mut sketches = SketchIndex::default();
+    let mut file = Vec::new();
+    persist::save(base, &mut file).expect("writing to memory");
+    let mut bare = persist::load(file.as_slice()).expect("just written");
+    assert!(bare.sketches().is_empty());
     let start = Instant::now();
-    sketches.sync(ds, &groups);
+    bare.sync_sketches(ds);
     let elapsed = start.elapsed();
-    assert!(sketches == *base.sketches(), "the pass the build ran");
+    assert!(bare.sketches() == base.sketches(), "the pass the build ran");
     elapsed
 }
 

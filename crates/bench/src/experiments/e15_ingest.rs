@@ -33,7 +33,10 @@
 //!    index that count is a handful whatever the groups, and CI guards
 //!    it below a tenth of the groups per length (a linear scan sits at
 //!    1×). The first append seeds the index — one column per length —
-//!    and is reported on its own beside the median.
+//!    and is reported on its own beside the median. Each append's
+//!    [`onex_grouping::BuildReport`] also says how many column blocks it
+//!    copied of how many the base is in — one column a length — and CI
+//!    holds a warm append under a quarter of them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,12 +98,23 @@ pub struct UncompactingRow {
     /// Length columns the writer's resident index seeded over the whole
     /// burst: one per length when only the first append seeds.
     pub seeds: u64,
+    /// Per append, in order: column blocks it copied or added, and blocks
+    /// the base it published is kept in. Deterministic.
+    pub blocks: Vec<(usize, usize)>,
 }
 
 impl UncompactingRow {
     /// One append over one build, wall-clock.
     pub fn append_over_build(&self) -> f64 {
         self.append_each.as_secs_f64() / self.build.as_secs_f64().max(1e-12)
+    }
+
+    /// The warm append (any but the first, which seeds the index) that
+    /// copied the largest share of the base's blocks.
+    pub fn worst_warm_blocks(&self) -> (usize, usize) {
+        let warm = self.blocks.iter().skip(1).copied();
+        warm.max_by(|a, b| (a.0 * b.1).cmp(&(b.0 * a.1)))
+            .unwrap_or_default()
     }
 }
 
@@ -116,6 +130,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
     let build = t.elapsed();
     let mut laps = Vec::with_capacity(APPENDS);
     let mut calls_per_window = Vec::with_capacity(APPENDS);
+    let mut blocks = Vec::with_capacity(APPENDS);
     let mut subsequences = built.subsequences;
     for spare in spares {
         let t = Instant::now();
@@ -124,6 +139,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         let windows = report.subsequences - subsequences;
         subsequences = report.subsequences;
         calls_per_window.push(report.work.distance_calls as f64 / windows.max(1) as f64);
+        blocks.push((report.blocks_copied, report.blocks_total));
     }
     calls_per_window.sort_by(f64::total_cmp);
     UncompactingRow {
@@ -135,6 +151,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         append_each: median(laps),
         distance_calls_per_window: calls_per_window[calls_per_window.len() / 2],
         seeds: engine.resident_index().seeds,
+        blocks,
     }
 }
 
@@ -321,6 +338,7 @@ pub fn uncompacting_table(row: &UncompactingRow) -> Table {
             "append/build",
             "calls/window",
             "index seeds",
+            "blocks copied (worst warm)",
         ],
     );
     t.row(vec![
@@ -332,6 +350,11 @@ pub fn uncompacting_table(row: &UncompactingRow) -> Table {
         format!("{:.4}×", row.append_over_build()),
         format!("{:.1}", row.distance_calls_per_window),
         row.seeds.to_string(),
+        format!(
+            "{} of {}",
+            row.worst_warm_blocks().0,
+            row.worst_warm_blocks().1
+        ),
     ]);
     t
 }
@@ -376,8 +399,10 @@ pub fn table(rows: &[IngestRow]) -> Table {
 /// latencies are reported for trajectory, not guarded (they track the
 /// runner's scheduler too loosely). On the uncompacting row it guards
 /// the deterministic `append_distance_calls_per_window` below a tenth of
-/// `groups_per_length`. The header records `available_parallelism`: the
-/// live/idle ratios depend on readers and writer having a core each.
+/// `groups_per_length`, and `warm_blocks_copied` — the most column blocks
+/// a warm append copied — under a quarter of `warm_blocks_total`. The
+/// header records `available_parallelism`: the live/idle ratios depend on
+/// readers and writer having a core each.
 pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
@@ -412,7 +437,9 @@ pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String
         "],\"uncompacting\":{{\"series\":{},\"len\":{},\"groups_per_length\":{:.1},\
          \"build_ms\":{:.3},\"first_append_ms\":{:.3},\"append_each_ms\":{:.3},\
          \"append_over_build_ratio\":{:.5},\
-         \"append_distance_calls_per_window\":{:.2},\"index_seeds\":{}}}}}",
+         \"append_distance_calls_per_window\":{:.2},\"index_seeds\":{},\
+         \"blocks_copied\":{:?},\"blocks_total\":{:?},\
+         \"warm_blocks_copied\":{},\"warm_blocks_total\":{}}}}}",
         u.series,
         u.len,
         u.groups_per_length,
@@ -422,6 +449,10 @@ pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String
         u.append_over_build(),
         u.distance_calls_per_window,
         u.seeds,
+        u.blocks.iter().map(|b| b.0).collect::<Vec<_>>(),
+        u.blocks.iter().map(|b| b.1).collect::<Vec<_>>(),
+        u.worst_warm_blocks().0,
+        u.worst_warm_blocks().1,
     );
     out.push('\n');
     out
@@ -474,6 +505,10 @@ mod tests {
             "one seeding per length 16..=24, by the first append only"
         );
         assert!(a.append_each > Duration::ZERO && a.build > Duration::ZERO);
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.blocks.len(), APPENDS);
+        let (copied, total) = a.worst_warm_blocks();
+        assert!(copied >= 9 && copied <= total, "{:?}", a.blocks);
     }
 
     #[test]
@@ -509,6 +544,7 @@ mod tests {
             append_each: Duration::from_millis(14),
             distance_calls_per_window: 212.5,
             seeds: 9,
+            blocks: vec![(21, 420), (18, 421), (20, 422)],
         };
         let json = json_report(&rows, &uncompacting);
         assert!(json.starts_with("{\"experiment\":\"e15_ingest\",\"available_parallelism\":"));
@@ -517,7 +553,12 @@ mod tests {
         ));
         assert!(json.contains("\"first_append_ms\":40.000,\"append_each_ms\":14.000,"));
         assert!(json.contains("\"append_over_build_ratio\":0.02000,"));
-        assert!(json.contains("\"append_distance_calls_per_window\":212.50,\"index_seeds\":9}"));
+        assert!(json.contains("\"append_distance_calls_per_window\":212.50,\"index_seeds\":9,"));
+        // The first append's 21 is not a warm one's.
+        assert!(json.contains(
+            "\"blocks_copied\":[21, 18, 20],\"blocks_total\":[420, 421, 422],\
+             \"warm_blocks_copied\":20,\"warm_blocks_total\":422}"
+        ));
         assert_eq!(json.matches("\"agreement\":true").count(), 2);
         assert_eq!(json.matches("\"epochs\":6").count(), 2);
         assert!(json.contains("\"live_ratio\":1.4000"));

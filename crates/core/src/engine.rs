@@ -54,6 +54,9 @@ pub struct ResidentReport {
     /// the first append and constant from then on; growth per append
     /// means something keeps invalidating the index.
     pub seeds: u64,
+    /// Heap bytes the index keeps (its own estimate, from capacities): 0
+    /// until the first append seeds it.
+    pub bytes: usize,
 }
 
 /// The unresolved remainder of a cold-opened base file: the validated
@@ -589,6 +592,7 @@ impl Onex {
             entries: resident.index.entries(),
             epoch: resident.epoch,
             seeds: resident.index.seeds(),
+            bytes: resident.index.resident_bytes(),
         }
     }
 

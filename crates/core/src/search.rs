@@ -400,7 +400,7 @@ impl<'a> Searcher<'a> {
         let mut suffix_max_radius = vec![0.0f64; ranked.len()];
         let mut acc: f64 = 0.0;
         for (i, &(gi, _)) in ranked.iter().enumerate().rev() {
-            acc = acc.max(groups[gi].radius());
+            acc = acc.max(groups.at(gi).radius());
             suffix_max_radius[i] = acc;
         }
 
@@ -409,7 +409,7 @@ impl<'a> Searcher<'a> {
         // representatives abandon their DTW within a few rows — the
         // paper's "early pruning of unpromising candidates".
         for (rank_idx, &(gi, lb_rep)) in ranked.iter().enumerate() {
-            let g = &groups[gi];
+            let g = groups.at(gi);
             self.stats.groups_examined += 1;
             let bound = self.raw_bound(heap, k, plan);
             if self.opts.prune_groups && bound.is_finite() {
@@ -506,7 +506,7 @@ impl<'a> Searcher<'a> {
             }
             let d_sq = dtw_early_abandon_sq_scratch(
                 self.query,
-                groups[gi].representative(),
+                groups.at(gi).representative(),
                 band,
                 gth * gth,
                 None,
@@ -548,18 +548,17 @@ impl<'a> Searcher<'a> {
         // Borrowed from the base, not from `self`: the scan below mutates
         // the searcher while it walks them.
         let base = self.base;
-        let members = base.groups_for_len(len)[gi].members();
+        let scanned = base.groups_for_len(len).at(gi);
+        let members = scanned.members();
         let group = GroupId {
             len: len as u32,
             index: gi as u32,
         };
-        // The group's sketch planes, slot `i` sketching member `i`.
-        // Absent (stale or unsynced index) simply means the L0 tier
-        // passes everyone through.
-        let l0 = plan.l0.as_ref().and_then(|qs| {
-            let planes = base.sketches().for_len(len)?.group(gi)?;
-            (planes.cardinality() >= members.len()).then_some((qs, planes))
-        });
+        // The group's sketches, slot `i` sketching member `i`: one slot
+        // read out of the column block for a group of one, the group's
+        // own planes from two up. Absent (stale or unsynced) simply means
+        // the L0 tier passes everyone through.
+        let l0 = plan.l0.as_ref().zip(scanned.planes());
         let filtered = self.opts.has_filters();
         let mut batch = DtwBatch::default();
         for from in (0..members.len()).step_by(SCAN_BLOCK) {
@@ -707,6 +706,62 @@ impl<'a> Searcher<'a> {
             normalized: e.normalized,
             group: e.group,
             path,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use onex_grouping::{persist, BaseBuilder, BaseConfig, RepresentativePolicy};
+    use onex_tseries::gen::{clustered_dataset, SyntheticConfig};
+
+    /// A column that came without sketches (a v1 file, before anyone
+    /// synced it) has nothing for L0 to read: every member goes through to
+    /// the tiers behind it, and the answers are the synced base's.
+    #[test]
+    fn a_base_without_sketches_passes_every_member_through_l0() {
+        let cfg = SyntheticConfig {
+            series: 24,
+            len: 96,
+            seed: 4,
+        };
+        let dataset = clustered_dataset(cfg, 3, 0.08);
+        let config = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(1.0, 20, 22)
+        };
+        let (synced, _) = BaseBuilder::new(config).unwrap().build(&dataset);
+        let mut file = Vec::new();
+        persist::save(&synced, &mut file).unwrap();
+        let bare = persist::load(file.as_slice()).unwrap();
+        assert!(bare.sketches().is_empty() && !synced.sketches().is_empty());
+        let largest = bare.iter().map(|(_, g)| g.cardinality()).max();
+        assert!(largest > Some(64), "{largest:?}");
+        assert!(bare.iter().all(|(_, g)| g.planes().is_none()));
+
+        let query: Vec<f64> = dataset.series(5).unwrap().values()[10..31]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.02 * (i as f64).sin())
+            .collect();
+        let opts = QueryOptions::default();
+        let run = |base: &OnexBase| {
+            let bound = SharedBound::new();
+            let mut searcher = Searcher::new(&dataset, base, &query, &opts, &bound);
+            let matches = searcher.run(5);
+            (matches, searcher.stats)
+        };
+        let (with, pruned) = run(&synced);
+        let (without, passed) = run(&bare);
+        assert!(pruned.members_l0_pruned > 0, "{pruned:?}");
+        assert_eq!(passed.members_l0_pruned, 0, "{passed:?}");
+        assert_eq!(with.len(), 5);
+        for (a, b) in with.iter().zip(&without) {
+            assert_eq!(
+                (a.subseq, a.distance.to_bits()),
+                (b.subseq, b.distance.to_bits())
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 use onex_core::{exhaustive, Onex, QueryOptions};
 use onex_grouping::persist::save_v2;
 use onex_grouping::{
-    BaseBuilder, BaseConfig, BlockVec, IndexPolicy, OnexBase, RepresentativePolicy,
+    BaseBuilder, BaseConfig, GroupColumn, IndexPolicy, OnexBase, RepresentativePolicy,
 };
 use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
@@ -169,13 +169,13 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
             assert!(std::ptr::eq(n.representative(), window), "g{gi}@{len}");
             if n.cardinality() == o.cardinality() {
                 // "Shared" is the same series handle at the same offset
-                // and the same member list — for a group of one, the same
-                // lone member and (by value, there being no block to
-                // point at) the same inline plane bytes.
+                // and the same block behind the slot's pointer — for a
+                // group of one, which has none, the same lone member and
+                // (by value: a copied column block carries them along) the
+                // same 21 sketch bytes of its slot.
                 assert!(n.shares_storage_with(o), "untouched g{gi}@{len} was copied");
                 assert!(same_planes, "untouched planes g{gi}@{len} were copied");
                 if n.cardinality() == 1 {
-                    assert_eq!(new_planes.heap_bytes(), 0, "a one-slot plane block");
                     inline += 1;
                 }
                 shared += 1;
@@ -222,17 +222,16 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
     assert_eq!(now.dataset().len(), 8);
 }
 
-/// Check `new`, extended from `old`, block by block: a block of group
-/// records is `new`'s own exactly when a group in it admitted a member or
-/// was seeded, and every other block is `old`'s, by pointer; the sketch
-/// handles beside them are in as many blocks, as many of them shared.
-/// Returns how many groups admitted and how many blocks of group records
-/// were written.
+/// Check `new`, extended from `old`, block by block: a column block is
+/// `new`'s own exactly when a group in it admitted a member or was
+/// seeded, and every other block is `old`'s, by pointer — the groups'
+/// sketches included, which sit in the same blocks. Returns how many
+/// groups admitted and how many blocks were written.
 fn written_blocks_are_the_only_ones_copied(old: &OnexBase, new: &OnexBase) -> (usize, usize) {
     let (mut admitted, mut written_blocks, mut blocks) = (0, 0, 0);
     for len in new.lengths() {
         let (was, now) = (old.groups_for_len(len), new.groups_for_len(len));
-        let block_of = BlockVec::<onex_grouping::SimilarityGroup>::block_of;
+        let block_of = GroupColumn::block_of;
         let mut written = std::collections::BTreeSet::new();
         for (gi, g) in now.iter().enumerate() {
             match was.get(gi) {
@@ -256,11 +255,10 @@ fn written_blocks_are_the_only_ones_copied(old: &OnexBase, new: &OnexBase) -> (u
         written_blocks += written.len();
         blocks += now.block_count();
     }
-    // The base's own count says the same, and as much again for the
-    // sketch columns (which blocks those are: `grouping::sketch`'s tests).
+    // The base's own count says the same: one column a length.
     assert_eq!(
         (new.shared_blocks(old), new.block_count()),
-        (2 * (blocks - written_blocks), 2 * blocks)
+        (blocks - written_blocks, blocks)
     );
     (admitted, written_blocks)
 }
@@ -277,7 +275,7 @@ fn an_append_copies_the_blocks_it_writes_and_shares_every_other_with_the_previou
     assert_eq!(built.blocks_copied, built.blocks_total);
     let lengths = engine.base().lengths().count();
     assert!(
-        built.blocks_total >= 2 * 3 * lengths,
+        built.blocks_total >= 3 * lengths,
         "{} blocks: the columns must span several",
         built.blocks_total
     );
@@ -296,7 +294,7 @@ fn an_append_copies_the_blocks_it_writes_and_shares_every_other_with_the_previou
     assert!((lengths..=2 * lengths).contains(&written), "{written}");
     assert_eq!(
         (report.blocks_copied, report.blocks_total),
-        (2 * written, epoch1.base().block_count())
+        (written, epoch1.base().block_count())
     );
     assert!(report.blocks_copied * 3 < report.blocks_total);
 
@@ -317,7 +315,7 @@ fn an_append_copies_the_blocks_it_writes_and_shares_every_other_with_the_previou
     let epoch2 = engine.snapshot();
     let (admitted, written) = written_blocks_are_the_only_ones_copied(epoch1.base(), epoch2.base());
     assert!(admitted > 5 * lengths, "{admitted} admissions");
-    assert_eq!(report.blocks_copied, 2 * written);
+    assert_eq!(report.blocks_copied, written);
     assert!(report.blocks_copied * 2 < report.blocks_total);
 
     // Neither earlier epoch saw a write: each still saves the image it

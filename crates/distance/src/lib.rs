@@ -60,7 +60,7 @@ pub use iddtw::{IddtwModel, IddtwStats};
 pub use kernels::KernelLevel;
 pub use paa::{dtw_paa, paa};
 pub use path::WarpingPath;
-pub use sketch::{QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
+pub use sketch::{PlanesRef, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
 
 /// The infinite distance used as "no bound yet" by early-abandoning code.
 pub const INF: f64 = f64::INFINITY;

@@ -15,20 +15,23 @@
 //!   [`encode_into`] is the one-window reference; whoever sketches the
 //!   stride-1 windows of a series goes through the *building* form below
 //!   and gets the same records.
-//! * The **planes**: [`SketchPlanes`], the form a similarity group keeps
-//!   in memory. The [`SKETCH_PLANES`] = 21 meaningful bytes of each
-//!   record (the three reserved ones are dropped) are stored plane-major
-//!   — all flag bytes, then all first-corner floors, … then the eighth
-//!   segment maxima — with the group's cardinality as the plane stride
-//!   and no padding, so a one-member group holds 21 bytes — inline in the
-//!   handle, with no allocation; from two members up the planes share one
-//!   reference-counted block. Consecutive members sit in consecutive
-//!   bytes of every plane, which is what lets [`QuerySketch::survivors`]
-//!   test four of them per AVX2 step.
+//! * The **planes**: the resident form. The [`SKETCH_PLANES`] = 21
+//!   meaningful bytes of each record (the three reserved ones are
+//!   dropped) are stored plane-major — all flag bytes, then all
+//!   first-corner floors, … then the eighth segment maxima — so that
+//!   consecutive slots sit in consecutive bytes of every plane, which is
+//!   what lets [`QuerySketch::survivors`] test four of them per AVX2
+//!   step. A group of two or more keeps its members' slots in
+//!   [`SketchPlanes`]: one reference-counted block, the cardinality as
+//!   the plane stride, no padding. A group of one owns nothing: the base
+//!   keeps the first slot of every group side by side in blocks of its
+//!   own, plane-major across the block, and a [`PlanesRef`] reads one
+//!   slot out of such a block — or all of a [`SketchPlanes`] — by stride.
 //!
-//! [`SketchPlanes`] alone knows that layout: it is built from records,
-//! grown by appended records and written back out as records, so no
-//! caller indexes a plane.
+//! This module alone knows the plane order: planes are built from
+//! records ([`PlanesRef::grown`], [`scatter_record`]), read through
+//! [`PlanesRef`] and written back out as records, so no caller indexes a
+//! plane.
 //!
 //! Records are *built* from a third, transient form: the [`LevelColumn`]
 //! of one series under one quantiser — the floor level and the ceiling
@@ -361,32 +364,55 @@ impl<'a> LevelColumn<'a> {
     }
 }
 
+/// The flags byte of a slot nobody has sketched yet: the invalid flag —
+/// so every bound over it reads 0 and it never prunes, whoever reads it —
+/// plus a bit [`encode_into`] never sets, which tells the placeholder
+/// from a record. A column of slots starts out filled with it
+/// ([`unset_slot`]) and never reaches a file.
+pub const SKETCH_UNSET: u8 = FLAG_INVALID | 0x80;
+
+/// Write `record`'s [`SKETCH_PLANES`] meaningful bytes to slot `slot` of
+/// the plane-major `planes`, plane `p` starting at `p × stride`: the one
+/// place outside [`SketchPlanes`] a record becomes plane bytes, for the
+/// caller that keeps one slot a group side by side in a block of its own
+/// ([`PlanesRef::strided`] reads them back).
+///
+/// # Panics
+/// Panics when `record` is not [`SKETCH_STRIDE`] bytes or the slot lies
+/// outside `planes`.
+pub fn scatter_record(record: &[u8], planes: &mut [u8], stride: usize, slot: usize) {
+    assert_eq!(
+        record.len(),
+        SKETCH_STRIDE,
+        "sketch slot has a fixed stride"
+    );
+    assert!(slot < stride, "sketch slot {slot} of stride {stride}");
+    for plane in 0..SKETCH_PLANES {
+        planes[plane * stride + slot] = record[offset_of(plane)];
+    }
+}
+
+/// Mark slot `slot` of the plane-major `planes` (stride as for
+/// [`scatter_record`]) as not sketched yet: [`SKETCH_UNSET`] in its
+/// flags plane.
+pub fn unset_slot(planes: &mut [u8], stride: usize, slot: usize) {
+    assert!(slot < stride, "sketch slot {slot} of stride {stride}");
+    planes[PLANE_FLAGS * stride + slot] = SKETCH_UNSET;
+}
+
 /// The sketches of one similarity group in their resident, plane-major
 /// form: plane `p` (see the module docs) is the `cardinality` bytes
 /// starting at `p × cardinality`, slot `i` of every plane belonging to
-/// the group's member `i`.
+/// the group's member `i`, all behind one reference-counted allocation
+/// (none while there is no slot).
 ///
-/// A group of one — every group of a base that does not compact — keeps
-/// its [`SKETCH_PLANES`] bytes inline: nothing on the heap to allocate,
-/// count references on or chase. From two members up the planes sit
-/// behind one reference-counted allocation.
-///
-/// Never rewritten in place: a clone shares the allocation (or copies the
-/// inline bytes), and [`SketchPlanes::grown`] builds a new set, so a
-/// group that gained no member keeps sharing its planes with every
-/// earlier epoch of the base. Equality is byte-exact.
+/// Never rewritten in place: a clone shares the allocation, and
+/// [`SketchPlanes::grown`] builds a new set, so a group that gained no
+/// member keeps sharing its planes with every earlier epoch of the base.
+/// Equality is byte-exact. Every reader goes through [`PlanesRef`]
+/// ([`Self::view`]), which also reads slots kept elsewhere.
 #[derive(Debug, Clone, Default)]
-pub struct SketchPlanes(Planes);
-
-#[derive(Debug, Clone, Default)]
-enum Planes {
-    #[default]
-    Empty,
-    /// One slot: plane `p` is byte `p`.
-    One([u8; SKETCH_PLANES]),
-    /// `SKETCH_PLANES × cardinality` bytes, cardinality ≥ 2.
-    Many(Arc<[u8]>),
-}
+pub struct SketchPlanes(Option<Arc<[u8]>>);
 
 impl PartialEq for SketchPlanes {
     fn eq(&self, other: &Self) -> bool {
@@ -396,15 +422,24 @@ impl PartialEq for SketchPlanes {
 
 impl Eq for SketchPlanes {}
 
+impl<'a> From<&'a SketchPlanes> for PlanesRef<'a> {
+    fn from(planes: &'a SketchPlanes) -> Self {
+        planes.view()
+    }
+}
+
 impl SketchPlanes {
-    /// The plane-major bytes, wherever they live.
+    /// The plane-major bytes.
     #[inline]
     fn bytes(&self) -> &[u8] {
-        match &self.0 {
-            Planes::Empty => &[],
-            Planes::One(bytes) => bytes,
-            Planes::Many(bytes) => bytes,
-        }
+        self.0.as_deref().unwrap_or(&[])
+    }
+
+    /// The slots, borrowed — the form every reader takes.
+    #[inline]
+    pub fn view(&self) -> PlanesRef<'_> {
+        let slots = self.cardinality();
+        PlanesRef::strided(self.bytes(), slots, 0, slots)
     }
 
     /// Members sketched.
@@ -413,13 +448,11 @@ impl SketchPlanes {
         self.bytes().len() / SKETCH_PLANES
     }
 
-    /// Heap bytes behind this handle, reference counts included: none up
-    /// to one member.
+    /// Heap bytes behind this handle, reference counts included.
     pub fn heap_bytes(&self) -> usize {
-        match &self.0 {
-            Planes::Many(bytes) => 2 * std::mem::size_of::<usize>() + bytes.len(),
-            _ => 0,
-        }
+        self.0
+            .as_ref()
+            .map_or(0, |bytes| 2 * std::mem::size_of::<usize>() + bytes.len())
     }
 
     /// Transpose a run of [`SKETCH_STRIDE`]-byte records (the persisted
@@ -434,11 +467,112 @@ impl SketchPlanes {
         })
     }
 
+    /// [`PlanesRef::write_records`] of [`Self::view`].
+    pub fn write_records(&self, out: &mut Vec<u8>) {
+        self.view().write_records(out);
+    }
+
+    /// [`PlanesRef::record`] of [`Self::view`].
+    pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
+        self.view().record(slot)
+    }
+
+    /// [`PlanesRef::grown`] of [`Self::view`]; `self` is left as it was.
+    pub fn grown(&self, total: usize, encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
+        if total == self.cardinality() {
+            return self.clone();
+        }
+        self.view().grown(total, encode)
+    }
+
+    /// True when an append left this group's sketches alone: both are one
+    /// allocation (or both have none).
+    pub fn shares_storage_with(&self, other: &SketchPlanes) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+/// A run of sketch slots read where they lie: slot `i` of plane `p` is
+/// byte `p × stride + first + i` of a plane-major byte block. A group's
+/// own [`SketchPlanes`] are one (`stride` = cardinality, `first` = 0);
+/// so is one slot of a block that keeps the first sketch of many groups
+/// side by side (`stride` = the block's slots, `first` = the group's) —
+/// which is how a group of one is tested without owning a byte.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanesRef<'a> {
+    bytes: &'a [u8],
+    stride: usize,
+    first: usize,
+    slots: usize,
+}
+
+/// Equality is over the slots' bytes, wherever they lie.
+impl PartialEq for PlanesRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && (0..SKETCH_PLANES).all(|plane| self.plane(plane) == other.plane(plane))
+    }
+}
+
+impl Eq for PlanesRef<'_> {}
+
+impl<'a> PlanesRef<'a> {
+    /// No slots.
+    pub const EMPTY: PlanesRef<'static> = PlanesRef {
+        bytes: &[],
+        stride: 0,
+        first: 0,
+        slots: 0,
+    };
+
+    /// `slots` slots from `first` of the plane-major `bytes`, whose
+    /// planes are `stride` bytes each.
+    ///
+    /// # Panics
+    /// Panics when the slots reach past a plane or `bytes` is not
+    /// [`SKETCH_PLANES`] planes.
+    pub fn strided(bytes: &'a [u8], stride: usize, first: usize, slots: usize) -> PlanesRef<'a> {
+        assert_eq!(bytes.len(), SKETCH_PLANES * stride, "whole sketch planes");
+        assert!(first + slots <= stride, "sketch slots past the plane");
+        PlanesRef {
+            bytes,
+            stride,
+            first,
+            slots,
+        }
+    }
+
+    /// Slots `slots` of plane `plane`.
+    #[inline]
+    fn plane(&self, plane: usize) -> &'a [u8] {
+        &self.bytes[plane * self.stride + self.first..][..self.slots]
+    }
+
+    /// Members sketched.
+    #[inline]
+    pub fn cardinality(&self) -> usize {
+        self.slots
+    }
+
+    /// The flags byte of slot `slot` ([`SKETCH_UNSET`] marks a slot
+    /// nobody has sketched yet).
+    ///
+    /// # Panics
+    /// Panics when `slot` is not below [`Self::cardinality`].
+    #[inline]
+    pub fn flags(&self, slot: usize) -> u8 {
+        self.plane(PLANE_FLAGS)[slot]
+    }
+
     /// Append every slot to `out` as a [`SKETCH_STRIDE`]-byte record
     /// (reserved bytes zero, as [`encode_into`] leaves them).
     pub fn write_records(&self, out: &mut Vec<u8>) {
-        out.reserve(self.cardinality() * SKETCH_STRIDE);
-        for slot in 0..self.cardinality() {
+        out.reserve(self.slots * SKETCH_STRIDE);
+        for slot in 0..self.slots {
             out.extend_from_slice(&self.record(slot));
         }
     }
@@ -448,73 +582,57 @@ impl SketchPlanes {
     /// # Panics
     /// Panics when `slot` is not below [`Self::cardinality`].
     pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
-        let n = self.cardinality();
-        assert!(slot < n, "sketch slot {slot} of {n}");
-        let bytes = self.bytes();
+        assert!(slot < self.slots, "sketch slot {slot} of {}", self.slots);
         let mut record = [0u8; SKETCH_STRIDE];
         for plane in 0..SKETCH_PLANES {
-            record[offset_of(plane)] = bytes[plane * n + slot];
+            record[offset_of(plane)] = self.plane(plane)[slot];
         }
         record
     }
 
-    /// These planes extended to `total` slots: the existing slots are
-    /// copied, and `encode(slot, record)` fills the (zeroed) record of
-    /// each new one. At most one allocation, of the final size (none when
-    /// `total` is 0 or 1); `self` is left as it was.
+    /// These slots extended to `total`, as planes of their own: the
+    /// existing slots are copied, and `encode(slot, record)` fills the
+    /// (zeroed) record of each new one. One allocation, of the final size
+    /// (none when `total` is 0).
     ///
     /// # Panics
     /// Panics when `total` is below the current cardinality.
     pub fn grown(&self, total: usize, mut encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
-        let done = self.cardinality();
+        let done = self.slots;
         assert!(total >= done, "sketch planes only grow");
-        if total == done {
-            return self.clone();
-        }
-        let old = self.bytes();
-        let mut fill = |grown: &mut [u8]| {
-            for plane in 0..SKETCH_PLANES {
-                grown[plane * total..plane * total + done]
-                    .copy_from_slice(&old[plane * done..(plane + 1) * done]);
-            }
-            for slot in done..total {
-                let mut record = [0u8; SKETCH_STRIDE];
-                encode(slot, &mut record);
-                for plane in 0..SKETCH_PLANES {
-                    grown[plane * total + slot] = record[offset_of(plane)];
-                }
-            }
-        };
-        if total == 1 {
-            let mut bytes = [0u8; SKETCH_PLANES];
-            fill(&mut bytes);
-            return SketchPlanes(Planes::One(bytes));
+        if total == 0 {
+            return SketchPlanes::default();
         }
         let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, SKETCH_PLANES * total).collect();
-        fill(Arc::get_mut(&mut bytes).expect("not shared yet"));
-        SketchPlanes(Planes::Many(bytes))
+        let grown = Arc::get_mut(&mut bytes).expect("not shared yet");
+        for plane in 0..SKETCH_PLANES {
+            grown[plane * total..plane * total + done].copy_from_slice(self.plane(plane));
+        }
+        for slot in done..total {
+            let mut record = [0u8; SKETCH_STRIDE];
+            encode(slot, &mut record);
+            scatter_record(&record, grown, total, slot);
+        }
+        SketchPlanes(Some(bytes))
     }
 
-    /// True when an append left this group's sketches alone: both share
-    /// one allocation, or — up to one member, where there is no
-    /// allocation to tell apart — hold the same bytes.
-    pub fn shares_storage_with(&self, other: &SketchPlanes) -> bool {
-        match (&self.0, &other.0) {
-            (Planes::Many(a), Planes::Many(b)) => Arc::ptr_eq(a, b),
-            (Planes::Many(_), _) | (_, Planes::Many(_)) => false,
-            _ => self == other,
-        }
+    /// True when an append left these sketches alone: the same slots of
+    /// the same block — or, for the one slot a block keeps per group and a
+    /// copied block carries along by value, the same bytes.
+    pub fn shares_storage_with(&self, other: PlanesRef<'_>) -> bool {
+        let same_slots = std::ptr::eq(self.bytes, other.bytes)
+            && (self.stride, self.first, self.slots) == (other.stride, other.first, other.slots);
+        same_slots || (self.slots == 1 && *self == other)
     }
 
     /// One borrowed slice per plane, cut to `slots`.
-    fn views(&self, slots: Range<usize>) -> [&[u8]; SKETCH_PLANES] {
-        let n = self.cardinality();
+    fn views(&self, slots: Range<usize>) -> [&'a [u8]; SKETCH_PLANES] {
         assert!(
-            slots.start <= slots.end && slots.end <= n,
-            "sketch slots {slots:?} of {n}"
+            slots.start <= slots.end && slots.end <= self.slots,
+            "sketch slots {slots:?} of {}",
+            self.slots
         );
-        let bytes = self.bytes();
-        std::array::from_fn(|plane| &bytes[plane * n + slots.start..plane * n + slots.end])
+        std::array::from_fn(|plane| &self.plane(plane)[slots.clone()])
     }
 }
 
@@ -647,9 +765,9 @@ impl QuerySketch {
     ///
     /// # Panics
     /// Panics when `slots` reaches past the planes' cardinality.
-    pub fn survivors(
+    pub fn survivors<'p>(
         &self,
-        planes: &SketchPlanes,
+        planes: impl Into<PlanesRef<'p>>,
         slots: Range<usize>,
         bound_sq: f64,
         out: &mut Vec<usize>,
@@ -660,16 +778,16 @@ impl QuerySketch {
     /// [`Self::survivors`] on an explicit level (bench / property-test
     /// entry). Only [`KernelLevel::Avx2`] has a vector path, taken when
     /// the CPU has it; every other level runs the scalar reference.
-    pub fn survivors_at(
+    pub fn survivors_at<'p>(
         &self,
         level: KernelLevel,
-        planes: &SketchPlanes,
+        planes: impl Into<PlanesRef<'p>>,
         slots: Range<usize>,
         bound_sq: f64,
         out: &mut Vec<usize>,
     ) {
         let first_slot = slots.start;
-        let views = planes.views(slots);
+        let views = planes.into().views(slots);
         kernels::l0_survivors_at(level, self, &views, first_slot, bound_sq, out);
     }
 
@@ -739,16 +857,61 @@ mod tests {
     }
 
     #[test]
-    fn a_one_slot_handle_is_three_words_and_owns_no_heap() {
-        assert!(std::mem::size_of::<SketchPlanes>() <= 24);
-        let mut record = [0u8; SKETCH_STRIDE];
-        encode_into(&SketchParams::fit(0.0, 1.0), &[0.25, 0.5], &mut record);
-        let one = SketchPlanes::from_records(&record);
-        assert_eq!((one.cardinality(), one.heap_bytes()), (1, 0));
-        assert_eq!(one.record(0), record);
-        let two = one.grown(2, |_, out| out.copy_from_slice(&record));
-        assert_eq!(two.heap_bytes(), 16 + 2 * SKETCH_PLANES);
+    fn a_handle_is_two_words_and_one_slot_reads_in_place_from_a_block_of_many() {
+        assert!(std::mem::size_of::<SketchPlanes>() <= 16);
         assert_eq!(SketchPlanes::default().heap_bytes(), 0);
+        let params = SketchParams::fit(0.0, 1.0);
+        let mut records = [[0u8; SKETCH_STRIDE]; 3];
+        for (i, record) in records.iter_mut().enumerate() {
+            encode_into(&params, &[0.25 * i as f64, 0.5], record);
+        }
+        let own = SketchPlanes::from_records(&records[1]);
+        assert_eq!(
+            (own.cardinality(), own.heap_bytes()),
+            (1, 16 + SKETCH_PLANES)
+        );
+        // Three groups' first slots side by side in a block of five: each
+        // is read where it lies, and an untouched slot says so and never
+        // prunes.
+        let stride = 5;
+        let mut block = vec![0u8; SKETCH_PLANES * stride];
+        (0..stride).for_each(|slot| unset_slot(&mut block, stride, slot));
+        for (slot, record) in records.iter().enumerate() {
+            scatter_record(record, &mut block, stride, slot + 1);
+        }
+        let q = [0.9, 0.9];
+        let qs = QuerySketch::new(&q, &Envelope::build(&q, 1), params);
+        for (slot, record) in records.iter().enumerate() {
+            let one = PlanesRef::strided(&block, stride, slot + 1, 1);
+            assert_eq!((one.cardinality(), one.record(0)), (1, *record));
+            assert_eq!(one.flags(0), 0);
+            for level in KernelLevel::available() {
+                let mut survivors = Vec::new();
+                qs.survivors_at(level, one, 0..1, 0.01, &mut survivors);
+                let rejected = qs.bound_sq(record) > 0.01;
+                assert_eq!(survivors.is_empty(), rejected, "{level:?} slot {slot}");
+            }
+        }
+        assert!(PlanesRef::strided(&block, stride, 2, 1) == own.view());
+        assert!(PlanesRef::strided(&block, stride, 2, 1).shares_storage_with(own.view()));
+        assert!(PlanesRef::strided(&block, stride, 1, 1) != own.view());
+        let unset = PlanesRef::strided(&block, stride, 0, 1);
+        assert_eq!(unset.flags(0), SKETCH_UNSET);
+        assert_eq!(qs.bound_sq(&unset.record(0)), 0.0);
+        let mut survivors = Vec::new();
+        qs.survivors(unset, 0..1, 0.0, &mut survivors);
+        assert_eq!(survivors, [0]);
+        // A run of the block's slots is planes like any other, and grows
+        // into planes of its own with its slots unchanged.
+        let run = PlanesRef::strided(&block, stride, 1, 3);
+        let grown = run.grown(4, |slot, record| {
+            assert_eq!(slot, 3);
+            record.copy_from_slice(&records[0]);
+        });
+        let mut back = Vec::new();
+        grown.write_records(&mut back);
+        assert_eq!(back, [records.concat(), records[0].to_vec()].concat());
+        assert_eq!(PlanesRef::EMPTY.cardinality(), 0);
     }
 
     #[test]

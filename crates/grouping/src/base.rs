@@ -1,14 +1,15 @@
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use onex_distance::ed;
 use onex_tseries::Dataset;
 
-use crate::sketch::SketchIndex;
-use crate::{BaseConfig, BlockVec, GroupId, SimilarityGroup};
+use crate::sketch::{self, SketchIndex};
+use crate::{BaseConfig, GroupColumn, GroupId, GroupView};
 
 /// What [`OnexBase::groups_for_len`] hands out for a length that is not
 /// indexed.
-static NO_GROUPS: BlockVec<SimilarityGroup> = BlockVec::new();
+static NO_GROUPS: LazyLock<GroupColumn> = LazyLock::new(GroupColumn::new);
 
 /// The finished ONEX base: similarity groups per subsequence length.
 ///
@@ -16,38 +17,38 @@ static NO_GROUPS: BlockVec<SimilarityGroup> = BlockVec::new();
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// Each length's 48-byte group records, and the 24-byte sketch handles
-/// beside them, sit in a [`BlockVec`]: fixed-size blocks, each behind one
-/// reference count. A clone copies the block pointers — a few hundred
-/// for a hundred thousand groups — and shares the blocks, and everything
-/// behind the records, with the original; [`crate::BaseBuilder::extend`]
-/// builds the next base on such a clone and copies only the blocks it
-/// writes: the tail block of a column it seeds a group into, the block
-/// of a group that admits a member. That is what lets an engine publish
-/// one epoch after another at the cost of the appended windows, and drop
-/// a retired epoch at the cost of the blocks its successor replaced.
-/// [`OnexBase::shared_blocks`] counts what two bases still share and
-/// [`OnexBase::footprint`] adds the bytes up.
+/// Each length is one [`GroupColumn`]: blocks of 256 groups, 41 bytes a
+/// group — the first member's reference, one optional pointer to what
+/// only a group of two or more owns, the first member's L0 sketch — each
+/// block behind one reference count. A clone copies the block pointers —
+/// a few hundred for a hundred thousand groups — and shares the blocks,
+/// and everything behind them, with the original;
+/// [`crate::BaseBuilder::extend`] builds the next base on such a clone
+/// and copies only the blocks it writes: the tail block of a column it
+/// seeds a group into, the block of a group that admits a member. That is
+/// what lets an engine publish one epoch after another at the cost of the
+/// appended windows, and drop a retired epoch at the cost of the blocks
+/// its successor replaced. [`OnexBase::shared_blocks`] counts what two
+/// bases still share and [`OnexBase::footprint`] adds the bytes up.
 ///
-/// The base also carries the L0 [`SketchIndex`] — *derived* data rebuilt
-/// from the dataset via [`OnexBase::sync_sketches`] and excluded from
-/// equality. Persistence format v2 stores the sketches verbatim so a
-/// loaded base prunes immediately; format v1 drops them and the engine
-/// re-syncs.
+/// The columns also carry the L0 sketches ([`OnexBase::sketches`]) —
+/// *derived* data rebuilt from the dataset via
+/// [`OnexBase::sync_sketches`] and excluded from equality. Persistence
+/// format v2 stores the sketches verbatim so a loaded base prunes
+/// immediately; format v1 drops them and the engine re-syncs.
 #[derive(Debug, Clone)]
 pub struct OnexBase {
     config: BaseConfig,
-    groups: BTreeMap<usize, BlockVec<SimilarityGroup>>,
+    groups: BTreeMap<usize, GroupColumn>,
     source_series: usize,
     /// Members over all groups, kept in step with `groups` so that an
     /// incremental extension can report totals without visiting every
     /// group it did not touch.
     members: usize,
-    sketches: SketchIndex,
 }
 
-/// Equality is over the constructed index only; the derived sketch cache
-/// never participates (a freshly loaded base equals its synced twin).
+/// Equality is over the constructed index only; the derived sketches
+/// never participate (a freshly loaded base equals its synced twin).
 impl PartialEq for OnexBase {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -59,7 +60,7 @@ impl PartialEq for OnexBase {
 impl OnexBase {
     pub(crate) fn from_parts(
         config: BaseConfig,
-        groups: BTreeMap<usize, BlockVec<SimilarityGroup>>,
+        groups: BTreeMap<usize, GroupColumn>,
         source_series: usize,
     ) -> Self {
         let members = groups.values().map(members_of).sum();
@@ -68,13 +69,12 @@ impl OnexBase {
             groups,
             source_series,
             members,
-            sketches: SketchIndex::default(),
         }
     }
 
     /// The groups of one length, for incremental extension to admit
     /// into (an empty column when the length is new to the base).
-    pub(crate) fn column_mut(&mut self, len: usize) -> &mut BlockVec<SimilarityGroup> {
+    pub(crate) fn column_mut(&mut self, len: usize) -> &mut GroupColumn {
         self.groups.entry(len).or_default()
     }
 
@@ -86,24 +86,25 @@ impl OnexBase {
         self.members += windows;
     }
 
-    /// Sync the sketch planes of the listed groups of one length — the
-    /// ones an incremental extension admitted into — leaving every other
-    /// group's shared and unvisited. A length that was never synced (new
-    /// to the base, or a base that came without sketches) is synced whole.
+    /// Sync the sketches of the listed groups of one length — the ones an
+    /// incremental extension admitted into — leaving every other group's
+    /// shared and unvisited. A length that was never synced (new to the
+    /// base, or a base that came without sketches) is synced whole.
     pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
-        let groups = self.groups.get(&len).unwrap_or(&NO_GROUPS);
-        if self.sketches.for_len(len).is_some() {
-            self.sketches
-                .sync_length(dataset, len, groups, touched.iter().copied());
+        let Some(column) = self.groups.get_mut(&len) else {
+            return;
+        };
+        if column.params().is_some() {
+            sketch::sync_length(dataset, column, touched.iter().copied());
         } else {
-            self.sketches
-                .sync_length(dataset, len, groups, 0..groups.len());
+            let all = 0..column.len();
+            sketch::sync_length(dataset, column, all);
         }
     }
 
     /// Total groups across lengths.
     pub fn group_count(&self) -> usize {
-        self.groups.values().map(BlockVec::len).sum()
+        self.groups.values().map(GroupColumn::len).sum()
     }
 
     /// Total members across groups (= subsequences indexed).
@@ -117,41 +118,36 @@ impl OnexBase {
 
     /// The raw per-length group map (sketch-sync tests).
     #[cfg(test)]
-    pub(crate) fn raw_groups(&self) -> &BTreeMap<usize, BlockVec<SimilarityGroup>> {
+    pub(crate) fn raw_groups(&self) -> &BTreeMap<usize, GroupColumn> {
         &self.groups
     }
 
     /// Install one length column — groups and, when the file carried
-    /// them, the matching sketches — into this base. The lazy
-    /// cold-start path ([`crate::persist::BaseSegment::load_length`])
-    /// resolves columns one at a time through this hook; replacing an
-    /// already-installed length is idempotent by construction (the
-    /// segment is immutable, so a re-decode yields identical parts).
-    pub(crate) fn install_length(
-        &mut self,
-        len: usize,
-        groups: BlockVec<SimilarityGroup>,
-        sketches: Option<crate::LengthSketches>,
-    ) {
+    /// them, their sketches — into this base. The lazy cold-start path
+    /// ([`crate::persist::BaseSegment::load_length`]) resolves columns
+    /// one at a time through this hook; replacing an already-installed
+    /// length is idempotent by construction (the segment is immutable,
+    /// so a re-decode yields identical parts).
+    pub(crate) fn install_length(&mut self, len: usize, groups: GroupColumn) {
         self.members += members_of(&groups);
         if let Some(replaced) = self.groups.insert(len, groups) {
             self.members -= members_of(&replaced);
         }
-        if let Some(ls) = sketches {
-            self.sketches.insert(len, ls);
-        }
     }
 
     /// The L0 member sketches (empty until [`Self::sync_sketches`] runs).
-    pub fn sketches(&self) -> &SketchIndex {
-        &self.sketches
+    pub fn sketches(&self) -> SketchIndex<'_> {
+        SketchIndex::of(&self.groups)
     }
 
-    /// Bring the L0 sketch index up to date with the groups. Incremental
-    /// and idempotent; builders call this on every construction path, and
+    /// Bring the L0 sketches up to date with the groups. Incremental and
+    /// idempotent; builders call this on every construction path, and
     /// engines call it when re-attaching a persisted base to its dataset.
     pub fn sync_sketches(&mut self, dataset: &Dataset) {
-        self.sketches.sync(dataset, &self.groups);
+        for column in self.groups.values_mut() {
+            let all = 0..column.len();
+            sketch::sync_length(dataset, column, all);
+        }
     }
 
     /// The configuration the base was built with.
@@ -172,19 +168,19 @@ impl OnexBase {
 
     /// Groups of one length (an empty column when the length is not
     /// indexed).
-    pub fn groups_for_len(&self, len: usize) -> &BlockVec<SimilarityGroup> {
+    pub fn groups_for_len(&self, len: usize) -> &GroupColumn {
         self.groups.get(&len).unwrap_or(&NO_GROUPS)
     }
 
     /// Group lookup by id.
-    pub fn group(&self, id: GroupId) -> Option<&SimilarityGroup> {
+    pub fn group(&self, id: GroupId) -> Option<GroupView<'_>> {
         self.groups
             .get(&(id.len as usize))
             .and_then(|v| v.get(id.index as usize))
     }
 
     /// Iterate `(GroupId, group)` over the whole base.
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &SimilarityGroup)> {
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, GroupView<'_>)> {
         self.groups.iter().flat_map(|(&len, gs)| {
             gs.iter().enumerate().map(move |(i, g)| {
                 (
@@ -234,11 +230,10 @@ impl OnexBase {
         }
     }
 
-    /// How many blocks the group and sketch columns of every length are
-    /// kept in.
+    /// How many blocks the columns of every length are kept in — one
+    /// column a length, groups and their sketches in the same blocks.
     pub fn block_count(&self) -> usize {
-        let groups = self.groups.values().map(BlockVec::block_count);
-        groups.sum::<usize>() + self.sketches.block_count()
+        self.groups.values().map(GroupColumn::block_count).sum()
     }
 
     /// How many of those blocks this base shares by pointer with `other`.
@@ -246,31 +241,31 @@ impl OnexBase {
     /// `block_count() - shared_blocks(previous)` — is what the extension
     /// copied or added: the blocks it wrote to.
     pub fn shared_blocks(&self, other: &OnexBase) -> usize {
-        let groups = self.groups.iter();
-        groups
+        let columns = self.groups.iter();
+        columns
             .map(|(&len, groups)| groups.shared_blocks(other.groups_for_len(len)))
-            .sum::<usize>()
-            + self.sketches.shared_blocks(&other.sketches)
+            .sum()
     }
 
     /// Bytes this base keeps resident, by owner — worked out from
     /// capacities, lengths and cardinalities (no allocator hook), so it
-    /// leaves out allocator headers and the per-length maps. The columns
-    /// count whole blocks, an unfilled tail's capacity included. Blocks
-    /// shared with another epoch of the base count in full; the series
-    /// that in-place representatives read belong to the dataset and do
-    /// not count.
+    /// leaves out allocator headers, the per-length map and the tables of
+    /// series handles. The columns count whole blocks, an unfilled tail
+    /// included. Blocks shared with another epoch of the base count in
+    /// full; the series that in-place representatives read belong to the
+    /// dataset and do not count.
     pub fn footprint(&self) -> Footprint {
         let mut footprint = Footprint::default();
         for gs in self.groups.values() {
             footprint.group_records += gs.resident_bytes();
             for g in gs {
-                let (representative, members) = g.heap_bytes();
-                footprint.owned_representatives += representative;
-                footprint.member_lists += members;
+                let heap = g.heap_bytes();
+                footprint.group_records += heap.record;
+                footprint.owned_representatives += heap.representative;
+                footprint.member_lists += heap.members;
+                footprint.sketches += heap.planes;
             }
         }
-        footprint.sketches = self.sketches.resident_bytes();
         footprint
     }
 
@@ -302,22 +297,25 @@ impl OnexBase {
     }
 }
 
-fn members_of(groups: &BlockVec<SimilarityGroup>) -> usize {
-    groups.iter().map(SimilarityGroup::cardinality).sum()
+fn members_of(groups: &GroupColumn) -> usize {
+    groups.iter().map(|g| g.cardinality()).sum()
 }
 
 /// Result of [`OnexBase::footprint`]: resident bytes by owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Footprint {
-    /// The per-length columns of 48-byte group records, in whole blocks.
+    /// The per-length columns in whole blocks — 41 bytes a group: first
+    /// member, pointer, the first member's sketch — plus the record
+    /// behind the pointer of every group that has one.
     pub group_records: usize,
-    /// Representatives a group owns (centroids, and groups decoded
-    /// without their dataset); 0 for every frozen seed read in place.
+    /// Representatives a group owns (drifted centroids, and groups
+    /// decoded without their dataset); 0 for every one read in place.
     pub owned_representatives: usize,
-    /// Member lists of groups of two and more (a lone member is inline).
+    /// Member lists of groups of two and more (a lone member is its
+    /// slot's).
     pub member_lists: usize,
-    /// The columns of L0 sketch handles, in whole blocks, plus the plane
-    /// blocks of groups of two and more.
+    /// The sketch planes of groups of two and more (a lone member's
+    /// sketch is its slot's).
     pub sketches: usize,
 }
 

@@ -1,100 +1,176 @@
-//! The copy-on-write block vector both per-length columns of a base are
-//! kept in: the group records ([`crate::OnexBase::groups_for_len`]) and
-//! the sketch handles beside them ([`crate::LengthSketches`]).
+//! The one copy-on-write column a base keeps per subsequence length
+//! ([`crate::OnexBase::groups_for_len`]): its groups, 256 to a block.
+//!
+//! A base that barely compacts is mostly groups of one, and a group of
+//! one is three facts: which window it is, that window's L0 sketch, and
+//! that there is nothing more to say. A block holds exactly that for its
+//! 256 groups, as parallel arrays in one allocation: the first member's
+//! [`SubseqRef`] (12 bytes — the representative too, read in place from
+//! the dataset's shared series through the column's table of handles),
+//! one optional pointer (8 bytes, `None` for a group of one) to everything
+//! only some groups own — members from two up with their sketch planes,
+//! the radius, a representative of the group's own — and the first
+//! member's 21 sketch bytes, plane-major across the block. 41 bytes a
+//! group, ≈ 10.5 KB a block, and the frozen quantiser of those sketches
+//! in the column's header.
 //!
 //! A column is append-only and lives through many epochs of a base, each
-//! a clone of the one before with a few thousand records added to over a
-//! hundred thousand. Kept in one `Vec`, every epoch copied the whole
-//! column to add to it, grew the copy on its first push and dropped the
-//! retired copy — work and allocator traffic in the size of the base, not
-//! of the append. [`BlockVec`] keeps the elements in fixed-size blocks,
-//! each behind one `Arc`: a clone copies one pointer per block, a write
-//! copies the block it lands in and only while another clone still reads
-//! it, dropping a clone frees the blocks nobody else holds, and nothing is
-//! ever reallocated at twice its size.
+//! a clone of the one before with a few thousand groups added to over a
+//! hundred thousand. Every block sits behind one `Arc`: a clone copies one
+//! pointer per block, a write copies the block it lands in and only while
+//! another clone still reads it, dropping a clone frees the blocks nobody
+//! else holds, and nothing is ever reallocated at twice its size. What an
+//! append costs is therefore the blocks it writes to — the tail a group
+//! is seeded into, the block of a group that admits a member — and a
+//! copied block takes its neighbours' pointers along, not what is behind
+//! them.
 
 use std::sync::Arc;
 
-/// Elements per block. Measured on the end-to-end harness: at 256 a
-/// 48-byte-record block is 12 KB, small enough that the blocks an append
-/// replaces fit back into the holes the retired epoch leaves; larger
-/// blocks bought nothing on the append and cost resident memory.
-const BLOCK: usize = 256;
+use onex_distance::sketch::{scatter_record, unset_slot, SKETCH_PLANES};
+use onex_distance::{SketchParams, SketchPlanes, SKETCH_STRIDE};
+use onex_tseries::SubseqRef;
 
-/// A vector in fixed-size, individually shared blocks (see the
-/// [module docs](self)).
-///
-/// Every block but the last holds the same fixed number of elements and
-/// the last is never empty, so two vectors of one length are blocked alike —
-/// which is what lets equality and [`Self::shared_blocks`] go block by
-/// block. Reads (`len`, `get`, indexing, iteration, `==`) never copy;
-/// [`Self::push`] and [`Self::get_mut`] copy the one block they write
-/// when, and only when, a clone shares it.
-#[derive(Clone, PartialEq)]
-pub struct BlockVec<T> {
-    blocks: Vec<Arc<Vec<T>>>,
-    len: usize,
+use crate::group::{window, GroupMore, GroupView, SeriesTable, ARC_HEADER};
+
+/// Groups per block. Measured on the end-to-end harness: at 256 a block
+/// is ≈ 10.5 KB, small enough that the blocks an append replaces fit
+/// back into the holes the retired epoch leaves; larger blocks bought
+/// nothing on the append and cost resident memory.
+pub(crate) const BLOCK: usize = 256;
+
+/// 256 groups side by side (see the [module docs](self)). A tail block
+/// is a whole block whose last slots are not in use yet.
+#[derive(Clone)]
+pub(crate) struct Block {
+    /// Each group's first member — under `Seed`, and for any group of
+    /// one, its representative too.
+    pub first: [SubseqRef; BLOCK],
+    /// What a group owns beyond its slot; `None` for a group of one read
+    /// in place.
+    pub more: [Option<Arc<GroupMore>>; BLOCK],
+    /// Each first member's sketch, plane-major with the block as stride:
+    /// plane `p` of slot `s` is byte `p × 256 + s`.
+    pub sketches: [u8; SKETCH_PLANES * BLOCK],
 }
 
-impl<T> BlockVec<T> {
-    /// An empty vector; allocates nothing.
-    pub const fn new() -> Self {
-        BlockVec {
-            blocks: Vec::new(),
-            len: 0,
+impl Block {
+    fn new() -> Block {
+        Block {
+            first: [SubseqRef::new(0, 0, 0); BLOCK],
+            more: [const { None }; BLOCK],
+            sketches: [0; SKETCH_PLANES * BLOCK],
+        }
+    }
+}
+
+/// The similarity groups of one subsequence length, in fixed-size,
+/// individually shared blocks (see the [module docs](self)).
+///
+/// Every block holds the same fixed number of groups, so two columns of
+/// one length are blocked alike — which is what lets
+/// [`Self::shared_blocks`] go block by block. Reads (`len`, `get`, `at`,
+/// iteration, `==`) never copy and hand out [`GroupView`]s; the writers
+/// (crate-internal: seeding, admission, the sketch sync) copy the one
+/// block they write when, and only when, a clone shares it.
+///
+/// Equality is over the groups' content; the derived sketch bytes and
+/// their quantiser do not take part.
+#[derive(Clone, Default)]
+pub struct GroupColumn {
+    blocks: Vec<Arc<Block>>,
+    len: usize,
+    /// What in-place representatives are read through.
+    series: SeriesTable,
+    /// The quantiser every sketch of this column was encoded under,
+    /// frozen the first time the column is synced.
+    params: Option<SketchParams>,
+}
+
+impl PartialEq for GroupColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for GroupColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl GroupColumn {
+    /// An empty column with no series to read in place from; allocates
+    /// nothing.
+    pub fn new() -> Self {
+        GroupColumn::default()
+    }
+
+    /// An empty column whose in-place representatives read `series`.
+    pub(crate) fn over(series: SeriesTable) -> Self {
+        GroupColumn {
+            series,
+            ..GroupColumn::default()
         }
     }
 
-    /// Number of elements.
+    /// Number of groups.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when there is no element.
+    /// True when there is no group.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The element at `index`, if there is one.
+    /// The group at `index`, if there is one.
     #[inline]
-    pub fn get(&self, index: usize) -> Option<&T> {
-        self.blocks.get(index / BLOCK)?.get(index % BLOCK)
+    pub fn get(&self, index: usize) -> Option<GroupView<'_>> {
+        (index < self.len).then(|| self.at(index))
     }
 
-    /// The elements in order.
-    pub fn iter(&self) -> Iter<'_, T> {
+    /// The group at `index`.
+    ///
+    /// # Panics
+    /// Panics when `index` is not below [`Self::len`].
+    #[inline]
+    pub fn at(&self, index: usize) -> GroupView<'_> {
+        assert!(index < self.len, "group {index} of {}", self.len);
+        GroupView::new(&self.blocks[index / BLOCK], index % BLOCK, &self.series)
+    }
+
+    /// The groups in order.
+    pub fn iter(&self) -> Iter<'_> {
         Iter {
-            blocks: self.blocks.iter(),
-            block: [].iter(),
-            ahead: self.len,
+            column: self,
+            next: 0,
         }
     }
 
-    /// Give back what a finished build or decode left over: the tail
-    /// block's unused capacity (when no clone shares it) and the block
-    /// list's. A later [`Self::push`] takes a whole block's worth again.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        if let Some(tail) = self.blocks.last_mut().and_then(Arc::get_mut) {
-            tail.shrink_to_fit();
-        }
-        self.blocks.shrink_to_fit();
+    /// The quantiser the column's sketches were encoded under — `None`
+    /// until the column is first synced (or for a column decoded from a
+    /// file without sketches).
+    #[inline]
+    pub fn params(&self) -> Option<SketchParams> {
+        self.params
     }
 
-    /// Number of blocks the elements are kept in.
+    /// Number of blocks the groups are kept in.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
 
-    /// The block element `index` lives in — of this or any other
-    /// `BlockVec`: blocks are cut at the same places everywhere.
+    /// The block group `index` lives in — of this or any other column:
+    /// blocks are cut at the same places everywhere.
     pub fn block_of(index: usize) -> usize {
         index / BLOCK
     }
 
     /// True when block `block` of `self` and of `other` are one block by
-    /// storage, not just by value: neither vector has written to it since
+    /// storage, not just by value: neither column has written to it since
     /// one was cloned from the other.
     pub fn shares_block(&self, other: &Self, block: usize) -> bool {
         match (self.blocks.get(block), other.blocks.get(block)) {
@@ -103,7 +179,7 @@ impl<T> BlockVec<T> {
         }
     }
 
-    /// How many of this vector's blocks it [shares](Self::shares_block)
+    /// How many of this column's blocks it [shares](Self::shares_block)
     /// with `other`.
     pub fn shared_blocks(&self, other: &Self) -> usize {
         (0..self.blocks.len())
@@ -111,147 +187,281 @@ impl<T> BlockVec<T> {
             .count()
     }
 
-    /// Bytes the vector keeps on the heap: every block at its capacity
-    /// with its reference counts and vector header, and the block list.
-    /// Blocks shared with a clone count in full.
+    /// Bytes the column's blocks keep on the heap: every block whole (an
+    /// unfilled tail is a whole block) with its reference counts, and the
+    /// block list. Blocks shared with a clone count in full; what groups
+    /// own behind their pointers is [`GroupView`]'s to count.
     pub(crate) fn resident_bytes(&self) -> usize {
-        let header = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<T>>();
-        let blocks = self.blocks.iter();
-        blocks
-            .map(|block| header + block.capacity() * std::mem::size_of::<T>())
-            .sum::<usize>()
-            + self.blocks.capacity() * std::mem::size_of::<Arc<Vec<T>>>()
+        self.blocks.len() * (ARC_HEADER + std::mem::size_of::<Block>())
+            + self.blocks.capacity() * std::mem::size_of::<Arc<Block>>()
     }
-}
 
-impl<T: Clone> BlockVec<T> {
-    /// Append an element: into the tail block — copied first if a clone
-    /// shares it — or into a new block when the tail is full.
-    pub fn push(&mut self, value: T) {
+    /// Give back what a finished build or decode left over: the block
+    /// list's unused capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.blocks.shrink_to_fit();
+    }
+
+    /// Read in-place representatives through `series` from now on: the
+    /// table of a dataset that grew. The handles this column already
+    /// reads through are kept — as `series` itself when it leads with
+    /// them, which is what a clone of the same dataset gives.
+    pub(crate) fn adopt_series(&mut self, series: &SeriesTable) {
+        if series.len() <= self.series.len() {
+            return;
+        }
+        let pairs = self.series.iter().zip(series.iter());
+        self.series = if pairs
+            .clone()
+            .all(|(mine, theirs)| Arc::ptr_eq(mine, theirs))
+        {
+            Arc::clone(series)
+        } else {
+            let fresh = &series[self.series.len()..];
+            self.series.iter().chain(fresh).cloned().collect()
+        };
+    }
+
+    /// The next slot, written: of the tail block — copied first if a
+    /// clone shares it — or of a new block when the tail is full. Its
+    /// sketch starts out unset.
+    fn push_slot(&mut self, first: SubseqRef, more: Option<GroupMore>) -> (&mut Block, usize) {
         if self.len.is_multiple_of(BLOCK) {
-            self.blocks.push(Arc::new(Vec::with_capacity(BLOCK)));
+            self.blocks.push(Arc::new(Block::new()));
         }
         let tail = self.blocks.last_mut().expect("a tail block exists");
-        if Arc::get_mut(tail).is_none() {
-            // A clone reads this tail: its replacement is a whole block
-            // from the start, so the elements are copied once.
-            let mut copy = Vec::with_capacity(BLOCK);
-            copy.extend_from_slice(tail);
-            *tail = Arc::new(copy);
-        }
-        let tail = Arc::get_mut(tail).expect("the tail block is this vector's own");
-        // A tail shrunk to its length grows back to a whole block at
-        // once, never by doubling.
-        tail.reserve_exact(BLOCK - tail.len());
-        tail.push(value);
+        let (block, slot) = (Arc::make_mut(tail), self.len % BLOCK);
+        block.first[slot] = first;
+        block.more[slot] = more.map(Arc::new);
+        unset_slot(&mut block.sketches, BLOCK, slot);
         self.len += 1;
+        (block, slot)
     }
 
-    /// The element at `index` for writing, if there is one. The block it
-    /// lives in is copied first when a clone shares it, so no clone ever
-    /// sees the write.
-    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
-        if index >= self.len {
-            return None;
+    /// Seed a group of one whose representative is `first`'s window read
+    /// in place: nothing is copied, nothing allocated. `false` — and no
+    /// group — when `first` does not resolve in the column's series.
+    pub(crate) fn push_seed(&mut self, first: SubseqRef) -> bool {
+        let resolves = window(&self.series, first).is_some();
+        if resolves {
+            self.push_slot(first, None);
         }
-        Arc::make_mut(&mut self.blocks[index / BLOCK]).get_mut(index % BLOCK)
+        resolves
     }
-}
 
-impl<T> Default for BlockVec<T> {
-    fn default() -> Self {
-        BlockVec::new()
+    /// Seed a group of one with a representative of its own (tests, and
+    /// callers with no series to read it from).
+    #[cfg(test)]
+    pub(crate) fn push_owned(&mut self, first: SubseqRef, values: &[f64]) {
+        let more = GroupMore {
+            representative: Some(values.into()),
+            ..GroupMore::default()
+        };
+        self.push_slot(first, Some(more));
     }
-}
 
-impl<T> std::ops::Index<usize> for BlockVec<T> {
-    type Output = T;
-
-    #[inline]
-    fn index(&self, index: usize) -> &T {
-        &self.blocks[index / BLOCK][index % BLOCK]
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for BlockVec<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<T: Clone> FromIterator<T> for BlockVec<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut collected = BlockVec::new();
-        for value in iter {
-            collected.push(value);
+    /// Append a group as a file stored it (see [`crate::persist`]):
+    /// `representative` is read in place wherever it is bit-equal to the
+    /// first member's window in the column's series — always, for a `Seed`
+    /// group or a group of one decoded beside the dataset the file was
+    /// built over — and kept as the group's own copy otherwise;
+    /// `records`, when the file carried sketches, are the members'
+    /// [`SKETCH_STRIDE`]-byte records in order.
+    pub(crate) fn push_decoded(
+        &mut self,
+        representative: impl Iterator<Item = f64> + Clone,
+        members: Vec<SubseqRef>,
+        radius: f64,
+        records: Option<&[u8]>,
+    ) {
+        let first = members[0];
+        let stored = representative.clone();
+        let in_place = window(&self.series, first).is_some_and(|samples| {
+            let mut pairs = samples.iter().zip(stored);
+            pairs.all(|(a, b)| a.to_bits() == b.to_bits())
+        });
+        let own = (!in_place).then(|| representative.collect::<Arc<[f64]>>());
+        let many = members.len() > 1;
+        let more = (many || own.is_some() || radius.to_bits() != 0).then(|| GroupMore {
+            radius,
+            representative: own,
+            planes: match records {
+                Some(records) if many => SketchPlanes::from_records(records),
+                _ => SketchPlanes::default(),
+            },
+            members: if many { members } else { Vec::new() },
+        });
+        let (block, slot) = self.push_slot(first, more);
+        if let Some(records) = records {
+            scatter_record(&records[..SKETCH_STRIDE], &mut block.sketches, BLOCK, slot);
         }
-        collected.shrink_to_fit();
-        collected
+    }
+
+    /// Admit into group `index` a member that passed the admission test
+    /// at distance `dist`. When `centroid` is true the representative is
+    /// updated to remain the running mean of all members — copied out of
+    /// the series first if it was read in place. The group's block, and
+    /// what the group owns, are copied first where a clone (an earlier
+    /// epoch) still shares them, so neither the clone nor the dataset
+    /// ever sees the admission.
+    ///
+    /// # Panics
+    /// Panics when `index` is not below [`Self::len`].
+    pub(crate) fn admit(
+        &mut self,
+        index: usize,
+        member: SubseqRef,
+        values: &[f64],
+        dist: f64,
+        centroid: bool,
+    ) {
+        assert!(index < self.len, "group {index} of {}", self.len);
+        let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
+        let slot = index % BLOCK;
+        let first = block.first[slot];
+        debug_assert_eq!(values.len(), first.len as usize);
+        let more = Arc::make_mut(block.more[slot].get_or_insert_default());
+        if more.members.is_empty() {
+            more.members.push(first);
+        }
+        more.members.push(member);
+        more.radius = more.radius.max(dist);
+        if centroid {
+            let k = more.members.len() as f64;
+            let mean = more.representative.get_or_insert_with(|| {
+                let read_in_place = window(&self.series, first);
+                read_in_place
+                    .expect("checked when the slot was written")
+                    .into()
+            });
+            for (r, &v) in Arc::make_mut(mean).iter_mut().zip(values) {
+                *r += (v - *r) / k;
+            }
+        }
+    }
+
+    /// Freeze the quantiser the column's sketches are encoded under.
+    pub(crate) fn set_params(&mut self, params: SketchParams) {
+        self.params = Some(params);
+    }
+
+    /// Bring group `index`'s sketches up to its members: `encode(member,
+    /// record)` fills the (zeroed) record of each member not sketched
+    /// yet. A group of one gets its slot's 21 bytes written; a group of
+    /// two or more gets new planes of its own — the slots it had, the
+    /// first member's taken from the block if that is where it was, plus
+    /// the new ones — so the planes an earlier epoch reads are never
+    /// rewritten. A group that gained nothing is left alone, its block
+    /// not copied.
+    pub(crate) fn sketch_group(
+        &mut self,
+        index: usize,
+        mut encode: impl FnMut(SubseqRef, &mut [u8]),
+    ) {
+        let group = self.at(index);
+        let (done, members) = (group.sketched(), group.members());
+        if done.cardinality() >= members.len() {
+            return;
+        }
+        let mut first = [0u8; SKETCH_STRIDE];
+        let grown = if members.len() == 1 {
+            encode(members[0], &mut first);
+            None
+        } else {
+            let grown = done.grown(members.len(), |slot, record| encode(members[slot], record));
+            first = grown.record(0);
+            Some(grown)
+        };
+        let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
+        let slot = index % BLOCK;
+        scatter_record(&first, &mut block.sketches, BLOCK, slot);
+        if let Some(grown) = grown {
+            let more = block.more[slot].as_mut().expect("two members and more");
+            Arc::make_mut(more).planes = grown;
+        }
     }
 }
 
-impl<T: Clone> From<Vec<T>> for BlockVec<T> {
-    fn from(values: Vec<T>) -> Self {
-        values.into_iter().collect()
-    }
-}
+impl<'a> IntoIterator for &'a GroupColumn {
+    type Item = GroupView<'a>;
+    type IntoIter = Iter<'a>;
 
-impl<'a, T> IntoIterator for &'a BlockVec<T> {
-    type Item = &'a T;
-    type IntoIter = Iter<'a, T>;
-
-    fn into_iter(self) -> Iter<'a, T> {
+    fn into_iter(self) -> Iter<'a> {
         self.iter()
     }
 }
 
-/// Iterator over a [`BlockVec`]'s elements, block after block.
+/// Iterator over a [`GroupColumn`]'s groups, block after block.
 #[derive(Debug, Clone)]
-pub struct Iter<'a, T> {
-    blocks: std::slice::Iter<'a, Arc<Vec<T>>>,
-    /// What is left of the block being walked.
-    block: std::slice::Iter<'a, T>,
-    /// Elements in the blocks not yet begun.
-    ahead: usize,
+pub struct Iter<'a> {
+    column: &'a GroupColumn,
+    next: usize,
 }
 
-impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = &'a T;
+impl<'a> Iterator for Iter<'a> {
+    type Item = GroupView<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            // Within a block this is a slice iterator and nothing more.
-            if let Some(value) = self.block.next() {
-                return Some(value);
-            }
-            self.block = self.blocks.next()?.iter();
-            self.ahead -= self.block.len();
-        }
+    fn next(&mut self) -> Option<GroupView<'a>> {
+        let group = self.column.get(self.next)?;
+        self.next += 1;
+        Some(group)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.block.len() + self.ahead;
+        let left = self.column.len - self.next;
         (left, Some(left))
     }
 }
 
-impl<T> ExactSizeIterator for Iter<'_, T> {}
+impl ExactSizeIterator for Iter<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::series_table;
+    use onex_distance::sketch::encode_into;
+    use onex_tseries::{Dataset, TimeSeries};
     use proptest::prelude::*;
 
     /// Lengths either side of every block edge.
     const EDGES: [usize; 7] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1];
 
-    fn counted(n: usize) -> BlockVec<u64> {
-        (0..n as u64).collect()
+    /// What a column should read as: per group its members' starts (the
+    /// first one's window being the representative) and its radius.
+    type Model = Vec<(Vec<u32>, f64)>;
+
+    const WINDOW: u32 = 4;
+
+    fn r(start: u32) -> SubseqRef {
+        SubseqRef::new(0, start, WINDOW)
+    }
+
+    fn ramp() -> Dataset {
+        let values = (0..4 * BLOCK + 8).map(|i| i as f64).collect();
+        Dataset::from_series(vec![TimeSeries::new("ramp", values)]).unwrap()
+    }
+
+    /// `n` groups of one over the ramp, group `i` seeded by window `i`.
+    fn counted(ds: &Dataset, n: usize) -> (GroupColumn, Model) {
+        let mut column = GroupColumn::over(series_table(ds));
+        (0..n as u32).for_each(|start| assert!(column.push_seed(r(start))));
+        column.shrink_to_fit();
+        (column, (0..n as u32).map(|s| (vec![s], 0.0)).collect())
+    }
+
+    fn agrees(column: &GroupColumn, model: &Model, ds: &Dataset) -> bool {
+        column.len() == model.len()
+            && column.iter().zip(model).all(|(g, (starts, radius))| {
+                let members: Vec<SubseqRef> = starts.iter().map(|&s| r(s)).collect();
+                g.members() == members
+                    && g.radius() == *radius
+                    && g.representative() == ds.resolve(members[0]).unwrap()
+            })
     }
 
     /// Which blocks of `a` and `b` are not one block by storage.
-    fn unshared(a: &BlockVec<u64>, b: &BlockVec<u64>) -> Vec<usize> {
+    fn unshared(a: &GroupColumn, b: &GroupColumn) -> Vec<usize> {
         (0..a.block_count().max(b.block_count()))
             .filter(|&block| !a.shares_block(b, block))
             .collect()
@@ -259,39 +469,40 @@ mod tests {
 
     #[test]
     fn reads_agree_with_a_vec_at_every_block_edge() {
+        let ds = ramp();
         for n in EDGES {
-            let model: Vec<u64> = (0..n as u64).collect();
-            let v = BlockVec::from(model.clone());
+            let (v, model) = counted(&ds, n);
             assert_eq!((v.len(), v.is_empty()), (n, n == 0));
             assert_eq!(v.block_count(), n.div_ceil(BLOCK));
             assert_eq!(v.iter().len(), n);
-            assert_eq!(v.iter().cloned().collect::<Vec<_>>(), model, "n = {n}");
+            assert!(agrees(&v, &model, &ds), "n = {n}");
             assert_eq!((&v).into_iter().count(), n);
-            for (i, want) in model.iter().enumerate() {
-                assert_eq!((v.get(i), &v[i]), (Some(want), want));
+            for i in 0..n {
+                assert_eq!(v.get(i), Some(v.at(i)));
+                assert_eq!(v.at(i).members(), &[r(i as u32)]);
             }
             assert_eq!(v.get(n), None);
-            assert_eq!(format!("{v:?}"), format!("{model:?}"));
-            // Pushed one at a time it is the same vector.
-            let mut pushed = BlockVec::new();
-            model.iter().for_each(|&x| pushed.push(x));
-            assert_eq!(pushed, v);
+            assert_eq!(format!("{v:?}").matches("GroupView").count(), n);
+            // Seeded one at a time over another handle of the same
+            // samples it is the same column by value.
+            assert_eq!(counted(&ramp(), n).0, v);
         }
     }
 
     #[test]
     #[should_panic]
     fn indexing_past_the_end_panics() {
-        let _ = counted(BLOCK)[BLOCK];
+        let _ = counted(&ramp(), BLOCK).0.at(BLOCK);
     }
 
     #[test]
     fn a_push_into_a_clone_replaces_the_tail_block_and_no_other() {
+        let ds = ramp();
         for n in EDGES {
-            let published = counted(n);
+            let (published, model) = counted(&ds, n);
             let mut next = published.clone();
             assert_eq!(next.shared_blocks(&published), published.block_count());
-            next.push(7);
+            assert!(next.push_seed(r(7)));
             // A full (or absent) tail stays shared beside a new block; a
             // partial one is copied. Either way: the last block only.
             assert_eq!(
@@ -301,26 +512,27 @@ mod tests {
             );
             assert_eq!(next.shared_blocks(&published), n / BLOCK);
             assert_eq!((published.len(), next.len()), (n, n + 1));
-            assert_eq!(next[n], 7);
-            assert_eq!(next.blocks.last().unwrap().capacity(), BLOCK);
-            assert_eq!(published, counted(n));
+            assert_eq!(next.at(n).members(), &[r(7)]);
+            assert!(agrees(&published, &model, &ds));
         }
     }
 
     #[test]
     fn a_write_through_a_clone_replaces_that_elements_block_and_no_other() {
+        let ds = ramp();
         for n in EDGES {
             for i in [0, BLOCK - 1, BLOCK, n.saturating_sub(1)] {
-                let published = counted(n);
+                let (published, model) = counted(&ds, n);
                 let mut next = published.clone();
-                let Some(slot) = next.get_mut(i) else {
-                    assert!(i >= n);
-                    assert!(unshared(&next, &published).is_empty());
+                if i >= n {
+                    assert!(next.get(i).is_none());
                     continue;
-                };
-                *slot = u64::MAX;
-                assert_eq!(unshared(&next, &published), [BlockVec::<u64>::block_of(i)]);
-                assert_eq!((next[i], published[i]), (u64::MAX, i as u64));
+                }
+                next.admit(i, r(900), &[0.0; WINDOW as usize], 2.5, false);
+                assert_eq!(unshared(&next, &published), [GroupColumn::block_of(i)]);
+                assert_eq!(next.at(i).members(), &[r(i as u32), r(900)]);
+                assert_eq!(next.at(i).radius(), 2.5);
+                assert!(agrees(&published, &model, &ds));
                 assert_ne!(next, published);
             }
         }
@@ -328,74 +540,179 @@ mod tests {
 
     #[test]
     fn an_unshared_block_is_written_in_place() {
-        let mut v = counted(BLOCK + 3);
-        let before: Vec<*const u64> = v.blocks.iter().map(|b| b.as_ptr()).collect();
-        *v.get_mut(1).unwrap() = 9;
-        *v.get_mut(BLOCK + 1).unwrap() = 9;
-        let after: Vec<*const u64> = v.blocks.iter().map(|b| b.as_ptr()).collect();
-        assert_eq!(before, after);
-        // A clone that came and went leaves the blocks this vector's own.
+        let ds = ramp();
+        let (mut v, _) = counted(&ds, BLOCK + 3);
+        let blocks = |v: &GroupColumn| -> Vec<*const Block> {
+            v.blocks.iter().map(Arc::as_ptr).collect::<Vec<_>>()
+        };
+        let before = blocks(&v);
+        v.admit(1, r(9), &[0.0; WINDOW as usize], 1.0, false);
+        v.admit(BLOCK + 1, r(9), &[0.0; WINDOW as usize], 1.0, false);
+        assert_eq!(before, blocks(&v));
+        // A clone that came and went leaves the blocks this column's own.
         let clone = v.clone();
         drop(clone);
-        *v.get_mut(2).unwrap() = 9;
-        assert_eq!(
-            before,
-            v.blocks.iter().map(|b| b.as_ptr()).collect::<Vec<_>>()
-        );
+        v.admit(2, r(9), &[0.0; WINDOW as usize], 1.0, false);
+        assert!(v.push_seed(r(11)));
+        assert_eq!(before, blocks(&v));
     }
 
     #[test]
-    fn blocks_never_hold_more_than_a_block_and_a_finished_tail_is_exact() {
-        let mut v = BlockVec::new();
-        for i in 0..(2 * BLOCK + 5) as u64 {
-            v.push(i);
-            assert!(v.blocks.iter().all(|b| b.capacity() == BLOCK), "at {i}");
+    fn blocks_never_hold_more_than_a_block_and_an_unfilled_tail_counts_whole() {
+        let ds = ramp();
+        let mut v = GroupColumn::over(series_table(&ds));
+        let whole = ARC_HEADER + std::mem::size_of::<Block>();
+        assert_eq!(whole, 16 + 41 * BLOCK);
+        for i in 0..2 * BLOCK + 5 {
+            assert!(v.push_seed(r(i as u32)));
+            assert_eq!(v.block_count(), (i + 1).div_ceil(BLOCK), "at {i}");
         }
         v.shrink_to_fit();
-        assert_eq!(v.blocks.last().unwrap().capacity(), 5);
-        let exact = v.resident_bytes();
-        // The shrunk tail takes a whole block again, in one step.
-        v.push(0);
-        assert_eq!(v.blocks.last().unwrap().capacity(), BLOCK);
-        assert!(v.resident_bytes() > exact);
-        assert!(exact >= (2 * BLOCK + 5) * 8);
-        // A tail a clone still reads is left alone.
-        let clone = v.clone();
-        v.shrink_to_fit();
-        assert_eq!(clone.blocks.last().unwrap().capacity(), BLOCK);
+        assert_eq!(v.resident_bytes(), 3 * (whole + 8));
+        // Groups of one own nothing behind their slots.
+        assert!(v.iter().all(|g| g.heap_bytes() == Default::default()));
+    }
+
+    #[test]
+    fn a_column_takes_the_table_of_a_dataset_that_grew_and_keeps_the_handles_it_reads() {
+        let ds = ramp();
+        let (mut column, model) = counted(&ds, 3);
+        let mut grown = ds.clone();
+        grown
+            .push(TimeSeries::new("second", vec![5.0; 16]))
+            .unwrap();
+        let table = series_table(&grown);
+        column.adopt_series(&table);
+        assert!(Arc::ptr_eq(&column.series, &table), "the table is shared");
+        assert!(column.push_seed(SubseqRef::new(1, 2, WINDOW)));
+        assert_eq!(column.at(3).representative(), &[5.0; WINDOW as usize]);
+        // A table that does not lead with the handles this column reads
+        // (another copy of the samples) lends only what is new.
+        let mut other = ramp();
+        other
+            .push(TimeSeries::new("second", vec![6.0; 16]))
+            .unwrap();
+        other.push(TimeSeries::new("third", vec![7.0; 16])).unwrap();
+        column.adopt_series(&series_table(&other));
+        assert_eq!(column.series.len(), 3);
+        assert!(Arc::ptr_eq(&column.series[0], ds.shared(0).unwrap()));
+        assert!(Arc::ptr_eq(&column.series[1], grown.shared(1).unwrap()));
+        assert!(Arc::ptr_eq(&column.series[2], other.shared(2).unwrap()));
+        for (index, (starts, _)) in model.iter().enumerate() {
+            let window = ds.resolve(r(starts[0])).unwrap();
+            assert!(std::ptr::eq(column.at(index).representative(), window));
+        }
+        // A shorter table is no news.
+        column.adopt_series(&series_table(&ds));
+        assert_eq!(column.series.len(), 3);
+    }
+
+    /// The record `encode_into` writes for `member`'s window of the ramp.
+    fn reference(ds: &Dataset, params: &SketchParams, member: SubseqRef) -> [u8; SKETCH_STRIDE] {
+        let mut record = [0u8; SKETCH_STRIDE];
+        encode_into(params, ds.resolve(member).unwrap(), &mut record);
+        record
+    }
+
+    #[test]
+    fn a_group_of_one_that_admits_takes_its_first_sketch_along_unchanged() {
+        let ds = ramp();
+        let params = SketchParams::fit(0.0, 2000.0);
+        let (mut column, _) = counted(&ds, BLOCK + 2);
+        assert!(column.at(5).planes().is_none(), "nothing is sketched yet");
+        let mut encoded = Vec::new();
+        for index in 0..column.len() {
+            column.sketch_group(index, |member, record| {
+                encoded.push(member);
+                encode_into(&params, ds.resolve(member).unwrap(), record);
+            });
+        }
+        assert_eq!(encoded.len(), BLOCK + 2);
+        let one = column.at(5).planes().expect("sketched");
+        let first = one.record(0);
+        assert_eq!(
+            (one.cardinality(), first),
+            (1, reference(&ds, &params, r(5)))
+        );
+
+        // Synced again nothing is encoded and no block is copied.
+        let published = column.clone();
+        for index in 0..column.len() {
+            column.sketch_group(index, |member, _| panic!("{member} sketched twice"));
+        }
+        assert_eq!(column.shared_blocks(&published), 2);
+
+        // Between the admission and the sync the group has no planes to
+        // offer; after it, planes of its own: slot 0 the bytes the block
+        // held, slot 1 the one record the sync asked for.
+        column.admit(5, r(700), &[0.0; WINDOW as usize], 1.0, false);
+        assert!(column.at(5).planes().is_none());
+        assert_eq!(column.at(5).sketched().cardinality(), 1);
+        let mut asked = Vec::new();
+        column.sketch_group(5, |member, record| {
+            asked.push(member);
+            encode_into(&params, ds.resolve(member).unwrap(), record);
+        });
+        assert_eq!(asked, [r(700)]);
+        let two = column.at(5).planes().expect("synced");
+        assert_eq!(two.cardinality(), 2);
+        assert_eq!(two.record(0), first);
+        assert_eq!(two.record(1), reference(&ds, &params, r(700)));
+        assert_eq!(unshared(&column, &published), [0]);
+        // The published epoch still reads its one slot.
+        assert_eq!(published.at(5).planes().unwrap().cardinality(), 1);
+        // Equality never looks at sketches.
+        let (bare, _) = counted(&ds, BLOCK + 2);
+        assert_eq!(bare, published);
+    }
+
+    /// A column equal to `model` by construction: seeds and admissions
+    /// replayed into a fresh one.
+    fn rebuilt(ds: &Dataset, model: &Model) -> GroupColumn {
+        let mut column = GroupColumn::over(series_table(ds));
+        for (index, (starts, radius)) in model.iter().enumerate() {
+            assert!(column.push_seed(r(starts[0])));
+            for &start in &starts[1..] {
+                column.admit(index, r(start), &[0.0; WINDOW as usize], *radius, false);
+            }
+        }
+        column
     }
 
     proptest! {
-        /// A seeded interleaving of `push` / `get_mut` / `clone` / drop
-        /// over a few vectors, each checked against a `Vec` model after
-        /// every step: a write through one clone never shows in another.
+        /// A seeded interleaving of seed / admit / `clone` / drop over a
+        /// few columns, each checked against a `Vec` model after every
+        /// step: a write through one clone never shows in another.
         #[test]
         fn interleaved_writes_to_clones_agree_with_vec_models(
             start in (0..EDGES.len()).prop_map(|edge| EDGES[edge]),
-            ops in prop::collection::vec((0usize..4, any::<u64>()), 1..120),
+            ops in prop::collection::vec((0usize..4, any::<u64>()), 1..60),
         ) {
-            let model: Vec<u64> = (0..start as u64).collect();
-            let mut live = vec![(BlockVec::from(model.clone()), model)];
+            let ds = ramp();
+            let mut live = vec![counted(&ds, start)];
             for (op, x) in ops {
                 let which = (x >> 32) as usize % live.len();
                 match op {
                     0 => {
                         // A burst that crosses a block edge now and then.
+                        let (v, m) = &mut live[which];
                         for j in 0..(x % 300) {
-                            live[which].0.push(x ^ j);
-                            live[which].1.push(x ^ j);
+                            if m.len() >= 4 * BLOCK {
+                                break;
+                            }
+                            let start = ((x ^ j) % (4 * BLOCK as u64)) as u32;
+                            prop_assert!(v.push_seed(r(start)));
+                            m.push((vec![start], 0.0));
                         }
                     }
                     1 => {
                         let (v, m) = &mut live[which];
-                        let i = x as usize % (m.len() + 1);
-                        match (v.get_mut(i), m.get_mut(i)) {
-                            (Some(a), Some(b)) => {
-                                *a = x;
-                                *b = x;
-                            }
-                            (None, None) => {}
-                            _ => prop_assert!(false, "get_mut({i}) disagrees at len {}", m.len()),
+                        if !m.is_empty() {
+                            let i = x as usize % m.len();
+                            let dist = (x % 7) as f64;
+                            v.admit(i, r(x as u32 % 1000), &[0.0; WINDOW as usize], dist, false);
+                            m[i].0.push(x as u32 % 1000);
+                            m[i].1 = m[i].1.max(dist);
                         }
                     }
                     2 if live.len() < 4 => {
@@ -408,8 +725,7 @@ mod tests {
                     _ => {}
                 }
                 for (v, m) in &live {
-                    prop_assert_eq!(v.len(), m.len());
-                    prop_assert!(v.iter().eq(m.iter()));
+                    prop_assert!(agrees(v, m, &ds));
                 }
                 for (a, am) in &live {
                     for (b, bm) in &live {
@@ -417,6 +733,8 @@ mod tests {
                     }
                 }
             }
+            let (v, m) = &live[0];
+            prop_assert_eq!(v, &rebuilt(&ds, m));
         }
     }
 }

@@ -4,10 +4,9 @@ use std::time::{Duration, Instant};
 use onex_api::{Epoch, OnexError};
 use onex_tseries::Dataset;
 
+use crate::group::{series_table, SeriesTable};
 use crate::repindex::{IndexWork, RepresentativeIndex, ResidentIndex};
-use crate::{
-    BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup, SubsequenceSpace,
-};
+use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy, SubsequenceSpace};
 
 /// Constructs the ONEX base from a dataset (paper §3.1, the
 /// "pre-processing step" at the top of Fig 1).
@@ -61,13 +60,13 @@ pub struct BuildReport {
     /// `onex_api::BackendStats` so construction cost is comparable across
     /// index policies the way query cost is across backends.
     pub work: IndexWork,
-    /// Column blocks (group records and sketch handles, over all lengths)
-    /// this run allocated: all of them for a batch build, for an
-    /// extension the ones it wrote to — every other block of the
+    /// Column blocks (one column a length: groups and their sketches in
+    /// the same blocks) this run allocated: all of them for a batch build,
+    /// for an extension the ones it wrote to — every other block of the
     /// extended base is the previous base's own
     /// ([`OnexBase::shared_blocks`]).
     pub blocks_copied: usize,
-    /// Column blocks the reported base is kept in.
+    /// Column blocks the reported base is kept in, over all lengths.
     pub blocks_total: usize,
     /// Series in the collection the reported base covers.
     pub series: usize,
@@ -126,10 +125,11 @@ impl BaseBuilder {
     pub fn build(&self, dataset: &Dataset) -> (OnexBase, BuildReport) {
         let start = Instant::now();
         let space = SubsequenceSpace::new(dataset, &self.config);
+        let series = series_table(dataset);
         let mut per_length = BTreeMap::new();
         let mut work = IndexWork::default();
         for len in space.lengths() {
-            let (groups, w) = self.build_length(dataset, &space, len);
+            let (groups, w) = self.build_length(dataset, &series, &space, len);
             work += w;
             per_length.insert(len, groups);
         }
@@ -151,13 +151,14 @@ impl BaseBuilder {
     ) -> Result<(OnexBase, BuildReport), OnexError> {
         let start = Instant::now();
         let space = SubsequenceSpace::new(dataset, &self.config);
+        let series = series_table(dataset);
         let lengths = space.lengths();
         let threads = threads.clamp(1, lengths.len().max(1));
         if threads <= 1 {
             let mut per_length = BTreeMap::new();
             let mut work = IndexWork::default();
             for len in lengths {
-                let (groups, w) = self.build_length(dataset, &space, len);
+                let (groups, w) = self.build_length(dataset, &series, &space, len);
                 work += w;
                 per_length.insert(len, groups);
             }
@@ -173,11 +174,11 @@ impl BaseBuilder {
             for t in 0..threads {
                 let my_lengths: Vec<usize> =
                     lengths.iter().copied().skip(t).step_by(threads).collect();
-                let space = &space;
+                let (space, series) = (&space, &series);
                 handles.push(scope.spawn(move |_| {
                     my_lengths
                         .into_iter()
-                        .map(|len| (len, self.build_length(dataset, space, len)))
+                        .map(|len| (len, self.build_length(dataset, series, space, len)))
                         .collect::<Vec<_>>()
                 }));
             }
@@ -220,11 +221,10 @@ impl BaseBuilder {
     /// build-aside copy and the caller's base is untouched on **every**
     /// path, success or failure — an erroring extend is observationally a
     /// no-op (there is no half-indexed intermediate to leak). The copy
-    /// is structural: it shares every block of group records and sketch
-    /// handles with `base`, and copies the blocks it writes — the tail a
-    /// group is seeded into, the block of a group that admits a member —
-    /// so an extension costs what its new windows cost
-    /// ([`BuildReport::blocks_copied`]).
+    /// is structural: it shares every column block with `base`, and copies
+    /// the blocks it writes — the tail a group is seeded into, the block
+    /// of a group that admits a member — so an extension costs what its
+    /// new windows cost ([`BuildReport::blocks_copied`]).
     ///
     /// This is [`Self::extend_resident`] over an index that is seeded
     /// for the call and dropped with it.
@@ -301,6 +301,7 @@ impl BaseBuilder {
         // window enumeration, so batch and incremental paths cannot
         // drift apart.
         let space = SubsequenceSpace::new(dataset, &self.config);
+        let series = series_table(dataset);
         let mut admitted = 0usize;
         let mut touched = Vec::new();
         let mut longest_new = 0usize;
@@ -326,13 +327,16 @@ impl BaseBuilder {
             let admission = self.config.admission_radius(len);
             let admission_sq = admission * admission;
             let groups = extended.column_mut(len);
+            // New seeds are read in place from the series the dataset
+            // gained.
+            groups.adopt_series(&series);
             let index = resident.column(self.config.index, len, admission, groups);
             touched.clear();
             for sid in seen..dataset.len() {
                 for r in space.refs_for_series_len(sid, len) {
                     let taken = self
                         .assign_one(dataset, groups, index, r, admission_sq, &mut work)
-                        .map_err(|_| {
+                        .ok_or_else(|| {
                             OnexError::Internal(format!(
                                 "subsequence reference {r} fell out of bounds mid-extension"
                             ))
@@ -358,16 +362,17 @@ impl BaseBuilder {
     fn build_length(
         &self,
         dataset: &Dataset,
+        series: &SeriesTable,
         space: &SubsequenceSpace,
         len: usize,
-    ) -> (BlockVec<SimilarityGroup>, IndexWork) {
+    ) -> (GroupColumn, IndexWork) {
         #[cfg(test)]
         if self.fail_len == Some(len) {
             panic!("injected construction failure at length {len}");
         }
         let admission = self.config.admission_radius(len);
         let admission_sq = admission * admission;
-        let mut groups: BlockVec<SimilarityGroup> = BlockVec::new();
+        let mut groups = GroupColumn::over(SeriesTable::clone(series));
         let mut index = self.config.index.create(len, admission);
         let mut work = IndexWork::default();
         for r in space.refs_for_len(len) {
@@ -381,8 +386,8 @@ impl BaseBuilder {
             )
             .expect("space references are in bounds");
         }
-        // The column lives as long as the base: give back the tail
-        // block's slack.
+        // The column lives as long as the base: give back the block
+        // list's slack.
         groups.shrink_to_fit();
         (groups, work)
     }
@@ -391,42 +396,36 @@ impl BaseBuilder {
     /// every construction path (batch, parallel, incremental) runs
     /// through: join the nearest group within `ST/2`, else seed a new one,
     /// keeping the index in sync with seeded groups and drifting
-    /// centroids. A frozen (`Seed`) representative is `r`'s window read in
-    /// place from `dataset`'s shared series; a centroid starts as the
-    /// group's own copy of it. Returns the index of the group that took
-    /// the member.
-    ///
-    /// # Errors
-    /// `r` does not resolve in `dataset` (nothing was changed).
+    /// centroids. A seeded group's representative is `r`'s window read in
+    /// place from `dataset`'s shared series, whatever the policy; a
+    /// centroid takes its own copy the first time it moves. Returns the
+    /// index of the group that took the member — `None`, with nothing
+    /// changed, when `r` does not resolve in `dataset` or in the series
+    /// `groups` reads.
     fn assign_one(
         &self,
         dataset: &Dataset,
-        groups: &mut BlockVec<SimilarityGroup>,
+        groups: &mut GroupColumn,
         index: &mut dyn RepresentativeIndex,
         r: onex_tseries::SubseqRef,
         admission_sq: f64,
         work: &mut IndexWork,
-    ) -> Result<usize, onex_tseries::Error> {
-        let xs = dataset.resolve(r)?;
+    ) -> Option<usize> {
+        let xs = dataset.resolve(r).ok()?;
         let centroid = self.config.policy == RepresentativePolicy::Centroid;
-        Ok(match index.nearest_within(xs, admission_sq, groups, work) {
+        Some(match index.nearest_within(xs, admission_sq, groups, work) {
             Some((gi, d_sq)) => {
-                let group = groups
-                    .get_mut(gi)
-                    .expect("the index answers with a live group");
-                group.admit(r, xs, d_sq.sqrt(), centroid);
+                groups.admit(gi, r, xs, d_sq.sqrt(), centroid);
                 if centroid {
-                    index.update(gi, group.representative());
+                    index.update(gi, groups.at(gi).representative());
                 }
                 gi
             }
             None => {
-                index.insert(groups.len(), xs);
-                groups.push(if centroid {
-                    SimilarityGroup::seed(r, xs)
-                } else {
-                    SimilarityGroup::seed_in_place(r, dataset).expect("`r` resolved above")
-                });
+                if !groups.push_seed(r) {
+                    return None;
+                }
+                index.insert(groups.len() - 1, xs);
                 groups.len() - 1
             }
         })
@@ -435,7 +434,7 @@ impl BaseBuilder {
     fn finish(
         &self,
         dataset: &Dataset,
-        per_length: BTreeMap<usize, BlockVec<SimilarityGroup>>,
+        per_length: BTreeMap<usize, GroupColumn>,
         start: Instant,
         work: IndexWork,
     ) -> (OnexBase, BuildReport) {

@@ -1,6 +1,10 @@
 use std::sync::Arc;
 
+use onex_distance::sketch::SKETCH_UNSET;
+use onex_distance::{PlanesRef, SketchPlanes};
 use onex_tseries::{Dataset, SubseqRef, TimeSeries};
+
+use crate::blocks::{Block, BLOCK};
 
 /// Identifier of a group inside an [`crate::OnexBase`]: the subsequence
 /// length plus the group's index within that length's group list.
@@ -18,218 +22,127 @@ impl std::fmt::Display for GroupId {
     }
 }
 
-/// One ONEX similarity group: same-length subsequences that passed the
-/// `ST/2` Euclidean admission test against the representative.
-///
-/// A group of one owns no heap. Under the `Seed` policy the
-/// representative *is* the first member's window, frozen, so the group
-/// holds the dataset's shared series handle and reads the window in
-/// place; a lone member sits inline. Only a drifting (`Centroid`)
-/// representative, one decoded from a file without its dataset, and a
-/// member list of two or more are reference-counted blocks of the
-/// group's own.
-///
-/// A clone therefore copies 48 bytes and bumps at most two counters —
-/// for a base that does not compact, the counters of its few dozen
-/// series, not one block per group. A base clones records a block at a
-/// time and only when it writes to one ([`crate::BlockVec`]): the next
-/// epoch shares every other block of records, and what is behind the
-/// copied ones, with the epochs before it. [`Self::admit`] copies on
-/// write in turn: of the groups in a copied block only the one that
-/// admits a member gets storage of its own
-/// ([`Self::shares_storage_with`] tells which).
-#[derive(Debug, Clone)]
-pub struct SimilarityGroup {
-    representative: Representative,
-    members: Members,
+/// The shared handles of a dataset's series, by series id: what a column
+/// reads its in-place representatives through. One table serves every
+/// column a build, an extension or a decode produces, and — holding the
+/// handles every clone of the dataset holds — keeps the samples alive
+/// after the dataset itself is gone.
+pub(crate) type SeriesTable = Arc<[Arc<TimeSeries>]>;
+
+/// The table of `dataset`'s handles.
+pub(crate) fn series_table(dataset: &Dataset) -> SeriesTable {
+    let ids = 0..dataset.len() as u32;
+    ids.filter_map(|id| dataset.shared(id).cloned()).collect()
+}
+
+/// The window `r` of the series in `table`, if it resolves there.
+pub(crate) fn window(table: &[Arc<TimeSeries>], r: SubseqRef) -> Option<&[f64]> {
+    table
+        .get(r.series as usize)?
+        .subsequence(r.start as usize, r.len as usize)
+}
+
+/// What only some groups own, behind the one optional pointer of a
+/// group's slot: a group of one whose representative is its member's
+/// window and whose radius is 0 — every group of a base that does not
+/// compact — has none of it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupMore {
     /// Largest admission distance observed — a certified radius under the
     /// `Seed` policy, an estimate under `Centroid`.
-    max_insert_dist: f64,
+    pub radius: f64,
+    /// The group's own representative: a mean that drifted from the first
+    /// member's window, or whatever a file stored when there was no
+    /// dataset to read it from. `None` reads the window in place.
+    pub representative: Option<Arc<[f64]>>,
+    /// Every member in admission order, the first included — or nothing
+    /// for a group of one, whose member is its slot's.
+    pub members: Vec<SubseqRef>,
+    /// The sketches of `members`, slot for slot, as far as they have been
+    /// synced (a group of one keeps its sketch in its slot).
+    pub planes: SketchPlanes,
 }
 
-/// Where a group's representative sequence lives.
-#[derive(Debug, Clone)]
-pub(crate) enum Representative {
-    /// A frozen seed read in place: `len` samples of `series` from
-    /// `start`, checked in bounds when constructed. The handle is the one
-    /// every clone of the dataset holds, so the samples outlive the
-    /// dataset the group was built over.
-    InPlace {
-        series: Arc<TimeSeries>,
-        start: u32,
-        len: u32,
-    },
-    /// The group's own copy: a running mean, or whatever a file stored.
-    Owned(Arc<[f64]>),
+/// One ONEX similarity group, read where it lies: same-length
+/// subsequences that passed the `ST/2` Euclidean admission test against
+/// the representative.
+///
+/// A group is a slot of a [`crate::GroupColumn`] block — its first
+/// member's reference, that member's 21 sketch bytes and one optional
+/// pointer — and this is a `Copy` view of that slot. A group of one owns
+/// no heap: its representative *is* the first member's window, read in
+/// place from the dataset's shared series through the column's table of
+/// handles, its member list is the slot's reference, its radius 0 and its
+/// sketch the slot's. Only behind the pointer is anything a group's own:
+/// the members from two up with their sketch planes, the radius, a
+/// representative that drifted (`Centroid`) or was decoded without its
+/// dataset.
+///
+/// Equality is over content — representative values (wherever they
+/// live), members, radius — so a group that round-tripped through disk
+/// equals the one that was saved; the derived sketch bytes do not take
+/// part.
+#[derive(Clone, Copy)]
+pub struct GroupView<'a> {
+    block: &'a Block,
+    slot: usize,
+    series: &'a [Arc<TimeSeries>],
 }
 
-impl Representative {
-    /// The window `r` of `dataset`, in place — `None` when `r` does not
-    /// resolve there.
-    pub(crate) fn in_place(dataset: &Dataset, r: SubseqRef) -> Option<Self> {
-        let series = dataset.shared(r.series)?;
-        series.subsequence(r.start as usize, r.len as usize)?;
-        Some(Representative::InPlace {
-            series: Arc::clone(series),
-            start: r.start,
-            len: r.len,
-        })
-    }
-
-    #[inline]
-    pub(crate) fn values(&self) -> &[f64] {
-        match self {
-            Representative::InPlace { series, start, len } => {
-                &series.values()[*start as usize..][..*len as usize]
-            }
-            Representative::Owned(values) => values,
-        }
-    }
-
-    /// The values behind an owned handle, copied out of the series first
-    /// when they were read in place.
-    fn make_mut(&mut self) -> &mut [f64] {
-        if let Representative::InPlace { .. } = self {
-            *self = Representative::Owned(self.values().into());
-        }
-        match self {
-            Representative::Owned(values) => Arc::make_mut(values),
-            Representative::InPlace { .. } => unreachable!("replaced by an owned copy above"),
-        }
-    }
-
-    /// Same storage, not just the same values: one owned block, or one
-    /// window of one shared series.
-    fn shares_storage_with(&self, other: &Representative) -> bool {
-        match (self, other) {
-            (Representative::Owned(a), Representative::Owned(b)) => Arc::ptr_eq(a, b),
-            (
-                Representative::InPlace { series, start, len },
-                Representative::InPlace {
-                    series: other_series,
-                    start: other_start,
-                    len: other_len,
-                },
-            ) => Arc::ptr_eq(series, other_series) && (start, len) == (other_start, other_len),
-            _ => false,
-        }
-    }
-}
-
-/// A group's member references. A base that barely compacts is mostly
-/// groups of one, and a lone member needs no list: it sits inline, with
-/// nothing on the heap to allocate, count references on or chase.
-#[derive(Debug, Clone)]
-enum Members {
-    One(SubseqRef),
-    Many(Arc<Vec<SubseqRef>>),
-}
-
-impl Members {
-    fn from_vec(members: Vec<SubseqRef>) -> Self {
-        match members[..] {
-            [only] => Members::One(only),
-            _ => Members::Many(Arc::new(members)),
-        }
-    }
-
-    fn as_slice(&self) -> &[SubseqRef] {
-        match self {
-            Members::One(only) => std::slice::from_ref(only),
-            Members::Many(list) => list,
-        }
-    }
-
-    fn push(&mut self, member: SubseqRef) {
-        match self {
-            Members::One(first) => *self = Members::Many(Arc::new(vec![*first, member])),
-            Members::Many(list) => Arc::make_mut(list).push(member),
-        }
-    }
-
-    /// Same storage, not just the same references (a lone member has no
-    /// storage to tell apart).
-    fn shares_storage_with(&self, other: &Members) -> bool {
-        match (self, other) {
-            (Members::One(a), Members::One(b)) => a == b,
-            (Members::Many(a), Members::Many(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-/// Equality covers the group's content — representative values (wherever
-/// they live), members, radius — so a group that round-tripped through
-/// disk equals the one that was saved, owned copy or in place.
-impl PartialEq for SimilarityGroup {
+impl PartialEq for GroupView<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.representative() == other.representative()
             && self.members() == other.members()
-            && self.max_insert_dist == other.max_insert_dist
+            && self.radius() == other.radius()
     }
 }
 
-impl SimilarityGroup {
-    /// Seed a new group from its first member, with a representative of
-    /// its own (the `Centroid` policy's starting point).
-    pub fn seed(first: SubseqRef, values: &[f64]) -> Self {
-        SimilarityGroup {
-            representative: Representative::Owned(values.into()),
-            members: Members::One(first),
-            max_insert_dist: 0.0,
+impl std::fmt::Debug for GroupView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupView")
+            .field("representative", &self.representative())
+            .field("members", &self.members())
+            .field("radius", &self.radius())
+            .finish()
+    }
+}
+
+impl<'a> GroupView<'a> {
+    /// Slot `slot` of `block`, in-place windows read through `series`.
+    pub(crate) fn new(block: &'a Block, slot: usize, series: &'a [Arc<TimeSeries>]) -> Self {
+        GroupView {
+            block,
+            slot,
+            series,
         }
     }
 
-    /// Seed a new group whose representative is `first`'s window read in
-    /// place from `dataset`'s shared series (the `Seed` policy: nothing
-    /// is copied, nothing allocated). `None` when `first` does not
-    /// resolve in `dataset`.
-    pub(crate) fn seed_in_place(first: SubseqRef, dataset: &Dataset) -> Option<Self> {
-        Some(SimilarityGroup {
-            representative: Representative::in_place(dataset, first)?,
-            members: Members::One(first),
-            max_insert_dist: 0.0,
-        })
+    #[inline]
+    fn first(&self) -> &'a SubseqRef {
+        &self.block.first[self.slot]
     }
 
-    /// Admit a member that passed the admission test at distance `dist`.
-    /// When `centroid` is true the representative is updated to remain the
-    /// running mean of all members. Storage still shared with a clone
-    /// (an earlier epoch) — or read in place from the series — is copied
-    /// first, so neither the clone nor the dataset ever sees the
-    /// admission.
-    pub fn admit(&mut self, member: SubseqRef, values: &[f64], dist: f64, centroid: bool) {
-        debug_assert_eq!(values.len(), self.len());
-        self.members.push(member);
-        self.max_insert_dist = self.max_insert_dist.max(dist);
-        if centroid {
-            let k = self.cardinality() as f64;
-            for (r, &v) in self.representative.make_mut().iter_mut().zip(values) {
-                *r += (v - *r) / k;
-            }
-        }
-    }
-
-    /// True when `self` and `other` are the same group by storage, not
-    /// just by value: neither has admitted a member since one was cloned
-    /// from the other. For the parts a group keeps inline that is the
-    /// same window of the same series handle, and the same lone member.
-    pub fn shares_storage_with(&self, other: &SimilarityGroup) -> bool {
-        self.representative
-            .shares_storage_with(&other.representative)
-            && self.members.shares_storage_with(&other.members)
+    #[inline]
+    fn more(&self) -> Option<&'a GroupMore> {
+        self.block.more[self.slot].as_deref()
     }
 
     /// The group's representative sequence (centroid or frozen seed).
     #[inline]
-    pub fn representative(&self) -> &[f64] {
-        self.representative.values()
+    pub fn representative(&self) -> &'a [f64] {
+        if let Some(own) = self.more().and_then(|more| more.representative.as_deref()) {
+            return own;
+        }
+        window(self.series, *self.first()).expect("checked when the slot was written")
     }
 
     /// Member references in admission order (the seed is first).
     #[inline]
-    pub fn members(&self) -> &[SubseqRef] {
-        self.members.as_slice()
+    pub fn members(&self) -> &'a [SubseqRef] {
+        match self.more() {
+            Some(more) if !more.members.is_empty() => &more.members,
+            _ => std::slice::from_ref(self.first()),
+        }
     }
 
     /// Number of members (≥ 1 — groups are never empty).
@@ -241,10 +154,7 @@ impl SimilarityGroup {
     /// Subsequence length of this group.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.representative {
-            Representative::InPlace { len, .. } => *len as usize,
-            Representative::Owned(values) => values.len(),
-        }
+        self.first().len as usize
     }
 
     /// Groups are never empty; provided for clippy-idiomatic pairing with
@@ -253,72 +163,131 @@ impl SimilarityGroup {
         false
     }
 
-    /// Largest admission distance observed (see field docs for caveats).
+    /// Largest admission distance observed — a certified radius under the
+    /// `Seed` policy, an estimate under `Centroid`; 0 for a group of one.
     #[inline]
     pub fn radius(&self) -> f64 {
-        self.max_insert_dist
+        self.more().map_or(0.0, |more| more.radius)
     }
 
-    /// Heap bytes this group owns beyond its record: its representative
-    /// (0 when read in place) and its member list (0 for a lone member),
-    /// reference-count headers included.
-    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
-        let representative = match &self.representative {
-            Representative::InPlace { .. } => 0,
-            Representative::Owned(values) => ARC_HEADER + std::mem::size_of_val(&values[..]),
-        };
-        let members = match &self.members {
-            Members::One(_) => 0,
-            Members::Many(list) => {
-                ARC_HEADER
-                    + std::mem::size_of::<Vec<SubseqRef>>()
-                    + std::mem::size_of_val(&list[..])
-            }
-        };
-        (representative, members)
+    /// The first member's sketch where the block keeps it, if anyone has
+    /// written it yet.
+    fn first_sketch(&self) -> PlanesRef<'a> {
+        let slot = PlanesRef::strided(&self.block.sketches, BLOCK, self.slot, 1);
+        if slot.flags(0) == SKETCH_UNSET {
+            PlanesRef::EMPTY
+        } else {
+            slot
+        }
     }
 
-    /// Reconstruct a group from persisted parts (see [`crate::persist`]).
-    pub(crate) fn from_parts(
-        representative: Representative,
-        members: Vec<SubseqRef>,
-        max_insert_dist: f64,
-    ) -> Self {
-        SimilarityGroup {
-            representative,
-            members: Members::from_vec(members),
-            max_insert_dist,
+    /// The member sketches synced so far, slot `i` sketching member `i`:
+    /// possibly fewer than [`Self::cardinality`] between an admission and
+    /// the sync that follows it, none on a base that came without
+    /// sketches.
+    pub fn sketched(&self) -> PlanesRef<'a> {
+        match self.more() {
+            Some(more) if more.planes.cardinality() > 0 => more.planes.view(),
+            _ => self.first_sketch(),
+        }
+    }
+
+    /// The L0 sketches of every member — one slot read by stride out of
+    /// the block for a group of one, the group's own planes from two up —
+    /// or `None` while they do not cover every member, which tells the
+    /// searcher to pass the group's members through.
+    #[inline]
+    pub fn planes(&self) -> Option<PlanesRef<'a>> {
+        let sketched = self.sketched();
+        (sketched.cardinality() >= self.cardinality()).then_some(sketched)
+    }
+
+    /// True when `self` and `other` are the same group by storage, not
+    /// just by value: neither has admitted a member since one's column
+    /// was cloned from the other's. For what a slot keeps inline that is
+    /// the same first member read from the same series handle; for the
+    /// rest, the same block behind the pointer.
+    pub fn shares_storage_with(&self, other: GroupView<'_>) -> bool {
+        let same_more = match (self.more(), other.more()) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        same_more
+            && self.first() == other.first()
+            && std::ptr::eq(self.representative(), other.representative())
+    }
+
+    /// Heap bytes this group owns beyond its slot, by owner —
+    /// reference-count headers included, all zero for a group of one read
+    /// in place.
+    pub(crate) fn heap_bytes(&self) -> GroupHeap {
+        let Some(more) = self.more() else {
+            return GroupHeap::default();
+        };
+        GroupHeap {
+            record: ARC_HEADER + std::mem::size_of::<GroupMore>(),
+            representative: more
+                .representative
+                .as_ref()
+                .map_or(0, |values| ARC_HEADER + std::mem::size_of_val(&values[..])),
+            members: more.members.capacity() * std::mem::size_of::<SubseqRef>(),
+            planes: more.planes.heap_bytes(),
         }
     }
 }
 
+/// Result of [`GroupView::heap_bytes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct GroupHeap {
+    /// The block behind the slot's pointer itself.
+    pub record: usize,
+    /// An owned representative.
+    pub representative: usize,
+    /// The member list's buffer.
+    pub members: usize,
+    /// The group's own sketch planes.
+    pub planes: usize,
+}
+
 /// The strong and weak counts in front of every `Arc` payload.
-const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
+pub(crate) const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GroupColumn;
 
     fn r(start: u32) -> SubseqRef {
         SubseqRef::new(0, start, 3)
     }
 
+    /// A column of one group with a representative of its own.
+    fn owned(first: SubseqRef, values: &[f64]) -> GroupColumn {
+        let mut column = GroupColumn::new();
+        column.push_owned(first, values);
+        column
+    }
+
     #[test]
     fn seed_starts_with_one_member() {
-        let g = SimilarityGroup::seed(r(0), &[1.0, 2.0, 3.0]);
+        let column = owned(r(0), &[1.0, 2.0, 3.0]);
+        let g = column.at(0);
         assert_eq!(g.cardinality(), 1);
         assert_eq!(g.len(), 3);
         assert_eq!(g.representative(), &[1.0, 2.0, 3.0]);
+        assert_eq!(g.members(), &[r(0)]);
         assert_eq!(g.radius(), 0.0);
         assert!(!g.is_empty());
     }
 
     #[test]
     fn centroid_policy_tracks_running_mean() {
-        let mut g = SimilarityGroup::seed(r(0), &[0.0, 0.0]);
-        g.admit(r(1), &[2.0, 4.0], 1.0, true);
-        assert_eq!(g.representative(), &[1.0, 2.0]);
-        g.admit(r(2), &[4.0, 2.0], 1.5, true);
+        let mut column = owned(SubseqRef::new(0, 0, 2), &[0.0, 0.0]);
+        column.admit(0, SubseqRef::new(0, 1, 2), &[2.0, 4.0], 1.0, true);
+        assert_eq!(column.at(0).representative(), &[1.0, 2.0]);
+        column.admit(0, SubseqRef::new(0, 2, 2), &[4.0, 2.0], 1.5, true);
+        let g = column.at(0);
         assert_eq!(g.representative(), &[2.0, 2.0]);
         assert_eq!(g.cardinality(), 3);
         assert_eq!(g.radius(), 1.5);
@@ -326,125 +295,157 @@ mod tests {
 
     #[test]
     fn seed_policy_freezes_representative() {
-        let mut g = SimilarityGroup::seed(r(0), &[0.0, 0.0]);
-        g.admit(r(1), &[2.0, 4.0], 1.0, false);
-        assert_eq!(g.representative(), &[0.0, 0.0]);
+        let mut column = owned(SubseqRef::new(0, 0, 2), &[0.0, 0.0]);
+        column.admit(0, SubseqRef::new(0, 1, 2), &[2.0, 4.0], 1.0, false);
+        assert_eq!(column.at(0).representative(), &[0.0, 0.0]);
+        assert_eq!(column.at(0).radius(), 1.0);
     }
 
     #[test]
     fn admission_copies_on_write_and_leaves_the_clone_untouched() {
-        let mut g = SimilarityGroup::seed(r(0), &[0.0, 0.0]);
-        let published = g.clone();
-        assert!(g.shares_storage_with(&published));
-        g.admit(r(1), &[2.0, 4.0], 1.0, true);
-        assert!(!g.shares_storage_with(&published));
-        assert_eq!(published.members(), &[r(0)]);
-        assert_eq!(published.representative(), &[0.0, 0.0]);
-        assert_eq!(g.representative(), &[1.0, 2.0]);
+        let first = SubseqRef::new(0, 0, 2);
+        let mut column = owned(first, &[0.0, 0.0]);
+        let published = column.clone();
+        assert!(column.at(0).shares_storage_with(published.at(0)));
+        column.admit(0, SubseqRef::new(0, 1, 2), &[2.0, 4.0], 1.0, true);
+        assert!(!column.at(0).shares_storage_with(published.at(0)));
+        assert_eq!(published.at(0).members(), &[first]);
+        assert_eq!(published.at(0).representative(), &[0.0, 0.0]);
+        assert_eq!(column.at(0).representative(), &[1.0, 2.0]);
         // A frozen representative stays shared; only the members split.
         let mut seed = published.clone();
-        seed.admit(r(2), &[0.1, 0.1], 0.1, false);
-        assert!(seed
-            .representative
-            .shares_storage_with(&published.representative));
-        assert!(!seed.shares_storage_with(&published));
+        seed.admit(0, SubseqRef::new(0, 2, 2), &[0.1, 0.1], 0.1, false);
+        assert!(std::ptr::eq(
+            seed.at(0).representative(),
+            published.at(0).representative()
+        ));
+        assert!(!seed.at(0).shares_storage_with(published.at(0)));
     }
 
     fn series() -> Dataset {
         Dataset::from_series(vec![TimeSeries::new("s", vec![1.0, 2.0, 3.0, 4.0, 5.0])]).unwrap()
     }
 
+    /// A column over `ds` seeded in place with the windows at `starts`.
+    fn in_place(ds: &Dataset, starts: &[u32]) -> GroupColumn {
+        let mut column = GroupColumn::over(series_table(ds));
+        for &start in starts {
+            assert!(column.push_seed(r(start)));
+        }
+        column
+    }
+
     #[test]
     fn an_in_place_seed_reads_the_series_and_owns_no_heap() {
         let ds = series();
-        let g = SimilarityGroup::seed_in_place(r(1), &ds).unwrap();
+        let mut column = in_place(&ds, &[1]);
+        let g = column.at(0);
         assert_eq!(g.representative(), &[2.0, 3.0, 4.0]);
         assert_eq!((g.len(), g.cardinality(), g.radius()), (3, 1, 0.0));
-        assert_eq!(g.heap_bytes(), (0, 0));
+        assert_eq!(g.heap_bytes(), GroupHeap::default());
         assert!(std::ptr::eq(
             g.representative().as_ptr(),
             &ds.series(0).unwrap().values()[1]
         ));
         // By value it is the owned seed of the same window.
-        assert_eq!(g, SimilarityGroup::seed(r(1), &[2.0, 3.0, 4.0]));
+        assert_eq!(g, owned(r(1), &[2.0, 3.0, 4.0]).at(0));
         // A window that does not resolve seeds nothing (no panic later).
-        assert!(SimilarityGroup::seed_in_place(r(3), &ds).is_none());
-        assert!(SimilarityGroup::seed_in_place(SubseqRef::new(7, 0, 3), &ds).is_none());
+        assert!(!column.push_seed(r(3)));
+        assert!(!column.push_seed(SubseqRef::new(7, 0, 3)));
+        assert_eq!(column.len(), 1);
     }
 
     #[test]
     fn in_place_storage_is_shared_by_series_handle_and_offset() {
         let ds = series();
-        let mut g = SimilarityGroup::seed_in_place(r(1), &ds).unwrap();
-        let published = g.clone();
-        assert!(g.shares_storage_with(&published));
+        let mut column = in_place(&ds, &[1]);
+        let published = column.clone();
+        assert!(column.at(0).shares_storage_with(published.at(0)));
         // The same window seeded through a clone of the dataset is the
         // same storage; another offset, or an equal copy of the series
         // under another handle, is not.
-        let again = SimilarityGroup::seed_in_place(r(1), &ds.clone()).unwrap();
-        assert!(again.shares_storage_with(&published));
-        let shifted = SimilarityGroup::seed_in_place(r(0), &ds).unwrap();
-        assert!(!shifted.shares_storage_with(&published));
-        let twin = SimilarityGroup::seed_in_place(r(1), &series()).unwrap();
-        assert!(twin == published && !twin.shares_storage_with(&published));
+        let again = in_place(&ds.clone(), &[1]);
+        assert!(again.at(0).shares_storage_with(published.at(0)));
+        let shifted = in_place(&ds, &[0]);
+        assert!(!shifted.at(0).shares_storage_with(published.at(0)));
+        let twin = in_place(&series(), &[1]);
+        assert!(twin.at(0) == published.at(0));
+        assert!(!twin.at(0).shares_storage_with(published.at(0)));
         // A frozen admission splits the members and leaves the window
         // where it is.
-        g.admit(r(2), &[2.1, 3.1, 4.1], 0.2, false);
-        assert!(g
-            .representative
-            .shares_storage_with(&published.representative));
-        assert!(!g.shares_storage_with(&published));
-        assert_eq!(published.members(), &[r(1)]);
+        column.admit(0, r(2), &[2.1, 3.1, 4.1], 0.2, false);
+        assert!(std::ptr::eq(
+            column.at(0).representative(),
+            published.at(0).representative()
+        ));
+        assert!(!column.at(0).shares_storage_with(published.at(0)));
+        assert_eq!(published.at(0).members(), &[r(1)]);
     }
 
     #[test]
     fn an_in_place_seed_asked_to_drift_copies_first() {
         let ds = series();
-        let mut g = SimilarityGroup::seed_in_place(r(0), &ds).unwrap();
-        let published = g.clone();
-        g.admit(r(2), &[3.0, 4.0, 5.0], 1.0, true);
+        let mut column = in_place(&ds, &[0]);
+        let published = column.clone();
+        column.admit(0, r(2), &[3.0, 4.0, 5.0], 1.0, true);
+        let g = column.at(0);
         assert_eq!(g.representative(), &[2.0, 3.0, 4.0]);
-        assert!(g.heap_bytes().0 > 0, "the mean is the group's own now");
+        assert!(
+            g.heap_bytes().representative > 0,
+            "the mean is the group's own now"
+        );
         // Neither the published clone nor the series saw the update.
-        assert_eq!(published.representative(), &[1.0, 2.0, 3.0]);
+        assert_eq!(published.at(0).representative(), &[1.0, 2.0, 3.0]);
         assert_eq!(ds.series(0).unwrap().values(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!(!g.shares_storage_with(&published));
+        assert!(!g.shares_storage_with(published.at(0)));
     }
 
     #[test]
     fn a_group_outlives_its_dataset() {
         let ds = series();
-        let g = SimilarityGroup::seed_in_place(r(2), &ds).unwrap();
+        let column = in_place(&ds, &[2]);
+        let g = column.at(0);
         drop(ds);
         assert_eq!(g.representative(), &[3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn an_admission_through_a_shared_column_copies_that_groups_block_and_storage_only() {
-        use crate::BlockVec;
         let ds = Dataset::from_series(vec![TimeSeries::new("s", vec![0.5; 1000])]).unwrap();
-        let published: BlockVec<SimilarityGroup> = (0..900)
-            .map(|start| SimilarityGroup::seed_in_place(r(start), &ds).unwrap())
-            .collect();
+        let mut published = in_place(&ds, &(0..900).collect::<Vec<u32>>());
+        // A few groups of two, so that there are pointers to share.
+        for index in [3, 300, 599, 601] {
+            published.admit(index, r(991), &[0.5; 3], 0.0, false);
+        }
         let mut next = published.clone();
         let admitting = 600;
-        let group = next.get_mut(admitting).unwrap();
-        group.admit(r(990), &[0.5; 3], 0.0, false);
-        let written = BlockVec::<SimilarityGroup>::block_of(admitting);
+        next.admit(admitting, r(990), &[0.5; 3], 0.0, false);
+        let written = GroupColumn::block_of(admitting);
         for block in 0..next.block_count() {
             assert_eq!(next.shares_block(&published, block), block != written);
         }
-        // The records beside it came along by value and still read the
-        // published groups' storage; the published group saw nothing.
-        assert!(next[admitting - 1].shares_storage_with(&published[admitting - 1]));
-        assert!(!next[admitting].shares_storage_with(&published[admitting]));
-        assert_eq!(published[admitting].members(), &[r(admitting as u32)]);
-        assert_eq!(next[admitting].members(), &[r(admitting as u32), r(990)]);
+        // The slots beside it came along by value and still read the
+        // published groups' storage — every other group's pointer is the
+        // published epoch's — and the published group saw nothing.
+        for index in (0..900).filter(|&index| index != admitting) {
+            assert!(
+                next.at(index).shares_storage_with(published.at(index)),
+                "{index}"
+            );
+        }
+        assert!(!next
+            .at(admitting)
+            .shares_storage_with(published.at(admitting)));
+        assert_eq!(published.at(admitting).members(), &[r(admitting as u32)]);
+        assert_eq!(next.at(admitting).members(), &[r(admitting as u32), r(990)]);
     }
 
     #[test]
-    fn the_record_is_six_words() {
-        assert!(std::mem::size_of::<SimilarityGroup>() <= 48);
+    fn a_slot_is_41_bytes_and_the_rest_sits_behind_one_pointer() {
+        let slot = std::mem::size_of::<Block>() / BLOCK;
+        assert_eq!(slot, 12 + 8 + 21, "a reference, a pointer, a sketch");
+        assert!(std::mem::size_of::<GroupMore>() <= 64);
+        assert!(std::mem::size_of::<GroupView<'_>>() <= 32);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! * [`SubsequenceSpace`] enumerates every subsequence of a dataset for a
 //!   configurable length range and stride — the space the base compacts.
-//! * [`SimilarityGroup`] is one group: a representative sequence, member
-//!   references and a radius — 48 bytes, and for a group of one under
-//!   the `Seed` policy nothing else: the representative is read in place
-//!   from the dataset's shared series.
+//! * [`GroupView`] is one group: a representative sequence, member
+//!   references, a radius and the members' L0 sketches — a 41-byte slot
+//!   of a column block, and for a group of one nothing else: the
+//!   representative is read in place from the dataset's shared series.
 //! * [`BaseBuilder`] constructs the base online: each subsequence joins the
 //!   nearest group of its length when the representative is within `ST/2`
 //!   (Euclidean), otherwise it seeds a new group. Sequential,
@@ -30,14 +30,15 @@
 //!   barely compacts.
 //! * [`OnexBase`] is the finished index: groups per length, compaction
 //!   statistics, invariant auditing, and a versioned binary persistence
-//!   format ([`persist`]). Each length's records sit in a [`BlockVec`]
-//!   ([`blocks`]) — fixed-size copy-on-write blocks — so the next epoch
-//!   of a base shares every block an append did not write to.
-//! * [`SketchIndex`] ([`sketch`]) carries a quantised-PAA sketch per
-//!   member — the L0 prefilter tier the query engine consults before
-//!   touching any f64 data. Derived and rebuildable; persistence format
-//!   v2 additionally stores the sketches verbatim so a loaded base prunes
-//!   immediately.
+//!   format ([`persist`]). Each length is one [`GroupColumn`]
+//!   ([`blocks`]) — fixed-size copy-on-write blocks of 256 groups — so
+//!   the next epoch of a base shares every block an append did not write
+//!   to.
+//! * The columns carry a quantised-PAA sketch per member ([`sketch`],
+//!   read through [`SketchIndex`]) — the L0 prefilter tier the query
+//!   engine consults before touching any f64 data. Derived and
+//!   rebuildable; persistence format v2 additionally stores the sketches
+//!   verbatim so a loaded base prunes immediately.
 //!
 //! The `ST/2` insert rule plus the Euclidean triangle inequality yield the
 //! paper's pairwise guarantee: two members of one group are within `ST` of
@@ -61,10 +62,10 @@ pub mod sketch;
 mod space;
 
 pub use base::{AuditReport, BaseStats, Footprint, LengthStats, OnexBase};
-pub use blocks::BlockVec;
+pub use blocks::GroupColumn;
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
-pub use group::{GroupId, SimilarityGroup};
+pub use group::{GroupId, GroupView};
 pub use repindex::{
     IndexPolicy, IndexWork, LinearScan, PaaGrid, RepresentativeIndex, ResidentIndex,
 };

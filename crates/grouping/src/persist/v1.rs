@@ -29,8 +29,7 @@ use onex_api::{OnexError, StorageErrorKind};
 use onex_storage::{fnv1a64, Reader};
 use onex_tseries::SubseqRef;
 
-use crate::group::Representative;
-use crate::{BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup};
+use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
 
 pub(super) const MAGIC: &[u8; 8] = b"ONEXBASE";
 const VERSION: u32 = 1;
@@ -187,13 +186,13 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
         // Smallest possible group: representative + radius + member
         // count + one member.
         let n_groups = r.counted(rep_bytes + 8 + 4 + 8)?;
-        let mut gs = BlockVec::new();
+        // No dataset here: every group keeps a copy of what was stored.
+        let mut gs = GroupColumn::new();
         for _ in 0..n_groups {
-            let rep: std::sync::Arc<[f64]> = r
+            let rep = r
                 .take(rep_bytes)?
                 .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
             let radius = r.f64()?;
             let n_members = r.counted(8)?;
             if n_members == 0 {
@@ -208,11 +207,7 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
                     SubseqRef::new(series, start, len as u32)
                 })
                 .collect();
-            gs.push(SimilarityGroup::from_parts(
-                Representative::Owned(rep),
-                members,
-                radius,
-            ));
+            gs.push_decoded(rep, members, radius, None);
         }
         gs.shrink_to_fit();
         if groups.insert(len, gs).is_some() {

@@ -27,21 +27,21 @@
 //! [`SketchParams`](onex_distance::SketchParams) so appended members
 //! keep encoding under the same quantisation. The section is an array of
 //! 24-byte records whatever the base holds in memory: a load transposes
-//! each group's run of records into its resident
-//! [`SketchPlanes`](onex_distance::SketchPlanes) as it copies them, and a
+//! each group's run of records into its resident plane bytes — the first
+//! member's into the group's slot of its column block, all of them into
+//! the group's own planes from two members up — as it copies them, and a
 //! save writes records back.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use onex_api::{OnexError, StorageErrorKind};
-use onex_distance::{SketchParams, SketchPlanes, SKETCH_STRIDE};
+use onex_distance::{SketchParams, SKETCH_STRIDE};
 use onex_storage::{put_f64, put_u32, put_u64, put_u8, Segment, SegmentBuilder};
 use onex_tseries::{Dataset, SubseqRef};
 
-use crate::group::Representative;
-use crate::sketch::LengthSketches;
-use crate::{BaseConfig, BlockVec, OnexBase, RepresentativePolicy, SimilarityGroup};
+use crate::group::series_table;
+use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
 
 /// Section id: the fixed-size configuration record.
 pub const SEC_CONFIG: u32 = 1;
@@ -86,20 +86,15 @@ fn corrupt(msg: impl Into<String>) -> OnexError {
 
 /// Serialise a base as a v2 segment image.
 ///
-/// The sketch section is written only when the base's [`crate::SketchIndex`]
-/// completely covers every group (all-or-nothing at file level): a
-/// partially synced index would load as sketches the searcher trusts to
+/// The sketch section is written only when the base's sketches
+/// completely cover every group (all-or-nothing at file level): a
+/// partially synced base would load as sketches the searcher trusts to
 /// be slot-parallel with the members.
 pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     let cfg = base.config();
     let sketches_complete = base.lengths().all(|len| {
         let gs = base.groups_for_len(len);
-        base.sketches().for_len(len).is_some_and(|ls| {
-            gs.iter().enumerate().all(|(gi, g)| {
-                ls.group(gi)
-                    .is_some_and(|s| s.cardinality() == g.cardinality())
-            })
-        })
+        gs.params().is_some() && gs.iter().all(|g| g.planes().is_some())
     });
 
     let mut lengths_sec = Vec::new();
@@ -110,7 +105,6 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     let (mut group_cursor, mut member_cursor, mut rep_cursor) = (0u64, 0u64, 0u64);
     for len in base.lengths() {
         let gs = base.groups_for_len(len);
-        let ls = base.sketches().for_len(len);
         let member_count: usize = gs.iter().map(|g| g.cardinality()).sum();
         put_u64(&mut lengths_sec, len as u64);
         put_u64(&mut lengths_sec, group_cursor);
@@ -118,14 +112,10 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
         put_u64(&mut lengths_sec, member_cursor);
         put_u64(&mut lengths_sec, member_count as u64);
         put_u64(&mut lengths_sec, rep_cursor);
-        let params = if sketches_complete {
-            ls.map(|l| l.params())
-        } else {
-            None
-        };
+        let params = gs.params().filter(|_| sketches_complete);
         put_f64(&mut lengths_sec, params.map_or(0.0, |p| p.vmin));
         put_f64(&mut lengths_sec, params.map_or(0.0, |p| p.step));
-        for (gi, g) in gs.iter().enumerate() {
+        for g in gs {
             put_u64(&mut groups_sec, member_cursor);
             put_u64(&mut groups_sec, g.cardinality() as u64);
             put_f64(&mut groups_sec, g.radius());
@@ -137,10 +127,8 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
                 put_u32(&mut members_sec, m.start);
             }
             if sketches_complete {
-                ls.expect("complete")
-                    .group(gi)
-                    .expect("planes")
-                    .write_records(&mut sketches_sec);
+                let planes = g.planes().expect("complete");
+                planes.write_records(&mut sketches_sec);
             }
             member_cursor += g.cardinality() as u64;
             rep_cursor += len as u64;
@@ -440,13 +428,14 @@ impl BaseSegment {
     /// Idempotent — re-resolving replaces the column with identical
     /// data.
     ///
-    /// With the `dataset` the base was built over, a `Seed` column comes
-    /// back as it was built: every group whose stored representative is
-    /// bit-equal to its first member's window there (always, in a file
-    /// this code wrote) reads that window in place and allocates nothing
-    /// for it. A group that differs, or whose member does not resolve,
-    /// keeps an owned copy of what the file stored — as every group does
-    /// without a dataset, or under `Centroid`.
+    /// With the `dataset` the base was built over, a column comes back as
+    /// it was built: every group whose stored representative is bit-equal
+    /// to its first member's window there — a frozen seed, a group of one
+    /// under either policy (always, in a file this code wrote) — reads
+    /// that window in place and allocates nothing for it. A group that
+    /// differs (a centroid that drifted), or whose member does not
+    /// resolve, keeps an owned copy of what the file stored — as every
+    /// group does without a dataset.
     ///
     /// # Errors
     /// [`OnexError::Storage`] if the column's group records are
@@ -465,10 +454,16 @@ impl BaseSegment {
         let reps_sec = self.seg.section(SEC_REPS).expect("validated");
         let members_sec = self.seg.section(SEC_MEMBERS).expect("validated");
 
-        // Only a frozen seed is its first member's window.
-        let adopt = dataset.filter(|_| self.config.policy == RepresentativePolicy::Seed);
-        let mut groups = BlockVec::new();
-        let mut planes = self.has_sketches.then(BlockVec::new);
+        let mut groups = GroupColumn::over(dataset.map(series_table).unwrap_or_default());
+        let sketches = self
+            .has_sketches
+            .then(|| self.seg.section(SEC_SKETCHES).expect("validated"));
+        if sketches.is_some() {
+            groups.set_params(SketchParams {
+                vmin: e.vmin,
+                step: e.step,
+            });
+        }
         let records = &groups_sec
             [e.group_start * GROUP_STRIDE..(e.group_start + e.group_count) * GROUP_STRIDE];
         let mut member_cursor = e.member_start;
@@ -497,28 +492,14 @@ impl BaseSegment {
                     SubseqRef::new(series, start, len as u32)
                 })
                 .collect();
-            if let Some(planes) = planes.as_mut() {
-                let sk = self.seg.section(SEC_SKETCHES).expect("validated");
-                planes.push(SketchPlanes::from_records(
-                    &sk[member_start * SKETCH_STRIDE
-                        ..(member_start + member_count) * SKETCH_STRIDE],
-                ));
-            }
+            let sketched = sketches
+                .map(|sk| &sk[member_start * SKETCH_STRIDE..][..member_count * SKETCH_STRIDE]);
             member_cursor += member_count;
             let stored = reps_sec
                 [(e.rep_start + gi * e.len) * 8..(e.rep_start + (gi + 1) * e.len) * 8]
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
-            let rep = adopt
-                .and_then(|dataset| Representative::in_place(dataset, members[0]))
-                .filter(|window| {
-                    let window = window.values().iter();
-                    window
-                        .zip(stored.clone())
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-                })
-                .unwrap_or_else(|| Representative::Owned(stored.collect()));
-            groups.push(SimilarityGroup::from_parts(rep, members, radius));
+            groups.push_decoded(stored, members, radius, sketched);
         }
         if member_cursor != e.member_start + e.member_count {
             return Err(corrupt(format!(
@@ -528,17 +509,7 @@ impl BaseSegment {
             )));
         }
         groups.shrink_to_fit();
-        let sketches = planes.map(|mut s| {
-            s.shrink_to_fit();
-            LengthSketches::from_parts(
-                SketchParams {
-                    vmin: e.vmin,
-                    step: e.step,
-                },
-                s,
-            )
-        });
-        base.install_length(len, groups, sketches);
+        base.install_length(len, groups);
         Ok(true)
     }
 
@@ -570,7 +541,7 @@ impl BaseSegment {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{kind_of, sample_base};
+    use super::super::tests::{kind_of, sample_base, to_bytes};
     use super::*;
 
     #[test]
@@ -653,10 +624,12 @@ mod tests {
         let far = vec![1e3; len];
         let env = onex_distance::Envelope::build(&far, len);
         let qs = onex_distance::QuerySketch::new(&far, &env, ls.params());
-        let planes = ls.group(0).unwrap();
-        let mut survivors = Vec::new();
-        qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
-        assert!(survivors.is_empty(), "{survivors:?}");
+        for group in cold.groups_for_len(len) {
+            let planes = group.planes().expect("sketched as loaded");
+            let mut survivors = Vec::new();
+            qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
+            assert!(survivors.is_empty(), "{survivors:?}");
+        }
         // A length the file does not index resolves to "not present".
         assert!(!seg.load_length(&mut cold, 9999, None).unwrap());
         // Re-resolving is idempotent.
@@ -738,7 +711,10 @@ mod tests {
         );
         assert!(mixed.footprint().owned_representatives < owned.footprint().owned_representatives);
 
-        // A centroid is nobody's window: a Centroid file adopts nothing.
+        // A centroid that drifted is nobody's window: a Centroid file
+        // comes back with the means its groups of two and more own, and
+        // with its groups of one — a mean of one is that window — read in
+        // place, as it was built.
         let centroid = BaseConfig {
             policy: RepresentativePolicy::Centroid,
             ..config
@@ -752,20 +728,23 @@ mod tests {
         assert_eq!(loaded, drifted);
         let means = loaded.footprint().owned_representatives;
         assert_eq!(means, drifted.footprint().owned_representatives);
-        assert!(means > 0);
+        let drifted_samples = |base: &OnexBase| -> usize {
+            let groups = base.iter().filter(|(_, g)| g.cardinality() > 1);
+            groups.map(|(_, g)| g.len()).sum()
+        };
+        assert!(drifted_samples(&loaded) > 0 && means >= 8 * drifted_samples(&loaded));
+        for (id, g) in loaded.iter().filter(|(_, g)| g.cardinality() == 1) {
+            let window = ds.resolve(g.members()[0]).unwrap();
+            assert!(std::ptr::eq(g.representative(), window), "{id}");
+        }
     }
 
     #[test]
     fn base_without_sketches_round_trips_without_the_section() {
         let base = sample_base();
-        // Strip the sketches by rebuilding from parts.
-        let stripped = {
-            let mut groups = BTreeMap::new();
-            for len in base.lengths() {
-                groups.insert(len, base.groups_for_len(len).clone());
-            }
-            OnexBase::from_parts(base.config().clone(), groups, base.source_series())
-        };
+        // Strip the sketches: a v1 file does not carry them.
+        let stripped = crate::persist::load(to_bytes(&base).as_slice()).unwrap();
+        assert_eq!(stripped, base);
         let seg = BaseSegment::from_bytes(save_v2(&stripped)).unwrap();
         assert!(!seg.has_sketches());
         let back = seg.load_all().unwrap();

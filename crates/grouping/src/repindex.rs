@@ -81,7 +81,7 @@ use std::str::FromStr;
 use onex_api::OnexError;
 use onex_distance::ed::ed_early_abandon_sq;
 
-use crate::{BlockVec, SimilarityGroup};
+use crate::GroupColumn;
 
 /// Work accounting for one construction run, mirroring the query-side
 /// `onex_api::BackendStats` triple so construction effort can be compared
@@ -192,7 +192,7 @@ pub trait RepresentativeIndex: Send {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &BlockVec<SimilarityGroup>,
+        groups: &GroupColumn,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)>;
 
@@ -204,6 +204,10 @@ pub trait RepresentativeIndex: Send {
 
     /// Stable implementation name for reports.
     fn name(&self) -> &'static str;
+
+    /// Heap bytes the index keeps, worked out from capacities (no
+    /// allocator hook).
+    fn resident_bytes(&self) -> usize;
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +225,7 @@ impl RepresentativeIndex for LinearScan {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &BlockVec<SimilarityGroup>,
+        groups: &GroupColumn,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
@@ -245,6 +249,10 @@ impl RepresentativeIndex for LinearScan {
     fn name(&self) -> &'static str {
         "linear"
     }
+
+    fn resident_bytes(&self) -> usize {
+        0
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -258,6 +266,10 @@ const SEGMENTS: usize = 4;
 /// (a radius or a rounding allowance far above the cell width) scans
 /// every cell instead.
 const ROW_CAP: i128 = 8;
+/// What a cell costs in the map beside its entries: its key, its vector
+/// header and its share of a B-tree node (eleven cells to a full leaf,
+/// about two thirds full, plus the inner nodes above them).
+const CELL_BYTES: usize = 64;
 /// Relative error a mean can carry from being stored as `f32` (one unit
 /// in the last place — twice round-to-nearest's worst case).
 const F32_ULP: f64 = f32::EPSILON as f64;
@@ -290,7 +302,10 @@ struct Paa {
 ///
 /// An insert is one push, a centroid update moves the entry to its new
 /// cell — there is one entry per group at all times — and seeding from
-/// a base is one pass of inserts.
+/// a base is one pass of inserts. Where each group's entry sits is only
+/// ever asked by an update, so that directory is built by the first one:
+/// under the `Seed` policy no representative moves and a column never
+/// carries it.
 #[derive(Debug)]
 pub struct PaaGrid {
     /// Segment `s` covers `cuts[s]..cuts[s + 1]`.
@@ -307,8 +322,12 @@ pub struct PaaGrid {
     /// can be out against each other.
     ulps: f64,
     cells: BTreeMap<Cell, Vec<Entry>>,
-    /// Per group: the cell its entry is filed in and the slot there.
-    home: Vec<(Cell, u32)>,
+    /// Entries filed, one per group.
+    entries: usize,
+    /// Per group: the cell its entry is filed in and the slot there —
+    /// built from `cells` by the first [`RepresentativeIndex::update`] and
+    /// kept in step from then on.
+    home: Option<Vec<(Cell, u32)>>,
 }
 
 impl PaaGrid {
@@ -328,8 +347,20 @@ impl PaaGrid {
             width: half_roots.map(|root| radius.abs() / root),
             ulps: (len as f64 + 16.0) * f64::EPSILON,
             cells: BTreeMap::new(),
-            home: Vec::new(),
+            entries: 0,
+            home: None,
         }
+    }
+
+    /// Where every group's entry sits, read off the cells.
+    fn directory(&self) -> Vec<(Cell, u32)> {
+        let mut home = vec![((0, 0), 0); self.entries];
+        for (&cell, entries) in &self.cells {
+            for (slot, entry) in entries.iter().enumerate() {
+                home[entry.gid as usize] = (cell, slot as u32);
+            }
+        }
+        home
     }
 
     fn paa(&self, xs: &[f64]) -> Paa {
@@ -392,7 +423,7 @@ impl RepresentativeIndex for PaaGrid {
         &mut self,
         xs: &[f64],
         radius_sq: f64,
-        groups: &BlockVec<SimilarityGroup>,
+        groups: &GroupColumn,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
         let query = self.paa(xs);
@@ -427,7 +458,7 @@ impl RepresentativeIndex for PaaGrid {
                 }
                 examined += 1;
                 let gid = entry.gid as usize;
-                let d_sq = ed_early_abandon_sq(xs, groups[gid].representative(), bound_sq);
+                let d_sq = ed_early_abandon_sq(xs, groups.at(gid).representative(), bound_sq);
                 if d_sq.is_finite() {
                     offer(&mut best, radius_sq, gid, d_sq);
                 }
@@ -452,21 +483,28 @@ impl RepresentativeIndex for PaaGrid {
         }
         work.examined += examined;
         work.distance_calls += examined;
-        work.pruned += self.home.len() - examined;
+        work.pruned += self.entries - examined;
         best
     }
 
     fn insert(&mut self, group: usize, representative: &[f64]) {
-        assert_eq!(group, self.home.len(), "group ids are issued densely");
+        assert_eq!(group, self.entries, "group ids are issued densely");
         let (cell, entry) = self.file(group, representative);
         let entries = self.cells.entry(cell).or_default();
-        self.home.push((cell, entries.len() as u32));
+        if let Some(home) = &mut self.home {
+            home.push((cell, entries.len() as u32));
+        }
         entries.push(entry);
+        self.entries += 1;
     }
 
     fn update(&mut self, group: usize, representative: &[f64]) {
         let (cell, entry) = self.file(group, representative);
-        let (old, slot) = self.home[group];
+        if self.home.is_none() {
+            self.home = Some(self.directory());
+        }
+        let home = self.home.as_mut().expect("built above");
+        let (old, slot) = home[group];
         let entries = self
             .cells
             .get_mut(&old)
@@ -477,17 +515,25 @@ impl RepresentativeIndex for PaaGrid {
         }
         entries.swap_remove(slot as usize);
         if let Some(moved) = entries.get(slot as usize) {
-            self.home[moved.gid as usize].1 = slot;
+            home[moved.gid as usize].1 = slot;
         } else if entries.is_empty() {
             self.cells.remove(&old);
         }
         let entries = self.cells.entry(cell).or_default();
-        self.home[group] = (cell, entries.len() as u32);
+        home[group] = (cell, entries.len() as u32);
         entries.push(entry);
     }
 
     fn name(&self) -> &'static str {
         "grid"
+    }
+
+    fn resident_bytes(&self) -> usize {
+        let filed = self.cells.values().map(Vec::capacity).sum::<usize>();
+        let home = self.home.as_ref().map_or(0, Vec::capacity);
+        filed * std::mem::size_of::<Entry>()
+            + self.cells.len() * CELL_BYTES
+            + home * std::mem::size_of::<(Cell, u32)>()
     }
 }
 
@@ -543,6 +589,13 @@ impl ResidentIndex {
         self.seeds
     }
 
+    /// Heap bytes the seeded columns keep, worked out from capacities: 0
+    /// until an extension seeds the first one.
+    pub fn resident_bytes(&self) -> usize {
+        let columns = self.columns.values();
+        columns.map(|c| c.index.resident_bytes()).sum()
+    }
+
     /// The implementation behind the seeded columns (`"grid"` or
     /// `"linear"`), `"none"` when nothing is seeded.
     pub fn kind(&self) -> &'static str {
@@ -560,7 +613,7 @@ impl ResidentIndex {
         policy: IndexPolicy,
         len: usize,
         radius: f64,
-        groups: &BlockVec<SimilarityGroup>,
+        groups: &GroupColumn,
     ) -> &mut dyn RepresentativeIndex {
         let resident = self
             .columns
@@ -611,8 +664,17 @@ mod tests {
     use super::*;
     use onex_tseries::SubseqRef;
 
-    fn group(values: &[f64]) -> SimilarityGroup {
-        SimilarityGroup::seed(SubseqRef::new(0, 0, values.len() as u32), values)
+    fn first(values: &[f64]) -> SubseqRef {
+        SubseqRef::new(0, 0, values.len() as u32)
+    }
+
+    /// A column of groups of one, each owning one of `representatives`.
+    fn column<V: AsRef<[f64]>>(representatives: impl IntoIterator<Item = V>) -> GroupColumn {
+        let mut groups = GroupColumn::new();
+        for values in representatives {
+            groups.push_owned(first(values.as_ref()), values.as_ref());
+        }
+        groups
     }
 
     /// Deterministic pseudo-random vector stream (SplitMix64).
@@ -646,9 +708,22 @@ mod tests {
         radius: f64,
         seed: u64,
         centroid_rate: f64,
-    ) -> (BlockVec<SimilarityGroup>, PaaGrid) {
+    ) -> (GroupColumn, PaaGrid) {
+        equivalence_drill_from(len, scale, radius, seed, centroid_rate, 0)
+    }
+
+    /// [`equivalence_drill`] in which no representative moves before step
+    /// `drift_from`.
+    fn equivalence_drill_from(
+        len: usize,
+        scale: f64,
+        radius: f64,
+        seed: u64,
+        centroid_rate: f64,
+        drift_from: u32,
+    ) -> (GroupColumn, PaaGrid) {
         let mut rng = Rng(seed);
-        let mut groups: BlockVec<SimilarityGroup> = BlockVec::new();
+        let mut groups = GroupColumn::new();
         let mut linear = LinearScan;
         let mut grid = PaaGrid::new(len, radius);
         let mut lw = IndexWork::default();
@@ -676,21 +751,18 @@ mod tests {
             gw += g1;
             match a {
                 Some((gi, d_sq)) => {
-                    let centroid = rng.next() < centroid_rate;
-                    groups.get_mut(gi).unwrap().admit(
-                        SubseqRef::new(1, step, len as u32),
-                        &xs,
-                        d_sq.sqrt(),
-                        centroid,
-                    );
+                    let centroid = rng.next() < centroid_rate && step >= drift_from;
+                    let member = SubseqRef::new(1, step, len as u32);
+                    groups.admit(gi, member, &xs, d_sq.sqrt(), centroid);
                     if centroid {
-                        linear.update(gi, groups[gi].representative());
-                        grid.update(gi, groups[gi].representative());
+                        linear.update(gi, groups.at(gi).representative());
+                        grid.update(gi, groups.at(gi).representative());
                         updates += 1;
                     }
+                    assert_eq!(grid.home.is_some(), updates > 0, "step {step}");
                 }
                 None => {
-                    groups.push(group(&xs));
+                    groups.push_owned(first(&xs), &xs);
                     linear.insert(groups.len() - 1, &xs);
                     grid.insert(groups.len() - 1, &xs);
                 }
@@ -737,13 +809,43 @@ mod tests {
     #[test]
     fn centroid_updates_leave_exactly_one_entry_per_group_where_it_now_belongs() {
         let (groups, grid) = equivalence_drill(8, 12.0, 4.0, 21, 1.0);
-        assert_eq!(grid.home.len(), groups.len());
+        let home = grid.home.as_ref().expect("updates built the directory");
+        assert_eq!((home.len(), grid.entries), (groups.len(), groups.len()));
+        assert_eq!(home, &grid.directory(), "kept in step with the cells");
         assert!(grid.cells.values().all(|entries| !entries.is_empty()));
         for (gi, g) in groups.iter().enumerate() {
-            let (cell, slot) = grid.home[gi];
+            let (cell, slot) = home[gi];
             assert_eq!(grid.cells[&cell][slot as usize].gid as usize, gi);
             assert_eq!(grid.file(gi, g.representative()).0, cell, "group {gi}");
         }
+    }
+
+    #[test]
+    fn the_directory_is_built_by_the_first_update_however_late_it_comes() {
+        // Frozen representatives never ask where an entry sits: no
+        // directory, and a third of the bytes.
+        let (groups, frozen) = equivalence_drill(16, 8.0, 1.0, 7, 0.0);
+        assert!(frozen.home.is_none());
+        assert_eq!(frozen.entries, groups.len());
+        let filed: usize = frozen.cells.values().map(Vec::capacity).sum();
+        assert_eq!(
+            frozen.resident_bytes(),
+            filed * std::mem::size_of::<Entry>() + frozen.cells.len() * CELL_BYTES
+        );
+        // Three hundred inserts and frozen admissions, then drift: the
+        // first update walks the cells once, and from there on the
+        // directory is the one an index updated from the start keeps (the
+        // drill checks every answer against the linear scan either way).
+        let (groups, late) = equivalence_drill_from(8, 12.0, 4.0, 21, 1.0, 300);
+        let home = late.home.as_ref().expect("built at step 300");
+        assert_eq!(home, &late.directory());
+        assert_eq!(home.len(), groups.len());
+        for (gi, g) in groups.iter().enumerate() {
+            let (cell, slot) = home[gi];
+            assert_eq!(late.cells[&cell][slot as usize].gid as usize, gi);
+            assert_eq!(late.file(gi, g.representative()).0, cell, "group {gi}");
+        }
+        assert!(late.resident_bytes() >= late.entries * (20 + 24));
     }
 
     #[test]
@@ -772,8 +874,7 @@ mod tests {
         // Cells are sized for the column's radius; the interval comes
         // from the call's, so any radius finds the same winner.
         let mut rng = Rng(8);
-        let groups: BlockVec<SimilarityGroup> =
-            (0..300).map(|_| group(&rng.vec(9, 10.0))).collect();
+        let groups = column((0..300).map(|_| rng.vec(9, 10.0)));
         let mut grid = PaaGrid::new(9, 0.5);
         for (gi, g) in groups.iter().enumerate() {
             grid.insert(gi, g.representative());
@@ -804,7 +905,7 @@ mod tests {
         for offset in [0.0, 1e6, 1e9, 1e12, -1e12, 1e13, 1e14, 1e15, -1e15] {
             for _ in 0..400 {
                 let rep: Vec<f64> = rng.vec(len, 100.0).iter().map(|v| v + offset).collect();
-                let groups = BlockVec::from(vec![group(&rep)]);
+                let groups = column([&rep]);
                 let mut grid = PaaGrid::new(len, radius);
                 grid.insert(0, &rep);
                 for (half, sign) in [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)] {
@@ -827,14 +928,14 @@ mod tests {
     #[test]
     fn ties_go_to_the_lowest_group_id() {
         let rep = vec![1.0, 2.0, 3.0, 4.0];
-        let groups = BlockVec::from(vec![group(&[9.0; 4]), group(&rep), group(&rep)]);
+        let groups = column([&[9.0; 4][..], &rep, &rep]);
         let mut work = IndexWork::default();
         let mut grid = PaaGrid::new(4, 1.0);
         // Filed out of id order within the cell: the id decides, not the slot.
         for gi in [0, 1, 2] {
-            grid.insert(gi, groups[gi].representative());
+            grid.insert(gi, groups.at(gi).representative());
         }
-        grid.update(1, groups[1].representative());
+        grid.update(1, groups.at(1).representative());
         let query = vec![1.0, 2.0, 3.0, 4.5];
         let got = grid.nearest_within(&query, 1.0, &groups, &mut work);
         let want = LinearScan.nearest_within(&query, 1.0, &groups, &mut work);
@@ -844,10 +945,10 @@ mod tests {
 
     #[test]
     fn out_of_radius_returns_none() {
-        let groups = BlockVec::from(vec![group(&[100.0; 6])]);
+        let groups = column([[100.0; 6]]);
         let mut grid = PaaGrid::new(6, 1.0);
         let mut work = IndexWork::default();
-        grid.insert(0, groups[0].representative());
+        grid.insert(0, groups.at(0).representative());
         assert_eq!(
             grid.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
             None
@@ -867,11 +968,16 @@ mod tests {
     fn empty_index_returns_none() {
         let mut work = IndexWork::default();
         assert_eq!(
-            PaaGrid::new(2, 10.0).nearest_within(&[1.0, 2.0], 100.0, &BlockVec::new(), &mut work),
+            PaaGrid::new(2, 10.0).nearest_within(
+                &[1.0, 2.0],
+                100.0,
+                &GroupColumn::new(),
+                &mut work
+            ),
             None
         );
         assert_eq!(
-            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &BlockVec::new(), &mut work),
+            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &GroupColumn::new(), &mut work),
             None
         );
     }
@@ -879,7 +985,7 @@ mod tests {
     #[test]
     fn values_past_what_a_stored_mean_holds_scan_every_cell_and_never_panic() {
         let huge = [1e300, -1e300, 1e300, -1e300, 1e300];
-        let groups = BlockVec::from(vec![group(&huge), group(&[f64::MAX; 5]), group(&[0.0; 5])]);
+        let groups = column([huge, [f64::MAX; 5], [0.0; 5]]);
         let mut grid = PaaGrid::new(5, 1.0);
         for (gi, g) in groups.iter().enumerate() {
             grid.insert(gi, g.representative());
@@ -906,8 +1012,7 @@ mod tests {
                     .collect()
             };
             let radius = level * 1.5e-14;
-            let groups: BlockVec<SimilarityGroup> =
-                (0..40).map(|_| group(&near(&mut rng))).collect();
+            let groups = column((0..40).map(|_| near(&mut rng)));
             let mut grid = PaaGrid::new(7, radius);
             for (gi, g) in groups.iter().enumerate() {
                 grid.insert(gi, g.representative());
@@ -950,8 +1055,7 @@ mod tests {
     #[test]
     fn resident_columns_are_seeded_once_and_reseeded_when_they_stop_mirroring() {
         let mut rng = Rng(17);
-        let mut groups: BlockVec<SimilarityGroup> =
-            (0..40).map(|_| group(&rng.vec(8, 6.0))).collect();
+        let mut groups = column((0..40).map(|_| rng.vec(8, 6.0)));
         let mut work = IndexWork::default();
         let mut resident = ResidentIndex::new();
         assert_eq!(
@@ -970,10 +1074,10 @@ mod tests {
         // The builder seeds a group, keeps the index in step, and leaves
         // its receipt: the next extension finds the column resident.
         let before = groups.clone();
-        groups.push(group(&q));
+        groups.push_owned(first(&q), &q);
         resident
             .column(IndexPolicy::Auto, 8, 1.0, &before)
-            .insert(40, groups[40].representative());
+            .insert(40, groups.at(40).representative());
         resident.covered(8, 41);
         let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
         assert_eq!(
@@ -983,7 +1087,7 @@ mod tests {
         assert_eq!(resident.seeds(), 1, "a resident column is not rebuilt");
 
         // A column of another size is not the one this index mirrors.
-        let fewer: BlockVec<SimilarityGroup> = groups.iter().take(7).cloned().collect();
+        let fewer = column(groups.iter().take(7).map(|g| g.representative()));
         resident.column(IndexPolicy::Auto, 8, 1.0, &fewer);
         assert_eq!((resident.entries(), resident.seeds()), (7, 2));
         resident.clear();

@@ -5,13 +5,15 @@
 //! while it measures — builds the end-to-end harness's `cluster` shape (a
 //! collection that does not compact: every group a group of one) and
 //! checks the live heap bytes the base holds per indexed subsequence. A
-//! group of one owns no heap, so that is its 48-byte record and its
-//! 24-byte sketch handle; a private copy of each representative, or a
-//! heap block per one-slot sketch, takes it back above 300.
+//! group of one owns no heap, so that is its 41-byte slot of a column
+//! block — first member, pointer, sketch; a 48-byte record with a 24-byte
+//! sketch handle beside it took 72, a private copy of each
+//! representative takes it back above 300.
 //!
 //! It then extends that base by one series and checks what the append
-//! asked of the allocator: the blocks it writes to, not a copy of every
-//! column (which is 23 MB requested to leave 0.4 MB more live).
+//! asked of the allocator — the blocks it writes to, not a copy of every
+//! column (which is 23 MB requested to leave 0.4 MB more live) — and
+//! what the writer's resident index costs an entry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -101,7 +103,7 @@ fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
     let per_subsequence = held as f64 / subsequences as f64;
     println!("seed: {held} live bytes, {per_subsequence:.1} per subsequence");
     assert!(
-        per_subsequence <= 96.0,
+        per_subsequence <= 48.0,
         "{per_subsequence:.1} live heap bytes per indexed subsequence ({held} in all)"
     );
 
@@ -114,24 +116,31 @@ fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
         "footprint() says {estimate} bytes, the allocator counted {held}"
     );
     // Every representative is read in place; only the few groups of two
-    // and more own anything — a member list and a plane block.
+    // and more own anything — a record, a member list and a plane block.
     assert_eq!(footprint.owned_representatives, 0);
-    assert!(footprint.member_lists + footprint.sketches < footprint.group_records);
+    assert!(footprint.member_lists + footprint.sketches < footprint.group_records / 4);
 
-    // A centroid drifts, so each group keeps its own mean: the same data
-    // costs a representative block per group more, and footprint() sees it.
+    // A centroid drifts, but only once a second member moves it: the
+    // groups of one read their window in place here too, and the same
+    // data costs a mean for each of the few groups of two and more.
     let (centroid_held, centroid) = held_by(|| build(&dataset, RepresentativePolicy::Centroid));
     let means = centroid.footprint().owned_representatives;
     println!(
         "centroid: {centroid_held} live bytes, {:.1} per subsequence, {means} in means",
         centroid_held as f64 / subsequences as f64
     );
-    let samples: usize = centroid.iter().map(|(_, g)| g.len()).sum();
+    let drifted = || centroid.iter().filter(|(_, g)| g.cardinality() > 1);
+    let samples: usize = drifted().map(|(_, g)| g.len()).sum();
     assert!(
-        means >= 8 * samples,
+        drifted().count() > 50,
+        "{} groups drifted",
+        drifted().count()
+    );
+    assert!(
+        means >= 8 * samples && means <= 8 * samples + 16 * drifted().count(),
         "{means} bytes of means for {samples} samples"
     );
-    assert!(centroid_held - held >= (8 * samples) as isize);
+    assert!(centroid_held as f64 <= 52.0 * subsequences as f64);
     let centroid_estimate = centroid.footprint().total() as f64;
     assert!(
         (centroid_estimate - centroid_held as f64).abs() <= 0.15 * centroid_held as f64,
@@ -145,6 +154,7 @@ fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
     let builder = builder(RepresentativePolicy::Seed);
     let mut dataset = dataset;
     let mut resident = ResidentIndex::new();
+    assert_eq!(resident.resident_bytes(), 0);
     let push = |dataset: &mut Dataset, name: &str, seed: u64| {
         dataset
             .push(TimeSeries::new(name, random_walk(256, 1.0, seed)))
@@ -172,10 +182,44 @@ fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
         report.blocks_copied, report.blocks_total
     );
     assert_eq!(next.member_count(), subsequences + 2 * 2_133);
+    // 0.36 and 0.15 as measured (two columns of records and handles
+    // read 0.50 and 0.22), each held to 1.25 times that.
     assert!(
-        requested <= 1.5,
+        requested <= 0.45,
         "one append asked the allocator for {requested:.2} MB"
     );
-    assert!(grew <= 0.35, "one append left {grew:.2} MB more live");
+    assert!(grew <= 0.19, "one append left {grew:.2} MB more live");
     assert!(report.blocks_copied * 4 < report.blocks_total);
+
+    // What the writer keeps between appends: under `Seed` no
+    // representative moves, so an entry is its 20 bytes in a cell's vector
+    // (grown by doubling), a share of the cell, and no directory.
+    let entries = resident.entries();
+    assert_eq!(entries, next.group_count());
+    let estimate = resident.resident_bytes();
+    let live = LIVE.load(Ordering::Relaxed);
+    drop(resident);
+    let index = live - LIVE.load(Ordering::Relaxed);
+    println!(
+        "resident index: {index} live bytes, {:.1} an entry; resident_bytes() says {estimate}",
+        index as f64 / entries as f64
+    );
+    assert!(
+        index as f64 <= 40.0 * entries as f64,
+        "{index} live bytes for {entries} entries"
+    );
+    assert!(
+        (estimate as f64 - index as f64).abs() <= 0.15 * index as f64,
+        "resident_bytes() says {estimate}, the allocator counted {index}"
+    );
+
+    // The base, and a view taken from it, read their windows through the
+    // handles the columns keep: the dataset can go.
+    let len = next.lengths().next().unwrap();
+    let group = next.groups_for_len(len).at(7);
+    let window = dataset.resolve(group.members()[0]).unwrap().to_vec();
+    drop(dataset);
+    assert_eq!(group.representative(), window);
+    let sum: f64 = next.iter().map(|(_, g)| g.representative()[0]).sum();
+    assert!(sum.is_finite());
 }

@@ -483,3 +483,182 @@ fn values_that_overflow_the_distance_admit_nothing_and_never_panic() {
         }
     }
 }
+
+/// Subsequence length of [`edge_collection`]'s one column.
+const EDGE_LEN: usize = 8;
+
+/// One gently sloped series per group, the groups a hundred apart: series
+/// `i` has `cardinalities[i]` windows of [`EDGE_LEN`], all within the
+/// admission radius of its first and of nobody else's, so group `i` is
+/// series `i` with that many members — and its mean, under `Centroid`,
+/// drifts. Series 0 and 1 hold the collection's extremes, so a base begun
+/// on any two series and up freezes the quantiser a batch build freezes.
+fn edge_collection(cardinalities: &[usize]) -> Dataset {
+    let n = cardinalities.len();
+    let level = |i: usize| match i {
+        0 => 0.0,
+        1 => 100.0 * n as f64,
+        _ => 100.0 * (i - 1) as f64,
+    };
+    Dataset::from_series(
+        cardinalities
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let slope = if i == 0 { 1e-4 } else { -1e-4 };
+                let values = (0..EDGE_LEN + c - 1).map(|t| level(i) + slope * t as f64);
+                TimeSeries::new(format!("g{i}"), values.collect())
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Every column of `file` decoded beside `dataset` (or beside nothing).
+fn decoded(file: &[u8], dataset: Option<&Dataset>) -> onex_grouping::OnexBase {
+    let segment = onex_grouping::persist::BaseSegment::from_bytes(file.to_vec()).unwrap();
+    let mut base = segment.empty_base();
+    for len in segment.lengths().collect::<Vec<_>>() {
+        assert!(segment.load_length(&mut base, len, dataset).unwrap());
+    }
+    base
+}
+
+/// What a base holds does not depend on how its columns were filled:
+/// built in one go, decoded from its own file with and without the
+/// dataset, or reached by three appends, it is the same base by `==`, the
+/// same v2 image byte for byte and the same sketches — at every block
+/// edge of the column, with groups of 1, 2, 63, 64 and 65 members in it
+/// (a slot read by stride out of the block, and planes either side of the
+/// searcher's 64-slot step), under both policies.
+#[test]
+fn a_base_is_the_same_base_however_its_columns_were_filled() {
+    use onex_distance::{Envelope, QuerySketch, SKETCH_STRIDE};
+    use onex_grouping::persist::{load, save, save_v2};
+    for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+        for groups in [1usize, 255, 256, 257, 513] {
+            let cardinalities: Vec<usize> = (0..groups)
+                .map(|i| [1, 2, 63, 64, 65, 1, 1, 1][(i + groups) % 8])
+                .collect();
+            let ds = edge_collection(&cardinalities);
+            let what = format!("{policy:?}, {groups} groups");
+            let builder = BaseBuilder::new(BaseConfig {
+                policy,
+                ..BaseConfig::new(1.0, EDGE_LEN, EDGE_LEN)
+            })
+            .unwrap();
+            let (batch, report) = builder.build(&ds);
+            let column = batch.groups_for_len(EDGE_LEN);
+            let built: Vec<usize> = column.iter().map(|g| g.cardinality()).collect();
+            assert_eq!(
+                built, cardinalities,
+                "{what}: the collection groups as designed"
+            );
+            assert_eq!(report.blocks_total, groups.div_ceil(256), "{what}");
+            let image = save_v2(&batch);
+
+            // Its own file, beside the dataset and beside nothing.
+            let adopted = decoded(&image, Some(&ds));
+            let owned = decoded(&image, None);
+            for (way, base) in [("adopted", &adopted), ("owned", &owned)] {
+                assert_eq!(base, &batch, "{what}: {way}");
+                assert!(save_v2(base) == image, "{what}: {way} image");
+                assert_eq!(base.sketches(), batch.sketches(), "{what}: {way}");
+            }
+            let in_place = |base: &onex_grouping::OnexBase| {
+                let groups = base.iter();
+                let own = groups.filter(|(_, g)| {
+                    let window = ds.resolve(g.members()[0]).unwrap();
+                    !std::ptr::eq(g.representative(), window)
+                });
+                own.count()
+            };
+            assert_eq!(
+                in_place(&owned),
+                groups,
+                "{what}: nothing to read in place from"
+            );
+            assert_eq!(
+                in_place(&adopted),
+                in_place(&batch),
+                "{what}: as it was built"
+            );
+            if policy == RepresentativePolicy::Seed {
+                assert_eq!(in_place(&batch), 0, "{what}");
+                assert_eq!(adopted.footprint().owned_representatives, 0, "{what}");
+            } else {
+                let drifted = cardinalities.iter().filter(|&&c| c > 1).count();
+                assert_eq!(in_place(&batch), drifted, "{what}");
+            }
+
+            // A v1 file carries no sketches: until someone syncs it L0 has
+            // nothing to read; synced, it reads what the v2 file stored.
+            let mut v1 = Vec::new();
+            save(&batch, &mut v1).unwrap();
+            let mut synced = load(v1.as_slice()).unwrap();
+            assert_eq!(synced, batch, "{what}: v1");
+            assert!(synced.sketches().is_empty(), "{what}");
+            assert!(synced.iter().all(|(_, g)| g.planes().is_none()), "{what}");
+            synced.sync_sketches(&ds);
+            assert_eq!(synced.sketches(), owned.sketches(), "{what}: v1 + sync");
+            assert!(save_v2(&synced) == image, "{what}: v1 + sync image");
+
+            // Three appends onto the base of all but the last three series.
+            if groups > 4 {
+                let series: Vec<TimeSeries> = ds.iter().map(|(_, s)| s.clone()).collect();
+                let (head, tail) = series.split_at(groups - 3);
+                let mut grown = Dataset::from_series(head.to_vec()).unwrap();
+                let (mut base, _) = builder.build(&grown);
+                let mut resident = ResidentIndex::new();
+                for s in tail {
+                    grown.push(s.clone()).unwrap();
+                    let previous = base;
+                    let extended = builder.extend_resident(&previous, &grown, &mut resident);
+                    let (next, report) = extended.unwrap();
+                    // One group seeded: the tail block (or a new one).
+                    assert_eq!(report.blocks_copied, 1, "{what}");
+                    assert_eq!(
+                        next.shared_blocks(&previous),
+                        report.blocks_total - 1,
+                        "{what}"
+                    );
+                    base = next;
+                }
+                assert_eq!(base, batch, "{what}: appended");
+                assert!(save_v2(&base) == image, "{what}: appended image");
+                assert_eq!(base.sketches(), batch.sketches(), "{what}: appended");
+                assert_eq!(resident.entries(), groups);
+            }
+
+            // The block test over what each group hands the searcher — one
+            // slot of the block, or planes of its own — decides as the
+            // records do.
+            let params = column.params().expect("built bases are sketched");
+            let query: Vec<f64> = ds.series(2.min(groups as u32 - 1)).unwrap().values()[..EDGE_LEN]
+                .iter()
+                .map(|v| v + 0.3)
+                .collect();
+            let sketch = QuerySketch::new(&query, &Envelope::build(&query, 1), params);
+            for (gi, g) in column.iter().enumerate() {
+                let planes = g.planes().expect("synced");
+                assert_eq!(planes.cardinality(), cardinalities[gi], "{what} g{gi}");
+                let mut records = Vec::new();
+                planes.write_records(&mut records);
+                for bound in [0.0, 1.0, f64::INFINITY] {
+                    let want: Vec<usize> = records
+                        .chunks_exact(SKETCH_STRIDE)
+                        .enumerate()
+                        .filter(|(_, record)| {
+                            let rejected = sketch.bound_sq(record) > bound;
+                            !rejected
+                        })
+                        .map(|(slot, _)| slot)
+                        .collect();
+                    let mut got = Vec::new();
+                    sketch.survivors(planes, 0..planes.cardinality(), bound, &mut got);
+                    assert_eq!(got, want, "{what} g{gi} at {bound}");
+                }
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! The sketches a base carries are the records the one-window encoder
 //! writes.
 //!
-//! `SketchIndex::sync_length` builds them from per-series level columns
+//! The sketch sync builds them from per-series level columns
 //! (`onex_distance::sketch::LevelColumn`); `encode_into` is the
 //! reference. On the end-to-end harness's two base shapes — `cluster`
 //! (random walks, nothing compacts: groups of one) and a cut-down
@@ -10,12 +10,14 @@
 //! window under the length's frozen parameters: after a batch build,
 //! after a parallel build, and after thirty appends some of which leave
 //! the frozen range. The batch-built base's v2 image is pinned to the
-//! length and checksum the parent of this test's commit produced, so the
-//! stored sketches cannot move either.
+//! length and checksum the commit that introduced this test produced, so
+//! the stored sketches cannot move either — and however the resident
+//! layout changes, a base decoded from that image (beside its dataset or
+//! beside nothing), or from a v1 file and synced, saves the same bytes.
 
 use onex_distance::sketch::encode_into;
 use onex_distance::SKETCH_STRIDE;
-use onex_grouping::persist::save_v2;
+use onex_grouping::persist::{load, save, save_v2, BaseSegment};
 use onex_grouping::{BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy, ResidentIndex};
 use onex_storage::fnv1a64;
 use onex_tseries::gen::{clustered_dataset, random_walk_dataset, SyntheticConfig};
@@ -75,6 +77,28 @@ fn check_shape(what: &str, dataset: &Dataset, builder: &BaseBuilder, golden: (us
         "{what}: the v2 image moved ({:#018x})",
         fnv1a64(&image)
     );
+
+    // The file gives the base back, sketches and all, beside its dataset
+    // (groups reading their windows in place) or beside nothing (owned
+    // copies); a v1 file gives back the groups, and a sync the sketches.
+    let segment = BaseSegment::from_bytes(image.clone()).unwrap();
+    for beside in [Some(dataset), None] {
+        let mut loaded = segment.empty_base();
+        for len in batch.lengths() {
+            assert!(segment.load_length(&mut loaded, len, beside).unwrap());
+        }
+        let way = if beside.is_some() { "adopted" } else { "owned" };
+        assert!(loaded == batch, "{what}: {way}");
+        assert!(loaded.sketches() == batch.sketches(), "{what}: {way}");
+        assert!(save_v2(&loaded) == image, "{what}: {way} image");
+    }
+    let mut v1 = Vec::new();
+    save(&batch, &mut v1).unwrap();
+    let mut synced = load(v1.as_slice()).unwrap();
+    assert!(synced.sketches().is_empty(), "{what}: v1 carries none");
+    synced.sync_sketches(dataset);
+    assert!(synced.sketches() == batch.sketches(), "{what}: v1 + sync");
+    assert!(save_v2(&synced) == image, "{what}: v1 + sync image");
 
     let (parallel, _) = builder.build_parallel(dataset, 3).unwrap();
     assert_sketches_are_the_references(&parallel, dataset, what);

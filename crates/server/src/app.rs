@@ -388,17 +388,17 @@ impl App {
         // engine's epoch and a `seeds` count that stays put. A null
         // stamp or `seeds` growing with every append is a re-seed storm:
         // something (failed appends, base installs) keeps invalidating it.
-        let resident = self.engine.resident_index();
+        let index = self.engine.resident_index();
         fields.push((
             "resident_index",
             Json::obj(vec![
-                ("kind", Json::s(resident.kind)),
-                ("entries", resident.entries.into()),
+                ("kind", Json::s(index.kind)),
+                ("entries", index.entries.into()),
                 (
                     "epoch",
-                    resident.epoch.map_or(Json::Null, |e| (e as usize).into()),
+                    index.epoch.map_or(Json::Null, |e| (e as usize).into()),
                 ),
-                ("seeds", (resident.seeds as usize).into()),
+                ("seeds", (index.seeds as usize).into()),
             ]),
         ));
         // A cold-started engine reports where its base came from and how
@@ -427,8 +427,11 @@ impl App {
         // side" made observable, work counters included.
         if let Some(r) = &self.build {
             // What the base it built costs to keep now, appends included:
-            // group records, owned representatives, member lists and
-            // sketches, from lengths and cardinalities.
+            // column blocks (41 bytes a group, its first sketch included),
+            // and what groups of two and more own behind them — members,
+            // planes, drifted means — from lengths and cardinalities; and
+            // beside it what the writer's index costs once an append has
+            // seeded it.
             let resident = self.engine.base().footprint().total();
             fields.push((
                 "build",
@@ -444,6 +447,7 @@ impl App {
                         "resident_bytes_per_subseq",
                         (resident as f64 / stats.members.max(1) as f64).into(),
                     ),
+                    ("resident_index_bytes", index.bytes.into()),
                     (
                         "work",
                         Json::obj(vec![
@@ -681,7 +685,9 @@ impl App {
                     ]),
                 ),
                 // Column blocks this append wrote to, of those the base
-                // is kept in: every other one is the previous epoch's.
+                // is kept in (one column a length, groups and sketches in
+                // the same blocks): every other one is the previous
+                // epoch's.
                 (
                     "blocks",
                     Json::obj(vec![
@@ -943,6 +949,7 @@ mod tests {
             "\"subsequences\":",
             "\"subsequences_per_sec\":",
             "\"resident_bytes_per_subseq\":",
+            "\"resident_index_bytes\":0,",
             "\"work\":{",
             "\"reps_examined\":",
             "\"reps_pruned\":",

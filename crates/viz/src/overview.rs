@@ -46,7 +46,7 @@ impl OverviewPane {
         let groups = base.groups_for_len(len);
         pane.groups = ranked(groups.iter().map(|g| g.cardinality()), max_cells)
             .into_iter()
-            .map(|(gi, cardinality)| (groups[gi].representative().to_vec(), cardinality))
+            .map(|(gi, cardinality)| (groups.at(gi).representative().to_vec(), cardinality))
             .collect();
         pane
     }

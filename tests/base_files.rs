@@ -70,8 +70,8 @@ fn base_saved_after_appends_reloads_with_identical_sketches_and_topk() {
     // The sketch index is byte-exact (PartialEq over planes + params):
     // nothing was re-quantised on the way through the file.
     assert_eq!(
-        *reloaded.base().sketches(),
-        *engine.base().sketches(),
+        reloaded.base().sketches(),
+        engine.base().sketches(),
         "reloaded sketches must be byte-identical to the saved engine's"
     );
     assert_eq!(*reloaded.base(), *engine.base(), "full base round-trips");
