@@ -1,14 +1,13 @@
-//! E12 — base construction at scale: the indexed nearest-representative
-//! lookup against the linear reference, workload × index policy.
+//! E12 — base construction at scale: the exact nearest-representative
+//! grid behind the admission rule, workload by workload.
 //!
 //! Construction is the demo's one-click preprocessing step, so its
-//! latency is user-facing. The linear admission scan costs O(groups) per
+//! latency is user-facing. A linear admission scan costs O(groups) per
 //! subsequence — worst exactly when the base barely compacts (random
-//! walks: groups ≈ subsequences). E12 runs both [`IndexPolicy`] settings
-//! over three shapes of that regime and one that compacts, reporting
-//! wall-clock, throughput, distance-call counts and — crucially — whether
-//! the index produced the *identical* base (it is exact, not an
-//! approximation):
+//! walks: groups ≈ subsequences). E12 builds three shapes of that regime
+//! and one that compacts, reporting wall-clock, throughput and the
+//! grid's work: distance calls started, and representatives examined or
+//! pruned — together what the linear scan would have examined:
 //!
 //! * `walk` — random walks at one length, a size sweep;
 //! * `harness` — what the end-to-end benchmark's `cluster` and `ingest`
@@ -23,19 +22,19 @@
 //!   groups of hundreds of members, so admission is cheap and what is
 //!   left of construction is the pass that sketches every member.
 //!
-//! Every `auto` row also times that pass on its own — one
+//! Every row also times that pass on its own — one
 //! [`OnexBase::sync_sketches`] over the finished groups, the second pass
 //! `BaseBuilder::build` ends with — so the record says where
-//! construction time goes, not only how much there is.
+//! construction time goes, not only how much there is. That the grid
+//! builds the linear scan's base is tier-1's to show (a model of the
+//! admission rule in `onex-grouping`'s tests), not this experiment's.
 
 use std::time::{Duration, Instant};
 
-use onex_grouping::{
-    persist, BaseBuilder, BaseConfig, IndexPolicy, OnexBase, RepresentativePolicy,
-};
+use onex_grouping::{persist, BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy};
 use onex_tseries::Dataset;
 
-use crate::harness::{fmt_duration, fmt_speedup, Table};
+use crate::harness::{fmt_duration, Table};
 use crate::workloads;
 
 /// Subsequence length of the single-length rows (keeps the comparison
@@ -45,7 +44,7 @@ const SUBSEQ_LEN: usize = 24;
 /// walks barely group — the many-groups regime the index exists for.
 const ST: f64 = 0.5;
 
-/// One workload both policies build.
+/// One workload E12 builds.
 struct Workload {
     shape: &'static str,
     generate: fn(usize, usize) -> Dataset,
@@ -102,8 +101,8 @@ fn workloads(
     all
 }
 
-/// One (workload, policy) measurement.
-pub struct PolicyRow {
+/// One workload's build.
+pub struct BuildRow {
     /// `walk`, `harness`, `noise` or `clustered` (see the module docs).
     pub shape: &'static str,
     /// Series count of the workload.
@@ -112,17 +111,14 @@ pub struct PolicyRow {
     pub len: usize,
     /// Similarity threshold the base was built under.
     pub st: f64,
-    /// Index policy under test.
-    pub policy: IndexPolicy,
     /// Subsequences assigned.
     pub subsequences: usize,
     /// Groups created.
     pub groups: usize,
     /// Construction wall-clock.
     pub elapsed: Duration,
-    /// Of which the sketch pass, timed apart on the finished groups
-    /// (`auto` rows only).
-    pub sketch: Option<Duration>,
+    /// Of which the sketch pass, timed apart on the finished groups.
+    pub sketch: Duration,
     /// Construction throughput.
     pub per_sec: f64,
     /// Representatives distance-compared.
@@ -131,15 +127,12 @@ pub struct PolicyRow {
     pub pruned: usize,
     /// Euclidean evaluations started.
     pub distance_calls: usize,
-    /// Whether this policy's base is identical to the linear reference
-    /// (groups, memberships and representatives all equal).
-    pub identical_to_linear: bool,
 }
 
-/// Run the sweep. Quick mode still includes a ≥5k-subsequence row so the
-/// crossover claim is demonstrated, not extrapolated.
-pub fn measure(quick: bool) -> Vec<PolicyRow> {
-    measure_each(if quick {
+/// Run the sweep. Quick mode still includes a ≥5k-subsequence row, where
+/// a linear scan would examine thousands of representatives a window.
+pub fn measure(quick: bool) -> Vec<BuildRow> {
+    measure_each(&if quick {
         workloads(&[(12, 96), (40, 160)], (24, 128), (40, 160), (32, 256))
     } else {
         workloads(
@@ -165,62 +158,46 @@ fn sketch_pass(ds: &Dataset, base: &OnexBase) -> Duration {
     elapsed
 }
 
-fn measure_each(sweep: Vec<Workload>) -> Vec<PolicyRow> {
-    let mut rows = Vec::new();
-    for workload in sweep {
-        let ds = (workload.generate)(workload.series, workload.len);
-        let mut reference: Option<OnexBase> = None;
-        for policy in [IndexPolicy::Linear, IndexPolicy::Auto] {
-            let cfg = BaseConfig {
-                index: policy,
-                ..workload.config.clone()
-            };
-            let builder = BaseBuilder::new(cfg).expect("valid config");
+fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
+    sweep
+        .iter()
+        .map(|workload| {
+            let ds = (workload.generate)(workload.series, workload.len);
+            let builder = BaseBuilder::new(workload.config.clone()).expect("valid config");
             let (base, report) = builder.build(&ds);
-            let sketch = (policy == IndexPolicy::Auto).then(|| sketch_pass(&ds, &base));
-            let identical = match &reference {
-                None => {
-                    reference = Some(base);
-                    true // the linear run *is* the reference
-                }
-                Some(linear) => base == *linear,
-            };
-            rows.push(PolicyRow {
+            BuildRow {
                 shape: workload.shape,
                 series: workload.series,
                 len: workload.len,
                 st: workload.config.st,
-                policy,
                 subsequences: report.subsequences,
                 groups: report.groups,
                 elapsed: report.elapsed,
-                sketch,
+                sketch: sketch_pass(&ds, &base),
                 per_sec: report.subsequences_per_sec(),
                 examined: report.work.examined,
                 pruned: report.work.pruned,
                 distance_calls: report.work.distance_calls,
-                identical_to_linear: identical,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Render the sweep as the experiment table.
-pub fn table(rows: &[PolicyRow]) -> Table {
+pub fn table(rows: &[BuildRow]) -> Table {
     let mut t = Table::new(
         format!(
-            "E12 — indexed nearest-representative lookup vs linear scan \
+            "E12 — construction through the exact nearest-representative grid \
              (walk / noise: length {SUBSEQ_LEN}; harness: lengths 16–24, Seed — \
              the many-groups regime where construction is slowest; clustered: \
              lengths 30–32, Seed — a few huge groups, where the sketch pass is \
-             most of what is left)"
+             most of what is left). examined + pruned is what a linear scan \
+             examines"
         ),
         &[
             "shape",
             "collection",
             "ST",
-            "policy",
             "subseqs",
             "groups",
             "build",
@@ -229,69 +206,56 @@ pub fn table(rows: &[PolicyRow]) -> Table {
             "dist calls",
             "examined",
             "pruned",
-            "speedup vs linear",
-            "identical",
         ],
     );
-    // Rows come in (linear, auto) pairs, the reference first.
-    for pair in rows.chunks(2) {
-        for row in pair {
-            t.row(vec![
-                row.shape.into(),
-                format!("{}x{}", row.series, row.len),
-                row.st.to_string(),
-                row.policy.label().into(),
-                row.subsequences.to_string(),
-                row.groups.to_string(),
-                fmt_duration(row.elapsed),
-                row.sketch.map_or("-".into(), fmt_duration),
-                format!("{:.0}", row.per_sec),
-                row.distance_calls.to_string(),
-                row.examined.to_string(),
-                row.pruned.to_string(),
-                fmt_speedup(pair[0].elapsed, row.elapsed),
-                if row.identical_to_linear { "yes" } else { "NO" }.into(),
-            ]);
-        }
+    for row in rows {
+        t.row(vec![
+            row.shape.into(),
+            format!("{}x{}", row.series, row.len),
+            row.st.to_string(),
+            row.subsequences.to_string(),
+            row.groups.to_string(),
+            fmt_duration(row.elapsed),
+            fmt_duration(row.sketch),
+            format!("{:.0}", row.per_sec),
+            row.distance_calls.to_string(),
+            row.examined.to_string(),
+            row.pruned.to_string(),
+        ]);
     }
     t
 }
 
 /// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_construction.json` — subsequences/sec per policy per workload,
-/// so future changes have a trajectory to compare against. `auto` rows
-/// carry `sketch_ms` beside `elapsed_ms`; CI holds their ratio on the
-/// `harness` and `clustered` rows.
-pub fn json_report(rows: &[PolicyRow]) -> String {
+/// `BENCH_construction.json` — subsequences/sec and the grid's work per
+/// workload, so future changes have a trajectory to compare against.
+/// Every row carries `sketch_ms` beside `elapsed_ms`; CI holds their
+/// ratio on the `harness` and `clustered` rows.
+pub fn json_report(rows: &[BuildRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"experiment\":\"e12_construction\",\"rows\":[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let sketch_ms = r.sketch.map_or(String::new(), |d| {
-            format!("\"sketch_ms\":{:.3},", d.as_secs_f64() * 1e3)
-        });
         let _ = write!(
             out,
-            "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\"policy\":\"{}\",\
-             \"subsequences\":{},\"groups\":{},\"elapsed_ms\":{:.3},{sketch_ms}\
+            "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\
+             \"subsequences\":{},\"groups\":{},\"elapsed_ms\":{:.3},\"sketch_ms\":{:.3},\
              \"subsequences_per_sec\":{:.1},\
-             \"distance_calls\":{},\"examined\":{},\"pruned\":{},\
-             \"identical_to_linear\":{}}}",
+             \"distance_calls\":{},\"examined\":{},\"pruned\":{}}}",
             r.shape,
             r.series,
             r.len,
             r.st,
-            r.policy.label(),
             r.subsequences,
             r.groups,
             r.elapsed.as_secs_f64() * 1e3,
+            r.sketch.as_secs_f64() * 1e3,
             r.per_sec,
             r.distance_calls,
             r.examined,
             r.pruned,
-            r.identical_to_linear,
         );
     }
     out.push_str("]}\n");
@@ -304,6 +268,10 @@ pub fn run(quick: bool) -> Vec<Table> {
 }
 
 #[cfg(test)]
+#[path = "../../../grouping/tests/model/mod.rs"]
+mod model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -311,43 +279,31 @@ mod tests {
     fn indexed_builder_beats_linear_and_stays_identical() {
         // The quick sweep's shapes at sizes a debug build scans in
         // seconds, the ≥ 5k-subsequence walk row kept.
-        let rows = measure_each(workloads(
-            &[(12, 96), (40, 160)],
-            (8, 64),
-            (12, 96),
-            (8, 96),
-        ));
-        assert_eq!(
-            rows.len(),
-            14,
-            "(2 walk + 1 harness + 3 noise + 1 clustered) × 2 policies"
-        );
-        for pair in rows.chunks(2) {
-            let (linear, auto) = (&pair[0], &pair[1]);
-            let what = format!("{} {}x{} ST {}", auto.shape, auto.series, auto.len, auto.st);
-            assert_eq!(
-                (linear.policy, auto.policy),
-                (IndexPolicy::Linear, IndexPolicy::Auto)
-            );
-            assert!(auto.identical_to_linear, "{what}");
-            assert_eq!(
-                (linear.sketch, auto.sketch.is_some()),
-                (None, true),
-                "{what}: the sketch pass is timed on the auto row"
-            );
-            assert_eq!(linear.groups, auto.groups, "{what}");
-            assert_eq!(linear.subsequences, auto.subsequences, "{what}");
-            assert_eq!(auto.examined + auto.pruned, linear.examined, "{what}");
+        let sweep = workloads(&[(12, 96), (40, 160)], (8, 64), (12, 96), (8, 96));
+        let rows = measure_each(&sweep);
+        assert_eq!(rows.len(), 7, "2 walk + 1 harness + 3 noise + 1 clustered");
+        for (workload, row) in sweep.iter().zip(&rows) {
+            let what = format!("{} {}x{} ST {}", row.shape, row.series, row.len, row.st);
+            // The grid builds the base the linear scan builds, and
+            // accounts for every representative it did not compare.
+            let ds = (workload.generate)(workload.series, workload.len);
+            let model = model::build(&ds, &workload.config);
+            let (base, _) = BaseBuilder::new(workload.config.clone())
+                .unwrap()
+                .build(&ds);
+            model::assert_matches(&model, &base, &what);
+            assert_eq!(row.groups, base.group_count(), "{what}");
+            assert_eq!(row.examined + row.pruned, model.scanned, "{what}");
             // Where walks barely group the grid answers a window from a
             // handful of distance calls, whatever the size (wall-clock
             // follows — the table reports it — but is not asserted, to
             // keep CI stable). White noise is exempt: nothing helps there.
-            if auto.shape != "noise" {
+            if row.shape != "noise" {
                 assert!(
-                    auto.distance_calls < 10 * auto.subsequences,
+                    row.distance_calls < 10 * row.subsequences,
                     "{what}: {} distance calls for {} subsequences",
-                    auto.distance_calls,
-                    auto.subsequences
+                    row.distance_calls,
+                    row.subsequences
                 );
             }
         }
@@ -359,35 +315,30 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let row = |policy, distance_calls, identical_to_linear| PolicyRow {
-            sketch: (policy == IndexPolicy::Auto).then_some(Duration::from_millis(20)),
-            shape: "noise",
+        let row = |shape, distance_calls| BuildRow {
+            shape,
             series: 40,
             len: 160,
             st: 0.5,
-            policy,
             subsequences: 5480,
             groups: 5480,
             elapsed: Duration::from_millis(100),
+            sketch: Duration::from_millis(20),
             per_sec: 54_800.0,
             examined: distance_calls,
             pruned: 15_012_460 - distance_calls,
             distance_calls,
-            identical_to_linear,
         };
-        let json = json_report(&[
-            row(IndexPolicy::Linear, 15_012_460, true),
-            row(IndexPolicy::Auto, 799_281, true),
-        ]);
+        let json = json_report(&[row("walk", 1_445), row("noise", 799_281)]);
         assert!(json.starts_with("{\"experiment\":\"e12_construction\",\"rows\":[{"));
         assert!(json.contains(
-            "{\"shape\":\"noise\",\"series\":40,\"len\":160,\"st\":0.5,\"policy\":\"auto\",\
+            "{\"shape\":\"noise\",\"series\":40,\"len\":160,\"st\":0.5,\
              \"subsequences\":5480,\"groups\":5480,\"elapsed_ms\":100.000,\
              \"sketch_ms\":20.000,\"subsequences_per_sec\":54800.0,\"distance_calls\":799281,\
-             \"examined\":799281,\"pruned\":14213179,\"identical_to_linear\":true}"
+             \"examined\":799281,\"pruned\":14213179}"
         ));
-        assert_eq!(json.matches("\"policy\":").count(), 2);
-        assert_eq!(json.matches("\"sketch_ms\":").count(), 1, "auto rows only");
+        assert_eq!(json.matches("\"shape\":").count(), 2);
+        assert_eq!(json.matches("\"sketch_ms\":").count(), 2, "every row");
         assert!(json.trim_end().ends_with("]}"));
     }
 }

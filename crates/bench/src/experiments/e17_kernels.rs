@@ -3,7 +3,7 @@
 //! The hottest loops in the whole workspace — squared-diff accumulation
 //! (ED / LB_Keogh), the DTW row recurrence, and the Lemire envelope —
 //! now route through [`onex_distance::kernels`], which picks an
-//! SSE2/AVX2/scalar implementation once at startup. In front of the
+//! AVX2 or scalar implementation once at startup. In front of the
 //! LB cascade, every base member carries a quantised-PAA sketch
 //! ([`onex_grouping::sketch`]) whose byte-level lower bound rejects
 //! candidates before any f64 data is touched. E17 answers:
@@ -463,10 +463,7 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
             agrees: env_out == env_ref,
         });
 
-        // SSE2 runs the scalar form of the two lane kernels.
-        if level != KernelLevel::Sse2 {
-            rows.extend(measure_lane_kernels(level, &x, &y, iters / 16));
-        }
+        rows.extend(measure_lane_kernels(level, &x, &y, iters / 16));
     }
     rows
 }
@@ -823,19 +820,27 @@ mod tests {
     #[test]
     fn kernels_agree_across_levels() {
         let rows = measure_kernels(true);
-        for kernel in ["l0_block", "dtw_lanes"] {
-            let levels: Vec<_> = rows.iter().filter(|r| r.kernel == kernel).collect();
-            assert!(
-                levels.iter().any(|r| r.level == KernelLevel::Scalar)
-                    && levels.iter().all(|r| r.level != KernelLevel::Sse2),
-                "{kernel} runs at scalar and avx2 only"
+        let kernels = [
+            "ed",
+            "lb_keogh",
+            "dtw_row",
+            "envelope",
+            "l0_block",
+            "dtw_lanes",
+        ];
+        for kernel in kernels {
+            let levels: Vec<_> = rows
+                .iter()
+                .filter(|r| r.kernel == kernel)
+                .map(|r| r.level)
+                .collect();
+            assert_eq!(
+                levels,
+                KernelLevel::available(),
+                "{kernel} runs at every level"
             );
         }
-        assert_eq!(
-            rows.iter().filter(|r| r.kernel == "ed").count(),
-            KernelLevel::available().len(),
-            "the in-row kernels run at every level"
-        );
+        assert_eq!(rows.len(), kernels.len() * KernelLevel::available().len());
         for r in &rows {
             assert!(
                 r.agrees,

@@ -47,7 +47,7 @@ pub use engine::{
 };
 pub use fanout::PoolStats;
 pub use onex_api::{Epoch, OnexError, SharedBound, SimilaritySearch};
-pub use onex_grouping::{BuildReport, IndexPolicy, IndexWork};
+pub use onex_grouping::{BuildReport, IndexWork};
 pub use options::{LengthSelection, QueryOptions, ScanBreadth};
 pub use result::{Match, SeasonalPattern};
 pub use scale::{CacheStats, CachedSearch, ShardedBuildReport, ShardedEngine};

@@ -5,11 +5,12 @@
 //! share — not copy — everything the append did not change, without a
 //! pinned reader ever noticing.
 
+#[path = "../../grouping/tests/model/mod.rs"]
+mod model;
+
 use onex_core::{exhaustive, Onex, QueryOptions};
 use onex_grouping::persist::save_v2;
-use onex_grouping::{
-    BaseBuilder, BaseConfig, GroupColumn, IndexPolicy, OnexBase, RepresentativePolicy,
-};
+use onex_grouping::{BaseBuilder, BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
 use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
 use proptest::prelude::*;
@@ -41,10 +42,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// k successive appends leave exactly the base `BaseBuilder::build`
-    /// makes of the final collection, under either representative policy
-    /// and every index policy, on warm, cold-opened and re-installed
-    /// bases; every report carries the epoch and series count its own
-    /// commit produced, and every member has its sketch slot.
+    /// makes of the final collection — the model's, which a linear scan
+    /// builds — under either representative policy, on warm, cold-opened
+    /// and re-installed bases; every report carries the epoch and series
+    /// count its own commit produced, and every member has its sketch
+    /// slot.
     #[test]
     fn successive_appends_equal_a_batch_build(
         (series, len, seed) in (3usize..7, 14usize..36, 0u64..10_000),
@@ -55,45 +57,44 @@ proptest! {
         let all = random_walk_dataset(SyntheticConfig { series, len, seed });
         let initial = prefix(&all, 2);
         for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
-            for index in [IndexPolicy::Auto, IndexPolicy::Linear] {
-                let mut cfg = BaseConfig { policy, index, ..BaseConfig::new(st, 4, 9) };
-                let (warm, _) = Onex::build(initial.clone(), cfg.clone()).unwrap();
-                let engine = match start {
-                    Start::Opened => {
-                        Onex::open_bytes(save_v2(&warm.base()), initial.clone()).unwrap()
-                    }
-                    _ => warm,
-                };
-                for (i, (_, s)) in all.iter().skip(2).enumerate() {
-                    if start == Start::Reinstalled && i == 1 {
-                        cfg = BaseConfig { st: st * 1.5, ..cfg };
-                        let (other, _) = BaseBuilder::new(cfg.clone())
-                            .unwrap()
-                            .build(&engine.dataset());
-                        engine.install_base(save_v2(&other)).unwrap();
-                        prop_assert_ne!(
-                            engine.resident_index().epoch, Some(engine.epoch()),
-                            "the index must not claim the installed base"
-                        );
-                    }
-                    let report = engine.append_series(s.clone()).unwrap();
-                    prop_assert_eq!(report.epoch, engine.epoch());
-                    prop_assert_eq!(report.series, 3 + i);
-                    prop_assert_eq!(engine.resident_index().epoch, Some(report.epoch));
+            let mut cfg = BaseConfig { policy, ..BaseConfig::new(st, 4, 9) };
+            let (warm, _) = Onex::build(initial.clone(), cfg.clone()).unwrap();
+            let engine = match start {
+                Start::Opened => {
+                    Onex::open_bytes(save_v2(&warm.base()), initial.clone()).unwrap()
                 }
-                let (batch, built) = BaseBuilder::new(cfg).unwrap().build(&all);
-                let base = engine.base();
-                prop_assert!(*base == batch, "{:?}/{} from {:?}", policy, index, start);
-                prop_assert_eq!(base.member_count(), built.subsequences);
-                for len in base.lengths() {
-                    let sketches = base.sketches().for_len(len).expect("every length is sketched");
-                    for (gi, g) in base.groups_for_len(len).iter().enumerate() {
-                        prop_assert_eq!(
-                            sketches.group(gi).map(|planes| planes.cardinality()),
-                            Some(g.cardinality()),
-                            "g{}@{}", gi, len
-                        );
-                    }
+                _ => warm,
+            };
+            for (i, (_, s)) in all.iter().skip(2).enumerate() {
+                if start == Start::Reinstalled && i == 1 {
+                    cfg = BaseConfig { st: st * 1.5, ..cfg };
+                    let (other, _) = BaseBuilder::new(cfg.clone())
+                        .unwrap()
+                        .build(&engine.dataset());
+                    engine.install_base(save_v2(&other)).unwrap();
+                    prop_assert_ne!(
+                        engine.resident_index().epoch, Some(engine.epoch()),
+                        "the index must not claim the installed base"
+                    );
+                }
+                let report = engine.append_series(s.clone()).unwrap();
+                prop_assert_eq!(report.epoch, engine.epoch());
+                prop_assert_eq!(report.series, 3 + i);
+                prop_assert_eq!(engine.resident_index().epoch, Some(report.epoch));
+            }
+            let (batch, built) = BaseBuilder::new(cfg.clone()).unwrap().build(&all);
+            let base = engine.base();
+            prop_assert!(*base == batch, "{:?} from {:?}", policy, start);
+            model::assert_matches(&model::build(&all, &cfg), &base, &format!("{policy:?} from {start:?}"));
+            prop_assert_eq!(base.member_count(), built.subsequences);
+            for len in base.lengths() {
+                let sketches = base.sketches().for_len(len).expect("every length is sketched");
+                for (gi, g) in base.groups_for_len(len).iter().enumerate() {
+                    prop_assert_eq!(
+                        sketches.group(gi).map(|planes| planes.cardinality()),
+                        Some(g.cardinality()),
+                        "g{}@{}", gi, len
+                    );
                 }
             }
         }

@@ -4,9 +4,11 @@
 //! accumulation (ED), envelope-exceedance accumulation (LB_Keogh and its
 //! z-normalised UCR variants), the DTW row recurrence, and the envelope
 //! min/max — lives here once, with a scalar reference implementation and
-//! `core::arch::x86_64` SSE2/AVX2 paths selected **once** at startup via
+//! a `core::arch::x86_64` AVX2 path selected **once** at startup via
 //! [`level`] (CPUID feature detection, overridable with the
-//! `ONEX_FORCE_SCALAR` environment variable for fallback testing).
+//! `ONEX_FORCE_SCALAR` environment variable for fallback testing). A CPU
+//! without AVX2 runs the scalar reference, as any other architecture
+//! does.
 //!
 //! ## Exactness contract
 //!
@@ -27,8 +29,7 @@
 //!   one candidate in each 64-bit lane of a 256-bit vector and run, per
 //!   lane, the scalar reference's operations in the scalar reference's
 //!   order (no fused multiply-add, `min`/`max` over values that are never
-//!   NaN for finite inputs), so they are **bit-exact** too. They have a
-//!   scalar and an AVX2 form; [`KernelLevel::Sse2`] runs the scalar one.
+//!   NaN for finite inputs), so they are **bit-exact** too.
 //!
 //! The `_at` variants take an explicit [`KernelLevel`] so benchmarks and
 //! property tests can pin a path regardless of what [`level`] detected.
@@ -46,19 +47,16 @@ pub enum KernelLevel {
     /// Portable scalar reference (always available, and the forced path
     /// under `ONEX_FORCE_SCALAR`).
     Scalar,
-    /// 128-bit `core::arch::x86_64` path (2 doubles per op).
-    Sse2,
     /// 256-bit `core::arch::x86_64` path (4 doubles per op).
     Avx2,
 }
 
 impl KernelLevel {
-    /// Stable lowercase name (`"scalar"`, `"sse2"`, `"avx2"`) for
+    /// Stable lowercase name (`"scalar"`, `"avx2"`) for
     /// reports, `/api/summary`, and bench JSON.
     pub fn label(self) -> &'static str {
         match self {
             KernelLevel::Scalar => "scalar",
-            KernelLevel::Sse2 => "sse2",
             KernelLevel::Avx2 => "avx2",
         }
     }
@@ -70,20 +68,15 @@ impl KernelLevel {
         #[allow(unused_mut)]
         let mut v = vec![KernelLevel::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("sse2") {
-                v.push(KernelLevel::Sse2);
-            }
-            if is_x86_feature_detected!("avx2") {
-                v.push(KernelLevel::Avx2);
-            }
+        if is_x86_feature_detected!("avx2") {
+            v.push(KernelLevel::Avx2);
         }
         v
     }
 }
 
 /// The level every dispatched kernel in this process uses, detected once
-/// on first call: the widest supported x86-64 extension, unless the
+/// on first call: AVX2 where the CPU has it, unless the
 /// `ONEX_FORCE_SCALAR` environment variable is set (to anything but `0`
 /// or empty), which pins the scalar reference path.
 pub fn level() -> KernelLevel {
@@ -137,8 +130,6 @@ pub fn sum_sq_diff_ea_at(l: KernelLevel, x: &[f64], y: &[f64], ub_sq: f64) -> f6
     match l {
         KernelLevel::Scalar => sum_sq_diff_scalar(x, y, ub_sq),
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { sum_sq_diff_sse2(x, y, ub_sq) },
-        #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { sum_sq_diff_avx2(x, y, ub_sq) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => sum_sq_diff_scalar(x, y, ub_sq),
@@ -155,41 +146,6 @@ fn sum_sq_diff_scalar(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
         if acc > ub_sq {
             return f64::INFINITY;
         }
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sum_sq_diff_sse2(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
-    use core::arch::x86_64::*;
-    let n = x.len();
-    let mut acc = 0.0f64;
-    let mut i = 0;
-    while i + EA_BLOCK <= n {
-        let mut v = _mm_setzero_pd();
-        let mut k = 0;
-        while k < EA_BLOCK {
-            let d = _mm_sub_pd(
-                _mm_loadu_pd(x.as_ptr().add(i + k)),
-                _mm_loadu_pd(y.as_ptr().add(i + k)),
-            );
-            v = _mm_add_pd(v, _mm_mul_pd(d, d));
-            k += 2;
-        }
-        acc += hsum128(v);
-        if acc > ub_sq {
-            return f64::INFINITY;
-        }
-        i += EA_BLOCK;
-    }
-    while i < n {
-        let d = x[i] - y[i];
-        acc += d * d;
-        i += 1;
-    }
-    if acc > ub_sq {
-        return f64::INFINITY;
     }
     acc
 }
@@ -311,8 +267,6 @@ pub fn env_excess_sq_at(
     match l {
         KernelLevel::Scalar => env_excess_scalar(x, lower, upper, aff, ub_sq, None),
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { env_excess_sse2(x, lower, upper, aff, ub_sq, None) },
-        #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { env_excess_avx2(x, lower, upper, aff, ub_sq, None) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => env_excess_scalar(x, lower, upper, aff, ub_sq, None),
@@ -341,8 +295,6 @@ pub fn env_excess_contrib(
     );
     match level() {
         KernelLevel::Scalar => env_excess_scalar(x, lower, upper, aff, ub_sq, Some(contrib)),
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { env_excess_sse2(x, lower, upper, aff, ub_sq, Some(contrib)) },
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { env_excess_avx2(x, lower, upper, aff, ub_sq, Some(contrib)) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -378,63 +330,6 @@ fn env_excess_scalar(
         if acc > ub_sq {
             return f64::INFINITY;
         }
-    }
-    acc
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn env_excess_sse2(
-    x: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    aff: EnvAffine,
-    ub_sq: f64,
-    mut contrib: Option<&mut [f64]>,
-) -> f64 {
-    use core::arch::x86_64::*;
-    let n = x.len();
-    let (xs, xm) = (_mm_set1_pd(aff.x_sub), _mm_set1_pd(aff.x_mul));
-    let (es, em) = (_mm_set1_pd(aff.e_sub), _mm_set1_pd(aff.e_mul));
-    let zero = _mm_setzero_pd();
-    let mut acc = 0.0f64;
-    let mut i = 0;
-    while i + EA_BLOCK <= n {
-        let mut v = _mm_setzero_pd();
-        let mut k = 0;
-        while k < EA_BLOCK {
-            let p = i + k;
-            let xv = _mm_mul_pd(_mm_sub_pd(_mm_loadu_pd(x.as_ptr().add(p)), xs), xm);
-            let lo = _mm_mul_pd(_mm_sub_pd(_mm_loadu_pd(lower.as_ptr().add(p)), es), em);
-            let hi = _mm_mul_pd(_mm_sub_pd(_mm_loadu_pd(upper.as_ptr().add(p)), es), em);
-            let d = _mm_max_pd(_mm_max_pd(_mm_sub_pd(xv, hi), _mm_sub_pd(lo, xv)), zero);
-            let dd = _mm_mul_pd(d, d);
-            if let Some(c) = contrib.as_deref_mut() {
-                _mm_storeu_pd(c.as_mut_ptr().add(p), dd);
-            }
-            v = _mm_add_pd(v, dd);
-            k += 2;
-        }
-        acc += hsum128(v);
-        if acc > ub_sq {
-            return f64::INFINITY;
-        }
-        i += EA_BLOCK;
-    }
-    while i < n {
-        let xv = (x[i] - aff.x_sub) * aff.x_mul;
-        let lo = (lower[i] - aff.e_sub) * aff.e_mul;
-        let hi = (upper[i] - aff.e_sub) * aff.e_mul;
-        let d = (xv - hi).max(lo - xv).max(0.0);
-        let dd = d * d;
-        if let Some(c) = contrib.as_deref_mut() {
-            c[i] = dd;
-        }
-        acc += dd;
-        i += 1;
-    }
-    if acc > ub_sq {
-        return f64::INFINITY;
     }
     acc
 }
@@ -515,7 +410,7 @@ unsafe fn env_excess_avx2(
 /// which the caller must have reset to `∞` along with the rest of
 /// `curr`). Returns the row minimum.
 ///
-/// The SIMD path splits the recurrence into a vectorisable pass
+/// The AVX2 path splits the recurrence into a vectorisable pass
 /// (`d² + min(prev[j], prev[j−1])`, cached in `d2`) and a scalar carry
 /// sweep folding `curr[j−1]`; because `min` distributes exactly over
 /// adding a common constant, the result is **bit-identical** to the
@@ -554,8 +449,6 @@ pub fn dtw_row_at(
     match l {
         KernelLevel::Scalar => dtw_row_scalar(xi, y, lo, hi, prev, curr),
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { dtw_row_sse2(xi, y, lo, hi, prev, curr, d2) },
-        #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { dtw_row_avx2(xi, y, lo, hi, prev, curr, d2) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => dtw_row_scalar(xi, y, lo, hi, prev, curr),
@@ -576,7 +469,7 @@ fn dtw_row_scalar(xi: f64, y: &[f64], lo: usize, hi: usize, prev: &[f64], curr: 
     row_min
 }
 
-/// The scalar carry sweep shared by both SIMD row kernels: fold
+/// The AVX2 row kernel's scalar carry sweep: fold
 /// `d²[j] + curr[j−1]` into the vectorised pass-one values.
 fn dtw_row_carry(lo: usize, hi: usize, curr: &mut [f64], d2: &[f64]) -> f64 {
     let mut row_min = f64::INFINITY;
@@ -588,39 +481,6 @@ fn dtw_row_carry(lo: usize, hi: usize, curr: &mut [f64], d2: &[f64]) -> f64 {
         }
     }
     row_min
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn dtw_row_sse2(
-    xi: f64,
-    y: &[f64],
-    lo: usize,
-    hi: usize,
-    prev: &[f64],
-    curr: &mut [f64],
-    d2: &mut [f64],
-) -> f64 {
-    use core::arch::x86_64::*;
-    let vxi = _mm_set1_pd(xi);
-    let mut j = lo;
-    while j + 2 <= hi + 1 {
-        let d = _mm_sub_pd(vxi, _mm_loadu_pd(y.as_ptr().add(j - 1)));
-        let dd = _mm_mul_pd(d, d);
-        _mm_storeu_pd(d2.as_mut_ptr().add(j), dd);
-        let p = _mm_loadu_pd(prev.as_ptr().add(j));
-        let pm1 = _mm_loadu_pd(prev.as_ptr().add(j - 1));
-        _mm_storeu_pd(curr.as_mut_ptr().add(j), _mm_add_pd(dd, _mm_min_pd(p, pm1)));
-        j += 2;
-    }
-    while j <= hi {
-        let d = xi - y[j - 1];
-        let dd = d * d;
-        d2[j] = dd;
-        curr[j] = dd + prev[j].min(prev[j - 1]);
-        j += 1;
-    }
-    dtw_row_carry(lo, hi, curr, d2)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -682,8 +542,7 @@ pub const DTW_LANES: usize = 4;
 /// row for all lanes; a lane whose row minimum exceeds its bound is dead
 /// from then on, and the DP stops when every lane is. A short batch
 /// repeats its last candidate in the spare lanes; a single candidate, and
-/// every level but [`KernelLevel::Avx2`], runs the scalar DP per
-/// candidate.
+/// the scalar level, run the scalar DP per candidate.
 ///
 /// # Panics
 /// Panics when `ys` is empty or longer than [`DTW_LANES`], the candidates'
@@ -848,7 +707,7 @@ unsafe fn dtw_lanes_avx2(
 /// The block test behind [`QuerySketch::survivors_at`] over the plane
 /// `views` (position `i` is slot `first_slot + i`): 4-slot steps on the
 /// AVX2 kernel when `l` asks for it and the CPU has it, the scalar form
-/// for the tail of the step — or, at every other level, for everything.
+/// for the tail of the step — or, at the scalar level, for everything.
 pub(crate) fn l0_survivors_at(
     l: KernelLevel,
     qs: &QuerySketch,
@@ -998,24 +857,23 @@ unsafe fn l0_survivors_avx2(
 /// `(lower, upper)` where `lower[i] = min(y[i−r ..= i+r])` and
 /// `upper[i] = max(...)`, windows clamped to the sequence — the envelope
 /// construction. The scalar path is Lemire's monotonic-deque algorithm;
-/// the SIMD paths use the van Herk–Gil–Werman block prefix/suffix
+/// the AVX2 path uses the van Herk–Gil–Werman block prefix/suffix
 /// decomposition, whose merge step (`ext(suffix[i], prefix[i+w−1])`)
-/// vectorises. Min/max of finite values is exact, so all levels are
+/// vectorises. Min/max of finite values is exact, so both levels are
 /// bit-identical.
 pub fn sliding_minmax(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
     sliding_minmax_at(level(), y, radius)
 }
 
-/// [`sliding_minmax`] on an explicit level.
+/// [`sliding_minmax`] on an explicit level ([`KernelLevel::Avx2`] falls
+/// back to the scalar path on a CPU without it).
 pub fn sliding_minmax_at(l: KernelLevel, y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
     if y.is_empty() || radius == 0 {
         return (y.to_vec(), y.to_vec());
     }
     match l {
-        KernelLevel::Scalar => sliding_minmax_deque(y, radius),
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 | KernelLevel::Avx2 => sliding_minmax_vhgw(l, y, radius),
-        #[cfg(not(target_arch = "x86_64"))]
+        KernelLevel::Avx2 if is_x86_feature_detected!("avx2") => sliding_minmax_vhgw(y, radius),
         _ => sliding_minmax_deque(y, radius),
     }
 }
@@ -1074,7 +932,7 @@ fn sliding_minmax_deque(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
 /// then a vectorisable merge. O(n) with ~3 comparisons per element and
 /// no branches in the merge.
 #[cfg(target_arch = "x86_64")]
-fn sliding_minmax_vhgw(l: KernelLevel, y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
+fn sliding_minmax_vhgw(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
     let n = y.len();
     let w = 2 * radius + 1;
     let padded = n + 2 * radius;
@@ -1113,51 +971,14 @@ fn sliding_minmax_vhgw(l: KernelLevel, y: &[f64], radius: usize) -> (Vec<f64>, V
     let mut upper = vec![0.0; n];
     // out[i] covers arr[i .. i+w); it spans at most two blocks, so the
     // suffix of the first and the prefix of the second cover it exactly.
+    // SAFETY: the one caller detected AVX2; the merge reads `i + w - 1 + 3
+    // < n + 2·radius` at most, inside every prefix/suffix array.
     unsafe {
-        match l {
-            KernelLevel::Avx2 => vhgw_merge_avx2(
-                &suf_min, &suf_max, &pre_min, &pre_max, w, &mut lower, &mut upper,
-            ),
-            _ => vhgw_merge_sse2(
-                &suf_min, &suf_max, &pre_min, &pre_max, w, &mut lower, &mut upper,
-            ),
-        }
+        vhgw_merge_avx2(
+            &suf_min, &suf_max, &pre_min, &pre_max, w, &mut lower, &mut upper,
+        )
     }
     (lower, upper)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn vhgw_merge_sse2(
-    suf_min: &[f64],
-    suf_max: &[f64],
-    pre_min: &[f64],
-    pre_max: &[f64],
-    w: usize,
-    lower: &mut [f64],
-    upper: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let n = lower.len();
-    let mut i = 0;
-    while i + 2 <= n {
-        let lo = _mm_min_pd(
-            _mm_loadu_pd(suf_min.as_ptr().add(i)),
-            _mm_loadu_pd(pre_min.as_ptr().add(i + w - 1)),
-        );
-        let hi = _mm_max_pd(
-            _mm_loadu_pd(suf_max.as_ptr().add(i)),
-            _mm_loadu_pd(pre_max.as_ptr().add(i + w - 1)),
-        );
-        _mm_storeu_pd(lower.as_mut_ptr().add(i), lo);
-        _mm_storeu_pd(upper.as_mut_ptr().add(i), hi);
-        i += 2;
-    }
-    while i < n {
-        lower[i] = suf_min[i].min(pre_min[i + w - 1]);
-        upper[i] = suf_max[i].max(pre_max[i + w - 1]);
-        i += 1;
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1200,13 +1021,6 @@ unsafe fn vhgw_merge_avx2(
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
-unsafe fn hsum128(v: core::arch::x86_64::__m128d) -> f64 {
-    use core::arch::x86_64::*;
-    _mm_cvtsd_f64(_mm_add_sd(v, _mm_unpackhi_pd(v, v)))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
 unsafe fn hsum256(v: core::arch::x86_64::__m256d) -> f64 {
     use core::arch::x86_64::*;
     let s = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
@@ -1230,7 +1044,7 @@ mod tests {
     fn level_is_cached_and_labelled() {
         let l = level();
         assert_eq!(l, level(), "detection is sticky");
-        assert!(["scalar", "sse2", "avx2"].contains(&l.label()));
+        assert!(["scalar", "avx2"].contains(&l.label()));
         let avail = KernelLevel::available();
         assert_eq!(avail[0], KernelLevel::Scalar);
         assert!(avail.contains(&l) || l == KernelLevel::Scalar);

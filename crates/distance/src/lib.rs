@@ -24,7 +24,7 @@
 //!   coarse-to-fine nearest-neighbour search with a trained per-level
 //!   error model.
 //! * [`kernels`] — the shared inner loops behind all of the above, with
-//!   runtime-feature-detected SIMD (SSE2/AVX2) and a scalar reference.
+//!   runtime-feature-detected AVX2 and a scalar reference.
 //! * [`sketch`] — quantised-PAA sketches and the L0 prefilter lower
 //!   bound that rejects candidates before any f64 work.
 //!

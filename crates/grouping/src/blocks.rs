@@ -196,10 +196,16 @@ impl GroupColumn {
             + self.blocks.capacity() * std::mem::size_of::<Arc<Block>>()
     }
 
-    /// Give back what a finished build or decode left over: the block
-    /// list's unused capacity.
+    /// Give back what a finished build or decode left over: the unused
+    /// capacity of the block list and of every member list no clone
+    /// shares (admissions grow them by doubling).
     pub(crate) fn shrink_to_fit(&mut self) {
         self.blocks.shrink_to_fit();
+        for block in self.blocks.iter_mut().filter_map(Arc::get_mut) {
+            for more in block.more.iter_mut().flatten().filter_map(Arc::get_mut) {
+                more.members.shrink_to_fit();
+            }
+        }
     }
 
     /// Read in-place representatives through `series` from now on: the

@@ -5,7 +5,7 @@ use onex_api::{Epoch, OnexError};
 use onex_tseries::Dataset;
 
 use crate::group::{series_table, SeriesTable};
-use crate::repindex::{IndexWork, RepresentativeIndex, ResidentIndex};
+use crate::repindex::{IndexWork, PaaGrid, ResidentIndex};
 use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy, SubsequenceSpace};
 
 /// Constructs the ONEX base from a dataset (paper §3.1, the
@@ -14,9 +14,8 @@ use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy, Subsequence
 /// All three construction paths — [`BaseBuilder::build`],
 /// [`BaseBuilder::build_parallel`] and the incremental
 /// [`BaseBuilder::extend`] — share one admission rule (the private
-/// `assign_one`) driven through the nearest-representative index
-/// selected by [`BaseConfig::index`], so they produce identical
-/// assignments whatever the lookup strategy.
+/// `assign_one`) driven through the exact nearest-representative grid
+/// ([`PaaGrid`]), so they produce identical assignments.
 ///
 /// ```
 /// use onex_grouping::{BaseBuilder, BaseConfig};
@@ -57,8 +56,8 @@ pub struct BuildReport {
     pub groups: usize,
     /// Nearest-representative lookup effort (representatives examined /
     /// pruned / distance calls), mirroring the query-side
-    /// `onex_api::BackendStats` so construction cost is comparable across
-    /// index policies the way query cost is across backends.
+    /// `onex_api::BackendStats` so construction cost reads the way query
+    /// cost does.
     pub work: IndexWork,
     /// Column blocks (one column a length: groups and their sketches in
     /// the same blocks) this run allocated: all of them for a batch build,
@@ -151,19 +150,12 @@ impl BaseBuilder {
     ) -> Result<(OnexBase, BuildReport), OnexError> {
         let start = Instant::now();
         let space = SubsequenceSpace::new(dataset, &self.config);
-        let series = series_table(dataset);
         let lengths = space.lengths();
         let threads = threads.clamp(1, lengths.len().max(1));
         if threads <= 1 {
-            let mut per_length = BTreeMap::new();
-            let mut work = IndexWork::default();
-            for len in lengths {
-                let (groups, w) = self.build_length(dataset, &series, &space, len);
-                work += w;
-                per_length.insert(len, groups);
-            }
-            return Ok(self.finish(dataset, per_length, start, work));
+            return Ok(self.build(dataset));
         }
+        let series = series_table(dataset);
         // Interleave lengths across workers so long lengths (slower rows)
         // spread out; each worker returns its (len, groups, work) rows.
         let mut per_length = BTreeMap::new();
@@ -330,7 +322,7 @@ impl BaseBuilder {
             // New seeds are read in place from the series the dataset
             // gained.
             groups.adopt_series(&series);
-            let index = resident.column(self.config.index, len, admission, groups);
+            let index = resident.column(len, admission, groups);
             touched.clear();
             for sid in seen..dataset.len() {
                 for r in space.refs_for_series_len(sid, len) {
@@ -344,7 +336,6 @@ impl BaseBuilder {
                     touched.push(taken);
                 }
             }
-            resident.covered(len, groups.len());
             admitted += new_windows;
             // The prior sketches came along with the copy (params stay
             // frozen); append slots for the newly admitted members only.
@@ -357,8 +348,8 @@ impl BaseBuilder {
 
     /// Online assignment for one length: each subsequence joins the
     /// nearest group whose representative is within the admission radius,
-    /// else seeds a new group. The lookup goes through the configured
-    /// [`crate::RepresentativeIndex`].
+    /// else seeds a new group. The lookup goes through a [`PaaGrid`] that
+    /// lives as long as the call.
     fn build_length(
         &self,
         dataset: &Dataset,
@@ -373,21 +364,14 @@ impl BaseBuilder {
         let admission = self.config.admission_radius(len);
         let admission_sq = admission * admission;
         let mut groups = GroupColumn::over(SeriesTable::clone(series));
-        let mut index = self.config.index.create(len, admission);
+        let mut index = PaaGrid::new(len, admission);
         let mut work = IndexWork::default();
         for r in space.refs_for_len(len) {
-            self.assign_one(
-                dataset,
-                &mut groups,
-                index.as_mut(),
-                r,
-                admission_sq,
-                &mut work,
-            )
-            .expect("space references are in bounds");
+            self.assign_one(dataset, &mut groups, &mut index, r, admission_sq, &mut work)
+                .expect("space references are in bounds");
         }
         // The column lives as long as the base: give back the block
-        // list's slack.
+        // list's and the member lists' slack.
         groups.shrink_to_fit();
         (groups, work)
     }
@@ -406,7 +390,7 @@ impl BaseBuilder {
         &self,
         dataset: &Dataset,
         groups: &mut GroupColumn,
-        index: &mut dyn RepresentativeIndex,
+        index: &mut PaaGrid,
         r: onex_tseries::SubseqRef,
         admission_sq: f64,
         work: &mut IndexWork,
@@ -481,9 +465,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
+#[path = "../tests/model/mod.rs"]
+mod model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexPolicy;
     use onex_distance::ed;
     use onex_tseries::TimeSeries;
 
@@ -622,38 +609,35 @@ mod tests {
 
     #[test]
     fn indexed_build_is_identical_to_linear_reference() {
+        // The end-to-end harness's `cluster` / `ingest` shape cut down:
+        // random walks, lengths 16..=24, ST 1.0 — a base that barely
+        // compacts, where the lookup is most of construction.
         let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
-            series: 10,
-            len: 80,
+            series: 12,
+            len: 96,
             seed: 77,
         });
-        for policy in [RepresentativePolicy::Centroid, RepresentativePolicy::Seed] {
+        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
             let cfg = BaseConfig {
                 policy,
-                ..BaseConfig::new(0.6, 8, 14)
+                ..BaseConfig::new(1.0, 16, 24)
             };
-            let (reference, linear_report) = BaseBuilder::new(BaseConfig {
-                index: IndexPolicy::Linear,
-                ..cfg.clone()
-            })
-            .unwrap()
-            .build(&ds);
-            let (base, report) = BaseBuilder::new(cfg.clone()).unwrap().build(&ds);
-            assert_eq!(base, reference, "{policy:?}");
-            assert_eq!(report.groups, linear_report.groups);
-            assert_eq!(report.subsequences, linear_report.subsequences);
-            // The grid must do the same job in far fewer comparisons, and
-            // account for every representative it did not compare.
-            assert!(
-                report.work.examined * 4 < linear_report.work.examined,
-                "{policy:?}: grid examined {} vs linear {}",
-                report.work.examined,
-                linear_report.work.examined
-            );
+            let model = model::build(&ds, &cfg);
+            let (base, report) = BaseBuilder::new(cfg).unwrap().build(&ds);
+            model::assert_matches(&model, &base, &format!("{policy:?}"));
+            // The grid must do the linear scan's job in far fewer
+            // comparisons, and account for every representative it did
+            // not compare.
             assert_eq!(
                 report.work.examined + report.work.pruned,
-                linear_report.work.examined,
+                model.scanned,
                 "{policy:?}"
+            );
+            assert!(
+                report.work.examined * 4 < model.scanned,
+                "{policy:?}: grid examined {} vs linear {}",
+                report.work.examined,
+                model.scanned
             );
         }
     }
@@ -832,21 +816,5 @@ mod tests {
         assert_eq!(kept.sketches(), stateless.sketches());
         assert_eq!(resident.seeds(), 10, "nothing was re-seeded");
         assert_eq!((first.series, second.series, second.epoch), (5, 6, 0));
-    }
-
-    #[test]
-    fn extend_accepts_bases_built_under_a_different_index_policy() {
-        let mut ds = tiny();
-        let linear = BaseBuilder::new(BaseConfig {
-            index: IndexPolicy::Linear,
-            ..BaseConfig::new(1.0, 4, 4)
-        })
-        .unwrap();
-        let grid = BaseBuilder::new(BaseConfig::new(1.0, 4, 4)).unwrap();
-        let (base, _) = linear.build(&ds);
-        ds.push(TimeSeries::new("near2", vec![0.05; 6])).unwrap();
-        let (a, _) = linear.extend(&base, &ds).unwrap();
-        let (b, _) = grid.extend(&base, &ds).unwrap();
-        assert_eq!(a, b, "index policy never changes what gets built");
     }
 }

@@ -1,7 +1,5 @@
 use onex_api::OnexError;
 
-use crate::IndexPolicy;
-
 /// How a group's representative evolves as members join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepresentativePolicy {
@@ -21,14 +19,7 @@ pub enum RepresentativePolicy {
 }
 
 /// Configuration of a base construction run.
-///
-/// Equality compares the *semantic* fields only: [`BaseConfig::index`]
-/// selects how the nearest representative is looked up during
-/// construction, and every index policy produces a byte-identical base,
-/// so two configs differing only in `index` are interchangeable (a base
-/// built with one can be extended under the other, and persistence does
-/// not record the policy).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaseConfig {
     /// The similarity threshold `ST`. When [`Self::length_normalized`] is
     /// true (default), `st` is a *per-sample RMS* threshold: a subsequence
@@ -50,22 +41,6 @@ pub struct BaseConfig {
     pub policy: RepresentativePolicy,
     /// Interpret `st` per-sample (see [`Self::st`]).
     pub length_normalized: bool,
-    /// Nearest-representative lookup strategy used during construction
-    /// (see [`IndexPolicy`]). An execution choice, not a semantic one:
-    /// results are identical across policies, only construction time and
-    /// distance-call counts differ. Excluded from equality.
-    pub index: IndexPolicy,
-}
-
-impl PartialEq for BaseConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.st == other.st
-            && self.min_len == other.min_len
-            && self.max_len == other.max_len
-            && self.stride == other.stride
-            && self.policy == other.policy
-            && self.length_normalized == other.length_normalized
-    }
 }
 
 impl BaseConfig {
@@ -79,7 +54,6 @@ impl BaseConfig {
             stride: 1,
             policy: RepresentativePolicy::default(),
             length_normalized: true,
-            index: IndexPolicy::default(),
         }
     }
 
@@ -149,25 +123,6 @@ mod tests {
         };
         assert_eq!(cfg.admission_radius(4), 1.5);
         assert_eq!(cfg.admission_radius(100), 1.5);
-    }
-
-    #[test]
-    fn index_policy_is_an_execution_detail_not_a_semantic_one() {
-        let linear = BaseConfig {
-            index: IndexPolicy::Linear,
-            ..BaseConfig::new(1.0, 4, 8)
-        };
-        let auto = BaseConfig {
-            index: IndexPolicy::Auto,
-            ..BaseConfig::new(1.0, 4, 8)
-        };
-        assert_eq!(linear, auto, "index policy excluded from equality");
-        assert_ne!(
-            linear,
-            BaseConfig::new(2.0, 4, 8),
-            "semantic fields still compared"
-        );
-        assert!(linear.validate().is_ok() && auto.validate().is_ok());
     }
 
     #[test]

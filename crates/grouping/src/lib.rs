@@ -22,12 +22,11 @@
 //!   (Euclidean), otherwise it seeds a new group. Sequential,
 //!   length-parallel (crossbeam) and incremental construction all run the
 //!   same admission rule and produce identical bases.
-//! * [`RepresentativeIndex`] ([`repindex`]) is the pluggable
-//!   nearest-representative lookup behind that admission rule: the
-//!   [`LinearScan`] reference or the exact [`PaaGrid`], selected by
-//!   [`BaseConfig::index`] ([`IndexPolicy`]) — byte-identical results,
-//!   orders of magnitude fewer distance computations when the base
-//!   barely compacts.
+//! * [`PaaGrid`] ([`repindex`]) is the nearest-representative lookup
+//!   behind that admission rule: an exact PAA-bound grid that returns
+//!   what scanning every representative returns, from orders of
+//!   magnitude fewer distance computations when the base barely
+//!   compacts.
 //! * [`OnexBase`] is the finished index: groups per length, compaction
 //!   statistics, invariant auditing, and a versioned binary persistence
 //!   format ([`persist`]). Each length is one [`GroupColumn`]
@@ -66,8 +65,6 @@ pub use blocks::GroupColumn;
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
 pub use group::{GroupId, GroupView};
-pub use repindex::{
-    IndexPolicy, IndexWork, LinearScan, PaaGrid, RepresentativeIndex, ResidentIndex,
-};
+pub use repindex::{IndexWork, PaaGrid, ResidentIndex};
 pub use sketch::{LengthSketches, SketchIndex};
 pub use space::SubsequenceSpace;

@@ -162,9 +162,6 @@ pub(super) fn decode(all: &[u8]) -> Result<OnexBase, OnexError> {
         stride,
         policy,
         length_normalized,
-        // The lookup strategy is an execution hint, not part of the base's
-        // semantics — it is not persisted and defaults on load.
-        index: crate::IndexPolicy::default(),
     };
     config
         .validate()

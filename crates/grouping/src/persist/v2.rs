@@ -280,8 +280,6 @@ impl BaseSegment {
             stride,
             policy,
             length_normalized,
-            // Execution hint, not base semantics — defaults on load.
-            index: crate::IndexPolicy::default(),
         };
         config
             .validate()

@@ -1,25 +1,24 @@
-//! Pluggable nearest-representative lookup for base construction.
+//! The nearest-representative lookup behind base construction.
 //!
 //! [`crate::BaseBuilder`] assigns every subsequence to the nearest
 //! existing group whose representative lies within the admission radius
-//! (`ST/2`). The reference implementation is a linear scan over all
-//! representatives — O(groups) per subsequence, O(n·groups) for a whole
-//! construction run, which makes preprocessing the slowest path in the
-//! system precisely when the base barely compacts (many groups). The
-//! paper treats preprocessing as an interactive, one-click step
-//! ("loading a new dataset triggers the preprocessing of this data at
-//! the server side"), so this latency is user-facing.
+//! (`ST/2`). Scanning every representative costs O(groups) per
+//! subsequence, O(n·groups) for a whole construction run, which makes
+//! preprocessing the slowest path in the system precisely when the base
+//! barely compacts (many groups). The paper treats preprocessing as an
+//! interactive, one-click step ("loading a new dataset triggers the
+//! preprocessing of this data at the server side"), so this latency is
+//! user-facing.
 //!
-//! [`RepresentativeIndex`] abstracts the lookup so an exact index
-//! ([`PaaGrid`]) can answer the same question from a handful of
-//! candidates with **identical results**. The contract is exact, not
-//! approximate: the winner is defined as the representative minimising
-//! `(d², group id)` lexicographically among those with
-//! `d² ≤ radius²`, where `d²` is the same floating-point sum the linear
-//! scan computes ([`onex_distance::ed::ed_early_abandon_sq`]). Every
-//! implementation must return that winner, so construction through any
-//! index produces a byte-identical base — the equivalence property tests
-//! in `tests/properties.rs` and bench experiment E12 both check this.
+//! [`PaaGrid`] answers the scan's question from a handful of candidates
+//! with **the scan's answer**. The contract is exact, not approximate:
+//! the winner is the representative minimising `(d², group id)`
+//! lexicographically among those with `d² ≤ radius²`, where `d²` is the
+//! floating-point sum a linear scan computes
+//! ([`onex_distance::ed::ed_early_abandon_sq`]). The lookup drills below
+//! hold the grid to a linear scan lookup by lookup, and the property
+//! tests in `tests/properties.rs` hold whole bases to a model of §3.1
+//! that scans.
 //!
 //! # The grid
 //!
@@ -65,9 +64,6 @@
 //! no index helps there and the grid costs about what the scan does
 //! (experiment E12 records it).
 //!
-//! Which implementation runs is an execution decision, not a semantic
-//! one, selected by [`IndexPolicy`] on [`crate::BaseConfig`].
-//!
 //! A batch build creates its indexes and drops them with the call. An
 //! incremental extension instead runs against a [`ResidentIndex`] — the
 //! per-length indexes of one base, seeded from its groups on first use
@@ -76,20 +72,18 @@
 //! existing group.
 
 use std::collections::BTreeMap;
-use std::str::FromStr;
 
-use onex_api::OnexError;
 use onex_distance::ed::ed_early_abandon_sq;
 
 use crate::GroupColumn;
 
 /// Work accounting for one construction run, mirroring the query-side
-/// `onex_api::BackendStats` triple so construction effort can be compared
-/// across index policies the same way query effort is compared across
-/// backends. `examined` and `pruned` are disjoint: a representative is
-/// either dismissed by an index bound before any distance computation
-/// (pruned) or actually compared against (examined), never both — at
-/// every lookup they add up to the representatives then alive.
+/// `onex_api::BackendStats` triple so construction effort reads the way
+/// query effort does. `examined` and `pruned` are disjoint: a
+/// representative is either dismissed by an index bound before any
+/// distance computation (pruned) or actually compared against
+/// (examined), never both — at every lookup they add up to the
+/// representatives then alive, which is what a linear scan examines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexWork {
     /// Representatives whose distance to a subsequence was computed
@@ -107,151 +101,6 @@ impl std::ops::AddAssign for IndexWork {
         self.examined += rhs.examined;
         self.pruned += rhs.pruned;
         self.distance_calls += rhs.distance_calls;
-    }
-}
-
-/// How [`crate::BaseBuilder`] looks up the nearest representative during
-/// construction. Both policies produce a byte-identical base; they differ
-/// only in construction time and distance-call count (experiment E12
-/// measures both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexPolicy {
-    /// The exact [`PaaGrid`] for every length. The default.
-    #[default]
-    Auto,
-    /// Always scan every representative — the reference implementation.
-    Linear,
-}
-
-impl IndexPolicy {
-    /// Instantiate the index for the column of subsequence length `len`,
-    /// whose admission radius is `radius`.
-    pub(crate) fn create(self, len: usize, radius: f64) -> Box<dyn RepresentativeIndex> {
-        match self {
-            IndexPolicy::Auto => Box::new(PaaGrid::new(len, radius)),
-            IndexPolicy::Linear => Box::new(LinearScan),
-        }
-    }
-
-    /// Stable lowercase name (`auto` / `linear`), the inverse of
-    /// [`IndexPolicy::from_str`].
-    pub fn label(&self) -> &'static str {
-        match self {
-            IndexPolicy::Auto => "auto",
-            IndexPolicy::Linear => "linear",
-        }
-    }
-}
-
-impl std::fmt::Display for IndexPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for IndexPolicy {
-    type Err = OnexError;
-
-    /// Parse a policy name (`auto`, `linear`).
-    ///
-    /// # Errors
-    /// [`OnexError::InvalidConfig`] naming the offending value.
-    fn from_str(s: &str) -> Result<Self, OnexError> {
-        match s {
-            "auto" => Ok(IndexPolicy::Auto),
-            "linear" => Ok(IndexPolicy::Linear),
-            other => Err(OnexError::invalid_config(format!(
-                "unknown index policy {other:?}; one of auto, linear"
-            ))),
-        }
-    }
-}
-
-/// Nearest-representative lookup used by the builder's admission rule.
-///
-/// The contract every implementation must honour exactly:
-///
-/// * [`RepresentativeIndex::nearest_within`] returns the group whose
-///   representative minimises `(d², group id)` lexicographically among
-///   those with `d² ≤ radius_sq`, with `d²` as
-///   [`onex_distance::ed::ed_early_abandon_sq`] computes it — or `None`
-///   when no representative is within the radius.
-/// * The builder calls [`RepresentativeIndex::insert`] exactly once per
-///   newly seeded group, with group ids issued densely from 0.
-/// * The builder calls [`RepresentativeIndex::update`] after every
-///   admission that moved a representative (the `Centroid` policy).
-///
-/// Indexes are `Send`: a [`ResidentIndex`] lives inside an engine that
-/// threads share.
-pub trait RepresentativeIndex: Send {
-    /// The nearest representative within `radius_sq` of `xs` (squared
-    /// Euclidean), ties broken towards the lowest group id. `groups` is
-    /// the builder's live group list, which representatives are read
-    /// from.
-    fn nearest_within(
-        &mut self,
-        xs: &[f64],
-        radius_sq: f64,
-        groups: &GroupColumn,
-        work: &mut IndexWork,
-    ) -> Option<(usize, f64)>;
-
-    /// Register a newly seeded group.
-    fn insert(&mut self, group: usize, representative: &[f64]);
-
-    /// Note that a group's representative moved (centroid drift).
-    fn update(&mut self, group: usize, representative: &[f64]);
-
-    /// Stable implementation name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Heap bytes the index keeps, worked out from capacities (no
-    /// allocator hook).
-    fn resident_bytes(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------
-// Linear scan — the reference implementation.
-// ---------------------------------------------------------------------
-
-/// The reference lookup: scan every representative with an
-/// early-abandoning ED whose bound tightens to the best candidate seen so
-/// far. O(groups) per call; keeps no state of its own.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinearScan;
-
-impl RepresentativeIndex for LinearScan {
-    fn nearest_within(
-        &mut self,
-        xs: &[f64],
-        radius_sq: f64,
-        groups: &GroupColumn,
-        work: &mut IndexWork,
-    ) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        let mut bound_sq = radius_sq;
-        for (gi, g) in groups.iter().enumerate() {
-            work.examined += 1;
-            work.distance_calls += 1;
-            let d_sq = ed_early_abandon_sq(xs, g.representative(), bound_sq);
-            if d_sq.is_finite() && best.is_none_or(|(_, b)| d_sq < b) {
-                best = Some((gi, d_sq));
-                bound_sq = d_sq;
-            }
-        }
-        best
-    }
-
-    fn insert(&mut self, _group: usize, _representative: &[f64]) {}
-
-    fn update(&mut self, _group: usize, _representative: &[f64]) {}
-
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
-    fn resident_bytes(&self) -> usize {
-        0
     }
 }
 
@@ -325,7 +174,7 @@ pub struct PaaGrid {
     /// Entries filed, one per group.
     entries: usize,
     /// Per group: the cell its entry is filed in and the slot there —
-    /// built from `cells` by the first [`RepresentativeIndex::update`] and
+    /// built from `cells` by the first [`PaaGrid::update`] and
     /// kept in step from then on.
     home: Option<Vec<(Cell, u32)>>,
 }
@@ -403,24 +252,14 @@ impl PaaGrid {
         };
         (cell, entry)
     }
-}
 
-/// Candidate acceptance with the linear scan's exact semantics: strictly
-/// closer wins; at equal distance the lower group id wins (the linear
-/// scan's first-hit-wins order).
-fn offer(best: &mut Option<(usize, f64)>, radius_sq: f64, gid: usize, d_sq: f64) {
-    let accepted = match best {
-        None => d_sq <= radius_sq,
-        Some((bg, b)) => d_sq < *b || (d_sq == *b && gid < *bg),
-    };
-    if accepted {
-        *best = Some((gid, d_sq));
-    }
-}
-
-impl RepresentativeIndex for PaaGrid {
-    fn nearest_within(
-        &mut self,
+    /// The nearest representative within `radius_sq` of `xs` (squared
+    /// Euclidean, as [`onex_distance::ed::ed_early_abandon_sq`] computes
+    /// it), ties broken towards the lowest group id — `None` when no
+    /// representative is within the radius. `groups` is the live column
+    /// the representatives are read from.
+    pub fn nearest_within(
+        &self,
         xs: &[f64],
         radius_sq: f64,
         groups: &GroupColumn,
@@ -487,7 +326,8 @@ impl RepresentativeIndex for PaaGrid {
         best
     }
 
-    fn insert(&mut self, group: usize, representative: &[f64]) {
+    /// Register a newly seeded group: ids are issued densely from 0.
+    pub fn insert(&mut self, group: usize, representative: &[f64]) {
         assert_eq!(group, self.entries, "group ids are issued densely");
         let (cell, entry) = self.file(group, representative);
         let entries = self.cells.entry(cell).or_default();
@@ -498,7 +338,9 @@ impl RepresentativeIndex for PaaGrid {
         self.entries += 1;
     }
 
-    fn update(&mut self, group: usize, representative: &[f64]) {
+    /// Note that a group's representative moved (centroid drift): its
+    /// entry moves to the cell it now belongs in.
+    pub fn update(&mut self, group: usize, representative: &[f64]) {
         let (cell, entry) = self.file(group, representative);
         if self.home.is_none() {
             self.home = Some(self.directory());
@@ -524,11 +366,9 @@ impl RepresentativeIndex for PaaGrid {
         entries.push(entry);
     }
 
-    fn name(&self) -> &'static str {
-        "grid"
-    }
-
-    fn resident_bytes(&self) -> usize {
+    /// Heap bytes the index keeps, worked out from capacities (no
+    /// allocator hook).
+    pub fn resident_bytes(&self) -> usize {
         let filed = self.cells.values().map(Vec::capacity).sum::<usize>();
         let home = self.home.as_ref().map_or(0, Vec::capacity);
         filed * std::mem::size_of::<Entry>()
@@ -537,18 +377,24 @@ impl RepresentativeIndex for PaaGrid {
     }
 }
 
-// ---------------------------------------------------------------------
-// Resident index — the per-length indexes of one base, kept in step.
-// ---------------------------------------------------------------------
-
-/// The index of one length column, with the number of groups it covers
-/// (the cheap check that it still mirrors the column it is handed).
-struct Column {
-    index: Box<dyn RepresentativeIndex>,
-    groups: usize,
+/// Candidate acceptance with the linear scan's exact semantics: strictly
+/// closer wins; at equal distance the lower group id wins (the linear
+/// scan's first-hit-wins order).
+fn offer(best: &mut Option<(usize, f64)>, radius_sq: f64, gid: usize, d_sq: f64) {
+    let accepted = match best {
+        None => d_sq <= radius_sq,
+        Some((bg, b)) => d_sq < *b || (d_sq == *b && gid < *bg),
+    };
+    if accepted {
+        *best = Some((gid, d_sq));
+    }
 }
 
-/// The nearest-representative indexes of one base, one per subsequence
+// ---------------------------------------------------------------------
+// Resident index — the per-length grids of one base, kept in step.
+// ---------------------------------------------------------------------
+
+/// The nearest-representative grids of one base, one per subsequence
 /// length, as [`crate::BaseBuilder::extend_resident`] uses them.
 ///
 /// Lifecycle: a column is **seeded** from the base's groups the first
@@ -561,7 +407,7 @@ struct Column {
 /// the "same base" guarantee (the engine stamps it with the epoch).
 #[derive(Default)]
 pub struct ResidentIndex {
-    columns: BTreeMap<usize, Column>,
+    columns: BTreeMap<usize, PaaGrid>,
     seeds: u64,
 }
 
@@ -578,7 +424,7 @@ impl ResidentIndex {
 
     /// Representatives covered, over all seeded columns.
     pub fn entries(&self) -> usize {
-        self.columns.values().map(|c| c.groups).sum()
+        self.columns.values().map(|grid| grid.entries).sum()
     }
 
     /// Columns seeded from a base's groups over this index's lifetime
@@ -592,60 +438,35 @@ impl ResidentIndex {
     /// Heap bytes the seeded columns keep, worked out from capacities: 0
     /// until an extension seeds the first one.
     pub fn resident_bytes(&self) -> usize {
-        let columns = self.columns.values();
-        columns.map(|c| c.index.resident_bytes()).sum()
+        self.columns.values().map(PaaGrid::resident_bytes).sum()
     }
 
-    /// The implementation behind the seeded columns (`"grid"` or
-    /// `"linear"`), `"none"` when nothing is seeded.
+    /// `"grid"` once a column is seeded, `"none"` before.
     pub fn kind(&self) -> &'static str {
-        self.columns
-            .values()
-            .next()
-            .map_or("none", |c| c.index.name())
+        if self.columns.is_empty() {
+            "none"
+        } else {
+            "grid"
+        }
     }
 
-    /// The index for length `len` (admission radius `radius`), mirroring
-    /// `groups`: the resident column when it covers exactly these groups,
-    /// one freshly seeded from them — a pass of inserts — otherwise.
-    pub(crate) fn column(
-        &mut self,
-        policy: IndexPolicy,
-        len: usize,
-        radius: f64,
-        groups: &GroupColumn,
-    ) -> &mut dyn RepresentativeIndex {
-        let resident = self
-            .columns
-            .get(&len)
-            .is_some_and(|c| c.groups == groups.len());
-        if !resident {
-            let mut index = policy.create(len, radius);
+    /// The grid for length `len` (admission radius `radius`), mirroring
+    /// `groups`: the resident column when it holds an entry for exactly
+    /// these groups, one freshly seeded from them — a pass of inserts —
+    /// otherwise.
+    pub(crate) fn column(&mut self, len: usize, radius: f64, groups: &GroupColumn) -> &mut PaaGrid {
+        let resident = self.columns.get(&len);
+        if resident.is_none_or(|grid| grid.entries != groups.len()) {
+            let mut grid = PaaGrid::new(len, radius);
             for (gi, g) in groups.iter().enumerate() {
-                index.insert(gi, g.representative());
+                grid.insert(gi, g.representative());
             }
             self.seeds += 1;
-            self.columns.insert(
-                len,
-                Column {
-                    index,
-                    groups: groups.len(),
-                },
-            );
+            self.columns.insert(len, grid);
         }
         self.columns
             .get_mut(&len)
             .expect("the column was found or just seeded")
-            .index
-            .as_mut()
-    }
-
-    /// Record that the column for `len` now covers `groups` groups (the
-    /// builder's receipt after extending it).
-    pub(crate) fn covered(&mut self, len: usize, groups: usize) {
-        if let Some(column) = self.columns.get_mut(&len) {
-            column.groups = groups;
-        }
     }
 }
 
@@ -696,7 +517,23 @@ mod tests {
         grid.cells.values().map(Vec::len).sum()
     }
 
-    /// Drive both implementations through an identical randomized
+    /// The oracle: every representative scanned with an early-abandoning
+    /// ED whose bound tightens to the best candidate seen so far, the
+    /// first of equals kept.
+    fn linear_scan(xs: &[f64], radius_sq: f64, groups: &GroupColumn) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        let mut bound_sq = radius_sq;
+        for (gi, g) in groups.iter().enumerate() {
+            let d_sq = ed_early_abandon_sq(xs, g.representative(), bound_sq);
+            if d_sq.is_finite() && best.is_none_or(|(_, b)| d_sq < b) {
+                best = Some((gi, d_sq));
+                bound_sq = d_sq;
+            }
+        }
+        best
+    }
+
+    /// Drive the grid and the linear scan through an identical randomized
     /// insert/update/query schedule — windows jittered about a pool of
     /// shapes, so that about half of them find a group — and demand
     /// identical answers, with every live representative accounted for at
@@ -724,9 +561,8 @@ mod tests {
     ) -> (GroupColumn, PaaGrid) {
         let mut rng = Rng(seed);
         let mut groups = GroupColumn::new();
-        let mut linear = LinearScan;
         let mut grid = PaaGrid::new(len, radius);
-        let mut lw = IndexWork::default();
+        let mut scanned = 0;
         let mut gw = IndexWork::default();
         let radius_sq = radius * radius;
         let mut updates = 0;
@@ -739,15 +575,13 @@ mod tests {
                 .zip(rng.vec(len, jitter))
                 .map(|(s, j)| s + j)
                 .collect();
-            let (mut l1, mut g1) = (IndexWork::default(), IndexWork::default());
-            let a = linear.nearest_within(&xs, radius_sq, &groups, &mut l1);
+            let mut g1 = IndexWork::default();
+            let a = linear_scan(&xs, radius_sq, &groups);
             let b = grid.nearest_within(&xs, radius_sq, &groups, &mut g1);
             assert_eq!(a, b, "step {step}: linear {a:?} vs grid {b:?}");
-            for (name, w) in [("linear", l1), ("grid", g1)] {
-                assert_eq!(w.examined + w.pruned, groups.len(), "step {step}: {name}");
-                assert_eq!(w.distance_calls, w.examined, "step {step}: {name}");
-            }
-            lw += l1;
+            assert_eq!(g1.examined + g1.pruned, groups.len(), "step {step}");
+            assert_eq!(g1.distance_calls, g1.examined, "step {step}");
+            scanned += groups.len();
             gw += g1;
             match a {
                 Some((gi, d_sq)) => {
@@ -755,7 +589,6 @@ mod tests {
                     let member = SubseqRef::new(1, step, len as u32);
                     groups.admit(gi, member, &xs, d_sq.sqrt(), centroid);
                     if centroid {
-                        linear.update(gi, groups.at(gi).representative());
                         grid.update(gi, groups.at(gi).representative());
                         updates += 1;
                     }
@@ -763,7 +596,6 @@ mod tests {
                 }
                 None => {
                     groups.push_owned(first(&xs), &xs);
-                    linear.insert(groups.len() - 1, &xs);
                     grid.insert(groups.len() - 1, &xs);
                 }
             }
@@ -776,10 +608,9 @@ mod tests {
         assert!(groups.len() > 50, "drill must exercise many groups");
         assert!(centroid_rate == 0.0 || updates > 50, "{updates} updates");
         assert!(
-            gw.examined * 2 < lw.examined,
-            "grid must prune: examined {} vs linear {}",
+            gw.examined * 2 < scanned,
+            "grid must prune: examined {} vs linear {scanned}",
             gw.examined,
-            lw.examined
         );
         (groups, grid)
     }
@@ -852,9 +683,9 @@ mod tests {
     fn seeded_index_equals_incremental_inserts() {
         // An index kept in step through inserts and drifting centroids
         // answers as one seeded from the groups it ended up with does.
-        let (groups, mut kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
+        let (groups, kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
         let mut resident = ResidentIndex::new();
-        let seeded = resident.column(IndexPolicy::Auto, 10, 2.0, &groups);
+        let seeded = resident.column(10, 2.0, &groups);
         let mut rng = Rng(55);
         for _ in 0..100 {
             let q = rng.vec(10, 6.0);
@@ -885,7 +716,7 @@ mod tests {
                 let mut work = IndexWork::default();
                 assert_eq!(
                     grid.nearest_within(&q, radius * radius, &groups, &mut work),
-                    LinearScan.nearest_within(&q, radius * radius, &groups, &mut work),
+                    linear_scan(&q, radius * radius, &groups),
                     "radius {radius}"
                 );
             }
@@ -914,8 +745,7 @@ mod tests {
                         *x += sign * reach;
                     }
                     let mut work = IndexWork::default();
-                    let want =
-                        LinearScan.nearest_within(&query, radius * radius, &groups, &mut work);
+                    let want = linear_scan(&query, radius * radius, &groups);
                     let got = grid.nearest_within(&query, radius * radius, &groups, &mut work);
                     assert_eq!(got, want, "offset {offset}, half {half}, sign {sign}");
                     found += usize::from(want.is_some());
@@ -938,7 +768,7 @@ mod tests {
         grid.update(1, groups.at(1).representative());
         let query = vec![1.0, 2.0, 3.0, 4.5];
         let got = grid.nearest_within(&query, 1.0, &groups, &mut work);
-        let want = LinearScan.nearest_within(&query, 1.0, &groups, &mut work);
+        let want = linear_scan(&query, 1.0, &groups);
         assert_eq!(got, want);
         assert_eq!(got.unwrap().0, 1, "equal distances resolve to lower id");
     }
@@ -958,10 +788,7 @@ mod tests {
             (0, 1, 0),
             "dismissed without a distance call"
         );
-        assert_eq!(
-            LinearScan.nearest_within(&[0.0; 6], 1.0, &groups, &mut work),
-            None
-        );
+        assert_eq!(linear_scan(&[0.0; 6], 1.0, &groups), None);
     }
 
     #[test]
@@ -976,10 +803,7 @@ mod tests {
             ),
             None
         );
-        assert_eq!(
-            LinearScan.nearest_within(&[1.0, 2.0], 100.0, &GroupColumn::new(), &mut work),
-            None
-        );
+        assert_eq!(linear_scan(&[1.0, 2.0], 100.0, &GroupColumn::new()), None);
     }
 
     #[test]
@@ -995,7 +819,7 @@ mod tests {
             let mut work = IndexWork::default();
             assert_eq!(
                 grid.nearest_within(&query, 1.0, &groups, &mut work),
-                LinearScan.nearest_within(&query, 1.0, &groups, &mut work),
+                linear_scan(&query, 1.0, &groups),
                 "{query:?}"
             );
         }
@@ -1020,7 +844,7 @@ mod tests {
             for _ in 0..40 {
                 let query = near(&mut rng);
                 let mut work = IndexWork::default();
-                let want = LinearScan.nearest_within(&query, radius * radius, &groups, &mut work);
+                let want = linear_scan(&query, radius * radius, &groups);
                 let got = grid.nearest_within(&query, radius * radius, &groups, &mut work);
                 assert_eq!(got, want, "level {level}");
                 found += usize::from(want.is_some());
@@ -1030,26 +854,6 @@ mod tests {
             (50..300).contains(&found),
             "{found} of 320 lookups found a group"
         );
-    }
-
-    #[test]
-    fn policy_parsing_round_trips_and_rejects_garbage() {
-        for p in [IndexPolicy::Auto, IndexPolicy::Linear] {
-            assert_eq!(p.label().parse::<IndexPolicy>().unwrap(), p);
-            assert_eq!(p.to_string(), p.label());
-        }
-        for other in ["grid", "tree", ""] {
-            assert!(matches!(
-                other.parse::<IndexPolicy>(),
-                Err(OnexError::InvalidConfig(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn the_policy_names_its_index() {
-        assert_eq!(IndexPolicy::Auto.create(16, 2.0).name(), "grid");
-        assert_eq!(IndexPolicy::Linear.create(16, 2.0).name(), "linear");
     }
 
     #[test]
@@ -1063,23 +867,22 @@ mod tests {
             ("none", 0, 0)
         );
         let q = rng.vec(8, 6.0);
-        let want = LinearScan.nearest_within(&q, 1e9, &groups, &mut work);
-        let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
+        let want = linear_scan(&q, 1e9, &groups);
+        let index = resident.column(8, 1.0, &groups);
         assert_eq!(index.nearest_within(&q, 1e9, &groups, &mut work), want);
         assert_eq!(
             (resident.kind(), resident.entries(), resident.seeds()),
             ("grid", 40, 1)
         );
 
-        // The builder seeds a group, keeps the index in step, and leaves
-        // its receipt: the next extension finds the column resident.
+        // The builder seeds a group and keeps the index in step: the next
+        // extension finds the column resident.
         let before = groups.clone();
         groups.push_owned(first(&q), &q);
         resident
-            .column(IndexPolicy::Auto, 8, 1.0, &before)
+            .column(8, 1.0, &before)
             .insert(40, groups.at(40).representative());
-        resident.covered(8, 41);
-        let index = resident.column(IndexPolicy::Auto, 8, 1.0, &groups);
+        let index = resident.column(8, 1.0, &groups);
         assert_eq!(
             index.nearest_within(&q, 1e-9, &groups, &mut work),
             Some((40, 0.0))
@@ -1088,15 +891,13 @@ mod tests {
 
         // A column of another size is not the one this index mirrors.
         let fewer = column(groups.iter().take(7).map(|g| g.representative()));
-        resident.column(IndexPolicy::Auto, 8, 1.0, &fewer);
+        resident.column(8, 1.0, &fewer);
         assert_eq!((resident.entries(), resident.seeds()), (7, 2));
         resident.clear();
         assert_eq!(
             (resident.kind(), resident.entries(), resident.seeds()),
             ("none", 0, 2)
         );
-        resident.column(IndexPolicy::Linear, 8, 1.0, &groups);
-        assert_eq!((resident.kind(), resident.entries()), ("linear", 41));
     }
 
     #[test]

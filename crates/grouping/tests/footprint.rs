@@ -13,14 +13,16 @@
 //! It then extends that base by one series and checks what the append
 //! asked of the allocator — the blocks it writes to, not a copy of every
 //! column (which is 23 MB requested to leave 0.4 MB more live) — and
-//! what the writer's resident index costs an entry.
+//! what the writer's resident index costs an entry. Last, a collection
+//! that does compact: the member lists admissions grew by doubling are
+//! given back their slack when the build finishes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use onex_grouping::{BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy, ResidentIndex};
-use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
-use onex_tseries::{Dataset, TimeSeries};
+use onex_tseries::gen::{clustered_dataset, random_walk, random_walk_dataset, SyntheticConfig};
+use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 
 /// The system allocator, with the requested bytes currently live — and
 /// every byte ever requested — summed on the side.
@@ -222,4 +224,43 @@ fn a_base_that_does_not_compact_holds_its_records_and_nothing_else() {
     assert_eq!(group.representative(), window);
     let sum: f64 = next.iter().map(|(_, g)| g.representative()[0]).sum();
     assert!(sum.is_finite());
+    drop(next);
+
+    // The harness's `explore` collection at a quarter of its series:
+    // eight shape families, lengths 30..=32, a few groups of hundreds of
+    // members. Every member list is held at its length — at capacity it
+    // was half as much again — and footprint() still matches the count.
+    let clustered = clustered_dataset(
+        SyntheticConfig {
+            series: 32,
+            len: 512,
+            seed: 1,
+        },
+        8,
+        0.08,
+    );
+    let explore = BaseBuilder::new(BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, 30, 32)
+    })
+    .unwrap();
+    let (held, base) = held_by(|| explore.build(&clustered).0);
+    let listed: usize = base
+        .iter()
+        .map(|(_, g)| g.cardinality())
+        .filter(|&members| members > 1)
+        .sum();
+    let footprint = base.footprint();
+    println!("clustered: {held} live bytes, {footprint:?}");
+    assert!(listed * 10 > base.member_count() * 9, "the shape compacts");
+    assert_eq!(
+        footprint.member_lists,
+        listed * std::mem::size_of::<SubseqRef>(),
+        "member lists counted at length"
+    );
+    let estimate = footprint.total() as f64;
+    assert!(
+        (estimate - held as f64).abs() <= 0.15 * held as f64,
+        "footprint() says {estimate} bytes, the allocator counted {held}"
+    );
 }

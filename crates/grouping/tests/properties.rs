@@ -1,8 +1,10 @@
 //! Property tests for the ONEX base construction invariants.
 
+mod model;
+
 use onex_distance::ed;
 use onex_grouping::{
-    BaseBuilder, BaseConfig, IndexPolicy, RepresentativePolicy, ResidentIndex, SubsequenceSpace,
+    BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy, ResidentIndex, SubsequenceSpace,
 };
 use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
@@ -278,50 +280,40 @@ fn policy_of(seed_policy: bool) -> RepresentativePolicy {
     }
 }
 
-/// Build `ds` under `cfg` with the linear reference and with the grid,
-/// then grow the base of its first series to the whole collection three
-/// ways — one stateless step per lookup, and one series at a time
-/// through a resident index — and demand the same base every time.
-fn assert_grid_equals_linear(ds: &Dataset, cfg: &BaseConfig) {
-    let with = |index| {
-        BaseBuilder::new(BaseConfig {
-            index,
-            ..cfg.clone()
-        })
-        .unwrap()
-    };
-    let (reference, linear_work) = with(IndexPolicy::Linear).build(ds);
-    let (indexed, grid_work) = with(IndexPolicy::Auto).build(ds);
-    assert_eq!(&indexed, &reference, "build under {cfg:?}");
+/// Build `ds` under `cfg`, then grow the base of its first series to the
+/// whole collection two ways — in one stateless step, and one series at
+/// a time through a resident index — and demand the model's base every
+/// time.
+fn assert_equals_the_model(ds: &Dataset, cfg: &BaseConfig) {
+    let model = model::build(ds, cfg);
+    let builder = BaseBuilder::new(cfg.clone()).unwrap();
+    let (built, report) = builder.build(ds);
+    model::assert_matches(&model, &built, &format!("build under {cfg:?}"));
     assert_eq!(
-        grid_work.work.examined + grid_work.work.pruned,
-        linear_work.work.examined,
+        report.work.examined + report.work.pruned,
+        model.scanned,
         "every representative is examined or pruned at every lookup"
     );
     if ds.len() < 2 {
         return;
     }
     let first = Dataset::from_series(vec![ds.series(0).unwrap().clone()]).unwrap();
-    let (partial, _) = with(IndexPolicy::Auto).build(&first);
-    let (reference, _) = with(IndexPolicy::Linear).extend(&partial, ds).unwrap();
-    let (extended, _) = with(IndexPolicy::Auto).extend(&partial, ds).unwrap();
-    assert_eq!(&extended, &reference, "extend under {cfg:?}");
-    for index in [IndexPolicy::Linear, IndexPolicy::Auto] {
-        let builder = with(index);
-        let mut resident = ResidentIndex::new();
-        let mut grown = first.clone();
-        let mut base = partial.clone();
-        for (_, s) in ds.iter().skip(1) {
-            grown.push(s.clone()).unwrap();
-            base = builder
-                .extend_resident(&base, &grown, &mut resident)
-                .unwrap()
-                .0;
-        }
-        assert_eq!(&base, &reference, "resident {index} under {cfg:?}");
-        assert_eq!(base.sketches(), reference.sketches());
-        assert_eq!(resident.entries(), base.group_count());
+    let (partial, _) = builder.build(&first);
+    let (extended, _) = builder.extend(&partial, ds).unwrap();
+    model::assert_matches(&model, &extended, &format!("extend under {cfg:?}"));
+    let mut resident = ResidentIndex::new();
+    let mut grown = first;
+    let mut base = partial;
+    for (_, s) in ds.iter().skip(1) {
+        grown.push(s.clone()).unwrap();
+        base = builder
+            .extend_resident(&base, &grown, &mut resident)
+            .unwrap()
+            .0;
     }
+    model::assert_matches(&model, &base, &format!("resident under {cfg:?}"));
+    assert_eq!(base.sketches(), extended.sketches());
+    assert_eq!(resident.entries(), base.group_count());
 }
 
 /// `ds` with every value mapped through `f`.
@@ -337,8 +329,9 @@ fn mapped(ds: &Dataset, f: impl Fn(f64) -> f64) -> Dataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Construction through the grid is byte-identical to the linear-scan
-    /// reference, under both representative policies.
+    /// Construction through the grid builds the model's base — the one
+    /// a linear scan builds — under both representative policies, and
+    /// so does the length-parallel build.
     #[test]
     fn indexed_construction_equals_linear_scan(
         ds in walk_dataset(),
@@ -349,19 +342,17 @@ proptest! {
             policy: policy_of(seed_policy),
             ..BaseConfig::new(st, 4, 9)
         };
-        let (reference, _) = BaseBuilder::new(BaseConfig {
-            index: IndexPolicy::Linear,
-            ..cfg.clone()
-        }).unwrap().build(&ds);
-        let (indexed, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
-        prop_assert_eq!(&indexed, &reference);
+        let model = model::build(&ds, &cfg);
+        let builder = BaseBuilder::new(cfg).unwrap();
+        model::assert_matches(&model, &builder.build(&ds).0, "build");
+        model::assert_matches(&model, &builder.build_parallel(&ds, 3).unwrap().0, "parallel");
     }
 
-    /// Incremental extension through the index matches the linear
-    /// reference too: extending a base built with either policy, with
-    /// either lookup, lands every new subsequence in the same group —
-    /// in one stateless step, or one series at a time through an index
-    /// kept resident across the steps.
+    /// Incremental extension through the index builds the model's base
+    /// too: extending a base built under either policy lands every new
+    /// subsequence where the linear scan would — in one stateless step,
+    /// or one series at a time through an index kept resident across the
+    /// steps.
     #[test]
     fn indexed_extend_equals_linear_scan(
         ds in walk_dataset(),
@@ -373,7 +364,7 @@ proptest! {
             policy: policy_of(seed_policy),
             ..BaseConfig::new(st, 4, 9)
         };
-        assert_grid_equals_linear(&ds, &cfg);
+        assert_equals_the_model(&ds, &cfg);
     }
 }
 
@@ -400,7 +391,7 @@ fn indexed_construction_is_exact_where_rounding_bites() {
                                 policy,
                                 ..BaseConfig::new(st * scale, min_len, min_len + 5)
                             };
-                            assert_grid_equals_linear(&ds, &cfg);
+                            assert_equals_the_model(&ds, &cfg);
                         }
                     }
                 }
@@ -425,7 +416,7 @@ fn a_constant_collection_lands_in_the_first_group() {
                 policy,
                 ..BaseConfig::new(0.5, 2, 6)
             };
-            assert_grid_equals_linear(&ds, &cfg);
+            assert_equals_the_model(&ds, &cfg);
             let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
             for len in base.lengths() {
                 assert_eq!(
@@ -466,7 +457,7 @@ fn values_that_overflow_the_distance_admit_nothing_and_never_panic() {
                 policy,
                 ..BaseConfig::new(st, 2, 7)
             };
-            assert_grid_equals_linear(&ds, &cfg);
+            assert_equals_the_model(&ds, &cfg);
             let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
             for len in base.lengths() {
                 for g in base.groups_for_len(len) {

@@ -67,9 +67,8 @@ impl App {
     }
 
     /// The demo's dataset-load path: preprocess `dataset` into the ONEX
-    /// base (through the indexed builder [`BaseConfig::index`] selects —
-    /// `Auto` by default) and remember the [`BuildReport`], including its
-    /// work counters, for `/api/summary`.
+    /// base and remember the [`BuildReport`], including its work
+    /// counters, for `/api/summary`.
     ///
     /// # Errors
     /// [`OnexError::InvalidConfig`] for an invalid configuration.
@@ -364,7 +363,7 @@ impl App {
             ("members", stats.members.into()),
             ("compaction", stats.compaction.into()),
             // Which SIMD tier the distance kernels selected at startup
-            // ("scalar", "sse2" or "avx2") — the level every distance in
+            // ("scalar" or "avx2") — the level every distance in
             // this process runs at.
             (
                 "kernel_level",
