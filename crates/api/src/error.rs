@@ -92,8 +92,8 @@ pub enum StorageErrorKind {
     BadMagic,
     /// The file declares a format version this binary cannot read.
     UnsupportedVersion,
-    /// A checksum over the file (v1) or one of its sections (v2) did not
-    /// match — the bytes were damaged after writing.
+    /// A checksum over the file's directory or one of its sections did
+    /// not match — the bytes were damaged after writing.
     ChecksumMismatch,
     /// The bytes decoded but violate the format's structural rules:
     /// out-of-bounds section, overlapping directory entries, truncated

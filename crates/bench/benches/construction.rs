@@ -1,9 +1,9 @@
 //! E7 bench — base construction: threshold sweep, sequential vs parallel,
-//! and persistence round-trip.
+//! and incremental extension (E18 times the base image round trip).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use onex_bench::workloads;
-use onex_grouping::{persist, BaseBuilder, BaseConfig};
+use onex_grouping::{BaseBuilder, BaseConfig};
 use std::hint::black_box;
 
 fn bench_construction(c: &mut Criterion) {
@@ -39,18 +39,6 @@ fn bench_construction(c: &mut Criterion) {
         .unwrap();
     g.bench_function("extend_one_series", |b| {
         b.iter(|| black_box(builder.extend(&base, &grown).unwrap()))
-    });
-    g.bench_function("persist_save", |b| {
-        b.iter(|| {
-            let mut buf = Vec::new();
-            persist::save(black_box(&base), &mut buf).unwrap();
-            black_box(buf)
-        })
-    });
-    let mut bytes = Vec::new();
-    persist::save(&base, &mut bytes).unwrap();
-    g.bench_function("persist_load", |b| {
-        b.iter(|| black_box(persist::load(black_box(bytes.as_slice())).unwrap()))
     });
     g.finish();
 }

@@ -5,7 +5,7 @@
 //! repro --quick                # run everything, CI sizes
 //! repro e5 e6                  # run selected experiments
 //! repro --format json e12      # also write machine-readable perf records
-//! repro --inspect-base f.onex  # print a v2 base file's section directory
+//! repro --inspect-base f.onex  # print a base image's section directory
 //! repro list                   # list experiment ids
 //! ```
 //!
@@ -19,13 +19,13 @@
 //! cross-process gossip DTW savings + cluster agreement + dead-peer
 //! probe; `e17` → `BENCH_kernels.json`, SIMD kernel speedups + L0
 //! prefilter ablation + per-tier reject counts; `e18` →
-//! `BENCH_coldstart.json`, v2 lazy-open time-to-first-answer vs v1 full
-//! decode + agreement) so successive runs leave a comparable
+//! `BENCH_coldstart.json`, lazy-open time-to-first-answer vs decoding
+//! every column first + agreement) so successive runs leave a comparable
 //! performance trajectory.
 
 use onex_bench::experiments;
 
-/// `--inspect-base`: open a format-v2 base file, print its section
+/// `--inspect-base`: open a base image file, print its section
 /// directory, and independently re-verify every section checksum
 /// against the raw bytes. Exits non-zero when the file does not open
 /// or any checksum disagrees — usable as a CI integrity gate.
@@ -38,11 +38,10 @@ fn inspect_base(path: &str) -> Result<(), String> {
     let bytes = segment.as_bytes();
     println!("{path}: ONEXSEG2, {} bytes", bytes.len());
     println!(
-        "base: {} source series, {} length column(s), {} group(s), sketches: {}",
+        "base: {} source series, {} length column(s), {} group(s)",
         segment.source_series(),
         segment.lengths().count(),
         segment.total_groups(),
-        if segment.has_sketches() { "yes" } else { "no" },
     );
     println!(
         "{:<12} {:>10} {:>10}  {:<18} verify",

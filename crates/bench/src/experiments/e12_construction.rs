@@ -22,16 +22,16 @@
 //!   groups of hundreds of members, so admission is cheap and what is
 //!   left of construction is the pass that sketches every member.
 //!
-//! Every row also times that pass on its own — one
-//! [`OnexBase::sync_sketches`] over the finished groups, the second pass
-//! `BaseBuilder::build` ends with — so the record says where
-//! construction time goes, not only how much there is. That the grid
+//! Every row also reports that pass on its own — the sketch sync over
+//! the finished groups that `BaseBuilder::build` ends with, timed by the
+//! builder ([`onex_grouping::BuildReport::sketch`]) — so the record says
+//! where construction time goes, not only how much there is. That the grid
 //! builds the linear scan's base is tier-1's to show (a model of the
 //! admission rule in `onex-grouping`'s tests), not this experiment's.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use onex_grouping::{persist, BaseBuilder, BaseConfig, OnexBase, RepresentativePolicy};
+use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
 use onex_tseries::Dataset;
 
 use crate::harness::{fmt_duration, Table};
@@ -117,7 +117,7 @@ pub struct BuildRow {
     pub groups: usize,
     /// Construction wall-clock.
     pub elapsed: Duration,
-    /// Of which the sketch pass, timed apart on the finished groups.
+    /// Of which the sketch pass over the finished groups.
     pub sketch: Duration,
     /// Construction throughput.
     pub per_sec: f64,
@@ -144,27 +144,13 @@ pub fn measure(quick: bool) -> Vec<BuildRow> {
     })
 }
 
-/// One [`OnexBase::sync_sketches`] from nothing over `base`'s groups (as a
-/// v1 file gives them back: no sketches).
-fn sketch_pass(ds: &Dataset, base: &OnexBase) -> Duration {
-    let mut file = Vec::new();
-    persist::save(base, &mut file).expect("writing to memory");
-    let mut bare = persist::load(file.as_slice()).expect("just written");
-    assert!(bare.sketches().is_empty());
-    let start = Instant::now();
-    bare.sync_sketches(ds);
-    let elapsed = start.elapsed();
-    assert!(bare.sketches() == base.sketches(), "the pass the build ran");
-    elapsed
-}
-
 fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
     sweep
         .iter()
         .map(|workload| {
             let ds = (workload.generate)(workload.series, workload.len);
             let builder = BaseBuilder::new(workload.config.clone()).expect("valid config");
-            let (base, report) = builder.build(&ds);
+            let (_, report) = builder.build(&ds);
             BuildRow {
                 shape: workload.shape,
                 series: workload.series,
@@ -173,7 +159,7 @@ fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
                 subsequences: report.subsequences,
                 groups: report.groups,
                 elapsed: report.elapsed,
-                sketch: sketch_pass(&ds, &base),
+                sketch: report.sketch,
                 per_sec: report.subsequences_per_sec(),
                 examined: report.work.examined,
                 pruned: report.work.pruned,
@@ -267,6 +253,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     vec![table(&measure(quick))]
 }
 
+#[cfg(test)]
+use onex_grouping::OnexBase;
 #[cfg(test)]
 #[path = "../../../grouping/tests/model/mod.rs"]
 mod model;

@@ -1,30 +1,26 @@
-//! E18 — cold start: the v2 segment format's lazy column resolve
-//! against a v1 full decode.
+//! E18 — cold start: a base image's lazy column resolve against decoding
+//! every column before the first answer.
 //!
 //! The base is the expensive artefact — the demo's "one-click
 //! preprocessing" — so a restarted server wants to *reuse* it, not
-//! rebuild it. Both persistence formats make that possible; the
-//! question E18 answers is how long the restart keeps a query waiting:
+//! rebuild it. [`Onex::open_bytes`] validates an image's checksums and
+//! answers the first query after resolving only the length columns that
+//! query's plan touches; the question E18 answers is how long that keeps
+//! a query waiting, and what the image costs:
 //!
-//! 1. **Time to first answer.** The v1 stream must decode every group
-//!    of every length column (and re-derive the un-persisted L0
-//!    sketches) before the engine exists; a v2 segment validates its
-//!    checksums, then [`Onex::open_bytes`] answers the first query
-//!    after resolving only the length columns that query's plan
-//!    touches. Each row measures bytes-in-memory → first `k_best`
-//!    answer down both paths. The v2 full materialisation
-//!    ([`Onex::resolve_all`]) is timed too, as the fair "v2 did not
-//!    skip the work, it deferred it" context column.
+//! 1. **Time to first answer.** Each row measures bytes-in-memory →
+//!    first `k_best` answer down two paths over the same image: the lazy
+//!    one, and an eager one that resolves every column
+//!    ([`Onex::resolve_all`]) before it asks — "the lazy path did not
+//!    skip the work, it deferred it".
 //! 2. **Agreement.** Both cold paths must return the warm engine's
-//!    exact top-k (windows and distances) — a base file is a cache,
+//!    exact top-k (windows and distances) — a base image is a cache,
 //!    never an approximation.
-//! 3. **Footprint.** File sizes of both formats for the same base
-//!    (v2 trades page-alignment padding for fixed strides and the
-//!    persisted sketches).
+//! 3. **Footprint.** Image bytes, and bytes per indexed subsequence (the
+//!    image stores no representative the dataset holds).
 //!
-//! The CI guard reads the JSON `summary`: on the largest row the v2
-//! first answer must beat the v1 full decode, and every row must
-//! agree.
+//! The CI guard reads the JSON `summary`: on the largest row the lazy
+//! first answer must beat the eager one, and every row must agree.
 //!
 //! [`Onex::open_bytes`]: onex_core::Onex::open_bytes
 //! [`Onex::resolve_all`]: onex_core::Onex::resolve_all
@@ -32,14 +28,14 @@
 use std::time::Duration;
 
 use onex_core::{Match, Onex, QueryOptions};
-use onex_grouping::persist::{self, save_v2};
+use onex_grouping::persist::save_v2;
 use onex_grouping::BaseConfig;
 
 use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
-/// Indexed length range: enough columns that decoding all of them
-/// (v1) visibly outweighs resolving the one the query needs (v2).
+/// Indexed length range: enough columns that resolving all of them
+/// visibly outweighs resolving the one the query needs.
 const LEN_LO: usize = 8;
 const LEN_HI: usize = 24;
 /// Matches requested per query.
@@ -59,31 +55,32 @@ pub struct ColdStartRow {
     pub series: usize,
     /// Samples per series.
     pub len: usize,
-    /// Length columns in the base (what v1 decodes eagerly and v2
-    /// resolves lazily).
+    /// Length columns in the base.
     pub columns: usize,
-    /// v1 stream size in bytes.
-    pub v1_bytes: usize,
-    /// v2 segment size in bytes.
-    pub v2_bytes: usize,
-    /// Median bytes → first `k_best` answer through the v1 full decode.
-    pub v1_first: Duration,
-    /// Median bytes → first `k_best` answer through the v2 lazy open.
-    pub v2_first: Duration,
-    /// Median v2 open + full materialisation (`resolve_all`) — the
-    /// deferred work, for context.
-    pub v2_full: Duration,
-    /// Length columns the v2 first answer actually resolved.
-    pub v2_resolved: usize,
+    /// Subsequences the base indexes.
+    pub subsequences: usize,
+    /// Image size in bytes.
+    pub image_bytes: usize,
+    /// Median bytes → first `k_best` answer, every column resolved first.
+    pub eager_first: Duration,
+    /// Median bytes → first `k_best` answer through the lazy open.
+    pub lazy_first: Duration,
+    /// Length columns the lazy first answer actually resolved.
+    pub lazy_resolved: usize,
     /// Both cold paths returned the warm engine's exact top-k.
     pub agreement: bool,
 }
 
 impl ColdStartRow {
-    /// First-answer speedup of the v2 lazy open over the v1 decode —
-    /// the headline column.
+    /// First-answer speedup of the lazy open over the eager one — the
+    /// headline column.
     pub fn first_answer_speedup(&self) -> f64 {
-        self.v1_first.as_secs_f64() / self.v2_first.as_secs_f64().max(1e-12)
+        self.eager_first.as_secs_f64() / self.lazy_first.as_secs_f64().max(1e-12)
+    }
+
+    /// Image bytes per indexed subsequence.
+    pub fn bytes_per_subsequence(&self) -> f64 {
+        self.image_bytes as f64 / self.subsequences.max(1) as f64
     }
 }
 
@@ -94,8 +91,8 @@ fn same_answers(a: &[Match], b: &[Match]) -> bool {
             .all(|(x, y)| x.subseq == y.subseq && (x.distance - y.distance).abs() < 1e-9)
 }
 
-/// Run the sweep: random walks, one warm build per size, then both
-/// cold paths re-timed from the same in-memory file images.
+/// Run the sweep: random walks, one warm build per size, then both cold
+/// paths re-timed from the same in-memory image.
 pub fn measure(quick: bool) -> Vec<ColdStartRow> {
     let sizes: &[(usize, usize)] = if quick {
         &[(12, 256)]
@@ -112,42 +109,30 @@ pub fn measure(quick: bool) -> Vec<ColdStartRow> {
         let (warm, _) = Onex::build(ds.clone(), config()).expect("valid config");
         let (warm_answer, _) = warm.k_best(&query, K, &opts).expect("valid query");
         let columns = warm.base().lengths().count();
-
-        let v1_image = {
-            let mut out = Vec::new();
-            persist::save(&warm.base(), &mut out).expect("writing to memory");
-            out
-        };
-        let v2_image = save_v2(&warm.base());
+        let subsequences = warm.base().member_count();
+        let image = save_v2(&warm.base());
 
         // Both cold paths start from bytes already in memory, so the
         // comparison is decode strategy, not disk throughput.
-        let mut v1_answer = Vec::new();
-        let v1_first = median_time(
+        let mut eager_answer = Vec::new();
+        let eager_first = median_time(
             || {
-                let base = persist::load_bytes(v1_image.clone()).expect("own bytes");
-                let engine = Onex::from_parts(ds.clone(), base).expect("own dataset");
-                v1_answer = engine.k_best(&query, K, &opts).expect("valid query").0;
+                let engine = Onex::open_bytes(image.clone(), ds.clone()).expect("own bytes");
+                engine.resolve_all().expect("own bytes");
+                eager_answer = engine.k_best(&query, K, &opts).expect("valid query").0;
             },
             RUNS,
         );
-        let mut v2_answer = Vec::new();
-        let mut v2_resolved = 0;
-        let v2_first = median_time(
+        let mut lazy_answer = Vec::new();
+        let mut lazy_resolved = 0;
+        let lazy_first = median_time(
             || {
-                let engine = Onex::open_bytes(v2_image.clone(), ds.clone()).expect("own bytes");
-                v2_answer = engine.k_best(&query, K, &opts).expect("valid query").0;
+                let engine = Onex::open_bytes(image.clone(), ds.clone()).expect("own bytes");
+                lazy_answer = engine.k_best(&query, K, &opts).expect("valid query").0;
                 let src = engine
                     .base_source()
                     .expect("cold engines track their source");
-                v2_resolved = src.resolved_lengths;
-            },
-            RUNS,
-        );
-        let v2_full = median_time(
-            || {
-                let engine = Onex::open_bytes(v2_image.clone(), ds.clone()).expect("own bytes");
-                engine.resolve_all().expect("own bytes");
+                lazy_resolved = src.resolved_lengths;
             },
             RUNS,
         );
@@ -156,14 +141,13 @@ pub fn measure(quick: bool) -> Vec<ColdStartRow> {
             series,
             len,
             columns,
-            v1_bytes: v1_image.len(),
-            v2_bytes: v2_image.len(),
-            v1_first,
-            v2_first,
-            v2_full,
-            v2_resolved,
-            agreement: same_answers(&v1_answer, &warm_answer)
-                && same_answers(&v2_answer, &warm_answer),
+            subsequences,
+            image_bytes: image.len(),
+            eager_first,
+            lazy_first,
+            lazy_resolved,
+            agreement: same_answers(&eager_answer, &warm_answer)
+                && same_answers(&lazy_answer, &warm_answer),
         });
     }
     rows
@@ -173,20 +157,19 @@ pub fn measure(quick: bool) -> Vec<ColdStartRow> {
 pub fn table(rows: &[ColdStartRow]) -> Table {
     let mut t = Table::new(
         format!(
-            "E18 — cold start from a base file: v1 full decode vs v2 lazy segment \
-             open (random walks, lengths {LEN_LO}..={LEN_HI}, k={K}, medians of \
-             {RUNS}; 'first answer' is bytes-in-memory → first k_best result)"
+            "E18 — cold start from a base image: every column resolved first vs \
+             the lazy open (random walks, lengths {LEN_LO}..={LEN_HI}, k={K}, medians \
+             of {RUNS}; 'first answer' is bytes-in-memory → first k_best result)"
         ),
         &[
             "collection",
             "columns",
-            "v1 size",
-            "v2 size",
-            "v1 first answer",
-            "v2 first answer",
+            "image",
+            "B/subseq",
+            "eager first answer",
+            "lazy first answer",
             "speedup",
-            "v2 resolved",
-            "v2 full resolve",
+            "lazy resolved",
             "agreement",
         ],
     );
@@ -194,13 +177,12 @@ pub fn table(rows: &[ColdStartRow]) -> Table {
         t.row(vec![
             format!("{}x{}", row.series, row.len),
             row.columns.to_string(),
-            format!("{} B", row.v1_bytes),
-            format!("{} B", row.v2_bytes),
-            fmt_duration(row.v1_first),
-            fmt_duration(row.v2_first),
+            format!("{} B", row.image_bytes),
+            format!("{:.1}", row.bytes_per_subsequence()),
+            fmt_duration(row.eager_first),
+            fmt_duration(row.lazy_first),
             format!("{:.1}×", row.first_answer_speedup()),
-            format!("{}/{}", row.v2_resolved, row.columns),
-            fmt_duration(row.v2_full),
+            format!("{}/{}", row.lazy_resolved, row.columns),
             if row.agreement { "yes" } else { "NO" }.into(),
         ]);
     }
@@ -209,8 +191,8 @@ pub fn table(rows: &[ColdStartRow]) -> Table {
 
 /// The machine-readable perf record `repro --format json` writes to
 /// `BENCH_coldstart.json`. CI's guard reads the `summary` object: the
-/// v2 first answer must beat the v1 full decode on the largest row
-/// (`v2_first_faster`) and every row must agree (`agreement`).
+/// lazy first answer must beat the eager one on the largest row
+/// (`lazy_first_faster`) and every row must agree (`agreement`).
 pub fn json_report(rows: &[ColdStartRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"experiment\":\"e18_coldstart\",\"rows\":[");
@@ -220,21 +202,20 @@ pub fn json_report(rows: &[ColdStartRow]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"series\":{},\"len\":{},\"columns\":{},\
-             \"v1_bytes\":{},\"v2_bytes\":{},\
-             \"v1_first_ms\":{:.3},\"v2_first_ms\":{:.3},\
-             \"first_answer_speedup\":{:.4},\
-             \"v2_resolved\":{},\"v2_full_ms\":{:.3},\"agreement\":{}}}",
+            "{{\"series\":{},\"len\":{},\"columns\":{},\"subsequences\":{},\
+             \"image_bytes\":{},\"bytes_per_subsequence\":{:.1},\
+             \"eager_first_ms\":{:.3},\"lazy_first_ms\":{:.3},\
+             \"first_answer_speedup\":{:.4},\"lazy_resolved\":{},\"agreement\":{}}}",
             r.series,
             r.len,
             r.columns,
-            r.v1_bytes,
-            r.v2_bytes,
-            r.v1_first.as_secs_f64() * 1e3,
-            r.v2_first.as_secs_f64() * 1e3,
+            r.subsequences,
+            r.image_bytes,
+            r.bytes_per_subsequence(),
+            r.eager_first.as_secs_f64() * 1e3,
+            r.lazy_first.as_secs_f64() * 1e3,
             r.first_answer_speedup(),
-            r.v2_resolved,
-            r.v2_full.as_secs_f64() * 1e3,
+            r.lazy_resolved,
             r.agreement,
         );
     }
@@ -242,11 +223,11 @@ pub fn json_report(rows: &[ColdStartRow]) -> String {
     let agreement = rows.iter().all(|r| r.agreement);
     let _ = write!(
         out,
-        "],\"summary\":{{\"v1_first_ms\":{:.3},\"v2_first_ms\":{:.3},\
-         \"v2_first_faster\":{},\"agreement\":{}}}}}",
-        last.v1_first.as_secs_f64() * 1e3,
-        last.v2_first.as_secs_f64() * 1e3,
-        last.v2_first < last.v1_first,
+        "],\"summary\":{{\"eager_first_ms\":{:.3},\"lazy_first_ms\":{:.3},\
+         \"lazy_first_faster\":{},\"agreement\":{}}}}}",
+        last.eager_first.as_secs_f64() * 1e3,
+        last.lazy_first.as_secs_f64() * 1e3,
+        last.lazy_first < last.eager_first,
         agreement,
     );
     out.push('\n');
@@ -263,7 +244,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn v2_first_answer_beats_v1_decode_and_answers_agree() {
+    fn lazy_first_answer_beats_eager_and_answers_agree() {
         let rows = measure(true);
         assert_eq!(rows.len(), 1, "quick mode is one size");
         for row in &rows {
@@ -278,16 +259,16 @@ mod tests {
             );
             // The default query plan is Exact, so the first answer
             // resolves exactly one column out of the many persisted.
-            assert_eq!(row.v2_resolved, 1, "{}x{}", row.series, row.len);
-            // The acceptance claim: answering from a v2 segment open is
-            // strictly faster than the v1 decode-everything path.
+            assert_eq!(row.lazy_resolved, 1, "{}x{}", row.series, row.len);
+            // The acceptance claim: answering from a lazy open is
+            // strictly faster than resolving everything first.
             assert!(
-                row.v2_first < row.v1_first,
-                "{}x{}: v2 first answer {:?} not faster than v1 {:?}",
+                row.lazy_first < row.eager_first,
+                "{}x{}: lazy first answer {:?} not faster than eager {:?}",
                 row.series,
                 row.len,
-                row.v2_first,
-                row.v1_first
+                row.lazy_first,
+                row.eager_first
             );
         }
     }
@@ -300,22 +281,22 @@ mod tests {
             series: 12,
             len: 256,
             columns: 17,
-            v1_bytes: 40_000,
-            v2_bytes: 90_112,
-            v1_first: Duration::from_micros(5200),
-            v2_first: Duration::from_micros(400),
-            v2_full: Duration::from_micros(4800),
-            v2_resolved: 1,
+            subsequences: 48_000,
+            image_bytes: 2_688_000,
+            eager_first: Duration::from_micros(5200),
+            lazy_first: Duration::from_micros(400),
+            lazy_resolved: 1,
             agreement: true,
         }];
         let json = json_report(&rows);
         assert!(json.starts_with("{\"experiment\":\"e18_coldstart\""));
         assert!(json.contains("\"first_answer_speedup\":13.0000"), "{json}");
-        assert!(json.contains("\"v2_resolved\":1"), "{json}");
+        assert!(json.contains("\"bytes_per_subsequence\":56.0"), "{json}");
+        assert!(json.contains("\"lazy_resolved\":1"), "{json}");
         assert!(
             json.contains(
-                "\"summary\":{\"v1_first_ms\":5.200,\"v2_first_ms\":0.400,\
-                 \"v2_first_faster\":true,\"agreement\":true}"
+                "\"summary\":{\"eager_first_ms\":5.200,\"lazy_first_ms\":0.400,\
+                 \"lazy_first_faster\":true,\"agreement\":true}"
             ),
             "{json}"
         );

@@ -85,9 +85,6 @@ pub struct BaseSource {
     pub resolved_lengths: usize,
     /// Total length columns in the file.
     pub total_lengths: usize,
-    /// Whether the file carries the L0 sketches (resolved columns
-    /// prune immediately, no re-encode).
-    pub has_sketches: bool,
 }
 
 /// The ONEX engine: a dataset, its precomputed base, and the paper's
@@ -171,13 +168,13 @@ impl Onex {
         Ok((Self::from_parts(dataset, base)?, report))
     }
 
-    /// Re-attach a persisted base to its dataset.
+    /// Wrap a base the builder just made over `dataset`, sketches and
+    /// all.
     ///
     /// # Errors
     /// [`OnexError::DatasetMismatch`] when the base was built over a
-    /// different number of series — the cheap sanity check against
-    /// pairing the wrong artefacts.
-    pub fn from_parts(dataset: Dataset, mut base: OnexBase) -> Result<Self, OnexError> {
+    /// different number of series.
+    fn from_parts(dataset: Dataset, base: OnexBase) -> Result<Self, OnexError> {
         if base.source_series() != dataset.len() {
             return Err(OnexError::DatasetMismatch(format!(
                 "base was built over {} series but dataset has {}",
@@ -185,10 +182,6 @@ impl Onex {
                 dataset.len()
             )));
         }
-        // Sketches are derived data excluded from persistence — rebuild
-        // them here so loaded bases prefilter too. Idempotent (no-op when
-        // the builder already synced them).
-        base.sync_sketches(&dataset);
         Ok(Onex {
             state: Versioned::new(EngineState { dataset, base }),
             lifetime: Arc::new(Mutex::new(QueryStats::default())),
@@ -199,18 +192,19 @@ impl Onex {
         })
     }
 
-    /// Cold-start from a format-v2 base file: validate the segment
-    /// (structure and checksums), pair it with `dataset`, and return an
-    /// engine that answers its **first query before decoding the file**
-    /// — each query resolves only the length columns its plan touches,
-    /// so time-to-first-answer scales with one column, not the whole
-    /// base (experiment E18 measures the gap against a v1 full decode).
+    /// Cold-start from a base image file: validate the segment
+    /// (structure and checksums), check that `dataset` is the one the
+    /// base was built over, and return an engine that answers its **first
+    /// query before decoding the file** — each query resolves only the
+    /// length columns its plan touches, so time-to-first-answer scales
+    /// with one column, not the whole base (experiment E18 measures the
+    /// gap against decoding every column first).
     ///
     /// # Errors
     /// [`OnexError::Io`] when the file cannot be read,
-    /// [`OnexError::Storage`] when it is not a valid v2 base segment,
-    /// [`OnexError::DatasetMismatch`] when it was built over a different
-    /// number of series.
+    /// [`OnexError::Storage`] when it is not a valid base image,
+    /// [`OnexError::DatasetMismatch`] when it was built over another
+    /// dataset (another series count, or other lengths or samples).
     pub fn open(path: impl AsRef<Path>, dataset: Dataset) -> Result<Self, OnexError> {
         let path = path.as_ref();
         Self::from_segment(BaseSegment::open(path)?, dataset, Some(path.to_path_buf()))
@@ -230,14 +224,7 @@ impl Onex {
         dataset: Dataset,
         path: Option<PathBuf>,
     ) -> Result<Self, OnexError> {
-        if segment.source_series() != dataset.len() {
-            return Err(OnexError::DatasetMismatch(format!(
-                "base file was built over {} series but dataset has {}",
-                segment.source_series(),
-                dataset.len()
-            )));
-        }
-        let base = segment.empty_base();
+        let base = segment.empty_base(&dataset)?;
         let pending = segment.lengths().collect();
         Ok(Onex {
             state: Versioned::new(EngineState { dataset, base }),
@@ -253,30 +240,23 @@ impl Onex {
         })
     }
 
-    /// Replace this engine's base with a shipped v2 file image — the
+    /// Replace this engine's base with a shipped base image — the
     /// `ShipBase` handler on shard servers. The new base adopts the same
     /// lazy-resolution lifecycle as [`Onex::open_bytes`]: the swap
     /// itself decodes nothing, and subsequent queries resolve columns on
     /// demand, so a freshly deployed shard answers immediately.
     ///
     /// # Errors
-    /// [`OnexError::Storage`] when the bytes are not a valid v2 base
-    /// segment, [`OnexError::DatasetMismatch`] when it was built over a
-    /// different number of series than this engine currently holds. On
-    /// error the current base keeps serving, untouched.
+    /// [`OnexError::Storage`] when the bytes are not a valid base image,
+    /// [`OnexError::DatasetMismatch`] when it was built over another
+    /// dataset than the one this engine currently holds. On error the
+    /// current base keeps serving, untouched.
     pub fn install_base(&self, bytes: Vec<u8>) -> Result<(), OnexError> {
         let segment = BaseSegment::from_bytes(bytes)?;
         let mut cold = self.cold.lock();
         let mut txn = self.state.write();
         let state = txn.value_mut();
-        if segment.source_series() != state.dataset.len() {
-            return Err(OnexError::DatasetMismatch(format!(
-                "shipped base was built over {} series but dataset has {}",
-                segment.source_series(),
-                state.dataset.len()
-            )));
-        }
-        state.base = segment.empty_base();
+        state.base = segment.empty_base(&state.dataset)?;
         txn.commit();
         *cold = Some(ColdSource {
             pending: segment.lengths().collect(),
@@ -286,12 +266,15 @@ impl Onex {
         Ok(())
     }
 
-    /// Persist the current base as a format-v2 segment file (the image
-    /// [`Onex::open`] cold-starts from and `ShipBase` deploys).
+    /// Persist the current base as a base image file (the image
+    /// [`Onex::open`] cold-starts from and `ShipBase` deploys) — all of
+    /// it: a cold-started engine resolves its pending columns first.
     ///
     /// # Errors
-    /// [`OnexError::Io`] when the file cannot be written.
+    /// [`OnexError::Io`] when the file cannot be written;
+    /// [`OnexError::Storage`] as [`Onex::resolve_all`].
     pub fn save_base(&self, path: impl AsRef<Path>) -> Result<(), OnexError> {
+        self.resolve_all()?;
         onex_grouping::persist::save_v2_file(&self.state.read().base, path)
     }
 
@@ -306,7 +289,6 @@ impl Onex {
                 path: src.path.clone(),
                 resolved_lengths: total - src.pending.len(),
                 total_lengths: total,
-                has_sketches: src.segment.has_sketches(),
             }
         })
     }
@@ -371,13 +353,7 @@ impl Onex {
         let state = txn.value_mut();
         for &len in &hit {
             src.segment
-                .load_length(&mut state.base, len, Some(&state.dataset))?;
-        }
-        if !src.segment.has_sketches() {
-            // v2 files built before sketches (or saved from an unsynced
-            // base) lack the sketches; derive them so resolved columns
-            // prefilter exactly like a warm engine's.
-            state.base.sync_sketches(&state.dataset);
+                .load_length(&mut state.base, len, &state.dataset)?;
         }
         txn.commit();
         for len in &hit {
@@ -1206,7 +1182,6 @@ mod tests {
         let src = cold.base_source().expect("cold engines report a source");
         assert_eq!(src.resolved_lengths, 0, "nothing decoded at open");
         assert_eq!(src.total_lengths, warm.base().lengths().count());
-        assert!(src.has_sketches, "built bases save their L0 sketches");
         assert!(src.path.is_none(), "opened from bytes, not a file");
 
         // Exact search resolves exactly the query's length column, and
@@ -1246,6 +1221,9 @@ mod tests {
         warm.save_base(&path).unwrap();
         let cold = Onex::open(&path, warm.dataset().clone()).unwrap();
         assert_eq!(cold.base_source().unwrap().path.as_deref(), Some(&*path));
+        // Saved before any query, a cold engine still saves all of it.
+        cold.save_base(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == onex_grouping::persist::save_v2(&warm.base()));
         // Seasonal mining needs the whole base: it resolves everything.
         let patterns = cold
             .seasonal("MA-GrowthRate", &crate::SeasonalOptions::default())
@@ -1267,6 +1245,57 @@ mod tests {
             Onex::open_bytes(bytes, wrong),
             Err(OnexError::DatasetMismatch(_))
         ));
+    }
+
+    #[test]
+    fn an_image_is_refused_beside_any_other_dataset() {
+        let warm = growth_engine();
+        let image = onex_grouping::persist::save_v2(&warm.base());
+        let series: Vec<TimeSeries> = warm.dataset().iter().map(|(_, s)| s.clone()).collect();
+        let variant = |edit: &dyn Fn(&mut Vec<TimeSeries>)| {
+            let mut all = series.clone();
+            edit(&mut all);
+            Dataset::from_series(all).unwrap()
+        };
+        let flipped = variant(&|all| {
+            let mut values = all[7].values().to_vec();
+            values[3] = f64::from_bits(values[3].to_bits() ^ 1);
+            all[7] = TimeSeries::new(all[7].name(), values);
+        });
+        let truncated = variant(&|all| {
+            let values = all[12].values()[1..].to_vec();
+            all[12] = TimeSeries::new(all[12].name(), values);
+        });
+        let swapped = variant(&|all| all.swap(0, 1));
+        let query = series[3].values()[2..10].to_vec();
+        let opts = QueryOptions::default();
+        for (what, other) in [
+            ("flipped", flipped),
+            ("truncated", truncated),
+            ("swapped", swapped),
+        ] {
+            assert!(
+                matches!(
+                    Onex::open_bytes(image.clone(), other.clone()),
+                    Err(OnexError::DatasetMismatch(_))
+                ),
+                "{what}"
+            );
+            // An engine over that dataset refuses the image as a shipped
+            // base too, and keeps answering from the base it has.
+            let (engine, _) = Onex::build(other, BaseConfig::new(1.5, 6, 10)).unwrap();
+            let (before, _) = engine.k_best(&query, 3, &opts).unwrap();
+            assert!(
+                matches!(
+                    engine.install_base(image.clone()),
+                    Err(OnexError::DatasetMismatch(_))
+                ),
+                "{what}"
+            );
+            assert_eq!(engine.epoch(), 0, "{what}: nothing published");
+            assert!(engine.base_source().is_none(), "{what}");
+            assert_eq!(engine.k_best(&query, 3, &opts).unwrap().0, before, "{what}");
+        }
     }
 
     #[test]

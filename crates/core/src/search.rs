@@ -713,14 +713,15 @@ impl<'a> Searcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onex_grouping::{persist, BaseBuilder, BaseConfig, RepresentativePolicy};
+    use onex_grouping::persist::{save_v2, BaseSegment};
+    use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
     use onex_tseries::gen::{clustered_dataset, SyntheticConfig};
 
-    /// A column that came without sketches (a v1 file, before anyone
-    /// synced it) has nothing for L0 to read: every member goes through to
-    /// the tiers behind it, and the answers are the synced base's.
+    /// A base decoded from its image beside its dataset prunes with the
+    /// sketches the image carried; with L0 switched off every member goes
+    /// through to the tiers behind it, and the answers are the same.
     #[test]
-    fn a_base_without_sketches_passes_every_member_through_l0() {
+    fn a_decoded_base_prunes_with_l0_and_answers_as_without_it() {
         let cfg = SyntheticConfig {
             series: 24,
             len: 96,
@@ -731,29 +732,28 @@ mod tests {
             policy: RepresentativePolicy::Seed,
             ..BaseConfig::new(1.0, 20, 22)
         };
-        let (synced, _) = BaseBuilder::new(config).unwrap().build(&dataset);
-        let mut file = Vec::new();
-        persist::save(&synced, &mut file).unwrap();
-        let bare = persist::load(file.as_slice()).unwrap();
-        assert!(bare.sketches().is_empty() && !synced.sketches().is_empty());
-        let largest = bare.iter().map(|(_, g)| g.cardinality()).max();
+        let (built, _) = BaseBuilder::new(config).unwrap().build(&dataset);
+        let segment = BaseSegment::from_bytes(save_v2(&built)).unwrap();
+        let mut decoded = segment.empty_base(&dataset).unwrap();
+        for len in built.lengths() {
+            assert!(segment.load_length(&mut decoded, len, &dataset).unwrap());
+        }
+        let largest = decoded.iter().map(|(_, g)| g.cardinality()).max();
         assert!(largest > Some(64), "{largest:?}");
-        assert!(bare.iter().all(|(_, g)| g.planes().is_none()));
 
         let query: Vec<f64> = dataset.series(5).unwrap().values()[10..31]
             .iter()
             .enumerate()
             .map(|(i, v)| v + 0.02 * (i as f64).sin())
             .collect();
-        let opts = QueryOptions::default();
-        let run = |base: &OnexBase| {
+        let run = |opts: &QueryOptions| {
             let bound = SharedBound::new();
-            let mut searcher = Searcher::new(&dataset, base, &query, &opts, &bound);
+            let mut searcher = Searcher::new(&dataset, &decoded, &query, opts, &bound);
             let matches = searcher.run(5);
             (matches, searcher.stats)
         };
-        let (with, pruned) = run(&synced);
-        let (without, passed) = run(&bare);
+        let (with, pruned) = run(&QueryOptions::default());
+        let (without, passed) = run(&QueryOptions::default().without_l0());
         assert!(pruned.members_l0_pruned > 0, "{pruned:?}");
         assert_eq!(passed.members_l0_pruned, 0, "{passed:?}");
         assert_eq!(with.len(), 5);

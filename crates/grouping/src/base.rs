@@ -4,6 +4,7 @@ use std::sync::LazyLock;
 use onex_distance::ed;
 use onex_tseries::Dataset;
 
+use crate::group::SeriesTable;
 use crate::sketch::{self, SketchIndex};
 use crate::{BaseConfig, GroupColumn, GroupId, GroupView};
 
@@ -32,15 +33,16 @@ static NO_GROUPS: LazyLock<GroupColumn> = LazyLock::new(GroupColumn::new);
 /// bases still share and [`OnexBase::footprint`] adds the bytes up.
 ///
 /// The columns also carry the L0 sketches ([`OnexBase::sketches`]) —
-/// *derived* data rebuilt from the dataset via
-/// [`OnexBase::sync_sketches`] and excluded from equality. Persistence
-/// format v2 stores the sketches verbatim so a loaded base prunes
-/// immediately; format v1 drops them and the engine re-syncs.
+/// *derived* data, synced from the dataset by every construction path and
+/// excluded from equality. A base image stores them verbatim, so a
+/// decoded base prunes immediately.
 #[derive(Debug, Clone)]
 pub struct OnexBase {
     config: BaseConfig,
     groups: BTreeMap<usize, GroupColumn>,
-    source_series: usize,
+    /// The handles of the series the base covers, by id — its dataset's:
+    /// what a base image fingerprints that dataset by.
+    series: SeriesTable,
     /// Members over all groups, kept in step with `groups` so that an
     /// incremental extension can report totals without visiting every
     /// group it did not touch.
@@ -53,7 +55,7 @@ impl PartialEq for OnexBase {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.groups == other.groups
-            && self.source_series == other.source_series
+            && self.series.len() == other.series.len()
     }
 }
 
@@ -61,13 +63,13 @@ impl OnexBase {
     pub(crate) fn from_parts(
         config: BaseConfig,
         groups: BTreeMap<usize, GroupColumn>,
-        source_series: usize,
+        series: SeriesTable,
     ) -> Self {
         let members = groups.values().map(members_of).sum();
         OnexBase {
             config,
             groups,
-            source_series,
+            series,
             members,
         }
     }
@@ -78,27 +80,26 @@ impl OnexBase {
         self.groups.entry(len).or_default()
     }
 
-    /// Record that the base now covers the first `series` series of its
-    /// dataset, having admitted `windows` more subsequences through
-    /// [`Self::column_mut`] (incremental extension's receipt).
-    pub(crate) fn admitted(&mut self, series: usize, windows: usize) {
-        self.source_series = series;
+    /// Record that the base now covers the series of `series`, having
+    /// admitted `windows` more subsequences through [`Self::column_mut`]
+    /// (incremental extension's receipt).
+    pub(crate) fn admitted(&mut self, series: SeriesTable, windows: usize) {
+        self.series = series;
         self.members += windows;
     }
 
+    /// The handles of the series the base covers, by id.
+    pub(crate) fn series(&self) -> &SeriesTable {
+        &self.series
+    }
+
     /// Sync the sketches of the listed groups of one length — the ones an
-    /// incremental extension admitted into — leaving every other group's
-    /// shared and unvisited. A length that was never synced (new to the
-    /// base, or a base that came without sketches) is synced whole.
+    /// incremental extension admitted into, every group of a length new
+    /// to the base among them — leaving every other group's shared and
+    /// unvisited.
     pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
-        let Some(column) = self.groups.get_mut(&len) else {
-            return;
-        };
-        if column.params().is_some() {
+        if let Some(column) = self.groups.get_mut(&len) {
             sketch::sync_length(dataset, column, touched.iter().copied());
-        } else {
-            let all = 0..column.len();
-            sketch::sync_length(dataset, column, all);
         }
     }
 
@@ -122,8 +123,8 @@ impl OnexBase {
         &self.groups
     }
 
-    /// Install one length column — groups and, when the file carried
-    /// them, their sketches — into this base. The lazy cold-start path
+    /// Install one length column — groups and their sketches — into this
+    /// base. The lazy cold-start path
     /// ([`crate::persist::BaseSegment::load_length`]) resolves columns
     /// one at a time through this hook; replacing an already-installed
     /// length is idempotent by construction (the segment is immutable,
@@ -135,15 +136,14 @@ impl OnexBase {
         }
     }
 
-    /// The L0 member sketches (empty until [`Self::sync_sketches`] runs).
+    /// The L0 member sketches.
     pub fn sketches(&self) -> SketchIndex<'_> {
         SketchIndex::of(&self.groups)
     }
 
-    /// Bring the L0 sketches up to date with the groups. Incremental and
-    /// idempotent; builders call this on every construction path, and
-    /// engines call it when re-attaching a persisted base to its dataset.
-    pub fn sync_sketches(&mut self, dataset: &Dataset) {
+    /// Bring the L0 sketches up to date with the groups: what a batch
+    /// build ends with. Incremental and idempotent.
+    pub(crate) fn sync_sketches(&mut self, dataset: &Dataset) {
         for column in self.groups.values_mut() {
             let all = 0..column.len();
             sketch::sync_length(dataset, column, all);
@@ -155,10 +155,9 @@ impl OnexBase {
         &self.config
     }
 
-    /// Number of series in the dataset the base was built over (sanity
-    /// check when re-attaching a persisted base to a dataset).
+    /// Number of series in the dataset the base was built over.
     pub fn source_series(&self) -> usize {
-        self.source_series
+        self.series.len()
     }
 
     /// Indexed lengths, ascending.
@@ -308,8 +307,8 @@ pub struct Footprint {
     /// member, pointer, the first member's sketch — plus the record
     /// behind the pointer of every group that has one.
     pub group_records: usize,
-    /// Representatives a group owns (drifted centroids, and groups
-    /// decoded without their dataset); 0 for every one read in place.
+    /// Representatives a group owns (means that drifted); 0 for every
+    /// one read in place.
     pub owned_representatives: usize,
     /// Member lists of groups of two and more (a lone member is its
     /// slot's).
@@ -486,7 +485,11 @@ mod tests {
 
     #[test]
     fn empty_base_stats() {
-        let b = OnexBase::from_parts(BaseConfig::new(1.0, 2, 4), BTreeMap::new(), 0);
+        let b = OnexBase::from_parts(
+            BaseConfig::new(1.0, 2, 4),
+            BTreeMap::new(),
+            Default::default(),
+        );
         let s = b.stats();
         assert_eq!(s.groups, 0);
         assert_eq!(s.compaction, 0.0);

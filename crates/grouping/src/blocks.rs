@@ -151,8 +151,7 @@ impl GroupColumn {
     }
 
     /// The quantiser the column's sketches were encoded under — `None`
-    /// until the column is first synced (or for a column decoded from a
-    /// file without sketches).
+    /// until the column is first synced.
     #[inline]
     pub fn params(&self) -> Option<SketchParams> {
         self.params
@@ -255,8 +254,7 @@ impl GroupColumn {
         resolves
     }
 
-    /// Seed a group of one with a representative of its own (tests, and
-    /// callers with no series to read it from).
+    /// Seed a group of one with a representative of its own (tests).
     #[cfg(test)]
     pub(crate) fn push_owned(&mut self, first: SubseqRef, values: &[f64]) {
         let more = GroupMore {
@@ -266,41 +264,37 @@ impl GroupColumn {
         self.push_slot(first, Some(more));
     }
 
-    /// Append a group as a file stored it (see [`crate::persist`]):
-    /// `representative` is read in place wherever it is bit-equal to the
-    /// first member's window in the column's series — always, for a `Seed`
-    /// group or a group of one decoded beside the dataset the file was
-    /// built over — and kept as the group's own copy otherwise;
-    /// `records`, when the file carried sketches, are the members'
-    /// [`SKETCH_STRIDE`]-byte records in order.
+    /// Append a group as a base image stores it (see [`crate::persist`]):
+    /// its members, its radius, the mean it owns if it drifted — any other
+    /// representative is the first member's window, read in place — and
+    /// the members' [`SKETCH_STRIDE`]-byte sketch records in order.
+    /// `false` — and no group — when the first member is no window of the
+    /// column's series.
     pub(crate) fn push_decoded(
         &mut self,
-        representative: impl Iterator<Item = f64> + Clone,
         members: Vec<SubseqRef>,
         radius: f64,
-        records: Option<&[u8]>,
-    ) {
+        representative: Option<Arc<[f64]>>,
+        records: &[u8],
+    ) -> bool {
         let first = members[0];
-        let stored = representative.clone();
-        let in_place = window(&self.series, first).is_some_and(|samples| {
-            let mut pairs = samples.iter().zip(stored);
-            pairs.all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-        let own = (!in_place).then(|| representative.collect::<Arc<[f64]>>());
+        if window(&self.series, first).is_none() {
+            return false;
+        }
         let many = members.len() > 1;
-        let more = (many || own.is_some() || radius.to_bits() != 0).then(|| GroupMore {
+        let more = (many || representative.is_some() || radius.to_bits() != 0).then(|| GroupMore {
             radius,
-            representative: own,
-            planes: match records {
-                Some(records) if many => SketchPlanes::from_records(records),
-                _ => SketchPlanes::default(),
+            representative,
+            planes: if many {
+                SketchPlanes::from_records(records)
+            } else {
+                SketchPlanes::default()
             },
             members: if many { members } else { Vec::new() },
         });
         let (block, slot) = self.push_slot(first, more);
-        if let Some(records) = records {
-            scatter_record(&records[..SKETCH_STRIDE], &mut block.sketches, BLOCK, slot);
-        }
+        scatter_record(&records[..SKETCH_STRIDE], &mut block.sketches, BLOCK, slot);
+        true
     }
 
     /// Admit into group `index` a member that passed the admission test

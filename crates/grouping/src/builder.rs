@@ -48,6 +48,10 @@ pub struct BaseBuilder {
 pub struct BuildReport {
     /// Wall-clock construction time.
     pub elapsed: Duration,
+    /// Of which the pass that sketches the members (every construction
+    /// path ends with one: a batch build over every member, an extension
+    /// over the ones it admitted).
+    pub sketch: Duration,
     /// Number of distinct subsequence lengths indexed.
     pub lengths: usize,
     /// Total subsequences assigned to groups.
@@ -132,7 +136,7 @@ impl BaseBuilder {
             work += w;
             per_length.insert(len, groups);
         }
-        self.finish(dataset, per_length, start, work)
+        self.finish(dataset, series, per_length, start, work)
     }
 
     /// Length-parallel construction over `threads` workers. Lengths are
@@ -194,7 +198,7 @@ impl BaseBuilder {
                 failures[0]
             )));
         }
-        Ok(self.finish(dataset, per_length, start, work))
+        Ok(self.finish(dataset, series, per_length, start, work))
     }
 
     /// Extend an existing base with the series appended to `dataset`
@@ -303,6 +307,7 @@ impl BaseBuilder {
             })?;
             longest_new = longest_new.max(series.len());
         }
+        let mut sketch = Duration::ZERO;
         for len in self.config.min_len..=self.config.max_len.min(longest_new) {
             #[cfg(test)]
             if self.fail_len == Some(len) {
@@ -339,10 +344,12 @@ impl BaseBuilder {
             admitted += new_windows;
             // The prior sketches came along with the copy (params stay
             // frozen); append slots for the newly admitted members only.
+            let synced = Instant::now();
             extended.sync_sketches_of(dataset, len, &touched);
+            sketch += synced.elapsed();
         }
-        extended.admitted(dataset.len(), admitted);
-        let report = self.report(&extended, Some(base), start, work);
+        extended.admitted(series, admitted);
+        let report = self.report(&extended, Some(base), start, sketch, work);
         Ok((extended, report))
     }
 
@@ -418,13 +425,15 @@ impl BaseBuilder {
     fn finish(
         &self,
         dataset: &Dataset,
+        series: SeriesTable,
         per_length: BTreeMap<usize, GroupColumn>,
         start: Instant,
         work: IndexWork,
     ) -> (OnexBase, BuildReport) {
-        let mut base = OnexBase::from_parts(self.config.clone(), per_length, dataset.len());
+        let mut base = OnexBase::from_parts(self.config.clone(), per_length, series);
+        let synced = Instant::now();
         base.sync_sketches(dataset);
-        let report = self.report(&base, None, start, work);
+        let report = self.report(&base, None, start, synced.elapsed(), work);
         (base, report)
     }
 
@@ -435,12 +444,14 @@ impl BaseBuilder {
         base: &OnexBase,
         previous: Option<&OnexBase>,
         start: Instant,
+        sketch: Duration,
         work: IndexWork,
     ) -> BuildReport {
         let blocks_total = base.block_count();
         let shared = previous.map_or(0, |previous| base.shared_blocks(previous));
         BuildReport {
             elapsed: start.elapsed(),
+            sketch,
             lengths: base.lengths().count(),
             subsequences: base.member_count(),
             groups: base.group_count(),

@@ -23,8 +23,8 @@ impl std::fmt::Display for GroupId {
 }
 
 /// The shared handles of a dataset's series, by series id: what a column
-/// reads its in-place representatives through. One table serves every
-/// column a build, an extension or a decode produces, and — holding the
+/// reads its in-place representatives through. One table serves the base
+/// and every column a build or an extension produces, and — holding the
 /// handles every clone of the dataset holds — keeps the samples alive
 /// after the dataset itself is gone.
 pub(crate) type SeriesTable = Arc<[Arc<TimeSeries>]>;
@@ -52,8 +52,7 @@ pub(crate) struct GroupMore {
     /// `Seed` policy, an estimate under `Centroid`.
     pub radius: f64,
     /// The group's own representative: a mean that drifted from the first
-    /// member's window, or whatever a file stored when there was no
-    /// dataset to read it from. `None` reads the window in place.
+    /// member's window. `None` reads the window in place.
     pub representative: Option<Arc<[f64]>>,
     /// Every member in admission order, the first included — or nothing
     /// for a group of one, whose member is its slot's.
@@ -75,8 +74,7 @@ pub(crate) struct GroupMore {
 /// handles, its member list is the slot's reference, its radius 0 and its
 /// sketch the slot's. Only behind the pointer is anything a group's own:
 /// the members from two up with their sketch planes, the radius, a
-/// representative that drifted (`Centroid`) or was decoded without its
-/// dataset.
+/// representative that drifted (`Centroid`).
 ///
 /// Equality is over content — representative values (wherever they
 /// live), members, radius — so a group that round-tripped through disk
@@ -130,10 +128,18 @@ impl<'a> GroupView<'a> {
     /// The group's representative sequence (centroid or frozen seed).
     #[inline]
     pub fn representative(&self) -> &'a [f64] {
-        if let Some(own) = self.more().and_then(|more| more.representative.as_deref()) {
+        if let Some(own) = self.own_representative() {
             return own;
         }
         window(self.series, *self.first()).expect("checked when the slot was written")
+    }
+
+    /// The representative the group owns — a mean that drifted off its
+    /// first member's window — or `None` when it reads that window in
+    /// place.
+    #[inline]
+    pub(crate) fn own_representative(&self) -> Option<&'a [f64]> {
+        self.more()?.representative.as_deref()
     }
 
     /// Member references in admission order (the seed is first).
@@ -183,8 +189,7 @@ impl<'a> GroupView<'a> {
 
     /// The member sketches synced so far, slot `i` sketching member `i`:
     /// possibly fewer than [`Self::cardinality`] between an admission and
-    /// the sync that follows it, none on a base that came without
-    /// sketches.
+    /// the sync that follows it.
     pub fn sketched(&self) -> PlanesRef<'a> {
         match self.more() {
             Some(more) if more.planes.cardinality() > 0 => more.planes.view(),

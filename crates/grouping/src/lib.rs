@@ -28,16 +28,17 @@
 //!   magnitude fewer distance computations when the base barely
 //!   compacts.
 //! * [`OnexBase`] is the finished index: groups per length, compaction
-//!   statistics, invariant auditing, and a versioned binary persistence
-//!   format ([`persist`]). Each length is one [`GroupColumn`]
+//!   statistics, invariant auditing, and one binary image it leaves
+//!   memory as and comes back from beside its dataset ([`persist`]).
+//!   Each length is one [`GroupColumn`]
 //!   ([`blocks`]) — fixed-size copy-on-write blocks of 256 groups — so
 //!   the next epoch of a base shares every block an append did not write
 //!   to.
 //! * The columns carry a quantised-PAA sketch per member ([`sketch`],
 //!   read through [`SketchIndex`]) — the L0 prefilter tier the query
 //!   engine consults before touching any f64 data. Derived and
-//!   rebuildable; persistence format v2 additionally stores the sketches
-//!   verbatim so a loaded base prunes immediately.
+//!   rebuildable; the image stores the sketches verbatim so a loaded base
+//!   prunes immediately.
 //!
 //! The `ST/2` insert rule plus the Euclidean triangle inequality yield the
 //! paper's pairwise guarantee: two members of one group are within `ST` of

@@ -1,4 +1,4 @@
-//! Format **v2**: the mmap-ready segment layout on [`onex_storage`].
+//! The base image layout on [`onex_storage`].
 //!
 //! One [`onex_storage::Segment`] with six sections, every record
 //! fixed-stride and little-endian so any column can be located by
@@ -6,39 +6,49 @@
 //!
 //! | section    | stride | record                                                  |
 //! |------------|--------|---------------------------------------------------------|
-//! | `CONFIG`   | 40 B   | st f64, min/max_len u32, stride u32, policy u8, normalized u8, pad ×2, source_series u64, flags u64 |
+//! | `CONFIG`   | 40 B   | st f64, min/max_len u32, stride u32, policy u8, normalized u8, layout u8, pad u8, source_series u64, dataset u64 |
 //! | `LENGTHS`  | 64 B   | len, group_start, group_count, member_start, member_count, rep_start (all u64), sketch vmin f64, step f64 |
-//! | `GROUPS`   | 24 B   | member_start u64, member_count u64, radius f64          |
-//! | `REPS`     | 8 B    | representative samples, f64, concatenated in group order |
+//! | `GROUPS`   | 24 B   | rep u64 (record index into `REPS`, or `u64::MAX`: none), member_count u64, radius f64 |
+//! | `REPS`     | 8 B    | the samples of every mean a group owns, f64, in group order |
 //! | `MEMBERS`  | 8 B    | series u32, start u32                                   |
 //! | `SKETCHES` | 24 B   | one L0 sketch record per member, parallel to `MEMBERS`  |
 //!
-//! `*_start` fields are record indices (not byte offsets) into the
-//! target section; groups, members and representatives are laid out
+//! `*_start` and `rep` fields are record indices (not byte offsets) into
+//! the target section; groups, members and means are laid out
 //! contiguously in (length asc, group asc, admission) order, so one
 //! length's entire column is a single slice of each section — that is
-//! what [`BaseSegment::load_length`] resolves lazily, and why opening a
-//! file decodes nothing.
+//! what [`BaseSegment::load_length`] resolves lazily, and why opening an
+//! image decodes nothing. A length's slice of `REPS` ends where the next
+//! length's starts.
 //!
-//! The `SKETCHES` section (and the per-length quantisation parameters
-//! in `LENGTHS`, gated by flags bit 0) is present only when the saved
-//! base carried a complete L0 sketch index; a v2 load then restores the
-//! sketches *verbatim*, preserving the frozen
-//! [`SketchParams`](onex_distance::SketchParams) so appended members
-//! keep encoding under the same quantisation. The section is an array of
-//! 24-byte records whatever the base holds in memory: a load transposes
-//! each group's run of records into its resident plane bytes — the first
-//! member's into the group's slot of its column block, all of them into
-//! the group's own planes from two members up — as it copies them, and a
-//! save writes records back.
+//! `REPS` holds only what the dataset does not: the means of the
+//! `Centroid` groups whose representative drifted. Every other group —
+//! every `Seed` group, every group of one — has its first member's window
+//! for representative, and the decoder reads that window in place from
+//! the dataset beside it. `CONFIG`'s `dataset` field is an FNV-1a over the
+//! first `source_series` series of the dataset the base was built over
+//! (each one's length, then its samples' bits), and an image opened
+//! beside any other dataset is refused ([`BaseSegment::empty_base`]).
+//! `layout` is 1; images written before the field existed hold 0 there
+//! and are refused as an unsupported version.
+//!
+//! `SKETCHES` and the per-length quantisation parameters in `LENGTHS`
+//! restore the sketches *verbatim*, preserving the frozen
+//! [`SketchParams`] so appended members keep encoding under the same
+//! quantisation. The section is an array of 24-byte records whatever the
+//! base holds in memory: a load transposes each group's run of records
+//! into its resident plane bytes — the first member's into the group's
+//! slot of its column block, all of them into the group's own planes from
+//! two members up — as it copies them, and a save writes records back.
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use onex_api::{OnexError, StorageErrorKind};
 use onex_distance::{SketchParams, SKETCH_STRIDE};
-use onex_storage::{put_f64, put_u32, put_u64, put_u8, Segment, SegmentBuilder};
-use onex_tseries::{Dataset, SubseqRef};
+use onex_storage::{put_f64, put_u32, put_u64, put_u8, Fnv1a, Segment, SegmentBuilder};
+use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 
 use crate::group::series_table;
 use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
@@ -49,22 +59,25 @@ pub const SEC_CONFIG: u32 = 1;
 pub const SEC_LENGTHS: u32 = 2;
 /// Section id: group records.
 pub const SEC_GROUPS: u32 = 3;
-/// Section id: representative sample column (f64).
+/// Section id: the means groups own (f64 samples).
 pub const SEC_REPS: u32 = 4;
 /// Section id: member references.
 pub const SEC_MEMBERS: u32 = 5;
 /// Section id: L0 sketch slots, parallel to `MEMBERS`.
 pub const SEC_SKETCHES: u32 = 6;
 
+/// The layout of the sections above, recorded in `CONFIG`.
+const BASE_LAYOUT: u8 = 1;
+
 const CONFIG_BYTES: usize = 40;
 const LENGTH_STRIDE: usize = 64;
 const GROUP_STRIDE: usize = 24;
 const MEMBER_STRIDE: usize = 8;
 
-/// Flags bit 0: the file carries a complete sketch section.
-const FLAG_SKETCHES: u64 = 1;
+/// A `GROUPS` record's `rep` for a group that owns no mean.
+const NO_REP: u64 = u64::MAX;
 
-/// Human-readable name of a v2 section id (`repro --inspect-base`).
+/// Human-readable name of a section id (`repro --inspect-base`).
 pub fn section_name(id: u32) -> &'static str {
     match id {
         SEC_CONFIG => "CONFIG",
@@ -80,23 +93,30 @@ pub fn section_name(id: u32) -> &'static str {
 fn corrupt(msg: impl Into<String>) -> OnexError {
     OnexError::storage(
         StorageErrorKind::Corrupt,
-        format!("v2 base: {}", msg.into()),
+        format!("base image: {}", msg.into()),
     )
 }
 
-/// Serialise a base as a v2 segment image.
+/// FNV-1a over `series`: each one's length, then its samples' bits.
+fn fingerprint<'a>(series: impl Iterator<Item = &'a TimeSeries>) -> u64 {
+    let mut hash = Fnv1a::default();
+    for s in series {
+        hash.update(&(s.len() as u64).to_le_bytes());
+        for v in s.values() {
+            hash.update(&v.to_bits().to_le_bytes());
+        }
+    }
+    hash.finish()
+}
+
+/// Serialise a base as a segment image.
 ///
-/// The sketch section is written only when the base's sketches
-/// completely cover every group (all-or-nothing at file level): a
-/// partially synced base would load as sketches the searcher trusts to
-/// be slot-parallel with the members.
+/// # Panics
+/// When a group's sketches do not cover its members — never for a base
+/// a [`crate::BaseBuilder`] built or extended, or one decoded from an
+/// image: every construction path ends with a sketch sync.
 pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     let cfg = base.config();
-    let sketches_complete = base.lengths().all(|len| {
-        let gs = base.groups_for_len(len);
-        gs.params().is_some() && gs.iter().all(|g| g.planes().is_some())
-    });
-
     let mut lengths_sec = Vec::new();
     let mut groups_sec = Vec::new();
     let mut reps_sec = Vec::new();
@@ -105,6 +125,7 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     let (mut group_cursor, mut member_cursor, mut rep_cursor) = (0u64, 0u64, 0u64);
     for len in base.lengths() {
         let gs = base.groups_for_len(len);
+        let params = gs.params().expect("every column is sketched");
         let member_count: usize = gs.iter().map(|g| g.cardinality()).sum();
         put_u64(&mut lengths_sec, len as u64);
         put_u64(&mut lengths_sec, group_cursor);
@@ -112,26 +133,26 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
         put_u64(&mut lengths_sec, member_cursor);
         put_u64(&mut lengths_sec, member_count as u64);
         put_u64(&mut lengths_sec, rep_cursor);
-        let params = gs.params().filter(|_| sketches_complete);
-        put_f64(&mut lengths_sec, params.map_or(0.0, |p| p.vmin));
-        put_f64(&mut lengths_sec, params.map_or(0.0, |p| p.step));
+        put_f64(&mut lengths_sec, params.vmin);
+        put_f64(&mut lengths_sec, params.step);
         for g in gs {
-            put_u64(&mut groups_sec, member_cursor);
+            match g.own_representative() {
+                Some(mean) => {
+                    put_u64(&mut groups_sec, rep_cursor);
+                    mean.iter().for_each(|&v| put_f64(&mut reps_sec, v));
+                    rep_cursor += len as u64;
+                }
+                None => put_u64(&mut groups_sec, NO_REP),
+            }
             put_u64(&mut groups_sec, g.cardinality() as u64);
             put_f64(&mut groups_sec, g.radius());
-            for &v in g.representative() {
-                put_f64(&mut reps_sec, v);
-            }
             for m in g.members() {
                 put_u32(&mut members_sec, m.series);
                 put_u32(&mut members_sec, m.start);
             }
-            if sketches_complete {
-                let planes = g.planes().expect("complete");
-                planes.write_records(&mut sketches_sec);
-            }
+            let planes = g.planes().expect("every member is sketched");
+            planes.write_records(&mut sketches_sec);
             member_cursor += g.cardinality() as u64;
-            rep_cursor += len as u64;
         }
         group_cursor += gs.len() as u64;
     }
@@ -149,12 +170,12 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
         },
     );
     put_u8(&mut config_sec, cfg.length_normalized as u8);
-    put_u8(&mut config_sec, 0);
+    put_u8(&mut config_sec, BASE_LAYOUT);
     put_u8(&mut config_sec, 0);
     put_u64(&mut config_sec, base.source_series() as u64);
     put_u64(
         &mut config_sec,
-        if sketches_complete { FLAG_SKETCHES } else { 0 },
+        fingerprint(base.series().iter().map(|s| &**s)),
     );
     debug_assert_eq!(config_sec.len(), CONFIG_BYTES);
 
@@ -164,13 +185,11 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
     b.section(SEC_GROUPS, groups_sec);
     b.section(SEC_REPS, reps_sec);
     b.section(SEC_MEMBERS, members_sec);
-    if sketches_complete {
-        b.section(SEC_SKETCHES, sketches_sec);
-    }
+    b.section(SEC_SKETCHES, sketches_sec);
     b.finish()
 }
 
-/// Save a base to `path` in format v2.
+/// Save a base to `path` as a segment image.
 ///
 /// # Errors
 /// [`OnexError::Io`] if the file cannot be written.
@@ -188,48 +207,54 @@ struct LengthEntry {
     member_start: usize,
     member_count: usize,
     rep_start: usize,
+    /// Where the length's means end in `REPS`: the next length's
+    /// `rep_start`, or the end of the section.
+    rep_end: usize,
     vmin: f64,
     step: f64,
 }
 
-/// A validated, still-encoded v2 base file: configuration and length
+/// A validated, still-encoded base image: configuration and length
 /// table decoded eagerly (they are a few dozen bytes per length), group
 /// columns left as borrowed sections until a query needs them.
 ///
-/// This is the cold-start entry point: `Onex::open` wraps one of these
-/// and calls [`BaseSegment::load_length`] per length the first query
-/// plan touches, so time-to-first-answer scales with one column, not
-/// the collection.
+/// This is the cold-start entry point: `Onex::open` wraps one of these,
+/// starts from [`BaseSegment::empty_base`] and calls
+/// [`BaseSegment::load_length`] per length the first query plan touches,
+/// so time-to-first-answer scales with one column, not the collection.
 #[derive(Debug)]
 pub struct BaseSegment {
     seg: Segment,
     config: BaseConfig,
     source_series: usize,
+    /// `CONFIG`'s fingerprint of the dataset the base was built over.
+    dataset: u64,
     lengths: Vec<LengthEntry>,
-    has_sketches: bool,
 }
 
 impl BaseSegment {
-    /// Open and validate a v2 base file without decoding any column.
+    /// Open and validate a base image file without decoding any column.
     ///
     /// # Errors
     /// [`OnexError::Io`] if reading fails; [`OnexError::Storage`] if
-    /// the bytes are not a valid v2 base segment.
+    /// the bytes are not a valid base image.
     pub fn open(path: impl AsRef<Path>) -> Result<BaseSegment, OnexError> {
         BaseSegment::from_bytes(std::fs::read(path)?)
     }
 
-    /// Validate an in-memory v2 file image (see [`BaseSegment::open`]).
+    /// Validate an in-memory base image (see [`BaseSegment::open`]).
     ///
     /// Container-level structure and checksums are verified by
     /// [`Segment::from_bytes`]; this layer then decodes the fixed-size
     /// `CONFIG` record and the `LENGTHS` table and cross-checks that the
-    /// per-length column spans tile the `GROUPS`/`REPS`/`MEMBERS`
-    /// sections exactly — so [`BaseSegment::load_length`] can slice
-    /// columns by arithmetic without re-validating bounds.
+    /// per-length column spans tile the `GROUPS`/`REPS`/`MEMBERS`/
+    /// `SKETCHES` sections exactly — so [`BaseSegment::load_length`] can
+    /// slice columns by arithmetic without re-validating bounds.
     ///
     /// # Errors
-    /// [`OnexError::Storage`] describing the first violated rule.
+    /// [`OnexError::Storage`] describing the first violated rule:
+    /// `UnsupportedVersion` for an image in another layout, `Corrupt`
+    /// for a missing section or spans that do not tile.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<BaseSegment, OnexError> {
         let seg = Segment::from_bytes(bytes)?;
         let sec = |id: u32| {
@@ -249,7 +274,22 @@ impl BaseSegment {
         let min_len = r.u32()? as usize;
         let max_len = r.u32()? as usize;
         let stride = r.u32()? as usize;
-        let policy = match r.u8()? {
+        let (policy, length_normalized, layout) = (r.u8()?, r.u8()?, r.u8()?);
+        r.u8()?;
+        let source_series = usize::try_from(r.u64()?)
+            .map_err(|_| corrupt("source_series does not fit this platform"))?;
+        let dataset = r.u64()?;
+        r.finish()?;
+        if layout != BASE_LAYOUT {
+            return Err(OnexError::storage(
+                StorageErrorKind::UnsupportedVersion,
+                format!(
+                    "base image in layout {layout}; this build reads layout {BASE_LAYOUT} \
+                     (rebuild the base and save it again)"
+                ),
+            ));
+        }
+        let policy = match policy {
             0 => RepresentativePolicy::Centroid,
             1 => RepresentativePolicy::Seed,
             other => {
@@ -258,7 +298,7 @@ impl BaseSegment {
                 )))
             }
         };
-        let length_normalized = match r.u8()? {
+        let length_normalized = match length_normalized {
             0 => false,
             1 => true,
             other => {
@@ -267,12 +307,6 @@ impl BaseSegment {
                 )))
             }
         };
-        r.u8()?;
-        r.u8()?;
-        let source_series = usize::try_from(r.u64()?)
-            .map_err(|_| corrupt("source_series does not fit this platform"))?;
-        let flags = r.u64()?;
-        r.finish()?;
         let config = BaseConfig {
             st,
             min_len,
@@ -284,13 +318,13 @@ impl BaseSegment {
         config
             .validate()
             .map_err(|e| corrupt(format!("invalid config: {e}")))?;
-        let has_sketches = flags & FLAG_SKETCHES != 0;
 
-        let (lengths_sec, groups_sec, reps_sec, members_sec) = (
+        let (lengths_sec, groups_sec, reps_sec, members_sec, sketches_sec) = (
             sec(SEC_LENGTHS)?,
             sec(SEC_GROUPS)?,
             sec(SEC_REPS)?,
             sec(SEC_MEMBERS)?,
+            sec(SEC_SKETCHES)?,
         );
         for (name, section, stride) in [
             ("LENGTHS", lengths_sec, LENGTH_STRIDE),
@@ -308,24 +342,21 @@ impl BaseSegment {
         let groups_total = groups_sec.len() / GROUP_STRIDE;
         let reps_total = reps_sec.len() / 8;
         let members_total = members_sec.len() / MEMBER_STRIDE;
-        if has_sketches {
-            let sk = sec(SEC_SKETCHES)?;
-            if sk.len() != members_total * SKETCH_STRIDE {
-                return Err(corrupt(format!(
-                    "SKETCHES is {} bytes for {members_total} members (stride {SKETCH_STRIDE})",
-                    sk.len()
-                )));
-            }
+        if sketches_sec.len() != members_total * SKETCH_STRIDE {
+            return Err(corrupt(format!(
+                "SKETCHES is {} bytes for {members_total} members (stride {SKETCH_STRIDE})",
+                sketches_sec.len()
+            )));
         }
 
-        // The length table must tile the group/rep/member sections
-        // exactly — contiguous, in order, nothing left over — which is
-        // what lets load_length slice columns without further checks.
+        // The length table must tile the group/member sections exactly —
+        // contiguous, in order, nothing left over — and cut `REPS` into
+        // ascending slices of whole means, which is what lets load_length
+        // slice columns without further checks.
         let n = lengths_sec.len() / LENGTH_STRIDE;
-        let mut lengths = Vec::with_capacity(n);
+        let mut lengths: Vec<LengthEntry> = Vec::with_capacity(n);
         let mut r = onex_storage::Reader::new(lengths_sec, "section LENGTHS");
         let (mut groups_seen, mut members_seen, mut reps_seen) = (0usize, 0usize, 0usize);
-        let mut prev_len = 0usize;
         for _ in 0..n {
             let e = LengthEntry {
                 len: r.u64()? as usize,
@@ -334,28 +365,33 @@ impl BaseSegment {
                 member_start: r.u64()? as usize,
                 member_count: r.u64()? as usize,
                 rep_start: r.u64()? as usize,
+                rep_end: reps_total,
                 vmin: r.f64()?,
                 step: r.f64()?,
             };
-            if e.len < 1 || (e.len <= prev_len && !lengths.is_empty()) {
+            if e.len < 1 || lengths.last().is_some_and(|p| e.len <= p.len) {
                 return Err(corrupt(format!(
                     "length table not strictly ascending at {}",
                     e.len
                 )));
             }
+            // The first length's means start `REPS`; a later length's
+            // start no earlier than the one before's.
             if e.group_start != groups_seen
                 || e.member_start != members_seen
-                || e.rep_start != reps_seen
+                || e.rep_start < reps_seen
+                || (lengths.is_empty() && e.rep_start != 0)
+                || e.rep_start > reps_total
             {
                 return Err(corrupt(format!(
                     "length {} columns are not contiguous with their predecessors",
                     e.len
                 )));
             }
-            let rep_span = e
-                .group_count
-                .checked_mul(e.len)
-                .ok_or_else(|| corrupt("representative span overflows"))?;
+            if let Some(previous) = lengths.last_mut() {
+                previous.rep_end = e.rep_start;
+            }
+            reps_seen = e.rep_start;
             groups_seen = groups_seen
                 .checked_add(e.group_count)
                 .filter(|&v| v <= groups_total)
@@ -364,18 +400,26 @@ impl BaseSegment {
                 .checked_add(e.member_count)
                 .filter(|&v| v <= members_total)
                 .ok_or_else(|| corrupt(format!("length {} overruns MEMBERS", e.len)))?;
-            reps_seen = reps_seen
-                .checked_add(rep_span)
-                .filter(|&v| v <= reps_total)
-                .ok_or_else(|| corrupt(format!("length {} overruns REPS", e.len)))?;
-            prev_len = e.len;
             lengths.push(e);
         }
         r.finish()?;
-        if groups_seen != groups_total || members_seen != members_total || reps_seen != reps_total {
+        if lengths.is_empty() && reps_total != 0 {
+            return Err(corrupt("REPS holds means of no length"));
+        }
+        for e in &lengths {
+            let means = (e.rep_end - e.rep_start) / e.len;
+            if (e.rep_end - e.rep_start) % e.len != 0 || means > e.group_count {
+                return Err(corrupt(format!(
+                    "length {} holds {} REPS samples: not whole means of its groups",
+                    e.len,
+                    e.rep_end - e.rep_start
+                )));
+            }
+        }
+        if groups_seen != groups_total || members_seen != members_total {
             return Err(corrupt(format!(
                 "length table covers {groups_seen}/{groups_total} groups, \
-                 {members_seen}/{members_total} members, {reps_seen}/{reps_total} rep samples"
+                 {members_seen}/{members_total} members"
             )));
         }
 
@@ -383,8 +427,8 @@ impl BaseSegment {
             seg,
             config,
             source_series,
+            dataset,
             lengths,
-            has_sketches,
         })
     }
 
@@ -403,86 +447,109 @@ impl BaseSegment {
         self.lengths.iter().map(|e| e.len)
     }
 
-    /// Whether the file carries the L0 sketch section (loaded columns
-    /// then prune immediately, no re-encode).
-    pub fn has_sketches(&self) -> bool {
-        self.has_sketches
-    }
-
     /// Total groups across all lengths (from the table, no decode).
     pub fn total_groups(&self) -> usize {
         self.lengths.iter().map(|e| e.group_count).sum()
     }
 
-    /// A base with this file's configuration and *no* columns resolved
-    /// yet — the engine's cold-start starting point.
-    pub fn empty_base(&self) -> OnexBase {
-        OnexBase::from_parts(self.config.clone(), BTreeMap::new(), self.source_series)
+    /// A base with this image's configuration over `dataset`, and *no*
+    /// columns resolved yet — the engine's cold-start starting point.
+    ///
+    /// # Errors
+    /// [`OnexError::DatasetMismatch`] unless `dataset` is the one the
+    /// base was built over: as many series, and the same lengths and
+    /// sample bits in each (one pass over the dataset).
+    pub fn empty_base(&self, dataset: &Dataset) -> Result<OnexBase, OnexError> {
+        if dataset.len() != self.source_series {
+            return Err(OnexError::DatasetMismatch(format!(
+                "base image was built over {} series but dataset has {}",
+                self.source_series,
+                dataset.len()
+            )));
+        }
+        let ids = 0..self.source_series as u32;
+        let found = fingerprint(ids.filter_map(|id| dataset.series(id)));
+        if found != self.dataset {
+            return Err(OnexError::DatasetMismatch(format!(
+                "dataset is not the one the base image was built over \
+                 (fingerprint {found:#018x}, image {:#018x})",
+                self.dataset
+            )));
+        }
+        let (config, columns) = (self.config.clone(), BTreeMap::new());
+        Ok(OnexBase::from_parts(config, columns, series_table(dataset)))
     }
 
-    /// Resolve one length column into `base`: decode its groups (and
-    /// sketches, when present) from the borrowed sections and
-    /// install them. Returns `false` when the file has no such length.
-    /// Idempotent — re-resolving replaces the column with identical
-    /// data.
+    /// Resolve one length column into `base`: decode its groups and
+    /// sketches from the borrowed sections and install them. Returns
+    /// `false` when the image has no such length. Idempotent —
+    /// re-resolving replaces the column with identical data.
     ///
-    /// With the `dataset` the base was built over, a column comes back as
-    /// it was built: every group whose stored representative is bit-equal
-    /// to its first member's window there — a frozen seed, a group of one
-    /// under either policy (always, in a file this code wrote) — reads
-    /// that window in place and allocates nothing for it. A group that
-    /// differs (a centroid that drifted), or whose member does not
-    /// resolve, keeps an owned copy of what the file stored — as every
-    /// group does without a dataset.
+    /// The column comes back as it was built: a group that owned a mean
+    /// owns the stored one, every other group reads its first member's
+    /// window in place from `dataset` and allocates nothing for it.
     ///
     /// # Errors
     /// [`OnexError::Storage`] if the column's group records are
-    /// malformed (possible despite section checksums only for a file
-    /// written by a buggy or hostile encoder).
+    /// malformed (possible despite section checksums only for an image
+    /// written by a buggy or hostile encoder);
+    /// [`OnexError::DatasetMismatch`] if a group's first member is no
+    /// window of `dataset` (one [`Self::empty_base`] did not accept).
     pub fn load_length(
         &self,
         base: &mut OnexBase,
         len: usize,
-        dataset: Option<&Dataset>,
+        dataset: &Dataset,
     ) -> Result<bool, OnexError> {
         let Some(e) = self.lengths.iter().find(|e| e.len == len) else {
             return Ok(false);
         };
-        let groups_sec = self.seg.section(SEC_GROUPS).expect("validated");
-        let reps_sec = self.seg.section(SEC_REPS).expect("validated");
-        let members_sec = self.seg.section(SEC_MEMBERS).expect("validated");
+        let section = |id| self.seg.section(id).expect("validated");
+        let (groups_sec, reps_sec) = (section(SEC_GROUPS), section(SEC_REPS));
+        let (members_sec, sketches_sec) = (section(SEC_MEMBERS), section(SEC_SKETCHES));
 
-        let mut groups = GroupColumn::over(dataset.map(series_table).unwrap_or_default());
-        let sketches = self
-            .has_sketches
-            .then(|| self.seg.section(SEC_SKETCHES).expect("validated"));
-        if sketches.is_some() {
-            groups.set_params(SketchParams {
-                vmin: e.vmin,
-                step: e.step,
-            });
-        }
-        let records = &groups_sec
-            [e.group_start * GROUP_STRIDE..(e.group_start + e.group_count) * GROUP_STRIDE];
-        let mut member_cursor = e.member_start;
+        let mut groups = GroupColumn::over(series_table(dataset));
+        groups.set_params(SketchParams {
+            vmin: e.vmin,
+            step: e.step,
+        });
+        let records = &groups_sec[e.group_start * GROUP_STRIDE..][..e.group_count * GROUP_STRIDE];
+        let member_end = e.member_start + e.member_count;
+        let (mut member_cursor, mut rep_cursor) = (e.member_start, e.rep_start);
         for (gi, rec) in records.chunks_exact(GROUP_STRIDE).enumerate() {
-            let member_start = u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")) as usize;
-            let member_count = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")) as usize;
-            let radius = f64::from_le_bytes(rec[16..24].try_into().expect("8 bytes"));
+            let field =
+                |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+            let (rep, member_count, radius) = (field(0), field(8), f64::from_bits(field(16)));
             // Groups must pack their length's member range exactly, in
             // order, each non-empty — same invariant the builder
             // produces and the table validation assumed.
-            if member_start != member_cursor
-                || member_count == 0
-                || member_cursor + member_count > e.member_start + e.member_count
-            {
-                return Err(corrupt(format!(
-                    "group {gi}@{len} member range [{member_start}, +{member_count}) \
-                     does not pack its length column"
-                )));
-            }
-            let members: Vec<SubseqRef> = members_sec
-                [member_start * MEMBER_STRIDE..(member_start + member_count) * MEMBER_STRIDE]
+            let member_count = usize::try_from(member_count)
+                .ok()
+                .filter(|&count| count > 0 && count <= member_end - member_cursor)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "group {gi}@{len} of {member_count} members does not pack its length column"
+                    ))
+                })?;
+            let own: Option<Arc<[f64]>> = match rep {
+                NO_REP => None,
+                at if at == rep_cursor as u64 && e.rep_end - rep_cursor >= len => {
+                    let samples = reps_sec[rep_cursor * 8..][..len * 8].chunks_exact(8);
+                    rep_cursor += len;
+                    Some(
+                        samples
+                            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+                            .collect(),
+                    )
+                }
+                at => {
+                    return Err(corrupt(format!(
+                        "group {gi}@{len}'s mean at {at} does not pack its length's REPS"
+                    )))
+                }
+            };
+            let members: Vec<SubseqRef> = members_sec[member_cursor * MEMBER_STRIDE..]
+                [..member_count * MEMBER_STRIDE]
                 .chunks_exact(MEMBER_STRIDE)
                 .map(|c| {
                     let series = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
@@ -490,20 +557,23 @@ impl BaseSegment {
                     SubseqRef::new(series, start, len as u32)
                 })
                 .collect();
-            let sketched = sketches
-                .map(|sk| &sk[member_start * SKETCH_STRIDE..][..member_count * SKETCH_STRIDE]);
+            let first = members[0];
+            let sketched =
+                &sketches_sec[member_cursor * SKETCH_STRIDE..][..member_count * SKETCH_STRIDE];
             member_cursor += member_count;
-            let stored = reps_sec
-                [(e.rep_start + gi * e.len) * 8..(e.rep_start + (gi + 1) * e.len) * 8]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
-            groups.push_decoded(stored, members, radius, sketched);
+            if !groups.push_decoded(members, radius, own, sketched) {
+                return Err(OnexError::DatasetMismatch(format!(
+                    "group {gi}@{len}: its first member {first} is no window of the dataset"
+                )));
+            }
         }
-        if member_cursor != e.member_start + e.member_count {
+        if member_cursor != member_end || rep_cursor != e.rep_end {
             return Err(corrupt(format!(
-                "length {len} groups cover {} of {} members",
+                "length {len} groups cover {} of {} members, {} of {} REPS samples",
                 member_cursor - e.member_start,
-                e.member_count
+                e.member_count,
+                rep_cursor - e.rep_start,
+                e.rep_end - e.rep_start
             )));
         }
         groups.shrink_to_fit();
@@ -511,22 +581,7 @@ impl BaseSegment {
         Ok(true)
     }
 
-    /// Decode every column eagerly — what the magic-sniffing
-    /// [`super::load`] does for v2 files when laziness is not wanted.
-    /// There is no dataset here, so every representative is an owned
-    /// copy.
-    ///
-    /// # Errors
-    /// See [`BaseSegment::load_length`].
-    pub fn load_all(&self) -> Result<OnexBase, OnexError> {
-        let mut base = self.empty_base();
-        for e in &self.lengths {
-            self.load_length(&mut base, e.len, None)?;
-        }
-        Ok(base)
-    }
-
-    /// The whole validated file image (for `ShipBase` / re-saving).
+    /// The whole validated image (for `ShipBase` / re-saving).
     pub fn as_bytes(&self) -> &[u8] {
         self.seg.as_bytes()
     }
@@ -539,14 +594,40 @@ impl BaseSegment {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{kind_of, sample_base, to_bytes};
+    use super::super::tests::{decoded, kind_of, sample_base, sample_dataset};
     use super::*;
+    use crate::BaseBuilder;
+
+    /// `image` with its sections passed through `edit` (`None` drops one),
+    /// re-sealed with fresh checksums.
+    fn resealed(image: &[u8], mut edit: impl FnMut(u32, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let seg = Segment::from_bytes(image.to_vec()).unwrap();
+        let mut b = SegmentBuilder::new();
+        for s in seg.directory() {
+            if let Some(bytes) = edit(s.id, seg.section(s.id).unwrap()) {
+                b.section(s.id, bytes);
+            }
+        }
+        b.finish()
+    }
+
+    fn section_of(image: &[u8], id: u32) -> Vec<u8> {
+        let seg = Segment::from_bytes(image.to_vec()).unwrap();
+        seg.section(id).unwrap().to_vec()
+    }
+
+    fn build(policy: RepresentativePolicy) -> OnexBase {
+        let config = BaseConfig {
+            policy,
+            ..BaseConfig::new(1.0, 5, 12)
+        };
+        BaseBuilder::new(config).unwrap().build(&sample_dataset()).0
+    }
 
     #[test]
     fn round_trip_preserves_structure_and_sketches() {
         let base = sample_base();
-        let bytes = save_v2(&base);
-        let back = BaseSegment::from_bytes(bytes).unwrap().load_all().unwrap();
+        let back = decoded(save_v2(&base), &sample_dataset());
         assert_eq!(back, base);
         for (id, g) in base.iter() {
             let g2 = back.group(id).unwrap();
@@ -563,10 +644,7 @@ mod tests {
     fn resave_is_byte_identical() {
         let base = sample_base();
         let bytes = save_v2(&base);
-        let back = BaseSegment::from_bytes(bytes.clone())
-            .unwrap()
-            .load_all()
-            .unwrap();
+        let back = decoded(bytes.clone(), &sample_dataset());
         assert_eq!(save_v2(&back), bytes);
     }
 
@@ -576,11 +654,9 @@ mod tests {
         // 24-byte record per member in MEMBERS order, each exactly what
         // `encode_into` writes for that member under the length's frozen
         // parameters.
-        use super::super::tests::sample_dataset;
         use onex_distance::sketch::encode_into;
         let (ds, base) = (sample_dataset(), sample_base());
-        let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
-        let section = seg.seg.section(SEC_SKETCHES).expect("sketches saved");
+        let section = section_of(&save_v2(&base), SEC_SKETCHES);
         assert_eq!(section.len(), base.member_count() * SKETCH_STRIDE);
         let mut records = section.chunks_exact(SKETCH_STRIDE);
         for len in base.lengths() {
@@ -596,19 +672,18 @@ mod tests {
 
     #[test]
     fn lazy_load_resolves_one_column_at_a_time() {
-        let base = sample_base();
+        let (ds, base) = (sample_dataset(), sample_base());
         let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
-        assert!(seg.has_sketches());
         assert_eq!(
             seg.lengths().collect::<Vec<_>>(),
             base.lengths().collect::<Vec<_>>()
         );
         assert_eq!(seg.total_groups(), base.stats().groups);
 
-        let mut cold = seg.empty_base();
+        let mut cold = seg.empty_base(&ds).unwrap();
         assert_eq!(cold.lengths().count(), 0);
         let len = base.lengths().next().unwrap();
-        assert!(seg.load_length(&mut cold, len, None).unwrap());
+        assert!(seg.load_length(&mut cold, len, &ds).unwrap());
         assert_eq!(cold.lengths().collect::<Vec<_>>(), vec![len]);
         assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
         assert_eq!(
@@ -629,125 +704,198 @@ mod tests {
             assert!(survivors.is_empty(), "{survivors:?}");
         }
         // A length the file does not index resolves to "not present".
-        assert!(!seg.load_length(&mut cold, 9999, None).unwrap());
+        assert!(!seg.load_length(&mut cold, 9999, &ds).unwrap());
         // Re-resolving is idempotent.
-        assert!(seg.load_length(&mut cold, len, None).unwrap());
+        assert!(seg.load_length(&mut cold, len, &ds).unwrap());
         assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
     }
 
     #[test]
     fn a_column_loaded_beside_its_dataset_reads_its_seeds_in_place() {
-        use super::super::tests::sample_dataset;
-        use crate::BaseBuilder;
-        use onex_tseries::TimeSeries;
         let ds = sample_dataset();
-        let config = BaseConfig {
-            policy: RepresentativePolicy::Seed,
-            ..BaseConfig::new(1.0, 5, 12)
-        };
-        let (base, _) = BaseBuilder::new(config.clone()).unwrap().build(&ds);
-        let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
-        let load = |dataset: Option<&Dataset>| {
-            let mut loaded = seg.empty_base();
-            for len in seg.lengths() {
-                assert!(seg.load_length(&mut loaded, len, dataset).unwrap());
-            }
-            loaded
-        };
-        let samples: usize = base.iter().map(|(_, g)| g.len()).sum();
-
-        // Its own dataset: every stored representative is its first
-        // member's window, bit for bit, so none is copied.
-        let adopted = load(Some(&ds));
-        assert_eq!(adopted, base);
-        assert_eq!(adopted.sketches(), base.sketches());
-        assert_eq!(adopted.footprint().owned_representatives, 0);
-        for (id, g) in adopted.iter() {
+        let base = build(RepresentativePolicy::Seed);
+        let loaded = decoded(save_v2(&base), &ds);
+        assert_eq!(loaded, base);
+        assert_eq!(loaded.sketches(), base.sketches());
+        assert_eq!(loaded.footprint().owned_representatives, 0);
+        for (id, g) in loaded.iter() {
             let window = ds.resolve(g.members()[0]).unwrap();
             assert!(std::ptr::eq(g.representative(), window), "{id}");
         }
-        // No dataset: the same base by `==`, every representative owned.
-        let owned = load(None);
-        assert_eq!(owned, base);
-        assert!(owned.footprint().owned_representatives >= 8 * samples);
 
-        // A dataset that is not quite the one the file was built over:
-        // series 0 differs in its last bit of one sample, series 4 is too
-        // short for most of its windows. Groups seeded there keep what the
-        // file stored; the rest are adopted; nothing panics, and the base
-        // still equals the one that was saved.
-        let other = Dataset::from_series(
-            ds.iter()
-                .map(|(id, s)| {
-                    let mut values = s.values().to_vec();
-                    match id {
-                        0 => values[3] = f64::from_bits(values[3].to_bits() ^ 1),
-                        4 => values.truncate(8),
-                        _ => {}
-                    }
-                    TimeSeries::new(s.name(), values)
-                })
-                .collect(),
-        )
-        .unwrap();
-        let mixed = load(Some(&other));
-        assert_eq!(mixed, base);
-        let (mut kept, mut read_in_place) = (0, 0);
-        for (id, g) in mixed.iter() {
-            let first = g.members()[0];
-            match other.resolve(first) {
-                Ok(window) if std::ptr::eq(g.representative(), window) => read_in_place += 1,
-                _ => {
-                    assert!(first.series == 0 || first.series == 4, "{id} {first}");
-                    kept += 1;
-                }
-            }
-        }
-        assert!(
-            kept > 0 && read_in_place > 0,
-            "{kept} kept, {read_in_place} in place"
-        );
-        assert!(mixed.footprint().owned_representatives < owned.footprint().owned_representatives);
-
-        // A centroid that drifted is nobody's window: a Centroid file
-        // comes back with the means its groups of two and more own, and
-        // with its groups of one — a mean of one is that window — read in
-        // place, as it was built.
-        let centroid = BaseConfig {
-            policy: RepresentativePolicy::Centroid,
-            ..config
-        };
-        let (drifted, _) = BaseBuilder::new(centroid).unwrap().build(&ds);
-        let seg = BaseSegment::from_bytes(save_v2(&drifted)).unwrap();
-        let mut loaded = seg.empty_base();
-        for len in seg.lengths() {
-            seg.load_length(&mut loaded, len, Some(&ds)).unwrap();
-        }
+        // A drifted centroid is nobody's window: a Centroid image comes
+        // back with the means its groups own, and with every other group
+        // — a mean of one is that window — read in place, as it was built.
+        let drifted = build(RepresentativePolicy::Centroid);
+        let loaded = decoded(save_v2(&drifted), &ds);
         assert_eq!(loaded, drifted);
         let means = loaded.footprint().owned_representatives;
+        assert!(means > 0);
         assert_eq!(means, drifted.footprint().owned_representatives);
-        let drifted_samples = |base: &OnexBase| -> usize {
-            let groups = base.iter().filter(|(_, g)| g.cardinality() > 1);
-            groups.map(|(_, g)| g.len()).sum()
-        };
-        assert!(drifted_samples(&loaded) > 0 && means >= 8 * drifted_samples(&loaded));
         for (id, g) in loaded.iter().filter(|(_, g)| g.cardinality() == 1) {
             let window = ds.resolve(g.members()[0]).unwrap();
             assert!(std::ptr::eq(g.representative(), window), "{id}");
         }
+
+        // A dataset a group's first member is no window of: refused typed
+        // — by `empty_base` already — and nothing panics in the decoder
+        // when asked anyway.
+        let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
+        let mut cold = seg.empty_base(&ds).unwrap();
+        let short = Dataset::from_series(
+            ds.iter()
+                .map(|(_, s)| TimeSeries::new(s.name(), s.values()[..6].to_vec()))
+                .collect(),
+        )
+        .unwrap();
+        assert!(matches!(
+            seg.empty_base(&short),
+            Err(OnexError::DatasetMismatch(_))
+        ));
+        let err = seg.load_length(&mut cold, 12, &short).unwrap_err();
+        assert!(matches!(err, OnexError::DatasetMismatch(_)), "{err}");
     }
 
     #[test]
-    fn base_without_sketches_round_trips_without_the_section() {
-        let base = sample_base();
-        // Strip the sketches: a v1 file does not carry them.
-        let stripped = crate::persist::load(to_bytes(&base).as_slice()).unwrap();
-        assert_eq!(stripped, base);
-        let seg = BaseSegment::from_bytes(save_v2(&stripped)).unwrap();
-        assert!(!seg.has_sketches());
-        let back = seg.load_all().unwrap();
-        assert_eq!(back, stripped);
-        assert!(back.sketches().is_empty());
+    fn a_seed_image_stores_no_representative() {
+        let base = build(RepresentativePolicy::Seed);
+        assert!(base.iter().any(|(_, g)| g.cardinality() > 1));
+        assert!(section_of(&save_v2(&base), SEC_REPS).is_empty());
+    }
+
+    #[test]
+    fn a_centroid_image_stores_exactly_the_means_its_groups_own() {
+        let base = build(RepresentativePolicy::Centroid);
+        let owned: Vec<f64> = base
+            .iter()
+            .filter_map(|(_, g)| g.own_representative())
+            .flatten()
+            .copied()
+            .collect();
+        let lengths_owning: usize = base
+            .iter()
+            .filter(|(_, g)| g.own_representative().is_some())
+            .map(|(_, g)| g.len())
+            .sum();
+        assert!(lengths_owning > 0);
+        assert!(base.iter().any(|(_, g)| g.own_representative().is_none()));
+        let image = save_v2(&base);
+        let reps = section_of(&image, SEC_REPS);
+        assert_eq!(reps.len(), 8 * lengths_owning);
+        let stored = reps
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+        assert!(stored
+            .map(f64::to_bits)
+            .eq(owned.iter().map(|v| v.to_bits())));
+        let back = decoded(image, &sample_dataset());
+        assert_eq!(back, base);
+        assert_eq!(back.sketches(), base.sketches());
+    }
+
+    #[test]
+    fn means_out_of_place_are_refused_typed() {
+        // A hostile encoder seals its sections with valid checksums: a
+        // group pointing at another group's mean, or a length table that
+        // does not cut `REPS` into whole means, is refused, never misread.
+        let (ds, image) = (
+            sample_dataset(),
+            save_v2(&build(RepresentativePolicy::Centroid)),
+        );
+        let owning = section_of(&image, SEC_GROUPS)
+            .chunks_exact(GROUP_STRIDE)
+            .position(|rec| rec[..8] != NO_REP.to_le_bytes())
+            .unwrap();
+        let shifted = resealed(&image, |id, bytes| {
+            let mut bytes = bytes.to_vec();
+            if id == SEC_GROUPS {
+                bytes[owning * GROUP_STRIDE] ^= 1;
+            }
+            Some(bytes)
+        });
+        let seg = BaseSegment::from_bytes(shifted).unwrap();
+        let mut base = seg.empty_base(&ds).unwrap();
+        let err = seg
+            .lengths()
+            .try_for_each(|len| seg.load_length(&mut base, len, &ds).map(|_| ()));
+        assert_eq!(kind_of(err.unwrap_err()), StorageErrorKind::Corrupt);
+
+        let torn = resealed(&image, |id, bytes| {
+            let mut bytes = bytes.to_vec();
+            if id == SEC_LENGTHS {
+                // The second length's means start one sample in.
+                bytes[LENGTH_STRIDE + 40] = bytes[LENGTH_STRIDE + 40].wrapping_add(1);
+            }
+            Some(bytes)
+        });
+        let err = BaseSegment::from_bytes(torn).unwrap_err();
+        assert_eq!(kind_of(err), StorageErrorKind::Corrupt);
+    }
+
+    #[test]
+    fn an_image_opened_beside_another_dataset_is_refused() {
+        let ds = sample_dataset();
+        let seg = BaseSegment::from_bytes(save_v2(&sample_base())).unwrap();
+        assert!(seg.empty_base(&ds).is_ok());
+        let series: Vec<TimeSeries> = ds.iter().map(|(_, s)| s.clone()).collect();
+        let variant = |edit: &dyn Fn(&mut Vec<TimeSeries>)| {
+            let mut all = series.clone();
+            edit(&mut all);
+            Dataset::from_series(all).unwrap()
+        };
+        let flipped = variant(&|all| {
+            let mut values = all[2].values().to_vec();
+            values[7] = f64::from_bits(values[7].to_bits() ^ 1);
+            all[2] = TimeSeries::new(all[2].name(), values);
+        });
+        let truncated = variant(&|all| {
+            let values = all[4].values()[..29].to_vec();
+            all[4] = TimeSeries::new(all[4].name(), values);
+        });
+        let swapped = variant(&|all| all.swap(0, 3));
+        for (what, other) in [
+            ("flipped", flipped),
+            ("truncated", truncated),
+            ("swapped", swapped),
+        ] {
+            assert_eq!(other.len(), ds.len());
+            assert!(
+                matches!(seg.empty_base(&other), Err(OnexError::DatasetMismatch(_))),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_image_in_the_previous_layout_is_refused() {
+        // The layout before the `layout` byte: the same CONFIG record with
+        // 0 where the byte is now (it was padding), and the sketch flag in
+        // the last word where the dataset fingerprint is now.
+        let image = save_v2(&sample_base());
+        let previous = resealed(&image, |id, bytes| {
+            let mut bytes = bytes.to_vec();
+            if id == SEC_CONFIG {
+                bytes[22] = 0;
+                bytes[32..].copy_from_slice(&1u64.to_le_bytes());
+            }
+            Some(bytes)
+        });
+        let err = BaseSegment::from_bytes(previous).unwrap_err();
+        assert_eq!(kind_of(err), StorageErrorKind::UnsupportedVersion);
+    }
+
+    #[test]
+    fn an_image_without_sketches_is_refused() {
+        let image = save_v2(&sample_base());
+        let bare = resealed(&image, |id, bytes| {
+            (id != SEC_SKETCHES).then(|| bytes.to_vec())
+        });
+        let err = BaseSegment::from_bytes(bare).unwrap_err();
+        assert!(
+            err.to_string().contains("missing section SKETCHES"),
+            "{err}"
+        );
+        assert_eq!(kind_of(err), StorageErrorKind::Corrupt);
     }
 
     #[test]

@@ -18,22 +18,21 @@
 //! which quantiser?".
 //!
 //! Sketches are *derived* data — rebuildable from the dataset and
-//! excluded from base equality — but since segment format v2 they are
-//! also *persisted* (as 24-byte records, see [`crate::persist`]), so a
-//! loaded base prunes with L0 immediately instead of paying a rebuild.
+//! excluded from base equality — but they are also *persisted* (as
+//! 24-byte records, see [`crate::persist`]), so a loaded base prunes with
+//! L0 immediately instead of paying a rebuild.
 //! Quantisation parameters are frozen per length the first time that
 //! length is synced, so a sketch byte written once stays valid forever;
 //! appended values that fall outside the frozen range simply encode as
 //! non-pruning (invalid) sketches, keeping incremental extension sound
 //! without requantising. Persisting the frozen parameters alongside the
 //! records is what makes a save/load cycle byte-preserving. A slot nobody
-//! has sketched yet — a column decoded from a v1 file, a group between
-//! its seeding and the sync that follows — carries a placeholder that
-//! never prunes, so L0 passes its member through.
+//! has sketched yet — a group between its seeding and the sync that
+//! follows — carries a placeholder that never prunes, so L0 passes its
+//! member through.
 //!
 //! What a sync quantises is points, not windows. Every construction path
-//! — batch and parallel build, incremental extension, an engine
-//! re-attaching a base that came without sketches — sketches through
+//! — batch and parallel build, incremental extension — sketches through
 //! this module's one per-length step (behind
 //! [`crate::OnexBase::sync_sketches`]), and that step quantises each
 //! series it meets a new slot of once, into a [`LevelColumn`] under the
@@ -98,9 +97,8 @@ impl<'a> LengthSketches<'a> {
 /// All member sketches of a base, keyed by subsequence length: a view of
 /// the columns that have been synced ([`crate::OnexBase::sketches`]).
 ///
-/// Derived from the dataset + groups via
-/// [`crate::OnexBase::sync_sketches`]; cheap to rebuild, append-only
-/// under incremental extension. Equality is byte-exact over slots and
+/// Derived from the dataset + groups by every construction path; cheap
+/// to rebuild, append-only under incremental extension. Equality is byte-exact over slots and
 /// parameters — the property persistence round-trip tests pin.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchIndex<'a> {
@@ -228,11 +226,23 @@ mod tests {
             .collect()
     }
 
-    /// `base` as a v1 file gives it back: the same groups, no sketches.
-    fn unsketched(base: &OnexBase) -> OnexBase {
-        let mut file = Vec::new();
-        crate::persist::save(base, &mut file).unwrap();
-        crate::persist::load(file.as_slice()).unwrap()
+    /// `base`'s groups with nothing sketched: every column replayed, seed
+    /// by seed and admission by admission, into a fresh one.
+    fn unsketched(base: &OnexBase, ds: &Dataset) -> OnexBase {
+        let centroid = base.config().policy == crate::RepresentativePolicy::Centroid;
+        let columns = base.raw_groups().iter().map(|(&len, groups)| {
+            let mut column = GroupColumn::over(base.series().clone());
+            for (index, g) in groups.iter().enumerate() {
+                let (first, rest) = g.members().split_first().unwrap();
+                assert!(column.push_seed(*first));
+                for &m in rest {
+                    column.admit(index, m, ds.resolve(m).unwrap(), g.radius(), centroid);
+                }
+            }
+            (len, column)
+        });
+        let columns = columns.collect();
+        OnexBase::from_parts(base.config().clone(), columns, base.series().clone())
     }
 
     #[test]
@@ -240,8 +250,8 @@ mod tests {
         let ds = dataset(&[&walk(3, 40), &walk(7, 33)]);
         let builder = BaseBuilder::new(BaseConfig::new(4.0, 6, 10)).unwrap();
         let (built, _) = builder.build(&ds);
-        let mut base = unsketched(&built);
-        assert!(base.sketches().is_empty());
+        let mut base = unsketched(&built, &ds);
+        assert!(base == built && base.sketches().is_empty());
         for (_, g) in base.iter() {
             assert!(g.planes().is_none() && g.sketched().cardinality() == 0);
         }

@@ -107,9 +107,7 @@ proptest! {
     fn persist_round_trip(ds in small_dataset(), st in 0.2f64..4.0) {
         let cfg = BaseConfig::new(st, 3, 7);
         let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
-        let mut bytes = Vec::new();
-        onex_grouping::persist::save(&base, &mut bytes).unwrap();
-        let back = onex_grouping::persist::load(bytes.as_slice()).unwrap();
+        let back = opened(&onex_grouping::persist::save_v2(&base), &ds).unwrap();
         prop_assert_eq!(back.stats(), base.stats());
         prop_assert_eq!(back.config(), base.config());
         for (id, g) in base.iter() {
@@ -119,19 +117,17 @@ proptest! {
         }
     }
 
-    /// Format v2 round-trips are **byte-identical**: decode(encode(base))
-    /// re-encodes to the same file image, the reloaded base equals the
-    /// saved one, and the frozen sketch quantisation parameters survive —
-    /// so appended members keep encoding under the same quantisation
-    /// instead of rebuilding the L0 tier.
+    /// Image round-trips are **byte-identical**: decode(encode(base))
+    /// re-encodes to the same image, the reloaded base equals the saved
+    /// one, and the frozen sketch quantisation parameters survive — so
+    /// appended members keep encoding under the same quantisation instead
+    /// of rebuilding the L0 tier.
     #[test]
     fn v2_round_trip_is_byte_identical(ds in small_dataset(), st in 0.2f64..4.0) {
         let cfg = BaseConfig::new(st, 3, 7);
-        let (mut base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
-        base.sync_sketches(&ds);
+        let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
         let bytes = onex_grouping::persist::save_v2(&base);
-        let seg = onex_grouping::persist::BaseSegment::from_bytes(bytes.clone()).unwrap();
-        let back = seg.load_all().unwrap();
+        let back = opened(&bytes, &ds).unwrap();
         prop_assert_eq!(&back, &base);
         prop_assert_eq!(back.sketches(), base.sketches());
         for len in base.lengths() {
@@ -141,42 +137,33 @@ proptest! {
         prop_assert_eq!(onex_grouping::persist::save_v2(&back), bytes);
     }
 
-    /// Damage anywhere in a persisted file — either format, any single
-    /// byte flipped or any truncation — is either *detected* (load
-    /// fails) or *provably harmless* (the reloaded base is identical;
-    /// v2 alignment padding is the only undetected region and it
-    /// carries no data). Loading never panics and never allocates its
-    /// way into garbage.
+    /// Damage anywhere in a persisted image — any single byte flipped or
+    /// any truncation — is either *detected* (load fails) or *provably
+    /// harmless* (the reloaded base is identical; alignment padding is
+    /// the only undetected region and it carries no data). Loading never
+    /// panics and never allocates its way into garbage.
     #[test]
     fn corrupted_files_never_load_as_a_different_base(
         ds in small_dataset(),
         st in 0.3f64..3.0,
-        v2 in any::<bool>(),
         flip_seed in any::<usize>(),
         bit in 0usize..8,
         cut_seed in any::<usize>(),
     ) {
         let cfg = BaseConfig::new(st, 3, 7);
-        let (mut base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
-        base.sync_sketches(&ds);
-        let bytes = if v2 {
-            onex_grouping::persist::save_v2(&base)
-        } else {
-            let mut out = Vec::new();
-            onex_grouping::persist::save(&base, &mut out).unwrap();
-            out
-        };
+        let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
+        let bytes = onex_grouping::persist::save_v2(&base);
 
         let mut flipped = bytes.clone();
         let at = flip_seed % flipped.len();
         flipped[at] ^= 1 << bit;
-        if let Ok(back) = onex_grouping::persist::load(flipped.as_slice()) {
+        if let Ok(back) = opened(&flipped, &ds) {
             prop_assert_eq!(&back, &base, "undetected flip at {} changed the base", at);
         }
 
         let truncated = &bytes[..cut_seed % bytes.len()];
         prop_assert!(
-            onex_grouping::persist::load(truncated).is_err(),
+            opened(truncated, &ds).is_err(),
             "truncation to {} bytes accepted", truncated.len()
         );
     }
@@ -505,19 +492,19 @@ fn edge_collection(cardinalities: &[usize]) -> Dataset {
     .unwrap()
 }
 
-/// Every column of `file` decoded beside `dataset` (or beside nothing).
-fn decoded(file: &[u8], dataset: Option<&Dataset>) -> onex_grouping::OnexBase {
-    let segment = onex_grouping::persist::BaseSegment::from_bytes(file.to_vec()).unwrap();
-    let mut base = segment.empty_base();
+/// Every column of the image `file` decoded beside `dataset`.
+fn opened(file: &[u8], dataset: &Dataset) -> Result<OnexBase, onex_api::OnexError> {
+    let segment = onex_grouping::persist::BaseSegment::from_bytes(file.to_vec())?;
+    let mut base = segment.empty_base(dataset)?;
     for len in segment.lengths().collect::<Vec<_>>() {
-        assert!(segment.load_length(&mut base, len, dataset).unwrap());
+        assert!(segment.load_length(&mut base, len, dataset)?);
     }
-    base
+    Ok(base)
 }
 
 /// What a base holds does not depend on how its columns were filled:
-/// built in one go, decoded from its own file with and without the
-/// dataset, or reached by three appends, it is the same base by `==`, the
+/// built in one go, decoded from its own image beside its dataset, or
+/// reached by three appends, it is the same base by `==`, the
 /// same v2 image byte for byte and the same sketches — at every block
 /// edge of the column, with groups of 1, 2, 63, 64 and 65 members in it
 /// (a slot read by stride out of the block, and planes either side of the
@@ -525,7 +512,7 @@ fn decoded(file: &[u8], dataset: Option<&Dataset>) -> onex_grouping::OnexBase {
 #[test]
 fn a_base_is_the_same_base_however_its_columns_were_filled() {
     use onex_distance::{Envelope, QuerySketch, SKETCH_STRIDE};
-    use onex_grouping::persist::{load, save, save_v2};
+    use onex_grouping::persist::save_v2;
     for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
         for groups in [1usize, 255, 256, 257, 513] {
             let cardinalities: Vec<usize> = (0..groups)
@@ -548,15 +535,12 @@ fn a_base_is_the_same_base_however_its_columns_were_filled() {
             assert_eq!(report.blocks_total, groups.div_ceil(256), "{what}");
             let image = save_v2(&batch);
 
-            // Its own file, beside the dataset and beside nothing.
-            let adopted = decoded(&image, Some(&ds));
-            let owned = decoded(&image, None);
-            for (way, base) in [("adopted", &adopted), ("owned", &owned)] {
-                assert_eq!(base, &batch, "{what}: {way}");
-                assert!(save_v2(base) == image, "{what}: {way} image");
-                assert_eq!(base.sketches(), batch.sketches(), "{what}: {way}");
-            }
-            let in_place = |base: &onex_grouping::OnexBase| {
+            // Its own image, beside the dataset.
+            let decoded = opened(&image, &ds).unwrap();
+            assert_eq!(decoded, batch, "{what}: decoded");
+            assert!(save_v2(&decoded) == image, "{what}: decoded image");
+            assert_eq!(decoded.sketches(), batch.sketches(), "{what}: decoded");
+            let owning = |base: &OnexBase| {
                 let groups = base.iter();
                 let own = groups.filter(|(_, g)| {
                     let window = ds.resolve(g.members()[0]).unwrap();
@@ -564,35 +548,14 @@ fn a_base_is_the_same_base_however_its_columns_were_filled() {
                 });
                 own.count()
             };
-            assert_eq!(
-                in_place(&owned),
-                groups,
-                "{what}: nothing to read in place from"
-            );
-            assert_eq!(
-                in_place(&adopted),
-                in_place(&batch),
-                "{what}: as it was built"
-            );
+            assert_eq!(owning(&decoded), owning(&batch), "{what}: as it was built");
             if policy == RepresentativePolicy::Seed {
-                assert_eq!(in_place(&batch), 0, "{what}");
-                assert_eq!(adopted.footprint().owned_representatives, 0, "{what}");
+                assert_eq!(owning(&batch), 0, "{what}");
+                assert_eq!(decoded.footprint().owned_representatives, 0, "{what}");
             } else {
                 let drifted = cardinalities.iter().filter(|&&c| c > 1).count();
-                assert_eq!(in_place(&batch), drifted, "{what}");
+                assert_eq!(owning(&batch), drifted, "{what}");
             }
-
-            // A v1 file carries no sketches: until someone syncs it L0 has
-            // nothing to read; synced, it reads what the v2 file stored.
-            let mut v1 = Vec::new();
-            save(&batch, &mut v1).unwrap();
-            let mut synced = load(v1.as_slice()).unwrap();
-            assert_eq!(synced, batch, "{what}: v1");
-            assert!(synced.sketches().is_empty(), "{what}");
-            assert!(synced.iter().all(|(_, g)| g.planes().is_none()), "{what}");
-            synced.sync_sketches(&ds);
-            assert_eq!(synced.sketches(), owned.sketches(), "{what}: v1 + sync");
-            assert!(save_v2(&synced) == image, "{what}: v1 + sync image");
 
             // Three appends onto the base of all but the last three series.
             if groups > 4 {

@@ -209,6 +209,42 @@ fn cluster_deploys_a_base_to_one_shard() {
 }
 
 #[test]
+fn a_whole_cluster_shape_base_ships_in_one_frame() {
+    // The end-to-end harness's `cluster` collection: 48 random walks of
+    // 256 points, lengths 16..=24 — 102 384 subsequences, nearly every one
+    // a group of its own.
+    let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
+        series: 48,
+        len: 256,
+        seed: 7,
+    });
+    let seed_policy = |min_len, max_len| BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(1.0, min_len, max_len)
+    };
+    let (warm, _) = Onex::build(ds.clone(), seed_policy(16, 24)).unwrap();
+    let image = onex_grouping::persist::save_v2(&warm.base());
+
+    // The shard starts out over the same collection with one length only,
+    // and is then provisioned with the whole base in one frame.
+    let addr = spawn_shard(ds.clone(), seed_policy(16, 16));
+    let cluster = ClusterEngine::connect(&[addr], test_config()).unwrap();
+    let (_epoch, lengths) = cluster.deploy_base(0, image).unwrap();
+    assert_eq!(lengths, 9);
+
+    let warm = onex_core::backends::OnexBackend::new(Arc::new(warm));
+    for (sid, start, len) in [(3u32, 40usize, 16usize), (17, 100, 20), (40, 7, 24)] {
+        let mut query: Vec<f64> = ds.series(sid).unwrap().values()[start..start + len].to_vec();
+        for (i, v) in query.iter_mut().enumerate() {
+            *v += 0.01 * ((i as f64) * 1.3).sin();
+        }
+        let want = warm.k_best(&query, 5).unwrap();
+        let got = cluster.k_best(&query, 5).unwrap();
+        assert_eq!(got.matches, want.matches, "length {len}");
+    }
+}
+
+#[test]
 fn dead_peer_fails_fast_with_a_typed_error() {
     // Bind a port, then drop the listener: connecting must be refused.
     let addr = {

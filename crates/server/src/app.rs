@@ -417,7 +417,6 @@ impl App {
                     ("epoch", (self.engine.epoch() as usize).into()),
                     ("resolved_lengths", src.resolved_lengths.into()),
                     ("total_lengths", src.total_lengths.into()),
-                    ("sketches", src.has_sketches.into()),
                 ]),
             ));
         }
@@ -1009,7 +1008,7 @@ mod tests {
         let body = String::from_utf8(get(&a2, "/api/summary").body).unwrap();
         assert!(
             body.contains(&format!(
-                "\"base_file\":{{\"path\":\"{}\",\"epoch\":0,\"resolved_lengths\":0,\"total_lengths\":{total},\"sketches\":true}}",
+                "\"base_file\":{{\"path\":\"{}\",\"epoch\":0,\"resolved_lengths\":0,\"total_lengths\":{total}}}",
                 path.display()
             )),
             "{body}"

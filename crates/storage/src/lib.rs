@@ -1,6 +1,6 @@
-//! # onex-storage — segment format v2
+//! # onex-storage — the segment container
 //!
-//! The container every ONEX base file (format v2) is stored in: a
+//! The container every ONEX base image is stored in: a
 //! page-aligned, fixed-stride, little-endian segment with a version
 //! header, a section directory, and a 64-bit FNV-1a checksum per
 //! section. Offsets are chosen so that every section can be borrowed
@@ -23,10 +23,8 @@
 //! * every section's checksum is verified at open — one linear hash
 //!   pass over the bytes, no per-record allocation.
 //!
-//! [`Reader`] is the bounded little-endian field reader the format
-//! decoders above are built on; its [`Reader::counted`] method
-//! validates a count against the remaining bytes before the caller
-//! allocates anything sized by it.
+//! [`Reader`] is the bounded little-endian field reader the base
+//! decoder above is built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,15 +35,38 @@ mod segment;
 pub use reader::Reader;
 pub use segment::{SectionInfo, Segment, SegmentBuilder, MAGIC, PAGE, VERSION};
 
-/// 64-bit FNV-1a over `bytes` — the checksum function of both the v1
-/// stream format and the v2 segment directory/sections.
+/// 64-bit FNV-1a over `bytes` — the checksum of the segment directory
+/// and of every section.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// 64-bit FNV-1a fed in pieces: updating with `a`, then `b`, finishes
+/// at [`fnv1a64`] of `a` and `b` concatenated.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Hash `bytes` in after everything so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed in.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// Append a `u8` to an encode buffer.
@@ -82,6 +103,11 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let mut pieces = Fnv1a::default();
+        pieces.update(b"foo");
+        pieces.update(b"");
+        pieces.update(b"bar");
+        assert_eq!(pieces.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! Same discipline as `onex_net::proto::Reader`, specialised for
 //! persisted artefacts: every method bounds-checks before touching
 //! bytes and reports [`OnexError::Storage`] with the reader's context
-//! label, and [`Reader::counted`] validates a file-declared count
-//! against the bytes that could possibly back it *before* the caller
-//! sizes any allocation from it.
+//! label.
 
 use onex_api::{OnexError, StorageErrorKind};
 
@@ -19,7 +17,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Start reading `bytes`; `context` names the artefact in errors
-    /// (e.g. `"v1 base"`, `"section GROUPS"`).
+    /// (e.g. `"section CONFIG"`).
     pub fn new(bytes: &'a [u8], context: &'static str) -> Reader<'a> {
         Reader {
             bytes,
@@ -80,24 +78,6 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Read a `u32` element count whose elements occupy `unit` bytes
-    /// each, validating `count × unit` against the remaining bytes
-    /// *before* returning — so a hostile count can never size an
-    /// allocation larger than the file that declared it.
-    pub fn counted(&mut self, unit: usize) -> Result<usize, OnexError> {
-        let count = self.u32()? as usize;
-        let need = count
-            .checked_mul(unit)
-            .ok_or_else(|| self.corrupt("element count overflows"))?;
-        if need > self.remaining() {
-            return Err(self.corrupt(&format!(
-                "declared {count} elements × {unit} bytes but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        Ok(count)
-    }
-
     /// Assert every byte has been consumed — trailing garbage is
     /// corruption, not padding.
     pub fn finish(self) -> Result<(), OnexError> {
@@ -123,29 +103,6 @@ mod tests {
         assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.u8().unwrap(), 9);
         assert!(r.u8().is_err());
-    }
-
-    #[test]
-    fn counted_rejects_counts_the_bytes_cannot_back() {
-        // Declares 1000 elements of 8 bytes but carries none.
-        let bytes = 1000u32.to_le_bytes();
-        let mut r = Reader::new(&bytes, "test");
-        let err = r.counted(8).unwrap_err();
-        assert!(err.to_string().contains("1000 elements"), "{err}");
-        assert!(matches!(err, OnexError::Storage(_)), "{err}");
-
-        // A count the remaining bytes do back is accepted.
-        let mut ok = Vec::from(2u32.to_le_bytes());
-        ok.extend_from_slice(&[0u8; 16]);
-        let mut r = Reader::new(&ok, "test");
-        assert_eq!(r.counted(8).unwrap(), 2);
-    }
-
-    #[test]
-    fn counted_rejects_multiplication_overflow() {
-        let bytes = u32::MAX.to_le_bytes();
-        let mut r = Reader::new(&bytes, "test");
-        assert!(r.counted(usize::MAX / 2).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use onex_api::{OnexError, StorageErrorKind};
 
 use crate::fnv1a64;
 
-/// File magic of segment format v2 (v1 base files start `ONEXBASE`).
+/// File magic of the segment container every ONEX base image is stored in.
 pub const MAGIC: [u8; 8] = *b"ONEXSEG2";
 
 /// Format version written into the header.

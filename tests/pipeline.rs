@@ -49,10 +49,7 @@ fn matters_pipeline_end_to_end() {
 fn persisted_base_answers_identically() {
     let ds = growth();
     let (engine, _) = Onex::build(ds.clone(), BaseConfig::new(1.0, 6, 10)).unwrap();
-    let mut bytes = Vec::new();
-    persist::save(&engine.base(), &mut bytes).unwrap();
-    let reloaded = persist::load(bytes.as_slice()).unwrap();
-    let engine2 = Onex::from_parts(ds, reloaded).unwrap();
+    let engine2 = Onex::open_bytes(persist::save_v2(&engine.base()), ds).unwrap();
 
     let query = engine
         .dataset()
