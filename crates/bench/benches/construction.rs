@@ -1,5 +1,6 @@
-//! E7 bench — base construction: threshold sweep, sequential vs parallel,
-//! and incremental extension (E18 times the base image round trip).
+//! E7 bench — base construction: threshold sweep and incremental
+//! extension (E12 records the build across worker counts' worth of cores,
+//! E18 times the base image round trip).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use onex_bench::workloads;
@@ -21,13 +22,6 @@ fn bench_construction(c: &mut Criterion) {
     }
     let cfg = BaseConfig::new(0.35, 16, 24);
     let builder = BaseBuilder::new(cfg).unwrap();
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("build_parallel", threads),
-            &threads,
-            |b, &t| b.iter(|| black_box(builder.build_parallel(&ds, t).unwrap())),
-        );
-    }
     let (base, _) = builder.build(&ds);
     // Incremental extension: one new series against a warm base.
     let mut grown = ds.clone();

@@ -22,10 +22,13 @@
 //!   groups of hundreds of members, so admission is cheap and what is
 //!   left of construction is the pass that sketches every member.
 //!
-//! Every row also reports that pass on its own — the sketch sync over
-//! the finished groups that `BaseBuilder::build` ends with, timed by the
-//! builder ([`onex_grouping::BuildReport::sketch`]) — so the record says
-//! where construction time goes, not only how much there is. That the grid
+//! Every row also reports that pass on its own — the sketch sync every
+//! length's worker ends with, as the share of the build's wall-clock the
+//! workers spent in it ([`onex_grouping::BuildReport::sketch`]) — so the
+//! record says where construction time goes, not only how much there is.
+//! The build spreads its lengths over the cores the process may run on;
+//! every row records how many (`threads`) and the wall-clock a window
+//! cost (`us_per_window`). That the grid
 //! builds the linear scan's base is tier-1's to show (a model of the
 //! admission rule in `onex-grouping`'s tests), not this experiment's.
 
@@ -34,7 +37,7 @@ use std::time::Duration;
 use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
 use onex_tseries::Dataset;
 
-use crate::harness::{fmt_duration, Table};
+use crate::harness::{fmt_duration, threads, us_per, Table};
 use crate::workloads;
 
 /// Subsequence length of the single-length rows (keeps the comparison
@@ -115,6 +118,8 @@ pub struct BuildRow {
     pub subsequences: usize,
     /// Groups created.
     pub groups: usize,
+    /// Cores the build spread its lengths over.
+    pub threads: usize,
     /// Construction wall-clock.
     pub elapsed: Duration,
     /// Of which the sketch pass over the finished groups.
@@ -158,6 +163,7 @@ fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
                 st: workload.config.st,
                 subsequences: report.subsequences,
                 groups: report.groups,
+                threads: threads(),
                 elapsed: report.elapsed,
                 sketch: report.sketch,
                 per_sec: report.subsequences_per_sec(),
@@ -186,7 +192,9 @@ pub fn table(rows: &[BuildRow]) -> Table {
             "ST",
             "subseqs",
             "groups",
+            "threads",
             "build",
+            "µs/window",
             "sketch pass",
             "subseq/s",
             "dist calls",
@@ -201,7 +209,9 @@ pub fn table(rows: &[BuildRow]) -> Table {
             row.st.to_string(),
             row.subsequences.to_string(),
             row.groups.to_string(),
+            row.threads.to_string(),
             fmt_duration(row.elapsed),
+            format!("{:.2}", us_per(row.elapsed, row.subsequences)),
             fmt_duration(row.sketch),
             format!("{:.0}", row.per_sec),
             row.distance_calls.to_string(),
@@ -215,8 +225,9 @@ pub fn table(rows: &[BuildRow]) -> Table {
 /// The machine-readable perf record `repro --format json` writes to
 /// `BENCH_construction.json` — subsequences/sec and the grid's work per
 /// workload, so future changes have a trajectory to compare against.
-/// Every row carries `sketch_ms` beside `elapsed_ms`; CI holds their
-/// ratio on the `harness` and `clustered` rows.
+/// Every row carries `sketch_ms` beside `elapsed_ms` — both wall-clock —
+/// and CI holds their ratio on the `harness` and `clustered` rows; and
+/// `threads` beside `us_per_window`.
 pub fn json_report(rows: &[BuildRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"experiment\":\"e12_construction\",\"rows\":[");
@@ -227,7 +238,8 @@ pub fn json_report(rows: &[BuildRow]) -> String {
         let _ = write!(
             out,
             "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\
-             \"subsequences\":{},\"groups\":{},\"elapsed_ms\":{:.3},\"sketch_ms\":{:.3},\
+             \"subsequences\":{},\"groups\":{},\"threads\":{},\"elapsed_ms\":{:.3},\
+             \"us_per_window\":{:.3},\"sketch_ms\":{:.3},\
              \"subsequences_per_sec\":{:.1},\
              \"distance_calls\":{},\"examined\":{},\"pruned\":{}}}",
             r.shape,
@@ -236,7 +248,9 @@ pub fn json_report(rows: &[BuildRow]) -> String {
             r.st,
             r.subsequences,
             r.groups,
+            r.threads,
             r.elapsed.as_secs_f64() * 1e3,
+            us_per(r.elapsed, r.subsequences),
             r.sketch.as_secs_f64() * 1e3,
             r.per_sec,
             r.distance_calls,
@@ -310,6 +324,7 @@ mod tests {
             st: 0.5,
             subsequences: 5480,
             groups: 5480,
+            threads: 2,
             elapsed: Duration::from_millis(100),
             sketch: Duration::from_millis(20),
             per_sec: 54_800.0,
@@ -321,12 +336,14 @@ mod tests {
         assert!(json.starts_with("{\"experiment\":\"e12_construction\",\"rows\":[{"));
         assert!(json.contains(
             "{\"shape\":\"noise\",\"series\":40,\"len\":160,\"st\":0.5,\
-             \"subsequences\":5480,\"groups\":5480,\"elapsed_ms\":100.000,\
-             \"sketch_ms\":20.000,\"subsequences_per_sec\":54800.0,\"distance_calls\":799281,\
+             \"subsequences\":5480,\"groups\":5480,\"threads\":2,\"elapsed_ms\":100.000,\
+             \"us_per_window\":18.248,\"sketch_ms\":20.000,\"subsequences_per_sec\":54800.0,\
+             \"distance_calls\":799281,\
              \"examined\":799281,\"pruned\":14213179}"
         ));
         assert_eq!(json.matches("\"shape\":").count(), 2);
         assert_eq!(json.matches("\"sketch_ms\":").count(), 2, "every row");
+        assert_eq!(json.matches("\"threads\":2,").count(), 2, "every row");
         assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -37,6 +37,12 @@
 //!    [`onex_grouping::BuildReport`] also says how many column blocks it
 //!    copied of how many the base is in — one column a length — and CI
 //!    holds a warm append under a quarter of them.
+//!
+//! An append spreads its lengths over the cores the process may run on:
+//! every row records how many (`threads`) and what an appended window
+//! cost in wall-clock (`us_per_window`). Under `taskset -c 0` the rows
+//! are one worker's, and every deterministic count must come out the
+//! same.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,7 +52,7 @@ use onex_core::{Onex, QueryOptions};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_tseries::TimeSeries;
 
-use crate::harness::{fmt_duration, median_time, Table};
+use crate::harness::{fmt_duration, median_time, threads, us_per, Table};
 use crate::workloads;
 
 /// Query/subsequence length for every E15 row.
@@ -92,6 +98,10 @@ pub struct UncompactingRow {
     pub first_append: Duration,
     /// Median latency of one append.
     pub append_each: Duration,
+    /// Windows one appended series brings (the median over the appends).
+    pub windows_per_append: usize,
+    /// Cores each append spread its lengths over.
+    pub threads: usize,
     /// Median over the appends of nearest-representative distance calls
     /// per appended window. Deterministic.
     pub distance_calls_per_window: f64,
@@ -107,6 +117,11 @@ impl UncompactingRow {
     /// One append over one build, wall-clock.
     pub fn append_over_build(&self) -> f64 {
         self.append_each.as_secs_f64() / self.build.as_secs_f64().max(1e-12)
+    }
+
+    /// Wall-clock microseconds of the median append per window it brought.
+    pub fn us_per_window(&self) -> f64 {
+        us_per(self.append_each, self.windows_per_append)
     }
 
     /// The warm append (any but the first, which seeds the index) that
@@ -130,6 +145,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
     let build = t.elapsed();
     let mut laps = Vec::with_capacity(APPENDS);
     let mut calls_per_window = Vec::with_capacity(APPENDS);
+    let mut windows_per_append = Vec::with_capacity(APPENDS);
     let mut blocks = Vec::with_capacity(APPENDS);
     let mut subsequences = built.subsequences;
     for spare in spares {
@@ -138,10 +154,12 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         laps.push(t.elapsed());
         let windows = report.subsequences - subsequences;
         subsequences = report.subsequences;
+        windows_per_append.push(windows);
         calls_per_window.push(report.work.distance_calls as f64 / windows.max(1) as f64);
         blocks.push((report.blocks_copied, report.blocks_total));
     }
     calls_per_window.sort_by(f64::total_cmp);
+    windows_per_append.sort_unstable();
     UncompactingRow {
         series,
         len,
@@ -149,6 +167,8 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         groups_per_length: built.groups as f64 / built.lengths.max(1) as f64,
         first_append: laps[0],
         append_each: median(laps),
+        windows_per_append: windows_per_append[windows_per_append.len() / 2],
+        threads: threads(),
         distance_calls_per_window: calls_per_window[calls_per_window.len() / 2],
         seeds: engine.resident_index().seeds,
         blocks,
@@ -165,6 +185,10 @@ pub struct IngestRow {
     pub epochs: u64,
     /// Median latency of one append (build-aside + publish).
     pub append_each: Duration,
+    /// Windows one appended series brings.
+    pub windows_per_append: usize,
+    /// Cores each append spread its lengths over.
+    pub threads: usize,
     /// Median `k_best` latency on the idle engine (before the burst).
     pub idle_query: Duration,
     /// Median `k_best` latency of readers during the append burst.
@@ -181,6 +205,11 @@ impl IngestRow {
     /// while the writer publishes epochs alongside.
     pub fn live_ratio(&self) -> f64 {
         self.live_query.as_secs_f64() / self.idle_query.as_secs_f64().max(1e-12)
+    }
+
+    /// Wall-clock microseconds of the median append per window it brought.
+    pub fn us_per_window(&self) -> f64 {
+        us_per(self.append_each, self.windows_per_append)
     }
 }
 
@@ -291,6 +320,7 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
             .collect();
 
         let mut append_laps = Vec::with_capacity(APPENDS);
+        let before = engine.base().member_count();
         for i in 0..APPENDS {
             let t = Instant::now();
             engine
@@ -298,6 +328,7 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
                 .expect("fresh name");
             append_laps.push(t.elapsed());
         }
+        let windows_per_append = (engine.base().member_count() - before) / APPENDS;
         done.store(true, Ordering::SeqCst);
 
         let mut live_laps = Vec::new();
@@ -313,6 +344,8 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
             len,
             epochs: engine.epoch(),
             append_each: median(append_laps),
+            windows_per_append,
+            threads: threads(),
             idle_query,
             live_answers: live_laps.len(),
             live_query: median(live_laps),
@@ -335,6 +368,8 @@ pub fn uncompacting_table(row: &UncompactingRow) -> Table {
             "build",
             "first append",
             "append each",
+            "threads",
+            "µs/window",
             "append/build",
             "calls/window",
             "index seeds",
@@ -347,6 +382,8 @@ pub fn uncompacting_table(row: &UncompactingRow) -> Table {
         fmt_duration(row.build),
         fmt_duration(row.first_append),
         fmt_duration(row.append_each),
+        row.threads.to_string(),
+        format!("{:.2}", row.us_per_window()),
         format!("{:.4}×", row.append_over_build()),
         format!("{:.1}", row.distance_calls_per_window),
         row.seeds.to_string(),
@@ -371,6 +408,8 @@ pub fn table(rows: &[IngestRow]) -> Table {
             "collection",
             "epochs",
             "append each",
+            "threads",
+            "µs/window",
             "idle query",
             "live query",
             "live/idle",
@@ -383,6 +422,8 @@ pub fn table(rows: &[IngestRow]) -> Table {
             format!("{}x{}", row.series, row.len),
             row.epochs.to_string(),
             fmt_duration(row.append_each),
+            row.threads.to_string(),
+            format!("{:.2}", row.us_per_window()),
             fmt_duration(row.idle_query),
             fmt_duration(row.live_query),
             format!("{:.2}×", row.live_ratio()),
@@ -415,15 +456,17 @@ pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String
         }
         let _ = write!(
             out,
-            "{{\"series\":{},\"len\":{},\"appends\":{},\"epochs\":{},\
-             \"append_each_ms\":{:.3},\"idle_query_ms\":{:.3},\
+            "{{\"series\":{},\"len\":{},\"threads\":{},\"appends\":{},\"epochs\":{},\
+             \"append_each_ms\":{:.3},\"us_per_window\":{:.3},\"idle_query_ms\":{:.3},\
              \"live_query_ms\":{:.3},\"live_ratio\":{:.4},\
              \"live_answers\":{},\"agreement\":{}}}",
             r.series,
             r.len,
+            r.threads,
             APPENDS,
             r.epochs,
             r.append_each.as_secs_f64() * 1e3,
+            r.us_per_window(),
             r.idle_query.as_secs_f64() * 1e3,
             r.live_query.as_secs_f64() * 1e3,
             r.live_ratio(),
@@ -434,18 +477,22 @@ pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String
     let u = uncompacting;
     let _ = write!(
         out,
-        "],\"uncompacting\":{{\"series\":{},\"len\":{},\"groups_per_length\":{:.1},\
+        "],\"uncompacting\":{{\"series\":{},\"len\":{},\"threads\":{},\
+         \"groups_per_length\":{:.1},\
          \"build_ms\":{:.3},\"first_append_ms\":{:.3},\"append_each_ms\":{:.3},\
+         \"us_per_window\":{:.3},\
          \"append_over_build_ratio\":{:.5},\
          \"append_distance_calls_per_window\":{:.2},\"index_seeds\":{},\
          \"blocks_copied\":{:?},\"blocks_total\":{:?},\
          \"warm_blocks_copied\":{},\"warm_blocks_total\":{}}}}}",
         u.series,
         u.len,
+        u.threads,
         u.groups_per_length,
         u.build.as_secs_f64() * 1e3,
         u.first_append.as_secs_f64() * 1e3,
         u.append_each.as_secs_f64() * 1e3,
+        u.us_per_window(),
         u.append_over_build(),
         u.distance_calls_per_window,
         u.seeds,
@@ -519,6 +566,8 @@ mod tests {
                 len: 64,
                 epochs: APPENDS as u64,
                 append_each: Duration::from_micros(820),
+                windows_per_append: 1,
+                threads: 2,
                 idle_query: Duration::from_micros(95),
                 live_query: Duration::from_micros(133),
                 live_answers: 41,
@@ -529,6 +578,8 @@ mod tests {
                 len: 96,
                 epochs: APPENDS as u64,
                 append_each: Duration::from_micros(1490),
+                windows_per_append: 1,
+                threads: 2,
                 idle_query: Duration::from_micros(210),
                 live_query: Duration::from_micros(294),
                 live_answers: 57,
@@ -542,6 +593,8 @@ mod tests {
             groups_per_length: 11_234.0,
             first_append: Duration::from_millis(40),
             append_each: Duration::from_millis(14),
+            windows_per_append: 2_133,
+            threads: 2,
             distance_calls_per_window: 212.5,
             seeds: 9,
             blocks: vec![(21, 420), (18, 421), (20, 422)],
@@ -549,9 +602,13 @@ mod tests {
         let json = json_report(&rows, &uncompacting);
         assert!(json.starts_with("{\"experiment\":\"e15_ingest\",\"available_parallelism\":"));
         assert!(json.contains(
-            "\"uncompacting\":{\"series\":48,\"len\":256,\"groups_per_length\":11234.0,"
+            "\"uncompacting\":{\"series\":48,\"len\":256,\"threads\":2,\"groups_per_length\":11234.0,"
         ));
-        assert!(json.contains("\"first_append_ms\":40.000,\"append_each_ms\":14.000,"));
+        assert!(json.contains(
+            "\"first_append_ms\":40.000,\"append_each_ms\":14.000,\"us_per_window\":6.564,"
+        ));
+        assert!(json.contains("\"series\":20,\"len\":96,\"threads\":2,\"appends\":6,"));
+        assert!(json.contains("\"append_each_ms\":1.490,\"us_per_window\":1490.000,"));
         assert!(json.contains("\"append_over_build_ratio\":0.02000,"));
         assert!(json.contains("\"append_distance_calls_per_window\":212.50,\"index_seeds\":9,"));
         // The first append's 21 is not a warm one's.

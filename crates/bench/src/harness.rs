@@ -127,6 +127,17 @@ pub fn median_time<F: FnMut()>(mut f: F, runs: usize) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// Cores this process may run on — the workers a base construction
+/// spreads its lengths over.
+pub fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Microseconds a unit of `work` units took in `elapsed` (0 for none).
+pub fn us_per(elapsed: Duration, work: usize) -> f64 {
+    elapsed.as_secs_f64() * 1e6 / work.max(1) as f64
+}
+
 /// Pretty duration: µs under 1 ms, ms under 1 s, else seconds.
 pub fn fmt_duration(d: Duration) -> String {
     let us = d.as_secs_f64() * 1e6;

@@ -1,5 +1,6 @@
 use std::collections::BTreeSet;
 use std::ops::Deref;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -144,27 +145,32 @@ pub struct Onex {
 
 impl Onex {
     /// Build the base over `dataset` and wrap both in an engine — the
-    /// demo's "Data Loading into ONEX" step.
-    ///
-    /// # Errors
-    /// [`OnexError::InvalidConfig`] for an invalid configuration.
-    pub fn build(dataset: Dataset, config: BaseConfig) -> Result<(Self, BuildReport), OnexError> {
-        let (base, report) = BaseBuilder::new(config)?.build(&dataset);
-        Ok((Self::from_parts(dataset, base)?, report))
-    }
-
-    /// Like [`Onex::build`] with length-parallel construction.
+    /// demo's "Data Loading into ONEX" step. Construction spreads the
+    /// lengths over the cores this process may run on.
     ///
     /// # Errors
     /// [`OnexError::InvalidConfig`] for an invalid configuration;
-    /// [`OnexError::Internal`] when a construction worker fails (the
-    /// failure is reported instead of aborting the process).
-    pub fn build_parallel(
+    /// [`OnexError::Internal`] when a construction worker panics (the
+    /// failure is reported instead of unwinding through the caller, so a
+    /// server can answer the load request with a 500 and keep serving).
+    pub fn build(dataset: Dataset, config: BaseConfig) -> Result<(Self, BuildReport), OnexError> {
+        Self::build_with(dataset, config, BaseBuilder::build)
+    }
+
+    /// [`Onex::build`] through `build`, the construction step.
+    fn build_with(
         dataset: Dataset,
         config: BaseConfig,
-        threads: usize,
+        build: impl FnOnce(&BaseBuilder, &Dataset) -> (OnexBase, BuildReport),
     ) -> Result<(Self, BuildReport), OnexError> {
-        let (base, report) = BaseBuilder::new(config)?.build_parallel(&dataset, threads)?;
+        let builder = BaseBuilder::new(config)?;
+        let built = std::panic::catch_unwind(AssertUnwindSafe(|| build(&builder, &dataset)));
+        let (base, report) = built.map_err(|panic| {
+            OnexError::Internal(format!(
+                "a construction worker failed: {}",
+                panic_message(panic.as_ref())
+            ))
+        })?;
         Ok((Self::from_parts(dataset, base)?, report))
     }
 
@@ -789,6 +795,17 @@ pub struct Comparison {
     pub path: onex_distance::WarpingPath,
 }
 
+/// Best-effort human-readable message from a worker panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked with a non-string payload".into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1354,5 +1371,39 @@ mod tests {
         ));
         let (again, _) = other.k_best(&query, 4, &QueryOptions::default()).unwrap();
         assert_eq!(again, o);
+    }
+
+    #[test]
+    fn parallel_worker_failure_is_a_typed_error_not_a_process_abort() {
+        let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
+            series: 4,
+            len: 30,
+            seed: 3,
+        });
+        let cfg = BaseConfig::new(0.8, 6, 12);
+        // A construction one of whose workers panics, as the builder's
+        // do: the panic reaches the caller once the others have stopped.
+        let err = Onex::build_with(ds.clone(), cfg.clone(), |builder, dataset| {
+            std::thread::scope(|scope| {
+                let built = scope.spawn(|| builder.build(dataset));
+                let failed = scope.spawn(|| panic!("injected construction failure at length 9"));
+                let built = built.join().expect("the other worker finishes");
+                failed
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                built
+            })
+        })
+        .expect_err("a poisoned length must surface as an error");
+        match err {
+            OnexError::Internal(msg) => {
+                assert!(msg.contains("injected construction failure"), "{msg}");
+                assert!(msg.contains("worker failed"), "{msg}");
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        // Nothing is left behind: the same build succeeds.
+        let (engine, _) = Onex::build(ds, cfg).unwrap();
+        assert!(engine.base().stats().groups > 0);
     }
 }

@@ -141,8 +141,8 @@ fn local_task(snapshot: EngineSnapshot) -> Task {
 
 impl ShardedEngine {
     /// Partition `dataset` across `shards` shards and build one engine
-    /// per shard in parallel (each through the indexed builder that
-    /// [`Onex::build_parallel`] drives). A shard count exceeding the
+    /// per shard in parallel (each through [`Onex::build`], which spreads
+    /// its own lengths over workers too). A shard count exceeding the
     /// series count is clamped — an empty shard answers nothing and only
     /// costs threads.
     ///
@@ -178,7 +178,7 @@ impl ShardedEngine {
                     let config = config.clone();
                     scope.spawn(move |_| {
                         let ds = Dataset::from_series(series)?;
-                        Onex::build_parallel(ds, config, 2)
+                        Onex::build(ds, config)
                     })
                 })
                 .collect();

@@ -5,7 +5,7 @@ use onex_distance::ed;
 use onex_tseries::Dataset;
 
 use crate::group::SeriesTable;
-use crate::sketch::{self, SketchIndex};
+use crate::sketch::SketchIndex;
 use crate::{BaseConfig, GroupColumn, GroupId, GroupView};
 
 /// What [`OnexBase::groups_for_len`] hands out for a length that is not
@@ -74,14 +74,19 @@ impl OnexBase {
         }
     }
 
-    /// The groups of one length, for incremental extension to admit
-    /// into (an empty column when the length is new to the base).
-    pub(crate) fn column_mut(&mut self, len: usize) -> &mut GroupColumn {
-        self.groups.entry(len).or_default()
+    /// The columns of `lengths` (ascending), for an incremental extension
+    /// to admit into — an empty one for a length new to the base.
+    pub(crate) fn columns_mut(&mut self, lengths: &[usize]) -> Vec<&mut GroupColumn> {
+        for &len in lengths {
+            self.groups.entry(len).or_default();
+        }
+        let columns = self.groups.iter_mut();
+        let wanted = columns.filter(|(len, _)| lengths.binary_search(len).is_ok());
+        wanted.map(|(_, column)| column).collect()
     }
 
     /// Record that the base now covers the series of `series`, having
-    /// admitted `windows` more subsequences through [`Self::column_mut`]
+    /// admitted `windows` more subsequences through [`Self::columns_mut`]
     /// (incremental extension's receipt).
     pub(crate) fn admitted(&mut self, series: SeriesTable, windows: usize) {
         self.series = series;
@@ -91,16 +96,6 @@ impl OnexBase {
     /// The handles of the series the base covers, by id.
     pub(crate) fn series(&self) -> &SeriesTable {
         &self.series
-    }
-
-    /// Sync the sketches of the listed groups of one length — the ones an
-    /// incremental extension admitted into, every group of a length new
-    /// to the base among them — leaving every other group's shared and
-    /// unvisited.
-    pub(crate) fn sync_sketches_of(&mut self, dataset: &Dataset, len: usize, touched: &[usize]) {
-        if let Some(column) = self.groups.get_mut(&len) {
-            sketch::sync_length(dataset, column, touched.iter().copied());
-        }
     }
 
     /// Total groups across lengths.
@@ -142,11 +137,12 @@ impl OnexBase {
     }
 
     /// Bring the L0 sketches up to date with the groups: what a batch
-    /// build ends with. Incremental and idempotent.
+    /// build's workers end every length with. Incremental and idempotent.
+    #[cfg(test)]
     pub(crate) fn sync_sketches(&mut self, dataset: &Dataset) {
         for column in self.groups.values_mut() {
             let all = 0..column.len();
-            sketch::sync_length(dataset, column, all);
+            crate::sketch::sync_length(dataset, column, all);
         }
     }
 

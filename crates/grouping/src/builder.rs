@@ -1,4 +1,5 @@
 use std::collections::BTreeMap;
+use std::sync::{LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use onex_api::{Epoch, OnexError};
@@ -6,16 +7,27 @@ use onex_tseries::Dataset;
 
 use crate::group::{series_table, SeriesTable};
 use crate::repindex::{IndexWork, PaaGrid, ResidentIndex};
+use crate::sketch;
 use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy, SubsequenceSpace};
+
+/// Workers a construction run spreads its lengths over: the cores this
+/// process may run on.
+static WORKERS: LazyLock<usize> =
+    LazyLock::new(|| std::thread::available_parallelism().map_or(1, usize::from));
 
 /// Constructs the ONEX base from a dataset (paper §3.1, the
 /// "pre-processing step" at the top of Fig 1).
 ///
-/// All three construction paths — [`BaseBuilder::build`],
-/// [`BaseBuilder::build_parallel`] and the incremental
-/// [`BaseBuilder::extend`] — share one admission rule (the private
-/// `assign_one`) driven through the exact nearest-representative grid
-/// ([`PaaGrid`]), so they produce identical assignments.
+/// There is one construction path. A batch build ([`BaseBuilder::build`])
+/// extends an empty base; an incremental [`BaseBuilder::extend`] extends
+/// the base it is given. Either way every new subsequence runs through one
+/// admission rule (the private `assign_one`) and the exact
+/// nearest-representative grid ([`PaaGrid`]), one length at a time.
+/// Lengths are independent, so each goes to a worker of its own — as many
+/// as [`std::thread::available_parallelism`] allows — which owns that
+/// length's column and grid, admits its windows and syncs its sketches.
+/// The base, its sketches and the [`IndexWork`] do not depend on how many
+/// workers there were.
 ///
 /// ```
 /// use onex_grouping::{BaseBuilder, BaseConfig};
@@ -35,8 +47,8 @@ use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy, Subsequence
 #[derive(Debug, Clone)]
 pub struct BaseBuilder {
     config: BaseConfig,
-    /// Test-only fault injection: panic while constructing this length,
-    /// exercising the parallel builder's worker-failure propagation.
+    /// Test-only fault injection: fail the worker of this length before
+    /// it admits anything.
     #[cfg(test)]
     fail_len: Option<usize>,
 }
@@ -48,9 +60,12 @@ pub struct BaseBuilder {
 pub struct BuildReport {
     /// Wall-clock construction time.
     pub elapsed: Duration,
-    /// Of which the pass that sketches the members (every construction
-    /// path ends with one: a batch build over every member, an extension
-    /// over the ones it admitted).
+    /// Of which the passes that sketch the members (every length ends
+    /// with one: over every member in a batch build, over the ones an
+    /// extension admitted). Workers sketch side by side, so this is the
+    /// share of `elapsed` they spent sketching: their sketching time over
+    /// their busy time, times `elapsed` — comparable with `elapsed`
+    /// whatever the worker count.
     pub sketch: Duration,
     /// Number of distinct subsequence lengths indexed.
     pub lengths: usize,
@@ -105,6 +120,31 @@ impl BuildReport {
     }
 }
 
+/// What every length's worker of one construction run reads.
+struct Pass<'a> {
+    dataset: &'a Dataset,
+    series: &'a SeriesTable,
+    space: SubsequenceSpace,
+    /// Series the base already covers; the windows of the rest are
+    /// admitted.
+    seen: usize,
+    /// A batch build: each column is new, its grid goes with its worker
+    /// and its slack is given back. An extension keeps the grids for the
+    /// resident index.
+    batch: bool,
+}
+
+/// What one length's worker did.
+struct Admitted {
+    work: IndexWork,
+    windows: usize,
+    /// An extension's grid, in step with the extended column, and whether
+    /// it was seeded for the call.
+    grid: Option<(PaaGrid, bool)>,
+    busy: Duration,
+    sketch: Duration,
+}
+
 impl BaseBuilder {
     /// Create a builder after validating the configuration.
     ///
@@ -124,81 +164,17 @@ impl BaseBuilder {
         &self.config
     }
 
-    /// Sequential construction.
-    pub fn build(&self, dataset: &Dataset) -> (OnexBase, BuildReport) {
-        let start = Instant::now();
-        let space = SubsequenceSpace::new(dataset, &self.config);
-        let series = series_table(dataset);
-        let mut per_length = BTreeMap::new();
-        let mut work = IndexWork::default();
-        for len in space.lengths() {
-            let (groups, w) = self.build_length(dataset, &series, &space, len);
-            work += w;
-            per_length.insert(len, groups);
-        }
-        self.finish(dataset, series, per_length, start, work)
-    }
-
-    /// Length-parallel construction over `threads` workers. Lengths are
-    /// independent, so the result is identical to [`Self::build`]
-    /// regardless of the thread count.
+    /// Batch construction: the extension of an empty base by every series
+    /// of `dataset`, its lengths spread over the cores this process may
+    /// run on.
     ///
-    /// # Errors
-    /// [`OnexError::Internal`] when a construction worker panics: the
-    /// failure is reported instead of poisoning the calling process, so a
-    /// server can answer the load request with a 500 and keep serving.
-    pub fn build_parallel(
-        &self,
-        dataset: &Dataset,
-        threads: usize,
-    ) -> Result<(OnexBase, BuildReport), OnexError> {
-        let start = Instant::now();
-        let space = SubsequenceSpace::new(dataset, &self.config);
-        let lengths = space.lengths();
-        let threads = threads.clamp(1, lengths.len().max(1));
-        if threads <= 1 {
-            return Ok(self.build(dataset));
-        }
-        let series = series_table(dataset);
-        // Interleave lengths across workers so long lengths (slower rows)
-        // spread out; each worker returns its (len, groups, work) rows.
-        let mut per_length = BTreeMap::new();
-        let mut work = IndexWork::default();
-        let mut failures: Vec<String> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let my_lengths: Vec<usize> =
-                    lengths.iter().copied().skip(t).step_by(threads).collect();
-                let (space, series) = (&space, &series);
-                handles.push(scope.spawn(move |_| {
-                    my_lengths
-                        .into_iter()
-                        .map(|len| (len, self.build_length(dataset, series, space, len)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(rows) => {
-                        for (len, (groups, w)) in rows {
-                            work += w;
-                            per_length.insert(len, groups);
-                        }
-                    }
-                    Err(panic) => failures.push(panic_message(panic.as_ref())),
-                }
-            }
-        })
-        .expect("every worker is joined explicitly");
-        if !failures.is_empty() {
-            return Err(OnexError::Internal(format!(
-                "{} of {threads} construction workers failed; first failure: {}",
-                failures.len(),
-                failures[0]
-            )));
-        }
-        Ok(self.finish(dataset, series, per_length, start, work))
+    /// # Panics
+    /// When a worker panics: with that worker's panic, once every worker
+    /// has stopped (an engine's build turns it into a typed error).
+    pub fn build(&self, dataset: &Dataset) -> (OnexBase, BuildReport) {
+        let empty = OnexBase::from_parts(self.config.clone(), BTreeMap::new(), Default::default());
+        self.construct(&empty, dataset, None, *WORKERS)
+            .unwrap_or_else(|e| panic!("construction failed: {e}"))
     }
 
     /// Extend an existing base with the series appended to `dataset`
@@ -258,18 +234,34 @@ impl BaseBuilder {
         dataset: &Dataset,
         resident: &mut ResidentIndex,
     ) -> Result<(OnexBase, BuildReport), OnexError> {
-        let extended = self.extend_through(base, dataset, resident);
-        if extended.is_err() {
-            resident.clear();
-        }
-        extended
+        self.construct(base, dataset, Some(resident), *WORKERS)
     }
 
-    fn extend_through(
+    /// The construction path: extend `base` by the series `dataset` holds
+    /// past the ones it covers, over `workers` workers, keeping
+    /// `resident` in step when there is one and building a batch base
+    /// (each length's grid dropped by its worker) when there is none.
+    /// On an error `resident` is cleared.
+    pub(crate) fn construct(
         &self,
         base: &OnexBase,
         dataset: &Dataset,
-        resident: &mut ResidentIndex,
+        mut resident: Option<&mut ResidentIndex>,
+        workers: usize,
+    ) -> Result<(OnexBase, BuildReport), OnexError> {
+        let constructed = self.construct_through(base, dataset, resident.as_deref_mut(), workers);
+        if let (Err(_), Some(resident)) = (&constructed, resident) {
+            resident.clear();
+        }
+        constructed
+    }
+
+    fn construct_through(
+        &self,
+        base: &OnexBase,
+        dataset: &Dataset,
+        mut resident: Option<&mut ResidentIndex>,
+        workers: usize,
     ) -> Result<(OnexBase, BuildReport), OnexError> {
         if base.config() != &self.config {
             return Err(OnexError::DatasetMismatch(
@@ -285,21 +277,6 @@ impl BaseBuilder {
                 seen
             )));
         }
-        // Build aside: all mutation below happens on this copy, which
-        // shares its column blocks with `base` until it writes to them.
-        let mut extended = base.clone();
-        let mut work = IndexWork::default();
-        // Per length, new subsequences arrive series-major then
-        // start-ascending — the same order `build_length` consumes — and
-        // group lists of different lengths are independent, so iterating
-        // length-outer here (instead of the append order) assigns every
-        // window exactly as the batch path would. The space owns the
-        // window enumeration, so batch and incremental paths cannot
-        // drift apart.
-        let space = SubsequenceSpace::new(dataset, &self.config);
-        let series = series_table(dataset);
-        let mut admitted = 0usize;
-        let mut touched = Vec::new();
         let mut longest_new = 0usize;
         for sid in seen..dataset.len() {
             let series = dataset.series(sid as u32).ok_or_else(|| {
@@ -307,92 +284,158 @@ impl BaseBuilder {
             })?;
             longest_new = longest_new.max(series.len());
         }
-        let mut sketch = Duration::ZERO;
-        for len in self.config.min_len..=self.config.max_len.min(longest_new) {
-            #[cfg(test)]
-            if self.fail_len == Some(len) {
-                return Err(OnexError::Internal(format!(
-                    "injected extension failure at length {len}"
-                )));
-            }
-            let new_windows: usize = (seen..dataset.len())
-                .map(|sid| space.count_for_series_len(sid, len))
-                .sum();
-            if new_windows == 0 {
-                continue;
-            }
-            let admission = self.config.admission_radius(len);
-            let admission_sq = admission * admission;
-            let groups = extended.column_mut(len);
-            // New seeds are read in place from the series the dataset
-            // gained.
-            groups.adopt_series(&series);
-            let index = resident.column(len, admission, groups);
-            touched.clear();
-            for sid in seen..dataset.len() {
-                for r in space.refs_for_series_len(sid, len) {
-                    let taken = self
-                        .assign_one(dataset, groups, index, r, admission_sq, &mut work)
-                        .ok_or_else(|| {
-                            OnexError::Internal(format!(
-                                "subsequence reference {r} fell out of bounds mid-extension"
-                            ))
-                        })?;
-                    touched.push(taken);
+        let series = series_table(dataset);
+        // The space owns the window enumeration — per length, series-major
+        // then start-ascending — so a batch build and an extension admit
+        // the windows of a series in one order.
+        let pass = Pass {
+            dataset,
+            series: &series,
+            space: SubsequenceSpace::new(dataset, &self.config),
+            seen,
+            batch: resident.is_none(),
+        };
+        let lengths: Vec<usize> = (self.config.min_len..=self.config.max_len.min(longest_new))
+            .filter(|&len| {
+                (seen..dataset.len()).any(|sid| pass.space.count_for_series_len(sid, len) > 0)
+            })
+            .collect();
+        // Build aside: all mutation below happens on this copy, which
+        // shares its column blocks with `base` until it writes to them.
+        let mut extended = base.clone();
+        let jobs: Vec<_> = lengths
+            .iter()
+            .zip(extended.columns_mut(&lengths))
+            .map(|(&len, groups)| {
+                (
+                    len,
+                    groups,
+                    resident.as_deref_mut().and_then(|r| r.take(len)),
+                )
+            })
+            .collect();
+        let admitted = across(jobs, workers, |(len, groups, grid)| {
+            self.admit_length(&pass, len, groups, grid)
+        });
+        let mut work = IndexWork::default();
+        let (mut windows, mut busy, mut sketch) = (0, Duration::ZERO, Duration::ZERO);
+        let mut failure = None;
+        for (&len, admitted) in lengths.iter().zip(admitted) {
+            match admitted {
+                Ok(length) => {
+                    work += length.work;
+                    windows += length.windows;
+                    busy += length.busy;
+                    sketch += length.sketch;
+                    if let (Some(resident), Some((grid, seeded))) =
+                        (resident.as_deref_mut(), length.grid)
+                    {
+                        resident.put(len, grid, seeded);
+                    }
                 }
+                Err(e) => failure = failure.or(Some(e)),
             }
-            admitted += new_windows;
-            // The prior sketches came along with the copy (params stay
-            // frozen); append slots for the newly admitted members only.
-            let synced = Instant::now();
-            extended.sync_sketches_of(dataset, len, &touched);
-            sketch += synced.elapsed();
         }
-        extended.admitted(series, admitted);
-        let report = self.report(&extended, Some(base), start, sketch, work);
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        extended.admitted(series, windows);
+        let sketch_share = if busy > Duration::ZERO {
+            sketch.as_secs_f64() / busy.as_secs_f64()
+        } else {
+            0.0
+        };
+        let report = self.report(&extended, base, start, sketch_share, work);
         Ok((extended, report))
     }
 
-    /// Online assignment for one length: each subsequence joins the
-    /// nearest group whose representative is within the admission radius,
-    /// else seeds a new group. The lookup goes through a [`PaaGrid`] that
-    /// lives as long as the call.
-    fn build_length(
+    /// One length's worker: bring the length's grid in step with its
+    /// column (`grid` is the resident one, if any), admit the windows of
+    /// every series the base does not cover yet, and sketch the groups
+    /// that took them.
+    fn admit_length(
         &self,
-        dataset: &Dataset,
-        series: &SeriesTable,
-        space: &SubsequenceSpace,
+        pass: &Pass<'_>,
         len: usize,
-    ) -> (GroupColumn, IndexWork) {
+        groups: &mut GroupColumn,
+        grid: Option<PaaGrid>,
+    ) -> Result<Admitted, OnexError> {
         #[cfg(test)]
         if self.fail_len == Some(len) {
-            panic!("injected construction failure at length {len}");
+            return Err(OnexError::Internal(format!(
+                "injected construction failure at length {len}"
+            )));
         }
+        let started = Instant::now();
         let admission = self.config.admission_radius(len);
         let admission_sq = admission * admission;
-        let mut groups = GroupColumn::over(SeriesTable::clone(series));
-        let mut index = PaaGrid::new(len, admission);
+        // New seeds are read in place from the series the dataset gained.
+        groups.adopt_series(pass.series);
+        let (mut index, seeded) = ResidentIndex::mirror(grid, len, admission, groups);
         let mut work = IndexWork::default();
-        for r in space.refs_for_len(len) {
-            self.assign_one(dataset, &mut groups, &mut index, r, admission_sq, &mut work)
-                .expect("space references are in bounds");
+        let mut touched: Vec<u32> = Vec::new();
+        if !pass.batch {
+            let series = pass.seen..pass.dataset.len();
+            touched.reserve_exact(
+                series
+                    .map(|sid| pass.space.count_for_series_len(sid, len))
+                    .sum(),
+            );
         }
-        // The column lives as long as the base: give back the block
-        // list's and the member lists' slack.
-        groups.shrink_to_fit();
-        (groups, work)
+        let mut windows = 0;
+        for sid in pass.seen..pass.dataset.len() {
+            for r in pass.space.refs_for_series_len(sid, len) {
+                let taken = self
+                    .assign_one(pass.dataset, groups, &mut index, r, admission_sq, &mut work)
+                    .ok_or_else(|| {
+                        OnexError::Internal(format!(
+                            "subsequence reference {r} fell out of bounds mid-construction"
+                        ))
+                    })?;
+                if !pass.batch {
+                    touched.push(taken as u32);
+                }
+                windows += 1;
+            }
+        }
+        let grid = (!pass.batch).then_some((index, seeded));
+        let synced = if pass.batch {
+            // The column lives as long as the base: give back the block
+            // list's and the member lists' slack, then sketch everything.
+            groups.shrink_to_fit();
+            let synced = Instant::now();
+            let all = 0..groups.len();
+            sketch::sync_length(pass.dataset, groups, all);
+            synced
+        } else {
+            // The prior sketches came along with the copy (parameters stay
+            // frozen); sketch the newly admitted members only.
+            let synced = Instant::now();
+            sketch::sync_length(
+                pass.dataset,
+                groups,
+                touched.into_iter().map(|gi| gi as usize),
+            );
+            synced
+        };
+        Ok(Admitted {
+            work,
+            windows,
+            grid,
+            busy: started.elapsed(),
+            sketch: synced.elapsed(),
+        })
     }
 
     /// The admission rule applied to one subsequence — the single place
-    /// every construction path (batch, parallel, incremental) runs
-    /// through: join the nearest group within `ST/2`, else seed a new one,
-    /// keeping the index in sync with seeded groups and drifting
-    /// centroids. A seeded group's representative is `r`'s window read in
-    /// place from `dataset`'s shared series, whatever the policy; a
-    /// centroid takes its own copy the first time it moves. Returns the
-    /// index of the group that took the member — `None`, with nothing
-    /// changed, when `r` does not resolve in `dataset` or in the series
-    /// `groups` reads.
+    /// every construction runs through: join the nearest group within
+    /// `ST/2`, else seed a new one, keeping the index in sync with seeded
+    /// groups and drifting centroids. A seeded group's representative is
+    /// `r`'s window read in place from `dataset`'s shared series,
+    /// whatever the policy; a centroid takes its own copy the first time
+    /// it moves. Returns the index of the group that took the member —
+    /// `None`, with nothing changed, when `r` does not resolve in
+    /// `dataset` or in the series `groups` reads.
     fn assign_one(
         &self,
         dataset: &Dataset,
@@ -422,41 +465,26 @@ impl BaseBuilder {
         })
     }
 
-    fn finish(
-        &self,
-        dataset: &Dataset,
-        series: SeriesTable,
-        per_length: BTreeMap<usize, GroupColumn>,
-        start: Instant,
-        work: IndexWork,
-    ) -> (OnexBase, BuildReport) {
-        let mut base = OnexBase::from_parts(self.config.clone(), per_length, series);
-        let synced = Instant::now();
-        base.sync_sketches(dataset);
-        let report = self.report(&base, None, start, synced.elapsed(), work);
-        (base, report)
-    }
-
-    /// The receipt for `base`, built aside from `previous` (from nothing
-    /// when `None`).
+    /// The receipt for `base`, built aside from `previous`, its workers
+    /// having spent `sketch_share` of their time sketching.
     fn report(
         &self,
         base: &OnexBase,
-        previous: Option<&OnexBase>,
+        previous: &OnexBase,
         start: Instant,
-        sketch: Duration,
+        sketch_share: f64,
         work: IndexWork,
     ) -> BuildReport {
+        let elapsed = start.elapsed();
         let blocks_total = base.block_count();
-        let shared = previous.map_or(0, |previous| base.shared_blocks(previous));
         BuildReport {
-            elapsed: start.elapsed(),
-            sketch,
+            elapsed,
+            sketch: elapsed.mul_f64(sketch_share),
             lengths: base.lengths().count(),
             subsequences: base.member_count(),
             groups: base.group_count(),
             work,
-            blocks_copied: blocks_total - shared,
+            blocks_copied: blocks_total - base.shared_blocks(previous),
             blocks_total,
             series: base.source_series(),
             epoch: 0,
@@ -464,15 +492,45 @@ impl BaseBuilder {
     }
 }
 
-/// Best-effort human-readable message from a worker panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".into()
+/// Run `task` over `items` on up to `workers` threads — the calling one
+/// and scoped ones beside it — each taking the next item as it finishes
+/// one, and give the results back in item order. When a task panics the
+/// panic is resumed on the caller once every worker has stopped.
+fn across<T: Send, R: Send>(items: Vec<T>, workers: usize, task: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
+    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("no task runs under the lock").next();
+            let Some((at, item)) = next else { break done };
+            done.push((at, task(item)));
+        }
+    };
+    let mut panic = None;
+    std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // A panic here unwinds out of the scope once the others stop.
+        let mut done = work();
+        for other in others {
+            match other.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        done.into_iter()
+            .for_each(|(at, result)| results[at] = Some(result));
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
+    results
+        .into_iter()
+        .map(|result| result.expect("every item ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -526,46 +584,144 @@ mod tests {
         assert_eq!(report.compaction(), 9.0);
     }
 
+    /// What `build` does, over `workers` workers.
+    fn built_on(
+        builder: &BaseBuilder,
+        dataset: &Dataset,
+        workers: usize,
+    ) -> (OnexBase, BuildReport) {
+        let empty =
+            OnexBase::from_parts(builder.config.clone(), BTreeMap::new(), Default::default());
+        builder.construct(&empty, dataset, None, workers).unwrap()
+    }
+
+    fn walks(series: usize, len: usize, seed: u64) -> Dataset {
+        onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
+            series,
+            len,
+            seed,
+        })
+    }
+
     #[test]
     fn parallel_build_is_identical() {
-        let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
-            series: 8,
-            len: 40,
-            seed: 21,
-        });
-        let cfg = BaseConfig::new(0.8, 6, 20);
-        let builder = BaseBuilder::new(cfg).unwrap();
-        let (seq, seq_report) = builder.build(&ds);
-        for threads in [1, 2, 3, 7, 32] {
-            let (par, par_report) = builder.build_parallel(&ds, threads).unwrap();
-            assert_eq!(seq, par, "threads={threads}");
-            assert_eq!(seq_report.work, par_report.work, "threads={threads}");
+        // Lengths are independent: at any worker count a build, and an
+        // extension through a fresh and then a kept index, give one base,
+        // one set of sketches and one account of the work.
+        let ds = walks(8, 40, 21);
+        let mut grown = ds.clone();
+        grown
+            .push(TimeSeries::new(
+                "short",
+                onex_tseries::gen::random_walk(14, 1.0, 5),
+            ))
+            .unwrap();
+        grown
+            .push(TimeSeries::new(
+                "long",
+                onex_tseries::gen::random_walk(40, 1.0, 6),
+            ))
+            .unwrap();
+        let mut later = grown.clone();
+        later
+            .push(TimeSeries::new(
+                "later",
+                onex_tseries::gen::random_walk(33, 1.0, 7),
+            ))
+            .unwrap();
+        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+            let builder = BaseBuilder::new(BaseConfig {
+                policy,
+                ..BaseConfig::new(0.8, 6, 20)
+            })
+            .unwrap();
+            let run = |workers: usize| {
+                let (base, built) = built_on(&builder, &ds, workers);
+                let mut resident = ResidentIndex::new();
+                let extend = |base: &OnexBase, ds: &Dataset, resident: &mut ResidentIndex| {
+                    builder
+                        .construct(base, ds, Some(resident), workers)
+                        .unwrap()
+                };
+                let (first, once) = extend(&base, &grown, &mut resident);
+                let (second, twice) = extend(&first, &later, &mut resident);
+                let reports =
+                    [built, once, twice].map(|r| (r.work, r.blocks_copied, r.blocks_total));
+                (
+                    base,
+                    first,
+                    second,
+                    reports,
+                    resident.seeds(),
+                    resident.entries(),
+                )
+            };
+            let (base, first, second, reports, seeds, entries) = run(1);
+            assert_eq!((seeds, entries), (15, second.group_count()), "{policy:?}");
+            for workers in [2, 3, 9] {
+                let what = format!("{policy:?}, {workers} workers");
+                let other = run(workers);
+                for (mine, theirs) in [(&other.0, &base), (&other.1, &first), (&other.2, &second)] {
+                    assert_eq!(mine, theirs, "{what}");
+                    assert!(mine.sketches() == theirs.sketches(), "{what}");
+                }
+                assert_eq!(other.3, reports, "{what}");
+                assert_eq!((other.4, other.5), (seeds, entries), "{what}");
+            }
+            assert_eq!(builder.build(&ds).0, base, "{policy:?}");
         }
     }
 
     #[test]
-    fn parallel_worker_failure_is_a_typed_error_not_a_process_abort() {
-        let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
-            series: 4,
-            len: 30,
-            seed: 3,
-        });
+    fn a_failed_length_fails_the_build_at_every_worker_count() {
+        let ds = walks(4, 30, 3);
         let mut builder = BaseBuilder::new(BaseConfig::new(0.8, 6, 12)).unwrap();
         builder.fail_len = Some(9);
-        let err = builder
-            .build_parallel(&ds, 3)
-            .expect_err("poisoned length must surface as an error");
-        match err {
-            OnexError::Internal(msg) => {
-                assert!(msg.contains("injected construction failure"), "{msg}");
-                assert!(msg.contains("workers failed"), "{msg}");
+        for workers in [1, 2, 3, 9] {
+            let empty =
+                OnexBase::from_parts(builder.config.clone(), BTreeMap::new(), Default::default());
+            match builder.construct(&empty, &ds, None, workers) {
+                Err(OnexError::Internal(msg)) => assert!(msg.contains("injected"), "{msg}"),
+                other => panic!("{workers} workers: expected Internal, got {other:?}"),
             }
-            other => panic!("expected Internal, got {other:?}"),
         }
+        // `build` has no error to return: it panics on the caller, which
+        // the engine's build turns into a typed error.
+        let panic = std::panic::catch_unwind(|| builder.build(&ds)).expect_err("must panic");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.contains("injected construction failure at length 9"),
+            "{message}"
+        );
         // The builder remains usable after a failed run.
         builder.fail_len = None;
-        let (base, _) = builder.build_parallel(&ds, 3).unwrap();
-        assert!(base.stats().groups > 0);
+        assert!(builder.build(&ds).0.stats().groups > 0);
+    }
+
+    #[test]
+    fn a_panicking_task_is_resumed_on_the_caller_once_every_worker_stops() {
+        for workers in [1, 2, 3, 9] {
+            let squares = across((0..20).collect(), workers, |x: u64| x * x);
+            assert_eq!(
+                squares,
+                (0..20).map(|x| x * x).collect::<Vec<_>>(),
+                "{workers}"
+            );
+            let ran = std::sync::atomic::AtomicUsize::new(0);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                across((0..20).collect(), workers, |x: usize| {
+                    assert_ne!(x, 7, "task seven fails");
+                    ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                })
+            }))
+            .expect_err("the panic reaches the caller");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("task seven fails"), "{message}");
+            // On one worker nothing runs after the panic; on more, the
+            // others drain the queue before the panic is resumed.
+            let ran = ran.into_inner();
+            assert_eq!(ran, if workers == 1 { 7 } else { 19 }, "{workers} workers");
+        }
     }
 
     #[test]
@@ -764,8 +920,8 @@ mod tests {
             onex_tseries::gen::random_walk(30, 1.0, 200),
         ))
         .unwrap();
-        // Fail after several lengths have already been re-indexed into
-        // the working copy: the caller's base must not see any of it.
+        // Fail one length while the others are re-indexed into the
+        // working copy: the caller's base must not see any of it.
         builder.fail_len = Some(9);
         let err = builder.extend(&base, &ds).expect_err("injected failure");
         assert!(matches!(err, OnexError::Internal(_)), "{err:?}");
@@ -781,11 +937,7 @@ mod tests {
 
     #[test]
     fn a_failed_extend_clears_the_resident_index_and_a_kept_one_is_reused() {
-        let mut ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
-            series: 4,
-            len: 30,
-            seed: 9,
-        });
+        let mut ds = walks(4, 30, 9);
         let mut builder = BaseBuilder::new(BaseConfig::new(0.8, 6, 12)).unwrap();
         let (base, _) = builder.build(&ds);
         ds.push(TimeSeries::new(
@@ -794,38 +946,45 @@ mod tests {
         ))
         .unwrap();
         let (reference, _) = builder.extend(&base, &ds).unwrap();
-
-        // Lengths 6..9 are extended — their columns seeded and mutated —
-        // before the failure at 9: none of that may be trusted again.
-        let mut resident = ResidentIndex::new();
-        builder.fail_len = Some(9);
-        builder
-            .extend_resident(&base, &ds, &mut resident)
-            .expect_err("injected failure");
-        assert_eq!((resident.kind(), resident.entries()), ("none", 0));
-        assert_eq!(resident.seeds(), 3, "lengths 6, 7 and 8 had been seeded");
-
-        builder.fail_len = None;
-        let (extended, first) = builder.extend_resident(&base, &ds, &mut resident).unwrap();
-        assert_eq!(extended, reference);
-        assert_eq!(extended.sketches(), reference.sketches());
-        assert_eq!((resident.kind(), resident.seeds()), ("grid", 3 + 7));
-        assert_eq!(resident.entries(), extended.group_count());
-
-        // Extending the returned base finds every column resident and
-        // gives the stateless path's result.
-        ds.push(TimeSeries::new(
-            "later",
-            onex_tseries::gen::random_walk(30, 1.0, 201),
-        ))
-        .unwrap();
-        let (stateless, _) = builder.extend(&extended, &ds).unwrap();
-        let (kept, second) = builder
-            .extend_resident(&extended, &ds, &mut resident)
+        let mut later = ds.clone();
+        later
+            .push(TimeSeries::new(
+                "later",
+                onex_tseries::gen::random_walk(30, 1.0, 201),
+            ))
             .unwrap();
-        assert_eq!(kept, stateless);
-        assert_eq!(kept.sketches(), stateless.sketches());
-        assert_eq!(resident.seeds(), 10, "nothing was re-seeded");
-        assert_eq!((first.series, second.series, second.epoch), (5, 6, 0));
+
+        for workers in [1, 2, 3, 9] {
+            // Every length but 9 is extended — its column seeded and
+            // mutated — beside the failure at 9: none of that may be
+            // trusted again.
+            let mut resident = ResidentIndex::new();
+            builder.fail_len = Some(9);
+            builder
+                .construct(&base, &ds, Some(&mut resident), workers)
+                .expect_err("injected failure");
+            assert_eq!((resident.kind(), resident.entries()), ("none", 0));
+            assert_eq!(resident.seeds(), 6, "lengths 6..=12 but 9 had been seeded");
+
+            builder.fail_len = None;
+            let (extended, first) = builder
+                .construct(&base, &ds, Some(&mut resident), workers)
+                .unwrap();
+            assert_eq!(extended, reference, "{workers} workers");
+            assert_eq!(extended.sketches(), reference.sketches());
+            assert_eq!((resident.kind(), resident.seeds()), ("grid", 6 + 7));
+            assert_eq!(resident.entries(), extended.group_count());
+
+            // Extending the returned base finds every column resident and
+            // gives the stateless path's result.
+            let (stateless, _) = builder.extend(&extended, &later).unwrap();
+            let (kept, second) = builder
+                .construct(&extended, &later, Some(&mut resident), workers)
+                .unwrap();
+            assert_eq!(kept, stateless, "{workers} workers");
+            assert_eq!(kept.sketches(), stateless.sketches());
+            assert_eq!(resident.seeds(), 13, "nothing was re-seeded");
+            assert_eq!((first.series, second.series, second.epoch), (5, 6, 0));
+        }
     }
 }

@@ -19,9 +19,10 @@
 //!   representative is read in place from the dataset's shared series.
 //! * [`BaseBuilder`] constructs the base online: each subsequence joins the
 //!   nearest group of its length when the representative is within `ST/2`
-//!   (Euclidean), otherwise it seeds a new group. Sequential,
-//!   length-parallel (crossbeam) and incremental construction all run the
-//!   same admission rule and produce identical bases.
+//!   (Euclidean), otherwise it seeds a new group. A batch build extends an
+//!   empty base, an incremental one the base it is given: one path, its
+//!   lengths spread over scoped worker threads, one admission rule, the
+//!   same base at any worker count.
 //! * [`PaaGrid`] ([`repindex`]) is the nearest-representative lookup
 //!   behind that admission rule: an exact PAA-bound grid that returns
 //!   what scanning every representative returns, from orders of

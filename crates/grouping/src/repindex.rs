@@ -51,12 +51,43 @@
 //! `f64` (error within `n·ulp` of the vector's largest magnitude) and
 //! stored as `f32` (one more relative `2⁻²³`). A representative within
 //! the radius has every value within the radius of the query's, so the
-//! query's largest magnitude plus the radius bounds both sides' errors,
-//! and one slack per lookup covers every entry that could win; an entry
-//! it does not cover is too far away to. The finished bound is shaved by
-//! the few `ulp`s a computed `d²` can fall below the true one. Past the
-//! magnitudes an `f32` holds nothing is claimed: the lookup scans every
-//! cell and no gap survives its slack (a NaN difference never does).
+//! query's largest magnitude plus the radius (the lookup's *reach*)
+//! bounds both sides' errors, and one slack per lookup covers every entry
+//! that could win; an entry it does not cover is too far away to. The
+//! finished bound is shaved by the few `ulp`s a computed `d²` can fall
+//! below the true one. Past the magnitudes an `f32` holds nothing is
+//! claimed: the lookup scans every cell and no gap survives its slack (a
+//! NaN difference never does).
+//!
+//! # The row layout
+//!
+//! A row of cells (one first half-mean coordinate) keeps its entries as
+//! one run sorted by column coordinate — entries of one cell in the order
+//! they were filed — with each segment's means in a plane of their own
+//! (`f32`, four bytes an entry) beside the group ids, and a small table of
+//! where each cell's run ends. The cells a lookup visits in one row are
+//! then one slice of each plane, and an entry costs its 20 bytes plus a
+//! share of its cell's 12.
+//!
+//! A slice is bounded 64 entries at a time in `f32`, a branch-free pass
+//! the compiler vectorises, into a mask of survivors; each survivor is
+//! then re-checked with the exact `f64` bound above, against the best
+//! `d²` found so far, before any distance starts. The `f32` pass only ever
+//! drops an entry the `f64` bound drops as well, so the lookup examines
+//! exactly the entries the `f64` bound alone would, in the same order:
+//!
+//! * its slack is the `f64` slack widened by `2⁻¹⁵` of itself, by `2⁻²³`
+//!   of the query's largest magnitude (what rounding the query's means to
+//!   `f32` and taking `f32` differences can lose) and by two of `f32`'s
+//!   smallest normal (what an `f32` that underflows can);
+//! * its limit is the `f64` test's `bound²/shave` widened by `2⁻¹⁵` of
+//!   itself and one smallest normal. A dozen `f32` operations put the
+//!   `f32` sum at most `12·2⁻²⁴` above the `f64` one, far inside that;
+//! * it runs only while the reach is at most `4·10¹⁸`: every square a
+//!   bound that can prune is compared with fits an `f32` with room to
+//!   spare, and a term that overflows to infinity stands for an `f64` one
+//!   no smaller than `f32::MAX`, which the `f64` test drops too. Past
+//!   that reach the lookup bounds every entry in `f64` alone.
 //!
 //! The degenerate regime is white noise: every window's half-means sit
 //! within a cell or two of zero, all representatives land in the visited
@@ -67,11 +98,12 @@
 //! A batch build creates its indexes and drops them with the call. An
 //! incremental extension instead runs against a [`ResidentIndex`] — the
 //! per-length indexes of one base, seeded from its groups on first use
-//! and then kept in step with every admission — so that a writer which
-//! keeps it alive between extensions pays per appended window, not per
-//! existing group.
+//! (one sort, not a pass of inserts) and then kept in step with every
+//! admission — so that a writer which keeps it alive between extensions
+//! pays per appended window, not per existing group.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use onex_distance::ed::ed_early_abandon_sq;
 
@@ -115,24 +147,24 @@ const SEGMENTS: usize = 4;
 /// (a radius or a rounding allowance far above the cell width) scans
 /// every cell instead.
 const ROW_CAP: i128 = 8;
-/// What a cell costs in the map beside its entries: its key, its vector
-/// header and its share of a B-tree node (eleven cells to a full leaf,
-/// about two thirds full, plus the inner nodes above them).
-const CELL_BYTES: usize = 64;
+/// Entries one `f32` pass bounds: a bit each in the survivor mask.
+const BLOCK: usize = 64;
+/// What a row costs in the map beside its runs: its key, its seven
+/// vector headers and its share of a B-tree node (eleven rows to a full
+/// leaf, about two thirds full).
+const ROW_BYTES: usize = 280;
 /// Relative error a mean can carry from being stored as `f32` (one unit
 /// in the last place — twice round-to-nearest's worst case).
 const F32_ULP: f64 = f32::EPSILON as f64;
 /// Largest magnitude a lookup vouches for: every mean it could meet fits
 /// an `f32` (and no sum of them leaves `f64`) with room to spare.
 const STORABLE: f64 = f32::MAX as f64 / 2.0;
-
-/// One indexed representative: its group and its four segment means. It
-/// holds no pointer — the values are read from the builder's group list.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    gid: u32,
-    means: [f32; SEGMENTS],
-}
+/// Largest reach the `f32` pass runs at: its square, 1.6·10³⁷, is under
+/// a twentieth of `f32::MAX`.
+const NARROW_REACH: f64 = 4.0e18;
+/// How much the `f32` pass widens the `f64` slack and limit: `2⁻¹⁵`,
+/// hundreds of times what a dozen `f32` roundings can add up to.
+const NARROW_MARGIN: f64 = 1.0 + 1.0 / 32_768.0;
 
 /// Grid coordinates: the two half-means in units of the cell width.
 type Cell = (i64, i64);
@@ -145,16 +177,127 @@ struct Paa {
     peak: f64,
 }
 
+/// One row of cells: its entries in one run sorted by column coordinate
+/// (in filing order within a cell), plane-major, and the run table that
+/// says where each cell's entries end.
+#[derive(Debug, Default)]
+struct Row {
+    /// Column coordinate of every cell that holds an entry, ascending.
+    cols: Vec<i64>,
+    /// Where the run of the cell at the same index ends; it starts where
+    /// its predecessor's does.
+    ends: Vec<u32>,
+    /// Group id of every entry.
+    gids: Vec<u32>,
+    /// Segment `s`'s mean of every entry.
+    means: [Vec<f32>; SEGMENTS],
+}
+
+impl Row {
+    fn with_capacity(entries: usize) -> Self {
+        Row {
+            gids: Vec::with_capacity(entries),
+            means: std::array::from_fn(|_| Vec::with_capacity(entries)),
+            ..Row::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.gids.len()
+    }
+
+    /// Where the run of the `cells`-th cell starts.
+    fn start_of(&self, cells: usize) -> usize {
+        cells
+            .checked_sub(1)
+            .map_or(0, |last| self.ends[last] as usize)
+    }
+
+    /// The entries of every cell whose column lies in `lo..=hi`.
+    fn span(&self, lo: i64, hi: i64) -> Range<usize> {
+        let first = self.cols.partition_point(|&col| col < lo);
+        let past = self.cols.partition_point(|&col| col <= hi);
+        self.start_of(first)..self.start_of(past)
+    }
+
+    /// The cell at column `col` — its index in the run table and its
+    /// entries — or where it would go.
+    fn cell(&self, col: i64) -> Result<(usize, Range<usize>), usize> {
+        let at = self.cols.binary_search(&col)?;
+        Ok((at, self.start_of(at)..self.ends[at] as usize))
+    }
+
+    /// File an entry last in the cell at column `col`.
+    fn push(&mut self, col: i64, gid: u32, means: [f32; SEGMENTS]) {
+        let (at, pos) = match self.cell(col) {
+            Ok((at, run)) => (at, run.end),
+            Err(at) => {
+                let start = self.start_of(at);
+                self.cols.insert(at, col);
+                self.ends.insert(at, start as u32);
+                (at, start)
+            }
+        };
+        if self.gids.len() == self.gids.capacity() {
+            // An eighth more, not double: a seeded row is sized exactly
+            // and a writer's appends grow it by a few entries at a time.
+            let more = self.gids.len() / 8 + 4;
+            self.gids.reserve_exact(more);
+            self.means
+                .iter_mut()
+                .for_each(|plane| plane.reserve_exact(more));
+        }
+        self.gids.insert(pos, gid);
+        for (plane, mean) in self.means.iter_mut().zip(means) {
+            plane.insert(pos, mean);
+        }
+        self.ends[at..].iter_mut().for_each(|end| *end += 1);
+    }
+
+    /// Where `gid`'s entry sits in the cell at column `col`.
+    fn find(&self, col: i64, gid: u32) -> (usize, Range<usize>, usize) {
+        let (at, run) = self.cell(col).expect("a group's home cell exists");
+        let slot = self.gids[run.clone()].iter().position(|&g| g == gid);
+        let pos = run.start + slot.expect("an entry sits in its home cell");
+        (at, run, pos)
+    }
+
+    /// Take `gid`'s entry out of the cell at column `col` as a vector's
+    /// `swap_remove` would: the cell's last entry takes its slot.
+    fn swap_remove(&mut self, col: i64, gid: u32) {
+        let (at, run, pos) = self.find(col, gid);
+        let last = run.end - 1;
+        self.gids.swap(pos, last);
+        self.gids.remove(last);
+        for plane in &mut self.means {
+            plane.swap(pos, last);
+            plane.remove(last);
+        }
+        self.ends[at..].iter_mut().for_each(|end| *end -= 1);
+        if run.len() == 1 {
+            self.cols.remove(at);
+            self.ends.remove(at);
+        }
+    }
+
+    /// Heap bytes the row's vectors keep.
+    fn bytes(&self) -> usize {
+        let planes: usize = self.means.iter().map(Vec::capacity).sum();
+        self.cols.capacity() * 8 + (self.ends.capacity() + self.gids.capacity() + planes) * 4
+    }
+}
+
 /// An exact nearest-representative index for one length column: a grid
 /// over the representatives' two half-means, each entry carrying four
-/// segment means for the PAA lower bound (see the [module docs](self)).
+/// segment means for the PAA lower bound, kept a row of cells to a run
+/// (see the [module docs](self)).
 ///
-/// An insert is one push, a centroid update moves the entry to its new
-/// cell — there is one entry per group at all times — and seeding from
-/// a base is one pass of inserts. Where each group's entry sits is only
-/// ever asked by an update, so that directory is built by the first one:
-/// under the `Seed` policy no representative moves and a column never
-/// carries it.
+/// An insert files one entry last in its cell, a centroid update moves
+/// the entry to its new cell — there is one entry per group at all times
+/// — and seeding from a base is one sort. Where each group's entry sits
+/// is only ever asked by an update, so that directory is built by the
+/// first one: under the `Seed` policy no representative moves and a
+/// column never carries it.
 #[derive(Debug)]
 pub struct PaaGrid {
     /// Segment `s` covers `cuts[s]..cuts[s + 1]`.
@@ -170,13 +313,13 @@ pub struct PaaGrid {
     /// is also the relative amount a computed `d²` and a computed bound
     /// can be out against each other.
     ulps: f64,
-    cells: BTreeMap<Cell, Vec<Entry>>,
+    /// The rows that hold an entry, by first coordinate.
+    rows: BTreeMap<i64, Row>,
     /// Entries filed, one per group.
     entries: usize,
-    /// Per group: the cell its entry is filed in and the slot there —
-    /// built from `cells` by the first [`PaaGrid::update`] and
-    /// kept in step from then on.
-    home: Option<Vec<(Cell, u32)>>,
+    /// Per group: the cell its entry is filed in — built from `rows` by
+    /// the first [`PaaGrid::update`] and kept in step from then on.
+    home: Option<Vec<Cell>>,
 }
 
 impl PaaGrid {
@@ -195,18 +338,54 @@ impl PaaGrid {
             half_roots,
             width: half_roots.map(|root| radius.abs() / root),
             ulps: (len as f64 + 16.0) * f64::EPSILON,
-            cells: BTreeMap::new(),
+            rows: BTreeMap::new(),
             entries: 0,
             home: None,
         }
     }
 
-    /// Where every group's entry sits, read off the cells.
-    fn directory(&self) -> Vec<(Cell, u32)> {
-        let mut home = vec![((0, 0), 0); self.entries];
-        for (&cell, entries) in &self.cells {
-            for (slot, entry) in entries.iter().enumerate() {
-                home[entry.gid as usize] = (cell, slot as u32);
+    /// The index a pass of inserts over every group of `groups`, in id
+    /// order, would file — laid out by one sort, each row sized exactly.
+    pub(crate) fn seeded(len: usize, radius: f64, groups: &GroupColumn) -> Self {
+        let mut grid = PaaGrid::new(len, radius);
+        let mut filed: Vec<(Cell, u32, [f32; SEGMENTS])> = groups
+            .iter()
+            .enumerate()
+            .map(|(gi, g)| {
+                let (cell, means) = grid.file(g.representative());
+                (cell, gid(gi), means)
+            })
+            .collect();
+        filed.sort_unstable_by_key(|&(cell, gid, _)| (cell, gid));
+        for run in filed.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let mut row = Row::with_capacity(run.len());
+            for &((_, col), gid, means) in run {
+                if row.cols.last() != Some(&col) {
+                    row.cols.push(col);
+                    row.ends.push(row.gids.len() as u32);
+                }
+                row.gids.push(gid);
+                for (plane, mean) in row.means.iter_mut().zip(means) {
+                    plane.push(mean);
+                }
+                *row.ends.last_mut().expect("pushed above") += 1;
+            }
+            row.cols.shrink_to_fit();
+            row.ends.shrink_to_fit();
+            grid.rows.insert(run[0].0 .0, row);
+        }
+        grid.entries = groups.len();
+        grid
+    }
+
+    /// Where every group's entry sits, read off the rows.
+    fn directory(&self) -> Vec<Cell> {
+        let mut home = vec![(0, 0); self.entries];
+        for (&row_at, row) in &self.rows {
+            for (at, &col) in row.cols.iter().enumerate() {
+                for &gid in &row.gids[row.start_of(at)..row.ends[at] as usize] {
+                    home[gid as usize] = (row_at, col);
+                }
             }
         }
         home
@@ -240,17 +419,14 @@ impl PaaGrid {
         (half_mean / self.width[axis]).floor() as i64
     }
 
-    fn file(&self, group: usize, representative: &[f64]) -> (Cell, Entry) {
+    /// The cell a representative is filed in, and its stored means.
+    fn file(&self, representative: &[f64]) -> (Cell, [f32; SEGMENTS]) {
         let paa = self.paa(representative);
         let cell = (
             self.coordinate(0, paa.halves[0]),
             self.coordinate(1, paa.halves[1]),
         );
-        let entry = Entry {
-            gid: u32::try_from(group).expect("group ids fit the index's 32 bits"),
-            means: paa.means.map(|m| m as f32),
-        };
-        (cell, entry)
+        (cell, paa.means.map(|m| m as f32))
     }
 
     /// The nearest representative within `radius_sq` of `xs` (squared
@@ -266,114 +442,229 @@ impl PaaGrid {
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
         let query = self.paa(xs);
+        let mut scan = self.scan(&query, xs, radius_sq, groups);
         let radius = radius_sq.sqrt();
-        // A representative within the radius has every value within it of
-        // the query's, so this magnitude bounds both sides' sums and the
-        // stored means; past what those hold (or on a NaN) nothing is
-        // claimed — every cell is scanned and no gap survives its slack.
-        let reach = query.peak + radius;
-        let vouched = reach <= STORABLE;
-        let eps = if vouched {
-            self.ulps * reach + f64::from(f32::MIN_POSITIVE)
-        } else {
-            f64::INFINITY
-        };
-        let slack = eps + F32_ULP * reach;
-        let shave = 1.0 - self.ulps;
-        let mut best: Option<(usize, f64)> = None;
-        let mut examined = 0usize;
-        let mut scan = |entries: &[Entry]| {
-            for entry in entries {
-                let bound_sq = best.map_or(radius_sq, |(_, b)| b);
-                let mut lower = 0.0;
-                for s in 0..SEGMENTS {
-                    let gap = (query.means[s] - f64::from(entry.means[s])).abs() - slack;
-                    // `max` drops a NaN (∞ − ∞): no gap is claimed there.
-                    let gap = gap.max(0.0);
-                    lower += self.weights[s] * gap * gap;
-                }
-                if lower * shave > bound_sq {
-                    continue;
-                }
-                examined += 1;
-                let gid = entry.gid as usize;
-                let d_sq = ed_early_abandon_sq(xs, groups.at(gid).representative(), bound_sq);
-                if d_sq.is_finite() {
-                    offer(&mut best, radius_sq, gid, d_sq);
-                }
-            }
-        };
         let span = |axis: usize| {
-            let pad = radius / self.half_roots[axis] + eps;
+            let pad = radius / self.half_roots[axis] + scan.eps;
             (
                 self.coordinate(axis, query.halves[axis] - pad),
                 self.coordinate(axis, query.halves[axis] + pad),
             )
         };
         let ((row_lo, row_hi), (col_lo, col_hi)) = (span(0), span(1));
-        if !vouched || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
-            self.cells.values().for_each(|entries| scan(entries));
+        if scan.eps.is_infinite() || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
+            for row in self.rows.values() {
+                scan.run(row, 0..row.len());
+            }
         } else {
-            for row in row_lo..=row_hi {
-                self.cells
-                    .range((row, col_lo)..=(row, col_hi))
-                    .for_each(|(_, entries)| scan(entries));
+            for row in self.rows.range(row_lo..=row_hi).map(|(_, row)| row) {
+                scan.run(row, row.span(col_lo, col_hi));
             }
         }
-        work.examined += examined;
-        work.distance_calls += examined;
-        work.pruned += self.entries - examined;
-        best
+        work.examined += scan.examined;
+        work.distance_calls += scan.examined;
+        work.pruned += self.entries - scan.examined;
+        scan.best
+    }
+
+    /// A lookup's walk for `xs` (whose means are `query`) at `radius_sq`
+    /// over the representatives in `groups`, before it visits a row.
+    fn scan<'a>(
+        &self,
+        query: &Paa,
+        xs: &'a [f64],
+        radius_sq: f64,
+        groups: &'a GroupColumn,
+    ) -> Scan<'a> {
+        // A representative within the radius has every value within it of
+        // the query's, so this magnitude bounds both sides' sums and the
+        // stored means; past what those hold (or on a NaN) nothing is
+        // claimed — every cell is scanned and no gap survives its slack.
+        let reach = query.peak + radius_sq.sqrt();
+        let eps = if reach <= STORABLE {
+            self.ulps * reach + f64::from(f32::MIN_POSITIVE)
+        } else {
+            f64::INFINITY
+        };
+        let slack = eps + F32_ULP * reach;
+        Scan {
+            xs,
+            groups,
+            radius_sq,
+            weights: self.weights,
+            means: query.means,
+            eps,
+            slack,
+            shave: 1.0 - self.ulps,
+            narrow: (reach <= NARROW_REACH).then(|| Narrow::new(query, slack, &self.weights)),
+            best: None,
+            examined: 0,
+        }
     }
 
     /// Register a newly seeded group: ids are issued densely from 0.
     pub fn insert(&mut self, group: usize, representative: &[f64]) {
         assert_eq!(group, self.entries, "group ids are issued densely");
-        let (cell, entry) = self.file(group, representative);
-        let entries = self.cells.entry(cell).or_default();
+        let ((row, col), means) = self.file(representative);
+        self.rows
+            .entry(row)
+            .or_default()
+            .push(col, gid(group), means);
         if let Some(home) = &mut self.home {
-            home.push((cell, entries.len() as u32));
+            home.push((row, col));
         }
-        entries.push(entry);
         self.entries += 1;
     }
 
     /// Note that a group's representative moved (centroid drift): its
     /// entry moves to the cell it now belongs in.
     pub fn update(&mut self, group: usize, representative: &[f64]) {
-        let (cell, entry) = self.file(group, representative);
+        let (cell, means) = self.file(representative);
         if self.home.is_none() {
             self.home = Some(self.directory());
         }
         let home = self.home.as_mut().expect("built above");
-        let (old, slot) = home[group];
-        let entries = self
-            .cells
-            .get_mut(&old)
-            .expect("a group's home cell exists");
-        if old == cell {
-            entries[slot as usize] = entry;
+        let (row_at, col) = std::mem::replace(&mut home[group], cell);
+        let row = self
+            .rows
+            .get_mut(&row_at)
+            .expect("a group's home row exists");
+        if (row_at, col) == cell {
+            let (_, _, pos) = row.find(col, gid(group));
+            for (plane, mean) in row.means.iter_mut().zip(means) {
+                plane[pos] = mean;
+            }
             return;
         }
-        entries.swap_remove(slot as usize);
-        if let Some(moved) = entries.get(slot as usize) {
-            home[moved.gid as usize].1 = slot;
-        } else if entries.is_empty() {
-            self.cells.remove(&old);
+        row.swap_remove(col, gid(group));
+        if row.len() == 0 {
+            self.rows.remove(&row_at);
         }
-        let entries = self.cells.entry(cell).or_default();
-        home[group] = (cell, entries.len() as u32);
-        entries.push(entry);
+        self.rows
+            .entry(cell.0)
+            .or_default()
+            .push(cell.1, gid(group), means);
     }
 
     /// Heap bytes the index keeps, worked out from capacities (no
     /// allocator hook).
     pub fn resident_bytes(&self) -> usize {
-        let filed = self.cells.values().map(Vec::capacity).sum::<usize>();
+        let rows: usize = self.rows.values().map(Row::bytes).sum();
         let home = self.home.as_ref().map_or(0, Vec::capacity);
-        filed * std::mem::size_of::<Entry>()
-            + self.cells.len() * CELL_BYTES
-            + home * std::mem::size_of::<(Cell, u32)>()
+        rows + self.rows.len() * ROW_BYTES + home * std::mem::size_of::<Cell>()
+    }
+}
+
+/// A group id as the index stores it.
+fn gid(group: usize) -> u32 {
+    u32::try_from(group).expect("group ids fit the index's 32 bits")
+}
+
+/// One lookup's walk over the runs its interval covers: the query's side
+/// of both bounds and the best candidate so far.
+struct Scan<'a> {
+    xs: &'a [f64],
+    groups: &'a GroupColumn,
+    radius_sq: f64,
+    weights: [f64; SEGMENTS],
+    means: [f64; SEGMENTS],
+    /// The rounding a mean can carry (infinite past what the lookup
+    /// vouches for).
+    eps: f64,
+    slack: f64,
+    shave: f64,
+    /// The `f32` pass, where the reach lets it run.
+    narrow: Option<Narrow>,
+    best: Option<(usize, f64)>,
+    examined: usize,
+}
+
+impl Scan<'_> {
+    fn bound_sq(&self) -> f64 {
+        self.best.map_or(self.radius_sq, |(_, b)| b)
+    }
+
+    /// Bound the entries `run` of `row` a block at a time, and offer
+    /// every survivor.
+    fn run(&mut self, row: &Row, run: Range<usize>) {
+        for start in run.clone().step_by(BLOCK) {
+            let block = start..run.end.min(start + BLOCK);
+            let Some(narrow) = &self.narrow else {
+                block.for_each(|at| self.consider(row, at));
+                continue;
+            };
+            let mut survivors = narrow.survivors(row, block.clone(), self.bound_sq() / self.shave);
+            while survivors != 0 {
+                self.consider(row, start + survivors.trailing_zeros() as usize);
+                survivors &= survivors - 1;
+            }
+        }
+    }
+
+    /// The exact four-term bound against the best `d²` so far, then the
+    /// linear scan's distance and acceptance rule, for the entry at `at`.
+    fn consider(&mut self, row: &Row, at: usize) {
+        let bound_sq = self.bound_sq();
+        if self.drops(row, at, bound_sq) {
+            return;
+        }
+        self.examined += 1;
+        let gid = row.gids[at] as usize;
+        let d_sq = ed_early_abandon_sq(self.xs, self.groups.at(gid).representative(), bound_sq);
+        if d_sq.is_finite() {
+            offer(&mut self.best, self.radius_sq, gid, d_sq);
+        }
+    }
+
+    /// Whether the exact `f64` four-term bound of the entry at `at`
+    /// exceeds `bound_sq`.
+    fn drops(&self, row: &Row, at: usize, bound_sq: f64) -> bool {
+        let mut lower = 0.0;
+        for s in 0..SEGMENTS {
+            let gap = (self.means[s] - f64::from(row.means[s][at])).abs() - self.slack;
+            // `max` drops a NaN (∞ − ∞): no gap is claimed there.
+            let gap = gap.max(0.0);
+            lower += self.weights[s] * gap * gap;
+        }
+        lower * self.shave > bound_sq
+    }
+}
+
+/// The query's side of the `f32` pass, its slack widened as the
+/// [module docs](self) set out.
+struct Narrow {
+    means: [f32; SEGMENTS],
+    weights: [f32; SEGMENTS],
+    slack: f32,
+}
+
+impl Narrow {
+    fn new(query: &Paa, slack: f64, weights: &[f64; SEGMENTS]) -> Self {
+        let tiny = f64::from(f32::MIN_POSITIVE);
+        let slack = slack * NARROW_MARGIN + F32_ULP * query.peak + 2.0 * tiny;
+        Narrow {
+            means: query.means.map(|m| m as f32),
+            weights: weights.map(|w| w as f32),
+            slack: slack as f32,
+        }
+    }
+
+    /// Bit `i` set for the entry `block.start + i` of `row` unless its
+    /// `f32` bound exceeds `limit` (the `f64` test's `bound²/shave`),
+    /// widened. A NaN bound keeps its entry.
+    fn survivors(&self, row: &Row, block: Range<usize>, limit: f64) -> u64 {
+        let limit = (limit * NARROW_MARGIN + f64::from(f32::MIN_POSITIVE)) as f32;
+        let mut lower = [0.0f32; BLOCK];
+        let lower = &mut lower[..block.len()];
+        for s in 0..SEGMENTS {
+            let (q, w) = (self.means[s], self.weights[s]);
+            for (l, &m) in lower.iter_mut().zip(&row.means[s][block.clone()]) {
+                let gap = ((q - m).abs() - self.slack).max(0.0);
+                *l += w * gap * gap;
+            }
+        }
+        let kept = lower.iter().map(|&l| u64::from(l <= limit || l.is_nan()));
+        kept.enumerate().fold(0, |mask, (i, bit)| mask | bit << i)
     }
 }
 
@@ -450,23 +741,34 @@ impl ResidentIndex {
         }
     }
 
-    /// The grid for length `len` (admission radius `radius`), mirroring
-    /// `groups`: the resident column when it holds an entry for exactly
-    /// these groups, one freshly seeded from them — a pass of inserts —
-    /// otherwise.
-    pub(crate) fn column(&mut self, len: usize, radius: f64, groups: &GroupColumn) -> &mut PaaGrid {
-        let resident = self.columns.get(&len);
-        if resident.is_none_or(|grid| grid.entries != groups.len()) {
-            let mut grid = PaaGrid::new(len, radius);
-            for (gi, g) in groups.iter().enumerate() {
-                grid.insert(gi, g.representative());
-            }
-            self.seeds += 1;
-            self.columns.insert(len, grid);
+    /// Take the column of length `len` out, for a worker to bring in step
+    /// with that length's groups ([`Self::mirror`]) and give back
+    /// ([`Self::put`]).
+    pub(crate) fn take(&mut self, len: usize) -> Option<PaaGrid> {
+        self.columns.remove(&len)
+    }
+
+    /// The grid for length `len` (admission radius `radius`) mirroring
+    /// `groups`: `taken` when it holds an entry for exactly these groups,
+    /// one freshly seeded from them otherwise — and whether it was
+    /// seeded.
+    pub(crate) fn mirror(
+        taken: Option<PaaGrid>,
+        len: usize,
+        radius: f64,
+        groups: &GroupColumn,
+    ) -> (PaaGrid, bool) {
+        match taken {
+            Some(grid) if grid.entries == groups.len() => (grid, false),
+            _ => (PaaGrid::seeded(len, radius, groups), true),
         }
-        self.columns
-            .get_mut(&len)
-            .expect("the column was found or just seeded")
+    }
+
+    /// Give back the column of length `len`, counting it as a seed when
+    /// [`Self::mirror`] seeded it.
+    pub(crate) fn put(&mut self, len: usize, grid: PaaGrid, seeded: bool) {
+        self.seeds += u64::from(seeded);
+        self.columns.insert(len, grid);
     }
 }
 
@@ -514,7 +816,52 @@ mod tests {
     }
 
     fn entries(grid: &PaaGrid) -> usize {
-        grid.cells.values().map(Vec::len).sum()
+        grid.rows.values().map(Row::len).sum()
+    }
+
+    /// The grid for `len` in `resident`, brought in step with `groups` as
+    /// an extension's worker does it.
+    fn resident_column<'a>(
+        resident: &'a mut ResidentIndex,
+        len: usize,
+        radius: f64,
+        groups: &GroupColumn,
+    ) -> &'a mut PaaGrid {
+        let (grid, seeded) = ResidentIndex::mirror(resident.take(len), len, radius, groups);
+        resident.put(len, grid, seeded);
+        resident.columns.get_mut(&len).expect("just put back")
+    }
+
+    /// Every row's run table is in order and covers its run, no cell is
+    /// empty, and every group has exactly one entry, filed in the cell
+    /// its representative belongs in.
+    fn assert_laid_out(grid: &PaaGrid, groups: &GroupColumn) {
+        let mut seen = vec![false; groups.len()];
+        for (&row_at, row) in &grid.rows {
+            assert!(row.len() > 0, "row {row_at} is empty");
+            assert!(row.cols.windows(2).all(|w| w[0] < w[1]), "row {row_at}");
+            assert_eq!(row.cols.len(), row.ends.len(), "row {row_at}");
+            assert_eq!(row.ends.last().map(|&end| end as usize), Some(row.len()));
+            assert!(row.means.iter().all(|plane| plane.len() == row.len()));
+            for (at, &col) in row.cols.iter().enumerate() {
+                let run = row.start_of(at)..row.ends[at] as usize;
+                assert!(!run.is_empty(), "cell ({row_at}, {col}) is empty");
+                for pos in run {
+                    let gi = row.gids[pos] as usize;
+                    assert!(!std::mem::replace(&mut seen[gi], true), "group {gi} twice");
+                    let (cell, means) = grid.file(groups.at(gi).representative());
+                    assert_eq!(cell, (row_at, col), "group {gi}");
+                    let stored: [f32; SEGMENTS] = std::array::from_fn(|s| row.means[s][pos]);
+                    assert_eq!(
+                        stored.map(f32::to_bits),
+                        means.map(f32::to_bits),
+                        "group {gi}"
+                    );
+                }
+            }
+        }
+        assert!(seen.iter().all(|&filed| filed), "a group has no entry");
+        assert_eq!(grid.entries, groups.len());
     }
 
     /// The oracle: every representative scanned with an early-abandoning
@@ -606,6 +953,7 @@ mod tests {
             );
         }
         assert!(groups.len() > 50, "drill must exercise many groups");
+        assert_laid_out(&grid, &groups);
         assert!(centroid_rate == 0.0 || updates > 50, "{updates} updates");
         assert!(
             gw.examined * 2 < scanned,
@@ -642,12 +990,10 @@ mod tests {
         let (groups, grid) = equivalence_drill(8, 12.0, 4.0, 21, 1.0);
         let home = grid.home.as_ref().expect("updates built the directory");
         assert_eq!((home.len(), grid.entries), (groups.len(), groups.len()));
-        assert_eq!(home, &grid.directory(), "kept in step with the cells");
-        assert!(grid.cells.values().all(|entries| !entries.is_empty()));
+        assert_eq!(home, &grid.directory(), "kept in step with the rows");
+        assert_laid_out(&grid, &groups);
         for (gi, g) in groups.iter().enumerate() {
-            let (cell, slot) = home[gi];
-            assert_eq!(grid.cells[&cell][slot as usize].gid as usize, gi);
-            assert_eq!(grid.file(gi, g.representative()).0, cell, "group {gi}");
+            assert_eq!(grid.file(g.representative()).0, home[gi], "group {gi}");
         }
     }
 
@@ -658,25 +1004,24 @@ mod tests {
         let (groups, frozen) = equivalence_drill(16, 8.0, 1.0, 7, 0.0);
         assert!(frozen.home.is_none());
         assert_eq!(frozen.entries, groups.len());
-        let filed: usize = frozen.cells.values().map(Vec::capacity).sum();
+        let rows: usize = frozen.rows.values().map(Row::bytes).sum();
         assert_eq!(
             frozen.resident_bytes(),
-            filed * std::mem::size_of::<Entry>() + frozen.cells.len() * CELL_BYTES
+            rows + frozen.rows.len() * ROW_BYTES
         );
         // Three hundred inserts and frozen admissions, then drift: the
-        // first update walks the cells once, and from there on the
+        // first update walks the rows once, and from there on the
         // directory is the one an index updated from the start keeps (the
         // drill checks every answer against the linear scan either way).
         let (groups, late) = equivalence_drill_from(8, 12.0, 4.0, 21, 1.0, 300);
         let home = late.home.as_ref().expect("built at step 300");
         assert_eq!(home, &late.directory());
         assert_eq!(home.len(), groups.len());
+        assert_laid_out(&late, &groups);
         for (gi, g) in groups.iter().enumerate() {
-            let (cell, slot) = home[gi];
-            assert_eq!(late.cells[&cell][slot as usize].gid as usize, gi);
-            assert_eq!(late.file(gi, g.representative()).0, cell, "group {gi}");
+            assert_eq!(late.file(g.representative()).0, home[gi], "group {gi}");
         }
-        assert!(late.resident_bytes() >= late.entries * (20 + 24));
+        assert!(late.resident_bytes() >= late.entries * (20 + 16));
     }
 
     #[test]
@@ -685,7 +1030,7 @@ mod tests {
         // answers as one seeded from the groups it ended up with does.
         let (groups, kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
         let mut resident = ResidentIndex::new();
-        let seeded = resident.column(10, 2.0, &groups);
+        let seeded = resident_column(&mut resident, 10, 2.0, &groups);
         let mut rng = Rng(55);
         for _ in 0..100 {
             let q = rng.vec(10, 6.0);
@@ -698,6 +1043,108 @@ mod tests {
             assert_eq!(w1.examined + w1.pruned, groups.len());
             assert_eq!(w2.examined + w2.pruned, groups.len());
         }
+    }
+
+    #[test]
+    fn a_seeded_grid_is_laid_out_as_inserts_in_id_order_lay_it_out() {
+        let mut rng = Rng(12);
+        let spread = column((0..500).map(|_| rng.vec(12, 9.0)));
+        let (drifted, _) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
+        for (groups, len, radius) in [(spread, 12, 1.0), (drifted, 10, 2.0)] {
+            let seeded = PaaGrid::seeded(len, radius, &groups);
+            let mut inserted = PaaGrid::new(len, radius);
+            for (gi, g) in groups.iter().enumerate() {
+                inserted.insert(gi, g.representative());
+            }
+            assert_laid_out(&seeded, &groups);
+            assert!(seeded.rows.len() > 2);
+            assert_eq!(
+                seeded.rows.keys().collect::<Vec<_>>(),
+                inserted.rows.keys().collect::<Vec<_>>()
+            );
+            for (row, other) in seeded.rows.values().zip(inserted.rows.values()) {
+                assert_eq!(
+                    (&row.cols, &row.ends, &row.gids),
+                    (&other.cols, &other.ends, &other.gids)
+                );
+                for (plane, other) in row.means.iter().zip(&other.means) {
+                    assert!(plane
+                        .iter()
+                        .map(|m| m.to_bits())
+                        .eq(other.iter().map(|m| m.to_bits())));
+                }
+                // Sized exactly: nothing to spare until the first insert.
+                assert_eq!(row.gids.capacity(), row.len());
+            }
+        }
+    }
+
+    #[test]
+    fn the_f32_pass_never_drops_what_the_f64_bound_keeps() {
+        // Entries around the query at every scale the pass runs at and
+        // past it, bounded against radii from nothing to everything: an
+        // entry the `f32` pass drops, the exact bound must drop too.
+        let mut rng = Rng(41);
+        let (mut narrowed, mut dropped, mut exact_drops) = (0, 0, 0);
+        for (offset, scale) in [
+            (0.0, 10.0),
+            (100.0, 10.0),
+            (0.0, 1e-30),
+            (0.0, 1e-39),
+            (1e6, 1.0),
+            (-1e12, 1e-3),
+            (1e15, 10.0),
+            (3.9e18, 1e3),
+            (4.1e18, 1e3),
+            (1e30, 1e20),
+        ] {
+            let len = 9;
+            let near = |rng: &mut Rng, spread: f64| -> Vec<f64> {
+                rng.vec(len, spread).iter().map(|v| offset + v).collect()
+            };
+            let groups = column((0..300).map(|i| near(&mut rng, scale * (1 + i % 5) as f64)));
+            let grid = PaaGrid::seeded(len, scale, &groups);
+            for _ in 0..20 {
+                let xs = near(&mut rng, scale);
+                let query = grid.paa(&xs);
+                for radius in [0.0, scale * 1e-3, scale * 0.5, scale, scale * 3.0] {
+                    let scan = grid.scan(&query, &xs, radius * radius, &groups);
+                    let Some(narrow) = &scan.narrow else {
+                        continue;
+                    };
+                    narrowed += 1;
+                    for bound_sq in [radius * radius, radius * radius / 4.0, 0.0] {
+                        for row in grid.rows.values() {
+                            for start in (0..row.len()).step_by(BLOCK) {
+                                let block = start..row.len().min(start + BLOCK);
+                                let kept =
+                                    narrow.survivors(row, block.clone(), bound_sq / scan.shave);
+                                for at in block {
+                                    let exact = scan.drops(row, at, bound_sq);
+                                    let narrow_drops = kept & (1 << (at - start)) == 0;
+                                    if scale == 10.0 {
+                                        exact_drops += usize::from(exact);
+                                        dropped += usize::from(narrow_drops);
+                                    }
+                                    if narrow_drops {
+                                        assert!(exact, "offset {offset}, scale {scale}, radius {radius}, bound {bound_sq}, entry {at}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(narrowed > 500, "{narrowed} lookups ran the f32 pass");
+        // And at ordinary magnitudes the pass is worth running: it drops
+        // nearly all the exact bound does. (Where the spread is far below
+        // the offset, or its squares underflow an `f32`, it drops less and
+        // the exact bound does the rest.)
+        assert!(
+            dropped * 1000 > exact_drops * 999,
+            "f32 dropped {dropped} of {exact_drops}"
+        );
     }
 
     #[test]
@@ -868,7 +1315,7 @@ mod tests {
         );
         let q = rng.vec(8, 6.0);
         let want = linear_scan(&q, 1e9, &groups);
-        let index = resident.column(8, 1.0, &groups);
+        let index = resident_column(&mut resident, 8, 1.0, &groups);
         assert_eq!(index.nearest_within(&q, 1e9, &groups, &mut work), want);
         assert_eq!(
             (resident.kind(), resident.entries(), resident.seeds()),
@@ -879,10 +1326,8 @@ mod tests {
         // extension finds the column resident.
         let before = groups.clone();
         groups.push_owned(first(&q), &q);
-        resident
-            .column(8, 1.0, &before)
-            .insert(40, groups.at(40).representative());
-        let index = resident.column(8, 1.0, &groups);
+        resident_column(&mut resident, 8, 1.0, &before).insert(40, groups.at(40).representative());
+        let index = resident_column(&mut resident, 8, 1.0, &groups);
         assert_eq!(
             index.nearest_within(&q, 1e-9, &groups, &mut work),
             Some((40, 0.0))
@@ -891,7 +1336,7 @@ mod tests {
 
         // A column of another size is not the one this index mirrors.
         let fewer = column(groups.iter().take(7).map(|g| g.representative()));
-        resident.column(8, 1.0, &fewer);
+        resident_column(&mut resident, 8, 1.0, &fewer);
         assert_eq!((resident.entries(), resident.seeds()), (7, 2));
         resident.clear();
         assert_eq!(

@@ -32,9 +32,9 @@
 //! member through.
 //!
 //! What a sync quantises is points, not windows. Every construction path
-//! — batch and parallel build, incremental extension — sketches through
-//! this module's one per-length step (behind
-//! [`crate::OnexBase::sync_sketches`]), and that step quantises each
+//! — batch build, incremental extension — sketches through this module's
+//! one per-length step, which the worker that built or extended a length
+//! ends it with, and that step quantises each
 //! series it meets a new slot of once, into a [`LevelColumn`] under the
 //! length's parameters, and reads every window of the series off the
 //! column: an append pays

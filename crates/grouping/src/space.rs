@@ -59,7 +59,11 @@ impl SubsequenceSpace {
         }
     }
 
-    /// The windows of `len` in series `sid`, start-ascending.
+    /// The windows of `len` in series `sid`, start-ascending. Taken
+    /// series by series this is the construction contract's order: a
+    /// batch build and an incremental one admit a length's windows
+    /// series-major then start-ascending, which is what makes them
+    /// bit-identical.
     pub fn refs_for_series_len(
         &self,
         sid: usize,
@@ -75,19 +79,19 @@ impl SubsequenceSpace {
     pub fn total(&self) -> usize {
         self.lengths().iter().map(|&l| self.count_for_len(l)).sum()
     }
-
-    /// Iterate the references of one length, series-major then
-    /// start-ascending. This order is part of the construction contract:
-    /// sequential, parallel and incremental builds all consume it, which
-    /// is what makes them bit-identical.
-    pub fn refs_for_len(&self, len: usize) -> impl Iterator<Item = SubseqRef> + '_ {
-        (0..self.series_lens.len()).flat_map(move |sid| self.refs_for_series_len(sid, len))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every window of `len`, series-major then start-ascending.
+    fn refs_for_len(space: &SubsequenceSpace, len: usize) -> Vec<SubseqRef> {
+        let series = 0..space.series_lens.len();
+        series
+            .flat_map(|sid| space.refs_for_series_len(sid, len))
+            .collect()
+    }
     use onex_tseries::TimeSeries;
 
     fn dataset() -> Dataset {
@@ -104,7 +108,7 @@ mod tests {
         let cfg = BaseConfig::new(1.0, 2, 5);
         let space = SubsequenceSpace::new(&dataset(), &cfg);
         for len in 2..=6 {
-            let listed: Vec<_> = space.refs_for_len(len).collect();
+            let listed: Vec<_> = refs_for_len(&space, len);
             assert_eq!(listed.len(), space.count_for_len(len), "len={len}");
         }
         // len 2: a has 5, b has 3, c has 1 → 9.
@@ -126,7 +130,7 @@ mod tests {
         let space = SubsequenceSpace::new(&dataset(), &cfg);
         // len 2, stride 2: a → starts 0,2,4 (3), b → 0,2 (2), c → 0 (1).
         assert_eq!(space.count_for_len(2), 6);
-        let refs: Vec<_> = space.refs_for_len(2).collect();
+        let refs: Vec<_> = refs_for_len(&space, 2);
         assert!(refs.iter().all(|r| r.start % 2 == 0));
     }
 
@@ -134,7 +138,7 @@ mod tests {
     fn enumeration_order_is_series_major() {
         let cfg = BaseConfig::new(1.0, 3, 3);
         let space = SubsequenceSpace::new(&dataset(), &cfg);
-        let refs: Vec<_> = space.refs_for_len(3).collect();
+        let refs: Vec<_> = refs_for_len(&space, 3);
         let expected: Vec<SubseqRef> = vec![
             SubseqRef::new(0, 0, 3),
             SubseqRef::new(0, 1, 3),

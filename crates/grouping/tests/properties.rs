@@ -80,14 +80,19 @@ proptest! {
         }
     }
 
-    /// Parallel construction is bit-identical to sequential.
+    /// The build spreads its lengths over workers; each length's column
+    /// is bit-identical to the one a build of that length alone makes
+    /// (one length runs on the calling thread).
     #[test]
-    fn parallel_equals_sequential(ds in small_dataset(), st in 0.2f64..4.0, threads in 2usize..6) {
+    fn parallel_equals_sequential(ds in small_dataset(), st in 0.2f64..4.0) {
         let cfg = BaseConfig::new(st, 3, 8);
-        let builder = BaseBuilder::new(cfg).unwrap();
-        let (a, _) = builder.build(&ds);
-        let (b, _) = builder.build_parallel(&ds, threads).unwrap();
-        prop_assert_eq!(a, b);
+        let (all, _) = BaseBuilder::new(cfg.clone()).unwrap().build(&ds);
+        for len in 3..=8 {
+            let single = BaseConfig { min_len: len, max_len: len, ..cfg.clone() };
+            let (one, _) = BaseBuilder::new(single).unwrap().build(&ds);
+            prop_assert!(all.groups_for_len(len) == one.groups_for_len(len), "length {}", len);
+            prop_assert!(all.sketches().for_len(len) == one.sketches().for_len(len), "length {}", len);
+        }
     }
 
     /// A larger threshold never produces more groups (coarser quantisation).
@@ -317,8 +322,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Construction through the grid builds the model's base — the one
-    /// a linear scan builds — under both representative policies, and
-    /// so does the length-parallel build.
+    /// a linear scan builds — under both representative policies, its
+    /// lengths spread over workers.
     #[test]
     fn indexed_construction_equals_linear_scan(
         ds in walk_dataset(),
@@ -332,7 +337,6 @@ proptest! {
         let model = model::build(&ds, &cfg);
         let builder = BaseBuilder::new(cfg).unwrap();
         model::assert_matches(&model, &builder.build(&ds).0, "build");
-        model::assert_matches(&model, &builder.build_parallel(&ds, 3).unwrap().0, "parallel");
     }
 
     /// Incremental extension through the index builds the model's base

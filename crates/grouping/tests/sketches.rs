@@ -7,8 +7,8 @@
 //! (random walks, nothing compacts: groups of one) and a cut-down
 //! `explore` (a few shape families: groups of hundreds) — every member of
 //! every group must hold exactly the record `encode_into` writes for its
-//! window under the length's frozen parameters: after a batch build,
-//! after a parallel build, and after thirty appends some of which leave
+//! window under the length's frozen parameters: after a batch build and
+//! after thirty appends some of which leave
 //! the frozen range. The batch-built base's image is pinned to a length
 //! and checksum, so the stored sketches cannot move either (the radii are
 //! sums in the kernel level's order, so the checksum is pinned per
@@ -63,7 +63,7 @@ fn assert_sketches_are_the_references(base: &OnexBase, dataset: &Dataset, what: 
 }
 
 /// Batch build (image pinned to `golden` = length, FNV-1a under AVX2,
-/// FNV-1a under the scalar kernels), parallel build, and a base grown from
+/// FNV-1a under the scalar kernels) and a base grown from
 /// the first `dataset.len() - 30` series by thirty appends, every third
 /// one blown out of the frozen range.
 fn check_shape(what: &str, dataset: &Dataset, builder: &BaseBuilder, golden: (usize, u64, u64)) {
@@ -95,10 +95,6 @@ fn check_shape(what: &str, dataset: &Dataset, builder: &BaseBuilder, golden: (us
     assert!(loaded == batch, "{what}: decoded");
     assert!(loaded.sketches() == batch.sketches(), "{what}: decoded");
     assert!(save_v2(&loaded) == image, "{what}: decoded image");
-
-    let (parallel, _) = builder.build_parallel(dataset, 3).unwrap();
-    assert_sketches_are_the_references(&parallel, dataset, what);
-    assert!(parallel.sketches() == batch.sketches(), "{what}: parallel");
 
     let all: Vec<TimeSeries> = dataset.iter().map(|(_, s)| s.clone()).collect();
     let (head, tail) = all.split_at(all.len() - 30);

@@ -233,11 +233,13 @@ impl App {
                     served_any = true;
                 }
                 Err(e) => {
-                    // Garbage on a fresh connection earns a 400; a read
-                    // timeout on an already-served keep-alive socket is
-                    // just idleness — close without a parting error.
-                    if !served_any {
-                        let _ = Response::error(400, &e.to_string()).write_to(&out);
+                    // Garbage on a fresh connection earns a 400 and an
+                    // over-long line or header block its 414 / 431,
+                    // whenever it comes; a read timeout on an
+                    // already-served keep-alive socket is just idleness —
+                    // close without a parting error.
+                    if !served_any || e.status() != 400 {
+                        let _ = Response::error(e.status(), &e.to_string()).write_to(&out);
                     }
                     return;
                 }

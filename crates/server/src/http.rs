@@ -5,6 +5,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
+/// Longest request line a worker buffers, its line break included: a
+/// 4 096-point append is about a tenth of it.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+/// Most header bytes a worker buffers for one request, all lines and the
+/// blank one that ends them together.
+pub const MAX_HEADER_BYTES: usize = 64 << 10;
+
 /// A parsed request: method, decoded path, and query parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -24,38 +31,46 @@ impl Request {
     /// Parse `"GET /path?a=1 HTTP/1.1"` plus headers from a reader.
     pub fn parse<R: Read>(stream: R) -> Result<Request, HttpError> {
         let mut reader = BufReader::new(stream);
-        Request::read_from(&mut reader)?.ok_or(HttpError::BadRequest("empty request"))
+        Request::read_from(&mut reader)?
+            .ok_or_else(|| HttpError::BadRequest("empty request".into()))
     }
 
     /// Read the next request off a persistent connection. `Ok(None)` is a
     /// clean end-of-stream **between** requests (the peer hung up, which
     /// is how keep-alive connections normally end); garbage or truncation
-    /// mid-request is still an error.
+    /// mid-request is still an error. A request line past
+    /// [`MAX_REQUEST_LINE`] is [`HttpError::UriTooLong`] and headers past
+    /// [`MAX_HEADER_BYTES`] are [`HttpError::HeadersTooLarge`], each
+    /// refused after reading no more than the limit.
     pub fn read_from<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request>, HttpError> {
         let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|_| HttpError::BadRequest("unreadable request line"))?;
+        let n = read_line_within(reader, &mut line, MAX_REQUEST_LINE)
+            .map_err(|_| HttpError::BadRequest("unreadable request line".into()))?
+            .ok_or(HttpError::UriTooLong)?;
         if n == 0 {
             return Ok(None);
         }
         let mut parts = line.split_whitespace();
         let method = parts
             .next()
-            .ok_or(HttpError::BadRequest("missing method"))?
+            .ok_or_else(|| HttpError::BadRequest("missing method".into()))?
             .to_owned();
-        let target = parts.next().ok_or(HttpError::BadRequest("missing path"))?;
+        let target = parts
+            .next()
+            .ok_or_else(|| HttpError::BadRequest("missing path".into()))?;
         let _version = parts
             .next()
-            .ok_or(HttpError::BadRequest("missing version"))?;
+            .ok_or_else(|| HttpError::BadRequest("missing version".into()))?;
         // Drain headers up to the blank line; the only one the demo API
         // acts on is `Connection`.
         let mut keep_alive = false;
+        let mut budget = MAX_HEADER_BYTES;
         loop {
             let mut h = String::new();
-            let n = reader
-                .read_line(&mut h)
-                .map_err(|_| HttpError::BadRequest("unreadable header"))?;
+            let n = read_line_within(reader, &mut h, budget)
+                .map_err(|_| HttpError::BadRequest("unreadable header".into()))?
+                .ok_or(HttpError::HeadersTooLarge)?;
+            budget -= n;
             if n == 0 || h == "\r\n" || h == "\n" {
                 break;
             }
@@ -96,12 +111,22 @@ impl Request {
     pub fn param_as<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, HttpError> {
         match self.param(name) {
             None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| HttpError(format!("parameter {name:?} has invalid value {v:?}"))),
+            Some(v) => v.parse().map(Some).map_err(|_| {
+                HttpError::BadRequest(format!("parameter {name:?} has invalid value {v:?}"))
+            }),
         }
     }
+}
+
+/// Read one line into `line`, taking at most `limit` bytes off `reader`:
+/// the bytes read, or `None` when `limit` of them held no line break.
+fn read_line_within<R: Read>(
+    reader: &mut BufReader<R>,
+    line: &mut String,
+    limit: usize,
+) -> std::io::Result<Option<usize>> {
+    let n = reader.by_ref().take(limit as u64).read_line(line)?;
+    Ok((n < limit || line.ends_with('\n')).then_some(n))
 }
 
 /// Query parameters, percent-decoded, in order-independent form.
@@ -133,11 +158,11 @@ pub fn percent_decode(s: &str) -> Result<String, HttpError> {
             b'%' => {
                 let hex = bytes
                     .get(i + 1..i + 3)
-                    .ok_or(HttpError::BadRequest("truncated percent escape"))?;
+                    .ok_or_else(|| HttpError::BadRequest("truncated percent escape".into()))?;
                 let hv = std::str::from_utf8(hex)
                     .ok()
                     .and_then(|h| u8::from_str_radix(h, 16).ok())
-                    .ok_or(HttpError::BadRequest("invalid percent escape"))?;
+                    .ok_or_else(|| HttpError::BadRequest("invalid percent escape".into()))?;
                 out.push(hv);
                 i += 3;
             }
@@ -151,23 +176,43 @@ pub fn percent_decode(s: &str) -> Result<String, HttpError> {
             }
         }
     }
-    String::from_utf8(out).map_err(|_| HttpError::BadRequest("non-utf8 after decoding"))
+    String::from_utf8(out).map_err(|_| HttpError::BadRequest("non-utf8 after decoding".into()))
 }
 
-/// Protocol-level failure, mapped to 400 by the server loop.
+/// Protocol-level failure; the server loop answers it with
+/// [`HttpError::status`] and closes the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpError(pub String);
+pub enum HttpError {
+    /// Malformed or unreadable: 400.
+    BadRequest(String),
+    /// A request line longer than [`MAX_REQUEST_LINE`]: 414.
+    UriTooLong,
+    /// Headers larger than [`MAX_HEADER_BYTES`]: 431.
+    HeadersTooLarge,
+}
 
 impl HttpError {
-    #[allow(non_snake_case)]
-    fn BadRequest(msg: impl Into<String>) -> Self {
-        HttpError(msg.into())
+    /// The status code that answers this failure.
+    pub fn status(&self) -> u16 {
+        match self {
+            HttpError::BadRequest(_) => 400,
+            HttpError::UriTooLong => 414,
+            HttpError::HeadersTooLarge => 431,
+        }
     }
 }
 
 impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad request: {}", self.0)
+        match self {
+            HttpError::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            HttpError::UriTooLong => {
+                write!(f, "request line longer than {MAX_REQUEST_LINE} bytes")
+            }
+            HttpError::HeadersTooLarge => {
+                write!(f, "headers larger than {MAX_HEADER_BYTES} bytes")
+            }
+        }
     }
 }
 
@@ -235,7 +280,9 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             409 => "Conflict",
+            414 => "URI Too Long",
             422 => "Unprocessable Content",
+            431 => "Request Header Fields Too Large",
             502 => "Bad Gateway",
             _ => "Internal Server Error",
         };
@@ -322,6 +369,59 @@ mod tests {
         assert_eq!(b.param("x"), Some("1"));
         assert!(!b.keep_alive);
         assert_eq!(Request::read_from(&mut reader).unwrap(), None);
+    }
+
+    #[test]
+    fn request_lines_and_header_blocks_are_read_up_to_their_limits_and_no_further() {
+        let line = |bytes: usize| {
+            let head = "GET /x?v=";
+            let tail = " HTTP/1.1\r\n";
+            format!(
+                "{head}{}{tail}",
+                "1".repeat(bytes - head.len() - tail.len())
+            )
+        };
+        let at_limit = format!("{}\r\n", line(MAX_REQUEST_LINE));
+        let req = Request::parse(at_limit.as_bytes()).unwrap();
+        assert_eq!(req.param("v").map(str::len), Some(MAX_REQUEST_LINE - 20));
+        let over = format!("{}\r\n", line(MAX_REQUEST_LINE + 1));
+        let err = Request::parse(over.as_bytes()).unwrap_err();
+        assert_eq!((err.clone(), err.status()), (HttpError::UriTooLong, 414));
+        // A line that never ends is cut off at the limit, not buffered.
+        let endless = std::io::repeat(b'a');
+        assert_eq!(Request::parse(endless).unwrap_err(), HttpError::UriTooLong);
+
+        // 64 KiB of header lines, the blank line that ends them included.
+        let headers = |bytes: usize| {
+            let pad = "X-Pad: ".len() + "\r\n".len();
+            let mut block = String::new();
+            while bytes - block.len() > 2 + 1024 {
+                block += &format!("X-Pad: {}\r\n", "p".repeat(1024 - pad));
+            }
+            block += &format!("X-Pad: {}\r\n", "p".repeat(bytes - block.len() - 2 - pad));
+            format!("GET /x HTTP/1.1\r\n{block}\r\n")
+        };
+        let req = Request::parse(headers(MAX_HEADER_BYTES).as_bytes()).unwrap();
+        assert_eq!(req.path, "/x");
+        let err = Request::parse(headers(MAX_HEADER_BYTES + 1).as_bytes()).unwrap_err();
+        assert_eq!(
+            (err.clone(), err.status()),
+            (HttpError::HeadersTooLarge, 431)
+        );
+        let endless = b"GET /x HTTP/1.1\r\n".chain(std::io::repeat(b'h'));
+        assert_eq!(
+            Request::parse(endless).unwrap_err(),
+            HttpError::HeadersTooLarge
+        );
+        let mut out = Vec::new();
+        Response::error(err.status(), &err.to_string())
+            .write_to(&mut out)
+            .unwrap();
+        let s = String::from_utf8(out).unwrap();
+        assert!(
+            s.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -203,6 +203,54 @@ fn append_reports_its_work_and_summary_the_resident_index_over_the_wire() {
     assert_eq!(*field(resident, "seeds"), Json::Num(5.0));
 }
 
+/// Send `head` and read the answer's status line, whatever the server
+/// left unread when it closed.
+fn status_of(addr: std::net::SocketAddr, head: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    // The server stops reading at its limit: a refused write past it is
+    // the point, not a failure.
+    let _ = stream.write_all(head);
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    let raw = String::from_utf8_lossy(&raw);
+    raw.lines().next().unwrap_or_default().to_owned()
+}
+
+/// A client that never ends its request line, or its headers, gets a
+/// typed refusal after the server has read its limit — the worker buffers
+/// no more — while appends of 256 and 4 096 points still fit.
+#[test]
+fn over_long_request_lines_and_header_blocks_are_refused_and_appends_still_fit() {
+    use onex_server::http::{MAX_HEADER_BYTES, MAX_REQUEST_LINE};
+    let addr = spawn_server();
+    let endless_line = format!("GET /api/summary?pad={}", "x".repeat(MAX_REQUEST_LINE));
+    assert_eq!(
+        status_of(addr, endless_line.as_bytes()),
+        "HTTP/1.1 414 URI Too Long"
+    );
+    let pad = format!("X-Pad: {}\r\n", "p".repeat(1000));
+    let endless_headers = format!(
+        "GET /api/summary HTTP/1.1\r\n{}",
+        pad.repeat(MAX_HEADER_BYTES / pad.len() + 1)
+    );
+    assert_eq!(
+        status_of(addr, endless_headers.as_bytes()),
+        "HTTP/1.1 431 Request Header Fields Too Large"
+    );
+
+    for (name, points) in [("Quarter", 256), ("Long", 4096)] {
+        let values = onex_tseries::gen::random_walk(points, 1.0, points as u64);
+        // Every digit, as a client that round-trips its samples sends them.
+        let values: Vec<String> = values.iter().map(|v| format!("{v:?}")).collect();
+        let target = format!("/api/append?name={name}&values={}", values.join(","));
+        assert!(target.len() > points * 15, "{} bytes", target.len());
+        let (status, body) = fetch(addr, &target);
+        assert_eq!(status, 200, "{points} points: {body}");
+    }
+    let (status, _) = fetch(addr, "/api/summary");
+    assert_eq!(status, 200, "the server serves on");
+}
+
 /// End-to-end distributed path: two binary shard servers behind an HTTP
 /// gateway, `?backend=cluster` agreeing with `?backend=onex` over real
 /// sockets all the way down.

@@ -68,11 +68,29 @@ fn persisted_base_answers_identically() {
 
 #[test]
 fn parallel_and_sequential_engines_agree() {
+    // An engine's build spreads its lengths over workers; one length is
+    // built on the calling thread. Every column must be the one-length
+    // engine's, sketches included.
     let ds = growth();
     let cfg = BaseConfig::new(1.0, 6, 10);
-    let (seq_engine, _) = Onex::build(ds.clone(), cfg.clone()).unwrap();
-    let (par_engine, _) = Onex::build_parallel(ds, cfg, 4).unwrap();
-    assert_eq!(*seq_engine.base(), *par_engine.base());
+    let (par_engine, _) = Onex::build(ds.clone(), cfg.clone()).unwrap();
+    for len in 6..=10 {
+        let single = BaseConfig {
+            min_len: len,
+            max_len: len,
+            ..cfg.clone()
+        };
+        let (seq_engine, _) = Onex::build(ds.clone(), single).unwrap();
+        let (par, seq) = (par_engine.base(), seq_engine.base());
+        assert!(
+            par.groups_for_len(len) == seq.groups_for_len(len),
+            "length {len}"
+        );
+        assert!(
+            par.sketches().for_len(len) == seq.sketches().for_len(len),
+            "length {len}"
+        );
+    }
 }
 
 #[test]
