@@ -58,6 +58,16 @@
 //! timing, batched or not; the merged answer is exact up to ties by the
 //! bound's own argument, below.)
 //!
+//! A group of one never reaches the scan. Its representative is its
+//! member's window, read in place, and phase 2 has already run that
+//! window's exact DTW against the threshold the member tier would use
+//! (`bound + √W·0`). So that value is the member's: it meets the member
+//! tier's test against a fresh reading of the bound, then the heap's.
+//! The member counts as examined, and its DTW once, as the
+//! representative's. It needs no sketch, which is why a group of one
+//! keeps none; and one the series / window filters drop is passed over
+//! before its bound and its DTW.
+//!
 //! Every prune threshold flows through one **query-global bound**: the
 //! k-th best *normalised* distance known so far, kept in a
 //! [`SharedBound`] alongside the local heap. The searcher consults it
@@ -411,6 +421,11 @@ impl<'a> Searcher<'a> {
         for (rank_idx, &(gi, lb_rep)) in ranked.iter().enumerate() {
             let g = groups.at(gi);
             self.stats.groups_examined += 1;
+            // A group of one is its member: one the filters drop needs
+            // neither a bound nor a DTW.
+            if g.is_lone() && !self.opts.admits(g.members()[0]) {
+                continue;
+            }
             let bound = self.raw_bound(heap, k, plan);
             if self.opts.prune_groups && bound.is_finite() {
                 // Every remaining group has lb ≥ lb_rep and radius ≤ the
@@ -468,7 +483,11 @@ impl<'a> Searcher<'a> {
                 self.stats.groups_pruned += 1;
                 continue;
             }
-            self.scan_members(plan, k, gi, heap);
+            if g.is_lone() {
+                self.offer_lone(plan, k, gi, g.members()[0], d_rep_sq, heap);
+            } else {
+                self.scan_members(plan, k, gi, heap);
+            }
         }
     }
 
@@ -477,7 +496,8 @@ impl<'a> Searcher<'a> {
     /// best representative), then scan members of only the `g` best
     /// groups. Much cheaper when groups are large, at the cost of missing
     /// a best match that hides in a group with a slightly worse
-    /// representative.
+    /// representative. A chosen group of one is offered its selection
+    /// DTW.
     fn search_top_groups(
         &mut self,
         plan: &LengthPlan,
@@ -489,8 +509,10 @@ impl<'a> Searcher<'a> {
         let band = self.opts.band;
         let groups = self.base.groups_for_len(plan.len);
         // Top-g representatives by actual DTW. `selection` is a max-heap
-        // on distance so the root is the current g-th best.
-        let mut selection: BinaryHeap<(OrdF64, usize)> = BinaryHeap::with_capacity(g + 1);
+        // on distance so the root is the current g-th best; the squared
+        // distance rides along (group ids are unique, so it never breaks
+        // a tie).
+        let mut selection: BinaryHeap<(OrdF64, usize, OrdF64)> = BinaryHeap::with_capacity(g + 1);
         for &(gi, lb_rep) in ranked {
             self.stats.groups_examined += 1;
             let gth = if selection.len() >= g {
@@ -519,17 +541,45 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             self.stats.dtw_completed += 1;
-            selection.push((OrdF64(d_sq.sqrt()), gi));
+            selection.push((OrdF64(d_sq.sqrt()), gi, OrdF64(d_sq)));
             if selection.len() > g {
                 selection.pop();
             }
         }
         // Scan the selected groups, nearest representative first.
-        let mut chosen: Vec<(OrdF64, usize)> = selection.into_vec();
+        let mut chosen = selection.into_vec();
         chosen.sort();
-        for (_, gi) in chosen {
-            self.scan_members(plan, k, gi, heap);
+        for (_, gi, OrdF64(d_sq)) in chosen {
+            let group = groups.at(gi);
+            if !group.is_lone() {
+                self.scan_members(plan, k, gi, heap);
+            } else if self.opts.admits(group.members()[0]) {
+                self.offer_lone(plan, k, gi, group.members()[0], d_sq, heap);
+            }
         }
+    }
+
+    /// Offer `member`, alone in group `gi` — which [`Self::scan_members`]
+    /// never sees — its representative's completed DTW `d_sq`: the
+    /// representative's window is the member's, so the member counts as
+    /// examined and its DTW once, as the representative's. A fresh
+    /// reading of the bound gets the member tier's say first: a distance
+    /// above it counts as abandoned.
+    fn offer_lone(
+        &mut self,
+        plan: &LengthPlan,
+        k: usize,
+        gi: usize,
+        member: SubseqRef,
+        d_sq: f64,
+        heap: &mut BinaryHeap<HeapEntry>,
+    ) {
+        self.stats.members_examined += 1;
+        if d_sq > self.bound_sq(heap, k, plan) {
+            self.stats.members_abandoned += 1;
+            return;
+        }
+        self.offer(plan, k, gi, member, d_sq, heap);
     }
 
     /// Scan one group's members into the k-best heap, a block at a time
@@ -544,20 +594,14 @@ impl<'a> Searcher<'a> {
         gi: usize,
         heap: &mut BinaryHeap<HeapEntry>,
     ) {
-        let len = plan.len;
         // Borrowed from the base, not from `self`: the scan below mutates
         // the searcher while it walks them.
         let base = self.base;
-        let scanned = base.groups_for_len(len).at(gi);
+        let scanned = base.groups_for_len(plan.len).at(gi);
         let members = scanned.members();
-        let group = GroupId {
-            len: len as u32,
-            index: gi as u32,
-        };
-        // The group's sketches, slot `i` sketching member `i`: one slot
-        // read out of the column block for a group of one, the group's
-        // own planes from two up. Absent (stale or unsynced) simply means
-        // the L0 tier passes everyone through.
+        // The group's sketches, slot `i` sketching member `i`. Absent
+        // (stale or unsynced) simply means the L0 tier passes everyone
+        // through.
         let l0 = plan.l0.as_ref().zip(scanned.planes());
         let filtered = self.opts.has_filters();
         let mut batch = DtwBatch::default();
@@ -608,12 +652,12 @@ impl<'a> Searcher<'a> {
                 }
                 self.stats.members_examined += 1;
                 if batch.push(member, values, bound_sq) {
-                    self.run_batch(&mut batch, plan, k, group, heap);
+                    self.run_batch(&mut batch, plan, k, gi, heap);
                 }
             }
             self.stats.members_l0_pruned += admitted - passed;
         }
-        self.run_batch(&mut batch, plan, k, group, heap);
+        self.run_batch(&mut batch, plan, k, gi, heap);
     }
 
     /// Run the queued DTWs — one lane each, every lane abandoning against
@@ -626,7 +670,7 @@ impl<'a> Searcher<'a> {
         batch: &mut DtwBatch<'a>,
         plan: &LengthPlan,
         k: usize,
-        group: GroupId,
+        gi: usize,
         heap: &mut BinaryHeap<HeapEntry>,
     ) {
         let queued = std::mem::take(&mut batch.len);
@@ -663,26 +707,44 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             self.stats.dtw_completed += 1;
-            let distance = d_sq.sqrt();
-            let normalized = normalize(distance, self.query.len(), plan.len);
-            // Strict improvement over the k-th keeps ties deterministic
-            // (first discovered wins).
-            if heap.len() < k || normalized < heap.peek().expect("heap non-empty").normalized {
-                heap.push(HeapEntry {
-                    normalized,
-                    distance,
-                    subseq: member,
-                    group,
-                });
-                if heap.len() > k {
-                    heap.pop();
-                }
-                // Publish: once the heap holds k entries its worst key is
-                // a sound global upper bound on the merged k-th best.
-                if heap.len() == k {
-                    self.bound
-                        .tighten(heap.peek().expect("heap non-empty").normalized);
-                }
+            self.offer(plan, k, gi, member, d_sq, heap);
+        }
+    }
+
+    /// Offer `member` of group `gi` at the completed squared DTW `d_sq`
+    /// to the heap, tightening and publishing the bound when it gets in.
+    fn offer(
+        &mut self,
+        plan: &LengthPlan,
+        k: usize,
+        gi: usize,
+        member: SubseqRef,
+        d_sq: f64,
+        heap: &mut BinaryHeap<HeapEntry>,
+    ) {
+        let distance = d_sq.sqrt();
+        let normalized = normalize(distance, self.query.len(), plan.len);
+        // Strict improvement over the k-th keeps ties deterministic
+        // (first discovered wins).
+        if heap.len() < k || normalized < heap.peek().expect("heap non-empty").normalized {
+            let group = GroupId {
+                len: plan.len as u32,
+                index: gi as u32,
+            };
+            heap.push(HeapEntry {
+                normalized,
+                distance,
+                subseq: member,
+                group,
+            });
+            if heap.len() > k {
+                heap.pop();
+            }
+            // Publish: once the heap holds k entries its worst key is
+            // a sound global upper bound on the merged k-th best.
+            if heap.len() == k {
+                self.bound
+                    .tighten(heap.peek().expect("heap non-empty").normalized);
             }
         }
     }

@@ -10,7 +10,9 @@ mod model;
 
 use onex_core::{exhaustive, Onex, QueryOptions};
 use onex_grouping::persist::save_v2;
-use onex_grouping::{BaseBuilder, BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
+use onex_grouping::{
+    BaseBuilder, BaseConfig, GroupColumn, GroupView, OnexBase, RepresentativePolicy,
+};
 use onex_tseries::gen::{random_walk, random_walk_dataset, SyntheticConfig};
 use onex_tseries::{Dataset, TimeSeries};
 use proptest::prelude::*;
@@ -90,9 +92,12 @@ proptest! {
             for len in base.lengths() {
                 let sketches = base.sketches().for_len(len).expect("every length is sketched");
                 for (gi, g) in base.groups_for_len(len).iter().enumerate() {
+                    // Every member of a group of two and more; a group
+                    // of one keeps no sketch.
+                    let sketched = if g.cardinality() > 1 { g.cardinality() } else { 0 };
                     prop_assert_eq!(
                         sketches.group(gi).map(|planes| planes.cardinality()),
-                        Some(g.cardinality()),
+                        Some(sketched),
                         "g{}@{}", gi, len
                     );
                 }
@@ -161,7 +166,8 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
                 new_sketches.group(gi).unwrap(),
             );
             let same_planes = new_planes.shares_storage_with(old_planes);
-            assert_eq!(new_planes.cardinality(), n.cardinality());
+            let sketched = |g: GroupView<'_>| if g.is_lone() { 0 } else { g.cardinality() };
+            assert_eq!(new_planes.cardinality(), sketched(n));
             // A frozen representative is a window of a series both
             // epochs' datasets share: admission or not, both groups read
             // the very samples the first member resolves to.
@@ -171,19 +177,20 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
             if n.cardinality() == o.cardinality() {
                 // "Shared" is the same series handle at the same offset
                 // and the same block behind the slot's pointer — for a
-                // group of one, which has none, the same lone member and
-                // (by value: a copied column block carries them along) the
-                // same 21 sketch bytes of its slot.
+                // group of one, which has none, the same lone member, and
+                // on either side no sketch at all.
                 assert!(n.shares_storage_with(o), "untouched g{gi}@{len} was copied");
                 assert!(same_planes, "untouched planes g{gi}@{len} were copied");
                 if n.cardinality() == 1 {
+                    assert!(n.is_lone() && n.planes().is_none() && old_planes.cardinality() == 0);
                     inline += 1;
                 }
                 shared += 1;
             } else {
                 assert!(!n.shares_storage_with(o) && !same_planes);
-                // The pinned epoch still reads the planes it had.
-                assert_eq!(old_planes.cardinality(), o.cardinality());
+                // The pinned epoch still reads the planes it had — none
+                // where the group was a group of one.
+                assert_eq!(old_planes.cardinality(), sketched(o));
                 // The published epoch's group did not see the admission.
                 assert_eq!(n.members()[..o.cardinality()], *o.members());
                 split += 1;

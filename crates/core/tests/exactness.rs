@@ -479,6 +479,266 @@ fn wider_top_groups_monotonically_improve() {
     );
 }
 
+/// The two collections of the group-of-one tests: random walks, where
+/// nearly every group is a group of one, and the same walks beside a few
+/// clustered shape families, where groups of one sit between groups of
+/// dozens. Lengths 12..=14.
+fn lone_collections() -> Vec<(&'static str, Dataset)> {
+    let walks = random_walk_dataset(SyntheticConfig {
+        series: 10,
+        len: 80,
+        seed: 71,
+    });
+    let shapes = clustered_dataset(
+        SyntheticConfig {
+            series: 6,
+            len: 80,
+            seed: 73,
+        },
+        2,
+        0.08,
+    );
+    let mut mixed: Vec<TimeSeries> = walks.iter().map(|(_, s)| s.clone()).collect();
+    mixed.extend(
+        shapes
+            .iter()
+            .map(|(id, s)| TimeSeries::new(format!("shape-{id}"), s.values().to_vec())),
+    );
+    vec![
+        ("walks", walks),
+        ("mixed", Dataset::from_series(mixed).unwrap()),
+    ]
+}
+
+/// `got` is `truth` up to distance ties: the same normalised distances
+/// rank by rank, and the same window wherever the truth's distance is
+/// not tied with another of its own.
+fn assert_same_up_to_ties(got: &[(SubseqRef, f64)], truth: &[exhaustive::ScanHit], what: &str) {
+    assert_eq!(got.len(), truth.len(), "{what}");
+    for (i, ((subseq, normalized), t)) in got.iter().zip(truth).enumerate() {
+        assert!(
+            (normalized - t.normalized).abs() <= 1e-9,
+            "{what} rank {i}: {normalized} vs truth {}",
+            t.normalized
+        );
+        let tied = truth
+            .iter()
+            .enumerate()
+            .any(|(j, u)| j != i && (u.normalized - t.normalized).abs() <= 1e-9);
+        if !tied {
+            assert_eq!(*subseq, t.subseq, "{what} rank {i}");
+        }
+    }
+}
+
+#[test]
+fn groups_of_one_answer_as_the_exhaustive_scan_under_every_option() {
+    for (name, ds) in lone_collections() {
+        for policy in [RepresentativePolicy::Seed, RepresentativePolicy::Centroid] {
+            let e = engine(&ds, 1.0, 12, 14, policy);
+            let groups: Vec<_> = e.base().iter().map(|(_, g)| g.cardinality()).collect();
+            let lone = groups.iter().filter(|&&c| c == 1).count();
+            match name {
+                "walks" => assert!(
+                    lone * 100 >= groups.len() * 99,
+                    "{name}: {lone} of {}",
+                    groups.len()
+                ),
+                _ => assert!(
+                    lone > 0 && groups.iter().any(|&c| c > 20),
+                    "{name}: {groups:?}"
+                ),
+            }
+            assert!(e
+                .base()
+                .iter()
+                .all(|(_, g)| g.is_lone() == (g.cardinality() == 1)));
+            let last = ds.len() as u32 - 1;
+            for (sid, start, len) in [(1u32, 5usize, 13usize), (last, 30, 12), (4, 61, 14)] {
+                let mut query = ds
+                    .series(sid)
+                    .unwrap()
+                    .subsequence(start, len)
+                    .unwrap()
+                    .to_vec();
+                for (i, v) in query.iter_mut().enumerate() {
+                    *v += 0.05 * (i as f64 * 0.9).sin();
+                }
+                let base = QueryOptions::default().lengths(LengthSelection::Nearest(2));
+                let filters = [
+                    base.clone(),
+                    base.clone().excluding_series(Some(sid)),
+                    base.clone().within_series((sid + 3) % ds.len() as u32),
+                    base.clone()
+                        .excluding_window(SubseqRef::new(sid, start as u32, len as u32))
+                        .excluding_window(SubseqRef::new(2, 20, 13)),
+                ];
+                let lengths = e.base().nearest_lengths(len, 2);
+                let k = 6;
+                for opts in &filters {
+                    let what = format!("{name} {policy:?} q=({sid},{start},{len}) {opts:?}");
+                    let truth =
+                        exhaustive::scan_k(&ds, &query, &lengths, 1, opts, k, true).unwrap();
+                    // Every group scanned is the exact answer; so is a
+                    // top-g scan whose g covers every group.
+                    let everything = opts.clone().top_groups(groups.len());
+                    for opts in [opts.clone(), everything] {
+                        let (with, _) = e.k_best(&query, k, &opts).unwrap();
+                        let (without, _) = e.k_best(&query, k, &opts.clone().without_l0()).unwrap();
+                        let found: Vec<_> = with.iter().map(|m| (m.subseq, m.normalized)).collect();
+                        assert_same_up_to_ties(&found, &truth, &what);
+                        let bits = |ms: &[onex_core::Match]| -> Vec<_> {
+                            ms.iter()
+                                .map(|m| (m.subseq, m.distance.to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(bits(&with), bits(&without), "{what}: L0 off");
+                    }
+                    // A narrow top-g scan is an approximation: L0 changes
+                    // nothing there either, and what it offers is each
+                    // window's own distance.
+                    let narrow = opts.clone().top_groups(3);
+                    let (with, _) = e.k_best(&query, k, &narrow).unwrap();
+                    let (without, _) = e.k_best(&query, k, &narrow.clone().without_l0()).unwrap();
+                    assert_eq!(with.len(), without.len(), "{what}: top 3");
+                    for (a, b) in with.iter().zip(&without) {
+                        assert_eq!(
+                            (a.subseq, a.distance.to_bits()),
+                            (b.subseq, b.distance.to_bits())
+                        );
+                        assert!(opts.exclude_series != Some(a.subseq.series), "{what}");
+                        let window = ds.resolve(a.subseq).unwrap();
+                        let d = onex_distance::dtw_sq(&query, window, opts.band).sqrt();
+                        assert!(
+                            (a.distance - d).abs() <= 1e-9,
+                            "{what}: {} vs {d}",
+                            a.distance
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_groups_of_one_answer_as_the_exhaustive_scan_with_a_shared_bound() {
+    use onex_core::{ShardedEngine, SimilaritySearch};
+    for (name, ds) in lone_collections() {
+        let query: Vec<f64> = ds
+            .series(3)
+            .unwrap()
+            .subsequence(22, 13)
+            .unwrap()
+            .iter()
+            .map(|v| v + 0.04)
+            .collect();
+        for shards in [2, 3] {
+            for opts in [
+                QueryOptions::default().lengths(LengthSelection::Exact),
+                QueryOptions::default()
+                    .lengths(LengthSelection::Exact)
+                    .excluding_series(Some(3)),
+                QueryOptions::default()
+                    .lengths(LengthSelection::Exact)
+                    .without_l0(),
+            ] {
+                let config = BaseConfig {
+                    policy: RepresentativePolicy::Seed,
+                    ..BaseConfig::new(1.0, 12, 14)
+                };
+                let (sharded, _) = ShardedEngine::build(&ds, config, shards).unwrap();
+                let sharded = sharded.with_options(opts.clone()).sharing_bound(true);
+                let what = format!("{name} {shards} shards {opts:?}");
+                let outcome = sharded.k_best(&query, 5).unwrap();
+                let truth = exhaustive::scan_k(&ds, &query, &[13], 1, &opts, 5, true).unwrap();
+                let found: Vec<_> = outcome
+                    .matches
+                    .iter()
+                    .map(|m| {
+                        let subseq = SubseqRef::new(m.series, m.start as u32, m.len as u32);
+                        (
+                            subseq,
+                            onex_core::normalized_distance(m.distance, query.len(), m.len),
+                        )
+                    })
+                    .collect();
+                assert_same_up_to_ties(&found, &truth, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_query_excluding_a_series_starts_no_dtw_on_its_groups_of_one() {
+    // Walks at a threshold nothing joins at: every group a group of one.
+    // Without group pruning every group's representative DTW runs, and it
+    // is the only DTW its member gets.
+    let ds = random_walk_dataset(SyntheticConfig {
+        series: 6,
+        len: 60,
+        seed: 79,
+    });
+    let e = engine(&ds, 0.05, 12, 12, RepresentativePolicy::Seed);
+    let base = e.base();
+    let groups = base.groups_for_len(12);
+    assert!(
+        groups.iter().all(|g| g.is_lone()),
+        "every group a group of one"
+    );
+    let query: Vec<f64> = ds
+        .series(2)
+        .unwrap()
+        .subsequence(9, 12)
+        .unwrap()
+        .iter()
+        .map(|v| v + 0.1)
+        .collect();
+    let all = QueryOptions::default().without_group_pruning();
+    let (_, stats) = e.k_best(&query, 3, &all).unwrap();
+    assert_eq!(
+        stats.dtw_invocations(),
+        groups.len(),
+        "one DTW a group: {stats:?}"
+    );
+    assert_eq!(stats.members_examined, groups.len(), "{stats:?}");
+    // No representative DTW abandons without group pruning; the member
+    // tier's test drops the members the bound has passed, as abandoned.
+    assert_eq!(stats.dtw_abandoned, 0, "{stats:?}");
+    assert!(stats.members_abandoned > groups.len() / 2, "{stats:?}");
+    for s in 0..ds.len() as u32 {
+        let own = groups.iter().filter(|g| g.members()[0].series == s).count();
+        assert!(own > 0);
+        let excluding = all.clone().excluding_series(Some(s));
+        let (matches, stats) = e.k_best(&query, 3, &excluding).unwrap();
+        assert!(matches.iter().all(|m| m.subseq.series != s));
+        assert_eq!(
+            stats.dtw_invocations(),
+            groups.len() - own,
+            "series {s}: {stats:?}"
+        );
+        assert_eq!(
+            stats.members_examined,
+            groups.len() - own,
+            "series {s}: {stats:?}"
+        );
+        assert_eq!(stats.members_bound_pruned(), 0, "series {s}: {stats:?}");
+        // The same with group pruning on: never more DTWs than the
+        // groups the filter leaves.
+        let (_, pruned) = e
+            .k_best(
+                &query,
+                3,
+                &QueryOptions::default().excluding_series(Some(s)),
+            )
+            .unwrap();
+        assert!(
+            pruned.dtw_invocations() <= groups.len() - own,
+            "series {s}: {pruned:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -23,15 +23,13 @@
 //!   what lets [`QuerySketch::survivors`] test four of them per AVX2
 //!   step. A group of two or more keeps its members' slots in
 //!   [`SketchPlanes`]: one reference-counted block, the cardinality as
-//!   the plane stride, no padding. A group of one owns nothing: the base
-//!   keeps the first slot of every group side by side in blocks of its
-//!   own, plane-major across the block, and a [`PlanesRef`] reads one
-//!   slot out of such a block — or all of a [`SketchPlanes`] — by stride.
+//!   the plane stride, no padding, read through a [`PlanesRef`]. A group
+//!   of one keeps no sketch at all: the searcher answers it from its
+//!   representative's DTW, which is its member's.
 //!
 //! This module alone knows the plane order: planes are built from
-//! records ([`PlanesRef::grown`], [`scatter_record`]), read through
-//! [`PlanesRef`] and written back out as records, so no caller indexes a
-//! plane.
+//! records ([`PlanesRef::grown`]), read through [`PlanesRef`] and written
+//! back out as records, so no caller indexes a plane.
 //!
 //! Records are *built* from a third, transient form: the [`LevelColumn`]
 //! of one series under one quantiser — the floor level and the ceiling
@@ -364,42 +362,6 @@ impl<'a> LevelColumn<'a> {
     }
 }
 
-/// The flags byte of a slot nobody has sketched yet: the invalid flag —
-/// so every bound over it reads 0 and it never prunes, whoever reads it —
-/// plus a bit [`encode_into`] never sets, which tells the placeholder
-/// from a record. A column of slots starts out filled with it
-/// ([`unset_slot`]) and never reaches a file.
-pub const SKETCH_UNSET: u8 = FLAG_INVALID | 0x80;
-
-/// Write `record`'s [`SKETCH_PLANES`] meaningful bytes to slot `slot` of
-/// the plane-major `planes`, plane `p` starting at `p × stride`: the one
-/// place outside [`SketchPlanes`] a record becomes plane bytes, for the
-/// caller that keeps one slot a group side by side in a block of its own
-/// ([`PlanesRef::strided`] reads them back).
-///
-/// # Panics
-/// Panics when `record` is not [`SKETCH_STRIDE`] bytes or the slot lies
-/// outside `planes`.
-pub fn scatter_record(record: &[u8], planes: &mut [u8], stride: usize, slot: usize) {
-    assert_eq!(
-        record.len(),
-        SKETCH_STRIDE,
-        "sketch slot has a fixed stride"
-    );
-    assert!(slot < stride, "sketch slot {slot} of stride {stride}");
-    for plane in 0..SKETCH_PLANES {
-        planes[plane * stride + slot] = record[offset_of(plane)];
-    }
-}
-
-/// Mark slot `slot` of the plane-major `planes` (stride as for
-/// [`scatter_record`]) as not sketched yet: [`SKETCH_UNSET`] in its
-/// flags plane.
-pub fn unset_slot(planes: &mut [u8], stride: usize, slot: usize) {
-    assert!(slot < stride, "sketch slot {slot} of stride {stride}");
-    planes[PLANE_FLAGS * stride + slot] = SKETCH_UNSET;
-}
-
 /// The sketches of one similarity group in their resident, plane-major
 /// form: plane `p` (see the module docs) is the `cardinality` bytes
 /// starting at `p × cardinality`, slot `i` of every plane belonging to
@@ -410,7 +372,7 @@ pub fn unset_slot(planes: &mut [u8], stride: usize, slot: usize) {
 /// [`SketchPlanes::grown`] builds a new set, so a group that gained no
 /// member keeps sharing its planes with every earlier epoch of the base.
 /// Equality is byte-exact. Every reader goes through [`PlanesRef`]
-/// ([`Self::view`]), which also reads slots kept elsewhere.
+/// ([`Self::view`]).
 #[derive(Debug, Clone, Default)]
 pub struct SketchPlanes(Option<Arc<[u8]>>);
 
@@ -438,8 +400,7 @@ impl SketchPlanes {
     /// The slots, borrowed — the form every reader takes.
     #[inline]
     pub fn view(&self) -> PlanesRef<'_> {
-        let slots = self.cardinality();
-        PlanesRef::strided(self.bytes(), slots, 0, slots)
+        PlanesRef(self.bytes())
     }
 
     /// Members sketched.
@@ -496,83 +457,34 @@ impl SketchPlanes {
     }
 }
 
-/// A run of sketch slots read where they lie: slot `i` of plane `p` is
-/// byte `p × stride + first + i` of a plane-major byte block. A group's
-/// own [`SketchPlanes`] are one (`stride` = cardinality, `first` = 0);
-/// so is one slot of a block that keeps the first sketch of many groups
-/// side by side (`stride` = the block's slots, `first` = the group's) —
-/// which is how a group of one is tested without owning a byte.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanesRef<'a> {
-    bytes: &'a [u8],
-    stride: usize,
-    first: usize,
-    slots: usize,
-}
-
-/// Equality is over the slots' bytes, wherever they lie.
-impl PartialEq for PlanesRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots
-            && (0..SKETCH_PLANES).all(|plane| self.plane(plane) == other.plane(plane))
-    }
-}
-
-impl Eq for PlanesRef<'_> {}
+/// A group's sketch slots, borrowed from its [`SketchPlanes`]: with `n`
+/// slots, slot `i` of plane `p` is byte `p × n + i`. Equality is over the
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanesRef<'a>(&'a [u8]);
 
 impl<'a> PlanesRef<'a> {
     /// No slots.
-    pub const EMPTY: PlanesRef<'static> = PlanesRef {
-        bytes: &[],
-        stride: 0,
-        first: 0,
-        slots: 0,
-    };
+    pub const EMPTY: PlanesRef<'static> = PlanesRef(&[]);
 
-    /// `slots` slots from `first` of the plane-major `bytes`, whose
-    /// planes are `stride` bytes each.
-    ///
-    /// # Panics
-    /// Panics when the slots reach past a plane or `bytes` is not
-    /// [`SKETCH_PLANES`] planes.
-    pub fn strided(bytes: &'a [u8], stride: usize, first: usize, slots: usize) -> PlanesRef<'a> {
-        assert_eq!(bytes.len(), SKETCH_PLANES * stride, "whole sketch planes");
-        assert!(first + slots <= stride, "sketch slots past the plane");
-        PlanesRef {
-            bytes,
-            stride,
-            first,
-            slots,
-        }
-    }
-
-    /// Slots `slots` of plane `plane`.
+    /// Every slot of plane `plane`.
     #[inline]
     fn plane(&self, plane: usize) -> &'a [u8] {
-        &self.bytes[plane * self.stride + self.first..][..self.slots]
+        let slots = self.cardinality();
+        &self.0[plane * slots..][..slots]
     }
 
     /// Members sketched.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.slots
-    }
-
-    /// The flags byte of slot `slot` ([`SKETCH_UNSET`] marks a slot
-    /// nobody has sketched yet).
-    ///
-    /// # Panics
-    /// Panics when `slot` is not below [`Self::cardinality`].
-    #[inline]
-    pub fn flags(&self, slot: usize) -> u8 {
-        self.plane(PLANE_FLAGS)[slot]
+        self.0.len() / SKETCH_PLANES
     }
 
     /// Append every slot to `out` as a [`SKETCH_STRIDE`]-byte record
     /// (reserved bytes zero, as [`encode_into`] leaves them).
     pub fn write_records(&self, out: &mut Vec<u8>) {
-        out.reserve(self.slots * SKETCH_STRIDE);
-        for slot in 0..self.slots {
+        out.reserve(self.cardinality() * SKETCH_STRIDE);
+        for slot in 0..self.cardinality() {
             out.extend_from_slice(&self.record(slot));
         }
     }
@@ -582,7 +494,8 @@ impl<'a> PlanesRef<'a> {
     /// # Panics
     /// Panics when `slot` is not below [`Self::cardinality`].
     pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
-        assert!(slot < self.slots, "sketch slot {slot} of {}", self.slots);
+        let slots = self.cardinality();
+        assert!(slot < slots, "sketch slot {slot} of {slots}");
         let mut record = [0u8; SKETCH_STRIDE];
         for plane in 0..SKETCH_PLANES {
             record[offset_of(plane)] = self.plane(plane)[slot];
@@ -598,7 +511,7 @@ impl<'a> PlanesRef<'a> {
     /// # Panics
     /// Panics when `total` is below the current cardinality.
     pub fn grown(&self, total: usize, mut encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
-        let done = self.slots;
+        let done = self.cardinality();
         assert!(total >= done, "sketch planes only grow");
         if total == 0 {
             return SketchPlanes::default();
@@ -611,26 +524,25 @@ impl<'a> PlanesRef<'a> {
         for slot in done..total {
             let mut record = [0u8; SKETCH_STRIDE];
             encode(slot, &mut record);
-            scatter_record(&record, grown, total, slot);
+            for plane in 0..SKETCH_PLANES {
+                grown[plane * total + slot] = record[offset_of(plane)];
+            }
         }
         SketchPlanes(Some(bytes))
     }
 
     /// True when an append left these sketches alone: the same slots of
-    /// the same block — or, for the one slot a block keeps per group and a
-    /// copied block carries along by value, the same bytes.
+    /// the same planes, or no slots on either side.
     pub fn shares_storage_with(&self, other: PlanesRef<'_>) -> bool {
-        let same_slots = std::ptr::eq(self.bytes, other.bytes)
-            && (self.stride, self.first, self.slots) == (other.stride, other.first, other.slots);
-        same_slots || (self.slots == 1 && *self == other)
+        std::ptr::eq(self.0, other.0) || self.0.len() + other.0.len() == 0
     }
 
     /// One borrowed slice per plane, cut to `slots`.
     fn views(&self, slots: Range<usize>) -> [&'a [u8]; SKETCH_PLANES] {
         assert!(
-            slots.start <= slots.end && slots.end <= self.slots,
+            slots.start <= slots.end && slots.end <= self.cardinality(),
             "sketch slots {slots:?} of {}",
-            self.slots
+            self.cardinality()
         );
         std::array::from_fn(|plane| &self.plane(plane)[slots.clone()])
     }
@@ -857,61 +769,48 @@ mod tests {
     }
 
     #[test]
-    fn a_handle_is_two_words_and_one_slot_reads_in_place_from_a_block_of_many() {
+    fn a_handle_is_two_words_and_each_slot_decides_as_its_record() {
         assert!(std::mem::size_of::<SketchPlanes>() <= 16);
+        assert!(std::mem::size_of::<PlanesRef<'_>>() <= 16);
         assert_eq!(SketchPlanes::default().heap_bytes(), 0);
         let params = SketchParams::fit(0.0, 1.0);
         let mut records = [[0u8; SKETCH_STRIDE]; 3];
         for (i, record) in records.iter_mut().enumerate() {
             encode_into(&params, &[0.25 * i as f64, 0.5], record);
         }
-        let own = SketchPlanes::from_records(&records[1]);
+        let own = SketchPlanes::from_records(&records.concat());
         assert_eq!(
             (own.cardinality(), own.heap_bytes()),
-            (1, 16 + SKETCH_PLANES)
+            (3, 16 + 3 * SKETCH_PLANES)
         );
-        // Three groups' first slots side by side in a block of five: each
-        // is read where it lies, and an untouched slot says so and never
-        // prunes.
-        let stride = 5;
-        let mut block = vec![0u8; SKETCH_PLANES * stride];
-        (0..stride).for_each(|slot| unset_slot(&mut block, stride, slot));
-        for (slot, record) in records.iter().enumerate() {
-            scatter_record(record, &mut block, stride, slot + 1);
-        }
+        // Each slot reads back its record and is kept or rejected as the
+        // record's own bound says, at every kernel level.
         let q = [0.9, 0.9];
         let qs = QuerySketch::new(&q, &Envelope::build(&q, 1), params);
+        let planes = own.view();
         for (slot, record) in records.iter().enumerate() {
-            let one = PlanesRef::strided(&block, stride, slot + 1, 1);
-            assert_eq!((one.cardinality(), one.record(0)), (1, *record));
-            assert_eq!(one.flags(0), 0);
+            assert_eq!(planes.record(slot), *record);
             for level in KernelLevel::available() {
                 let mut survivors = Vec::new();
-                qs.survivors_at(level, one, 0..1, 0.01, &mut survivors);
+                qs.survivors_at(level, planes, slot..slot + 1, 0.01, &mut survivors);
                 let rejected = qs.bound_sq(record) > 0.01;
                 assert_eq!(survivors.is_empty(), rejected, "{level:?} slot {slot}");
             }
         }
-        assert!(PlanesRef::strided(&block, stride, 2, 1) == own.view());
-        assert!(PlanesRef::strided(&block, stride, 2, 1).shares_storage_with(own.view()));
-        assert!(PlanesRef::strided(&block, stride, 1, 1) != own.view());
-        let unset = PlanesRef::strided(&block, stride, 0, 1);
-        assert_eq!(unset.flags(0), SKETCH_UNSET);
-        assert_eq!(qs.bound_sq(&unset.record(0)), 0.0);
-        let mut survivors = Vec::new();
-        qs.survivors(unset, 0..1, 0.0, &mut survivors);
-        assert_eq!(survivors, [0]);
-        // A run of the block's slots is planes like any other, and grows
-        // into planes of its own with its slots unchanged.
-        let run = PlanesRef::strided(&block, stride, 1, 3);
-        let grown = run.grown(4, |slot, record| {
+        // Planes grow into planes of their own with their slots unchanged;
+        // the old ones stay as they were, and only a clone shares them.
+        let grown = own.grown(4, |slot, record| {
             assert_eq!(slot, 3);
             record.copy_from_slice(&records[0]);
         });
         let mut back = Vec::new();
         grown.write_records(&mut back);
         assert_eq!(back, [records.concat(), records[0].to_vec()].concat());
+        assert!(own.clone().view().shares_storage_with(planes));
+        assert!(!grown.view().shares_storage_with(planes));
+        assert!(SketchPlanes::from_records(&records.concat()).view() == planes);
         assert_eq!(PlanesRef::EMPTY.cardinality(), 0);
+        assert!(PlanesRef::EMPTY.shares_storage_with(SketchPlanes::default().view()));
     }
 
     #[test]

@@ -417,15 +417,13 @@ fn check_l0_block_test(query: &[f64], m: usize, seed: u64) -> Result<(), String>
     if !bounds_of.iter().skip(3).step_by(7).all(|&b| b == 0.0) {
         return Err("an out-of-range candidate did not encode as invalid".into());
     }
-    // One slot read by stride out of a block of all seventy — how a group
-    // of one is tested — decides as the slot's own record does.
-    let block = transposed(&records, MAX_CARD);
+    // Each slot as planes of one decides as its own record does.
     for (s, &own) in bounds_of.iter().enumerate() {
-        let one = onex_distance::PlanesRef::strided(&block, MAX_CARD, s, 1);
+        let one = SketchPlanes::from_records(&records[s * SKETCH_STRIDE..][..SKETCH_STRIDE]);
         for b in [f64::INFINITY, 0.0, own, own * 0.5] {
             for level in KernelLevel::available() {
                 let mut got = Vec::new();
-                qs.survivors_at(level, one, 0..1, b, &mut got);
+                qs.survivors_at(level, &one, 0..1, b, &mut got);
                 let rejected = own > b;
                 if got.is_empty() != rejected {
                     return Err(format!("{level:?} m={m} slot {s} alone, b={b}: {got:?}"));
@@ -547,31 +545,6 @@ fn sketch_planes_round_trip_records() {
     assert!(of(0).shares_storage_with(&of(0)) && !of(2).shares_storage_with(&of(2)));
     let other = SketchPlanes::from_records(&records[SKETCH_STRIDE..2 * SKETCH_STRIDE]);
     assert!(of(1) != other && !of(1).shares_storage_with(&other));
-
-    // The same slots read by stride out of a block that holds more: any
-    // run of the 37 is the planes its records give.
-    let whole = planes.view();
-    let block = transposed(&records, 37);
-    for (first, slots) in [(0, 37), (0, 1), (36, 1), (5, 30), (12, 0)] {
-        let run = onex_distance::PlanesRef::strided(&block, 37, first, slots);
-        let want =
-            SketchPlanes::from_records(&records[first * SKETCH_STRIDE..][..slots * SKETCH_STRIDE]);
-        assert!(run == want.view(), "[{first}, +{slots})");
-        assert_eq!(run.cardinality(), slots);
-        assert_eq!(run == whole, slots == 37);
-    }
-}
-
-/// `records` as plane-major bytes of stride `stride`, written slot by
-/// slot through `scatter_record`.
-fn transposed(records: &[u8], stride: usize) -> Vec<u8> {
-    use onex_distance::sketch::{scatter_record, SKETCH_PLANES};
-    use onex_distance::SKETCH_STRIDE;
-    let mut planes = vec![0u8; SKETCH_PLANES * stride];
-    for (slot, record) in records.chunks_exact(SKETCH_STRIDE).enumerate() {
-        scatter_record(record, &mut planes, stride, slot);
-    }
-    planes
 }
 
 /// `dtw_lanes` against the scalar DP, lane by lane and bit for bit: 1–4

@@ -18,10 +18,10 @@ static NO_GROUPS: LazyLock<GroupColumn> = LazyLock::new(GroupColumn::new);
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// Each length is one [`GroupColumn`]: blocks of 256 groups, 41 bytes a
-/// group — the first member's reference, one optional pointer to what
-/// only a group of two or more owns, the first member's L0 sketch — each
-/// block behind one reference count. A clone copies the block pointers —
+/// Each length is one [`GroupColumn`]: blocks of 256 groups, 20 bytes a
+/// group — the first member's reference and one optional pointer to what
+/// only a group of two or more owns — each block behind one reference
+/// count. A clone copies the block pointers —
 /// a few hundred for a hundred thousand groups — and shares the blocks,
 /// and everything behind them, with the original;
 /// [`crate::BaseBuilder::extend`] builds the next base on such a clone
@@ -32,10 +32,12 @@ static NO_GROUPS: LazyLock<GroupColumn> = LazyLock::new(GroupColumn::new);
 /// its successor replaced. [`OnexBase::shared_blocks`] counts what two
 /// bases still share and [`OnexBase::footprint`] adds the bytes up.
 ///
-/// The columns also carry the L0 sketches ([`OnexBase::sketches`]) —
-/// *derived* data, synced from the dataset by every construction path and
-/// excluded from equality. A base image stores them verbatim, so a
-/// decoded base prunes immediately.
+/// The columns also carry the L0 sketches ([`OnexBase::sketches`]) of
+/// the members of groups of two and more — *derived* data, synced from
+/// the dataset by every construction path and excluded from equality. A
+/// base image stores them verbatim, so a decoded base prunes immediately.
+/// A group of one keeps none: the search answers it from its
+/// representative's DTW.
 #[derive(Debug, Clone)]
 pub struct OnexBase {
     config: BaseConfig,
@@ -226,7 +228,7 @@ impl OnexBase {
     }
 
     /// How many blocks the columns of every length are kept in — one
-    /// column a length, groups and their sketches in the same blocks.
+    /// column a length.
     pub fn block_count(&self) -> usize {
         self.groups.values().map(GroupColumn::block_count).sum()
     }
@@ -299,9 +301,9 @@ fn members_of(groups: &GroupColumn) -> usize {
 /// Result of [`OnexBase::footprint`]: resident bytes by owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Footprint {
-    /// The per-length columns in whole blocks — 41 bytes a group: first
-    /// member, pointer, the first member's sketch — plus the record
-    /// behind the pointer of every group that has one.
+    /// The per-length columns in whole blocks — 20 bytes a group: first
+    /// member and pointer — plus the record behind the pointer of every
+    /// group that has one.
     pub group_records: usize,
     /// Representatives a group owns (means that drifted); 0 for every
     /// one read in place.
@@ -309,8 +311,8 @@ pub struct Footprint {
     /// Member lists of groups of two and more (a lone member is its
     /// slot's).
     pub member_lists: usize,
-    /// The sketch planes of groups of two and more (a lone member's
-    /// sketch is its slot's).
+    /// The sketch planes of groups of two and more (a group of one keeps
+    /// none).
     pub sketches: usize,
 }
 

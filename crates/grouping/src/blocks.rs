@@ -2,17 +2,17 @@
 //! ([`crate::OnexBase::groups_for_len`]): its groups, 256 to a block.
 //!
 //! A base that barely compacts is mostly groups of one, and a group of
-//! one is three facts: which window it is, that window's L0 sketch, and
-//! that there is nothing more to say. A block holds exactly that for its
-//! 256 groups, as parallel arrays in one allocation: the first member's
-//! [`SubseqRef`] (12 bytes — the representative too, read in place from
-//! the dataset's shared series through the column's table of handles),
-//! one optional pointer (8 bytes, `None` for a group of one) to everything
-//! only some groups own — members from two up with their sketch planes,
-//! the radius, a representative of the group's own — and the first
-//! member's 21 sketch bytes, plane-major across the block. 41 bytes a
-//! group, ≈ 10.5 KB a block, and the frozen quantiser of those sketches
-//! in the column's header.
+//! one is two facts: which window it is, and that there is nothing more
+//! to say. A block holds exactly that for its 256 groups, as parallel
+//! arrays in one allocation: the first member's [`SubseqRef`] (12 bytes —
+//! the representative too, read in place from the dataset's shared
+//! series through the column's table of handles) and one optional pointer
+//! (8 bytes, `None` for a group of one) to everything only some groups
+//! own — members from two up with their sketch planes, the radius, a
+//! representative of the group's own. 20 bytes a group, ≈ 5 KB a block,
+//! and the frozen quantiser of the sketches in the column's header. A
+//! group of one keeps no sketch: the searcher answers it from its
+//! representative's DTW, which is its member's.
 //!
 //! A column is append-only and lives through many epochs of a base, each
 //! a clone of the one before with a few thousand groups added to over a
@@ -27,14 +27,13 @@
 
 use std::sync::Arc;
 
-use onex_distance::sketch::{scatter_record, unset_slot, SKETCH_PLANES};
-use onex_distance::{SketchParams, SketchPlanes, SKETCH_STRIDE};
+use onex_distance::{SketchParams, SketchPlanes};
 use onex_tseries::SubseqRef;
 
 use crate::group::{window, GroupMore, GroupView, SeriesTable, ARC_HEADER};
 
 /// Groups per block. Measured on the end-to-end harness: at 256 a block
-/// is ≈ 10.5 KB, small enough that the blocks an append replaces fit
+/// is ≈ 5 KB, small enough that the blocks an append replaces fit
 /// back into the holes the retired epoch leaves; larger blocks bought
 /// nothing on the append and cost resident memory.
 pub(crate) const BLOCK: usize = 256;
@@ -49,9 +48,6 @@ pub(crate) struct Block {
     /// What a group owns beyond its slot; `None` for a group of one read
     /// in place.
     pub more: [Option<Arc<GroupMore>>; BLOCK],
-    /// Each first member's sketch, plane-major with the block as stride:
-    /// plane `p` of slot `s` is byte `p × 256 + s`.
-    pub sketches: [u8; SKETCH_PLANES * BLOCK],
 }
 
 impl Block {
@@ -59,7 +55,6 @@ impl Block {
         Block {
             first: [SubseqRef::new(0, 0, 0); BLOCK],
             more: [const { None }; BLOCK],
-            sketches: [0; SKETCH_PLANES * BLOCK],
         }
     }
 }
@@ -74,8 +69,8 @@ impl Block {
 /// (crate-internal: seeding, admission, the sketch sync) copy the one
 /// block they write when, and only when, a clone shares it.
 ///
-/// Equality is over the groups' content; the derived sketch bytes and
-/// their quantiser do not take part.
+/// Equality is over the groups' content; the derived sketches and their
+/// quantiser do not take part.
 #[derive(Clone, Default)]
 pub struct GroupColumn {
     blocks: Vec<Arc<Block>>,
@@ -227,10 +222,9 @@ impl GroupColumn {
         };
     }
 
-    /// The next slot, written: of the tail block — copied first if a
-    /// clone shares it — or of a new block when the tail is full. Its
-    /// sketch starts out unset.
-    fn push_slot(&mut self, first: SubseqRef, more: Option<GroupMore>) -> (&mut Block, usize) {
+    /// Write the next slot: of the tail block — copied first if a clone
+    /// shares it — or of a new block when the tail is full.
+    fn push_slot(&mut self, first: SubseqRef, more: Option<GroupMore>) {
         if self.len.is_multiple_of(BLOCK) {
             self.blocks.push(Arc::new(Block::new()));
         }
@@ -238,9 +232,7 @@ impl GroupColumn {
         let (block, slot) = (Arc::make_mut(tail), self.len % BLOCK);
         block.first[slot] = first;
         block.more[slot] = more.map(Arc::new);
-        unset_slot(&mut block.sketches, BLOCK, slot);
         self.len += 1;
-        (block, slot)
     }
 
     /// Seed a group of one whose representative is `first`'s window read
@@ -266,10 +258,10 @@ impl GroupColumn {
 
     /// Append a group as a base image stores it (see [`crate::persist`]):
     /// its members, its radius, the mean it owns if it drifted — any other
-    /// representative is the first member's window, read in place — and
-    /// the members' [`SKETCH_STRIDE`]-byte sketch records in order.
-    /// `false` — and no group — when the first member is no window of the
-    /// column's series.
+    /// representative is the first member's window, read in place — and,
+    /// for a group of two or more, its members' sketch records in order
+    /// (none for a group of one). `false` — and no group — when the first
+    /// member is no window of the column's series.
     pub(crate) fn push_decoded(
         &mut self,
         members: Vec<SubseqRef>,
@@ -285,15 +277,10 @@ impl GroupColumn {
         let more = (many || representative.is_some() || radius.to_bits() != 0).then(|| GroupMore {
             radius,
             representative,
-            planes: if many {
-                SketchPlanes::from_records(records)
-            } else {
-                SketchPlanes::default()
-            },
+            planes: SketchPlanes::from_records(records),
             members: if many { members } else { Vec::new() },
         });
-        let (block, slot) = self.push_slot(first, more);
-        scatter_record(&records[..SKETCH_STRIDE], &mut block.sketches, BLOCK, slot);
+        self.push_slot(first, more);
         true
     }
 
@@ -347,12 +334,11 @@ impl GroupColumn {
 
     /// Bring group `index`'s sketches up to its members: `encode(member,
     /// record)` fills the (zeroed) record of each member not sketched
-    /// yet. A group of one gets its slot's 21 bytes written; a group of
-    /// two or more gets new planes of its own — the slots it had, the
-    /// first member's taken from the block if that is where it was, plus
-    /// the new ones — so the planes an earlier epoch reads are never
-    /// rewritten. A group that gained nothing is left alone, its block
-    /// not copied.
+    /// yet. A group of two or more gets new planes of its own — the slots
+    /// it had plus the new ones, the first member among them when the
+    /// group grew from one — so the planes an earlier epoch reads are
+    /// never rewritten. A group of one keeps no sketch, and a group that
+    /// gained nothing is left alone: neither has its block copied.
     pub(crate) fn sketch_group(
         &mut self,
         index: usize,
@@ -360,25 +346,15 @@ impl GroupColumn {
     ) {
         let group = self.at(index);
         let (done, members) = (group.sketched(), group.members());
-        if done.cardinality() >= members.len() {
+        if members.len() == 1 || done.cardinality() >= members.len() {
             return;
         }
-        let mut first = [0u8; SKETCH_STRIDE];
-        let grown = if members.len() == 1 {
-            encode(members[0], &mut first);
-            None
-        } else {
-            let grown = done.grown(members.len(), |slot, record| encode(members[slot], record));
-            first = grown.record(0);
-            Some(grown)
-        };
+        let grown = done.grown(members.len(), |slot, record| encode(members[slot], record));
         let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
-        let slot = index % BLOCK;
-        scatter_record(&first, &mut block.sketches, BLOCK, slot);
-        if let Some(grown) = grown {
-            let more = block.more[slot].as_mut().expect("two members and more");
-            Arc::make_mut(more).planes = grown;
-        }
+        let more = block.more[index % BLOCK]
+            .as_mut()
+            .expect("two members and more");
+        Arc::make_mut(more).planes = grown;
     }
 }
 
@@ -421,6 +397,7 @@ mod tests {
     use super::*;
     use crate::group::series_table;
     use onex_distance::sketch::encode_into;
+    use onex_distance::SKETCH_STRIDE;
     use onex_tseries::{Dataset, TimeSeries};
     use proptest::prelude::*;
 
@@ -562,7 +539,7 @@ mod tests {
         let ds = ramp();
         let mut v = GroupColumn::over(series_table(&ds));
         let whole = ARC_HEADER + std::mem::size_of::<Block>();
-        assert_eq!(whole, 16 + 41 * BLOCK);
+        assert_eq!(whole, 16 + 20 * BLOCK);
         for i in 0..2 * BLOCK + 5 {
             assert!(v.push_seed(r(i as u32)));
             assert_eq!(v.block_count(), (i + 1).div_ceil(BLOCK), "at {i}");
@@ -615,52 +592,49 @@ mod tests {
     }
 
     #[test]
-    fn a_group_of_one_that_admits_takes_its_first_sketch_along_unchanged() {
+    fn a_group_of_one_keeps_no_sketch_and_is_sketched_whole_once_it_admits() {
         let ds = ramp();
         let params = SketchParams::fit(0.0, 2000.0);
-        let (mut column, _) = counted(&ds, BLOCK + 2);
-        assert!(column.at(5).planes().is_none(), "nothing is sketched yet");
-        let mut encoded = Vec::new();
-        for index in 0..column.len() {
+        let sync = |column: &mut GroupColumn, index: usize| {
+            let mut asked = Vec::new();
             column.sketch_group(index, |member, record| {
-                encoded.push(member);
+                asked.push(member);
                 encode_into(&params, ds.resolve(member).unwrap(), record);
             });
-        }
-        assert_eq!(encoded.len(), BLOCK + 2);
-        let one = column.at(5).planes().expect("sketched");
-        let first = one.record(0);
-        assert_eq!(
-            (one.cardinality(), first),
-            (1, reference(&ds, &params, r(5)))
-        );
-
-        // Synced again nothing is encoded and no block is copied.
+            asked
+        };
+        // Groups of one: a sync encodes nothing and copies no block.
+        let (mut column, _) = counted(&ds, BLOCK + 2);
         let published = column.clone();
         for index in 0..column.len() {
-            column.sketch_group(index, |member, _| panic!("{member} sketched twice"));
+            assert_eq!(sync(&mut column, index), []);
+            let group = column.at(index);
+            assert!(group.is_lone() && group.planes().is_none());
+            assert_eq!(group.sketched().cardinality(), 0);
         }
         assert_eq!(column.shared_blocks(&published), 2);
 
         // Between the admission and the sync the group has no planes to
-        // offer; after it, planes of its own: slot 0 the bytes the block
-        // held, slot 1 the one record the sync asked for.
+        // offer; after it, planes of its own: the first member's record
+        // and the new one's, both asked for by the sync.
         column.admit(5, r(700), &[0.0; WINDOW as usize], 1.0, false);
-        assert!(column.at(5).planes().is_none());
-        assert_eq!(column.at(5).sketched().cardinality(), 1);
-        let mut asked = Vec::new();
-        column.sketch_group(5, |member, record| {
-            asked.push(member);
-            encode_into(&params, ds.resolve(member).unwrap(), record);
-        });
-        assert_eq!(asked, [r(700)]);
+        assert!(!column.at(5).is_lone() && column.at(5).planes().is_none());
+        assert_eq!(sync(&mut column, 5), [r(5), r(700)]);
         let two = column.at(5).planes().expect("synced");
+        let records = [two.record(0), two.record(1)];
         assert_eq!(two.cardinality(), 2);
-        assert_eq!(two.record(0), first);
-        assert_eq!(two.record(1), reference(&ds, &params, r(700)));
+        assert_eq!(records[0], reference(&ds, &params, r(5)));
+        assert_eq!(records[1], reference(&ds, &params, r(700)));
         assert_eq!(unshared(&column, &published), [0]);
-        // The published epoch still reads its one slot.
-        assert_eq!(published.at(5).planes().unwrap().cardinality(), 1);
+        // Synced again nothing is encoded; a third member is encoded
+        // alone, the two records before it kept.
+        assert_eq!(sync(&mut column, 5), []);
+        column.admit(5, r(701), &[0.0; WINDOW as usize], 1.0, false);
+        assert_eq!(sync(&mut column, 5), [r(701)]);
+        let three = column.at(5).planes().expect("synced");
+        assert_eq!([three.record(0), three.record(1)], records);
+        // The published epoch still reads a group of one.
+        assert!(published.at(5).is_lone() && published.at(5).planes().is_none());
         // Equality never looks at sketches.
         let (bare, _) = counted(&ds, BLOCK + 2);
         assert_eq!(bare, published);

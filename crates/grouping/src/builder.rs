@@ -78,8 +78,7 @@ pub struct BuildReport {
     /// `onex_api::BackendStats` so construction cost reads the way query
     /// cost does.
     pub work: IndexWork,
-    /// Column blocks (one column a length: groups and their sketches in
-    /// the same blocks) this run allocated: all of them for a batch build,
+    /// Column blocks (one column a length) this run allocated: all of them for a batch build,
     /// for an extension the ones it wrote to — every other block of the
     /// extended base is the previous base's own
     /// ([`OnexBase::shared_blocks`]).

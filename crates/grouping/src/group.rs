@@ -1,10 +1,9 @@
 use std::sync::Arc;
 
-use onex_distance::sketch::SKETCH_UNSET;
 use onex_distance::{PlanesRef, SketchPlanes};
 use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 
-use crate::blocks::{Block, BLOCK};
+use crate::blocks::Block;
 
 /// Identifier of a group inside an [`crate::OnexBase`]: the subsequence
 /// length plus the group's index within that length's group list.
@@ -58,7 +57,7 @@ pub(crate) struct GroupMore {
     /// for a group of one, whose member is its slot's.
     pub members: Vec<SubseqRef>,
     /// The sketches of `members`, slot for slot, as far as they have been
-    /// synced (a group of one keeps its sketch in its slot).
+    /// synced (a group of one keeps none).
     pub planes: SketchPlanes,
 }
 
@@ -67,14 +66,15 @@ pub(crate) struct GroupMore {
 /// the representative.
 ///
 /// A group is a slot of a [`crate::GroupColumn`] block — its first
-/// member's reference, that member's 21 sketch bytes and one optional
-/// pointer — and this is a `Copy` view of that slot. A group of one owns
-/// no heap: its representative *is* the first member's window, read in
-/// place from the dataset's shared series through the column's table of
-/// handles, its member list is the slot's reference, its radius 0 and its
-/// sketch the slot's. Only behind the pointer is anything a group's own:
-/// the members from two up with their sketch planes, the radius, a
-/// representative that drifted (`Centroid`).
+/// member's reference and one optional pointer — and this is a `Copy`
+/// view of that slot. A group of one owns no heap: its representative
+/// *is* the first member's window, read in place from the dataset's
+/// shared series through the column's table of handles, its member list
+/// is the slot's reference, its radius 0, and it keeps no sketch (the
+/// searcher answers it from its representative's DTW). Only behind the
+/// pointer is anything a group's own: the members from two up with their
+/// sketch planes, the radius, a representative that drifted
+/// (`Centroid`).
 ///
 /// Equality is over content — representative values (wherever they
 /// live), members, radius — so a group that round-tripped through disk
@@ -176,31 +176,27 @@ impl<'a> GroupView<'a> {
         self.more().map_or(0.0, |more| more.radius)
     }
 
-    /// The first member's sketch where the block keeps it, if anyone has
-    /// written it yet.
-    fn first_sketch(&self) -> PlanesRef<'a> {
-        let slot = PlanesRef::strided(&self.block.sketches, BLOCK, self.slot, 1);
-        if slot.flags(0) == SKETCH_UNSET {
-            PlanesRef::EMPTY
-        } else {
-            slot
-        }
+    /// True when the group is its first member alone, read in place: no
+    /// other member, radius 0, no representative of its own — the
+    /// representative's window *is* the member's, so the representative's
+    /// DTW is the member's.
+    #[inline]
+    pub fn is_lone(&self) -> bool {
+        self.more().is_none()
     }
 
     /// The member sketches synced so far, slot `i` sketching member `i`:
-    /// possibly fewer than [`Self::cardinality`] between an admission and
-    /// the sync that follows it.
+    /// none for a group of one, possibly fewer than [`Self::cardinality`]
+    /// between an admission and the sync that follows it.
     pub fn sketched(&self) -> PlanesRef<'a> {
-        match self.more() {
-            Some(more) if more.planes.cardinality() > 0 => more.planes.view(),
-            _ => self.first_sketch(),
-        }
+        self.more()
+            .map_or(PlanesRef::EMPTY, |more| more.planes.view())
     }
 
-    /// The L0 sketches of every member — one slot read by stride out of
-    /// the block for a group of one, the group's own planes from two up —
-    /// or `None` while they do not cover every member, which tells the
-    /// searcher to pass the group's members through.
+    /// The L0 sketches of every member of a group of two or more — its
+    /// own planes — or `None` while they do not cover every member, which
+    /// tells the searcher to pass the group's members through. `None` for
+    /// a group of one, which keeps no sketch.
     #[inline]
     pub fn planes(&self) -> Option<PlanesRef<'a>> {
         let sketched = self.sketched();
@@ -446,9 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_41_bytes_and_the_rest_sits_behind_one_pointer() {
-        let slot = std::mem::size_of::<Block>() / BLOCK;
-        assert_eq!(slot, 12 + 8 + 21, "a reference, a pointer, a sketch");
+    fn a_slot_is_20_bytes_and_the_rest_sits_behind_one_pointer() {
+        let slot = std::mem::size_of::<Block>() / crate::blocks::BLOCK;
+        assert_eq!(slot, 12 + 8, "a reference and a pointer");
         assert!(std::mem::size_of::<GroupMore>() <= 64);
         assert!(std::mem::size_of::<GroupView<'_>>() <= 32);
     }

@@ -14,9 +14,11 @@
 //! * [`SubsequenceSpace`] enumerates every subsequence of a dataset for a
 //!   configurable length range and stride — the space the base compacts.
 //! * [`GroupView`] is one group: a representative sequence, member
-//!   references, a radius and the members' L0 sketches — a 41-byte slot
-//!   of a column block, and for a group of one nothing else: the
-//!   representative is read in place from the dataset's shared series.
+//!   references, a radius and, from two members up, the members' L0
+//!   sketches — a 20-byte slot of a column block, and for a group of one
+//!   nothing else: the representative is read in place from the
+//!   dataset's shared series, and the search answers the group from its
+//!   representative's DTW.
 //! * [`BaseBuilder`] constructs the base online: each subsequence joins the
 //!   nearest group of its length when the representative is within `ST/2`
 //!   (Euclidean), otherwise it seeds a new group. A batch build extends an
@@ -35,11 +37,11 @@
 //!   ([`blocks`]) — fixed-size copy-on-write blocks of 256 groups — so
 //!   the next epoch of a base shares every block an append did not write
 //!   to.
-//! * The columns carry a quantised-PAA sketch per member ([`sketch`],
-//!   read through [`SketchIndex`]) — the L0 prefilter tier the query
-//!   engine consults before touching any f64 data. Derived and
-//!   rebuildable; the image stores the sketches verbatim so a loaded base
-//!   prunes immediately.
+//! * The columns carry a quantised-PAA sketch per member of a group of
+//!   two and more ([`sketch`], read through [`SketchIndex`]) — the L0
+//!   prefilter tier the query engine consults before touching any f64
+//!   data. Derived and rebuildable; the image stores the sketches
+//!   verbatim so a loaded base prunes immediately.
 //!
 //! The `ST/2` insert rule plus the Euclidean triangle inequality yield the
 //! paper's pairwise guarantee: two members of one group are within `ST` of

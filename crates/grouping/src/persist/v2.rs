@@ -11,15 +11,16 @@
 //! | `GROUPS`   | 24 B   | rep u64 (record index into `REPS`, or `u64::MAX`: none), member_count u64, radius f64 |
 //! | `REPS`     | 8 B    | the samples of every mean a group owns, f64, in group order |
 //! | `MEMBERS`  | 8 B    | series u32, start u32                                   |
-//! | `SKETCHES` | 24 B   | one L0 sketch record per member, parallel to `MEMBERS`  |
+//! | `SKETCHES` | 24 B   | one L0 sketch record per member of a group of two and more, in `MEMBERS` order |
 //!
 //! `*_start` and `rep` fields are record indices (not byte offsets) into
-//! the target section; groups, members and means are laid out
+//! the target section; groups, members, means and sketches are laid out
 //! contiguously in (length asc, group asc, admission) order, so one
 //! length's entire column is a single slice of each section — that is
-//! what [`BaseSegment::load_length`] resolves lazily, and why opening an
-//! image decodes nothing. A length's slice of `REPS` ends where the next
-//! length's starts.
+//! what [`BaseSegment::load_length`] resolves lazily. Opening an image
+//! decodes no column: it reads one member count a group, to find where
+//! each length's sketches start. A length's slice of `REPS` ends where
+//! the next length's starts.
 //!
 //! `REPS` holds only what the dataset does not: the means of the
 //! `Centroid` groups whose representative drifted. Every other group —
@@ -29,17 +30,17 @@
 //! first `source_series` series of the dataset the base was built over
 //! (each one's length, then its samples' bits), and an image opened
 //! beside any other dataset is refused ([`BaseSegment::empty_base`]).
-//! `layout` is 1; images written before the field existed hold 0 there
-//! and are refused as an unsupported version.
+//! `layout` is 2. Layout 1 kept a sketch record for every member, a
+//! group of one's included; images written before the field existed hold
+//! 0 there. Both are refused as an unsupported version.
 //!
 //! `SKETCHES` and the per-length quantisation parameters in `LENGTHS`
 //! restore the sketches *verbatim*, preserving the frozen
 //! [`SketchParams`] so appended members keep encoding under the same
 //! quantisation. The section is an array of 24-byte records whatever the
 //! base holds in memory: a load transposes each group's run of records
-//! into its resident plane bytes — the first member's into the group's
-//! slot of its column block, all of them into the group's own planes from
-//! two members up — as it copies them, and a save writes records back.
+//! into the group's own planes as it copies them, and a save writes
+//! records back. A group of one has no record: it keeps no sketch.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -63,11 +64,11 @@ pub const SEC_GROUPS: u32 = 3;
 pub const SEC_REPS: u32 = 4;
 /// Section id: member references.
 pub const SEC_MEMBERS: u32 = 5;
-/// Section id: L0 sketch slots, parallel to `MEMBERS`.
+/// Section id: L0 sketch records of the members of groups of two and more.
 pub const SEC_SKETCHES: u32 = 6;
 
 /// The layout of the sections above, recorded in `CONFIG`.
-const BASE_LAYOUT: u8 = 1;
+const BASE_LAYOUT: u8 = 2;
 
 const CONFIG_BYTES: usize = 40;
 const LENGTH_STRIDE: usize = 64;
@@ -150,8 +151,10 @@ pub fn save_v2(base: &OnexBase) -> Vec<u8> {
                 put_u32(&mut members_sec, m.series);
                 put_u32(&mut members_sec, m.start);
             }
-            let planes = g.planes().expect("every member is sketched");
-            planes.write_records(&mut sketches_sec);
+            if g.cardinality() > 1 {
+                let planes = g.planes().expect("every member is sketched");
+                planes.write_records(&mut sketches_sec);
+            }
             member_cursor += g.cardinality() as u64;
         }
         group_cursor += gs.len() as u64;
@@ -210,6 +213,9 @@ struct LengthEntry {
     /// Where the length's means end in `REPS`: the next length's
     /// `rep_start`, or the end of the section.
     rep_end: usize,
+    /// Where the length's records start in `SKETCHES`: the members of
+    /// the groups of two and more of every length before.
+    sketch_start: usize,
     vmin: f64,
     step: f64,
 }
@@ -249,7 +255,9 @@ impl BaseSegment {
     /// `CONFIG` record and the `LENGTHS` table and cross-checks that the
     /// per-length column spans tile the `GROUPS`/`REPS`/`MEMBERS`/
     /// `SKETCHES` sections exactly — so [`BaseSegment::load_length`] can
-    /// slice columns by arithmetic without re-validating bounds.
+    /// slice columns by arithmetic without re-validating bounds. Where
+    /// each length's sketches start it finds by reading the member count
+    /// of every `GROUPS` record.
     ///
     /// # Errors
     /// [`OnexError::Storage`] describing the first violated rule:
@@ -342,12 +350,6 @@ impl BaseSegment {
         let groups_total = groups_sec.len() / GROUP_STRIDE;
         let reps_total = reps_sec.len() / 8;
         let members_total = members_sec.len() / MEMBER_STRIDE;
-        if sketches_sec.len() != members_total * SKETCH_STRIDE {
-            return Err(corrupt(format!(
-                "SKETCHES is {} bytes for {members_total} members (stride {SKETCH_STRIDE})",
-                sketches_sec.len()
-            )));
-        }
 
         // The length table must tile the group/member sections exactly —
         // contiguous, in order, nothing left over — and cut `REPS` into
@@ -366,6 +368,7 @@ impl BaseSegment {
                 member_count: r.u64()? as usize,
                 rep_start: r.u64()? as usize,
                 rep_end: reps_total,
+                sketch_start: 0,
                 vmin: r.f64()?,
                 step: r.f64()?,
             };
@@ -420,6 +423,29 @@ impl BaseSegment {
             return Err(corrupt(format!(
                 "length table covers {groups_seen}/{groups_total} groups, \
                  {members_seen}/{members_total} members"
+            )));
+        }
+        // One record per member of a group of two and more: the counts
+        // `load_length` reads again, summed without overflow.
+        let mut sketched = 0usize;
+        for e in &mut lengths {
+            e.sketch_start = sketched;
+            let records =
+                &groups_sec[e.group_start * GROUP_STRIDE..][..e.group_count * GROUP_STRIDE];
+            for rec in records.chunks_exact(GROUP_STRIDE) {
+                let count = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
+                let count = usize::try_from(count).ok().filter(|&count| count > 1);
+                sketched = sketched
+                    .checked_add(count.unwrap_or(0))
+                    .filter(|&v| v <= members_total)
+                    .ok_or_else(|| corrupt(format!("length {} overruns SKETCHES", e.len)))?;
+            }
+        }
+        if sketches_sec.len() != sketched * SKETCH_STRIDE {
+            return Err(corrupt(format!(
+                "SKETCHES is {} bytes for {sketched} members of groups of two and more \
+                 (stride {SKETCH_STRIDE})",
+                sketches_sec.len()
             )));
         }
 
@@ -516,6 +542,7 @@ impl BaseSegment {
         let records = &groups_sec[e.group_start * GROUP_STRIDE..][..e.group_count * GROUP_STRIDE];
         let member_end = e.member_start + e.member_count;
         let (mut member_cursor, mut rep_cursor) = (e.member_start, e.rep_start);
+        let mut sketch_cursor = e.sketch_start;
         for (gi, rec) in records.chunks_exact(GROUP_STRIDE).enumerate() {
             let field =
                 |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
@@ -558,8 +585,13 @@ impl BaseSegment {
                 })
                 .collect();
             let first = members[0];
-            let sketched =
-                &sketches_sec[member_cursor * SKETCH_STRIDE..][..member_count * SKETCH_STRIDE];
+            let sketched = if member_count > 1 {
+                let at = sketch_cursor * SKETCH_STRIDE;
+                sketch_cursor += member_count;
+                &sketches_sec[at..][..member_count * SKETCH_STRIDE]
+            } else {
+                &[]
+            };
             member_cursor += member_count;
             if !groups.push_decoded(members, radius, own, sketched) {
                 return Err(OnexError::DatasetMismatch(format!(
@@ -651,17 +683,26 @@ mod tests {
     #[test]
     fn sketch_section_is_an_array_of_records_whatever_memory_holds() {
         // The base keeps plane-major sketches; the file keeps one
-        // 24-byte record per member in MEMBERS order, each exactly what
-        // `encode_into` writes for that member under the length's frozen
-        // parameters.
+        // 24-byte record per member of a group of two and more, in
+        // MEMBERS order, each exactly what `encode_into` writes for that
+        // member under the length's frozen parameters. A group of one
+        // has none.
         use onex_distance::sketch::encode_into;
         let (ds, base) = (sample_dataset(), sample_base());
+        let many = |g: &crate::GroupView<'_>| g.cardinality() > 1;
+        let sketched: usize = base
+            .iter()
+            .filter(|(_, g)| many(g))
+            .map(|(_, g)| g.cardinality())
+            .sum();
+        assert!(sketched > 0 && sketched < base.member_count());
         let section = section_of(&save_v2(&base), SEC_SKETCHES);
-        assert_eq!(section.len(), base.member_count() * SKETCH_STRIDE);
+        assert_eq!(section.len(), sketched * SKETCH_STRIDE);
         let mut records = section.chunks_exact(SKETCH_STRIDE);
         for len in base.lengths() {
             let params = base.sketches().for_len(len).unwrap().params();
-            for member in base.groups_for_len(len).iter().flat_map(|g| g.members()) {
+            let groups = base.groups_for_len(len).iter().filter(many);
+            for member in groups.flat_map(|g| g.members()) {
                 let mut want = [0u8; SKETCH_STRIDE];
                 encode_into(&params, ds.resolve(*member).unwrap(), &mut want);
                 assert_eq!(records.next().unwrap(), want, "{member:?}");
@@ -692,12 +733,17 @@ mod tests {
         );
         // The column prunes as it stands — the transpose rode on the
         // load, nothing is built on first use: a query far from the data
-        // is rejected from the lazily loaded planes alone.
+        // is rejected from the lazily loaded planes alone. (A group of
+        // one has none: the search answers it from its representative.)
         let ls = cold.sketches().for_len(len).unwrap();
         let far = vec![1e3; len];
         let env = onex_distance::Envelope::build(&far, len);
         let qs = onex_distance::QuerySketch::new(&far, &env, ls.params());
-        for group in cold.groups_for_len(len) {
+        let groups = cold.groups_for_len(len).iter();
+        let (lone, many): (Vec<_>, Vec<_>) = groups.partition(|g| g.is_lone());
+        assert!(!many.is_empty());
+        assert!(lone.iter().all(|g| g.planes().is_none()));
+        for group in many {
             let planes = group.planes().expect("sketched as loaded");
             let mut survivors = Vec::new();
             qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
@@ -868,9 +914,10 @@ mod tests {
 
     #[test]
     fn an_image_in_the_previous_layout_is_refused() {
-        // The layout before the `layout` byte: the same CONFIG record with
-        // 0 where the byte is now (it was padding), and the sketch flag in
-        // the last word where the dataset fingerprint is now.
+        // The layout from before the `layout` byte: the same CONFIG record
+        // with 0 where the byte is now (it was padding), and the sketch
+        // flag in the last word where the dataset fingerprint is now.
+        // (Layout 1 is refused as well: `tests/base_files.rs`.)
         let image = save_v2(&sample_base());
         let previous = resealed(&image, |id, bytes| {
             let mut bytes = bytes.to_vec();
@@ -882,6 +929,28 @@ mod tests {
         });
         let err = BaseSegment::from_bytes(previous).unwrap_err();
         assert_eq!(kind_of(err), StorageErrorKind::UnsupportedVersion);
+    }
+
+    #[test]
+    fn sketches_that_do_not_add_up_to_the_groups_of_two_and_more_are_refused() {
+        // One record short, one too many, or none at all: refused on
+        // open, typed, before any column is decoded.
+        let image = save_v2(&sample_base());
+        let sketches = section_of(&image, SEC_SKETCHES);
+        let short = sketches[..sketches.len() - SKETCH_STRIDE].to_vec();
+        let long = [sketches.clone(), sketches[..SKETCH_STRIDE].to_vec()].concat();
+        for bytes in [short, long, Vec::new()] {
+            let edited = resealed(&image, |id, section| {
+                Some(if id == SEC_SKETCHES {
+                    bytes.clone()
+                } else {
+                    section.to_vec()
+                })
+            });
+            let err = BaseSegment::from_bytes(edited).unwrap_err();
+            assert!(err.to_string().contains("SKETCHES"), "{err}");
+            assert_eq!(kind_of(err), StorageErrorKind::Corrupt);
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Quantised-PAA sketches over the base's members — the storage side of
 //! the L0 prefilter tier.
 //!
-//! Every member of every similarity group gets a sketch
-//! ([`onex_distance::sketch`]), 21 plane-major bytes a member, and the
-//! sketches live where the groups do: the first member's in the group's
-//! slot of its [`GroupColumn`] block — for a group of one that is all of
-//! them, read by stride out of the block — and, from two members up, all
-//! of them in the group's own [`onex_distance::SketchPlanes`]. Either way
-//! the searcher gets a [`PlanesRef`] ([`crate::GroupView::planes`]),
-//! tests a run of a group's members at a time
-//! ([`onex_distance::QuerySketch::survivors`]) and rejects those whose
-//! sketch lower bound already exceeds the pruning bound — before
-//! resolving any f64 data. The plane order is `onex_distance`'s business:
-//! this module hands it encoded records and never indexes a plane.
+//! Every member of every similarity group of two or more gets a sketch
+//! ([`onex_distance::sketch`]), 21 plane-major bytes a member, kept in
+//! the group's own [`onex_distance::SketchPlanes`]. The searcher gets a
+//! [`PlanesRef`] ([`crate::GroupView::planes`]), tests a run of a
+//! group's members at a time ([`onex_distance::QuerySketch::survivors`])
+//! and rejects those whose sketch lower bound already exceeds the pruning
+//! bound — before resolving any f64 data. A group of one keeps no sketch:
+//! its representative is its member's window, so the representative's
+//! DTW, which the search computes anyway, answers for the member. On a
+//! collection that does not compact that is nearly every window. The
+//! plane order is `onex_distance`'s business: this module hands it
+//! encoded records and never indexes a plane.
 //! [`SketchIndex`] and [`LengthSketches`] are read-only views of that
 //! storage, kept for the callers that ask "what is sketched, and under
 //! which quantiser?".
@@ -26,22 +26,20 @@
 //! appended values that fall outside the frozen range simply encode as
 //! non-pruning (invalid) sketches, keeping incremental extension sound
 //! without requantising. Persisting the frozen parameters alongside the
-//! records is what makes a save/load cycle byte-preserving. A slot nobody
-//! has sketched yet — a group between its seeding and the sync that
-//! follows — carries a placeholder that never prunes, so L0 passes its
-//! member through.
+//! records is what makes a save/load cycle byte-preserving. A group that
+//! admitted members the sync has not reached yet offers no planes, so L0
+//! passes its members through.
 //!
 //! What a sync quantises is points, not windows. Every construction path
 //! — batch build, incremental extension — sketches through this module's
 //! one per-length step, which the worker that built or extended a length
-//! ends it with, and that step quantises each
-//! series it meets a new slot of once, into a [`LevelColumn`] under the
-//! length's parameters, and reads every window of the series off the
-//! column: an append pays
-//! for the 256 points it brought, a length, not for its 2 133 windows ×
-//! 20 levels. The records are [`encode_into`]'s, byte for byte. A sync
-//! keeps nothing: the columns (six bytes a point) are gone when the step
-//! returns.
+//! ends it with, and that step visits the groups of two and more only. It
+//! quantises each series it meets a new slot of once, into a
+//! [`LevelColumn`] under the length's parameters, and reads every window
+//! of the series off the column: an append pays for the points of the
+//! series it sketches, not for its 2 133 windows × 20 levels. The
+//! records are [`encode_into`]'s, byte for byte. A sync keeps nothing:
+//! the columns (six bytes a point) are gone when the step returns.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -52,11 +50,11 @@ use onex_tseries::Dataset;
 use crate::GroupColumn;
 
 /// The sketches of one subsequence length, as its column holds them: the
-/// frozen quantisation parameters plus one run of slots per group.
+/// frozen quantisation parameters plus one run of slots per group (none
+/// for a group of one).
 ///
-/// A view: the bytes sit in the column's blocks (one slot a group) and,
-/// from two members up, in the groups' own planes. Equality is byte-exact
-/// over parameters and slots.
+/// A view: the bytes sit in the planes of the groups of two and more.
+/// Equality is byte-exact over parameters and slots.
 #[derive(Debug, Clone, Copy)]
 pub struct LengthSketches<'a> {
     params: SketchParams,
@@ -87,7 +85,8 @@ impl<'a> LengthSketches<'a> {
     }
 
     /// The sketches of group `index` synced so far — slot `i` sketching
-    /// `group.members()[i]` — if there is such a group.
+    /// `group.members()[i]`, no slot for a group of one — if there is
+    /// such a group.
     #[inline]
     pub fn group(&self, index: usize) -> Option<PlanesRef<'a>> {
         Some(self.column.get(index)?.sketched())
@@ -138,12 +137,13 @@ impl<'a> SketchIndex<'a> {
 /// Bring the sketches of one length's `column` up to date with its
 /// groups, visiting only the groups at the `which` indices (the caller
 /// knows no other group gained a member; repeated indices are harmless):
-/// freeze the parameters if the length is new, sketch the members not
-/// yet covered. Existing bytes are never rewritten — member lists only
-/// grow at the tail (admission order), so a sync is incremental and
-/// idempotent; a group that gained members gets new planes (its old slots
-/// plus the new ones) and every other group's storage stays shared with
-/// the column this one was cloned from.
+/// freeze the parameters if the length is new, sketch the members of
+/// groups of two and more not yet covered. Existing bytes are never
+/// rewritten — member lists only grow at the tail (admission order), so a
+/// sync is incremental and idempotent; a group that gained members gets
+/// new planes (its old slots plus the new ones, its first member's too
+/// when it grew from one) and every other group's storage stays shared
+/// with the column this one was cloned from.
 pub(crate) fn sync_length(
     dataset: &Dataset,
     column: &mut GroupColumn,
@@ -256,15 +256,24 @@ mod tests {
             assert!(g.planes().is_none() && g.sketched().cardinality() == 0);
         }
         base.sync_sketches(&ds);
+        let mut lone = 0;
         for (&len, groups) in base.raw_groups() {
             let ls = base.sketches().for_len(len).expect("length synced");
             for (gi, g) in groups.iter().enumerate() {
                 let planes = ls.group(gi).expect("group synced");
-                assert_eq!(planes.cardinality(), g.cardinality(), "g{gi}@{len}");
-                assert_eq!(g.planes(), Some(planes));
+                if g.cardinality() == 1 {
+                    // A group of one keeps no sketch.
+                    assert_eq!(planes.cardinality(), 0, "g{gi}@{len}");
+                    assert_eq!(g.planes(), None);
+                    lone += 1;
+                } else {
+                    assert_eq!(planes.cardinality(), g.cardinality(), "g{gi}@{len}");
+                    assert_eq!(g.planes(), Some(planes));
+                }
             }
             assert!(ls.group(groups.len()).is_none());
         }
+        assert!(lone > 0 && lone < base.stats().groups);
         // From nothing it is the pass the build ran.
         assert!(base.sketches() == built.sketches());
         let before = base.clone();
@@ -340,9 +349,10 @@ mod tests {
                 "{block}"
             );
         }
-        // The published column still sketches one member there.
+        // The published column still holds a group of one there, which
+        // keeps no sketch; the sync sketched both members of the pair.
         let cardinality = |column: &GroupColumn| column.at(admitting).sketched().cardinality();
-        assert_eq!((cardinality(&published), cardinality(&next)), (1, 2));
+        assert_eq!((cardinality(&published), cardinality(&next)), (0, 2));
         // Every other group reads the bytes it read before.
         for index in (0..len).filter(|&index| index != admitting) {
             let (was, now) = (published.at(index), next.at(index));

@@ -588,9 +588,9 @@ fn a_base_is_the_same_base_however_its_columns_were_filled() {
                 assert_eq!(resident.entries(), groups);
             }
 
-            // The block test over what each group hands the searcher — one
-            // slot of the block, or planes of its own — decides as the
-            // records do.
+            // The block test over what each group of two and more hands
+            // the searcher — planes of its own — decides as the records
+            // do. A group of one hands it none.
             let params = column.params().expect("built bases are sketched");
             let query: Vec<f64> = ds.series(2.min(groups as u32 - 1)).unwrap().values()[..EDGE_LEN]
                 .iter()
@@ -598,6 +598,10 @@ fn a_base_is_the_same_base_however_its_columns_were_filled() {
                 .collect();
             let sketch = QuerySketch::new(&query, &Envelope::build(&query, 1), params);
             for (gi, g) in column.iter().enumerate() {
+                if cardinalities[gi] == 1 {
+                    assert!(g.is_lone() && g.planes().is_none(), "{what} g{gi}");
+                    continue;
+                }
                 let planes = g.planes().expect("synced");
                 assert_eq!(planes.cardinality(), cardinalities[gi], "{what} g{gi}");
                 let mut records = Vec::new();

@@ -427,7 +427,7 @@ impl App {
         // side" made observable, work counters included.
         if let Some(r) = &self.build {
             // What the base it built costs to keep now, appends included:
-            // column blocks (41 bytes a group, its first sketch included),
+            // column blocks (20 bytes a group: first member and pointer),
             // and what groups of two and more own behind them — members,
             // planes, drifted means — from lengths and cardinalities; and
             // beside it what the writer's index costs once an append has

@@ -8,7 +8,8 @@
 //! And built or decoded beside its dataset, under either policy, before
 //! and after appends: one base by `==`, one set of sketches, one image,
 //! one answer bit for bit, with or without the dataset it was built over
-//! still alive.
+//! still alive. An image in the previous layout is refused as an
+//! unsupported version at every door an image comes in by.
 
 use onex::engine::{Match, Onex, QueryOptions};
 use onex::grouping::persist::save_v2;
@@ -239,4 +240,73 @@ fn a_base_outlives_the_dataset_it_was_built_over() {
     let audit = base.audit(&again);
     assert_eq!((audit.violations, audit.unresolvable), (0, 0), "{audit:?}");
     assert_eq!(audit.members_checked, base.member_count());
+}
+
+/// `image` resealed with `layout` in `CONFIG`'s layout byte and, when
+/// given, `sketches` for its `SKETCHES` section.
+fn resealed(image: &[u8], layout: u8, sketches: Option<&[u8]>) -> Vec<u8> {
+    use onex::grouping::persist::{SEC_CONFIG, SEC_SKETCHES};
+    use onex_storage::{Segment, SegmentBuilder};
+    let segment = Segment::from_bytes(image.to_vec()).unwrap();
+    let mut sealed = SegmentBuilder::new();
+    for section in segment.directory() {
+        let mut bytes = segment.section(section.id).unwrap().to_vec();
+        match (section.id, sketches) {
+            (SEC_CONFIG, _) => bytes[22] = layout,
+            (SEC_SKETCHES, Some(records)) => bytes = records.to_vec(),
+            _ => {}
+        }
+        sealed.section(section.id, bytes);
+    }
+    sealed.finish()
+}
+
+#[test]
+fn an_image_in_layout_one_is_refused_as_an_unsupported_version() {
+    use onex::api::{OnexError, StorageErrorKind};
+    use onex::distance::sketch::encode_into;
+    use onex::distance::SKETCH_STRIDE;
+    use onex::grouping::persist::BaseSegment;
+    let dataset = random_walk_dataset(SyntheticConfig {
+        series: 6,
+        len: 40,
+        seed: 0x1A70,
+    });
+    let (engine, _) = Onex::build(dataset.clone(), BaseConfig::new(1.0, 8, 12)).unwrap();
+    let base = engine.base();
+    let lone = base.iter().filter(|(_, g)| g.cardinality() == 1).count();
+    assert!(lone > 0 && lone < base.stats().groups);
+    // Layout 1 kept a sketch record for every member, a group of one's
+    // included.
+    let mut records = Vec::new();
+    for len in base.lengths() {
+        let params = base.sketches().for_len(len).unwrap().params();
+        for member in base.groups_for_len(len).iter().flat_map(|g| g.members()) {
+            let mut record = [0u8; SKETCH_STRIDE];
+            encode_into(&params, dataset.resolve(*member).unwrap(), &mut record);
+            records.extend_from_slice(&record);
+        }
+    }
+    let image = save_v2(&base);
+    let old = resealed(&image, 1, Some(&records));
+    let kind = |result: Result<(), OnexError>, what: &str| match result {
+        Err(OnexError::Storage(e)) => e.kind,
+        other => panic!("{what}: {other:?}"),
+    };
+    let unsupported = StorageErrorKind::UnsupportedVersion;
+    let segment = BaseSegment::from_bytes(old.clone()).map(|_| ());
+    assert_eq!(kind(segment, "from_bytes"), unsupported);
+    let opened = Onex::open_bytes(old.clone(), dataset.clone()).map(|_| ());
+    assert_eq!(kind(opened, "open_bytes"), unsupported);
+    assert_eq!(
+        kind(engine.install_base(old.clone()), "install_base"),
+        unsupported
+    );
+    // The engine kept serving the base it had.
+    assert_eq!(*engine.base(), *base);
+    // Refused on the byte, not by accident: labelled with the current
+    // layout its records do not add up, and the image it came from reads.
+    let relabelled = BaseSegment::from_bytes(resealed(&old, 2, None)).map(|_| ());
+    assert_eq!(kind(relabelled, "relabelled"), StorageErrorKind::Corrupt);
+    assert!(BaseSegment::from_bytes(resealed(&image, 2, None)).is_ok());
 }
