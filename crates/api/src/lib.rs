@@ -7,8 +7,7 @@
 //!
 //! * [`SimilaritySearch`] — the backend trait: `k_best` / `best_match`,
 //!   capability introspection ([`Capabilities`], [`Metric`]) and
-//!   per-query work accounting ([`BackendStats`]). A streaming-capable
-//!   extension, [`StreamingSearch`], covers SPRING-style monitors.
+//!   per-query work accounting ([`BackendStats`]).
 //! * [`OnexError`] — the workspace-wide typed error every fallible public
 //!   operation returns, replacing ad-hoc stringly-typed results and
 //!   panics on malformed queries.
@@ -26,9 +25,10 @@
 //!
 //! The crate sits at the bottom of the workspace dependency graph (only
 //! `onex-tseries` below it), so every engine crate can speak the shared
-//! vocabulary without cycles. Concrete adapters live in
-//! `onex_core::backends`; the facade crate re-exports everything here as
-//! the stable entry point.
+//! vocabulary without cycles. The ONEX engine's adapter lives in
+//! `onex_core::backends`, the comparison systems' in `onex-baselines`;
+//! the facade crate re-exports everything here as the stable entry
+//! point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub use bound::{BoundListener, SharedBound, Subscription};
 pub use error::{NetworkError, NetworkErrorKind, OnexError, StorageError, StorageErrorKind};
 pub use search::{
     validate_query, BackendMatch, BackendStats, Capabilities, Coverage, DegradePolicy, Metric,
-    SearchOutcome, SimilaritySearch, StreamMatch, StreamingSearch, TierPrunes,
+    SearchOutcome, SimilaritySearch, TierPrunes,
 };
 pub use topk::BestK;
 pub use tx::{Epoch, ReadTxn, Versioned, WriteTxn};

@@ -44,8 +44,8 @@ pub struct Capabilities {
     pub exact: bool,
     /// Whether matches may have a length different from the query's.
     pub multi_length: bool,
-    /// Whether the backend can monitor unbounded streams (see
-    /// [`StreamingSearch`]).
+    /// Whether the backend can monitor unbounded streams (SPRING's
+    /// `SpringBackend::monitor` in `onex-baselines`).
     pub streaming: bool,
     /// Whether `k_best` reports at most one match per stored series
     /// (engines built around per-series best-window scans).
@@ -290,37 +290,6 @@ pub trait SimilaritySearch {
     fn epoch(&self) -> crate::Epoch {
         0
     }
-}
-
-/// One reported stream subsequence (mirrors SPRING's match shape without
-/// depending on the spring crate).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamMatch {
-    /// Index of the first covered stream point.
-    pub start: usize,
-    /// Index of the last covered stream point (inclusive).
-    pub end: usize,
-    /// Distance under the backend's metric (root scale).
-    pub distance: f64,
-}
-
-/// Extension for backends that can monitor a stored series as if it were
-/// an unbounded stream, reporting every disjoint subsequence within
-/// `epsilon` of the pattern (SPRING's stream-monitoring question).
-pub trait StreamingSearch: SimilaritySearch {
-    /// All disjoint matches of `pattern` within `epsilon` over series
-    /// `target` of the backend's collection.
-    ///
-    /// # Errors
-    /// [`OnexError::InvalidQuery`] for an empty/non-finite pattern or a
-    /// negative/NaN `epsilon`; [`OnexError::UnknownSeries`] when `target`
-    /// is out of range.
-    fn monitor(
-        &self,
-        target: u32,
-        pattern: &[f64],
-        epsilon: f64,
-    ) -> Result<Vec<StreamMatch>, OnexError>;
 }
 
 /// Shared argument validation for `k_best` implementations: rejects

@@ -1,4 +1,4 @@
-//! # onex-embedding — the EBSM approximate-matching baseline
+//! The EBSM approximate-matching baseline.
 //!
 //! A clean-room Rust implementation of the method of Athitsos, Papapetrou,
 //! Potamias, Kollios and Gunopulos, *Approximate embedding-based
@@ -30,11 +30,5 @@
 //! count `N`, refinement window) is faithful to the paper — and is the
 //! very "many different parameters" the ONEX introduction calls out.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod dp;
-mod index;
-
-pub use dp::end_costs;
-pub use index::{EbsmConfig, EbsmHit, EbsmIndex, EbsmStats};
+pub use crate::dp::end_costs;
+pub use crate::index::{EbsmConfig, EbsmHit, EbsmIndex, EbsmStats};

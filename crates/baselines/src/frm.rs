@@ -1,4 +1,4 @@
-//! # onex-frm — the FRM / ST-index subsequence-matching baseline
+//! The FRM / ST-index subsequence-matching baseline.
 //!
 //! A clean-room Rust implementation of Faloutsos, Ranganathan and
 //! Manolopoulos, *Fast subsequence matching in time-series databases*
@@ -8,19 +8,19 @@
 //!
 //! The pipeline, exactly as in the paper:
 //!
-//! 1. **Feature extraction** ([`dft`]): slide a window of width `w` over
+//! 1. **Feature extraction** ([`dft_features`]): slide a window of width `w` over
 //!    every series and map each window to its first few DFT coefficients.
 //!    With the orthonormal DFT, truncation is *contractive* — feature
 //!    distance lower-bounds true Euclidean distance — which is the whole
 //!    correctness argument (no false dismissals).
-//! 2. **Trail division** ([`stindex`]): consecutive windows trace a
+//! 2. **Trail division** ([`StIndex::build`]): consecutive windows trace a
 //!    *trail* through feature space; the trail is greedily cut into
 //!    sub-trails using the paper's marginal-cost heuristic and each
 //!    sub-trail is summarised by its minimum bounding rectangle.
-//! 3. **Spatial index** ([`rtree`]): sub-trail MBRs go into an R-tree —
+//! 3. **Spatial index** ([`RTree`]): sub-trail MBRs go into an R-tree —
 //!    built from scratch here, with quadratic split, as a genuine
 //!    database substrate.
-//! 4. **Search** ([`stindex::StIndex`]): a range query maps the query
+//! 4. **Search** ([`StIndex`]): a range query maps the query
 //!    into feature space, retrieves intersecting sub-trails, expands them
 //!    to candidate window positions, and verifies candidates against the
 //!    raw data with early-abandoning Euclidean distance. Queries longer
@@ -37,13 +37,6 @@
 //! filter is cheapest and its answers are least robust to warping, which
 //! is the gap ONEX's "marriage of distances" closes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod dft;
-pub mod persist;
-pub mod rtree;
-pub mod stindex;
-
-pub use rtree::{RTree, Rect};
-pub use stindex::{FrmHit, FrmStats, StConfig, StIndex};
+pub use crate::dft::{dft_features, feature_dist_sq};
+pub use crate::rtree::{NearestIter, RTree, Rect};
+pub use crate::stindex::{FrmHit, FrmStats, StConfig, StIndex};

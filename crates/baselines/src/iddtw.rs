@@ -18,7 +18,8 @@
 //! quantiles trade recall for speed — the same accuracy dial the ONEX
 //! paper contrasts its guaranteed pruning with.
 
-use crate::dtw::{dtw, Band};
+use onex_distance::{dtw, Band};
+
 use crate::paa::dtw_paa;
 
 /// Per-level additive error bound learned from training pairs.

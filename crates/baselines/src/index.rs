@@ -2,7 +2,7 @@
 //! filter-and-refine querying.
 
 use crate::dp::end_costs;
-use onex_spring::spring_best_match;
+use crate::monitor::spring_best_match;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,7 +70,7 @@ struct Embedded {
 /// The EBSM index over a collection of series.
 ///
 /// ```
-/// use onex_embedding::{EbsmConfig, EbsmIndex};
+/// use onex_baselines::embedding::{EbsmConfig, EbsmIndex};
 ///
 /// let series: Vec<Vec<f64>> = (0..4)
 ///     .map(|p| (0..120).map(|i| ((i + 11 * p) as f64 * 0.21).sin()).collect())

@@ -7,7 +7,7 @@
 //! compare under DTW, so coarse levels are orders of magnitude cheaper
 //! than the raw computation.
 
-use crate::dtw::{dtw_sq, Band};
+use onex_distance::{dtw_sq, Band};
 
 /// PAA of `xs` at `segments` segments: segment `i` covers the index
 /// range `[i·n/s, (i+1)·n/s)` and is summarised by its mean.
@@ -35,11 +35,11 @@ pub fn paa(xs: &[f64], segments: usize) -> Vec<f64> {
 
 /// Coarse DTW estimate at a PAA resolution: DTW over the PAA sequences
 /// with each squared step cost weighted by the mean segment length, so
-/// the result is on the same scale as [`crate::dtw()`] on the raw series.
+/// the result is on the same scale as [`onex_distance::dtw()`] on the raw series.
 ///
 /// This is an **estimator**, not a bound: averaging can make two series
 /// look closer or farther than they are (unlike the envelope-based
-/// LB_Keogh in [`crate::lb`]). Iterative-deepening DTW compensates with
+/// LB_Keogh in [`onex_distance::lb`]). Iterative-deepening DTW compensates with
 /// a learned error distribution — see [`crate::iddtw`].
 ///
 /// # Panics
@@ -55,7 +55,7 @@ pub fn dtw_paa(x: &[f64], y: &[f64], segments: usize, band: Band) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::dtw;
+    use onex_distance::dtw;
 
     #[test]
     fn identity_at_full_resolution() {

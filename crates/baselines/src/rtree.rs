@@ -115,7 +115,7 @@ impl<const D: usize> Node<D> {
 /// Guttman R-tree over `D`-dimensional rectangles with `u64` payloads.
 ///
 /// ```
-/// use onex_frm::{RTree, Rect};
+/// use onex_baselines::frm::{RTree, Rect};
 ///
 /// let mut tree = RTree::<2>::new();
 /// for i in 0..20u64 {

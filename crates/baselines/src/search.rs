@@ -262,7 +262,7 @@ pub fn ucr_ed_search(t: &[f64], q: &[f64]) -> Option<(Hit, SearchStats)> {
 /// configured Sakoe–Chiba band, with the full UCR cascade.
 ///
 /// ```
-/// use onex_ucrsuite::{ucr_dtw_search, DtwSearchConfig};
+/// use onex_baselines::ucrsuite::{ucr_dtw_search, DtwSearchConfig};
 /// let t: Vec<f64> = (0..200).map(|i| (i as f64 * 0.3).sin()).collect();
 /// let q = t[120..150].to_vec(); // an embedded window
 /// let (hit, _stats) = ucr_dtw_search(&t, &q, &DtwSearchConfig::default()).unwrap();

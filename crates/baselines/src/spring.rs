@@ -1,4 +1,4 @@
-//! # onex-spring — the SPRING streaming-DTW baseline
+//! The SPRING streaming-DTW baseline.
 //!
 //! A clean-room Rust implementation of SPRING from Sakurai, Faloutsos and
 //! Yamamuro, *Stream monitoring under the time warping distance*
@@ -35,14 +35,14 @@
 //! ## Role in the reproduction
 //!
 //! Experiment E10 contrasts three ways of monitoring a stream for a
-//! pattern: SPRING (this crate, exact unconstrained DTW, O(m)/point),
+//! pattern: SPRING (this module, exact unconstrained DTW, O(m)/point),
 //! re-running the UCR Suite over a sliding window, and re-querying an
 //! incrementally extended ONEX base. SPRING is exact but answers only the
 //! single-pattern monitoring question; ONEX answers ad-hoc exploratory
 //! queries — the contrast the demo paper's state-of-the-art section draws.
 //!
 //! ```
-//! use onex_spring::SpringMonitor;
+//! use onex_baselines::spring::SpringMonitor;
 //!
 //! // Query pattern: a ramp. Stream: noise, then the ramp, then noise.
 //! let query = [0.0, 1.0, 2.0, 3.0];
@@ -58,25 +58,6 @@
 //! assert!(matches[0].dist <= 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod monitor;
-mod multi;
-
-pub use monitor::{spring_best_match, spring_search, SpringMatch, SpringMonitor, SpringStats};
-pub use multi::{MultiMonitor, TaggedMatch};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn doc_example_shape() {
-        let query = [0.0, 1.0, 2.0, 3.0];
-        let stream = [9.0, 9.0, 0.0, 1.0, 2.0, 3.0, 9.0, 9.0];
-        let hits = spring_search(&stream, &query, 0.5).unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!((hits[0].start, hits[0].end), (2, 5));
-    }
-}
+pub use crate::monitor::{
+    spring_best_match, spring_search, SpringMatch, SpringMonitor, SpringStats,
+};

@@ -81,7 +81,7 @@ impl FrmStats {
 /// dimension `D = 2 × (retained DFT coefficients)`.
 ///
 /// ```
-/// use onex_frm::{StIndex, StConfig};
+/// use onex_baselines::frm::{StConfig, StIndex};
 ///
 /// let series = vec![
 ///     (0..64).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>(),
@@ -236,46 +236,6 @@ impl<const D: usize> StIndex<D> {
     /// The build-time configuration.
     pub fn config(&self) -> StConfig {
         self.cfg
-    }
-
-    /// The sub-trail division as `(series, first, last)` window ranges —
-    /// the deterministic part the persistence codec stores.
-    pub fn subtrail_ranges(&self) -> Vec<(u32, u32, u32)> {
-        self.subtrails
-            .iter()
-            .map(|t| (t.series, t.first, t.last))
-            .collect()
-    }
-
-    /// Reassemble an index from persisted parts (the crate-internal
-    /// contract with [`crate::persist::load`], which recomputed the MBRs
-    /// and bulk-loaded `rtree` over the same trail ids).
-    pub(crate) fn from_parts(
-        cfg: StConfig,
-        series: Vec<Vec<f64>>,
-        trails: Vec<(u32, u32, u32)>,
-        rtree: RTree<D>,
-    ) -> Self {
-        // A series of length n contributes n − w + 1 windows (0 if shorter
-        // than the window).
-        let windows_total = series
-            .iter()
-            .map(|s| s.len().saturating_sub(cfg.window - 1))
-            .sum();
-        StIndex {
-            cfg,
-            series,
-            subtrails: trails
-                .into_iter()
-                .map(|(series, first, last)| SubTrail {
-                    series,
-                    first,
-                    last,
-                })
-                .collect(),
-            rtree,
-            windows_total,
-        }
     }
 
     /// All subsequences of length `query.len()` within Euclidean distance

@@ -1,4 +1,4 @@
-//! # onex-ucrsuite — the UCR Suite baseline
+//! The UCR Suite baseline.
 //!
 //! A clean-room Rust implementation of the subsequence-search algorithm of
 //! Rakthanmanon et al., *Searching and mining trillions of time series
@@ -28,12 +28,7 @@
 //! carries. Distances returned here are on the root scale (`√Σd²`), like
 //! everything else in this workspace.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod search;
-
-pub use search::{
+pub use crate::search::{
     ucr_dtw_search, ucr_dtw_search_dataset, ucr_dtw_search_dataset_topk, ucr_dtw_search_topk,
     ucr_dtw_search_with_bsf, ucr_ed_search, DtwSearchConfig, Hit, SearchStats, TopK,
 };

@@ -2,11 +2,11 @@
 //! and the UCR Suite must tell consistent stories on data with a planted
 //! ground truth.
 
-use onex::engine::{exhaustive, Onex, QueryOptions};
-use onex::grouping::{BaseConfig, RepresentativePolicy};
-use onex::tseries::gen::{planted_motif_series, random_walk};
-use onex::tseries::{Dataset, TimeSeries};
-use onex::ucrsuite::{ucr_dtw_search, ucr_ed_search, DtwSearchConfig};
+use onex_baselines::ucrsuite::{ucr_dtw_search, ucr_ed_search, DtwSearchConfig};
+use onex_core::{exhaustive, Onex, QueryOptions};
+use onex_grouping::{BaseConfig, RepresentativePolicy};
+use onex_tseries::gen::{planted_motif_series, random_walk};
+use onex_tseries::{Dataset, TimeSeries};
 
 /// Two series, each with the same motif planted once, plus a decoy series.
 fn planted_collection() -> (Dataset, Vec<f64>, Vec<(u32, usize)>) {
@@ -86,7 +86,7 @@ fn scans_and_engine_agree_under_banded_dtw() {
         ..BaseConfig::new(1.0, 24, 24)
     };
     let (engine, _) = Onex::build(ds.clone(), cfg).unwrap();
-    let opts = QueryOptions::with_band(onex::distance::Band::SakoeChiba(2));
+    let opts = QueryOptions::with_band(onex_distance::Band::SakoeChiba(2));
     let (m, _) = engine.best_match(&motif, &opts).unwrap();
     let truth = exhaustive::scan_best(&ds, &motif, &[24], 1, &opts, true)
         .unwrap()
@@ -118,10 +118,11 @@ fn k_best_covers_both_planted_sites() {
 // the same story as the engine and each other on planted ground truth.
 // ---------------------------------------------------------------------
 
-use onex::distance::{dtw, Band, IddtwModel};
-use onex::embedding::{EbsmConfig, EbsmIndex};
-use onex::frm::{StConfig, StIndex};
-use onex::spring::{spring_best_match, spring_search};
+use onex_baselines::embedding::{EbsmConfig, EbsmIndex};
+use onex_baselines::frm::{StConfig, StIndex};
+use onex_baselines::iddtw::IddtwModel;
+use onex_baselines::spring::{spring_best_match, spring_search};
+use onex_distance::{dtw, Band};
 
 #[test]
 fn spring_finds_planted_motifs_in_a_stream() {

@@ -22,11 +22,11 @@
 
 use std::time::{Duration, Instant};
 
+use onex_baselines::spring::SpringMonitor;
+use onex_baselines::ucrsuite::{ucr_dtw_search, DtwSearchConfig};
 use onex_core::{Onex, QueryOptions};
 use onex_grouping::BaseConfig;
-use onex_spring::SpringMonitor;
 use onex_tseries::{Dataset, TimeSeries};
-use onex_ucrsuite::{ucr_dtw_search, DtwSearchConfig};
 
 use crate::harness::{fmt_duration, Table};
 use crate::workloads;

@@ -20,12 +20,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::SimilaritySearch;
-use onex_core::backends::{EbsmBackend, FrmBackend, OnexBackend, SpringBackend, UcrSuiteBackend};
+use onex_baselines::embedding::{EbsmConfig, EbsmIndex};
+use onex_baselines::frm::{StConfig, StIndex};
+use onex_baselines::spring::spring_best_match;
+use onex_baselines::{plain_series, EbsmBackend, FrmBackend, SpringBackend, UcrSuiteBackend};
+use onex_core::backends::OnexBackend;
 use onex_core::{Onex, QueryOptions};
-use onex_embedding::{EbsmConfig, EbsmIndex};
-use onex_frm::StConfig;
 use onex_grouping::BaseConfig;
-use onex_spring::spring_best_match;
 
 use crate::harness::{drive_backend, fmt_duration, Table};
 use crate::workloads;
@@ -35,11 +36,6 @@ struct Quality {
     mean_ratio: f64,
     /// Fraction of queries answered within 1% of the optimum.
     recall: f64,
-}
-
-/// Collection as plain vectors for the baseline indexes.
-fn plain(ds: &onex_tseries::Dataset) -> Vec<Vec<f64>> {
-    ds.iter().map(|(_, s)| s.values().to_vec()).collect()
 }
 
 /// True unconstrained subsequence-DTW optimum across the collection.
@@ -100,7 +96,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// same `SimilaritySearch` trait object, one measurement loop.
 fn compare(series_count: usize, len: usize, qlen: usize, queries: usize) -> Table {
     let ds = workloads::diverse_sines(series_count, len);
-    let series = plain(&ds);
+    let series = plain_series(&ds);
     let st = 2.0;
 
     // --- build every engine behind the unified trait -------------------
@@ -125,7 +121,7 @@ fn compare(series_count: usize, len: usize, qlen: usize, queries: usize) -> Tabl
         },
     ];
     let (frm, frm_build) = timed(|| {
-        FrmBackend::<4>::from_index(onex_frm::StIndex::<4>::build(
+        FrmBackend::<4>::from_index(StIndex::<4>::build(
             series.clone(),
             StConfig {
                 window: qlen,
@@ -240,7 +236,7 @@ fn compare(series_count: usize, len: usize, qlen: usize, queries: usize) -> Tabl
 /// EBSM's accuracy/refinement dial, isolated.
 fn ebsm_dial(series_count: usize, len: usize, qlen: usize, queries: usize) -> Table {
     let ds = workloads::diverse_sines(series_count, len);
-    let series = plain(&ds);
+    let series = plain_series(&ds);
     let mut t = Table::new(
         "E11b EBSM accuracy vs candidate budget (the parameter dial ONEX's guaranteed filter avoids)",
         &["candidates refined", "recall@1%", "mean dist ratio"],
@@ -280,10 +276,11 @@ fn ebsm_dial(series_count: usize, len: usize, qlen: usize, queries: usize) -> Ta
 /// IDDTW's quantile dial (reference [3]): coarse-level abandonment rate
 /// vs exactness, on 1-NN searches over fixed-length windows.
 fn iddtw_dial(series_count: usize, len: usize, qlen: usize, queries: usize) -> Table {
-    use onex_distance::{dtw, Band, IddtwModel};
+    use onex_baselines::iddtw::IddtwModel;
+    use onex_distance::{dtw, Band};
 
     let ds = workloads::diverse_sines(series_count, len);
-    let series = plain(&ds);
+    let series = plain_series(&ds);
     // Candidate pool: strided windows across the collection.
     let windows: Vec<Vec<f64>> = series
         .iter()

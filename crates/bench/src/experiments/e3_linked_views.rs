@@ -2,15 +2,18 @@
 //! shows MA vs AR tech employment) in a Radial Chart and a Connected
 //! Scatter Plot.
 
+use std::hint::black_box;
+
 use onex_core::{Onex, QueryOptions};
 use onex_grouping::BaseConfig;
 use onex_viz::{ConnectedScatter, RadialChart};
 
-use crate::harness::{write_artefact, Table};
+use crate::harness::{fmt_duration, median_time, write_artefact, Table};
 use crate::workloads;
 
 /// Regenerate Fig 3a/3b for the MA tech-employment best match.
-pub fn run(_quick: bool) -> Vec<Table> {
+pub fn run(quick: bool) -> Vec<Table> {
+    let runs = if quick { 3 } else { 9 };
     let ds = workloads::tech_employment();
     // Tech employment is in thousands of jobs — the threshold scales with
     // the indicator (the paper's point in §3.3); ~8 jobs-per-sample RMS.
@@ -31,6 +34,7 @@ pub fn run(_quick: bool) -> Vec<Table> {
         .add_series("MA (query)", &query)
         .add_series(&m.series_name, &matched);
     let radial_path = write_artefact("e3_radial.svg", &radial.render());
+    let radial_time = median_time(|| drop(black_box(radial.render())), runs);
 
     let scatter = ConnectedScatter::new(
         360,
@@ -41,20 +45,23 @@ pub fn run(_quick: bool) -> Vec<Table> {
     .with_path(&m.path);
     let deviation = scatter.diagonal_deviation();
     let scatter_path = write_artefact("e3_scatter.svg", &scatter.render());
+    let scatter_time = median_time(|| drop(black_box(scatter.render())), runs);
 
     let mut t = Table::new(
         "E3 (Fig 3) — linked perspectives on the MA tech-employment match",
-        &["view", "observation", "artefact"],
+        &["view", "observation", "artefact", "render"],
     );
     t.row(vec![
         "radial chart (3a)".into(),
         format!("match: {} at dtw {:.3}", m.series_name, m.distance),
         radial_path.display().to_string(),
+        fmt_duration(radial_time),
     ]);
     t.row(vec![
         "connected scatter (3b)".into(),
         format!("mean |deviation from 45° diagonal| = {deviation:.3} (thousand jobs)"),
         scatter_path.display().to_string(),
+        fmt_duration(scatter_time),
     ]);
     vec![t]
 }

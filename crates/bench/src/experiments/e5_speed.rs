@@ -7,10 +7,10 @@
 //! number of *subsequences*. Construction cost is reported separately
 //! (E7) — the demo amortises it across an interactive session.
 
+use onex_baselines::ucrsuite::{ucr_dtw_search_dataset, DtwSearchConfig};
 use onex_core::{exhaustive, Onex, QueryOptions};
 use onex_grouping::BaseConfig;
 use onex_tseries::Dataset;
-use onex_ucrsuite::{ucr_dtw_search_dataset, DtwSearchConfig};
 
 use crate::harness::{fmt_duration, fmt_speedup, median_time, Table};
 use crate::workloads;
@@ -150,9 +150,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         format!("E5 (companion) — UCR Suite pruning cascade on {n}×{len} sine collection"),
         &["tier", "candidates killed", "share"],
     );
-    if let Some((_, stats)) =
-        onex_ucrsuite::ucr_dtw_search_dataset(&ds, &query, &DtwSearchConfig::default())
-    {
+    if let Some((_, stats)) = ucr_dtw_search_dataset(&ds, &query, &DtwSearchConfig::default()) {
         let total = stats.candidates.max(1);
         let pct = |k: usize| format!("{:.1}%", 100.0 * k as f64 / total as f64);
         cascade.row(vec![

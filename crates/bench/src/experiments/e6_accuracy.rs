@@ -17,7 +17,7 @@ use onex_distance::Band;
 use onex_grouping::BaseConfig;
 use onex_tseries::Dataset;
 
-use crate::harness::Table;
+use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
 struct Outcome {
@@ -78,6 +78,7 @@ fn queries(ds: &Dataset, qlen: usize, count: usize) -> Vec<Vec<f64>> {
 pub fn run(quick: bool) -> Vec<Table> {
     let (n, len, qlen) = if quick { (16, 64, 16) } else { (40, 96, 24) };
     let nq = if quick { 8 } else { 24 };
+    let runs = if quick { 3 } else { 7 };
     let ds = workloads::sine_collection(n, len);
     let (engine, _) =
         Onex::build(ds.clone(), BaseConfig::new(0.35, qlen, qlen)).expect("valid config");
@@ -120,23 +121,51 @@ pub fn run(quick: bool) -> Vec<Table> {
             "E6 — match accuracy vs exact unconstrained DTW ({nq} queries, \
              {n}×{len} collection, query length {qlen})"
         ),
-        &["method", "true-best hit rate", "mean distance inflation"],
+        &[
+            "method",
+            "true-best hit rate",
+            "mean distance inflation",
+            "latency / query",
+        ],
     );
+    // What each method costs an answer: the median over `runs` passes of
+    // the whole query set, per query.
+    let per_query = |answer: &dyn Fn(&[f64])| {
+        let pass = median_time(
+            || {
+                for q in &qs {
+                    answer(q);
+                }
+            },
+            runs,
+        );
+        fmt_duration(pass / qs.len().max(1) as u32)
+    };
     t.row(vec![
         "ONEX (unconstrained, over base)".into(),
         format!("{:.0}%", onex_out.hit_rate() * 100.0),
         format!("{:.4}", onex_out.inflation()),
+        per_query(&|q| {
+            engine.best_match(q, &full_opts).unwrap();
+        }),
     ]);
     t.row(vec![
         "ONEX (paper mode, best group only)".into(),
         format!("{:.0}%", onex_top1_out.hit_rate() * 100.0),
         format!("{:.4}", onex_top1_out.inflation()),
+        per_query(&|q| {
+            engine.best_match(q, &top1_opts).unwrap();
+        }),
     ]);
     for (fi, &frac) in fractions.iter().enumerate() {
+        let banded = QueryOptions::with_band(Band::from_fraction(qlen, frac));
         t.row(vec![
             format!("banded scan (Sakoe–Chiba {:.0}%)", frac * 100.0),
             format!("{:.0}%", banded_out[fi].hit_rate() * 100.0),
             format!("{:.4}", banded_out[fi].inflation()),
+            per_query(&|q| {
+                exhaustive::scan_best(&ds, q, &[qlen], 1, &banded, true).unwrap();
+            }),
         ]);
     }
     let worst_banded = banded_out
@@ -150,6 +179,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             "{:+.1}% vs narrowest band",
             (worst_banded - onex_out.inflation()) * 100.0
         ),
+        "-".into(),
     ]);
     vec![t]
 }

@@ -6,8 +6,8 @@
 //! * [`workloads`] — the standard datasets each experiment runs on,
 //!   built from the `onex-tseries` generators with fixed seeds.
 //! * [`harness`] — timing and table-printing utilities shared by the
-//!   `repro` binary and the Criterion benches.
-//! * [`experiments`] — one module per experiment (E1–E13); each returns
+//!   experiments.
+//! * [`experiments`] — one module per experiment (E1–E19); each returns
 //!   [`harness::Table`]s so `repro` can print them and tests can assert on
 //!   their shape.
 //!

@@ -471,13 +471,19 @@ impl CacheStats {
 /// [`CachedSearch::invalidate`] after the fact.
 ///
 /// ```
-/// use onex_api::SimilaritySearch;
-/// use onex_core::backends::UcrSuiteBackend;
-/// use onex_core::scale::CachedSearch;
+/// use std::sync::Arc;
 ///
-/// let series = vec![(0..64).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>()];
-/// let query = series[0][20..36].to_vec();
-/// let cached = CachedSearch::new(UcrSuiteBackend::from_series(series), 64).unwrap();
+/// use onex_api::SimilaritySearch;
+/// use onex_core::backends::OnexBackend;
+/// use onex_core::scale::CachedSearch;
+/// use onex_core::Onex;
+/// use onex_grouping::BaseConfig;
+/// use onex_tseries::gen::{sine_mix_dataset, SyntheticConfig};
+///
+/// let ds = sine_mix_dataset(SyntheticConfig { series: 4, len: 64, seed: 5 }, 3, 0.1);
+/// let query = ds.series(0).unwrap().subsequence(20, 16).unwrap().to_vec();
+/// let (engine, _) = Onex::build(ds, BaseConfig::new(0.5, 16, 16)).unwrap();
+/// let cached = CachedSearch::new(OnexBackend::new(Arc::new(engine)), 64).unwrap();
 /// let first = cached.k_best(&query, 3).unwrap();
 /// let replay = cached.k_best(&query, 3).unwrap();
 /// assert_eq!(first, replay);

@@ -18,11 +18,6 @@
 //!   lengths, and the group bound
 //!   `|DTW(q,s) − DTW(q,r)| ≤ √W · ED(r,s)` that licenses exploring group
 //!   representatives instead of raw data.
-//! * [`mod@paa`] — Piecewise Aggregate Approximation and coarse-resolution
-//!   DTW estimates.
-//! * [`iddtw`] — Iterative Deepening DTW (paper reference \[3\]):
-//!   coarse-to-fine nearest-neighbour search with a trained per-level
-//!   error model.
 //! * [`kernels`] — the shared inner loops behind all of the above, with
 //!   runtime-feature-detected AVX2 and a scalar reference.
 //! * [`sketch`] — quantised-PAA sketches and the L0 prefilter lower
@@ -46,19 +41,15 @@ pub mod bounds;
 pub mod dtw;
 pub mod ed;
 pub mod envelope;
-pub mod iddtw;
 pub mod kernels;
 pub mod lb;
-pub mod paa;
 mod path;
 pub mod sketch;
 
 pub use dtw::{dtw, dtw_early_abandon, dtw_sq, dtw_with_path, Band};
 pub use ed::{ed, ed_early_abandon_sq, ed_sq};
 pub use envelope::Envelope;
-pub use iddtw::{IddtwModel, IddtwStats};
 pub use kernels::KernelLevel;
-pub use paa::{dtw_paa, paa};
 pub use path::WarpingPath;
 pub use sketch::{PlanesRef, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
 

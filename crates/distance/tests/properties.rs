@@ -707,66 +707,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// PAA / iterative-deepening DTW (paper reference [3]).
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// PAA at full resolution is the identity; at one segment, the mean.
-    #[test]
-    fn paa_endpoints(x in series(24)) {
-        let full = onex_distance::paa(&x, x.len());
-        for (a, b) in full.iter().zip(&x) {
-            prop_assert!((a - b).abs() < EPS);
-        }
-        let one = onex_distance::paa(&x, 1);
-        let mean: f64 = x.iter().sum::<f64>() / x.len() as f64;
-        prop_assert!((one[0] - mean).abs() < EPS);
-    }
-
-    /// Every PAA value lies within the min/max of the points it covers —
-    /// segment means cannot escape the data range.
-    #[test]
-    fn paa_values_within_range(x in series(32), s in 1usize..8) {
-        let s = s.min(x.len());
-        let p = onex_distance::paa(&x, s);
-        let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in p {
-            prop_assert!(v >= lo - EPS && v <= hi + EPS);
-        }
-    }
-
-    /// Coarse DTW at full resolution equals exact DTW.
-    #[test]
-    fn dtw_paa_full_resolution_exact((x, y) in equal_pair(16)) {
-        let exact = dtw(&x, &y, Band::Full);
-        let coarse = onex_distance::dtw_paa(&x, &y, x.len().max(y.len()), Band::Full);
-        prop_assert!((exact - coarse).abs() < EPS, "{exact} vs {coarse}");
-    }
-
-    /// IDDTW with quantile 1.0, trained on the exact (query, candidate)
-    /// pairs it will search, always returns the brute-force nearest
-    /// neighbour's distance.
-    #[test]
-    fn iddtw_exact_when_fully_trained(
-        q in prop::collection::vec(-10.0f64..10.0, 8..20),
-        cands in prop::collection::vec(
-            prop::collection::vec(-10.0f64..10.0, 8..20), 2..8),
-    ) {
-        let pairs: Vec<(Vec<f64>, Vec<f64>)> =
-            cands.iter().map(|c| (q.clone(), c.clone())).collect();
-        let model = onex_distance::IddtwModel::train(&pairs, &[2, 4], 1.0, Band::Full);
-        let (_, got, _) = model
-            .nearest(&q, cands.iter().map(|v| v.as_slice()))
-            .unwrap();
-        let want = cands
-            .iter()
-            .map(|c| dtw(&q, c, Band::Full))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got - want).abs() < EPS, "iddtw {got} brute {want}");
-    }
-}

@@ -3,7 +3,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use onex_api::{OnexError, StreamingSearch};
+use onex_api::OnexError;
 use onex_core::{BuildReport, LengthSelection, Onex, PoolStats, QueryOptions, SeasonalOptions};
 use onex_grouping::BaseConfig;
 use onex_net::ClusterEngine;
@@ -759,7 +759,7 @@ impl App {
     }
 
     /// SPRING stream monitoring (paper reference [7]) over a stored
-    /// series, driven through the [`StreamingSearch`] extension trait:
+    /// series, through [`SpringBackend::monitor`](onex_baselines::SpringBackend::monitor):
     /// all disjoint subsequences of `target` within `eps` of the query
     /// window, exactly as a live monitor would have reported them.
     fn monitor_api(&self, req: &Request) -> Result<Response, Response> {
@@ -782,7 +782,7 @@ impl App {
                 Json::obj(vec![
                     ("start", h.start.into()),
                     ("end", h.end.into()),
-                    ("dtw", h.distance.into()),
+                    ("dtw", h.dist.into()),
                 ])
             })
             .collect();

@@ -6,10 +6,8 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use onex_api::{DegradePolicy, Epoch, OnexError, SimilaritySearch};
-use onex_core::backends::{
-    CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
-    UcrSuiteBackend,
-};
+use onex_baselines::{EbsmBackend, FrmBackend, SpringBackend, UcrSuiteBackend};
+use onex_core::backends::{CachedSearch, OnexBackend, ShardedEngine};
 use onex_core::{LengthSelection, Onex, QueryOptions};
 use onex_net::{ClusterConfig, ClusterEngine};
 
@@ -152,7 +150,8 @@ impl Registry {
     }
 
     /// The SPRING index at the engine's current epoch — concrete, because
-    /// `/api/monitor` drives it through the streaming extension trait.
+    /// `/api/monitor` calls [`SpringBackend::monitor`], which the trait
+    /// does not carry.
     pub(crate) fn spring(&self) -> Arc<SpringBackend> {
         let snap = self.engine.snapshot();
         self.baselines
@@ -230,17 +229,16 @@ impl Registry {
                     .ucr
                     .at(epoch, || UcrSuiteBackend::from_dataset(dataset)),
             ),
-            "frm" => Backend::Plain(
-                slots
-                    .frm
-                    .at(epoch, || FrmBackend::from_dataset(dataset, window)),
-            ),
+            "frm" => Backend::Plain(slots.frm.at(epoch, || {
+                FrmBackend::from_dataset(dataset, window)
+                    .expect("the window is clamped to FRM's floor")
+            })),
             "ebsm" => Backend::Plain(slots.ebsm.at(epoch, || {
                 EbsmBackend::from_dataset(
                     dataset,
-                    onex_embedding::EbsmConfig {
+                    onex_baselines::embedding::EbsmConfig {
                         ref_len: window,
-                        ..onex_embedding::EbsmConfig::default()
+                        ..onex_baselines::embedding::EbsmConfig::default()
                     },
                 )
                 .expect("server EBSM config is valid")

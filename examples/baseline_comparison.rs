@@ -14,14 +14,14 @@
 
 use std::time::Instant;
 
+use onex::baselines::embedding::{EbsmConfig, EbsmIndex};
+use onex::baselines::frm::{StConfig, StIndex};
+use onex::baselines::spring::spring_best_match;
+use onex::baselines::ucrsuite::{ucr_dtw_search_dataset, DtwSearchConfig};
 use onex::distance::{dtw, Band};
-use onex::embedding::{EbsmConfig, EbsmIndex};
 use onex::engine::{Onex, QueryOptions};
-use onex::frm::{StConfig, StIndex};
 use onex::grouping::BaseConfig;
-use onex::spring::spring_best_match;
 use onex::tseries::gen::{matters_collection, Indicator, MattersConfig};
-use onex::ucrsuite::{ucr_dtw_search_dataset, DtwSearchConfig};
 use onex::viz::ascii::sparkline;
 
 fn main() {
@@ -91,9 +91,9 @@ fn main() {
     let mut best_spring = None;
     for (sid, s) in series.iter().enumerate() {
         if let Some(m) = spring_best_match(s, &query) {
-            let improves = best_spring
-                .as_ref()
-                .is_none_or(|(_, b): &(usize, onex::spring::SpringMatch)| m.dist < b.dist);
+            let improves = best_spring.as_ref().is_none_or(
+                |(_, b): &(usize, onex::baselines::spring::SpringMatch)| m.dist < b.dist,
+            );
             if improves {
                 best_spring = Some((sid, m));
             }

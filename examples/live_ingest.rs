@@ -17,9 +17,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use onex::baselines::spring::SpringMonitor;
 use onex::engine::{Onex, QueryOptions};
 use onex::grouping::BaseConfig;
-use onex::spring::SpringMonitor;
 use onex::tseries::gen::{electricity_load, ElectricityConfig};
 use onex::tseries::{Dataset, TimeSeries};
 use onex::viz::ascii::sparkline;

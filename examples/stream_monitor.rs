@@ -12,9 +12,9 @@
 //! cargo run --example stream_monitor --release
 //! ```
 
+use onex::baselines::spring::SpringMonitor;
 use onex::engine::{Onex, QueryOptions};
 use onex::grouping::BaseConfig;
-use onex::spring::SpringMonitor;
 use onex::tseries::gen::{electricity_load, ElectricityConfig};
 use onex::tseries::{Dataset, TimeSeries};
 use onex::viz::ascii::sparkline;

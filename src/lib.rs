@@ -5,13 +5,13 @@
 //!
 //! The blessed entry point is the unified query surface from
 //! [`onex_api`]: the [`SimilaritySearch`] backend trait (implemented by
-//! the ONEX engine and by adapters over every baseline the demo
-//! compares — see [`engine::backends`]) and the workspace-wide typed
-//! [`OnexError`]. A five-line tour:
+//! the ONEX engine — see [`engine::backends`] — and by adapters over
+//! every system the demo compares it with, in [`baselines`]) and the
+//! workspace-wide typed [`OnexError`]. A five-line tour:
 //!
 //! ```
 //! use onex::{SimilaritySearch, OnexError};
-//! use onex::engine::backends::UcrSuiteBackend;
+//! use onex::baselines::UcrSuiteBackend;
 //!
 //! let series = vec![(0..64).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>()];
 //! let backend = UcrSuiteBackend::from_series(series.clone());
@@ -29,14 +29,10 @@
 //!   subsequence space of a dataset.
 //! * [`engine`] — the ONEX query engine: best-match, k-similar, seasonal
 //!   queries and threshold recommendation.
-//! * [`ucrsuite`] — the UCR Suite baseline used in the paper's speed
-//!   comparison.
-//! * [`spring`] — the SPRING streaming-DTW monitor (paper reference \[7\]),
-//!   the exact stream-monitoring baseline.
-//! * [`frm`] — the FRM/ST-index baseline (reference \[4\]): DFT features,
-//!   MBR trails and an R-tree for exact Euclidean subsequence matching.
-//! * [`embedding`] — the EBSM baseline (reference \[1\]): approximate
-//!   embedding-based subsequence matching under DTW.
+//! * [`baselines`] — the systems ONEX is compared against: the UCR Suite
+//!   (reference \[6\]), the FRM/ST-index (\[4\]), EBSM (\[1\]), the SPRING
+//!   stream monitor (\[7\]) and iterative-deepening DTW (\[3\]), with
+//!   their `SimilaritySearch` adapters.
 //! * [`viz`] — visual-analytics output: overview pane, warped multi-line
 //!   charts, radial charts, connected scatter plots, seasonal views.
 //! * [`net`] — distributed ONEX: the length-prefixed binary wire
@@ -53,16 +49,12 @@
 pub use onex_api as api;
 pub use onex_api::{
     BackendMatch, BackendStats, Capabilities, Metric, OnexError, SearchOutcome, SimilaritySearch,
-    StreamMatch, StreamingSearch,
 };
+pub use onex_baselines as baselines;
 pub use onex_core as engine;
 pub use onex_distance as distance;
-pub use onex_embedding as embedding;
-pub use onex_frm as frm;
 pub use onex_grouping as grouping;
 pub use onex_net as net;
 pub use onex_server as server;
-pub use onex_spring as spring;
 pub use onex_tseries as tseries;
-pub use onex_ucrsuite as ucrsuite;
 pub use onex_viz as viz;

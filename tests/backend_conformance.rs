@@ -29,10 +29,8 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use onex::engine::backends::{
-    CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
-    UcrSuiteBackend,
-};
+use onex::baselines::{EbsmBackend, FrmBackend, SpringBackend, UcrSuiteBackend};
+use onex::engine::backends::{CachedSearch, OnexBackend, ShardedEngine};
 use onex::engine::{exhaustive, LengthSelection, Onex, QueryOptions};
 use onex::grouping::BaseConfig;
 use onex::net::{AcceptOptions, ClusterEngine, RemoteBackend, RemoteConfig, ShardServer};
@@ -109,8 +107,11 @@ fn backends(ds: &Dataset) -> Vec<Box<dyn SimilaritySearch>> {
     vec![
         Box::new(OnexBackend::new(Arc::new(engine))),
         Box::new(UcrSuiteBackend::from_dataset(ds)),
-        Box::new(FrmBackend::<4>::from_dataset(ds, 8)),
-        Box::new(EbsmBackend::from_dataset(ds, onex::embedding::EbsmConfig::default()).unwrap()),
+        Box::new(FrmBackend::<4>::from_dataset(ds, 8).unwrap()),
+        Box::new(
+            EbsmBackend::from_dataset(ds, onex::baselines::embedding::EbsmConfig::default())
+                .unwrap(),
+        ),
         Box::new(SpringBackend::from_dataset(ds)),
         Box::new(sharded),
         Box::new(CachedSearch::new(OnexBackend::new(Arc::new(cache_engine)), 64).unwrap()),

@@ -115,8 +115,8 @@ fn mixed_operation_kinds_run_concurrently() {
 
 #[test]
 fn frm_and_ebsm_answer_concurrently() {
-    use onex::embedding::{EbsmConfig, EbsmIndex};
-    use onex::frm::{StConfig, StIndex};
+    use onex::baselines::embedding::{EbsmConfig, EbsmIndex};
+    use onex::baselines::frm::{StConfig, StIndex};
 
     let series: Vec<Vec<f64>> = (0..8)
         .map(|p| {
@@ -172,10 +172,8 @@ fn frm_and_ebsm_answer_concurrently() {
 
 #[test]
 fn every_backend_answers_identically_under_thread_hammer() {
-    use onex::engine::backends::{
-        CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
-        UcrSuiteBackend,
-    };
+    use onex::baselines::{EbsmBackend, FrmBackend, SpringBackend, UcrSuiteBackend};
+    use onex::engine::backends::{CachedSearch, OnexBackend, ShardedEngine};
     use onex::SimilaritySearch;
 
     const QLEN: usize = 16;
@@ -214,8 +212,11 @@ fn every_backend_answers_identically_under_thread_hammer() {
     let backends: Vec<Box<dyn SimilaritySearch + Send + Sync>> = vec![
         Box::new(OnexBackend::new(Arc::clone(&plain_engine))),
         Box::new(UcrSuiteBackend::from_dataset(&ds)),
-        Box::new(FrmBackend::<4>::from_dataset(&ds, 8)),
-        Box::new(EbsmBackend::from_dataset(&ds, onex::embedding::EbsmConfig::default()).unwrap()),
+        Box::new(FrmBackend::<4>::from_dataset(&ds, 8).unwrap()),
+        Box::new(
+            EbsmBackend::from_dataset(&ds, onex::baselines::embedding::EbsmConfig::default())
+                .unwrap(),
+        ),
         Box::new(SpringBackend::from_dataset(&ds)),
         Box::new(sharded),
     ];
@@ -319,7 +320,7 @@ fn every_backend_answers_identically_under_thread_hammer() {
 
 #[test]
 fn spring_monitors_run_per_thread() {
-    use onex::spring::SpringMonitor;
+    use onex::baselines::spring::SpringMonitor;
 
     let pattern = [0.0, 1.0, 2.0, 1.0, 0.0];
     let handles: Vec<_> = (0..4)
