@@ -20,8 +20,14 @@
 //! probe; `e17` → `BENCH_kernels.json`, SIMD kernel speedups + L0
 //! prefilter ablation + per-tier reject counts; `e18` →
 //! `BENCH_coldstart.json`, lazy-open time-to-first-answer vs decoding
-//! every column first + agreement) so successive runs leave a comparable
-//! performance trajectory.
+//! every column first + agreement; `e19` → `BENCH_resilience.json`,
+//! failover, degraded answers, hedging and recovery under injected
+//! faults) so successive runs leave a comparable performance trajectory.
+//!
+//! E12 to E19 check their invariants on every run, whatever the format.
+//! A broken one prints as `eN: <what broke>` on stderr; the run still
+//! finishes every selected experiment and writes its records, then exits
+//! 1.
 
 use onex_bench::experiments;
 
@@ -154,9 +160,14 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let mut failed = false;
+    let mut broken = 0usize;
     for id in selected {
         match experiments::run(id, quick) {
             Some(output) => {
+                for violation in &output.violations {
+                    eprintln!("{id}: {violation}");
+                }
+                broken += output.violations.len();
                 for table in output.tables {
                     println!("{}", table.render());
                 }
@@ -186,5 +197,9 @@ fn main() {
     );
     if failed {
         std::process::exit(2);
+    }
+    if broken > 0 {
+        eprintln!("{broken} invariant(s) broken");
+        std::process::exit(1);
     }
 }

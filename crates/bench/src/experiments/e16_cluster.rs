@@ -27,10 +27,11 @@
 //!    fail with a typed network error, fast (recorded once per sweep:
 //!    `dead_peer_typed`, `dead_peer_ms`).
 //!
-//! Wall-clock for the single engine, in-process shards, and both cluster
-//! modes is reported for context but not asserted — it depends on how
-//! many cores the four shard searches of a query get
-//! (`available_parallelism` in the record's header).
+//! [`check`] states what a run must show. Wall-clock for the single
+//! engine, in-process shards, and both cluster modes is reported for
+//! context but not checked — it depends on how many cores the four shard
+//! searches of a query get (`available_parallelism` in the record's
+//! header).
 //!
 //! [`ClusterEngine`]: onex_net::ClusterEngine
 
@@ -38,7 +39,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use onex_api::{OnexError, SearchOutcome, SimilaritySearch};
+use onex_api::{OnexError, SimilaritySearch};
 use onex_core::backends::OnexBackend;
 use onex_core::scale::ShardedEngine;
 use onex_core::Onex;
@@ -46,7 +47,8 @@ use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_net::{AcceptOptions, ClusterEngine, RemoteConfig, ShardServer};
 use onex_tseries::{Dataset, TimeSeries};
 
-use crate::harness::{fmt_duration, median_time, Table};
+use super::{broken, ExperimentOutput};
+use crate::harness::{fmt_duration, median_time, same_top_k, threads, Table};
 use crate::workloads;
 
 /// Query/subsequence length — long enough that a shard still has DTWs
@@ -187,14 +189,6 @@ pub fn dead_peer_probe() -> DeadPeerProbe {
     }
 }
 
-fn same_answers(a: &SearchOutcome, b: &SearchOutcome) -> bool {
-    a.matches.len() == b.matches.len()
-        && a.matches.iter().zip(&b.matches).all(|(x, y)| {
-            (x.series, x.start, x.len) == (y.series, y.start, y.len)
-                && (x.distance - y.distance).abs() < 1e-9
-        })
-}
-
 /// Run the sweep: random walks, one fleet of shard servers per size,
 /// two clusters (gossip on/off) over the same fleet.
 pub fn measure(quick: bool) -> Vec<ClusterRow> {
@@ -246,7 +240,7 @@ pub fn measure(quick: bool) -> Vec<ClusterRow> {
                 single_dtw += reference.stats.distance_computations;
                 let on = gossip.k_best(q, K).expect("valid query");
                 let off = nogossip.k_best(q, K).expect("valid query");
-                agreement &= same_answers(&on, reference) && same_answers(&off, reference);
+                agreement &= same_top_k(&on, reference) && same_top_k(&off, reference);
                 gossip_dtw += on.stats.distance_computations;
                 nogossip_dtw += off.stats.distance_computations;
             }
@@ -353,16 +347,14 @@ pub fn table(rows: &[ClusterRow], probe: &DeadPeerProbe) -> Table {
 }
 
 /// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_cluster.json`. CI's guard reads the `summary` object: gossip
-/// must strictly cut total remote DTW, every row must agree with the
-/// single engine, and the dead-peer probe must have failed typed. The
-/// header records `available_parallelism`: the batch wall-clocks depend
-/// on how many of a query's four shard searches run at once.
+/// `BENCH_cluster.json`: the rows, then the dead-peer probe. The header
+/// records `available_parallelism`: the batch wall-clocks depend on how
+/// many of a query's four shard searches run at once.
 pub fn json_report(rows: &[ClusterRow], probe: &DeadPeerProbe) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
         "{{\"experiment\":\"e16_cluster\",\"available_parallelism\":{},\"rows\":[",
-        std::thread::available_parallelism().map_or(1, usize::from)
+        threads()
     );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -395,28 +387,66 @@ pub fn json_report(rows: &[ClusterRow], probe: &DeadPeerProbe) -> String {
             r.threads_spawned,
         );
     }
-    let gossip_dtw: usize = rows.iter().map(|r| r.gossip_dtw).sum();
-    let nogossip_dtw: usize = rows.iter().map(|r| r.nogossip_dtw).sum();
-    let agreement = rows.iter().all(|r| r.agreement);
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "],\"summary\":{{\"gossip_dtw\":{},\"nogossip_dtw\":{},\
-         \"gossip_saves\":{},\"agreement\":{},\
-         \"dead_peer_typed\":{},\"dead_peer_ms\":{:.3}}}}}",
-        gossip_dtw,
-        nogossip_dtw,
-        gossip_dtw < nogossip_dtw,
-        agreement,
+        "],\"dead_peer_typed\":{},\"dead_peer_ms\":{:.3}}}",
         probe.typed,
         probe.elapsed.as_secs_f64() * 1e3,
     );
-    out.push('\n');
     out
 }
 
-/// Standard experiment entry point.
-pub fn run(quick: bool) -> Vec<Table> {
-    vec![table(&measure(quick), &dead_peer_probe())]
+/// One measurement pass — the sweep and the dead-peer probe — read as the
+/// table, the perf record and the invariants.
+pub fn run(quick: bool) -> ExperimentOutput {
+    let (rows, probe) = (measure(quick), dead_peer_probe());
+    ExperimentOutput {
+        tables: vec![table(&rows, &probe)],
+        record: Some(("BENCH_cluster.json", json_report(&rows, &probe))),
+        violations: check(&rows, &probe),
+    }
+}
+
+/// E16's invariants, stated once:
+///
+/// * every cluster top-k, gossip on and off, equals the single engine's;
+///   every engine counted DTWs; the pool spawned one worker per remote;
+/// * per row, gossip never costs remote DTWs (the bound only tightens),
+///   and tighten frames crossed the wire: queries are sized to outlast a
+///   loopback hop in release builds too;
+/// * summed over the sweep, gossip strictly cuts remote DTWs (rows add
+///   rounds until the win shows, so a tie means `MAX_ROUNDS` batches
+///   never saved one);
+/// * a cluster pointed at a dead peer fails typed within 5 s.
+pub fn check(rows: &[ClusterRow], probe: &DeadPeerProbe) -> Vec<String> {
+    let mut out = Vec::new();
+    for r in rows {
+        let at = format!("{}x{}", r.series, r.len);
+        let (on, off) = (r.gossip_dtw, r.nogossip_dtw);
+        let pool = r.threads_spawned == SHARDS;
+        let counted = r.single_dtw > 0 && on > 0 && off > 0;
+        let frames = r.gossip_sent + r.gossip_received > 0;
+        out.extend(broken([
+            (r.agreement, format!("{at}: top-k diverged")),
+            (pool, format!("{at}: {} pool threads", r.threads_spawned)),
+            (counted, format!("{at}: an engine counted no DTW")),
+            (
+                on <= off,
+                format!("{at}: gossip {on} > no-gossip {off} DTWs"),
+            ),
+            (frames, format!("{at}: no tighten frame crossed the wire")),
+        ]));
+    }
+    let on: usize = rows.iter().map(|r| r.gossip_dtw).sum();
+    let off: usize = rows.iter().map(|r| r.nogossip_dtw).sum();
+    let (typed, took) = (probe.typed, fmt_duration(probe.elapsed));
+    let fast = probe.elapsed < Duration::from_secs(5);
+    out.extend(broken([
+        (!rows.is_empty(), "no cluster rows".into()),
+        (on < off, format!("gossip saved no DTW: {on} against {off}")),
+        (typed && fast, format!("dead peer: typed {typed}, {took}")),
+    ]));
+    out
 }
 
 #[cfg(test)]
@@ -427,65 +457,16 @@ mod tests {
     fn gossip_cuts_remote_dtw_and_answers_agree() {
         let rows = measure(true);
         assert_eq!(rows.len(), 1, "quick mode is one size");
-        let mut gossip_total = 0usize;
-        let mut nogossip_total = 0usize;
-        for row in &rows {
-            assert!(
-                row.agreement,
-                "{}x{}: cluster top-k diverged from the single engine",
-                row.series, row.len
-            );
-            assert_eq!(
-                row.threads_spawned, SHARDS,
-                "pool must be one persistent worker per remote, never respawned"
-            );
-            assert!(row.single_dtw > 0 && row.gossip_dtw > 0 && row.nogossip_dtw > 0);
-            // Monotone safety: gossip can only tighten, so it never
-            // *costs* DTW work beyond scheduling noise on any row.
-            assert!(
-                row.gossip_dtw <= row.nogossip_dtw,
-                "{}x{}: gossip {} > no-gossip {}",
-                row.series,
-                row.len,
-                row.gossip_dtw,
-                row.nogossip_dtw
-            );
-            // Gossip frames actually crossed the wire: queries are sized
-            // to outlast a loopback hop even in release builds.
-            assert!(
-                row.gossip_sent + row.gossip_received > 0,
-                "{}x{}: no tighten frame ever crossed the wire",
-                row.series,
-                row.len
-            );
-            gossip_total += row.gossip_dtw;
-            nogossip_total += row.nogossip_dtw;
-        }
-        // The acceptance claim: across the sweep, gossip strictly cut
-        // remote DTW (rows accumulate rounds until the win shows, so a
-        // tie here means MAX_ROUNDS batches never saved a single DTW).
-        assert!(
-            gossip_total < nogossip_total,
-            "gossip saved no remote DTW work: {gossip_total} vs {nogossip_total}"
-        );
+        assert_eq!(check(&rows, &dead_peer_probe()), Vec::<String>::new());
     }
 
     #[test]
     fn dead_peer_fails_typed_and_fast() {
-        let probe = dead_peer_probe();
-        assert!(probe.typed, "dead peer must be a typed network error");
-        assert!(
-            probe.elapsed < Duration::from_secs(5),
-            "dead peer must fail fast: {:?}",
-            probe.elapsed
-        );
+        assert_eq!(check(&rows(), &dead_peer_probe()), Vec::<String>::new());
     }
 
-    #[test]
-    fn json_report_is_parseable_shape() {
-        // Hand-built fixtures: the renderer's shape does not need a
-        // second full benchmark sweep to be exercised.
-        let rows = vec![ClusterRow {
+    fn rows() -> Vec<ClusterRow> {
+        vec![ClusterRow {
             series: 16,
             len: 384,
             single_dtw: 900,
@@ -500,23 +481,33 @@ mod tests {
             gossip_sent: 9,
             gossip_received: 14,
             threads_spawned: SHARDS,
-        }];
-        let probe = DeadPeerProbe {
-            typed: true,
-            elapsed: Duration::from_millis(12),
-        };
+        }]
+    }
+
+    const PROBE: DeadPeerProbe = DeadPeerProbe {
+        typed: true,
+        elapsed: Duration::from_millis(12),
+    };
+
+    #[test]
+    fn check_names_a_broken_invariant() {
+        assert_eq!(check(&rows(), &PROBE), Vec::<String>::new());
+        let mut broken = rows();
+        broken[0].agreement = false;
+        crate::experiments::assert_broken(&check(&broken, &PROBE), "16x384: top-k diverged");
+        assert_eq!(
+            check(&[], &PROBE),
+            ["no cluster rows", "gossip saved no DTW: 0 against 0"]
+        );
+    }
+
+    #[test]
+    fn json_report_is_parseable_shape() {
+        let (rows, probe) = (rows(), PROBE);
         let json = json_report(&rows, &probe);
         assert!(json.starts_with("{\"experiment\":\"e16_cluster\",\"available_parallelism\":"));
         assert!(json.contains("\"gossip_dtw_ratio\":0.5500"), "{json}");
         assert!(json.contains("\"gossip_sent\":9"), "{json}");
-        assert!(
-            json.contains(
-                "\"summary\":{\"gossip_dtw\":1100,\"nogossip_dtw\":2000,\
-                 \"gossip_saves\":true,\"agreement\":true,\
-                 \"dead_peer_typed\":true,\"dead_peer_ms\":12.000}"
-            ),
-            "{json}"
-        );
-        assert!(json.trim_end().ends_with("}}"));
+        assert!(json.ends_with("],\"dead_peer_typed\":true,\"dead_peer_ms\":12.000}\n"));
     }
 }

@@ -9,9 +9,9 @@
 //! candidates before any f64 data is touched. E17 answers:
 //!
 //! 1. **Kernel throughput** — each kernel at each level the CPU offers,
-//!    against the scalar reference on the same buffers. CI guards that
-//!    the selected SIMD level does not lose to scalar, and that outputs
-//!    agree (bit-exact for the DTW row and envelope, ≤1e-9 relative for
+//!    against the scalar reference on the same buffers. [`check`] holds
+//!    that the selected SIMD level does not lose to scalar, and that
+//!    outputs agree (bit-exact for the DTW row and envelope, ≤1e-9 relative for
 //!    the accumulating kernels, whose block-wise horizontal sums may
 //!    round differently). The two lanes-are-candidates kernels of the
 //!    member scan — `l0_block` (the sketch block test over plane-major
@@ -27,7 +27,7 @@
 //!    on/off differ by less than the noise; the **clustered** row (the
 //!    `explore` shape of the end-to-end harness: a few huge groups, three
 //!    adjacent lengths around 31) is where the member cascade is the
-//!    query, and there CI guards that the tier *pays*: `batch_on_ms`
+//!    query, and there [`check`] holds that the tier *pays*: `batch_on_ms`
 //!    below `batch_off_ms`.
 //! 3. **Per-tier reject fractions** — where candidates die (L0 → LB_Kim
 //!    → LB_Keogh → abandoned DTW → completed DTW), the observable that
@@ -35,8 +35,8 @@
 //! 4. **Across lengths** — the last row searches three adjacent lengths
 //!    (`Nearest(3)`) with a query of the middle one, so two thirds of its
 //!    candidates differ in length from the query. The cascade runs on
-//!    them all the same (cross-length envelopes); CI guards that fewer
-//!    than half the members it touches start a DTW.
+//!    them all the same (cross-length envelopes); [`check`] holds that
+//!    fewer than half the members it touches start a DTW.
 //! 5. **Agreement** — the L0-on top-k equals the L0-off top-k, the
 //!    exhaustive stride-1 scan, and the 4-shard fan-out's merged answer
 //!    on every row. Because the DTW row kernel is bit-exact across
@@ -58,7 +58,8 @@ use onex_distance::sketch::encode_into;
 use onex_distance::{Band, Envelope, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
-use crate::harness::{fmt_duration, median_time, Table};
+use super::{broken, ExperimentOutput, TIMED};
+use crate::harness::{fmt_duration, median_time, same_matches, same_top_k, threads, Table};
 use crate::workloads;
 
 /// Query length for the random-walk cascade rows, and the middle of
@@ -539,8 +540,8 @@ impl CascadeRow {
     }
 
     /// An upper bound on the member DTWs the L0-on scan started (the
-    /// completed count includes representatives) — what CI compares
-    /// against [`Self::members_touched`] on the cross-length row.
+    /// completed count includes representatives) — what [`check`]
+    /// compares against [`Self::members_touched`] on the cross-length row.
     pub fn dtw_started(&self) -> usize {
         self.on.dtw_abandoned + self.on.dtw_completed
     }
@@ -611,12 +612,6 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
             answers.push(per_query);
         }
 
-        let same_matches = |a: &[onex_core::Match], b: &[onex_core::Match]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b)
-                    .all(|(x, y)| x.subseq == y.subseq && (x.distance - y.distance).abs() < 1e-9)
-        };
         let ablation_agreement = answers[0]
             .iter()
             .zip(&answers[1])
@@ -640,12 +635,7 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
         let single = OnexBackend::new(std::sync::Arc::new(engine)).with_options(nearest.clone());
         let sharded_agreement = queries.iter().all(|q| {
             let merged = sharded.k_best(q, K).expect("valid query");
-            let reference = single.k_best(q, K).expect("valid query");
-            merged.matches.len() == reference.matches.len()
-                && merged.matches.iter().zip(&reference.matches).all(|(a, b)| {
-                    (a.series, a.start, a.len) == (b.series, b.start, b.len)
-                        && (a.distance - b.distance).abs() < 1e-9
-                })
+            same_top_k(&merged, &single.k_best(q, K).expect("valid query"))
         });
 
         rows.push(CascadeRow {
@@ -735,12 +725,8 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
 }
 
 /// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_kernels.json`. CI guards: every SIMD kernel row at the
-/// *selected* level beats scalar, outputs agree everywhere, the L0-on
-/// runs never touch more candidates and strictly reduce f64 LB
-/// evaluations, every `"lengths":3` row starts a DTW on fewer than half
-/// the members it touches, the `"shape":"clustered"` row runs faster with
-/// L0 on than off, and all three agreement columns are true on every row.
+/// `BENCH_kernels.json`. The header names the selected kernel level and
+/// records `available_parallelism`.
 pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> String {
     use std::fmt::Write as _;
     let level = kernels::level();
@@ -749,7 +735,7 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
          \"simd_active\":{},\"available_parallelism\":{},\"kernels\":[",
         level.label(),
         level != KernelLevel::Scalar,
-        std::thread::available_parallelism().map_or(1, usize::from),
+        threads(),
     );
     for (i, r) in kernel_rows.iter().enumerate() {
         if i > 0 {
@@ -805,12 +791,84 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
     out
 }
 
-/// Standard experiment entry point.
-pub fn run(quick: bool) -> Vec<Table> {
-    vec![
-        kernels_table(&measure_kernels(quick)),
-        cascade_table(&measure_cascade(quick)),
-    ]
+/// One measurement pass — the kernel rows and the cascade rows — read as
+/// the tables, the perf record and the invariants.
+pub fn run(quick: bool) -> ExperimentOutput {
+    let (kernel_rows, cascade_rows) = (measure_kernels(quick), measure_cascade(quick));
+    ExperimentOutput {
+        tables: vec![kernels_table(&kernel_rows), cascade_table(&cascade_rows)],
+        record: Some((
+            "BENCH_kernels.json",
+            json_report(&kernel_rows, &cascade_rows),
+        )),
+        violations: check(&kernel_rows, &cascade_rows),
+    }
+}
+
+/// E17's invariants, stated once:
+///
+/// * every kernel row at every level agrees with its reference;
+/// * on every cascade row the L0 tier only removes work — no more
+///   candidates touched, strictly fewer f64 lower-bound evaluations, some
+///   L0 rejects on and none off — and the top-k equals the exhaustive
+///   scan, the L0-off run and the 4-shard fan-out;
+/// * on every cross-length row (`lengths` 3) fewer than half the members
+///   touched start a DTW;
+/// * with a SIMD level selected, in an optimised build: no kernel at that
+///   level loses to its reference, and the clustered row runs faster with
+///   L0 on than off. Under scalar dispatch there is nothing to win.
+pub fn check(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> Vec<String> {
+    let selected = kernels::level();
+    let simd = TIMED && selected != KernelLevel::Scalar;
+    let across = cascade_rows.iter().any(|r| r.lengths == 3);
+    let clustered = cascade_rows.iter().any(|r| r.shape == Shape::Clustered);
+    let at_selected = !simd || kernel_rows.iter().any(|r| r.level == selected);
+    let mut out: Vec<String> = broken([
+        (!kernel_rows.is_empty(), "no kernel rows".into()),
+        (at_selected, "no kernel row at the selected level".into()),
+        (across, "no cross-length cascade row".into()),
+        (clustered, "no clustered cascade row".into()),
+    ])
+    .collect();
+    for r in kernel_rows {
+        let at = format!("{} at {}", r.kernel, r.level.label());
+        let wins = !simd || r.level != selected || r.speedup() >= 1.0;
+        out.extend(broken([
+            (r.agrees, format!("{at}: disagrees with its reference")),
+            (wins, format!("{at}: {:.2}× its reference", r.speedup())),
+        ]));
+    }
+    for r in cascade_rows {
+        let at = format!("{} {}x{} ×{}", r.shape.label(), r.series, r.len, r.lengths);
+        let (on, off) = (&r.on, &r.off);
+        let agree = [r.agreement, r.ablation_agreement, r.sharded_agreement];
+        let removes = on.touched <= off.touched && on.lb_evals < off.lb_evals;
+        let fired = on.l0_pruned > 0 && off.l0_pruned == 0;
+        let (dtws, members) = (r.dtw_started(), r.members_touched());
+        let few = r.lengths != 3 || 2 * dtws < members;
+        let pays = !simd || r.shape != Shape::Clustered || on.batch < off.batch;
+        let (on_ms, off_ms) = (fmt_duration(on.batch), fmt_duration(off.batch));
+        out.extend(broken([
+            (
+                agree == [true; 3],
+                format!("{at}: exhaustive/ablation/sharded agreement {agree:?}"),
+            ),
+            (
+                removes,
+                format!(
+                    "{at}: L0 on/off touched {}/{}, f64 LB evals {}/{}",
+                    on.touched, off.touched, on.lb_evals, off.lb_evals
+                ),
+            ),
+            (
+                fired,
+                format!("{at}: L0 rejects on/off {}/{}", on.l0_pruned, off.l0_pruned),
+            ),
+            (few, format!("{at}: {dtws} DTWs on {members} members")),
+            (pays, format!("{at}: L0 on {on_ms}, off {off_ms}")),
+        ]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -841,136 +899,93 @@ mod tests {
             );
         }
         assert_eq!(rows.len(), kernels.len() * KernelLevel::available().len());
-        for r in &rows {
-            assert!(
-                r.agrees,
-                "{} at {} disagrees with scalar",
-                r.kernel,
-                r.level.label()
-            );
-        }
+        assert_eq!(check(&rows, &cascade_fixture()), Vec::<String>::new());
     }
 
     #[test]
     fn l0_reduces_f64_lb_work_without_changing_answers() {
         let rows = measure_cascade(true);
         assert_eq!(
-            rows.len(),
-            4,
+            rows.iter()
+                .map(|r| (r.shape, r.lengths))
+                .collect::<Vec<_>>(),
+            [
+                (Shape::Walk, 1),
+                (Shape::Walk, 1),
+                (Shape::Walk, 3),
+                (Shape::Clustered, 3)
+            ],
             "two quick sizes, the cross-length row and the clustered row"
         );
-        for r in &rows {
-            assert!(
-                r.agreement,
-                "{}x{}: diverged from exhaustive",
-                r.series, r.len
-            );
-            assert!(
-                r.ablation_agreement,
-                "{}x{}: L0 changed the top-k",
-                r.series, r.len
-            );
-            assert!(
-                r.sharded_agreement,
-                "{}x{}: sharded diverged",
-                r.series, r.len
-            );
-            // The L0 tier only ever *removes* work: same candidates
-            // touched, strictly fewer f64 lower-bound evaluations.
-            assert!(
-                r.on.touched <= r.off.touched,
-                "{}x{}: L0 on touched {} > off {}",
-                r.series,
-                r.len,
-                r.on.touched,
-                r.off.touched
-            );
-            assert!(
-                r.on.lb_evals < r.off.lb_evals,
-                "{}x{}: L0 on lb_evals {} !< off {}",
-                r.series,
-                r.len,
-                r.on.lb_evals,
-                r.off.lb_evals
-            );
-            assert!(r.on.l0_pruned > 0, "{}x{}: L0 never fired", r.series, r.len);
-            assert_eq!(r.off.l0_pruned, 0, "L0-off run must not count L0 prunes");
-        }
-        // Two thirds of the cross-length row's candidates differ in length
-        // from the query; the cascade must dismiss most of them all the
-        // same, before a DTW starts.
-        for across in &rows[2..] {
-            assert_eq!(across.lengths, 3);
-            assert!(
-                2 * across.dtw_started() < across.members_touched(),
-                "cross-length row started {} DTWs on {} members",
-                across.dtw_started(),
-                across.members_touched()
-            );
-        }
+        assert_eq!(check(&kernel_fixture(), &rows), Vec::<String>::new());
+    }
+
+    fn kernel_fixture() -> Vec<KernelRow> {
+        let row = |level, elapsed| KernelRow {
+            kernel: "ed",
+            level,
+            elapsed: Duration::from_micros(elapsed),
+            scalar: Duration::from_micros(100),
+            agrees: true,
+        };
+        vec![row(KernelLevel::Scalar, 100), row(KernelLevel::Avx2, 25)]
+    }
+
+    fn cascade_fixture() -> Vec<CascadeRow> {
+        let leg = |lb_evals, l0_pruned, batch| CascadeLeg {
+            touched: 900,
+            lb_evals,
+            l0_pruned,
+            kim_pruned: 40,
+            keogh_pruned: 120,
+            dtw_abandoned: 80,
+            dtw_completed: 260,
+            batch: Duration::from_micros(batch),
+        };
+        vec![CascadeRow {
+            shape: Shape::Clustered,
+            series: 12,
+            len: 96,
+            lengths: 3,
+            on: leg(500, 300, 431),
+            off: leg(800, 0, 520),
+            agreement: true,
+            ablation_agreement: true,
+            sharded_agreement: true,
+        }]
+    }
+
+    #[test]
+    fn check_names_a_broken_invariant() {
         assert_eq!(
-            rows.iter().map(|r| r.shape).collect::<Vec<_>>(),
-            [Shape::Walk, Shape::Walk, Shape::Walk, Shape::Clustered]
+            check(&kernel_fixture(), &cascade_fixture()),
+            Vec::<String>::new()
+        );
+        let mut broken = cascade_fixture();
+        broken[0].on.lb_evals = 800;
+        crate::experiments::assert_broken(
+            &check(&kernel_fixture(), &broken),
+            "clustered 12x96 ×3: L0 on/off touched 900/900, f64 LB evals 800/800",
+        );
+        assert_eq!(
+            check(&[], &[]),
+            [
+                "no kernel rows",
+                "no cross-length cascade row",
+                "no clustered cascade row"
+            ]
         );
     }
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let kernel_rows = vec![
-            KernelRow {
-                kernel: "ed",
-                level: KernelLevel::Scalar,
-                elapsed: Duration::from_micros(100),
-                scalar: Duration::from_micros(100),
-                agrees: true,
-            },
-            KernelRow {
-                kernel: "ed",
-                level: KernelLevel::Avx2,
-                elapsed: Duration::from_micros(25),
-                scalar: Duration::from_micros(100),
-                agrees: true,
-            },
-        ];
-        let cascade_rows = vec![CascadeRow {
-            shape: Shape::Clustered,
-            series: 12,
-            len: 96,
-            lengths: 3,
-            on: CascadeLeg {
-                touched: 900,
-                lb_evals: 500,
-                l0_pruned: 300,
-                kim_pruned: 40,
-                keogh_pruned: 120,
-                dtw_abandoned: 80,
-                dtw_completed: 260,
-                batch: Duration::from_micros(431),
-            },
-            off: CascadeLeg {
-                touched: 900,
-                lb_evals: 800,
-                l0_pruned: 0,
-                kim_pruned: 120,
-                keogh_pruned: 340,
-                dtw_abandoned: 80,
-                dtw_completed: 260,
-                batch: Duration::from_micros(520),
-            },
-            agreement: true,
-            ablation_agreement: true,
-            sharded_agreement: true,
-        }];
+        let (kernel_rows, cascade_rows) = (kernel_fixture(), cascade_fixture());
         let json = json_report(&kernel_rows, &cascade_rows);
-        assert!(json.starts_with("{\"experiment\":\"e17_kernels\""));
-        assert!(json.contains("\"kernel_level\":\""));
-        assert!(json.contains("\"speedup\":4.0000"));
+        assert!(json.starts_with("{\"experiment\":\"e17_kernels\",\"kernel_level\":\""));
         assert!(json.contains("\"available_parallelism\":"));
-        assert!(json.contains("{\"shape\":\"clustered\",\"series\":12,"));
-        assert!(json.contains("\"len\":96,\"lengths\":3,\"touched_on\":900"));
-        assert!(json.contains("\"lb_evals_on\":500"));
-        assert!(json.contains("\"lb_evals_off\":800"));
-        assert!(json.contains("\"ablation_agreement\":true"));
+        assert!(json.contains("\"level\":\"avx2\",\"selected\":"));
+        assert!(json.contains("\"speedup\":4.0000,\"agrees\":true}"));
+        assert!(json.contains("\"lb_evals_on\":500,\"lb_evals_off\":800,\"l0_pruned\":300,"));
         assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -19,19 +19,19 @@
 //! 3. **Footprint.** Image bytes, and bytes per indexed subsequence (the
 //!    image stores no representative the dataset holds).
 //!
-//! The CI guard reads the JSON `summary`: on the largest row the lazy
-//! first answer must beat the eager one, and every row must agree.
+//! [`check`] states what a run must show.
 //!
 //! [`Onex::open_bytes`]: onex_core::Onex::open_bytes
 //! [`Onex::resolve_all`]: onex_core::Onex::resolve_all
 
 use std::time::Duration;
 
-use onex_core::{Match, Onex, QueryOptions};
+use onex_core::{Onex, QueryOptions};
 use onex_grouping::persist::save_v2;
 use onex_grouping::BaseConfig;
 
-use crate::harness::{fmt_duration, median_time, Table};
+use super::{broken, ExperimentOutput};
+use crate::harness::{fmt_duration, median_time, same_matches, threads, Table};
 use crate::workloads;
 
 /// Indexed length range: enough columns that resolving all of them
@@ -82,13 +82,6 @@ impl ColdStartRow {
     pub fn bytes_per_subsequence(&self) -> f64 {
         self.image_bytes as f64 / self.subsequences.max(1) as f64
     }
-}
-
-fn same_answers(a: &[Match], b: &[Match]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.subseq == y.subseq && (x.distance - y.distance).abs() < 1e-9)
 }
 
 /// Run the sweep: random walks, one warm build per size, then both cold
@@ -146,8 +139,8 @@ pub fn measure(quick: bool) -> Vec<ColdStartRow> {
             eager_first,
             lazy_first,
             lazy_resolved,
-            agreement: same_answers(&eager_answer, &warm_answer)
-                && same_answers(&lazy_answer, &warm_answer),
+            agreement: same_matches(&eager_answer, &warm_answer)
+                && same_matches(&lazy_answer, &warm_answer),
         });
     }
     rows
@@ -190,12 +183,13 @@ pub fn table(rows: &[ColdStartRow]) -> Table {
 }
 
 /// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_coldstart.json`. CI's guard reads the `summary` object: the
-/// lazy first answer must beat the eager one on the largest row
-/// (`lazy_first_faster`) and every row must agree (`agreement`).
+/// `BENCH_coldstart.json`. The header records `available_parallelism`.
 pub fn json_report(rows: &[ColdStartRow]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"e18_coldstart\",\"rows\":[");
+    let mut out = format!(
+        "{{\"experiment\":\"e18_coldstart\",\"available_parallelism\":{},\"rows\":[",
+        threads()
+    );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -219,24 +213,45 @@ pub fn json_report(rows: &[ColdStartRow]) -> String {
             r.agreement,
         );
     }
-    let last = rows.last().expect("at least one row");
-    let agreement = rows.iter().all(|r| r.agreement);
-    let _ = write!(
-        out,
-        "],\"summary\":{{\"eager_first_ms\":{:.3},\"lazy_first_ms\":{:.3},\
-         \"lazy_first_faster\":{},\"agreement\":{}}}}}",
-        last.eager_first.as_secs_f64() * 1e3,
-        last.lazy_first.as_secs_f64() * 1e3,
-        last.lazy_first < last.eager_first,
-        agreement,
-    );
-    out.push('\n');
+    out.push_str("]}\n");
     out
 }
 
-/// Standard experiment entry point.
-pub fn run(quick: bool) -> Vec<Table> {
-    vec![table(&measure(quick))]
+/// One measurement pass, read as the table, the perf record and the
+/// invariants.
+pub fn run(quick: bool) -> ExperimentOutput {
+    let rows = measure(quick);
+    ExperimentOutput {
+        tables: vec![table(&rows)],
+        record: Some(("BENCH_coldstart.json", json_report(&rows))),
+        violations: check(&rows),
+    }
+}
+
+/// E18's invariants, stated once. On every row both cold paths return the
+/// warm engine's exact top-k; the first answer (an `Exact` plan) resolves
+/// one of several length columns; and answering from the lazy open is
+/// strictly faster than resolving every column first.
+pub fn check(rows: &[ColdStartRow]) -> Vec<String> {
+    let mut out: Vec<String> = broken([(!rows.is_empty(), "no rows".into())]).collect();
+    for r in rows {
+        let at = format!("{}x{}", r.series, r.len);
+        let (resolved, columns) = (r.lazy_resolved, r.columns);
+        let one = columns > 1 && resolved == 1;
+        let (lazy, eager) = (fmt_duration(r.lazy_first), fmt_duration(r.eager_first));
+        out.extend(broken([
+            (r.agreement, format!("{at}: a cold top-k diverged")),
+            (
+                one,
+                format!("{at}: resolved {resolved} of {columns} columns"),
+            ),
+            (
+                r.lazy_first < r.eager_first,
+                format!("{at}: lazy {lazy}, eager {eager}"),
+            ),
+        ]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -247,37 +262,11 @@ mod tests {
     fn lazy_first_answer_beats_eager_and_answers_agree() {
         let rows = measure(true);
         assert_eq!(rows.len(), 1, "quick mode is one size");
-        for row in &rows {
-            assert!(
-                row.agreement,
-                "{}x{}: a cold path diverged from the warm engine",
-                row.series, row.len
-            );
-            assert!(
-                row.columns > 1,
-                "the sweep must index several length columns for laziness to matter"
-            );
-            // The default query plan is Exact, so the first answer
-            // resolves exactly one column out of the many persisted.
-            assert_eq!(row.lazy_resolved, 1, "{}x{}", row.series, row.len);
-            // The acceptance claim: answering from a lazy open is
-            // strictly faster than resolving everything first.
-            assert!(
-                row.lazy_first < row.eager_first,
-                "{}x{}: lazy first answer {:?} not faster than eager {:?}",
-                row.series,
-                row.len,
-                row.lazy_first,
-                row.eager_first
-            );
-        }
+        assert_eq!(check(&rows), Vec::<String>::new());
     }
 
-    #[test]
-    fn json_report_is_parseable_shape() {
-        // Hand-built fixtures: the renderer's shape does not need a
-        // second benchmark sweep to be exercised.
-        let rows = vec![ColdStartRow {
+    fn rows() -> Vec<ColdStartRow> {
+        vec![ColdStartRow {
             series: 12,
             len: 256,
             columns: 17,
@@ -287,19 +276,29 @@ mod tests {
             lazy_first: Duration::from_micros(400),
             lazy_resolved: 1,
             agreement: true,
-        }];
+        }]
+    }
+
+    #[test]
+    fn check_names_a_broken_invariant() {
+        assert_eq!(check(&rows()), Vec::<String>::new());
+        let mut broken = rows();
+        broken[0].lazy_resolved = 17;
+        crate::experiments::assert_broken(&check(&broken), "resolved 17 of 17 columns");
+        assert_eq!(check(&[]), ["no rows"]);
+    }
+
+    #[test]
+    fn json_report_is_parseable_shape() {
+        let rows = rows();
         let json = json_report(&rows);
-        assert!(json.starts_with("{\"experiment\":\"e18_coldstart\""));
+        assert!(json.starts_with("{\"experiment\":\"e18_coldstart\",\"available_parallelism\":"));
         assert!(json.contains("\"first_answer_speedup\":13.0000"), "{json}");
         assert!(json.contains("\"bytes_per_subsequence\":56.0"), "{json}");
-        assert!(json.contains("\"lazy_resolved\":1"), "{json}");
         assert!(
-            json.contains(
-                "\"summary\":{\"eager_first_ms\":5.200,\"lazy_first_ms\":0.400,\
-                 \"lazy_first_faster\":true,\"agreement\":true}"
-            ),
+            json.contains("\"lazy_resolved\":1,\"agreement\":true}"),
             "{json}"
         );
-        assert!(json.trim_end().ends_with("}}"));
+        assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -27,7 +27,8 @@
 //!
 //! All faults are injected deterministically (proxy kill switch, a
 //! protocol-speaking stall server), so the experiment needs no process
-//! management and no real packet loss.
+//! management and no real packet loss. [`check`] states what a run must
+//! show.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -43,7 +44,8 @@ use onex_net::{
 };
 use onex_tseries::{Dataset, TimeSeries};
 
-use crate::harness::{fmt_duration, Table};
+use super::{broken, ExperimentOutput};
+use crate::harness::{fmt_duration, same_top_k, threads, Table};
 use crate::workloads;
 
 /// Query/subsequence length. Shorter than E16's: resilience, not gossip
@@ -166,14 +168,6 @@ fn spawn_stall_server() -> String {
 fn median(samples: &mut [Duration]) -> Duration {
     samples.sort_unstable();
     samples[samples.len() / 2]
-}
-
-fn same_answers(a: &SearchOutcome, b: &SearchOutcome) -> bool {
-    a.matches.len() == b.matches.len()
-        && a.matches.iter().zip(&b.matches).all(|(x, y)| {
-            (x.series, x.start, x.len) == (y.series, y.start, y.len)
-                && (x.distance - y.distance).abs() < 1e-9
-        })
 }
 
 /// Everything one sweep measures.
@@ -309,7 +303,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
                         .collect(),
                     ..out.clone()
                 };
-                degraded_agreement &= ids_map && same_answers(&mapped, &want);
+                degraded_agreement &= ids_map && same_top_k(&mapped, &want);
             }
         }
     }
@@ -364,7 +358,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
         match failover_cluster.k_best(q, K) {
             Ok(out) => {
                 failover_samples.push(t0.elapsed());
-                failover_ok &= !out.degraded() && same_answers(&out, want);
+                failover_ok &= !out.degraded() && same_top_k(&out, want);
             }
             Err(_) => {
                 failover_samples.push(t0.elapsed());
@@ -406,7 +400,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
         match hedged_cluster.k_best(q, K) {
             Ok(out) => {
                 hedged_samples.push(t0.elapsed());
-                hedge_agreement &= same_answers(&out, want);
+                hedge_agreement &= same_top_k(&out, want);
             }
             Err(_) => {
                 hedged_samples.push(t0.elapsed());
@@ -525,63 +519,91 @@ pub fn table(r: &ResilienceReport) -> Table {
 }
 
 /// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_resilience.json`. CI's guard reads the `summary` object:
-/// failover must succeed with agreement, degraded answers must match the
-/// surviving-shard oracle, the breaker must open and recover, hedges
-/// must win, and no failure path may approach the old 300 s stall.
+/// `BENCH_resilience.json`: each scenario's latencies beside its
+/// verdicts. The header records `available_parallelism`.
 pub fn json_report(r: &ResilienceReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"e19_resilience\",");
-    let _ = write!(
-        out,
-        "\"series\":{},\"len\":{},\"reps\":{},\
-         \"healthy_ms\":{:.3},\"dead_shard_query_ms\":{:.3},\
-         \"answered_after_kill\":{},\"degraded_after_kill\":{},\
-         \"recovery_ms\":{:.3},\"failover_ms\":{:.3},\
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    format!(
+        "{{\"experiment\":\"e19_resilience\",\"available_parallelism\":{},\
+         \"series\":{},\"len\":{},\"reps\":{},\"healthy_ms\":{:.3},\
+         \"answered_after_kill\":{},\"degraded_after_kill\":{},\"degraded_agreement\":{},\
+         \"dead_shard_query_ms\":{:.3},\"breaker_opened\":{},\"recovered\":{},\
+         \"recovery_ms\":{:.3},\"failover_ok\":{},\"failover_ms\":{:.3},\
+         \"hedges_fired\":{},\"hedge_wins\":{},\"hedge_agreement\":{},\
          \"hedged_ms\":{:.3},\"unhedged_ms\":{:.3},\
-         \"hedges_fired\":{},\"hedge_wins\":{},\
-         \"dead_peer_connect_ms\":{:.3},",
+         \"dead_peer_typed\":{},\"dead_peer_connect_ms\":{:.3}}}\n",
+        threads(),
         r.series,
         r.len,
         r.reps,
-        r.healthy.as_secs_f64() * 1e3,
-        r.dead_shard_query.as_secs_f64() * 1e3,
+        ms(r.healthy),
         r.answered_after_kill,
         r.degraded_after_kill,
-        r.recovery.as_secs_f64() * 1e3,
-        r.failover.as_secs_f64() * 1e3,
-        r.hedged.as_secs_f64() * 1e3,
-        r.unhedged.as_secs_f64() * 1e3,
-        r.hedges_fired,
-        r.hedge_wins,
-        r.dead_peer_connect.as_secs_f64() * 1e3,
-    );
-    let _ = write!(
-        out,
-        "\"summary\":{{\"failover_ok\":{},\"degraded_agreement\":{},\
-         \"availability\":{},\"breaker_opened\":{},\"recovered\":{},\
-         \"hedge_effective\":{},\"hedge_agreement\":{},\
-         \"dead_peer_typed\":{},\"dead_shard_query_ms\":{:.3},\
-         \"failover_ms\":{:.3},\"recovery_ms\":{:.3}}}}}",
-        r.failover_ok,
         r.degraded_agreement,
-        r.answered_after_kill == r.reps,
+        ms(r.dead_shard_query),
         r.breaker_opened,
         r.recovered,
-        r.hedge_wins >= 1,
+        ms(r.recovery),
+        r.failover_ok,
+        ms(r.failover),
+        r.hedges_fired,
+        r.hedge_wins,
         r.hedge_agreement,
+        ms(r.hedged),
+        ms(r.unhedged),
         r.dead_peer_typed,
-        r.dead_shard_query.as_secs_f64() * 1e3,
-        r.failover.as_secs_f64() * 1e3,
-        r.recovery.as_secs_f64() * 1e3,
-    );
-    out.push('\n');
-    out
+        ms(r.dead_peer_connect),
+    )
 }
 
-/// Standard experiment entry point.
-pub fn run(quick: bool) -> Vec<Table> {
-    vec![table(&measure(quick))]
+/// One measurement pass, read as the table, the perf record and the
+/// invariants.
+pub fn run(quick: bool) -> ExperimentOutput {
+    let report = measure(quick);
+    ExperimentOutput {
+        tables: vec![table(&report)],
+        record: Some(("BENCH_resilience.json", json_report(&report))),
+        violations: check(&report),
+    }
+}
+
+/// E19's invariants, stated once: failover answered full and exact;
+/// every query after the kill was answered, at least one degraded, each
+/// equal to the surviving-shard oracle; the killed shard's breaker opened
+/// and probe-recovered; a hedge won, with agreeing answers, and hedging
+/// beat the unhedged stall; the dead peer failed typed; and no failure
+/// path approaches the old 300 s stall — each lands under 30 s.
+pub fn check(r: &ResilienceReport) -> Vec<String> {
+    let available = r.answered_after_kill == r.reps;
+    let mut out: Vec<String> = broken(
+        [
+            (r.reps > 0, "no query ran"),
+            (r.failover_ok, "failover was not full and exact"),
+            (r.degraded_agreement, "a degraded top-k diverged"),
+            (available, "a query after the kill went unanswered"),
+            (r.breaker_opened, "the breaker never opened"),
+            (r.recovered, "the breaker never recovered"),
+            (r.hedge_wins >= 1, "no hedge won"),
+            (r.hedge_agreement, "hedged answers diverged"),
+            (r.dead_peer_typed, "the dead peer failed untyped"),
+            (r.degraded_after_kill >= 1, "the kill degraded nothing"),
+            (r.hedged < r.unhedged, "hedging lost to the stall path"),
+        ]
+        .map(|(holds, what)| (holds, what.into())),
+    )
+    .collect();
+    for (what, d) in [
+        ("dead-shard query", r.dead_shard_query),
+        ("failover", r.failover),
+        ("recovery", r.recovery),
+        ("hedged stall", r.hedged),
+        ("unhedged stall", r.unhedged),
+        ("dead-peer connect", r.dead_peer_connect),
+    ] {
+        let took = format!("{what} took {}", fmt_duration(d));
+        out.extend(broken([(d < Duration::from_secs(30), took)]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -590,52 +612,11 @@ mod tests {
 
     #[test]
     fn faults_cost_bounded_latency_and_degraded_answers_stay_exact() {
-        let r = measure(true);
-        assert_eq!(
-            r.answered_after_kill, r.reps,
-            "partial degrade must keep answering with a shard down"
-        );
-        assert!(
-            r.degraded_after_kill >= 1,
-            "the kill never degraded a query"
-        );
-        assert!(
-            r.degraded_agreement,
-            "degraded top-k diverged from the oracle"
-        );
-        assert!(r.breaker_opened, "the killed shard's breaker never opened");
-        assert!(r.recovered, "probe-driven recovery never happened");
-        assert!(r.failover_ok, "failover answers must be full and exact");
-        assert!(r.hedges_fired >= 1 && r.hedge_wins >= 1, "hedge never won");
-        assert!(r.hedge_agreement, "hedged answers diverged");
-        assert!(r.dead_peer_typed, "dead peer must fail typed");
-        // The headline bound: no failure path approaches the old 300 s
-        // stall the hard-coded reply wait allowed.
-        for (what, d) in [
-            ("dead-shard query", r.dead_shard_query),
-            ("failover", r.failover),
-            ("recovery", r.recovery),
-            ("hedged stall", r.hedged),
-            ("unhedged stall", r.unhedged),
-            ("dead-peer connect", r.dead_peer_connect),
-        ] {
-            assert!(
-                d < Duration::from_secs(30),
-                "{what} took {d:?} — nowhere near bounded"
-            );
-        }
-        // And the hedge specifically beats the unhedged stall path.
-        assert!(
-            r.hedged < r.unhedged,
-            "hedging ({:?}) did not beat the stall read-timeout path ({:?})",
-            r.hedged,
-            r.unhedged
-        );
+        assert_eq!(check(&measure(true)), Vec::<String>::new());
     }
 
-    #[test]
-    fn json_report_is_parseable_shape() {
-        let r = ResilienceReport {
+    fn report() -> ResilienceReport {
+        ResilienceReport {
             series: 12,
             len: 256,
             reps: 6,
@@ -656,20 +637,38 @@ mod tests {
             hedge_agreement: true,
             dead_peer_typed: true,
             dead_peer_connect: Duration::from_millis(4),
+        }
+    }
+
+    #[test]
+    fn check_names_a_broken_invariant() {
+        assert_eq!(check(&report()), Vec::<String>::new());
+        let broken = ResilienceReport {
+            breaker_opened: false,
+            ..report()
         };
+        crate::experiments::assert_broken(&check(&broken), "breaker never opened");
+        let empty = ResilienceReport {
+            reps: 0,
+            answered_after_kill: 0,
+            ..report()
+        };
+        assert_eq!(check(&empty), ["no query ran"]);
+    }
+
+    #[test]
+    fn json_report_is_parseable_shape() {
+        let r = report();
         let json = json_report(&r);
-        assert!(json.starts_with("{\"experiment\":\"e19_resilience\""));
-        assert!(json.contains("\"hedges_fired\":6"), "{json}");
+        assert!(json.starts_with("{\"experiment\":\"e19_resilience\",\"available_parallelism\":"));
         assert!(
-            json.contains(
-                "\"summary\":{\"failover_ok\":true,\"degraded_agreement\":true,\
-                 \"availability\":true,\"breaker_opened\":true,\"recovered\":true,\
-                 \"hedge_effective\":true,\"hedge_agreement\":true,\
-                 \"dead_peer_typed\":true,\"dead_shard_query_ms\":2.000,\
-                 \"failover_ms\":1.000,\"recovery_ms\":310.000}"
-            ),
+            json.contains("\"recovered\":true,\"recovery_ms\":310.000,"),
             "{json}"
         );
-        assert!(json.trim_end().ends_with("}}"));
+        assert!(
+            json.contains("\"hedge_wins\":6,\"hedge_agreement\":true,"),
+            "{json}"
+        );
+        assert!(json.ends_with("\"dead_peer_connect_ms\":4.000}\n"));
     }
 }

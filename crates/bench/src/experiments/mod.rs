@@ -1,6 +1,10 @@
-//! One module per experiment in the DESIGN.md index. Each `run(quick)`
-//! returns the tables the paper artefact corresponds to; `quick` shrinks
-//! workload sizes for CI-speed runs.
+//! One module per experiment, `e1` to `e19` ([`ALL`]); [`run`] dispatches
+//! by id, and `quick` shrinks workload sizes for CI-speed runs. E12 to
+//! E19 measure typed rows once and read them three ways: a table, a JSON
+//! perf record, and a `check` that is the one statement of the
+//! experiment's invariants — [`run`] puts what it returns in
+//! [`ExperimentOutput::violations`], and the experiment's unit tests call
+//! the same function.
 
 pub mod e10_streaming;
 pub mod e11_baseline_index;
@@ -34,12 +38,16 @@ pub const ALL: [&str; 19] = [
 /// optional machine-readable perf record (filename, contents) that
 /// `repro --format json` writes next to the working directory so
 /// successive runs leave a comparable performance trajectory. Both views
-/// come from one measurement pass.
+/// come from one measurement pass, and so do the invariants checked on
+/// it.
 pub struct ExperimentOutput {
     /// Printable tables, one per panel.
     pub tables: Vec<Table>,
     /// Optional perf record: `(file name, JSON document)`.
     pub record: Option<(&'static str, String)>,
+    /// The invariants this run broke, one line each; empty when all of
+    /// them held or the experiment states none.
+    pub violations: Vec<String>,
 }
 
 impl From<Vec<Table>> for ExperimentOutput {
@@ -47,8 +55,24 @@ impl From<Vec<Table>> for ExperimentOutput {
         ExperimentOutput {
             tables,
             record: None,
+            violations: Vec::new(),
         }
     }
+}
+
+/// Whether wall-clock invariants are checked: only in an optimised
+/// build, where the timings mean what they say. A debug build checks the
+/// counts and the answers alone.
+pub(crate) const TIMED: bool = !cfg!(debug_assertions);
+
+/// How each `check` states its invariants: a list of `(holds, what)`,
+/// of which the `what` of every one that does not hold comes out.
+pub(crate) fn broken<const N: usize>(
+    invariants: [(bool, String); N],
+) -> impl Iterator<Item = String> {
+    invariants
+        .into_iter()
+        .filter_map(|(holds, what)| (!holds).then_some(what))
 }
 
 /// Dispatch one experiment by id.
@@ -65,87 +89,24 @@ pub fn run(id: &str, quick: bool) -> Option<ExperimentOutput> {
         "e9" => Some(e9_ablation::run(quick).into()),
         "e10" => Some(e10_streaming::run(quick).into()),
         "e11" => Some(e11_baseline_index::run(quick).into()),
-        "e12" => {
-            let rows = e12_construction::measure(quick);
-            Some(ExperimentOutput {
-                tables: vec![e12_construction::table(&rows)],
-                record: Some((
-                    "BENCH_construction.json",
-                    e12_construction::json_report(&rows),
-                )),
-            })
-        }
-        "e13" => {
-            let rows = e13_scaling::measure(quick);
-            Some(ExperimentOutput {
-                tables: vec![e13_scaling::table(&rows)],
-                record: Some(("BENCH_scaling.json", e13_scaling::json_report(&rows))),
-            })
-        }
-        "e14" => {
-            let rows = e14_pruning::measure(quick);
-            Some(ExperimentOutput {
-                tables: vec![e14_pruning::table(&rows)],
-                record: Some(("BENCH_pruning.json", e14_pruning::json_report(&rows))),
-            })
-        }
-        "e15" => {
-            let rows = e15_ingest::measure(quick);
-            let (series, len) = e15_ingest::UNCOMPACTING;
-            let uncompacting = e15_ingest::measure_uncompacting(series, len);
-            Some(ExperimentOutput {
-                tables: vec![
-                    e15_ingest::table(&rows),
-                    e15_ingest::uncompacting_table(&uncompacting),
-                ],
-                record: Some((
-                    "BENCH_ingest.json",
-                    e15_ingest::json_report(&rows, &uncompacting),
-                )),
-            })
-        }
-        "e16" => {
-            let rows = e16_cluster::measure(quick);
-            let probe = e16_cluster::dead_peer_probe();
-            Some(ExperimentOutput {
-                tables: vec![e16_cluster::table(&rows, &probe)],
-                record: Some((
-                    "BENCH_cluster.json",
-                    e16_cluster::json_report(&rows, &probe),
-                )),
-            })
-        }
-        "e17" => {
-            let kernel_rows = e17_kernels::measure_kernels(quick);
-            let cascade_rows = e17_kernels::measure_cascade(quick);
-            Some(ExperimentOutput {
-                tables: vec![
-                    e17_kernels::kernels_table(&kernel_rows),
-                    e17_kernels::cascade_table(&cascade_rows),
-                ],
-                record: Some((
-                    "BENCH_kernels.json",
-                    e17_kernels::json_report(&kernel_rows, &cascade_rows),
-                )),
-            })
-        }
-        "e18" => {
-            let rows = e18_coldstart::measure(quick);
-            Some(ExperimentOutput {
-                tables: vec![e18_coldstart::table(&rows)],
-                record: Some(("BENCH_coldstart.json", e18_coldstart::json_report(&rows))),
-            })
-        }
-        "e19" => {
-            let report = e19_resilience::measure(quick);
-            Some(ExperimentOutput {
-                tables: vec![e19_resilience::table(&report)],
-                record: Some((
-                    "BENCH_resilience.json",
-                    e19_resilience::json_report(&report),
-                )),
-            })
-        }
+        "e12" => Some(e12_construction::run(quick)),
+        "e13" => Some(e13_scaling::run(quick)),
+        "e14" => Some(e14_pruning::run(quick)),
+        "e15" => Some(e15_ingest::run(quick)),
+        "e16" => Some(e16_cluster::run(quick)),
+        "e17" => Some(e17_kernels::run(quick)),
+        "e18" => Some(e18_coldstart::run(quick)),
+        "e19" => Some(e19_resilience::run(quick)),
         _ => None,
     }
+}
+
+/// Test helper: `violations` names exactly one broken invariant, and
+/// that one says `needle`.
+#[cfg(test)]
+pub(crate) fn assert_broken(violations: &[String], needle: &str) {
+    assert!(
+        violations.len() == 1 && violations[0].contains(needle),
+        "expected one violation saying {needle:?}, got {violations:?}"
+    );
 }

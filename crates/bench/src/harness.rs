@@ -4,7 +4,8 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use onex_api::{BackendMatch, BackendStats, SimilaritySearch};
+use onex_api::{BackendMatch, BackendStats, SearchOutcome, SimilaritySearch};
+use onex_core::Match;
 
 /// A printable experiment table (one per paper table/figure panel).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +126,24 @@ pub fn median_time<F: FnMut()>(mut f: F, runs: usize) -> Duration {
         .collect();
     samples.sort();
     samples[samples.len() / 2]
+}
+
+/// Whether two backend answers are one top-k: the same windows in the
+/// same order, distances within 1e-9.
+pub fn same_top_k(a: &SearchOutcome, b: &SearchOutcome) -> bool {
+    a.matches.len() == b.matches.len()
+        && a.matches.iter().zip(&b.matches).all(|(x, y)| {
+            (x.series, x.start, x.len) == (y.series, y.start, y.len)
+                && (x.distance - y.distance).abs() < 1e-9
+        })
+}
+
+/// [`same_top_k`] for the engine's own matches.
+pub fn same_matches(a: &[Match], b: &[Match]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.subseq == y.subseq && (x.distance - y.distance).abs() < 1e-9)
 }
 
 /// Cores this process may run on — the workers a base construction

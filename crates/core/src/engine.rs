@@ -43,8 +43,8 @@ struct Resident {
 /// What [`Onex::resident_index`] reports about the writer's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidentReport {
-    /// `"grid"`, `"linear"` or `"none"` (nothing seeded: no append yet, or
-    /// the index was dropped).
+    /// `"grid"`, or `"none"` when nothing is seeded: no append yet, or the
+    /// index was dropped.
     pub kind: &'static str,
     /// Representatives indexed, over all lengths.
     pub entries: usize,

@@ -289,15 +289,6 @@ impl ShardedEngine {
         self.engines.len()
     }
 
-    /// Series count of each shard, in shard order (at the current epoch).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.state
-            .read()
-            .iter()
-            .map(|s| s.dataset().len())
-            .collect()
-    }
-
     /// Fan `query` out and return **each shard's own outcome** (in shard
     /// order, series ids still shard-local) — the per-shard view behind
     /// [`SimilaritySearch::k_best`], exposed for diagnostics and the
@@ -644,7 +635,12 @@ mod tests {
         let ds = dataset(10);
         let (sharded, report) = ShardedEngine::build(&ds, exact_config(), 4).unwrap();
         assert_eq!(sharded.shard_count(), 4);
-        let sizes = sharded.shard_sizes();
+        let sizes: Vec<usize> = sharded
+            .state
+            .read()
+            .iter()
+            .map(|s| s.dataset().len())
+            .collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
         assert_eq!(report.per_shard.len(), 4);

@@ -56,18 +56,6 @@ pub fn dtw_lower_via_representative(dtw_qr: f64, ed_rs: f64, multiplicity: usize
     (dtw_qr - (multiplicity as f64).sqrt() * ed_rs).max(0.0)
 }
 
-/// The engine's group-pruning predicate: can a group whose representative
-/// sits at `dtw_qr`, with members within `member_radius` (ED) of it,
-/// possibly contain a sequence with DTW below `best_so_far`?
-pub fn group_may_contain_better(
-    dtw_qr: f64,
-    member_radius: f64,
-    multiplicity: usize,
-    best_so_far: f64,
-) -> bool {
-    dtw_lower_via_representative(dtw_qr, member_radius, multiplicity) < best_so_far
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,12 +108,13 @@ mod tests {
 
     #[test]
     fn pruning_predicate() {
-        // Representative at distance 10, members within 1 (ED), W = 1:
-        // the group cannot beat a best-so-far of 5.
-        assert!(!group_may_contain_better(10.0, 1.0, 1, 5.0));
+        // The engine prunes a group when this bound is not strictly below
+        // its best-so-far. Representative at distance 10, members within
+        // 1 (ED), W = 1: the group cannot beat a best-so-far of 5.
+        assert!(dtw_lower_via_representative(10.0, 1.0, 1) >= 5.0);
         // But with W = 100 the slack √100·1 = 10 makes it possible.
-        assert!(group_may_contain_better(10.0, 1.0, 100, 5.0));
+        assert!(dtw_lower_via_representative(10.0, 1.0, 100) < 5.0);
         // Equality is "cannot be strictly better".
-        assert!(!group_may_contain_better(6.0, 1.0, 1, 5.0));
+        assert!(dtw_lower_via_representative(6.0, 1.0, 1) >= 5.0);
     }
 }

@@ -3,15 +3,16 @@
 //! The expensive half of the ONEX marriage (paper §1, challenge 2): DTW
 //! aligns sequences of different lengths and phases but costs O(n·m). ONEX
 //! pays that cost only against the compact base, and even there abandons
-//! early. Six entry points, cheapest machinery first:
+//! early. Five entry points, cheapest machinery first:
 //!
 //! * [`dtw_sq`] / [`dtw`] — two-row DP, optional Sakoe–Chiba band.
-//! * [`dtw_early_abandon`] — same DP that gives up as soon as the best
-//!   reachable cell already exceeds a known upper bound.
-//! * [`dtw_early_abandon_sq_with_cb`] — the UCR Suite variant that also
-//!   folds a cumulative lower-bound tail into the abandonment test.
+//! * [`dtw_early_abandon_sq_with_cb`] — the same DP that gives up as soon
+//!   as the best reachable cell already exceeds a known squared upper
+//!   bound, folding in an optional cumulative lower-bound tail (the UCR
+//!   Suite variant).
 //! * [`dtw_early_abandon_sq_scratch`] — the same DP on a caller-kept
-//!   [`DtwScratch`], for scans that run one DTW per candidate.
+//!   [`DtwScratch`], for scans that run one DTW per candidate, re-reading
+//!   an optional live bound after every row.
 //! * [`crate::kernels::dtw_lanes`] — the same DP for four equal-length
 //!   candidates at once, one per vector lane, bit for bit.
 //! * [`dtw_with_path`] — full-matrix variant that recovers the warping
@@ -117,20 +118,8 @@ pub fn dtw(x: &[f64], y: &[f64], band: Band) -> f64 {
     dtw_sq(x, y, band).sqrt()
 }
 
-/// Early-abandoning DTW: returns the distance, or `f64::INFINITY` once no
-/// alignment can beat `ub` (an upper bound on the *root-scale* distance;
-/// pass [`crate::INF`] to disable).
-pub fn dtw_early_abandon(x: &[f64], y: &[f64], band: Band, ub: f64) -> f64 {
-    let ub_sq = if ub.is_finite() {
-        ub * ub
-    } else {
-        f64::INFINITY
-    };
-    dtw_early_abandon_sq_with_cb(x, y, band, ub_sq, None).sqrt()
-}
-
-/// The full-control DP: squared distance, early abandonment against
-/// `ub_sq`, and an optional cumulative bound `cb`.
+/// Early-abandoning DTW: the squared distance, or `f64::INFINITY` once
+/// no alignment can beat `ub_sq`, with an optional cumulative bound `cb`.
 ///
 /// `cb`, when provided, must satisfy `cb.len() == x.len() + 1`, `cb[n] = 0`
 /// and `cb[i] ≥ cb[i+1]`, with `cb[i]` a lower bound on the squared cost
@@ -151,34 +140,7 @@ pub fn dtw_early_abandon_sq_with_cb(
     ub_sq: f64,
     cb: Option<&[f64]>,
 ) -> f64 {
-    dtw_early_abandon_sq_dynamic(x, y, band, ub_sq, cb, None)
-}
-
-/// [`dtw_early_abandon_sq_with_cb`] with a **live** bound: when `live` is
-/// provided, it is re-read after every DP row and the effective squared
-/// abandonment threshold becomes `min(ub_sq, live())`. This is how a
-/// query-global pruning bound (`onex_api::SharedBound`) reaches into an
-/// in-flight DTW — a tighter k-th best discovered by a concurrent worker
-/// (another shard, another candidate length) aborts this computation
-/// mid-DP instead of after it.
-///
-/// The live bound must be *monotonically tightening* across calls (each
-/// read may be smaller than, never larger than sound): abandoning against
-/// any value it returns must remain correct for the caller. Returns
-/// `f64::INFINITY` once no alignment can beat the tightest threshold
-/// observed, including a final check of the completed distance.
-///
-/// # Panics
-/// Panics when either input is empty or `cb` has the wrong length.
-pub fn dtw_early_abandon_sq_dynamic(
-    x: &[f64],
-    y: &[f64],
-    band: Band,
-    ub_sq: f64,
-    cb: Option<&[f64]>,
-    live: Option<&dyn Fn() -> f64>,
-) -> f64 {
-    dtw_early_abandon_sq_scratch(x, y, band, ub_sq, cb, live, &mut DtwScratch::default())
+    dtw_early_abandon_sq_scratch(x, y, band, ub_sq, cb, None, &mut DtwScratch::default())
 }
 
 /// The DP's working rows, reusable across calls: two rows over columns
@@ -204,10 +166,22 @@ impl DtwScratch {
     }
 }
 
-/// [`dtw_early_abandon_sq_dynamic`] on the caller's [`DtwScratch`]: a scan
-/// that runs one DTW per candidate keeps one scratch and allocates only
-/// when a candidate is longer than any before it, where every entry point
-/// above allocates its rows per call.
+/// [`dtw_early_abandon_sq_with_cb`] on the caller's [`DtwScratch`], with
+/// a **live** bound: a scan that runs one DTW per candidate keeps one
+/// scratch and allocates only when a candidate is longer than any before
+/// it, where every entry point above allocates its rows per call.
+///
+/// When `live` is provided, it is re-read after every DP row and the
+/// effective squared abandonment threshold becomes `min(ub_sq, live())`.
+/// This is how a query-global pruning bound (`onex_api::SharedBound`)
+/// reaches into an in-flight DTW — a tighter k-th best discovered by a
+/// concurrent worker (another shard, another candidate length) aborts
+/// this computation mid-DP instead of after it. The live bound must be
+/// *monotonically tightening* across calls (each read may be smaller
+/// than, never larger than sound): abandoning against any value it
+/// returns must remain correct for the caller. Returns `f64::INFINITY`
+/// once no alignment can beat the tightest threshold observed, including
+/// a final check of the completed distance.
 ///
 /// # Panics
 /// Panics when either input is empty or `cb` has the wrong length.
@@ -423,15 +397,22 @@ mod tests {
         Band::from_fraction(10, 1.5);
     }
 
+    /// The live-bound DP on a fresh scratch: unbanded, no static bound.
+    fn live_sq(x: &[f64], y: &[f64], live: Option<&dyn Fn() -> f64>) -> f64 {
+        let scratch = &mut DtwScratch::default();
+        dtw_early_abandon_sq_scratch(x, y, Band::Full, f64::INFINITY, None, live, scratch)
+    }
+
     #[test]
     fn early_abandon_agrees_with_exact_when_under_bound() {
         let x = [1.0, 2.0, 0.5, -1.0, 0.0];
         let y = [0.5, 2.5, 0.0, -1.5, 0.5];
         let exact = dtw(&x, &y, Band::Full);
-        let ea = dtw_early_abandon(&x, &y, Band::Full, exact + 0.1);
+        let ea =
+            dtw_early_abandon_sq_with_cb(&x, &y, Band::Full, (exact + 0.1).powi(2), None).sqrt();
         assert!(close(ea, exact));
         // Bound exactly at the distance must not abandon ("exceeds" test).
-        let at = dtw_early_abandon(&x, &y, Band::Full, exact);
+        let at = dtw_early_abandon_sq_with_cb(&x, &y, Band::Full, exact * exact, None).sqrt();
         assert!(close(at, exact));
     }
 
@@ -439,7 +420,10 @@ mod tests {
     fn early_abandon_fires_on_hopeless_candidates() {
         let x = vec![0.0; 32];
         let y = vec![100.0; 32];
-        assert_eq!(dtw_early_abandon(&x, &y, Band::Full, 1.0), f64::INFINITY);
+        assert_eq!(
+            dtw_early_abandon_sq_with_cb(&x, &y, Band::Full, 1.0, None).sqrt(),
+            f64::INFINITY
+        );
     }
 
     #[test]
@@ -490,17 +474,15 @@ mod tests {
                 f64::INFINITY
             }
         };
-        let out =
-            dtw_early_abandon_sq_dynamic(&x, &y, Band::Full, f64::INFINITY, None, Some(&live));
+        let out = live_sq(&x, &y, Some(&live));
         assert_eq!(out, f64::INFINITY, "tightened live bound must abandon");
         assert!(rows.get() < 64, "abandoned mid-DP, not at the end");
         // A live bound that stays above the true distance changes nothing.
         let loose = || exact + 1.0;
-        let out2 =
-            dtw_early_abandon_sq_dynamic(&x, &y, Band::Full, f64::INFINITY, None, Some(&loose));
+        let out2 = live_sq(&x, &y, Some(&loose));
         assert!(close(out2, exact));
         // No live bound: identical to the static entry point.
-        let out3 = dtw_early_abandon_sq_dynamic(&x, &y, Band::Full, f64::INFINITY, None, None);
+        let out3 = live_sq(&x, &y, None);
         assert!(close(out3, exact));
     }
 
@@ -521,13 +503,11 @@ mod tests {
                 f64::INFINITY
             }
         };
-        let out =
-            dtw_early_abandon_sq_dynamic(&x, &y, Band::Full, f64::INFINITY, None, Some(&flaky));
+        let out = live_sq(&x, &y, Some(&flaky));
         assert_eq!(out, f64::INFINITY);
         // NaN readings are ignored rather than poisoning the threshold.
         let nan = || f64::NAN;
-        let out2 =
-            dtw_early_abandon_sq_dynamic(&x, &y, Band::Full, f64::INFINITY, None, Some(&nan));
+        let out2 = live_sq(&x, &y, Some(&nan));
         assert!(close(out2, 8.0));
     }
 

@@ -46,7 +46,7 @@ pub mod lb;
 mod path;
 pub mod sketch;
 
-pub use dtw::{dtw, dtw_early_abandon, dtw_sq, dtw_with_path, Band};
+pub use dtw::{dtw, dtw_sq, dtw_with_path, Band};
 pub use ed::{ed, ed_early_abandon_sq, ed_sq};
 pub use envelope::Envelope;
 pub use kernels::KernelLevel;

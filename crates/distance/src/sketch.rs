@@ -428,32 +428,12 @@ impl SketchPlanes {
         })
     }
 
-    /// [`PlanesRef::write_records`] of [`Self::view`].
-    pub fn write_records(&self, out: &mut Vec<u8>) {
-        self.view().write_records(out);
-    }
-
-    /// [`PlanesRef::record`] of [`Self::view`].
-    pub fn record(&self, slot: usize) -> [u8; SKETCH_STRIDE] {
-        self.view().record(slot)
-    }
-
     /// [`PlanesRef::grown`] of [`Self::view`]; `self` is left as it was.
     pub fn grown(&self, total: usize, encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
         if total == self.cardinality() {
             return self.clone();
         }
         self.view().grown(total, encode)
-    }
-
-    /// True when an append left this group's sketches alone: both are one
-    /// allocation (or both have none).
-    pub fn shares_storage_with(&self, other: &SketchPlanes) -> bool {
-        match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
     }
 }
 
@@ -804,7 +784,7 @@ mod tests {
             record.copy_from_slice(&records[0]);
         });
         let mut back = Vec::new();
-        grown.write_records(&mut back);
+        grown.view().write_records(&mut back);
         assert_eq!(back, [records.concat(), records[0].to_vec()].concat());
         assert!(own.clone().view().shares_storage_with(planes));
         assert!(!grown.view().shares_storage_with(planes));

@@ -7,8 +7,9 @@
 use onex_distance::bounds::{
     dtw_lower_via_representative, dtw_upper_via_representative, warp_multiplicity,
 };
+use onex_distance::dtw::dtw_early_abandon_sq_with_cb;
 use onex_distance::lb::{cumulative_bound, lb_keogh_sq, lb_keogh_with_contrib, lb_kim_fl_sq};
-use onex_distance::{dtw, dtw_early_abandon, dtw_sq, dtw_with_path, ed, Band, Envelope};
+use onex_distance::{dtw, dtw_sq, dtw_with_path, ed, Band, Envelope};
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-7;
@@ -80,7 +81,7 @@ proptest! {
     #[test]
     fn early_abandon_is_consistent((x, y) in (series(20), series(20)), ub in 0.0f64..500.0) {
         let exact = dtw(&x, &y, Band::Full);
-        let ea = dtw_early_abandon(&x, &y, Band::Full, ub);
+        let ea = dtw_early_abandon_sq_with_cb(&x, &y, Band::Full, ub * ub, None).sqrt();
         if exact <= ub {
             prop_assert!((ea - exact).abs() < EPS, "must not abandon below the bound");
         } else {
@@ -169,7 +170,6 @@ proptest! {
     fn cb_plus_dtw_never_false_abandons((x, y) in equal_pair(16), r in 0usize..5) {
         // Feeding LB_Keogh's own cumulative bound into the DP must never
         // abandon a candidate whose true distance is within the bound.
-        use onex_distance::dtw::dtw_early_abandon_sq_with_cb;
         let env = Envelope::build(&y, r);
         let mut contrib = Vec::new();
         lb_keogh_with_contrib(&x, &env, &mut contrib);
@@ -341,22 +341,22 @@ proptest! {
     /// returns `INFINITY` unless the true distance is itself ~0.
     #[test]
     fn early_abandon_with_infinite_bound_is_plain_dtw((x, y) in equal_pair(32), r in 0usize..10) {
-        use onex_distance::dtw::dtw_early_abandon_sq_dynamic;
+        use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
         for band in [Band::Full, Band::SakoeChiba(r)] {
             let exact = dtw_sq(&x, &y, band);
-            let ea = dtw_early_abandon_sq_dynamic(&x, &y, band, f64::INFINITY, None, None);
+            let ea = dtw_early_abandon_sq_scratch(&x, &y, band, f64::INFINITY, None, None, &mut DtwScratch::default());
             prop_assert!(
                 ea == exact || (ea.is_infinite() && exact.is_infinite()),
                 "infinite static bound must be exact: {ea} vs {exact}"
             );
             let never = || f64::INFINITY;
-            let ea_live = dtw_early_abandon_sq_dynamic(&x, &y, band, f64::INFINITY, None, Some(&never));
+            let ea_live = dtw_early_abandon_sq_scratch(&x, &y, band, f64::INFINITY, None, Some(&never), &mut DtwScratch::default());
             prop_assert!(
                 ea_live == exact || (ea_live.is_infinite() && exact.is_infinite()),
                 "never-tightening live bound must be exact: {ea_live} vs {exact}"
             );
             let zero = || 0.0;
-            let collapsed = dtw_early_abandon_sq_dynamic(&x, &y, band, f64::INFINITY, None, Some(&zero));
+            let collapsed = dtw_early_abandon_sq_scratch(&x, &y, band, f64::INFINITY, None, Some(&zero), &mut DtwScratch::default());
             if exact > 0.0 {
                 prop_assert!(collapsed.is_infinite(), "zero bound must abandon: {collapsed}");
             } else {
@@ -496,14 +496,17 @@ fn sketch_planes_round_trip_records() {
     }
     let planes = SketchPlanes::from_records(&records);
     let mut back = Vec::new();
-    planes.write_records(&mut back);
+    planes.view().write_records(&mut back);
     assert_eq!(back, records);
     let head = SketchPlanes::from_records(&records[..10 * SKETCH_STRIDE]);
     let grown = head.grown(37, |slot, record| {
         record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE])
     });
     assert_eq!(grown, planes);
-    assert!(!grown.shares_storage_with(&head) && head.clone().shares_storage_with(&head));
+    assert!(
+        !grown.view().shares_storage_with(head.view())
+            && head.clone().view().shares_storage_with(head.view())
+    );
     assert_eq!(head.cardinality(), 10, "growing leaves the source alone");
     assert_eq!(SketchPlanes::default().cardinality(), 0);
 
@@ -525,26 +528,29 @@ fn sketch_planes_round_trip_records() {
             assert_eq!(source, of(from), "{from} -> {to} touched its source");
             assert_eq!(grown.heap_bytes() > 0, to >= 1, "{from} -> {to}");
             let mut back = Vec::new();
-            grown.write_records(&mut back);
+            grown.view().write_records(&mut back);
             assert_eq!(back, records[..to * SKETCH_STRIDE], "{from} -> {to}");
             for slot in 0..to {
                 assert_eq!(
-                    grown.record(slot),
+                    grown.view().record(slot),
                     back[slot * SKETCH_STRIDE..][..SKETCH_STRIDE]
                 );
             }
             // Growing by nothing is the same planes; growing by anything
             // is new ones.
             assert_eq!(
-                grown.shares_storage_with(&source),
+                grown.view().shares_storage_with(source.view()),
                 from == to,
                 "{from} -> {to}"
             );
         }
     }
-    assert!(of(0).shares_storage_with(&of(0)) && !of(2).shares_storage_with(&of(2)));
+    assert!(
+        of(0).view().shares_storage_with(of(0).view())
+            && !of(2).view().shares_storage_with(of(2).view())
+    );
     let other = SketchPlanes::from_records(&records[SKETCH_STRIDE..2 * SKETCH_STRIDE]);
-    assert!(of(1) != other && !of(1).shares_storage_with(&other));
+    assert!(of(1) != other && !of(1).view().shares_storage_with(other.view()));
 }
 
 /// `dtw_lanes` against the scalar DP, lane by lane and bit for bit: 1–4

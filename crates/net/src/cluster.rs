@@ -281,24 +281,6 @@ impl ClusterEngine {
         self
     }
 
-    /// Builder-style degrade policy (default [`DegradePolicy::Fail`]).
-    pub fn degrade(mut self, policy: DegradePolicy) -> Self {
-        self.fanout.policy = policy;
-        self
-    }
-
-    /// Builder-style per-query reply deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.fanout.deadline = deadline;
-        self
-    }
-
-    /// Builder-style hedge threshold (`None` disables hedging).
-    pub fn hedge(mut self, after: Option<Duration>) -> Self {
-        self.hedge_after = after;
-        self
-    }
-
     /// Number of shard slots in the cluster.
     pub fn shard_count(&self) -> usize {
         self.slots.len()
