@@ -28,13 +28,19 @@
 //! record says where construction time goes, not only how much there is.
 //! The build spreads its lengths over the cores the process may run on;
 //! every row records how many (`threads`) and the wall-clock a window
-//! cost (`us_per_window`). [`check`] states what a run must show. That
+//! cost (`us_per_window`). The two rows whose sketch share [`check`]
+//! holds, `harness` and `clustered`, build [`TIMED_BUILDS`] times: their
+//! `elapsed` is the median build's wall-clock and their sketch pass the
+//! median share of the builds times it, and every build must count
+//! alike. (One quick `clustered` build takes ≈ 16 ms, and on a shared
+//! 2-core box one build's share read anywhere from 0.15 to 0.58.)
+//! [`check`] states what a run must show. That
 //! the grid builds the linear scan's base is tier-1's to show (a model of
 //! the admission rule in `onex-grouping`'s tests), not this experiment's.
 
 use std::time::Duration;
 
-use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
+use onex_grouping::{BaseBuilder, BaseConfig, BuildReport, RepresentativePolicy};
 use onex_tseries::Dataset;
 
 use super::{broken, ExperimentOutput, TIMED};
@@ -47,6 +53,14 @@ const SUBSEQ_LEN: usize = 24;
 /// Similarity threshold of the `walk` sweep: small enough that random
 /// walks barely group — the many-groups regime the index exists for.
 const ST: f64 = 0.5;
+/// Builds of each row whose sketch share [`check`] holds; the row reads
+/// their medians.
+pub const TIMED_BUILDS: usize = 5;
+
+/// The shapes whose sketch share [`check`] holds: the load harness's two.
+fn timed(shape: &str) -> bool {
+    matches!(shape, "harness" | "clustered")
+}
 
 /// One workload E12 builds.
 struct Workload {
@@ -121,9 +135,15 @@ pub struct BuildRow {
     pub groups: usize,
     /// Cores the build spread its lengths over.
     pub threads: usize,
-    /// Construction wall-clock.
+    /// Builds measured: [`TIMED_BUILDS`] on `harness` and `clustered`, else 1.
+    pub builds: usize,
+    /// Whether every build counted the same subsequences, groups and
+    /// grid work.
+    pub agree: bool,
+    /// Construction wall-clock, the median build's.
     pub elapsed: Duration,
-    /// Of which the sketch pass over the finished groups.
+    /// Of which the sketch pass over the finished groups: the builds'
+    /// median share of their wall-clock, times `elapsed`.
     pub sketch: Duration,
     /// Construction throughput.
     pub per_sec: f64,
@@ -156,7 +176,20 @@ fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
         .map(|workload| {
             let ds = (workload.generate)(workload.series, workload.len);
             let builder = BaseBuilder::new(workload.config.clone()).expect("valid config");
-            let (_, report) = builder.build(&ds);
+            let builds = if timed(workload.shape) {
+                TIMED_BUILDS
+            } else {
+                1
+            };
+            let reports: Vec<BuildReport> = (0..builds).map(|_| builder.build(&ds).1).collect();
+            let report = &reports[0];
+            let counts = |r: &BuildReport| (r.subsequences, r.groups, r.work);
+            let elapsed = median(reports.iter().map(|r| r.elapsed.as_secs_f64()));
+            let share = median(
+                reports
+                    .iter()
+                    .map(|r| r.sketch.as_secs_f64() / r.elapsed.as_secs_f64()),
+            );
             BuildRow {
                 shape: workload.shape,
                 series: workload.series,
@@ -165,15 +198,24 @@ fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
                 subsequences: report.subsequences,
                 groups: report.groups,
                 threads: threads(),
-                elapsed: report.elapsed,
-                sketch: report.sketch,
-                per_sec: report.subsequences_per_sec(),
+                builds,
+                agree: reports.iter().all(|r| counts(r) == counts(report)),
+                elapsed: Duration::from_secs_f64(elapsed),
+                sketch: Duration::from_secs_f64(elapsed * share),
+                per_sec: report.subsequences as f64 / elapsed,
                 examined: report.work.examined,
                 pruned: report.work.pruned,
                 distance_calls: report.work.distance_calls,
             }
         })
         .collect()
+}
+
+/// The middle of `samples` (the upper one of an even count).
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut samples: Vec<f64> = samples.collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Render the sweep as the experiment table.
@@ -194,6 +236,7 @@ pub fn table(rows: &[BuildRow]) -> Table {
             "subseqs",
             "groups",
             "threads",
+            "builds",
             "build",
             "µs/window",
             "sketch pass",
@@ -211,6 +254,7 @@ pub fn table(rows: &[BuildRow]) -> Table {
             row.subsequences.to_string(),
             row.groups.to_string(),
             row.threads.to_string(),
+            row.builds.to_string(),
             fmt_duration(row.elapsed),
             format!("{:.2}", us_per(row.elapsed, row.subsequences)),
             fmt_duration(row.sketch),
@@ -227,7 +271,8 @@ pub fn table(rows: &[BuildRow]) -> Table {
 /// `BENCH_construction.json` — subsequences/sec and the grid's work per
 /// workload, so future changes have a trajectory to compare against.
 /// Every row carries `sketch_ms` beside `elapsed_ms` — both wall-clock,
-/// their ratio held by [`check`] — and `threads` beside `us_per_window`.
+/// medians over `builds`, their ratio held by [`check`] — and `threads`
+/// beside `us_per_window`.
 pub fn json_report(rows: &[BuildRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"experiment\":\"e12_construction\",\"rows\":[");
@@ -238,7 +283,8 @@ pub fn json_report(rows: &[BuildRow]) -> String {
         let _ = write!(
             out,
             "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\
-             \"subsequences\":{},\"groups\":{},\"threads\":{},\"elapsed_ms\":{:.3},\
+             \"subsequences\":{},\"groups\":{},\"threads\":{},\"builds\":{},\
+             \"elapsed_ms\":{:.3},\
              \"us_per_window\":{:.3},\"sketch_ms\":{:.3},\
              \"subsequences_per_sec\":{:.1},\
              \"distance_calls\":{},\"examined\":{},\"pruned\":{}}}",
@@ -249,6 +295,7 @@ pub fn json_report(rows: &[BuildRow]) -> String {
             r.subsequences,
             r.groups,
             r.threads,
+            r.builds,
             r.elapsed.as_secs_f64() * 1e3,
             us_per(r.elapsed, r.subsequences),
             r.sketch.as_secs_f64() * 1e3,
@@ -278,13 +325,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
 /// * off white noise, the grid answers a window from under ten distance
 ///   calls; a linear scan, or an index whose bound or cells stopped
 ///   pruning, sits in the hundreds or thousands (on noise no index helps);
-/// * on the load harness's two shapes, `harness` and `clustered`, the
-///   sketch pass takes at most 0.4 of the build (quantising every window
-///   afresh made it 0.48 and 0.70). A ratio of two timings of one
-///   process, checked in an optimised build only.
+/// * on the load harness's two shapes, `harness` and `clustered`, every
+///   one of the [`TIMED_BUILDS`] builds counts the same work, and the
+///   median sketch share takes at most 0.4 of the build (quantising
+///   every window afresh made it 0.48 and 0.70). A ratio of two timings
+///   of one process, checked in an optimised build only.
 pub fn check(rows: &[BuildRow]) -> Vec<String> {
     let walks: Vec<&BuildRow> = rows.iter().filter(|r| r.shape != "noise").collect();
-    let harness = |r: &&BuildRow| matches!(r.shape, "harness" | "clustered");
+    let harness = |r: &&BuildRow| timed(r.shape);
     let n = rows.iter().filter(harness).count();
     let mut out: Vec<String> = broken([
         (!walks.is_empty(), "no random-walk rows".into()),
@@ -300,9 +348,16 @@ pub fn check(rows: &[BuildRow]) -> Vec<String> {
             format!("{what}, {windows} windows: ≥ 10 a window"),
         )]));
     }
+    for r in rows.iter().filter(harness) {
+        let what = format!("{}: {} builds", r.shape, r.builds);
+        out.extend(broken([(
+            r.agree,
+            format!("{what} counted different work"),
+        )]));
+    }
     for r in rows.iter().filter(harness).filter(|_| TIMED) {
         let share = r.sketch.as_secs_f64() / r.elapsed.as_secs_f64();
-        let what = format!("{}: sketch pass {share:.2} of the build", r.shape);
+        let what = format!("{}: median sketch pass {share:.2} of the build", r.shape);
         out.extend(broken([(share <= 0.4, format!("{what}, over 0.4 of it"))]));
     }
     out
@@ -354,6 +409,8 @@ mod tests {
             subsequences: 5480,
             groups: 5480,
             threads: 2,
+            builds: 1,
+            agree: true,
             elapsed: Duration::from_millis(100),
             sketch: Duration::from_millis(20),
             per_sec: 54_800.0,
@@ -370,6 +427,9 @@ mod tests {
         let mut broken = rows();
         broken[1].distance_calls = 10 * broken[1].subsequences;
         crate::experiments::assert_broken(&check(&broken), "harness 40x160: 54800 distance calls");
+        let mut split = rows();
+        split[3].agree = false;
+        crate::experiments::assert_broken(&check(&split), "clustered: 1 builds counted different");
         assert!(check(&[]).contains(&"no random-walk rows".to_string()));
     }
 
@@ -379,7 +439,11 @@ mod tests {
         assert!(json.starts_with("{\"experiment\":\"e12_construction\",\"rows\":[{"));
         assert!(json.contains("\"us_per_window\":18.248,\"sketch_ms\":20.000,"));
         assert!(json.contains("\"distance_calls\":799281,\"examined\":799281,\"pruned\":14213179}"));
-        assert_eq!(json.matches("\"threads\":2,").count(), 2, "every row");
+        assert_eq!(
+            json.matches("\"threads\":2,\"builds\":1,").count(),
+            2,
+            "every row"
+        );
         assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -423,7 +423,7 @@ impl<'a> Searcher<'a> {
             self.stats.groups_examined += 1;
             // A group of one is its member: one the filters drop needs
             // neither a bound nor a DTW.
-            if g.is_lone() && !self.opts.admits(g.members()[0]) {
+            if g.is_lone() && !self.opts.admits(g.members().at(0)) {
                 continue;
             }
             let bound = self.raw_bound(heap, k, plan);
@@ -484,7 +484,7 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             if g.is_lone() {
-                self.offer_lone(plan, k, gi, g.members()[0], d_rep_sq, heap);
+                self.offer_lone(plan, k, gi, g.members().at(0), d_rep_sq, heap);
             } else {
                 self.scan_members(plan, k, gi, heap);
             }
@@ -553,8 +553,8 @@ impl<'a> Searcher<'a> {
             let group = groups.at(gi);
             if !group.is_lone() {
                 self.scan_members(plan, k, gi, heap);
-            } else if self.opts.admits(group.members()[0]) {
-                self.offer_lone(plan, k, gi, group.members()[0], d_sq, heap);
+            } else if self.opts.admits(group.members().at(0)) {
+                self.offer_lone(plan, k, gi, group.members().at(0), d_sq, heap);
             }
         }
     }
@@ -621,14 +621,14 @@ impl<'a> Searcher<'a> {
             // tier, so L0's rejects are the admitted slots it did not
             // pass.
             let admitted = if filtered {
-                let block = &members[from..to];
-                block.iter().filter(|&&m| self.opts.admits(m)).count()
+                let block = (from..to).map(|slot| members.at(slot));
+                block.filter(|&m| self.opts.admits(m)).count()
             } else {
                 to - from
             };
             let mut passed = 0;
             for i in 0..self.survivors.len() {
-                let member = members[self.survivors[i]];
+                let member = members.at(self.survivors[i]);
                 if filtered && !self.opts.admits(member) {
                     continue;
                 }

@@ -62,7 +62,6 @@ pub(crate) fn seasonal_patterns(
             let mut mine: Vec<SubseqRef> = g
                 .members()
                 .iter()
-                .copied()
                 .filter(|m| m.series == series_id)
                 .collect();
             if mine.len() < min_occ {

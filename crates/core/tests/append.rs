@@ -171,7 +171,7 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
             // A frozen representative is a window of a series both
             // epochs' datasets share: admission or not, both groups read
             // the very samples the first member resolves to.
-            let window = pinned.dataset().resolve(o.members()[0]).unwrap();
+            let window = pinned.dataset().resolve(o.members().at(0)).unwrap();
             assert!(std::ptr::eq(o.representative(), window), "g{gi}@{len}");
             assert!(std::ptr::eq(n.representative(), window), "g{gi}@{len}");
             if n.cardinality() == o.cardinality() {
@@ -192,7 +192,8 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
                 // where the group was a group of one.
                 assert_eq!(old_planes.cardinality(), sketched(o));
                 // The published epoch's group did not see the admission.
-                assert_eq!(n.members()[..o.cardinality()], *o.members());
+                let kept = n.members().iter().take(o.cardinality());
+                assert!(kept.eq(o.members()));
                 split += 1;
             }
         }

@@ -707,7 +707,10 @@ fn a_query_excluding_a_series_starts_no_dtw_on_its_groups_of_one() {
     assert_eq!(stats.dtw_abandoned, 0, "{stats:?}");
     assert!(stats.members_abandoned > groups.len() / 2, "{stats:?}");
     for s in 0..ds.len() as u32 {
-        let own = groups.iter().filter(|g| g.members()[0].series == s).count();
+        let own = groups
+            .iter()
+            .filter(|g| g.members().at(0).series == s)
+            .count();
         assert!(own > 0);
         let excluding = all.clone().excluding_series(Some(s));
         let (matches, stats) = e.k_best(&query, 3, &excluding).unwrap();

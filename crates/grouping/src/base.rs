@@ -18,10 +18,12 @@ static NO_GROUPS: LazyLock<GroupColumn> = LazyLock::new(GroupColumn::new);
 /// the raw data (§3.1–3.2). It is immutable after construction; the query
 /// engine borrows it, and [`crate::persist`] round-trips it to disk.
 ///
-/// Each length is one [`GroupColumn`]: blocks of 256 groups, 20 bytes a
-/// group — the first member's reference and one optional pointer to what
-/// only a group of two or more owns — each block behind one reference
-/// count. A clone copies the block pointers —
+/// Each length is one [`GroupColumn`]: blocks of 256 groups, 8 bytes
+/// and a bit a group — the first member's series and start, the length
+/// being the column's, and whether the group owns more; the few groups
+/// that do (two members and more, or a drifted mean) have a pointer in
+/// the block's dense vector, at the rank of their bit — each block behind
+/// one reference count. A clone copies the block pointers —
 /// a few hundred for a hundred thousand groups — and shares the blocks,
 /// and everything behind them, with the original;
 /// [`crate::BaseBuilder::extend`] builds the next base on such a clone
@@ -276,7 +278,7 @@ impl OnexBase {
         for (&len, gs) in &self.groups {
             let admission = self.config.admission_radius(len);
             for g in gs {
-                for &m in g.members() {
+                for m in g.members() {
                     let Ok(xs) = dataset.resolve(m) else {
                         report.unresolvable += 1;
                         continue;
@@ -301,15 +303,16 @@ fn members_of(groups: &GroupColumn) -> usize {
 /// Result of [`OnexBase::footprint`]: resident bytes by owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Footprint {
-    /// The per-length columns in whole blocks — 20 bytes a group: first
-    /// member and pointer — plus the record behind the pointer of every
-    /// group that has one.
+    /// The per-length columns in whole blocks — 8 bytes a group, its
+    /// first member's series and start, and a bit of the block's bitmap —
+    /// with each block's vector of pointers, plus the record behind every
+    /// pointer.
     pub group_records: usize,
     /// Representatives a group owns (means that drifted); 0 for every
     /// one read in place.
     pub owned_representatives: usize,
-    /// Member lists of groups of two and more (a lone member is its
-    /// slot's).
+    /// Member lists of groups of two and more, 8 bytes a member (a lone
+    /// member is its slot's).
     pub member_lists: usize,
     /// The sketch planes of groups of two and more (a group of one keeps
     /// none).

@@ -3,16 +3,21 @@
 //!
 //! A base that barely compacts is mostly groups of one, and a group of
 //! one is two facts: which window it is, and that there is nothing more
-//! to say. A block holds exactly that for its 256 groups, as parallel
-//! arrays in one allocation: the first member's [`SubseqRef`] (12 bytes —
-//! the representative too, read in place from the dataset's shared
-//! series through the column's table of handles) and one optional pointer
-//! (8 bytes, `None` for a group of one) to everything only some groups
-//! own — members from two up with their sketch planes, the radius, a
-//! representative of the group's own. 20 bytes a group, ≈ 5 KB a block,
-//! and the frozen quantiser of the sketches in the column's header. A
-//! group of one keeps no sketch: the searcher answers it from its
-//! representative's DTW, which is its member's.
+//! to say. A block holds exactly that for its 256 groups, in one
+//! allocation: each first member's 8-byte record — series and start; the
+//! subsequence length is the column's, held once, and the representative
+//! is that window read in place from the dataset's shared series through
+//! the column's table of handles — and a 256-bit occupancy bitmap, one
+//! bit a group, clear for a group of one. The few groups whose bit is set
+//! own something — members from two up with their sketch planes, the
+//! radius, a representative of the group's own — behind one pointer
+//! each, kept in a dense vector in slot order: a group's pointer sits at
+//! the rank of its bit, the set bits below it counted by popcount
+//! (Jacobson's rank over a bit vector), so a group of one costs no
+//! pointer. 8 bytes a group and ≈ 2 KB a block, plus 8 bytes a group that
+//! owns something, and the frozen quantiser of the sketches in the
+//! column's header. A group of one keeps no sketch: the searcher answers
+//! it from its representative's DTW, which is its member's.
 //!
 //! A column is append-only and lives through many epochs of a base, each
 //! a clone of the one before with a few thousand groups added to over a
@@ -23,20 +28,24 @@
 //! append costs is therefore the blocks it writes to — the tail a group
 //! is seeded into, the block of a group that admits a member — and a
 //! copied block takes its neighbours' pointers along, not what is behind
-//! them.
+//! them. A group that admits its second member gets its pointer inserted
+//! at its rank in the (copied) block's vector.
 
 use std::sync::Arc;
 
 use onex_distance::{SketchParams, SketchPlanes};
 use onex_tseries::SubseqRef;
 
-use crate::group::{window, GroupMore, GroupView, SeriesTable, ARC_HEADER};
+use crate::group::{window, GroupMore, GroupView, Member, SeriesTable, ARC_HEADER};
 
 /// Groups per block. Measured on the end-to-end harness: at 256 a block
-/// is ≈ 5 KB, small enough that the blocks an append replaces fit
+/// is ≈ 2 KB, small enough that the blocks an append replaces fit
 /// back into the holes the retired epoch leaves; larger blocks bought
 /// nothing on the append and cost resident memory.
 pub(crate) const BLOCK: usize = 256;
+
+/// Bits a word of the occupancy bitmap holds.
+const WORD: usize = u64::BITS as usize;
 
 /// 256 groups side by side (see the [module docs](self)). A tail block
 /// is a whole block whose last slots are not in use yet.
@@ -44,18 +53,71 @@ pub(crate) const BLOCK: usize = 256;
 pub(crate) struct Block {
     /// Each group's first member — under `Seed`, and for any group of
     /// one, its representative too.
-    pub first: [SubseqRef; BLOCK],
-    /// What a group owns beyond its slot; `None` for a group of one read
-    /// in place.
-    pub more: [Option<Arc<GroupMore>>; BLOCK],
+    first: [Member; BLOCK],
+    /// Bit `slot` is set when group `slot` owns a [`GroupMore`].
+    owns: [u64; BLOCK / WORD],
+    /// What the groups whose bit is set own, in slot order.
+    more: Vec<Arc<GroupMore>>,
 }
 
 impl Block {
     fn new() -> Block {
         Block {
-            first: [SubseqRef::new(0, 0, 0); BLOCK],
-            more: [const { None }; BLOCK],
+            first: [Member::default(); BLOCK],
+            owns: [0; BLOCK / WORD],
+            more: Vec::new(),
         }
+    }
+
+    /// Group `slot`'s first member.
+    #[inline]
+    pub fn first(&self, slot: usize) -> Member {
+        self.first[slot]
+    }
+
+    /// Group `slot`'s first member, as a list of one.
+    #[inline]
+    pub fn firsts(&self, slot: usize) -> &[Member] {
+        std::slice::from_ref(&self.first[slot])
+    }
+
+    /// True when group `slot` owns a [`GroupMore`].
+    #[inline]
+    pub fn owns(&self, slot: usize) -> bool {
+        self.owns[slot / WORD] >> (slot % WORD) & 1 == 1
+    }
+
+    /// How many groups below `slot` own a [`GroupMore`]: where group
+    /// `slot`'s sits in `more`.
+    #[inline]
+    fn rank(&self, slot: usize) -> usize {
+        let below = self.owns[..slot / WORD]
+            .iter()
+            .map(|word| word.count_ones());
+        let partial = self.owns[slot / WORD] & ((1u64 << (slot % WORD)) - 1);
+        (below.sum::<u32>() + partial.count_ones()) as usize
+    }
+
+    /// What group `slot` owns, if anything.
+    #[inline]
+    pub fn more(&self, slot: usize) -> Option<&GroupMore> {
+        self.owns(slot).then(|| &*self.more[self.rank(slot)])
+    }
+
+    /// The pointer to what group `slot` owns, given an empty record at
+    /// its rank first when it owns nothing yet.
+    fn more_mut(&mut self, slot: usize) -> &mut Arc<GroupMore> {
+        let at = self.rank(slot);
+        if !self.owns(slot) {
+            self.owns[slot / WORD] |= 1 << (slot % WORD);
+            self.more.insert(at, Arc::default());
+        }
+        &mut self.more[at]
+    }
+
+    /// Heap bytes of the pointer vector.
+    fn pointer_bytes(&self) -> usize {
+        self.more.capacity() * std::mem::size_of::<Arc<GroupMore>>()
     }
 }
 
@@ -75,6 +137,8 @@ impl Block {
 pub struct GroupColumn {
     blocks: Vec<Arc<Block>>,
     len: usize,
+    /// The subsequence length of every member, set by the first group.
+    width: u32,
     /// What in-place representatives are read through.
     series: SeriesTable,
     /// The quantiser every sketch of this column was encoded under,
@@ -134,7 +198,8 @@ impl GroupColumn {
     #[inline]
     pub fn at(&self, index: usize) -> GroupView<'_> {
         assert!(index < self.len, "group {index} of {}", self.len);
-        GroupView::new(&self.blocks[index / BLOCK], index % BLOCK, &self.series)
+        let block = &self.blocks[index / BLOCK];
+        GroupView::new(block, index % BLOCK, self.width, &self.series)
     }
 
     /// The groups in order.
@@ -182,21 +247,25 @@ impl GroupColumn {
     }
 
     /// Bytes the column's blocks keep on the heap: every block whole (an
-    /// unfilled tail is a whole block) with its reference counts, and the
-    /// block list. Blocks shared with a clone count in full; what groups
-    /// own behind their pointers is [`GroupView`]'s to count.
+    /// unfilled tail is a whole block) with its reference counts and its
+    /// vector of pointers, and the block list. Blocks shared with a clone
+    /// count in full; what groups own behind their pointers is
+    /// [`GroupView`]'s to count.
     pub(crate) fn resident_bytes(&self) -> usize {
+        let pointers: usize = self.blocks.iter().map(|block| block.pointer_bytes()).sum();
         self.blocks.len() * (ARC_HEADER + std::mem::size_of::<Block>())
+            + pointers
             + self.blocks.capacity() * std::mem::size_of::<Arc<Block>>()
     }
 
     /// Give back what a finished build or decode left over: the unused
-    /// capacity of the block list and of every member list no clone
-    /// shares (admissions grow them by doubling).
+    /// capacity of the block list, and of every pointer vector and member
+    /// list no clone shares (admissions grow them by doubling).
     pub(crate) fn shrink_to_fit(&mut self) {
         self.blocks.shrink_to_fit();
         for block in self.blocks.iter_mut().filter_map(Arc::get_mut) {
-            for more in block.more.iter_mut().flatten().filter_map(Arc::get_mut) {
+            block.more.shrink_to_fit();
+            for more in block.more.iter_mut().filter_map(Arc::get_mut) {
                 more.members.shrink_to_fit();
             }
         }
@@ -223,15 +292,22 @@ impl GroupColumn {
     }
 
     /// Write the next slot: of the tail block — copied first if a clone
-    /// shares it — or of a new block when the tail is full.
+    /// shares it — or of a new block when the tail is full. The first
+    /// group sets the column's length.
     fn push_slot(&mut self, first: SubseqRef, more: Option<GroupMore>) {
+        if self.len == 0 {
+            self.width = first.len;
+        }
+        debug_assert_eq!(first.len, self.width, "one length a column");
         if self.len.is_multiple_of(BLOCK) {
             self.blocks.push(Arc::new(Block::new()));
         }
         let tail = self.blocks.last_mut().expect("a tail block exists");
         let (block, slot) = (Arc::make_mut(tail), self.len % BLOCK);
-        block.first[slot] = first;
-        block.more[slot] = more.map(Arc::new);
+        block.first[slot] = Member::of(first);
+        if let Some(more) = more {
+            *block.more_mut(slot) = Arc::new(more);
+        }
         self.len += 1;
     }
 
@@ -257,22 +333,29 @@ impl GroupColumn {
     }
 
     /// Append a group as a base image stores it (see [`crate::persist`]):
-    /// its members, its radius, the mean it owns if it drifted — any other
-    /// representative is the first member's window, read in place — and,
-    /// for a group of two or more, its members' sketch records in order
-    /// (none for a group of one). `false` — and no group — when the first
-    /// member is no window of the column's series.
+    /// its members' records at length `len` — the image's `MEMBERS`
+    /// records, kept as they are — its radius, the mean it owns if it
+    /// drifted — any other representative is the first member's window,
+    /// read in place — and, for a group of two or more, its members'
+    /// sketch records in order (none for a group of one). Every member
+    /// is checked: `Err((i, member))` — and no group — names the first
+    /// member that is no window of the column's series.
     pub(crate) fn push_decoded(
         &mut self,
-        members: Vec<SubseqRef>,
+        len: u32,
+        members: Vec<Member>,
         radius: f64,
         representative: Option<Arc<[f64]>>,
         records: &[u8],
-    ) -> bool {
-        let first = members[0];
-        if window(&self.series, first).is_none() {
-            return false;
+    ) -> Result<(), (usize, SubseqRef)> {
+        let refs = members.iter().map(|m| m.at(len));
+        if let Some(stray) = refs
+            .enumerate()
+            .find(|&(_, r)| window(&self.series, r).is_none())
+        {
+            return Err(stray);
         }
+        let first = members[0].at(len);
         let many = members.len() > 1;
         let more = (many || representative.is_some() || radius.to_bits() != 0).then(|| GroupMore {
             radius,
@@ -281,7 +364,7 @@ impl GroupColumn {
             members: if many { members } else { Vec::new() },
         });
         self.push_slot(first, more);
-        true
+        Ok(())
     }
 
     /// Admit into group `index` a member that passed the admission test
@@ -303,20 +386,23 @@ impl GroupColumn {
         centroid: bool,
     ) {
         assert!(index < self.len, "group {index} of {}", self.len);
+        debug_assert_eq!(
+            (member.len, values.len()),
+            (self.width, self.width as usize)
+        );
         let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
         let slot = index % BLOCK;
-        let first = block.first[slot];
-        debug_assert_eq!(values.len(), first.len as usize);
-        let more = Arc::make_mut(block.more[slot].get_or_insert_default());
+        let first = block.first(slot);
+        let more = Arc::make_mut(block.more_mut(slot));
         if more.members.is_empty() {
             more.members.push(first);
         }
-        more.members.push(member);
+        more.members.push(Member::of(member));
         more.radius = more.radius.max(dist);
         if centroid {
             let k = more.members.len() as f64;
             let mean = more.representative.get_or_insert_with(|| {
-                let read_in_place = window(&self.series, first);
+                let read_in_place = window(&self.series, first.at(self.width));
                 read_in_place
                     .expect("checked when the slot was written")
                     .into()
@@ -349,12 +435,13 @@ impl GroupColumn {
         if members.len() == 1 || done.cardinality() >= members.len() {
             return;
         }
-        let grown = done.grown(members.len(), |slot, record| encode(members[slot], record));
+        let grown = done.grown(members.len(), |slot, record| {
+            encode(members.at(slot), record)
+        });
         let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
-        let more = block.more[index % BLOCK]
-            .as_mut()
-            .expect("two members and more");
-        Arc::make_mut(more).planes = grown;
+        let slot = index % BLOCK;
+        debug_assert!(block.owns(slot), "two members and more");
+        Arc::make_mut(block.more_mut(slot)).planes = grown;
     }
 }
 
@@ -535,19 +622,25 @@ mod tests {
     }
 
     #[test]
-    fn blocks_never_hold_more_than_a_block_and_an_unfilled_tail_counts_whole() {
+    fn a_slot_is_a_record_and_a_bit_and_an_unfilled_tail_counts_whole() {
         let ds = ramp();
         let mut v = GroupColumn::over(series_table(&ds));
         let whole = ARC_HEADER + std::mem::size_of::<Block>();
-        assert_eq!(whole, 16 + 20 * BLOCK);
+        assert_eq!(whole, 16 + 8 * BLOCK + BLOCK / 8 + 24);
         for i in 0..2 * BLOCK + 5 {
             assert!(v.push_seed(r(i as u32)));
             assert_eq!(v.block_count(), (i + 1).div_ceil(BLOCK), "at {i}");
         }
         v.shrink_to_fit();
         assert_eq!(v.resident_bytes(), 3 * (whole + 8));
-        // Groups of one own nothing behind their slots.
+        // Groups of one own nothing behind their slots, not even a pointer.
         assert!(v.iter().all(|g| g.heap_bytes() == Default::default()));
+        // A group that admits takes one pointer in its block's vector.
+        for index in [3, 1, BLOCK + 7] {
+            v.admit(index, r(900), &[0.0; WINDOW as usize], 1.0, false);
+        }
+        v.shrink_to_fit();
+        assert_eq!(v.resident_bytes(), 3 * (whole + 8) + 3 * 8);
     }
 
     #[test]
@@ -653,7 +746,88 @@ mod tests {
         column
     }
 
+    /// Sync group `index`'s sketches, as the builder's sketch pass does.
+    fn sync(column: &mut GroupColumn, ds: &Dataset, index: usize) {
+        let params = SketchParams::fit(0.0, 2000.0);
+        column.sketch_group(index, |member, record| {
+            encode_into(&params, ds.resolve(member).unwrap(), record)
+        });
+    }
+
+    /// Every view of `column` against `model` and the members each group
+    /// has sketched: members, radius, representative, `is_lone` and
+    /// `sketched` — whatever the rank of the group's bit.
+    fn views_agree(column: &GroupColumn, model: &Model, sketched: &[usize], ds: &Dataset) {
+        assert_eq!(column.len(), model.len());
+        for (index, (starts, radius)) in model.iter().enumerate() {
+            let g = column.at(index);
+            let members: Vec<SubseqRef> = starts.iter().map(|&s| r(s)).collect();
+            assert_eq!(g.members(), members, "group {index}");
+            assert_eq!(g.radius(), *radius, "group {index}");
+            let window = ds.resolve(members[0]).unwrap();
+            assert!(std::ptr::eq(g.representative(), window), "group {index}");
+            assert_eq!(g.is_lone(), starts.len() == 1, "group {index}");
+            assert_eq!(g.sketched().cardinality(), sketched[index], "group {index}");
+            assert_eq!(g.planes().is_some(), sketched[index] == starts.len());
+        }
+    }
+
     proptest! {
+        /// A block finds what a group owns by the rank of the group's bit:
+        /// at every block edge, with the slots either side of a word edge,
+        /// the last slot of a block and the tail among those that admit,
+        /// every view reads what a `Vec` model says — and goes on doing
+        /// so through a clone written copy-on-write, whose blocks and
+        /// groups share storage exactly where no write landed.
+        #[test]
+        fn a_groups_record_is_found_at_the_rank_of_its_bit(
+            picks in prop::collection::vec(any::<u16>(), 0..40),
+            later in prop::collection::vec(any::<u16>(), 1..12),
+        ) {
+            let ds = ramp();
+            for n in EDGES.into_iter().filter(|&n| n > 0) {
+                let (mut column, mut model) = counted(&ds, n);
+                let mut sketched = vec![0; n];
+                let admit = |column: &mut GroupColumn, model: &mut Model, i: usize, j: usize| {
+                    let (start, dist) = ((j * 37 % 1000) as u32, (j % 5) as f64);
+                    column.admit(i, r(start), &[0.0; WINDOW as usize], dist, false);
+                    model[i].0.push(start);
+                    model[i].1 = model[i].1.max(dist);
+                };
+                let fixed = [0, 63, 64, BLOCK - 1, n - 1];
+                let random = picks.iter().map(|&p| p as usize % n);
+                for (j, i) in fixed.into_iter().filter(|&i| i < n).chain(random).enumerate() {
+                    admit(&mut column, &mut model, i, j);
+                    // Every other admission is synced at once; the rest
+                    // leave their group between admission and sync.
+                    if j % 2 == 0 {
+                        sync(&mut column, &ds, i);
+                        sketched[i] = model[i].0.len();
+                    }
+                }
+                column.shrink_to_fit();
+                views_agree(&column, &model, &sketched, &ds);
+
+                let (published, was, was_sketched) = (column.clone(), model.clone(), sketched.clone());
+                let written: Vec<usize> = later.iter().map(|&p| p as usize % n).collect();
+                for (j, &i) in written.iter().enumerate() {
+                    admit(&mut column, &mut model, i, 100 + j);
+                    sync(&mut column, &ds, i);
+                    sketched[i] = model[i].0.len();
+                }
+                views_agree(&column, &model, &sketched, &ds);
+                views_agree(&published, &was, &was_sketched, &ds);
+                for block in 0..column.block_count() {
+                    let landed = written.iter().any(|&i| GroupColumn::block_of(i) == block);
+                    prop_assert_eq!(column.shares_block(&published, block), !landed);
+                }
+                for index in 0..n {
+                    let shares = column.at(index).shares_storage_with(published.at(index));
+                    prop_assert_eq!(shares, !written.contains(&index), "group {}", index);
+                }
+            }
+        }
+
         /// A seeded interleaving of seed / admit / `clone` / drop over a
         /// few columns, each checked against a `Vec` model after every
         /// step: a write through one clone never shows in another.

@@ -738,7 +738,7 @@ mod tests {
         for len in base.lengths() {
             let admission = base.config().admission_radius(len);
             for g in base.groups_for_len(len) {
-                for &m in g.members() {
+                for m in g.members() {
                     let xs = ds.resolve(m).unwrap();
                     let d = ed(xs, g.representative());
                     assert!(
@@ -759,7 +759,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for len in base.lengths() {
             for g in base.groups_for_len(len) {
-                for &m in g.members() {
+                for m in g.members() {
                     assert!(seen.insert(m), "duplicate member {m}");
                 }
             }

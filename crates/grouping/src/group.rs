@@ -1,3 +1,14 @@
+//! One similarity group as a column keeps it, and the `Copy` view
+//! readers get of it.
+//!
+//! A group is a slot of a [`crate::GroupColumn`] block: its first
+//! member's 8-byte [`Member`] record (series and start — the length is
+//! the column's) and one bit of the block's occupancy bitmap. The bit is
+//! clear for a group of one read in place, set for a group that owns a
+//! [`GroupMore`], which sits in the block's dense vector of pointers at
+//! the bit's rank. [`GroupView`] reads both; [`Members`] hands out the
+//! member records as public [`SubseqRef`]s, the column's length put back.
+
 use std::sync::Arc;
 
 use onex_distance::{PlanesRef, SketchPlanes};
@@ -41,10 +52,36 @@ pub(crate) fn window(table: &[Arc<TimeSeries>], r: SubseqRef) -> Option<&[f64]> 
         .subsequence(r.start as usize, r.len as usize)
 }
 
-/// What only some groups own, behind the one optional pointer of a
-/// group's slot: a group of one whose representative is its member's
-/// window and whose radius is 0 — every group of a base that does not
-/// compact — has none of it.
+/// A member as a column keeps it: the window's series and start, 8
+/// bytes. Its length is the column's, held once — the image's `MEMBERS`
+/// record, field for field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Member {
+    pub series: u32,
+    pub start: u32,
+}
+
+impl Member {
+    /// `r` without its length.
+    #[inline]
+    pub fn of(r: SubseqRef) -> Member {
+        Member {
+            series: r.series,
+            start: r.start,
+        }
+    }
+
+    /// The reference to this window at length `len`.
+    #[inline]
+    pub fn at(self, len: u32) -> SubseqRef {
+        SubseqRef::new(self.series, self.start, len)
+    }
+}
+
+/// What only some groups own, behind the set bit of a group's slot: a
+/// group of one whose representative is its member's window and whose
+/// radius is 0 — every group of a base that does not compact — has none
+/// of it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupMore {
     /// Largest admission distance observed — a certified radius under the
@@ -55,26 +92,120 @@ pub(crate) struct GroupMore {
     pub representative: Option<Arc<[f64]>>,
     /// Every member in admission order, the first included — or nothing
     /// for a group of one, whose member is its slot's.
-    pub members: Vec<SubseqRef>,
+    pub members: Vec<Member>,
     /// The sketches of `members`, slot for slot, as far as they have been
     /// synced (a group of one keeps none).
     pub planes: SketchPlanes,
 }
+
+/// A group's members in admission order (the seed first), read off the
+/// column's 8-byte records: each comes out a [`SubseqRef`] with the
+/// column's length put back. `Copy`, and never empty for a group.
+///
+/// Equal to another `Members`, or to any slice of references, holding
+/// the same references in the same order.
+#[derive(Clone, Copy)]
+pub struct Members<'a> {
+    records: &'a [Member],
+    len: u32,
+}
+
+impl<'a> Members<'a> {
+    /// Number of members.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when there is no member (never, for a group's).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Member `index`.
+    ///
+    /// # Panics
+    /// Panics when `index` is not below [`Self::len`].
+    #[inline]
+    pub fn at(&self, index: usize) -> SubseqRef {
+        self.records[index].at(self.len)
+    }
+
+    /// The members in admission order.
+    #[inline]
+    pub fn iter(&self) -> MemberIter<'a> {
+        MemberIter {
+            records: self.records.iter(),
+            len: self.len,
+        }
+    }
+}
+
+impl PartialEq for Members<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: AsRef<[SubseqRef]>> PartialEq<T> for Members<'_> {
+    fn eq(&self, other: &T) -> bool {
+        self.iter().eq(other.as_ref().iter().copied())
+    }
+}
+
+impl std::fmt::Debug for Members<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for Members<'a> {
+    type Item = SubseqRef;
+    type IntoIter = MemberIter<'a>;
+
+    fn into_iter(self) -> MemberIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Members`], yielding [`SubseqRef`]s.
+#[derive(Debug, Clone)]
+pub struct MemberIter<'a> {
+    records: std::slice::Iter<'a, Member>,
+    len: u32,
+}
+
+impl Iterator for MemberIter<'_> {
+    type Item = SubseqRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<SubseqRef> {
+        Some(self.records.next()?.at(self.len))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for MemberIter<'_> {}
 
 /// One ONEX similarity group, read where it lies: same-length
 /// subsequences that passed the `ST/2` Euclidean admission test against
 /// the representative.
 ///
 /// A group is a slot of a [`crate::GroupColumn`] block — its first
-/// member's reference and one optional pointer — and this is a `Copy`
-/// view of that slot. A group of one owns no heap: its representative
-/// *is* the first member's window, read in place from the dataset's
-/// shared series through the column's table of handles, its member list
-/// is the slot's reference, its radius 0, and it keeps no sketch (the
-/// searcher answers it from its representative's DTW). Only behind the
-/// pointer is anything a group's own: the members from two up with their
-/// sketch planes, the radius, a representative that drifted
-/// (`Centroid`).
+/// member's 8-byte record and one bit of the block's bitmap — and this is
+/// a `Copy` view of that slot, the column's subsequence length beside it.
+/// A group of one owns no heap: its representative *is* the first
+/// member's window, read in place from the dataset's shared series
+/// through the column's table of handles, its member list is the slot's
+/// record, its radius 0, and it keeps no sketch (the searcher answers it
+/// from its representative's DTW). Only a group whose bit is set owns
+/// anything, in the block's pointer at the bit's rank: the members from
+/// two up with their sketch planes, the radius, a representative that
+/// drifted (`Centroid`).
 ///
 /// Equality is over content — representative values (wherever they
 /// live), members, radius — so a group that round-tripped through disk
@@ -83,7 +214,9 @@ pub(crate) struct GroupMore {
 #[derive(Clone, Copy)]
 pub struct GroupView<'a> {
     block: &'a Block,
-    slot: usize,
+    slot: u32,
+    /// The column's subsequence length.
+    len: u32,
     series: &'a [Arc<TimeSeries>],
 }
 
@@ -106,23 +239,30 @@ impl std::fmt::Debug for GroupView<'_> {
 }
 
 impl<'a> GroupView<'a> {
-    /// Slot `slot` of `block`, in-place windows read through `series`.
-    pub(crate) fn new(block: &'a Block, slot: usize, series: &'a [Arc<TimeSeries>]) -> Self {
+    /// Slot `slot` of `block`, of a column of windows of length `len`
+    /// read through `series`.
+    pub(crate) fn new(
+        block: &'a Block,
+        slot: usize,
+        len: u32,
+        series: &'a [Arc<TimeSeries>],
+    ) -> Self {
         GroupView {
             block,
-            slot,
+            slot: slot as u32,
+            len,
             series,
         }
     }
 
     #[inline]
-    fn first(&self) -> &'a SubseqRef {
-        &self.block.first[self.slot]
+    fn first(&self) -> SubseqRef {
+        self.block.first(self.slot as usize).at(self.len)
     }
 
     #[inline]
     fn more(&self) -> Option<&'a GroupMore> {
-        self.block.more[self.slot].as_deref()
+        self.block.more(self.slot as usize)
     }
 
     /// The group's representative sequence (centroid or frozen seed).
@@ -131,7 +271,7 @@ impl<'a> GroupView<'a> {
         if let Some(own) = self.own_representative() {
             return own;
         }
-        window(self.series, *self.first()).expect("checked when the slot was written")
+        window(self.series, self.first()).expect("checked when the slot was written")
     }
 
     /// The representative the group owns — a mean that drifted off its
@@ -144,10 +284,14 @@ impl<'a> GroupView<'a> {
 
     /// Member references in admission order (the seed is first).
     #[inline]
-    pub fn members(&self) -> &'a [SubseqRef] {
-        match self.more() {
-            Some(more) if !more.members.is_empty() => &more.members,
-            _ => std::slice::from_ref(self.first()),
+    pub fn members(&self) -> Members<'a> {
+        let records = match self.more() {
+            Some(more) if !more.members.is_empty() => &more.members[..],
+            _ => self.block.firsts(self.slot as usize),
+        };
+        Members {
+            records,
+            len: self.len,
         }
     }
 
@@ -160,7 +304,7 @@ impl<'a> GroupView<'a> {
     /// Subsequence length of this group.
     #[inline]
     pub fn len(&self) -> usize {
-        self.first().len as usize
+        self.len as usize
     }
 
     /// Groups are never empty; provided for clippy-idiomatic pairing with
@@ -179,10 +323,10 @@ impl<'a> GroupView<'a> {
     /// True when the group is its first member alone, read in place: no
     /// other member, radius 0, no representative of its own — the
     /// representative's window *is* the member's, so the representative's
-    /// DTW is the member's.
+    /// DTW is the member's. One bit of the block's bitmap.
     #[inline]
     pub fn is_lone(&self) -> bool {
-        self.more().is_none()
+        !self.block.owns(self.slot as usize)
     }
 
     /// The member sketches synced so far, slot `i` sketching member `i`:
@@ -207,7 +351,7 @@ impl<'a> GroupView<'a> {
     /// just by value: neither has admitted a member since one's column
     /// was cloned from the other's. For what a slot keeps inline that is
     /// the same first member read from the same series handle; for the
-    /// rest, the same block behind the pointer.
+    /// rest, the same record behind the pointer.
     pub fn shares_storage_with(&self, other: GroupView<'_>) -> bool {
         let same_more = match (self.more(), other.more()) {
             (Some(a), Some(b)) => std::ptr::eq(a, b),
@@ -221,7 +365,8 @@ impl<'a> GroupView<'a> {
 
     /// Heap bytes this group owns beyond its slot, by owner —
     /// reference-count headers included, all zero for a group of one read
-    /// in place.
+    /// in place. Its entry in the block's pointer vector is the block's
+    /// to count.
     pub(crate) fn heap_bytes(&self) -> GroupHeap {
         let Some(more) = self.more() else {
             return GroupHeap::default();
@@ -232,7 +377,7 @@ impl<'a> GroupView<'a> {
                 .representative
                 .as_ref()
                 .map_or(0, |values| ARC_HEADER + std::mem::size_of_val(&values[..])),
-            members: more.members.capacity() * std::mem::size_of::<SubseqRef>(),
+            members: more.members.capacity() * std::mem::size_of::<Member>(),
             planes: more.planes.heap_bytes(),
         }
     }
@@ -241,7 +386,7 @@ impl<'a> GroupView<'a> {
 /// Result of [`GroupView::heap_bytes`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct GroupHeap {
-    /// The block behind the slot's pointer itself.
+    /// The record behind the slot's pointer itself.
     pub record: usize,
     /// An owned representative.
     pub representative: usize,
@@ -442,11 +587,36 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_20_bytes_and_the_rest_sits_behind_one_pointer() {
-        let slot = std::mem::size_of::<Block>() / crate::blocks::BLOCK;
-        assert_eq!(slot, 12 + 8, "a reference and a pointer");
+    fn a_slot_is_8_bytes_and_what_a_group_owns_is_found_by_its_bit() {
+        use crate::blocks::BLOCK;
+        assert_eq!(std::mem::size_of::<Member>(), 8, "series and start");
+        // A record and a bit a slot, and the header of the pointer vector.
+        let block = std::mem::size_of::<Block>();
+        assert_eq!(
+            block,
+            8 * BLOCK + BLOCK / 8 + std::mem::size_of::<Vec<usize>>()
+        );
+        // The public reference keeps its length; the column lends it.
+        assert_eq!(std::mem::size_of::<SubseqRef>(), 12);
         assert!(std::mem::size_of::<GroupMore>() <= 64);
         assert!(std::mem::size_of::<GroupView<'_>>() <= 32);
+        assert!(std::mem::size_of::<Members<'_>>() <= 24);
+    }
+
+    #[test]
+    fn members_read_as_references_at_the_columns_length() {
+        let ds = series();
+        let mut column = in_place(&ds, &[0, 1]);
+        column.admit(1, r(2), &[3.0, 4.0, 5.0], 0.5, false);
+        let members = column.at(1).members();
+        assert_eq!(members, [r(1), r(2)]);
+        assert_eq!(members, vec![r(1), r(2)]);
+        assert_ne!(members, column.at(0).members());
+        assert_eq!((members.len(), members.is_empty()), (2, false));
+        assert_eq!((members.at(0), members.at(1)), (r(1), r(2)));
+        assert_eq!(members.iter().len(), 2);
+        assert_eq!(members.into_iter().collect::<Vec<_>>(), [r(1), r(2)]);
+        assert_eq!(format!("{members:?}"), format!("{:?}", [r(1), r(2)]));
     }
 
     #[test]

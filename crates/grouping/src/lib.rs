@@ -14,11 +14,12 @@
 //! * [`SubsequenceSpace`] enumerates every subsequence of a dataset for a
 //!   configurable length range and stride — the space the base compacts.
 //! * [`GroupView`] is one group: a representative sequence, member
-//!   references, a radius and, from two members up, the members' L0
-//!   sketches — a 20-byte slot of a column block, and for a group of one
-//!   nothing else: the representative is read in place from the
-//!   dataset's shared series, and the search answers the group from its
-//!   representative's DTW.
+//!   references ([`Members`]), a radius and, from two members up, the
+//!   members' L0 sketches — an 8-byte slot of a column block (the first
+//!   member's series and start; the length is the column's) and one bit
+//!   of the block's bitmap, and for a group of one nothing else: the
+//!   representative is read in place from the dataset's shared series,
+//!   and the search answers the group from its representative's DTW.
 //! * [`BaseBuilder`] constructs the base online: each subsequence joins the
 //!   nearest group of its length when the representative is within `ST/2`
 //!   (Euclidean), otherwise it seeds a new group. A batch build extends an
@@ -34,9 +35,10 @@
 //!   statistics, invariant auditing, and one binary image it leaves
 //!   memory as and comes back from beside its dataset ([`persist`]).
 //!   Each length is one [`GroupColumn`]
-//!   ([`blocks`]) — fixed-size copy-on-write blocks of 256 groups — so
-//!   the next epoch of a base shares every block an append did not write
-//!   to.
+//!   ([`blocks`]) — fixed-size copy-on-write blocks of 256 groups, the
+//!   rare group that owns more than its slot found by the rank of its bit
+//!   — so the next epoch of a base shares every block an append did not
+//!   write to.
 //! * The columns carry a quantised-PAA sketch per member of a group of
 //!   two and more ([`sketch`], read through [`SketchIndex`]) — the L0
 //!   prefilter tier the query engine consults before touching any f64
@@ -68,7 +70,7 @@ pub use base::{AuditReport, BaseStats, Footprint, LengthStats, OnexBase};
 pub use blocks::GroupColumn;
 pub use builder::{BaseBuilder, BuildReport};
 pub use config::{BaseConfig, RepresentativePolicy};
-pub use group::{GroupId, GroupView};
+pub use group::{GroupId, GroupView, MemberIter, Members};
 pub use repindex::{IndexWork, PaaGrid, ResidentIndex};
 pub use sketch::{LengthSketches, SketchIndex};
 pub use space::SubsequenceSpace;

@@ -49,9 +49,9 @@ use std::sync::Arc;
 use onex_api::{OnexError, StorageErrorKind};
 use onex_distance::{SketchParams, SKETCH_STRIDE};
 use onex_storage::{put_f64, put_u32, put_u64, put_u8, Fnv1a, Segment, SegmentBuilder};
-use onex_tseries::{Dataset, SubseqRef, TimeSeries};
+use onex_tseries::{Dataset, TimeSeries};
 
-use crate::group::series_table;
+use crate::group::{series_table, Member};
 use crate::{BaseConfig, GroupColumn, OnexBase, RepresentativePolicy};
 
 /// Section id: the fixed-size configuration record.
@@ -517,8 +517,9 @@ impl BaseSegment {
     ///
     /// # Errors
     /// [`OnexError::Storage`] if the column's group records are
-    /// malformed (possible despite section checksums only for an image
-    /// written by a buggy or hostile encoder);
+    /// malformed, a member after a group's first that is no window of
+    /// `dataset` included (possible despite section checksums only for an
+    /// image written by a buggy or hostile encoder);
     /// [`OnexError::DatasetMismatch`] if a group's first member is no
     /// window of `dataset` (one [`Self::empty_base`] did not accept).
     pub fn load_length(
@@ -575,16 +576,14 @@ impl BaseSegment {
                     )))
                 }
             };
-            let members: Vec<SubseqRef> = members_sec[member_cursor * MEMBER_STRIDE..]
+            let members: Vec<Member> = members_sec[member_cursor * MEMBER_STRIDE..]
                 [..member_count * MEMBER_STRIDE]
                 .chunks_exact(MEMBER_STRIDE)
-                .map(|c| {
-                    let series = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-                    let start = u32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-                    SubseqRef::new(series, start, len as u32)
+                .map(|c| Member {
+                    series: u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
+                    start: u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
                 })
                 .collect();
-            let first = members[0];
             let sketched = if member_count > 1 {
                 let at = sketch_cursor * SKETCH_STRIDE;
                 sketch_cursor += member_count;
@@ -593,10 +592,20 @@ impl BaseSegment {
                 &[]
             };
             member_cursor += member_count;
-            if !groups.push_decoded(members, radius, own, sketched) {
-                return Err(OnexError::DatasetMismatch(format!(
-                    "group {gi}@{len}: its first member {first} is no window of the dataset"
-                )));
+            // A first member that is no window says the dataset is not
+            // the image's; a later one, that the image lies about it.
+            match groups.push_decoded(len as u32, members, radius, own, sketched) {
+                Ok(()) => {}
+                Err((0, first)) => {
+                    return Err(OnexError::DatasetMismatch(format!(
+                        "group {gi}@{len}: its first member {first} is no window of the dataset"
+                    )))
+                }
+                Err((i, member)) => {
+                    return Err(corrupt(format!(
+                        "group {gi}@{len}: member {i}, {member}, is no window of the dataset"
+                    )))
+                }
             }
         }
         if member_cursor != member_end || rep_cursor != e.rep_end {
@@ -704,7 +713,7 @@ mod tests {
             let groups = base.groups_for_len(len).iter().filter(many);
             for member in groups.flat_map(|g| g.members()) {
                 let mut want = [0u8; SKETCH_STRIDE];
-                encode_into(&params, ds.resolve(*member).unwrap(), &mut want);
+                encode_into(&params, ds.resolve(member).unwrap(), &mut want);
                 assert_eq!(records.next().unwrap(), want, "{member:?}");
             }
         }
@@ -765,7 +774,7 @@ mod tests {
         assert_eq!(loaded.sketches(), base.sketches());
         assert_eq!(loaded.footprint().owned_representatives, 0);
         for (id, g) in loaded.iter() {
-            let window = ds.resolve(g.members()[0]).unwrap();
+            let window = ds.resolve(g.members().at(0)).unwrap();
             assert!(std::ptr::eq(g.representative(), window), "{id}");
         }
 
@@ -779,7 +788,7 @@ mod tests {
         assert!(means > 0);
         assert_eq!(means, drifted.footprint().owned_representatives);
         for (id, g) in loaded.iter().filter(|(_, g)| g.cardinality() == 1) {
-            let window = ds.resolve(g.members()[0]).unwrap();
+            let window = ds.resolve(g.members().at(0)).unwrap();
             assert!(std::ptr::eq(g.representative(), window), "{id}");
         }
 

@@ -233,9 +233,9 @@ mod tests {
         let columns = base.raw_groups().iter().map(|(&len, groups)| {
             let mut column = GroupColumn::over(base.series().clone());
             for (index, g) in groups.iter().enumerate() {
-                let (first, rest) = g.members().split_first().unwrap();
-                assert!(column.push_seed(*first));
-                for &m in rest {
+                let mut members = g.members().iter();
+                assert!(column.push_seed(members.next().unwrap()));
+                for m in members {
                     column.admit(index, m, ds.resolve(m).unwrap(), g.radius(), centroid);
                 }
             }
@@ -294,7 +294,7 @@ mod tests {
         let qs = QuerySketch::new(&query, &env, ls.params());
         for (gi, g) in base.groups_for_len(8).iter().enumerate() {
             let planes = ls.group(gi).unwrap();
-            for (slot, &m) in g.members().iter().enumerate() {
+            for (slot, m) in g.members().iter().enumerate() {
                 let xs = ds.resolve(m).unwrap();
                 let lb = qs.bound_sq(&planes.record(slot));
                 let d = dtw_sq(&query, xs, Band::SakoeChiba(2));
@@ -335,7 +335,7 @@ mod tests {
 
         // One group admits a member; a clone of the column syncs to it.
         let admitting = published.len() / 2;
-        let joiner = published.at(0).members()[0];
+        let joiner = published.at(0).members().at(0);
         let mut next = published.clone();
         next.admit(admitting, joiner, &ramp[..4], 0.0, false);
         let len = next.len();

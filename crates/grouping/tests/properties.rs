@@ -36,7 +36,7 @@ proptest! {
         for len in base.lengths() {
             for g in base.groups_for_len(len) {
                 prop_assert!(g.cardinality() >= 1);
-                for &m in g.members() {
+                for m in g.members() {
                     prop_assert_eq!(m.len as usize, len);
                     prop_assert!(seen.insert(m), "subsequence in two groups");
                 }
@@ -65,7 +65,7 @@ proptest! {
                     let vals: Vec<&[f64]> = g
                         .members()
                         .iter()
-                        .map(|&m| ds.resolve(m).unwrap())
+                        .map(|m| ds.resolve(m).unwrap())
                         .collect();
                     for i in 0..vals.len() {
                         for j in i + 1..vals.len() {
@@ -452,7 +452,7 @@ fn values_that_overflow_the_distance_admit_nothing_and_never_panic() {
             let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
             for len in base.lengths() {
                 for g in base.groups_for_len(len) {
-                    for &m in g.members() {
+                    for m in g.members() {
                         let xs = ds.resolve(m).unwrap();
                         assert_eq!(
                             xs,
@@ -547,7 +547,7 @@ fn a_base_is_the_same_base_however_its_columns_were_filled() {
             let owning = |base: &OnexBase| {
                 let groups = base.iter();
                 let own = groups.filter(|(_, g)| {
-                    let window = ds.resolve(g.members()[0]).unwrap();
+                    let window = ds.resolve(g.members().at(0)).unwrap();
                     !std::ptr::eq(g.representative(), window)
                 });
                 own.count()

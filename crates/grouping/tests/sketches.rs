@@ -50,7 +50,7 @@ fn assert_sketches_are_the_references(base: &OnexBase, dataset: &Dataset, what: 
                 0
             };
             assert_eq!(planes.cardinality(), sketched, "{what} g{gi}@{len}");
-            for (slot, &member) in group.members().iter().take(sketched).enumerate() {
+            for (slot, member) in group.members().iter().take(sketched).enumerate() {
                 let mut want = [0u8; SKETCH_STRIDE];
                 encode_into(&params, dataset.resolve(member).unwrap(), &mut want);
                 assert_eq!(

@@ -427,8 +427,10 @@ impl App {
         // side" made observable, work counters included.
         if let Some(r) = &self.build {
             // What the base it built costs to keep now, appends included:
-            // column blocks (20 bytes a group: first member and pointer),
-            // and what groups of two and more own behind them — members,
+            // column blocks (8 bytes and a bit a group: first member's
+            // series and start, and whether it owns more; a pointer for
+            // each that does), and what groups of two and more own behind
+            // them — members,
             // planes, drifted means — from lengths and cardinalities; and
             // beside it what the writer's index costs once an append has
             // seeded it.

@@ -234,7 +234,7 @@ fn a_base_outlives_the_dataset_it_was_built_over() {
     assert_eq!(base.footprint().owned_representatives, 0);
     let again = generate();
     for (id, group) in base.iter() {
-        let first = again.resolve(group.members()[0]).unwrap();
+        let first = again.resolve(group.members().at(0)).unwrap();
         assert_eq!(group.representative(), first, "{id}");
     }
     let audit = base.audit(&again);
@@ -242,23 +242,83 @@ fn a_base_outlives_the_dataset_it_was_built_over() {
     assert_eq!(audit.members_checked, base.member_count());
 }
 
-/// `image` resealed with `layout` in `CONFIG`'s layout byte and, when
-/// given, `sketches` for its `SKETCHES` section.
-fn resealed(image: &[u8], layout: u8, sketches: Option<&[u8]>) -> Vec<u8> {
-    use onex::grouping::persist::{SEC_CONFIG, SEC_SKETCHES};
+/// `image` with each section's bytes passed through `edit`, resealed
+/// with fresh checksums.
+fn resealed_with(image: &[u8], mut edit: impl FnMut(u32, &mut Vec<u8>)) -> Vec<u8> {
     use onex_storage::{Segment, SegmentBuilder};
     let segment = Segment::from_bytes(image.to_vec()).unwrap();
     let mut sealed = SegmentBuilder::new();
     for section in segment.directory() {
         let mut bytes = segment.section(section.id).unwrap().to_vec();
-        match (section.id, sketches) {
-            (SEC_CONFIG, _) => bytes[22] = layout,
-            (SEC_SKETCHES, Some(records)) => bytes = records.to_vec(),
-            _ => {}
-        }
+        edit(section.id, &mut bytes);
         sealed.section(section.id, bytes);
     }
     sealed.finish()
+}
+
+/// `image` resealed with `layout` in `CONFIG`'s layout byte and, when
+/// given, `sketches` for its `SKETCHES` section.
+fn resealed(image: &[u8], layout: u8, sketches: Option<&[u8]>) -> Vec<u8> {
+    use onex::grouping::persist::{SEC_CONFIG, SEC_SKETCHES};
+    resealed_with(image, |id, bytes| match (id, sketches) {
+        (SEC_CONFIG, _) => bytes[22] = layout,
+        (SEC_SKETCHES, Some(records)) => *bytes = records.to_vec(),
+        _ => {}
+    })
+}
+
+#[test]
+fn a_later_member_that_is_no_window_is_refused_typed_at_every_door() {
+    use onex::api::{OnexError, StorageErrorKind};
+    use onex::grouping::persist::{BaseSegment, SEC_MEMBERS};
+    use onex::tseries::SubseqRef;
+    let dataset = random_walk_dataset(SyntheticConfig {
+        series: 6,
+        len: 40,
+        seed: 0x1A70,
+    });
+    let config = BaseConfig::new(1.0, 8, 12);
+    let (engine, _) = Onex::build(dataset.clone(), config.clone()).unwrap();
+    let base = engine.base();
+    // The `MEMBERS` record of the second member of the first group of
+    // two and more: its first member resolves, so only a check of every
+    // member sees it.
+    let mut records = 0;
+    let mut found = None;
+    for (id, g) in base.iter() {
+        if found.is_none() && g.cardinality() > 1 {
+            found = Some((id.len as usize, records + 1));
+        }
+        records += g.cardinality();
+    }
+    let (len, record) = found.expect("a group of two and more");
+    let image = resealed_with(&save_v2(&base), |id, bytes| {
+        if id == SEC_MEMBERS {
+            let start = &mut bytes[record * 8 + 4..][..4];
+            start.copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
+        }
+    });
+    let corrupt = |result: Result<(), OnexError>, what: &str| match result {
+        Err(OnexError::Storage(e)) if e.kind == StorageErrorKind::Corrupt => {}
+        other => panic!("{what}: {other:?}"),
+    };
+    // The sections tile and check out; the column does not decode.
+    let segment = BaseSegment::from_bytes(image.clone()).unwrap();
+    let mut cold = segment.empty_base(&dataset).unwrap();
+    let decoded = segment.load_length(&mut cold, len, &dataset);
+    corrupt(decoded.map(|_| ()), "load_length");
+
+    // Opened, and adopted as a shard adopts a shipped image, the base
+    // decodes the column on the first query that plans it: that query
+    // gets the error, and nothing panics.
+    let query = dataset.resolve(SubseqRef::new(0, 0, len as u32)).unwrap();
+    let query = query.to_vec();
+    let opts = QueryOptions::default();
+    let opened = Onex::open_bytes(image.clone(), dataset.clone()).unwrap();
+    corrupt(opened.k_best(&query, K, &opts).map(|_| ()), "open_bytes");
+    let (shard, _) = Onex::build(dataset.clone(), config).unwrap();
+    shard.install_base(image).unwrap();
+    corrupt(shard.k_best(&query, K, &opts).map(|_| ()), "install_base");
 }
 
 #[test]
@@ -283,7 +343,7 @@ fn an_image_in_layout_one_is_refused_as_an_unsupported_version() {
         let params = base.sketches().for_len(len).unwrap().params();
         for member in base.groups_for_len(len).iter().flat_map(|g| g.members()) {
             let mut record = [0u8; SKETCH_STRIDE];
-            encode_into(&params, dataset.resolve(*member).unwrap(), &mut record);
+            encode_into(&params, dataset.resolve(member).unwrap(), &mut record);
             records.extend_from_slice(&record);
         }
     }

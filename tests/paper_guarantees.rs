@@ -43,11 +43,7 @@ fn section_3_1_group_invariants() {
         let admission = e.base().config().admission_radius(len);
         let pairwise = e.base().config().pairwise_threshold(len);
         for g in e.base().groups_for_len(len) {
-            let members: Vec<&[f64]> = g
-                .members()
-                .iter()
-                .map(|&m| ds.resolve(m).unwrap())
-                .collect();
+            let members: Vec<&[f64]> = g.members().iter().map(|m| ds.resolve(m).unwrap()).collect();
             // Each member within ST/2 of the representative.
             for m in &members {
                 assert!(ed(m, g.representative()) <= admission + 1e-9);
