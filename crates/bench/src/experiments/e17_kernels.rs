@@ -1,17 +1,18 @@
 //! E17 — SIMD distance kernels and the quantised L0 prefilter tier.
 //!
 //! The hottest loops in the whole workspace — squared-diff accumulation
-//! (ED / LB_Keogh), the DTW row recurrence, and the Lemire envelope —
-//! now route through [`onex_distance::kernels`], which picks an
+//! (ED / LB_Keogh), the lane-parallel EAPruned DTW, and the Lemire
+//! envelope — route through [`onex_distance::kernels`], which picks an
 //! AVX2 or scalar implementation once at startup. In front of the
 //! LB cascade, every base member carries a quantised-PAA sketch
 //! ([`onex_grouping::sketch`]) whose byte-level lower bound rejects
-//! candidates before any f64 data is touched. E17 answers:
+//! candidates before any f64 data is touched, and every 64 of a group's
+//! members a zone whose one bound rejects them all at once. E17 answers:
 //!
 //! 1. **Kernel throughput** — each kernel at each level the CPU offers,
 //!    against the scalar reference on the same buffers. [`check`] holds
 //!    that the selected SIMD level does not lose to scalar, and that
-//!    outputs agree (bit-exact for the DTW row and envelope, ≤1e-9 relative for
+//!    outputs agree (bit-exact for the envelope, ≤1e-9 relative for
 //!    the accumulating kernels, whose block-wise horizontal sums may
 //!    round differently). The two lanes-are-candidates kernels of the
 //!    member scan — `l0_block` (the sketch block test over plane-major
@@ -29,9 +30,12 @@
 //!    adjacent lengths around 31) is where the member cascade is the
 //!    query, and there [`check`] holds that the tier *pays*: `batch_on_ms`
 //!    below `batch_off_ms`.
-//! 3. **Per-tier reject fractions** — where candidates die (L0 → LB_Kim
-//!    → LB_Keogh → abandoned DTW → completed DTW), the observable that
-//!    explains the cascade's shape.
+//! 3. **Per-tier reject fractions** — where candidates die (zone → L0
+//!    block → LB_Kim → LB_Keogh → abandoned DTW → completed DTW), the
+//!    observable that explains the cascade's shape, and the DP cells the
+//!    EAPruned DTWs computed. [`check`] holds that the zones skip only
+//!    L0 rejects, and some on the clustered row, and that the L0-on run
+//!    computes no more DP cells than the L0-off run.
 //! 4. **Across lengths** — the last row searches three adjacent lengths
 //!    (`Nearest(3)`) with a query of the middle one, so two thirds of its
 //!    candidates differ in length from the query. The cascade runs on
@@ -39,10 +43,12 @@
 //!    fewer than half the members it touches start a DTW.
 //! 5. **Agreement** — the L0-on top-k equals the L0-off top-k, the
 //!    exhaustive stride-1 scan, and the 4-shard fan-out's merged answer
-//!    on every row. Because the DTW row kernel is bit-exact across
-//!    levels, distances are level-independent, so re-running this
-//!    experiment under `ONEX_FORCE_SCALAR=1` (the CI scalar leg) must
-//!    reproduce the same answers.
+//!    on every row. Because the lane DP and the L0 block test are
+//!    bit-exact across levels, distances are level-independent, so
+//!    re-running this experiment under `ONEX_FORCE_SCALAR=1` (the CI
+//!    scalar leg) must reproduce the same answers and the same cascade
+//!    counts — all but the DP cells, which the lane DP counts over the
+//!    union of its four candidates' windows.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -129,8 +135,8 @@ impl Shape {
 
 /// One (kernel, level) throughput measurement against scalar.
 pub struct KernelRow {
-    /// Which loop: `"ed"`, `"lb_keogh"`, `"dtw_row"`, `"envelope"`,
-    /// `"l0_block"`, `"dtw_lanes"`.
+    /// Which loop: `"ed"`, `"lb_keogh"`, `"envelope"`, `"l0_block"`,
+    /// `"dtw_lanes"`.
     pub kernel: &'static str,
     /// The level this row ran at.
     pub level: KernelLevel,
@@ -140,9 +146,9 @@ pub struct KernelRow {
     /// level of the kernel itself, or — for `l0_block` and `dtw_lanes` —
     /// the per-record `bound_sq` loop and the per-candidate scalar DP.
     pub scalar: Duration,
-    /// Output agreement with the reference (exact for `dtw_row`,
-    /// `envelope`, `l0_block` and `dtw_lanes`; ≤ 1e-9 relative for the
-    /// accumulating kernels).
+    /// Output agreement with the reference (exact for `envelope`,
+    /// `l0_block` and `dtw_lanes`; ≤ 1e-9 relative for the accumulating
+    /// kernels).
     pub agrees: bool,
 }
 
@@ -193,7 +199,7 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
     for (w, record) in windows.iter().zip(records.chunks_exact_mut(SKETCH_STRIDE)) {
         encode_into(&params, w, record);
     }
-    let planes = SketchPlanes::from_records(&records);
+    let planes = SketchPlanes::from_records(&records, |_| 0);
     let qs = QuerySketch::new(query, &Envelope::build(query, LANE_LEN), params);
     let bound_sq = {
         let mut bounds: Vec<f64> = records
@@ -326,9 +332,6 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
     let x = walk(11, n);
     let y = walk(23, n);
     let (lower, upper) = kernels::sliding_minmax_at(KernelLevel::Scalar, &y, 8);
-    let prev = vec![0.0; n + 1];
-    let mut curr = vec![0.0; n + 1];
-    let mut d2 = vec![0.0; n + 1];
 
     // Scalar reference outputs, computed once.
     let ed_ref = kernels::sum_sq_diff_ea_at(KernelLevel::Scalar, &x, &y, f64::INFINITY);
@@ -340,19 +343,6 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
         EnvAffine::IDENTITY,
         f64::INFINITY,
     );
-    let dtw_ref = {
-        let m = kernels::dtw_row_at(
-            KernelLevel::Scalar,
-            x[0],
-            &y,
-            1,
-            n,
-            &prev,
-            &mut curr,
-            &mut d2,
-        );
-        (m, curr.clone())
-    };
     let env_ref = kernels::sliding_minmax_at(KernelLevel::Scalar, &y, 8);
 
     let mut rows = Vec::new();
@@ -416,37 +406,6 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
             agrees: rel_close(keogh_out, keogh_ref),
         });
 
-        let dtw_out = {
-            let m = kernels::dtw_row_at(level, x[0], &y, 1, n, &prev, &mut curr, &mut d2);
-            (m, curr.clone())
-        };
-        let dtw_t = median_time(
-            || {
-                for _ in 0..iters {
-                    black_box(kernels::dtw_row_at(
-                        level,
-                        black_box(x[0]),
-                        black_box(&y),
-                        1,
-                        n,
-                        black_box(&prev),
-                        &mut curr,
-                        &mut d2,
-                    ));
-                }
-            },
-            5,
-        );
-        rows.push(KernelRow {
-            kernel: "dtw_row",
-            level,
-            elapsed: dtw_t,
-            scalar: scalar_of(&rows, "dtw_row").unwrap_or(dtw_t),
-            // The row kernel is bit-exact by construction: min distributes
-            // exactly over adding a common constant.
-            agrees: dtw_out.0 == dtw_ref.0 && dtw_out.1 == dtw_ref.1,
-        });
-
         let env_out = kernels::sliding_minmax_at(level, &y, 8);
         let env_t = median_time(
             || {
@@ -482,6 +441,8 @@ pub struct CascadeLeg {
     pub lb_evals: usize,
     /// Members rejected by the L0 sketch bound.
     pub l0_pruned: usize,
+    /// Of those, members whose whole block the zone test skipped.
+    pub zone_skipped: usize,
     /// Members rejected by LB_Kim.
     pub kim_pruned: usize,
     /// Members rejected by LB_Keogh.
@@ -490,6 +451,8 @@ pub struct CascadeLeg {
     pub dtw_abandoned: usize,
     /// DTWs that ran to completion.
     pub dtw_completed: usize,
+    /// DP cells the DTWs computed (members and representatives).
+    pub dtw_cells: usize,
     /// Median batch wall-clock.
     pub batch: Duration,
 }
@@ -500,10 +463,12 @@ fn leg_from(stats: &QueryStats) -> CascadeLeg {
         touched: stats.groups_examined + members,
         lb_evals: members - stats.members_l0_pruned,
         l0_pruned: stats.members_l0_pruned,
+        zone_skipped: stats.members_zone_skipped,
         kim_pruned: stats.members_kim_pruned,
         keogh_pruned: stats.members_lb_pruned,
         dtw_abandoned: stats.members_abandoned,
         dtw_completed: stats.dtw_completed,
+        dtw_cells: stats.dtw_cells,
         batch: Duration::ZERO,
     }
 }
@@ -685,15 +650,16 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
              queried at length {SUBSEQ_LEN}, the clustered collection at \
              {CLUSTERED_LEN}; \"×3\" searches the three lengths around the \
              query's, so two thirds of the candidates differ in length from \
-             it; tier rejects are L0/Kim/Keogh/abandoned of the L0-on run; \
-             f64 LB evals must drop when L0 is on, and on the clustered \
-             row so must the batch time)"
+             it; tier rejects are zone/L0/Kim/Keogh/abandoned of the L0-on \
+             run, the zone's a part of L0's; f64 LB evals must drop when L0 \
+             is on, and on the clustered row so must the batch time)"
         ),
         &[
             "collection",
             "touched on/off",
             "f64 LB evals on/off",
             "tier rejects",
+            "DP cells on/off",
             "batch on",
             "batch off",
             "exhaustive",
@@ -711,9 +677,14 @@ pub fn cascade_table(rows: &[CascadeRow]) -> Table {
             format!("{}/{}", r.on.touched, r.off.touched),
             format!("{}/{}", r.on.lb_evals, r.off.lb_evals),
             format!(
-                "{}|{}|{}|{}",
-                r.on.l0_pruned, r.on.kim_pruned, r.on.keogh_pruned, r.on.dtw_abandoned
+                "{}|{}|{}|{}|{}",
+                r.on.zone_skipped,
+                r.on.l0_pruned,
+                r.on.kim_pruned,
+                r.on.keogh_pruned,
+                r.on.dtw_abandoned
             ),
+            format!("{}/{}", r.on.dtw_cells, r.off.dtw_cells),
             fmt_duration(r.on.batch),
             fmt_duration(r.off.batch),
             if r.agreement { "yes" } else { "NO" }.into(),
@@ -763,8 +734,9 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
             "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"lengths\":{},\
              \"touched_on\":{},\"touched_off\":{},\
              \"lb_evals_on\":{},\"lb_evals_off\":{},\
-             \"l0_pruned\":{},\"kim_pruned\":{},\"keogh_pruned\":{},\
+             \"l0_pruned\":{},\"zone_skipped\":{},\"kim_pruned\":{},\"keogh_pruned\":{},\
              \"dtw_abandoned\":{},\"dtw_completed\":{},\
+             \"dtw_cells_on\":{},\"dtw_cells_off\":{},\
              \"batch_on_ms\":{:.3},\"batch_off_ms\":{:.3},\
              \"agreement\":{},\"ablation_agreement\":{},\"sharded_agreement\":{}}}",
             r.shape.label(),
@@ -776,10 +748,13 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
             r.on.lb_evals,
             r.off.lb_evals,
             r.on.l0_pruned,
+            r.on.zone_skipped,
             r.on.kim_pruned,
             r.on.keogh_pruned,
             r.on.dtw_abandoned,
             r.on.dtw_completed,
+            r.on.dtw_cells,
+            r.off.dtw_cells,
             r.on.batch.as_secs_f64() * 1e3,
             r.off.batch.as_secs_f64() * 1e3,
             r.agreement,
@@ -810,8 +785,10 @@ pub fn run(quick: bool) -> ExperimentOutput {
 /// * every kernel row at every level agrees with its reference;
 /// * on every cascade row the L0 tier only removes work — no more
 ///   candidates touched, strictly fewer f64 lower-bound evaluations, some
-///   L0 rejects on and none off — and the top-k equals the exhaustive
-///   scan, the L0-off run and the 4-shard fan-out;
+///   L0 rejects on and none off, no more DP cells — and the top-k equals
+///   the exhaustive scan, the L0-off run and the 4-shard fan-out;
+/// * the zones skip only L0 rejects, and none with L0 off; on the
+///   clustered row they skip some;
 /// * on every cross-length row (`lengths` 3) fewer than half the members
 ///   touched start a DTW;
 /// * with a SIMD level selected, in an optimised build: no kernel at that
@@ -844,6 +821,10 @@ pub fn check(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> Vec<Stri
         let agree = [r.agreement, r.ablation_agreement, r.sharded_agreement];
         let removes = on.touched <= off.touched && on.lb_evals < off.lb_evals;
         let fired = on.l0_pruned > 0 && off.l0_pruned == 0;
+        let zoned = on.zone_skipped <= on.l0_pruned
+            && off.zone_skipped == 0
+            && (r.shape != Shape::Clustered || on.zone_skipped > 0);
+        let cells = on.dtw_cells <= off.dtw_cells;
         let (dtws, members) = (r.dtw_started(), r.members_touched());
         let few = r.lengths != 3 || 2 * dtws < members;
         let pays = !simd || r.shape != Shape::Clustered || on.batch < off.batch;
@@ -864,6 +845,17 @@ pub fn check(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> Vec<Stri
                 fired,
                 format!("{at}: L0 rejects on/off {}/{}", on.l0_pruned, off.l0_pruned),
             ),
+            (
+                zoned,
+                format!(
+                    "{at}: zone skips on/off {}/{} of {} L0 rejects",
+                    on.zone_skipped, off.zone_skipped, on.l0_pruned
+                ),
+            ),
+            (
+                cells,
+                format!("{at}: DP cells on/off {}/{}", on.dtw_cells, off.dtw_cells),
+            ),
             (few, format!("{at}: {dtws} DTWs on {members} members")),
             (pays, format!("{at}: L0 on {on_ms}, off {off_ms}")),
         ]));
@@ -878,14 +870,7 @@ mod tests {
     #[test]
     fn kernels_agree_across_levels() {
         let rows = measure_kernels(true);
-        let kernels = [
-            "ed",
-            "lb_keogh",
-            "dtw_row",
-            "envelope",
-            "l0_block",
-            "dtw_lanes",
-        ];
+        let kernels = ["ed", "lb_keogh", "envelope", "l0_block", "dtw_lanes"];
         for kernel in kernels {
             let levels: Vec<_> = rows
                 .iter()
@@ -932,14 +917,16 @@ mod tests {
     }
 
     fn cascade_fixture() -> Vec<CascadeRow> {
-        let leg = |lb_evals, l0_pruned, batch| CascadeLeg {
+        let leg = |lb_evals, l0_pruned, zone_skipped, batch| CascadeLeg {
             touched: 900,
             lb_evals,
             l0_pruned,
+            zone_skipped,
             kim_pruned: 40,
             keogh_pruned: 120,
             dtw_abandoned: 80,
             dtw_completed: 260,
+            dtw_cells: 31_000,
             batch: Duration::from_micros(batch),
         };
         vec![CascadeRow {
@@ -947,8 +934,8 @@ mod tests {
             series: 12,
             len: 96,
             lengths: 3,
-            on: leg(500, 300, 431),
-            off: leg(800, 0, 520),
+            on: leg(500, 300, 200, 431),
+            off: leg(800, 0, 0, 520),
             agreement: true,
             ablation_agreement: true,
             sharded_agreement: true,
@@ -966,6 +953,24 @@ mod tests {
         crate::experiments::assert_broken(
             &check(&kernel_fixture(), &broken),
             "clustered 12x96 ×3: L0 on/off touched 900/900, f64 LB evals 800/800",
+        );
+        let mut broken = cascade_fixture();
+        broken[0].on.zone_skipped = 301;
+        crate::experiments::assert_broken(
+            &check(&kernel_fixture(), &broken),
+            "clustered 12x96 ×3: zone skips on/off 301/0 of 300 L0 rejects",
+        );
+        let mut broken = cascade_fixture();
+        broken[0].on.zone_skipped = 0;
+        crate::experiments::assert_broken(
+            &check(&kernel_fixture(), &broken),
+            "clustered 12x96 ×3: zone skips on/off 0/0 of 300 L0 rejects",
+        );
+        let mut broken = cascade_fixture();
+        broken[0].on.dtw_cells = 31_001;
+        crate::experiments::assert_broken(
+            &check(&kernel_fixture(), &broken),
+            "clustered 12x96 ×3: DP cells on/off 31001/31000",
         );
         assert_eq!(
             check(&[], &[]),
@@ -985,7 +990,10 @@ mod tests {
         assert!(json.contains("\"available_parallelism\":"));
         assert!(json.contains("\"level\":\"avx2\",\"selected\":"));
         assert!(json.contains("\"speedup\":4.0000,\"agrees\":true}"));
-        assert!(json.contains("\"lb_evals_on\":500,\"lb_evals_off\":800,\"l0_pruned\":300,"));
+        assert!(json.contains(
+            "\"lb_evals_on\":500,\"lb_evals_off\":800,\"l0_pruned\":300,\"zone_skipped\":200,"
+        ));
+        assert!(json.contains("\"dtw_cells_on\":31000,\"dtw_cells_off\":31000,"));
         assert!(json.trim_end().ends_with("]}"));
     }
 }

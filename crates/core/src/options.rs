@@ -158,6 +158,16 @@ impl QueryOptions {
             || !self.exclude_windows.is_empty()
     }
 
+    /// True when every candidate of a series in `series` survives the
+    /// series/window filters — a block whose members span no more can
+    /// count them without asking [`Self::admits`] one by one.
+    pub(crate) fn admits_every(&self, series: std::ops::RangeInclusive<u32>) -> bool {
+        let hits = |s: u32| series.contains(&s);
+        !self.exclude_series.is_some_and(hits)
+            && self.only_series.is_none_or(|only| series == (only..=only))
+            && !self.exclude_windows.iter().any(|w| hits(w.series))
+    }
+
     /// True when `candidate` survives the series/window filters.
     pub(crate) fn admits(&self, candidate: SubseqRef) -> bool {
         if self.exclude_series == Some(candidate.series) {
@@ -211,5 +221,14 @@ mod tests {
         assert!(!o.admits(c), "overlapping window rejected");
         o.exclude_windows[0] = SubseqRef::new(2, 15, 5);
         assert!(o.admits(c), "touching window admitted");
+        // A series range: every member admitted only when no filter can
+        // reach into it.
+        assert!(!o.admits_every(2..=2), "a window of series 2 is excluded");
+        o.exclude_windows.clear();
+        assert!(o.admits_every(2..=2) && !o.admits_every(2..=3), "only 2");
+        o.only_series = None;
+        o.exclude_series = Some(5);
+        assert!(o.admits_every(0..=4) && !o.admits_every(3..=7));
+        assert!(QueryOptions::default().admits_every(0..=u32::MAX));
     }
 }

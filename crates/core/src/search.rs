@@ -12,10 +12,14 @@
 //!    k-th best contains no useful member.
 //! 2. **L0 sketch prefilter** on the members: a lower bound computed from
 //!    each member's quantised-PAA sketch ([`onex_grouping::sketch`]) —
-//!    rejected candidates never even have their f64 data resolved.
+//!    rejected candidates never even have their f64 data resolved — first
+//!    for a whole block of members at once (its zone), then member by
+//!    member.
 //! 3. **LB_Kim** (four touched points) then **LB_Keogh** on each member
 //!    against the query envelope.
-//! 4. **Early-abandoning DTW** seeded with the current k-th best.
+//! 4. **EAPruned DTW** seeded with the current k-th best: each row
+//!    computes only the columns a path within it can still reach, and
+//!    abandons once none can.
 //!
 //! Tiers 2 and 3 run at **every** candidate length, not only the query's
 //! own: the envelope is the query's, indexed by the candidate's positions
@@ -27,19 +31,29 @@
 //! ## The member scan, a block at a time
 //!
 //! `Searcher::scan_members` does not walk a group candidate by
-//! candidate. It takes 64 slots at a time and runs each tier over
-//! what the tier before left:
+//! candidate. It takes 64 slots at a time — one zone of the group's
+//! sketches — and runs each tier over what the tier before left:
 //!
+//! * **The zone**: one bound of the block's hull
+//!   ([`QuerySketch::rejects_zone`]) against one reading of the bound. The
+//!   hull's bound is at most every member's, so a rejected zone is a block
+//!   the block test would empty: it is skipped whole, with no pass over
+//!   its members, and they count as L0 rejects (and as
+//!   `members_zone_skipped`) exactly as the block test would count them.
+//!   A member the series / window filter drops is counted by no tier, so
+//!   counting the admitted members takes a pass only over a block whose
+//!   series range the filter reaches.
 //! * **L0** is one block test over the group's plane-major sketches
-//!   ([`QuerySketch::survivors`]: four slots per AVX2 step) against one
-//!   reading of the bound, and yields the surviving slots.
+//!   ([`QuerySketch::survivors`]: four slots per AVX2 step) against the
+//!   same reading of the bound, and yields the surviving slots.
 //! * **LB_Kim / LB_Keogh** run on each survivor against a fresh reading
 //!   of the bound; this is where a candidate's f64 data is first
 //!   resolved.
 //! * **DTW**: what passes queues until four candidates are pending, and
-//!   the batch runs as one lane-parallel DP ([`dtw_lanes`]: one candidate
-//!   per vector lane, each lane abandoning against the bound it was
-//!   queued under, all lanes folding in the live shared bound per row).
+//!   the batch runs as one lane-parallel EAPruned DP ([`dtw_lanes`]: one
+//!   candidate per vector lane, each lane abandoning against the bound it
+//!   was queued under, all lanes folding in the live shared bound per
+//!   row, each row computing the union of the live lanes' windows).
 //!   The queue is also flushed at the end of the group, so a batch never
 //!   mixes lengths.
 //!
@@ -93,7 +107,7 @@ use onex_distance::bounds::warp_multiplicity;
 use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
 use onex_distance::kernels::{dtw_lanes, DTW_LANES};
 use onex_distance::lb::{lb_keogh_sq, lb_kim_fl_sq};
-use onex_distance::{dtw_with_path, Envelope, QuerySketch};
+use onex_distance::{dtw_with_path, Envelope, QuerySketch, ZONE_SLOTS};
 use onex_grouping::{GroupId, OnexBase};
 use onex_tseries::{Dataset, SubseqRef};
 
@@ -171,8 +185,9 @@ struct LengthPlan {
     l0: Option<QuerySketch>,
 }
 
-/// Slots per L0 block test, and so per reading of the bound at that tier.
-const SCAN_BLOCK: usize = 64;
+/// Slots per L0 block test, and so per reading of the bound at that tier:
+/// one zone of the group's sketches.
+const SCAN_BLOCK: usize = ZONE_SLOTS;
 
 /// The members of one group that passed L0, LB_Kim and LB_Keogh and wait
 /// for their DTWs: filled in slot order, run when full and at the end of
@@ -315,6 +330,7 @@ impl<'a> Searcher<'a> {
             let plan = self.plan(len);
             self.search_length(&plan, k, &mut heap);
         }
+        self.stats.dtw_cells = self.scratch.cells() as usize;
 
         heap.into_sorted_vec()
             .into_iter()
@@ -583,10 +599,11 @@ impl<'a> Searcher<'a> {
     }
 
     /// Scan one group's members into the k-best heap, a block at a time
-    /// (see the module docs): the L0 block test over [`SCAN_BLOCK`] slots
-    /// against one reading of the bound, LB_Kim and LB_Keogh per survivor
-    /// against a fresh one, and the survivors' early-abandoning DTWs
-    /// [`DTW_LANES`] to a batch, offered to the heap in slot order.
+    /// (see the module docs): the zone test and then the L0 block test
+    /// over [`SCAN_BLOCK`] slots against one reading of the bound, LB_Kim
+    /// and LB_Keogh per survivor against a fresh one, and the survivors'
+    /// early-abandoning DTWs [`DTW_LANES`] to a batch, offered to the heap
+    /// in slot order.
     fn scan_members(
         &mut self,
         plan: &LengthPlan,
@@ -607,24 +624,40 @@ impl<'a> Searcher<'a> {
         let mut batch = DtwBatch::default();
         for from in (0..members.len()).step_by(SCAN_BLOCK) {
             let to = (from + SCAN_BLOCK).min(members.len());
-            // Tier L0: reject from the quantised sketches alone — no f64
-            // data is resolved for a candidate that dies here.
-            self.survivors.clear();
-            match l0 {
-                Some((qs, planes)) => {
-                    let bound_sq = self.bound_sq(heap, k, plan);
-                    qs.survivors(planes, from..to, bound_sq, &mut self.survivors);
-                }
-                None => self.survivors.extend(from..to),
-            }
             // A member the series / window filter drops is counted by no
             // tier, so L0's rejects are the admitted slots it did not
-            // pass.
-            let admitted = if filtered {
-                let block = (from..to).map(|slot| members.at(slot));
-                block.filter(|&m| self.opts.admits(m)).count()
-            } else {
-                to - from
+            // pass. Only a block whose series the filter reaches needs a
+            // pass to count them.
+            let admitted = |series: std::ops::RangeInclusive<u32>| {
+                if filtered && !self.opts.admits_every(series) {
+                    let block = (from..to).map(|slot| members.at(slot));
+                    block.filter(|&m| self.opts.admits(m)).count()
+                } else {
+                    to - from
+                }
+            };
+            // Tier L0: reject from the quantised sketches alone — no f64
+            // data is resolved for a candidate that dies here. A zone the
+            // bound rejects is a block the block test would empty.
+            self.survivors.clear();
+            let admitted = match l0 {
+                Some((qs, planes)) => {
+                    let bound_sq = self.bound_sq(heap, k, plan);
+                    let zone = planes.zone(from / SCAN_BLOCK);
+                    if qs.rejects_zone(&zone, bound_sq) {
+                        let skipped = admitted(zone.tags());
+                        self.stats.members_l0_pruned += skipped;
+                        self.stats.members_zone_skipped += skipped;
+                        continue;
+                    }
+                    qs.survivors(planes, from..to, bound_sq, &mut self.survivors);
+                    Some(admitted(zone.tags()))
+                }
+                None => {
+                    // Nothing is rejected, so nothing needs counting.
+                    self.survivors.extend(from..to);
+                    None
+                }
             };
             let mut passed = 0;
             for i in 0..self.survivors.len() {
@@ -655,7 +688,9 @@ impl<'a> Searcher<'a> {
                     self.run_batch(&mut batch, plan, k, gi, heap);
                 }
             }
-            self.stats.members_l0_pruned += admitted - passed;
+            if let Some(admitted) = admitted {
+                self.stats.members_l0_pruned += admitted - passed;
+            }
         }
         self.run_batch(&mut batch, plan, k, gi, heap);
     }

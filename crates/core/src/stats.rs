@@ -24,6 +24,10 @@ pub struct QueryStats {
     /// Members skipped by the quantised L0 sketch bound — before their
     /// f64 data was even resolved.
     pub members_l0_pruned: usize,
+    /// Members of the L0 rejects (a subset of
+    /// [`Self::members_l0_pruned`]) whose whole block the zone test
+    /// skipped, with no per-member pass.
+    pub members_zone_skipped: usize,
     /// Members skipped by the LB_Kim corner bound.
     pub members_kim_pruned: usize,
     /// Members skipped by LB_Keogh.
@@ -35,6 +39,9 @@ pub struct QueryStats {
     pub dtw_abandoned: usize,
     /// DTW computations that ran to completion.
     pub dtw_completed: usize,
+    /// DP cells the DTWs computed (members and representatives): the
+    /// columns of each row's EAPruned window, once per candidate.
+    pub dtw_cells: usize,
 }
 
 impl QueryStats {
@@ -67,11 +74,13 @@ impl AddAssign for QueryStats {
         self.groups_pruned += rhs.groups_pruned;
         self.members_examined += rhs.members_examined;
         self.members_l0_pruned += rhs.members_l0_pruned;
+        self.members_zone_skipped += rhs.members_zone_skipped;
         self.members_kim_pruned += rhs.members_kim_pruned;
         self.members_lb_pruned += rhs.members_lb_pruned;
         self.members_abandoned += rhs.members_abandoned;
         self.dtw_abandoned += rhs.dtw_abandoned;
         self.dtw_completed += rhs.dtw_completed;
+        self.dtw_cells += rhs.dtw_cells;
     }
 }
 
@@ -87,17 +96,22 @@ mod tests {
             groups_pruned: 3,
             members_examined: 10,
             members_l0_pruned: 2,
+            members_zone_skipped: 1,
             members_kim_pruned: 1,
             members_lb_pruned: 3,
             members_abandoned: 4,
             dtw_abandoned: 4,
             dtw_completed: 6,
+            dtw_cells: 900,
         };
         total += QueryStats {
             members_examined: 2,
+            members_zone_skipped: 3,
+            dtw_cells: 100,
             ..QueryStats::default()
         };
         assert_eq!(total.members_examined, 12);
+        assert_eq!((total.members_zone_skipped, total.dtw_cells), (4, 1000));
         assert_eq!(total.members_bound_pruned(), 6);
         assert_eq!(total.dtw_invocations(), 10);
         // avoided = (2+1+3) bound-pruned + 4 abandoned over 12+6 candidates.

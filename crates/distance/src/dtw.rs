@@ -18,6 +18,7 @@
 //! * [`dtw_with_path`] — full-matrix variant that recovers the warping
 //!   path for visualisation.
 
+use crate::kernels::AHEAD;
 use crate::path::WarpingPath;
 
 /// Warping window constraint.
@@ -144,23 +145,36 @@ pub fn dtw_early_abandon_sq_with_cb(
 }
 
 /// The DP's working rows, reusable across calls: two rows over columns
-/// `0..=m` (column 0 is the virtual "before y" edge), the squared-diff
-/// row the SIMD row kernel caches its vectorised pass in, and the 4-wide
-/// rows of the lane kernel ([`crate::kernels::dtw_lanes`]).
+/// `0..=m` (column 0 is the virtual "before y" edge) and the 4-wide rows
+/// of the lane kernel ([`crate::kernels::dtw_lanes`]), plus a count of
+/// the DP cells computed on them.
 #[derive(Debug, Default)]
 pub struct DtwScratch {
-    rows: [Vec<f64>; 3],
-    lanes: Vec<f64>,
+    rows: [Vec<f64>; 2],
+    lanes: Vec<[f64; crate::kernels::DTW_LANES]>,
+    cells: u64,
 }
 
 impl DtwScratch {
+    /// DP cells computed on this scratch since it was made: one per
+    /// column of each row's window per candidate, a lane step counting
+    /// one cell for each candidate of its batch.
+    pub fn cells(&self) -> u64 {
+        self.cells
+    }
+
+    pub(crate) fn add_cells(&mut self, cells: u64) {
+        self.cells += cells;
+    }
+
     /// The lane kernel's rows for candidates of length `m`: the
     /// transposed candidates (`m` columns) and two DP rows (`m + 1`
-    /// columns each), [`crate::kernels::DTW_LANES`] values per column.
-    pub(crate) fn lane_rows(&mut self, m: usize) -> &mut [f64] {
-        let need = crate::kernels::DTW_LANES * (3 * m + 2);
+    /// columns each), one [`crate::kernels::DTW_LANES`]-wide array a
+    /// column.
+    pub(crate) fn lane_rows(&mut self, m: usize) -> &mut [[f64; crate::kernels::DTW_LANES]] {
+        let need = 3 * m + 2;
         if self.lanes.len() < need {
-            self.lanes.resize(need, 0.0);
+            self.lanes.resize(need, [0.0; crate::kernels::DTW_LANES]);
         }
         &mut self.lanes[..need]
     }
@@ -182,6 +196,29 @@ impl DtwScratch {
 /// returns must remain correct for the caller. Returns `f64::INFINITY`
 /// once no alignment can beat the tightest threshold observed, including
 /// a final check of the completed distance.
+///
+/// ## EAPruned
+///
+/// The DP is EAPrunedDTW (Herrmann & Webb, "Early abandoning and pruning
+/// for elastic distances including dynamic time warping", DAMI 2021): a
+/// cell above the threshold can lie on no path that beats it, since
+/// costs only add up along a path. So row `i` computes only the columns
+/// from the first live one (within the threshold) of row `i − 2` —
+/// no live cell ever lies left of the row above's first, and that row's
+/// is known long before row `i − 1` ends, which lets row `i` start
+/// without waiting for it — through row `i − 1`'s last live column plus
+/// one, then two cells more whatever they hold, and on from there while
+/// the cell to the left is still live (past row `i − 1`'s reach only the
+/// left neighbour can be, so those cells are computed from it alone). One
+/// cell at each border of that window is reset to `∞`; the rest of the
+/// row is never touched.
+///
+/// Every cell whose full-DP value is finite and within the threshold is
+/// inside the window and computed from the same predecessor by the same
+/// operations, and every other cell of the window is above it (or not a
+/// number). So for finite inputs the row minimum decides the abandon test
+/// `row_min + tail > threshold` exactly as the full DP's does, and the
+/// result is the full DP's, bit for bit.
 ///
 /// # Panics
 /// Panics when either input is empty or `cb` has the wrong length.
@@ -206,23 +243,88 @@ pub fn dtw_early_abandon_sq_scratch(
             row.resize(m + 1, 0.0);
         }
     }
-    let [prev, curr, d2] = &mut scratch.rows;
-    let (mut prev, mut curr, d2) = (&mut prev[..=m], &mut curr[..=m], &mut d2[..=m]);
-    prev.fill(f64::INFINITY);
-    prev[0] = 0.0;
+    let [prev, curr] = &mut scratch.rows;
+    let (mut prev, mut curr) = (&mut prev[..=m], &mut curr[..=m]);
     // The effective threshold only ever tightens: the static ub_sq folded
     // with every live reading observed so far (f64::min ignores NaN, so a
-    // misbehaving live bound can loosen nothing).
-    let mut bound_sq = ub_sq;
+    // misbehaving live bound can loosen nothing). A NaN ub_sq abandons
+    // nothing and yields to the first reading, as `∞` does.
+    let mut bound_sq = if ub_sq.is_nan() { f64::INFINITY } else { ub_sq };
+    // Row 0 is column 0 alone (the origin), its right border at 1. The
+    // previous row's window is `[start, end)`, its live columns (not above
+    // the threshold) `[first, stop)` — `stop ≤ first` when none is.
+    prev[0] = 0.0;
+    prev[1] = f64::INFINITY;
+    let (mut start, mut end) = (0, 1);
+    let (mut first, mut stop) = if 0.0 <= bound_sq { (0, 1) } else { (1, 0) };
+    let mut cells = 0;
+    let mut first_lag = 0;
 
     for i in 1..=n {
-        curr.fill(f64::INFINITY);
         let (lo, hi) = band.row_range(i, n, m);
         if lo > hi {
+            scratch.cells += cells;
             return f64::INFINITY; // band excludes the whole row: infeasible
         }
         let xi = x[i - 1];
-        let row_min = crate::kernels::dtw_row(xi, y, lo, hi, prev, curr, d2);
+        // The window starts at the first live column of the row before the
+        // previous one, which no later row's can precede — known long
+        // before this row's predecessor ends, unlike its own — and never
+        // before the previous window.
+        let s = lo.max(first_lag).max(start);
+        curr[s - 1] = f64::INFINITY;
+        let mut row_min = f64::INFINITY;
+        // This row's live columns, `[live_first, live_stop)`, tracked as
+        // the cells are written.
+        let (mut live_first, mut live_stop) = (usize::MAX, 0);
+        // Up to one past the previous row's last live column, every
+        // predecessor may be within the threshold.
+        let reach = hi.min(stop).max(s - 1);
+        let mut left = f64::INFINITY;
+        let mut diag = prev[s - 1];
+        let cols = curr[s..=reach].iter_mut().zip(&y[s - 1..reach]);
+        for (j, ((cell, &yj), &up)) in (s..).zip(cols.zip(&prev[s..=reach])) {
+            let d = xi - yj;
+            // `left` stays out of the inner min, so the chain from cell
+            // to cell is one min and one add.
+            let v = d * d + min(left, min(up, diag));
+            *cell = v;
+            if v < row_min {
+                row_min = v;
+            }
+            let within = v <= bound_sq;
+            live_first = live_first.min(if within { j } else { usize::MAX });
+            live_stop = if within { j + 1 } else { live_stop };
+            left = v;
+            diag = up;
+        }
+        // Past it only the left neighbour may be live: the first
+        // `AHEAD` cells whatever they hold (computing one that turns out
+        // dead costs less than a mispredicted exit), then on while it is.
+        let mut j = reach + 1;
+        let ahead = if j > s { hi.min(reach + AHEAD) } else { reach };
+        while j <= hi && (j <= ahead || live_stop == j) {
+            let d = xi - y[j - 1];
+            let v = d * d + left;
+            curr[j] = v;
+            if v < row_min {
+                row_min = v;
+            }
+            live_stop = if v <= bound_sq { j + 1 } else { live_stop };
+            left = v;
+            j += 1;
+        }
+        if j <= m {
+            curr[j] = f64::INFINITY;
+        }
+        cells += (j - s) as u64;
+        (start, end) = (s, j);
+        first_lag = first;
+        (first, stop) = if live_first == usize::MAX {
+            (end, start)
+        } else {
+            (live_first, live_stop)
+        };
         // Outstanding-contribution tail. A partial path through row `i`
         // has consumed query positions 0..i and possibly candidate
         // positions up to `hi` (the band's forward reach), so only
@@ -236,15 +338,34 @@ pub fn dtw_early_abandon_sq_scratch(
             bound_sq = bound_sq.min(live());
         }
         if row_min + tail > bound_sq {
+            scratch.cells += cells;
             return f64::INFINITY;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    let out = prev[m];
+    scratch.cells += cells;
+    // Column m is in the last window, or beyond it and so above the
+    // threshold.
+    let out = if start <= m && m < end {
+        prev[m]
+    } else {
+        f64::INFINITY
+    };
     if out > bound_sq {
         f64::INFINITY
     } else {
         out
+    }
+}
+
+/// `a < b ? a : b` — `f64::min` on values that are not NaN, in one
+/// instruction on the DP's critical path.
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
     }
 }
 

@@ -2,20 +2,18 @@
 //!
 //! Every inner loop the pruning cascade spends its time in — squared-diff
 //! accumulation (ED), envelope-exceedance accumulation (LB_Keogh and its
-//! z-normalised UCR variants), the DTW row recurrence, and the envelope
-//! min/max — lives here once, with a scalar reference implementation and
-//! a `core::arch::x86_64` AVX2 path selected **once** at startup via
-//! [`level`] (CPUID feature detection, overridable with the
-//! `ONEX_FORCE_SCALAR` environment variable for fallback testing). A CPU
-//! without AVX2 runs the scalar reference, as any other architecture
+//! z-normalised UCR variants), the lane-parallel DTW, the L0 block test
+//! and the envelope min/max — lives here once, with a scalar reference
+//! implementation and a `core::arch::x86_64` AVX2 path selected **once**
+//! at startup via [`level`] (CPUID feature detection, overridable with
+//! the `ONEX_FORCE_SCALAR` environment variable for fallback testing). A
+//! CPU without AVX2 runs the scalar reference, as any other architecture
 //! does.
 //!
 //! ## Exactness contract
 //!
-//! * [`dtw_row`] and [`sliding_minmax`] are **bit-exact** across levels:
-//!   the row kernel only reassociates `min` with a common added constant
-//!   (`min(a, b) + c == min(a + c, b + c)` exactly, since FP addition is
-//!   monotone), and min/max of finite values is exact arithmetic.
+//! * [`sliding_minmax`] is **bit-exact** across levels: min/max of finite
+//!   values is exact arithmetic.
 //! * The accumulating kernels ([`sum_sq_diff`], [`sum_sq_diff_ea`],
 //!   [`env_excess_sq`], …) sum in SIMD lanes and therefore round in a
 //!   different order than the scalar reference — results agree to within
@@ -30,6 +28,19 @@
 //!   lane, the scalar reference's operations in the scalar reference's
 //!   order (no fused multiply-add, `min`/`max` over values that are never
 //!   NaN for finite inputs), so they are **bit-exact** too.
+//!
+//! ## The DTW tier
+//!
+//! Every DTW the cascade runs is EAPrunedDTW (Herrmann & Webb, DAMI
+//! 2021): the scalar DP behind
+//! [`crate::dtw::dtw_early_abandon_sq_scratch`] for representatives and
+//! single candidates, [`dtw_lanes`] for members four at a time. Each row
+//! computes only the window of columns a path within the threshold can
+//! still reach, and the result is the full DP's bit for bit (see the
+//! scalar DP's docs). The lane DP is safe `[f64; 4]` code inside a
+//! `#[target_feature(enable = "avx2")]` function: the compiler emits one
+//! AVX2 instruction per array operation, and the only `unsafe` left is
+//! the call from code compiled without the feature.
 //!
 //! The `_at` variants take an explicit [`KernelLevel`] so benchmarks and
 //! property tests can pin a path regardless of what [`level`] detected.
@@ -401,144 +412,32 @@ unsafe fn env_excess_avx2(
 }
 
 // ---------------------------------------------------------------------
-// DTW row recurrence.
-// ---------------------------------------------------------------------
-
-/// One DP row of the two-row DTW:
-/// `curr[j] = (xi − y[j−1])² + min(prev[j], curr[j−1], prev[j−1])` for
-/// `j` in `lo..=hi` (1-based columns; `curr[lo−1]` is the carry-in,
-/// which the caller must have reset to `∞` along with the rest of
-/// `curr`). Returns the row minimum.
-///
-/// The AVX2 path splits the recurrence into a vectorisable pass
-/// (`d² + min(prev[j], prev[j−1])`, cached in `d2`) and a scalar carry
-/// sweep folding `curr[j−1]`; because `min` distributes exactly over
-/// adding a common constant, the result is **bit-identical** to the
-/// scalar recurrence.
-///
-/// # Panics
-/// Panics (in debug) when the slice lengths disagree or the column
-/// range is out of bounds.
-pub fn dtw_row(
-    xi: f64,
-    y: &[f64],
-    lo: usize,
-    hi: usize,
-    prev: &[f64],
-    curr: &mut [f64],
-    d2: &mut [f64],
-) -> f64 {
-    dtw_row_at(level(), xi, y, lo, hi, prev, curr, d2)
-}
-
-/// [`dtw_row`] on an explicit level.
-#[allow(clippy::too_many_arguments)]
-pub fn dtw_row_at(
-    l: KernelLevel,
-    xi: f64,
-    y: &[f64],
-    lo: usize,
-    hi: usize,
-    prev: &[f64],
-    curr: &mut [f64],
-    d2: &mut [f64],
-) -> f64 {
-    debug_assert!(lo >= 1 && hi <= y.len() && lo <= hi);
-    debug_assert!(prev.len() == y.len() + 1 && curr.len() == y.len() + 1);
-    debug_assert!(d2.len() == y.len() + 1);
-    match l {
-        KernelLevel::Scalar => dtw_row_scalar(xi, y, lo, hi, prev, curr),
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 => unsafe { dtw_row_avx2(xi, y, lo, hi, prev, curr, d2) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dtw_row_scalar(xi, y, lo, hi, prev, curr),
-    }
-}
-
-fn dtw_row_scalar(xi: f64, y: &[f64], lo: usize, hi: usize, prev: &[f64], curr: &mut [f64]) -> f64 {
-    let mut row_min = f64::INFINITY;
-    for j in lo..=hi {
-        let d = xi - y[j - 1];
-        let best_prev = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-        let v = d * d + best_prev;
-        curr[j] = v;
-        if v < row_min {
-            row_min = v;
-        }
-    }
-    row_min
-}
-
-/// The AVX2 row kernel's scalar carry sweep: fold
-/// `d²[j] + curr[j−1]` into the vectorised pass-one values.
-fn dtw_row_carry(lo: usize, hi: usize, curr: &mut [f64], d2: &[f64]) -> f64 {
-    let mut row_min = f64::INFINITY;
-    for j in lo..=hi {
-        let v = curr[j].min(d2[j] + curr[j - 1]);
-        curr[j] = v;
-        if v < row_min {
-            row_min = v;
-        }
-    }
-    row_min
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dtw_row_avx2(
-    xi: f64,
-    y: &[f64],
-    lo: usize,
-    hi: usize,
-    prev: &[f64],
-    curr: &mut [f64],
-    d2: &mut [f64],
-) -> f64 {
-    use core::arch::x86_64::*;
-    let vxi = _mm256_set1_pd(xi);
-    let mut j = lo;
-    while j + 4 <= hi + 1 {
-        let d = _mm256_sub_pd(vxi, _mm256_loadu_pd(y.as_ptr().add(j - 1)));
-        let dd = _mm256_mul_pd(d, d);
-        _mm256_storeu_pd(d2.as_mut_ptr().add(j), dd);
-        let p = _mm256_loadu_pd(prev.as_ptr().add(j));
-        let pm1 = _mm256_loadu_pd(prev.as_ptr().add(j - 1));
-        _mm256_storeu_pd(
-            curr.as_mut_ptr().add(j),
-            _mm256_add_pd(dd, _mm256_min_pd(p, pm1)),
-        );
-        j += 4;
-    }
-    while j <= hi {
-        let d = xi - y[j - 1];
-        let dd = d * d;
-        d2[j] = dd;
-        curr[j] = dd + prev[j].min(prev[j - 1]);
-        j += 1;
-    }
-    dtw_row_carry(lo, hi, curr, d2)
-}
-
-// ---------------------------------------------------------------------
-// Lane-parallel early-abandoning DTW (lanes = candidates).
+// Lane-parallel EAPruned DTW (lanes = candidates).
 // ---------------------------------------------------------------------
 
 /// Candidates per [`dtw_lanes`] call: one per 64-bit lane of a 256-bit
 /// vector.
 pub const DTW_LANES: usize = 4;
 
+/// One DP column of the lane kernel: a value per candidate.
+type Lanes = [f64; DTW_LANES];
+
 /// Early-abandoning squared DTW of `x` against up to [`DTW_LANES`]
 /// equal-length candidates at once: `out[c]` is what
 /// [`dtw_early_abandon_sq_scratch`]`(x, ys[c], band, ub_sq[c], None, live, …)`
 /// returns — the same bits when the DP completes, `∞` exactly when it
-/// would abandon — provided `live` reads the same on every call.
+/// would abandon — provided `live` reads the same on every call and the
+/// inputs are finite.
 ///
 /// In-row SIMD cannot shorten the DP's critical path (each cell waits for
-/// its left neighbour: the reason [`dtw_row`] gains so little), but
-/// *across* candidates the cells are independent: the candidates are
-/// transposed once into 4-wide columns and every lane runs the scalar
-/// recurrence `d² + min(curr[j−1], min(prev[j], prev[j−1]))`, so one
-/// `min` + one `add` of latency buys four cells. `live` is read once per
+/// its left neighbour), but *across* candidates the cells are
+/// independent: the candidates are transposed once into 4-wide columns
+/// and every lane runs the scalar recurrence
+/// `d² + min(curr[j−1], min(prev[j], prev[j−1]))`, so one `min` + one
+/// `add` of latency buys four cells. The DP is the scalar one's
+/// EAPrunedDTW: each row's window is the union of the lanes' windows over
+/// the lanes still live, a cell counting as live while any live lane's
+/// value in it is within that lane's threshold. `live` is read once per
 /// row for all lanes; a lane whose row minimum exceeds its bound is dead
 /// from then on, and the DP stops when every lane is. A short batch
 /// repeats its last candidate in the spare lanes; a single candidate, and
@@ -590,20 +489,15 @@ pub fn dtw_lanes_at(
     );
     #[cfg(target_arch = "x86_64")]
     if l == KernelLevel::Avx2 && lanes > 1 && is_x86_feature_detected!("avx2") {
-        let rows = scratch.lane_rows(m);
-        let mut bounds = [0.0; DTW_LANES];
-        for lane in 0..DTW_LANES {
-            let c = lane.min(lanes - 1);
-            bounds[lane] = ub_sq[c];
-            for (j, &v) in ys[c].iter().enumerate() {
-                rows[DTW_LANES * j + lane] = v;
-            }
+        let (yt, rows) = scratch.lane_rows(m).split_at_mut(m);
+        let bounds: Lanes = std::array::from_fn(|lane| ub_sq[lane.min(lanes - 1)]);
+        for (j, column) in yt.iter_mut().enumerate() {
+            *column = std::array::from_fn(|lane| ys[lane.min(lanes - 1)][j]);
         }
-        // SAFETY: AVX2 was detected just above. `lane_rows(m)` returns
-        // `DTW_LANES × (3m + 2)` values, which the kernel re-checks with a
-        // release assert before it forms a pointer.
-        let done = unsafe { dtw_lanes_avx2(x, m, band, bounds, live, rows) };
+        // SAFETY: AVX2 was detected just above; the kernel is safe code.
+        let (done, cells) = unsafe { dtw_lanes_avx2(x, band, bounds, live, yt, rows) };
         out.copy_from_slice(&done[..lanes]);
+        scratch.add_cells(cells * lanes as u64);
         return;
     }
     let _ = l; // read by the x86-64 build only
@@ -612,92 +506,169 @@ pub fn dtw_lanes_at(
     }
 }
 
-/// The AVX2 lane DP. `rows` holds, 4 lanes per column, the transposed
-/// candidates (`m` columns) followed by two DP rows of `m + 1` columns
-/// (column 0 is the virtual "before y" edge).
+/// The AVX2 lane DP: the scalar EAPruned DP of
+/// [`dtw_early_abandon_sq_scratch`] on [`Lanes`], over the transposed
+/// candidates `yt` (`m` columns) and two DP rows of `m + 1` columns in
+/// `rows` (column 0 is the virtual "before y" edge). Returns the lanes'
+/// results and the DP columns computed.
 ///
-/// # Safety
-/// The CPU must support AVX2. Every index is otherwise proved by the two
-/// release asserts inside: `rows.len() ≥ DTW_LANES × (3m + 2)` once, and
-/// `1 ≤ lo ≤ hi ≤ m` for each row's band range.
+/// Safe code: the `[f64; 4]` operations compile to one AVX2 instruction
+/// each under the target feature, `min` as `a < b ? a : b` — the
+/// semantics of `vminpd`, and of `f64::min` on values that are not NaN.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dtw_lanes_avx2(
+fn dtw_lanes_avx2(
     x: &[f64],
-    m: usize,
     band: Band,
-    ub_sq: [f64; DTW_LANES],
+    ub_sq: Lanes,
     live: Option<&dyn Fn() -> f64>,
-    rows: &mut [f64],
-) -> [f64; DTW_LANES] {
-    use core::arch::x86_64::*;
-    const L: usize = DTW_LANES;
-    const ABANDONED: [f64; L] = [f64::INFINITY; L];
-    let n = x.len();
-    assert!(rows.len() >= L * (3 * m + 2), "lane rows too short");
-    // SAFETY (every load and store below): `yt` has columns `0..m`,
-    // `prev` and `curr` columns `0..=m`, `L` values each and all inside
-    // `rows` by the assert above; column indices are `j − 1`, `j` and
-    // `lo − 1` with `1 ≤ lo ≤ j ≤ hi ≤ m` (asserted per row), or range
-    // over `0..=m` outright.
-    let yt = rows.as_ptr();
-    let mut prev = rows.as_mut_ptr().add(L * m);
-    let mut curr = prev.add(L * (m + 1));
-    let inf = _mm256_set1_pd(f64::INFINITY);
-    _mm256_storeu_pd(prev, _mm256_setzero_pd());
-    for j in 1..=m {
-        _mm256_storeu_pd(prev.add(L * j), inf);
-    }
+    yt: &[Lanes],
+    rows: &mut [Lanes],
+) -> (Lanes, u64) {
+    use std::array::from_fn as lanes;
+    const INF: Lanes = [f64::INFINITY; DTW_LANES];
+    let (n, m) = (x.len(), yt.len());
+    let (prev, curr) = rows.split_at_mut(m + 1);
+    let (mut prev, mut curr) = (prev, &mut curr[..=m]);
     // Per lane: the threshold (it only ever tightens, as in the scalar
-    // DP) and whether the lane has abandoned (all-ones = dead).
-    let mut bound = _mm256_loadu_pd(ub_sq.as_ptr());
-    let mut dead = _mm256_setzero_pd();
+    // DP — a NaN one abandons nothing and yields to any reading, as `∞`
+    // does) and, one bit a lane, whether the lane has abandoned.
+    let mut bound = lanes(|l| {
+        if ub_sq[l].is_nan() {
+            f64::INFINITY
+        } else {
+            ub_sq[l]
+        }
+    });
+    let mut dead = 0u8;
+    // A cell is live while a live lane's value in it is within that
+    // lane's threshold; a dead lane's threshold reads −∞.
+    let live_in =
+        |v: &Lanes, cut: &Lanes| (0..DTW_LANES).fold(false, |any, l| any | (v[l] <= cut[l]));
+    prev[0] = [0.0; DTW_LANES];
+    prev[1] = INF;
+    let (mut start, mut end) = (0, 1);
+    let (mut first, mut stop) = if live_in(&prev[0], &bound) {
+        (0, 1)
+    } else {
+        (1, 0)
+    };
+    let mut cells = 0;
+    let mut first_lag = 0;
 
     for (i, &xi) in x.iter().enumerate() {
         let (lo, hi) = band.row_range(i + 1, n, m);
         if lo > hi {
-            return ABANDONED; // band excludes the whole row: infeasible
+            return (INF, cells); // band excludes the whole row: infeasible
         }
-        assert!(lo >= 1 && hi <= m, "band row range outside 1..=m");
-        // Cells outside the band are unreachable this row; together with
-        // the sweep below every column of `curr` is rewritten.
-        for j in (0..lo).chain(hi + 1..=m) {
-            _mm256_storeu_pd(curr.add(L * j), inf);
-        }
-        let xi = _mm256_set1_pd(xi);
-        let mut left = inf;
-        let mut diag = _mm256_loadu_pd(prev.add(L * (lo - 1)));
-        let mut row_min = inf;
-        for j in lo..=hi {
-            let up = _mm256_loadu_pd(prev.add(L * j));
-            let d = _mm256_sub_pd(xi, _mm256_loadu_pd(yt.add(L * (j - 1))));
+        let cut = lanes(|l| {
+            if dead >> l & 1 == 1 {
+                f64::NEG_INFINITY
+            } else {
+                bound[l]
+            }
+        });
+        // The window starts at the first live column of the row before the
+        // previous one, which no later row's can precede — known long
+        // before this row's predecessor ends, unlike its own — and never
+        // before the previous window.
+        let s = lo.max(first_lag).max(start);
+        curr[s - 1] = INF;
+        let mut row_min = INF;
+        let (mut live_first, mut live_stop) = (usize::MAX, 0);
+        let reach = hi.min(stop).max(s - 1);
+        let mut left = INF;
+        let mut diag = prev[s - 1];
+        let cols = curr[s..=reach].iter_mut().zip(&yt[s - 1..reach]);
+        for (j, ((cell, y), &up)) in (s..).zip(cols.zip(&prev[s..=reach])) {
             // `left` stays out of the inner min: the chain from cell to
             // cell is one min and one add.
-            let v = _mm256_add_pd(
-                _mm256_mul_pd(d, d),
-                _mm256_min_pd(left, _mm256_min_pd(up, diag)),
-            );
-            _mm256_storeu_pd(curr.add(L * j), v);
-            row_min = _mm256_min_pd(row_min, v);
+            let best = min4(left, min4(up, diag));
+            let v = lanes(|l| {
+                let d = xi - y[l];
+                d * d + best[l]
+            });
+            *cell = v;
+            row_min = min4(row_min, v);
+            let within = live_in(&v, &cut);
+            live_first = live_first.min(if within { j } else { usize::MAX });
+            live_stop = if within { j + 1 } else { live_stop };
             left = v;
             diag = up;
         }
-        if let Some(live) = live {
-            // A NaN reading leaves the threshold alone, like `f64::min`:
-            // `_mm256_min_pd` returns its second operand then.
-            bound = _mm256_min_pd(_mm256_set1_pd(live()), bound);
+        // Past it only the left neighbour may be live: the first
+        // `AHEAD` cells whatever they hold (computing one that turns out
+        // dead costs less than a mispredicted exit), then on while it is.
+        let mut j = reach + 1;
+        let ahead = if j > s { hi.min(reach + AHEAD) } else { reach };
+        while j <= hi && (j <= ahead || live_stop == j) {
+            let y = yt[j - 1];
+            let v = lanes(|l| {
+                let d = xi - y[l];
+                d * d + left[l]
+            });
+            curr[j] = v;
+            row_min = min4(row_min, v);
+            live_stop = if live_in(&v, &cut) { j + 1 } else { live_stop };
+            left = v;
+            j += 1;
         }
-        dead = _mm256_or_pd(dead, _mm256_cmp_pd::<_CMP_GT_OQ>(row_min, bound));
-        if _mm256_movemask_pd(dead) == 0b1111 {
-            return ABANDONED;
+        if j <= m {
+            curr[j] = INF;
+        }
+        cells += (j - s) as u64;
+        (start, end) = (s, j);
+        first_lag = first;
+        (first, stop) = if live_first == usize::MAX {
+            (end, start)
+        } else {
+            (live_first, live_stop)
+        };
+        if let Some(live) = live {
+            // `f64::min` of a bound that is not NaN: a NaN reading
+            // leaves it alone.
+            let reading = live();
+            bound = min4([reading; DTW_LANES], bound);
+        }
+        dead |= above(&row_min, &bound);
+        if dead == ALL_DEAD {
+            return (INF, cells);
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    let done = _mm256_loadu_pd(prev.add(L * m));
-    dead = _mm256_or_pd(dead, _mm256_cmp_pd::<_CMP_GT_OQ>(done, bound));
-    let mut out = [0.0; L];
-    _mm256_storeu_pd(out.as_mut_ptr(), _mm256_blendv_pd(done, inf, dead));
-    out
+    let done = if start <= m && m < end { prev[m] } else { INF };
+    let dead = dead | above(&done, &bound);
+    let out = lanes(|l| {
+        if dead >> l & 1 == 1 {
+            f64::INFINITY
+        } else {
+            done[l]
+        }
+    });
+    (out, cells)
+}
+
+/// Cells past a row's reach the DTW kernels compute before they test
+/// the left neighbour (see [`crate::dtw::dtw_early_abandon_sq_scratch`]).
+pub(crate) const AHEAD: usize = 2;
+
+/// One bit a lane: `a > b`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn above(a: &Lanes, b: &Lanes) -> u8 {
+    (0..DTW_LANES).fold(0, |bits, l| bits | u8::from(a[l] > b[l]) << l)
+}
+
+/// Every lane's bit of [`above`].
+#[cfg(target_arch = "x86_64")]
+const ALL_DEAD: u8 = (1 << DTW_LANES) - 1;
+
+/// `a < b ? a : b` per lane: `vminpd`, and `f64::min` on values that are
+/// not NaN.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn min4(a: Lanes, b: Lanes) -> Lanes {
+    std::array::from_fn(|l| if a[l] < b[l] { a[l] } else { b[l] })
 }
 
 // ---------------------------------------------------------------------
@@ -1122,36 +1093,6 @@ mod tests {
         assert!(contrib.iter().all(|c| c.is_finite()), "zeros written too");
         let sum: f64 = contrib.iter().sum();
         assert!((total - sum).abs() <= 1e-9 * total.max(1.0));
-    }
-
-    #[test]
-    fn dtw_row_is_bit_exact_across_levels() {
-        for (m, lo, hi) in [
-            (16usize, 1usize, 16usize),
-            (33, 5, 29),
-            (8, 2, 4),
-            (5, 3, 3),
-        ] {
-            let y = wiggle(m, 4);
-            let mut prev = wiggle(m + 1, 6);
-            prev[0] = 0.0;
-            let reference: Vec<f64> = {
-                let mut curr = vec![f64::INFINITY; m + 1];
-                dtw_row_scalar(0.37, &y, lo, hi, &prev, &mut curr);
-                curr
-            };
-            for l in KernelLevel::available() {
-                let mut curr = vec![f64::INFINITY; m + 1];
-                let mut d2 = vec![0.0; m + 1];
-                let rm = dtw_row_at(l, 0.37, &y, lo, hi, &prev, &mut curr, &mut d2);
-                assert_eq!(curr, reference, "{l:?} row values must be bit-identical");
-                let want_min = reference[lo..=hi]
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(rm, want_min, "{l:?} row min");
-            }
-        }
     }
 
     #[test]

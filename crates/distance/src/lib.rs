@@ -51,7 +51,9 @@ pub use ed::{ed, ed_early_abandon_sq, ed_sq};
 pub use envelope::Envelope;
 pub use kernels::KernelLevel;
 pub use path::WarpingPath;
-pub use sketch::{PlanesRef, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
+pub use sketch::{
+    PlanesRef, QuerySketch, SketchParams, SketchPlanes, Zone, SKETCH_STRIDE, ZONE_SLOTS,
+};
 
 /// The infinite distance used as "no bound yet" by early-abandoning code.
 pub const INF: f64 = f64::INFINITY;

@@ -31,6 +31,28 @@
 //! records ([`PlanesRef::grown`]), read through [`PlanesRef`] and written
 //! back out as records, so no caller indexes a plane.
 //!
+//! ## Zones
+//!
+//! After its planes, a group's allocation holds one [`Zone`] per
+//! [`ZONE_SLOTS`] slots (the last one covering what is left): the *hull*
+//! of their records — the flags or-ed, the smallest of each floor level
+//! (corner floors, segment minima) and the largest of each ceiling level
+//! — and the smallest and largest of their *tags*, a `u32` the caller
+//! gives each slot (the grouping crate gives the member's series). That
+//! is 29 bytes a zone, under half a byte a slot. Zones are derived
+//! wherever planes are built ([`PlanesRef::grown`], which widens the old
+//! zones by the new slots) and never persisted: the records alone are.
+//!
+//! [`QuerySketch::rejects_zone`] is [`QuerySketch::bound_sq`] of the hull
+//! against the bound. A zone reject is a reject of every slot of the
+//! zone: the hull's intervals contain each slot's, dequantising is
+//! monotone in the level, the distance from a point to a wider interval
+//! is no larger, and squaring non-negative gaps, weighting them by
+//! non-negative segment widths and summing in segment order keep that
+//! order in floating point — so the hull's bound is at most each slot's.
+//! A zone holding an invalid sketch has an invalid hull and never
+//! rejects.
+//!
 //! Records are *built* from a third, transient form: the [`LevelColumn`]
 //! of one series under one quantiser — the floor level and the ceiling
 //! level of every point, quantised once. Consecutive windows share all
@@ -132,6 +154,66 @@ pub(crate) const PLANE_LAST_LO: usize = plane_of(OFF_LAST_LO);
 pub(crate) const PLANE_LAST_HI: usize = plane_of(OFF_LAST_HI);
 pub(crate) const PLANE_SEG_MIN: usize = plane_of(OFF_SEG_MIN);
 pub(crate) const PLANE_SEG_MAX: usize = plane_of(OFF_SEG_MAX);
+
+/// Slots a zone covers: one block of the member scan's L0 tier.
+pub const ZONE_SLOTS: usize = 64;
+
+/// Bytes of one zone: its hull in plane order, then the smallest and
+/// largest tag of its slots as little-endian `u32`s.
+const ZONE_BYTES: usize = SKETCH_PLANES + 8;
+
+/// Bytes of the resident form of `slots` slots: the planes, then one zone
+/// per [`ZONE_SLOTS`] slots or part of it.
+const fn resident_bytes(slots: usize) -> usize {
+    slots * SKETCH_PLANES + slots.div_ceil(ZONE_SLOTS) * ZONE_BYTES
+}
+
+/// The slots of a resident form of `bytes` bytes — the inverse of
+/// [`resident_bytes`]: every whole run of [`ZONE_SLOTS`] slots takes
+/// their planes and one zone, and what is left is a zone and the planes
+/// of the last, partial run.
+const fn slots_in(bytes: usize) -> usize {
+    const RUN: usize = resident_bytes(ZONE_SLOTS);
+    (bytes / RUN) * ZONE_SLOTS + (bytes % RUN).saturating_sub(ZONE_BYTES) / SKETCH_PLANES
+}
+
+/// True for the planes of floor levels — the corner floors and the
+/// segment minima — which a hull widens downwards; the other level planes
+/// hold ceilings, widened upwards.
+const fn is_floor(plane: usize) -> bool {
+    matches!(plane, PLANE_FIRST_LO | PLANE_LAST_LO)
+        || (plane >= PLANE_SEG_MIN && plane < PLANE_SEG_MAX)
+}
+
+/// Fold byte `b` into byte `a` of plane `plane` of a hull: flag bits are
+/// or-ed, floors take the smaller level and ceilings the larger.
+fn widen(plane: usize, a: u8, b: u8) -> u8 {
+    match plane {
+        PLANE_FLAGS => a | b,
+        _ if is_floor(plane) => a.min(b),
+        _ => a.max(b),
+    }
+}
+
+/// A zone that covers no slot yet — every byte the identity of
+/// [`widen`], a tag range any tag widens.
+const EMPTY_ZONE: [u8; ZONE_BYTES] = {
+    let mut zone = [0u8; ZONE_BYTES];
+    let mut plane = 0;
+    while plane < SKETCH_PLANES {
+        if is_floor(plane) {
+            zone[plane] = u8::MAX;
+        }
+        plane += 1;
+    }
+    // Tags: the smallest starts at u32::MAX, the largest at 0.
+    let mut byte = SKETCH_PLANES;
+    while byte < SKETCH_PLANES + 4 {
+        zone[byte] = u8::MAX;
+        byte += 1;
+    }
+    zone
+};
 
 /// The plane holding record byte `offset` (a non-reserved one).
 const fn plane_of(offset: usize) -> usize {
@@ -406,7 +488,7 @@ impl SketchPlanes {
     /// Members sketched.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.bytes().len() / SKETCH_PLANES
+        slots_in(self.bytes().len())
     }
 
     /// Heap bytes behind this handle, reference counts included.
@@ -417,19 +499,20 @@ impl SketchPlanes {
     }
 
     /// Transpose a run of [`SKETCH_STRIDE`]-byte records (the persisted
-    /// form) into planes.
+    /// form) into planes, slot `i` tagged `tag(i)`, and derive their zones.
     ///
     /// # Panics
     /// Panics when `records` is not a whole number of records.
-    pub fn from_records(records: &[u8]) -> SketchPlanes {
+    pub fn from_records(records: &[u8], tag: impl Fn(usize) -> u32) -> SketchPlanes {
         assert_eq!(records.len() % SKETCH_STRIDE, 0, "whole sketch records");
         SketchPlanes::default().grown(records.len() / SKETCH_STRIDE, |slot, record| {
             record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE]);
+            tag(slot)
         })
     }
 
     /// [`PlanesRef::grown`] of [`Self::view`]; `self` is left as it was.
-    pub fn grown(&self, total: usize, encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
+    pub fn grown(&self, total: usize, encode: impl FnMut(usize, &mut [u8]) -> u32) -> SketchPlanes {
         if total == self.cardinality() {
             return self.clone();
         }
@@ -457,7 +540,28 @@ impl<'a> PlanesRef<'a> {
     /// Members sketched.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.0.len() / SKETCH_PLANES
+        slots_in(self.0.len())
+    }
+
+    /// Zones: one per [`ZONE_SLOTS`] slots or part of it.
+    #[inline]
+    pub fn zones(&self) -> usize {
+        self.cardinality().div_ceil(ZONE_SLOTS)
+    }
+
+    /// Zone `zone`: the hull and the tag range of slots
+    /// `zone × ZONE_SLOTS ..` up to the next zone or the last slot.
+    ///
+    /// # Panics
+    /// Panics when `zone` is not below [`Self::zones`].
+    pub fn zone(&self, zone: usize) -> Zone<'a> {
+        let bytes = &self.zone_bytes()[zone * ZONE_BYTES..][..ZONE_BYTES];
+        Zone(bytes.try_into().expect("one zone"))
+    }
+
+    /// Every zone's bytes, zone after zone.
+    fn zone_bytes(&self) -> &'a [u8] {
+        &self.0[SKETCH_PLANES * self.cardinality()..]
     }
 
     /// Append every slot to `out` as a [`SKETCH_STRIDE`]-byte record
@@ -485,28 +589,49 @@ impl<'a> PlanesRef<'a> {
 
     /// These slots extended to `total`, as planes of their own: the
     /// existing slots are copied, and `encode(slot, record)` fills the
-    /// (zeroed) record of each new one. One allocation, of the final size
-    /// (none when `total` is 0).
+    /// (zeroed) record of each new one and returns its tag. The zones are
+    /// the old ones widened by the new slots, and new ones for slots past
+    /// the old zones. One allocation, of the final size (none when
+    /// `total` is 0).
     ///
     /// # Panics
     /// Panics when `total` is below the current cardinality.
-    pub fn grown(&self, total: usize, mut encode: impl FnMut(usize, &mut [u8])) -> SketchPlanes {
+    pub fn grown(
+        &self,
+        total: usize,
+        mut encode: impl FnMut(usize, &mut [u8]) -> u32,
+    ) -> SketchPlanes {
         let done = self.cardinality();
         assert!(total >= done, "sketch planes only grow");
         if total == 0 {
             return SketchPlanes::default();
         }
-        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, SKETCH_PLANES * total).collect();
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, resident_bytes(total)).collect();
         let grown = Arc::get_mut(&mut bytes).expect("not shared yet");
+        let (planes, zones) = grown.split_at_mut(SKETCH_PLANES * total);
         for plane in 0..SKETCH_PLANES {
-            grown[plane * total..plane * total + done].copy_from_slice(self.plane(plane));
+            planes[plane * total..plane * total + done].copy_from_slice(self.plane(plane));
+        }
+        let old = self.zone_bytes();
+        zones[..old.len()].copy_from_slice(old);
+        for zone in zones[old.len()..].chunks_exact_mut(ZONE_BYTES) {
+            zone.copy_from_slice(&EMPTY_ZONE);
         }
         for slot in done..total {
             let mut record = [0u8; SKETCH_STRIDE];
-            encode(slot, &mut record);
+            let tag = encode(slot, &mut record);
+            let zone = &mut zones[slot / ZONE_SLOTS * ZONE_BYTES..][..ZONE_BYTES];
             for plane in 0..SKETCH_PLANES {
-                grown[plane * total + slot] = record[offset_of(plane)];
+                let level = record[offset_of(plane)];
+                planes[plane * total + slot] = level;
+                zone[plane] = widen(plane, zone[plane], level);
             }
+            let (lowest, highest) = zone[SKETCH_PLANES..].split_at_mut(4);
+            let widened = |at: &[u8], pick: fn(u32, u32) -> u32| {
+                pick(u32::from_le_bytes(at.try_into().expect("4 bytes")), tag).to_le_bytes()
+            };
+            lowest.copy_from_slice(&widened(lowest, u32::min));
+            highest.copy_from_slice(&widened(highest, u32::max));
         }
         SketchPlanes(Some(bytes))
     }
@@ -525,6 +650,31 @@ impl<'a> PlanesRef<'a> {
             self.cardinality()
         );
         std::array::from_fn(|plane| &self.plane(plane)[slots.clone()])
+    }
+}
+
+/// One zone of a group's sketches (see the module docs), borrowed: the
+/// hull of its slots' records — their flags or-ed, the smallest of each
+/// floor level and the largest of each ceiling level, in plane order —
+/// and the range of their tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Zone<'a>(&'a [u8; ZONE_BYTES]);
+
+impl Zone<'_> {
+    /// The hull, as a record: [`QuerySketch::bound_sq`] of it is at most
+    /// the bound of every slot of the zone.
+    pub fn hull(&self) -> [u8; SKETCH_STRIDE] {
+        let mut record = [0u8; SKETCH_STRIDE];
+        for plane in 0..SKETCH_PLANES {
+            record[offset_of(plane)] = self.0[plane];
+        }
+        record
+    }
+
+    /// The smallest and the largest tag of the zone's slots.
+    pub fn tags(&self) -> std::ops::RangeInclusive<u32> {
+        let tag = |at: usize| u32::from_le_bytes(self.0[at..at + 4].try_into().expect("4 bytes"));
+        tag(SKETCH_PLANES)..=tag(SKETCH_PLANES + 4)
     }
 }
 
@@ -650,6 +800,25 @@ impl QuerySketch {
         seg_sq
     }
 
+    /// The zone test: true when the bound of `zone`'s hull exceeds
+    /// `bound_sq`, so the block test would reject every slot of the zone
+    /// at `bound_sq` (see the module docs) — never for a zone holding an
+    /// invalid sketch.
+    pub fn rejects_zone(&self, zone: &Zone<'_>, bound_sq: f64) -> bool {
+        // `bound_sq` of the hull, read in place: the corner part first,
+        // the segment part only for a zone it does not reject.
+        let hull = zone.0;
+        hull[PLANE_FLAGS] & FLAG_INVALID == 0
+            && (self.corner_sq(
+                hull[PLANE_FIRST_LO],
+                hull[PLANE_FIRST_HI],
+                hull[PLANE_LAST_LO],
+                hull[PLANE_LAST_HI],
+            ) > bound_sq
+                || self.segment_sq(|s| (hull[PLANE_SEG_MIN + s], hull[PLANE_SEG_MAX + s]))
+                    > bound_sq)
+    }
+
     /// The block test: append to `out`, in ascending order, every slot
     /// of `slots` whose bound does **not** exceed `bound_sq` — exactly
     /// the slots `s` with `!(self.bound_sq(&planes.record(s)) > bound_sq)`,
@@ -758,10 +927,10 @@ mod tests {
         for (i, record) in records.iter_mut().enumerate() {
             encode_into(&params, &[0.25 * i as f64, 0.5], record);
         }
-        let own = SketchPlanes::from_records(&records.concat());
+        let own = SketchPlanes::from_records(&records.concat(), |slot| 7 - slot as u32);
         assert_eq!(
             (own.cardinality(), own.heap_bytes()),
-            (3, 16 + 3 * SKETCH_PLANES)
+            (3, 16 + 3 * SKETCH_PLANES + ZONE_BYTES)
         );
         // Each slot reads back its record and is kept or rejected as the
         // record's own bound says, at every kernel level.
@@ -782,13 +951,19 @@ mod tests {
         let grown = own.grown(4, |slot, record| {
             assert_eq!(slot, 3);
             record.copy_from_slice(&records[0]);
+            9
         });
         let mut back = Vec::new();
         grown.view().write_records(&mut back);
         assert_eq!(back, [records.concat(), records[0].to_vec()].concat());
         assert!(own.clone().view().shares_storage_with(planes));
         assert!(!grown.view().shares_storage_with(planes));
-        assert!(SketchPlanes::from_records(&records.concat()).view() == planes);
+        assert!(
+            SketchPlanes::from_records(&records.concat(), |slot| 7 - slot as u32).view() == planes
+        );
+        // One zone over all four slots: their tags 7, 6, 5 and 9.
+        assert_eq!((planes.zones(), grown.view().zones()), (1, 1));
+        assert_eq!(grown.view().zone(0).tags(), 5..=9);
         assert_eq!(PlanesRef::EMPTY.cardinality(), 0);
         assert!(PlanesRef::EMPTY.shares_storage_with(SketchPlanes::default().view()));
     }

@@ -268,35 +268,29 @@ proptest! {
             prop_assert_eq!(&lo, &want_lo, "{:?} lower", l);
             prop_assert_eq!(&hi, &want_hi, "{:?} upper", l);
         }
-        // dtw_sq dispatches through the row kernel; verify it against an
-        // explicit scalar row recurrence.
-        let got = dtw_sq(&x, &y, Band::SakoeChiba(r));
-        let reference = {
-            let (n, m) = (x.len(), y.len());
-            let band = Band::SakoeChiba(r);
-            let mut prev = vec![f64::INFINITY; m + 1];
-            let mut curr = vec![f64::INFINITY; m + 1];
-            prev[0] = 0.0;
-            let mut infeasible = false;
-            for i in 1..=n {
-                curr.iter_mut().for_each(|c| *c = f64::INFINITY);
-                let (lo, hi) = band.row_range(i, n, m);
-                if lo > hi {
-                    infeasible = true;
-                    break;
-                }
-                for j in lo..=hi {
-                    let d = x[i - 1] - y[j - 1];
-                    curr[j] = d * d + prev[j].min(curr[j - 1]).min(prev[j - 1]);
-                }
-                std::mem::swap(&mut prev, &mut curr);
-            }
-            if infeasible { f64::INFINITY } else { prev[m] }
-        };
+        // dtw_sq runs the EAPruned DP with nothing to prune: it is the
+        // row-min DP, bit for bit.
+        let band = Band::SakoeChiba(r);
+        let got = dtw_sq(&x, &y, band);
+        let reference = row_min_dtw(&x, &y, band, f64::INFINITY, None, None);
         prop_assert!(
-            got == reference || (got.is_infinite() && reference.is_infinite()),
-            "dtw row kernel must be bit-exact: {got} vs {reference}"
+            got.to_bits() == reference.to_bits(),
+            "dtw_sq must be the row-min DP: {got} vs {reference}"
         );
+    }
+
+    /// The EAPruned DP is the row-min DP bit for bit (see
+    /// [`check_eapruned`]): any lengths, every band, bounds on and around
+    /// the distance, `cb` tails and live bounds.
+    #[test]
+    fn eapruned_dp_is_the_row_min_dp(
+        x in series(24),
+        y in series(24),
+        seed in 0u64..1_000_000,
+    ) {
+        if let Err(e) = check_eapruned(&x, &y, seed) {
+            prop_assert!(false, "{}", e);
+        }
     }
 
     /// The lane DTW is the scalar DP in every lane (see
@@ -366,6 +360,129 @@ proptest! {
     }
 }
 
+/// The row-min DP the EAPruned one replaced: every band cell of every
+/// row (the row reset to `∞` first), the abandon test
+/// `row_min + tail > bound` after each row with `live` folded in, and the
+/// final check — the reference the scalar and lane DPs must equal bit for
+/// bit.
+fn row_min_dtw(
+    x: &[f64],
+    y: &[f64],
+    band: Band,
+    ub_sq: f64,
+    cb: Option<&[f64]>,
+    live: Option<&dyn Fn() -> f64>,
+) -> f64 {
+    let (n, m) = (x.len(), y.len());
+    let mut prev = vec![f64::INFINITY; m + 1];
+    let mut curr = vec![f64::INFINITY; m + 1];
+    prev[0] = 0.0;
+    let mut bound_sq = ub_sq;
+    for i in 1..=n {
+        curr.fill(f64::INFINITY);
+        let (lo, hi) = band.row_range(i, n, m);
+        if lo > hi {
+            return f64::INFINITY;
+        }
+        let mut row_min = f64::INFINITY;
+        for j in lo..=hi {
+            let d = x[i - 1] - y[j - 1];
+            curr[j] = d * d + prev[j].min(curr[j - 1]).min(prev[j - 1]);
+            if curr[j] < row_min {
+                row_min = curr[j];
+            }
+        }
+        let tail = cb.map_or(0.0, |cb| cb[i.max(hi).min(n)]);
+        if let Some(live) = live {
+            bound_sq = bound_sq.min(live());
+        }
+        if row_min + tail > bound_sq {
+            return f64::INFINITY;
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    if prev[m] > bound_sq {
+        f64::INFINITY
+    } else {
+        prev[m]
+    }
+}
+
+/// A live bound that reads `∞` for the first `after` rows and `then`
+/// from there on, counting its own readings: each run gets a fresh one,
+/// so every DP sees the same reading at the same row.
+fn tightening(after: usize, then: f64) -> impl Fn() -> f64 {
+    let rows = std::cell::Cell::new(0);
+    move || {
+        rows.set(rows.get() + 1);
+        if rows.get() > after {
+            then
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// The live bound a DP takes, from the one a test holds.
+fn as_dyn<F: Fn() -> f64>(live: &Option<F>) -> Option<&dyn Fn() -> f64> {
+    live.as_ref().map(|f| f as &dyn Fn() -> f64)
+}
+
+/// The bounds a DTW of full distance `d` is run under: none, exactly the
+/// distance (`>`, not `≥`, so it completes), just under it, half of it,
+/// and a seeded fraction.
+fn bounds_around(d: f64, seed: u64) -> [f64; 5] {
+    let fraction = (seed % 1000) as f64 / 1000.0;
+    [f64::INFINITY, d, d * (1.0 - 1e-12), d * 0.5, d * fraction]
+}
+
+/// The scalar EAPruned DP against [`row_min_dtw`] on one pair: every
+/// band, the bounds of [`bounds_around`], with and without a
+/// non-increasing `cb` tail, and with no live bound, a live bound that
+/// tightens mid-DP to each of those bounds, and one that reads NaN.
+fn check_eapruned(x: &[f64], y: &[f64], seed: u64) -> Result<(), String> {
+    use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
+    let mut next = xorshift(seed);
+    // A tail that only shrinks, small enough not to abandon everything.
+    let mut cb: Vec<f64> = (0..=x.len()).map(|_| (next() + 100.0) * 0.05).collect();
+    cb.sort_by(|a, b| b.total_cmp(a));
+    *cb.last_mut().expect("n + 1 entries") = 0.0;
+    let mut scratch = DtwScratch::default();
+    for band in bands() {
+        let d = row_min_dtw(x, y, band, f64::INFINITY, None, None);
+        for ub in bounds_around(d, seed) {
+            for cb in [None, Some(&cb[..])] {
+                let after = (seed % 5) as usize;
+                for live in [None, Some(ub), Some(f64::NAN)] {
+                    let reading = |live: Option<f64>| live.map(|v| tightening(after, v));
+                    let (a, b) = (reading(live), reading(live));
+                    // Under a live bound the static one starts loose.
+                    let static_ub = if live.is_some() { f64::INFINITY } else { ub };
+                    let want = row_min_dtw(x, y, band, static_ub, cb, as_dyn(&a));
+                    let got = dtw_early_abandon_sq_scratch(
+                        x,
+                        y,
+                        band,
+                        static_ub,
+                        cb,
+                        as_dyn(&b),
+                        &mut scratch,
+                    );
+                    if got.to_bits() != want.to_bits() {
+                        return Err(format!(
+                            "{band:?} n={} m={} ub={ub} cb={} live={live:?}: {got} vs {want}",
+                            x.len(),
+                            y.len(),
+                            cb.is_some(),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A seeded stream of values in `[-100, 100)`.
 fn xorshift(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -419,7 +536,7 @@ fn check_l0_block_test(query: &[f64], m: usize, seed: u64) -> Result<(), String>
     }
     // Each slot as planes of one decides as its own record does.
     for (s, &own) in bounds_of.iter().enumerate() {
-        let one = SketchPlanes::from_records(&records[s * SKETCH_STRIDE..][..SKETCH_STRIDE]);
+        let one = SketchPlanes::from_records(&records[s * SKETCH_STRIDE..][..SKETCH_STRIDE], |_| 0);
         for b in [f64::INFINITY, 0.0, own, own * 0.5] {
             for level in KernelLevel::available() {
                 let mut got = Vec::new();
@@ -432,7 +549,7 @@ fn check_l0_block_test(query: &[f64], m: usize, seed: u64) -> Result<(), String>
         }
     }
     for card in 0..=MAX_CARD {
-        let planes = SketchPlanes::from_records(&records[..card * SKETCH_STRIDE]);
+        let planes = SketchPlanes::from_records(&records[..card * SKETCH_STRIDE], |_| 0);
         if planes.cardinality() != card {
             return Err(format!(
                 "{card} records made {} slots",
@@ -468,6 +585,135 @@ fn check_l0_block_test(query: &[f64], m: usize, seed: u64) -> Result<(), String>
     Ok(())
 }
 
+/// The zone test against the block test: over 150 candidates in three
+/// zones — one near the query, one far from it, one mixed, with
+/// invalid-flag slots, constant windows and the partial last zone — and
+/// over cardinalities that leave one slot in the last zone, at every
+/// available level, a zone reject means every slot's `bound_sq` exceeds
+/// the bound and no slot is invalid, and zone-then-block survivors are
+/// block-only survivors. Returns how many zone tests rejected, so a
+/// caller can tell the property was not vacuous.
+fn check_zones(query: &[f64], m: usize, seed: u64) -> Result<usize, String> {
+    use onex_distance::kernels::KernelLevel;
+    use onex_distance::{
+        sketch, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE, ZONE_SLOTS,
+    };
+    const CARD: usize = 150;
+    let mut next = xorshift(seed);
+    let q_mean = query.iter().sum::<f64>() / query.len() as f64;
+    let candidates: Vec<Vec<f64>> = (0..CARD)
+        .map(|c| {
+            // Zone 0 sits on the query, zone 1 far above it, zone 2
+            // alternates.
+            let far = match c / ZONE_SLOTS {
+                0 => false,
+                1 => true,
+                _ => c % 2 == 0,
+            };
+            let centre = if far { q_mean + 150.0 } else { q_mean };
+            match c % 11 {
+                // Outside the frozen range: the invalid placeholder —
+                // in every zone but the far one, which can then be
+                // rejected whole.
+                3 if c / ZONE_SLOTS != 1 => vec![1e4; m],
+                // A constant window.
+                5 => vec![centre; m],
+                _ => (0..m).map(|_| centre + next() * 0.2).collect(),
+            }
+        })
+        .collect();
+    let params = SketchParams::fit(-400.0, 400.0);
+    let mut records = vec![0u8; CARD * SKETCH_STRIDE];
+    for (y, record) in candidates
+        .iter()
+        .zip(records.chunks_exact_mut(SKETCH_STRIDE))
+    {
+        sketch::encode_into(&params, y, record);
+    }
+    let radius = (seed % 5) as usize + query.len().abs_diff(m);
+    let env = Envelope::build_across(query, m, radius);
+    let qs = QuerySketch::new(query, &env, params);
+    let bound_of: Vec<f64> = records
+        .chunks_exact(SKETCH_STRIDE)
+        .map(|r| qs.bound_sq(r))
+        .collect();
+    let tag = |slot: usize| (slot as u32 / 7) ^ (seed as u32 & 3);
+    let mut rejected = 0;
+    for card in [1, 2, 63, 64, 65, 129, CARD] {
+        let planes = SketchPlanes::from_records(&records[..card * SKETCH_STRIDE], tag);
+        let view = planes.view();
+        if view.zones() != card.div_ceil(ZONE_SLOTS) {
+            return Err(format!("{card} slots in {} zones", view.zones()));
+        }
+        for z in 0..view.zones() {
+            let zone = view.zone(z);
+            let slots = z * ZONE_SLOTS..((z + 1) * ZONE_SLOTS).min(card);
+            let tags = slots.clone().map(tag);
+            let want_tags = tags.clone().min().unwrap()..=tags.max().unwrap();
+            if zone.tags() != want_tags {
+                return Err(format!(
+                    "card={card} zone {z}: tags {:?} vs {want_tags:?}",
+                    zone.tags()
+                ));
+            }
+            let invalid = slots.clone().any(|s| candidates[s][0] == 1e4);
+            let hull = qs.bound_sq(&zone.hull());
+            let lowest = slots
+                .clone()
+                .map(|s| bound_of[s])
+                .fold(f64::INFINITY, f64::min);
+            if !invalid && hull > lowest {
+                return Err(format!(
+                    "card={card} zone {z}: hull {hull} above a slot's {lowest}"
+                ));
+            }
+            let mut bounds = vec![f64::INFINITY, 0.0, hull, hull * (1.0 - 1e-12), lowest * 0.5];
+            bounds.extend(slots.clone().step_by(5).map(|s| bound_of[s]));
+            for b in bounds {
+                let skips = qs.rejects_zone(&zone, b);
+                if skips && (invalid || !slots.clone().all(|s| bound_of[s] > b)) {
+                    return Err(format!(
+                        "card={card} zone {z} b={b}: rejected a slot that passes"
+                    ));
+                }
+                if skips != (!invalid && hull > b) {
+                    return Err(format!("card={card} zone {z} b={b}: not the hull's bound"));
+                }
+                rejected += usize::from(skips);
+                for level in KernelLevel::available() {
+                    let mut block_only = Vec::new();
+                    qs.survivors_at(level, view, slots.clone(), b, &mut block_only);
+                    let mut zone_then_block = Vec::new();
+                    if !skips {
+                        qs.survivors_at(level, view, slots.clone(), b, &mut zone_then_block);
+                    }
+                    if zone_then_block != block_only {
+                        return Err(format!(
+                            "{level:?} card={card} zone {z} b={b}: {zone_then_block:?} vs {block_only:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(rejected)
+}
+
+/// Zones at the edge lengths of the block test, and the explore shape;
+/// the far zone is rejected somewhere.
+#[test]
+fn zone_test_is_sound_and_changes_no_survivor() {
+    let mut next = xorshift(91);
+    let mut rejected = 0;
+    for m in [1usize, 2, 3, 7, 8, 9, 31] {
+        for n in [1usize, m, m + 2] {
+            let query: Vec<f64> = (0..n).map(|_| next() * 0.2).collect();
+            rejected += check_zones(&query, m, (m * 13 + n) as u64).unwrap();
+        }
+    }
+    assert!(rejected > 0, "no zone was ever rejected");
+}
+
 /// The corners of the block test: one-point candidates (no last-corner
 /// term), candidates shorter than the eight segments (zero-weight
 /// segments), and the explore shape.
@@ -482,27 +728,41 @@ fn l0_block_test_edge_lengths() {
     }
 }
 
-/// `SketchPlanes` is a transpose and nothing else: records in, the same
-/// records out, grown planes keep their old slots.
+/// `SketchPlanes` is a transpose plus derived zones: records in, the same
+/// records out, grown planes keep their old slots, and planes grown a
+/// few slots at a time — across zone edges too — are byte for byte the
+/// planes built from all the records at once.
 #[test]
 fn sketch_planes_round_trip_records() {
     use onex_distance::{sketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
     let params = SketchParams::fit(-100.0, 100.0);
     let mut next = xorshift(5);
-    let mut records = vec![0u8; 37 * SKETCH_STRIDE];
+    let tag = |slot: usize| (slot as u32).wrapping_mul(2_654_435_761) >> 25;
+    let mut records = vec![0u8; 150 * SKETCH_STRIDE];
     for record in records.chunks_exact_mut(SKETCH_STRIDE) {
         let y: Vec<f64> = (0..12).map(|_| next()).collect();
         sketch::encode_into(&params, &y, record);
     }
-    let planes = SketchPlanes::from_records(&records);
+    let planes = SketchPlanes::from_records(&records, tag);
     let mut back = Vec::new();
     planes.view().write_records(&mut back);
     assert_eq!(back, records);
-    let head = SketchPlanes::from_records(&records[..10 * SKETCH_STRIDE]);
-    let grown = head.grown(37, |slot, record| {
-        record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE])
-    });
+    let head = SketchPlanes::from_records(&records[..10 * SKETCH_STRIDE], tag);
+    let record_of = |slot: usize, record: &mut [u8]| {
+        record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE]);
+        tag(slot)
+    };
+    let grown = head.grown(150, record_of);
     assert_eq!(grown, planes);
+    let mut stepped = head.clone();
+    for to in [11, 63, 64, 65, 100, 128, 129, 150] {
+        stepped = stepped.grown(to, record_of);
+        assert_eq!(
+            stepped,
+            SketchPlanes::from_records(&records[..to * SKETCH_STRIDE], tag),
+            "{to}"
+        );
+    }
     assert!(
         !grown.view().shares_storage_with(head.view())
             && head.clone().view().shares_storage_with(head.view())
@@ -514,14 +774,14 @@ fn sketch_planes_round_trip_records() {
     // up: growing from any of them to any of them gives the planes the
     // records give, the source keeps its slots, and records come back out
     // as they went in.
-    let of = |n: usize| SketchPlanes::from_records(&records[..n * SKETCH_STRIDE]);
+    let of = |n: usize| SketchPlanes::from_records(&records[..n * SKETCH_STRIDE], tag);
     for from in 0..=3 {
         for to in from..=3 {
             let source = of(from);
             let mut encoded = Vec::new();
             let grown = source.grown(to, |slot, record| {
                 encoded.push(slot);
-                record.copy_from_slice(&records[slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE])
+                record_of(slot, record)
             });
             assert_eq!(encoded, (from..to).collect::<Vec<_>>(), "{from} -> {to}");
             assert_eq!(grown, of(to), "{from} -> {to}");
@@ -549,15 +809,18 @@ fn sketch_planes_round_trip_records() {
         of(0).view().shares_storage_with(of(0).view())
             && !of(2).view().shares_storage_with(of(2).view())
     );
-    let other = SketchPlanes::from_records(&records[SKETCH_STRIDE..2 * SKETCH_STRIDE]);
+    let other = SketchPlanes::from_records(&records[SKETCH_STRIDE..2 * SKETCH_STRIDE], tag);
     assert!(of(1) != other && !of(1).view().shares_storage_with(other.view()));
 }
 
-/// `dtw_lanes` against the scalar DP, lane by lane and bit for bit: 1–4
+/// `dtw_lanes` against the row-min DP, lane by lane and bit for bit: 1–4
 /// candidates, every band, bounds that let a lane finish (`∞`, and
-/// exactly its distance), bounds that kill it, and a live bound.
+/// exactly its distance), bounds that kill it — so one lane may complete
+/// while the others die — and live bounds: one at the median distance
+/// from the first row, one that tightens to it mid-DP, one that reads
+/// NaN.
 fn check_dtw_lanes(x: &[f64], m: usize, lanes: usize, seed: u64) -> Result<(), String> {
-    use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
+    use onex_distance::dtw::DtwScratch;
     use onex_distance::kernels::{dtw_lanes_at, KernelLevel};
     let mut next = xorshift(seed);
     let ys: Vec<Vec<f64>> = (0..lanes)
@@ -582,29 +845,50 @@ fn check_dtw_lanes(x: &[f64], m: usize, lanes: usize, seed: u64) -> Result<(), S
             sorted.sort_by(f64::total_cmp);
             sorted[lanes / 2]
         };
-        let live = move || median;
-        let lives: [Option<&dyn Fn() -> f64>; 2] = [None, Some(&live)];
+        let after = (seed % 7) as usize;
         for ub_sq in [&unbounded, &mixed] {
-            for live in lives {
+            for live in [
+                None,
+                Some((0, median)),
+                Some((after, median)),
+                Some((0, f64::NAN)),
+            ] {
+                let reading = || live.map(|(after, then)| tightening(after, then));
                 let want: Vec<f64> = ys
                     .iter()
                     .zip(ub_sq)
-                    .map(|(y, &ub)| {
-                        dtw_early_abandon_sq_scratch(x, y, band, ub, None, live, &mut scratch)
-                    })
+                    .map(|(y, &ub)| row_min_dtw(x, y, band, ub, None, as_dyn(&reading())))
                     .collect();
                 for level in KernelLevel::available() {
+                    // The scalar level runs the candidates one after
+                    // another, each reading the live bound row by row, so
+                    // a bound that changes between readings only reads the
+                    // same to every lane when one step runs them all.
+                    let once_a_row = level != KernelLevel::Scalar || lanes == 1;
+                    if live.is_some_and(|(after, _)| after > 0) && !once_a_row {
+                        continue;
+                    }
                     let mut got = vec![f64::NAN; lanes];
-                    dtw_lanes_at(level, x, &ys, band, ub_sq, live, &mut scratch, &mut got);
+                    let live = reading();
+                    dtw_lanes_at(
+                        level,
+                        x,
+                        &ys,
+                        band,
+                        ub_sq,
+                        as_dyn(&live),
+                        &mut scratch,
+                        &mut got,
+                    );
                     let same = got
                         .iter()
                         .zip(&want)
                         .all(|(g, w)| g.to_bits() == w.to_bits());
                     if !same {
                         return Err(format!(
-                            "{level:?} {band:?} n={} m={m} ub={ub_sq:?} live={}: {got:?} vs {want:?}",
+                            "{level:?} {band:?} n={} m={m} ub={ub_sq:?} live={live:?}: {got:?} vs {want:?}",
                             x.len(),
-                            live.is_some(),
+                            live = live.is_some(),
                         ));
                     }
                 }
@@ -699,6 +983,19 @@ fn envelope_across_rejects_a_radius_below_the_length_gap() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The zone test only ever skips what the block test rejects (see
+    /// [`check_zones`]), at any query / candidate length.
+    #[test]
+    fn zone_test_equals_the_block_test(
+        x in series(40),
+        m in 1usize..=40,
+        seed in 0u64..1_000_000,
+    ) {
+        if let Err(e) = check_zones(&x, m, seed) {
+            prop_assert!(false, "{}", e);
+        }
+    }
 
     /// The L0 block test is the per-record bound applied slot by slot
     /// (see [`check_l0_block_test`]), at any query / candidate length.

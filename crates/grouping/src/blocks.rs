@@ -360,7 +360,7 @@ impl GroupColumn {
         let more = (many || representative.is_some() || radius.to_bits() != 0).then(|| GroupMore {
             radius,
             representative,
-            planes: SketchPlanes::from_records(records),
+            planes: SketchPlanes::from_records(records, |slot| members[slot].series),
             members: if many { members } else { Vec::new() },
         });
         self.push_slot(first, more);
@@ -422,8 +422,9 @@ impl GroupColumn {
     /// record)` fills the (zeroed) record of each member not sketched
     /// yet. A group of two or more gets new planes of its own — the slots
     /// it had plus the new ones, the first member among them when the
-    /// group grew from one — so the planes an earlier epoch reads are
-    /// never rewritten. A group of one keeps no sketch, and a group that
+    /// group grew from one, each tagged with its member's series so a
+    /// zone knows the series it spans — so the planes an earlier epoch
+    /// reads are never rewritten. A group of one keeps no sketch, and a group that
     /// gained nothing is left alone: neither has its block copied.
     pub(crate) fn sketch_group(
         &mut self,
@@ -436,7 +437,9 @@ impl GroupColumn {
             return;
         }
         let grown = done.grown(members.len(), |slot, record| {
-            encode(members.at(slot), record)
+            let member = members.at(slot);
+            encode(member, record);
+            member.series
         });
         let block = Arc::make_mut(&mut self.blocks[index / BLOCK]);
         let slot = index % BLOCK;

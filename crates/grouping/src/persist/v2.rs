@@ -39,8 +39,11 @@
 //! [`SketchParams`] so appended members keep encoding under the same
 //! quantisation. The section is an array of 24-byte records whatever the
 //! base holds in memory: a load transposes each group's run of records
-//! into the group's own planes as it copies them, and a save writes
-//! records back. A group of one has no record: it keeps no sketch.
+//! into the group's own planes as it copies them, deriving the planes'
+//! zones (one per 64 members) from the records and the members' series,
+//! and a save writes records back: zones are never stored, so the image
+//! is the one a base without them wrote. A group of one has no record: it
+//! keeps no sketch.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -7,7 +7,10 @@
 //! [`PlanesRef`] ([`crate::GroupView::planes`]), tests a run of a
 //! group's members at a time ([`onex_distance::QuerySketch::survivors`])
 //! and rejects those whose sketch lower bound already exceeds the pruning
-//! bound — before resolving any f64 data. A group of one keeps no sketch:
+//! bound — before resolving any f64 data — a whole zone of 64 members at
+//! a time where the zone's hull already does. Each sketch is tagged with
+//! its member's series, so a zone also knows the series it spans. A group
+//! of one keeps no sketch:
 //! its representative is its member's window, so the representative's
 //! DTW, which the search computes anyway, answers for the member. On a
 //! collection that does not compact that is nearly every window. The

@@ -372,14 +372,19 @@ impl App {
                 Json::s(onex_distance::kernels::level().label()),
             ),
             // Lifetime per-tier prune counters of the pruning cascade
-            // (L0 sketch → LB_Kim → LB_Keogh → early-abandoned DTW).
+            // (zone → L0 block → LB_Kim → LB_Keogh → EAPruned DTW):
+            // `zone` counts the L0 rejects a zone skipped whole, a part of
+            // `l0`, and `dtw_cells` the DP cells the DTWs computed. The
+            // per-query `stats.tiers` of `/api/match` keeps its fields.
             (
                 "tier_prunes",
                 Json::obj(vec![
                     ("l0", lifetime.members_l0_pruned.into()),
+                    ("zone", lifetime.members_zone_skipped.into()),
                     ("kim", lifetime.members_kim_pruned.into()),
                     ("keogh", lifetime.members_lb_pruned.into()),
                     ("dtw_abandoned", lifetime.dtw_abandoned.into()),
+                    ("dtw_cells", lifetime.dtw_cells.into()),
                 ]),
             ),
             ("per_length", Json::Arr(per_length)),
@@ -936,6 +941,8 @@ mod tests {
         assert!(tiers.contains("\"kim\":"), "{tiers}");
         assert!(tiers.contains("\"keogh\":"), "{tiers}");
         assert!(tiers.contains("\"dtw_abandoned\":"), "{tiers}");
+        assert!(tiers.contains("\"zone\":"), "{tiers}");
+        assert!(!tiers.contains("\"dtw_cells\":0"), "a DTW ran: {tiers}");
     }
 
     #[test]
