@@ -193,8 +193,11 @@ fn k_best_is_exact_across_lengths_and_bands() {
         (&inside, LengthSelection::Nearest(3)),
         (&beyond, LengthSelection::Nearest(3)),
     ];
+    // `SakoeChiba(0)` runs at radius `|n − m|`: 0 at the query's own
+    // length, up to 5 for the 17-point query at length 12.
     for band in [
         Band::Full,
+        Band::SakoeChiba(0),
         Band::SakoeChiba(1),
         Band::SakoeChiba(3),
         Band::Itakura,

@@ -15,19 +15,28 @@
 //! * [`sliding_minmax`] is **bit-exact** across levels: min/max of finite
 //!   values is exact arithmetic.
 //! * The accumulating kernels ([`sum_sq_diff`], [`sum_sq_diff_ea`],
-//!   [`env_excess_sq`], …) sum in SIMD lanes and therefore round in a
-//!   different order than the scalar reference — results agree to within
-//!   a few ulps (property-tested at `1e-9` relative), and an
-//!   early-abandon decision sitting exactly on that ulp boundary may
-//!   differ between levels. Both outcomes are sound: the returned value
-//!   is a correctly-rounded sum of the same terms either way.
-//!
+//!   [`env_excess_sq`], …) sum in a fixed order at each level: the scalar
+//!   reference term by term; AVX2 in four lane partials a 16-term block,
+//!   folded as `(v0 + v2) + (v1 + v3)` into the running sum, then the
+//!   tail through the scalar loop (unit-tested bit for bit). Across
+//!   levels results agree to within a few ulps (property-tested at
+//!   `1e-9` relative), and an early-abandon decision exactly on that ulp
+//!   boundary may differ. Both outcomes are sound: the returned value is
+//!   a correctly-rounded sum of the same terms either way.
 //! * The two **lanes = candidates** kernels — [`dtw_lanes`] and the L0
 //!   block test behind [`crate::sketch::QuerySketch::survivors`] — put
 //!   one candidate in each 64-bit lane of a 256-bit vector and run, per
 //!   lane, the scalar reference's operations in the scalar reference's
 //!   order (no fused multiply-add, `min`/`max` over values that are never
 //!   NaN for finite inputs), so they are **bit-exact** too.
+//!
+//! ## Where `unsafe` remains
+//!
+//! The AVX2 kernels are safe `#[target_feature(enable = "avx2")]`
+//! functions computing with value intrinsics. Three kinds of `unsafe`
+//! block remain, each with its `SAFETY:` line: each dispatch's call after
+//! `avx2(l)` found the CPU feature; `load` and `store`, whose `&[f64; 4]`
+//! (from `as_chunks::<4>()`) carries the bound; and the L0 cursor's read.
 //!
 //! ## The DTW tier
 //!
@@ -37,20 +46,20 @@
 //! single candidates, [`dtw_lanes`] for members four at a time. Each row
 //! computes only the window of columns a path within the threshold can
 //! still reach, and the result is the full DP's bit for bit (see the
-//! scalar DP's docs). The lane DP is safe `[f64; 4]` code inside a
-//! `#[target_feature(enable = "avx2")]` function: the compiler emits one
-//! AVX2 instruction per array operation, and the only `unsafe` left is
-//! the call from code compiled without the feature.
+//! scalar DP's docs).
 //!
 //! The `_at` variants take an explicit [`KernelLevel`] so benchmarks and
-//! property tests can pin a path regardless of what [`level`] detected.
+//! property tests can pin a path regardless of what [`level`] detected;
+//! asked for [`KernelLevel::Avx2`] on a CPU without it, they run scalar.
 #![allow(unsafe_code)]
 
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use crate::dtw::{dtw_early_abandon_sq_scratch, Band, DtwScratch};
-use crate::sketch::{self, QuerySketch, SKETCH_PLANES, SKETCH_SEGMENTS};
+use crate::sketch::{self, QuerySketch, SKETCH_PLANES};
 
 /// Which instruction set the dispatched kernels run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +85,8 @@ impl KernelLevel {
     /// sweeps, regardless of the `ONEX_FORCE_SCALAR` override honoured
     /// by [`level`].
     pub fn available() -> Vec<KernelLevel> {
-        #[allow(unused_mut)]
         let mut v = vec![KernelLevel::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
+        if avx2(KernelLevel::Avx2) {
             v.push(KernelLevel::Avx2);
         }
         v
@@ -102,6 +109,43 @@ fn detect() -> KernelLevel {
     *KernelLevel::available()
         .last()
         .expect("scalar always present")
+}
+
+/// True when `l` asks for AVX2 and this CPU has it: the one check in
+/// front of every AVX2 kernel call, and what makes those calls sound.
+fn avx2(l: KernelLevel) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let cpu = || is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let cpu = || false;
+    l == KernelLevel::Avx2 && cpu()
+}
+
+/// Four doubles into a vector; the array type carries the bound.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn load(quad: &[f64; 4]) -> __m256d {
+    // SAFETY: `quad` is 32 readable bytes, and `loadu` takes any alignment.
+    unsafe { _mm256_loadu_pd(quad.as_ptr()) }
+}
+
+/// A vector into four doubles; the array type carries the bound.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn store(quad: &mut [f64; 4], v: __m256d) {
+    // SAFETY: `quad` is 32 writable bytes, and `storeu` takes any alignment.
+    unsafe { _mm256_storeu_pd(quad.as_mut_ptr(), v) }
+}
+
+/// `(v0 + v2) + (v1 + v3)`: the fold of one block's lane partials.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn hsum256(v: __m256d) -> f64 {
+    let s = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+    _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
 }
 
 /// How many accumulated terms between early-abandon checks in the
@@ -131,24 +175,25 @@ pub fn sum_sq_diff_ea(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
     sum_sq_diff_ea_at(level(), x, y, ub_sq)
 }
 
-/// [`sum_sq_diff_ea`] on an explicit level (bench/property-test entry;
-/// levels this build cannot run fall back to scalar).
+/// [`sum_sq_diff_ea`] on an explicit level (bench/property-test entry).
+/// [`KernelLevel::Avx2`] runs the scalar reference on a CPU without
+/// AVX2.
 ///
 /// # Panics
 /// Panics when lengths differ.
 pub fn sum_sq_diff_ea_at(l: KernelLevel, x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
     assert_eq!(x.len(), y.len(), "ED requires equal lengths");
-    match l {
-        KernelLevel::Scalar => sum_sq_diff_scalar(x, y, ub_sq),
+    if avx2(l) {
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 => unsafe { sum_sq_diff_avx2(x, y, ub_sq) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => sum_sq_diff_scalar(x, y, ub_sq),
+        return unsafe { sum_sq_diff_avx2(x, y, ub_sq) };
     }
+    sum_sq_diff_scalar(x, y, 0.0, ub_sq)
 }
 
-fn sum_sq_diff_scalar(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
-    let mut acc = 0.0;
+/// The scalar reference from the running sum `acc`: the whole sum at
+/// the scalar level, the tail after the last full block at AVX2.
+fn sum_sq_diff_scalar(x: &[f64], y: &[f64], mut acc: f64, ub_sq: f64) -> f64 {
     for (cx, cy) in x.chunks(EA_BLOCK).zip(y.chunks(EA_BLOCK)) {
         for (a, b) in cx.iter().zip(cy) {
             let d = a - b;
@@ -163,37 +208,22 @@ fn sum_sq_diff_scalar(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn sum_sq_diff_avx2(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
-    use core::arch::x86_64::*;
-    let n = x.len();
-    let mut acc = 0.0f64;
-    let mut i = 0;
-    while i + EA_BLOCK <= n {
+fn sum_sq_diff_avx2(x: &[f64], y: &[f64], ub_sq: f64) -> f64 {
+    let (x_blocks, x_tail) = x.as_chunks::<EA_BLOCK>();
+    let (y_blocks, y_tail) = y.as_chunks::<EA_BLOCK>();
+    let mut acc = 0.0;
+    for (xb, yb) in x_blocks.iter().zip(y_blocks) {
         let mut v = _mm256_setzero_pd();
-        let mut k = 0;
-        while k < EA_BLOCK {
-            let d = _mm256_sub_pd(
-                _mm256_loadu_pd(x.as_ptr().add(i + k)),
-                _mm256_loadu_pd(y.as_ptr().add(i + k)),
-            );
+        for (xq, yq) in xb.as_chunks::<4>().0.iter().zip(yb.as_chunks::<4>().0) {
+            let d = _mm256_sub_pd(load(xq), load(yq));
             v = _mm256_add_pd(v, _mm256_mul_pd(d, d));
-            k += 4;
         }
         acc += hsum256(v);
         if acc > ub_sq {
             return f64::INFINITY;
         }
-        i += EA_BLOCK;
     }
-    while i < n {
-        let d = x[i] - y[i];
-        acc += d * d;
-        i += 1;
-    }
-    if acc > ub_sq {
-        return f64::INFINITY;
-    }
-    acc
+    sum_sq_diff_scalar(x_tail, y_tail, acc, ub_sq)
 }
 
 // ---------------------------------------------------------------------
@@ -259,7 +289,8 @@ pub fn env_excess_sq(x: &[f64], lower: &[f64], upper: &[f64], aff: EnvAffine, ub
     env_excess_sq_at(level(), x, lower, upper, aff, ub_sq)
 }
 
-/// [`env_excess_sq`] on an explicit level.
+/// [`env_excess_sq`] on an explicit level. [`KernelLevel::Avx2`] runs
+/// the scalar reference on a CPU without AVX2.
 ///
 /// # Panics
 /// Panics when the three slices have different lengths.
@@ -271,17 +302,7 @@ pub fn env_excess_sq_at(
     aff: EnvAffine,
     ub_sq: f64,
 ) -> f64 {
-    assert!(
-        x.len() == lower.len() && x.len() == upper.len(),
-        "LB_Keogh requires equal lengths"
-    );
-    match l {
-        KernelLevel::Scalar => env_excess_scalar(x, lower, upper, aff, ub_sq, None),
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 => unsafe { env_excess_avx2(x, lower, upper, aff, ub_sq, None) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => env_excess_scalar(x, lower, upper, aff, ub_sq, None),
-    }
+    env_excess_at(l, x, lower, upper, aff, ub_sq, None)
 }
 
 /// [`env_excess_sq`] that also records each position's squared
@@ -300,28 +321,48 @@ pub fn env_excess_contrib(
     ub_sq: f64,
     contrib: &mut [f64],
 ) -> f64 {
-    assert!(
-        x.len() == lower.len() && x.len() == upper.len() && x.len() == contrib.len(),
-        "LB_Keogh requires equal lengths"
-    );
-    match level() {
-        KernelLevel::Scalar => env_excess_scalar(x, lower, upper, aff, ub_sq, Some(contrib)),
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 => unsafe { env_excess_avx2(x, lower, upper, aff, ub_sq, Some(contrib)) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => env_excess_scalar(x, lower, upper, aff, ub_sq, Some(contrib)),
-    }
+    assert_eq!(x.len(), contrib.len(), "LB_Keogh requires equal lengths");
+    env_excess_at(level(), x, lower, upper, aff, ub_sq, Some(contrib))
 }
 
-fn env_excess_scalar(
+/// The dispatch behind [`env_excess_sq_at`] and [`env_excess_contrib`].
+fn env_excess_at(
+    l: KernelLevel,
     x: &[f64],
     lower: &[f64],
     upper: &[f64],
     aff: EnvAffine,
     ub_sq: f64,
+    contrib: Option<&mut [f64]>,
+) -> f64 {
+    assert!(
+        x.len() == lower.len() && x.len() == upper.len(),
+        "LB_Keogh requires equal lengths"
+    );
+    if avx2(l) {
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe {
+            match contrib {
+                Some(c) => env_excess_avx2::<true>(x, lower, upper, aff, ub_sq, c),
+                None => env_excess_avx2::<false>(x, lower, upper, aff, ub_sq, &mut []),
+            }
+        };
+    }
+    env_excess_scalar(x, lower, upper, aff, 0.0, ub_sq, contrib)
+}
+
+/// The scalar reference, continuing from the running sum `acc` (see
+/// [`sum_sq_diff_scalar`]).
+fn env_excess_scalar(
+    x: &[f64],
+    lower: &[f64],
+    upper: &[f64],
+    aff: EnvAffine,
+    mut acc: f64,
+    ub_sq: f64,
     mut contrib: Option<&mut [f64]>,
 ) -> f64 {
-    let mut acc = 0.0;
     let mut i = 0;
     let n = x.len();
     while i < n {
@@ -345,70 +386,60 @@ fn env_excess_scalar(
     acc
 }
 
+/// The AVX2 form over the full blocks, then the scalar tail; with
+/// `STORE` it writes each squared exceedance to `contrib`. A loop for
+/// each form keeps both at the raw-pointer kernel's speed, where one
+/// shared loop ran 1.1–1.9× slower.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn env_excess_avx2(
+fn env_excess_avx2<const STORE: bool>(
     x: &[f64],
     lower: &[f64],
     upper: &[f64],
     aff: EnvAffine,
     ub_sq: f64,
-    mut contrib: Option<&mut [f64]>,
+    contrib: &mut [f64],
 ) -> f64 {
-    use core::arch::x86_64::*;
-    let n = x.len();
     let (xs, xm) = (_mm256_set1_pd(aff.x_sub), _mm256_set1_pd(aff.x_mul));
     let (es, em) = (_mm256_set1_pd(aff.e_sub), _mm256_set1_pd(aff.e_mul));
     let zero = _mm256_setzero_pd();
-    let mut acc = 0.0f64;
-    let mut i = 0;
-    while i + EA_BLOCK <= n {
-        let mut v = _mm256_setzero_pd();
-        let mut k = 0;
-        while k < EA_BLOCK {
-            let p = i + k;
-            let xv = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(x.as_ptr().add(p)), xs), xm);
-            let lo = _mm256_mul_pd(
-                _mm256_sub_pd(_mm256_loadu_pd(lower.as_ptr().add(p)), es),
-                em,
-            );
-            let hi = _mm256_mul_pd(
-                _mm256_sub_pd(_mm256_loadu_pd(upper.as_ptr().add(p)), es),
-                em,
-            );
+    let (x_blocks, x_tail) = x.as_chunks::<EA_BLOCK>();
+    let (lo_blocks, lo_tail) = lower.as_chunks::<EA_BLOCK>();
+    let (hi_blocks, hi_tail) = upper.as_chunks::<EA_BLOCK>();
+    let (c_blocks, c_tail) = contrib.as_chunks_mut::<EA_BLOCK>();
+    let mut c_blocks = c_blocks.iter_mut();
+    let mut spare = [0.0; EA_BLOCK];
+    let mut acc = 0.0;
+    for ((xb, lb), hb) in x_blocks.iter().zip(lo_blocks).zip(hi_blocks) {
+        let cb = if STORE {
+            c_blocks.next().expect("contrib as long as x")
+        } else {
+            &mut spare
+        };
+        let quads = xb.as_chunks::<4>().0.iter();
+        let quads = quads.zip(lb.as_chunks::<4>().0).zip(hb.as_chunks::<4>().0);
+        let mut v = zero;
+        for (cq, ((xq, lq), hq)) in cb.as_chunks_mut::<4>().0.iter_mut().zip(quads) {
+            let xv = _mm256_mul_pd(_mm256_sub_pd(load(xq), xs), xm);
+            let lo = _mm256_mul_pd(_mm256_sub_pd(load(lq), es), em);
+            let hi = _mm256_mul_pd(_mm256_sub_pd(load(hq), es), em);
             let d = _mm256_max_pd(
                 _mm256_max_pd(_mm256_sub_pd(xv, hi), _mm256_sub_pd(lo, xv)),
                 zero,
             );
             let dd = _mm256_mul_pd(d, d);
-            if let Some(c) = contrib.as_deref_mut() {
-                _mm256_storeu_pd(c.as_mut_ptr().add(p), dd);
+            if STORE {
+                store(cq, dd);
             }
             v = _mm256_add_pd(v, dd);
-            k += 4;
         }
         acc += hsum256(v);
         if acc > ub_sq {
             return f64::INFINITY;
         }
-        i += EA_BLOCK;
     }
-    while i < n {
-        let xv = (x[i] - aff.x_sub) * aff.x_mul;
-        let lo = (lower[i] - aff.e_sub) * aff.e_mul;
-        let hi = (upper[i] - aff.e_sub) * aff.e_mul;
-        let d = (xv - hi).max(lo - xv).max(0.0);
-        let dd = d * d;
-        if let Some(c) = contrib.as_deref_mut() {
-            c[i] = dd;
-        }
-        acc += dd;
-        i += 1;
-    }
-    if acc > ub_sq {
-        return f64::INFINITY;
-    }
-    acc
+    let c_tail = STORE.then_some(c_tail);
+    env_excess_scalar(x_tail, lo_tail, hi_tail, aff, acc, ub_sq, c_tail)
 }
 
 // ---------------------------------------------------------------------
@@ -488,13 +519,13 @@ pub fn dtw_lanes_at(
         "lanes hold equal-length candidates"
     );
     #[cfg(target_arch = "x86_64")]
-    if l == KernelLevel::Avx2 && lanes > 1 && is_x86_feature_detected!("avx2") {
+    if avx2(l) && lanes > 1 {
         let (yt, rows) = scratch.lane_rows(m).split_at_mut(m);
         let bounds: Lanes = std::array::from_fn(|lane| ub_sq[lane.min(lanes - 1)]);
         for (j, column) in yt.iter_mut().enumerate() {
             *column = std::array::from_fn(|lane| ys[lane.min(lanes - 1)][j]);
         }
-        // SAFETY: AVX2 was detected just above; the kernel is safe code.
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
         let (done, cells) = unsafe { dtw_lanes_avx2(x, band, bounds, live, yt, rows) };
         out.copy_from_slice(&done[..lanes]);
         scratch.add_cells(cells * lanes as u64);
@@ -510,10 +541,7 @@ pub fn dtw_lanes_at(
 /// [`dtw_early_abandon_sq_scratch`] on [`Lanes`], over the transposed
 /// candidates `yt` (`m` columns) and two DP rows of `m + 1` columns in
 /// `rows` (column 0 is the virtual "before y" edge). Returns the lanes'
-/// results and the DP columns computed.
-///
-/// Safe code: the `[f64; 4]` operations compile to one AVX2 instruction
-/// each under the target feature, `min` as `a < b ? a : b` — the
+/// results and the DP columns computed. `min` is `a < b ? a : b` — the
 /// semantics of `vminpd`, and of `f64::min` on values that are not NaN.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -687,95 +715,90 @@ pub(crate) fn l0_survivors_at(
     bound_sq: f64,
     out: &mut Vec<usize>,
 ) {
-    let stepped = match l {
+    if avx2(l) {
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 if is_x86_feature_detected!("avx2") => {
-            // SAFETY: AVX2 was detected just above; the kernel checks the
-            // plane lengths itself.
-            unsafe { l0_survivors_avx2(qs, views, first_slot, bound_sq, out) }
-        }
-        _ => 0,
-    };
+        return unsafe { l0_survivors_avx2(qs, views, first_slot, bound_sq, out) };
+    }
     let len = views[sketch::PLANE_FLAGS].len();
-    qs.survivors_scalar(views, stepped..len, first_slot, bound_sq, out);
+    qs.survivors_scalar(views, 0..len, first_slot, bound_sq, out);
 }
 
-/// Four consecutive quantisation levels of a plane, dequantised:
-/// `vmin + level · step` per lane, the operations of
-/// [`sketch::SketchParams::dequant`].
-///
-/// # Safety
-/// The CPU must support AVX2 and `levels` must be valid for a 4-byte read.
+/// The L0 cursor. Its fields are private to this module, so every
+/// `Quad` comes from [`Quad::steps`](cursor::Quad::steps).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn dequant4(
-    levels: *const u8,
-    vmin: core::arch::x86_64::__m256d,
-    step: core::arch::x86_64::__m256d,
-) -> core::arch::x86_64::__m256d {
-    use core::arch::x86_64::*;
-    let bytes = _mm_cvtsi32_si128(levels.cast::<i32>().read_unaligned());
-    let level = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bytes));
-    _mm256_add_pd(vmin, _mm256_mul_pd(level, step))
+mod cursor {
+    use crate::sketch::SKETCH_PLANES;
+
+    /// Positions `at..at + 4` of every plane of a block.
+    pub(super) struct Quad<'a> {
+        views: &'a [&'a [u8]; SKETCH_PLANES],
+        at: usize,
+    }
+
+    impl<'a> Quad<'a> {
+        /// Step `k` at position `4k`, for every `k < steps = len / 4`.
+        ///
+        /// # Panics
+        /// Panics when the views are not all `len` bytes.
+        pub(super) fn steps(
+            views: &'a [&'a [u8]; SKETCH_PLANES],
+        ) -> impl Iterator<Item = (usize, Self)> {
+            let len = views[0].len();
+            let same = views.iter().all(|plane| plane.len() == len);
+            assert!(same, "sketch planes of unequal length");
+            (0..len / 4).map(move |k| (4 * k, Quad { views, at: 4 * k }))
+        }
+
+        /// Plane `p`'s four levels at this step.
+        pub(super) fn read(&self, p: usize) -> [u8; 4] {
+            // SAFETY: `at + 4 = 4k + 4 ≤ len` for a step `k < len / 4`,
+            // and `steps` checked that every plane is `len` bytes.
+            let quad = unsafe { self.views[p].get_unchecked(self.at..self.at + 4) };
+            quad.try_into().expect("four bytes")
+        }
+    }
 }
 
 /// The AVX2 block test: per lane the operations of
 /// [`QuerySketch::bound_sq`] in its order — corner part first, the
 /// segment planes only for a step the corner part does not reject whole.
-/// A step holding an invalid-flag slot goes to the scalar reference.
-/// Returns the positions covered: the largest multiple of 4 within the
-/// views.
-///
-/// # Safety
-/// The CPU must support AVX2. Every plane read is at positions
-/// `i..i + 4` with `i + 4 ≤ len`, and the release assert inside checks
-/// once that all [`SKETCH_PLANES`] views are `len` bytes.
+/// A step holding an invalid-flag slot goes to the scalar reference, as
+/// do the positions after the last full step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn l0_survivors_avx2(
+fn l0_survivors_avx2(
     qs: &QuerySketch,
     views: &[&[u8]; SKETCH_PLANES],
     first_slot: usize,
     bound_sq: f64,
     out: &mut Vec<usize>,
-) -> usize {
-    use core::arch::x86_64::*;
+) {
     let len = views[sketch::PLANE_FLAGS].len();
-    assert!(
-        views.iter().all(|plane| plane.len() == len),
-        "sketch planes of unequal length"
-    );
-    let stepped = len - len % 4;
     let vmin = _mm256_set1_pd(qs.params.vmin);
     let step = _mm256_set1_pd(qs.params.step);
     let (q_first, q_last) = (_mm256_set1_pd(qs.q_first), _mm256_set1_pd(qs.q_last));
     let bound = _mm256_set1_pd(bound_sq);
     let zero = _mm256_setzero_pd();
     let invalid = u32::from_ne_bytes([sketch::FLAG_INVALID; 4]);
-    for i in (0..stepped).step_by(4) {
-        // Four levels of plane `p` at this step, dequantised.
-        // SAFETY (both reads below): `i + 4 ≤ stepped ≤ len`, and every
-        // view is `len` bytes by the assert above, so bytes `i..i + 4` of
-        // any plane are inside its slice; `p` is bounds-checked by the
-        // array index.
-        let at = |p: usize| dequant4(views[p].as_ptr().add(i), vmin, step);
-        let flags = views[sketch::PLANE_FLAGS]
-            .as_ptr()
-            .add(i)
-            .cast::<u32>()
-            .read_unaligned();
-        if flags & invalid != 0 {
+    // max(q − hi, lo − q, 0)², as the scalar `gap`.
+    let gap_sq = |q: __m256d, lo: __m256d, hi: __m256d| {
+        let d = _mm256_max_pd(
+            _mm256_max_pd(_mm256_sub_pd(q, hi), _mm256_sub_pd(lo, q)),
+            zero,
+        );
+        _mm256_mul_pd(d, d)
+    };
+    for (i, quad) in cursor::Quad::steps(views) {
+        if u32::from_ne_bytes(quad.read(sketch::PLANE_FLAGS)) & invalid != 0 {
             qs.survivors_scalar(views, i..i + 4, first_slot, bound_sq, out);
             continue;
         }
-        // max(q − hi, lo − q, 0)², as the scalar `gap`.
-        let gap_sq = |q: __m256d, lo: __m256d, hi: __m256d| {
-            let d = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(q, hi), _mm256_sub_pd(lo, q)),
-                zero,
-            );
-            _mm256_mul_pd(d, d)
+        // Four levels of plane `p` at this step, dequantised:
+        // `vmin + level · step`, the operations of `SketchParams::dequant`.
+        let at = |p: usize| {
+            let levels = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(i32::from_ne_bytes(quad.read(p))));
+            _mm256_add_pd(vmin, _mm256_mul_pd(_mm256_cvtepi32_pd(levels), step))
         };
         let mut kim = gap_sq(
             q_first,
@@ -791,7 +814,7 @@ unsafe fn l0_survivors_avx2(
         let mut rejected = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(kim, bound));
         if rejected != 0b1111 {
             let mut seg_sq = zero;
-            for s in 0..SKETCH_SEGMENTS {
+            for s in 0..sketch::SKETCH_SEGMENTS {
                 let (h, l, w) = qs.segments[s];
                 if w == 0.0 {
                     continue;
@@ -818,7 +841,7 @@ unsafe fn l0_survivors_avx2(
             }
         }
     }
-    stepped
+    qs.survivors_scalar(views, len - len % 4..len, first_slot, bound_sq, out);
 }
 
 // ---------------------------------------------------------------------
@@ -842,11 +865,12 @@ pub fn sliding_minmax_at(l: KernelLevel, y: &[f64], radius: usize) -> (Vec<f64>,
     if y.is_empty() || radius == 0 {
         return (y.to_vec(), y.to_vec());
     }
-    match l {
+    if avx2(l) {
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Avx2 if is_x86_feature_detected!("avx2") => sliding_minmax_vhgw(y, radius),
-        _ => sliding_minmax_deque(y, radius),
+        return unsafe { sliding_minmax_vhgw(y, radius) };
     }
+    sliding_minmax_deque(y, radius)
 }
 
 /// Lemire's streaming deques (the scalar reference).
@@ -903,6 +927,7 @@ fn sliding_minmax_deque(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
 /// then a vectorisable merge. O(n) with ~3 comparisons per element and
 /// no branches in the merge.
 #[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
 fn sliding_minmax_vhgw(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
     let n = y.len();
     let w = 2 * radius + 1;
@@ -942,60 +967,33 @@ fn sliding_minmax_vhgw(y: &[f64], radius: usize) -> (Vec<f64>, Vec<f64>) {
     let mut upper = vec![0.0; n];
     // out[i] covers arr[i .. i+w); it spans at most two blocks, so the
     // suffix of the first and the prefix of the second cover it exactly.
-    // SAFETY: the one caller detected AVX2; the merge reads `i + w - 1 + 3
-    // < n + 2·radius` at most, inside every prefix/suffix array.
-    unsafe {
-        vhgw_merge_avx2(
-            &suf_min, &suf_max, &pre_min, &pre_max, w, &mut lower, &mut upper,
-        )
-    }
+    let (min, max) = (|a, b| _mm256_min_pd(a, b), |a, b| _mm256_max_pd(a, b));
+    vhgw_merge(&suf_min, &pre_min[w - 1..], &mut lower, min, f64::min);
+    vhgw_merge(&suf_max, &pre_max[w - 1..], &mut upper, max, f64::max);
     (lower, upper)
 }
 
+/// `out[i] = ext(suf[i], pre[i])`: four positions a vector with `vext`,
+/// the rest one at a time with `ext`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn vhgw_merge_avx2(
-    suf_min: &[f64],
-    suf_max: &[f64],
-    pre_min: &[f64],
-    pre_max: &[f64],
-    w: usize,
-    lower: &mut [f64],
-    upper: &mut [f64],
+fn vhgw_merge(
+    suf: &[f64],
+    pre: &[f64],
+    out: &mut [f64],
+    vext: impl Fn(__m256d, __m256d) -> __m256d,
+    ext: fn(f64, f64) -> f64,
 ) {
-    use core::arch::x86_64::*;
-    let n = lower.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let lo = _mm256_min_pd(
-            _mm256_loadu_pd(suf_min.as_ptr().add(i)),
-            _mm256_loadu_pd(pre_min.as_ptr().add(i + w - 1)),
-        );
-        let hi = _mm256_max_pd(
-            _mm256_loadu_pd(suf_max.as_ptr().add(i)),
-            _mm256_loadu_pd(pre_max.as_ptr().add(i + w - 1)),
-        );
-        _mm256_storeu_pd(lower.as_mut_ptr().add(i), lo);
-        _mm256_storeu_pd(upper.as_mut_ptr().add(i), hi);
-        i += 4;
+    let n = out.len();
+    let (out_quads, out_tail) = out.as_chunks_mut::<4>();
+    let (suf_quads, suf_tail) = suf[..n].as_chunks::<4>();
+    let (pre_quads, pre_tail) = pre[..n].as_chunks::<4>();
+    for ((o, s), p) in out_quads.iter_mut().zip(suf_quads).zip(pre_quads) {
+        store(o, vext(load(s), load(p)));
     }
-    while i < n {
-        lower[i] = suf_min[i].min(pre_min[i + w - 1]);
-        upper[i] = suf_max[i].max(pre_max[i + w - 1]);
-        i += 1;
+    for ((o, s), p) in out_tail.iter_mut().zip(suf_tail).zip(pre_tail) {
+        *o = ext(*s, *p);
     }
-}
-
-// ---------------------------------------------------------------------
-// Horizontal sums.
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn hsum256(v: core::arch::x86_64::__m256d) -> f64 {
-    use core::arch::x86_64::*;
-    let s = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-    _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
 }
 
 #[cfg(test)]
@@ -1093,6 +1091,142 @@ mod tests {
         assert!(contrib.iter().all(|c| c.is_finite()), "zeros written too");
         let sum: f64 = contrib.iter().sum();
         assert!((total - sum).abs() <= 1e-9 * total.max(1.0));
+    }
+
+    /// The AVX2 accumulators' summation order, term by term: four lane
+    /// partials per `EA_BLOCK`-term block (term `k` into lane `k % 4`),
+    /// folded as `(v0 + v2) + (v1 + v3)` into the running sum, which is
+    /// tested against the bound after every block; then the sequential
+    /// tail, tested once more.
+    fn lane_order_sum(terms: &[f64], ub_sq: f64) -> f64 {
+        let (blocks, tail) = terms.as_chunks::<EA_BLOCK>();
+        let mut acc = 0.0;
+        for block in blocks {
+            let mut v = [0.0; 4];
+            for (k, t) in block.iter().enumerate() {
+                v[k % 4] += t;
+            }
+            acc += (v[0] + v[2]) + (v[1] + v[3]);
+            if acc > ub_sq {
+                return f64::INFINITY;
+            }
+        }
+        acc = tail.iter().fold(acc, |acc, t| acc + t);
+        if acc > ub_sq {
+            f64::INFINITY
+        } else {
+            acc
+        }
+    }
+
+    /// Bounds the lane-order tests run under: none, one met exactly
+    /// after the first block (a bound met does not abandon), and one
+    /// that the full sum exceeds.
+    fn lane_order_bounds(terms: &[f64]) -> [f64; 3] {
+        let first_block = lane_order_sum(&terms[..terms.len().min(EA_BLOCK)], f64::INFINITY);
+        let total = lane_order_sum(terms, f64::INFINITY);
+        [f64::INFINITY, first_block, total / 2.0]
+    }
+
+    const LANE_ORDER_LENS: [usize; 8] = [0, 1, 15, 16, 17, 31, 64, 129];
+
+    #[test]
+    fn sum_sq_diff_avx2_sums_in_lane_order() {
+        if !avx2(KernelLevel::Avx2) {
+            return;
+        }
+        for n in LANE_ORDER_LENS {
+            let (x, y) = (wiggle(n, 1), wiggle(n, 9));
+            let terms: Vec<f64> = x.iter().zip(&y).map(|(a, b)| (a - b) * (a - b)).collect();
+            for ub in lane_order_bounds(&terms) {
+                let got = sum_sq_diff_ea_at(KernelLevel::Avx2, &x, &y, ub);
+                let want = lane_order_sum(&terms, ub);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n={n} ub={ub}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn env_excess_avx2_sums_in_lane_order() {
+        if !avx2(KernelLevel::Avx2) {
+            return;
+        }
+        for n in LANE_ORDER_LENS {
+            let x = wiggle(n, 3);
+            let base = wiggle(n, 5);
+            let lower: Vec<f64> = base.iter().map(|v| v - 0.3).collect();
+            let upper: Vec<f64> = base.iter().map(|v| v + 0.3).collect();
+            for aff in [
+                EnvAffine::IDENTITY,
+                EnvAffine::znorm_x(0.4, 1.7),
+                EnvAffine::znorm_env(0.4, 1.7),
+                EnvAffine::znorm_x(0.0, 0.0),
+            ] {
+                let terms: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let v = (x[i] - aff.x_sub) * aff.x_mul;
+                        let lo = (lower[i] - aff.e_sub) * aff.e_mul;
+                        let hi = (upper[i] - aff.e_sub) * aff.e_mul;
+                        let d = (v - hi).max(lo - v).max(0.0);
+                        d * d
+                    })
+                    .collect();
+                for ub in lane_order_bounds(&terms) {
+                    let got = env_excess_sq_at(KernelLevel::Avx2, &x, &lower, &upper, aff, ub);
+                    let want = lane_order_sum(&terms, ub);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "n={n} {aff:?} ub={ub}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn env_excess_contrib_is_bit_exact_across_levels() {
+        for n in LANE_ORDER_LENS {
+            let x = wiggle(n, 2);
+            let base = wiggle(n, 8);
+            let lower: Vec<f64> = base.iter().map(|v| v - 0.2).collect();
+            let upper: Vec<f64> = base.iter().map(|v| v + 0.2).collect();
+            for aff in [EnvAffine::IDENTITY, EnvAffine::znorm_env(0.4, 1.7)] {
+                let contrib_at = |l| {
+                    let mut contrib = vec![f64::NAN; n];
+                    let total = env_excess_at(
+                        l,
+                        &x,
+                        &lower,
+                        &upper,
+                        aff,
+                        f64::INFINITY,
+                        Some(&mut contrib),
+                    );
+                    (total, contrib)
+                };
+                let (_, want) = contrib_at(KernelLevel::Scalar);
+                let (total, got) = contrib_at(KernelLevel::Avx2);
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n={n} {aff:?}");
+                let plain =
+                    env_excess_sq_at(KernelLevel::Avx2, &x, &lower, &upper, aff, f64::INFINITY);
+                assert_eq!(total.to_bits(), plain.to_bits(), "n={n} {aff:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_pairs_the_level_with_the_cpu() {
+        assert!(!avx2(KernelLevel::Scalar));
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(avx2(KernelLevel::Avx2), is_x86_feature_detected!("avx2"));
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!avx2(KernelLevel::Avx2));
     }
 
     #[test]

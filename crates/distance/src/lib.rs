@@ -32,9 +32,13 @@
 //! finite input as a precondition; NaN poisons results rather than
 //! panicking, matching `f64` semantics.
 
-// `kernels` needs `core::arch` intrinsics; unsafe is denied everywhere
-// else and scoped to that module by an explicit allow.
+// Unsafe is denied everywhere but `kernels`, which allows it for the
+// `core::arch` load and store intrinsics, the L0 cursor's unchecked read
+// and the call of an AVX2 kernel after the CPU check; it has no
+// `unsafe fn`. Every unsafe block states why it holds in a `SAFETY:`
+// comment, which clippy enforces.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod bounds;

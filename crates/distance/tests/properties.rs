@@ -78,6 +78,16 @@ proptest! {
         prop_assert!(wide <= narrow + EPS);
     }
 
+    /// `Envelope::build_across` panics for `radius < |n − m|`; the
+    /// cascade builds it at `band.radius(n, m)`, which never falls short
+    /// of the length gap, so no query reaches that panic.
+    #[test]
+    fn band_radius_covers_the_length_gap(n in 1usize..=64, m in 1usize..=64, r in 0usize..=8) {
+        for band in bands().chain([Band::SakoeChiba(r)]) {
+            prop_assert!(band.radius(n, m) >= n.abs_diff(m), "{band:?} n={n} m={m}");
+        }
+    }
+
     #[test]
     fn early_abandon_is_consistent((x, y) in (series(20), series(20)), ub in 0.0f64..500.0) {
         let exact = dtw(&x, &y, Band::Full);
