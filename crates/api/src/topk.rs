@@ -1,6 +1,11 @@
 //! Bounded best-`k` accumulation — the shared machinery behind every
-//! backend's top-k search (UCR Suite window scans, FRM's incremental
-//! nearest-neighbour traversal, ...).
+//! top-k search in the workspace: the engine's searcher
+//! (`onex_core::search`, whose every offer publishes [`BestK::bound`] to
+//! the query's [`SharedBound`](crate::SharedBound)), the exhaustive scan
+//! it is tested against (`onex_core::exhaustive`), the fan-out merge, and
+//! the comparison systems' scans (UCR Suite windows, FRM's incremental
+//! nearest-neighbour traversal, ...). Keys tie-break on the payload, so
+//! the engine and its oracle order tied windows the same way.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

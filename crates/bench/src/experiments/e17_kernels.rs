@@ -51,7 +51,7 @@
 //!    union of its four candidates' windows.
 
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use onex_api::SimilaritySearch;
 use onex_core::backends::OnexBackend;
@@ -134,6 +134,10 @@ impl Shape {
 // ------------------------------------------------------------- kernels
 
 /// One (kernel, level) throughput measurement against scalar.
+///
+/// The level and its reference are timed in alternating batches inside
+/// one loop (`paired_times`), so a slow phase of a shared machine lands
+/// on both sides of the ratio, not on one of them.
 pub struct KernelRow {
     /// Which loop: `"ed"`, `"lb_keogh"`, `"envelope"`, `"l0_block"`,
     /// `"dtw_lanes"`.
@@ -142,10 +146,16 @@ pub struct KernelRow {
     pub level: KernelLevel,
     /// Median wall-clock for the iteration batch at this level.
     pub elapsed: Duration,
+    /// The fastest of those batches.
+    pub elapsed_min: Duration,
     /// Median wall-clock of the reference on the same buffers: the scalar
     /// level of the kernel itself, or — for `l0_block` and `dtw_lanes` —
-    /// the per-record `bound_sq` loop and the per-candidate scalar DP.
+    /// the per-record `bound_sq` loop and the per-candidate scalar DP. On
+    /// a scalar row of a kernel that is its own reference the two sides
+    /// run the same code, and the speed-up reads the timer's noise.
     pub scalar: Duration,
+    /// The fastest of the reference's batches.
+    pub scalar_min: Duration,
     /// Output agreement with the reference (exact for `envelope`,
     /// `l0_block` and `dtw_lanes`; ≤ 1e-9 relative for the accumulating
     /// kernels).
@@ -175,6 +185,47 @@ fn walk(seed: u64, n: usize) -> Vec<f64> {
 
 fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Batches each side of a [`KernelRow`] is timed over.
+const TIMED_PAIRS: usize = 5;
+
+/// Time `level` and `reference` in [`TIMED_PAIRS`] alternating batches
+/// after one warm-up each: `[(median, min)]` of the level, then of the
+/// reference.
+fn paired_times(mut level: impl FnMut(), mut reference: impl FnMut()) -> [(Duration, Duration); 2] {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed()
+    };
+    level();
+    reference();
+    let (mut at, mut of): (Vec<Duration>, Vec<Duration>) = (0..TIMED_PAIRS)
+        .map(|_| (time(&mut level), time(&mut reference)))
+        .unzip();
+    [&mut at, &mut of].map(|samples| {
+        samples.sort();
+        (samples[samples.len() / 2], samples[0])
+    })
+}
+
+/// A [`KernelRow`] from its [`paired_times`].
+fn kernel_row(
+    kernel: &'static str,
+    level: KernelLevel,
+    [(elapsed, elapsed_min), (scalar, scalar_min)]: [(Duration, Duration); 2],
+    agrees: bool,
+) -> KernelRow {
+    KernelRow {
+        kernel,
+        level,
+        elapsed,
+        elapsed_min,
+        scalar,
+        scalar_min,
+        agrees,
+    }
 }
 
 /// The two lanes-are-candidates kernels at one level (scalar or AVX2),
@@ -220,15 +271,8 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
     };
     let (mut want, mut got) = (Vec::new(), Vec::new());
     per_record(&mut want);
-    let l0_reference = median_time(
-        || {
-            for _ in 0..iters {
-                per_record(black_box(&mut got));
-            }
-        },
-        5,
-    );
-    let l0_block = median_time(
+    let mut reference_out = Vec::new();
+    let l0_times = paired_times(
         || {
             for _ in 0..iters {
                 got.clear();
@@ -241,7 +285,11 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
                 );
             }
         },
-        5,
+        || {
+            for _ in 0..iters {
+                per_record(black_box(&mut reference_out));
+            }
+        },
     );
     let l0_agrees = got == want;
 
@@ -276,12 +324,9 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
         sorted[sorted.len() / 2]
     };
     per_candidate(ub_sq, &mut scratch, &mut want);
-    let dtw_reference = median_time(
-        || per_candidate(ub_sq, &mut scratch, black_box(&mut got)),
-        5,
-    );
     let candidates: Vec<&[f64]> = rebased.iter().map(Vec::as_slice).collect();
-    let dtw_lanes = median_time(
+    let (mut reference_scratch, mut reference_out) = (DtwScratch::default(), Vec::new());
+    let dtw_times = paired_times(
         || {
             got.clear();
             for ys in candidates.chunks(DTW_LANES) {
@@ -299,7 +344,7 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
                 got.extend_from_slice(&out[..ys.len()]);
             }
         },
-        5,
+        || per_candidate(ub_sq, &mut reference_scratch, black_box(&mut reference_out)),
     );
     let dtw_agrees = got.len() == want.len()
         && got
@@ -308,20 +353,8 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
             .all(|(g, w)| g.to_bits() == w.to_bits());
 
     [
-        KernelRow {
-            kernel: "l0_block",
-            level,
-            elapsed: l0_block,
-            scalar: l0_reference,
-            agrees: l0_agrees,
-        },
-        KernelRow {
-            kernel: "dtw_lanes",
-            level,
-            elapsed: dtw_lanes,
-            scalar: dtw_reference,
-            agrees: dtw_agrees,
-        },
+        kernel_row("l0_block", level, l0_times, l0_agrees),
+        kernel_row("dtw_lanes", level, dtw_times, dtw_agrees),
     ]
 }
 
@@ -347,34 +380,36 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
 
     let mut rows = Vec::new();
     for level in KernelLevel::available() {
-        let scalar_of = |rows: &[KernelRow], kernel: &str| {
-            rows.iter()
-                .find(|r| r.kernel == kernel && r.level == KernelLevel::Scalar)
-                .map(|r| r.elapsed)
+        let ed = |level| {
+            for _ in 0..iters {
+                black_box(kernels::sum_sq_diff_ea_at(
+                    level,
+                    black_box(&x),
+                    black_box(&y),
+                    f64::INFINITY,
+                ));
+            }
         };
-
         let ed_out = kernels::sum_sq_diff_ea_at(level, &x, &y, f64::INFINITY);
-        let ed_t = median_time(
-            || {
-                for _ in 0..iters {
-                    black_box(kernels::sum_sq_diff_ea_at(
-                        level,
-                        black_box(&x),
-                        black_box(&y),
-                        f64::INFINITY,
-                    ));
-                }
-            },
-            5,
-        );
-        rows.push(KernelRow {
-            kernel: "ed",
+        rows.push(kernel_row(
+            "ed",
             level,
-            elapsed: ed_t,
-            scalar: scalar_of(&rows, "ed").unwrap_or(ed_t),
-            agrees: rel_close(ed_out, ed_ref),
-        });
+            paired_times(|| ed(level), || ed(KernelLevel::Scalar)),
+            rel_close(ed_out, ed_ref),
+        ));
 
+        let keogh = |level| {
+            for _ in 0..iters {
+                black_box(kernels::env_excess_sq_at(
+                    level,
+                    black_box(&x),
+                    black_box(&lower),
+                    black_box(&upper),
+                    EnvAffine::IDENTITY,
+                    f64::INFINITY,
+                ));
+            }
+        };
         let keogh_out = kernels::env_excess_sq_at(
             level,
             &x,
@@ -383,45 +418,25 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
             EnvAffine::IDENTITY,
             f64::INFINITY,
         );
-        let keogh_t = median_time(
-            || {
-                for _ in 0..iters {
-                    black_box(kernels::env_excess_sq_at(
-                        level,
-                        black_box(&x),
-                        black_box(&lower),
-                        black_box(&upper),
-                        EnvAffine::IDENTITY,
-                        f64::INFINITY,
-                    ));
-                }
-            },
-            5,
-        );
-        rows.push(KernelRow {
-            kernel: "lb_keogh",
+        rows.push(kernel_row(
+            "lb_keogh",
             level,
-            elapsed: keogh_t,
-            scalar: scalar_of(&rows, "lb_keogh").unwrap_or(keogh_t),
-            agrees: rel_close(keogh_out, keogh_ref),
-        });
+            paired_times(|| keogh(level), || keogh(KernelLevel::Scalar)),
+            rel_close(keogh_out, keogh_ref),
+        ));
 
+        let envelope = |level| {
+            for _ in 0..iters / 4 {
+                black_box(kernels::sliding_minmax_at(level, black_box(&y), 8));
+            }
+        };
         let env_out = kernels::sliding_minmax_at(level, &y, 8);
-        let env_t = median_time(
-            || {
-                for _ in 0..iters / 4 {
-                    black_box(kernels::sliding_minmax_at(level, black_box(&y), 8));
-                }
-            },
-            5,
-        );
-        rows.push(KernelRow {
-            kernel: "envelope",
+        rows.push(kernel_row(
+            "envelope",
             level,
-            elapsed: env_t,
-            scalar: scalar_of(&rows, "envelope").unwrap_or(env_t),
-            agrees: env_out == env_ref,
-        });
+            paired_times(|| envelope(level), || envelope(KernelLevel::Scalar)),
+            env_out == env_ref,
+        ));
 
         rows.extend(measure_lane_kernels(level, &x, &y, iters / 16));
     }
@@ -625,16 +640,29 @@ pub fn kernels_table(rows: &[KernelRow]) -> Table {
     let mut t = Table::new(
         format!(
             "E17a — kernel throughput by level (selected level: {}; \
-             speedup is scalar time / level time on identical buffers)",
+             speedup is scalar time / level time on identical buffers, \
+             medians of {TIMED_PAIRS} alternating batches)",
             kernels::level().label()
         ),
-        &["kernel", "level", "time", "speedup vs scalar", "agrees"],
+        &[
+            "kernel",
+            "level",
+            "time",
+            "min level/ref",
+            "speedup vs scalar",
+            "agrees",
+        ],
     );
     for r in rows {
         t.row(vec![
             r.kernel.into(),
             r.level.label().into(),
             fmt_duration(r.elapsed),
+            format!(
+                "{}/{}",
+                fmt_duration(r.elapsed_min),
+                fmt_duration(r.scalar_min)
+            ),
             format!("{:.2}×", r.speedup()),
             if r.agrees { "yes" } else { "NO" }.into(),
         ]);
@@ -715,11 +743,14 @@ pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> St
         let _ = write!(
             out,
             "{{\"kernel\":\"{}\",\"level\":\"{}\",\"selected\":{},\
-             \"time_us\":{:.3},\"speedup\":{:.4},\"agrees\":{}}}",
+             \"time_us\":{:.3},\"time_min_us\":{:.3},\"scalar_min_us\":{:.3},\
+             \"speedup\":{:.4},\"agrees\":{}}}",
             r.kernel,
             r.level.label(),
             r.level == level,
             r.elapsed.as_secs_f64() * 1e6,
+            r.elapsed_min.as_secs_f64() * 1e6,
+            r.scalar_min.as_secs_f64() * 1e6,
             r.speedup(),
             r.agrees,
         );
@@ -910,7 +941,9 @@ mod tests {
             kernel: "ed",
             level,
             elapsed: Duration::from_micros(elapsed),
+            elapsed_min: Duration::from_micros(elapsed - 5),
             scalar: Duration::from_micros(100),
+            scalar_min: Duration::from_micros(90),
             agrees: true,
         };
         vec![row(KernelLevel::Scalar, 100), row(KernelLevel::Avx2, 25)]
@@ -989,7 +1022,10 @@ mod tests {
         assert!(json.starts_with("{\"experiment\":\"e17_kernels\",\"kernel_level\":\""));
         assert!(json.contains("\"available_parallelism\":"));
         assert!(json.contains("\"level\":\"avx2\",\"selected\":"));
-        assert!(json.contains("\"speedup\":4.0000,\"agrees\":true}"));
+        assert!(json.contains(
+            "\"time_us\":25.000,\"time_min_us\":20.000,\"scalar_min_us\":90.000,\
+             \"speedup\":4.0000,\"agrees\":true}"
+        ));
         assert!(json.contains(
             "\"lb_evals_on\":500,\"lb_evals_off\":800,\"l0_pruned\":300,\"zone_skipped\":200,"
         ));

@@ -14,7 +14,7 @@ use onex_tseries::Dataset;
 use crate::search::Searcher;
 use crate::seasonal::{seasonal_patterns, SeasonalOptions};
 use crate::threshold::{recommend, ThresholdRecommendation};
-use crate::{LengthSelection, Match, QueryOptions, QueryStats, SeasonalPattern};
+use crate::{Match, QueryOptions, QueryStats, SeasonalPattern};
 
 /// The dataset and its base, published together as one immutable epoch:
 /// a query that pins this pair can never see a dataset/base mismatch,
@@ -312,7 +312,10 @@ impl Onex {
     }
 
     /// Resolve the base columns a query with this length/selection could
-    /// touch (no-op on warm engines and on already-resolved columns).
+    /// touch (no-op on warm engines and on already-resolved columns):
+    /// [`crate::LengthSelection::lengths`] over the image's length table, not
+    /// the partly resolved base, so `Nearest` ranks against every length
+    /// the image offers — the lengths the searcher then finds resolved.
     /// [`Onex::k_best`]-family entry points call this automatically;
     /// callers that query through a pinned [`EngineSnapshot`] — the
     /// shard server's query path — invoke it before taking the
@@ -330,7 +333,7 @@ impl Onex {
             if src.pending.is_empty() {
                 return Ok(());
             }
-            plan_lengths(src.segment.lengths(), query_len, &opts.lengths)
+            opts.lengths.lengths(query_len, src.segment.lengths())
         };
         self.resolve(Some(&wanted)).map(|_| ())
     }
@@ -669,27 +672,6 @@ fn reject_taken_name(dataset: &Dataset, name: &str) -> Result<(), OnexError> {
     }
 }
 
-/// The file columns a query of length `n` under `selection` could touch
-/// — the cold-start mirror of `Searcher::candidate_lengths`, computed
-/// over the segment's length table instead of the (possibly partial)
-/// live base so `Nearest` ranks against everything the file offers.
-fn plan_lengths(
-    all: impl Iterator<Item = usize>,
-    n: usize,
-    selection: &LengthSelection,
-) -> Vec<usize> {
-    match *selection {
-        LengthSelection::Exact => vec![n],
-        LengthSelection::Nearest(k) => {
-            let mut lens: Vec<usize> = all.collect();
-            lens.sort_by_key(|&l| (l.abs_diff(n), l));
-            lens.truncate(k);
-            lens
-        }
-        LengthSelection::Range(lo, hi) => all.filter(|&l| l >= lo && l <= hi).collect(),
-    }
-}
-
 /// A query-lifetime pin on one published engine epoch: an immutable
 /// dataset/base pair plus the engine's shared lifetime counters. Obtained
 /// from [`Onex::snapshot`]; cheap to clone, safe to send to worker
@@ -743,9 +725,8 @@ impl EngineSnapshot {
         bound: &SharedBound,
     ) -> Result<(Vec<Match>, QueryStats), OnexError> {
         validate_query(query, k)?;
-        let mut searcher = Searcher::new(&self.state.dataset, &self.state.base, query, opts, bound);
-        let matches = searcher.run(k);
-        let stats = searcher.stats;
+        let searcher = Searcher::new(&self.state.dataset, &self.state.base, query, opts, k, bound);
+        let (matches, stats) = searcher.run();
         *self.lifetime.lock() += stats;
         Ok((matches, stats))
     }
@@ -1212,12 +1193,25 @@ mod tests {
         assert_eq!(cold.base_source().unwrap().resolved_lengths, 1);
         assert_eq!(cold.base().lengths().collect::<Vec<_>>(), vec![8]);
 
-        // …a nearest-3 plan pulls in its neighbours…
-        let opts = QueryOptions::default().lengths(LengthSelection::Nearest(3));
-        let (w3, _) = warm.k_best(&query, 5, &opts).unwrap();
-        let (c3, _) = cold.k_best(&query, 5, &opts).unwrap();
-        assert_eq!(w3, c3);
-        assert_eq!(cold.base_source().unwrap().resolved_lengths, 3);
+        // Each later plan answers as the warm engine does, counters too,
+        // and resolves just the columns its lengths name.
+        let agree = |query: &[f64], selection: LengthSelection, resolved: Vec<usize>| {
+            let opts = QueryOptions::default().lengths(selection);
+            let (w, warm_stats) = warm.k_best(query, 5, &opts).unwrap();
+            let (c, cold_stats) = cold.k_best(query, 5, &opts).unwrap();
+            assert_eq!(w, c, "{opts:?}");
+            assert_eq!(cold_stats, warm_stats, "{opts:?}");
+            assert_eq!(cold.base().lengths().collect::<Vec<_>>(), resolved);
+            assert_eq!(cold.base_source().unwrap().resolved_lengths, resolved.len());
+        };
+        // An exact query of a length the image does not index resolves
+        // nothing…
+        let unindexed: Vec<f64> = query.iter().chain(&query[..4]).copied().collect();
+        agree(&unindexed, LengthSelection::Exact, vec![8]);
+        // …a range resolves exactly its in-range columns…
+        agree(&query, LengthSelection::Range(9, 10), vec![8, 9, 10]);
+        // …and a nearest-3 plan pulls in the neighbour still missing.
+        agree(&query, LengthSelection::Nearest(3), vec![7, 8, 9, 10]);
 
         // …and resolve_all drains the remainder, after which the bases
         // (including sketch planes) are identical.

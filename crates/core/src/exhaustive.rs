@@ -9,10 +9,7 @@
 //! The scan honours the same options (band, filters) as the engine so the
 //! two are comparable candidate-for-candidate.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use onex_api::{validate_query, OnexError};
+use onex_api::{validate_query, BestK, OnexError};
 use onex_distance::dtw::dtw_early_abandon_sq_with_cb;
 use onex_tseries::{Dataset, SubseqRef};
 
@@ -28,28 +25,6 @@ pub struct ScanHit {
     pub distance: f64,
     /// Length-normalised distance (ranking value).
     pub normalized: f64,
-}
-
-struct ScanEntry(ScanHit);
-
-impl PartialEq for ScanEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.normalized == other.0.normalized && self.0.subseq == other.0.subseq
-    }
-}
-impl Eq for ScanEntry {}
-impl PartialOrd for ScanEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScanEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .normalized
-            .total_cmp(&other.0.normalized)
-            .then_with(|| self.0.subseq.cmp(&other.0.subseq))
-    }
 }
 
 /// Scan every subsequence of the given lengths (at the given stride) and
@@ -76,7 +51,7 @@ pub fn scan_k(
         return Err(OnexError::invalid_config("stride must be positive"));
     }
     let n = query.len();
-    let mut heap: BinaryHeap<ScanEntry> = BinaryHeap::with_capacity(k + 1);
+    let mut best: BestK<(SubseqRef, u64)> = BestK::new(k);
     for &len in lengths {
         if len == 0 {
             continue;
@@ -96,9 +71,9 @@ pub fn scan_k(
                 let values = series
                     .subsequence(candidate.start as usize, len)
                     .expect("enumeration stays in bounds");
-                let bound_sq = if early_abandon && heap.len() >= k {
-                    let kth = heap.peek().expect("heap non-empty").0.normalized;
-                    let raw = kth * (n.max(len) as f64).sqrt();
+                // `∞` while fewer than k are kept.
+                let bound_sq = if early_abandon {
+                    let raw = best.bound() * (n.max(len) as f64).sqrt();
                     raw * raw
                 } else {
                     f64::INFINITY
@@ -108,22 +83,19 @@ pub fn scan_k(
                     continue;
                 }
                 let distance = d_sq.sqrt();
-                let normalized = normalize(distance, n, len);
-                if heap.len() < k || normalized < heap.peek().expect("heap non-empty").0.normalized
-                {
-                    heap.push(ScanEntry(ScanHit {
-                        subseq: candidate,
-                        distance,
-                        normalized,
-                    }));
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
+                best.offer(normalize(distance, n, len), (candidate, distance.to_bits()));
             }
         }
     }
-    Ok(heap.into_sorted_vec().into_iter().map(|e| e.0).collect())
+    let hits = best
+        .into_sorted()
+        .into_iter()
+        .map(|(normalized, (subseq, distance))| ScanHit {
+            subseq,
+            distance: f64::from_bits(distance),
+            normalized,
+        });
+    Ok(hits.collect())
 }
 
 /// The single best match (see [`scan_k`]).
@@ -195,6 +167,29 @@ mod tests {
         }
         let set: std::collections::HashSet<_> = hits.iter().map(|h| h.subseq).collect();
         assert_eq!(set.len(), 4);
+    }
+
+    /// Windows at the same distance come back in window order, not scan
+    /// order, and the k-th place goes to the first one scanned: the rule
+    /// of `BestK`, which the engine keeps its matches in too.
+    #[test]
+    fn tied_windows_sort_by_window_and_the_first_scanned_keeps_the_kth() {
+        let d = Dataset::from_series(vec![TimeSeries::new("flat", vec![1.0; 6])]).unwrap();
+        let query = [1.0; 3];
+        let opts = QueryOptions::default();
+        let windows = |k| -> Vec<(u32, u32)> {
+            let hits = scan_k(&d, &query, &[4, 3], 1, &opts, k, true).unwrap();
+            assert!(hits.iter().all(|h| h.normalized == 0.0));
+            hits.iter()
+                .map(|h| (h.subseq.start, h.subseq.len))
+                .collect()
+        };
+        // Every window ties at 0; length 4 is scanned before length 3.
+        assert_eq!(
+            windows(7),
+            [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 3)]
+        );
+        assert_eq!(windows(2), [(0, 4), (1, 4)]);
     }
 
     #[test]

@@ -17,6 +17,33 @@ pub enum LengthSelection {
     Range(usize, usize),
 }
 
+impl LengthSelection {
+    /// The lengths of `available` a query of `query_len` points searches,
+    /// in the order it searches them: nearest the query length first
+    /// (so the bound tightens as early as possible), ties to the shorter
+    /// length. The warm searcher asks this of its base, the cold start
+    /// of its image's length table.
+    pub fn lengths(
+        &self,
+        query_len: usize,
+        available: impl IntoIterator<Item = usize>,
+    ) -> Vec<usize> {
+        let mut lens: Vec<usize> = available
+            .into_iter()
+            .filter(|&l| match *self {
+                LengthSelection::Exact => l == query_len,
+                LengthSelection::Nearest(_) => true,
+                LengthSelection::Range(lo, hi) => (lo..=hi).contains(&l),
+            })
+            .collect();
+        lens.sort_by_key(|&l| (l.abs_diff(query_len), l));
+        if let LengthSelection::Nearest(k) = *self {
+            lens.truncate(k);
+        }
+        lens
+    }
+}
+
 /// How many groups have their members scanned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanBreadth {
@@ -203,6 +230,28 @@ mod tests {
         assert_eq!(o.lengths, LengthSelection::Nearest(5));
         assert!(!o.prune_groups && !o.lb_keogh && !o.l0_prefilter);
         assert!(!QueryOptions::default().without_l0().l0_prefilter);
+    }
+
+    #[test]
+    fn length_selection_searches_nearest_first_ties_to_the_shorter() {
+        let available = [6, 7, 8, 9, 10, 12];
+        let lengths = |sel: LengthSelection, n: usize| sel.lengths(n, available);
+        assert_eq!(lengths(LengthSelection::Exact, 11), Vec::<usize>::new());
+        assert_eq!(lengths(LengthSelection::Exact, 8), vec![8]);
+        assert_eq!(lengths(LengthSelection::Nearest(0), 8), Vec::<usize>::new());
+        assert_eq!(
+            lengths(LengthSelection::Nearest(100), 8),
+            vec![8, 7, 9, 6, 10, 12]
+        );
+        assert_eq!(lengths(LengthSelection::Nearest(3), 11), vec![10, 12, 9]);
+        assert_eq!(
+            lengths(LengthSelection::Range(7, 12), 11),
+            vec![10, 12, 9, 8, 7]
+        );
+        assert_eq!(
+            lengths(LengthSelection::Range(9, 7), 8),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

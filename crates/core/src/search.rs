@@ -63,8 +63,8 @@
 //! tightens — so nothing the fresh bound would keep is lost; a candidate
 //! the fresh bound would have dismissed merely reaches a later tier.
 //! Completed distances are bit-identical however a DP was scheduled, and
-//! results are offered to the heap in slot order through the same strict
-//! `normalized < k-th best` test, so the heap sees the sequence of offers
+//! results are offered to the k best in slot order through the same strict
+//! `normalized < k-th best` test, so they see the sequence of offers
 //! the one-at-a-time scan produced, plus offers that test refuses: the
 //! top-k, its distances and its tie-breaks are unchanged. Only the tier
 //! counters can differ, by the few candidates that died one tier later.
@@ -76,22 +76,27 @@
 //! member's window, read in place, and phase 2 has already run that
 //! window's exact DTW against the threshold the member tier would use
 //! (`bound + √W·0`). So that value is the member's: it meets the member
-//! tier's test against a fresh reading of the bound, then the heap's.
+//! tier's test against a fresh reading of the bound, then the k best's.
 //! The member counts as examined, and its DTW once, as the
 //! representative's. It needs no sketch, which is why a group of one
 //! keeps none; and one the series / window filters drop is passed over
 //! before its bound and its DTW.
 //!
-//! Every prune threshold flows through one **query-global bound**: the
+//! The searcher keeps its matches in an [`onex_api::BestK`] — the
+//! accumulator the fan-out merge and the exhaustive scan use too — and
+//! every prune threshold flows through one **query-global bound**: the
 //! k-th best *normalised* distance known so far, kept in a
-//! [`SharedBound`] alongside the local heap. The searcher consults it
+//! [`SharedBound`]. Every offer publishes the accumulator's k-th key to
+//! it (`∞` while fewer than k are kept, which the bound ignores), and the
+//! bound only tightens, so it is never looser than the local k-th best:
+//! the shared bound is the only one the searcher reads. It consults it
 //! before each group and member (so a tight bound discovered at one
-//! candidate length prunes all later lengths), feeds it *live* into the
-//! early-abandoning DP (so it can abort mid-computation), and publishes
-//! every improvement back. When several searchers share one bound — the
-//! sharded engine runs one per shard — a discovery by any of them
-//! immediately shrinks all the others' searches; results stay exact up
-//! to distance ties (see `onex_api::bound` for the soundness argument).
+//! candidate length prunes all later lengths) and feeds it *live* into
+//! the early-abandoning DP (so it can abort mid-computation). When
+//! several searchers share one bound — the sharded engine runs one per
+//! shard — a discovery by any of them immediately shrinks all the
+//! others' searches; results stay exact up to distance ties (see
+//! `onex_api::bound` for the soundness argument).
 //!
 //! Soundness of (1) relies on the radius being certified, which holds
 //! under the `Seed` representative policy; under `Centroid` the radius is
@@ -102,7 +107,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use onex_api::SharedBound;
+use onex_api::{BestK, SharedBound};
 use onex_distance::bounds::warp_multiplicity;
 use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
 use onex_distance::kernels::{dtw_lanes, DTW_LANES};
@@ -112,9 +117,9 @@ use onex_grouping::{GroupId, OnexBase};
 use onex_tseries::{Dataset, SubseqRef};
 
 use crate::options::ScanBreadth;
-use crate::{LengthSelection, Match, QueryOptions, QueryStats};
+use crate::{Match, QueryOptions, QueryStats};
 
-/// Total-ordered f64 for heap keys.
+/// Total-ordered f64 for the [`ScanBreadth::TopGroups`] selection heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 impl Eq for OrdF64 {}
@@ -126,34 +131,6 @@ impl PartialOrd for OrdF64 {
 impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
-    }
-}
-
-/// A candidate in the k-best heap, ordered by *descending* normalised
-/// distance so the heap top is the worst kept candidate.
-struct HeapEntry {
-    normalized: f64,
-    distance: f64,
-    subseq: SubseqRef,
-    group: GroupId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.normalized == other.normalized && self.subseq == other.subseq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.normalized
-            .total_cmp(&other.normalized)
-            .then_with(|| self.subseq.cmp(&other.subseq))
     }
 }
 
@@ -227,11 +204,15 @@ pub(crate) struct Searcher<'a> {
     base: &'a OnexBase,
     query: &'a [f64],
     opts: &'a QueryOptions,
+    /// The k best matches so far, keyed by normalised distance: the
+    /// window (which breaks ties), its group's index and the bits of its
+    /// raw distance.
+    best: BestK<(SubseqRef, u32, u64)>,
     /// The query-global pruning bound on the *normalised* distance scale:
-    /// seeded at `∞`, tightened to the k-th best whenever the heap fills
-    /// or improves, observed before every group/member and mid-DTW.
-    /// Callers that fan one query across several searchers (the sharded
-    /// engine) pass the same bound to all of them.
+    /// seeded at `∞`, tightened to `best`'s k-th key by every offer,
+    /// observed before every group/member and mid-DTW — the only bound
+    /// the searcher reads. Callers that fan one query across several
+    /// searchers (the sharded engine) pass the same bound to all of them.
     bound: &'a SharedBound,
     /// DP rows shared by every DTW of this query (members and
     /// representatives alike), so the scan allocates none per candidate.
@@ -248,6 +229,7 @@ impl<'a> Searcher<'a> {
         base: &'a OnexBase,
         query: &'a [f64],
         opts: &'a QueryOptions,
+        k: usize,
         bound: &'a SharedBound,
     ) -> Self {
         Searcher {
@@ -255,35 +237,11 @@ impl<'a> Searcher<'a> {
             base,
             query,
             opts,
+            best: BestK::new(k),
             bound,
             scratch: DtwScratch::default(),
             survivors: Vec::with_capacity(SCAN_BLOCK),
             stats: QueryStats::default(),
-        }
-    }
-
-    /// Candidate lengths in the order they are searched (nearest the query
-    /// length first, so bounds tighten as early as possible).
-    pub fn candidate_lengths(&self) -> Vec<usize> {
-        let n = self.query.len();
-        match self.opts.lengths {
-            LengthSelection::Exact => {
-                if self.base.groups_for_len(n).is_empty() {
-                    Vec::new()
-                } else {
-                    vec![n]
-                }
-            }
-            LengthSelection::Nearest(k) => self.base.nearest_lengths(n, k),
-            LengthSelection::Range(lo, hi) => {
-                let mut lens: Vec<usize> = self
-                    .base
-                    .lengths()
-                    .filter(|&l| l >= lo && l <= hi)
-                    .collect();
-                lens.sort_by_key(|&l| (l.abs_diff(n), l));
-                lens
-            }
         }
     }
 
@@ -318,58 +276,72 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Run the search and return up to `k` matches, best first. The
-    /// caller ([`crate::Onex::k_best`]) has already validated `k` and the
-    /// query through `onex_api::validate_query`, so malformed input never
-    /// reaches this hot path.
-    pub fn run(&mut self, k: usize) -> Vec<Match> {
-        debug_assert!(k > 0 && !self.query.is_empty(), "caller validates input");
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-
-        for len in self.candidate_lengths() {
+    /// Run the search and return up to `k` matches, best first, with
+    /// the work it counted. The caller ([`crate::Onex::k_best`]) has
+    /// already validated `k` and the query through
+    /// `onex_api::validate_query`, so malformed input never reaches this
+    /// hot path.
+    pub fn run(mut self) -> (Vec<Match>, QueryStats) {
+        debug_assert!(!self.query.is_empty(), "caller validates input");
+        for len in self
+            .opts
+            .lengths
+            .lengths(self.query.len(), self.base.lengths())
+        {
             let plan = self.plan(len);
-            self.search_length(&plan, k, &mut heap);
+            self.search_length(&plan);
         }
         self.stats.dtw_cells = self.scratch.cells() as usize;
 
-        heap.into_sorted_vec()
+        let Searcher {
+            dataset,
+            query,
+            opts,
+            best,
+            stats,
+            ..
+        } = self;
+        let matches = best
+            .into_sorted()
             .into_iter()
-            .map(|e| self.materialize(e))
-            .collect()
-    }
-
-    /// The current pruning bound on the *normalised* scale: the tighter
-    /// of the local k-th best and the shared query-global bound.
-    fn normalized_bound(&self, heap: &BinaryHeap<HeapEntry>, k: usize) -> f64 {
-        let local = if heap.len() < k {
-            f64::INFINITY
-        } else {
-            heap.peek().expect("heap non-empty").normalized
-        };
-        local.min(self.bound.get())
+            .map(|(normalized, (subseq, index, distance))| {
+                let values = dataset
+                    .resolve(subseq)
+                    .expect("base members resolve against their dataset");
+                let (_, path) = dtw_with_path(query, values, opts.band);
+                let series = dataset.series(subseq.series).expect("member series exists");
+                Match {
+                    subseq,
+                    series_name: series.name().to_owned(),
+                    distance: f64::from_bits(distance),
+                    normalized,
+                    group: GroupId {
+                        len: subseq.len,
+                        index,
+                    },
+                    path,
+                }
+            })
+            .collect();
+        (matches, stats)
     }
 
     /// The current pruning bound at a given candidate length, on the raw
     /// DTW scale: a candidate can only matter if it beats the k-th best
     /// normalised distance known anywhere (this searcher or a peer
-    /// sharing the bound).
-    fn raw_bound(&self, heap: &BinaryHeap<HeapEntry>, k: usize, plan: &LengthPlan) -> f64 {
-        let b = self.normalized_bound(heap, k);
-        if b.is_finite() {
-            b * plan.norm
-        } else {
-            f64::INFINITY
-        }
+    /// sharing the bound). `∞` stays `∞`: `norm ≥ 1`.
+    fn raw_bound(&self, plan: &LengthPlan) -> f64 {
+        self.bound.get() * plan.norm
     }
 
     /// [`Self::raw_bound`] squared (`∞` stays `∞`) — the scale the member
     /// tiers compare on.
-    fn bound_sq(&self, heap: &BinaryHeap<HeapEntry>, k: usize, plan: &LengthPlan) -> f64 {
-        let bound = self.raw_bound(heap, k, plan);
+    fn bound_sq(&self, plan: &LengthPlan) -> f64 {
+        let bound = self.raw_bound(plan);
         bound * bound
     }
 
-    fn search_length(&mut self, plan: &LengthPlan, k: usize, heap: &mut BinaryHeap<HeapEntry>) {
+    fn search_length(&mut self, plan: &LengthPlan) {
         let groups = self.base.groups_for_len(plan.len);
         if groups.is_empty() {
             return;
@@ -387,7 +359,7 @@ impl<'a> Searcher<'a> {
         // would apply to it, and LB_Keogh abandons at that threshold.
         // (`TopGroups` selects by representative distance alone, so its
         // ranking keeps every group.)
-        let bound = self.raw_bound(heap, k, plan);
+        let bound = self.raw_bound(plan);
         let prune_here =
             self.opts.prune_groups && bound.is_finite() && self.opts.breadth == ScanBreadth::Exact;
         let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
@@ -414,7 +386,7 @@ impl<'a> Searcher<'a> {
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
         if let ScanBreadth::TopGroups(g) = self.opts.breadth {
-            self.search_top_groups(plan, k, g.max(1), heap, &ranked);
+            self.search_top_groups(plan, g.max(1), &ranked);
             return;
         }
 
@@ -442,7 +414,7 @@ impl<'a> Searcher<'a> {
             if g.is_lone() && !self.opts.admits(g.members().at(0)) {
                 continue;
             }
-            let bound = self.raw_bound(heap, k, plan);
+            let bound = self.raw_bound(plan);
             if self.opts.prune_groups && bound.is_finite() {
                 // Every remaining group has lb ≥ lb_rep and radius ≤ the
                 // suffix max, so none can hold a member below the bound.
@@ -468,13 +440,8 @@ impl<'a> Searcher<'a> {
             let shared = self.bound;
             let (norm, radius) = (plan.norm, g.radius());
             let live = move || {
-                let b = shared.get();
-                if b.is_finite() {
-                    let at = b * norm + sqrt_w * radius;
-                    at * at
-                } else {
-                    f64::INFINITY
-                }
+                let at = shared.get() * norm + sqrt_w * radius;
+                at * at
             };
             let live_ref: Option<&dyn Fn() -> f64> =
                 self.opts.prune_groups.then_some(&live as &dyn Fn() -> f64);
@@ -494,15 +461,15 @@ impl<'a> Searcher<'a> {
             }
             self.stats.dtw_completed += 1;
             let d_rep = d_rep_sq.sqrt();
-            let bound = self.raw_bound(heap, k, plan);
+            let bound = self.raw_bound(plan);
             if self.opts.prune_groups && d_rep - sqrt_w * g.radius() >= bound {
                 self.stats.groups_pruned += 1;
                 continue;
             }
             if g.is_lone() {
-                self.offer_lone(plan, k, gi, g.members().at(0), d_rep_sq, heap);
+                self.offer_lone(plan, gi, g.members().at(0), d_rep_sq);
             } else {
-                self.scan_members(plan, k, gi, heap);
+                self.scan_members(plan, gi);
             }
         }
     }
@@ -514,14 +481,7 @@ impl<'a> Searcher<'a> {
     /// a best match that hides in a group with a slightly worse
     /// representative. A chosen group of one is offered its selection
     /// DTW.
-    fn search_top_groups(
-        &mut self,
-        plan: &LengthPlan,
-        k: usize,
-        g: usize,
-        heap: &mut BinaryHeap<HeapEntry>,
-        ranked: &[(usize, f64)],
-    ) {
+    fn search_top_groups(&mut self, plan: &LengthPlan, g: usize, ranked: &[(usize, f64)]) {
         let band = self.opts.band;
         let groups = self.base.groups_for_len(plan.len);
         // Top-g representatives by actual DTW. `selection` is a max-heap
@@ -568,9 +528,9 @@ impl<'a> Searcher<'a> {
         for (_, gi, OrdF64(d_sq)) in chosen {
             let group = groups.at(gi);
             if !group.is_lone() {
-                self.scan_members(plan, k, gi, heap);
+                self.scan_members(plan, gi);
             } else if self.opts.admits(group.members().at(0)) {
-                self.offer_lone(plan, k, gi, group.members().at(0), d_sq, heap);
+                self.offer_lone(plan, gi, group.members().at(0), d_sq);
             }
         }
     }
@@ -581,36 +541,22 @@ impl<'a> Searcher<'a> {
     /// examined and its DTW once, as the representative's. A fresh
     /// reading of the bound gets the member tier's say first: a distance
     /// above it counts as abandoned.
-    fn offer_lone(
-        &mut self,
-        plan: &LengthPlan,
-        k: usize,
-        gi: usize,
-        member: SubseqRef,
-        d_sq: f64,
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
+    fn offer_lone(&mut self, plan: &LengthPlan, gi: usize, member: SubseqRef, d_sq: f64) {
         self.stats.members_examined += 1;
-        if d_sq > self.bound_sq(heap, k, plan) {
+        if d_sq > self.bound_sq(plan) {
             self.stats.members_abandoned += 1;
             return;
         }
-        self.offer(plan, k, gi, member, d_sq, heap);
+        self.offer(plan, gi, member, d_sq);
     }
 
-    /// Scan one group's members into the k-best heap, a block at a time
+    /// Scan one group's members into the k best, a block at a time
     /// (see the module docs): the zone test and then the L0 block test
     /// over [`SCAN_BLOCK`] slots against one reading of the bound, LB_Kim
     /// and LB_Keogh per survivor against a fresh one, and the survivors'
-    /// early-abandoning DTWs [`DTW_LANES`] to a batch, offered to the heap
+    /// early-abandoning DTWs [`DTW_LANES`] to a batch, offered to the k best
     /// in slot order.
-    fn scan_members(
-        &mut self,
-        plan: &LengthPlan,
-        k: usize,
-        gi: usize,
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
+    fn scan_members(&mut self, plan: &LengthPlan, gi: usize) {
         // Borrowed from the base, not from `self`: the scan below mutates
         // the searcher while it walks them.
         let base = self.base;
@@ -642,7 +588,7 @@ impl<'a> Searcher<'a> {
             self.survivors.clear();
             let admitted = match l0 {
                 Some((qs, planes)) => {
-                    let bound_sq = self.bound_sq(heap, k, plan);
+                    let bound_sq = self.bound_sq(plan);
                     let zone = planes.zone(from / SCAN_BLOCK);
                     if qs.rejects_zone(&zone, bound_sq) {
                         let skipped = admitted(zone.tags());
@@ -666,7 +612,7 @@ impl<'a> Searcher<'a> {
                     continue;
                 }
                 passed += 1;
-                let bound_sq = self.bound_sq(heap, k, plan);
+                let bound_sq = self.bound_sq(plan);
                 let values = self
                     .dataset
                     .resolve(member)
@@ -685,29 +631,22 @@ impl<'a> Searcher<'a> {
                 }
                 self.stats.members_examined += 1;
                 if batch.push(member, values, bound_sq) {
-                    self.run_batch(&mut batch, plan, k, gi, heap);
+                    self.run_batch(&mut batch, plan, gi);
                 }
             }
             if let Some(admitted) = admitted {
                 self.stats.members_l0_pruned += admitted - passed;
             }
         }
-        self.run_batch(&mut batch, plan, k, gi, heap);
+        self.run_batch(&mut batch, plan, gi);
     }
 
     /// Run the queued DTWs — one lane each, every lane abandoning against
     /// the bound its candidate was queued under, folded with the live
-    /// shared bound per DP row — and offer the results to the heap in
+    /// shared bound per DP row — and offer the results to the k best in
     /// queue (= slot) order, tightening and publishing the bound as
     /// better candidates are found.
-    fn run_batch(
-        &mut self,
-        batch: &mut DtwBatch<'a>,
-        plan: &LengthPlan,
-        k: usize,
-        gi: usize,
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
+    fn run_batch(&mut self, batch: &mut DtwBatch<'a>, plan: &LengthPlan, gi: usize) {
         let queued = std::mem::take(&mut batch.len);
         if queued == 0 {
             return;
@@ -717,13 +656,8 @@ impl<'a> Searcher<'a> {
         let shared = self.bound;
         let norm = plan.norm;
         let live = move || {
-            let b = shared.get();
-            if b.is_finite() {
-                let raw = b * norm;
-                raw * raw
-            } else {
-                f64::INFINITY
-            }
+            let raw = shared.get() * norm;
+            raw * raw
         };
         let mut d_sq = [0.0; DTW_LANES];
         dtw_lanes(
@@ -742,68 +676,20 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             self.stats.dtw_completed += 1;
-            self.offer(plan, k, gi, member, d_sq, heap);
+            self.offer(plan, gi, member, d_sq);
         }
     }
 
     /// Offer `member` of group `gi` at the completed squared DTW `d_sq`
-    /// to the heap, tightening and publishing the bound when it gets in.
-    fn offer(
-        &mut self,
-        plan: &LengthPlan,
-        k: usize,
-        gi: usize,
-        member: SubseqRef,
-        d_sq: f64,
-        heap: &mut BinaryHeap<HeapEntry>,
-    ) {
+    /// to the k best, publishing their k-th key to the shared bound.
+    /// `BestK` keeps only a strict improvement on its k-th (ties: first
+    /// discovered wins) and reports `∞` while it holds fewer than k,
+    /// which the bound ignores.
+    fn offer(&mut self, plan: &LengthPlan, gi: usize, member: SubseqRef, d_sq: f64) {
         let distance = d_sq.sqrt();
         let normalized = normalize(distance, self.query.len(), plan.len);
-        // Strict improvement over the k-th keeps ties deterministic
-        // (first discovered wins).
-        if heap.len() < k || normalized < heap.peek().expect("heap non-empty").normalized {
-            let group = GroupId {
-                len: plan.len as u32,
-                index: gi as u32,
-            };
-            heap.push(HeapEntry {
-                normalized,
-                distance,
-                subseq: member,
-                group,
-            });
-            if heap.len() > k {
-                heap.pop();
-            }
-            // Publish: once the heap holds k entries its worst key is
-            // a sound global upper bound on the merged k-th best.
-            if heap.len() == k {
-                self.bound
-                    .tighten(heap.peek().expect("heap non-empty").normalized);
-            }
-        }
-    }
-
-    fn materialize(&self, e: HeapEntry) -> Match {
-        let values = self
-            .dataset
-            .resolve(e.subseq)
-            .expect("base members resolve against their dataset");
-        let (_, path) = dtw_with_path(self.query, values, self.opts.band);
-        let series_name = self
-            .dataset
-            .series(e.subseq.series)
-            .expect("member series exists")
-            .name()
-            .to_owned();
-        Match {
-            subseq: e.subseq,
-            series_name,
-            distance: e.distance,
-            normalized: e.normalized,
-            group: e.group,
-            path,
-        }
+        let payload = (member, gi as u32, distance.to_bits());
+        self.bound.tighten(self.best.offer(normalized, payload));
     }
 }
 
@@ -813,6 +699,8 @@ mod tests {
     use onex_grouping::persist::{save_v2, BaseSegment};
     use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
     use onex_tseries::gen::{clustered_dataset, SyntheticConfig};
+
+    use crate::LengthSelection;
 
     /// A base decoded from its image beside its dataset prunes with the
     /// sketches the image carried; with L0 switched off every member goes
@@ -845,9 +733,7 @@ mod tests {
             .collect();
         let run = |opts: &QueryOptions| {
             let bound = SharedBound::new();
-            let mut searcher = Searcher::new(&dataset, &decoded, &query, opts, &bound);
-            let matches = searcher.run(5);
-            (matches, searcher.stats)
+            Searcher::new(&dataset, &decoded, &query, opts, 5, &bound).run()
         };
         let (with, pruned) = run(&QueryOptions::default());
         let (without, passed) = run(&QueryOptions::default().without_l0());
@@ -860,5 +746,50 @@ mod tests {
                 (b.subseq, b.distance.to_bits())
             );
         }
+    }
+
+    /// The shared bound is the only one the searcher reads, so a bound a
+    /// peer published before the search prunes from the start — and
+    /// still keeps every match strictly below it, bit for bit.
+    #[test]
+    fn a_peer_bound_keeps_every_match_that_beats_it() {
+        let cfg = SyntheticConfig {
+            series: 16,
+            len: 80,
+            seed: 9,
+        };
+        let dataset = clustered_dataset(cfg, 3, 0.08);
+        let config = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(1.0, 14, 16)
+        };
+        let (base, _) = BaseBuilder::new(config).unwrap().build(&dataset);
+        let query: Vec<f64> = dataset.series(3).unwrap().values()[20..35]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.03 * (i as f64 * 0.8).cos())
+            .collect();
+        let opts = QueryOptions::default().lengths(LengthSelection::Nearest(3));
+        let k = 6;
+        let run =
+            |bound: &SharedBound| Searcher::new(&dataset, &base, &query, &opts, k, bound).run();
+        let fresh = SharedBound::new();
+        let (all, _) = run(&fresh);
+        assert_eq!(all.len(), k);
+        assert_eq!(fresh.get().to_bits(), all[k - 1].normalized.to_bits());
+
+        let peer = all[3].normalized;
+        let bound = SharedBound::new();
+        bound.tighten(peer);
+        let (kept, _) = run(&bound);
+        let below = |ms: &[Match]| -> Vec<_> {
+            ms.iter()
+                .filter(|m| m.normalized < peer)
+                .map(|m| (m.subseq, m.distance.to_bits()))
+                .collect()
+        };
+        assert_eq!(below(&kept), below(&all));
+        assert!(below(&all).len() >= 3, "{all:?}");
+        assert!(bound.get() <= peer);
     }
 }

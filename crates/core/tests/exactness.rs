@@ -8,7 +8,7 @@
 //! but the deviation must stay small on benign data; the second half of
 //! this file pins that.
 
-use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions};
+use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions, SharedBound};
 use onex_distance::Band;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_tseries::gen::{
@@ -204,13 +204,22 @@ fn k_best_is_exact_across_lengths_and_bands() {
     ] {
         for (query, selection) in &cases {
             let opts = QueryOptions::with_band(band).lengths(selection.clone());
-            let lengths = match *selection {
-                LengthSelection::Nearest(c) => e.base().nearest_lengths(query.len(), c),
-                _ => all_lengths(&e),
-            };
-            let (matches, stats) = e.k_best(query, k, &opts).unwrap();
+            let lengths = selection.lengths(query.len(), e.base().lengths());
+            let bound = SharedBound::new();
+            let (matches, stats) = e.k_best_bounded(query, k, &opts, &bound).unwrap();
             let truth = exhaustive::scan_k(&ds, query, &lengths, 1, &opts, k, true).unwrap();
             assert_eq!(matches.len(), truth.len(), "{band:?} {selection:?}");
+            // Every offer publishes the k best's k-th key, so the bound the
+            // searcher read is the k-th match's, or ∞ short of k.
+            let kth = match matches.get(k - 1) {
+                Some(m) => m.normalized,
+                None => f64::INFINITY,
+            };
+            assert_eq!(
+                bound.get().to_bits(),
+                kth.to_bits(),
+                "{band:?} {selection:?}: the bound is the k-th match's"
+            );
             for (m, t) in matches.iter().zip(&truth) {
                 assert!(
                     (m.normalized - t.normalized).abs() < 1e-9,
@@ -228,6 +237,45 @@ fn k_best_is_exact_across_lengths_and_bands() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn the_engine_and_the_oracle_order_tied_windows_alike() {
+    // Three copies of each walk: every window ties with its two twins,
+    // bit for bit, and both searches keep their matches in `BestK`, so
+    // the triples come back in window order from each.
+    let walks = random_walk_dataset(SyntheticConfig {
+        series: 3,
+        len: 48,
+        seed: 61,
+    });
+    let copies = (0..3).flat_map(|c| {
+        walks
+            .iter()
+            .map(move |(_, s)| TimeSeries::new(format!("{}-{c}", s.name()), s.values().to_vec()))
+    });
+    let ds = Dataset::from_series(copies.collect()).unwrap();
+    let e = engine(&ds, 1.0, 10, 12, RepresentativePolicy::Seed);
+    let mut query = ds.series(1).unwrap().subsequence(17, 11).unwrap().to_vec();
+    for (i, v) in query.iter_mut().enumerate() {
+        *v += 0.1 * (i as f64 * 0.6).sin();
+    }
+    for selection in [LengthSelection::Exact, LengthSelection::Nearest(3)] {
+        let opts = QueryOptions::default().lengths(selection.clone());
+        let lengths = selection.lengths(query.len(), e.base().lengths());
+        let (matches, _) = e.k_best(&query, 6, &opts).unwrap();
+        let truth = exhaustive::scan_k(&ds, &query, &lengths, 1, &opts, 6, true).unwrap();
+        let found: Vec<_> = matches
+            .iter()
+            .map(|m| (m.subseq, m.distance.to_bits()))
+            .collect();
+        let want: Vec<_> = truth
+            .iter()
+            .map(|t| (t.subseq, t.distance.to_bits()))
+            .collect();
+        assert_eq!(found, want, "{selection:?}");
+        assert_eq!(found[0].1, found[2].1, "{selection:?}: a tied triple");
     }
 }
 
@@ -576,7 +624,7 @@ fn groups_of_one_answer_as_the_exhaustive_scan_under_every_option() {
                         .excluding_window(SubseqRef::new(sid, start as u32, len as u32))
                         .excluding_window(SubseqRef::new(2, 20, 13)),
                 ];
-                let lengths = e.base().nearest_lengths(len, 2);
+                let lengths = LengthSelection::Nearest(2).lengths(len, e.base().lengths());
                 let k = 6;
                 for opts in &filters {
                     let what = format!("{name} {policy:?} q=({sid},{start},{len}) {opts:?}");

@@ -193,16 +193,6 @@ impl OnexBase {
         })
     }
 
-    /// The indexed lengths closest to `target`, nearest first, ties
-    /// favouring the shorter length. The engine uses this to widen a query
-    /// to neighbouring lengths.
-    pub fn nearest_lengths(&self, target: usize, k: usize) -> Vec<usize> {
-        let mut lens: Vec<usize> = self.groups.keys().copied().collect();
-        lens.sort_by_key(|&l| (l.abs_diff(target), l));
-        lens.truncate(k);
-        lens
-    }
-
     /// Aggregate statistics (experiment E7's table rows).
     pub fn stats(&self) -> BaseStats {
         let per_length: Vec<LengthStats> = self
@@ -439,18 +429,6 @@ mod tests {
         if audit.violations > 0 {
             assert!(audit.worst_excess < 3.0, "excess {}", audit.worst_excess);
         }
-    }
-
-    #[test]
-    fn nearest_lengths_orders_by_distance() {
-        let (b, _) = base(RepresentativePolicy::Centroid);
-        let lens = b.nearest_lengths(10, 3);
-        assert_eq!(lens[0], 10);
-        assert_eq!(lens[1], 9, "tie between 9 and 11 favours shorter");
-        assert_eq!(lens[2], 11);
-        // Asking for more lengths than exist returns them all.
-        let all = b.nearest_lengths(10, 1000);
-        assert_eq!(all.len(), b.lengths().count());
     }
 
     #[test]
