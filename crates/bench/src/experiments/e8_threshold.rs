@@ -70,16 +70,25 @@ pub fn run(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    /// One quick run, every assertion: the scales' thresholds differ by
-    /// orders of magnitude, and calibration reports a positive `ST`.
+    /// The module's one quick run, shared by every test below.
+    fn quick() -> &'static [Table] {
+        static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
+        TABLES.get_or_init(|| run(true))
+    }
+
     #[test]
     fn scales_differ_by_orders_of_magnitude() {
-        let tables = run(true);
+        let tables = quick();
         let last = tables[0].rows.last().unwrap();
         let ratio: f64 = last[2].trim_end_matches('×').parse().unwrap();
         assert!(ratio > 100.0, "unemployment thresholds ≫ growth: {ratio}");
+    }
 
+    #[test]
+    fn calibration_reports_positive_st() {
+        let tables = quick();
         let st: f64 = tables[1].rows[0][1].parse().unwrap();
         assert!(st > 0.0);
     }

@@ -134,24 +134,37 @@ pub fn run(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    /// One quick run, every assertion: the table shapes, pruning that
-    /// only removes DTWs, and a `Seed` base that never drifts.
+    /// The module's one quick run, shared by every test below.
+    fn quick() -> &'static [Table] {
+        static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
+        TABLES.get_or_init(|| run(true))
+    }
+
     #[test]
     fn ablations_have_expected_shape() {
-        let tables = run(true);
+        let tables = quick();
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].rows.len(), 5);
         assert_eq!(tables[1].rows.len(), 2);
         assert_eq!(tables[2].rows.len(), 5);
+    }
 
+    #[test]
+    fn pruning_reduces_dtw_work() {
+        let tables = quick();
         let dtw_full: usize = tables[0].rows[0][4].parse().unwrap();
         let dtw_none: usize = tables[0].rows[4][4].parse().unwrap();
         assert!(
             dtw_full <= dtw_none,
             "pruning may only reduce DTW runs: {dtw_full} vs {dtw_none}"
         );
+    }
 
-        assert_eq!(tables[1].rows[1][3], "0.0%", "Seed policy drifts");
+    #[test]
+    fn seed_policy_has_zero_drift() {
+        let tables = quick();
+        assert_eq!(tables[1].rows[1][3], "0.0%");
     }
 }
