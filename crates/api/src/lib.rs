@@ -45,5 +45,5 @@ pub use search::{
     validate_query, BackendMatch, BackendStats, Capabilities, Coverage, DegradePolicy, Metric,
     SearchOutcome, SimilaritySearch, TierPrunes,
 };
-pub use topk::BestK;
+pub use topk::{BestK, TOP_K_RESERVE};
 pub use tx::{Epoch, ReadTxn, Versioned, WriteTxn};

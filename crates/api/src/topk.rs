@@ -25,6 +25,11 @@ impl Ord for OrdF64 {
     }
 }
 
+/// Entries a top-k accumulator reserves up front, whatever its `k`: a
+/// request's `k` is unchecked, and reserving `k` of them aborts the
+/// process on a large one.
+pub const TOP_K_RESERVE: usize = 64;
+
 /// A bounded best-`k` accumulator: a max-heap of at most `k`
 /// `(key, payload)` entries whose root is the current k-th best key,
 /// exposed as the pruning bound a search threads through its scan.
@@ -48,12 +53,14 @@ pub struct BestK<P> {
 
 impl<P: Ord> BestK<P> {
     /// Accumulator keeping the `k` entries with the smallest keys
-    /// (`k` must be positive).
+    /// (`k` must be positive). `k` may be anything a request names: the
+    /// heap reserves at most [`TOP_K_RESERVE`] entries and grows as
+    /// entries are kept, so a `k` past the candidate count keeps them all.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         BestK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(TOP_K_RESERVE) + 1),
         }
     }
 
@@ -135,6 +142,15 @@ mod tests {
         let bound = acc.offer(1.0, 1); // equal key: not an improvement
         assert_eq!(bound, 1.0);
         assert_eq!(acc.into_sorted(), vec![(1.0, 0)]);
+    }
+
+    #[test]
+    fn a_k_past_any_candidate_count_keeps_what_it_is_offered() {
+        let mut acc: BestK<u32> = BestK::new(usize::MAX);
+        for (i, key) in [3.0, 1.0, 2.0].into_iter().enumerate() {
+            assert!(acc.offer(key, i as u32).is_infinite(), "never full");
+        }
+        assert_eq!(acc.into_sorted(), vec![(1.0, 1), (2.0, 2), (3.0, 0)]);
     }
 
     #[test]

@@ -10,19 +10,13 @@
 //! ```
 //!
 //! Tables print to stdout; SVG artefacts land in `target/repro/`. With
-//! `--format json`, experiments that define a perf record write it next
-//! to the working directory (`e12` → `BENCH_construction.json`,
-//! subsequences/sec per index policy; `e13` → `BENCH_scaling.json`,
-//! shard speedup + agreement; `e14` → `BENCH_pruning.json`, shared-bound
-//! touched-candidate/DTW ratios + agreement; `e15` → `BENCH_ingest.json`,
-//! append/search throughput under mutation; `e16` → `BENCH_cluster.json`,
-//! cross-process gossip DTW savings + cluster agreement + dead-peer
-//! probe; `e17` → `BENCH_kernels.json`, SIMD kernel speedups + L0
-//! prefilter ablation + per-tier reject counts; `e18` →
-//! `BENCH_coldstart.json`, lazy-open time-to-first-answer vs decoding
-//! every column first + agreement; `e19` → `BENCH_resilience.json`,
-//! failover, degraded answers, hedging and recovery under injected
-//! faults) so successive runs leave a comparable performance trajectory.
+//! `--format json`, E12 to E19 also write their perf records into the
+//! working directory (`e12` → `BENCH_construction.json`, `e13` →
+//! `BENCH_scaling.json`, `e14` → `BENCH_pruning.json`, `e15` →
+//! `BENCH_ingest.json`, `e16` → `BENCH_cluster.json`, `e17` →
+//! `BENCH_kernels.json`, `e18` → `BENCH_coldstart.json`, `e19` →
+//! `BENCH_resilience.json`): one line of JSON holding the rows the tables
+//! print, so successive runs leave a comparable performance trajectory.
 //!
 //! E12 to E19 check their invariants on every run, whatever the format.
 //! A broken one prints as `eN: <what broke>` on stderr; the run still
@@ -171,8 +165,8 @@ fn main() {
                 for table in output.tables {
                     println!("{}", table.render());
                 }
-                // Tables and record come from one measurement pass, so
-                // the perf file reflects the printed table exactly.
+                // Tables and record render one list of rows, so the perf
+                // file holds what the tables print.
                 if json {
                     if let Some((path, record)) = output.record {
                         match std::fs::write(path, record) {

@@ -44,7 +44,7 @@ use onex_grouping::{BaseBuilder, BaseConfig, BuildReport, RepresentativePolicy};
 use onex_tseries::Dataset;
 
 use super::{broken, ExperimentOutput, TIMED};
-use crate::harness::{fmt_duration, threads, us_per, Table};
+use crate::harness::{median, ms, record, table, threads, us_per, Row, Value};
 use crate::workloads;
 
 /// Subsequence length of the single-length rows (keeps the comparison
@@ -211,112 +211,65 @@ fn measure_each(sweep: &[Workload]) -> Vec<BuildRow> {
         .collect()
 }
 
-/// The middle of `samples` (the upper one of an even count).
-fn median(samples: impl Iterator<Item = f64>) -> f64 {
-    let mut samples: Vec<f64> = samples.collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Render the sweep as the experiment table.
-pub fn table(rows: &[BuildRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E12 — construction through the exact nearest-representative grid \
-             (walk / noise: length {SUBSEQ_LEN}; harness: lengths 16–24, Seed — \
-             the many-groups regime where construction is slowest; clustered: \
-             lengths 30–32, Seed — a few huge groups, where the sketch pass is \
-             most of what is left). examined + pruned is what a linear scan \
-             examines"
-        ),
-        &[
-            "shape",
-            "collection",
-            "ST",
-            "subseqs",
-            "groups",
-            "threads",
-            "builds",
-            "build",
-            "µs/window",
-            "sketch pass",
-            "subseq/s",
-            "dist calls",
-            "examined",
-            "pruned",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            row.shape.into(),
-            format!("{}x{}", row.series, row.len),
-            row.st.to_string(),
-            row.subsequences.to_string(),
-            row.groups.to_string(),
-            row.threads.to_string(),
-            row.builds.to_string(),
-            fmt_duration(row.elapsed),
-            format!("{:.2}", us_per(row.elapsed, row.subsequences)),
-            fmt_duration(row.sketch),
-            format!("{:.0}", row.per_sec),
-            row.distance_calls.to_string(),
-            row.examined.to_string(),
-            row.pruned.to_string(),
-        ]);
+impl BuildRow {
+    /// The row's fields, in the order the table and the record show
+    /// them: `sketch_ms` beside `elapsed_ms` (both wall-clock, medians
+    /// over `builds`, their ratio held by [`check`]) and `threads` beside
+    /// `us_per_window`.
+    fn fields(&self) -> Row {
+        vec![
+            ("shape", self.shape.into()),
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("st", Value::Num(self.st)),
+            ("subsequences", self.subsequences.into()),
+            ("groups", self.groups.into()),
+            ("threads", self.threads.into()),
+            ("builds", self.builds.into()),
+            ("elapsed_ms", ms(self.elapsed)),
+            (
+                "us_per_window",
+                Value::Fixed(us_per(self.elapsed, self.subsequences), 3),
+            ),
+            ("sketch_ms", ms(self.sketch)),
+            ("subsequences_per_sec", Value::Fixed(self.per_sec, 1)),
+            ("distance_calls", self.distance_calls.into()),
+            ("examined", self.examined.into()),
+            ("pruned", self.pruned.into()),
+        ]
     }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_construction.json` — subsequences/sec and the grid's work per
-/// workload, so future changes have a trajectory to compare against.
-/// Every row carries `sketch_ms` beside `elapsed_ms` — both wall-clock,
-/// medians over `builds`, their ratio held by [`check`] — and `threads`
-/// beside `us_per_window`.
-pub fn json_report(rows: &[BuildRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"experiment\":\"e12_construction\",\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"st\":{},\
-             \"subsequences\":{},\"groups\":{},\"threads\":{},\"builds\":{},\
-             \"elapsed_ms\":{:.3},\
-             \"us_per_window\":{:.3},\"sketch_ms\":{:.3},\
-             \"subsequences_per_sec\":{:.1},\
-             \"distance_calls\":{},\"examined\":{},\"pruned\":{}}}",
-            r.shape,
-            r.series,
-            r.len,
-            r.st,
-            r.subsequences,
-            r.groups,
-            r.threads,
-            r.builds,
-            r.elapsed.as_secs_f64() * 1e3,
-            us_per(r.elapsed, r.subsequences),
-            r.sketch.as_secs_f64() * 1e3,
-            r.per_sec,
-            r.distance_calls,
-            r.examined,
-            r.pruned,
-        );
-    }
-    out.push_str("]}\n");
-    out
 }
 
 /// One measurement pass, read as the table, the perf record and the
 /// invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let rows = measure(quick);
+    output(&measure(quick))
+}
+
+/// The sweep read three ways: the table, `BENCH_construction.json` —
+/// subsequences/sec and the grid's work per workload, so future changes
+/// have a trajectory to compare against — and the invariants.
+fn output(rows: &[BuildRow]) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(BuildRow::fields).collect();
+    let caption = format!(
+        "E12 — construction through the exact nearest-representative grid \
+         (walk / noise: length {SUBSEQ_LEN}; harness: lengths 16–24, Seed — \
+         the many-groups regime where construction is slowest; clustered: \
+         lengths 30–32, Seed — a few huge groups, where the sketch pass is \
+         most of what is left). examined + pruned is what a linear scan \
+         examines"
+    );
     ExperimentOutput {
-        tables: vec![table(&rows)],
-        record: Some(("BENCH_construction.json", json_report(&rows))),
-        violations: check(&rows),
+        tables: vec![table(caption, &fields)],
+        record: Some((
+            "BENCH_construction.json",
+            record(
+                "e12_construction",
+                vec![],
+                vec![("rows", Value::Rows(fields))],
+            ),
+        )),
+        violations: check(rows),
     }
 }
 
@@ -435,15 +388,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let json = json_report(&[row("walk", 1_445), row("noise", 799_281)]);
-        assert!(json.starts_with("{\"experiment\":\"e12_construction\",\"rows\":[{"));
-        assert!(json.contains("\"us_per_window\":18.248,\"sketch_ms\":20.000,"));
-        assert!(json.contains("\"distance_calls\":799281,\"examined\":799281,\"pruned\":14213179}"));
-        assert_eq!(
-            json.matches("\"threads\":2,\"builds\":1,").count(),
-            2,
-            "every row"
+        crate::experiments::assert_record_shape(
+            output(&[row("walk", 1_445), row("noise", 799_281)]),
+            "BENCH_construction.json",
+            include_str!("../../../../BENCH_construction.json"),
         );
-        assert!(json.trim_end().ends_with("]}"));
     }
 }

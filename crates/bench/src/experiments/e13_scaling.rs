@@ -30,7 +30,7 @@ use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, fmt_speedup, median_time, same_top_k, threads, Table};
+use crate::harness::{batch_time, ms, record, same_top_k, table, Row, Value};
 use crate::workloads;
 
 /// Query/subsequence length for every E13 row (single length keeps the
@@ -92,16 +92,7 @@ pub fn measure(quick: bool) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for &(series, len) in sizes {
         let ds = workloads::walk_collection(series, len);
-        let queries: Vec<Vec<f64>> = (0..QUERIES)
-            .map(|i| {
-                let sid = (i * 3 % series) as u32;
-                let name = ds.series(sid).unwrap().name().to_owned();
-                let start = (i * 17) % (len - SUBSEQ_LEN);
-                // Perturbed queries keep distances distinct, so ordering
-                // is unambiguous and agreement is well-defined.
-                workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
-            })
-            .collect();
+        let queries = workloads::spread_queries(&ds, QUERIES, SUBSEQ_LEN, (3, 17));
 
         let (engine, _) = Onex::build(ds.clone(), config()).expect("valid config");
         let single = OnexBackend::new(std::sync::Arc::new(engine));
@@ -109,14 +100,7 @@ pub fn measure(quick: bool) -> Vec<ScalingRow> {
             .iter()
             .map(|q| single.k_best(q, K).expect("valid query"))
             .collect();
-        let single_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = single.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
+        let single_batch = batch_time(&single, &queries, K);
 
         for shards in [1usize, 2, 4] {
             let (sharded, report) =
@@ -137,14 +121,7 @@ pub fn measure(quick: bool) -> Vec<ScalingRow> {
                     .max(1);
                 critical_sum += touches(&reference.stats) as f64 / slowest as f64;
             }
-            let query_batch = median_time(
-                || {
-                    for q in &queries {
-                        let _ = sharded.k_best(q, K).expect("valid query");
-                    }
-                },
-                3,
-            );
+            let query_batch = batch_time(&sharded, &queries, K);
             rows.push(ScalingRow {
                 series,
                 len,
@@ -162,94 +139,58 @@ pub fn measure(quick: bool) -> Vec<ScalingRow> {
     rows
 }
 
-/// Render the sweep as the experiment table.
-pub fn table(rows: &[ScalingRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E13 — sharded scale-out vs the single engine (random walks, \
-             length {SUBSEQ_LEN}, Seed policy: exact answers, so agreement \
-             is required; critical-path speedup is core-count independent)"
-        ),
-        &[
-            "collection",
-            "shards",
-            "subseqs",
-            "build",
-            "build serial-equiv",
-            "query batch",
-            "wall speedup",
-            "critical-path speedup",
-            "agreement",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            format!("{}x{}", row.series, row.len),
-            row.shards.to_string(),
-            row.subsequences.to_string(),
-            fmt_duration(row.build),
-            fmt_duration(row.build_serial),
-            fmt_duration(row.query_batch),
-            fmt_speedup(row.single_batch, row.query_batch),
-            format!("{:.2}×", row.critical_path_speedup),
-            if row.agreement { "yes" } else { "NO" }.into(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_scaling.json`: per-row wall and critical-path speedups plus
-/// the agreement verdict, so the scale-out trajectory is comparable
-/// across machines and revisions. The header records
-/// `available_parallelism`: the wall speedups depend on it.
-pub fn json_report(rows: &[ScalingRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"e13_scaling\",\"available_parallelism\":{},\"rows\":[",
-        threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let wall = if r.query_batch.as_nanos() == 0 {
+impl ScalingRow {
+    /// The row's fields, in the order the table and the record show them:
+    /// the wall and critical-path speedups beside the agreement verdict,
+    /// so the scale-out trajectory is comparable across machines and
+    /// revisions.
+    fn fields(&self) -> Row {
+        let wall = if self.query_batch.as_nanos() == 0 {
             0.0
         } else {
-            r.single_batch.as_secs_f64() / r.query_batch.as_secs_f64()
+            self.single_batch.as_secs_f64() / self.query_batch.as_secs_f64()
         };
-        let _ = write!(
-            out,
-            "{{\"series\":{},\"len\":{},\"shards\":{},\"subsequences\":{},\
-             \"build_ms\":{:.3},\"build_serial_ms\":{:.3},\
-             \"query_batch_ms\":{:.3},\"single_batch_ms\":{:.3},\
-             \"wall_speedup\":{:.3},\"critical_path_speedup\":{:.3},\
-             \"agreement\":{}}}",
-            r.series,
-            r.len,
-            r.shards,
-            r.subsequences,
-            r.build.as_secs_f64() * 1e3,
-            r.build_serial.as_secs_f64() * 1e3,
-            r.query_batch.as_secs_f64() * 1e3,
-            r.single_batch.as_secs_f64() * 1e3,
-            wall,
-            r.critical_path_speedup,
-            r.agreement,
-        );
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("shards", self.shards.into()),
+            ("subsequences", self.subsequences.into()),
+            ("build_ms", ms(self.build)),
+            ("build_serial_ms", ms(self.build_serial)),
+            ("query_batch_ms", ms(self.query_batch)),
+            ("single_batch_ms", ms(self.single_batch)),
+            ("wall_speedup", Value::Fixed(wall, 3)),
+            (
+                "critical_path_speedup",
+                Value::Fixed(self.critical_path_speedup, 3),
+            ),
+            ("agreement", self.agreement.into()),
+        ]
     }
-    out.push_str("]}\n");
-    out
 }
 
 /// One measurement pass, read as the table, the perf record and the
 /// invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let rows = measure(quick);
+    output(&measure(quick))
+}
+
+/// The sweep read three ways: the table, `BENCH_scaling.json` (its wall
+/// speedups depend on `available_parallelism`) and the invariants.
+fn output(rows: &[ScalingRow]) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(ScalingRow::fields).collect();
+    let caption = format!(
+        "E13 — sharded scale-out vs the single engine (random walks, \
+         length {SUBSEQ_LEN}, Seed policy: exact answers, so agreement \
+         is required; critical-path speedup is core-count independent)"
+    );
     ExperimentOutput {
-        tables: vec![table(&rows)],
-        record: Some(("BENCH_scaling.json", json_report(&rows))),
-        violations: check(&rows),
+        tables: vec![table(caption, &fields)],
+        record: Some((
+            "BENCH_scaling.json",
+            record("e13_scaling", vec![], vec![("rows", Value::Rows(fields))]),
+        )),
+        violations: check(rows),
     }
 }
 
@@ -327,12 +268,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let rows = fixture();
-        let json = json_report(&rows);
-        assert!(json.starts_with("{\"experiment\":\"e13_scaling\",\"available_parallelism\":"));
-        assert_eq!(json.matches("\"shards\":").count(), rows.len());
-        assert!(json.contains("\"wall_speedup\":0.892,\"critical_path_speedup\":1.000,"));
-        assert_eq!(json.matches("\"agreement\":true").count(), rows.len());
-        assert!(json.trim_end().ends_with("]}"));
+        crate::experiments::assert_record_shape(
+            output(&fixture()),
+            "BENCH_scaling.json",
+            include_str!("../../../../BENCH_scaling.json"),
+        );
     }
 }

@@ -41,7 +41,7 @@ use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, median_time, same_top_k, threads, Table};
+use crate::harness::{batch_time, ms, record, same_top_k, table, Row, Value};
 use crate::workloads;
 
 /// Query/subsequence length for every E14 row.
@@ -106,6 +106,26 @@ impl PruningRow {
     pub fn dtw_ratio(&self) -> f64 {
         self.sharded_dtw as f64 / (self.single_dtw as f64).max(1.0)
     }
+
+    /// The row's fields, in the order the table and the record show them.
+    fn fields(&self) -> Row {
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("shards", SHARDS.into()),
+            ("shared_bound", self.shared.into()),
+            ("single_touched", self.single_touched.into()),
+            ("sharded_touched", self.sharded_touched.into()),
+            ("touched_ratio", Value::Fixed(self.touched_ratio(), 4)),
+            ("single_dtw", self.single_dtw.into()),
+            ("sharded_dtw", self.sharded_dtw.into()),
+            ("dtw_ratio", Value::Fixed(self.dtw_ratio(), 4)),
+            ("single_batch_ms", ms(self.single_batch)),
+            ("sharded_batch_ms", ms(self.sharded_batch)),
+            ("agreement", self.agreement.into()),
+            ("pool_threads_spawned", self.threads_spawned.into()),
+        ]
+    }
 }
 
 fn touches(s: &BackendStats) -> usize {
@@ -123,16 +143,7 @@ pub fn measure(quick: bool) -> Vec<PruningRow> {
     let mut rows = Vec::new();
     for &(series, len) in sizes {
         let ds = workloads::walk_collection(series, len);
-        let queries: Vec<Vec<f64>> = (0..QUERIES)
-            .map(|i| {
-                let sid = (i * 3 % series) as u32;
-                let name = ds.series(sid).unwrap().name().to_owned();
-                let start = (i * 17) % (len - SUBSEQ_LEN);
-                // Perturbed queries keep distances distinct, so ordering
-                // is unambiguous and agreement is well-defined.
-                workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
-            })
-            .collect();
+        let queries = workloads::spread_queries(&ds, QUERIES, SUBSEQ_LEN, (3, 17));
 
         let (engine, _) = Onex::build(ds.clone(), config()).expect("valid config");
         let single = OnexBackend::new(std::sync::Arc::new(engine));
@@ -145,14 +156,7 @@ pub fn measure(quick: bool) -> Vec<PruningRow> {
             .iter()
             .map(|o| o.stats.distance_computations)
             .sum();
-        let single_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = single.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
+        let single_batch = batch_time(&single, &queries, K);
 
         for shared in [false, true] {
             let (sharded, _) = ShardedEngine::build(&ds, config(), SHARDS).expect("valid config");
@@ -166,14 +170,7 @@ pub fn measure(quick: bool) -> Vec<PruningRow> {
                 sharded_touched += touches(&merged.stats);
                 sharded_dtw += merged.stats.distance_computations;
             }
-            let sharded_batch = median_time(
-                || {
-                    for q in &queries {
-                        let _ = sharded.k_best(q, K).expect("valid query");
-                    }
-                },
-                3,
-            );
+            let sharded_batch = batch_time(&sharded, &queries, K);
             rows.push(PruningRow {
                 series,
                 len,
@@ -192,97 +189,30 @@ pub fn measure(quick: bool) -> Vec<PruningRow> {
     rows
 }
 
-/// Render the sweep as the experiment table.
-pub fn table(rows: &[PruningRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E14 — query-global pruning: shared vs independent shard bounds \
-             (random walks, length {SUBSEQ_LEN}, {SHARDS} shards, k={K}, \
-             Seed policy: agreement required; touched ratio is sharded \
-             total touches / single-engine touches)"
-        ),
-        &[
-            "collection",
-            "bound",
-            "touched ratio",
-            "dtw calls",
-            "dtw ratio",
-            "single batch",
-            "sharded batch",
-            "agreement",
-            "pool threads",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            format!("{}x{}", row.series, row.len),
-            if row.shared { "shared" } else { "independent" }.into(),
-            format!(
-                "{}/{} = {:.2}×",
-                row.sharded_touched,
-                row.single_touched,
-                row.touched_ratio()
-            ),
-            format!("{}/{}", row.sharded_dtw, row.single_dtw),
-            format!("{:.2}×", row.dtw_ratio()),
-            fmt_duration(row.single_batch),
-            fmt_duration(row.sharded_batch),
-            if row.agreement { "yes" } else { "NO" }.into(),
-            row.threads_spawned.to_string(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_pruning.json`. The header records `available_parallelism`:
-/// the batch wall-clocks depend on how many shards run at once.
-pub fn json_report(rows: &[PruningRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"e14_pruning\",\"available_parallelism\":{},\"rows\":[",
-        threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":{},\"len\":{},\"shards\":{},\"shared_bound\":{},\
-             \"single_touched\":{},\"sharded_touched\":{},\
-             \"touched_ratio\":{:.4},\
-             \"single_dtw\":{},\"sharded_dtw\":{},\"dtw_ratio\":{:.4},\
-             \"single_batch_ms\":{:.3},\"sharded_batch_ms\":{:.3},\
-             \"agreement\":{},\"pool_threads_spawned\":{}}}",
-            r.series,
-            r.len,
-            SHARDS,
-            r.shared,
-            r.single_touched,
-            r.sharded_touched,
-            r.touched_ratio(),
-            r.single_dtw,
-            r.sharded_dtw,
-            r.dtw_ratio(),
-            r.single_batch.as_secs_f64() * 1e3,
-            r.sharded_batch.as_secs_f64() * 1e3,
-            r.agreement,
-            r.threads_spawned,
-        );
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// One measurement pass, read as the table, the perf record and the
 /// invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let rows = measure(quick);
+    output(&measure(quick))
+}
+
+/// The sweep read three ways: the table, `BENCH_pruning.json` (its batch
+/// wall-clocks depend on how many shards run at once:
+/// `available_parallelism`) and the invariants.
+fn output(rows: &[PruningRow]) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(PruningRow::fields).collect();
+    let caption = format!(
+        "E14 — query-global pruning: shared vs independent shard bounds \
+         (random walks, length {SUBSEQ_LEN}, {SHARDS} shards, k={K}, \
+         Seed policy: agreement required; touched ratio is sharded \
+         total touches / single-engine touches)"
+    );
     ExperimentOutput {
-        tables: vec![table(&rows)],
-        record: Some(("BENCH_pruning.json", json_report(&rows))),
-        violations: check(&rows),
+        tables: vec![table(caption, &fields)],
+        record: Some((
+            "BENCH_pruning.json",
+            record("e14_pruning", vec![], vec![("rows", Value::Rows(fields))]),
+        )),
+        violations: check(rows),
     }
 }
 
@@ -388,15 +318,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let rows = fixture();
-        let json = json_report(&rows);
-        assert!(json.starts_with("{\"experiment\":\"e14_pruning\",\"available_parallelism\":"));
-        assert_eq!(json.matches("\"touched_ratio\":").count(), rows.len());
-        assert_eq!(json.matches("\"shared_bound\":true").count(), 2);
-        assert_eq!(json.matches("\"shared_bound\":false").count(), 2);
-        assert!(json.contains("\"touched_ratio\":1.0160"));
-        assert!(json.contains("\"dtw_ratio\":4.5800"));
-        assert!(json.contains("\"agreement\":true"));
-        assert!(json.trim_end().ends_with("]}"));
+        crate::experiments::assert_record_shape(
+            output(&fixture()),
+            "BENCH_pruning.json",
+            include_str!("../../../../BENCH_pruning.json"),
+        );
     }
 }

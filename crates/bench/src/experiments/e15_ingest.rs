@@ -48,12 +48,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use onex_core::{Onex, QueryOptions};
+use onex_core::{Match, Onex, QueryOptions};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_tseries::TimeSeries;
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, median_time, threads, us_per, Table};
+use crate::harness::{
+    median, median_time, ms, record, same_matches, table, threads, us_per, Row, Value,
+};
 use crate::workloads;
 
 /// Query/subsequence length for every E15 row.
@@ -132,6 +134,42 @@ impl UncompactingRow {
         warm.max_by(|a, b| (a.0 * b.1).cmp(&(b.0 * a.1)))
             .unwrap_or_default()
     }
+
+    /// The row's fields, in the order the table and the record show them.
+    /// The `taskset -c 0` CI leg diffs `append_distance_calls_per_window`
+    /// and `warm_blocks_copied` against the default run.
+    fn fields(&self) -> Row {
+        let (warm_copied, warm_total) = self.worst_warm_blocks();
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("threads", self.threads.into()),
+            ("groups_per_length", Value::Fixed(self.groups_per_length, 1)),
+            ("build_ms", ms(self.build)),
+            ("first_append_ms", ms(self.first_append)),
+            ("append_each_ms", ms(self.append_each)),
+            ("us_per_window", Value::Fixed(self.us_per_window(), 3)),
+            (
+                "append_over_build_ratio",
+                Value::Fixed(self.append_over_build(), 5),
+            ),
+            (
+                "append_distance_calls_per_window",
+                Value::Fixed(self.distance_calls_per_window, 2),
+            ),
+            ("index_seeds", Value::Int(self.seeds)),
+            (
+                "blocks_copied",
+                Value::Ints(self.blocks.iter().map(|b| b.0).collect()),
+            ),
+            (
+                "blocks_total",
+                Value::Ints(self.blocks.iter().map(|b| b.1).collect()),
+            ),
+            ("warm_blocks_copied", warm_copied.into()),
+            ("warm_blocks_total", warm_total.into()),
+        ]
+    }
 }
 
 /// Build a `series × len` random-walk base and append `APPENDS` more
@@ -159,8 +197,6 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         calls_per_window.push(report.work.distance_calls as f64 / windows.max(1) as f64);
         blocks.push((report.blocks_copied, report.blocks_total));
     }
-    calls_per_window.sort_by(f64::total_cmp);
-    windows_per_append.sort_unstable();
     UncompactingRow {
         series,
         len,
@@ -168,9 +204,9 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         groups_per_length: built.groups as f64 / built.lengths.max(1) as f64,
         first_append: laps[0],
         append_each: median(laps),
-        windows_per_append: windows_per_append[windows_per_append.len() / 2],
+        windows_per_append: median(windows_per_append),
         threads: threads(),
-        distance_calls_per_window: calls_per_window[calls_per_window.len() / 2],
+        distance_calls_per_window: median(calls_per_window),
         seeds: engine.resident_index().seeds,
         blocks,
     }
@@ -212,6 +248,24 @@ impl IngestRow {
     pub fn us_per_window(&self) -> f64 {
         us_per(self.append_each, self.windows_per_append)
     }
+
+    /// The row's fields, in the order the table and the record show them.
+    fn fields(&self) -> Row {
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("threads", self.threads.into()),
+            ("appends", APPENDS.into()),
+            ("epochs", Value::Int(self.epochs)),
+            ("append_each_ms", ms(self.append_each)),
+            ("us_per_window", Value::Fixed(self.us_per_window(), 3)),
+            ("idle_query_ms", ms(self.idle_query)),
+            ("live_query_ms", ms(self.live_query)),
+            ("live_ratio", Value::Fixed(self.live_ratio(), 4)),
+            ("live_answers", self.live_answers.into()),
+            ("agreement", self.agreement.into()),
+        ]
+    }
 }
 
 /// The appended series for epoch `i+1`: a strictly-closer near-clone of
@@ -224,32 +278,6 @@ fn ingest_series(q: &[f64], i: usize) -> TimeSeries {
         .map(|(j, v)| v + eps * ((j as f64) * 2.3).cos())
         .collect::<Vec<_>>();
     TimeSeries::new(format!("ingest-{i}"), values)
-}
-
-type Answer = Vec<(u32, u32, u32, f64)>;
-
-fn answer_of(matches: &[onex_core::Match]) -> Answer {
-    matches
-        .iter()
-        .map(|m| (m.subseq.series, m.subseq.start, m.subseq.len, m.distance))
-        .collect()
-}
-
-fn matches_oracle(oracles: &[Answer], answer: &Answer) -> bool {
-    oracles.iter().any(|o| {
-        o.len() == answer.len()
-            && o.iter()
-                .zip(answer)
-                .all(|(a, b)| (a.0, a.1, a.2) == (b.0, b.1, b.2) && (a.3 - b.3).abs() < 1e-9)
-    })
-}
-
-fn median(mut xs: Vec<Duration>) -> Duration {
-    if xs.is_empty() {
-        return Duration::ZERO;
-    }
-    xs.sort();
-    xs[xs.len() / 2]
 }
 
 /// Run the sweep: random walks, an append burst per size with readers
@@ -267,14 +295,14 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
         let query = workloads::perturbed_query(&ds, &name, 10, SUBSEQ_LEN, 0.05);
 
         // Per-epoch oracles from fresh batch builds over each prefix.
-        let mut oracles: Vec<Answer> = Vec::new();
+        let mut oracles: Vec<Vec<Match>> = Vec::new();
         let mut prefix = ds.clone();
         for i in 0..=APPENDS {
             let (oracle, _) = Onex::build(prefix.clone(), config()).expect("valid config");
             let (matches, _) = oracle
                 .k_best(&query, K, &QueryOptions::default())
                 .expect("valid query");
-            oracles.push(answer_of(&matches));
+            oracles.push(matches);
             if i < APPENDS {
                 prefix.push(ingest_series(&query, i)).expect("fresh name");
             }
@@ -312,7 +340,7 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
                             .k_best(&query, K, &QueryOptions::default())
                             .expect("valid query");
                         laps.push(t.elapsed());
-                        all_pinned &= matches_oracle(&oracles, &answer_of(&matches));
+                        all_pinned &= oracles.iter().any(|o| same_matches(o, &matches));
                         rounds += 1;
                     }
                     (laps, all_pinned)
@@ -356,161 +384,47 @@ pub fn measure(quick: bool) -> Vec<IngestRow> {
     rows
 }
 
-/// Render the uncompacting row as its own panel.
-pub fn uncompacting_table(row: &UncompactingRow) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E15 — append cost on an uncompacting base ({APPENDS} appends to random walks, \
-             lengths 16–24, Seed policy; distance calls per appended window are deterministic)"
-        ),
-        &[
-            "collection",
-            "groups/length",
-            "build",
-            "first append",
-            "append each",
-            "threads",
-            "µs/window",
-            "append/build",
-            "calls/window",
-            "index seeds",
-            "blocks copied (worst warm)",
-        ],
-    );
-    t.row(vec![
-        format!("{}x{}", row.series, row.len),
-        format!("{:.0}", row.groups_per_length),
-        fmt_duration(row.build),
-        fmt_duration(row.first_append),
-        fmt_duration(row.append_each),
-        row.threads.to_string(),
-        format!("{:.2}", row.us_per_window()),
-        format!("{:.4}×", row.append_over_build()),
-        format!("{:.1}", row.distance_calls_per_window),
-        row.seeds.to_string(),
-        format!(
-            "{} of {}",
-            row.worst_warm_blocks().0,
-            row.worst_warm_blocks().1
-        ),
-    ]);
-    t
-}
-
-/// Render the sweep as the experiment table.
-pub fn table(rows: &[IngestRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E15 — live ingest: {APPENDS}-append burst with {READERS} concurrent readers \
-             (random walks, length {SUBSEQ_LEN}, k={K}, Seed policy: every mid-ingest \
-             answer must equal exactly one published epoch's oracle)"
-        ),
-        &[
-            "collection",
-            "epochs",
-            "append each",
-            "threads",
-            "µs/window",
-            "idle query",
-            "live query",
-            "live/idle",
-            "answers",
-            "agreement",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            format!("{}x{}", row.series, row.len),
-            row.epochs.to_string(),
-            fmt_duration(row.append_each),
-            row.threads.to_string(),
-            format!("{:.2}", row.us_per_window()),
-            fmt_duration(row.idle_query),
-            fmt_duration(row.live_query),
-            format!("{:.2}×", row.live_ratio()),
-            row.live_answers.to_string(),
-            if row.agreement { "yes" } else { "NO" }.into(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_ingest.json`. The latencies are recorded for trajectory, not
-/// checked: they track the runner's scheduler too loosely. The header
-/// records `available_parallelism`: the live/idle ratios depend on
-/// readers and writer having a core each.
-pub fn json_report(rows: &[IngestRow], uncompacting: &UncompactingRow) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"e15_ingest\",\"available_parallelism\":{},\"rows\":[",
-        threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":{},\"len\":{},\"threads\":{},\"appends\":{},\"epochs\":{},\
-             \"append_each_ms\":{:.3},\"us_per_window\":{:.3},\"idle_query_ms\":{:.3},\
-             \"live_query_ms\":{:.3},\"live_ratio\":{:.4},\
-             \"live_answers\":{},\"agreement\":{}}}",
-            r.series,
-            r.len,
-            r.threads,
-            APPENDS,
-            r.epochs,
-            r.append_each.as_secs_f64() * 1e3,
-            r.us_per_window(),
-            r.idle_query.as_secs_f64() * 1e3,
-            r.live_query.as_secs_f64() * 1e3,
-            r.live_ratio(),
-            r.live_answers,
-            r.agreement,
-        );
-    }
-    let u = uncompacting;
-    let _ = write!(
-        out,
-        "],\"uncompacting\":{{\"series\":{},\"len\":{},\"threads\":{},\
-         \"groups_per_length\":{:.1},\
-         \"build_ms\":{:.3},\"first_append_ms\":{:.3},\"append_each_ms\":{:.3},\
-         \"us_per_window\":{:.3},\
-         \"append_over_build_ratio\":{:.5},\
-         \"append_distance_calls_per_window\":{:.2},\"index_seeds\":{},\
-         \"blocks_copied\":{:?},\"blocks_total\":{:?},\
-         \"warm_blocks_copied\":{},\"warm_blocks_total\":{}}}}}",
-        u.series,
-        u.len,
-        u.threads,
-        u.groups_per_length,
-        u.build.as_secs_f64() * 1e3,
-        u.first_append.as_secs_f64() * 1e3,
-        u.append_each.as_secs_f64() * 1e3,
-        u.us_per_window(),
-        u.append_over_build(),
-        u.distance_calls_per_window,
-        u.seeds,
-        u.blocks.iter().map(|b| b.0).collect::<Vec<_>>(),
-        u.blocks.iter().map(|b| b.1).collect::<Vec<_>>(),
-        u.worst_warm_blocks().0,
-        u.worst_warm_blocks().1,
-    );
-    out.push('\n');
-    out
-}
-
 /// One measurement pass — the burst rows and the uncompacting row — read
 /// as the tables, the perf record and the invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let rows = measure(quick);
     let (series, len) = UNCOMPACTING;
-    let uncompacting = measure_uncompacting(series, len);
+    output(&measure(quick), &measure_uncompacting(series, len))
+}
+
+/// Both measurements read three ways: a table each, `BENCH_ingest.json`
+/// (the burst rows, then the uncompacting row as one object; its
+/// live/idle ratios depend on readers and writer having a core each:
+/// `available_parallelism`) and the invariants. The latencies are
+/// recorded for trajectory, not checked: they track the runner's
+/// scheduler too loosely.
+fn output(rows: &[IngestRow], uncompacting: &UncompactingRow) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(IngestRow::fields).collect();
+    let burst = format!(
+        "E15 — live ingest: {APPENDS}-append burst with {READERS} concurrent readers \
+         (random walks, length {SUBSEQ_LEN}, k={K}, Seed policy: every mid-ingest \
+         answer must equal exactly one published epoch's oracle)"
+    );
+    let uncompacting_caption = format!(
+        "E15 — append cost on an uncompacting base ({APPENDS} appends to random walks, \
+         lengths 16–24, Seed policy; distance calls per appended window are deterministic)"
+    );
     ExperimentOutput {
-        tables: vec![table(&rows), uncompacting_table(&uncompacting)],
-        record: Some(("BENCH_ingest.json", json_report(&rows, &uncompacting))),
-        violations: check(&rows, &uncompacting),
+        tables: vec![
+            table(burst, &fields),
+            table(uncompacting_caption, &[uncompacting.fields()]),
+        ],
+        record: Some((
+            "BENCH_ingest.json",
+            record(
+                "e15_ingest",
+                vec![],
+                vec![
+                    ("rows", Value::Rows(fields)),
+                    ("uncompacting", Value::Object(uncompacting.fields())),
+                ],
+            ),
+        )),
+        violations: check(rows, uncompacting),
     }
 }
 
@@ -650,23 +564,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let (rows, uncompacting) = (rows(), uncompacting());
-        let json = json_report(&rows, &uncompacting);
-        assert!(json.starts_with("{\"experiment\":\"e15_ingest\",\"available_parallelism\":"));
-        assert!(json.contains(
-            "\"uncompacting\":{\"series\":48,\"len\":256,\"threads\":2,\"groups_per_length\":11234.0,"
-        ));
-        assert!(json.contains("\"us_per_window\":6.564,\"append_over_build_ratio\":0.02000,"));
-        assert!(json.contains("\"append_each_ms\":1.490,\"us_per_window\":1490.000,"));
-        // The `taskset -c 0` CI leg diffs these keys against the default run.
-        assert!(json.contains("\"append_distance_calls_per_window\":212.50,\"index_seeds\":9,"));
-        // The first append's 21 is not a warm one's.
-        assert!(json.contains(
-            "\"blocks_copied\":[21, 18, 20],\"blocks_total\":[420, 421, 422],\
-             \"warm_blocks_copied\":20,\"warm_blocks_total\":422}"
-        ));
-        assert_eq!(json.matches("\"epochs\":6,").count(), 2);
-        assert!(json.contains("\"live_ratio\":1.4000,\"live_answers\":57,\"agreement\":true}"));
-        assert!(json.trim_end().ends_with("}}"));
+        crate::experiments::assert_record_shape(
+            output(&rows(), &uncompacting()),
+            "BENCH_ingest.json",
+            include_str!("../../../../BENCH_ingest.json"),
+        );
     }
 }

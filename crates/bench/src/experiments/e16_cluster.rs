@@ -35,20 +35,22 @@
 //!
 //! [`ClusterEngine`]: onex_net::ClusterEngine
 
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
 use onex_api::{OnexError, SimilaritySearch};
 use onex_core::backends::OnexBackend;
+use onex_core::fanout::partition;
 use onex_core::scale::ShardedEngine;
 use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
-use onex_net::{AcceptOptions, ClusterEngine, RemoteConfig, ShardServer};
-use onex_tseries::{Dataset, TimeSeries};
+use onex_net::{AcceptOptions, ClusterEngine, RemoteConfig};
+use onex_tseries::Dataset;
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, median_time, same_top_k, threads, Table};
+use crate::harness::{
+    batch_time, closed_port, fmt_duration, ms, record, same_top_k, spawn_shard, table, Row, Value,
+};
 use crate::workloads;
 
 /// Query/subsequence length — long enough that a shard still has DTWs
@@ -76,39 +78,18 @@ fn config() -> BaseConfig {
     }
 }
 
-/// Start one binary shard server on an ephemeral loopback port
-/// (detached for the process lifetime — two workers per server, because
-/// both clusters of the ablation hold one persistent connection each).
-fn spawn_shard(ds: Dataset) -> String {
-    let (engine, _) = Onex::build(ds, config()).expect("valid config");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = ShardServer::new(Arc::new(engine));
-    std::thread::spawn(move || {
-        let _ = server.serve_with(
-            listener,
-            &AcceptOptions {
-                workers: 2,
-                queue: 4,
-                ..AcceptOptions::default()
-            },
-        );
-    });
-    addr
-}
-
-/// Round-robin partition (global `g` → shard `g % n`, local `g / n` —
-/// the identity [`ClusterEngine`] assumes) served by one shard server
-/// per part.
+/// Round-robin partition (the identity [`ClusterEngine`] assumes)
+/// served by one shard server per part — two workers each, because both
+/// clusters of the ablation hold one persistent connection each.
 fn spawn_fleet(ds: &Dataset, n: usize) -> Vec<String> {
-    (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            spawn_shard(Dataset::from_series(part).unwrap())
-        })
+    let accept = AcceptOptions {
+        workers: 2,
+        queue: 4,
+        ..AcceptOptions::default()
+    };
+    partition(ds, n)
+        .into_iter()
+        .map(|part| spawn_shard(part, config(), accept.clone()))
         .collect()
 }
 
@@ -156,6 +137,28 @@ impl ClusterRow {
     pub fn gossip_dtw_ratio(&self) -> f64 {
         self.gossip_dtw as f64 / (self.nogossip_dtw as f64).max(1.0)
     }
+
+    /// The row's fields, in the order the table and the record show them.
+    fn fields(&self) -> Row {
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("shards", SHARDS.into()),
+            ("single_dtw", self.single_dtw.into()),
+            ("gossip_dtw", self.gossip_dtw.into()),
+            ("nogossip_dtw", self.nogossip_dtw.into()),
+            ("gossip_dtw_ratio", Value::Fixed(self.gossip_dtw_ratio(), 4)),
+            ("rounds", self.rounds.into()),
+            ("single_batch_ms", ms(self.single_batch)),
+            ("sharded_batch_ms", ms(self.sharded_batch)),
+            ("cluster_batch_ms", ms(self.gossip_batch)),
+            ("nogossip_batch_ms", ms(self.nogossip_batch)),
+            ("gossip_sent", self.gossip_sent.into()),
+            ("gossip_received", self.gossip_received.into()),
+            ("agreement", self.agreement.into()),
+            ("pool_threads_spawned", self.threads_spawned.into()),
+        ]
+    }
 }
 
 /// The once-per-sweep failure probe: a cluster pointed at a freshly
@@ -167,15 +170,21 @@ pub struct DeadPeerProbe {
     pub elapsed: Duration,
 }
 
+impl DeadPeerProbe {
+    /// The probe's fields: its table, and the record's trailing fields.
+    fn fields(&self) -> Row {
+        vec![
+            ("dead_peer_typed", self.typed.into()),
+            ("dead_peer_ms", ms(self.elapsed)),
+        ]
+    }
+}
+
 /// Probe connect-failure behaviour against an address that just closed.
 pub fn dead_peer_probe() -> DeadPeerProbe {
-    let addr = {
-        let l = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-        l.local_addr().unwrap().to_string()
-    };
     let t0 = std::time::Instant::now();
     let result = ClusterEngine::connect(
-        &[addr],
+        &[closed_port()],
         RemoteConfig {
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(5),
@@ -200,16 +209,7 @@ pub fn measure(quick: bool) -> Vec<ClusterRow> {
     let mut rows = Vec::new();
     for &(series, len) in sizes {
         let ds = workloads::walk_collection(series, len);
-        let queries: Vec<Vec<f64>> = (0..QUERIES)
-            .map(|i| {
-                let sid = (i * 5 % series) as u32;
-                let name = ds.series(sid).unwrap().name().to_owned();
-                let start = (i * 53) % (len - SUBSEQ_LEN);
-                // Perturbed queries keep distances distinct, so ordering
-                // is unambiguous and agreement is well-defined.
-                workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
-            })
-            .collect();
+        let queries = workloads::spread_queries(&ds, QUERIES, SUBSEQ_LEN, (5, 53));
 
         let (engine, _) = Onex::build(ds.clone(), config()).expect("valid config");
         let single = OnexBackend::new(Arc::new(engine));
@@ -249,38 +249,10 @@ pub fn measure(quick: bool) -> Vec<ClusterRow> {
             }
         }
 
-        let single_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = single.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
-        let sharded_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = sharded.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
-        let gossip_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = gossip.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
-        let nogossip_batch = median_time(
-            || {
-                for q in &queries {
-                    let _ = nogossip.k_best(q, K).expect("valid query");
-                }
-            },
-            3,
-        );
+        let single_batch = batch_time(&single, &queries, K);
+        let sharded_batch = batch_time(&sharded, &queries, K);
+        let gossip_batch = batch_time(&gossip, &queries, K);
+        let nogossip_batch = batch_time(&nogossip, &queries, K);
 
         let (gossip_sent, gossip_received) = gossip.gossip_counters();
         rows.push(ClusterRow {
@@ -303,107 +275,33 @@ pub fn measure(quick: bool) -> Vec<ClusterRow> {
     rows
 }
 
-/// Render the sweep as the experiment tables.
-pub fn table(rows: &[ClusterRow], probe: &DeadPeerProbe) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E16 — distributed ONEX: cluster over {SHARDS} loopback shard servers \
-             (random walks, length {SUBSEQ_LEN}, k={K}, Seed policy: agreement \
-             required; dtw ratio is gossip-on remote DTWs / gossip-off; dead-peer \
-             probe: typed={} in {})",
-            probe.typed,
-            fmt_duration(probe.elapsed),
-        ),
-        &[
-            "collection",
-            "remote dtw (gossip/off)",
-            "dtw ratio",
-            "rounds",
-            "single batch",
-            "sharded batch",
-            "cluster batch",
-            "no-gossip batch",
-            "gossip frames (sent/recv)",
-            "agreement",
-            "pool threads",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            format!("{}x{}", row.series, row.len),
-            format!("{}/{}", row.gossip_dtw, row.nogossip_dtw),
-            format!("{:.2}×", row.gossip_dtw_ratio()),
-            row.rounds.to_string(),
-            fmt_duration(row.single_batch),
-            fmt_duration(row.sharded_batch),
-            fmt_duration(row.gossip_batch),
-            fmt_duration(row.nogossip_batch),
-            format!("{}/{}", row.gossip_sent, row.gossip_received),
-            if row.agreement { "yes" } else { "NO" }.into(),
-            row.threads_spawned.to_string(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_cluster.json`: the rows, then the dead-peer probe. The header
-/// records `available_parallelism`: the batch wall-clocks depend on how
-/// many of a query's four shard searches run at once.
-pub fn json_report(rows: &[ClusterRow], probe: &DeadPeerProbe) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"e16_cluster\",\"available_parallelism\":{},\"rows\":[",
-        threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":{},\"len\":{},\"shards\":{},\
-             \"single_dtw\":{},\"gossip_dtw\":{},\"nogossip_dtw\":{},\
-             \"gossip_dtw_ratio\":{:.4},\"rounds\":{},\
-             \"single_batch_ms\":{:.3},\"sharded_batch_ms\":{:.3},\
-             \"cluster_batch_ms\":{:.3},\"nogossip_batch_ms\":{:.3},\
-             \"gossip_sent\":{},\"gossip_received\":{},\
-             \"agreement\":{},\"pool_threads_spawned\":{}}}",
-            r.series,
-            r.len,
-            SHARDS,
-            r.single_dtw,
-            r.gossip_dtw,
-            r.nogossip_dtw,
-            r.gossip_dtw_ratio(),
-            r.rounds,
-            r.single_batch.as_secs_f64() * 1e3,
-            r.sharded_batch.as_secs_f64() * 1e3,
-            r.gossip_batch.as_secs_f64() * 1e3,
-            r.nogossip_batch.as_secs_f64() * 1e3,
-            r.gossip_sent,
-            r.gossip_received,
-            r.agreement,
-            r.threads_spawned,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "],\"dead_peer_typed\":{},\"dead_peer_ms\":{:.3}}}",
-        probe.typed,
-        probe.elapsed.as_secs_f64() * 1e3,
-    );
-    out
-}
-
 /// One measurement pass — the sweep and the dead-peer probe — read as the
-/// table, the perf record and the invariants.
+/// tables, the perf record and the invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let (rows, probe) = (measure(quick), dead_peer_probe());
+    output(&measure(quick), &dead_peer_probe())
+}
+
+/// Both measurements read three ways: a table each, `BENCH_cluster.json`
+/// (the rows, then the probe; its batch wall-clocks depend on how many of
+/// a query's four shard searches run at once: `available_parallelism`)
+/// and the invariants.
+fn output(rows: &[ClusterRow], probe: &DeadPeerProbe) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(ClusterRow::fields).collect();
+    let caption = format!(
+        "E16 — distributed ONEX: cluster over {SHARDS} loopback shard servers \
+         (random walks, length {SUBSEQ_LEN}, k={K}, Seed policy: agreement \
+         required; dtw ratio is gossip-on remote DTWs / gossip-off)"
+    );
+    let tables = vec![
+        table(caption, &fields),
+        table("E16 — a cluster pointed at a dead peer", &[probe.fields()]),
+    ];
+    let mut fields = vec![("rows", Value::Rows(fields))];
+    fields.extend(probe.fields());
     ExperimentOutput {
-        tables: vec![table(&rows, &probe)],
-        record: Some(("BENCH_cluster.json", json_report(&rows, &probe))),
-        violations: check(&rows, &probe),
+        tables,
+        record: Some(("BENCH_cluster.json", record("e16_cluster", vec![], fields))),
+        violations: check(rows, probe),
     }
 }
 
@@ -503,11 +401,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let (rows, probe) = (rows(), PROBE);
-        let json = json_report(&rows, &probe);
-        assert!(json.starts_with("{\"experiment\":\"e16_cluster\",\"available_parallelism\":"));
-        assert!(json.contains("\"gossip_dtw_ratio\":0.5500"), "{json}");
-        assert!(json.contains("\"gossip_sent\":9"), "{json}");
-        assert!(json.ends_with("],\"dead_peer_typed\":true,\"dead_peer_ms\":12.000}\n"));
+        crate::experiments::assert_record_shape(
+            output(&rows(), &PROBE),
+            "BENCH_cluster.json",
+            include_str!("../../../../BENCH_cluster.json"),
+        );
     }
 }

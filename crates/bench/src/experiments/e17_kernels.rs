@@ -65,7 +65,9 @@ use onex_distance::{Band, Envelope, QuerySketch, SketchParams, SketchPlanes, SKE
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use super::{broken, ExperimentOutput, TIMED};
-use crate::harness::{fmt_duration, median_time, same_matches, same_top_k, threads, Table};
+use crate::harness::{
+    fmt_duration, median_time, ms, record, same_matches, same_top_k, table, us, Row, Value,
+};
 use crate::workloads;
 
 /// Query length for the random-walk cascade rows, and the middle of
@@ -166,6 +168,20 @@ impl KernelRow {
     /// Scalar time over this level's time (> 1 means faster than scalar).
     pub fn speedup(&self) -> f64 {
         self.scalar.as_secs_f64() / self.elapsed.as_secs_f64().max(1e-12)
+    }
+
+    /// The row's fields, in the order the table and the record show them.
+    fn fields(&self) -> Row {
+        vec![
+            ("kernel", self.kernel.into()),
+            ("level", self.level.label().into()),
+            ("selected", (self.level == kernels::level()).into()),
+            ("time_us", us(self.elapsed)),
+            ("time_min_us", us(self.elapsed_min)),
+            ("scalar_min_us", us(self.scalar_min)),
+            ("speedup", Value::Fixed(self.speedup(), 4)),
+            ("agrees", self.agrees.into()),
+        ]
     }
 }
 
@@ -525,6 +541,35 @@ impl CascadeRow {
     pub fn dtw_started(&self) -> usize {
         self.on.dtw_abandoned + self.on.dtw_completed
     }
+
+    /// The row's fields, in the order the table and the record show them:
+    /// the tier rejects and DTW counts are the L0-on run's.
+    fn fields(&self) -> Row {
+        let (on, off) = (&self.on, &self.off);
+        vec![
+            ("shape", self.shape.label().into()),
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("lengths", self.lengths.into()),
+            ("touched_on", on.touched.into()),
+            ("touched_off", off.touched.into()),
+            ("lb_evals_on", on.lb_evals.into()),
+            ("lb_evals_off", off.lb_evals.into()),
+            ("l0_pruned", on.l0_pruned.into()),
+            ("zone_skipped", on.zone_skipped.into()),
+            ("kim_pruned", on.kim_pruned.into()),
+            ("keogh_pruned", on.keogh_pruned.into()),
+            ("dtw_abandoned", on.dtw_abandoned.into()),
+            ("dtw_completed", on.dtw_completed.into()),
+            ("dtw_cells_on", on.dtw_cells.into()),
+            ("dtw_cells_off", off.dtw_cells.into()),
+            ("batch_on_ms", ms(on.batch)),
+            ("batch_off_ms", ms(off.batch)),
+            ("agreement", self.agreement.into()),
+            ("ablation_agreement", self.ablation_agreement.into()),
+            ("sharded_agreement", self.sharded_agreement.into()),
+        ]
+    }
 }
 
 /// Run the cascade ablation sweep: random-walk collections, then the
@@ -560,14 +605,7 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
             Clustered => workloads::sine_collection(series, len),
         };
         let query_len = shape.query_len();
-        let queries: Vec<Vec<f64>> = (0..QUERIES)
-            .map(|i| {
-                let sid = (i * 3 % series) as u32;
-                let name = ds.series(sid).unwrap().name().to_owned();
-                let start = (i * 17) % (len - query_len);
-                workloads::perturbed_query(&ds, &name, start, query_len, 0.05)
-            })
-            .collect();
+        let queries = workloads::spread_queries(&ds, QUERIES, query_len, (3, 17));
         let (engine, _) = Onex::build(ds.clone(), config.clone()).expect("valid config");
 
         let mut legs = [CascadeLeg::default(), CascadeLeg::default()];
@@ -635,179 +673,49 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
 
 // -------------------------------------------------------------- output
 
-/// Render the kernel throughput table.
-pub fn kernels_table(rows: &[KernelRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E17a — kernel throughput by level (selected level: {}; \
-             speedup is scalar time / level time on identical buffers, \
-             medians of {TIMED_PAIRS} alternating batches)",
-            kernels::level().label()
-        ),
-        &[
-            "kernel",
-            "level",
-            "time",
-            "min level/ref",
-            "speedup vs scalar",
-            "agrees",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.kernel.into(),
-            r.level.label().into(),
-            fmt_duration(r.elapsed),
-            format!(
-                "{}/{}",
-                fmt_duration(r.elapsed_min),
-                fmt_duration(r.scalar_min)
-            ),
-            format!("{:.2}×", r.speedup()),
-            if r.agrees { "yes" } else { "NO" }.into(),
-        ]);
-    }
-    t
-}
-
-/// Render the cascade ablation table.
-pub fn cascade_table(rows: &[CascadeRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E17b — L0 prefilter ablation (k={K}, Seed policy; random walks \
-             queried at length {SUBSEQ_LEN}, the clustered collection at \
-             {CLUSTERED_LEN}; \"×3\" searches the three lengths around the \
-             query's, so two thirds of the candidates differ in length from \
-             it; tier rejects are zone/L0/Kim/Keogh/abandoned of the L0-on \
-             run, the zone's a part of L0's; f64 LB evals must drop when L0 \
-             is on, and on the clustered row so must the batch time)"
-        ),
-        &[
-            "collection",
-            "touched on/off",
-            "f64 LB evals on/off",
-            "tier rejects",
-            "DP cells on/off",
-            "batch on",
-            "batch off",
-            "exhaustive",
-            "ablation",
-            "sharded",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            match (r.shape, r.lengths) {
-                (Shape::Walk, 1) => format!("{}x{}", r.series, r.len),
-                (Shape::Walk, n) => format!("{}x{} ×{n}", r.series, r.len),
-                (shape, n) => format!("{} {}x{} ×{n}", shape.label(), r.series, r.len),
-            },
-            format!("{}/{}", r.on.touched, r.off.touched),
-            format!("{}/{}", r.on.lb_evals, r.off.lb_evals),
-            format!(
-                "{}|{}|{}|{}|{}",
-                r.on.zone_skipped,
-                r.on.l0_pruned,
-                r.on.kim_pruned,
-                r.on.keogh_pruned,
-                r.on.dtw_abandoned
-            ),
-            format!("{}/{}", r.on.dtw_cells, r.off.dtw_cells),
-            fmt_duration(r.on.batch),
-            fmt_duration(r.off.batch),
-            if r.agreement { "yes" } else { "NO" }.into(),
-            if r.ablation_agreement { "yes" } else { "NO" }.into(),
-            if r.sharded_agreement { "yes" } else { "NO" }.into(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_kernels.json`. The header names the selected kernel level and
-/// records `available_parallelism`.
-pub fn json_report(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> String {
-    use std::fmt::Write as _;
-    let level = kernels::level();
-    let mut out = format!(
-        "{{\"experiment\":\"e17_kernels\",\"kernel_level\":\"{}\",\
-         \"simd_active\":{},\"available_parallelism\":{},\"kernels\":[",
-        level.label(),
-        level != KernelLevel::Scalar,
-        threads(),
-    );
-    for (i, r) in kernel_rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":\"{}\",\"level\":\"{}\",\"selected\":{},\
-             \"time_us\":{:.3},\"time_min_us\":{:.3},\"scalar_min_us\":{:.3},\
-             \"speedup\":{:.4},\"agrees\":{}}}",
-            r.kernel,
-            r.level.label(),
-            r.level == level,
-            r.elapsed.as_secs_f64() * 1e6,
-            r.elapsed_min.as_secs_f64() * 1e6,
-            r.scalar_min.as_secs_f64() * 1e6,
-            r.speedup(),
-            r.agrees,
-        );
-    }
-    out.push_str("],\"cascade\":[");
-    for (i, r) in cascade_rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shape\":\"{}\",\"series\":{},\"len\":{},\"lengths\":{},\
-             \"touched_on\":{},\"touched_off\":{},\
-             \"lb_evals_on\":{},\"lb_evals_off\":{},\
-             \"l0_pruned\":{},\"zone_skipped\":{},\"kim_pruned\":{},\"keogh_pruned\":{},\
-             \"dtw_abandoned\":{},\"dtw_completed\":{},\
-             \"dtw_cells_on\":{},\"dtw_cells_off\":{},\
-             \"batch_on_ms\":{:.3},\"batch_off_ms\":{:.3},\
-             \"agreement\":{},\"ablation_agreement\":{},\"sharded_agreement\":{}}}",
-            r.shape.label(),
-            r.series,
-            r.len,
-            r.lengths,
-            r.on.touched,
-            r.off.touched,
-            r.on.lb_evals,
-            r.off.lb_evals,
-            r.on.l0_pruned,
-            r.on.zone_skipped,
-            r.on.kim_pruned,
-            r.on.keogh_pruned,
-            r.on.dtw_abandoned,
-            r.on.dtw_completed,
-            r.on.dtw_cells,
-            r.off.dtw_cells,
-            r.on.batch.as_secs_f64() * 1e3,
-            r.off.batch.as_secs_f64() * 1e3,
-            r.agreement,
-            r.ablation_agreement,
-            r.sharded_agreement,
-        );
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// One measurement pass — the kernel rows and the cascade rows — read as
 /// the tables, the perf record and the invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let (kernel_rows, cascade_rows) = (measure_kernels(quick), measure_cascade(quick));
+    output(&measure_kernels(quick), &measure_cascade(quick))
+}
+
+/// Both sweeps read three ways: a table each, `BENCH_kernels.json` (its
+/// header names the selected kernel level) and the invariants.
+fn output(kernel_rows: &[KernelRow], cascade_rows: &[CascadeRow]) -> ExperimentOutput {
+    let level = kernels::level();
+    let kernel_fields: Vec<Row> = kernel_rows.iter().map(KernelRow::fields).collect();
+    let cascade_fields: Vec<Row> = cascade_rows.iter().map(CascadeRow::fields).collect();
+    let kernels_caption = format!(
+        "E17a — kernel throughput by level (selected level: {}; \
+         speedup is scalar time / level time on identical buffers, \
+         medians of {TIMED_PAIRS} alternating batches)",
+        level.label()
+    );
+    let cascade_caption = format!(
+        "E17b — L0 prefilter ablation (k={K}, Seed policy; random walks \
+         queried at length {SUBSEQ_LEN}, the clustered collection at \
+         {CLUSTERED_LEN}; lengths 3 searches the three lengths around the \
+         query's, so two thirds of the candidates differ in length from \
+         it; the tier rejects are the L0-on run's, the zone's a part of \
+         L0's; f64 LB evals must drop when L0 is on, and on the clustered \
+         row so must the batch time)"
+    );
+    let tables = vec![
+        table(kernels_caption, &kernel_fields),
+        table(cascade_caption, &cascade_fields),
+    ];
+    let lead = vec![
+        ("kernel_level", level.label().into()),
+        ("simd_active", (level != KernelLevel::Scalar).into()),
+    ];
+    let fields = vec![
+        ("kernels", Value::Rows(kernel_fields)),
+        ("cascade", Value::Rows(cascade_fields)),
+    ];
     ExperimentOutput {
-        tables: vec![kernels_table(&kernel_rows), cascade_table(&cascade_rows)],
-        record: Some((
-            "BENCH_kernels.json",
-            json_report(&kernel_rows, &cascade_rows),
-        )),
-        violations: check(&kernel_rows, &cascade_rows),
+        tables,
+        record: Some(("BENCH_kernels.json", record("e17_kernels", lead, fields))),
+        violations: check(kernel_rows, cascade_rows),
     }
 }
 
@@ -1005,31 +913,21 @@ mod tests {
             &check(&kernel_fixture(), &broken),
             "clustered 12x96 ×3: DP cells on/off 31001/31000",
         );
-        assert_eq!(
-            check(&[], &[]),
-            [
-                "no kernel rows",
-                "no cross-length cascade row",
-                "no clustered cascade row"
-            ]
-        );
+        // An optimised build with a SIMD level selected also wants a
+        // kernel row at that level.
+        let simd = TIMED && kernels::level() != KernelLevel::Scalar;
+        let mut want = vec!["no kernel rows"];
+        want.extend(simd.then_some("no kernel row at the selected level"));
+        want.extend(["no cross-length cascade row", "no clustered cascade row"]);
+        assert_eq!(check(&[], &[]), want);
     }
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let (kernel_rows, cascade_rows) = (kernel_fixture(), cascade_fixture());
-        let json = json_report(&kernel_rows, &cascade_rows);
-        assert!(json.starts_with("{\"experiment\":\"e17_kernels\",\"kernel_level\":\""));
-        assert!(json.contains("\"available_parallelism\":"));
-        assert!(json.contains("\"level\":\"avx2\",\"selected\":"));
-        assert!(json.contains(
-            "\"time_us\":25.000,\"time_min_us\":20.000,\"scalar_min_us\":90.000,\
-             \"speedup\":4.0000,\"agrees\":true}"
-        ));
-        assert!(json.contains(
-            "\"lb_evals_on\":500,\"lb_evals_off\":800,\"l0_pruned\":300,\"zone_skipped\":200,"
-        ));
-        assert!(json.contains("\"dtw_cells_on\":31000,\"dtw_cells_off\":31000,"));
-        assert!(json.trim_end().ends_with("]}"));
+        crate::experiments::assert_record_shape(
+            output(&kernel_fixture(), &cascade_fixture()),
+            "BENCH_kernels.json",
+            include_str!("../../../../BENCH_kernels.json"),
+        );
     }
 }

@@ -31,7 +31,7 @@ use onex_grouping::persist::save_v2;
 use onex_grouping::BaseConfig;
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, median_time, same_matches, threads, Table};
+use crate::harness::{fmt_duration, median_time, ms, record, same_matches, table, Row, Value};
 use crate::workloads;
 
 /// Indexed length range: enough columns that resolving all of them
@@ -81,6 +81,29 @@ impl ColdStartRow {
     /// Image bytes per indexed subsequence.
     pub fn bytes_per_subsequence(&self) -> f64 {
         self.image_bytes as f64 / self.subsequences.max(1) as f64
+    }
+
+    /// The row's fields, in the order the table and the record show them.
+    fn fields(&self) -> Row {
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("columns", self.columns.into()),
+            ("subsequences", self.subsequences.into()),
+            ("image_bytes", self.image_bytes.into()),
+            (
+                "bytes_per_subsequence",
+                Value::Fixed(self.bytes_per_subsequence(), 1),
+            ),
+            ("eager_first_ms", ms(self.eager_first)),
+            ("lazy_first_ms", ms(self.lazy_first)),
+            (
+                "first_answer_speedup",
+                Value::Fixed(self.first_answer_speedup(), 4),
+            ),
+            ("lazy_resolved", self.lazy_resolved.into()),
+            ("agreement", self.agreement.into()),
+        ]
     }
 }
 
@@ -146,85 +169,28 @@ pub fn measure(quick: bool) -> Vec<ColdStartRow> {
     rows
 }
 
-/// Render the sweep as the experiment table.
-pub fn table(rows: &[ColdStartRow]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E18 — cold start from a base image: every column resolved first vs \
-             the lazy open (random walks, lengths {LEN_LO}..={LEN_HI}, k={K}, medians \
-             of {RUNS}; 'first answer' is bytes-in-memory → first k_best result)"
-        ),
-        &[
-            "collection",
-            "columns",
-            "image",
-            "B/subseq",
-            "eager first answer",
-            "lazy first answer",
-            "speedup",
-            "lazy resolved",
-            "agreement",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            format!("{}x{}", row.series, row.len),
-            row.columns.to_string(),
-            format!("{} B", row.image_bytes),
-            format!("{:.1}", row.bytes_per_subsequence()),
-            fmt_duration(row.eager_first),
-            fmt_duration(row.lazy_first),
-            format!("{:.1}×", row.first_answer_speedup()),
-            format!("{}/{}", row.lazy_resolved, row.columns),
-            if row.agreement { "yes" } else { "NO" }.into(),
-        ]);
-    }
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_coldstart.json`. The header records `available_parallelism`.
-pub fn json_report(rows: &[ColdStartRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"experiment\":\"e18_coldstart\",\"available_parallelism\":{},\"rows\":[",
-        threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":{},\"len\":{},\"columns\":{},\"subsequences\":{},\
-             \"image_bytes\":{},\"bytes_per_subsequence\":{:.1},\
-             \"eager_first_ms\":{:.3},\"lazy_first_ms\":{:.3},\
-             \"first_answer_speedup\":{:.4},\"lazy_resolved\":{},\"agreement\":{}}}",
-            r.series,
-            r.len,
-            r.columns,
-            r.subsequences,
-            r.image_bytes,
-            r.bytes_per_subsequence(),
-            r.eager_first.as_secs_f64() * 1e3,
-            r.lazy_first.as_secs_f64() * 1e3,
-            r.first_answer_speedup(),
-            r.lazy_resolved,
-            r.agreement,
-        );
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// One measurement pass, read as the table, the perf record and the
 /// invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let rows = measure(quick);
+    output(&measure(quick))
+}
+
+/// The sweep read three ways: the table, `BENCH_coldstart.json` and the
+/// invariants.
+fn output(rows: &[ColdStartRow]) -> ExperimentOutput {
+    let fields: Vec<Row> = rows.iter().map(ColdStartRow::fields).collect();
+    let caption = format!(
+        "E18 — cold start from a base image: every column resolved first vs \
+         the lazy open (random walks, lengths {LEN_LO}..={LEN_HI}, k={K}, medians \
+         of {RUNS}; 'first answer' is bytes-in-memory → first k_best result)"
+    );
     ExperimentOutput {
-        tables: vec![table(&rows)],
-        record: Some(("BENCH_coldstart.json", json_report(&rows))),
-        violations: check(&rows),
+        tables: vec![table(caption, &fields)],
+        record: Some((
+            "BENCH_coldstart.json",
+            record("e18_coldstart", vec![], vec![("rows", Value::Rows(fields))]),
+        )),
+        violations: check(rows),
     }
 }
 
@@ -290,15 +256,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let rows = rows();
-        let json = json_report(&rows);
-        assert!(json.starts_with("{\"experiment\":\"e18_coldstart\",\"available_parallelism\":"));
-        assert!(json.contains("\"first_answer_speedup\":13.0000"), "{json}");
-        assert!(json.contains("\"bytes_per_subsequence\":56.0"), "{json}");
-        assert!(
-            json.contains("\"lazy_resolved\":1,\"agreement\":true}"),
-            "{json}"
+        crate::experiments::assert_record_shape(
+            output(&rows()),
+            "BENCH_coldstart.json",
+            include_str!("../../../../BENCH_coldstart.json"),
         );
-        assert!(json.trim_end().ends_with("]}"));
     }
 }

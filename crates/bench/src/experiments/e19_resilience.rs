@@ -36,16 +36,17 @@ use std::time::{Duration, Instant};
 
 use onex_api::{DegradePolicy, OnexError, SearchOutcome, SimilaritySearch};
 use onex_core::backends::OnexBackend;
+use onex_core::fanout::partition;
 use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_net::{
     AcceptOptions, BreakerConfig, BreakerState, ChaosProxy, ClusterConfig, ClusterEngine, Fault,
-    RemoteConfig, ShardServer,
+    RemoteConfig,
 };
-use onex_tseries::{Dataset, TimeSeries};
+use onex_tseries::Dataset;
 
 use super::{broken, ExperimentOutput};
-use crate::harness::{fmt_duration, same_top_k, threads, Table};
+use crate::harness::{self, closed_port, fmt_duration, median, ms, record, same_top_k, table, Row};
 use crate::workloads;
 
 /// Query/subsequence length. Shorter than E16's: resilience, not gossip
@@ -80,37 +81,15 @@ fn remote_config() -> RemoteConfig {
 }
 
 fn spawn_shard(ds: Dataset) -> String {
-    let (engine, _) = Onex::build(ds, config()).expect("valid config");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = ShardServer::new(Arc::new(engine));
-    std::thread::spawn(move || {
-        // Several scenario clusters hold persistent connections to the
-        // same shard concurrently, and each occupies one worker for its
-        // lifetime — size the pool for all of them.
-        let _ = server.serve_with(
-            listener,
-            &AcceptOptions {
-                workers: 8,
-                queue: 8,
-                ..AcceptOptions::default()
-            },
-        );
-    });
-    addr
-}
-
-/// Round-robin partition (the identity `ClusterEngine` assumes).
-fn partition(ds: &Dataset, n: usize) -> Vec<Dataset> {
-    (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            Dataset::from_series(part).unwrap()
-        })
-        .collect()
+    // Several scenario clusters hold persistent connections to the same
+    // shard concurrently, and each occupies one worker for its lifetime —
+    // size the pool for all of them.
+    let accept = AcceptOptions {
+        workers: 8,
+        queue: 8,
+        ..AcceptOptions::default()
+    };
+    harness::spawn_shard(ds, config(), accept)
 }
 
 /// A peer that speaks the protocol far enough to pass connect (hello +
@@ -165,11 +144,6 @@ fn spawn_stall_server() -> String {
     addr
 }
 
-fn median(samples: &mut [Duration]) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// Everything one sweep measures.
 pub struct ResilienceReport {
     /// Series count of the workload.
@@ -218,19 +192,41 @@ pub struct ResilienceReport {
     pub dead_peer_connect: Duration,
 }
 
+impl ResilienceReport {
+    /// The report's fields, in the order the table and the record show
+    /// them: each scenario's latencies beside its verdicts.
+    fn fields(&self) -> Row {
+        vec![
+            ("series", self.series.into()),
+            ("len", self.len.into()),
+            ("reps", self.reps.into()),
+            ("healthy_ms", ms(self.healthy)),
+            ("answered_after_kill", self.answered_after_kill.into()),
+            ("degraded_after_kill", self.degraded_after_kill.into()),
+            ("degraded_agreement", self.degraded_agreement.into()),
+            ("dead_shard_query_ms", ms(self.dead_shard_query)),
+            ("breaker_opened", self.breaker_opened.into()),
+            ("recovered", self.recovered.into()),
+            ("recovery_ms", ms(self.recovery)),
+            ("failover_ok", self.failover_ok.into()),
+            ("failover_ms", ms(self.failover)),
+            ("hedges_fired", self.hedges_fired.into()),
+            ("hedge_wins", self.hedge_wins.into()),
+            ("hedge_agreement", self.hedge_agreement.into()),
+            ("hedged_ms", ms(self.hedged)),
+            ("unhedged_ms", ms(self.unhedged)),
+            ("dead_peer_typed", self.dead_peer_typed.into()),
+            ("dead_peer_connect_ms", ms(self.dead_peer_connect)),
+        ]
+    }
+}
+
 /// Run the sweep.
 pub fn measure(quick: bool) -> ResilienceReport {
     let (series, len, reps) = if quick { (12, 256, 6) } else { (24, 512, 12) };
     let ds = workloads::walk_collection(series, len);
     let parts = partition(&ds, 2);
-    let queries: Vec<Vec<f64>> = (0..reps)
-        .map(|i| {
-            let sid = (i * 5 % series) as u32;
-            let name = ds.series(sid).unwrap().name().to_owned();
-            let start = (i * 37) % (len - SUBSEQ_LEN);
-            workloads::perturbed_query(&ds, &name, start, SUBSEQ_LEN, 0.05)
-        })
-        .collect();
+    let queries = workloads::spread_queries(&ds, reps, SUBSEQ_LEN, (5, 37));
 
     // ---- Scenario 1: kill a shard mid-workload, then recover. -------
     let shard0 = spawn_shard(parts[0].clone());
@@ -263,7 +259,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
             out
         })
         .collect();
-    let healthy = median(&mut healthy_samples);
+    let healthy = median(healthy_samples);
 
     // The surviving-shard oracle for degraded agreement (shard 0 hosts
     // partition 0; cluster global ids are `local * 2 + 0`).
@@ -307,7 +303,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
             }
         }
     }
-    let dead_shard_query = median(&mut dead_samples);
+    let dead_shard_query = median(dead_samples);
     let breaker_opened = cluster.health()[1].replicas[0].breaker.opens >= 1;
 
     // Restart: background probes must re-close the breaker and coverage
@@ -331,10 +327,7 @@ pub fn measure(quick: bool) -> ResilienceReport {
     let recovery = t0.elapsed();
 
     // ---- Scenario 2: failover past a dead preferred replica. --------
-    let dead = {
-        let l = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-        l.local_addr().unwrap().to_string()
-    };
+    let dead = closed_port();
     let failover_cluster = ClusterEngine::connect_with(
         &[format!("{dead}|{shard0}"), shard1.clone()],
         ClusterConfig {
@@ -355,18 +348,11 @@ pub fn measure(quick: bool) -> ResilienceReport {
     let mut failover_ok = true;
     for (q, want) in queries.iter().zip(&reference) {
         let t0 = Instant::now();
-        match failover_cluster.k_best(q, K) {
-            Ok(out) => {
-                failover_samples.push(t0.elapsed());
-                failover_ok &= !out.degraded() && same_top_k(&out, want);
-            }
-            Err(_) => {
-                failover_samples.push(t0.elapsed());
-                failover_ok = false;
-            }
-        }
+        let result = failover_cluster.k_best(q, K);
+        failover_samples.push(t0.elapsed());
+        failover_ok &= result.is_ok_and(|out| !out.degraded() && same_top_k(&out, want));
     }
-    let failover = median(&mut failover_samples);
+    let failover = median(failover_samples);
 
     // ---- Scenario 3: hedge a stalling preferred replica. ------------
     let stall = spawn_stall_server();
@@ -397,21 +383,14 @@ pub fn measure(quick: bool) -> ResilienceReport {
     let mut hedge_agreement = true;
     for (q, want) in queries.iter().zip(&reference) {
         let t0 = Instant::now();
-        match hedged_cluster.k_best(q, K) {
-            Ok(out) => {
-                hedged_samples.push(t0.elapsed());
-                hedge_agreement &= same_top_k(&out, want);
-            }
-            Err(_) => {
-                hedged_samples.push(t0.elapsed());
-                hedge_agreement = false;
-            }
-        }
+        let result = hedged_cluster.k_best(q, K);
+        hedged_samples.push(t0.elapsed());
+        hedge_agreement &= result.is_ok_and(|out| same_top_k(&out, want));
         // Let the lane finish joining the stalled primary attempt so the
         // next query measures hedge latency, not queue wait.
         std::thread::sleep(STALL_READ_TIMEOUT + Duration::from_millis(50));
     }
-    let hedged = median(&mut hedged_samples);
+    let hedged = median(hedged_samples);
     let (hedges_fired, hedge_wins) = hedged_cluster.hedge_counters();
 
     let unhedged_cluster =
@@ -423,15 +402,11 @@ pub fn measure(quick: bool) -> ResilienceReport {
         let _ = unhedged_cluster.k_best(q, K);
         unhedged_samples.push(t0.elapsed());
     }
-    let unhedged = median(&mut unhedged_samples);
+    let unhedged = median(unhedged_samples);
 
     // ---- Scenario 4: dead peer at connect (E16's probe, kept). ------
-    let dead2 = {
-        let l = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-        l.local_addr().unwrap().to_string()
-    };
     let t0 = Instant::now();
-    let result = ClusterEngine::connect(&[dead2], remote_config());
+    let result = ClusterEngine::connect(&[closed_port()], remote_config());
     let dead_peer_typed = matches!(result, Err(OnexError::Network(_)));
     let dead_peer_connect = t0.elapsed();
 
@@ -459,111 +434,35 @@ pub fn measure(quick: bool) -> ResilienceReport {
     }
 }
 
-/// Render the sweep as the experiment table.
-pub fn table(r: &ResilienceReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E19 — cluster fault tolerance over loopback shards \
-             (random walks {}x{}, length {SUBSEQ_LEN}, k={K}, {} queries per \
-             scenario; kill switch: chaos proxy; stall peer: protocol server \
-             that swallows queries)",
-            r.series, r.len, r.reps
-        ),
-        &["scenario", "latency", "outcome"],
-    );
-    t.row(vec![
-        "healthy baseline".into(),
-        fmt_duration(r.healthy),
-        "reference answers".into(),
-    ]);
-    t.row(vec![
-        "one shard killed (partial degrade)".into(),
-        fmt_duration(r.dead_shard_query),
-        format!(
-            "{}/{} answered, {} degraded, oracle agreement: {}",
-            r.answered_after_kill, r.reps, r.degraded_after_kill, r.degraded_agreement
-        ),
-    ]);
-    t.row(vec![
-        "breaker + probe recovery".into(),
-        fmt_duration(r.recovery),
-        format!(
-            "opened: {}, recovered to full coverage: {}",
-            r.breaker_opened, r.recovered
-        ),
-    ]);
-    t.row(vec![
-        "failover (dead preferred replica)".into(),
-        fmt_duration(r.failover),
-        format!("full coverage + agreement: {}", r.failover_ok),
-    ]);
-    t.row(vec![
-        "hedged stall (preferred replica hangs)".into(),
-        fmt_duration(r.hedged),
-        format!(
-            "fired {}, backup won {}, agreement: {}",
-            r.hedges_fired, r.hedge_wins, r.hedge_agreement
-        ),
-    ]);
-    t.row(vec![
-        "unhedged stall (pays read timeout)".into(),
-        fmt_duration(r.unhedged),
-        format!("stall read timeout: {}", fmt_duration(STALL_READ_TIMEOUT)),
-    ]);
-    t.row(vec![
-        "dead peer at connect".into(),
-        fmt_duration(r.dead_peer_connect),
-        format!("typed: {}", r.dead_peer_typed),
-    ]);
-    t
-}
-
-/// The machine-readable perf record `repro --format json` writes to
-/// `BENCH_resilience.json`: each scenario's latencies beside its
-/// verdicts. The header records `available_parallelism`.
-pub fn json_report(r: &ResilienceReport) -> String {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    format!(
-        "{{\"experiment\":\"e19_resilience\",\"available_parallelism\":{},\
-         \"series\":{},\"len\":{},\"reps\":{},\"healthy_ms\":{:.3},\
-         \"answered_after_kill\":{},\"degraded_after_kill\":{},\"degraded_agreement\":{},\
-         \"dead_shard_query_ms\":{:.3},\"breaker_opened\":{},\"recovered\":{},\
-         \"recovery_ms\":{:.3},\"failover_ok\":{},\"failover_ms\":{:.3},\
-         \"hedges_fired\":{},\"hedge_wins\":{},\"hedge_agreement\":{},\
-         \"hedged_ms\":{:.3},\"unhedged_ms\":{:.3},\
-         \"dead_peer_typed\":{},\"dead_peer_connect_ms\":{:.3}}}\n",
-        threads(),
-        r.series,
-        r.len,
-        r.reps,
-        ms(r.healthy),
-        r.answered_after_kill,
-        r.degraded_after_kill,
-        r.degraded_agreement,
-        ms(r.dead_shard_query),
-        r.breaker_opened,
-        r.recovered,
-        ms(r.recovery),
-        r.failover_ok,
-        ms(r.failover),
-        r.hedges_fired,
-        r.hedge_wins,
-        r.hedge_agreement,
-        ms(r.hedged),
-        ms(r.unhedged),
-        r.dead_peer_typed,
-        ms(r.dead_peer_connect),
-    )
-}
-
 /// One measurement pass, read as the table, the perf record and the
 /// invariants.
 pub fn run(quick: bool) -> ExperimentOutput {
-    let report = measure(quick);
+    output(&measure(quick))
+}
+
+/// The report read three ways: a table of its fields, one a line,
+/// `BENCH_resilience.json` (the same fields after its header) and the
+/// invariants.
+fn output(report: &ResilienceReport) -> ExperimentOutput {
+    let caption = format!(
+        "E19 — cluster fault tolerance over loopback shards \
+         (random walks {}x{}, length {SUBSEQ_LEN}, k={K}, {} queries per \
+         scenario; kill switch: chaos proxy; stall peer: protocol server \
+         that swallows queries, read timeout {STALL_READ_TIMEOUT:?})",
+        report.series, report.len, report.reps
+    );
+    let lines: Vec<Row> = report
+        .fields()
+        .into_iter()
+        .map(|(key, value)| vec![("key", key.into()), ("value", value)])
+        .collect();
     ExperimentOutput {
-        tables: vec![table(&report)],
-        record: Some(("BENCH_resilience.json", json_report(&report))),
-        violations: check(&report),
+        tables: vec![table(caption, &lines)],
+        record: Some((
+            "BENCH_resilience.json",
+            record("e19_resilience", vec![], report.fields()),
+        )),
+        violations: check(report),
     }
 }
 
@@ -658,17 +557,10 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let r = report();
-        let json = json_report(&r);
-        assert!(json.starts_with("{\"experiment\":\"e19_resilience\",\"available_parallelism\":"));
-        assert!(
-            json.contains("\"recovered\":true,\"recovery_ms\":310.000,"),
-            "{json}"
+        crate::experiments::assert_record_shape(
+            output(&report()),
+            "BENCH_resilience.json",
+            include_str!("../../../../BENCH_resilience.json"),
         );
-        assert!(
-            json.contains("\"hedge_wins\":6,\"hedge_agreement\":true,"),
-            "{json}"
-        );
-        assert!(json.ends_with("\"dead_peer_connect_ms\":4.000}\n"));
     }
 }

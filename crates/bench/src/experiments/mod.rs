@@ -1,10 +1,15 @@
 //! One module per experiment, `e1` to `e19` ([`ALL`]); [`run`] dispatches
 //! by id, and `quick` shrinks workload sizes for CI-speed runs. E12 to
-//! E19 measure typed rows once and read them three ways: a table, a JSON
-//! perf record, and a `check` that is the one statement of the
-//! experiment's invariants — [`run`] puts what it returns in
-//! [`ExperimentOutput::violations`], and the experiment's unit tests call
-//! the same function.
+//! E19 measure typed rows once and read them three ways. Each row type
+//! states its fields once, as a [`Row`](crate::harness::Row) of
+//! `(key, value)` pairs, and that one list renders both the printed
+//! [`table`](crate::harness::table), whose columns the keys head, and the
+//! JSON perf [`record`](crate::harness::record). The third reading is a
+//! `check`, the one statement of the experiment's invariants: [`run`]
+//! puts what it returns in [`ExperimentOutput::violations`], and the
+//! experiment's unit tests call the same function. One more test in each
+//! pins its record's keys and decimal places to the committed
+//! `BENCH_*.json`.
 
 pub mod e10_streaming;
 pub mod e11_baseline_index;
@@ -101,6 +106,75 @@ pub fn run(id: &str, quick: bool) -> Option<ExperimentOutput> {
     }
 }
 
+/// Test helper: the record `output` carries is the committed file
+/// `name`'s shape — the same keys in the same order at every level, each
+/// array's first row standing for its kind, and each number with the
+/// same decimal places. Row counts may differ (with the kernel level,
+/// say); the keys and their formats may not.
+#[cfg(test)]
+pub(crate) fn assert_record_shape(output: ExperimentOutput, name: &str, committed: &str) {
+    let (file, record) = output.record.expect("a perf record");
+    assert_eq!(file, name);
+    assert_eq!(shape(&record), shape(committed), "{record}");
+}
+
+/// A JSON document reduced to what [`assert_record_shape`] compares:
+/// an object keeps its keys, an array its first element; a number
+/// becomes `#` and its decimal places, a string `s`, a bool `b`.
+#[cfg(test)]
+fn shape(json: &str) -> String {
+    type Json<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+    fn skip(json: &mut Json<'_>, also: char) {
+        while json.next_if(|&c| c.is_whitespace() || c == also).is_some() {}
+    }
+    fn value(json: &mut Json<'_>, out: &mut String) {
+        skip(json, ' ');
+        match json.next().expect("a complete document") {
+            open @ ('{' | '[') => {
+                let close = if open == '{' { '}' } else { ']' };
+                out.push(open);
+                for i in 0.. {
+                    skip(json, ',');
+                    if json.next_if_eq(&close).is_some() {
+                        break;
+                    }
+                    let mut element = String::new();
+                    if open == '{' {
+                        let key: String = json.by_ref().skip(1).take_while(|&c| c != '"').collect();
+                        skip(json, ':');
+                        element = format!("{key}:");
+                    }
+                    value(json, &mut element);
+                    if open == '{' || i == 0 {
+                        out.push_str(&element);
+                        out.push(',');
+                    }
+                }
+                out.push(close);
+            }
+            '"' => {
+                json.by_ref().take_while(|&c| c != '"').for_each(drop);
+                out.push('s');
+            }
+            't' | 'f' => {
+                while json.next_if(char::is_ascii_alphabetic).is_some() {}
+                out.push('b');
+            }
+            first => {
+                let mut number = first.to_string();
+                while let Some(c) = json.next_if(|&c| c.is_ascii_digit() || ".-+eE".contains(c)) {
+                    number.push(c);
+                }
+                let places = number.split_once('.').map_or(0, |(_, f)| f.len());
+                out.push_str(&format!("#{places}"));
+            }
+        }
+    }
+    let mut out = String::new();
+    value(&mut json.chars().peekable(), &mut out);
+    out
+}
+
 /// Test helper: `violations` names exactly one broken invariant, and
 /// that one says `needle`.
 #[cfg(test)]
@@ -109,4 +183,16 @@ pub(crate) fn assert_broken(violations: &[String], needle: &str) {
         violations.len() == 1 && violations[0].contains(needle),
         "expected one violation saying {needle:?}, got {violations:?}"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_shape_keeps_keys_and_decimal_places() {
+        let json = r#"{"a":"x","b":[{"c":1.50,"d":true},{"c":2}],"e":[1, 2],"f":{"g":-3.0}}"#;
+        assert_eq!(
+            super::shape(json),
+            "{a:s,b:[{c:#2,d:b,},],e:[#0,],f:{g:#1,},}"
+        );
+    }
 }

@@ -1,11 +1,18 @@
 //! Timing and reporting utilities, including the backend-generic query
-//! driver every multi-engine experiment shares.
+//! driver every multi-engine experiment shares, and the one row type E12
+//! to E19 state their fields in: a [`Row`] renders both the printed
+//! [`table`] and the JSON perf [`record`].
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::{BackendMatch, BackendStats, SearchOutcome, SimilaritySearch};
-use onex_core::Match;
+use onex_core::{Match, Onex};
+use onex_grouping::BaseConfig;
+use onex_net::{AcceptOptions, ShardServer};
+use onex_tseries::Dataset;
 
 /// A printable experiment table (one per paper table/figure panel).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +71,118 @@ impl Table {
     }
 }
 
+/// One field of a [`Row`]: printed the same in the table and the record.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// An integer.
+    Int(u64),
+    /// A float printed with this many decimal places.
+    Fixed(f64, usize),
+    /// A number printed with `{}`: as many places as it needs.
+    Num(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// A label (written into the record as it is, unescaped).
+    Str(&'static str),
+    /// A list of integers, `[1, 2, 3]`.
+    Ints(Vec<usize>),
+    /// An array of rows (a record's `rows`, `kernels`, ...).
+    Rows(Vec<Row>),
+    /// A nested object (e15's `uncompacting`).
+    Object(Row),
+}
+
+/// One experiment row: its fields, in record order, stated once.
+pub type Row = Vec<(&'static str, Value)>;
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(v)
+    }
+}
+
+/// Milliseconds, three places: every `_ms` field.
+pub fn ms(d: Duration) -> Value {
+    Value::Fixed(d.as_secs_f64() * 1e3, 3)
+}
+
+/// Microseconds, three places: every `_us` field.
+pub fn us(d: Duration) -> Value {
+    Value::Fixed(d.as_secs_f64() * 1e6, 3)
+}
+
+/// The record's text of a value; a label is bare, as a table cell shows it.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Fixed(v, places) => write!(f, "{v:.places$}"),
+            Value::Num(v) => write!(f, "{v}"),
+            Value::Bool(v) => write!(f, "{v}"),
+            Value::Str(v) => f.write_str(v),
+            Value::Ints(v) => write!(f, "{v:?}"),
+            Value::Rows(rows) => {
+                f.write_str("[")?;
+                for (i, row) in rows.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    write_object(f, row)?;
+                }
+                f.write_str("]")
+            }
+            Value::Object(row) => write_object(f, row),
+        }
+    }
+}
+
+fn write_object(f: &mut fmt::Formatter<'_>, row: &Row) -> fmt::Result {
+    f.write_str("{")?;
+    for (i, (key, value)) in row.iter().enumerate() {
+        f.write_str(if i == 0 { "" } else { "," })?;
+        match value {
+            Value::Str(label) => write!(f, "\"{key}\":\"{label}\"")?,
+            value => write!(f, "\"{key}\":{value}")?,
+        }
+    }
+    f.write_str("}")
+}
+
+/// `rows` as a printed table: the keys head the columns, and each cell
+/// reads as the record writes it.
+pub fn table(title: impl Into<String>, rows: &[Row]) -> Table {
+    let keys: Vec<&str> = rows
+        .first()
+        .map_or_else(Vec::new, |row| row.iter().map(|(key, _)| *key).collect());
+    let mut t = Table::new(title, &keys);
+    for row in rows {
+        t.row(row.iter().map(|(_, value)| value.to_string()).collect());
+    }
+    t
+}
+
+/// The perf record `repro --format json` writes, one line of JSON:
+/// `experiment`, the `lead` fields, `available_parallelism` (what every
+/// wall-clock in it depends on), then `fields` — scalars, row arrays or
+/// a nested object.
+pub fn record(experiment: &'static str, lead: Row, fields: Row) -> String {
+    let mut all = vec![("experiment", Value::Str(experiment))];
+    all.extend(lead);
+    all.push(("available_parallelism", threads().into()));
+    all.extend(fields);
+    format!("{}\n", Value::Object(all))
+}
+
 /// What one backend did across a query batch — the backend-generic
 /// measurement the multi-engine experiments (E11) and the server share
 /// one code path with.
@@ -117,14 +236,33 @@ pub fn drive_backend(backend: &dyn SimilaritySearch, queries: &[Vec<f64>]) -> Ba
 pub fn median_time<F: FnMut()>(mut f: F, runs: usize) -> Duration {
     let runs = runs.max(1);
     f(); // warm-up
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
+    median((0..runs).map(|_| {
+        let t = Instant::now();
+        f();
+        t.elapsed()
+    }))
+}
+
+/// Median wall-clock of one batch: `search` answering every query's `k`
+/// best, three batches after a warm-up.
+pub fn batch_time(search: &dyn SimilaritySearch, queries: &[Vec<f64>], k: usize) -> Duration {
+    median_time(
+        || {
+            for q in queries {
+                search.k_best(q, k).expect("valid query");
+            }
+        },
+        3,
+    )
+}
+
+/// The middle of `samples` (the upper one of an even count).
+///
+/// # Panics
+/// On no samples, or on a pair that does not compare (a NaN).
+pub fn median<T: Copy + PartialOrd>(samples: impl IntoIterator<Item = T>) -> T {
+    let mut samples: Vec<T> = samples.into_iter().collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("samples compare"));
     samples[samples.len() / 2]
 }
 
@@ -177,6 +315,24 @@ pub fn fmt_speedup(baseline: Duration, candidate: Duration) -> String {
     format!("{:.2}×", baseline.as_secs_f64() / candidate.as_secs_f64())
 }
 
+/// Serve a base of `ds` built under `config` from a shard server on an
+/// ephemeral loopback port, detached for the process lifetime; returns
+/// its address.
+pub fn spawn_shard(ds: Dataset, config: BaseConfig, accept: AcceptOptions) -> String {
+    let (engine, _) = Onex::build(ds, config).expect("valid config");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("a bound port").to_string();
+    let server = ShardServer::new(Arc::new(engine));
+    std::thread::spawn(move || server.serve_with(listener, &accept));
+    addr
+}
+
+/// A loopback address nobody listens on any more: a dead peer.
+pub fn closed_port() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    listener.local_addr().expect("a bound port").to_string()
+}
+
 /// Where SVG artefacts go (created on demand).
 pub fn artefact_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new("target").join("repro");
@@ -205,6 +361,50 @@ mod tests {
         assert!(s.contains("| longer-name | 2"));
         assert!(s.contains("| a           | 1"));
         assert!(s.contains("-----------"));
+    }
+
+    #[test]
+    fn each_value_kind_prints_as_the_record_writes_it() {
+        let row: Row = vec![
+            ("int", 42usize.into()),
+            ("fixed", Value::Fixed(2.0 / 3.0, 4)),
+            ("ms", ms(Duration::from_micros(1500))),
+            ("us", us(Duration::from_nanos(2500))),
+            ("num", Value::Num(0.5)),
+            ("whole", Value::Num(1.0)),
+            ("bool", true.into()),
+            ("str", "walk".into()),
+            ("ints", Value::Ints(vec![21, 18, 20])),
+        ];
+        let cells: Vec<String> = row.iter().map(|(_, v)| v.to_string()).collect();
+        let want = ["42", "0.6667", "1.500", "2.500", "0.5", "1", "true", "walk"];
+        assert_eq!(cells[..8], want);
+        assert_eq!(cells[8], "[21, 18, 20]");
+        let nested = vec![("rows", Value::Rows(vec![row.clone(), row.clone()]))];
+        let json = record("demo", vec![("lead", "x".into())], nested);
+        let object = "{\"int\":42,\"fixed\":0.6667,\"ms\":1.500,\"us\":2.500,\"num\":0.5,\
+                      \"whole\":1,\"bool\":true,\"str\":\"walk\",\"ints\":[21, 18, 20]}";
+        let parallelism = threads();
+        assert_eq!(
+            json,
+            format!(
+                "{{\"experiment\":\"demo\",\"lead\":\"x\",\
+                 \"available_parallelism\":{parallelism},\"rows\":[{object},{object}]}}\n"
+            )
+        );
+        let t = table("demo", &[row]);
+        assert_eq!(t.headers[0], "int");
+        assert_eq!(t.rows[0][7], "walk");
+        assert_eq!(
+            Value::Object(vec![("u", Value::Object(vec![("a", 1usize.into())]))]).to_string(),
+            "{\"u\":{\"a\":1}}"
+        );
+    }
+
+    #[test]
+    fn the_median_is_the_upper_middle() {
+        assert_eq!(median([3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median([4, 1, 3, 2]), 3);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`workloads`] — the standard datasets each experiment runs on,
 //!   built from the `onex-tseries` generators with fixed seeds.
-//! * [`harness`] — timing and table-printing utilities shared by the
-//!   experiments.
+//! * [`harness`] — timing, loopback shard helpers, and the one row type
+//!   E12–E19 render both their tables and their perf records from.
 //! * [`experiments`] — one module per experiment (E1–E19); each returns
 //!   [`harness::Table`]s so `repro` can print them and tests can assert on
 //!   their shape.

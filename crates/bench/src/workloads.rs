@@ -101,6 +101,28 @@ pub fn noise_collection(series: usize, len: usize) -> Dataset {
     Dataset::from_series(noise.collect()).expect("walk names are unique")
 }
 
+/// `count` near-miss queries of `len` points ([`perturbed_query`], noise
+/// 0.05): query `i` is cut from series `i · series_step` at offset
+/// `i · start_step`, each wrapped to fit. The perturbation keeps
+/// distances distinct, so ordering is unambiguous and agreement between
+/// engines well-defined.
+pub fn spread_queries(
+    ds: &Dataset,
+    count: usize,
+    len: usize,
+    (series_step, start_step): (usize, usize),
+) -> Vec<Vec<f64>> {
+    (0..count)
+        .map(|i| {
+            let series = ds
+                .series((i * series_step % ds.len()) as u32)
+                .expect("wrapped id");
+            let start = (i * start_step) % (series.len() - len);
+            perturbed_query(ds, series.name(), start, len, 0.05)
+        })
+        .collect()
+}
+
 /// Cut a query of `len` starting at `start` from a named series, with a
 /// small deterministic perturbation so queries are near-misses rather than
 /// exact members (the realistic analyst case).

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use onex_api::{validate_query, Epoch, OnexError, ReadTxn, SharedBound, Versioned};
+use onex_api::{validate_query, Epoch, OnexError, ReadTxn, SharedBound, Versioned, TOP_K_RESERVE};
 use onex_grouping::persist::BaseSegment;
 use onex_grouping::{BaseBuilder, BaseConfig, BuildReport, OnexBase, ResidentIndex};
 use onex_tseries::Dataset;
@@ -479,7 +479,7 @@ impl Onex {
         // cannot make the rounds answer from different bases.
         let snapshot = self.snapshot();
         let mut opts = opts.clone();
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::with_capacity(k.min(TOP_K_RESERVE));
         let mut total = QueryStats::default();
         for _ in 0..k {
             let (mut ms, stats) = snapshot.k_best_bounded(query, 1, &opts, &SharedBound::new())?;

@@ -36,7 +36,7 @@ use onex_api::{
     validate_query, BackendMatch, BackendStats, BestK, Capabilities, Coverage, DegradePolicy,
     Metric, NetworkErrorKind, OnexError, SearchOutcome, SharedBound,
 };
-use onex_tseries::SubseqRef;
+use onex_tseries::{Dataset, SubseqRef, TimeSeries};
 
 use crate::search::normalize;
 use crate::{LengthSelection, QueryOptions, ScanBreadth};
@@ -47,6 +47,21 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 /// The slot that owns global series `g` among `n` slots.
 pub fn slot_of(g: u32, n: usize) -> usize {
     g as usize % n
+}
+
+/// `dataset` split round-robin over `n` slots, `n` clamped to the
+/// series count: part `s` holds every series [`slot_of`] places on slot
+/// `s`, in global order, so its local id `l` is global [`global`]`(l, s, n)`.
+pub fn partition(dataset: &Dataset, n: usize) -> Vec<Dataset> {
+    let n = n.min(dataset.len());
+    let mut parts: Vec<Vec<TimeSeries>> = vec![Vec::new(); n];
+    for (g, series) in dataset.iter() {
+        parts[slot_of(g, n)].push(series.clone());
+    }
+    parts
+        .into_iter()
+        .map(|part| Dataset::from_series(part).expect("a part of a dataset has unique names"))
+        .collect()
 }
 
 /// The global id of slot `slot`'s local series `local` among `n` slots.
@@ -591,6 +606,29 @@ mod tests {
         assert_eq!(fanout.k_best(&QUERY, 1, tighten).unwrap().stats.examined, 2);
         // A later query starts from a fresh bound again.
         assert_eq!(fanout.k_best(&QUERY, 1, tighten).unwrap().stats.examined, 2);
+    }
+
+    #[test]
+    fn a_partition_places_every_series_where_slot_of_says() {
+        let ds = Dataset::from_series(
+            (0..7)
+                .map(|i| TimeSeries::new(format!("s{i}"), vec![i as f64; 4]))
+                .collect(),
+        )
+        .unwrap();
+        for n in 1..=9 {
+            let parts = partition(&ds, n);
+            assert_eq!(parts.len(), n.min(ds.len()));
+            for (slot, part) in parts.iter().enumerate() {
+                for (local, series) in part.iter() {
+                    let g = global(local, slot, parts.len());
+                    assert_eq!(series, ds.series(g).unwrap(), "n={n}");
+                }
+            }
+            let held: usize = parts.iter().map(Dataset::len).sum();
+            assert_eq!(held, ds.len(), "n={n}");
+        }
+        assert!(partition(&Dataset::new(), 3).is_empty());
     }
 
     proptest! {

@@ -40,7 +40,7 @@ use onex_grouping::{BaseConfig, BuildReport, RepresentativePolicy};
 use onex_tseries::{Dataset, TimeSeries};
 
 use crate::engine::EngineSnapshot;
-use crate::fanout::{slot_of, Fanout, PoolStats, Task};
+use crate::fanout::{partition, slot_of, Fanout, PoolStats, Task};
 use crate::{Onex, QueryOptions};
 
 // ---------------------------------------------------------------------
@@ -161,25 +161,18 @@ impl ShardedEngine {
         if dataset.is_empty() {
             return Err(OnexError::invalid_config("cannot shard an empty dataset"));
         }
-        let shards = shards.min(dataset.len());
         let start = Instant::now();
-
-        let mut parts: Vec<Vec<TimeSeries>> = vec![Vec::new(); shards];
-        for (gid, series) in dataset.iter() {
-            parts[slot_of(gid, shards)].push(series.clone());
-        }
+        let parts = partition(dataset, shards);
+        let shards = parts.len();
 
         // Build every shard in parallel; a panicking worker is reported
         // as a typed Internal error instead of aborting the process.
         let results = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
-                .map(|series| {
+                .map(|ds| {
                     let config = config.clone();
-                    scope.spawn(move |_| {
-                        let ds = Dataset::from_series(series)?;
-                        Onex::build(ds, config)
-                    })
+                    scope.spawn(move |_| Onex::build(ds, config))
                 })
                 .collect();
             handles

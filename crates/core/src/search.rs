@@ -107,7 +107,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use onex_api::{BestK, SharedBound};
+use onex_api::{BestK, SharedBound, TOP_K_RESERVE};
 use onex_distance::bounds::warp_multiplicity;
 use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
 use onex_distance::kernels::{dtw_lanes, DTW_LANES};
@@ -487,8 +487,9 @@ impl<'a> Searcher<'a> {
         // Top-g representatives by actual DTW. `selection` is a max-heap
         // on distance so the root is the current g-th best; the squared
         // distance rides along (group ids are unique, so it never breaks
-        // a tie).
-        let mut selection: BinaryHeap<(OrdF64, usize, OrdF64)> = BinaryHeap::with_capacity(g + 1);
+        // a tie). `g` may come off the wire: reserve a little, grow as kept.
+        let mut selection: BinaryHeap<(OrdF64, usize, OrdF64)> =
+            BinaryHeap::with_capacity(g.min(TOP_K_RESERVE) + 1);
         for &(gi, lb_rep) in ranked {
             self.stats.groups_examined += 1;
             let gth = if selection.len() >= g {

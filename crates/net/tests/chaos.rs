@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::{DegradePolicy, OnexError, SimilaritySearch};
+use onex_core::fanout::partition;
 use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_net::{
@@ -85,18 +86,6 @@ fn spawn_shard(ds: Dataset, config: BaseConfig) -> String {
         );
     });
     addr
-}
-
-fn partition(ds: &Dataset, n: usize) -> Vec<Dataset> {
-    (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            Dataset::from_series(part).unwrap()
-        })
-        .collect()
 }
 
 /// Top-k the surviving shard (partition 0) would answer alone, with

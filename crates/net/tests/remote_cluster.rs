@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::{NetworkErrorKind, OnexError, SimilaritySearch};
-use onex_core::Onex;
+use onex_core::fanout::partition;
+use onex_core::{Onex, QueryOptions};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_net::{
     write_hello, AcceptOptions, ClusterEngine, FrameReader, RemoteBackend, RemoteConfig,
@@ -73,19 +74,36 @@ fn spawn_shard(ds: Dataset, config: BaseConfig) -> String {
     addr
 }
 
-/// Partition `ds` round-robin (global `g` → shard `g % n`, local
-/// `g / n`) and start one shard server per part — the identity
-/// [`ClusterEngine`] assumes.
+/// Partition `ds` round-robin (the identity [`ClusterEngine`] assumes)
+/// and start one shard server per part.
 fn spawn_cluster_shards(ds: &Dataset, config: &BaseConfig, n: usize) -> Vec<String> {
-    (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            spawn_shard(Dataset::from_series(part).unwrap(), config.clone())
-        })
+    partition(ds, n)
+        .into_iter()
+        .map(|part| spawn_shard(part, config.clone()))
         .collect()
+}
+
+#[test]
+fn a_shard_answers_a_k_and_a_top_groups_count_past_its_candidates() {
+    let ds = collection(4, 96);
+    let (local, _) = Onex::build(ds.clone(), exact_config()).unwrap();
+    let local = Arc::new(local);
+    let addr = spawn_shard(ds.clone(), exact_config());
+    let query: Vec<f64> = ds.series(1).unwrap().values()[10..10 + QLEN].to_vec();
+    let everything = u32::MAX as usize;
+    for opts in [
+        QueryOptions::default(),
+        QueryOptions::default().top_groups(everything),
+    ] {
+        let want = onex_core::backends::OnexBackend::new(Arc::clone(&local))
+            .with_options(opts.clone())
+            .k_best(&query, everything)
+            .unwrap();
+        let remote = RemoteBackend::new(&addr, test_config()).with_options(opts);
+        let got = remote.k_best(&query, everything).unwrap();
+        assert!(got.matches.len() > 100, "{} matches", got.matches.len());
+        assert_eq!(got.matches, want.matches);
+    }
 }
 
 #[test]
@@ -181,15 +199,12 @@ fn cluster_deploys_a_base_to_one_shard() {
 
     // Rebuild shard 1's partition under a tighter threshold and deploy
     // the image over the wire.
-    let part: Vec<TimeSeries> = (0..4u32)
-        .filter(|g| g % 2 == 1)
-        .map(|g| ds.series(g).unwrap().clone())
-        .collect();
+    let part = partition(&ds, 2).swap_remove(1);
     let tight = BaseConfig {
         policy: RepresentativePolicy::Seed,
         ..BaseConfig::new(0.5, QLEN, QLEN)
     };
-    let (eng, _) = Onex::build(Dataset::from_series(part).unwrap(), tight).unwrap();
+    let (eng, _) = Onex::build(part, tight).unwrap();
     let (_epoch, lengths) = cluster
         .deploy_base(1, onex_grouping::persist::save_v2(&eng.base()))
         .unwrap();

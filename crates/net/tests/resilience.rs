@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use onex_api::{Coverage, DegradePolicy, NetworkErrorKind, OnexError, SimilaritySearch};
+use onex_core::fanout::partition;
 use onex_core::Onex;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_net::{
@@ -77,20 +78,6 @@ fn spawn_shard(ds: Dataset, config: BaseConfig) -> String {
         );
     });
     addr
-}
-
-/// Round-robin partition of `ds` into `n` datasets (the identity the
-/// cluster assumes).
-fn partition(ds: &Dataset, n: usize) -> Vec<Dataset> {
-    (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            Dataset::from_series(part).unwrap()
-        })
-        .collect()
 }
 
 fn spawn_cluster_shards(ds: &Dataset, config: &BaseConfig, n: usize) -> Vec<String> {

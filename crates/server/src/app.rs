@@ -1076,6 +1076,23 @@ mod tests {
     }
 
     #[test]
+    fn a_k_past_the_candidate_count_answers_every_candidate() {
+        let a = app();
+        let matches = |k: &str| {
+            let r = get(&a, &format!("/api/match?series=MA-GrowthRate&len=16&k={k}"));
+            let body = String::from_utf8(r.body).unwrap();
+            assert_eq!(r.status, 200, "k={k}: {body}");
+            let from = body.find("\"matches\":[").expect("a matches array");
+            let to = from + body[from..].find(']').expect("the array ends");
+            body[from..to].to_owned()
+        };
+        let all = matches("1000000000000");
+        let n = all.matches("\"distance\":").count();
+        assert!(n > 5, "{all}");
+        assert_eq!(all, matches(&n.to_string()));
+    }
+
+    #[test]
     fn match_api_serves_every_backend_through_the_trait() {
         let a = app();
         for (backend, metric) in [
@@ -1570,17 +1587,10 @@ mod tests {
             indicators: vec![Indicator::GrowthRate],
             ..MattersConfig::default()
         });
-        (0..n)
-            .map(|s| {
-                let part: Vec<TimeSeries> = (0..ds.len())
-                    .filter(|g| g % n == s)
-                    .map(|g| ds.series(g as u32).unwrap().clone())
-                    .collect();
-                let (engine, _) = Onex::build(
-                    Dataset::from_series(part).unwrap(),
-                    BaseConfig::new(1.0, 6, 10),
-                )
-                .unwrap();
+        onex_core::fanout::partition(&ds, n)
+            .into_iter()
+            .map(|part| {
+                let (engine, _) = Onex::build(part, BaseConfig::new(1.0, 6, 10)).unwrap();
                 let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
                 let server = onex_net::ShardServer::new(Arc::new(engine));

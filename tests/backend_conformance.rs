@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use onex::baselines::{EbsmBackend, FrmBackend, SpringBackend, UcrSuiteBackend};
 use onex::engine::backends::{CachedSearch, OnexBackend, ShardedEngine};
+use onex::engine::fanout::partition;
 use onex::engine::{exhaustive, LengthSelection, Onex, QueryOptions};
 use onex::grouping::BaseConfig;
 use onex::net::{AcceptOptions, ClusterEngine, RemoteBackend, RemoteConfig, ShardServer};
@@ -60,18 +61,12 @@ fn spawn_shard(ds: Dataset, config: BaseConfig) -> String {
     addr
 }
 
-/// Partition `ds` round-robin (global `g` → shard `g % n`, local
-/// `g / n` — the identity [`ClusterEngine`] assumes), start one shard
-/// server per part, and connect a cluster over the fleet.
+/// Partition `ds` round-robin (the identity [`ClusterEngine`] assumes),
+/// start one shard server per part, and connect a cluster over the fleet.
 fn spawn_cluster(ds: &Dataset, config: &BaseConfig, n: usize) -> ClusterEngine {
-    let addrs: Vec<String> = (0..n)
-        .map(|s| {
-            let part: Vec<TimeSeries> = (0..ds.len())
-                .filter(|g| g % n == s)
-                .map(|g| ds.series(g as u32).unwrap().clone())
-                .collect();
-            spawn_shard(Dataset::from_series(part).unwrap(), config.clone())
-        })
+    let addrs: Vec<String> = partition(ds, n)
+        .into_iter()
+        .map(|part| spawn_shard(part, config.clone()))
         .collect();
     ClusterEngine::connect(&addrs, RemoteConfig::default()).expect("loopback shards are reachable")
 }
