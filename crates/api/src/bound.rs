@@ -9,11 +9,18 @@
 //!
 //! Soundness of sharing rests on one observation: if some worker holds
 //! `k` candidates whose worst key is `b`, then the merged top-k over all
-//! workers has a k-th best key ≤ `b` — so any candidate with key ≥ `b`
-//! can at most *tie* at the merged k-boundary, never displace an answer.
-//! Publishing local k-th-best values therefore never loses a strictly
-//! better match; which of several exactly tied windows is reported may
-//! change (the documented "exact up to distance ties" contract).
+//! workers has a k-th best key ≤ `b` — so a candidate whose key
+//! *exceeds* `b` can never enter the answer. Every exact prune test
+//! drops only such candidates: one tied at `b` survives to its worker's
+//! [`BestK`](crate::BestK) and on to the merge, which keeps the first `k`
+//! under (key, payload). Publishing local k-th-best values therefore
+//! changes no answer, ties included, however the workers interleave.
+//!
+//! A bound can also be **cancelled** ([`SharedBound::cancel`]): it drops
+//! to `−∞`, below every key, so it prunes everything — ties at zero
+//! included — and in-flight work finishes at its next reading. That is
+//! how a query nobody waits for any more (a passed deadline, a losing
+//! hedge, a peer that hung up) stops its workers.
 //!
 //! A bound can also be *watched*: [`SharedBound::subscribe`] registers a
 //! listener that is called with every value that actually lowered the
@@ -33,10 +40,10 @@ pub type BoundListener = Arc<dyn Fn(f64) + Send + Sync>;
 ///
 /// Starts at `+∞` ("nothing can be ruled out") and only ever decreases:
 /// [`SharedBound::tighten`] publishes a new upper bound on the k-th best
-/// key, and [`SharedBound::get`] reads the tightest value published so
-/// far. Reads use relaxed atomics — a stale read is merely a *looser*
-/// (still sound) bound, so no ordering stronger than the monotone CAS is
-/// needed. Only a tighten that *won* looks at the subscriber count;
+/// key, [`SharedBound::cancel`] drops it to `−∞`, and
+/// [`SharedBound::get`] reads the tightest value published so far. Reads
+/// use relaxed atomics — a stale read is merely a *looser* (still sound)
+/// bound, so no ordering stronger than the monotone CAS is needed. Only a tighten that *won* looks at the subscriber count;
 /// [`SharedBound::get`] and a losing tighten stay one relaxed load.
 ///
 /// ```
@@ -49,6 +56,8 @@ pub type BoundListener = Arc<dyn Fn(f64) + Send + Sync>;
 /// assert_eq!(bound.get(), 3.0);
 /// bound.tighten(1.5);
 /// assert_eq!(bound.get(), 1.5);
+/// bound.cancel(); // prunes everything, a key of zero included
+/// assert_eq!(bound.get(), f64::NEG_INFINITY);
 /// ```
 pub struct SharedBound {
     /// IEEE-754 bits of the current bound. Non-negative floats compare
@@ -97,12 +106,13 @@ impl SharedBound {
 
     /// Publish `value` as an upper bound on the k-th best key. Values
     /// looser than the current bound are ignored (the bound is monotone),
-    /// as are NaN and negative values — a bound must stay a sound,
-    /// non-negative threshold no matter what a worker feeds it. Returns
-    /// the bound in effect after the call.
+    /// as are NaN and finite negative values — a bound must stay a sound,
+    /// non-negative threshold no matter what a worker feeds it. `−∞` is
+    /// [`SharedBound::cancel`], so a relayed bound (a `Tighten` frame, a
+    /// query's seed) cancels its copy. Returns the bound in effect after
+    /// the call.
     pub fn tighten(&self, value: f64) -> f64 {
-        // NaN or negative: never publish.
-        if value.is_nan() || value < 0.0 {
+        if !Self::publishable(value) {
             return self.get();
         }
         let mut current = self.bits.load(Ordering::Relaxed);
@@ -129,6 +139,20 @@ impl SharedBound {
                 Err(observed) => current = observed,
             }
         }
+    }
+
+    /// Whether [`SharedBound::tighten`] would act on `value`: any
+    /// non-negative value or `−∞`, never NaN or a finite negative.
+    pub fn publishable(value: f64) -> bool {
+        value >= 0.0 || value == f64::NEG_INFINITY
+    }
+
+    /// Cancel the query this bound serves: drop the bound to `−∞`, below
+    /// every key, so every prune test rejects every candidate (an exact
+    /// tie at zero too) and in-flight work ends at its next reading.
+    /// Listeners hear `−∞` like any lowering. Idempotent.
+    pub fn cancel(&self) {
+        self.tighten(f64::NEG_INFINITY);
     }
 
     #[cold]
@@ -165,10 +189,10 @@ impl SharedBound {
         self.listeners.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether any worker has published a finite bound yet.
+    /// Whether any worker has published a bound (or cancelled) yet.
     #[inline]
     pub fn is_tightened(&self) -> bool {
-        self.get().is_finite()
+        self.get() < f64::INFINITY
     }
 }
 
@@ -230,8 +254,27 @@ mod tests {
         assert_eq!(b.tighten(f64::NAN), 3.0);
         assert_eq!(b.tighten(-1.0), 3.0);
         assert_eq!(b.get(), 3.0);
-        // Zero is a legal (maximally tight, short of ties) bound.
+        // Zero is a legal bound: it still keeps a key of exactly zero.
         assert_eq!(b.tighten(0.0), 0.0);
+        assert_eq!(b.tighten(f64::NEG_INFINITY), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn cancel_drops_below_every_key_and_is_heard() {
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let b = SharedBound::new();
+        let _subscription = {
+            let heard = Arc::clone(&heard);
+            b.subscribe(Arc::new(move |v| heard.lock().unwrap().push(v)))
+        };
+        b.tighten(0.0);
+        b.cancel();
+        b.cancel();
+        assert_eq!(b.get(), f64::NEG_INFINITY);
+        assert!(b.is_tightened());
+        assert_eq!(b.tighten(0.0), f64::NEG_INFINITY, "nothing loosens it");
+        assert_eq!(*heard.lock().unwrap(), [0.0, f64::NEG_INFINITY]);
+        assert_eq!(b.clone().get(), f64::NEG_INFINITY);
     }
 
     #[test]

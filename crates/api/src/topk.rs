@@ -4,8 +4,19 @@
 //! the query's [`SharedBound`](crate::SharedBound)), the exhaustive scan
 //! it is tested against (`onex_core::exhaustive`), the fan-out merge, and
 //! the comparison systems' scans (UCR Suite windows, FRM's incremental
-//! nearest-neighbour traversal, ...). Keys tie-break on the payload, so
-//! the engine and its oracle order tied windows the same way.
+//! nearest-neighbour traversal, ...).
+//!
+//! **The answer order.** Every top-k answer in the workspace is the first
+//! `k` entries under `(key, payload)` — for a subsequence search,
+//! (normalised distance, window) — whatever order the candidates are
+//! offered in. [`BestK::offer`] keeps an entry when it sorts below the
+//! current k-th `(key, payload)`, so a tie at the k-th key goes to the
+//! smaller payload, not to whichever was offered first; the bound the
+//! searches prune against is the k-th *key*, and every exact prune test
+//! drops only what *exceeds* it, so every entry tied at the bound reaches
+//! the accumulator. One searcher, N shards racing on a shared bound, the
+//! fan-out merge and the exhaustive oracle therefore return the same
+//! entries, bit for bit.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -74,13 +85,19 @@ impl<P: Ord> BestK<P> {
         }
     }
 
-    /// Keep `(key, payload)` if it beats the current k-th best, evicting
-    /// the worst entry when over capacity. Returns the updated bound.
+    /// Keep `(key, payload)` if it sorts below the current k-th
+    /// `(key, payload)` — any finite key while fewer than `k` are kept —
+    /// evicting the k-th. What is kept does not depend on the order of
+    /// the offers. Returns the updated bound.
     pub fn offer(&mut self, key: f64, payload: P) -> f64 {
-        if key < self.bound() {
-            self.heap.push((OrdF64(key), payload));
-            if self.heap.len() > self.k {
-                self.heap.pop();
+        let entry = (OrdF64(key), payload);
+        if self.heap.len() < self.k {
+            if key < f64::INFINITY {
+                self.heap.push(entry);
+            }
+        } else if let Some(mut kth) = self.heap.peek_mut() {
+            if entry < *kth {
+                *kth = entry;
             }
         }
         self.bound()
@@ -132,16 +149,84 @@ mod tests {
         acc.offer(1.0, 7);
         acc.offer(1.0, 3);
         assert!(acc.bound().is_infinite(), "still underfull");
-        assert_eq!(acc.into_sorted(), vec![(1.0, 3), (1.0, 7)]);
+        acc.offer(0.5, 9);
+        acc.offer(1.0, 5);
+        // Full: a tie at the k-th key goes to the smaller payload.
+        assert_eq!(acc.offer(1.0, 4), 1.0);
+        assert_eq!(
+            acc.into_sorted(),
+            vec![(0.5, 9), (1.0, 3), (1.0, 4), (1.0, 5)]
+        );
     }
 
     #[test]
     fn entries_at_or_above_the_bound_are_rejected() {
         let mut acc: BestK<u32> = BestK::new(1);
         acc.offer(1.0, 0);
-        let bound = acc.offer(1.0, 1); // equal key: not an improvement
+        let bound = acc.offer(1.0, 1); // equal key, larger payload
         assert_eq!(bound, 1.0);
+        acc.offer(2.0, 0);
         assert_eq!(acc.into_sorted(), vec![(1.0, 0)]);
+    }
+
+    #[test]
+    fn non_finite_keys_are_never_kept() {
+        let mut acc: BestK<u32> = BestK::new(2);
+        acc.offer(f64::INFINITY, 0);
+        acc.offer(f64::NAN, 1);
+        assert!(acc.is_empty());
+        acc.offer(1.0, 2);
+        acc.offer(2.0, 3);
+        acc.offer(f64::NAN, 0);
+        assert_eq!(acc.into_sorted(), vec![(1.0, 2), (2.0, 3)]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Keys from a handful of values, so most of them tie: two
+            /// permutations of the same offers keep the same entries.
+            #[test]
+            fn the_kept_entries_do_not_depend_on_the_offer_order(
+                keys in proptest::collection::vec(0u8..4, 1..40),
+                k in 1usize..12,
+                seeds in (any::<u64>(), any::<u64>()),
+            ) {
+                let offers: Vec<(f64, usize)> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &key)| (f64::from(key) * 0.5, i))
+                    .collect();
+                let run = |seed: u64| {
+                    let mut order = offers.clone();
+                    shuffle(&mut order, seed);
+                    let mut acc = BestK::new(k);
+                    for (key, payload) in order {
+                        acc.offer(key, payload);
+                    }
+                    acc.into_sorted()
+                };
+                let mut want = offers.clone();
+                want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                want.truncate(k);
+                prop_assert_eq!(run(seeds.0), want.clone());
+                prop_assert_eq!(run(seeds.1), want);
+            }
+        }
+
+        /// Fisher–Yates under a SplitMix64 stream.
+        fn shuffle<T>(items: &mut [T], mut state: u64) {
+            for i in (1..items.len()).rev() {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                items.swap(i, (z % (i as u64 + 1)) as usize);
+            }
+        }
     }
 
     #[test]

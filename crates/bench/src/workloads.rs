@@ -103,9 +103,8 @@ pub fn noise_collection(series: usize, len: usize) -> Dataset {
 
 /// `count` near-miss queries of `len` points ([`perturbed_query`], noise
 /// 0.05): query `i` is cut from series `i · series_step` at offset
-/// `i · start_step`, each wrapped to fit. The perturbation keeps
-/// distances distinct, so ordering is unambiguous and agreement between
-/// engines well-defined.
+/// `i · start_step`, each wrapped to fit, each a near miss rather than a
+/// stored window.
 pub fn spread_queries(
     ds: &Dataset,
     count: usize,

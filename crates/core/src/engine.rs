@@ -443,8 +443,10 @@ impl Onex {
     /// others' candidate cascades. The bound must be fresh per logical
     /// query (`∞`-seeded) — reusing one across queries would prune
     /// against a threshold the current query never established. Results
-    /// are identical to the unshared search up to distance ties at the
-    /// k-boundary.
+    /// are identical to the unshared search, ties included: a peer's
+    /// bound prunes only what exceeds it, and ties at the k-th distance
+    /// go to the smaller window. A cancelled bound
+    /// ([`SharedBound::cancel`]) starts no further DTW.
     ///
     /// # Errors
     /// Same conditions as [`Onex::k_best`].
@@ -610,6 +612,7 @@ impl Onex {
         series: onex_tseries::TimeSeries,
     ) -> Result<BuildReport, OnexError> {
         reject_non_finite(&series)?;
+        reject_empty_name(&series)?;
         reject_taken_name(&self.state.read().dataset, series.name())?;
         // Incremental extension grows the *whole* base; a cold engine
         // must materialise every remaining column first, or the extended
@@ -659,6 +662,15 @@ fn reject_non_finite(series: &onex_tseries::TimeSeries) -> Result<(), OnexError>
         ))),
         None => Ok(()),
     }
+}
+
+/// A series no request can name again (`?series=`, `?target=`) is
+/// unprocessable data, a 422.
+fn reject_empty_name(series: &onex_tseries::TimeSeries) -> Result<(), OnexError> {
+    if series.name().is_empty() {
+        return Err(OnexError::InvalidData("series name is empty".into()));
+    }
+    Ok(())
 }
 
 /// A name collision conflicts with the published collection — HTTP-wise

@@ -13,7 +13,7 @@ use onex_api::{validate_query, BestK, OnexError};
 use onex_distance::dtw::dtw_early_abandon_sq_with_cb;
 use onex_tseries::{Dataset, SubseqRef};
 
-use crate::search::normalize;
+use crate::search::{normalize, raw_bound_sq};
 use crate::QueryOptions;
 
 /// A scan hit: where, raw DTW distance, and the cross-length ranking value.
@@ -73,8 +73,7 @@ pub fn scan_k(
                     .expect("enumeration stays in bounds");
                 // `∞` while fewer than k are kept.
                 let bound_sq = if early_abandon {
-                    let raw = best.bound() * (n.max(len) as f64).sqrt();
-                    raw * raw
+                    raw_bound_sq(best.bound(), (n.max(len) as f64).sqrt(), 0.0)
                 } else {
                     f64::INFINITY
                 };
@@ -170,10 +169,11 @@ mod tests {
     }
 
     /// Windows at the same distance come back in window order, not scan
-    /// order, and the k-th place goes to the first one scanned: the rule
-    /// of `BestK`, which the engine keeps its matches in too.
+    /// order, and the k-th place goes to the smallest window however the
+    /// scan met them: the rule of `BestK`, which the engine keeps its
+    /// matches in too.
     #[test]
-    fn tied_windows_sort_by_window_and_the_first_scanned_keeps_the_kth() {
+    fn tied_windows_sort_by_window_and_the_smallest_window_keeps_the_kth() {
         let d = Dataset::from_series(vec![TimeSeries::new("flat", vec![1.0; 6])]).unwrap();
         let query = [1.0; 3];
         let opts = QueryOptions::default();
@@ -189,7 +189,7 @@ mod tests {
             windows(7),
             [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 3)]
         );
-        assert_eq!(windows(2), [(0, 4), (1, 4)]);
+        assert_eq!(windows(2), [(0, 3), (0, 4)]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   one for all its slots, or one per slot when sharing is off — so
 //!   concurrent queries can never prune each other's answers.
 //! * **Deadline.** Replies are collected under one per-query deadline;
-//!   passing it collapses the query's bounds to zero (in-flight work
-//!   finishes trivially) and returns a typed
+//!   passing it cancels the query's bounds (in-flight work finishes
+//!   trivially) and returns a typed
 //!   [`NetworkErrorKind::Timeout`].
 //! * **Policy.** [`DegradePolicy`] decides what failed slots cost; every
 //!   answer carries its [`Coverage`].
@@ -326,10 +326,11 @@ impl Fanout {
                     )));
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Nobody is waiting any more: a zero bound prunes
-                    // everything, so in-flight work finishes trivially.
+                    // Nobody is waiting any more: a cancelled bound
+                    // prunes everything, so in-flight work finishes
+                    // trivially.
                     for bound in &bounds {
-                        bound.tighten(0.0);
+                        bound.cancel();
                     }
                     return Err(OnexError::network(
                         NetworkErrorKind::Timeout,
@@ -539,7 +540,7 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(50));
         assert_eq!(
             seen.recv().unwrap().get(),
-            0.0,
+            f64::NEG_INFINITY,
             "in-flight work is cancelled"
         );
         release.send(()).unwrap();

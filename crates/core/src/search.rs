@@ -1,8 +1,11 @@
 //! The two-phase group search shared by best-match and k-similar queries.
 //!
-//! Phase 1 ranks every group of a candidate length by the DTW distance
-//! between the query and the group representative. Phase 2 walks groups in
-//! that order and scans their members, with three sound pruning layers
+//! Phase 1 ranks every group of a candidate length by a lower bound on
+//! the DTW distance between the query and the group representative —
+//! LB_KimFL strengthened by LB_Keogh — and drops the groups that bound
+//! already rules out. Phase 2 walks groups in that order, runs each
+//! representative's DTW, and scans the members of the groups it keeps,
+//! with four sound pruning layers
 //! (paper §3.3 "optimization strategies ranging from indexing of time
 //! series using bounding envelopes to early pruning of unpromising
 //! candidates"):
@@ -63,14 +66,24 @@
 //! tightens — so nothing the fresh bound would keep is lost; a candidate
 //! the fresh bound would have dismissed merely reaches a later tier.
 //! Completed distances are bit-identical however a DP was scheduled, and
-//! results are offered to the k best in slot order through the same strict
-//! `normalized < k-th best` test, so they see the sequence of offers
-//! the one-at-a-time scan produced, plus offers that test refuses: the
-//! top-k, its distances and its tie-breaks are unchanged. Only the tier
-//! counters can differ, by the few candidates that died one tier later.
-//! (When peers tighten the shared bound mid-scan the offers depend on
-//! timing, batched or not; the merged answer is exact up to ties by the
-//! bound's own argument, below.)
+//! what the k best keep does not depend on the order of the offers. Only
+//! the tier counters can differ, by the few candidates that died one tier
+//! later.
+//!
+//! ## One answer order
+//!
+//! The answer is the first `k` windows under (normalised distance,
+//! window) — the order [`BestK`] keeps — whatever the shard count, kernel
+//! level or schedule. Two rules make it so:
+//!
+//! * **Every exact prune test drops only what *exceeds* the bound**: a
+//!   candidate tied with the k-th best reaches the k best, which keep the
+//!   smaller window. (`TopGroups` is an approximation and keeps its own
+//!   tests.)
+//! * **The bound changes scale in one place**, [`raw_bound_sq`]: the
+//!   normalised bound, back on the squared raw DTW scale of one length,
+//!   widened by a few ulps so rounding never prunes a candidate whose
+//!   normalised distance equals it.
 //!
 //! A group of one never reaches the scan. Its representative is its
 //! member's window, read in place, and phase 2 has already run that
@@ -95,8 +108,10 @@
 //! the early-abandoning DP (so it can abort mid-computation). When
 //! several searchers share one bound — the sharded engine runs one per
 //! shard — a discovery by any of them immediately shrinks all the
-//! others' searches; results stay exact up to distance ties (see
-//! `onex_api::bound` for the soundness argument).
+//! others' searches, and the merged answer is the one a single searcher
+//! returns (see `onex_api::bound` for the soundness argument). A
+//! cancelled bound (`−∞`) fails every test, so a cancelled query starts
+//! no further DTW.
 //!
 //! Soundness of (1) relies on the radius being certified, which holds
 //! under the `Seed` representative policy; under `Centroid` the radius is
@@ -139,6 +154,27 @@ impl Ord for OrdF64 {
 #[inline]
 pub fn normalize(distance: f64, query_len: usize, candidate_len: usize) -> f64 {
     distance / (query_len.max(candidate_len) as f64).sqrt()
+}
+
+/// The relative margin [`raw_bound_sq`] adds: eight ulps of 1, where the
+/// round trip through [`normalize`] and back loses at most about three.
+const WIDEN: f64 = 1.0 + 8.0 * f64::EPSILON;
+
+/// `(bound · norm + slack)²`: the normalised `bound` on the squared raw
+/// DTW scale of a length whose normalisation factor is `norm`, plus
+/// `slack` (a group's `√W · radius`) — the one conversion behind every
+/// exact prune test and DTW threshold. It is widened by a few ulps, so a
+/// candidate whose normalised distance equals `bound` is never pruned by
+/// rounding. `∞` stays `∞`; a cancelled bound (`−∞`) stays `−∞`, below
+/// every squared distance.
+#[inline]
+pub(crate) fn raw_bound_sq(bound: f64, norm: f64, slack: f64) -> f64 {
+    let raw = (bound * norm + slack) * WIDEN;
+    if raw < 0.0 {
+        f64::NEG_INFINITY
+    } else {
+        raw * raw
+    }
 }
 
 /// Everything about one candidate length that is a pure function of the
@@ -326,19 +362,12 @@ impl<'a> Searcher<'a> {
         (matches, stats)
     }
 
-    /// The current pruning bound at a given candidate length, on the raw
-    /// DTW scale: a candidate can only matter if it beats the k-th best
-    /// normalised distance known anywhere (this searcher or a peer
-    /// sharing the bound). `∞` stays `∞`: `norm ≥ 1`.
-    fn raw_bound(&self, plan: &LengthPlan) -> f64 {
-        self.bound.get() * plan.norm
-    }
-
-    /// [`Self::raw_bound`] squared (`∞` stays `∞`) — the scale the member
-    /// tiers compare on.
+    /// The current pruning bound at a given candidate length, on the
+    /// squared raw DTW scale the member tiers compare on: a candidate can
+    /// only matter if it is within the k-th best normalised distance
+    /// known anywhere (this searcher or a peer sharing the bound).
     fn bound_sq(&self, plan: &LengthPlan) -> f64 {
-        let bound = self.raw_bound(plan);
-        bound * bound
+        raw_bound_sq(self.bound.get(), plan.norm, 0.0)
     }
 
     fn search_length(&mut self, plan: &LengthPlan) {
@@ -349,24 +378,22 @@ impl<'a> Searcher<'a> {
         let band = self.opts.band;
         let sqrt_w = plan.sqrt_w;
 
-        // Phase 1: rank groups by a cheap *lower bound* on the
+        // Phase 1: rank groups by a cheap *lower bound* on the squared
         // representative distance — LB_KimFL strengthened by LB_Keogh.
         // Ascending lower bound is an optimistic-first order, and because
         // it bounds the true distance from below it also licenses a sound
-        // early `break` in phase 2. Once the bound is finite (an earlier
+        // early `break` in phase 2. Once the bound is set (an earlier
         // length of this query, or a peer shard) a group whose lower bound
-        // clears `bound + √W·radius` is pruned here, by the test phase 2
+        // exceeds `bound + √W·radius` is pruned here, by the test phase 2
         // would apply to it, and LB_Keogh abandons at that threshold.
         // (`TopGroups` selects by representative distance alone, so its
         // ranking keeps every group.)
-        let bound = self.raw_bound(plan);
-        let prune_here =
-            self.opts.prune_groups && bound.is_finite() && self.opts.breadth == ScanBreadth::Exact;
+        let bound = self.bound.get();
+        let prune_here = self.opts.prune_groups && self.opts.breadth == ScanBreadth::Exact;
         let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
         for (gi, g) in groups.iter().enumerate() {
             let prune_at_sq = if prune_here {
-                let at = bound + sqrt_w * g.radius();
-                at * at
+                raw_bound_sq(bound, plan.norm, sqrt_w * g.radius())
             } else {
                 f64::INFINITY
             };
@@ -381,7 +408,7 @@ impl<'a> Searcher<'a> {
                 self.stats.groups_pruned += 1;
                 continue;
             }
-            ranked.push((gi, lb_sq.sqrt()));
+            ranked.push((gi, lb_sq));
         }
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
@@ -406,7 +433,7 @@ impl<'a> Searcher<'a> {
         // tightens after the very first member scan, so most later
         // representatives abandon their DTW within a few rows — the
         // paper's "early pruning of unpromising candidates".
-        for (rank_idx, &(gi, lb_rep)) in ranked.iter().enumerate() {
+        for (rank_idx, &(gi, lb_rep_sq)) in ranked.iter().enumerate() {
             let g = groups.at(gi);
             self.stats.groups_examined += 1;
             // A group of one is its member: one the filters drop needs
@@ -414,23 +441,26 @@ impl<'a> Searcher<'a> {
             if g.is_lone() && !self.opts.admits(g.members().at(0)) {
                 continue;
             }
-            let bound = self.raw_bound(plan);
-            if self.opts.prune_groups && bound.is_finite() {
+            let bound = self.bound.get();
+            let norm = plan.norm;
+            if self.opts.prune_groups {
                 // Every remaining group has lb ≥ lb_rep and radius ≤ the
-                // suffix max, so none can hold a member below the bound.
-                if lb_rep >= bound + sqrt_w * suffix_max_radius[rank_idx] {
+                // suffix max, so none can hold a member within the bound.
+                let stop_sq = raw_bound_sq(bound, norm, sqrt_w * suffix_max_radius[rank_idx]);
+                if lb_rep_sq > stop_sq {
                     self.stats.groups_pruned += ranked.len() - rank_idx;
                     break;
                 }
             }
-            // A member can only beat `bound` if the representative is
-            // within bound + √W·radius (ED↔DTW bridge, DESIGN.md §2.2).
-            let prune_at = if self.opts.prune_groups && bound.is_finite() {
-                bound + sqrt_w * g.radius()
+            // A member can only be within `bound` if the representative
+            // is within bound + √W·radius (ED↔DTW bridge, DESIGN.md §2.2).
+            let slack = sqrt_w * g.radius();
+            let prune_at_sq = if self.opts.prune_groups {
+                raw_bound_sq(bound, norm, slack)
             } else {
                 f64::INFINITY
             };
-            if lb_rep >= prune_at {
+            if lb_rep_sq > prune_at_sq {
                 self.stats.groups_pruned += 1;
                 continue;
             }
@@ -438,18 +468,14 @@ impl<'a> Searcher<'a> {
             // this DP (by a peer shard, or not at all in single-engine
             // mode) into the abandonment threshold, radius slack included.
             let shared = self.bound;
-            let (norm, radius) = (plan.norm, g.radius());
-            let live = move || {
-                let at = shared.get() * norm + sqrt_w * radius;
-                at * at
-            };
+            let live = move || raw_bound_sq(shared.get(), norm, slack);
             let live_ref: Option<&dyn Fn() -> f64> =
                 self.opts.prune_groups.then_some(&live as &dyn Fn() -> f64);
             let d_rep_sq = dtw_early_abandon_sq_scratch(
                 self.query,
                 g.representative(),
                 band,
-                prune_at * prune_at,
+                prune_at_sq,
                 None,
                 live_ref,
                 &mut self.scratch,
@@ -460,9 +486,8 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             self.stats.dtw_completed += 1;
-            let d_rep = d_rep_sq.sqrt();
-            let bound = self.raw_bound(plan);
-            if self.opts.prune_groups && d_rep - sqrt_w * g.radius() >= bound {
+            // A fresh reading: a peer may have tightened the bound.
+            if self.opts.prune_groups && d_rep_sq > live() {
                 self.stats.groups_pruned += 1;
                 continue;
             }
@@ -490,14 +515,14 @@ impl<'a> Searcher<'a> {
         // a tie). `g` may come off the wire: reserve a little, grow as kept.
         let mut selection: BinaryHeap<(OrdF64, usize, OrdF64)> =
             BinaryHeap::with_capacity(g.min(TOP_K_RESERVE) + 1);
-        for &(gi, lb_rep) in ranked {
+        for &(gi, lb_rep_sq) in ranked {
             self.stats.groups_examined += 1;
             let gth = if selection.len() >= g {
                 selection.peek().expect("non-empty").0 .0
             } else {
                 f64::INFINITY
             };
-            if lb_rep >= gth {
+            if lb_rep_sq.sqrt() >= gth {
                 // Sorted by lb ascending: nothing later can enter the
                 // selection either.
                 self.stats.groups_pruned += 1;
@@ -656,10 +681,7 @@ impl<'a> Searcher<'a> {
         // DTW scale at this length, re-read per DP row.
         let shared = self.bound;
         let norm = plan.norm;
-        let live = move || {
-            let raw = shared.get() * norm;
-            raw * raw
-        };
+        let live = move || raw_bound_sq(shared.get(), norm, 0.0);
         let mut d_sq = [0.0; DTW_LANES];
         dtw_lanes(
             self.query,
@@ -683,9 +705,8 @@ impl<'a> Searcher<'a> {
 
     /// Offer `member` of group `gi` at the completed squared DTW `d_sq`
     /// to the k best, publishing their k-th key to the shared bound.
-    /// `BestK` keeps only a strict improvement on its k-th (ties: first
-    /// discovered wins) and reports `∞` while it holds fewer than k,
-    /// which the bound ignores.
+    /// `BestK` keeps what sorts below its k-th (distance, window) and
+    /// reports `∞` while it holds fewer than k, which the bound ignores.
     fn offer(&mut self, plan: &LengthPlan, gi: usize, member: SubseqRef, d_sq: f64) {
         let distance = d_sq.sqrt();
         let normalized = normalize(distance, self.query.len(), plan.len);
@@ -749,9 +770,80 @@ mod tests {
         }
     }
 
+    /// A candidate whose normalised distance equals the bound survives
+    /// the conversion back to the raw scale, over random squared
+    /// distances and length pairs — which the plain `bound · norm`,
+    /// squared, does not always do.
+    #[test]
+    fn a_distance_equal_to_the_bound_is_never_pruned() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut plain_pruned = 0;
+        for _ in 0..100_000 {
+            let bits = next();
+            // Squared distances from 1e-6 to 1e6, every mantissa.
+            let d_sq = (1.0 + (bits >> 12) as f64 / (1u64 << 52) as f64)
+                * 10f64.powi((bits % 13) as i32 - 6);
+            let (n, len) = (1 + (next() % 400) as usize, 1 + (next() % 400) as usize);
+            let norm = (n.max(len) as f64).sqrt();
+            let bound = normalize(d_sq.sqrt(), n, len);
+            assert!(
+                d_sq <= raw_bound_sq(bound, norm, 0.0),
+                "d² {d_sq:e} at ({n}, {len}) is pruned by its own bound"
+            );
+            let plain = bound * norm;
+            plain_pruned += usize::from(d_sq > plain * plain);
+        }
+        assert!(plain_pruned > 0, "the widening is never needed");
+        assert_eq!(raw_bound_sq(f64::INFINITY, 4.0, 1.0), f64::INFINITY);
+        assert_eq!(raw_bound_sq(f64::NEG_INFINITY, 4.0, 1.0), f64::NEG_INFINITY);
+    }
+
+    /// Every window of a constant collection ties at zero. A bound at
+    /// zero keeps the ties — the smallest windows win — and a cancelled
+    /// bound prunes every one of them before its DTW.
+    #[test]
+    fn a_cancelled_bound_starts_no_dtw_where_a_zero_bound_keeps_every_tie() {
+        let flat: Vec<_> = (0..10)
+            .map(|i| onex_tseries::TimeSeries::new(format!("flat{i}"), vec![2.0; 80]))
+            .collect();
+        let dataset = Dataset::from_series(flat).unwrap();
+        let config = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(0.5, 16, 16)
+        };
+        let (base, _) = BaseBuilder::new(config).unwrap().build(&dataset);
+        let query = [2.0; 16];
+        let opts = QueryOptions::default();
+        let run =
+            |bound: &SharedBound| Searcher::new(&dataset, &base, &query, &opts, 5, bound).run();
+
+        let zero = SharedBound::new();
+        zero.tighten(0.0);
+        let (kept, stats) = run(&zero);
+        let windows: Vec<_> = kept
+            .iter()
+            .map(|m| (m.subseq.series, m.subseq.start))
+            .collect();
+        assert_eq!(windows, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
+        assert!(stats.dtw_completed > 0, "{stats:?}");
+
+        let cancelled = SharedBound::new();
+        cancelled.cancel();
+        let (none, stats) = run(&cancelled);
+        assert!(none.is_empty());
+        assert_eq!(stats.dtw_completed + stats.dtw_abandoned, 0, "{stats:?}");
+        assert_eq!(cancelled.get(), f64::NEG_INFINITY);
+    }
+
     /// The shared bound is the only one the searcher reads, so a bound a
     /// peer published before the search prunes from the start — and
-    /// still keeps every match strictly below it, bit for bit.
+    /// still keeps every match within it, bit for bit.
     #[test]
     fn a_peer_bound_keeps_every_match_that_beats_it() {
         let cfg = SyntheticConfig {
@@ -785,12 +877,12 @@ mod tests {
         let (kept, _) = run(&bound);
         let below = |ms: &[Match]| -> Vec<_> {
             ms.iter()
-                .filter(|m| m.normalized < peer)
+                .filter(|m| m.normalized <= peer)
                 .map(|m| (m.subseq, m.distance.to_bits()))
                 .collect()
         };
         assert_eq!(below(&kept), below(&all));
-        assert!(below(&all).len() >= 3, "{all:?}");
+        assert!(below(&all).len() >= 4, "{all:?}");
         assert!(bound.get() <= peer);
     }
 }

@@ -270,11 +270,7 @@ fn the_engine_and_the_oracle_order_tied_windows_alike() {
             .iter()
             .map(|m| (m.subseq, m.distance.to_bits()))
             .collect();
-        let want: Vec<_> = truth
-            .iter()
-            .map(|t| (t.subseq, t.distance.to_bits()))
-            .collect();
-        assert_eq!(found, want, "{selection:?}");
+        assert_eq!(found, windows_and_bits(&truth), "{selection:?}");
         assert_eq!(found[0].1, found[2].1, "{selection:?}: a tied triple");
     }
 }
@@ -561,25 +557,13 @@ fn lone_collections() -> Vec<(&'static str, Dataset)> {
     ]
 }
 
-/// `got` is `truth` up to distance ties: the same normalised distances
-/// rank by rank, and the same window wherever the truth's distance is
-/// not tied with another of its own.
-fn assert_same_up_to_ties(got: &[(SubseqRef, f64)], truth: &[exhaustive::ScanHit], what: &str) {
-    assert_eq!(got.len(), truth.len(), "{what}");
-    for (i, ((subseq, normalized), t)) in got.iter().zip(truth).enumerate() {
-        assert!(
-            (normalized - t.normalized).abs() <= 1e-9,
-            "{what} rank {i}: {normalized} vs truth {}",
-            t.normalized
-        );
-        let tied = truth
-            .iter()
-            .enumerate()
-            .any(|(j, u)| j != i && (u.normalized - t.normalized).abs() <= 1e-9);
-        if !tied {
-            assert_eq!(*subseq, t.subseq, "{what} rank {i}");
-        }
-    }
+/// The oracle's answer as the engines report theirs: each window with
+/// the bits of its distance.
+fn windows_and_bits(truth: &[exhaustive::ScanHit]) -> Vec<(SubseqRef, u64)> {
+    truth
+        .iter()
+        .map(|t| (t.subseq, t.distance.to_bits()))
+        .collect()
 }
 
 #[test]
@@ -636,13 +620,12 @@ fn groups_of_one_answer_as_the_exhaustive_scan_under_every_option() {
                     for opts in [opts.clone(), everything] {
                         let (with, _) = e.k_best(&query, k, &opts).unwrap();
                         let (without, _) = e.k_best(&query, k, &opts.clone().without_l0()).unwrap();
-                        let found: Vec<_> = with.iter().map(|m| (m.subseq, m.normalized)).collect();
-                        assert_same_up_to_ties(&found, &truth, &what);
                         let bits = |ms: &[onex_core::Match]| -> Vec<_> {
                             ms.iter()
                                 .map(|m| (m.subseq, m.distance.to_bits()))
                                 .collect()
                         };
+                        assert_eq!(bits(&with), windows_and_bits(&truth), "{what}");
                         assert_eq!(bits(&with), bits(&without), "{what}: L0 off");
                     }
                     // A narrow top-g scan is an approximation: L0 changes
@@ -708,13 +691,10 @@ fn sharded_groups_of_one_answer_as_the_exhaustive_scan_with_a_shared_bound() {
                     .iter()
                     .map(|m| {
                         let subseq = SubseqRef::new(m.series, m.start as u32, m.len as u32);
-                        (
-                            subseq,
-                            onex_core::normalized_distance(m.distance, query.len(), m.len),
-                        )
+                        (subseq, m.distance.to_bits())
                     })
                     .collect();
-                assert_same_up_to_ties(&found, &truth, &what);
+                assert_eq!(found, windows_and_bits(&truth), "{what}");
             }
         }
     }

@@ -28,8 +28,9 @@
 //! again. Optionally a query **hedges**: if the preferred replica has
 //! not answered within [`ClusterConfig::hedge_after`], the same request
 //! is raced against the next live replica and the first answer wins —
-//! the loser is cancelled by collapsing its private bound to zero, which
-//! makes its remaining search trivially prunable.
+//! the loser is cancelled through its private bound
+//! ([`SharedBound::cancel`]), which makes its remaining search trivially
+//! prunable.
 //!
 //! When a whole slot is down, [`DegradePolicy`] decides: `Fail`
 //! propagates the slot's typed error (the strict historical behaviour),
@@ -77,7 +78,7 @@ pub struct ClusterConfig {
     pub query_deadline: Duration,
     /// When set, a slot query that has not answered within this
     /// threshold is raced against the slot's next live replica; first
-    /// answer wins, the loser is cancelled via bound collapse.
+    /// answer wins, the loser is cancelled through its bound.
     pub hedge_after: Option<Duration>,
     /// Cadence of the background breaker probe thread; `None` disables
     /// probing (open breakers then only re-close through query-path
@@ -460,11 +461,9 @@ fn race(
                         Some(_) if from_backup => {
                             slot.hedge_wins.fetch_add(1, Ordering::Relaxed);
                         }
-                        // Cancel the losing backup: a zero bound prunes
-                        // everything, so it finishes trivially.
-                        Some(bound) => {
-                            bound.tighten(0.0);
-                        }
+                        // Cancel the losing backup: a cancelled bound
+                        // prunes everything, so it finishes trivially.
+                        Some(bound) => bound.cancel(),
                         None => {}
                     }
                     job.reply(Ok(outcome));
@@ -479,7 +478,7 @@ fn race(
                     // Fire the hedge at the next live replica; with none,
                     // just wait the primary out. The backup prunes
                     // against a *private* bound seeded from the shared
-                    // one: collapsing it later cancels only the loser,
+                    // one: cancelling it later stops only the loser,
                     // never the query.
                     while *next < slot.replicas.len() && backup_bound.is_none() {
                         let backup = &slot.replicas[*next];

@@ -10,7 +10,7 @@
 //! `Tighten` frame itself before moving on — so a shard's discoveries
 //! start pruning on every other shard a loopback round-trip later, not at
 //! the next timer tick and not after the answer. A client that vanishes
-//! mid-query collapses the bound to zero at EOF, which frees the worker
+//! mid-query cancels the bound at EOF, which frees the worker
 //! without waiting for the search to run its course. Each connection
 //! costs the pool worker it occupies plus one parked reader thread.
 

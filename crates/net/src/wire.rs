@@ -83,11 +83,10 @@ struct Shared {
     /// except for the unsent tail of a gossip frame that met a full socket.
     out: Mutex<Vec<u8>>,
     inbound: Mutex<Inbound>,
-    /// Bits of the tightest bound the peer is known to hold (bounds are
-    /// non-negative, so their bit patterns order like their values).
+    /// [`ordered_bits`] of the tightest bound the peer is known to hold.
     last_pushed: AtomicU64,
     /// On the serving end a vanished peer abandons its query: the bound
-    /// collapses to zero at EOF and the search prunes its way out.
+    /// is cancelled at EOF and the search prunes its way out.
     collapse_on_close: bool,
     sent: AtomicUsize,
     received: AtomicUsize,
@@ -117,9 +116,14 @@ fn reader_vanished() -> Event {
     Event::Closed(Some(OnexError::Internal("wire reader vanished".into())))
 }
 
-/// Bit pattern that orders like the value (`-0.0` would sort last).
+/// Bit pattern that orders like the value over what a bound can hold:
+/// `0` for a cancel (`−∞`), then zero and up (`-0.0` would sort last).
 fn ordered_bits(bound: f64) -> u64 {
-    bound.abs().to_bits()
+    if bound == f64::NEG_INFINITY {
+        0
+    } else {
+        bound.abs().to_bits() + 1
+    }
 }
 
 impl Shared {
@@ -178,7 +182,7 @@ impl Shared {
         if self.push_frame(&mut self.out.lock(), bound) {
             self.sent.fetch_add(1, Ordering::Relaxed);
         } else {
-            // Nothing is tighter than zero: no more gossip this query.
+            // Nothing is tighter than a cancel: no more gossip this query.
             self.last_pushed.store(0, Ordering::SeqCst);
         }
     }
@@ -208,7 +212,7 @@ impl Shared {
     fn tightened_by_peer(&self, bound: f64) {
         // What `SharedBound::tighten` would refuse must not move
         // `last_pushed` either.
-        if bound.is_nan() || bound < 0.0 {
+        if !SharedBound::publishable(bound) {
             return;
         }
         let mut inbound = self.inbound.lock();
@@ -267,7 +271,7 @@ fn read_loop(shared: &Shared, mut stream: TcpStream, events: &Sender<Event>) {
         inbound.bound.clone().filter(|_| shared.collapse_on_close)
     };
     if let Some(running) = abandoned {
-        running.tighten(0.0);
+        running.cancel();
     }
     let _ = events.send(Event::Closed(end));
 }
@@ -358,7 +362,11 @@ impl Duplex {
         inbound.bound = Some(Arc::clone(bound));
         let gone = inbound.closed && shared.collapse_on_close;
         drop(inbound);
-        bound.tighten(if gone { 0.0 } else { early });
+        if gone {
+            bound.cancel();
+        } else {
+            bound.tighten(early);
+        }
 
         let listener = Arc::clone(&self.shared);
         let subscription = bound.subscribe(Arc::new(move |b| listener.push(b)));
@@ -484,5 +492,32 @@ mod tests {
             })
             .collect();
         assert!(bounds.windows(2).all(|w| w[1] < w[0]));
+    }
+
+    /// A cancel travels as the `Tighten` frame of `−∞` and cancels the
+    /// peer's copy of the bound, after a zero that did not.
+    #[test]
+    fn a_cancel_reaches_the_peer_after_a_zero_bound() {
+        let (near, far) = pair();
+        let (near, far) = (
+            Duplex::spawn(near, false).unwrap(),
+            Duplex::spawn(far, false).unwrap(),
+        );
+        let (here, there) = (Arc::new(SharedBound::new()), Arc::new(SharedBound::new()));
+        let _near = near.attach(&here, f64::INFINITY);
+        let _far = far.attach(&there, f64::INFINITY);
+        let heard = |want: fn(&SharedBound) -> bool| {
+            let t0 = Instant::now();
+            while !want(&there) {
+                assert!(t0.elapsed() < Duration::from_secs(5), "{there:?}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        here.tighten(0.0);
+        heard(|b| b.get() == 0.0);
+        here.cancel();
+        heard(|b| b.get() == f64::NEG_INFINITY);
+        assert_eq!(ordered_bits(f64::NEG_INFINITY), 0);
+        assert!(ordered_bits(-0.0) == ordered_bits(0.0) && ordered_bits(0.0) > 0);
     }
 }

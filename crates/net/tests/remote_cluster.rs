@@ -7,7 +7,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use onex_api::{NetworkErrorKind, OnexError, SimilaritySearch};
+use onex_api::{NetworkErrorKind, OnexError, SharedBound, SimilaritySearch};
 use onex_core::fanout::partition;
 use onex_core::{Onex, QueryOptions};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
@@ -350,6 +350,36 @@ fn garbage_on_the_shard_port_cannot_kill_the_server() {
     let got = remote.k_best(&query, 2).unwrap();
     assert_eq!(got.matches[0].series, 0);
     assert!(got.matches[0].distance < 1e-9);
+}
+
+/// All-constant data ties every window at zero. A bound at zero keeps
+/// the ties (the smallest windows win); a cancelled bound, sent as the
+/// query's seed, prunes them all on the shard: no DTW starts there.
+#[test]
+fn a_cancelled_query_starts_no_dtw_on_a_remote_shard() {
+    let flat: Vec<TimeSeries> = (0..8)
+        .map(|i| TimeSeries::new(format!("flat{i}"), vec![1.0; 64]))
+        .collect();
+    let config = BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(0.5, QLEN, QLEN)
+    };
+    let addr = spawn_shard(Dataset::from_series(flat).unwrap(), config);
+    let remote = RemoteBackend::new(addr, test_config());
+    let query = vec![1.0; QLEN];
+
+    let zero = Arc::new(SharedBound::new());
+    zero.tighten(0.0);
+    let (kept, _) = remote.k_best_bounded(&query, 5, &zero).unwrap();
+    let windows: Vec<_> = kept.matches.iter().map(|m| (m.series, m.start)).collect();
+    assert_eq!(windows, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
+    assert!(kept.matches.iter().all(|m| m.distance == 0.0));
+
+    let cancelled = Arc::new(SharedBound::new());
+    cancelled.cancel();
+    let (none, _) = remote.k_best_bounded(&query, 5, &cancelled).unwrap();
+    assert!(none.matches.is_empty(), "{none:?}");
+    assert_eq!(none.stats.distance_computations, 0, "{:?}", none.stats);
 }
 
 #[test]

@@ -778,6 +778,12 @@ impl App {
             return Err(Response::error(404, "unknown target series"));
         };
         let eps: f64 = Self::num_param(req, "eps", 1.0)?;
+        if !eps.is_finite() {
+            return Err(Response::error(
+                400,
+                &format!("parameter \"eps\" has invalid value {eps}: not finite"),
+            ));
+        }
         let hits = self
             .backends
             .spring()
@@ -1461,6 +1467,18 @@ mod tests {
         assert_eq!(get(&a, "/api/summary").body, summary);
     }
 
+    /// A series no request could name again is unprocessable data: 422,
+    /// and nothing published.
+    #[test]
+    fn append_refuses_an_empty_name() {
+        let a = app();
+        let r = get(&a, "/api/append?name=&values=1,2,3,4,5,6");
+        let body = String::from_utf8(r.body).unwrap();
+        assert_eq!(r.status, 422, "{body}");
+        assert!(body.contains("series name is empty"), "{body}");
+        assert_eq!(a.engine.epoch(), 0);
+    }
+
     #[test]
     fn malformed_numeric_params_are_400s_with_the_offending_value() {
         let a = app();
@@ -1477,6 +1495,22 @@ mod tests {
             assert_eq!(r.status, 400, "{target}");
             let body = String::from_utf8(r.body).unwrap();
             assert!(body.contains("invalid value"), "{target}: {body}");
+        }
+    }
+
+    #[test]
+    fn monitor_refuses_a_non_finite_eps_with_the_value() {
+        let a = app();
+        for (eps, shown) in [("inf", "inf"), ("-inf", "-inf"), ("1e999", "inf")] {
+            let r = get(
+                &a,
+                &format!(
+                    "/api/monitor?series=MA-GrowthRate&start=0&len=6&target=MA-GrowthRate&eps={eps}"
+                ),
+            );
+            let body = String::from_utf8(r.body).unwrap();
+            assert_eq!(r.status, 400, "{eps}: {body}");
+            assert!(body.contains(&format!("invalid value {shown}")), "{body}");
         }
     }
 
