@@ -29,7 +29,8 @@
 //!    `explore` shape of the end-to-end harness: a few huge groups, three
 //!    adjacent lengths around 31) is where the member cascade is the
 //!    query, and there [`check`] holds that the tier *pays*: `batch_on_ms`
-//!    below `batch_off_ms`.
+//!    below `batch_off_ms`, the medians of `TIMED_PAIRS` alternating
+//!    batches (`paired_times`, as the kernel rows are timed).
 //! 3. **Per-tier reject fractions** — where candidates die (zone → L0
 //!    block → LB_Kim → LB_Keogh → abandoned DTW → completed DTW), the
 //!    observable that explains the cascade's shape, and the DP cells the
@@ -65,9 +66,7 @@ use onex_distance::{Band, Envelope, QuerySketch, SketchParams, SketchPlanes, SKE
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
 use super::{broken, ExperimentOutput, TIMED};
-use crate::harness::{
-    fmt_duration, median_time, ms, record, same_matches, same_top_k, table, us, Row, Value,
-};
+use crate::harness::{fmt_duration, ms, record, same_matches, same_top_k, table, us, Row, Value};
 use crate::workloads;
 
 /// Query length for the random-walk cascade rows, and the middle of
@@ -484,7 +483,8 @@ pub struct CascadeLeg {
     pub dtw_completed: usize,
     /// DP cells the DTWs computed (members and representatives).
     pub dtw_cells: usize,
-    /// Median batch wall-clock.
+    /// Median batch wall-clock, of batches alternating with the other
+    /// leg's.
     pub batch: Duration,
 }
 
@@ -608,27 +608,29 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
         let queries = workloads::spread_queries(&ds, QUERIES, query_len, (3, 17));
         let (engine, _) = Onex::build(ds.clone(), config.clone()).expect("valid config");
 
+        let options = [nearest.clone(), nearest.clone().without_l0()];
         let mut legs = [CascadeLeg::default(), CascadeLeg::default()];
         let mut answers: Vec<Vec<Vec<onex_core::Match>>> = Vec::new();
-        for (slot, opts) in [(0, nearest.clone()), (1, nearest.clone().without_l0())] {
+        for (leg, opts) in legs.iter_mut().zip(&options) {
             let mut total = QueryStats::default();
             let mut per_query = Vec::new();
             for q in &queries {
-                let (matches, stats) = engine.k_best(q, K, &opts).expect("valid query");
+                let (matches, stats) = engine.k_best(q, K, opts).expect("valid query");
                 total += stats;
                 per_query.push(matches);
             }
-            legs[slot] = leg_from(&total);
-            legs[slot].batch = median_time(
-                || {
-                    for q in &queries {
-                        let _ = engine.k_best(q, K, &opts).expect("valid query");
-                    }
-                },
-                3,
-            );
+            *leg = leg_from(&total);
             answers.push(per_query);
         }
+        // Both legs timed in alternating batches, so CPU drift lands on
+        // both sides of the on/off comparison.
+        let batch = |opts: &QueryOptions| {
+            for q in &queries {
+                let _ = engine.k_best(q, K, opts).expect("valid query");
+            }
+        };
+        let [(on, _), (off, _)] = paired_times(|| batch(&options[0]), || batch(&options[1]));
+        (legs[0].batch, legs[1].batch) = (on, off);
 
         let ablation_agreement = answers[0]
             .iter()
@@ -640,10 +642,9 @@ pub fn measure_cascade(quick: bool) -> Vec<CascadeRow> {
             let reference =
                 exhaustive::scan_k(&ds, q, &searched, 1, &nearest, K, true).expect("valid query");
             got.len() == reference.len()
-                && got
-                    .iter()
-                    .zip(&reference)
-                    .all(|(m, r)| m.subseq == r.subseq && (m.distance - r.distance).abs() < 1e-9)
+                && got.iter().zip(&reference).all(|(m, r)| {
+                    m.subseq == r.subseq && m.distance.to_bits() == r.distance.to_bits()
+                })
         });
 
         // Sharded fan-out agreement (the shared-bound path of E14, now

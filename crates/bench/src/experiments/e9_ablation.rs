@@ -1,7 +1,8 @@
-//! E9 — ablations of the design choices DESIGN.md calls out: each pruning
-//! layer, the representative policy, and the warping band.
+//! E9 — ablations of the design choices DESIGN.md calls out: the search
+//! breadth and the L0 tier (the exact cascade's one off switch) against
+//! the exhaustive scan, the representative policy, and the warping band.
 
-use onex_core::{Onex, QueryOptions};
+use onex_core::{exhaustive, Onex, QueryOptions, QueryStats};
 use onex_distance::Band;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 
@@ -16,11 +17,15 @@ pub fn run(quick: bool) -> Vec<Table> {
     let ds = workloads::sine_collection(n, len);
     let query = workloads::perturbed_query(&ds, "fam0-0", 8, qlen, 0.1);
 
-    // Ablation 1: pruning layers.
-    let (engine, _) =
-        Onex::build(ds.clone(), BaseConfig::new(0.35, qlen, qlen)).expect("valid config");
+    // Ablation 1: search breadth and the L0 tier, on certified radii so
+    // the exact rows are exact.
+    let seed = BaseConfig {
+        policy: RepresentativePolicy::Seed,
+        ..BaseConfig::new(0.35, qlen, qlen)
+    };
+    let (engine, _) = Onex::build(ds.clone(), seed).expect("valid config");
     let mut pruning = Table::new(
-        "E9a — pruning-layer ablation (same base, same query)",
+        "E9a — pruning ablation (same base, same query; Seed policy)",
         &[
             "configuration",
             "latency",
@@ -28,40 +33,60 @@ pub fn run(quick: bool) -> Vec<Table> {
             "LB-pruned",
             "DTW runs",
             "avoided work",
+            "match dtw",
         ],
     );
-    let variants: [(&str, QueryOptions); 5] = [
-        ("full pruning (exact)", QueryOptions::default()),
+    let groups = engine.base().groups_for_len(qlen).len();
+    let search = |opts: QueryOptions| {
+        let (engine, query) = (&engine, &query);
+        move || {
+            let (m, stats) = engine.best_match(query, &opts).unwrap();
+            (m.expect("match exists").distance, stats)
+        }
+    };
+    // No pruning at all is the oracle: one full DTW a window it scans.
+    let windows = ds.subsequence_count(qlen, qlen);
+    let scan = || {
+        let hit = exhaustive::scan_best(&ds, &query, &[qlen], 1, &QueryOptions::default(), false);
+        let stats = QueryStats {
+            members_examined: windows,
+            dtw_completed: windows,
+            ..QueryStats::default()
+        };
+        (hit.unwrap().expect("match exists").distance, stats)
+    };
+    let variants: [(&str, &dyn Fn() -> (f64, QueryStats)); 5] = [
+        ("full pruning (exact)", &search(QueryOptions::default())),
         (
             "paper mode (top-1 group)",
-            QueryOptions::default().top_groups(1),
+            &search(QueryOptions::default().top_groups(1)),
         ),
         (
-            "no group pruning",
-            QueryOptions::default().without_group_pruning(),
+            "every group scanned (exact)",
+            &search(QueryOptions::default().top_groups(groups)),
         ),
-        ("no LB_Keogh", QueryOptions::default().without_lb_keogh()),
         (
-            "no pruning at all",
-            QueryOptions::default().without_pruning(),
+            "no L0 sketches (exact)",
+            &search(QueryOptions::default().without_l0()),
         ),
+        ("no pruning at all (exhaustive scan)", &scan),
     ];
-    for (name, opts) in &variants {
-        let (m, stats) = engine.best_match(&query, opts).unwrap();
-        let m = m.expect("match exists");
+    for (name, run) in variants {
+        let (distance, stats) = run();
         let lat = median_time(
             || {
-                let _ = engine.best_match(&query, opts).unwrap();
+                run();
             },
             runs,
         );
         pruning.row(vec![
-            format!("{name} (dtw {:.3})", m.distance),
+            name.into(),
             fmt_duration(lat),
             stats.members_examined.to_string(),
             stats.members_lb_pruned.to_string(),
             stats.dtw_invocations().to_string(),
             format!("{:.0}%", stats.pruning_effectiveness() * 100.0),
+            distance.to_string(),
         ]);
     }
 
@@ -160,6 +185,17 @@ mod tests {
             dtw_full <= dtw_none,
             "pruning may only reduce DTW runs: {dtw_full} vs {dtw_none}"
         );
+    }
+
+    /// The three exact rows find the oracle's match distance, bit for bit
+    /// (`f64`'s `Display` round-trips).
+    #[test]
+    fn exact_rows_report_the_oracle_distance() {
+        let rows = &quick()[0].rows;
+        let dtw = |row: usize| rows[row][6].parse::<f64>().unwrap().to_bits();
+        for exact in [0, 2, 3] {
+            assert_eq!(dtw(exact), dtw(4), "{:?} vs {:?}", rows[exact], rows[4]);
+        }
     }
 
     #[test]

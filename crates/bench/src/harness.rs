@@ -267,12 +267,12 @@ pub fn median<T: Copy + PartialOrd>(samples: impl IntoIterator<Item = T>) -> T {
 }
 
 /// Whether two backend answers are one top-k: the same windows in the
-/// same order, distances within 1e-9.
+/// same order, the same distance bits.
 pub fn same_top_k(a: &SearchOutcome, b: &SearchOutcome) -> bool {
     a.matches.len() == b.matches.len()
         && a.matches.iter().zip(&b.matches).all(|(x, y)| {
             (x.series, x.start, x.len) == (y.series, y.start, y.len)
-                && (x.distance - y.distance).abs() < 1e-9
+                && x.distance.to_bits() == y.distance.to_bits()
         })
 }
 
@@ -281,7 +281,7 @@ pub fn same_matches(a: &[Match], b: &[Match]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
-            .all(|(x, y)| x.subseq == y.subseq && (x.distance - y.distance).abs() < 1e-9)
+            .all(|(x, y)| x.subseq == y.subseq && x.distance.to_bits() == y.distance.to_bits())
 }
 
 /// Cores this process may run on — the workers a base construction

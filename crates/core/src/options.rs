@@ -71,17 +71,10 @@ pub struct QueryOptions {
     pub lengths: LengthSelection,
     /// Exact search vs the paper's best-group-only approximation.
     pub breadth: ScanBreadth,
-    /// Prune whole groups through the ED↔DTW bridge. Turning this off
-    /// scans every group member — only useful for the ablation (E9).
-    pub prune_groups: bool,
-    /// Prune members with LB_Kim and LB_Keogh before running DTW, and rank
-    /// groups by the same bounds on their representatives — at every
-    /// candidate length, against the query's envelope indexed by the
-    /// candidate's positions (`Envelope::build_across`).
-    pub lb_keogh: bool,
     /// Reject members from their quantised L0 sketch before resolving any
-    /// f64 data, at every candidate length (rides on the LB_Keogh
-    /// envelope — disabled when `lb_keogh` is off).
+    /// f64 data, at every candidate length that has sketches. The tiers
+    /// behind it reject everything it would, so turning it off changes
+    /// the work, never the answer (the L0-on/off ablation of E17).
     pub l0_prefilter: bool,
     /// Skip matches from this series entirely (compare MA against *other*
     /// states).
@@ -101,8 +94,6 @@ impl Default for QueryOptions {
             band: Band::Full,
             lengths: LengthSelection::Exact,
             breadth: ScanBreadth::Exact,
-            prune_groups: true,
-            lb_keogh: true,
             l0_prefilter: true,
             exclude_series: None,
             only_series: None,
@@ -126,14 +117,6 @@ impl QueryOptions {
         self
     }
 
-    /// Builder-style: disable every pruning optimisation (ablation mode).
-    pub fn without_pruning(mut self) -> Self {
-        self.prune_groups = false;
-        self.lb_keogh = false;
-        self.l0_prefilter = false;
-        self
-    }
-
     /// Builder-style: skip matches from one series.
     pub fn excluding_series(mut self, id: Option<u32>) -> Self {
         self.exclude_series = id;
@@ -152,19 +135,7 @@ impl QueryOptions {
         self
     }
 
-    /// Builder-style: disable only the group-level pruning (ablation).
-    pub fn without_group_pruning(mut self) -> Self {
-        self.prune_groups = false;
-        self
-    }
-
-    /// Builder-style: disable only the LB_Keogh member pruning (ablation).
-    pub fn without_lb_keogh(mut self) -> Self {
-        self.lb_keogh = false;
-        self
-    }
-
-    /// Builder-style: disable only the L0 sketch prefilter (ablation).
+    /// Builder-style: disable the L0 sketch prefilter (ablation).
     pub fn without_l0(mut self) -> Self {
         self.l0_prefilter = false;
         self
@@ -216,7 +187,8 @@ mod tests {
     #[test]
     fn defaults_enable_all_optimisations() {
         let o = QueryOptions::default();
-        assert!(o.prune_groups && o.lb_keogh && o.l0_prefilter);
+        assert!(o.l0_prefilter);
+        assert_eq!(o.breadth, ScanBreadth::Exact);
         assert_eq!(o.band, Band::Full);
         assert_eq!(o.lengths, LengthSelection::Exact);
     }
@@ -225,11 +197,12 @@ mod tests {
     fn builder_composes() {
         let o = QueryOptions::with_band(Band::SakoeChiba(3))
             .lengths(LengthSelection::Nearest(5))
-            .without_pruning();
+            .top_groups(2)
+            .without_l0();
         assert_eq!(o.band, Band::SakoeChiba(3));
         assert_eq!(o.lengths, LengthSelection::Nearest(5));
-        assert!(!o.prune_groups && !o.lb_keogh && !o.l0_prefilter);
-        assert!(!QueryOptions::default().without_l0().l0_prefilter);
+        assert_eq!(o.breadth, ScanBreadth::TopGroups(2));
+        assert!(!o.l0_prefilter);
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!    computes only the columns a path within it can still reach, and
 //!    abandons once none can.
 //!
+//! Every tier runs on every exact query but L0, which
+//! [`QueryOptions::without_l0`] switches off and which sits out at a
+//! length without sketches: the tiers behind it reject all it would.
+//!
 //! Tiers 2 and 3 run at **every** candidate length, not only the query's
 //! own: the envelope is the query's, indexed by the candidate's positions
 //! ([`Envelope::build_across`]). Every candidate position `j` is paired
@@ -110,8 +114,9 @@
 //! shard — a discovery by any of them immediately shrinks all the
 //! others' searches, and the merged answer is the one a single searcher
 //! returns (see `onex_api::bound` for the soundness argument). A
-//! cancelled bound (`−∞`) fails every test, so a cancelled query starts
-//! no further DTW.
+//! cancelled bound (`−∞`) fails every test, and `TopGroups`' selection,
+//! which ranks by its own g-th best, stops at it: a cancelled query
+//! starts no further DTW.
 //!
 //! Soundness of (1) relies on the radius being certified, which holds
 //! under the `Seed` representative policy; under `Centroid` the radius is
@@ -191,10 +196,10 @@ struct LengthPlan {
     sqrt_w: f64,
     /// Query envelope for LB_Keogh, one entry per position of this
     /// length's candidates (also used to rank groups cheaply in phase 1).
-    env_q: Option<Envelope>,
+    env_q: Envelope,
     /// Query-side L0 sketch against this length's frozen quantisation
     /// parameters — the tier that rejects members from bytes alone,
-    /// before their f64 data is resolved.
+    /// before their f64 data is resolved (`None`: off, or no sketches).
     l0: Option<QuerySketch>,
 }
 
@@ -289,20 +294,15 @@ impl<'a> Searcher<'a> {
         let n = self.query.len();
         let band = self.opts.band;
         let mult = warp_multiplicity(n, len, band);
-        let env_q = self
-            .opts
-            .lb_keogh
-            .then(|| Envelope::build_across(self.query, len, band.radius(n, len)));
-        // The L0 sketch shares the envelope (its bound is a coarsening of
-        // LB_Keogh + LB_Kim), so it rides on the same gate.
-        let l0 = match &env_q {
-            Some(env) if self.opts.l0_prefilter => self
-                .base
-                .sketches()
-                .for_len(len)
-                .map(|ls| QuerySketch::new(self.query, env, ls.params())),
-            _ => None,
-        };
+        let env_q = Envelope::build_across(self.query, len, band.radius(n, len));
+        // The L0 sketch is built from the envelope: its bound is a
+        // coarsening of LB_Keogh + LB_Kim.
+        let l0 = self
+            .base
+            .sketches()
+            .for_len(len)
+            .filter(|_| self.opts.l0_prefilter)
+            .map(|ls| QuerySketch::new(self.query, &env_q, ls.params()));
         LengthPlan {
             len,
             norm: (n.max(len) as f64).sqrt(),
@@ -389,7 +389,7 @@ impl<'a> Searcher<'a> {
         // (`TopGroups` selects by representative distance alone, so its
         // ranking keeps every group.)
         let bound = self.bound.get();
-        let prune_here = self.opts.prune_groups && self.opts.breadth == ScanBreadth::Exact;
+        let prune_here = self.opts.breadth == ScanBreadth::Exact;
         let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
         for (gi, g) in groups.iter().enumerate() {
             let prune_at_sq = if prune_here {
@@ -398,10 +398,8 @@ impl<'a> Searcher<'a> {
                 f64::INFINITY
             };
             let mut lb_sq = lb_kim_fl_sq(self.query, g.representative());
-            if let Some(env) = &plan.env_q {
-                if lb_sq <= prune_at_sq {
-                    lb_sq = lb_sq.max(lb_keogh_sq(g.representative(), env, prune_at_sq));
-                }
+            if lb_sq <= prune_at_sq {
+                lb_sq = lb_sq.max(lb_keogh_sq(g.representative(), &plan.env_q, prune_at_sq));
             }
             if lb_sq > prune_at_sq {
                 self.stats.groups_examined += 1;
@@ -443,23 +441,17 @@ impl<'a> Searcher<'a> {
             }
             let bound = self.bound.get();
             let norm = plan.norm;
-            if self.opts.prune_groups {
-                // Every remaining group has lb ≥ lb_rep and radius ≤ the
-                // suffix max, so none can hold a member within the bound.
-                let stop_sq = raw_bound_sq(bound, norm, sqrt_w * suffix_max_radius[rank_idx]);
-                if lb_rep_sq > stop_sq {
-                    self.stats.groups_pruned += ranked.len() - rank_idx;
-                    break;
-                }
+            // Every remaining group has lb ≥ lb_rep and radius ≤ the
+            // suffix max, so none can hold a member within the bound.
+            let stop_sq = raw_bound_sq(bound, norm, sqrt_w * suffix_max_radius[rank_idx]);
+            if lb_rep_sq > stop_sq {
+                self.stats.groups_pruned += ranked.len() - rank_idx;
+                break;
             }
             // A member can only be within `bound` if the representative
             // is within bound + √W·radius (ED↔DTW bridge, DESIGN.md §2.2).
             let slack = sqrt_w * g.radius();
-            let prune_at_sq = if self.opts.prune_groups {
-                raw_bound_sq(bound, norm, slack)
-            } else {
-                f64::INFINITY
-            };
+            let prune_at_sq = raw_bound_sq(bound, norm, slack);
             if lb_rep_sq > prune_at_sq {
                 self.stats.groups_pruned += 1;
                 continue;
@@ -469,15 +461,13 @@ impl<'a> Searcher<'a> {
             // mode) into the abandonment threshold, radius slack included.
             let shared = self.bound;
             let live = move || raw_bound_sq(shared.get(), norm, slack);
-            let live_ref: Option<&dyn Fn() -> f64> =
-                self.opts.prune_groups.then_some(&live as &dyn Fn() -> f64);
             let d_rep_sq = dtw_early_abandon_sq_scratch(
                 self.query,
                 g.representative(),
                 band,
                 prune_at_sq,
                 None,
-                live_ref,
+                Some(&live),
                 &mut self.scratch,
             );
             if d_rep_sq.is_infinite() {
@@ -487,7 +477,7 @@ impl<'a> Searcher<'a> {
             }
             self.stats.dtw_completed += 1;
             // A fresh reading: a peer may have tightened the bound.
-            if self.opts.prune_groups && d_rep_sq > live() {
+            if d_rep_sq > live() {
                 self.stats.groups_pruned += 1;
                 continue;
             }
@@ -505,7 +495,8 @@ impl<'a> Searcher<'a> {
     /// groups. Much cheaper when groups are large, at the cost of missing
     /// a best match that hides in a group with a slightly worse
     /// representative. A chosen group of one is offered its selection
-    /// DTW.
+    /// DTW; one the filters drop is passed over before it. The selection
+    /// reads the shared bound only to stop once it is cancelled.
     fn search_top_groups(&mut self, plan: &LengthPlan, g: usize, ranked: &[(usize, f64)]) {
         let band = self.opts.band;
         let groups = self.base.groups_for_len(plan.len);
@@ -517,20 +508,24 @@ impl<'a> Searcher<'a> {
             BinaryHeap::with_capacity(g.min(TOP_K_RESERVE) + 1);
         for &(gi, lb_rep_sq) in ranked {
             self.stats.groups_examined += 1;
+            let group = groups.at(gi);
+            if group.is_lone() && !self.opts.admits(group.members().at(0)) {
+                continue;
+            }
             let gth = if selection.len() >= g {
                 selection.peek().expect("non-empty").0 .0
             } else {
                 f64::INFINITY
             };
-            if lb_rep_sq.sqrt() >= gth {
+            if lb_rep_sq.sqrt() >= gth || self.bound.get() == f64::NEG_INFINITY {
                 // Sorted by lb ascending: nothing later can enter the
-                // selection either.
+                // selection either. A cancelled query wants none.
                 self.stats.groups_pruned += 1;
                 break;
             }
             let d_sq = dtw_early_abandon_sq_scratch(
                 self.query,
-                groups.at(gi).representative(),
+                group.representative(),
                 band,
                 gth * gth,
                 None,
@@ -553,10 +548,10 @@ impl<'a> Searcher<'a> {
         chosen.sort();
         for (_, gi, OrdF64(d_sq)) in chosen {
             let group = groups.at(gi);
-            if !group.is_lone() {
-                self.scan_members(plan, gi);
-            } else if self.opts.admits(group.members().at(0)) {
+            if group.is_lone() {
                 self.offer_lone(plan, gi, group.members().at(0), d_sq);
+            } else {
+                self.scan_members(plan, gi);
             }
         }
     }
@@ -643,17 +638,15 @@ impl<'a> Searcher<'a> {
                     .dataset
                     .resolve(member)
                     .expect("base members resolve against their dataset");
-                if let Some(env) = &plan.env_q {
-                    // Tier 1: LB_Kim — four touched points.
-                    if lb_kim_fl_sq(self.query, values) > bound_sq {
-                        self.stats.members_kim_pruned += 1;
-                        continue;
-                    }
-                    // Tier 2: LB_Keogh against the query envelope.
-                    if lb_keogh_sq(values, env, bound_sq).is_infinite() {
-                        self.stats.members_lb_pruned += 1;
-                        continue;
-                    }
+                // Tier 1: LB_Kim — four touched points.
+                if lb_kim_fl_sq(self.query, values) > bound_sq {
+                    self.stats.members_kim_pruned += 1;
+                    continue;
+                }
+                // Tier 2: LB_Keogh against the query envelope.
+                if lb_keogh_sq(values, &plan.env_q, bound_sq).is_infinite() {
+                    self.stats.members_lb_pruned += 1;
+                    continue;
                 }
                 self.stats.members_examined += 1;
                 if batch.push(member, values, bound_sq) {
@@ -804,13 +797,19 @@ mod tests {
         assert_eq!(raw_bound_sq(f64::NEG_INFINITY, 4.0, 1.0), f64::NEG_INFINITY);
     }
 
-    /// Every window of a constant collection ties at zero. A bound at
-    /// zero keeps the ties — the smallest windows win — and a cancelled
-    /// bound prunes every one of them before its DTW.
+    /// Every window of a constant series ties at zero. A bound at zero
+    /// keeps the ties — the smallest windows win — and a cancelled bound
+    /// prunes every one of them before its DTW: under the default
+    /// options, with L0 off, and in `TopGroups`' selection, whether it
+    /// keeps one group or all of them.
     #[test]
     fn a_cancelled_bound_starts_no_dtw_where_a_zero_bound_keeps_every_tie() {
+        // Three levels, one group each.
         let flat: Vec<_> = (0..10)
-            .map(|i| onex_tseries::TimeSeries::new(format!("flat{i}"), vec![2.0; 80]))
+            .map(|i| {
+                let level = 2.0 + (i % 3) as f64;
+                onex_tseries::TimeSeries::new(format!("flat{i}"), vec![level; 80])
+            })
             .collect();
         let dataset = Dataset::from_series(flat).unwrap();
         let config = BaseConfig {
@@ -818,27 +817,39 @@ mod tests {
             ..BaseConfig::new(0.5, 16, 16)
         };
         let (base, _) = BaseBuilder::new(config).unwrap().build(&dataset);
+        let groups = base.groups_for_len(16).len();
+        assert_eq!(groups, 3);
         let query = [2.0; 16];
-        let opts = QueryOptions::default();
-        let run =
-            |bound: &SharedBound| Searcher::new(&dataset, &base, &query, &opts, 5, bound).run();
+        for opts in [
+            QueryOptions::default(),
+            QueryOptions::default().without_l0(),
+            QueryOptions::default().top_groups(1),
+            QueryOptions::default().top_groups(groups),
+        ] {
+            let run =
+                |bound: &SharedBound| Searcher::new(&dataset, &base, &query, &opts, 5, bound).run();
+            let zero = SharedBound::new();
+            zero.tighten(0.0);
+            let (kept, stats) = run(&zero);
+            let windows: Vec<_> = kept
+                .iter()
+                .map(|m| (m.subseq.series, m.subseq.start))
+                .collect();
+            assert_eq!(
+                windows,
+                [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)],
+                "{opts:?}"
+            );
+            assert!(stats.dtw_completed > 0, "{opts:?}: {stats:?}");
 
-        let zero = SharedBound::new();
-        zero.tighten(0.0);
-        let (kept, stats) = run(&zero);
-        let windows: Vec<_> = kept
-            .iter()
-            .map(|m| (m.subseq.series, m.subseq.start))
-            .collect();
-        assert_eq!(windows, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert!(stats.dtw_completed > 0, "{stats:?}");
-
-        let cancelled = SharedBound::new();
-        cancelled.cancel();
-        let (none, stats) = run(&cancelled);
-        assert!(none.is_empty());
-        assert_eq!(stats.dtw_completed + stats.dtw_abandoned, 0, "{stats:?}");
-        assert_eq!(cancelled.get(), f64::NEG_INFINITY);
+            let cancelled = SharedBound::new();
+            cancelled.cancel();
+            let (none, stats) = run(&cancelled);
+            assert!(none.is_empty(), "{opts:?}");
+            let started = stats.dtw_completed + stats.dtw_abandoned;
+            assert_eq!(started, 0, "{opts:?}: {stats:?}");
+            assert_eq!(cancelled.get(), f64::NEG_INFINITY);
+        }
     }
 
     /// The shared bound is the only one the searcher reads, so a bound a

@@ -219,7 +219,7 @@ fn an_append_shares_what_it_did_not_change_and_pinned_readers_keep_their_epoch()
         assert_eq!(matches.len(), oracle.len());
         for (m, hit) in matches.iter().zip(&oracle) {
             assert_eq!(m.subseq, hit.subseq);
-            assert!((m.distance - hit.distance).abs() < 1e-9);
+            assert_eq!(m.distance.to_bits(), hit.distance.to_bits());
         }
     };
     let (after, _) = pinned.k_best(&query, 3, &opts).unwrap();

@@ -8,7 +8,7 @@
 //! but the deviation must stay small on benign data; the second half of
 //! this file pins that.
 
-use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions, SharedBound};
+use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions, ScanBreadth, SharedBound};
 use onex_distance::Band;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
 use onex_tseries::gen::{
@@ -58,8 +58,9 @@ fn seed_policy_matches_brute_force_on_walks() {
         let truth = exhaustive::scan_best(&ds, &query, &[len], 1, &opts, true)
             .unwrap()
             .expect("scan finds something");
-        assert!(
-            (m.distance - truth.distance).abs() < 1e-9,
+        assert_eq!(
+            m.distance.to_bits(),
+            truth.distance.to_bits(),
             "q=({sid},{start},{len}): engine {} vs truth {} ({:?} vs {:?})",
             m.distance,
             truth.distance,
@@ -112,8 +113,9 @@ fn seed_policy_k_best_matches_brute_force() {
     let truth = exhaustive::scan_k(&ds, &query, &[10], 1, &opts, k, true).unwrap();
     assert_eq!(matches.len(), truth.len());
     for (m, t) in matches.iter().zip(&truth) {
-        assert!(
-            (m.distance - t.distance).abs() < 1e-9,
+        assert_eq!(
+            m.distance.to_bits(),
+            t.distance.to_bits(),
             "k-best distances diverge: {} vs {}",
             m.distance,
             t.distance
@@ -130,12 +132,17 @@ fn pruning_toggles_do_not_change_results_under_seed() {
     });
     let e = engine(&ds, 1.0, 8, 12, RepresentativePolicy::Seed);
     let query = ds.series(0).unwrap().subsequence(7, 10).unwrap().to_vec();
+    // Scanning every group's members is `top_groups` over all of them.
+    let groups = e.base().groups_for_len(10).len();
     let with = QueryOptions::default();
-    let without = QueryOptions::default().without_pruning();
+    let without = QueryOptions::default().top_groups(groups);
     let (m1, s1) = e.best_match(&query, &with).unwrap();
     let (m2, s2) = e.best_match(&query, &without).unwrap();
     let (m1, m2) = (m1.unwrap(), m2.unwrap());
-    assert!((m1.distance - m2.distance).abs() < 1e-9);
+    assert_eq!(
+        (m1.subseq, m1.distance.to_bits()),
+        (m2.subseq, m2.distance.to_bits())
+    );
     assert!(
         s1.members_examined <= s2.members_examined,
         "pruning may only reduce work: {} vs {}",
@@ -159,8 +166,9 @@ fn banded_queries_are_also_exact_under_seed() {
         let truth = exhaustive::scan_best(&ds, &query, &[10], 1, &opts, true)
             .unwrap()
             .unwrap();
-        assert!(
-            (m.unwrap().distance - truth.distance).abs() < 1e-9,
+        assert_eq!(
+            m.unwrap().distance.to_bits(),
+            truth.distance.to_bits(),
             "band {band:?}"
         );
     }
@@ -352,20 +360,21 @@ fn block_scan_is_exact_at_every_block_edge_and_under_every_filter() {
         windows,
     ];
     let k = 7;
+    let groups = e.base().groups_for_len(BLOCK_LEN).len();
     for opts in &filters {
         for opts in [
             opts.clone(),
             opts.clone().without_l0(),
-            opts.clone().without_group_pruning(),
+            opts.clone().top_groups(groups),
         ] {
             let (matches, stats) = e.k_best(&query, k, &opts).unwrap();
             let truth = exhaustive::scan_k(&ds, &query, &[BLOCK_LEN], 1, &opts, k, true).unwrap();
             assert_eq!(matches.len(), truth.len(), "{opts:?}");
             for (m, t) in matches.iter().zip(&truth) {
                 assert_eq!(m.subseq, t.subseq, "{opts:?}");
-                assert!((m.distance - t.distance).abs() < 1e-9, "{opts:?}");
+                assert_eq!(m.distance.to_bits(), t.distance.to_bits(), "{opts:?}");
             }
-            if !opts.prune_groups {
+            if opts.breadth != ScanBreadth::Exact {
                 // Every group was scanned, so every admitted member was
                 // dismissed by exactly one tier or started a DTW; a
                 // filtered member is counted by none.
@@ -703,7 +712,7 @@ fn sharded_groups_of_one_answer_as_the_exhaustive_scan_with_a_shared_bound() {
 #[test]
 fn a_query_excluding_a_series_starts_no_dtw_on_its_groups_of_one() {
     // Walks at a threshold nothing joins at: every group a group of one.
-    // Without group pruning every group's representative DTW runs, and it
+    // Scanning every group runs every group's representative DTW, and it
     // is the only DTW its member gets.
     let ds = random_walk_dataset(SyntheticConfig {
         series: 6,
@@ -725,7 +734,7 @@ fn a_query_excluding_a_series_starts_no_dtw_on_its_groups_of_one() {
         .iter()
         .map(|v| v + 0.1)
         .collect();
-    let all = QueryOptions::default().without_group_pruning();
+    let all = QueryOptions::default().top_groups(groups.len());
     let (_, stats) = e.k_best(&query, 3, &all).unwrap();
     assert_eq!(
         stats.dtw_invocations(),
@@ -733,8 +742,9 @@ fn a_query_excluding_a_series_starts_no_dtw_on_its_groups_of_one() {
         "one DTW a group: {stats:?}"
     );
     assert_eq!(stats.members_examined, groups.len(), "{stats:?}");
-    // No representative DTW abandons without group pruning; the member
-    // tier's test drops the members the bound has passed, as abandoned.
+    // No representative DTW abandons when every group is selected; the
+    // member tier's test drops the members the bound has passed, as
+    // abandoned.
     assert_eq!(stats.dtw_abandoned, 0, "{stats:?}");
     assert!(stats.members_abandoned > groups.len() / 2, "{stats:?}");
     for s in 0..ds.len() as u32 {
@@ -794,8 +804,9 @@ proptest! {
         let (m, _) = e.best_match(&query, &opts).unwrap();
         let truth = exhaustive::scan_best(&ds, &query, &[qlen], 1, &opts, true).unwrap();
         match (m, truth) {
-            (Some(m), Some(t)) => prop_assert!(
-                (m.distance - t.distance).abs() < 1e-9,
+            (Some(m), Some(t)) => prop_assert_eq!(
+                m.distance.to_bits(),
+                t.distance.to_bits(),
                 "engine {} truth {}", m.distance, t.distance
             ),
             (None, None) => {}

@@ -29,9 +29,11 @@ pub const MAGIC: [u8; 4] = *b"ONXW";
 /// Answer frame with per-tier prune counters and the Query options with
 /// the L0-prefilter flag; v3 appended a shard-coverage record to the
 /// Answer frame so a degraded fan-out can say *how much* of the
-/// collection its answer covers. All fixed-order fields, so the version
-/// bump is what keeps older peers from misparsing them.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// collection its answer covers; v4 dropped the group-pruning and
+/// LB_Keogh flags from the Query options, since exact search no longer
+/// has those switches. All fixed-order fields, so the version bump is
+/// what keeps older peers from misparsing them.
+pub const PROTOCOL_VERSION: u16 = 4;
 /// Upper bound on `kind + payload` size. Checked before allocating.
 pub const MAX_FRAME: usize = 1 << 24; // 16 MiB
 

@@ -190,8 +190,6 @@ fn put_options(out: &mut Vec<u8>, opts: &QueryOptions) {
             put_u32(out, g as u32);
         }
     }
-    put_bool(out, opts.prune_groups);
-    put_bool(out, opts.lb_keogh);
     put_bool(out, opts.l0_prefilter);
     put_opt_u32(out, opts.exclude_series);
     put_opt_u32(out, opts.only_series);
@@ -454,8 +452,6 @@ impl<'a> Reader<'a> {
             1 => ScanBreadth::TopGroups(self.u32()? as usize),
             t => return Err(decode_err(format!("unknown breadth tag {t}"))),
         };
-        let prune_groups = self.bool()?;
-        let lb_keogh = self.bool()?;
         let l0_prefilter = self.bool()?;
         let exclude_series = self.opt_u32()?;
         let only_series = self.opt_u32()?;
@@ -472,8 +468,6 @@ impl<'a> Reader<'a> {
             band,
             lengths,
             breadth,
-            prune_groups,
-            lb_keogh,
             l0_prefilter,
             exclude_series,
             only_series,
@@ -752,7 +746,7 @@ mod tests {
             QueryOptions::with_band(Band::SakoeChiba(5)),
             QueryOptions::with_band(Band::Itakura),
             QueryOptions::default().lengths(LengthSelection::Range(8, 24)),
-            QueryOptions::default().top_groups(2).without_pruning(),
+            QueryOptions::default().top_groups(2).without_l0(),
             QueryOptions::default().without_l0(),
             QueryOptions::default().within_series(3),
         ];

@@ -535,9 +535,9 @@ fn a_peer_closing_mid_frame_is_closed_not_a_decode_error() {
 #[test]
 fn a_client_vanishing_mid_query_frees_the_worker_before_the_search_would_end() {
     // One worker, and a query that asks for more matches than there are
-    // candidates with every pruning tier off: no local k-th best ever
-    // forms, so each of the ~5 000 candidates costs a full 64x64 DTW
-    // unless the shared bound says otherwise.
+    // candidates: no local k-th best ever forms, so the bound stays `∞`,
+    // no tier can prune, and each of the ~5 000 candidates costs a full
+    // 64x64 DTW unless the shared bound says otherwise.
     const LEN: usize = 64;
     const K: usize = 10_000;
     let ds = collection(12, 480);
@@ -565,7 +565,7 @@ fn a_client_vanishing_mid_query_frees_the_worker_before_the_search_would_end() {
         connect_timeout: Duration::from_secs(60),
         ..test_config()
     };
-    let opts = onex_core::QueryOptions::default().without_pruning();
+    let opts = onex_core::QueryOptions::default();
     let query: Vec<f64> = ds.series(1).unwrap().values()[7..7 + LEN].to_vec();
 
     let t0 = Instant::now();

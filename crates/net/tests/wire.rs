@@ -114,18 +114,18 @@ fn connections_leave_no_thread_behind_on_either_end() {
 
 /// One jiffy is 4 ms at HZ = 250 and a socket timeout waits at least one:
 /// a median round-trip under 3 ms says no socket timeout sits anywhere on
-/// the query path. The query asks for more matches than the 68 candidates
-/// with pruning off, so the shard spends a few hundred microseconds in
-/// full DTWs — long enough that the peer is genuinely waited for, which
-/// is when a timeout-driven wait shows. Release only: a debug build
+/// the query path. The query asks for more matches than the 68
+/// candidates, so the bound stays `∞`, no tier can prune, and the shard
+/// spends a few hundred microseconds in full DTWs — long enough that the
+/// peer is genuinely waited for, which is when a timeout-driven wait
+/// shows. Release only: a debug build
 /// spends longer than a tick in those DTWs alone.
 #[cfg(not(debug_assertions))]
 #[test]
 fn a_loopback_round_trip_takes_less_than_a_timer_tick() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (addr, query) = spawn_small_shard(1);
-    let remote = RemoteBackend::new(addr, config())
-        .with_options(onex_core::QueryOptions::default().without_pruning());
+    let remote = RemoteBackend::new(addr, config());
     let round_trip = || assert_eq!(remote.k_best(&query, 1000).unwrap().matches.len(), 68);
     round_trip();
     let mut trips: Vec<Duration> = (0..101)
