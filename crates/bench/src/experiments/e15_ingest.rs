@@ -80,6 +80,11 @@ fn config() -> BaseConfig {
 /// `ingest` workload (random walks, lengths 16–24, `ST` 1.0).
 pub const UNCOMPACTING: (usize, usize) = (48, 256);
 
+/// Heap bytes an entry of the writer's resident index may cost on the
+/// uncompacting row: the bound `onex-grouping`'s footprint test holds the
+/// allocator-counted index to (17.0 measured, times 1.25).
+pub const INDEX_BYTES_PER_ENTRY: f64 = 21.3;
+
 fn uncompacting_config() -> BaseConfig {
     BaseConfig {
         policy: RepresentativePolicy::Seed,
@@ -111,6 +116,9 @@ pub struct UncompactingRow {
     /// Length columns the writer's resident index seeded over the whole
     /// burst: one per length when only the first append seeds.
     pub seeds: u64,
+    /// Heap bytes the resident index keeps per entry after the burst
+    /// (its own estimate, from capacities). Deterministic.
+    pub index_bytes_per_entry: f64,
     /// Per append, in order: column blocks it copied or added, and blocks
     /// the base it published is kept in. Deterministic.
     pub blocks: Vec<(usize, usize)>,
@@ -136,8 +144,9 @@ impl UncompactingRow {
     }
 
     /// The row's fields, in the order the table and the record show them.
-    /// The `taskset -c 0` CI leg diffs `append_distance_calls_per_window`
-    /// and `warm_blocks_copied` against the default run.
+    /// The `taskset -c 0` CI leg diffs `append_distance_calls_per_window`,
+    /// `index_bytes_per_entry` and `warm_blocks_copied` against the
+    /// default run.
     fn fields(&self) -> Row {
         let (warm_copied, warm_total) = self.worst_warm_blocks();
         vec![
@@ -158,6 +167,10 @@ impl UncompactingRow {
                 Value::Fixed(self.distance_calls_per_window, 2),
             ),
             ("index_seeds", Value::Int(self.seeds)),
+            (
+                "index_bytes_per_entry",
+                Value::Fixed(self.index_bytes_per_entry, 2),
+            ),
             (
                 "blocks_copied",
                 Value::Ints(self.blocks.iter().map(|b| b.0).collect()),
@@ -197,6 +210,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         calls_per_window.push(report.work.distance_calls as f64 / windows.max(1) as f64);
         blocks.push((report.blocks_copied, report.blocks_total));
     }
+    let index = engine.resident_index();
     UncompactingRow {
         series,
         len,
@@ -207,7 +221,8 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         windows_per_append: median(windows_per_append),
         threads: threads(),
         distance_calls_per_window: median(calls_per_window),
-        seeds: engine.resident_index().seeds,
+        seeds: index.seeds,
+        index_bytes_per_entry: index.bytes as f64 / index.entries.max(1) as f64,
         blocks,
     }
 }
@@ -438,6 +453,8 @@ fn output(rows: &[IngestRow], uncompacting: &UncompactingRow) -> ExperimentOutpu
 ///   row in fewer distance calls than a tenth of the groups per length
 ///   (a linear scan, or an index re-seeded by every append, sits near
 ///   1×), and only the first append seeded it, once per length 16..=24;
+/// * the resident index keeps at most [`INDEX_BYTES_PER_ENTRY`] heap bytes
+///   an entry;
 /// * the warm append that copied the most column blocks copied at least
 ///   one and under a quarter of the base's (a column copied whole is 1).
 pub fn check(rows: &[IngestRow], uncompacting: &UncompactingRow) -> Vec<String> {
@@ -464,6 +481,7 @@ pub fn check(rows: &[IngestRow], uncompacting: &UncompactingRow) -> Vec<String> 
     }
     let u = uncompacting;
     let (calls, groups, seeds) = (u.distance_calls_per_window, u.groups_per_length, u.seeds);
+    let entry_bytes = u.index_bytes_per_entry;
     let (copied, total) = u.worst_warm_blocks();
     let indexed = calls < groups / 10.0;
     let calls = format!("{calls} distance calls a window, ≥ a tenth of {groups} groups");
@@ -472,6 +490,10 @@ pub fn check(rows: &[IngestRow], uncompacting: &UncompactingRow) -> Vec<String> 
         (!rows.is_empty(), "no ingest rows".into()),
         (indexed, calls),
         (seeds == 9, format!("{seeds} index seeds, not 9")),
+        (
+            entry_bytes <= INDEX_BYTES_PER_ENTRY,
+            format!("{entry_bytes} index bytes an entry, over {INDEX_BYTES_PER_ENTRY}"),
+        ),
         (
             blocks,
             format!("a warm append copied {copied} of {total} blocks"),
@@ -543,6 +565,7 @@ mod tests {
             threads: 2,
             distance_calls_per_window: 212.5,
             seeds: 9,
+            index_bytes_per_entry: 17.0,
             blocks: vec![(21, 420), (18, 421), (20, 422)],
         }
     }
@@ -559,6 +582,9 @@ mod tests {
         let mut index = uncompacting();
         index.distance_calls_per_window = 1_200.0;
         assert_broken(&check(&rows(), &index), "1200 distance calls");
+        let mut bytes = uncompacting();
+        bytes.index_bytes_per_entry = 25.5;
+        assert_broken(&check(&rows(), &bytes), "25.5 index bytes an entry");
         assert_eq!(check(&[], &uncompacting()), ["no ingest rows"]);
     }
 

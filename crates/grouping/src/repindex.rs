@@ -27,7 +27,7 @@
 //! distance. For equal-length vectors and any segmentation,
 //! `ED²(x, r) ≥ Σₛ nₛ·(meanₛ(x) − meanₛ(r))²` (the PAA bound: per
 //! segment, Cauchy–Schwarz). [`PaaGrid`] keeps four segment means per
-//! representative and uses the bound twice:
+//! representative, each as a 16-bit code, and uses the bound twice:
 //!
 //! * **The interval rule.** Over the two halves the bound reads
 //!   `h·Δ² ≤ ED²`, so a representative within `radius` of the query has
@@ -42,52 +42,84 @@
 //!   entries come along for nothing; a call whose interval spans many
 //!   rows of cells scans them all.
 //! * **The four-term bound.** A visited entry is dropped when the bound
-//!   over its four quarter-means, each `|Δₛ|` first shrunk by the
-//!   rounding it can carry, exceeds the best `d²` so far (the radius
-//!   until something is found). Survivors get the linear scan's own
-//!   early-abandoning distance and acceptance rule.
+//!   over its four quarter-means, each `|Δₛ|` first shrunk by what its
+//!   code leaves open and by the rounding it can carry, exceeds the best
+//!   `d²` so far (the radius until something is found). Survivors get
+//!   the linear scan's own early-abandoning distance and acceptance rule.
+//!
+//! # The codes
+//!
+//! A quarter mean is kept as its offset from its row's lower edge (the
+//! row coordinate times the cell width) in *steps* of a 256th of the cell
+//! width, rounded to the nearest step: an `i16` that reaches ±128 cell
+//! widths either side of the edge. A code stands for the interval half a
+//! step either side of it. An offset past ±32 767 steps saturates there
+//! and stands for everything beyond it (it bounds its side only), and a
+//! mean that is not a number gets a code that bounds nothing.
+//!
+//! The step is what the bound gives up: each term's gap shrinks by half
+//! a step. At a 256th of a cell, construction starts under 1 % more
+//! distances than with exact means (E12 records the count); a 64th cost
+//! 2–3 %. Under the default length-normalised threshold the cell width
+//! is `ST/√2`, so ±128 widths is ≈ ±90·ST about the first half-mean.
+//! Only a window whose quarter means lie further than that from its
+//! row's edge — a ramp far steeper than the threshold, say — loses a
+//! term of its bound, and only on the side the code saturated towards.
+//! That is the regime where the codes cost pruning; nowhere do they cost
+//! exactness.
 //!
 //! Rounding never costs exactness, only pruning. Means are summed in
-//! `f64` (error within `n·ulp` of the vector's largest magnitude) and
-//! stored as `f32` (one more relative `2⁻²³`). A representative within
-//! the radius has every value within the radius of the query's, so the
-//! query's largest magnitude plus the radius (the lookup's *reach*)
-//! bounds both sides' errors, and one slack per lookup covers every entry
-//! that could win; an entry it does not cover is too far away to. The
-//! finished bound is shaved by the few `ulp`s a computed `d²` can fall
-//! below the true one. Past the magnitudes an `f32` holds nothing is
-//! claimed: the lookup scans every cell and no gap survives its slack (a
-//! NaN difference never does).
+//! `f64` (error within `n·ulp` of the vector's largest magnitude), and a
+//! code and the query's offset from the same edge are worked out in
+//! `f64` as well. A representative within the radius has every value
+//! within the radius of the query's, so the query's largest magnitude
+//! plus the radius (the lookup's *reach*) bounds both sides' sums and
+//! the row edges of every entry that could win, and one slack per
+//! lookup covers every such entry: half a step widened by `2⁻²⁰` of
+//! itself (thousands of times what encoding and decoding an offset of at
+//! most 2¹⁵ steps can lose), plus the sums' rounding at that reach. An
+//! entry it does not cover is too far away to win. The finished bound is
+//! shaved by the few `ulp`s a computed `d²` can fall below the true one.
+//! Past the magnitudes a lookup vouches for nothing is claimed: it scans
+//! every cell and no gap survives its slack (a NaN difference never
+//! does).
 //!
 //! # The row layout
 //!
 //! A row of cells (one first half-mean coordinate) keeps its entries as
 //! one run sorted by column coordinate — entries of one cell in the order
-//! they were filed — with each segment's means in a plane of their own
-//! (`f32`, four bytes an entry) beside the group ids, and a small table of
-//! where each cell's run ends. The cells a lookup visits in one row are
-//! then one slice of each plane, and an entry costs its 20 bytes plus a
-//! share of its cell's 12.
+//! they were filed — with each segment's codes in a plane of their own
+//! (two bytes an entry) beside the group ids, and a small table of where
+//! each cell's run ends. The cells a lookup visits in one row are then
+//! one slice of each plane, and an entry costs its 12 bytes plus a share
+//! of its cell's 12.
 //!
 //! A slice is bounded 64 entries at a time in `f32`, a branch-free pass
 //! the compiler vectorises, into a mask of survivors; each survivor is
 //! then re-checked with the exact `f64` bound above, against the best
-//! `d²` found so far, before any distance starts. The `f32` pass only ever
-//! drops an entry the `f64` bound drops as well, so the lookup examines
-//! exactly the entries the `f64` bound alone would, in the same order:
+//! `d²` found so far, before any distance starts. Both work in steps: the
+//! query's four offsets from the row's edge are worked out once per row,
+//! clamped to the codes' range (which only ever shrinks a gap, and is
+//! what makes a saturated code bound one side), and each term is the
+//! offset's distance to the code less the slack. The `f32` pass only
+//! ever drops an entry the `f64` bound drops as well, so the lookup
+//! examines exactly the entries the `f64` bound alone would, in the same
+//! order:
 //!
-//! * its slack is the `f64` slack widened by `2⁻¹⁵` of itself, by `2⁻²³`
-//!   of the query's largest magnitude (what rounding the query's means to
-//!   `f32` and taking `f32` differences can lose) and by two of `f32`'s
-//!   smallest normal (what an `f32` that underflows can);
-//! * its limit is the `f64` test's `bound²/shave` widened by `2⁻¹⁵` of
-//!   itself and one smallest normal. A dozen `f32` operations put the
-//!   `f32` sum at most `12·2⁻²⁴` above the `f64` one, far inside that;
-//! * it runs only while the reach is at most `4·10¹⁸`: every square a
-//!   bound that can prune is compared with fits an `f32` with room to
-//!   spare, and a term that overflows to infinity stands for an `f64` one
-//!   no smaller than `f32::MAX`, which the `f64` test drops too. Past
-//!   that reach the lookup bounds every entry in `f64` alone.
+//! * its slack is the `f64` slack widened by `2⁻¹⁵` of itself and by
+//!   `2⁻⁷` of a step — more than twice what rounding an offset of at
+//!   most 2¹⁵ steps to `f32` (`2⁻¹⁰`) and taking its difference with a
+//!   code (`2⁻⁹`) can lose;
+//! * its limit is the `f64` test's `bound²/shave` in squared steps,
+//!   widened by `2⁻¹⁵` of itself and one of `f32`'s smallest normal. A
+//!   dozen `f32` operations put the `f32` sum at most `12·2⁻²⁴` above the
+//!   `f64` one, far inside that, and the offsets and codes are at most
+//!   2¹⁵ steps, so no term leaves an `f32` at any scale of the data;
+//! * it runs only while a squared unit of the data is a normal `f64` of
+//!   squared steps — neither nothing nor infinite, so no limit turns
+//!   into a NaN or loses its precision — and only on a column that never
+//!   held a code that bounds nothing (which the pass, to stay
+//!   branch-free, does not look for). A NaN term keeps its entry.
 //!
 //! The degenerate regime is white noise: every window's half-means sit
 //! within a cell or two of zero, all representatives land in the visited
@@ -153,18 +185,24 @@ const BLOCK: usize = 64;
 /// vector headers and its share of a B-tree node (eleven rows to a full
 /// leaf, about two thirds full).
 const ROW_BYTES: usize = 280;
-/// Relative error a mean can carry from being stored as `f32` (one unit
-/// in the last place — twice round-to-nearest's worst case).
-const F32_ULP: f64 = f32::EPSILON as f64;
-/// Largest magnitude a lookup vouches for: every mean it could meet fits
-/// an `f32` (and no sum of them leaves `f64`) with room to spare.
+/// Steps a cell width is cut into: a code's unit is a 256th of a cell.
+const STEPS_PER_CELL: f64 = 256.0;
+/// The largest code either way; an offset past it saturates here.
+const SATURATED: i16 = i16::MAX;
+/// The code of a mean that is not a number: it bounds nothing.
+const UNBOUNDED: i16 = i16::MIN;
+/// Half a step, widened by `2⁻²⁰` of itself: the most a code, decoded,
+/// can be out from the mean it stands for, in steps.
+const HALF_STEP: f64 = 0.5 * (1.0 + 1.0 / 1_048_576.0);
+/// Largest magnitude a lookup vouches for: no sum of means it could meet
+/// leaves `f64`, with room to spare.
 const STORABLE: f64 = f32::MAX as f64 / 2.0;
-/// Largest reach the `f32` pass runs at: its square, 1.6·10³⁷, is under
-/// a twentieth of `f32::MAX`.
-const NARROW_REACH: f64 = 4.0e18;
 /// How much the `f32` pass widens the `f64` slack and limit: `2⁻¹⁵`,
 /// hundreds of times what a dozen `f32` roundings can add up to.
 const NARROW_MARGIN: f64 = 1.0 + 1.0 / 32_768.0;
+/// What the `f32` pass adds to the slack, in steps: more than twice what
+/// rounding an offset to `f32` and subtracting a code from it can lose.
+const NARROW_STEPS: f64 = 1.0 / 128.0;
 
 /// Grid coordinates: the two half-means in units of the cell width.
 type Cell = (i64, i64);
@@ -189,15 +227,15 @@ struct Row {
     ends: Vec<u32>,
     /// Group id of every entry.
     gids: Vec<u32>,
-    /// Segment `s`'s mean of every entry.
-    means: [Vec<f32>; SEGMENTS],
+    /// Segment `s`'s code of every entry.
+    codes: [Vec<i16>; SEGMENTS],
 }
 
 impl Row {
     fn with_capacity(entries: usize) -> Self {
         Row {
             gids: Vec::with_capacity(entries),
-            means: std::array::from_fn(|_| Vec::with_capacity(entries)),
+            codes: std::array::from_fn(|_| Vec::with_capacity(entries)),
             ..Row::default()
         }
     }
@@ -228,7 +266,7 @@ impl Row {
     }
 
     /// File an entry last in the cell at column `col`.
-    fn push(&mut self, col: i64, gid: u32, means: [f32; SEGMENTS]) {
+    fn push(&mut self, col: i64, gid: u32, codes: [i16; SEGMENTS]) {
         let (at, pos) = match self.cell(col) {
             Ok((at, run)) => (at, run.end),
             Err(at) => {
@@ -243,13 +281,13 @@ impl Row {
             // and a writer's appends grow it by a few entries at a time.
             let more = self.gids.len() / 8 + 4;
             self.gids.reserve_exact(more);
-            self.means
+            self.codes
                 .iter_mut()
                 .for_each(|plane| plane.reserve_exact(more));
         }
         self.gids.insert(pos, gid);
-        for (plane, mean) in self.means.iter_mut().zip(means) {
-            plane.insert(pos, mean);
+        for (plane, code) in self.codes.iter_mut().zip(codes) {
+            plane.insert(pos, code);
         }
         self.ends[at..].iter_mut().for_each(|end| *end += 1);
     }
@@ -269,7 +307,7 @@ impl Row {
         let last = run.end - 1;
         self.gids.swap(pos, last);
         self.gids.remove(last);
-        for plane in &mut self.means {
+        for plane in &mut self.codes {
             plane.swap(pos, last);
             plane.remove(last);
         }
@@ -282,22 +320,22 @@ impl Row {
 
     /// Heap bytes the row's vectors keep.
     fn bytes(&self) -> usize {
-        let planes: usize = self.means.iter().map(Vec::capacity).sum();
-        self.cols.capacity() * 8 + (self.ends.capacity() + self.gids.capacity() + planes) * 4
+        let planes: usize = self.codes.iter().map(Vec::capacity).sum();
+        self.cols.capacity() * 8 + (self.ends.capacity() + self.gids.capacity()) * 4 + planes * 2
     }
 }
 
 /// An exact nearest-representative index for one length column: a grid
 /// over the representatives' two half-means, each entry carrying four
-/// segment means for the PAA lower bound, kept a row of cells to a run
-/// (see the [module docs](self)).
+/// segment-mean codes for the PAA lower bound, kept a row of cells to a
+/// run (see the [module docs](self)).
 ///
 /// An insert files one entry last in its cell, a centroid update moves
-/// the entry to its new cell — there is one entry per group at all times
-/// — and seeding from a base is one sort. Where each group's entry sits
-/// is only ever asked by an update, so that directory is built by the
-/// first one: under the `Seed` policy no representative moves and a
-/// column never carries it.
+/// the entry to its new cell (or re-codes it in place) — there is one
+/// entry per group at all times — and seeding from a base is one sort.
+/// Where each group's entry sits is only ever asked by an update, so
+/// that directory is built by the first one: under the `Seed` policy no
+/// representative moves and a column never carries it.
 #[derive(Debug)]
 pub struct PaaGrid {
     /// Segment `s` covers `cuts[s]..cuts[s + 1]`.
@@ -308,6 +346,10 @@ pub struct PaaGrid {
     half_roots: [f64; 2],
     /// Cell width per axis: the column's admission radius over `half_roots`.
     width: [f64; 2],
+    /// A code's unit: the first axis's cell width over [`STEPS_PER_CELL`].
+    step: f64,
+    /// Steps per unit of the data.
+    per_step: f64,
     /// Rounding allowance of a mean per unit of vector magnitude (the
     /// `f64` sums of both sides and the arithmetic done on them), which
     /// is also the relative amount a computed `d²` and a computed bound
@@ -317,6 +359,9 @@ pub struct PaaGrid {
     rows: BTreeMap<i64, Row>,
     /// Entries filed, one per group.
     entries: usize,
+    /// Whether an entry was ever filed with an [`UNBOUNDED`] code: from
+    /// then on lookups bound every entry in `f64` alone.
+    unbounded: bool,
     /// Per group: the cell its entry is filed in — built from `rows` by
     /// the first [`PaaGrid::update`] and kept in step from then on.
     home: Option<Vec<Cell>>,
@@ -332,14 +377,19 @@ impl PaaGrid {
             (weights[0] + weights[1]).sqrt(),
             (weights[2] + weights[3]).sqrt(),
         ];
+        let width = half_roots.map(|root| radius.abs() / root);
+        let step = width[0] / STEPS_PER_CELL;
         PaaGrid {
             cuts,
             weights,
             half_roots,
-            width: half_roots.map(|root| radius.abs() / root),
+            width,
+            step,
+            per_step: 1.0 / step,
             ulps: (len as f64 + 16.0) * f64::EPSILON,
             rows: BTreeMap::new(),
             entries: 0,
+            unbounded: false,
             home: None,
         }
     }
@@ -348,25 +398,25 @@ impl PaaGrid {
     /// order, would file — laid out by one sort, each row sized exactly.
     pub(crate) fn seeded(len: usize, radius: f64, groups: &GroupColumn) -> Self {
         let mut grid = PaaGrid::new(len, radius);
-        let mut filed: Vec<(Cell, u32, [f32; SEGMENTS])> = groups
+        let mut filed: Vec<(Cell, u32, [i16; SEGMENTS])> = groups
             .iter()
             .enumerate()
             .map(|(gi, g)| {
-                let (cell, means) = grid.file(g.representative());
-                (cell, gid(gi), means)
+                let (cell, codes) = grid.file_noting(g.representative());
+                (cell, gid(gi), codes)
             })
             .collect();
         filed.sort_unstable_by_key(|&(cell, gid, _)| (cell, gid));
         for run in filed.chunk_by(|a, b| a.0 .0 == b.0 .0) {
             let mut row = Row::with_capacity(run.len());
-            for &((_, col), gid, means) in run {
+            for &((_, col), gid, codes) in run {
                 if row.cols.last() != Some(&col) {
                     row.cols.push(col);
                     row.ends.push(row.gids.len() as u32);
                 }
                 row.gids.push(gid);
-                for (plane, mean) in row.means.iter_mut().zip(means) {
-                    plane.push(mean);
+                for (plane, code) in row.codes.iter_mut().zip(codes) {
+                    plane.push(code);
                 }
                 *row.ends.last_mut().expect("pushed above") += 1;
             }
@@ -419,14 +469,43 @@ impl PaaGrid {
         (half_mean / self.width[axis]).floor() as i64
     }
 
-    /// The cell a representative is filed in, and its stored means.
-    fn file(&self, representative: &[f64]) -> (Cell, [f32; SEGMENTS]) {
+    /// The lower edge of row `row_at`, which its entries' codes count
+    /// from. Worked out the same way wherever it is asked.
+    fn edge(&self, row_at: i64) -> f64 {
+        row_at as f64 * self.width[0]
+    }
+
+    /// The codes of a vector's four segment means in row `row_at`: each
+    /// its offset from the row's edge in steps, rounded, saturated past
+    /// the codes' range, and [`UNBOUNDED`] where it is not a number.
+    fn encode(&self, row_at: i64, paa: &Paa) -> [i16; SEGMENTS] {
+        let edge = self.edge(row_at);
+        let most = f64::from(SATURATED);
+        paa.means.map(|mean| {
+            let steps = (mean - edge) / self.step;
+            if steps.is_nan() {
+                return UNBOUNDED;
+            }
+            // Half away from zero, then truncated: the nearest step.
+            (steps + 0.5f64.copysign(steps)).clamp(-most, most) as i16
+        })
+    }
+
+    /// The cell a representative is filed in, and its codes there.
+    fn file(&self, representative: &[f64]) -> (Cell, [i16; SEGMENTS]) {
         let paa = self.paa(representative);
         let cell = (
             self.coordinate(0, paa.halves[0]),
             self.coordinate(1, paa.halves[1]),
         );
-        (cell, paa.means.map(|m| m as f32))
+        (cell, self.encode(cell.0, &paa))
+    }
+
+    /// [`Self::file`], noting a code that bounds nothing.
+    fn file_noting(&mut self, representative: &[f64]) -> (Cell, [i16; SEGMENTS]) {
+        let (cell, codes) = self.file(representative);
+        self.unbounded |= codes.contains(&UNBOUNDED);
+        (cell, codes)
     }
 
     /// The nearest representative within `radius_sq` of `xs` (squared
@@ -453,12 +532,12 @@ impl PaaGrid {
         };
         let ((row_lo, row_hi), (col_lo, col_hi)) = (span(0), span(1));
         if scan.eps.is_infinite() || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
-            for row in self.rows.values() {
-                scan.run(row, 0..row.len());
+            for (&row_at, row) in &self.rows {
+                scan.run(self.edge(row_at), row, 0..row.len());
             }
         } else {
-            for row in self.rows.range(row_lo..=row_hi).map(|(_, row)| row) {
-                scan.run(row, row.span(col_lo, col_hi));
+            for (&row_at, row) in self.rows.range(row_lo..=row_hi) {
+                scan.run(self.edge(row_at), row, row.span(col_lo, col_hi));
             }
         }
         work.examined += scan.examined;
@@ -478,25 +557,30 @@ impl PaaGrid {
     ) -> Scan<'a> {
         // A representative within the radius has every value within it of
         // the query's, so this magnitude bounds both sides' sums and the
-        // stored means; past what those hold (or on a NaN) nothing is
-        // claimed — every cell is scanned and no gap survives its slack.
+        // edges of the rows they are filed in; past what a lookup vouches
+        // for (or on a NaN) nothing is claimed — every cell is scanned and
+        // no gap survives its slack.
         let reach = query.peak + radius_sq.sqrt();
         let eps = if reach <= STORABLE {
             self.ulps * reach + f64::from(f32::MIN_POSITIVE)
         } else {
             f64::INFINITY
         };
-        let slack = eps + F32_ULP * reach;
+        let slack = HALF_STEP + eps * self.per_step;
+        let per_step_sq = self.per_step * self.per_step;
         Scan {
             xs,
             groups,
             radius_sq,
             weights: self.weights,
             means: query.means,
+            step: self.step,
+            per_step: self.per_step,
             eps,
             slack,
             shave: 1.0 - self.ulps,
-            narrow: (reach <= NARROW_REACH).then(|| Narrow::new(query, slack, &self.weights)),
+            narrow: (per_step_sq.is_normal() && !self.unbounded)
+                .then(|| Narrow::new(slack, per_step_sq, &self.weights)),
             best: None,
             examined: 0,
         }
@@ -505,11 +589,11 @@ impl PaaGrid {
     /// Register a newly seeded group: ids are issued densely from 0.
     pub fn insert(&mut self, group: usize, representative: &[f64]) {
         assert_eq!(group, self.entries, "group ids are issued densely");
-        let ((row, col), means) = self.file(representative);
+        let ((row, col), codes) = self.file_noting(representative);
         self.rows
             .entry(row)
             .or_default()
-            .push(col, gid(group), means);
+            .push(col, gid(group), codes);
         if let Some(home) = &mut self.home {
             home.push((row, col));
         }
@@ -517,9 +601,9 @@ impl PaaGrid {
     }
 
     /// Note that a group's representative moved (centroid drift): its
-    /// entry moves to the cell it now belongs in.
+    /// entry moves to the cell it now belongs in, re-coded.
     pub fn update(&mut self, group: usize, representative: &[f64]) {
-        let (cell, means) = self.file(representative);
+        let (cell, codes) = self.file_noting(representative);
         if self.home.is_none() {
             self.home = Some(self.directory());
         }
@@ -531,8 +615,8 @@ impl PaaGrid {
             .expect("a group's home row exists");
         if (row_at, col) == cell {
             let (_, _, pos) = row.find(col, gid(group));
-            for (plane, mean) in row.means.iter_mut().zip(means) {
-                plane[pos] = mean;
+            for (plane, code) in row.codes.iter_mut().zip(codes) {
+                plane[pos] = code;
             }
             return;
         }
@@ -543,7 +627,7 @@ impl PaaGrid {
         self.rows
             .entry(cell.0)
             .or_default()
-            .push(cell.1, gid(group), means);
+            .push(cell.1, gid(group), codes);
     }
 
     /// Heap bytes the index keeps, worked out from capacities (no
@@ -567,13 +651,19 @@ struct Scan<'a> {
     groups: &'a GroupColumn,
     radius_sq: f64,
     weights: [f64; SEGMENTS],
+    /// The query's segment means.
     means: [f64; SEGMENTS],
+    /// A code's unit, in units of the data.
+    step: f64,
+    /// Steps per unit of the data.
+    per_step: f64,
     /// The rounding a mean can carry (infinite past what the lookup
     /// vouches for).
     eps: f64,
+    /// What a code leaves open plus `eps`, in steps.
     slack: f64,
     shave: f64,
-    /// The `f32` pass, where the reach lets it run.
+    /// The `f32` pass, where the step and the column let it run.
     narrow: Option<Narrow>,
     best: Option<(usize, f64)>,
     examined: usize,
@@ -584,18 +674,29 @@ impl Scan<'_> {
         self.best.map_or(self.radius_sq, |(_, b)| b)
     }
 
-    /// Bound the entries `run` of `row` a block at a time, and offer
-    /// every survivor.
-    fn run(&mut self, row: &Row, run: Range<usize>) {
+    /// The query's segment means as offsets from a row's lower edge
+    /// `edge`, in steps, clamped to the codes' range.
+    fn offsets(&self, edge: f64) -> [f64; SEGMENTS] {
+        let most = f64::from(SATURATED);
+        self.means
+            .map(|mean| ((mean - edge) * self.per_step).clamp(-most, most))
+    }
+
+    /// Bound the entries `run` of `row` (lower edge `edge`) a block at a
+    /// time, and offer every survivor.
+    fn run(&mut self, edge: f64, row: &Row, run: Range<usize>) {
+        let offsets = self.offsets(edge);
+        let narrow = self.narrow.map(|n| (n, offsets.map(|o| o as f32)));
         for start in run.clone().step_by(BLOCK) {
             let block = start..run.end.min(start + BLOCK);
-            let Some(narrow) = &self.narrow else {
-                block.for_each(|at| self.consider(row, at));
+            let Some((narrow, narrow_offsets)) = &narrow else {
+                block.for_each(|at| self.consider(&offsets, row, at));
                 continue;
             };
-            let mut survivors = narrow.survivors(row, block.clone(), self.bound_sq() / self.shave);
+            let limit = self.bound_sq() / self.shave;
+            let mut survivors = narrow.survivors(narrow_offsets, row, block.clone(), limit);
             while survivors != 0 {
-                self.consider(row, start + survivors.trailing_zeros() as usize);
+                self.consider(&offsets, row, start + survivors.trailing_zeros() as usize);
                 survivors &= survivors - 1;
             }
         }
@@ -603,9 +704,9 @@ impl Scan<'_> {
 
     /// The exact four-term bound against the best `d²` so far, then the
     /// linear scan's distance and acceptance rule, for the entry at `at`.
-    fn consider(&mut self, row: &Row, at: usize) {
+    fn consider(&mut self, offsets: &[f64; SEGMENTS], row: &Row, at: usize) {
         let bound_sq = self.bound_sq();
-        if self.drops(row, at, bound_sq) {
+        if self.drops(offsets, row, at, bound_sq) {
             return;
         }
         self.examined += 1;
@@ -617,51 +718,74 @@ impl Scan<'_> {
     }
 
     /// Whether the exact `f64` four-term bound of the entry at `at`
-    /// exceeds `bound_sq`.
-    fn drops(&self, row: &Row, at: usize, bound_sq: f64) -> bool {
+    /// exceeds `bound_sq`, the query's `offsets` from its row's edge
+    /// given.
+    fn drops(&self, offsets: &[f64; SEGMENTS], row: &Row, at: usize, bound_sq: f64) -> bool {
+        self.lower(offsets, row, at) * self.shave > bound_sq
+    }
+
+    /// The `f64` four-term bound of the entry at `at`, before the shave.
+    fn lower(&self, offsets: &[f64; SEGMENTS], row: &Row, at: usize) -> f64 {
         let mut lower = 0.0;
-        for s in 0..SEGMENTS {
-            let gap = (self.means[s] - f64::from(row.means[s][at])).abs() - self.slack;
+        for ((&offset, plane), weight) in offsets.iter().zip(&row.codes).zip(self.weights) {
+            let code = plane[at];
+            if code == UNBOUNDED {
+                continue;
+            }
+            let gap = (offset - f64::from(code)).abs() - self.slack;
             // `max` drops a NaN (∞ − ∞): no gap is claimed there.
-            let gap = gap.max(0.0);
-            lower += self.weights[s] * gap * gap;
+            let gap = gap.max(0.0) * self.step;
+            lower += weight * gap * gap;
         }
-        lower * self.shave > bound_sq
+        lower
     }
 }
 
-/// The query's side of the `f32` pass, its slack widened as the
-/// [module docs](self) set out.
+/// The lookup's side of the `f32` pass, in steps, its slack widened as
+/// the [module docs](self) set out.
+#[derive(Clone, Copy)]
 struct Narrow {
-    means: [f32; SEGMENTS],
     weights: [f32; SEGMENTS],
     slack: f32,
+    /// Squared steps per squared unit of the data: what turns a limit
+    /// into squared steps.
+    per_step_sq: f64,
 }
 
 impl Narrow {
-    fn new(query: &Paa, slack: f64, weights: &[f64; SEGMENTS]) -> Self {
-        let tiny = f64::from(f32::MIN_POSITIVE);
-        let slack = slack * NARROW_MARGIN + F32_ULP * query.peak + 2.0 * tiny;
+    fn new(slack: f64, per_step_sq: f64, weights: &[f64; SEGMENTS]) -> Self {
         Narrow {
-            means: query.means.map(|m| m as f32),
             weights: weights.map(|w| w as f32),
-            slack: slack as f32,
+            slack: (slack * NARROW_MARGIN + NARROW_STEPS) as f32,
+            per_step_sq,
         }
     }
 
     /// Bit `i` set for the entry `block.start + i` of `row` unless its
     /// `f32` bound exceeds `limit` (the `f64` test's `bound²/shave`),
-    /// widened. A NaN bound keeps its entry.
-    fn survivors(&self, row: &Row, block: Range<usize>, limit: f64) -> u64 {
-        let limit = (limit * NARROW_MARGIN + f64::from(f32::MIN_POSITIVE)) as f32;
+    /// widened; `offsets` are the query's from the row's edge. A NaN
+    /// bound keeps its entry.
+    fn survivors(
+        &self,
+        offsets: &[f32; SEGMENTS],
+        row: &Row,
+        block: Range<usize>,
+        limit: f64,
+    ) -> u64 {
+        let limit = limit * self.per_step_sq * NARROW_MARGIN + f64::from(f32::MIN_POSITIVE);
+        let limit = limit as f32;
+        let term = |s: usize, code: i16| {
+            let gap = ((offsets[s] - f32::from(code)).abs() - self.slack).max(0.0);
+            self.weights[s] * gap * gap
+        };
+        // All four terms in one pass, the planes cut to the block's length
+        // so that the loop runs unchecked and vectorises.
+        let n = block.len();
+        let [p0, p1, p2, p3] = std::array::from_fn(|s| &row.codes[s][block.clone()][..n]);
         let mut lower = [0.0f32; BLOCK];
-        let lower = &mut lower[..block.len()];
-        for s in 0..SEGMENTS {
-            let (q, w) = (self.means[s], self.weights[s]);
-            for (l, &m) in lower.iter_mut().zip(&row.means[s][block.clone()]) {
-                let gap = ((q - m).abs() - self.slack).max(0.0);
-                *l += w * gap * gap;
-            }
+        let lower = &mut lower[..n];
+        for i in 0..n {
+            lower[i] = term(0, p0[i]) + term(1, p1[i]) + term(2, p2[i]) + term(3, p3[i]);
         }
         let kept = lower.iter().map(|&l| u64::from(l <= limit || l.is_nan()));
         kept.enumerate().fold(0, |mask, (i, bit)| mask | bit << i)
@@ -842,21 +966,17 @@ mod tests {
             assert!(row.cols.windows(2).all(|w| w[0] < w[1]), "row {row_at}");
             assert_eq!(row.cols.len(), row.ends.len(), "row {row_at}");
             assert_eq!(row.ends.last().map(|&end| end as usize), Some(row.len()));
-            assert!(row.means.iter().all(|plane| plane.len() == row.len()));
+            assert!(row.codes.iter().all(|plane| plane.len() == row.len()));
             for (at, &col) in row.cols.iter().enumerate() {
                 let run = row.start_of(at)..row.ends[at] as usize;
                 assert!(!run.is_empty(), "cell ({row_at}, {col}) is empty");
                 for pos in run {
                     let gi = row.gids[pos] as usize;
                     assert!(!std::mem::replace(&mut seen[gi], true), "group {gi} twice");
-                    let (cell, means) = grid.file(groups.at(gi).representative());
+                    let (cell, codes) = grid.file(groups.at(gi).representative());
                     assert_eq!(cell, (row_at, col), "group {gi}");
-                    let stored: [f32; SEGMENTS] = std::array::from_fn(|s| row.means[s][pos]);
-                    assert_eq!(
-                        stored.map(f32::to_bits),
-                        means.map(f32::to_bits),
-                        "group {gi}"
-                    );
+                    let stored: [i16; SEGMENTS] = std::array::from_fn(|s| row.codes[s][pos]);
+                    assert_eq!(stored, codes, "group {gi}");
                 }
             }
         }
@@ -906,6 +1026,30 @@ mod tests {
         centroid_rate: f64,
         drift_from: u32,
     ) -> (GroupColumn, PaaGrid) {
+        let shape = |rng: &mut Rng| rng.vec(len, scale);
+        let drill = drill(len, radius, seed, centroid_rate, drift_from, shape);
+        (drill.groups, drill.grid)
+    }
+
+    /// What a drill leaves: the groups, the grid kept in step with them,
+    /// the work of every lookup, and how many lookups a group won whose
+    /// entry had a saturated code.
+    struct Drill {
+        groups: GroupColumn,
+        grid: PaaGrid,
+        work: IndexWork,
+        saturated_wins: usize,
+    }
+
+    /// The drill over windows jittered about 60 shapes that `shape` draws.
+    fn drill(
+        len: usize,
+        radius: f64,
+        seed: u64,
+        centroid_rate: f64,
+        drift_from: u32,
+        shape: impl Fn(&mut Rng) -> Vec<f64>,
+    ) -> Drill {
         let mut rng = Rng(seed);
         let mut groups = GroupColumn::new();
         let mut grid = PaaGrid::new(len, radius);
@@ -913,7 +1057,8 @@ mod tests {
         let mut gw = IndexWork::default();
         let radius_sq = radius * radius;
         let mut updates = 0;
-        let shapes: Vec<Vec<f64>> = (0..60).map(|_| rng.vec(len, scale)).collect();
+        let mut saturated_wins = 0;
+        let shapes: Vec<Vec<f64>> = (0..60).map(|_| shape(&mut rng)).collect();
         let jitter = 0.7 * radius * (12.0 / len as f64).sqrt();
         for step in 0..600 {
             let shape = &shapes[(rng.next() * shapes.len() as f64) as usize];
@@ -932,6 +1077,8 @@ mod tests {
             gw += g1;
             match a {
                 Some((gi, d_sq)) => {
+                    let (_, codes) = grid.file(groups.at(gi).representative());
+                    saturated_wins += usize::from(codes.iter().any(|&c| saturates(c)));
                     let centroid = rng.next() < centroid_rate && step >= drift_from;
                     let member = SubseqRef::new(1, step, len as u32);
                     groups.admit(gi, member, &xs, d_sq.sqrt(), centroid);
@@ -960,7 +1107,31 @@ mod tests {
             "grid must prune: examined {} vs linear {scanned}",
             gw.examined,
         );
-        (groups, grid)
+        Drill {
+            groups,
+            grid,
+            work: gw,
+            saturated_wins,
+        }
+    }
+
+    /// Whether a code stands for everything past the codes' range.
+    fn saturates(code: i16) -> bool {
+        code == SATURATED || code == -SATURATED
+    }
+
+    /// Entries with a saturated code, and those among them saturated on
+    /// both sides.
+    fn saturated_entries(grid: &PaaGrid) -> (usize, usize) {
+        let (mut any, mut both) = (0, 0);
+        for row in grid.rows.values() {
+            for at in 0..row.len() {
+                let codes = row.codes.each_ref().map(|plane| plane[at]);
+                any += usize::from(codes.iter().any(|&c| saturates(c)));
+                both += usize::from(codes.contains(&SATURATED) && codes.contains(&-SATURATED));
+            }
+        }
+        (any, both)
     }
 
     #[test]
@@ -983,6 +1154,44 @@ mod tests {
     fn grid_matches_linear_with_empty_segments() {
         equivalence_drill(2, 6.0, 0.5, 3, 0.5);
         equivalence_drill(3, 6.0, 0.8, 4, 0.5);
+    }
+
+    #[test]
+    fn grid_matches_linear_where_codes_saturate() {
+        // Ramps up to far steeper than the radius, at ST 0.01 and at
+        // offsets where a mean resolves coarsely: most windows' quarter
+        // means lie further from their row's edge than a code reaches
+        // (±128 cell widths), the steepest on both sides of it. Saturated
+        // entries win lookups, and every lookup is still the linear
+        // scan's.
+        let len = 16;
+        for (offset, st, slope, centroid_rate) in [
+            (0.0, 0.01, 0.3, 0.0),
+            (0.0, 0.01, 0.3, 0.6),
+            (1e6, 0.01, 0.3, 0.3),
+            (1e12, 1.0, 30.0, 0.3),
+        ] {
+            let radius = st / 2.0 * (len as f64).sqrt();
+            let shape = |rng: &mut Rng| -> Vec<f64> {
+                let steep = slope * 2.0 * rng.next();
+                let noise = rng.vec(len, 20.0 * radius);
+                let ramp = noise.iter().enumerate();
+                ramp.map(|(i, v)| offset + steep * i as f64 + v).collect()
+            };
+            let drill = drill(len, radius, 11, centroid_rate, 0, shape);
+            let (any, both) = saturated_entries(&drill.grid);
+            let entries = drill.grid.entries;
+            println!(
+                "offset {offset}, ST {st}, slope {slope}: {any} of {entries} entries saturate \
+                 ({both} on both sides), {} of 600 lookups won by one, {} distance calls",
+                drill.saturated_wins, drill.work.distance_calls
+            );
+            assert!(
+                any * 4 > entries && both * 10 > entries,
+                "{any} / {both} of {entries}"
+            );
+            assert!(drill.saturated_wins > 20, "{} wins", drill.saturated_wins);
+        }
     }
 
     #[test]
@@ -1021,7 +1230,7 @@ mod tests {
         for (gi, g) in groups.iter().enumerate() {
             assert_eq!(late.file(g.representative()).0, home[gi], "group {gi}");
         }
-        assert!(late.resident_bytes() >= late.entries * (20 + 16));
+        assert!(late.resident_bytes() >= late.entries * (12 + 16));
     }
 
     #[test]
@@ -1067,12 +1276,7 @@ mod tests {
                     (&row.cols, &row.ends, &row.gids),
                     (&other.cols, &other.ends, &other.gids)
                 );
-                for (plane, other) in row.means.iter().zip(&other.means) {
-                    assert!(plane
-                        .iter()
-                        .map(|m| m.to_bits())
-                        .eq(other.iter().map(|m| m.to_bits())));
-                }
+                assert_eq!(row.codes, other.codes);
                 // Sized exactly: nothing to spare until the first insert.
                 assert_eq!(row.gids.capacity(), row.len());
             }
@@ -1081,29 +1285,43 @@ mod tests {
 
     #[test]
     fn the_f32_pass_never_drops_what_the_f64_bound_keeps() {
-        // Entries around the query at every scale the pass runs at and
-        // past it, bounded against radii from nothing to everything: an
-        // entry the `f32` pass drops, the exact bound must drop too.
+        // Entries around the query at every scale and past what a lookup
+        // vouches for, and ramps whose quarter means lie far from their
+        // row's edge — up to past the codes' range, on both sides of it —
+        // bounded against radii from nothing to everything: an entry the
+        // `f32` pass drops, the exact bound must drop too.
         let mut rng = Rng(41);
         let (mut narrowed, mut dropped, mut exact_drops) = (0, 0, 0);
-        for (offset, scale) in [
-            (0.0, 10.0),
-            (100.0, 10.0),
-            (0.0, 1e-30),
-            (0.0, 1e-39),
-            (1e6, 1.0),
-            (-1e12, 1e-3),
-            (1e15, 10.0),
-            (3.9e18, 1e3),
-            (4.1e18, 1e3),
-            (1e30, 1e20),
+        let mut saturated = (0, 0);
+        for (offset, scale, slope) in [
+            (0.0, 10.0, 0.0),
+            (100.0, 10.0, 0.0),
+            (0.0, 1e-30, 0.0),
+            (0.0, 1e-39, 0.0),
+            (1e6, 1.0, 0.0),
+            (-1e12, 1e-3, 0.0),
+            (1e15, 10.0, 0.0),
+            (3.9e18, 1e3, 0.0),
+            (4.1e18, 1e3, 0.0),
+            (1e30, 1e20, 0.0),
+            (0.0, 0.01, 4.0),
+            (1e6, 0.01, 4.0),
+            (1e12, 1.0, 400.0),
+            (0.0, 0.05, 0.45),
+            (-1e3, 0.05, -0.45),
         ] {
             let len = 9;
             let near = |rng: &mut Rng, spread: f64| -> Vec<f64> {
-                rng.vec(len, spread).iter().map(|v| offset + v).collect()
+                let noise = rng.vec(len, spread);
+                let ramp = noise.iter().enumerate();
+                ramp.map(|(i, v)| offset + slope * i as f64 + v).collect()
             };
             let groups = column((0..300).map(|i| near(&mut rng, scale * (1 + i % 5) as f64)));
             let grid = PaaGrid::seeded(len, scale, &groups);
+            if slope > 0.0 {
+                let (any, both) = saturated_entries(&grid);
+                saturated = (saturated.0 + any, saturated.1 + both);
+            }
             for _ in 0..20 {
                 let xs = near(&mut rng, scale);
                 let query = grid.paa(&xs);
@@ -1114,21 +1332,44 @@ mod tests {
                     };
                     narrowed += 1;
                     for bound_sq in [radius * radius, radius * radius / 4.0, 0.0] {
-                        for row in grid.rows.values() {
+                        for (&row_at, row) in &grid.rows {
+                            let offsets = scan.offsets(grid.edge(row_at));
+                            let narrow_offsets = offsets.map(|o| o as f32);
                             for start in (0..row.len()).step_by(BLOCK) {
                                 let block = start..row.len().min(start + BLOCK);
+                                let limit = bound_sq / scan.shave;
                                 let kept =
-                                    narrow.survivors(row, block.clone(), bound_sq / scan.shave);
-                                for at in block {
-                                    let exact = scan.drops(row, at, bound_sq);
+                                    narrow.survivors(&narrow_offsets, row, block.clone(), limit);
+                                for at in block.clone() {
+                                    let exact = scan.drops(&offsets, row, at, bound_sq);
                                     let narrow_drops = kept & (1 << (at - start)) == 0;
                                     if scale == 10.0 {
                                         exact_drops += usize::from(exact);
                                         dropped += usize::from(narrow_drops);
                                     }
                                     if narrow_drops {
-                                        assert!(exact, "offset {offset}, scale {scale}, radius {radius}, bound {bound_sq}, entry {at}");
+                                        assert!(exact, "offset {offset}, scale {scale}, slope {slope}, radius {radius}, bound {bound_sq}, entry {at}");
                                     }
+                                }
+                                if bound_sq > 0.0 {
+                                    continue;
+                                }
+                                // At the tightest bound the exact test
+                                // keeps an entry at, the pass keeps it.
+                                for at in block.clone() {
+                                    let tight = scan.lower(&offsets, row, at) * scan.shave;
+                                    let limit = tight / scan.shave;
+                                    let kept = narrow.survivors(
+                                        &narrow_offsets,
+                                        row,
+                                        block.clone(),
+                                        limit,
+                                    );
+                                    assert!(!scan.drops(&offsets, row, at, tight));
+                                    assert!(
+                                        kept & (1 << (at - start)) != 0,
+                                        "offset {offset}, scale {scale}, slope {slope}, entry {at} at its own bound {tight}"
+                                    );
                                 }
                             }
                         }
@@ -1137,14 +1378,62 @@ mod tests {
             }
         }
         assert!(narrowed > 500, "{narrowed} lookups ran the f32 pass");
+        // The ramps filed entries whose codes saturate, on both sides.
+        assert!(saturated.0 > 600 && saturated.1 > 300, "{saturated:?}");
         // And at ordinary magnitudes the pass is worth running: it drops
         // nearly all the exact bound does. (Where the spread is far below
-        // the offset, or its squares underflow an `f32`, it drops less and
-        // the exact bound does the rest.)
+        // the offset it drops less and the exact bound does the rest.)
         assert!(
             dropped * 1000 > exact_drops * 999,
             "f32 dropped {dropped} of {exact_drops}"
         );
+    }
+
+    #[test]
+    fn the_f32_pass_keeps_an_entry_a_hair_past_what_its_code_leaves_open() {
+        // One segment's offset a hair past the slack from its code, 12 k
+        // to 31 k steps from the row's edge, where an `f32` offset is
+        // coarsest: the exact bound is tiny, and the pass must not round
+        // it past its limit (its own slack's widening is what stops it).
+        let (len, radius) = (8, 0.05);
+        let mut rng = Rng(5);
+        let mut checked = 0;
+        for slope in [0.4, 0.45, 0.5, 0.55, 0.6, -0.5] {
+            let rep: Vec<f64> = (0..len)
+                .map(|i| slope * i as f64 + 0.01 * rng.next())
+                .collect();
+            let groups = column([&rep]);
+            let grid = PaaGrid::seeded(len, radius, &groups);
+            let ((row_at, _), codes) = grid.file(&rep);
+            assert!(codes.iter().all(|&c| !saturates(c)), "{codes:?}");
+            let (edge, row) = (grid.edge(row_at), &grid.rows[&row_at]);
+            let means = grid.paa(&rep).means;
+            let slack = grid
+                .scan(&grid.paa(&rep), &rep, radius * radius, &groups)
+                .slack;
+            for hair in [1e-6, 1e-5, 1e-4, 3e-4, 1e-3] {
+                for (s, side) in [(2, 1.0), (3, 1.0), (2, -1.0), (3, -1.0)] {
+                    let steps = f64::from(codes[s]) + side * (slack + hair);
+                    let shift = edge + steps * grid.step - means[s];
+                    let mut xs = rep.clone();
+                    xs[grid.cuts[s]..grid.cuts[s + 1]]
+                        .iter_mut()
+                        .for_each(|x| *x += shift);
+                    let query = grid.paa(&xs);
+                    let scan = grid.scan(&query, &xs, radius * radius, &groups);
+                    let offsets = scan.offsets(edge);
+                    let tight = scan.lower(&offsets, row, 0) * scan.shave;
+                    assert!(!scan.drops(&offsets, row, 0, tight));
+                    let narrow = scan.narrow.expect("the pass runs here");
+                    let narrow_offsets = offsets.map(|o| o as f32);
+                    let limit = tight / scan.shave;
+                    let kept = narrow.survivors(&narrow_offsets, row, 0..1, limit);
+                    assert_eq!(kept, 1, "slope {slope}, segment {s}, hair {hair}");
+                    checked += usize::from(tight > 0.0);
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} entries had a bound above nothing");
     }
 
     #[test]
