@@ -9,6 +9,10 @@ use onex_grouping::{BaseConfig, RepresentativePolicy};
 use crate::harness::{fmt_duration, median_time, Table};
 use crate::workloads;
 
+/// One row of the pruning ablation: its name and the search it times,
+/// which returns the match distance and the work it counted.
+type Variant<'a> = (&'a str, &'a dyn Fn() -> (f64, QueryStats));
+
 /// Run all three ablations.
 pub fn run(quick: bool) -> Vec<Table> {
     let (n, len) = if quick { (20, 64) } else { (40, 128) };
@@ -55,7 +59,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         };
         (hit.unwrap().expect("match exists").distance, stats)
     };
-    let variants: [(&str, &dyn Fn() -> (f64, QueryStats)); 5] = [
+    let variants: [Variant; 5] = [
         ("full pruning (exact)", &search(QueryOptions::default())),
         (
             "paper mode (top-1 group)",

@@ -8,14 +8,16 @@
 //!   series `g` lives on slot [`slot_of`]`(g, n)` as local id `g / n`,
 //!   and [`global`] reconstructs `local · n + slot`. [`localize`]
 //!   translates a global-id option set into one slot's numbering.
-//! * **Lanes.** One persistent worker thread per slot behind a bounded
-//!   queue; a query is a channel send per slot, never a thread spawn. A
-//!   panicking task costs one typed [`OnexError::Internal`] reply, a dead
-//!   lane is respawned by the next query that needs it.
+//! * **Lanes.** One persistent worker thread per slot behind a std
+//!   `sync_channel` of two; a query is a channel send per slot, never a
+//!   thread spawn. A panicking task costs one typed
+//!   [`OnexError::Internal`] reply, a dead lane is respawned by the next
+//!   query that needs it.
 //! * **Bound.** Every query gets a fresh `∞`-seeded [`SharedBound`] —
 //!   one for all its slots, or one per slot when sharing is off — so
 //!   concurrent queries can never prune each other's answers.
-//! * **Deadline.** Replies are collected under one per-query deadline;
+//! * **Deadline.** Replies come back on one `sync_channel` per query
+//!   with room for every slot's, collected under one per-query deadline;
 //!   passing it cancels the query's bounds (in-flight work finishes
 //!   trivially) and returns a typed
 //!   [`NetworkErrorKind::Timeout`].
@@ -26,10 +28,10 @@
 //!   [`BackendStats`] sum (the slots index disjoint subsequence spaces).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use onex_api::{
@@ -100,7 +102,7 @@ pub struct Job {
     pub bound: Arc<SharedBound>,
     slot: usize,
     replied: AtomicBool,
-    reply: Sender<(usize, Result<SearchOutcome, OnexError>)>,
+    reply: SyncSender<(usize, Result<SearchOutcome, OnexError>)>,
 }
 
 impl Job {
@@ -135,7 +137,7 @@ pub struct PoolStats {
 }
 
 struct Lane {
-    tx: Sender<(Job, Task)>,
+    tx: Option<SyncSender<(Job, Task)>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -143,7 +145,7 @@ impl Lane {
     /// Disconnect the worker and join it. The lane refuses sends from
     /// then on, which is what makes the next query respawn it.
     fn close(&mut self) {
-        self.tx = bounded(1).0;
+        self.tx = None;
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -194,7 +196,7 @@ impl Fanout {
     fn spawn_lane(&self, slot: usize) -> Lane {
         // Capacity 2: one query's task plus one queued behind it; past
         // that, submission blocks (backpressure).
-        let (tx, rx) = bounded::<(Job, Task)>(2);
+        let (tx, rx) = sync_channel::<(Job, Task)>(2);
         self.threads_spawned.fetch_add(1, Ordering::Relaxed);
         let jobs = Arc::clone(&self.jobs_executed);
         let name = self.name;
@@ -212,7 +214,7 @@ impl Fanout {
             })
             .expect("spawn fan-out lane");
         Lane {
-            tx,
+            tx: Some(tx),
             handle: Some(handle),
         }
     }
@@ -221,13 +223,17 @@ impl Fanout {
     /// worker is gone.
     fn dispatch(&self, slot: usize, work: (Job, Task)) -> Result<(), OnexError> {
         let mut lane = self.lanes[slot].lock();
-        let Err(returned) = lane.tx.send(work) else {
-            return Ok(());
+        let work = match &lane.tx {
+            Some(tx) => match tx.send(work) {
+                Ok(()) => return Ok(()),
+                Err(returned) => returned.0,
+            },
+            None => work,
         };
         let mut dead = std::mem::replace(&mut *lane, self.spawn_lane(slot));
         dead.close();
-        lane.tx
-            .send(returned.0)
+        let tx = lane.tx.as_ref().expect("a spawned lane is open");
+        tx.send(work)
             .map_err(|_| OnexError::Internal(format!("{} slot {slot}: lane exited", self.name)))
     }
 
@@ -289,7 +295,8 @@ impl Fanout {
         let mut bounds = Vec::with_capacity(n);
         let mut results: Vec<Option<Result<SearchOutcome, OnexError>>> =
             (0..n).map(|_| None).collect();
-        let (reply, replies) = bounded(n);
+        // At least one slot of room: capacity 0 would make a reply a rendezvous.
+        let (reply, replies) = sync_channel(n.max(1));
         for (slot, result) in results.iter_mut().enumerate() {
             let Some(opts) = localize(&self.opts, slot, n) else {
                 *result = Some(Ok(SearchOutcome::default()));
@@ -518,15 +525,17 @@ mod tests {
     fn a_silent_task_is_the_typed_timeout_and_the_bound_collapses() {
         let mut fanout = Fanout::new("test", 2);
         fanout.deadline = Duration::from_millis(50);
-        let (seen_tx, seen) = bounded::<Arc<SharedBound>>(1);
-        let (release, released) = bounded::<()>(1);
+        let (seen_tx, seen) = sync_channel::<Arc<SharedBound>>(1);
+        let (release, released) = sync_channel::<()>(1);
+        let released = Mutex::new(Some(released));
         let started = Instant::now();
         let err = fanout
             .k_best(&QUERY, 1, |slot| {
                 if slot == 0 {
                     return answering(slot);
                 }
-                let (seen_tx, released) = (seen_tx.clone(), released.clone());
+                let seen_tx = seen_tx.clone();
+                let released = released.lock().take().expect("one silent slot");
                 Box::new(move |job| {
                     seen_tx.send(Arc::clone(&job.bound)).unwrap();
                     let _ = released.recv();

@@ -164,12 +164,12 @@ impl ShardedEngine {
 
         // Build every shard in parallel; a panicking worker is reported
         // as a typed Internal error instead of aborting the process.
-        let results = crossbeam::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
                 .map(|ds| {
                     let config = config.clone();
-                    scope.spawn(move |_| Onex::build(ds, config))
+                    scope.spawn(move || Onex::build(ds, config))
                 })
                 .collect();
             handles
@@ -179,8 +179,7 @@ impl ShardedEngine {
                         .map_err(|_| OnexError::Internal("shard build worker panicked".into()))
                 })
                 .collect::<Vec<_>>()
-        })
-        .map_err(|_| OnexError::Internal("shard build scope panicked".into()))?;
+        });
 
         let mut per_shard = Vec::with_capacity(shards);
         let mut engines = Vec::with_capacity(shards);
@@ -445,11 +444,7 @@ impl CacheStats {
 /// cache. Because epochs are monotone, a computed result is inserted only
 /// if the backend is *still* on the epoch captured before the compute
 /// began — a concurrent append between compute and insert discards the
-/// result instead of caching it against the wrong epoch. Backends that
-/// report the default epoch 0 (immutable collections) keep the older,
-/// coarser contract: mutate through [`CachedSearch::backend_mut`] (which
-/// clears the cache before handing out the reference) or call
-/// [`CachedSearch::invalidate`] after the fact.
+/// result instead of caching it against the wrong epoch.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -505,26 +500,6 @@ impl<B: SimilaritySearch> CachedSearch<B> {
     /// The wrapped backend.
     pub fn backend(&self) -> &B {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped backend. The cache is invalidated
-    /// *before* the reference is handed out, so no result computed
-    /// against the old state can survive a mutation (the "never serve a
-    /// stale result after extend" guarantee).
-    pub fn backend_mut(&mut self) -> &mut B {
-        self.invalidate();
-        &mut self.inner
-    }
-
-    /// Unwrap, dropping the cache.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    /// Drop every cached entry (hit/miss counters are preserved — they
-    /// describe traffic, not contents).
-    pub fn invalidate(&self) {
-        self.cache.lock().map.clear();
     }
 
     /// Current counters. `hits + misses` equals the number of
@@ -903,34 +878,38 @@ mod tests {
     fn cache_never_serves_stale_results_after_extend() {
         let ds = dataset(5);
         let query = ds.series(1).unwrap().subsequence(12, LEN).unwrap().to_vec();
-        let mut cached = CachedSearch::new(single(&ds), 16).unwrap();
-        let before = cached.k_best(&query, 1).unwrap();
-        let _warm = cached.k_best(&query, 1).unwrap();
-        assert_eq!(cached.cache_stats().hits, 1);
-        assert!(before.best().unwrap().distance < 1e-9);
-
-        // Extend the collection with a new series that is an even better
-        // match target (an exact clone), excluding the original series so
-        // the fresh answer must come from the new data.
-        let mut extended = Vec::new();
-        for (_, s) in ds.iter() {
-            extended.push(s.clone());
-        }
-        extended.push(TimeSeries::new(
-            "clone",
-            ds.series(1).unwrap().values().to_vec(),
-        ));
-        let bigger = Dataset::from_series(extended).unwrap();
-        let (engine, _) = Onex::build(bigger, exact_config()).unwrap();
-        *cached.backend_mut() = OnexBackend::new(Arc::new(engine))
+        let other = ds.series(3).unwrap().subsequence(40, LEN).unwrap().to_vec();
+        let (engine, _) = Onex::build(ds.clone(), exact_config()).unwrap();
+        let engine = Arc::new(engine);
+        // The query's own series is excluded, so until the append the
+        // best match lies elsewhere.
+        let backend = OnexBackend::new(Arc::clone(&engine))
             .with_options(QueryOptions::default().excluding_series(Some(1)));
+        let cached = CachedSearch::new(backend, 16).unwrap();
+        let before = cached.k_best(&query, 1).unwrap();
+        assert_eq!(cached.k_best(&query, 1).unwrap(), before);
+        cached.k_best(&other, 1).unwrap();
+        let warm = cached.cache_stats();
+        assert_eq!((warm.hits, warm.misses, warm.entries), (1, 2, 2));
+        assert!(before.best().unwrap().distance > 1e-9);
 
-        assert_eq!(cached.cache_stats().entries, 0, "mutation invalidated");
+        // Append an exact clone of series 1 through the shared engine,
+        // never touching the cache: the backend's epoch moves on, and the
+        // next lookup drops every entry computed before it.
+        let epoch = cached.epoch();
+        engine
+            .append_series(TimeSeries::new(
+                "clone",
+                ds.series(1).unwrap().values().to_vec(),
+            ))
+            .unwrap();
+        assert!(cached.epoch() > epoch);
         let after = cached.k_best(&query, 1).unwrap();
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
         let best = after.best().unwrap();
         assert_eq!(best.series, 5, "answer reflects the extended dataset");
         assert!(best.distance < 1e-9);
-        assert_ne!(before.best().unwrap().series, best.series);
     }
 
     #[test]

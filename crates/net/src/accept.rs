@@ -1,6 +1,8 @@
 //! The shared accept loop: a fixed worker pool over a bounded connection
 //! queue, used by both the HTTP server (`onex-server`) and the binary
-//! shard server ([`crate::ShardServer`]).
+//! shard server ([`crate::ShardServer`]). The queue is a std
+//! `sync_channel`; the workers share its one receiver behind a mutex that
+//! a worker holds only while it waits for the next connection.
 //!
 //! This used to live inside the HTTP app; it moved here unchanged when
 //! the shard server needed the identical hardening — bounded queueing,
@@ -9,7 +11,11 @@
 
 use std::io;
 use std::net::TcpStream;
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 /// How an accept loop runs: a fixed worker pool over a bounded connection
 /// queue (so a connection flood cannot exhaust OS threads or memory) and
@@ -90,13 +96,17 @@ where
     I: Iterator<Item = io::Result<TcpStream>>,
     H: Fn(TcpStream) + Clone + Send + 'static,
 {
-    let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(opts.queue.max(1));
+    let (tx, rx) = sync_channel::<TcpStream>(opts.queue.max(1));
+    // One receiver for the whole pool. A worker holds the lock only while
+    // it waits for the next connection, never while it handles one.
+    let rx = Arc::new(Mutex::new(rx));
     let workers: Vec<_> = (0..opts.workers.max(1))
         .map(|_| {
             let handler = handler.clone();
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
+            let next = move || rx.lock().recv();
             std::thread::spawn(move || {
-                while let Ok(stream) = rx.recv() {
+                while let Ok(stream) = next() {
                     // A panicking handler must cost one response, not
                     // a pool worker: without this, a few poisoned
                     // requests would quietly shrink the pool to zero
@@ -142,4 +152,47 @@ where
         let _ = w.join();
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::Condvar;
+
+    #[test]
+    fn two_workers_handle_two_connections_at_once() {
+        // Each handler waits for the other: a barrier of two, bounded by a
+        // timeout so a pool that serialises its workers fails the assert
+        // below instead of hanging.
+        let barrier = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let (met_tx, met) = sync_channel::<bool>(2);
+        let handler = move |_stream: TcpStream| {
+            let (count, arrived) = &*barrier;
+            let mut count = count.lock();
+            *count += 1;
+            arrived.notify_all();
+            let (count, _) = arrived
+                .wait_timeout_while(count, Duration::from_secs(5), |n| *n < 2)
+                .unwrap();
+            met_tx.send(*count >= 2).unwrap();
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _clients: Vec<_> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let accepted: Vec<_> = (0..2).map(|_| listener.accept().map(|(s, _)| s)).collect();
+        let opts = AcceptOptions {
+            workers: 2,
+            queue: 2,
+            ..AcceptOptions::default()
+        };
+        serve_streams(accepted.into_iter(), &opts, handler).unwrap();
+        let met: Vec<bool> = met.try_iter().collect();
+        assert_eq!(
+            met,
+            [true, true],
+            "both connections were in a handler at once"
+        );
+    }
 }

@@ -25,12 +25,13 @@
 //! replica that keeps failing (or whose latency EWMA blows its budget)
 //! is skipped *without dialling* until a background
 //! [`InfoRequest`](crate::Message::InfoRequest) probe closes the breaker
-//! again. Optionally a query **hedges**: if the preferred replica has
-//! not answered within [`ClusterConfig::hedge_after`], the same request
-//! is raced against the next live replica and the first answer wins —
-//! the loser is cancelled through its private bound
-//! ([`SharedBound::cancel`]), which makes its remaining search trivially
-//! prunable.
+//! again. The probe sleeps on a stop channel between rounds, so dropping
+//! the engine ends it at once. Optionally a query **hedges**: if the
+//! preferred replica has not answered within
+//! [`ClusterConfig::hedge_after`], the same request is raced against the
+//! next live replica and the first answer wins — the loser is cancelled
+//! through its private bound ([`SharedBound::cancel`]), which makes its
+//! remaining search trivially prunable.
 //!
 //! When a whole slot is down, [`DegradePolicy`] decides: `Fail`
 //! propagates the slot's typed error (the strict historical behaviour),
@@ -46,11 +47,11 @@
 //! local id `g / N` (what the `onex_server --shard-serve` operator docs
 //! prescribe). Replicas of one slot host the same partition.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
 use onex_api::{
     Capabilities, DegradePolicy, Epoch, NetworkErrorKind, OnexError, SearchOutcome, SharedBound,
     SimilaritySearch,
@@ -154,8 +155,8 @@ pub struct ClusterEngine {
     sizes: Mutex<Vec<u64>>,
     infos: Vec<RemoteInfo>,
     hedge_after: Option<Duration>,
-    probe_stop: Arc<AtomicBool>,
-    probe_handle: Option<std::thread::JoinHandle<()>>,
+    /// The breaker probe: dropping the sender stops it at once.
+    probe: Option<(SyncSender<()>, std::thread::JoinHandle<()>)>,
 }
 
 impl ClusterEngine {
@@ -251,10 +252,10 @@ impl ClusterEngine {
         fanout.policy = config.degrade;
         fanout.deadline = config.query_deadline;
 
-        let probe_stop = Arc::new(AtomicBool::new(false));
-        let probe_handle = config
-            .probe_interval
-            .map(|interval| spawn_probe(slots.clone(), interval, Arc::clone(&probe_stop)));
+        let probe = config.probe_interval.map(|interval| {
+            let (stop, stopped) = sync_channel(1);
+            (stop, spawn_probe(slots.clone(), interval, stopped))
+        });
 
         Ok(ClusterEngine {
             slots,
@@ -262,8 +263,7 @@ impl ClusterEngine {
             sizes: Mutex::new(sizes),
             infos,
             hedge_after: config.hedge_after,
-            probe_stop,
-            probe_handle,
+            probe,
         })
     }
 
@@ -441,10 +441,10 @@ fn race(
 ) -> Result<(), Vec<OnexError>> {
     let mut errors = Vec::new();
     let mut replied = false;
-    let scope = crossbeam::thread::scope(|s| {
-        let (tx, rx) = bounded(2);
+    std::thread::scope(|s| {
+        let (tx, rx) = sync_channel(2);
         let primary_tx = tx.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             let _ = primary_tx.send((false, attempt(primary, job, &job.bound)));
         });
         let mut backup_bound: Option<Arc<SharedBound>> = None;
@@ -490,7 +490,7 @@ fn race(
                             backup_bound = Some(Arc::clone(&bound));
                             outstanding += 1;
                             let backup_tx = tx.clone();
-                            s.spawn(move |_| {
+                            s.spawn(move || {
                                 let _ = backup_tx.send((true, attempt(backup, job, &bound)));
                             });
                         }
@@ -503,9 +503,6 @@ fn race(
             }
         }
     });
-    if scope.is_err() {
-        errors.push(OnexError::Internal("hedge scope panicked".into()));
-    }
     if replied {
         Ok(())
     } else {
@@ -554,32 +551,20 @@ fn execute(slot: &Slot, job: &Job, hedge_after: Option<Duration>) {
     })));
 }
 
-/// The background breaker-probe loop: every `interval`, each non-closed
-/// breaker that will admit a trial gets an `InfoRequest`; success closes
-/// it, failure re-opens it. Polls the stop flag between short sleeps so
-/// engine drop never waits a full interval.
+/// The background breaker-probe loop: every `interval` (at least a
+/// millisecond), each non-closed breaker that will admit a trial gets an
+/// `InfoRequest`; success closes it, failure re-opens it. The loop waits
+/// on `stop`, so dropping its sender ends the probe at once.
 fn spawn_probe(
     slots: Vec<Arc<Slot>>,
     interval: Duration,
-    stop: Arc<AtomicBool>,
+    stop: Receiver<()>,
 ) -> std::thread::JoinHandle<()> {
+    let interval = interval.max(Duration::from_millis(1));
     std::thread::Builder::new()
         .name("cluster-probe".into())
         .spawn(move || {
-            let tick = interval
-                .min(Duration::from_millis(25))
-                .max(Duration::from_millis(1));
-            let mut since_probe = Duration::ZERO;
-            loop {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(tick);
-                since_probe += tick;
-                if since_probe < interval {
-                    continue;
-                }
-                since_probe = Duration::ZERO;
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
                 for slot in &slots {
                     for rep in &slot.replicas {
                         if rep.breaker.state() == BreakerState::Closed || !rep.breaker.admit() {
@@ -613,9 +598,9 @@ impl std::fmt::Debug for ClusterEngine {
 
 impl Drop for ClusterEngine {
     fn drop(&mut self) {
-        self.probe_stop.store(true, Ordering::Release);
-        if let Some(h) = self.probe_handle.take() {
-            let _ = h.join();
+        if let Some((stop, probe)) = self.probe.take() {
+            drop(stop);
+            let _ = probe.join();
         }
     }
 }

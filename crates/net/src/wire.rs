@@ -6,10 +6,10 @@
 //! gone at EOF / error / `shutdown`) decodes frames as they arrive: an
 //! inbound `Tighten` goes straight into the running query's
 //! [`SharedBound`], every other frame goes to the connection's owner over
-//! a channel. The owner — a `RemoteBackend` request or a `ShardServer`
-//! pool worker — sleeps on that channel, with the request deadline where
-//! it has one, so a reply is acted on when it arrives and a deadline is
-//! noticed when it passes.
+//! a std `sync_channel` eight frames deep. The owner — a `RemoteBackend`
+//! request or a `ShardServer` pool worker — sleeps on that channel, with
+//! the request deadline where it has one, so a reply is acted on when it
+//! arrives and a deadline is noticed when it passes.
 //!
 //! Outbound gossip is wake-on-event too. While a query runs the
 //! connection is subscribed to the query's bound
@@ -31,10 +31,10 @@
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use onex_api::{NetworkErrorKind, OnexError, SharedBound, Subscription};
 use onex_core::QueryOptions;
 use parking_lot::Mutex;
@@ -237,7 +237,7 @@ impl Shared {
     }
 }
 
-fn read_loop(shared: &Shared, mut stream: TcpStream, events: &Sender<Event>) {
+fn read_loop(shared: &Shared, mut stream: TcpStream, events: &SyncSender<Event>) {
     let mut frames = FrameReader::new();
     let end = loop {
         let event = match frames.poll_frame(&mut stream) {
@@ -298,7 +298,7 @@ impl Duplex {
             sent: AtomicUsize::new(0),
             received: AtomicUsize::new(0),
         });
-        let (events, inbox) = bounded(INBOX);
+        let (events, inbox) = sync_channel(INBOX);
         let reader = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()

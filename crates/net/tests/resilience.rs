@@ -297,6 +297,26 @@ fn breaker_opens_on_failures_and_the_probe_recloses_after_restart() {
     assert!(!healed.degraded());
 }
 
+#[test]
+fn dropping_the_engine_stops_an_idle_probe_at_once() {
+    let ds = collection(4, 96);
+    let cluster = ClusterEngine::connect_with(
+        &[spawn_shard(ds, exact_config())],
+        ClusterConfig {
+            probe_interval: Some(Duration::from_secs(30)),
+            ..test_cluster_config()
+        },
+    )
+    .unwrap();
+    let t0 = Instant::now();
+    drop(cluster);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "drop waited for the probe's next round: {:?}",
+        t0.elapsed()
+    );
+}
+
 /// A peer that speaks the protocol far enough to pass connect (hello +
 /// info) and then goes silent on queries — the worst kind of stall,
 /// which the per-query deadline has to bound.

@@ -62,7 +62,7 @@ fn main() {
     println!("pattern: {}", sparkline(&pattern));
 
     let done = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // The writer: streams the remaining hours through SPRING and
         // appends every completed day. Each append builds the next base
         // aside and publishes it as a new epoch; readers are untouched.
@@ -70,7 +70,7 @@ fn main() {
         let spring_pattern = pattern.clone();
         let feed = &stream;
         let done_flag = &done;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let mut monitor = SpringMonitor::new(&spring_pattern, 2.0).expect("valid pattern");
             for (t, &x) in feed.iter().enumerate().skip(WARM_DAYS * HOURS) {
                 if let Some(m) = monitor.push(x) {
@@ -102,7 +102,7 @@ fn main() {
             let reader = Arc::clone(&engine);
             let q = pattern.clone();
             let done = &done;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut last = (0u64, 0usize);
                 while !done.load(Ordering::SeqCst) {
                     let snap = reader.snapshot();
@@ -128,8 +128,7 @@ fn main() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiesced: the final epoch holds every streamed day.
     let snap = engine.snapshot();

@@ -37,11 +37,11 @@ fn concurrent_queries_agree_with_serial_answers() {
         reference.push(m.unwrap());
     }
     // The same queries, four threads, several rounds each.
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..4 {
             let engine = Arc::clone(&engine);
             let reference = &reference;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..3 {
                     let idx = (t + round * 2) % states.len();
                     let name = format!("{}-GrowthRate", states[idx]);
@@ -61,8 +61,7 @@ fn concurrent_queries_agree_with_serial_answers() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Lifetime stats observed every query without losing updates:
     // 8 serial + 4 threads × 3 rounds = 20 best_match calls.
     let total = engine.lifetime_stats();
@@ -72,9 +71,9 @@ fn concurrent_queries_agree_with_serial_answers() {
 #[test]
 fn mixed_operation_kinds_run_concurrently() {
     let engine = engine();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let e1 = Arc::clone(&engine);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..5 {
                 let q = e1
                     .dataset()
@@ -88,7 +87,7 @@ fn mixed_operation_kinds_run_concurrently() {
             }
         });
         let e2 = Arc::clone(&engine);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..5 {
                 let patterns = e2
                     .seasonal("IA-GrowthRate", &SeasonalOptions::default())
@@ -99,14 +98,13 @@ fn mixed_operation_kinds_run_concurrently() {
             }
         });
         let e3 = Arc::clone(&engine);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for seed in 0..5 {
                 let rec = e3.recommend_threshold(8, 500, seed).unwrap();
                 assert!(rec.suggested > 0.0);
             }
         });
-    })
-    .unwrap();
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -143,12 +141,12 @@ fn frm_and_ebsm_answer_concurrently() {
             seed: 3,
         },
     );
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..4 {
             let frm = &frm;
             let ebsm = &ebsm;
             let series = &series;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let query = series[t % series.len()][10..26].to_vec();
                 let (fh, _) = frm.best_match(&query).expect("non-empty index");
                 assert!(fh.dist < 1e-9, "FRM is exact: verbatim window must win");
@@ -160,8 +158,7 @@ fn frm_and_ebsm_answer_concurrently() {
                 assert!(eh.dist.is_finite());
             });
         }
-    })
-    .expect("no thread panicked");
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -238,12 +235,12 @@ fn every_backend_answers_identically_under_thread_hammer() {
             .iter()
             .map(|q| backend.k_best(q, 4).unwrap())
             .collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let backend = &backend;
                 let queries = &queries;
                 let reference = &reference;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for round in 0..ROUNDS {
                         let qi = (t + round) % queries.len();
                         let out = backend.k_best(&queries[qi], 4).unwrap();
@@ -262,8 +259,7 @@ fn every_backend_answers_identically_under_thread_hammer() {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     // The ONEX engine's lifetime counters observed every one of the
@@ -297,12 +293,12 @@ fn every_backend_answers_identically_under_thread_hammer() {
         .iter()
         .map(|q| cached.k_best(q, 4).unwrap())
         .collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cached = &cached;
             let queries = &queries;
             let warm = &warm;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..ROUNDS {
                     let qi = (t + round) % queries.len();
                     let out = cached.k_best(&queries[qi], 4).unwrap();
@@ -310,8 +306,7 @@ fn every_backend_answers_identically_under_thread_hammer() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let stats = cached.cache_stats();
     assert_eq!(stats.misses, queries.len(), "one miss per distinct query");
     assert_eq!(stats.hits, THREADS * ROUNDS, "every hammered call hit");

@@ -118,14 +118,14 @@ fn hammered_readers_always_observe_a_single_pinnable_epoch() {
     let (sharded, _) = ShardedEngine::build(&ds, exact_config(), 3).unwrap();
 
     let done = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // The writer: publish APPENDS epochs on both collections while
         // the readers hammer away.
         let writer_engine = Arc::clone(&engine);
         let writer_sharded = &sharded;
         let writer_q = q.clone();
         let done_flag = &done;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for i in 0..APPENDS {
                 writer_engine
                     .append_series(ingest_series(&writer_q, i))
@@ -149,7 +149,7 @@ fn hammered_readers_always_observe_a_single_pinnable_epoch() {
             let oracles = &oracles;
             let q = &q;
             let done = &done;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut last_epoch = vec![0usize; backends.len()];
                 let mut rounds = 0usize;
                 while !done.load(Ordering::SeqCst) || rounds == 0 {
@@ -175,8 +175,7 @@ fn hammered_readers_always_observe_a_single_pinnable_epoch() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiesced: every backend answers the final epoch's oracle exactly.
     assert_eq!(engine.epoch(), APPENDS as u64);
