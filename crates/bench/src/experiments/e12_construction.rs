@@ -265,7 +265,12 @@ fn output(rows: &[BuildRow]) -> ExperimentOutput {
             "BENCH_construction.json",
             record(
                 "e12_construction",
-                vec![],
+                // The level the grid's bound pass ran at: every count the
+                // record holds is the same at each.
+                vec![(
+                    "kernel_level",
+                    onex_distance::kernels::level().label().into(),
+                )],
                 vec![("rows", Value::Rows(fields))],
             ),
         )),

@@ -40,9 +40,11 @@
 //!
 //! An append spreads its lengths over the cores the process may run on:
 //! every row records how many (`threads`) and what an appended window
-//! cost in wall-clock (`us_per_window`). Under `taskset -c 0` the rows
-//! are one worker's, and every deterministic count must come out the
-//! same.
+//! cost in wall-clock (`us_per_window`; on the uncompacting row also
+//! `admit_us_per_window`, the part of it the writer's workers spent
+//! admitting, [`onex_grouping::BuildReport::admit`]). Under
+//! `taskset -c 0` the rows are one worker's, and every deterministic
+//! count must come out the same.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -82,7 +84,8 @@ pub const UNCOMPACTING: (usize, usize) = (48, 256);
 
 /// Heap bytes an entry of the writer's resident index may cost on the
 /// uncompacting row: the bound `onex-grouping`'s footprint test holds the
-/// allocator-counted index to (17.0 measured, times 1.25).
+/// allocator-counted index to (1.25 times the 17.0 it measured when the
+/// bound was set; 17.4 with the run tables by offset).
 pub const INDEX_BYTES_PER_ENTRY: f64 = 21.3;
 
 fn uncompacting_config() -> BaseConfig {
@@ -106,6 +109,9 @@ pub struct UncompactingRow {
     pub first_append: Duration,
     /// Median latency of one append.
     pub append_each: Duration,
+    /// Median over the appends of the share of their time the writer's
+    /// workers spent admitting windows ([`onex_grouping::BuildReport::admit`]).
+    pub admit_each: Duration,
     /// Windows one appended series brings (the median over the appends).
     pub windows_per_append: usize,
     /// Cores each append spread its lengths over.
@@ -135,6 +141,11 @@ impl UncompactingRow {
         us_per(self.append_each, self.windows_per_append)
     }
 
+    /// Of those, the microseconds admitting a window took.
+    pub fn admit_us_per_window(&self) -> f64 {
+        us_per(self.admit_each, self.windows_per_append)
+    }
+
     /// The warm append (any but the first, which seeds the index) that
     /// copied the largest share of the base's blocks.
     pub fn worst_warm_blocks(&self) -> (usize, usize) {
@@ -158,6 +169,10 @@ impl UncompactingRow {
             ("first_append_ms", ms(self.first_append)),
             ("append_each_ms", ms(self.append_each)),
             ("us_per_window", Value::Fixed(self.us_per_window(), 3)),
+            (
+                "admit_us_per_window",
+                Value::Fixed(self.admit_us_per_window(), 3),
+            ),
             (
                 "append_over_build_ratio",
                 Value::Fixed(self.append_over_build(), 5),
@@ -196,6 +211,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
     let (engine, built) = Onex::build(ds, uncompacting_config()).expect("valid config");
     let build = t.elapsed();
     let mut laps = Vec::with_capacity(APPENDS);
+    let mut admits = Vec::with_capacity(APPENDS);
     let mut calls_per_window = Vec::with_capacity(APPENDS);
     let mut windows_per_append = Vec::with_capacity(APPENDS);
     let mut blocks = Vec::with_capacity(APPENDS);
@@ -204,6 +220,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         let t = Instant::now();
         let report = engine.append_series(spare).expect("fresh name");
         laps.push(t.elapsed());
+        admits.push(report.admit);
         let windows = report.subsequences - subsequences;
         subsequences = report.subsequences;
         windows_per_append.push(windows);
@@ -218,6 +235,7 @@ pub fn measure_uncompacting(series: usize, len: usize) -> UncompactingRow {
         groups_per_length: built.groups as f64 / built.lengths.max(1) as f64,
         first_append: laps[0],
         append_each: median(laps),
+        admit_each: median(admits),
         windows_per_append: median(windows_per_append),
         threads: threads(),
         distance_calls_per_window: median(calls_per_window),
@@ -432,7 +450,12 @@ fn output(rows: &[IngestRow], uncompacting: &UncompactingRow) -> ExperimentOutpu
             "BENCH_ingest.json",
             record(
                 "e15_ingest",
-                vec![],
+                // The level the grid's bound pass ran at: every count the
+                // record holds is the same at each.
+                vec![(
+                    "kernel_level",
+                    onex_distance::kernels::level().label().into(),
+                )],
                 vec![
                     ("rows", Value::Rows(fields)),
                     ("uncompacting", Value::Object(uncompacting.fields())),
@@ -561,6 +584,7 @@ mod tests {
             groups_per_length: 11_234.0,
             first_append: Duration::from_millis(40),
             append_each: Duration::from_millis(14),
+            admit_each: Duration::from_millis(13),
             windows_per_append: 2_133,
             threads: 2,
             distance_calls_per_window: 212.5,

@@ -19,7 +19,10 @@
 //!    sketches) and `dtw_lanes` (four early-abandoning DTWs to a vector)
 //!    — are measured against the per-record `bound_sq` loop and the
 //!    per-candidate scalar DP they replaced, and must agree with them
-//!    bit for bit.
+//!    bit for bit. So must `grid_pass` — the `f32` bound pass of the
+//!    writer's nearest-representative grid, eight entries a step — with
+//!    its scalar reference: the same survivors, in the same order, with
+//!    the same bounds.
 //! 2. **Cascade ablation** — the same query batch with the L0 tier on
 //!    and off. Anything L0 rejects would have died later in the cascade,
 //!    so the L0-on run must touch no more candidates, spend strictly
@@ -60,7 +63,7 @@ use onex_core::exhaustive;
 use onex_core::scale::ShardedEngine;
 use onex_core::{LengthSelection, Onex, QueryOptions, QueryStats};
 use onex_distance::dtw::{dtw_early_abandon_sq_scratch, DtwScratch};
-use onex_distance::kernels::{self, EnvAffine, KernelLevel, DTW_LANES};
+use onex_distance::kernels::{self, EnvAffine, GridQuery, KernelLevel, DTW_LANES, GRID_SEGMENTS};
 use onex_distance::sketch::encode_into;
 use onex_distance::{Band, Envelope, QuerySketch, SketchParams, SketchPlanes, SKETCH_STRIDE};
 use onex_grouping::{BaseConfig, RepresentativePolicy};
@@ -141,7 +144,7 @@ impl Shape {
 /// on both sides of the ratio, not on one of them.
 pub struct KernelRow {
     /// Which loop: `"ed"`, `"lb_keogh"`, `"envelope"`, `"l0_block"`,
-    /// `"dtw_lanes"`.
+    /// `"dtw_lanes"`, `"grid_pass"`.
     pub kernel: &'static str,
     /// The level this row ran at.
     pub level: KernelLevel,
@@ -150,16 +153,17 @@ pub struct KernelRow {
     /// The fastest of those batches.
     pub elapsed_min: Duration,
     /// Median wall-clock of the reference on the same buffers: the scalar
-    /// level of the kernel itself, or — for `l0_block` and `dtw_lanes` —
-    /// the per-record `bound_sq` loop and the per-candidate scalar DP. On
+    /// level of the kernel itself (`grid_pass` included), or — for
+    /// `l0_block` and `dtw_lanes` — the per-record `bound_sq` loop and the
+    /// per-candidate scalar DP. On
     /// a scalar row of a kernel that is its own reference the two sides
     /// run the same code, and the speed-up reads the timer's noise.
     pub scalar: Duration,
     /// The fastest of the reference's batches.
     pub scalar_min: Duration,
     /// Output agreement with the reference (exact for `envelope`,
-    /// `l0_block` and `dtw_lanes`; ≤ 1e-9 relative for the accumulating
-    /// kernels).
+    /// `l0_block`, `dtw_lanes` and `grid_pass`; ≤ 1e-9 relative for the
+    /// accumulating kernels).
     pub agrees: bool,
 }
 
@@ -373,6 +377,72 @@ fn measure_lane_kernels(level: KernelLevel, x: &[f64], y: &[f64], iters: usize) 
     ]
 }
 
+/// Entries of one row span the `grid_pass` row bounds a call: about what a
+/// writer's lookup bounds in a row of the `ingest` collection's grids, and
+/// not a multiple of the AVX2 kernel's eight.
+const GRID_SPAN: usize = 43;
+
+/// The grid's bound pass (the writer's nearest-representative lookup) at
+/// one level against its scalar reference: `n` entries' codes — the
+/// quarter means of a walk's windows as the grid codes them, a 256th of a
+/// cell a step — bounded a span of [`GRID_SPAN`] at a time, at a limit
+/// about a tenth of them meet.
+fn measure_grid_pass(level: KernelLevel, walk: &[f64], n: usize, iters: usize) -> KernelRow {
+    let step = 1.0 / 256.0;
+    let window = 16;
+    let planes: [Vec<i16>; GRID_SEGMENTS] = std::array::from_fn(|s| {
+        walk.windows(window)
+            .take(n)
+            .map(|w| {
+                let quarter = &w[s * window / 4..(s + 1) * window / 4];
+                let mean = quarter.iter().sum::<f64>() / quarter.len() as f64;
+                (mean / step).round().clamp(-32_767.0, 32_767.0) as i16
+            })
+            .collect()
+    });
+    let query = |limit: f32| GridQuery {
+        offsets: std::array::from_fn(|s| f32::from(planes[s][n / 2]) + 37.5),
+        weights: [4.0; GRID_SEGMENTS],
+        slack: 0.51,
+        limit,
+    };
+    let limit = {
+        let mut bounds: Vec<f32> = (0..n)
+            .map(|i| query(0.0).lower(planes.each_ref().map(|plane| plane[i])))
+            .collect();
+        bounds.sort_by(f32::total_cmp);
+        bounds[n / 10]
+    };
+    let q = query(limit);
+    let pass = |level: KernelLevel, out: &mut Vec<(usize, f32)>| {
+        out.clear();
+        let rows = planes.each_ref().map(Vec::as_slice);
+        for start in (0..n).step_by(GRID_SPAN) {
+            let span = start..n.min(start + GRID_SPAN);
+            kernels::grid_survivors_at(level, black_box(&q), rows, span, out);
+        }
+    };
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    pass(KernelLevel::Scalar, &mut want);
+    pass(level, &mut got);
+    let bits = |v: &[(usize, f32)]| v.iter().map(|&(i, l)| (i, l.to_bits())).collect::<Vec<_>>();
+    let agrees = bits(&got) == bits(&want);
+    let mut reference_out = Vec::new();
+    let times = paired_times(
+        || {
+            for _ in 0..iters {
+                pass(level, black_box(&mut got));
+            }
+        },
+        || {
+            for _ in 0..iters {
+                pass(KernelLevel::Scalar, black_box(&mut reference_out));
+            }
+        },
+    );
+    kernel_row("grid_pass", level, times, agrees)
+}
+
 /// Measure every kernel at every level the CPU offers (scalar included).
 pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
     let n = if quick { 2048 } else { 8192 };
@@ -454,6 +524,7 @@ pub fn measure_kernels(quick: bool) -> Vec<KernelRow> {
         ));
 
         rows.extend(measure_lane_kernels(level, &x, &y, iters / 16));
+        rows.push(measure_grid_pass(level, &x, n - 16, iters / 4));
     }
     rows
 }
@@ -810,7 +881,14 @@ mod tests {
     #[test]
     fn kernels_agree_across_levels() {
         let rows = measure_kernels(true);
-        let kernels = ["ed", "lb_keogh", "envelope", "l0_block", "dtw_lanes"];
+        let kernels = [
+            "ed",
+            "lb_keogh",
+            "envelope",
+            "l0_block",
+            "dtw_lanes",
+            "grid_pass",
+        ];
         for kernel in kernels {
             let levels: Vec<_> = rows
                 .iter()

@@ -124,6 +124,7 @@
 //! own accuracy regime). `tests/exactness.rs` verifies the `Seed` claim
 //! against the exhaustive scan.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -240,6 +241,51 @@ impl<'d> DtwBatch<'d> {
     }
 }
 
+/// Bytes one buffer of a [`QueryScratch`] may keep between queries: a
+/// buffer a query grew past this is given back when the query ends.
+const SCRATCH_KEEP_BYTES: usize = 8 << 20;
+
+/// The buffers a search works in — phase 1's ranking and its suffix
+/// maxima (a slot a group of the length searched), the DP rows and the
+/// L0 survivors — kept per thread between lengths and between queries,
+/// so that a query allocates for its `k`, not for the collection.
+#[derive(Default)]
+struct QueryScratch {
+    ranked: Vec<(usize, f64)>,
+    suffix_max_radius: Vec<f64>,
+    dtw: DtwScratch,
+    survivors: Vec<usize>,
+}
+
+impl QueryScratch {
+    /// This thread's scratch, taken for one search (an empty one when a
+    /// search on this thread already holds it).
+    fn take() -> QueryScratch {
+        SCRATCH.with(|scratch| std::mem::take(&mut *scratch.borrow_mut()))
+    }
+
+    /// Give the scratch back for the next search on this thread, less
+    /// any buffer past [`SCRATCH_KEEP_BYTES`].
+    fn give_back(mut self) {
+        fn cap<T>(buffer: &mut Vec<T>) {
+            if buffer.capacity() * std::mem::size_of::<T>() > SCRATCH_KEEP_BYTES {
+                *buffer = Vec::new();
+            }
+        }
+        cap(&mut self.ranked);
+        cap(&mut self.suffix_max_radius);
+        cap(&mut self.survivors);
+        if self.dtw.bytes() > SCRATCH_KEEP_BYTES {
+            self.dtw = DtwScratch::default();
+        }
+        SCRATCH.with(|scratch| *scratch.borrow_mut() = self);
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
+}
+
 pub(crate) struct Searcher<'a> {
     dataset: &'a Dataset,
     base: &'a OnexBase,
@@ -255,12 +301,13 @@ pub(crate) struct Searcher<'a> {
     /// the searcher reads. Callers that fan one query across several
     /// searchers (the sharded engine) pass the same bound to all of them.
     bound: &'a SharedBound,
-    /// DP rows shared by every DTW of this query (members and
-    /// representatives alike), so the scan allocates none per candidate.
-    scratch: DtwScratch,
-    /// The slots one L0 block test passed, kept across groups so the
-    /// scan allocates none per group either.
-    survivors: Vec<usize>,
+    /// This thread's [`QueryScratch`], taken for the search: DP rows
+    /// shared by every DTW of this query (members and representatives
+    /// alike), the slots one L0 block test passed and phase 1's buffers,
+    /// so the scan allocates none per candidate, group or length.
+    scratch: QueryScratch,
+    /// DP cells the scratch had computed when the search took it.
+    cells_before: u64,
     pub stats: QueryStats,
 }
 
@@ -273,6 +320,7 @@ impl<'a> Searcher<'a> {
         k: usize,
         bound: &'a SharedBound,
     ) -> Self {
+        let scratch = QueryScratch::take();
         Searcher {
             dataset,
             base,
@@ -280,8 +328,8 @@ impl<'a> Searcher<'a> {
             opts,
             best: BestK::new(k),
             bound,
-            scratch: DtwScratch::default(),
-            survivors: Vec::with_capacity(SCAN_BLOCK),
+            cells_before: scratch.dtw.cells(),
+            scratch,
             stats: QueryStats::default(),
         }
     }
@@ -327,7 +375,7 @@ impl<'a> Searcher<'a> {
             let plan = self.plan(len);
             self.search_length(&plan);
         }
-        self.stats.dtw_cells = self.scratch.cells() as usize;
+        self.stats.dtw_cells = (self.scratch.dtw.cells() - self.cells_before) as usize;
 
         let Searcher {
             dataset,
@@ -335,8 +383,10 @@ impl<'a> Searcher<'a> {
             opts,
             best,
             stats,
+            scratch,
             ..
         } = self;
+        scratch.give_back();
         let matches = best
             .into_sorted()
             .into_iter()
@@ -375,7 +425,6 @@ impl<'a> Searcher<'a> {
         if groups.is_empty() {
             return;
         }
-        let band = self.opts.band;
         let sqrt_w = plan.sqrt_w;
 
         // Phase 1: rank groups by a cheap *lower bound* on the squared
@@ -390,7 +439,8 @@ impl<'a> Searcher<'a> {
         // ranking keeps every group.)
         let bound = self.bound.get();
         let prune_here = self.opts.breadth == ScanBreadth::Exact;
-        let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
+        let mut ranked = std::mem::take(&mut self.scratch.ranked);
+        ranked.clear();
         for (gi, g) in groups.iter().enumerate() {
             let prune_at_sq = if prune_here {
                 raw_bound_sq(bound, plan.norm, sqrt_w * g.radius())
@@ -408,19 +458,33 @@ impl<'a> Searcher<'a> {
             }
             ranked.push((gi, lb_sq));
         }
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        // Group ids are distinct, so the order is total and an unstable
+        // sort (which needs no buffer of its own) gives the stable one's.
+        ranked.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
         if let ScanBreadth::TopGroups(g) = self.opts.breadth {
             self.search_top_groups(plan, g.max(1), &ranked);
-            return;
+        } else {
+            self.scan_ranked(plan, &ranked);
         }
+        self.scratch.ranked = ranked;
+    }
+
+    /// Phase 2 of an exact search over the groups phase 1 kept, `ranked`
+    /// by their lower bound.
+    fn scan_ranked(&mut self, plan: &LengthPlan, ranked: &[(usize, f64)]) {
+        let groups = self.base.groups_for_len(plan.len);
+        let band = self.opts.band;
+        let sqrt_w = plan.sqrt_w;
 
         // Suffix maximum of group radii in ranked order: the sound cut-off
         // for stopping the scan outright. (Radii vary per group, so the
         // per-group prune threshold `bound + √W·radius` is NOT monotone
         // along the lb-sorted order — the stop test must use the largest
         // radius still ahead.)
-        let mut suffix_max_radius = vec![0.0f64; ranked.len()];
+        let mut suffix_max_radius = std::mem::take(&mut self.scratch.suffix_max_radius);
+        suffix_max_radius.clear();
+        suffix_max_radius.resize(ranked.len(), 0.0);
         let mut acc: f64 = 0.0;
         for (i, &(gi, _)) in ranked.iter().enumerate().rev() {
             acc = acc.max(groups.at(gi).radius());
@@ -468,7 +532,7 @@ impl<'a> Searcher<'a> {
                 prune_at_sq,
                 None,
                 Some(&live),
-                &mut self.scratch,
+                &mut self.scratch.dtw,
             );
             if d_rep_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
@@ -487,6 +551,7 @@ impl<'a> Searcher<'a> {
                 self.scan_members(plan, gi);
             }
         }
+        self.scratch.suffix_max_radius = suffix_max_radius;
     }
 
     /// The paper's §3.2 approximation: rank all representatives by DTW
@@ -530,7 +595,7 @@ impl<'a> Searcher<'a> {
                 gth * gth,
                 None,
                 None,
-                &mut self.scratch,
+                &mut self.scratch.dtw,
             );
             if d_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
@@ -606,7 +671,7 @@ impl<'a> Searcher<'a> {
             // Tier L0: reject from the quantised sketches alone — no f64
             // data is resolved for a candidate that dies here. A zone the
             // bound rejects is a block the block test would empty.
-            self.survivors.clear();
+            self.scratch.survivors.clear();
             let admitted = match l0 {
                 Some((qs, planes)) => {
                     let bound_sq = self.bound_sq(plan);
@@ -617,18 +682,18 @@ impl<'a> Searcher<'a> {
                         self.stats.members_zone_skipped += skipped;
                         continue;
                     }
-                    qs.survivors(planes, from..to, bound_sq, &mut self.survivors);
+                    qs.survivors(planes, from..to, bound_sq, &mut self.scratch.survivors);
                     Some(admitted(zone.tags()))
                 }
                 None => {
                     // Nothing is rejected, so nothing needs counting.
-                    self.survivors.extend(from..to);
+                    self.scratch.survivors.extend(from..to);
                     None
                 }
             };
             let mut passed = 0;
-            for i in 0..self.survivors.len() {
-                let member = members.at(self.survivors[i]);
+            for i in 0..self.scratch.survivors.len() {
+                let member = members.at(self.scratch.survivors[i]);
                 if filtered && !self.opts.admits(member) {
                     continue;
                 }
@@ -682,7 +747,7 @@ impl<'a> Searcher<'a> {
             self.opts.band,
             &batch.bound_sq[..queued],
             Some(&live),
-            &mut self.scratch,
+            &mut self.scratch.dtw,
             &mut d_sq[..queued],
         );
         for (&member, &d_sq) in batch.members.iter().zip(&d_sq).take(queued) {

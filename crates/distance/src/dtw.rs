@@ -163,6 +163,13 @@ impl DtwScratch {
         self.cells
     }
 
+    /// Heap bytes the scratch keeps.
+    pub fn bytes(&self) -> usize {
+        let rows: usize = self.rows.iter().map(Vec::capacity).sum();
+        rows * std::mem::size_of::<f64>()
+            + self.lanes.capacity() * std::mem::size_of::<[f64; crate::kernels::DTW_LANES]>()
+    }
+
     pub(crate) fn add_cells(&mut self, cells: u64) {
         self.cells += cells;
     }

@@ -2,9 +2,9 @@
 //!
 //! Every inner loop the pruning cascade spends its time in — squared-diff
 //! accumulation (ED), envelope-exceedance accumulation (LB_Keogh and its
-//! z-normalised UCR variants), the lane-parallel DTW, the L0 block test
-//! and the envelope min/max — lives here once, with a scalar reference
-//! implementation and a `core::arch::x86_64` AVX2 path selected **once**
+//! z-normalised UCR variants), the lane-parallel DTW, the L0 block test,
+//! the PAA grid's bound pass and the envelope min/max — lives here once,
+//! with a scalar reference implementation and a `core::arch::x86_64` AVX2 path selected **once**
 //! at startup via [`level`] (CPUID feature detection, overridable with
 //! the `ONEX_FORCE_SCALAR` environment variable for fallback testing). A
 //! CPU without AVX2 runs the scalar reference, as any other architecture
@@ -23,20 +23,22 @@
 //!   `1e-9` relative), and an early-abandon decision exactly on that ulp
 //!   boundary may differ. Both outcomes are sound: the returned value is
 //!   a correctly-rounded sum of the same terms either way.
-//! * The two **lanes = candidates** kernels — [`dtw_lanes`] and the L0
-//!   block test behind [`crate::sketch::QuerySketch::survivors`] — put
-//!   one candidate in each 64-bit lane of a 256-bit vector and run, per
-//!   lane, the scalar reference's operations in the scalar reference's
-//!   order (no fused multiply-add, `min`/`max` over values that are never
-//!   NaN for finite inputs), so they are **bit-exact** too.
+//! * The three **lanes = candidates** kernels — [`dtw_lanes`], the L0
+//!   block test behind [`crate::sketch::QuerySketch::survivors`] and the
+//!   grid's bound pass [`grid_survivors_at`] — put one candidate in each
+//!   lane of a 256-bit vector (64-bit lanes, 32-bit for the grid's `f32`
+//!   pass) and run, per lane, the scalar reference's operations in the
+//!   scalar reference's order (no fused multiply-add, `min`/`max` that
+//!   treat a NaN as the reference does), so they are **bit-exact** too.
 //!
 //! ## Where `unsafe` remains
 //!
 //! The AVX2 kernels are safe `#[target_feature(enable = "avx2")]`
 //! functions computing with value intrinsics. Three kinds of `unsafe`
 //! block remain, each with its `SAFETY:` line: each dispatch's call after
-//! `avx2(l)` found the CPU feature; `load` and `store`, whose `&[f64; 4]`
-//! (from `as_chunks::<4>()`) carries the bound; and the L0 cursor's read.
+//! `avx2(l)` found the CPU feature; `load`, `store`, `load_codes` and
+//! `store_bounds`, whose `&[f64; 4]`, `&[i16; 8]` or `&mut [f32; 8]`
+//! carries the bound; and the L0 cursor's read.
 //!
 //! ## The DTW tier
 //!
@@ -56,6 +58,7 @@
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dtw::{dtw_early_abandon_sq_scratch, Band, DtwScratch};
@@ -842,6 +845,252 @@ fn l0_survivors_avx2(
         }
     }
     qs.survivors_scalar(views, len - len % 4..len, first_slot, bound_sq, out);
+}
+
+// ---------------------------------------------------------------------
+// PAA grid bound pass (lanes = entries).
+// ---------------------------------------------------------------------
+
+/// Segment means a PAA grid entry carries a code for.
+pub const GRID_SEGMENTS: usize = 4;
+
+/// The query's side of the nearest-representative grid's `f32` bound
+/// pass (`onex_grouping::repindex`), every value in steps of a code: an
+/// entry with codes `c` is kept unless
+/// `Σₛ weightsₛ · max(|offsetsₛ − cₛ| − slack, 0)²` exceeds `limit`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridQuery {
+    /// The query's segment means as offsets from the row's lower edge.
+    pub offsets: [f32; GRID_SEGMENTS],
+    /// Points per segment: the bound's weights.
+    pub weights: [f32; GRID_SEGMENTS],
+    /// What a code leaves open, taken off every gap.
+    pub slack: f32,
+    /// The largest bound an entry may have and be kept.
+    pub limit: f32,
+}
+
+impl GridQuery {
+    /// The bound of the entry whose codes are `codes`, term by term in
+    /// segment order: the scalar reference every level reproduces.
+    pub fn lower(&self, codes: [i16; GRID_SEGMENTS]) -> f32 {
+        let term = |s: usize| {
+            let gap = ((self.offsets[s] - f32::from(codes[s])).abs() - self.slack).max(0.0);
+            self.weights[s] * gap * gap
+        };
+        term(0) + term(1) + term(2) + term(3)
+    }
+
+    /// Whether an entry whose bound is `lower` is kept: at or under the
+    /// limit, or not a number.
+    fn keeps(&self, lower: f32) -> bool {
+        lower <= self.limit || lower.is_nan()
+    }
+}
+
+/// Push onto `out`, in ascending order, every entry `i` in `span` of a
+/// row's code planes that `q` keeps ([`GridQuery::lower`] at or under
+/// `q.limit`, or NaN), with that bound: 8 entries a step on the AVX2
+/// kernel when `l` asks for it and the CPU has it, the scalar reference
+/// otherwise. Both levels push exactly the same entries and bounds, bit
+/// for bit: per lane the AVX2 kernel runs the reference's `f32`
+/// operations in the reference's order. The planes outside `span` are
+/// read only to fill a step, never kept.
+///
+/// # Panics
+/// Panics when the planes differ in length or `span` is not within them.
+pub fn grid_survivors_at(
+    l: KernelLevel,
+    q: &GridQuery,
+    planes: [&[i16]; GRID_SEGMENTS],
+    span: Range<usize>,
+    out: &mut Vec<(usize, f32)>,
+) {
+    let len = planes[0].len();
+    assert!(
+        planes.iter().all(|plane| plane.len() == len),
+        "grid code planes of unequal length"
+    );
+    assert!(
+        span.start <= span.end && span.end <= len,
+        "span {span:?} of {len} entries"
+    );
+    if avx2(l) {
+        // SAFETY: `avx2(l)` found AVX2 on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { grid_survivors_avx2(q, planes, span, out) };
+    }
+    grid_survivors_scalar(q, planes, span, out);
+}
+
+/// [`grid_survivors_at`] at the level this process dispatches to.
+///
+/// # Panics
+/// Panics when the planes differ in length or `span` is not within them.
+pub fn grid_survivors(
+    q: &GridQuery,
+    planes: [&[i16]; GRID_SEGMENTS],
+    span: Range<usize>,
+    out: &mut Vec<(usize, f32)>,
+) {
+    grid_survivors_at(level(), q, planes, span, out);
+}
+
+/// The scalar reference: a block of entries bounded into a buffer (a
+/// loop the compiler may vectorise, each entry's bound still
+/// [`GridQuery::lower`]), then its survivors pushed.
+fn grid_survivors_scalar(
+    q: &GridQuery,
+    planes: [&[i16]; GRID_SEGMENTS],
+    span: Range<usize>,
+    out: &mut Vec<(usize, f32)>,
+) {
+    const BLOCK: usize = 64;
+    let mut lower = [0.0f32; BLOCK];
+    for start in span.clone().step_by(BLOCK) {
+        let n = BLOCK.min(span.end - start);
+        let [p0, p1, p2, p3] = planes.map(|plane| &plane[start..start + n]);
+        for (i, lower) in lower[..n].iter_mut().enumerate() {
+            *lower = q.lower([p0[i], p1[i], p2[i], p3[i]]);
+        }
+        for (i, &lower) in lower[..n].iter().enumerate() {
+            if q.keeps(lower) {
+                out.push((start + i, lower));
+            }
+        }
+    }
+}
+
+/// Eight bounds out of a vector; the array type carries the bound.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn store_bounds(oct: &mut [f32; 8], v: __m256) {
+    // SAFETY: `oct` is 32 writable bytes, and `storeu` takes any alignment.
+    unsafe { _mm256_storeu_ps(oct.as_mut_ptr(), v) }
+}
+
+/// Eight codes into a vector of `i16` lanes; the array type carries the
+/// bound.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn load_codes(oct: &[i16; 8]) -> __m128i {
+    // SAFETY: `oct` is 16 readable bytes, and `loadu` takes any alignment.
+    unsafe { _mm_loadu_si128(oct.as_ptr().cast()) }
+}
+
+/// The AVX2 bound pass: per lane the operations of [`GridQuery::lower`]
+/// in its order (`vandnps` clears the sign as `abs` does, `vmaxps`
+/// against zero returns zero for a NaN gap as `max` does), then
+/// [`GridQuery::keeps`] as two compares. The entries after the last full
+/// step of the span run as one more step over the eight entries of the
+/// row that end where the span does, only the lanes in the span taken —
+/// or, in a row of fewer than eight, over its codes padded with zeros.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn grid_survivors_avx2(
+    q: &GridQuery,
+    planes: [&[i16]; GRID_SEGMENTS],
+    span: Range<usize>,
+    out: &mut Vec<(usize, f32)>,
+) {
+    let offsets = q.offsets.map(|o| _mm256_set1_ps(o));
+    let weights = q.weights.map(|w| _mm256_set1_ps(w));
+    let (slack, limit) = (_mm256_set1_ps(q.slack), _mm256_set1_ps(q.limit));
+    let (sign, zero) = (_mm256_set1_ps(-0.0), _mm256_setzero_ps());
+    // Eight entries' bounds, and one bit a lane: kept.
+    let bounds = |step: [&[i16; 8]; GRID_SEGMENTS]| {
+        let term = |s: usize| {
+            let codes = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(load_codes(step[s])));
+            let gap = _mm256_andnot_ps(sign, _mm256_sub_ps(offsets[s], codes));
+            let gap = _mm256_max_ps(_mm256_sub_ps(gap, slack), zero);
+            _mm256_mul_ps(_mm256_mul_ps(weights[s], gap), gap)
+        };
+        let lower = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(term(0), term(1)), term(2)),
+            term(3),
+        );
+        let kept = _mm256_or_ps(
+            _mm256_cmp_ps::<_CMP_LE_OQ>(lower, limit),
+            _mm256_cmp_ps::<_CMP_UNORD_Q>(lower, lower),
+        );
+        (lower, _mm256_movemask_ps(kept) as u64)
+    };
+    let mut kept = Kept {
+        start: span.start,
+        bits: 0,
+        lowers: [0.0; 64],
+    };
+    let [s0, s1, s2, s3] = planes.map(|plane| plane[span.clone()].as_chunks::<8>().0);
+    let steps = s0.iter().zip(s1).zip(s2.iter().zip(s3));
+    for (k, ((c0, c1), (c2, c3))) in steps.enumerate() {
+        let (lower, mask) = bounds([c0, c1, c2, c3]);
+        let (lowers, shift) = kept.lanes(out, span.start + 8 * k);
+        store_bounds(lowers, lower);
+        kept.bits |= mask << shift;
+    }
+    let tail = span.len() % 8;
+    if tail > 0 {
+        // The last step's entries in the span's tail are its lanes from
+        // `from` on: the last eight of the row up to the span's end, or —
+        // a row of fewer than eight — its codes padded with zeros.
+        let (step, from) = if span.end >= 8 {
+            let last = planes.map(|plane| {
+                plane[..span.end]
+                    .last_chunk::<8>()
+                    .expect("eight entries or more")
+            });
+            (bounds(last), 8 - tail)
+        } else {
+            let padded =
+                planes.map(|plane| std::array::from_fn(|i| plane.get(i).map_or(0, |&c| c)));
+            (bounds(padded.each_ref()), span.end - tail)
+        };
+        let mut lanes = [0.0; 8];
+        store_bounds(&mut lanes, step.0);
+        let (lowers, shift) = kept.lanes(out, span.end - tail);
+        lowers[..tail].copy_from_slice(&lanes[from..from + tail]);
+        kept.bits |= (step.1 >> from & ((1 << tail) - 1)) << shift;
+    }
+    kept.flush(out);
+}
+
+/// The kept entries of up to 64 in a row of a span — a bit and a bound
+/// each — on their way to `out`: flushed a block at a time, one branch a
+/// block where nothing is kept rather than one a step.
+struct Kept {
+    /// The entry of bit 0.
+    start: usize,
+    bits: u64,
+    /// The bound of the entry of each set bit (the others are stale).
+    lowers: [f32; 64],
+}
+
+impl Kept {
+    /// Room for the bounds of the eight entries from `at` on — whose
+    /// bits go `shift` up — flushing the block first when `at` is past
+    /// it.
+    fn lanes(&mut self, out: &mut Vec<(usize, f32)>, at: usize) -> (&mut [f32; 8], usize) {
+        if at >= self.start + 64 {
+            self.flush(out);
+            (self.start, self.bits) = (at, 0);
+        }
+        let shift = at - self.start;
+        let lanes = self.lowers[shift..]
+            .first_chunk_mut()
+            .expect("a step fits the block");
+        (lanes, shift)
+    }
+
+    /// Push every kept entry of the block onto `out`, in order.
+    fn flush(&mut self, out: &mut Vec<(usize, f32)>) {
+        while self.bits != 0 {
+            let i = self.bits.trailing_zeros() as usize;
+            out.push((self.start + i, self.lowers[i]));
+            self.bits &= self.bits - 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

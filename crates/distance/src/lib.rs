@@ -33,7 +33,8 @@
 //! panicking, matching `f64` semantics.
 
 // Unsafe is denied everywhere but `kernels`, which allows it for the
-// `core::arch` load and store intrinsics, the L0 cursor's unchecked read
+// `core::arch` load and store intrinsics (the grid pass's code load
+// among them), the L0 cursor's unchecked read
 // and the call of an AVX2 kernel after the CPU check; it has no
 // `unsafe fn`. Every unsafe block states why it holds in a `SAFETY:`
 // comment, which clippy enforces.

@@ -1020,3 +1020,149 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The PAA grid's bound pass.
+// ---------------------------------------------------------------------
+
+/// Entries `i` in `span` of `planes` whose [`GridQuery::lower`] is at or
+/// under the limit, or NaN, and the bits of that bound: the reference,
+/// entry by entry.
+fn grid_reference(
+    q: &onex_distance::kernels::GridQuery,
+    planes: [&[i16]; 4],
+    span: std::ops::Range<usize>,
+) -> Vec<(usize, u32)> {
+    span.map(|i| (i, q.lower(planes.map(|plane| plane[i]))))
+        .filter(|&(_, lower)| lower <= q.limit || lower.is_nan())
+        .map(|(i, lower)| (i, lower.to_bits()))
+        .collect()
+}
+
+/// The grid's bound pass against its definition: at every available
+/// level, over the whole row and over every span of lengths 0..=17 at a
+/// few starts (every tail of the 8-entry step, the spans of fewer than
+/// eight entries and those at the row's start among them), the survivors
+/// are exactly the entries the reference keeps, in order, with its bounds
+/// bit for bit, appended after what `out` held.
+fn check_grid_pass(
+    q: &onex_distance::kernels::GridQuery,
+    planes: &[Vec<i16>; 4],
+) -> Result<(), String> {
+    use onex_distance::kernels::{grid_survivors_at, KernelLevel};
+    let len = planes[0].len();
+    let views = planes.each_ref().map(Vec::as_slice);
+    let starts = [0, 1, 7, 8, 13].into_iter().filter(|&s| s <= len);
+    let spans = starts.flat_map(|start| (0..=17).map(move |n| start..len.min(start + n)));
+    for span in std::iter::once(0..len).chain(spans) {
+        let want = grid_reference(q, views, span.clone());
+        for level in KernelLevel::available() {
+            let mut got = vec![(usize::MAX, 0.0)];
+            grid_survivors_at(level, q, views, span.clone(), &mut got);
+            let got: Vec<(usize, u32)> = got.iter().map(|&(i, l)| (i, l.to_bits())).collect();
+            if got[0].0 != usize::MAX || got[1..] != want[..] {
+                return Err(format!(
+                    "{level:?} span {span:?} of {q:?}: {:?} vs {want:?}",
+                    &got[1..]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The pass keeps the reference's entries at every level on random
+    /// rows: codes anywhere in their range or near the query's offsets,
+    /// the weights of a window of any length (2 and 3 carry empty
+    /// segments), limits from nothing to most of the row.
+    #[test]
+    fn grid_pass_keeps_what_the_reference_keeps(
+        rows in 0usize..=70,
+        window in 2usize..=40,
+        seed in 0u64..1_000_000,
+    ) {
+        use onex_distance::kernels::GridQuery;
+        let mut next = xorshift(seed);
+        let cuts: Vec<usize> = (0..=4).map(|s| window * s / 4).collect();
+        let offsets: [f32; 4] = std::array::from_fn(|_| (next() * 300.0) as f32);
+        let near = next() > 0.0;
+        let planes: [Vec<i16>; 4] = std::array::from_fn(|s| {
+            (0..rows)
+                .map(|_| {
+                    let code = if near {
+                        f64::from(offsets[s]) + next() * 4.0
+                    } else {
+                        next() * 327.67
+                    };
+                    code.round() as i16
+                })
+                .collect()
+        });
+        let q = GridQuery {
+            offsets,
+            weights: std::array::from_fn(|s| (cuts[s + 1] - cuts[s]) as f32),
+            slack: 0.5 + (next() as f32 + 100.0) / 400.0,
+            limit: ((next() + 100.0) * 50.0) as f32,
+        };
+        if let Err(e) = check_grid_pass(&q, &planes) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// The pass on hostile rows: codes at ±32 767 and at the code that
+/// bounds nothing, offsets at the clamp, not a number and infinite (an
+/// infinite gap times an empty segment's zero weight is a NaN bound,
+/// which keeps its entry), empty segments, and limits of 0, −0, ∞ and
+/// NaN — at every level, the reference's survivors.
+#[test]
+fn grid_pass_keeps_what_the_reference_keeps_on_hostile_rows() {
+    use onex_distance::kernels::GridQuery;
+    let mut next = xorshift(91);
+    let hostile = [i16::MAX, -i16::MAX, i16::MIN, 0, 1, -1];
+    let offsets = [
+        32_767.0,
+        -32_767.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        12_345.6,
+    ];
+    let weights = [[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0], [4.0; 4]];
+    let limits = [0.0, -0.0, 1.0, 1e9, f32::INFINITY, f32::NAN];
+    let mut kept = 0;
+    for rows in [0usize, 1, 7, 8, 9, 23, 64, 65] {
+        let planes: [Vec<i16>; 4] = std::array::from_fn(|_| {
+            (0..rows)
+                .map(|_| hostile[((next() + 100.0) * 0.03) as usize % hostile.len()])
+                .collect()
+        });
+        for (o, &offset) in offsets.iter().enumerate() {
+            for weights in weights {
+                for limit in limits {
+                    let q = GridQuery {
+                        offsets: std::array::from_fn(|s| {
+                            if s == o % 4 {
+                                offset
+                            } else {
+                                offsets[(o + s) % offsets.len()]
+                            }
+                        }),
+                        weights,
+                        slack: 0.5,
+                        limit,
+                    };
+                    check_grid_pass(&q, &planes).unwrap();
+                    let views = planes.each_ref().map(Vec::as_slice);
+                    kept += grid_reference(&q, views, 0..rows).len();
+                }
+            }
+        }
+    }
+    // Some entries survive, so both outcomes are exercised.
+    assert!(kept > 1000, "{kept} entries kept");
+}

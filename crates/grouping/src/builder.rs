@@ -60,12 +60,21 @@ pub struct BaseBuilder {
 pub struct BuildReport {
     /// Wall-clock construction time.
     pub elapsed: Duration,
+    /// Of which bringing each length's nearest-representative grid in
+    /// step with its column: seeding it from the column's groups where
+    /// the resident index holds none (a batch build's columns start
+    /// empty). Like `admit` and `sketch`, a share of `elapsed`: the
+    /// workers' time in this stage over their busy time, times `elapsed`
+    /// — workers run side by side, so this stays comparable with
+    /// `elapsed` whatever their count. The clock is read per length,
+    /// never per window.
+    pub seed: Duration,
+    /// Of which admitting the new windows: each one's lookup, and the
+    /// group it joins or seeds.
+    pub admit: Duration,
     /// Of which the passes that sketch the members (every length ends
     /// with one: over every member in a batch build, over the ones an
-    /// extension admitted). Workers sketch side by side, so this is the
-    /// share of `elapsed` they spent sketching: their sketching time over
-    /// their busy time, times `elapsed` — comparable with `elapsed`
-    /// whatever the worker count.
+    /// extension admitted).
     pub sketch: Duration,
     /// Number of distinct subsequence lengths indexed.
     pub lengths: usize,
@@ -140,8 +149,26 @@ struct Admitted {
     /// An extension's grid, in step with the extended column, and whether
     /// it was seeded for the call.
     grid: Option<(PaaGrid, bool)>,
+    /// The worker's time on this length, and of it the stages
+    /// [`BuildReport`] shares `elapsed` out by.
     busy: Duration,
+    stages: Stages,
+}
+
+/// Time spent in each stage a length goes through, summed over lengths.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stages {
+    seed: Duration,
+    admit: Duration,
     sketch: Duration,
+}
+
+impl std::ops::AddAssign for Stages {
+    fn add_assign(&mut self, rhs: Stages) {
+        self.seed += rhs.seed;
+        self.admit += rhs.admit;
+        self.sketch += rhs.sketch;
+    }
 }
 
 impl BaseBuilder {
@@ -317,7 +344,7 @@ impl BaseBuilder {
             self.admit_length(&pass, len, groups, grid)
         });
         let mut work = IndexWork::default();
-        let (mut windows, mut busy, mut sketch) = (0, Duration::ZERO, Duration::ZERO);
+        let (mut windows, mut busy, mut stages) = (0, Duration::ZERO, Stages::default());
         let mut failure = None;
         for (&len, admitted) in lengths.iter().zip(admitted) {
             match admitted {
@@ -325,7 +352,7 @@ impl BaseBuilder {
                     work += length.work;
                     windows += length.windows;
                     busy += length.busy;
-                    sketch += length.sketch;
+                    stages += length.stages;
                     if let (Some(resident), Some((grid, seeded))) =
                         (resident.as_deref_mut(), length.grid)
                     {
@@ -339,12 +366,7 @@ impl BaseBuilder {
             return Err(e);
         }
         extended.admitted(series, windows);
-        let sketch_share = if busy > Duration::ZERO {
-            sketch.as_secs_f64() / busy.as_secs_f64()
-        } else {
-            0.0
-        };
-        let report = self.report(&extended, base, start, sketch_share, work);
+        let report = self.report(&extended, base, start, (stages, busy), work);
         Ok((extended, report))
     }
 
@@ -371,6 +393,7 @@ impl BaseBuilder {
         // New seeds are read in place from the series the dataset gained.
         groups.adopt_series(pass.series);
         let (mut index, seeded) = ResidentIndex::mirror(grid, len, admission, groups);
+        let admitting = Instant::now();
         let mut work = IndexWork::default();
         let mut touched: Vec<u32> = Vec::new();
         if !pass.batch {
@@ -398,6 +421,7 @@ impl BaseBuilder {
             }
         }
         let grid = (!pass.batch).then_some((index, seeded));
+        let admitted = Instant::now();
         let synced = if pass.batch {
             // The column lives as long as the base: give back the block
             // list's and the member lists' slack, then sketch everything.
@@ -417,12 +441,17 @@ impl BaseBuilder {
             );
             synced
         };
+        let done = Instant::now();
         Ok(Admitted {
             work,
             windows,
             grid,
-            busy: started.elapsed(),
-            sketch: synced.elapsed(),
+            busy: done - started,
+            stages: Stages {
+                seed: admitting - started,
+                admit: admitted - admitting,
+                sketch: done - synced,
+            },
         })
     }
 
@@ -446,7 +475,8 @@ impl BaseBuilder {
     ) -> Option<usize> {
         let xs = dataset.resolve(r).ok()?;
         let centroid = self.config.policy == RepresentativePolicy::Centroid;
-        Some(match index.nearest_within(xs, admission_sq, groups, work) {
+        let (nearest, probe) = index.lookup(xs, admission_sq, groups, work);
+        Some(match nearest {
             Some((gi, d_sq)) => {
                 groups.admit(gi, r, xs, d_sq.sqrt(), centroid);
                 if centroid {
@@ -458,27 +488,36 @@ impl BaseBuilder {
                 if !groups.push_seed(r) {
                     return None;
                 }
-                index.insert(groups.len() - 1, xs);
+                index.insert_probed(groups.len() - 1, &probe);
                 groups.len() - 1
             }
         })
     }
 
     /// The receipt for `base`, built aside from `previous`, its workers
-    /// having spent `sketch_share` of their time sketching.
+    /// having spent `stages` of their `busy` time in each stage.
     fn report(
         &self,
         base: &OnexBase,
         previous: &OnexBase,
         start: Instant,
-        sketch_share: f64,
+        (stages, busy): (Stages, Duration),
         work: IndexWork,
     ) -> BuildReport {
         let elapsed = start.elapsed();
+        let share = |stage: Duration| {
+            if busy > Duration::ZERO {
+                elapsed.mul_f64(stage.as_secs_f64() / busy.as_secs_f64())
+            } else {
+                Duration::ZERO
+            }
+        };
         let blocks_total = base.block_count();
         BuildReport {
             elapsed,
-            sketch: elapsed.mul_f64(sketch_share),
+            seed: share(stages.seed),
+            admit: share(stages.admit),
+            sketch: share(stages.sketch),
             lengths: base.lengths().count(),
             subsequences: base.member_count(),
             groups: base.group_count(),

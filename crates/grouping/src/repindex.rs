@@ -89,22 +89,40 @@
 //! A row of cells (one first half-mean coordinate) keeps its entries as
 //! one run sorted by column coordinate — entries of one cell in the order
 //! they were filed — with each segment's codes in a plane of their own
-//! (two bytes an entry) beside the group ids, and a small table of where
-//! each cell's run ends. The cells a lookup visits in one row are then
-//! one slice of each plane, and an entry costs its 12 bytes plus a share
-//! of its cell's 12.
+//! (two bytes an entry) beside the group ids, and a table of where each
+//! cell's run ends. The cells a lookup visits in one row are then one
+//! span of each plane, and an entry costs its 12 bytes plus a share of
+//! its cell's 12 and its row's.
 //!
-//! A slice is bounded 64 entries at a time in `f32`, a branch-free pass
-//! the compiler vectorises, into a mask of survivors; each survivor is
+//! A row's cells are not searched for. Its run table holds every column
+//! from its first to its last — cells that hold no entry sit between the
+//! ones that do — so a column's cell is its offset from the first; a new
+//! column rebuilds the table that way whenever it then holds at most
+//! twice its occupied cells plus `TABLE_SLACK` (8), and is otherwise
+//! filed alone, the table searched (a binary search: data spread far
+//! wider than the radius) until a later column makes it fit again. On
+//! random walks every run table is consecutive, seeded or filed insert by
+//! insert: a row visit finds its span by subtraction. The rows that hold
+//! an entry sit in a B-tree, which a lookup asks once for the few rows its
+//! interval covers: a table of rows by offset would make each new row cost
+//! a move of every row after it, which on data spread far wider than the
+//! radius (a row an entry) is quadratic in the entries. An insert reuses
+//! the means and cell its window's lookup just worked out
+//! ([`PaaGrid::insert_probed`]).
+//!
+//! A span is bounded in one call of the dispatched kernel
+//! [`onex_distance::kernels::grid_survivors`] (eight entries a step on
+//! AVX2), in `f32` against the best `d²` found when the row's visit
+//! starts — the radius until something is found — and each survivor is
 //! then re-checked with the exact `f64` bound above, against the best
 //! `d²` found so far, before any distance starts. Both work in steps: the
 //! query's four offsets from the row's edge are worked out once per row,
 //! clamped to the codes' range (which only ever shrinks a gap, and is
 //! what makes a saturated code bound one side), and each term is the
 //! offset's distance to the code less the slack. The `f32` pass only
-//! ever drops an entry the `f64` bound drops as well, so the lookup
-//! examines exactly the entries the `f64` bound alone would, in the same
-//! order:
+//! ever drops an entry the `f64` bound drops as well (against a bound at
+//! least as loose), so the lookup examines exactly the entries the `f64`
+//! bound alone would, in the same order:
 //!
 //! * its slack is the `f64` slack widened by `2⁻¹⁵` of itself and by
 //!   `2⁻⁷` of a step — more than twice what rounding an offset of at
@@ -121,6 +139,21 @@
 //!   held a code that bounds nothing (which the pass, to stay
 //!   branch-free, does not look for). A NaN term keeps its entry.
 //!
+//! The pass hands back each survivor's `f32` bound, and most survivors
+//! skip the `f64` re-check: one whose bound is at or under the pass's
+//! *sure* line passes it for certain, as long as the best `d²` is still
+//! the one the pass ran against. A gap the pass computes is at most
+//! `D` = the slack's widening plus `2⁻⁷` steps under the `f64` one (an
+//! offset rounded to `f32` and two `f32` operations on values under 2¹⁶
+//! lose at most `2⁻¹⁰ + 2·2⁻⁹`), so by Minkowski's inequality the root
+//! of the `f64` bound is at most the root of the `f32` one (widened
+//! `2⁻²⁰` for its sums) plus `D·√n`, `n` the summed weights. The line is
+//! the root of the test's limit in steps, less `2⁻⁴⁰` of itself and less
+//! `D·√n`, squared and lowered `2⁻¹⁸` (`Narrow::sure`). On the walks a
+//! writer appends, the re-check then runs only for the few survivors
+//! within a hair of the limit or met after a nearer representative
+//! tightened it.
+//!
 //! The degenerate regime is white noise: every window's half-means sit
 //! within a cell or two of zero, all representatives land in the visited
 //! cells, and an early-abandoned distance is as cheap as a bound check —
@@ -135,9 +168,10 @@
 //! pays per appended window, not per existing group.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 use onex_distance::ed::ed_early_abandon_sq;
+use onex_distance::kernels::{self, GridQuery};
 
 use crate::GroupColumn;
 
@@ -174,17 +208,17 @@ impl std::ops::AddAssign for IndexWork {
 
 /// PAA segments kept per representative; segment `s` of a length-`n`
 /// vector is `[n·s/4, n·(s+1)/4)`, so lengths 2 and 3 carry empty ones.
-const SEGMENTS: usize = 4;
+const SEGMENTS: usize = kernels::GRID_SEGMENTS;
 /// Rows of cells a lookup walks one by one; an interval spanning more
 /// (a radius or a rounding allowance far above the cell width) scans
 /// every cell instead.
 const ROW_CAP: i128 = 8;
-/// Entries one `f32` pass bounds: a bit each in the survivor mask.
-const BLOCK: usize = 64;
-/// What a row costs in the map beside its runs: its key, its seven
-/// vector headers and its share of a B-tree node (eleven rows to a full
-/// leaf, about two thirds full).
-const ROW_BYTES: usize = 280;
+/// Empty cells a row's run table may hold beyond one per occupied one
+/// before a new column is filed alone (see [`filled_span`]).
+const TABLE_SLACK: usize = 8;
+/// What a row costs in the map beside its vectors: its key and its
+/// struct, in B-tree leaves about two thirds full.
+const ROW_BYTES: usize = (8 + std::mem::size_of::<Row>()) * 3 / 2;
 /// Steps a cell width is cut into: a code's unit is a 256th of a cell.
 const STEPS_PER_CELL: f64 = 256.0;
 /// The largest code either way; an offset past it saturates here.
@@ -204,15 +238,31 @@ const NARROW_MARGIN: f64 = 1.0 + 1.0 / 32_768.0;
 /// rounding an offset to `f32` and subtracting a code from it can lose.
 const NARROW_STEPS: f64 = 1.0 / 128.0;
 
+/// What [`Narrow::sure`] allows, in steps, for the roundings between a
+/// gap the `f32` pass computed and the `f64` test's: `2⁻⁷` (an offset
+/// rounded to `f32` and two `f32` operations on values under 2¹⁶ lose at
+/// most `2⁻¹⁰ + 2·2⁻⁹`).
+const SURE_ROUNDING: f64 = 1.0 / 128.0;
+
 /// Grid coordinates: the two half-means in units of the cell width.
 type Cell = (i64, i64);
 
 /// What the grid needs of a vector: segment means, the half-means that
 /// place it, and its largest magnitude (the scale of the sums' rounding).
+#[derive(Debug, Clone, Copy)]
 struct Paa {
     means: [f64; SEGMENTS],
     halves: [f64; 2],
     peak: f64,
+}
+
+/// The coordinates a table of `lo..=hi` holds when it keeps them all:
+/// `Some` while that is at most twice its `occupied` slots (those that
+/// hold an entry) plus [`TABLE_SLACK`], `None` when the data spread them
+/// too thinly for that.
+fn filled_span(lo: i64, hi: i64, occupied: usize) -> Option<RangeInclusive<i64>> {
+    let slots = i128::from(hi) - i128::from(lo) + 1;
+    (slots <= (2 * occupied + TABLE_SLACK) as i128).then_some(lo..=hi)
 }
 
 /// One row of cells: its entries in one run sorted by column coordinate
@@ -220,7 +270,11 @@ struct Paa {
 /// says where each cell's entries end.
 #[derive(Debug, Default)]
 struct Row {
-    /// Column coordinate of every cell that holds an entry, ascending.
+    /// The row's coordinate.
+    at: i64,
+    /// Column coordinate of every cell of the run table, ascending;
+    /// consecutive unless that costs more than [`filled_span`]
+    /// allows. A cell may be empty.
     cols: Vec<i64>,
     /// Where the run of the cell at the same index ends; it starts where
     /// its predecessor's does.
@@ -232,8 +286,9 @@ struct Row {
 }
 
 impl Row {
-    fn with_capacity(entries: usize) -> Self {
+    fn with_capacity(at: i64, entries: usize) -> Self {
         Row {
+            at,
             gids: Vec::with_capacity(entries),
             codes: std::array::from_fn(|_| Vec::with_capacity(entries)),
             ..Row::default()
@@ -242,6 +297,38 @@ impl Row {
 
     fn len(&self) -> usize {
         self.gids.len()
+    }
+
+    /// Whether the run table holds every column from its first to its
+    /// last.
+    fn consecutive(&self) -> bool {
+        match (self.cols.first(), self.cols.last()) {
+            (Some(&first), Some(&last)) => {
+                i128::from(last) - i128::from(first) + 1 == self.cols.len() as i128
+            }
+            _ => true,
+        }
+    }
+
+    /// Cells whose column is below `col`, plus one when `inclusive` and a
+    /// cell is at `col`: an offset from the first cell while the table is
+    /// consecutive, a binary search otherwise.
+    fn cells_before(&self, col: i64, inclusive: bool) -> usize {
+        let Some(&first) = self.cols.first() else {
+            return 0;
+        };
+        if self.consecutive() {
+            let past = i128::from(col) - i128::from(first) + i128::from(inclusive);
+            return past.clamp(0, self.cols.len() as i128) as usize;
+        }
+        self.cols
+            .partition_point(|&c| c < col || (inclusive && c == col))
+    }
+
+    /// The cell at column `col`, if there is one.
+    fn cell_of(&self, col: i64) -> Option<usize> {
+        let at = self.cells_before(col, false);
+        (self.cols.get(at) == Some(&col)).then_some(at)
     }
 
     /// Where the run of the `cells`-th cell starts.
@@ -253,29 +340,26 @@ impl Row {
 
     /// The entries of every cell whose column lies in `lo..=hi`.
     fn span(&self, lo: i64, hi: i64) -> Range<usize> {
-        let first = self.cols.partition_point(|&col| col < lo);
-        let past = self.cols.partition_point(|&col| col <= hi);
-        self.start_of(first)..self.start_of(past)
+        self.start_of(self.cells_before(lo, false))..self.start_of(self.cells_before(hi, true))
     }
 
-    /// The cell at column `col` — its index in the run table and its
-    /// entries — or where it would go.
-    fn cell(&self, col: i64) -> Result<(usize, Range<usize>), usize> {
-        let at = self.cols.binary_search(&col)?;
-        Ok((at, self.start_of(at)..self.ends[at] as usize))
+    /// The entries of the cell at index `at` of the run table.
+    fn run(&self, at: usize) -> Range<usize> {
+        self.start_of(at)..self.ends[at] as usize
+    }
+
+    /// The codes of the row's entries, one slice a plane.
+    fn planes(&self) -> [&[i16]; SEGMENTS] {
+        self.codes.each_ref().map(Vec::as_slice)
     }
 
     /// File an entry last in the cell at column `col`.
     fn push(&mut self, col: i64, gid: u32, codes: [i16; SEGMENTS]) {
-        let (at, pos) = match self.cell(col) {
-            Ok((at, run)) => (at, run.end),
-            Err(at) => {
-                let start = self.start_of(at);
-                self.cols.insert(at, col);
-                self.ends.insert(at, start as u32);
-                (at, start)
-            }
+        let at = match self.cell_of(col) {
+            Some(at) => at,
+            None => self.add_cell(col),
         };
+        let pos = self.ends[at] as usize;
         if self.gids.len() == self.gids.capacity() {
             // An eighth more, not double: a seeded row is sized exactly
             // and a writer's appends grow it by a few entries at a time.
@@ -292,16 +376,52 @@ impl Row {
         self.ends[at..].iter_mut().for_each(|end| *end += 1);
     }
 
-    /// Where `gid`'s entry sits in the cell at column `col`.
+    /// Make an empty cell at column `col`, which none holds, and return
+    /// its index: the run table is rebuilt to hold every column from its
+    /// first to its last where [`filled_span`] allows it, and takes the
+    /// one cell otherwise.
+    fn add_cell(&mut self, col: i64) -> usize {
+        let occupied = (0..self.cols.len())
+            .filter(|&at| !self.run(at).is_empty())
+            .count();
+        let (lo, hi) = match (self.cols.first(), self.cols.last()) {
+            (Some(&first), Some(&last)) => (first.min(col), last.max(col)),
+            _ => (col, col),
+        };
+        let Some(cols) = filled_span(lo, hi, occupied + 1) else {
+            let at = self.cells_before(col, false);
+            let start = self.start_of(at) as u32;
+            self.cols.insert(at, col);
+            self.ends.insert(at, start);
+            return at;
+        };
+        // Each cell ends where the last of the old ones at or before its
+        // column did.
+        let mut old = 0;
+        let ends = cols.clone().map(|c| {
+            while self.cols.get(old).is_some_and(|&o| o <= c) {
+                old += 1;
+            }
+            self.start_of(old) as u32
+        });
+        self.ends = ends.collect();
+        self.cols = cols.collect();
+        usize::try_from(col - lo).expect("col is in the table")
+    }
+
+    /// Where `gid`'s entry sits in the cell at column `col`: the cell's
+    /// index and run, and the entry's position.
     fn find(&self, col: i64, gid: u32) -> (usize, Range<usize>, usize) {
-        let (at, run) = self.cell(col).expect("a group's home cell exists");
+        let at = self.cell_of(col).expect("a group's home cell exists");
+        let run = self.run(at);
         let slot = self.gids[run.clone()].iter().position(|&g| g == gid);
         let pos = run.start + slot.expect("an entry sits in its home cell");
         (at, run, pos)
     }
 
     /// Take `gid`'s entry out of the cell at column `col` as a vector's
-    /// `swap_remove` would: the cell's last entry takes its slot.
+    /// `swap_remove` would: the cell's last entry takes its slot. A cell
+    /// left empty stays while the run table is consecutive.
     fn swap_remove(&mut self, col: i64, gid: u32) {
         let (at, run, pos) = self.find(col, gid);
         let last = run.end - 1;
@@ -312,7 +432,7 @@ impl Row {
             plane.remove(last);
         }
         self.ends[at..].iter_mut().for_each(|end| *end -= 1);
-        if run.len() == 1 {
+        if run.len() == 1 && !self.consecutive() {
             self.cols.remove(at);
             self.ends.remove(at);
         }
@@ -323,6 +443,13 @@ impl Row {
         let planes: usize = self.codes.iter().map(Vec::capacity).sum();
         self.cols.capacity() * 8 + (self.ends.capacity() + self.gids.capacity()) * 4 + planes * 2
     }
+}
+
+/// What a lookup leaves for an insert of the same window: its means, so
+/// that filing it needs no second pass over its values.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    query: Paa,
 }
 
 /// An exact nearest-representative index for one length column: a grid
@@ -355,7 +482,7 @@ pub struct PaaGrid {
     /// is also the relative amount a computed `d²` and a computed bound
     /// can be out against each other.
     ulps: f64,
-    /// The rows that hold an entry, by first coordinate.
+    /// The rows that hold an entry, by coordinate.
     rows: BTreeMap<i64, Row>,
     /// Entries filed, one per group.
     entries: usize,
@@ -365,6 +492,9 @@ pub struct PaaGrid {
     /// Per group: the cell its entry is filed in — built from `rows` by
     /// the first [`PaaGrid::update`] and kept in step from then on.
     home: Option<Vec<Cell>>,
+    /// The `f32` pass's survivors in the row a lookup is visiting, with
+    /// their bounds, kept between lookups.
+    survivors: Vec<(usize, f32)>,
 }
 
 impl PaaGrid {
@@ -391,6 +521,7 @@ impl PaaGrid {
             entries: 0,
             unbounded: false,
             home: None,
+            survivors: Vec::new(),
         }
     }
 
@@ -408,21 +539,25 @@ impl PaaGrid {
             .collect();
         filed.sort_unstable_by_key(|&(cell, gid, _)| (cell, gid));
         for run in filed.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-            let mut row = Row::with_capacity(run.len());
-            for &((_, col), gid, codes) in run {
-                if row.cols.last() != Some(&col) {
-                    row.cols.push(col);
-                    row.ends.push(row.gids.len() as u32);
+            let at = run[0].0 .0;
+            let mut row = Row::with_capacity(at, run.len());
+            let cols: Vec<i64> = run
+                .chunk_by(|a, b| a.0 .1 == b.0 .1)
+                .map(|cell| cell[0].0 .1)
+                .collect();
+            row.cols = consecutive_or_not(&cols);
+            row.ends = Vec::with_capacity(row.cols.len());
+            let mut entries = run.iter().peekable();
+            for &col in &row.cols {
+                while let Some(&(_, gid, codes)) = entries.next_if(|e| e.0 .1 == col) {
+                    row.gids.push(gid);
+                    for (plane, code) in row.codes.iter_mut().zip(codes) {
+                        plane.push(code);
+                    }
                 }
-                row.gids.push(gid);
-                for (plane, code) in row.codes.iter_mut().zip(codes) {
-                    plane.push(code);
-                }
-                *row.ends.last_mut().expect("pushed above") += 1;
+                row.ends.push(row.gids.len() as u32);
             }
-            row.cols.shrink_to_fit();
-            row.ends.shrink_to_fit();
-            grid.rows.insert(run[0].0 .0, row);
+            grid.rows.insert(at, row);
         }
         grid.entries = groups.len();
         grid
@@ -431,10 +566,10 @@ impl PaaGrid {
     /// Where every group's entry sits, read off the rows.
     fn directory(&self) -> Vec<Cell> {
         let mut home = vec![(0, 0); self.entries];
-        for (&row_at, row) in &self.rows {
+        for row in self.rows.values() {
             for (at, &col) in row.cols.iter().enumerate() {
-                for &gid in &row.gids[row.start_of(at)..row.ends[at] as usize] {
-                    home[gid as usize] = (row_at, col);
+                for &gid in &row.gids[row.run(at)] {
+                    home[gid as usize] = (row.at, col);
                 }
             }
         }
@@ -444,13 +579,16 @@ impl PaaGrid {
     fn paa(&self, xs: &[f64]) -> Paa {
         debug_assert_eq!(xs.len(), self.cuts[SEGMENTS], "one length per column");
         let mut sums = [0.0f64; SEGMENTS];
-        let mut peak = 0.0f64;
-        for (s, sum) in sums.iter_mut().enumerate() {
+        // A largest magnitude a segment: four short chains of `max`, not
+        // one long one (`max` is exact, so the order does not matter).
+        let mut peaks = [0.0f64; SEGMENTS];
+        for ((sum, peak), s) in sums.iter_mut().zip(&mut peaks).zip(0..SEGMENTS) {
             for &x in &xs[self.cuts[s]..self.cuts[s + 1]] {
                 *sum += x;
-                peak = peak.max(x.abs());
+                *peak = peak.max(x.abs());
             }
         }
+        let peak = peaks.into_iter().fold(0.0f64, f64::max);
         let mean = |sum: f64, points: f64| if points > 0.0 { sum / points } else { 0.0 };
         Paa {
             means: std::array::from_fn(|s| mean(sums[s], self.weights[s])),
@@ -466,7 +604,7 @@ impl PaaGrid {
     /// rounded division, `floor`, a saturating cast), which is all the
     /// interval rule needs of it.
     fn coordinate(&self, axis: usize, half_mean: f64) -> i64 {
-        (half_mean / self.width[axis]).floor() as i64
+        floor_to_i64(half_mean / self.width[axis])
     }
 
     /// The lower edge of row `row_at`, which its entries' codes count
@@ -491,21 +629,31 @@ impl PaaGrid {
         })
     }
 
-    /// The cell a representative is filed in, and its codes there.
-    fn file(&self, representative: &[f64]) -> (Cell, [i16; SEGMENTS]) {
-        let paa = self.paa(representative);
+    /// The cell a vector with means `paa` is filed in, and its codes
+    /// there.
+    fn place(&self, paa: &Paa) -> (Cell, [i16; SEGMENTS]) {
         let cell = (
             self.coordinate(0, paa.halves[0]),
             self.coordinate(1, paa.halves[1]),
         );
-        (cell, self.encode(cell.0, &paa))
+        (cell, self.encode(cell.0, paa))
+    }
+
+    /// The cell a representative is filed in, and its codes there.
+    fn file(&self, representative: &[f64]) -> (Cell, [i16; SEGMENTS]) {
+        self.place(&self.paa(representative))
     }
 
     /// [`Self::file`], noting a code that bounds nothing.
     fn file_noting(&mut self, representative: &[f64]) -> (Cell, [i16; SEGMENTS]) {
-        let (cell, codes) = self.file(representative);
-        self.unbounded |= codes.contains(&UNBOUNDED);
-        (cell, codes)
+        let filed = self.file(representative);
+        self.note(filed)
+    }
+
+    /// Note a code that bounds nothing among `filed`'s.
+    fn note(&mut self, filed: (Cell, [i16; SEGMENTS])) -> (Cell, [i16; SEGMENTS]) {
+        self.unbounded |= filed.1.contains(&UNBOUNDED);
+        filed
     }
 
     /// The nearest representative within `radius_sq` of `xs` (squared
@@ -514,12 +662,24 @@ impl PaaGrid {
     /// representative is within the radius. `groups` is the live column
     /// the representatives are read from.
     pub fn nearest_within(
-        &self,
+        &mut self,
         xs: &[f64],
         radius_sq: f64,
         groups: &GroupColumn,
         work: &mut IndexWork,
     ) -> Option<(usize, f64)> {
+        self.lookup(xs, radius_sq, groups, work).0
+    }
+
+    /// [`Self::nearest_within`], and the [`Probe`] that
+    /// [`Self::insert_probed`] files `xs` by.
+    pub fn lookup(
+        &mut self,
+        xs: &[f64],
+        radius_sq: f64,
+        groups: &GroupColumn,
+        work: &mut IndexWork,
+    ) -> (Option<(usize, f64)>, Probe) {
         let query = self.paa(xs);
         let mut scan = self.scan(&query, xs, radius_sq, groups);
         let radius = radius_sq.sqrt();
@@ -531,19 +691,25 @@ impl PaaGrid {
             )
         };
         let ((row_lo, row_hi), (col_lo, col_hi)) = (span(0), span(1));
+        let mut survivors = std::mem::take(&mut self.survivors);
         if scan.eps.is_infinite() || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
-            for (&row_at, row) in &self.rows {
-                scan.run(self.edge(row_at), row, 0..row.len());
+            for row in self.rows.values() {
+                scan.run(self.edge(row.at), row, 0..row.len(), &mut survivors);
             }
         } else {
-            for (&row_at, row) in self.rows.range(row_lo..=row_hi) {
-                scan.run(self.edge(row_at), row, row.span(col_lo, col_hi));
+            for row in self.rows.range(row_lo..=row_hi).map(|(_, row)| row) {
+                let run = row.span(col_lo, col_hi);
+                if !run.is_empty() {
+                    scan.run(self.edge(row.at), row, run, &mut survivors);
+                }
             }
         }
+        survivors.clear();
+        self.survivors = survivors;
         work.examined += scan.examined;
         work.distance_calls += scan.examined;
         work.pruned += self.entries - scan.examined;
-        scan.best
+        (scan.best, Probe { query })
     }
 
     /// A lookup's walk for `xs` (whose means are `query`) at `radius_sq`
@@ -588,12 +754,20 @@ impl PaaGrid {
 
     /// Register a newly seeded group: ids are issued densely from 0.
     pub fn insert(&mut self, group: usize, representative: &[f64]) {
+        let filed = self.file_noting(representative);
+        self.file_entry(group, filed);
+    }
+
+    /// [`Self::insert`] of the window a [`Self::lookup`] gave `probe`
+    /// for: its means are not worked out again.
+    pub fn insert_probed(&mut self, group: usize, probe: &Probe) {
+        let filed = self.note(self.place(&probe.query));
+        self.file_entry(group, filed);
+    }
+
+    fn file_entry(&mut self, group: usize, ((row, col), codes): (Cell, [i16; SEGMENTS])) {
         assert_eq!(group, self.entries, "group ids are issued densely");
-        let ((row, col), codes) = self.file_noting(representative);
-        self.rows
-            .entry(row)
-            .or_default()
-            .push(col, gid(group), codes);
+        self.row_mut(row).push(col, gid(group), codes);
         if let Some(home) = &mut self.home {
             home.push((row, col));
         }
@@ -624,10 +798,14 @@ impl PaaGrid {
         if row.len() == 0 {
             self.rows.remove(&row_at);
         }
+        self.row_mut(cell.0).push(cell.1, gid(group), codes);
+    }
+
+    /// The row at coordinate `at`, made if there is none.
+    fn row_mut(&mut self, at: i64) -> &mut Row {
         self.rows
-            .entry(cell.0)
-            .or_default()
-            .push(cell.1, gid(group), codes);
+            .entry(at)
+            .or_insert_with(|| Row::with_capacity(at, 0))
     }
 
     /// Heap bytes the index keeps, worked out from capacities (no
@@ -635,7 +813,34 @@ impl PaaGrid {
     pub fn resident_bytes(&self) -> usize {
         let rows: usize = self.rows.values().map(Row::bytes).sum();
         let home = self.home.as_ref().map_or(0, Vec::capacity);
-        rows + self.rows.len() * ROW_BYTES + home * std::mem::size_of::<Cell>()
+        rows + self.rows.len() * ROW_BYTES
+            + home * std::mem::size_of::<Cell>()
+            + self.survivors.capacity() * std::mem::size_of::<(usize, f32)>()
+    }
+}
+
+/// `ats` (ascending, distinct, each holding an entry) with every
+/// coordinate between them filled in where [`filled_span`] allows it,
+/// `ats` itself otherwise.
+fn consecutive_or_not(ats: &[i64]) -> Vec<i64> {
+    match (ats.first(), ats.last()) {
+        (Some(&first), Some(&last)) => {
+            filled_span(first, last, ats.len()).map_or_else(|| ats.to_vec(), Iterator::collect)
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// `x.floor() as i64` — the largest integer at most `x`, saturating at
+/// the ends of `i64`, 0 for a NaN — without a call to `floor`, which the
+/// baseline x86-64 target has no instruction for: the truncation, less
+/// one where it rounded a negative fraction up.
+fn floor_to_i64(x: f64) -> i64 {
+    let truncated = x as i64;
+    if truncated as f64 > x {
+        truncated.saturating_sub(1)
+    } else {
+        truncated
     }
 }
 
@@ -682,22 +887,29 @@ impl Scan<'_> {
             .map(|mean| ((mean - edge) * self.per_step).clamp(-most, most))
     }
 
-    /// Bound the entries `run` of `row` (lower edge `edge`) a block at a
-    /// time, and offer every survivor.
-    fn run(&mut self, edge: f64, row: &Row, run: Range<usize>) {
+    /// Bound the entries `run` of `row` (lower edge `edge`) in one `f32`
+    /// pass against the best `d²` so far, and offer every survivor;
+    /// `survivors` is the pass's scratch.
+    fn run(&mut self, edge: f64, row: &Row, run: Range<usize>, survivors: &mut Vec<(usize, f32)>) {
         let offsets = self.offsets(edge);
-        let narrow = self.narrow.map(|n| (n, offsets.map(|o| o as f32)));
-        for start in run.clone().step_by(BLOCK) {
-            let block = start..run.end.min(start + BLOCK);
-            let Some((narrow, narrow_offsets)) = &narrow else {
-                block.for_each(|at| self.consider(&offsets, row, at));
-                continue;
-            };
-            let limit = self.bound_sq() / self.shave;
-            let mut survivors = narrow.survivors(narrow_offsets, row, block.clone(), limit);
-            while survivors != 0 {
-                self.consider(&offsets, row, start + survivors.trailing_zeros() as usize);
-                survivors &= survivors - 1;
+        let Some(narrow) = &self.narrow else {
+            run.for_each(|at| self.consider(&offsets, row, at));
+            return;
+        };
+        let bound_sq = self.bound_sq();
+        let query = narrow.query(&offsets, bound_sq / self.shave);
+        let sure = narrow.sure(bound_sq, self.shave);
+        survivors.clear();
+        kernels::grid_survivors(&query, row.planes(), run, survivors);
+        for &(at, lower) in survivors.iter() {
+            // A survivor whose `f32` bound is at or under `sure` passes the
+            // `f64` test against the bound the pass ran at (see the module
+            // docs); once a nearer representative tightened it, it is
+            // tested again.
+            if lower <= sure && self.bound_sq() == bound_sq {
+                self.examine(row, at, bound_sq);
+            } else {
+                self.consider(&offsets, row, at);
             }
         }
     }
@@ -706,9 +918,14 @@ impl Scan<'_> {
     /// linear scan's distance and acceptance rule, for the entry at `at`.
     fn consider(&mut self, offsets: &[f64; SEGMENTS], row: &Row, at: usize) {
         let bound_sq = self.bound_sq();
-        if self.drops(offsets, row, at, bound_sq) {
-            return;
+        if !self.drops(offsets, row, at, bound_sq) {
+            self.examine(row, at, bound_sq);
         }
+    }
+
+    /// The linear scan's distance and acceptance rule for the entry at
+    /// `at`, whose bound does not exceed `bound_sq`, the best `d²` so far.
+    fn examine(&mut self, row: &Row, at: usize, bound_sq: f64) {
         self.examined += 1;
         let gid = row.gids[at] as usize;
         let d_sq = ed_early_abandon_sq(self.xs, self.groups.at(gid).representative(), bound_sq);
@@ -750,45 +967,50 @@ struct Narrow {
     /// Squared steps per squared unit of the data: what turns a limit
     /// into squared steps.
     per_step_sq: f64,
+    /// How far, in steps, the `f32` pass's bound can sit below the `f64`
+    /// one, as a root: the most a gap can shrink (the slack's widening
+    /// plus `2⁻⁷` of rounding), times the root of the summed weights.
+    shortfall: f64,
 }
 
 impl Narrow {
     fn new(slack: f64, per_step_sq: f64, weights: &[f64; SEGMENTS]) -> Self {
+        let narrow_slack = (slack * NARROW_MARGIN + NARROW_STEPS) as f32;
+        let gap = f64::from(narrow_slack) - slack + SURE_ROUNDING;
         Narrow {
             weights: weights.map(|w| w as f32),
-            slack: (slack * NARROW_MARGIN + NARROW_STEPS) as f32,
+            slack: narrow_slack,
             per_step_sq,
+            shortfall: gap * weights.iter().sum::<f64>().sqrt(),
         }
     }
 
-    /// Bit `i` set for the entry `block.start + i` of `row` unless its
-    /// `f32` bound exceeds `limit` (the `f64` test's `bound²/shave`),
-    /// widened; `offsets` are the query's from the row's edge. A NaN
-    /// bound keeps its entry.
-    fn survivors(
-        &self,
-        offsets: &[f32; SEGMENTS],
-        row: &Row,
-        block: Range<usize>,
-        limit: f64,
-    ) -> u64 {
-        let limit = limit * self.per_step_sq * NARROW_MARGIN + f64::from(f32::MIN_POSITIVE);
-        let limit = limit as f32;
-        let term = |s: usize, code: i16| {
-            let gap = ((offsets[s] - f32::from(code)).abs() - self.slack).max(0.0);
-            self.weights[s] * gap * gap
-        };
-        // All four terms in one pass, the planes cut to the block's length
-        // so that the loop runs unchecked and vectorises.
-        let n = block.len();
-        let [p0, p1, p2, p3] = std::array::from_fn(|s| &row.codes[s][block.clone()][..n]);
-        let mut lower = [0.0f32; BLOCK];
-        let lower = &mut lower[..n];
-        for i in 0..n {
-            lower[i] = term(0, p0[i]) + term(1, p1[i]) + term(2, p2[i]) + term(3, p3[i]);
+    /// The largest `f32` bound whose entry surely passes the `f64` test
+    /// against `bound_sq` (shaved by `shave`): the test's limit in steps,
+    /// as a root less the shortfall (with `2⁻⁴⁰` of it for the `f64`
+    /// arithmetic), squared, less `2⁻¹⁸` for the roundings of both sums —
+    /// `−∞` where nothing is sure, `∞` against an infinite bound.
+    fn sure(&self, bound_sq: f64, shave: f64) -> f32 {
+        let root = (bound_sq * self.per_step_sq / shave).sqrt() * (1.0 - 4096.0 * f64::EPSILON);
+        let reach = root - self.shortfall;
+        if reach > 0.0 {
+            (reach * reach * (1.0 - 1.0 / 262_144.0)) as f32
+        } else {
+            f32::NEG_INFINITY
         }
-        let kept = lower.iter().map(|&l| u64::from(l <= limit || l.is_nan()));
-        kept.enumerate().fold(0, |mask, (i, bit)| mask | bit << i)
+    }
+
+    /// The pass for a row the query is `offsets` from, keeping what the
+    /// `f64` test against `limit` (its `bound²/shave`) keeps, widened. A
+    /// NaN bound keeps its entry.
+    fn query(&self, offsets: &[f64; SEGMENTS], limit: f64) -> GridQuery {
+        let limit = limit * self.per_step_sq * NARROW_MARGIN + f64::from(f32::MIN_POSITIVE);
+        GridQuery {
+            offsets: offsets.map(|o| o as f32),
+            weights: self.weights,
+            slack: self.slack,
+            limit: limit as f32,
+        }
     }
 }
 
@@ -943,6 +1165,52 @@ mod tests {
         grid.rows.values().map(Row::len).sum()
     }
 
+    /// Entries one `f32` pass of the tests bounds.
+    const BLOCK: usize = 64;
+
+    /// The entries of `run` in `row` that the `f32` pass keeps against
+    /// `limit`, the query's `offsets` from the row's edge given.
+    fn kept_by(
+        narrow: &Narrow,
+        offsets: &[f64; SEGMENTS],
+        row: &Row,
+        run: Range<usize>,
+        limit: f64,
+    ) -> Vec<usize> {
+        let passed = passed_by(narrow, offsets, row, run, limit);
+        passed.into_iter().map(|(at, _)| at).collect()
+    }
+
+    /// [`kept_by`], each entry with its `f32` bound.
+    fn passed_by(
+        narrow: &Narrow,
+        offsets: &[f64; SEGMENTS],
+        row: &Row,
+        run: Range<usize>,
+        limit: f64,
+    ) -> Vec<(usize, f32)> {
+        let mut out = Vec::new();
+        let query = narrow.query(offsets, limit);
+        kernels::grid_survivors(&query, row.planes(), run, &mut out);
+        out
+    }
+
+    /// Every cell that holds an entry, in the grid's order: its
+    /// coordinates, its group ids and their codes.
+    fn occupied(grid: &PaaGrid) -> Vec<(Cell, Vec<u32>, Vec<[i16; SEGMENTS]>)> {
+        let mut cells = Vec::new();
+        for row in grid.rows.values() {
+            for (at, &col) in row.cols.iter().enumerate() {
+                let run = row.run(at);
+                if !run.is_empty() {
+                    let codes = run.clone().map(|pos| row.codes.each_ref().map(|p| p[pos]));
+                    cells.push(((row.at, col), row.gids[run].to_vec(), codes.collect()));
+                }
+            }
+        }
+        cells
+    }
+
     /// The grid for `len` in `resident`, brought in step with `groups` as
     /// an extension's worker does it.
     fn resident_column<'a>(
@@ -956,21 +1224,23 @@ mod tests {
         resident.columns.get_mut(&len).expect("just put back")
     }
 
-    /// Every row's run table is in order and covers its run, no cell is
-    /// empty, and every group has exactly one entry, filed in the cell
-    /// its representative belongs in.
+    /// The rows ascend, every row's run table is in order and covers its
+    /// run, and every group has exactly one entry, filed in the cell its
+    /// representative belongs in. Empty rows and cells may sit between
+    /// occupied ones.
     fn assert_laid_out(grid: &PaaGrid, groups: &GroupColumn) {
         let mut seen = vec![false; groups.len()];
-        for (&row_at, row) in &grid.rows {
+        assert!(grid.rows.iter().all(|(&at, row)| row.at == at));
+        for row in grid.rows.values() {
+            let row_at = row.at;
             assert!(row.len() > 0, "row {row_at} is empty");
             assert!(row.cols.windows(2).all(|w| w[0] < w[1]), "row {row_at}");
             assert_eq!(row.cols.len(), row.ends.len(), "row {row_at}");
-            assert_eq!(row.ends.last().map(|&end| end as usize), Some(row.len()));
+            assert!(row.ends.windows(2).all(|w| w[0] <= w[1]), "row {row_at}");
+            assert_eq!(row.ends.last().map_or(0, |&end| end as usize), row.len());
             assert!(row.codes.iter().all(|plane| plane.len() == row.len()));
             for (at, &col) in row.cols.iter().enumerate() {
-                let run = row.start_of(at)..row.ends[at] as usize;
-                assert!(!run.is_empty(), "cell ({row_at}, {col}) is empty");
-                for pos in run {
+                for pos in row.run(at) {
                     let gi = row.gids[pos] as usize;
                     assert!(!std::mem::replace(&mut seen[gi], true), "group {gi} twice");
                     let (cell, codes) = grid.file(groups.at(gi).representative());
@@ -1214,10 +1484,9 @@ mod tests {
         assert!(frozen.home.is_none());
         assert_eq!(frozen.entries, groups.len());
         let rows: usize = frozen.rows.values().map(Row::bytes).sum();
-        assert_eq!(
-            frozen.resident_bytes(),
-            rows + frozen.rows.len() * ROW_BYTES
-        );
+        let tables = frozen.rows.len() * ROW_BYTES;
+        let survivors = frozen.survivors.capacity() * std::mem::size_of::<(usize, f32)>();
+        assert_eq!(frozen.resident_bytes(), rows + tables + survivors);
         // Three hundred inserts and frozen admissions, then drift: the
         // first update walks the rows once, and from there on the
         // directory is the one an index updated from the start keeps (the
@@ -1237,7 +1506,7 @@ mod tests {
     fn seeded_index_equals_incremental_inserts() {
         // An index kept in step through inserts and drifting centroids
         // answers as one seeded from the groups it ended up with does.
-        let (groups, kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
+        let (groups, mut kept) = equivalence_drill(10, 6.0, 2.0, 5, 0.8);
         let mut resident = ResidentIndex::new();
         let seeded = resident_column(&mut resident, 10, 2.0, &groups);
         let mut rng = Rng(55);
@@ -1266,17 +1535,10 @@ mod tests {
                 inserted.insert(gi, g.representative());
             }
             assert_laid_out(&seeded, &groups);
+            assert_laid_out(&inserted, &groups);
             assert!(seeded.rows.len() > 2);
-            assert_eq!(
-                seeded.rows.keys().collect::<Vec<_>>(),
-                inserted.rows.keys().collect::<Vec<_>>()
-            );
-            for (row, other) in seeded.rows.values().zip(inserted.rows.values()) {
-                assert_eq!(
-                    (&row.cols, &row.ends, &row.gids),
-                    (&other.cols, &other.ends, &other.gids)
-                );
-                assert_eq!(row.codes, other.codes);
+            assert_eq!(occupied(&seeded), occupied(&inserted));
+            for row in seeded.rows.values() {
                 // Sized exactly: nothing to spare until the first insert.
                 assert_eq!(row.gids.capacity(), row.len());
             }
@@ -1332,17 +1594,15 @@ mod tests {
                     };
                     narrowed += 1;
                     for bound_sq in [radius * radius, radius * radius / 4.0, 0.0] {
-                        for (&row_at, row) in &grid.rows {
-                            let offsets = scan.offsets(grid.edge(row_at));
-                            let narrow_offsets = offsets.map(|o| o as f32);
+                        for row in grid.rows.values() {
+                            let offsets = scan.offsets(grid.edge(row.at));
                             for start in (0..row.len()).step_by(BLOCK) {
                                 let block = start..row.len().min(start + BLOCK);
                                 let limit = bound_sq / scan.shave;
-                                let kept =
-                                    narrow.survivors(&narrow_offsets, row, block.clone(), limit);
+                                let kept = kept_by(narrow, &offsets, row, block.clone(), limit);
                                 for at in block.clone() {
                                     let exact = scan.drops(&offsets, row, at, bound_sq);
-                                    let narrow_drops = kept & (1 << (at - start)) == 0;
+                                    let narrow_drops = !kept.contains(&at);
                                     if scale == 10.0 {
                                         exact_drops += usize::from(exact);
                                         dropped += usize::from(narrow_drops);
@@ -1359,15 +1619,10 @@ mod tests {
                                 for at in block.clone() {
                                     let tight = scan.lower(&offsets, row, at) * scan.shave;
                                     let limit = tight / scan.shave;
-                                    let kept = narrow.survivors(
-                                        &narrow_offsets,
-                                        row,
-                                        block.clone(),
-                                        limit,
-                                    );
+                                    let kept = kept_by(narrow, &offsets, row, block.clone(), limit);
                                     assert!(!scan.drops(&offsets, row, at, tight));
                                     assert!(
-                                        kept & (1 << (at - start)) != 0,
+                                        kept.contains(&at),
                                         "offset {offset}, scale {scale}, slope {slope}, entry {at} at its own bound {tight}"
                                     );
                                 }
@@ -1390,6 +1645,77 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_the_f32_pass_calls_sure_passes_the_f64_bound() {
+        // The scales and ramps of the test above, against radii from
+        // nothing to everything and against each entry's own exact bound,
+        // a hair above and a hair below it: an entry whose `f32` bound is
+        // at or under `sure`, the exact bound keeps — and at ordinary
+        // magnitudes nearly every entry the exact bound keeps is sure.
+        let mut rng = Rng(43);
+        let (mut sure_kept, mut exact_kept) = (0, 0);
+        for (offset, scale, slope) in [
+            (0.0, 10.0, 0.0),
+            (100.0, 10.0, 0.0),
+            (0.0, 1e-30, 0.0),
+            (1e6, 1.0, 0.0),
+            (-1e12, 1e-3, 0.0),
+            (3.9e18, 1e3, 0.0),
+            (1e30, 1e20, 0.0),
+            (0.0, 0.01, 4.0),
+            (1e12, 1.0, 400.0),
+            (0.0, 0.05, 0.45),
+            (-1e3, 0.05, -0.45),
+        ] {
+            let len = 9;
+            let near = |rng: &mut Rng, spread: f64| -> Vec<f64> {
+                let noise = rng.vec(len, spread);
+                let ramp = noise.iter().enumerate();
+                ramp.map(|(i, v)| offset + slope * i as f64 + v).collect()
+            };
+            let groups = column((0..200).map(|i| near(&mut rng, scale * (1 + i % 5) as f64)));
+            let grid = PaaGrid::seeded(len, scale, &groups);
+            for _ in 0..12 {
+                let xs = near(&mut rng, scale);
+                let query = grid.paa(&xs);
+                for radius in [0.0, scale * 1e-3, scale * 0.5, scale, scale * 3.0] {
+                    let scan = grid.scan(&query, &xs, radius * radius, &groups);
+                    let Some(narrow) = &scan.narrow else {
+                        continue;
+                    };
+                    for row in grid.rows.values() {
+                        let offsets = scan.offsets(grid.edge(row.at));
+                        let own = |at| scan.lower(&offsets, row, at) * scan.shave;
+                        let tight = (0..row.len()).flat_map(|at| {
+                            let own = own(at);
+                            [own, own * (1.0 + 1e-12), own * (1.0 - 1e-12)]
+                        });
+                        let bounds = [radius * radius, radius * radius / 4.0, 0.0, f64::INFINITY];
+                        for bound_sq in bounds.into_iter().chain(tight) {
+                            let limit = bound_sq / scan.shave;
+                            let sure = narrow.sure(bound_sq, scan.shave);
+                            for (at, lower) in passed_by(narrow, &offsets, row, 0..row.len(), limit)
+                            {
+                                let exact = !scan.drops(&offsets, row, at, bound_sq);
+                                if lower <= sure {
+                                    assert!(exact, "offset {offset}, scale {scale}, slope {slope}, bound {bound_sq}, entry {at}: f32 {lower} <= sure {sure}");
+                                }
+                                if scale == 10.0 && bound_sq == radius * radius {
+                                    exact_kept += usize::from(exact);
+                                    sure_kept += usize::from(lower <= sure);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            sure_kept * 100 > exact_kept * 99 && exact_kept > 1000,
+            "sure for {sure_kept} of {exact_kept}"
+        );
+    }
+
+    #[test]
     fn the_f32_pass_keeps_an_entry_a_hair_past_what_its_code_leaves_open() {
         // One segment's offset a hair past the slack from its code, 12 k
         // to 31 k steps from the row's edge, where an `f32` offset is
@@ -1406,7 +1732,8 @@ mod tests {
             let grid = PaaGrid::seeded(len, radius, &groups);
             let ((row_at, _), codes) = grid.file(&rep);
             assert!(codes.iter().all(|&c| !saturates(c)), "{codes:?}");
-            let (edge, row) = (grid.edge(row_at), &grid.rows[&row_at]);
+            let row = &grid.rows[&row_at];
+            let edge = grid.edge(row_at);
             let means = grid.paa(&rep).means;
             let slack = grid
                 .scan(&grid.paa(&rep), &rep, radius * radius, &groups)
@@ -1425,10 +1752,9 @@ mod tests {
                     let tight = scan.lower(&offsets, row, 0) * scan.shave;
                     assert!(!scan.drops(&offsets, row, 0, tight));
                     let narrow = scan.narrow.expect("the pass runs here");
-                    let narrow_offsets = offsets.map(|o| o as f32);
                     let limit = tight / scan.shave;
-                    let kept = narrow.survivors(&narrow_offsets, row, 0..1, limit);
-                    assert_eq!(kept, 1, "slope {slope}, segment {s}, hair {hair}");
+                    let kept = kept_by(&narrow, &offsets, row, 0..1, limit);
+                    assert_eq!(kept, [0], "slope {slope}, segment {s}, hair {hair}");
                     checked += usize::from(tight > 0.0);
                 }
             }
@@ -1632,6 +1958,71 @@ mod tests {
             (resident.kind(), resident.entries(), resident.seeds()),
             ("none", 0, 2)
         );
+    }
+
+    #[test]
+    fn a_walks_cells_are_found_by_their_offset() {
+        // Random walks fill a band of cells in each row: seeded or filed
+        // one insert at a time, every row's run table holds each column
+        // from its first to its last, so no row visit searches.
+        let ds = onex_tseries::gen::random_walk_dataset(onex_tseries::gen::SyntheticConfig {
+            series: 24,
+            len: 128,
+            seed: 7,
+        });
+        let (len, radius) = (16, 2.0);
+        let groups = column((0..ds.len()).flat_map(|sid| {
+            let values = ds.series(sid as u32).expect("series").values().to_vec();
+            (0..=values.len() - len)
+                .step_by(3)
+                .map(move |start| values[start..start + len].to_vec())
+        }));
+        let seeded = PaaGrid::seeded(len, radius, &groups);
+        let mut inserted = PaaGrid::new(len, radius);
+        for (gi, g) in groups.iter().enumerate() {
+            inserted.insert(gi, g.representative());
+        }
+        for grid in [&seeded, &inserted] {
+            assert_laid_out(grid, &groups);
+            assert!(grid.rows.len() > 10, "{} rows", grid.rows.len());
+            let searched = grid.rows.values().filter(|row| !row.consecutive());
+            let searched: Vec<_> = searched.map(|row| (row.at, &row.cols)).collect();
+            assert!(searched.is_empty(), "{searched:?}");
+        }
+        assert_eq!(occupied(&seeded), occupied(&inserted));
+    }
+
+    #[test]
+    fn the_floor_without_a_call_is_the_floor() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.0 - f64::EPSILON,
+            2.5e-300,
+            -2.5e-300,
+            4_503_599_627_370_495.5,
+            -4_503_599_627_370_495.5,
+            9.223_372_036_854_775e18,
+            -9.223_372_036_854_775e18,
+            9.3e18,
+            -9.3e18,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = Rng(3);
+        let random = (0..10_000).map(|i| (rng.next() - 0.5) * 10f64.powi(i % 40 - 10));
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(floor_to_i64(x), x.floor() as i64, "{x}");
+        }
     }
 
     #[test]

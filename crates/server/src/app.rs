@@ -649,7 +649,9 @@ impl App {
     }
 
     /// `/api/append?name=..&values=v1,v2,…` — live ingest over HTTP:
-    /// append one series to the engine and publish the next epoch.
+    /// append one series to the engine and publish the next epoch. The
+    /// answer carries the writer's stage clocks (`seed_ms`, `admit_ms`,
+    /// `sketch_ms`: shares of `elapsed_ms`) beside its work counters.
     /// Queries already in flight keep answering from the snapshot they
     /// pinned; baseline backends rebuild from the new epoch on their
     /// next use and the caching decorator drops its now-stale entries —
@@ -683,6 +685,12 @@ impl App {
                 ("subsequences", report.subsequences.into()),
                 ("groups", report.groups.into()),
                 ("elapsed_ms", (report.elapsed.as_secs_f64() * 1e3).into()),
+                // The shares of `elapsed_ms` the writer's workers spent
+                // bringing the lengths' grids in step, admitting the new
+                // windows and sketching what they admitted.
+                ("seed_ms", (report.seed.as_secs_f64() * 1e3).into()),
+                ("admit_ms", (report.admit.as_secs_f64() * 1e3).into()),
+                ("sketch_ms", (report.sketch.as_secs_f64() * 1e3).into()),
                 (
                     "work",
                     Json::obj(vec![
@@ -1281,6 +1289,10 @@ mod tests {
         assert!(body.contains("\"appended\":\"Fresh\""), "{body}");
         assert!(body.contains("\"epoch\":1"), "{body}");
         assert!(body.contains("\"series\":51"), "{body}");
+        // Where the writer's time went: shares of `elapsed_ms`.
+        for stage in ["\"seed_ms\":", "\"admit_ms\":", "\"sketch_ms\":"] {
+            assert!(body.contains(stage), "missing {stage} in {body}");
+        }
         // What the append copied, out of the blocks the live base is in.
         let blocks = a.engine.base().block_count();
         assert!(body.contains("\"blocks\":{\"copied\":"), "{body}");
