@@ -854,6 +854,11 @@ fn l0_survivors_avx2(
 /// Segment means a PAA grid entry carries a code for.
 pub const GRID_SEGMENTS: usize = 4;
 
+/// Entries the AVX2 grid pass bounds a step: a span shorter than this is
+/// one padded or overlapping step, which a caller with an exact test of
+/// its own may skip.
+pub const GRID_STEP: usize = 8;
+
 /// The query's side of the nearest-representative grid's `f32` bound
 /// pass (`onex_grouping::repindex`), every value in steps of a code: an
 /// entry with codes `c` is kept unless

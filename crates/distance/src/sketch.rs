@@ -40,8 +40,10 @@
 //! — and the smallest and largest of their *tags*, a `u32` the caller
 //! gives each slot (the grouping crate gives the member's series). That
 //! is 29 bytes a zone, under half a byte a slot. Zones are derived
-//! wherever planes are built ([`PlanesRef::grown`], which widens the old
-//! zones by the new slots) and never persisted: the records alone are.
+//! wherever planes are built ([`PlanesRef::grown`], which writes the new
+//! slots' records into their planes and then widens each zone they reach
+//! once, a plane at a time over the run of its new slots) and never
+//! persisted: the records alone are.
 //!
 //! [`QuerySketch::rejects_zone`] is [`QuerySketch::bound_sq`] of the hull
 //! against the bound. A zone reject is a reject of every slot of the
@@ -185,13 +187,16 @@ const fn is_floor(plane: usize) -> bool {
         || (plane >= PLANE_SEG_MIN && plane < PLANE_SEG_MAX)
 }
 
-/// Fold byte `b` into byte `a` of plane `plane` of a hull: flag bits are
-/// or-ed, floors take the smaller level and ceilings the larger.
-fn widen(plane: usize, a: u8, b: u8) -> u8 {
+/// Byte `hull` of plane `plane` of a hull widened by the `levels` of
+/// that plane: flag bits are or-ed, floors take the smallest level and
+/// ceilings the largest — one fold over a run of a plane, which the
+/// compiler vectorises.
+fn widen(plane: usize, hull: u8, levels: &[u8]) -> u8 {
+    let fold = |pick: fn(u8, u8) -> u8| levels.iter().fold(hull, |a, &b| pick(a, b));
     match plane {
-        PLANE_FLAGS => a | b,
-        _ if is_floor(plane) => a.min(b),
-        _ => a.max(b),
+        PLANE_FLAGS => fold(|a, b| a | b),
+        _ if is_floor(plane) => fold(u8::min),
+        _ => fold(u8::max),
     }
 }
 
@@ -372,11 +377,11 @@ pub fn encode_into(params: &SketchParams, values: &[f64], out: &mut [u8]) {
 /// One series quantised once under one [`SketchParams`]: the form the
 /// records of its stride-1 windows are built from (see the module docs).
 ///
-/// Six bytes a point — a floor level, a ceiling level and a running count
-/// of the points that lack one of the two — beside a borrow of the
+/// Two bytes a point — a floor level and a ceiling level — and the
+/// places of the points that lack one of the two, beside a borrow of the
 /// samples, which the windows that touch such a point are encoded from.
 /// Transient by design: whoever sketches a series builds its column,
-/// encodes the windows and drops it.
+/// encodes the windows — of every length quantised alike — and drops it.
 #[derive(Debug)]
 pub struct LevelColumn<'a> {
     params: SketchParams,
@@ -385,10 +390,9 @@ pub struct LevelColumn<'a> {
     floors: Vec<u8>,
     /// `ceil_level` of every point (0 where it has none).
     ceils: Vec<u8>,
-    /// `odd[i]` counts the points of `values[..i]` missing a level, so a
-    /// window is all in range exactly when the count is the same at both
-    /// of its ends.
-    odd: Vec<u32>,
+    /// Where the points missing a level sit, ascending: a window is all
+    /// in range exactly when none sits inside it.
+    odd: Vec<usize>,
 }
 
 impl<'a> LevelColumn<'a> {
@@ -396,16 +400,15 @@ impl<'a> LevelColumn<'a> {
     pub fn new(params: SketchParams, values: &'a [f64]) -> LevelColumn<'a> {
         let mut floors = Vec::with_capacity(values.len());
         let mut ceils = Vec::with_capacity(values.len());
-        let mut odd = Vec::with_capacity(values.len() + 1);
-        let mut missing = 0u32;
-        odd.push(missing);
-        for &v in values {
+        let mut odd = Vec::new();
+        for (at, &v) in values.iter().enumerate() {
             let levels = params.floor_level(v).zip(params.ceil_level(v));
-            missing += u32::from(levels.is_none());
+            if levels.is_none() {
+                odd.push(at);
+            }
             let (lo, hi) = levels.unwrap_or_default();
             floors.push(lo);
             ceils.push(hi);
-            odd.push(missing);
         }
         LevelColumn {
             params,
@@ -425,7 +428,8 @@ impl<'a> LevelColumn<'a> {
     /// exactly [`SKETCH_STRIDE`] bytes.
     pub fn encode_window(&self, start: usize, len: usize, out: &mut [u8]) {
         let end = start + len;
-        if len == 0 || self.odd[start] != self.odd[end] {
+        let first_odd = self.odd.partition_point(|&at| at < start);
+        if len == 0 || self.odd.get(first_odd).is_some_and(|&at| at < end) {
             return encode_into(&self.params, &self.values[start..end], out);
         }
         assert_eq!(out.len(), SKETCH_STRIDE, "sketch slot has a fixed stride");
@@ -438,8 +442,12 @@ impl<'a> LevelColumn<'a> {
         for s in 0..SKETCH_SEGMENTS {
             let (a, b) = segment_range(s, len);
             // An empty segment gets `encode_into`'s benign extremes.
-            out[OFF_SEG_MIN + s] = floors[a..b].iter().copied().min().unwrap_or(0);
-            out[OFF_SEG_MAX + s] = ceils[a..b].iter().copied().max().unwrap_or(u8::MAX);
+            let (lo, hi) = floors[a..b].iter().zip(&ceils[a..b]).fold(
+                if a < b { (u8::MAX, 0) } else { (0, u8::MAX) },
+                |(lo, hi), (&floor, &ceil)| (lo.min(floor), hi.max(ceil)),
+            );
+            out[OFF_SEG_MIN + s] = lo;
+            out[OFF_SEG_MAX + s] = hi;
         }
     }
 }
@@ -617,21 +625,29 @@ impl<'a> PlanesRef<'a> {
         for zone in zones[old.len()..].chunks_exact_mut(ZONE_BYTES) {
             zone.copy_from_slice(&EMPTY_ZONE);
         }
-        for slot in done..total {
-            let mut record = [0u8; SKETCH_STRIDE];
-            let tag = encode(slot, &mut record);
-            let zone = &mut zones[slot / ZONE_SLOTS * ZONE_BYTES..][..ZONE_BYTES];
-            for plane in 0..SKETCH_PLANES {
-                let level = record[offset_of(plane)];
-                planes[plane * total + slot] = level;
-                zone[plane] = widen(plane, zone[plane], level);
+        // Zone by zone: the new slots' records into their planes, then the
+        // zone's hull widened by them a plane at a time.
+        let mut record = [0u8; SKETCH_STRIDE];
+        for z in done / ZONE_SLOTS..total.div_ceil(ZONE_SLOTS) {
+            let slots = (z * ZONE_SLOTS).max(done)..((z + 1) * ZONE_SLOTS).min(total);
+            let zone = &mut zones[z * ZONE_BYTES..][..ZONE_BYTES];
+            let (hull, tags) = zone.split_at_mut(SKETCH_PLANES);
+            let (lowest, highest) = tags.split_at_mut(4);
+            let tag_at = |at: &[u8]| u32::from_le_bytes(at.try_into().expect("4 bytes"));
+            let (mut low, mut high) = (tag_at(lowest), tag_at(highest));
+            for slot in slots.clone() {
+                record.fill(0);
+                let tag = encode(slot, &mut record);
+                (low, high) = (low.min(tag), high.max(tag));
+                for plane in 0..SKETCH_PLANES {
+                    planes[plane * total + slot] = record[offset_of(plane)];
+                }
             }
-            let (lowest, highest) = zone[SKETCH_PLANES..].split_at_mut(4);
-            let widened = |at: &[u8], pick: fn(u32, u32) -> u32| {
-                pick(u32::from_le_bytes(at.try_into().expect("4 bytes")), tag).to_le_bytes()
-            };
-            lowest.copy_from_slice(&widened(lowest, u32::min));
-            highest.copy_from_slice(&widened(highest, u32::max));
+            lowest.copy_from_slice(&low.to_le_bytes());
+            highest.copy_from_slice(&high.to_le_bytes());
+            for (plane, byte) in hull.iter_mut().enumerate() {
+                *byte = widen(plane, *byte, &planes[plane * total..][slots.clone()]);
+            }
         }
         SketchPlanes(Some(bytes))
     }

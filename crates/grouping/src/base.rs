@@ -144,9 +144,10 @@ impl OnexBase {
     /// build's workers end every length with. Incremental and idempotent.
     #[cfg(test)]
     pub(crate) fn sync_sketches(&mut self, dataset: &Dataset) {
+        let levels = crate::sketch::Levels::new(dataset);
         for column in self.groups.values_mut() {
             let all = 0..column.len();
-            crate::sketch::sync_length(dataset, column, all);
+            crate::sketch::sync_length(&levels, column, all);
         }
     }
 

@@ -140,6 +140,8 @@ struct Pass<'a> {
     /// and its slack is given back. An extension keeps the grids for the
     /// resident index.
     batch: bool,
+    /// The level columns every length's sketch sync reads.
+    levels: sketch::Levels<'a>,
 }
 
 /// What one length's worker did.
@@ -320,6 +322,7 @@ impl BaseBuilder {
             space: SubsequenceSpace::new(dataset, &self.config),
             seen,
             batch: resident.is_none(),
+            levels: sketch::Levels::new(dataset),
         };
         let lengths: Vec<usize> = (self.config.min_len..=self.config.max_len.min(longest_new))
             .filter(|&len| {
@@ -428,14 +431,14 @@ impl BaseBuilder {
             groups.shrink_to_fit();
             let synced = Instant::now();
             let all = 0..groups.len();
-            sketch::sync_length(pass.dataset, groups, all);
+            sketch::sync_length(&pass.levels, groups, all);
             synced
         } else {
             // The prior sketches came along with the copy (parameters stay
             // frozen); sketch the newly admitted members only.
             let synced = Instant::now();
             sketch::sync_length(
-                pass.dataset,
+                &pass.levels,
                 groups,
                 touched.into_iter().map(|gi| gi as usize),
             );

@@ -110,7 +110,18 @@
 //! the means and cell its window's lookup just worked out
 //! ([`PaaGrid::insert_probed`]).
 //!
-//! A span is bounded in one call of the dispatched kernel
+//! A span shorter than one kernel step
+//! ([`onex_distance::kernels::GRID_STEP`], eight entries) is bounded in
+//! place, entry by entry, with the exact `f64` test below — what a
+//! lookup without the `f32` pass does everywhere. The pass only ever
+//! keeps more than that test, so the lookup examines the same entries in
+//! the same order either way; for a short span the dispatched call and
+//! its one zero-padded or overlapping step cost more than the few exact
+//! tests. On a column that compacts (a few dozen groups: a lookup visits
+//! two or three rows of three entries or so) that is nearly every span;
+//! the spans of a walk's rows (a few dozen entries) keep the pass.
+//!
+//! A longer span is bounded in one call of the dispatched kernel
 //! [`onex_distance::kernels::grid_survivors`] (eight entries a step on
 //! AVX2), in `f32` against the best `d²` found when the row's visit
 //! starts — the radius until something is found — and each survivor is
@@ -171,7 +182,7 @@ use std::collections::BTreeMap;
 use std::ops::{Range, RangeInclusive};
 
 use onex_distance::ed::ed_early_abandon_sq;
-use onex_distance::kernels::{self, GridQuery};
+use onex_distance::kernels::{self, GridQuery, KernelLevel};
 
 use crate::GroupColumn;
 
@@ -495,6 +506,8 @@ pub struct PaaGrid {
     /// The `f32` pass's survivors in the row a lookup is visiting, with
     /// their bounds, kept between lookups.
     survivors: Vec<(usize, f32)>,
+    /// The kernel level the `f32` pass runs at: the process's.
+    level: KernelLevel,
 }
 
 impl PaaGrid {
@@ -522,6 +535,7 @@ impl PaaGrid {
             unbounded: false,
             home: None,
             survivors: Vec::new(),
+            level: kernels::level(),
         }
     }
 
@@ -682,7 +696,29 @@ impl PaaGrid {
     ) -> (Option<(usize, f64)>, Probe) {
         let query = self.paa(xs);
         let mut scan = self.scan(&query, xs, radius_sq, groups);
-        let radius = radius_sq.sqrt();
+        let mut survivors = std::mem::take(&mut self.survivors);
+        for (row, run) in self.visits(&query, &scan) {
+            scan.run(self.edge(row.at), row, run, &mut survivors);
+        }
+        survivors.clear();
+        self.survivors = survivors;
+        work.examined += scan.examined;
+        work.distance_calls += scan.examined;
+        work.pruned += self.entries - scan.examined;
+        (scan.best, Probe { query })
+    }
+
+    /// The rows a lookup for `query` on `scan`'s walk visits, each with
+    /// the span of its entries in the lookup's interval: the cells its
+    /// interval covers, or every entry of every row where the interval
+    /// spans more than [`ROW_CAP`] rows or the lookup vouches for
+    /// nothing.
+    fn visits<'g>(
+        &'g self,
+        query: &Paa,
+        scan: &Scan<'_>,
+    ) -> impl Iterator<Item = (&'g Row, Range<usize>)> + 'g {
+        let radius = scan.radius_sq.sqrt();
         let span = |axis: usize| {
             let pad = radius / self.half_roots[axis] + scan.eps;
             (
@@ -691,25 +727,17 @@ impl PaaGrid {
             )
         };
         let ((row_lo, row_hi), (col_lo, col_hi)) = (span(0), span(1));
-        let mut survivors = std::mem::take(&mut self.survivors);
-        if scan.eps.is_infinite() || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP {
-            for row in self.rows.values() {
-                scan.run(self.edge(row.at), row, 0..row.len(), &mut survivors);
-            }
+        let everything =
+            scan.eps.is_infinite() || i128::from(row_hi) - i128::from(row_lo) >= ROW_CAP;
+        let (rows, cols) = if everything {
+            (i64::MIN..=i64::MAX, None)
         } else {
-            for row in self.rows.range(row_lo..=row_hi).map(|(_, row)| row) {
-                let run = row.span(col_lo, col_hi);
-                if !run.is_empty() {
-                    scan.run(self.edge(row.at), row, run, &mut survivors);
-                }
-            }
-        }
-        survivors.clear();
-        self.survivors = survivors;
-        work.examined += scan.examined;
-        work.distance_calls += scan.examined;
-        work.pruned += self.entries - scan.examined;
-        (scan.best, Probe { query })
+            (row_lo..=row_hi, Some((col_lo, col_hi)))
+        };
+        self.rows.range(rows).filter_map(move |(_, row)| {
+            let run = cols.map_or(0..row.len(), |(lo, hi)| row.span(lo, hi));
+            (!run.is_empty()).then_some((row, run))
+        })
     }
 
     /// A lookup's walk for `xs` (whose means are `query`) at `radius_sq`
@@ -747,6 +775,7 @@ impl PaaGrid {
             shave: 1.0 - self.ulps,
             narrow: (per_step_sq.is_normal() && !self.unbounded)
                 .then(|| Narrow::new(slack, per_step_sq, &self.weights)),
+            level: self.level,
             best: None,
             examined: 0,
         }
@@ -870,6 +899,8 @@ struct Scan<'a> {
     shave: f64,
     /// The `f32` pass, where the step and the column let it run.
     narrow: Option<Narrow>,
+    /// The kernel level the pass runs at.
+    level: KernelLevel,
     best: Option<(usize, f64)>,
     examined: usize,
 }
@@ -889,10 +920,13 @@ impl Scan<'_> {
 
     /// Bound the entries `run` of `row` (lower edge `edge`) in one `f32`
     /// pass against the best `d²` so far, and offer every survivor;
-    /// `survivors` is the pass's scratch.
+    /// `survivors` is the pass's scratch. A run shorter than one kernel
+    /// step, or a lookup without the pass, is bounded entry by entry in
+    /// `f64` alone.
     fn run(&mut self, edge: f64, row: &Row, run: Range<usize>, survivors: &mut Vec<(usize, f32)>) {
         let offsets = self.offsets(edge);
-        let Some(narrow) = &self.narrow else {
+        let narrow = self.narrow.filter(|_| run.len() >= kernels::GRID_STEP);
+        let Some(narrow) = narrow else {
             run.for_each(|at| self.consider(&offsets, row, at));
             return;
         };
@@ -900,7 +934,7 @@ impl Scan<'_> {
         let query = narrow.query(&offsets, bound_sq / self.shave);
         let sure = narrow.sure(bound_sq, self.shave);
         survivors.clear();
-        kernels::grid_survivors(&query, row.planes(), run, survivors);
+        kernels::grid_survivors_at(self.level, &query, row.planes(), run, survivors);
         for &(at, lower) in survivors.iter() {
             // A survivor whose `f32` bound is at or under `sure` passes the
             // `f64` test against the bound the pass ran at (see the module
@@ -1461,6 +1495,114 @@ mod tests {
                 "{any} / {both} of {entries}"
             );
             assert!(drill.saturated_wins > 20, "{} wins", drill.saturated_wins);
+        }
+    }
+
+    /// Spans a lookup visits that are shorter than one kernel step, one
+    /// step long, and longer.
+    type Spans = [usize; 3];
+
+    /// A lookup drill on a column that compacts: eight families of
+    /// shapes, each family's members sharing their half-means (one cell,
+    /// one row) and told apart inside the halves by far more than the
+    /// radius, families of 1 to 12 members, and windows shifted off a
+    /// member a constant a quarter (where the PAA bound is the distance)
+    /// — a quarter of them onto the rim of the radius — some with noise on
+    /// top. Rows hold a few to a dozen entries, so the spans a lookup
+    /// bounds fall below, at and above one kernel step. Every lookup, at
+    /// kernel level `level`, must be the linear scan's, winner and `d²`
+    /// bits; admissions move a member's mean under `Centroid`
+    /// (`centroid`). Returns the spans visited and the groups made.
+    fn compacting_drill(level: KernelLevel, centroid: bool, seed: u64) -> (Spans, usize) {
+        let (len, radius) = (16, 1.0f64);
+        let radius_sq = radius * radius;
+        let mut rng = Rng(seed);
+        let mut shapes: Vec<Vec<f64>> = Vec::new();
+        for (family, members) in [1, 3, 5, 7, 8, 8, 10, 12].into_iter().enumerate() {
+            let halves = [family as f64 * 10.0, 0.5 * family as f64];
+            for _ in 0..members {
+                // Zero-mean in each half: the half-means are the family's.
+                let mut values = rng.vec(len, 6.0);
+                for (half, mean) in halves.iter().enumerate() {
+                    let part = &mut values[half * len / 2..(half + 1) * len / 2];
+                    let off = mean - part.iter().sum::<f64>() / part.len() as f64;
+                    part.iter_mut().for_each(|v| *v += off);
+                }
+                shapes.push(values);
+            }
+        }
+        let mut groups = GroupColumn::new();
+        let mut grid = PaaGrid::new(len, radius);
+        grid.level = level;
+        let mut spans: Spans = [0; 3];
+        // Every shape first, as it is: each seeds a group of its own.
+        for step in 0..shapes.len() + 1500 {
+            let shape = &shapes[step
+                .checked_sub(shapes.len())
+                .map_or(step, |_| (rng.next() * shapes.len() as f64) as usize)];
+            let mut shifts: Vec<f64> = rng.vec(SEGMENTS, 0.4);
+            if step < shapes.len() {
+                shifts.fill(0.0);
+            } else if step % 4 == 0 {
+                // On the rim: the shifts scaled to a distance a hair
+                // inside the radius.
+                let norm = (shifts.iter().map(|d| d * d).sum::<f64>() * 4.0).sqrt();
+                shifts
+                    .iter_mut()
+                    .for_each(|d| *d *= radius * (1.0 - 1e-6) / norm);
+            }
+            let noise = if step % 4 == 1 && step >= shapes.len() {
+                0.02
+            } else {
+                0.0
+            };
+            let xs: Vec<f64> = (0..len)
+                .map(|i| shape[i] + shifts[i / 4] + noise * (rng.next() - 0.5))
+                .collect();
+            let query = grid.paa(&xs);
+            let scan = grid.scan(&query, &xs, radius_sq, &groups);
+            for (_, run) in grid.visits(&query, &scan) {
+                spans[(run.len().cmp(&kernels::GRID_STEP) as i8 + 1) as usize] += 1;
+            }
+            let mut work = IndexWork::default();
+            let want = linear_scan(&xs, radius_sq, &groups);
+            let got = grid.nearest_within(&xs, radius_sq, &groups, &mut work);
+            let bits = |found: Option<(usize, f64)>| found.map(|(gi, d_sq)| (gi, d_sq.to_bits()));
+            assert_eq!(bits(got), bits(want), "{level:?}, step {step}");
+            assert_eq!(work.examined + work.pruned, groups.len(), "step {step}");
+            match want {
+                Some((gi, d_sq)) => {
+                    let member = SubseqRef::new(1, step as u32, len as u32);
+                    groups.admit(gi, member, &xs, d_sq.sqrt(), centroid);
+                    if centroid {
+                        grid.update(gi, groups.at(gi).representative());
+                    }
+                }
+                None => {
+                    groups.push_owned(first(&xs), &xs);
+                    grid.insert(groups.len() - 1, &xs);
+                }
+            }
+        }
+        assert_laid_out(&grid, &groups);
+        (spans, groups.len())
+    }
+
+    #[test]
+    fn compacting_columns_look_up_what_a_linear_scan_finds_at_every_kernel_level() {
+        for level in KernelLevel::available() {
+            for (centroid, seed) in [(false, 3), (true, 4), (false, 5), (true, 6)] {
+                let (spans, groups) = compacting_drill(level, centroid, seed);
+                println!("{level:?}, centroid {centroid}: {groups} groups, spans {spans:?}");
+                assert!(
+                    groups < 200,
+                    "{groups} groups: the column stopped compacting"
+                );
+                assert!(
+                    spans.iter().all(|&visits| visits > 100),
+                    "spans below, at and above one step: {spans:?}"
+                );
+            }
         }
     }
 
