@@ -1,4 +1,3 @@
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -23,6 +22,9 @@ use crate::{Match, QueryOptions, QueryStats, SeasonalPattern};
 struct EngineState {
     dataset: Dataset,
     base: OnexBase,
+    /// Where the base came from, when it was opened or installed from an
+    /// image; `None` for a base built in memory.
+    source: Option<BaseSource>,
 }
 
 /// The writer's nearest-representative index, kept between appends so
@@ -60,32 +62,13 @@ pub struct ResidentReport {
     pub bytes: usize,
 }
 
-/// The unresolved remainder of a cold-opened base file: the validated
-/// segment image plus the set of length columns not yet decoded into the
-/// published base. Engines built in memory never carry one; engines
-/// created by [`Onex::open`]/[`Onex::open_bytes`]/[`Onex::install_base`]
-/// drain `pending` lazily, one query plan at a time.
-#[derive(Debug)]
-struct ColdSource {
-    segment: BaseSegment,
-    /// Lengths present in the file but not yet installed in the base.
-    pending: BTreeSet<usize>,
-    /// File the segment was opened from (`None` for in-memory images,
-    /// e.g. a base shipped over the wire).
-    path: Option<PathBuf>,
-}
-
-/// Provenance of a cold-started engine's base ([`Onex::base_source`]):
-/// where the segment came from and how much of it has been resolved.
+/// Provenance of a base opened or installed from an image
+/// ([`Onex::base_source`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseSource {
     /// File the base was opened from (`None` when it arrived as bytes,
     /// e.g. shipped to a shard over the wire).
     pub path: Option<PathBuf>,
-    /// Length columns already decoded into the live base.
-    pub resolved_lengths: usize,
-    /// Total length columns in the file.
-    pub total_lengths: usize,
 }
 
 /// The ONEX engine: a dataset, its precomputed base, and the paper's
@@ -125,15 +108,9 @@ pub struct BaseSource {
 pub struct Onex {
     state: Versioned<EngineState>,
     lifetime: Arc<Mutex<QueryStats>>,
-    /// Lazily-resolved base file behind cold-started engines (`None` for
-    /// warm in-memory builds). The mutex serialises resolution; queries
-    /// that touch only already-resolved columns never take it beyond a
-    /// pending-set peek.
-    cold: Mutex<Option<ColdSource>>,
-    /// Seeded lazily by the first append (never at build/open), and
-    /// re-seeded whenever its stamp is not the epoch being extended:
-    /// after [`Onex::install_base`], a cold-column resolve, or an append
-    /// that did not commit.
+    /// Seeded by the first append (never at build/open), and re-seeded
+    /// whenever its stamp is not the epoch being extended: after
+    /// [`Onex::install_base`], or an append that did not commit.
     resident: Mutex<Resident>,
     /// Test-only fault injection: make the next append fail after the
     /// extension has run (dataset grown, resident index mutated),
@@ -188,23 +165,29 @@ impl Onex {
                 dataset.len()
             )));
         }
-        Ok(Onex {
-            state: Versioned::new(EngineState { dataset, base }),
+        Ok(Self::over(EngineState {
+            dataset,
+            base,
+            source: None,
+        }))
+    }
+
+    /// An engine publishing `state` as its first epoch.
+    fn over(state: EngineState) -> Self {
+        Onex {
+            state: Versioned::new(state),
             lifetime: Arc::new(Mutex::new(QueryStats::default())),
-            cold: Mutex::new(None),
             resident: Mutex::default(),
             #[cfg(test)]
             fail_next_extend: std::sync::atomic::AtomicBool::new(false),
-        })
+        }
     }
 
-    /// Cold-start from a base image file: validate the segment
-    /// (structure and checksums), check that `dataset` is the one the
-    /// base was built over, and return an engine that answers its **first
-    /// query before decoding the file** — each query resolves only the
-    /// length columns its plan touches, so time-to-first-answer scales
-    /// with one column, not the whole base (experiment E18 measures the
-    /// gap against decoding every column first).
+    /// Start from a base image file: validate the segment (structure and
+    /// checksums), check that `dataset` is the one the base was built
+    /// over, and decode the whole base — the engine that comes back is
+    /// the one [`Onex::build`] made, minus the construction (experiment
+    /// E18 times the first answer).
     ///
     /// # Errors
     /// [`OnexError::Io`] when the file cannot be read,
@@ -230,145 +213,48 @@ impl Onex {
         dataset: Dataset,
         path: Option<PathBuf>,
     ) -> Result<Self, OnexError> {
-        let base = segment.empty_base(&dataset)?;
-        let pending = segment.lengths().collect();
-        Ok(Onex {
-            state: Versioned::new(EngineState { dataset, base }),
-            lifetime: Arc::new(Mutex::new(QueryStats::default())),
-            cold: Mutex::new(Some(ColdSource {
-                segment,
-                pending,
-                path,
-            })),
-            resident: Mutex::default(),
-            #[cfg(test)]
-            fail_next_extend: std::sync::atomic::AtomicBool::new(false),
-        })
+        let base = segment.decode(&dataset)?;
+        Ok(Self::over(EngineState {
+            dataset,
+            base,
+            source: Some(BaseSource { path }),
+        }))
     }
 
     /// Replace this engine's base with a shipped base image — the
-    /// `ShipBase` handler on shard servers. The new base adopts the same
-    /// lazy-resolution lifecycle as [`Onex::open_bytes`]: the swap
-    /// itself decodes nothing, and subsequent queries resolve columns on
-    /// demand, so a freshly deployed shard answers immediately.
+    /// `ShipBase` handler on shard servers: the image is decoded whole,
+    /// as [`Onex::open_bytes`] decodes it, and published as the next
+    /// epoch.
     ///
     /// # Errors
     /// [`OnexError::Storage`] when the bytes are not a valid base image,
     /// [`OnexError::DatasetMismatch`] when it was built over another
-    /// dataset than the one this engine currently holds. On error the
-    /// current base keeps serving, untouched.
+    /// dataset than the one this engine currently holds. On error nothing
+    /// is published: the current base keeps serving, untouched.
     pub fn install_base(&self, bytes: Vec<u8>) -> Result<(), OnexError> {
         let segment = BaseSegment::from_bytes(bytes)?;
-        let mut cold = self.cold.lock();
         let mut txn = self.state.write();
         let state = txn.value_mut();
-        state.base = segment.empty_base(&state.dataset)?;
+        state.base = segment.decode(&state.dataset)?;
+        state.source = Some(BaseSource { path: None });
         txn.commit();
-        *cold = Some(ColdSource {
-            pending: segment.lengths().collect(),
-            segment,
-            path: None,
-        });
         Ok(())
     }
 
     /// Persist the current base as a base image file (the image
-    /// [`Onex::open`] cold-starts from and `ShipBase` deploys) — all of
-    /// it: a cold-started engine resolves its pending columns first.
+    /// [`Onex::open`] starts from and `ShipBase` deploys).
     ///
     /// # Errors
-    /// [`OnexError::Io`] when the file cannot be written;
-    /// [`OnexError::Storage`] as [`Onex::resolve_all`].
+    /// [`OnexError::Io`] when the file cannot be written.
     pub fn save_base(&self, path: impl AsRef<Path>) -> Result<(), OnexError> {
-        self.resolve_all()?;
         onex_grouping::persist::save_v2_file(&self.state.read().base, path)
     }
 
-    /// Provenance of a cold-started base: source path (when opened from
-    /// a file) and resolution progress. `None` for warm in-memory builds
-    /// — the `/api/summary` endpoint uses that distinction to report how
-    /// the engine came up.
+    /// Where the base came from, when it was opened or installed from an
+    /// image; `None` for a base built in memory — the `/api/summary`
+    /// endpoint uses that distinction to report how the engine came up.
     pub fn base_source(&self) -> Option<BaseSource> {
-        self.cold.lock().as_ref().map(|src| {
-            let total = src.segment.lengths().count();
-            BaseSource {
-                path: src.path.clone(),
-                resolved_lengths: total - src.pending.len(),
-                total_lengths: total,
-            }
-        })
-    }
-
-    /// Resolve every still-pending column of a cold-opened base file.
-    /// Returns the number of columns installed (0 for warm engines and
-    /// once resolution has completed). Operations that inspect the whole
-    /// base — seasonal mining, incremental appends — call this first.
-    ///
-    /// # Errors
-    /// [`OnexError::Storage`] when a column fails to decode (possible
-    /// only for hostile files — checksums were verified at open).
-    pub fn resolve_all(&self) -> Result<usize, OnexError> {
-        self.resolve(None)
-    }
-
-    /// Resolve the base columns a query with this length/selection could
-    /// touch (no-op on warm engines and on already-resolved columns):
-    /// [`crate::LengthSelection::lengths`] over the image's length table, not
-    /// the partly resolved base, so `Nearest` ranks against every length
-    /// the image offers — the lengths the searcher then finds resolved.
-    /// [`Onex::k_best`]-family entry points call this automatically;
-    /// callers that query through a pinned [`EngineSnapshot`] — the
-    /// shard server's query path — invoke it before taking the
-    /// snapshot, since a snapshot can only see columns resolved before
-    /// it was pinned.
-    ///
-    /// # Errors
-    /// Same as [`Onex::resolve_all`].
-    pub fn prepare(&self, query_len: usize, opts: &QueryOptions) -> Result<(), OnexError> {
-        let wanted = {
-            let cold = self.cold.lock();
-            let Some(src) = cold.as_ref() else {
-                return Ok(());
-            };
-            if src.pending.is_empty() {
-                return Ok(());
-            }
-            opts.lengths.lengths(query_len, src.segment.lengths())
-        };
-        self.resolve(Some(&wanted)).map(|_| ())
-    }
-
-    /// Install `wanted ∩ pending` (all pending when `None`) into the
-    /// published base via one write transaction, then shrink the pending
-    /// set. Holding the cold lock across the transaction means a column
-    /// is decoded exactly once however many queries race for it.
-    fn resolve(&self, wanted: Option<&[usize]>) -> Result<usize, OnexError> {
-        let mut cold = self.cold.lock();
-        let Some(src) = cold.as_mut() else {
-            return Ok(0);
-        };
-        let hit: Vec<usize> = match wanted {
-            Some(lens) => lens
-                .iter()
-                .copied()
-                .filter(|l| src.pending.contains(l))
-                .collect(),
-            None => src.pending.iter().copied().collect(),
-        };
-        if hit.is_empty() {
-            return Ok(0);
-        }
-        let mut txn = self.state.write();
-        let state = txn.value_mut();
-        for &len in &hit {
-            src.segment
-                .load_length(&mut state.base, len, &state.dataset)?;
-        }
-        txn.commit();
-        for len in &hit {
-            src.pending.remove(len);
-        }
-        Ok(hit.len())
+        self.state.read().source.clone()
     }
 
     /// Pin the currently-published epoch: the returned snapshot keeps
@@ -457,7 +343,6 @@ impl Onex {
         opts: &QueryOptions,
         bound: &SharedBound,
     ) -> Result<(Vec<Match>, QueryStats), OnexError> {
-        self.prepare(query.len(), opts)?;
         self.snapshot().k_best_bounded(query, k, opts, bound)
     }
 
@@ -476,7 +361,6 @@ impl Onex {
         opts: &QueryOptions,
     ) -> Result<(Vec<Match>, QueryStats), OnexError> {
         validate_query(query, k)?;
-        self.prepare(query.len(), opts)?;
         // One pinned epoch for every greedy round: concurrent appends
         // cannot make the rounds answer from different bases.
         let snapshot = self.snapshot();
@@ -542,8 +426,6 @@ impl Onex {
         series: &str,
         opts: &SeasonalOptions,
     ) -> Result<Vec<SeasonalPattern>, OnexError> {
-        // Seasonal mining walks groups across every length.
-        self.resolve_all()?;
         let state = self.state.read();
         let id = state
             .dataset
@@ -599,7 +481,7 @@ impl Onex {
     /// the prior epoch exactly as if the append had never been attempted;
     /// a name already taken, or a sample no query could be cut from (NaN,
     /// ±∞ — what the file loaders refuse too), is refused before anything
-    /// is copied or resolved, the resident index still stamped.
+    /// is copied, the resident index still stamped.
     ///
     /// # Errors
     /// [`OnexError::InvalidData`] naming the first sample that is not
@@ -614,10 +496,6 @@ impl Onex {
         reject_non_finite(&series)?;
         reject_empty_name(&series)?;
         reject_taken_name(&self.state.read().dataset, series.name())?;
-        // Incremental extension grows the *whole* base; a cold engine
-        // must materialise every remaining column first, or the extended
-        // base would silently drop the unresolved ones.
-        self.resolve_all()?;
         let mut txn = self.state.write();
         let published = txn.base();
         // Authoritative now that the writer lock is held: another append
@@ -644,7 +522,12 @@ impl Onex {
                 "injected extension failure while appending".into(),
             ));
         }
-        txn.replace(EngineState { dataset, base });
+        let source = published.source.clone();
+        txn.replace(EngineState {
+            dataset,
+            base,
+            source,
+        });
         report.epoch = txn.commit();
         resident.epoch = Some(report.epoch);
         Ok(report)
@@ -688,6 +571,8 @@ fn reject_taken_name(dataset: &Dataset, name: &str) -> Result<(), OnexError> {
 /// dataset/base pair plus the engine's shared lifetime counters. Obtained
 /// from [`Onex::snapshot`]; cheap to clone, safe to send to worker
 /// threads, and unaffected by any append committed after it was taken.
+/// Every column of the base is there from the first snapshot on: an
+/// opened or installed image is decoded whole before it is published.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     state: ReadTxn<EngineState>,
@@ -1187,52 +1072,32 @@ mod tests {
     }
 
     #[test]
-    fn cold_open_answers_like_the_warm_engine_resolving_lazily() {
+    fn an_opened_engine_answers_like_the_built_one() {
         let (warm, cold, query) = cold_twin();
-        let src = cold.base_source().expect("cold engines report a source");
-        assert_eq!(src.resolved_lengths, 0, "nothing decoded at open");
-        assert_eq!(src.total_lengths, warm.base().lengths().count());
+        let src = cold.base_source().expect("opened engines report a source");
         assert!(src.path.is_none(), "opened from bytes, not a file");
+        // The whole base is there before any query, sketch planes too.
+        assert!(*cold.base() == *warm.base());
+        assert!(cold.base().sketches() == warm.base().sketches());
 
-        // Exact search resolves exactly the query's length column, and
-        // the column prunes with L0 on this first query: its sketches
-        // came with it, nothing waits for a re-encode.
-        let (w, warm_stats) = warm.k_best(&query, 5, &QueryOptions::default()).unwrap();
-        let (c, cold_stats) = cold.k_best(&query, 5, &QueryOptions::default()).unwrap();
-        assert_eq!(w, c, "cold answers match warm answers");
-        assert_eq!(cold_stats, warm_stats);
-        assert!(cold_stats.members_l0_pruned > 0, "{cold_stats:?}");
-        assert_eq!(cold.base_source().unwrap().resolved_lengths, 1);
-        assert_eq!(cold.base().lengths().collect::<Vec<_>>(), vec![8]);
-
-        // Each later plan answers as the warm engine does, counters too,
-        // and resolves just the columns its lengths name.
-        let agree = |query: &[f64], selection: LengthSelection, resolved: Vec<usize>| {
+        // The first query prunes with L0: the sketches came with the
+        // image, nothing waits for a re-encode.
+        let (_, first) = cold.k_best(&query, 5, &QueryOptions::default()).unwrap();
+        assert!(first.members_l0_pruned > 0, "{first:?}");
+        // Every plan answers as the warm engine does, counters too.
+        let unindexed: Vec<f64> = query.iter().chain(&query[..4]).copied().collect();
+        for (query, selection) in [
+            (&query, LengthSelection::Exact),
+            (&unindexed, LengthSelection::Exact),
+            (&query, LengthSelection::Range(9, 10)),
+            (&query, LengthSelection::Nearest(3)),
+        ] {
             let opts = QueryOptions::default().lengths(selection);
             let (w, warm_stats) = warm.k_best(query, 5, &opts).unwrap();
             let (c, cold_stats) = cold.k_best(query, 5, &opts).unwrap();
             assert_eq!(w, c, "{opts:?}");
             assert_eq!(cold_stats, warm_stats, "{opts:?}");
-            assert_eq!(cold.base().lengths().collect::<Vec<_>>(), resolved);
-            assert_eq!(cold.base_source().unwrap().resolved_lengths, resolved.len());
-        };
-        // An exact query of a length the image does not index resolves
-        // nothing…
-        let unindexed: Vec<f64> = query.iter().chain(&query[..4]).copied().collect();
-        agree(&unindexed, LengthSelection::Exact, vec![8]);
-        // …a range resolves exactly its in-range columns…
-        agree(&query, LengthSelection::Range(9, 10), vec![8, 9, 10]);
-        // …and a nearest-3 plan pulls in the neighbour still missing.
-        agree(&query, LengthSelection::Nearest(3), vec![7, 8, 9, 10]);
-
-        // …and resolve_all drains the remainder, after which the bases
-        // (including sketch planes) are identical.
-        cold.resolve_all().unwrap();
-        let src = cold.base_source().unwrap();
-        assert_eq!(src.resolved_lengths, src.total_lengths);
-        assert!(*cold.base() == *warm.base());
-        assert!(cold.base().sketches() == warm.base().sketches());
-        assert_eq!(cold.resolve_all().unwrap(), 0, "idempotent");
+        }
     }
 
     #[test]
@@ -1244,10 +1109,9 @@ mod tests {
         warm.save_base(&path).unwrap();
         let cold = Onex::open(&path, warm.dataset().clone()).unwrap();
         assert_eq!(cold.base_source().unwrap().path.as_deref(), Some(&*path));
-        // Saved before any query, a cold engine still saves all of it.
+        // Saved before any query, an opened engine saves all of it.
         cold.save_base(&path).unwrap();
         assert!(std::fs::read(&path).unwrap() == onex_grouping::persist::save_v2(&warm.base()));
-        // Seasonal mining needs the whole base: it resolves everything.
         let patterns = cold
             .seasonal("MA-GrowthRate", &crate::SeasonalOptions::default())
             .unwrap();
@@ -1330,20 +1194,21 @@ mod tests {
             .unwrap()
             .values()
             .to_vec();
-        cold.append_series(TimeSeries::new("ZZ-GrowthRate", ma))
-            .unwrap();
-        let src = cold.base_source().unwrap();
-        assert_eq!(
-            src.resolved_lengths, src.total_lengths,
-            "append resolves every pending column before extending"
-        );
+        for engine in [&warm, &cold] {
+            let series = TimeSeries::new("ZZ-GrowthRate", ma.clone());
+            engine.append_series(series).unwrap();
+        }
+        // The opened engine extends every column, as the built one does.
+        assert!(*cold.base() == *warm.base());
+        assert!(cold.base().sketches() == warm.base().sketches());
+        assert!(cold.base_source().is_some(), "the provenance stays");
         let opts = QueryOptions::default().excluding_series(cold.dataset().id_of("MA-GrowthRate"));
         let (m, _) = cold.best_match(&query, &opts).unwrap();
         assert_eq!(m.unwrap().series_name, "ZZ-GrowthRate");
     }
 
     #[test]
-    fn install_base_swaps_in_a_shipped_image_lazily() {
+    fn install_base_swaps_in_a_shipped_image() {
         let warm = growth_engine();
         let shipped = onex_grouping::persist::save_v2(&warm.base());
         // A second engine over the same dataset, built with a different
@@ -1353,8 +1218,10 @@ mod tests {
         let epoch_before = other.epoch();
         other.install_base(shipped).unwrap();
         assert_eq!(other.epoch(), epoch_before + 1, "the swap publishes");
-        let src = other.base_source().expect("adopted a cold source");
-        assert_eq!(src.resolved_lengths, 0, "the swap decodes nothing");
+        let src = other.base_source().expect("adopted a shipped base");
+        assert!(src.path.is_none());
+        assert!(*other.base() == *warm.base(), "the whole base, at once");
+        assert!(other.base().sketches() == warm.base().sketches());
         let query = warm
             .dataset()
             .by_name("MA-GrowthRate")
@@ -1364,7 +1231,7 @@ mod tests {
             .to_vec();
         let (w, _) = warm.k_best(&query, 4, &QueryOptions::default()).unwrap();
         let (o, _) = other.k_best(&query, 4, &QueryOptions::default()).unwrap();
-        assert_eq!(w, o, "the shipped base answers, lazily resolved");
+        assert_eq!(w, o, "the shipped base answers");
 
         // A mismatched image is rejected and the current base keeps
         // serving.

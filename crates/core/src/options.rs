@@ -21,8 +21,7 @@ impl LengthSelection {
     /// The lengths of `available` a query of `query_len` points searches,
     /// in the order it searches them: nearest the query length first
     /// (so the bound tightens as early as possible), ties to the shorter
-    /// length. The warm searcher asks this of its base, the cold start
-    /// of its image's length table.
+    /// length. The searcher asks this of its base.
     pub fn lengths(
         &self,
         query_len: usize,

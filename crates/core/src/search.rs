@@ -799,10 +799,7 @@ mod tests {
         };
         let (built, _) = BaseBuilder::new(config).unwrap().build(&dataset);
         let segment = BaseSegment::from_bytes(save_v2(&built)).unwrap();
-        let mut decoded = segment.empty_base(&dataset).unwrap();
-        for len in built.lengths() {
-            assert!(segment.load_length(&mut decoded, len, &dataset).unwrap());
-        }
+        let decoded = segment.decode(&dataset).unwrap();
         let largest = decoded.iter().map(|(_, g)| g.cardinality()).max();
         assert!(largest > Some(64), "{largest:?}");
 

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 enum Start {
     /// `Onex::build`: warm, every column resident.
     Built,
-    /// `Onex::open_bytes`: lazy columns, the first append resolves them.
+    /// `Onex::open_bytes`: the image decoded whole at open.
     Opened,
     /// Built, then between the first and second append a base built
     /// under a looser threshold is installed: the index seeded by the
@@ -415,11 +415,7 @@ fn a_taken_name_is_refused_before_a_cold_engine_resolves_or_seeds_anything() {
         "{err:?}"
     );
     assert_eq!(cold.epoch(), 0, "nothing was published");
-    assert_eq!(
-        cold.base_source().unwrap().resolved_lengths,
-        0,
-        "no column was decoded for a request that could not succeed"
-    );
+    assert!(*cold.base() == *warm.base(), "the base is untouched");
     let resident = cold.resident_index();
     assert_eq!(
         (resident.kind, resident.entries, resident.seeds),

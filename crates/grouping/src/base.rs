@@ -122,19 +122,6 @@ impl OnexBase {
         &self.groups
     }
 
-    /// Install one length column — groups and their sketches — into this
-    /// base. The lazy cold-start path
-    /// ([`crate::persist::BaseSegment::load_length`]) resolves columns
-    /// one at a time through this hook; replacing an already-installed
-    /// length is idempotent by construction (the segment is immutable,
-    /// so a re-decode yields identical parts).
-    pub(crate) fn install_length(&mut self, len: usize, groups: GroupColumn) {
-        self.members += members_of(&groups);
-        if let Some(replaced) = self.groups.insert(len, groups) {
-            self.members -= members_of(&replaced);
-        }
-    }
-
     /// The L0 member sketches.
     pub fn sketches(&self) -> SketchIndex<'_> {
         SketchIndex::of(&self.groups)

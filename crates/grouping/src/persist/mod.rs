@@ -12,13 +12,12 @@
 //! the radii, the means `Centroid` groups drifted to, the L0 sketches
 //! with their frozen [`onex_distance::SketchParams`] — and every other
 //! representative is its group's first member's window, read in place
-//! from the dataset on decode. So opening an image ([`BaseSegment::open`])
-//! validates everything but decodes nothing,
-//! [`BaseSegment::empty_base`] refuses a dataset other than the one the
-//! image was built over, and columns are resolved lazily per length
-//! ([`BaseSegment::load_length`]) — which is what makes `Onex::open`'s
-//! cold start O(first query) instead of O(collection). The sketches come
-//! back verbatim, so a loaded base prunes immediately.
+//! from the dataset on decode. Opening an image ([`BaseSegment::open`])
+//! validates its structure and checksums; [`BaseSegment::decode`] then
+//! refuses a dataset other than the one the image was built over, turns
+//! every column into a base in one pass and drops the image bytes, so an
+//! opened engine holds what a built one does. The sketches come back
+//! verbatim, so a decoded base prunes immediately.
 //!
 //! All errors are the workspace-typed [`onex_api::OnexError`]:
 //! `Io` when the disk fails, `Storage` when the bytes are wrong,
@@ -60,14 +59,12 @@ mod tests {
             .0
     }
 
-    /// Every column of `image`, decoded beside `dataset`.
+    /// `image`, decoded beside `dataset`.
     pub(super) fn decoded(image: Vec<u8>, dataset: &Dataset) -> OnexBase {
-        let segment = BaseSegment::from_bytes(image).unwrap();
-        let mut base = segment.empty_base(dataset).unwrap();
-        for len in segment.lengths().collect::<Vec<_>>() {
-            assert!(segment.load_length(&mut base, len, dataset).unwrap());
-        }
-        base
+        BaseSegment::from_bytes(image)
+            .unwrap()
+            .decode(dataset)
+            .unwrap()
     }
 
     pub(super) fn kind_of(err: OnexError) -> StorageErrorKind {

@@ -16,11 +16,11 @@
 //! `*_start` and `rep` fields are record indices (not byte offsets) into
 //! the target section; groups, members, means and sketches are laid out
 //! contiguously in (length asc, group asc, admission) order, so one
-//! length's entire column is a single slice of each section — that is
-//! what [`BaseSegment::load_length`] resolves lazily. Opening an image
-//! decodes no column: it reads one member count a group, to find where
-//! each length's sketches start. A length's slice of `REPS` ends where
-//! the next length's starts.
+//! length's entire column is a single slice of each section, and
+//! [`BaseSegment::decode`] reads every section once, front to back, with
+//! a running cursor each. A length's slice of `REPS` ends where the next
+//! length's starts; `SKETCHES` has no start in the table: its records
+//! follow the groups of two and more in order.
 //!
 //! `REPS` holds only what the dataset does not: the means of the
 //! `Centroid` groups whose representative drifted. Every other group —
@@ -29,7 +29,7 @@
 //! the dataset beside it. `CONFIG`'s `dataset` field is an FNV-1a over the
 //! first `source_series` series of the dataset the base was built over
 //! (each one's length, then its samples' bits), and an image opened
-//! beside any other dataset is refused ([`BaseSegment::empty_base`]).
+//! beside any other dataset is refused ([`BaseSegment::decode`]).
 //! `layout` is 2. Layout 1 kept a sketch record for every member, a
 //! group of one's included; images written before the field existed hold
 //! 0 there. Both are refused as an unsupported version.
@@ -38,7 +38,7 @@
 //! restore the sketches *verbatim*, preserving the frozen
 //! [`SketchParams`] so appended members keep encoding under the same
 //! quantisation. The section is an array of 24-byte records whatever the
-//! base holds in memory: a load transposes each group's run of records
+//! base holds in memory: the decode transposes each group's run of records
 //! into the group's own planes as it copies them, deriving the planes'
 //! zones (one per 64 members) from the records and the members' series,
 //! and a save writes records back: zones are never stored, so the image
@@ -216,21 +216,14 @@ struct LengthEntry {
     /// Where the length's means end in `REPS`: the next length's
     /// `rep_start`, or the end of the section.
     rep_end: usize,
-    /// Where the length's records start in `SKETCHES`: the members of
-    /// the groups of two and more of every length before.
-    sketch_start: usize,
     vmin: f64,
     step: f64,
 }
 
-/// A validated, still-encoded base image: configuration and length
-/// table decoded eagerly (they are a few dozen bytes per length), group
-/// columns left as borrowed sections until a query needs them.
-///
-/// This is the cold-start entry point: `Onex::open` wraps one of these,
-/// starts from [`BaseSegment::empty_base`] and calls
-/// [`BaseSegment::load_length`] per length the first query plan touches,
-/// so time-to-first-answer scales with one column, not the collection.
+/// A validated base image: configuration and length table decoded (they
+/// are a few dozen bytes per length), group columns still encoded until
+/// [`BaseSegment::decode`] turns the whole image into a base beside its
+/// dataset — what `Onex::open` does before it answers anything.
 #[derive(Debug)]
 pub struct BaseSegment {
     seg: Segment,
@@ -242,7 +235,7 @@ pub struct BaseSegment {
 }
 
 impl BaseSegment {
-    /// Open and validate a base image file without decoding any column.
+    /// Open and validate a base image file without decoding a column.
     ///
     /// # Errors
     /// [`OnexError::Io`] if reading fails; [`OnexError::Storage`] if
@@ -256,11 +249,10 @@ impl BaseSegment {
     /// Container-level structure and checksums are verified by
     /// [`Segment::from_bytes`]; this layer then decodes the fixed-size
     /// `CONFIG` record and the `LENGTHS` table and cross-checks that the
-    /// per-length column spans tile the `GROUPS`/`REPS`/`MEMBERS`/
-    /// `SKETCHES` sections exactly — so [`BaseSegment::load_length`] can
-    /// slice columns by arithmetic without re-validating bounds. Where
-    /// each length's sketches start it finds by reading the member count
-    /// of every `GROUPS` record.
+    /// per-length column spans tile the `GROUPS`/`REPS`/`MEMBERS`
+    /// sections exactly — so [`BaseSegment::decode`] can walk them with
+    /// running cursors. `SKETCHES` it finds present; whether its records
+    /// add up to the groups of two and more, the decode checks.
     ///
     /// # Errors
     /// [`OnexError::Storage`] describing the first violated rule:
@@ -330,13 +322,13 @@ impl BaseSegment {
             .validate()
             .map_err(|e| corrupt(format!("invalid config: {e}")))?;
 
-        let (lengths_sec, groups_sec, reps_sec, members_sec, sketches_sec) = (
+        let (lengths_sec, groups_sec, reps_sec, members_sec) = (
             sec(SEC_LENGTHS)?,
             sec(SEC_GROUPS)?,
             sec(SEC_REPS)?,
             sec(SEC_MEMBERS)?,
-            sec(SEC_SKETCHES)?,
         );
+        sec(SEC_SKETCHES)?;
         for (name, section, stride) in [
             ("LENGTHS", lengths_sec, LENGTH_STRIDE),
             ("GROUPS", groups_sec, GROUP_STRIDE),
@@ -356,7 +348,7 @@ impl BaseSegment {
 
         // The length table must tile the group/member sections exactly —
         // contiguous, in order, nothing left over — and cut `REPS` into
-        // ascending slices of whole means, which is what lets load_length
+        // ascending slices of whole means, which is what lets the decode
         // slice columns without further checks.
         let n = lengths_sec.len() / LENGTH_STRIDE;
         let mut lengths: Vec<LengthEntry> = Vec::with_capacity(n);
@@ -371,7 +363,6 @@ impl BaseSegment {
                 member_count: r.u64()? as usize,
                 rep_start: r.u64()? as usize,
                 rep_end: reps_total,
-                sketch_start: 0,
                 vmin: r.f64()?,
                 step: r.f64()?,
             };
@@ -428,30 +419,6 @@ impl BaseSegment {
                  {members_seen}/{members_total} members"
             )));
         }
-        // One record per member of a group of two and more: the counts
-        // `load_length` reads again, summed without overflow.
-        let mut sketched = 0usize;
-        for e in &mut lengths {
-            e.sketch_start = sketched;
-            let records =
-                &groups_sec[e.group_start * GROUP_STRIDE..][..e.group_count * GROUP_STRIDE];
-            for rec in records.chunks_exact(GROUP_STRIDE) {
-                let count = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-                let count = usize::try_from(count).ok().filter(|&count| count > 1);
-                sketched = sketched
-                    .checked_add(count.unwrap_or(0))
-                    .filter(|&v| v <= members_total)
-                    .ok_or_else(|| corrupt(format!("length {} overruns SKETCHES", e.len)))?;
-            }
-        }
-        if sketches_sec.len() != sketched * SKETCH_STRIDE {
-            return Err(corrupt(format!(
-                "SKETCHES is {} bytes for {sketched} members of groups of two and more \
-                 (stride {SKETCH_STRIDE})",
-                sketches_sec.len()
-            )));
-        }
-
         Ok(BaseSegment {
             seg,
             config,
@@ -481,14 +448,21 @@ impl BaseSegment {
         self.lengths.iter().map(|e| e.group_count).sum()
     }
 
-    /// A base with this image's configuration over `dataset`, and *no*
-    /// columns resolved yet — the engine's cold-start starting point.
+    /// Decode the whole base beside `dataset` in one pass over the
+    /// sections, and drop the image: the base comes back as it was built.
+    /// A group that owned a mean owns the stored one; every other group
+    /// reads its first member's window in place from `dataset` and
+    /// allocates nothing for it. The sketches come back verbatim.
     ///
     /// # Errors
     /// [`OnexError::DatasetMismatch`] unless `dataset` is the one the
-    /// base was built over: as many series, and the same lengths and
-    /// sample bits in each (one pass over the dataset).
-    pub fn empty_base(&self, dataset: &Dataset) -> Result<OnexBase, OnexError> {
+    /// base was built over (as many series, and the same lengths and
+    /// sample bits in each), or when a group's first member is no window
+    /// of it; [`OnexError::Storage`] when a group record is malformed, a
+    /// later member is no window of `dataset`, or the sketch records do
+    /// not add up to the groups of two and more (possible despite section
+    /// checksums only for an image written by a buggy or hostile encoder).
+    pub fn decode(self, dataset: &Dataset) -> Result<OnexBase, OnexError> {
         if dataset.len() != self.source_series {
             return Err(OnexError::DatasetMismatch(format!(
                 "base image was built over {} series but dataset has {}",
@@ -505,127 +479,117 @@ impl BaseSegment {
                 self.dataset
             )));
         }
-        let (config, columns) = (self.config.clone(), BTreeMap::new());
-        Ok(OnexBase::from_parts(config, columns, series_table(dataset)))
-    }
-
-    /// Resolve one length column into `base`: decode its groups and
-    /// sketches from the borrowed sections and install them. Returns
-    /// `false` when the image has no such length. Idempotent —
-    /// re-resolving replaces the column with identical data.
-    ///
-    /// The column comes back as it was built: a group that owned a mean
-    /// owns the stored one, every other group reads its first member's
-    /// window in place from `dataset` and allocates nothing for it.
-    ///
-    /// # Errors
-    /// [`OnexError::Storage`] if the column's group records are
-    /// malformed, a member after a group's first that is no window of
-    /// `dataset` included (possible despite section checksums only for an
-    /// image written by a buggy or hostile encoder);
-    /// [`OnexError::DatasetMismatch`] if a group's first member is no
-    /// window of `dataset` (one [`Self::empty_base`] did not accept).
-    pub fn load_length(
-        &self,
-        base: &mut OnexBase,
-        len: usize,
-        dataset: &Dataset,
-    ) -> Result<bool, OnexError> {
-        let Some(e) = self.lengths.iter().find(|e| e.len == len) else {
-            return Ok(false);
-        };
         let section = |id| self.seg.section(id).expect("validated");
-        let (groups_sec, reps_sec) = (section(SEC_GROUPS), section(SEC_REPS));
-        let (members_sec, sketches_sec) = (section(SEC_MEMBERS), section(SEC_SKETCHES));
-
-        let mut groups = GroupColumn::over(series_table(dataset));
-        groups.set_params(SketchParams {
-            vmin: e.vmin,
-            step: e.step,
-        });
-        let records = &groups_sec[e.group_start * GROUP_STRIDE..][..e.group_count * GROUP_STRIDE];
-        let member_end = e.member_start + e.member_count;
-        let (mut member_cursor, mut rep_cursor) = (e.member_start, e.rep_start);
-        let mut sketch_cursor = e.sketch_start;
-        for (gi, rec) in records.chunks_exact(GROUP_STRIDE).enumerate() {
-            let field =
-                |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
-            let (rep, member_count, radius) = (field(0), field(8), f64::from_bits(field(16)));
-            // Groups must pack their length's member range exactly, in
-            // order, each non-empty — same invariant the builder
-            // produces and the table validation assumed.
-            let member_count = usize::try_from(member_count)
-                .ok()
-                .filter(|&count| count > 0 && count <= member_end - member_cursor)
-                .ok_or_else(|| {
-                    corrupt(format!(
-                        "group {gi}@{len} of {member_count} members does not pack its length column"
-                    ))
-                })?;
-            let own: Option<Arc<[f64]>> = match rep {
-                NO_REP => None,
-                at if at == rep_cursor as u64 && e.rep_end - rep_cursor >= len => {
-                    let samples = reps_sec[rep_cursor * 8..][..len * 8].chunks_exact(8);
-                    rep_cursor += len;
-                    Some(
-                        samples
-                            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                            .collect(),
-                    )
-                }
-                at => {
-                    return Err(corrupt(format!(
-                        "group {gi}@{len}'s mean at {at} does not pack its length's REPS"
-                    )))
-                }
-            };
-            let members: Vec<Member> = members_sec[member_cursor * MEMBER_STRIDE..]
-                [..member_count * MEMBER_STRIDE]
-                .chunks_exact(MEMBER_STRIDE)
-                .map(|c| Member {
-                    series: u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
-                    start: u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
-                })
-                .collect();
-            let sketched = if member_count > 1 {
-                let at = sketch_cursor * SKETCH_STRIDE;
-                sketch_cursor += member_count;
-                &sketches_sec[at..][..member_count * SKETCH_STRIDE]
-            } else {
-                &[]
-            };
-            member_cursor += member_count;
-            // A first member that is no window says the dataset is not
-            // the image's; a later one, that the image lies about it.
-            match groups.push_decoded(len as u32, members, radius, own, sketched) {
-                Ok(()) => {}
-                Err((0, first)) => {
-                    return Err(OnexError::DatasetMismatch(format!(
-                        "group {gi}@{len}: its first member {first} is no window of the dataset"
-                    )))
-                }
-                Err((i, member)) => {
-                    return Err(corrupt(format!(
-                        "group {gi}@{len}: member {i}, {member}, is no window of the dataset"
-                    )))
+        let (reps_sec, members_sec) = (section(SEC_REPS), section(SEC_MEMBERS));
+        let sketches_sec = section(SEC_SKETCHES);
+        let mut records = section(SEC_GROUPS).chunks_exact(GROUP_STRIDE);
+        let series = series_table(dataset);
+        let mut columns = BTreeMap::new();
+        // Running cursors over every section: the length table tiles
+        // `GROUPS`, `MEMBERS` and `REPS` (checked at open), and `SKETCHES`
+        // is checked against its end as the groups of two and more claim
+        // their records.
+        let (mut member_cursor, mut rep_cursor, mut sketch_cursor) = (0, 0, 0);
+        for e in &self.lengths {
+            let len = e.len;
+            let mut groups = GroupColumn::over(Arc::clone(&series));
+            groups.set_params(SketchParams {
+                vmin: e.vmin,
+                step: e.step,
+            });
+            let member_end = e.member_start + e.member_count;
+            for gi in 0..e.group_count {
+                let rec = records.next().expect("the length table tiles GROUPS");
+                let field =
+                    |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+                let (rep, member_count, radius) = (field(0), field(8), f64::from_bits(field(16)));
+                // Groups must pack their length's member range exactly, in
+                // order, each non-empty — the invariant the builder
+                // produces.
+                let member_count = usize::try_from(member_count)
+                    .ok()
+                    .filter(|&count| count > 0 && count <= member_end - member_cursor)
+                    .ok_or_else(|| {
+                        corrupt(format!(
+                            "group {gi}@{len} of {member_count} members does not pack its length column"
+                        ))
+                    })?;
+                let own: Option<Arc<[f64]>> = match rep {
+                    NO_REP => None,
+                    at if at == rep_cursor as u64 && e.rep_end - rep_cursor >= len => {
+                        let samples = reps_sec[rep_cursor * 8..][..len * 8].chunks_exact(8);
+                        rep_cursor += len;
+                        Some(
+                            samples
+                                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+                                .collect(),
+                        )
+                    }
+                    at => {
+                        return Err(corrupt(format!(
+                            "group {gi}@{len}'s mean at {at} does not pack its length's REPS"
+                        )))
+                    }
+                };
+                let members: Vec<Member> = members_sec[member_cursor * MEMBER_STRIDE..]
+                    [..member_count * MEMBER_STRIDE]
+                    .chunks_exact(MEMBER_STRIDE)
+                    .map(|c| Member {
+                        series: u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
+                        start: u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
+                    })
+                    .collect();
+                let sketched = if member_count > 1 {
+                    let at = sketch_cursor * SKETCH_STRIDE;
+                    sketch_cursor += member_count;
+                    sketches_sec
+                        .get(at..)
+                        .and_then(|rest| rest.get(..member_count * SKETCH_STRIDE))
+                        .ok_or_else(|| corrupt(format!("group {gi}@{len} overruns SKETCHES")))?
+                } else {
+                    &[]
+                };
+                member_cursor += member_count;
+                // A first member that is no window says the dataset is not
+                // the image's; a later one, that the image lies about it.
+                match groups.push_decoded(len as u32, members, radius, own, sketched) {
+                    Ok(()) => {}
+                    Err((0, first)) => {
+                        return Err(OnexError::DatasetMismatch(format!(
+                            "group {gi}@{len}: its first member {first} is no window of the dataset"
+                        )))
+                    }
+                    Err((i, member)) => {
+                        return Err(corrupt(format!(
+                            "group {gi}@{len}: member {i}, {member}, is no window of the dataset"
+                        )))
+                    }
                 }
             }
+            if member_cursor != member_end || rep_cursor != e.rep_end {
+                return Err(corrupt(format!(
+                    "length {len} groups cover {} of {} members, {} of {} REPS samples",
+                    member_cursor - e.member_start,
+                    e.member_count,
+                    rep_cursor - e.rep_start,
+                    e.rep_end - e.rep_start
+                )));
+            }
+            groups.shrink_to_fit();
+            columns.insert(len, groups);
         }
-        if member_cursor != member_end || rep_cursor != e.rep_end {
+        if sketches_sec.len() != sketch_cursor * SKETCH_STRIDE {
             return Err(corrupt(format!(
-                "length {len} groups cover {} of {} members, {} of {} REPS samples",
-                member_cursor - e.member_start,
-                e.member_count,
-                rep_cursor - e.rep_start,
-                e.rep_end - e.rep_start
+                "SKETCHES is {} bytes for {sketch_cursor} members of groups of two and more \
+                 (stride {SKETCH_STRIDE})",
+                sketches_sec.len()
             )));
         }
-        groups.shrink_to_fit();
-        base.install_length(len, groups);
-        Ok(true)
+        Ok(OnexBase::from_parts(self.config, columns, series))
     }
 
-    /// The whole validated image (for `ShipBase` / re-saving).
+    /// The whole validated image (`repro --inspect-base` re-verifies its
+    /// checksums).
     pub fn as_bytes(&self) -> &[u8] {
         self.seg.as_bytes()
     }
@@ -724,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_load_resolves_one_column_at_a_time() {
+    fn a_decoded_column_prunes_as_it_stands() {
         let (ds, base) = (sample_dataset(), sample_base());
         let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
         assert_eq!(
@@ -733,39 +697,31 @@ mod tests {
         );
         assert_eq!(seg.total_groups(), base.stats().groups);
 
-        let mut cold = seg.empty_base(&ds).unwrap();
-        assert_eq!(cold.lengths().count(), 0);
+        let decoded = seg.decode(&ds).unwrap();
+        assert_eq!(decoded, base);
         let len = base.lengths().next().unwrap();
-        assert!(seg.load_length(&mut cold, len, &ds).unwrap());
-        assert_eq!(cold.lengths().collect::<Vec<_>>(), vec![len]);
-        assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
         assert_eq!(
-            cold.sketches().for_len(len).unwrap(),
+            decoded.sketches().for_len(len).unwrap(),
             base.sketches().for_len(len).unwrap()
         );
         // The column prunes as it stands — the transpose rode on the
-        // load, nothing is built on first use: a query far from the data
-        // is rejected from the lazily loaded planes alone. (A group of
-        // one has none: the search answers it from its representative.)
-        let ls = cold.sketches().for_len(len).unwrap();
+        // decode, nothing is built on first use: a query far from the data
+        // is rejected from the decoded planes alone. (A group of one has
+        // none: the search answers it from its representative.)
+        let ls = decoded.sketches().for_len(len).unwrap();
         let far = vec![1e3; len];
         let env = onex_distance::Envelope::build(&far, len);
         let qs = onex_distance::QuerySketch::new(&far, &env, ls.params());
-        let groups = cold.groups_for_len(len).iter();
+        let groups = decoded.groups_for_len(len).iter();
         let (lone, many): (Vec<_>, Vec<_>) = groups.partition(|g| g.is_lone());
         assert!(!many.is_empty());
         assert!(lone.iter().all(|g| g.planes().is_none()));
         for group in many {
-            let planes = group.planes().expect("sketched as loaded");
+            let planes = group.planes().expect("sketched as decoded");
             let mut survivors = Vec::new();
             qs.survivors(planes, 0..planes.cardinality(), 1.0, &mut survivors);
             assert!(survivors.is_empty(), "{survivors:?}");
         }
-        // A length the file does not index resolves to "not present".
-        assert!(!seg.load_length(&mut cold, 9999, &ds).unwrap());
-        // Re-resolving is idempotent.
-        assert!(seg.load_length(&mut cold, len, &ds).unwrap());
-        assert_eq!(cold.groups_for_len(len), base.groups_for_len(len));
     }
 
     #[test]
@@ -795,22 +751,16 @@ mod tests {
             assert!(std::ptr::eq(g.representative(), window), "{id}");
         }
 
-        // A dataset a group's first member is no window of: refused typed
-        // — by `empty_base` already — and nothing panics in the decoder
-        // when asked anyway.
+        // A dataset a group's first member is no window of: refused typed,
+        // before any group is decoded.
         let seg = BaseSegment::from_bytes(save_v2(&base)).unwrap();
-        let mut cold = seg.empty_base(&ds).unwrap();
         let short = Dataset::from_series(
             ds.iter()
                 .map(|(_, s)| TimeSeries::new(s.name(), s.values()[..6].to_vec()))
                 .collect(),
         )
         .unwrap();
-        assert!(matches!(
-            seg.empty_base(&short),
-            Err(OnexError::DatasetMismatch(_))
-        ));
-        let err = seg.load_length(&mut cold, 12, &short).unwrap_err();
+        let err = seg.decode(&short).unwrap_err();
         assert!(matches!(err, OnexError::DatasetMismatch(_)), "{err}");
     }
 
@@ -871,11 +821,7 @@ mod tests {
             }
             Some(bytes)
         });
-        let seg = BaseSegment::from_bytes(shifted).unwrap();
-        let mut base = seg.empty_base(&ds).unwrap();
-        let err = seg
-            .lengths()
-            .try_for_each(|len| seg.load_length(&mut base, len, &ds).map(|_| ()));
+        let err = BaseSegment::from_bytes(shifted).unwrap().decode(&ds);
         assert_eq!(kind_of(err.unwrap_err()), StorageErrorKind::Corrupt);
 
         let torn = resealed(&image, |id, bytes| {
@@ -892,9 +838,9 @@ mod tests {
 
     #[test]
     fn an_image_opened_beside_another_dataset_is_refused() {
-        let ds = sample_dataset();
-        let seg = BaseSegment::from_bytes(save_v2(&sample_base())).unwrap();
-        assert!(seg.empty_base(&ds).is_ok());
+        let (ds, image) = (sample_dataset(), save_v2(&sample_base()));
+        let seg = || BaseSegment::from_bytes(image.clone()).unwrap();
+        assert!(seg().decode(&ds).is_ok());
         let series: Vec<TimeSeries> = ds.iter().map(|(_, s)| s.clone()).collect();
         let variant = |edit: &dyn Fn(&mut Vec<TimeSeries>)| {
             let mut all = series.clone();
@@ -918,7 +864,7 @@ mod tests {
         ] {
             assert_eq!(other.len(), ds.len());
             assert!(
-                matches!(seg.empty_base(&other), Err(OnexError::DatasetMismatch(_))),
+                matches!(seg().decode(&other), Err(OnexError::DatasetMismatch(_))),
                 "{what}"
             );
         }
@@ -945,9 +891,9 @@ mod tests {
 
     #[test]
     fn sketches_that_do_not_add_up_to_the_groups_of_two_and_more_are_refused() {
-        // One record short, one too many, or none at all: refused on
-        // open, typed, before any column is decoded.
-        let image = save_v2(&sample_base());
+        // One record short, one too many, or none at all: refused by the
+        // decode, typed.
+        let (ds, image) = (sample_dataset(), save_v2(&sample_base()));
         let sketches = section_of(&image, SEC_SKETCHES);
         let short = sketches[..sketches.len() - SKETCH_STRIDE].to_vec();
         let long = [sketches.clone(), sketches[..SKETCH_STRIDE].to_vec()].concat();
@@ -959,7 +905,8 @@ mod tests {
                     section.to_vec()
                 })
             });
-            let err = BaseSegment::from_bytes(edited).unwrap_err();
+            let err = BaseSegment::from_bytes(edited).unwrap().decode(&ds);
+            let err = err.unwrap_err();
             assert!(err.to_string().contains("SKETCHES"), "{err}");
             assert_eq!(kind_of(err), StorageErrorKind::Corrupt);
         }

@@ -496,14 +496,9 @@ fn edge_collection(cardinalities: &[usize]) -> Dataset {
     .unwrap()
 }
 
-/// Every column of the image `file` decoded beside `dataset`.
+/// The image `file` decoded beside `dataset`.
 fn opened(file: &[u8], dataset: &Dataset) -> Result<OnexBase, onex_api::OnexError> {
-    let segment = onex_grouping::persist::BaseSegment::from_bytes(file.to_vec())?;
-    let mut base = segment.empty_base(dataset)?;
-    for len in segment.lengths().collect::<Vec<_>>() {
-        assert!(segment.load_length(&mut base, len, dataset)?);
-    }
-    Ok(base)
+    onex_grouping::persist::BaseSegment::from_bytes(file.to_vec())?.decode(dataset)
 }
 
 /// What a base holds does not depend on how its columns were filled:

@@ -93,10 +93,7 @@ fn check_shape(what: &str, dataset: &Dataset, builder: &BaseBuilder, golden: (us
     // The image gives the base back, sketches and all, beside its dataset
     // (groups reading their windows in place).
     let segment = BaseSegment::from_bytes(image.clone()).unwrap();
-    let mut loaded = segment.empty_base(dataset).unwrap();
-    for len in batch.lengths() {
-        assert!(segment.load_length(&mut loaded, len, dataset).unwrap());
-    }
+    let loaded = segment.decode(dataset).unwrap();
     assert!(loaded == batch, "{what}: decoded");
     assert!(loaded.sketches() == batch.sketches(), "{what}: decoded");
     assert!(save_v2(&loaded) == image, "{what}: decoded image");

@@ -332,8 +332,8 @@ impl RemoteBackend {
 
     /// Deploy a segment-format-v2 base file image to the remote engine —
     /// the cluster's shard-provisioning step. Returns `(epoch, length
-    /// columns offered)` after the shard adopts it; the shard answers
-    /// queries immediately, resolving columns lazily. The image must fit
+    /// columns offered)` after the shard has decoded and adopted it; its
+    /// next query answers from it. The image must fit
     /// one frame ([`crate::frame::MAX_FRAME`], 16 MiB): larger bases fail
     /// the send with a typed error — there is no chunking.
     pub fn ship_base(&self, bytes: Vec<u8>) -> Result<(Epoch, u64), OnexError> {

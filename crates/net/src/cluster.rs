@@ -367,10 +367,10 @@ impl ClusterEngine {
 
     /// Deploy a segment-format-v2 base file image to one slot — the
     /// provisioning step for a freshly joined (or rebalanced) member.
-    /// The image is shipped to every replica of the slot; each adopts
-    /// the base cold and answers immediately, resolving columns lazily
-    /// per query. Returns the last replica's `(epoch, length columns
-    /// offered)`. Images over one frame (16 MiB) fail the send typed —
+    /// The image is shipped to every replica of the slot; each decodes
+    /// it whole beside its dataset and publishes it before it replies, so
+    /// the next query answers from the deployed base. Returns the last
+    /// replica's `(epoch, length columns offered)`. Images over one frame (16 MiB) fail the send typed —
     /// there is no chunking.
     ///
     /// # Errors

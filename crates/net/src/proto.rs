@@ -99,13 +99,12 @@ pub enum Message {
         /// A complete v2 base file, exactly as written by `save_v2`.
         bytes: Vec<u8>,
     },
-    /// Server → client: the shipped base validated and was adopted. The
-    /// shard answers immediately — columns resolve lazily per query, so
-    /// this confirms the *load*, not a full decode.
+    /// Server → client: the shipped base validated, decoded whole and was
+    /// adopted; the shard's next query answers from it.
     LoadBase {
         /// Engine epoch after the swap.
         epoch: u64,
-        /// Length columns the new base offers (all still unresolved).
+        /// Length columns the new base offers.
         lengths: u64,
     },
 }

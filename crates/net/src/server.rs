@@ -110,15 +110,13 @@ impl ShardServer {
                         epoch: report.epoch,
                         series: report.series as u64,
                     }),
-                Message::ShipBase { bytes } => {
-                    self.engine.install_base(bytes).map(|()| Message::LoadBase {
-                        epoch: self.engine.epoch(),
-                        lengths: self
-                            .engine
-                            .base_source()
-                            .map_or(0, |s| s.total_lengths as u64),
-                    })
-                }
+                Message::ShipBase { bytes } => self.engine.install_base(bytes).map(|()| {
+                    let now = self.engine.snapshot();
+                    Message::LoadBase {
+                        epoch: now.epoch(),
+                        lengths: now.base().lengths().count() as u64,
+                    }
+                }),
                 other => Err(OnexError::network(
                     NetworkErrorKind::Decode,
                     format!("unexpected client message: {other:?}"),
@@ -141,10 +139,6 @@ impl ShardServer {
         opts: &onex_core::QueryOptions,
         query: &[f64],
     ) -> Result<Message, OnexError> {
-        // A snapshot only sees columns resolved before it was pinned:
-        // on a cold-started (or freshly shipped) base, pull in the ones
-        // this query's plan touches first.
-        self.engine.prepare(query.len(), opts)?;
         let snapshot = self.engine.snapshot();
         let bound = Arc::new(SharedBound::new());
         bound.tighten(seed);

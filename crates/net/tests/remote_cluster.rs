@@ -168,8 +168,8 @@ fn shipped_base_deploys_cold_and_answers_immediately() {
     assert!(epoch > before.epoch, "the swap publishes an epoch");
     assert_eq!(lengths, local.base().lengths().count() as u64);
 
-    // The very next query answers from the shipped base (resolved
-    // lazily on the shard) and agrees with the local engine.
+    // The very next query answers from the shipped base (decoded whole
+    // on the shard before it replied) and agrees with the local engine.
     let query: Vec<f64> = ds.series(1).unwrap().values()[10..10 + QLEN].to_vec();
     let want = onex_core::backends::OnexBackend::new(Arc::new(local))
         .k_best(&query, 3)

@@ -1,7 +1,7 @@
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use onex_api::OnexError;
 use onex_core::{BuildReport, LengthSelection, Onex, PoolStats, QueryOptions, SeasonalOptions};
@@ -210,6 +210,13 @@ impl App {
     /// API, far too short to let idle sockets starve the fixed pool.
     const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
 
+    /// How long, and how many more bytes, a worker reads from a client
+    /// whose request it refused before it closes the socket. Closing with
+    /// the client's bytes unread makes the kernel answer with a reset,
+    /// which can cost the client the refusal already on its way.
+    const DRAIN_TIME: Duration = Duration::from_secs(1);
+    const DRAIN_BYTES: usize = 4 << 20;
+
     /// One connection: parse, dispatch, write — run on a pool worker.
     /// The connection is reused for further requests only when the
     /// client opted in with `Connection: keep-alive`; everything else
@@ -240,9 +247,30 @@ impl App {
                     // close without a parting error.
                     if !served_any || e.status() != 400 {
                         let _ = Response::error(e.status(), &e.to_string()).write_to(&out);
+                        let _ = out.shutdown(Shutdown::Write);
+                        Self::drain(reader.get_mut());
                     }
                     return;
                 }
+            }
+        }
+    }
+
+    /// Read and discard what a refused client still sends, up to
+    /// [`Self::DRAIN_BYTES`] within [`Self::DRAIN_TIME`], so that the
+    /// close which follows is a clean one.
+    fn drain(stream: &mut TcpStream) {
+        let deadline = Instant::now() + Self::DRAIN_TIME;
+        let mut buf = [0u8; 8192];
+        let mut left = Self::DRAIN_BYTES;
+        while left > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if wait.is_zero() || stream.set_read_timeout(Some(wait)).is_err() {
+                return;
+            }
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => left = left.saturating_sub(n),
             }
         }
     }
@@ -407,9 +435,9 @@ impl App {
                 ("seeds", (index.seeds as usize).into()),
             ]),
         ));
-        // A cold-started engine reports where its base came from and how
-        // far lazy resolution has progressed — operators can tell a
-        // mapped base file from an in-memory build at a glance.
+        // An engine started from a base image reports where the image came
+        // from — operators can tell a base file from an in-memory build at
+        // a glance.
         if let Some(src) = self.engine.base_source() {
             fields.push((
                 "base_file",
@@ -422,8 +450,6 @@ impl App {
                         },
                     ),
                     ("epoch", (self.engine.epoch() as usize).into()),
-                    ("resolved_lengths", src.resolved_lengths.into()),
-                    ("total_lengths", src.total_lengths.into()),
                 ]),
             ));
         }
@@ -1014,11 +1040,13 @@ mod tests {
     fn summary_reports_base_file_provenance_on_cold_started_engines() {
         // Warm engines carry no base_file object…
         let a = app();
-        let body = String::from_utf8(get(&a, "/api/summary").body).unwrap();
-        assert!(!body.contains("\"base_file\":"), "{body}");
+        let warm = String::from_utf8(get(&a, "/api/summary").body).unwrap();
+        assert!(!warm.contains("\"base_file\":"), "{warm}");
 
-        // …an engine cold-started from a saved base reports its source
-        // and resolution progress, advancing as queries resolve columns.
+        // …an engine opened from a saved base reports its source, and
+        // before any query shows the whole base: the summary's base
+        // fields and the overview pane are the warm engine's, byte for
+        // byte.
         let ds = matters_collection(&MattersConfig {
             indicators: vec![Indicator::GrowthRate],
             ..MattersConfig::default()
@@ -1027,24 +1055,31 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("summary.onexbase");
         a.engine.save_base(&path).unwrap();
-        let cold = Onex::open(&path, ds).unwrap();
-        let total = a.engine.base().lengths().count();
-        let a2 = App::new(Arc::new(cold));
-        let body = String::from_utf8(get(&a2, "/api/summary").body).unwrap();
+        let a2 = App::new(Arc::new(Onex::open(&path, ds).unwrap()));
+        std::fs::remove_file(&path).unwrap();
+        let cold = String::from_utf8(get(&a2, "/api/summary").body).unwrap();
         assert!(
-            body.contains(&format!(
-                "\"base_file\":{{\"path\":\"{}\",\"epoch\":0,\"resolved_lengths\":0,\"total_lengths\":{total}}}",
+            cold.contains(&format!(
+                "\"base_file\":{{\"path\":\"{}\",\"epoch\":0}}",
                 path.display()
             )),
-            "{body}"
+            "{cold}"
         );
-        // The match endpoint queries with Nearest(3): exactly the three
-        // neighbouring columns resolve, nothing else.
-        let q = get(&a2, "/api/match?series=MA-GrowthRate&start=4&len=8&k=3");
-        assert_eq!(q.status, 200);
-        let body = String::from_utf8(get(&a2, "/api/summary").body).unwrap();
-        assert!(body.contains("\"resolved_lengths\":3"), "{body}");
-        std::fs::remove_file(&path).unwrap();
+        let base_fields = |body: &str| {
+            let crate::json::Json::Obj(fields) = crate::json::Json::parse(body).unwrap() else {
+                panic!("summary is an object: {body}");
+            };
+            let wanted = ["groups", "members", "compaction", "per_length"];
+            let kept = fields.into_iter().filter(|(k, _)| wanted.contains(&&**k));
+            kept.map(|(k, v)| format!("{k}:{}", v.render()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(base_fields(&cold).len(), 4, "{cold}");
+        assert_eq!(base_fields(&cold), base_fields(&warm));
+        for view in ["/view/overview.svg", "/view/overview.svg?len=9"] {
+            let (w, c) = (get(&a, view), get(&a2, view));
+            assert_eq!((c.status, &c.body), (200, &w.body), "{view}");
+        }
     }
 
     #[test]

@@ -251,6 +251,47 @@ fn over_long_request_lines_and_header_blocks_are_refused_and_appends_still_fit()
     assert_eq!(status, 200, "the server serves on");
 }
 
+/// A refused client still sending its request, which reads the answer
+/// only 100 ms later, gets its status and a clean close: the server shuts
+/// its side after the status and reads what the client still sends before
+/// it closes, so no reset overtakes the refusal — nor answers what the
+/// client sends after it.
+#[test]
+fn a_refused_client_that_reads_late_gets_its_status_and_a_clean_close() {
+    use onex_server::http::{MAX_HEADER_BYTES, MAX_REQUEST_LINE};
+    let addr = spawn_server();
+    let past = 256 << 10;
+    let line = format!(
+        "GET /api/summary?pad={}",
+        "x".repeat(MAX_REQUEST_LINE + past)
+    );
+    let pad = format!("X-Pad: {}\r\n", "p".repeat(1000));
+    let headers = format!(
+        "GET /api/summary HTTP/1.1\r\n{}",
+        pad.repeat((MAX_HEADER_BYTES + past) / pad.len())
+    );
+    for (head, status) in [
+        (line, "HTTP/1.1 414 URI Too Long"),
+        (headers, "HTTP/1.1 431 Request Header Fields Too Large"),
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .write_all(head.as_bytes())
+            .expect("the server reads what it refuses");
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .expect("a clean close, not a reset");
+        let raw = String::from_utf8_lossy(&raw);
+        assert_eq!(raw.lines().next(), Some(status));
+        for _ in 0..2 {
+            stream.write_all(&[b'x'; 4096]).expect("no reset came back");
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+    }
+}
+
 /// End-to-end distributed path: two binary shard servers behind an HTTP
 /// gateway, `?backend=cluster` agreeing with `?backend=onex` over real
 /// sockets all the way down.

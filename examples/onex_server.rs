@@ -50,9 +50,9 @@
 //! ## Base files
 //!
 //! `--base-file base.onexbase` makes startup stateful: if the file
-//! exists the server cold-starts from it (columns decode lazily, so the
-//! first query answers before the base is fully materialised); if not,
-//! the base is built once and saved there for the next launch. Works in
+//! exists the server cold-starts from it (the whole base decoded beside
+//! the dataset, no construction); if not, the base is built once and
+//! saved there for the next launch. Works in
 //! both HTTP and `--shard-serve` modes.
 
 use std::net::TcpListener;
@@ -166,8 +166,8 @@ fn main() {
 
     // The server performs the load step itself (the demo's one-click
     // preprocessing), so /api/summary reports the construction cost —
-    // unless a base file covers it, in which case startup is a lazy open
-    // and /api/summary reports the file's provenance instead.
+    // unless a base file covers it, in which case startup decodes the file
+    // and /api/summary reports its provenance instead.
     let (engine, report) = make_engine(dataset, BaseConfig::new(st, 6, 12), base_file.as_deref());
     let mut app = App::new(Arc::new(engine));
     if let Some(report) = report {
@@ -202,10 +202,10 @@ fn main() {
 }
 
 /// Engine startup, optionally backed by a base file: an existing file
-/// cold-starts the engine (lazy column resolve — the first query answers
-/// before the base fully materialises), a missing one is created after a
-/// fresh build so the *next* launch skips preprocessing. The report is
-/// `None` exactly when the file path was taken.
+/// cold-starts the engine (the whole base decoded beside the dataset,
+/// no construction), a missing one is created after a fresh build so the
+/// *next* launch skips preprocessing. The report is `None` exactly when
+/// the file path was taken.
 fn make_engine(
     dataset: Dataset,
     config: BaseConfig,
@@ -217,10 +217,10 @@ fn make_engine(
                 eprintln!("cannot open base file {path}: {e}");
                 std::process::exit(1);
             });
-            let src = engine.base_source().expect("open() records its source");
             println!(
-                "cold start from {path}: {} length column(s) pending lazy resolve",
-                src.total_lengths
+                "cold start from {path}: {} length column(s), {} groups decoded",
+                engine.base().lengths().count(),
+                engine.base().group_count()
             );
             return (engine, None);
         }

@@ -64,7 +64,6 @@ fn base_saved_after_appends_reloads_with_identical_sketches_and_topk() {
     engine.save_base(&path).expect("writable temp dir");
 
     let reloaded = Onex::open(&path, engine.dataset().clone()).expect("own file");
-    reloaded.resolve_all().expect("own file");
     std::fs::remove_file(&path).ok();
 
     // The sketch index is byte-exact (PartialEq over planes + params):
@@ -170,9 +169,8 @@ fn built_decoded_and_adopted_bases_are_one_base_with_one_answer() {
 
                 let (built, _) = Onex::build(dataset.clone(), config.clone()).unwrap();
                 let image = save_v2(&built.base());
-                // The engine's lazy path hands the decoder its dataset.
+                // The engine's open hands the decoder its dataset.
                 let opened = Onex::open_bytes(image.clone(), dataset.clone()).unwrap();
-                opened.resolve_all().unwrap();
                 let owned = |engine: &Onex| engine.base().footprint().owned_representatives;
                 assert_eq!(owned(&opened), owned(&built), "{what}");
                 if policy == RepresentativePolicy::Seed {
@@ -302,23 +300,28 @@ fn a_later_member_that_is_no_window_is_refused_typed_at_every_door() {
         Err(OnexError::Storage(e)) if e.kind == StorageErrorKind::Corrupt => {}
         other => panic!("{what}: {other:?}"),
     };
-    // The sections tile and check out; the column does not decode.
+    // The sections tile and check out; the base does not decode.
     let segment = BaseSegment::from_bytes(image.clone()).unwrap();
-    let mut cold = segment.empty_base(&dataset).unwrap();
-    let decoded = segment.load_length(&mut cold, len, &dataset);
-    corrupt(decoded.map(|_| ()), "load_length");
+    corrupt(segment.decode(&dataset).map(|_| ()), "decode");
 
-    // Opened, and adopted as a shard adopts a shipped image, the base
-    // decodes the column on the first query that plans it: that query
-    // gets the error, and nothing panics.
+    // Opened, or adopted as a shard adopts a shipped image, the image is
+    // refused whole, typed, before anything answers from it…
+    let opened = Onex::open_bytes(image.clone(), dataset.clone());
+    corrupt(opened.map(|_| ()), "open_bytes");
+    let (shard, _) = Onex::build(dataset.clone(), config).unwrap();
     let query = dataset.resolve(SubseqRef::new(0, 0, len as u32)).unwrap();
     let query = query.to_vec();
     let opts = QueryOptions::default();
-    let opened = Onex::open_bytes(image.clone(), dataset.clone()).unwrap();
-    corrupt(opened.k_best(&query, K, &opts).map(|_| ()), "open_bytes");
-    let (shard, _) = Onex::build(dataset.clone(), config).unwrap();
-    shard.install_base(image).unwrap();
-    corrupt(shard.k_best(&query, K, &opts).map(|_| ()), "install_base");
+    let (before, _) = shard.k_best(&query, K, &opts).unwrap();
+    corrupt(shard.install_base(image), "install_base");
+    // …and the shard that refused it keeps its base: the same epoch and
+    // the same answer, bit for bit.
+    assert_eq!(shard.epoch(), 0);
+    assert!(shard.base_source().is_none());
+    let (after, _) = shard.k_best(&query, K, &opts).unwrap();
+    assert_eq!(after, before);
+    let bits = |ms: &[Match]| ms.iter().map(|m| m.distance.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&after), bits(&before));
 }
 
 #[test]
@@ -366,7 +369,8 @@ fn an_image_in_layout_one_is_refused_as_an_unsupported_version() {
     assert_eq!(*engine.base(), *base);
     // Refused on the byte, not by accident: labelled with the current
     // layout its records do not add up, and the image it came from reads.
-    let relabelled = BaseSegment::from_bytes(resealed(&old, 2, None)).map(|_| ());
+    let decoded = |image: Vec<u8>| BaseSegment::from_bytes(image)?.decode(&dataset);
+    let relabelled = decoded(resealed(&old, 2, None)).map(|_| ());
     assert_eq!(kind(relabelled, "relabelled"), StorageErrorKind::Corrupt);
-    assert!(BaseSegment::from_bytes(resealed(&image, 2, None)).is_ok());
+    assert!(decoded(resealed(&image, 2, None)).is_ok());
 }
